@@ -107,6 +107,73 @@ func modeledMigrate(b *testing.B, blocks, extentBlocks int, adaptive bool) {
 	}
 }
 
+// liveMigrate runs one full TPM migration of a kernel-build image over
+// modelled GbE under a progress-paced rewriting guest (workload.Paced: per
+// ten units sent, one write of the web trace and eight pages of a 256-page
+// hot set) — the suite's one row with a guest that writes. The sequential
+// extent path keeps the race in frame order, so wire-bytes/op and skipped/op
+// (units pre-copy left out as already dirty again) repeat exactly.
+func liveMigrate(b *testing.B, blocks int) {
+	const frameStall = 40 * time.Microsecond
+	const pages, hotPages = 1024, 256
+	srcDisk := kernelImage(blocks, 8000)
+	buf := make([]byte, blockdev.BlockSize)
+	var wire, skipped int64
+	b.SetBytes(int64(blocks) * blockdev.BlockSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dstDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+		guest := vm.New("g", 1, pages, 256)
+		src := core.Host{VM: guest, Backend: blkback.NewBackend(srcDisk, 1)}
+		dst := core.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, 1)}
+		router := core.NewRouter(src.Backend.Submit)
+		trace := workload.New(workload.Web, blocks, 1)
+		pa, pb := transport.NewPipe(256)
+		cd := transport.NewWAN(pb, frameStall, 125e6)
+		cs := &workload.Paced{Conn: transport.NewWAN(pa, frameStall, 125e6), Every: 10, Round: func(r int) {
+			a := trace.Next()
+			for a.Op != blockdev.Write {
+				a = trace.Next()
+			}
+			workload.FillBlock(buf, a.Block, uint32(r+1))
+			if err := router.Submit(blockdev.Request{Op: blockdev.Write, Block: a.Block, Domain: 1, Data: buf}); err != nil {
+				b.Error(err)
+			}
+			for k := 0; k < 8; k++ {
+				if err := guest.Memory().WritePage((8*r+k)%hotPages, buf); err != nil {
+					b.Error(err)
+				}
+			}
+		}}
+		cfg := core.Config{MaxExtentBlocks: 64, OnResume: router.ResumeGate}
+		srcCfg := cfg
+		srcCfg.OnFreeze = func() {
+			cs.Stop()
+			router.Freeze()
+		}
+		errCh := make(chan error, 1)
+		go func() {
+			rep, err := core.MigrateSource(srcCfg, src, cs, nil)
+			if err == nil {
+				wire += rep.MigratedBytes
+				skipped += int64(rep.SkippedBlocks() + rep.SkippedPages())
+			}
+			errCh <- err
+		}()
+		if _, err := core.MigrateDest(cfg, dst, cd); err != nil {
+			b.Fatal(err)
+		}
+		if err := <-errCh; err != nil {
+			b.Fatal(err)
+		}
+		cs.Close()
+		cd.Close()
+	}
+	b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/op")
+	b.ReportMetric(float64(skipped)/float64(b.N), "skipped/op")
+}
+
 // tcpMigrate runs one full migration of a kernel-build image over loopback
 // TCP under cfg — the real-socket arm of the suite, where the pooled buffer
 // discipline and vectored sends show up as allocs/op and MB/s. Both
@@ -345,7 +412,7 @@ func runJSON(path string, seed int64) error {
 		}
 		out.Benchmarks = append(out.Benchmarks, benchResult{
 			Name: name, Iterations: r.N, NsPerOp: float64(r.NsPerOp()), MBPerSec: mbps,
-			AllocsPerOp: float64(r.AllocsPerOp()),
+			AllocsPerOp: float64(r.AllocsPerOp()), Metrics: r.Extra,
 		})
 		fmt.Printf("%-44s %8d ns/op  %9.1f MB/s  %8d allocs/op\n", name, r.NsPerOp(), mbps, r.AllocsPerOp())
 	}
@@ -357,6 +424,10 @@ func runJSON(path string, seed int64) error {
 		testing.Benchmark(func(b *testing.B) { modeledMigrate(b, blocks, 64, false) }))
 	add("MigrateModeledLink/adaptive-policy",
 		testing.Benchmark(func(b *testing.B) { modeledMigrate(b, blocks, 1, true) }))
+
+	// The same link under a guest that writes while it is migrated.
+	add("MigrateLive/rewrite",
+		testing.Benchmark(func(b *testing.B) { liveMigrate(b, blocks) }))
 
 	// Real engine over loopback TCP: the zero-copy hot path against the raw
 	// socket floor. A 64 MiB image so the steady state, not the handshake,

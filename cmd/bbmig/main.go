@@ -244,8 +244,8 @@ func progressPrinter() core.EventFunc {
 		case core.EventPhaseStart:
 			fmt.Printf("[%s %7v] phase %s\n", ev.Side, at, ev.Phase)
 		case core.EventIterationEnd:
-			fmt.Printf("[%s %7v] %s iteration %d: %d units, %.1f MiB, %d dirty\n",
-				ev.Side, at, ev.Phase, ev.Iteration, ev.Units, float64(ev.Bytes)/(1<<20), ev.Dirty)
+			fmt.Printf("[%s %7v] %s iteration %d: %d units sent, %d skipped as re-dirtied, %.1f MiB, %d dirty\n",
+				ev.Side, at, ev.Phase, ev.Iteration, ev.Units, ev.Skipped, float64(ev.Bytes)/(1<<20), ev.Dirty)
 		case core.EventBytesTransferred:
 			fmt.Printf("[%s %7v] %.0f MiB on the wire\n", ev.Side, at, float64(ev.Bytes)/(1<<20))
 		case core.EventSuspended:

@@ -97,6 +97,16 @@ func (a *Atomic) Any() bool {
 	return false
 }
 
+// View is a read-only handle on an Atomic, for readers that must watch a
+// live tracker without being able to clear or swap it — the pre-copy send
+// cursor consults the backend's dirty bitmap through one
+// (Bitmap.NextExtentExcluding). The zero View watches nothing and excludes
+// nothing.
+type View struct{ a *Atomic }
+
+// View returns a read-only handle on a.
+func (a *Atomic) View() View { return View{a} }
+
 // Snapshot copies the current contents into a plain Bitmap.
 func (a *Atomic) Snapshot() *Bitmap {
 	b := New(a.n)

@@ -4,16 +4,13 @@
 //
 // A block-bitmap records which disk blocks were written ("dirtied") during a
 // migration phase: one bit per block, 0 = clean, 1 = dirty (paper §IV-A-2).
-// Three variants are provided:
+// Two variants are provided:
 //
 //   - Bitmap: a plain, dense bitmap. For a 32 GiB disk with 4 KiB blocks it
-//     occupies 1 MiB, exactly as the paper computes.
+//     occupies 1 MiB, exactly as the paper computes. Scans are
+//     word-at-a-time, so sparse bitmaps skip 64 clean blocks per step.
 //   - Atomic: a dense bitmap safe for concurrent writers, used by the block
 //     backend driver which records writes while the migration engine scans.
-//   - Layered: the paper's two-layer bitmap. The upper layer marks which
-//     fixed-size chunks contain any dirty bit; leaf chunks are allocated
-//     lazily on first write, so a sparse bitmap consumes little memory and
-//     full scans skip clean chunks.
 package bitmap
 
 import (

@@ -260,17 +260,15 @@ func TestSizeBytesMatchesPaper(t *testing.T) {
 // reference is an oracle implementation backed by a map.
 type reference map[int]bool
 
-func applyOps(n int, ops []uint32, dense *Bitmap, lay *Layered, ref reference) {
+func applyOps(n int, ops []uint32, dense *Bitmap, ref reference) {
 	for _, op := range ops {
 		i := int(op>>2) % n
 		switch op & 3 {
 		case 0, 1: // bias toward sets, like a write-dominated trace
 			dense.Set(i)
-			lay.Set(i)
 			ref[i] = true
 		case 2:
 			dense.Clear(i)
-			lay.Clear(i)
 			delete(ref, i)
 		case 3:
 			j := i + int(op%17)
@@ -278,7 +276,6 @@ func applyOps(n int, ops []uint32, dense *Bitmap, lay *Layered, ref reference) {
 				j = n
 			}
 			dense.SetRange(i, j)
-			lay.SetRange(i, j)
 			for k := i; k < j; k++ {
 				ref[k] = true
 			}
@@ -291,14 +288,13 @@ func TestQuickDenseMatchesReference(t *testing.T) {
 	f := func(ops []uint32) bool {
 		const n = 700
 		dense := New(n)
-		lay := NewLayeredChunk(n, 64)
 		ref := make(reference)
-		applyOps(n, ops, dense, lay, ref)
-		if dense.Count() != len(ref) || lay.Count() != len(ref) {
+		applyOps(n, ops, dense, ref)
+		if dense.Count() != len(ref) {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			if dense.Test(i) != ref[i] || lay.Test(i) != ref[i] {
+			if dense.Test(i) != ref[i] {
 				return false
 			}
 		}

@@ -99,6 +99,62 @@ func (b *Bitmap) NextExtent(i, max int) Extent {
 	return Extent{Start: start, Count: count}
 }
 
+// NextExtentExcluding is NextExtent over the bits of b that live does not
+// hold right now: the first run of `b &^ live` starting at or after i,
+// clipped to max. excluded counts the set bits of b it passed over before
+// that run (or before the end of the bitmap when the extent is empty)
+// because live held them; every set bit of b in that gap is one of them.
+//
+// The scan is word-at-a-time and lazy: each live word is loaded once, when
+// the scan reaches it, so a bit set in live after an earlier call is seen by
+// the next one, and a run is cut at the first bit live holds. A zero View
+// makes this exactly NextExtent.
+func (b *Bitmap) NextExtentExcluding(live View, i, max int) (ext Extent, excluded int) {
+	if live.a == nil {
+		return b.NextExtent(i, max), 0
+	}
+	if live.a.n != b.n {
+		panic(fmt.Sprintf("bitmap: exclude size mismatch %d != %d", live.a.n, b.n))
+	}
+	if i < 0 {
+		i = 0
+	}
+	if i >= b.n {
+		return Extent{}, 0
+	}
+	w := i / wordBits
+	from := ^uint64(0) << uint(i%wordBits) // drops the bits below i in the first word
+	for ; w < len(b.words); w, from = w+1, ^uint64(0) {
+		own := b.words[w] & from
+		if own == 0 {
+			continue
+		}
+		held := live.a.words[w].Load()
+		send := own &^ held
+		if send == 0 {
+			excluded += bits.OnesCount64(own)
+			continue
+		}
+		t := bits.TrailingZeros64(send)
+		excluded += bits.OnesCount64(own & held & (uint64(1)<<uint(t) - 1))
+		// The run continues while consecutive bits stay in b and out of
+		// live, across word boundaries, until max is reached.
+		count := bits.TrailingZeros64(^(send >> uint(t)))
+		for next := w + 1; t+count == (next-w)*wordBits && next < len(b.words) && (max <= 0 || count < max); next++ {
+			run := b.words[next]
+			if run != 0 {
+				run &^= live.a.words[next].Load()
+			}
+			count += bits.TrailingZeros64(^run)
+		}
+		if max > 0 && count > max {
+			count = max
+		}
+		return Extent{Start: w*wordBits + t, Count: count}, excluded
+	}
+	return Extent{}, excluded
+}
+
 // ClearRange clears bits [lo, hi), the inverse of SetRange.
 func (b *Bitmap) ClearRange(lo, hi int) {
 	if lo < 0 || hi > b.n || lo > hi {

@@ -202,3 +202,140 @@ func abs(x int) int {
 	}
 	return x
 }
+
+// maskedWalk drives NextExtentExcluding from start to the end of the bitmap,
+// calling mutate (if any) before each step, and checks every step against
+// the definition: the extent is NextExtent of `b &^ live` as live stands at
+// that step, and excluded counts b's bits in the gap that live holds.
+func maskedWalk(t *testing.T, b *Bitmap, live *Atomic, start, max int, mutate func()) []Extent {
+	t.Helper()
+	var got []Extent
+	for pos := start; ; {
+		if mutate != nil {
+			mutate()
+		}
+		held := live.Snapshot()
+		ref := b.Clone()
+		ref.Subtract(held)
+		want := ref.NextExtent(pos, max)
+		ext, excluded := b.NextExtentExcluding(live.View(), pos, max)
+		if ext != want {
+			t.Fatalf("pos=%d max=%d: extent %v, want %v", pos, max, ext, want)
+		}
+		gapEnd := ext.Start
+		if ext.Count == 0 {
+			gapEnd = b.Len()
+		}
+		wantExcluded := 0
+		for i := pos; i < gapEnd; i++ {
+			if b.Test(i) {
+				if !held.Test(i) {
+					t.Fatalf("pos=%d: bit %d is owed and not held, yet the scan passed it", pos, i)
+				}
+				wantExcluded++
+			}
+		}
+		if excluded != wantExcluded {
+			t.Fatalf("pos=%d max=%d: excluded %d, want %d", pos, max, excluded, wantExcluded)
+		}
+		if ext.Count == 0 {
+			return got
+		}
+		got = append(got, ext)
+		pos = ext.End()
+	}
+}
+
+// TestNextExtentExcludingMatchesSubtract is the masked scan's property test:
+// over random owed sets, live sets, extent limits and start positions it
+// yields exactly the extents of toSend.Clone().Subtract(live.Snapshot()),
+// also when live gains bits between calls (the racing guest).
+func TestNextExtentExcludingMatchesSubtract(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	fill := func(n int, density float64, set func(lo, hi int)) {
+		for i := 0; i < n; {
+			run := 1 + rng.Intn(200)
+			if i+run > n {
+				run = n - i
+			}
+			if rng.Float64() < density {
+				set(i, i+run)
+			}
+			i += run
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := []int{1, 63, 64, 65, 128, 129, 1000, 4096}[rng.Intn(8)]
+		b := New(n)
+		live := NewAtomic(n)
+		fill(n, []float64{0.1, 0.5, 1}[rng.Intn(3)], b.SetRange)
+		fill(n, []float64{0, 0.1, 0.5, 1}[rng.Intn(4)], live.SetRange)
+		max := []int{0, 1, 7, 64, 100}[rng.Intn(5)]
+		start := rng.Intn(n + 1)
+		var mutate func()
+		if trial%2 == 1 {
+			mutate = func() { live.Set(rng.Intn(n)) }
+		}
+		maskedWalk(t, b, live, start, max, mutate)
+
+		// A zero View excludes nothing: the scan is NextExtent.
+		for pos := start; ; {
+			want := b.NextExtent(pos, max)
+			ext, excluded := b.NextExtentExcluding(View{}, pos, max)
+			if ext != want || excluded != 0 {
+				t.Fatalf("zero view: %v excluded %d, want %v excluded 0", ext, excluded, want)
+			}
+			if ext.Count == 0 {
+				break
+			}
+			pos = ext.End()
+		}
+	}
+}
+
+func TestNextExtentExcludingCutsAtRedirtied(t *testing.T) {
+	b := NewAllSet(200)
+	live := NewAtomic(200)
+	live.Set(70)
+	live.SetRange(130, 135)
+	got := maskedWalk(t, b, live, 0, 0, nil)
+	want := []Extent{{0, 70}, {71, 59}, {135, 65}}
+	if len(got) != len(want) {
+		t.Fatalf("extents %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("extents %v, want %v", got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("size mismatch did not panic")
+		}
+	}()
+	b.NextExtentExcluding(NewAtomic(199).View(), 0, 0)
+}
+
+// FuzzNextExtentExcluding feeds arbitrary word patterns through the same
+// check as the property test.
+func FuzzNextExtentExcluding(f *testing.F) {
+	f.Add([]byte{0xff, 0x0f, 0xf0}, []byte{0x10, 0xff}, uint8(3), uint8(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, []byte{0, 0, 0, 0, 0, 0, 0, 0x80}, uint8(0), uint8(5))
+	f.Fuzz(func(t *testing.T, owed, held []byte, max, start uint8) {
+		n := 8 * len(owed)
+		if n == 0 {
+			return
+		}
+		b := New(n)
+		live := NewAtomic(n)
+		for i := 0; i < n; i++ {
+			if owed[i/8]&(1<<(i%8)) != 0 {
+				b.Set(i)
+			}
+			if i/8 < len(held) && held[i/8]&(1<<(i%8)) != 0 {
+				live.Set(i)
+			}
+		}
+		maskedWalk(t, b, live, int(start)%(n+1), int(max), nil)
+	})
+}

@@ -111,7 +111,16 @@ func (b *Backend) Submit(req blockdev.Request) error {
 		b.bytesWrit.Add(int64(b.dev.BlockSize()))
 		if req.Domain != b.domain {
 			b.foreign.Add(1)
-		} else if b.tracking.Load() {
+			return b.dev.WriteBlock(req.Block, req.Data)
+		}
+		// The write lands first; only then is tracking consulted and the bit
+		// set. A bit set before its data exists could be swapped out and the
+		// block read (from a snapshot taken in between) without it, and a
+		// write that saw tracking off just before StartTracking could land
+		// after the first iteration's snapshot: either way the write would
+		// be owed by nobody.
+		err := b.dev.WriteBlock(req.Block, req.Data)
+		if b.tracking.Load() {
 			if b.dirty.Test(req.Block) {
 				b.rewrites.Add(1)
 			} else {
@@ -119,7 +128,7 @@ func (b *Backend) Submit(req blockdev.Request) error {
 			}
 			b.dirty.Set(req.Block)
 		}
-		return b.dev.WriteBlock(req.Block, req.Data)
+		return err
 	default:
 		return fmt.Errorf("blkback: unknown op %v", req.Op)
 	}
@@ -154,6 +163,11 @@ func (b *Backend) SwapDirty() *bitmap.Bitmap { return b.dirty.SwapOut() }
 
 // DirtySnapshot returns the current bitmap without clearing it.
 func (b *Backend) DirtySnapshot() *bitmap.Bitmap { return b.dirty.Snapshot() }
+
+// DirtyView returns a read-only view of the live dirty bitmap. The pre-copy
+// send cursor consults it to leave out blocks the guest has already written
+// again; it cannot clear or swap what it watches.
+func (b *Backend) DirtyView() bitmap.View { return b.dirty.View() }
 
 // DirtyCount returns the number of currently dirty blocks.
 func (b *Backend) DirtyCount() int { return b.dirty.Count() }

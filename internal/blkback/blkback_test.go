@@ -226,6 +226,70 @@ func TestGateDirtyReadPullsAndWaits(t *testing.T) {
 	}
 }
 
+// TestGatePullErrorAfterPushArrived is the regression test for a read that
+// queued on a dirty block, lost the race with the push of that block, and
+// then pulled over a link the finished migration had already closed: the
+// block is there, so the read must succeed with the pushed content. A pull
+// that fails with nothing delivered still fails the read.
+func TestGatePullErrorAfterPushArrived(t *testing.T) {
+	dev := blockdev.NewMemDisk(32, bs)
+	bm := bitmap.New(32)
+	bm.Set(7)
+	bm.Set(9)
+	linkClosed := errors.New("use of closed network connection")
+	var gate *PostCopyGate
+	gate = NewPostCopyGate(dev, 1, bm, func(n int) error {
+		if n == 7 { // the push lands between the read's queueing and its pull
+			if err := gate.ReceiveBlock(7, block(0xCC)); err != nil {
+				t.Error(err)
+			}
+		}
+		return linkClosed
+	}, clock.NewReal())
+	buf := make([]byte, bs)
+	if err := gate.Submit(blockdev.Request{Op: blockdev.Read, Block: 7, Domain: 1, Data: buf}); err != nil {
+		t.Fatalf("read of a block that had already arrived failed: %v", err)
+	}
+	if !bytes.Equal(buf, block(0xCC)) {
+		t.Fatal("read did not return the pushed content")
+	}
+	err := gate.Submit(blockdev.Request{Op: blockdev.Read, Block: 9, Domain: 1, Data: buf})
+	if !errors.Is(err, linkClosed) {
+		t.Fatalf("read of a block that never arrived: %v, want the pull's error", err)
+	}
+}
+
+// lateBitDisk fails the test if a tracked write's dirty bit is visible
+// before the write has reached the device.
+type lateBitDisk struct {
+	*blockdev.MemDisk
+	t       *testing.T
+	backend *Backend
+}
+
+func (d *lateBitDisk) WriteBlock(n int, data []byte) error {
+	if d.backend.DirtyCount() != 0 {
+		d.t.Errorf("block %d marked dirty before its data landed", n)
+	}
+	return d.MemDisk.WriteBlock(n, data)
+}
+
+// TestBackendMarksDirtyAfterWrite pins the order the pre-copy loop relies
+// on: a bit in the tracker means the data is on the device, so a bit that
+// was swapped out (or a block skipped as re-dirtied) is never read stale.
+func TestBackendMarksDirtyAfterWrite(t *testing.T) {
+	dev := &lateBitDisk{MemDisk: blockdev.NewMemDisk(8, bs), t: t}
+	b := NewBackend(dev, 1)
+	dev.backend = b
+	b.StartTracking()
+	if err := b.Submit(blockdev.Request{Op: blockdev.Write, Block: 3, Domain: 1, Data: block(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if b.DirtyCount() != 1 || !b.DirtySnapshot().Test(3) {
+		t.Fatal("write not tracked")
+	}
+}
+
 func TestGateDuplicateReadsOnePull(t *testing.T) {
 	e := newGateEnv(t, 4)
 	var wg sync.WaitGroup

@@ -156,7 +156,12 @@ func (g *PostCopyGate) Submit(req blockdev.Request) error {
 		g.statsMu.Unlock()
 
 		if needPull {
-			if err := g.pull(req.Block); err != nil {
+			// The push of this block may have won the race with the pull —
+			// and the migration that delivered it may since have finished
+			// and closed the link the pull wanted. A verdict already waiting
+			// in done (only this goroutine receives from it) outranks the
+			// pull's failure.
+			if err := g.pull(req.Block); err != nil && len(done) == 0 {
 				return fmt.Errorf("blkback: pull block %d: %w", req.Block, err)
 			}
 		}

@@ -104,12 +104,12 @@ func MigrateFreezeAndCopySource(cfg Config, host Host, conn transport.Conn) (*me
 			// Whole disk, whole memory, CPU — one copy and only one copy.
 			// Never paced: the entire transfer is downtime, and the paper
 			// caps only pre-copy bandwidth.
-			sent, bytes, err := t.sendBlocks(bitmap.NewAllSet(dev.NumBlocks()), PhaseFreezeCopy, false)
+			sent, bytes, err := t.sendBlocks(allOf(bitmap.NewAllSet(dev.NumBlocks())), PhaseFreezeCopy, false)
 			if err != nil {
 				return err
 			}
 			rep.DiskIterations = []metrics.Iteration{{Index: 1, Units: sent, Bytes: bytes, Duration: t.clk.Now() - freezeStart}}
-			nPages, pBytes, err := t.sendPages(bitmap.NewAllSet(mem.NumPages()), false)
+			nPages, pBytes, err := t.sendPages(allOf(bitmap.NewAllSet(mem.NumPages())), false)
 			if err != nil {
 				return err
 			}
@@ -220,7 +220,7 @@ func MigrateOnDemandSource(cfg Config, host Host, conn transport.Conn) (*metrics
 			if err := t.send(transport.Message{Type: transport.MsgSuspend}, false); err != nil {
 				return err
 			}
-			if _, _, err := t.sendPages(mem.SwapDirty(), false); err != nil {
+			if _, _, err := t.sendPages(allOf(mem.SwapDirty()), false); err != nil {
 				return err
 			}
 			cpu := host.VM.CPU()
@@ -477,7 +477,7 @@ func MigrateDeltaSource(cfg Config, host Host, conn transport.Conn, fwd *DeltaFo
 			// so a consistent base image plus the delta replay reproduces
 			// the live disk exactly.
 			restore := t.snapshotForReads()
-			sent, bytes, err := t.sendBlocks(bitmap.NewAllSet(dev.NumBlocks()), PhaseDeltaForward, true)
+			sent, bytes, err := t.sendBlocks(allOf(bitmap.NewAllSet(dev.NumBlocks())), PhaseDeltaForward, true)
 			restore()
 			if err != nil {
 				return err
@@ -508,7 +508,7 @@ func MigrateDeltaSource(cfg Config, host Host, conn transport.Conn, fwd *DeltaFo
 			if err := t.send(transport.Message{Type: transport.MsgSuspend}, false); err != nil {
 				return err
 			}
-			if _, _, err := t.sendPages(mem.SwapDirty(), false); err != nil {
+			if _, _, err := t.sendPages(allOf(mem.SwapDirty()), false); err != nil {
 				return err
 			}
 			cpu := host.VM.CPU()

@@ -20,58 +20,35 @@ import (
 // needs no advert at all). Memory pages, freeze-and-copy, and post-copy
 // pushes are never deduplicated.
 
-// sendExtentsDedup is the dedup counterpart of sendExtentsSeq: it walks bm's
-// runs with a cursor, fingerprints each extent, elides all-zero runs
-// outright, and otherwise — when the policy agrees the round trip is worth
-// it — adverts the fingerprints and sends only what the destination wants
-// literally. The path is sequential by design: the advert/want alternation
-// is a per-extent round trip, so a worker pool would just reorder waits.
-func (t *transfer) sendExtentsDedup(bm *bitmap.Bitmap, phaseName string, limited bool) (int, int64, error) {
-	dev := t.srcDev
-	bs := dev.BlockSize()
+// sendExtentsDedup runs the sequential walker with the dedup encoder: it
+// fingerprints each extent, elides all-zero runs outright, and otherwise —
+// when the policy agrees the round trip is worth it — adverts the
+// fingerprints and sends only what the destination wants literally. The path
+// is sequential by design: the advert/want alternation is a per-extent round
+// trip, so a worker pool would just reorder waits.
+func (t *transfer) sendExtentsDedup(cur *owedCursor, phaseName string, limited bool) (int, int64, error) {
+	bs := t.srcDev.BlockSize()
 	zero := dedup.ZeroFingerprint(bs)
-	var buf []byte
-	defer func() { transport.PutBuf(buf) }()
 	var fps []dedup.Fingerprint
-	sent := 0
-	var bytes int64
-	for pos := 0; ; {
-		maxExt := t.extentBlocks(phaseName)
-		ext := bm.NextExtent(pos, maxExt)
-		if ext.Count == 0 {
-			// With Delta also negotiated, the wanted sub-runs below may have
-			// travelled as patches; the fence bounds them (no-op otherwise).
-			fenceWire, err := t.deltaFence(limited)
-			return sent, bytes + fenceWire, err
-		}
-		if need := ext.Count * bs; cap(buf) < need {
-			transport.PutBuf(buf)
-			buf = transport.GetBuf(maxExt * bs)
-		}
-		data := buf[:ext.Count*bs]
-		extStart := t.clk.Now()
+	sent, bytes, err := t.sendExtentsSeq(cur, phaseName, func(ext bitmap.Extent, data []byte) (int64, error) {
 		fps = fps[:0]
 		allZero := true
 		for k := 0; k < ext.Count; k++ {
-			blk := data[k*bs : (k+1)*bs]
-			if err := dev.ReadBlock(ext.Start+k, blk); err != nil {
-				return sent, bytes, err
-			}
-			fp := dedup.Of(blk)
+			fp := dedup.Of(data[k*bs : (k+1)*bs])
 			fps = append(fps, fp)
 			if fp != zero {
 				allZero = false
 			}
 		}
-		wire, err := t.sendDedupExtent(ext, data, fps, allZero, phaseName, limited)
-		if err != nil {
-			return sent, bytes, err
-		}
-		t.pol.ObserveExtent(ext.Count, wire, t.clk.Now()-extStart)
-		sent += ext.Count
-		bytes += wire
-		pos = ext.End()
+		return t.sendDedupExtent(ext, data, fps, allZero, phaseName, limited)
+	})
+	if err != nil {
+		return sent, bytes, err
 	}
+	// With Delta also negotiated, the wanted sub-runs may have travelled as
+	// patches; the fence bounds them (no-op otherwise).
+	fenceWire, err := t.deltaFence(limited)
+	return sent, bytes + fenceWire, err
 }
 
 // sendDedupExtent moves one extent under the dedup protocol and returns the
@@ -95,8 +72,7 @@ func (t *transfer) sendDedupExtent(ext bitmap.Extent, data []byte, fps []dedup.F
 		return int64(m.FrameSize()), nil
 	}
 	if !t.pol.DedupExtent(phaseName, ext.Count) {
-		m := extentMessage(ext, data)
-		return int64(m.FrameSize()), t.send(m, limited)
+		return t.sendLiteral(ext, data, limited)
 	}
 	adv := transport.Message{Type: transport.MsgHashAdvert, Arg: arg, Payload: dedup.AppendFingerprints(fpBuf[:0], fps)}
 	if err := t.send(adv, limited); err != nil {

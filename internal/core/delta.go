@@ -28,44 +28,19 @@ import (
 // can never collide with a real signature request.
 const deltaFenceArg = 0
 
-// sendExtentsDelta is the delta counterpart of sendExtentsSeq: it walks
-// bm's runs with a cursor and moves each extent through the signature round
-// trip. Sequential by design — each extent is a round trip, so a worker
+// sendExtentsDelta runs the sequential walker with the delta encoder: each
+// extent moves through the signature round trip, and the pass ends with the
+// fence. Sequential by design — each extent is a round trip, so a worker
 // pool would just reorder waits.
-func (t *transfer) sendExtentsDelta(bm *bitmap.Bitmap, phaseName string, limited bool) (int, int64, error) {
-	dev := t.srcDev
-	bs := dev.BlockSize()
-	var buf []byte
-	defer func() { transport.PutBuf(buf) }()
-	sent := 0
-	var bytes int64
-	for pos := 0; ; {
-		maxExt := t.extentBlocks(phaseName)
-		ext := bm.NextExtent(pos, maxExt)
-		if ext.Count == 0 {
-			fenceWire, err := t.deltaFence(limited)
-			return sent, bytes + fenceWire, err
-		}
-		if need := ext.Count * bs; cap(buf) < need {
-			transport.PutBuf(buf)
-			buf = transport.GetBuf(maxExt * bs)
-		}
-		data := buf[:ext.Count*bs]
-		extStart := t.clk.Now()
-		for k := 0; k < ext.Count; k++ {
-			if err := dev.ReadBlock(ext.Start+k, data[k*bs:(k+1)*bs]); err != nil {
-				return sent, bytes, err
-			}
-		}
-		wire, err := t.sendDeltaExtent(ext, data, phaseName, limited)
-		if err != nil {
-			return sent, bytes, err
-		}
-		t.pol.ObserveExtent(ext.Count, wire, t.clk.Now()-extStart)
-		sent += ext.Count
-		bytes += wire
-		pos = ext.End()
+func (t *transfer) sendExtentsDelta(cur *owedCursor, phaseName string, limited bool) (int, int64, error) {
+	sent, bytes, err := t.sendExtentsSeq(cur, phaseName, func(ext bitmap.Extent, data []byte) (int64, error) {
+		return t.sendDeltaExtent(ext, data, phaseName, limited)
+	})
+	if err != nil {
+		return sent, bytes, err
 	}
+	fenceWire, err := t.deltaFence(limited)
+	return sent, bytes + fenceWire, err
 }
 
 // sendDeltaExtent moves one extent under the delta protocol and returns the
@@ -74,8 +49,7 @@ func (t *transfer) sendExtentsDelta(bm *bitmap.Bitmap, phaseName string, limited
 // destination accepts, so the round trip gates cost, never correctness.
 func (t *transfer) sendDeltaExtent(ext bitmap.Extent, data []byte, phaseName string, limited bool) (int64, error) {
 	if !t.pol.DeltaExtent(phaseName, ext.Count) {
-		m := extentMessage(ext, data)
-		return int64(m.FrameSize()), t.send(m, limited)
+		return t.sendLiteral(ext, data, limited)
 	}
 	arg := transport.ExtentArg(ext.Start, ext.Count)
 	req := transport.Message{Type: transport.MsgDeltaSig, Arg: arg}
@@ -95,11 +69,8 @@ func (t *transfer) sendDeltaExtent(ext bitmap.Extent, data []byte, phaseName str
 	patch := delta.Diff(sig, data)
 	if len(patch) >= len(data) {
 		// Diverged wholesale: the literal is no bigger and needs no apply.
-		m := extentMessage(ext, data)
-		if err := t.send(m, limited); err != nil {
-			return wire, err
-		}
-		return wire + int64(m.FrameSize()), nil
+		lit, err := t.sendLiteral(ext, data, limited)
+		return wire + lit, err
 	}
 	m := transport.Message{Type: transport.MsgDeltaPatch, Arg: arg, Payload: patch}
 	if err := t.send(m, limited); err != nil {
@@ -149,18 +120,17 @@ func (t *transfer) deltaFence(limited bool) (int64, error) {
 			transport.PutBuf(buf)
 			buf = transport.GetBuf(need)
 		}
+		ext := bitmap.Extent{Start: start, Count: count}
 		data := buf[:count*bs]
-		for k := 0; k < count; k++ {
-			if err := dev.ReadBlock(start+k, data[k*bs:(k+1)*bs]); err != nil {
-				return wire, err
-			}
-		}
-		t.deltaBlocks -= count // the patch was refused; these blocks moved literally
-		m := extentMessage(bitmap.Extent{Start: start, Count: count}, data)
-		if err := t.send(m, limited); err != nil {
+		if err := readExtent(dev, ext, data); err != nil {
 			return wire, err
 		}
-		wire += int64(m.FrameSize())
+		t.deltaBlocks -= count // the patch was refused; these blocks moved literally
+		lit, err := t.sendLiteral(ext, data, limited)
+		if err != nil {
+			return wire, err
+		}
+		wire += lit
 	}
 	return wire, nil
 }
@@ -182,15 +152,12 @@ func (t *transfer) checkDeltaExtent(arg uint64) (bitmap.Extent, error) {
 // pooled buffer the caller must PutBuf.
 func (d *destRun) readExtent(ext bitmap.Extent) ([]byte, error) {
 	dev := d.host.Backend.Device()
-	bs := dev.BlockSize()
-	buf := transport.GetBuf(ext.Count * bs)
-	for k := 0; k < ext.Count; k++ {
-		if err := dev.ReadBlock(ext.Start+k, buf[k*bs:(k+1)*bs]); err != nil {
-			transport.PutBuf(buf)
-			return nil, err
-		}
+	buf := transport.GetBuf(ext.Count * dev.BlockSize())
+	if err := readExtent(dev, ext, buf); err != nil {
+		transport.PutBuf(buf)
+		return nil, err
 	}
-	return buf[:ext.Count*bs], nil
+	return buf, nil
 }
 
 // handleDeltaSig answers one signature request from the destination's

@@ -9,6 +9,7 @@ import (
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
+	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
 	"bbmig/internal/vm"
 	"bbmig/internal/workload"
@@ -221,6 +222,248 @@ func TestEquivalenceIM(t *testing.T) {
 			}
 		})
 	}
+}
+
+// iterationAudit sits under the engine on the source's connection and checks
+// the per-iteration invariant every send path shares: between an iteration's
+// start and end frames no block or page travels twice.
+type iterationAudit struct {
+	transport.Conn
+	mu      sync.Mutex
+	seen    map[int]bool // nil outside pre-copy iterations
+	repeats []int
+}
+
+func (a *iterationAudit) Send(m transport.Message) error {
+	a.mu.Lock()
+	switch m.Type {
+	case transport.MsgIterStart, transport.MsgMemIterStart:
+		a.seen = make(map[int]bool)
+	case transport.MsgIterEnd, transport.MsgMemIterEnd:
+		a.seen = nil
+	default:
+		if start, n := transport.CarriedUnits(m); a.seen != nil {
+			for u := start; u < start+n; u++ {
+				if a.seen[u] {
+					a.repeats = append(a.repeats, u)
+				}
+				a.seen[u] = true
+			}
+		}
+	}
+	a.mu.Unlock()
+	return a.Conn.Send(m)
+}
+
+// runRacing migrates e's world under a progress-paced racing guest: one
+// verified disk write into a 96-block hot set and one page write into a
+// 48-page hot set per eight units the source sends, so every iteration is
+// raced by rewrites of blocks and pages on both sides of its cursor. With
+// resendAll the engine sends re-dirtied units anyway — the reference the
+// skip is measured against.
+func (e *env) runRacing(cfg Config, resendAll bool) (*metrics.Report, *DestResult) {
+	e.t.Helper()
+	mem := e.src.VM.Memory()
+	audit := &iterationAudit{Conn: e.connSrc}
+	page := make([]byte, blockdev.BlockSize)
+	block := make([]byte, blockdev.BlockSize)
+	guest := &workload.Paced{Conn: audit, Every: 8, Round: func(i int) {
+		req := blockdev.Request{Op: blockdev.Write, Domain: testDomain, Block: (i * 7 % 96) * 21, Data: block}
+		if err := e.submitVerified(req); err != nil {
+			e.t.Errorf("guest write: %v", err)
+		}
+		p := (i * 5 % 48) * 5
+		workload.FillBlock(page, p+300000, uint32(i))
+		if err := mem.WritePage(p, page); err != nil {
+			e.t.Errorf("guest page write: %v", err)
+		}
+	}}
+	cfg.DiskDirtyThreshold, cfg.MemDirtyThreshold = 8, 4 // below the hot sets: pre-copy iterates
+	srcCfg := cfg
+	srcCfg.OnFreeze = func() {
+		guest.Stop()
+		e.router.Freeze()
+	}
+	cfg.OnResume = e.router.ResumeGate
+
+	tr, err := newTransfer(srcCfg.withDefaults(), e.src, guest, "TPM", "source")
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	tr.resendAll = resendAll
+	type srcOut struct {
+		rep *metrics.Report
+		err error
+	}
+	srcCh := make(chan srcOut, 1)
+	go func() {
+		rep, err := (&sourceRun{transfer: tr}).run(nil)
+		srcCh <- srcOut{rep, err}
+	}()
+	res, err := MigrateDest(cfg, e.dst, e.connDst)
+	if err != nil {
+		e.t.Fatalf("destination: %v", err)
+	}
+	out := <-srcCh
+	if out.err != nil {
+		e.t.Fatalf("source: %v", out.err)
+	}
+	e.checkConverged(res.CPU) // the guest stopped at the freeze: shadow and source memory are the freeze-time state
+	if len(audit.repeats) != 0 {
+		e.t.Fatalf("units sent twice within one iteration: %v", audit.repeats)
+	}
+	return out.rep, res
+}
+
+// TestEquivalenceSkipRedirtied runs the racing guest across every send path
+// and checks the skip rule's contract on each: the destination equals the
+// source at the freeze; no unit travels twice within an iteration; every
+// iteration accounts for its whole set as sent + skipped; freeze-and-copy and
+// the post-copy push leave nothing out; and the run sends no more units than
+// the same run with the skip forced off.
+func TestEquivalenceSkipRedirtied(t *testing.T) {
+	paths := []struct {
+		name    string
+		streams int
+		cfg     Config
+	}{
+		{"per-block", 1, Config{}},
+		{"extents", 1, Config{MaxExtentBlocks: 16}},
+		{"readahead", 1, Config{MaxExtentBlocks: 16, Readahead: 4}},
+		{"workers", 1, Config{MaxExtentBlocks: 16, Workers: 2}},
+		{"striped", 2, Config{Streams: 2, MaxExtentBlocks: 16, Workers: 2}},
+		{"compressed", 1, Config{MaxExtentBlocks: 16, CompressLevel: 1}},
+		{"dedup", 1, Config{MaxExtentBlocks: 16, Dedup: true}},
+		{"delta", 1, Config{MaxExtentBlocks: 16, Delta: true}},
+	}
+	sentUnits := func(its []metrics.Iteration) (n int) {
+		for _, it := range its {
+			n += it.Units
+		}
+		return n
+	}
+	for _, pc := range paths {
+		t.Run(pc.name, func(t *testing.T) {
+			run := func(resendAll bool) *metrics.Report {
+				e := newEnv(t)
+				e.useStriped(pc.streams)
+				rep, _ := e.runRacing(pc.cfg, resendAll)
+				for _, ph := range []struct {
+					name  string
+					total int
+					its   []metrics.Iteration
+				}{{"disk", testBlocks, rep.DiskIterations}, {"mem", testPages, rep.MemIterations}} {
+					set := ph.total // iteration 1 owes everything, iteration k+1 what k left dirty
+					for _, it := range ph.its {
+						if it.Units+it.Skipped != set {
+							t.Fatalf("%s iteration %d: sent %d + skipped %d != its set of %d", ph.name, it.Index, it.Units, it.Skipped, set)
+						}
+						set = it.DirtyEnd
+					}
+				}
+				// The freeze bitmap is what the last disk iteration left dirty
+				// plus the guest's writes during memory pre-copy.
+				last := rep.DiskIterations[len(rep.DiskIterations)-1]
+				if got := rep.BlocksPushed + rep.BlocksPulled; got < last.DirtyEnd {
+					t.Fatalf("post-copy moved %d blocks, fewer than the %d the last disk iteration left dirty", got, last.DirtyEnd)
+				}
+				if final := rep.MemIterations[len(rep.MemIterations)-1]; final.Skipped != 0 {
+					t.Fatalf("freeze-and-copy skipped %d pages", final.Skipped)
+				}
+				return rep
+			}
+			skip, all := run(false), run(true)
+			if skip.SkippedBlocks() == 0 || skip.SkippedPages() == 0 {
+				t.Fatalf("racing guest never triggered the skip: %d blocks, %d pages", skip.SkippedBlocks(), skip.SkippedPages())
+			}
+			if all.SkippedBlocks() != 0 || all.SkippedPages() != 0 {
+				t.Fatalf("reference run skipped %d blocks, %d pages", all.SkippedBlocks(), all.SkippedPages())
+			}
+			sb, ab := sentUnits(skip.DiskIterations)+skip.BlocksPushed+skip.BlocksPulled, sentUnits(all.DiskIterations)+all.BlocksPushed+all.BlocksPulled
+			sp, ap := sentUnits(skip.MemIterations), sentUnits(all.MemIterations)
+			if sb > ab || sp > ap {
+				t.Fatalf("skip sent %d blocks, %d pages; resend-everything sent %d, %d", sb, sp, ab, ap)
+			}
+			t.Logf("blocks %d vs %d, pages %d vs %d (skipped %d, %d)", sb, ab, sp, ap, skip.SkippedBlocks(), skip.SkippedPages())
+		})
+	}
+}
+
+// TestFreezeAndPostCopyNeverSkip re-dirties every tracker bit the moment the
+// freeze sets have been captured: were freeze-and-copy or the post-copy push
+// to consult the live tracker, they would leave everything out. They send
+// all of it.
+func TestFreezeAndPostCopyNeverSkip(t *testing.T) {
+	e := newEnv(t)
+	mem := e.src.VM.Memory()
+	buf := make([]byte, blockdev.BlockSize)
+	const lateBlocks, latePages = 300, 40
+	redirty := &freezeWatch{Conn: e.connSrc}
+	pagesBeforeCPU := 0
+	redirty.onFirstFreezeFrame = func() {
+		e.src.Backend.SeedDirty(bitmap.NewAllSet(testBlocks))
+		for p := 0; p < testPages; p++ { // rewriting a page with its own content dirties it and changes nothing
+			if err := mem.ReadPage(p, buf); err != nil {
+				t.Error(err)
+			}
+			if err := mem.WritePage(p, buf); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	redirty.onFreezePage = func() { pagesBeforeCPU++ }
+	cfg := Config{OnFreeze: func() {
+		// The freeze sets: written after the last pre-copy iteration.
+		for n := 0; n < lateBlocks; n++ {
+			if err := e.submitVerified(blockdev.Request{Op: blockdev.Write, Domain: testDomain, Block: n * 5, Data: buf}); err != nil {
+				t.Error(err)
+			}
+		}
+		for p := 0; p < latePages; p++ {
+			workload.FillBlock(buf, p+400000, 1)
+			if err := mem.WritePage(p*3, buf); err != nil {
+				t.Error(err)
+			}
+		}
+		e.router.Freeze()
+	}}
+	e.connSrc = redirty
+	rep, res := e.runTPM(cfg, nil)
+	e.checkConverged(res.CPU)
+	if !redirty.fired {
+		t.Fatal("trackers were never re-dirtied")
+	}
+	if pagesBeforeCPU != latePages {
+		t.Fatalf("freeze-and-copy sent %d pages of a %d-page final set", pagesBeforeCPU, latePages)
+	}
+	if got := rep.BlocksPushed + rep.BlocksPulled; got != lateBlocks {
+		t.Fatalf("post-copy moved %d blocks of a %d-block freeze bitmap", got, lateBlocks)
+	}
+}
+
+// freezeWatch watches the source's freeze-and-copy frames: the first page (or
+// CPU state) after SUSPEND proves the freeze sets were captured.
+type freezeWatch struct {
+	transport.Conn
+	suspended, fired   bool
+	onFirstFreezeFrame func()
+	onFreezePage       func()
+}
+
+func (c *freezeWatch) Send(m transport.Message) error {
+	switch {
+	case m.Type == transport.MsgSuspend:
+		c.suspended = true
+	case c.suspended && (m.Type == transport.MsgMemPage || m.Type == transport.MsgCPUState):
+		if !c.fired {
+			c.fired = true
+			c.onFirstFreezeFrame()
+		}
+		if m.Type == transport.MsgMemPage {
+			c.onFreezePage()
+		}
+	}
+	return c.Conn.Send(m)
 }
 
 // TestScatterPool exercises the pool directly: ordering across drains,

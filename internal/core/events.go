@@ -31,7 +31,7 @@ const (
 	// EventPhaseEnd marks completion of Event.Phase.
 	EventPhaseEnd
 	// EventIterationEnd closes one pre-copy iteration; Iteration, Units,
-	// Bytes, and Dirty carry the iteration's outcome.
+	// Skipped, Bytes, and Dirty carry the iteration's outcome.
 	EventIterationEnd
 	// EventBytesTransferred reports cumulative wire bytes moved by this
 	// endpoint (Bytes). Emitted at most once per progressByteQuantum of
@@ -93,7 +93,8 @@ type Event struct {
 	At     time.Duration // engine clock timestamp
 
 	Iteration int   // EventIterationEnd: 1-based iteration index
-	Units     int   // iteration units (blocks/pages) or pulled block number
+	Units     int   // iteration units (blocks/pages) sent, or pulled block number
+	Skipped   int   // EventIterationEnd: units left out as already dirty again
 	Bytes     int64 // iteration wire bytes, or cumulative endpoint bytes
 	Dirty     int   // EventIterationEnd: dirty units at iteration end
 
@@ -187,7 +188,7 @@ func (e *emitter) noteBytes(total int64) {
 func (e *emitter) iterationEnd(st IterationStat) {
 	e.emit(Event{
 		Kind: EventIterationEnd, Phase: st.Phase,
-		Iteration: st.Iteration, Units: st.Sent, Bytes: st.SentBytes, Dirty: st.Dirty,
+		Iteration: st.Iteration, Units: st.Sent, Skipped: st.Skipped, Bytes: st.SentBytes, Dirty: st.Dirty,
 	})
 }
 

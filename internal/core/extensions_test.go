@@ -282,15 +282,16 @@ func TestMigrationSurvivesLinkDeath(t *testing.T) {
 // the destination VM is already running; the engine must surface the error.
 func TestLinkDeathDuringPostCopy(t *testing.T) {
 	e := newEnv(t)
-	// Keep a large dirty set for post-copy (single iteration, then
-	// everything else rides the bitmap).
+	// Keep a large dirty set for post-copy: the writes land once the single
+	// disk iteration is over (a block re-dirtied during it would be skipped
+	// there and the frame count below would move), so all of them ride the
+	// freeze bitmap.
 	buf := make([]byte, blockdev.BlockSize)
+	diskDone := make(chan struct{})
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		for !e.src.Backend.Tracking() {
-			time.Sleep(time.Millisecond)
-		}
+		<-diskDone
 		for n := 0; n < 600; n++ {
 			workload.FillBlock(buf, n, 1)
 			e.router.Submit(blockdev.Request{Op: blockdev.Write, Block: n, Domain: testDomain, Data: buf})
@@ -304,6 +305,10 @@ func TestLinkDeathDuringPostCopy(t *testing.T) {
 	cfg := Config{MaxDiskIters: 1, OnFreeze: func() {
 		<-writerDone
 		e.router.Freeze()
+	}, OnEvent: func(ev Event) {
+		if ev.Kind == EventPhaseEnd && ev.Phase == PhaseDiskPreCopy {
+			close(diskDone)
+		}
 	}}
 	srcCh := make(chan error, 1)
 	go func() {

@@ -15,6 +15,7 @@ type IterationStat struct {
 	Phase     string // PhaseDiskPreCopy or PhaseMemPreCopy
 	Iteration int    // 1-based index of the iteration that just finished
 	Sent      int    // units (blocks or pages) transferred
+	Skipped   int    // units of the iteration's set left out as already dirty again (counted in Dirty, not in Sent)
 	SentBytes int64  // wire bytes of the iteration's frames
 	Duration  time.Duration
 	Dirty     int // dirty units when the iteration ended

@@ -154,6 +154,88 @@ func TestResumeMidDiskPreCopy(t *testing.T) {
 	e.checkConverged(res.CPU)
 }
 
+// blockLog counts, across every connection epoch it wraps, how often each
+// disk block's content was put on the wire.
+type blockLog struct {
+	transport.Conn
+	sends []int // shared by the epochs' wrappers
+}
+
+func (l *blockLog) Send(m transport.Message) error {
+	if start, n := transport.CarriedUnits(m); m.Type != transport.MsgMemPage {
+		for b := start; b < start+n; b++ {
+			l.sends[b]++
+		}
+	}
+	return l.Conn.Send(m)
+}
+
+// TestResumeDoesNotResendSkipped cuts the link in the middle of a disk
+// iteration that has already skipped some blocks as re-dirtied. The skip
+// dropped them from the iteration's checkpointed owed set, so the resumed
+// iteration neither re-sends nor re-counts them; the tracker still owes them,
+// so they travel exactly once, later, and the final image is exact.
+func TestResumeDoesNotResendSkipped(t *testing.T) {
+	e := newEnv(t)
+	// Ten blocks the cut iteration reaches before the fault, ten it reaches
+	// only after the resume: all dirty in the live tracker from the start.
+	early, late := newBitmapWith(testBlocks, 10, 10), newBitmapWith(testBlocks, 1500, 10)
+	e.src.Backend.SeedDirty(early)
+	e.src.Backend.SeedDirty(late)
+
+	inj := transport.NewInjector([]transport.Fault{{AfterSends: 2 + testBlocks/4, Kind: transport.FaultCut}})
+	relink := newPipeRelinker(inj)
+	sends := make([]int, testBlocks)
+	var iters []Event
+	srcCfg := Config{
+		MaxRetries: 5, RetryBackoff: time.Millisecond,
+		Redial: func() (transport.Conn, error) {
+			c, err := relink.redial()
+			return &blockLog{Conn: c, sends: sends}, err
+		},
+		OnFreeze: e.router.Freeze,
+		OnEvent: func(ev Event) {
+			if ev.Kind == EventIterationEnd && ev.Phase == PhaseDiskPreCopy {
+				iters = append(iters, ev)
+			}
+		},
+	}
+	srcCh := make(chan error, 1)
+	var rep *metrics.Report
+	go func() {
+		var err error
+		rep, err = MigrateSource(srcCfg, e.src, &blockLog{Conn: inj.Wrap(e.connSrc), sends: sends}, nil)
+		srcCh <- err
+	}()
+	res, err := MigrateDest(Config{WaitReconnect: relink.waitReconnect}, e.dst, e.connDst)
+	if err != nil {
+		t.Fatalf("destination: %v", err)
+	}
+	if err := <-srcCh; err != nil {
+		t.Fatalf("source: %v", err)
+	}
+	e.checkConverged(res.CPU)
+	if rep.Retries != 1 {
+		t.Fatalf("survived %d retries, want 1", rep.Retries)
+	}
+	for b, n := range sends {
+		if skipped := early.Test(b) || late.Test(b); skipped && n != 1 {
+			t.Fatalf("block %d, skipped in iteration 1, was sent %d times, want once", b, n)
+		} else if n < 1 {
+			t.Fatalf("block %d never sent", b)
+		}
+	}
+	// The resumed iteration 1 owed what the destination had not confirmed,
+	// minus the ten blocks skipped before the cut; it skipped the other ten.
+	first := iters[0]
+	if first.Iteration != 1 || first.Skipped != 10 || first.Dirty != 20 {
+		t.Fatalf("resumed iteration 1: %+v, want 10 skipped and 20 dirty", first)
+	}
+	if resent := first.Units + first.Skipped; resent >= testBlocks-testBlocks/4+64 {
+		t.Fatalf("resumed iteration owed %d blocks: the cursor was not honoured", resent)
+	}
+}
+
 // TestResumeRecvFault kills the source's receive path (the reader goroutine
 // notices, not the send path), during the freeze/post-copy window where the
 // source is waiting on destination traffic.

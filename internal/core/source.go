@@ -14,7 +14,9 @@ import (
 // MigrateSource runs the source side of a TPM migration over conn. initial
 // selects the blocks to send in the first disk iteration: nil means the
 // whole disk (primary migration); a bitmap from a previous migration's
-// destination gate selects incremental migration (§V).
+// destination gate selects incremental migration (§V). Ownership of initial
+// passes to the engine, which drops from it the blocks it defers to a later
+// iteration (see owedCursor).
 //
 // The migration is a pipeline of named phases — handshake, disk pre-copy,
 // memory pre-copy, freeze-and-copy, post-copy — each announced on
@@ -580,7 +582,7 @@ func (s *sourceRun) freezeAndCopy(rep *metrics.Report) error {
 			})
 		}
 	}
-	nPages, pageBytes, err := s.sendPages(s.freezePages, false)
+	nPages, pageBytes, err := s.sendPages(allOf(s.freezePages), false)
 	if err != nil {
 		return err
 	}
@@ -661,10 +663,8 @@ func (s *sourceRun) pushBlocks(rep *metrics.Report, bm *bitmap.Bitmap) error {
 			buf = transport.GetBuf(need)
 		}
 		data := buf[:e.Count*bs]
-		for k := 0; k < e.Count; k++ {
-			if err := dev.ReadBlock(e.Start+k, data[k*bs:(k+1)*bs]); err != nil {
-				return err
-			}
+		if err := readExtent(dev, e, data); err != nil {
+			return err
 		}
 		return s.send(extentMessage(e, data), false)
 	}

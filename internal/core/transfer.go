@@ -39,6 +39,11 @@ type transfer struct {
 	ev      *emitter
 	start   time.Duration
 
+	// resendAll makes pre-copy passes send units that are already dirty
+	// again, as the engine did before owedCursor learned to skip them. Only
+	// tests set it: it is the reference the skip is measured against.
+	resendAll bool
+
 	// resumable-session state. sess is always non-nil; swap is the stack's
 	// rebind point (nil when the session cannot resume, keeping the default
 	// stack identical to the seed's). destState, ckpt, and resumeIter are
@@ -259,71 +264,104 @@ func extentMessage(e bitmap.Extent, data []byte) transport.Message {
 	return transport.Message{Type: transport.MsgExtent, Arg: transport.ExtentArg(e.Start, e.Count), Payload: data}
 }
 
-// sendBlocks streams every block marked in bm and returns the count and
-// payload wire bytes. The path is chosen by the live policy verdict and
-// Workers: the sequential per-block path below is wire-identical to the seed
-// protocol; otherwise contiguous runs are coalesced into extents, either
-// inline or through a read→send worker pool.
-func (t *transfer) sendBlocks(bm *bitmap.Bitmap, phaseName string, limited bool) (int, int64, error) {
-	if t.cfg.Dedup && t.awaitWant != nil {
+// owedCursor is the one place that decides which units of a send pass
+// travel and in what extents: every walker below — sequential, readahead,
+// pooled, dedup, delta, pages — draws its extents from next.
+//
+// A cursor built with a live view leaves out every unit the tracker already
+// shows dirty again at the moment the extent is cut. The tracker still owes
+// such a unit, so it rides the next iteration, or the freeze bitmap / final
+// page set, once instead of twice. It is also dropped from bm, the
+// iteration's checkpointed owed set, so a reconnect does not resend it.
+// Only preCopyLoop builds cursors with a live view; every other send
+// (freeze-and-copy, post-copy, the baselines' single passes) sends all of bm.
+//
+// Not safe for concurrent use: each walker calls next from one goroutine.
+type owedCursor struct {
+	bm      *bitmap.Bitmap
+	live    bitmap.View
+	pos     int
+	skipped int
+}
+
+// allOf returns a cursor with no live view: it sends every unit of bm.
+func allOf(bm *bitmap.Bitmap) *owedCursor { return &owedCursor{bm: bm} }
+
+// next cuts the next extent of at most max (>= 1) units, or a zero-Count
+// extent when the pass is over.
+func (c *owedCursor) next(max int) bitmap.Extent {
+	ext, skipped := c.bm.NextExtentExcluding(c.live, c.pos, max)
+	end := ext.Start
+	if ext.Count == 0 {
+		end = c.bm.Len()
+	}
+	if skipped > 0 {
+		c.bm.ClearRange(c.pos, end)
+		c.skipped += skipped
+	}
+	c.pos = end + ext.Count
+	return ext
+}
+
+// readExtent reads ext's blocks from dev into data, which must hold them.
+func readExtent(dev blockdev.Device, ext bitmap.Extent, data []byte) error {
+	bs := dev.BlockSize()
+	for k := 0; k < ext.Count; k++ {
+		if err := dev.ReadBlock(ext.Start+k, data[k*bs:(k+1)*bs]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sendLiteral frames and sends one extent's data and returns its wire bytes.
+func (t *transfer) sendLiteral(ext bitmap.Extent, data []byte, limited bool) (int64, error) {
+	m := extentMessage(ext, data)
+	return int64(m.FrameSize()), t.send(m, limited)
+}
+
+// sendBlocks streams the blocks cur yields and returns the count and payload
+// wire bytes. The path is chosen by what was negotiated and by Workers and
+// Readahead; with none of them the sequential literal path at the default
+// extent limit of one block is wire-identical to the seed protocol.
+func (t *transfer) sendBlocks(cur *owedCursor, phaseName string, limited bool) (int, int64, error) {
+	switch {
+	case t.cfg.Dedup && t.awaitWant != nil:
 		// Negotiated content dedup replaces the literal paths for disk
 		// sends; the advert/want alternation is inherently sequential, so
 		// Workers does not apply here. When Delta is also negotiated the
 		// wanted (would-be literal) sub-runs route through the delta
 		// protocol inside sendDedupExtent.
-		return t.sendExtentsDedup(bm, phaseName, limited)
-	}
-	if t.cfg.Delta && t.awaitDeltaSig != nil {
+		return t.sendExtentsDedup(cur, phaseName, limited)
+	case t.cfg.Delta && t.awaitDeltaSig != nil:
 		// Negotiated delta encoding without dedup: every extent takes the
 		// signature round trip, equally sequential.
-		return t.sendExtentsDelta(bm, phaseName, limited)
+		return t.sendExtentsDelta(cur, phaseName, limited)
+	case t.cfg.Workers > 1:
+		return t.sendExtentsPooled(cur, phaseName, limited)
+	case t.cfg.Readahead > 0:
+		return t.sendExtentsReadahead(cur, phaseName, limited)
 	}
-	_, fixedPolicy := t.pol.(DefaultPolicy)
-	if t.cfg.Workers <= 1 && t.cfg.MaxExtentBlocks <= 1 && t.cfg.Readahead <= 0 && fixedPolicy {
-		dev := t.srcDev
-		buf := transport.GetBuf(dev.BlockSize())
-		defer transport.PutBuf(buf)
-		sent := 0
-		var bytes int64
-		var fail error
-		bm.ForEachSet(func(n int) bool {
-			if err := dev.ReadBlock(n, buf); err != nil {
-				fail = err
-				return false
-			}
-			m := transport.Message{Type: transport.MsgBlockData, Arg: uint64(n), Payload: buf}
-			if err := t.send(m, limited); err != nil {
-				fail = err
-				return false
-			}
-			sent++
-			bytes += int64(m.FrameSize())
-			return true
-		})
-		return sent, bytes, fail
-	}
-	if t.cfg.Workers > 1 {
-		return t.sendExtentsPooled(bm, phaseName, limited)
-	}
-	if t.cfg.Readahead > 0 {
-		return t.sendExtentsReadahead(bm, phaseName, limited)
-	}
-	return t.sendExtentsSeq(bm, phaseName, limited)
+	return t.sendExtentsSeq(cur, phaseName, func(ext bitmap.Extent, data []byte) (int64, error) {
+		return t.sendLiteral(ext, data, limited)
+	})
 }
 
-// sendExtentsSeq walks bm's runs with a cursor, re-consulting the policy for
-// the coalescing limit before each extent so an adaptive policy can grow it
-// mid-iteration.
-func (t *transfer) sendExtentsSeq(bm *bitmap.Bitmap, phaseName string, limited bool) (int, int64, error) {
+// sendExtentsSeq is the sequential walker shared by the literal, dedup and
+// delta paths: it reads each extent into one reused staging buffer and hands
+// it to encode, which frames and sends it and returns the wire bytes it
+// cost. The policy is re-consulted for the coalescing limit before each
+// extent so an adaptive policy can grow it mid-iteration.
+func (t *transfer) sendExtentsSeq(cur *owedCursor, phaseName string, encode func(bitmap.Extent, []byte) (int64, error)) (int, int64, error) {
 	dev := t.srcDev
 	bs := dev.BlockSize()
 	var buf []byte
 	defer func() { transport.PutBuf(buf) }()
 	sent := 0
 	var bytes int64
-	for pos := 0; ; {
+	for {
 		maxExt := t.extentBlocks(phaseName)
-		ext := bm.NextExtent(pos, maxExt)
+		ext := cur.next(maxExt)
 		if ext.Count == 0 {
 			return sent, bytes, nil
 		}
@@ -333,19 +371,16 @@ func (t *transfer) sendExtentsSeq(bm *bitmap.Bitmap, phaseName string, limited b
 		}
 		data := buf[:ext.Count*bs]
 		extStart := t.clk.Now()
-		for k := 0; k < ext.Count; k++ {
-			if err := dev.ReadBlock(ext.Start+k, data[k*bs:(k+1)*bs]); err != nil {
-				return sent, bytes, err
-			}
-		}
-		m := extentMessage(ext, data)
-		if err := t.send(m, limited); err != nil {
+		if err := readExtent(dev, ext, data); err != nil {
 			return sent, bytes, err
 		}
-		t.pol.ObserveExtent(ext.Count, int64(m.FrameSize()), t.clk.Now()-extStart)
+		wire, err := encode(ext, data)
+		if err != nil {
+			return sent, bytes, err
+		}
+		t.pol.ObserveExtent(ext.Count, wire, t.clk.Now()-extStart)
 		sent += ext.Count
-		bytes += int64(m.FrameSize())
-		pos = ext.End()
+		bytes += wire
 	}
 }
 
@@ -371,13 +406,13 @@ func (f *firstErr) get() error {
 	return f.err
 }
 
-// sendExtentsPooled fans bm's coalesced extents across cfg.Workers
-// goroutines, each reading an extent from the device and sending it, so
-// device reads, optional compression, and transport writes of different
-// extents overlap. Within one iteration every block number appears at most
-// once, so the destination may apply the extents in any order; the engine's
-// control frames bound the iteration on both sides.
-func (t *transfer) sendExtentsPooled(bm *bitmap.Bitmap, phaseName string, limited bool) (int, int64, error) {
+// sendExtentsPooled fans cur's extents across cfg.Workers goroutines, each
+// reading an extent from the device and sending it, so device reads,
+// optional compression, and transport writes of different extents overlap.
+// Within one iteration every block number appears at most once, so the
+// destination may apply the extents in any order; the engine's control
+// frames bound the iteration on both sides.
+func (t *transfer) sendExtentsPooled(cur *owedCursor, phaseName string, limited bool) (int, int64, error) {
 	dev := t.srcDev
 	bs := dev.BlockSize()
 	workers := t.cfg.Workers
@@ -400,50 +435,42 @@ func (t *transfer) sendExtentsPooled(bm *bitmap.Bitmap, phaseName string, limite
 					buf = transport.GetBuf(need)
 				}
 				data := buf[:ext.Count*bs]
-				readOK := true
 				extStart := t.clk.Now()
-				for k := 0; k < ext.Count; k++ {
-					if err := dev.ReadBlock(ext.Start+k, data[k*bs:(k+1)*bs]); err != nil {
-						fail.set(err)
-						readOK = false
-						break
-					}
+				var wire int64
+				err := readExtent(dev, ext, data)
+				if err == nil {
+					wire, err = t.sendLiteral(ext, data, limited)
 				}
-				if !readOK {
-					continue
-				}
-				m := extentMessage(ext, data)
-				if err := t.send(m, limited); err != nil {
+				if err != nil {
 					fail.set(err)
 					continue
 				}
-				t.pol.ObserveExtent(ext.Count, int64(m.FrameSize()), t.clk.Now()-extStart)
+				t.pol.ObserveExtent(ext.Count, wire, t.clk.Now()-extStart)
 				sent.Add(int64(ext.Count))
-				bytes.Add(int64(m.FrameSize()))
+				bytes.Add(wire)
 			}
 		}()
 	}
-	for pos := 0; ; {
-		ext := bm.NextExtent(pos, t.extentBlocks(phaseName))
-		if ext.Count == 0 || fail.failed.Load() {
+	for !fail.failed.Load() {
+		ext := cur.next(t.extentBlocks(phaseName))
+		if ext.Count == 0 {
 			break
 		}
 		jobs <- ext
-		pos = ext.End()
 	}
 	close(jobs)
 	wg.Wait()
 	return int(sent.Load()), bytes.Load(), fail.get()
 }
 
-// sendExtentsReadahead walks bm's runs like sendExtentsSeq but decouples
+// sendExtentsReadahead walks cur's extents like sendExtentsSeq but decouples
 // device reads from transport writes: a prefetch goroutine assembles up to
 // cfg.Readahead extents into pooled buffers ahead of the sender, so the
 // next extent's blocks are read while the current one is on the wire. The
 // sender drains the queue in cursor order, which keeps the frame sequence
 // — and therefore the golden wire traces — identical to the sequential
 // path.
-func (t *transfer) sendExtentsReadahead(bm *bitmap.Bitmap, phaseName string, limited bool) (int, int64, error) {
+func (t *transfer) sendExtentsReadahead(cur *owedCursor, phaseName string, limited bool) (int, int64, error) {
 	dev := t.srcDev
 	bs := dev.BlockSize()
 	type job struct {
@@ -455,20 +482,13 @@ func (t *transfer) sendExtentsReadahead(bm *bitmap.Bitmap, phaseName string, lim
 	stop := make(chan struct{})
 	go func() {
 		defer close(jobs)
-		for pos := 0; ; {
-			ext := bm.NextExtent(pos, t.extentBlocks(phaseName))
+		for {
+			ext := cur.next(t.extentBlocks(phaseName))
 			if ext.Count == 0 {
 				return
 			}
-			pos = ext.End()
 			data := transport.GetBuf(ext.Count * bs)
-			var jerr error
-			for k := 0; k < ext.Count; k++ {
-				if err := dev.ReadBlock(ext.Start+k, data[k*bs:(k+1)*bs]); err != nil {
-					jerr = err
-					break
-				}
-			}
+			jerr := readExtent(dev, ext, data)
 			select {
 			case jobs <- job{ext: ext, data: data, err: jerr}:
 			case <-stop:
@@ -494,43 +514,38 @@ func (t *transfer) sendExtentsReadahead(bm *bitmap.Bitmap, phaseName string, lim
 			return sent, bytes, j.err
 		}
 		sendStart := t.clk.Now()
-		m := extentMessage(j.ext, j.data)
-		err := t.send(m, limited)
+		wire, err := t.sendLiteral(j.ext, j.data, limited)
 		transport.PutBuf(j.data)
 		if err != nil {
 			return sent, bytes, err
 		}
-		t.pol.ObserveExtent(j.ext.Count, int64(m.FrameSize()), t.clk.Now()-sendStart)
+		t.pol.ObserveExtent(j.ext.Count, wire, t.clk.Now()-sendStart)
 		sent += j.ext.Count
-		bytes += int64(m.FrameSize())
+		bytes += wire
 	}
 	return sent, bytes, nil
 }
 
-// sendPages streams every page marked in bm. Pages are never coalesced —
-// each MsgMemPage is its own frame, the Xen-style format.
-func (t *transfer) sendPages(bm *bitmap.Bitmap, limited bool) (int, int64, error) {
+// sendPages streams the pages cur yields. Pages are never coalesced — each
+// MsgMemPage is its own frame, the Xen-style format.
+func (t *transfer) sendPages(cur *owedCursor, limited bool) (int, int64, error) {
 	mem := t.host.VM.Memory()
 	buf := transport.GetBuf(mem.PageSize())
 	defer transport.PutBuf(buf)
 	sent := 0
 	var bytes int64
-	var fail error
-	bm.ForEachSet(func(n int) bool {
-		if err := mem.ReadPage(n, buf); err != nil {
-			fail = err
-			return false
+	for ext := cur.next(1); ext.Count > 0; ext = cur.next(1) {
+		if err := mem.ReadPage(ext.Start, buf); err != nil {
+			return sent, bytes, err
 		}
-		m := transport.Message{Type: transport.MsgMemPage, Arg: uint64(n), Payload: buf}
+		m := transport.Message{Type: transport.MsgMemPage, Arg: uint64(ext.Start), Payload: buf}
 		if err := t.send(m, limited); err != nil {
-			fail = err
-			return false
+			return sent, bytes, err
 		}
 		sent++
 		bytes += int64(m.FrameSize())
-		return true
-	})
-	return sent, bytes, fail
+	}
+	return sent, bytes, nil
 }
 
 // snapshotForReads freezes the source read path on a point-in-time view of
@@ -561,7 +576,8 @@ type preCopySpec struct {
 	phase              string
 	startMsg, endMsg   transport.MsgType
 	threshold, maxIter int
-	send               func(bm *bitmap.Bitmap) (int, int64, error)
+	send               func(cur *owedCursor) (int, int64, error)
+	live               bitmap.View // the tracker swapDirty drains: what a pass may skip
 	dirtyCount         func() int
 	swapDirty          func() *bitmap.Bitmap
 	record             func(metrics.Iteration)
@@ -591,7 +607,11 @@ func (t *transfer) preCopyLoop(sp preCopySpec, initial *bitmap.Bitmap) error {
 		if err := t.send(transport.Message{Type: sp.startMsg, Arg: uint64(iter)}, true); err != nil {
 			return err
 		}
-		sent, bytes, err := sp.send(toSend)
+		cur := &owedCursor{bm: toSend, live: sp.live}
+		if t.resendAll {
+			cur = allOf(toSend)
+		}
+		sent, bytes, err := sp.send(cur)
 		if err != nil {
 			return err
 		}
@@ -601,10 +621,10 @@ func (t *transfer) preCopyLoop(sp preCopySpec, initial *bitmap.Bitmap) error {
 		iterDur := t.clk.Now() - iterStart
 		dirtyNow := sp.dirtyCount()
 		sp.record(metrics.Iteration{
-			Index: iter, Units: sent, Bytes: bytes, Duration: iterDur, DirtyEnd: dirtyNow,
+			Index: iter, Units: sent, Skipped: cur.skipped, Bytes: bytes, Duration: iterDur, DirtyEnd: dirtyNow,
 		})
 		st := IterationStat{
-			Phase: sp.phase, Iteration: iter, Sent: sent, SentBytes: bytes,
+			Phase: sp.phase, Iteration: iter, Sent: sent, Skipped: cur.skipped, SentBytes: bytes,
 			Duration: iterDur, Dirty: dirtyNow, PrevDirty: prev,
 			Threshold: sp.threshold, MaxIterations: sp.maxIter,
 			MaxExtentBlocks: t.cfg.MaxExtentBlocks,
@@ -637,11 +657,12 @@ func (t *transfer) diskPreCopy(rep *metrics.Report, initial *bitmap.Bitmap) erro
 		phase:    PhaseDiskPreCopy,
 		startMsg: transport.MsgIterStart, endMsg: transport.MsgIterEnd,
 		threshold: t.cfg.DiskDirtyThreshold, maxIter: t.cfg.MaxDiskIters,
-		send: func(bm *bitmap.Bitmap) (int, int64, error) {
+		send: func(cur *owedCursor) (int, int64, error) {
 			restore := t.snapshotForReads()
 			defer restore()
-			return t.sendBlocks(bm, PhaseDiskPreCopy, true)
+			return t.sendBlocks(cur, PhaseDiskPreCopy, true)
 		},
+		live:       t.host.Backend.DirtyView(),
 		dirtyCount: t.host.Backend.DirtyCount,
 		swapDirty:  t.host.Backend.SwapDirty,
 		record: func(it metrics.Iteration) {
@@ -659,9 +680,10 @@ func (t *transfer) memPreCopy(rep *metrics.Report) error {
 		phase:    PhaseMemPreCopy,
 		startMsg: transport.MsgMemIterStart, endMsg: transport.MsgMemIterEnd,
 		threshold: t.cfg.MemDirtyThreshold, maxIter: t.cfg.MaxMemIters,
-		send: func(bm *bitmap.Bitmap) (int, int64, error) {
-			return t.sendPages(bm, true)
+		send: func(cur *owedCursor) (int, int64, error) {
+			return t.sendPages(cur, true)
 		},
+		live:       mem.DirtyView(),
 		dirtyCount: mem.DirtyCount,
 		swapDirty:  mem.SwapDirty,
 		record: func(it metrics.Iteration) {

@@ -521,7 +521,9 @@ type Convergence struct {
 // iteration's dirty set while new writes accumulate under a hot-set-capped
 // unique-block law, and the loop stops when the dirty set reaches the
 // threshold (converged), when it stops shrinking — the paper's "dirty rate
-// caught the transfer rate" — or at the iteration cap.
+// caught the transfer rate" — or at the iteration cap. Each iteration ships
+// its whole set here; the engine leaves out units already dirty again
+// (core.owedCursor), so predicted bytes and durations are upper bounds.
 func (m *Model) PredictConvergence(p MigrationParams) Convergence {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -14,6 +14,7 @@ import (
 type Iteration struct {
 	Index    int           // 1-based iteration number
 	Units    int           // blocks or pages transferred
+	Skipped  int           // units of the iteration's set left out because they were already dirty again; they ride a later iteration or the freeze set
 	Bytes    int64         // wire bytes of the payloads
 	Duration time.Duration // time the iteration took
 	DirtyEnd int           // dirty units accumulated when the iteration ended
@@ -80,6 +81,22 @@ func (r *Report) RetransferredBlocks() int {
 	return total
 }
 
+// SkippedBlocks sums the blocks disk pre-copy left out of an iteration
+// because the guest had already written them again: each was sent once,
+// later, instead of twice.
+func (r *Report) SkippedBlocks() int { return skipped(r.DiskIterations) }
+
+// SkippedPages is SkippedBlocks for the memory pre-copy.
+func (r *Report) SkippedPages() int { return skipped(r.MemIterations) }
+
+func skipped(its []Iteration) int {
+	total := 0
+	for _, it := range its {
+		total += it.Skipped
+	}
+	return total
+}
+
 // DiskIterationCount returns how many disk pre-copy iterations ran.
 func (r *Report) DiskIterationCount() int { return len(r.DiskIterations) }
 
@@ -99,6 +116,9 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "  amount migrated      : %.0f MB\n", r.MigratedMB())
 	fmt.Fprintf(&b, "  disk iterations      : %d (retransferred %d blocks)\n",
 		r.DiskIterationCount(), r.RetransferredBlocks())
+	if sb, sp := r.SkippedBlocks(), r.SkippedPages(); sb+sp > 0 {
+		fmt.Fprintf(&b, "  skipped (re-dirtied) : %d blocks, %d pages sent once instead of twice\n", sb, sp)
+	}
 	fmt.Fprintf(&b, "  post-copy            : %.0f ms (%d pushed, %d pulled, %d stale)\n",
 		r.PostCopyTime.Seconds()*1000, r.BlocksPushed, r.BlocksPulled, r.StalePushes)
 	if r.DedupBlocks > 0 {

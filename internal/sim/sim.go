@@ -8,7 +8,10 @@
 // timeline: block *numbers* move, block *contents* don't. Workload
 // generators are shared with the real engine, so the dirty-block dynamics
 // that drive every Table I/II number come from the same access streams the
-// integration tests replay against real devices.
+// integration tests replay against real devices. One rule is not mirrored:
+// a simulated iteration ships its whole set, while the engine leaves out
+// units the guest has already dirtied again (core.owedCursor), so simulated
+// bytes and times are upper bounds on the engine's.
 //
 // Two resources are modelled, calibrated to the paper's testbed:
 //

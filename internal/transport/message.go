@@ -312,3 +312,21 @@ func ExtentArg(start, count int) uint64 {
 func ExtentSplit(arg uint64) (start, count int) {
 	return int(arg & (1<<40 - 1)), int(arg >> 40)
 }
+
+// CarriedUnits returns the run of blocks or pages whose content m moves
+// source to destination in any form — literal, reference or patch — or a
+// zero count for every other frame. Observers that pace or audit a transfer
+// by units rather than bytes read frames through it.
+func CarriedUnits(m Message) (start, count int) {
+	switch m.Type {
+	case MsgBlockData, MsgMemPage:
+		return int(m.Arg), 1
+	case MsgExtent, MsgBlockRef:
+		return ExtentSplit(m.Arg)
+	case MsgDeltaPatch:
+		if len(m.Payload) > 0 { // an empty one is the destination's refusal
+			return ExtentSplit(m.Arg)
+		}
+	}
+	return 0, 0
+}

@@ -120,6 +120,10 @@ func (m *Memory) Tracking() bool { return m.tracking.Load() }
 // iterative pre-copy calls this at each iteration boundary.
 func (m *Memory) SwapDirty() *bitmap.Bitmap { return m.dirty.SwapOut() }
 
+// DirtyView returns a read-only view of the live dirty-page bitmap, for the
+// pre-copy send cursor to leave out pages already written again.
+func (m *Memory) DirtyView() bitmap.View { return m.dirty.View() }
+
 // DirtyCount returns the current number of dirty pages.
 func (m *Memory) DirtyCount() int { return m.dirty.Count() }
 
