@@ -111,7 +111,7 @@ func main() {
 		streams    = flag.Int("streams", 1, "parallel transport connections (both ends must agree)")
 		extentBlk  = flag.Int("extent-blocks", 1, "send: max contiguous blocks coalesced per frame")
 		workers    = flag.Int("workers", 1, "send: read/send pipeline workers; recv: scatter-write workers")
-		readahead  = flag.Int("readahead", 0, "send: extents prefetched into pooled buffers ahead of the wire (0 = sequential; ignored with -workers > 1 or -dedup)")
+		readahead  = flag.Int("readahead", 0, "send: extents prefetched into pooled buffers ahead of the wire (0 = sequential; ignored where the unordered -workers > 1 pool runs)")
 		dedupFlag  = flag.Bool("dedup", false, "content-addressed dedup: ship block fingerprints and references instead of known bytes (both ends must agree)")
 		swarmPeers = flag.String("swarm-peers", "", "recv: comma-separated peer swarm-serve addresses to fetch wanted blocks from (needs -dedup)")
 		deltaFlag  = flag.Bool("delta", false, "delta-encode blocks against the destination's stale copies (both ends must agree)")

@@ -134,12 +134,14 @@ func (a *Autopilot) cycle() {
 		if budget <= 0 {
 			break
 		}
-		// Destination unpinned: by the time a trough-deferred move starts,
-		// the planner's emptiest host may no longer be — placement re-scores
-		// at dispatch with fresher loads, and a full host defers rather than
-		// permanently failing the move the way a pinned destination would.
+		// Destination pinned to the planner's choice, the only host the move
+		// is known to narrow the spread on: dispatch-time placement weighs a
+		// retained copy of the domain's disk above headroom, so an unpinned
+		// move bounces between the hosts that already held the domain. A
+		// pinned move onto a since-filled host fails, is reaped, and is
+		// re-planned against fresh loads next cycle.
 		t, err := a.c.Submit(Job{
-			Domain: p.domain, From: p.from,
+			Domain: p.domain, From: p.from, To: p.to,
 			Priority: PriorityLow, PreSync: a.opts.PreSync,
 		})
 		a.mu.Lock()

@@ -152,8 +152,8 @@ func MigrateFreezeAndCopyDest(cfg Config, host Host, conn transport.Conn) (*Dest
 					t.ev.suspended()
 					return nil
 				},
-				transport.MsgBlockData: t.applyBlock,
-				transport.MsgExtent:    t.applyExtent,
+				transport.MsgBlockData: t.applyLiteral,
+				transport.MsgExtent:    t.applyLiteral,
 				transport.MsgMemPage:   t.applyPage,
 				transport.MsgCPUState: func(m transport.Message) error {
 					res.CPU = vm.CPUState{Registers: append([]byte(nil), m.Payload...)}
@@ -365,7 +365,7 @@ func MigrateOnDemandDest(cfg Config, host Host, conn transport.Conn, release <-c
 					t.noteWire()
 					switch in.m.Type {
 					case transport.MsgBlockData:
-						if err := gate.ReceiveBlock(int(in.m.Arg), in.m.Payload); err != nil {
+						if _, err := t.applyData(in.m, nil, gate.ReceiveBlock); err != nil {
 							return err
 						}
 					case transport.MsgError:
@@ -564,8 +564,8 @@ func MigrateDeltaDest(cfg Config, host Host, conn transport.Conn) (*DestResult, 
 					t.ev.suspended()
 					return nil
 				},
-				transport.MsgBlockData: t.applyBlock,
-				transport.MsgExtent:    t.applyExtent,
+				transport.MsgBlockData: t.applyLiteral,
+				transport.MsgExtent:    t.applyLiteral,
 				transport.MsgDelta: func(m transport.Message) error {
 					queue = append(queue, delta{block: int(m.Arg), data: m.Payload})
 					seen[int(m.Arg)]++

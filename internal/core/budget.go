@@ -145,16 +145,6 @@ func (p *BudgetPolicy) ObserveCompression(kind transport.MsgType, rawLen, wireLe
 	p.inner().ObserveCompression(kind, rawLen, wireLen)
 }
 
-// DedupExtent delegates to the inner policy.
-func (p *BudgetPolicy) DedupExtent(phase string, blocks int) bool {
-	return p.inner().DedupExtent(phase, blocks)
-}
-
-// DeltaExtent delegates to the inner policy.
-func (p *BudgetPolicy) DeltaExtent(phase string, blocks int) bool {
-	return p.inner().DeltaExtent(phase, blocks)
-}
-
 // PrecopyRate returns min(inner verdict, live budget share). Note the
 // engine only honours live rate changes when the migration starts with a
 // finite rate (a limiter must exist to retune); a finite RateBudget
@@ -168,4 +158,37 @@ func (p *BudgetPolicy) PrecopyRate(configured int64) int64 {
 		return share
 	}
 	return rate
+}
+
+// Pacer is the one implementation of the pacing rule every paced sender
+// follows — the engine's pre-copy sends and hostd's swarm serve: a token
+// bucket built from the rate source's first verdict, retuned to the live
+// verdict before every frame, so a share that moves mid-transfer (a
+// RateBudget re-dividing as migrations come and go) takes effect on the next
+// frame. A sender whose first verdict is unlimited gets a nil Pacer, which
+// never blocks and never consults the source again.
+type Pacer struct {
+	lim  *clock.RateLimiter
+	rate func() int64
+}
+
+// NewPacer returns a pacer over clk drawing its rate, in bytes/second, from
+// rate, or nil when rate's first verdict is clock.Unlimited (or not positive).
+func NewPacer(clk clock.Clock, rate func() int64) *Pacer {
+	r := rate()
+	if r <= 0 || r == clock.Unlimited {
+		return nil
+	}
+	return &Pacer{lim: clock.NewRateLimiter(clk, r, r/10), rate: rate}
+}
+
+// Wait blocks until a frame of n bytes may go at the live rate.
+func (p *Pacer) Wait(n int) {
+	if p == nil {
+		return
+	}
+	if r := p.rate(); r > 0 && r != p.lim.Rate() {
+		p.lim.SetRate(r)
+	}
+	p.lim.Wait(n)
 }

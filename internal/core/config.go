@@ -118,10 +118,12 @@ type Config struct {
 	// pooled buffers while the current extent is on the wire, overlapping
 	// device reads with transport writes without reordering anything: the
 	// frame sequence stays identical to the sequential path, so the knob is
-	// purely local and needs no negotiation. Ignored when Workers > 1 (the
-	// worker pool already overlaps reads and sends) and on the dedup path
-	// (the advert/want alternation is inherently sequential). Zero (the
-	// default) keeps the fully sequential read→send loop.
+	// purely local and needs no negotiation. It applies to every ordered
+	// disk send — literal, dedup and delta alike, which share one walker —
+	// and is ignored only where the unordered worker pool runs instead
+	// (Workers > 1 with neither Dedup nor Delta negotiated: the pool
+	// already overlaps reads and sends). Zero (the default) keeps the fully
+	// sequential read→send loop.
 	Readahead int
 
 	// CompressLevel, when non-zero, DEFLATE-compresses the migration stream
@@ -143,11 +145,13 @@ type Config struct {
 	// elided without a round trip. Like Streams and CompressLevel this is
 	// negotiated — both endpoints must agree or the destination rejects the
 	// unexpected frames; hostd carries it in the announce and an
-	// unconfigured receiver adopts the sender's choice. The Policy's
-	// DedupExtent verdict gates the round trip per extent. The dedup send
-	// path is sequential (Workers does not parallelize it), and memory
-	// pages, freeze-and-copy, and post-copy pushes always travel literally.
-	// False (the default) keeps the seed wire format byte for byte.
+	// unconfigured receiver adopts the sender's choice. Dedup is the
+	// outermost stage of the source's extent encoder chain: the runs the
+	// destination wants go down the chain (to Delta when negotiated, else
+	// to the literal frame). Its frames must arrive in cursor order, so
+	// Workers does not parallelize the send; memory pages, freeze-and-copy,
+	// and post-copy pushes always travel literally. False (the default)
+	// keeps the seed wire format byte for byte.
 	Dedup bool
 
 	// DedupIndex is the destination-side fingerprint index consulted to
@@ -205,14 +209,14 @@ type Config struct {
 	// never wrong. Like Dedup this is negotiated: both endpoints must agree
 	// or the destination rejects the unexpected frames; hostd carries it in
 	// the announce and an unconfigured receiver adopts the sender's choice.
-	// The Policy's DeltaExtent verdict gates the round trip per extent.
-	// With Dedup also negotiated, delta replaces the literal sends for the
-	// blocks the destination's want-bitmap asked for, composing the two:
-	// exact matches travel as 16-byte references, near matches as patches.
-	// The delta send path is sequential (each extent is a round trip), and
-	// memory pages, freeze-and-copy, and post-copy pushes always travel
-	// literally. False (the default) keeps the seed wire format byte for
-	// byte.
+	// Delta sits directly above the literal frame in the source's extent
+	// encoder chain, below Dedup: with both negotiated it sees exactly the
+	// blocks the destination's want-bitmap asked for, so exact matches
+	// travel as 16-byte references and near matches as patches. Its frames
+	// must arrive in cursor order, so Workers does not parallelize the
+	// send; memory pages, freeze-and-copy, and post-copy pushes always
+	// travel literally. False (the default) keeps the seed wire format byte
+	// for byte.
 	Delta bool
 
 	// DeltaChunk is the signature chunk size in bytes used by the

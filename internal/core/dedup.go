@@ -10,27 +10,26 @@ import (
 )
 
 // This file is the engine half of content-addressed transfer (Config.Dedup):
-// the source-side dedup send path that replaces literal extent sends during
-// disk pre-copy, and the destination-side advert/reference appliers wired
-// into the receive loop. The protocol per extent is strictly alternating —
-// one MsgHashAdvert, one MsgHashWant reply, then the extent's literal
-// sub-runs and MsgBlockRef sub-runs — so at most one advert is ever
-// outstanding and a reference only ever names a fingerprint from the advert
-// that immediately precedes it (or the implicit zero fingerprint, which
-// needs no advert at all). Memory pages, freeze-and-copy, and post-copy
-// pushes are never deduplicated.
+// the source-side dedup encoder, the outermost stage of the extent encoder
+// chain for disk sends, and the destination-side advert/reference appliers
+// wired into the receive loop. The protocol per extent is strictly
+// alternating — one MsgHashAdvert, one MsgHashWant reply, then the extent's
+// wanted sub-runs (handed down the chain) and MsgBlockRef sub-runs — so at
+// most one advert is ever outstanding and a reference only ever names a
+// fingerprint from the advert that immediately precedes it (or the implicit
+// zero fingerprint, which needs no advert at all). Memory pages,
+// freeze-and-copy, and post-copy pushes are never deduplicated.
 
-// sendExtentsDedup runs the sequential walker with the dedup encoder: it
-// fingerprints each extent, elides all-zero runs outright, and otherwise —
-// when the policy agrees the round trip is worth it — adverts the
-// fingerprints and sends only what the destination wants literally. The path
-// is sequential by design: the advert/want alternation is a per-extent round
-// trip, so a worker pool would just reorder waits.
-func (t *transfer) sendExtentsDedup(cur *owedCursor, phaseName string, limited bool) (int, int64, error) {
-	bs := t.srcDev.BlockSize()
+// dedupEncoder returns the chain stage that fingerprints each extent, elides
+// all-zero runs outright, and otherwise adverts the fingerprints, ships what
+// the destination can already produce as 16-byte references, and hands the
+// runs it wants — exactly the content exact-match dedup could not save — to
+// next.
+func (t *transfer) dedupEncoder(next extentEncoder, limited bool) extentEncoder {
+	bs := t.dev.BlockSize()
 	zero := dedup.ZeroFingerprint(bs)
 	var fps []dedup.Fingerprint
-	sent, bytes, err := t.sendExtentsSeq(cur, phaseName, func(ext bitmap.Extent, data []byte) (int64, error) {
+	return func(ext bitmap.Extent, data []byte) (int64, error) {
 		fps = fps[:0]
 		allZero := true
 		for k := 0; k < ext.Count; k++ {
@@ -40,83 +39,58 @@ func (t *transfer) sendExtentsDedup(cur *owedCursor, phaseName string, limited b
 				allZero = false
 			}
 		}
-		return t.sendDedupExtent(ext, data, fps, allZero, phaseName, limited)
-	})
-	if err != nil {
-		return sent, bytes, err
-	}
-	// With Delta also negotiated, the wanted sub-runs may have travelled as
-	// patches; the fence bounds them (no-op otherwise).
-	fenceWire, err := t.deltaFence(limited)
-	return sent, bytes + fenceWire, err
-}
-
-// sendDedupExtent moves one extent under the dedup protocol and returns the
-// wire bytes it cost.
-func (t *transfer) sendDedupExtent(ext bitmap.Extent, data []byte, fps []dedup.Fingerprint, allZero bool, phaseName string, limited bool) (int64, error) {
-	bs := t.host.Backend.Device().BlockSize()
-	arg := transport.ExtentArg(ext.Start, ext.Count)
-	// Fingerprint payloads (adverts, references) are staged in one pooled
-	// scratch buffer: sends only borrow their payload, so the scratch is
-	// reusable the moment each send returns.
-	fpBuf := transport.GetBuf(len(fps) * dedup.FingerprintSize)
-	defer transport.PutBuf(fpBuf)
-	if allZero {
-		// Zero elision: the destination materializes zeros with no round
-		// trip and no staging — the zero fingerprint is always resolvable.
-		m := transport.Message{Type: transport.MsgBlockRef, Arg: arg, Payload: dedup.AppendFingerprints(fpBuf[:0], fps)}
-		if err := t.send(m, limited); err != nil {
-			return 0, err
-		}
-		t.dedupBlocks += ext.Count
-		return int64(m.FrameSize()), nil
-	}
-	if !t.pol.DedupExtent(phaseName, ext.Count) {
-		return t.sendLiteral(ext, data, limited)
-	}
-	adv := transport.Message{Type: transport.MsgHashAdvert, Arg: arg, Payload: dedup.AppendFingerprints(fpBuf[:0], fps)}
-	if err := t.send(adv, limited); err != nil {
-		return 0, err
-	}
-	wire := int64(adv.FrameSize())
-	want, err := t.awaitWant(arg)
-	if err != nil {
-		return wire, err
-	}
-	if len(want) != dedup.WantLen(ext.Count) {
-		return wire, fmt.Errorf("core: want bitmap %d bytes for %d-block advert", len(want), ext.Count)
-	}
-	// Walk the want bitmap as maximal same-verdict runs: wanted runs travel
-	// as literals (single blocks keep the seed's MsgBlockData form) — or
-	// through the delta protocol when that is also negotiated, since a
-	// wanted run is exactly the content exact-match dedup could not save —
-	// and unwanted runs as fingerprint references.
-	err = dedup.WalkWant(ext.Count, want, func(off, n int, wanted bool) error {
-		sub := bitmap.Extent{Start: ext.Start + off, Count: n}
-		var m transport.Message
-		if wanted {
-			if t.cfg.Delta && t.awaitDeltaSig != nil {
-				w, err := t.sendDeltaExtent(sub, data[off*bs:(off+n)*bs], phaseName, limited)
-				wire += w
-				return err
-			}
-			m = extentMessage(sub, data[off*bs:(off+n)*bs])
-		} else {
-			m = transport.Message{
+		// Fingerprint payloads (adverts, references) are staged in one pooled
+		// scratch buffer: sends only borrow their payload, so the scratch is
+		// reusable the moment each send returns.
+		fpBuf := transport.GetBuf(len(fps) * dedup.FingerprintSize)
+		defer transport.PutBuf(fpBuf)
+		var wire int64
+		sendRef := func(sub bitmap.Extent, run []dedup.Fingerprint) error {
+			m := transport.Message{
 				Type:    transport.MsgBlockRef,
 				Arg:     transport.ExtentArg(sub.Start, sub.Count),
-				Payload: dedup.AppendFingerprints(fpBuf[:0], fps[off:off+n]),
+				Payload: dedup.AppendFingerprints(fpBuf[:0], run),
+			}
+			if err := t.send(m, limited); err != nil {
+				return err
 			}
 			t.dedupBlocks += sub.Count
+			wire += int64(m.FrameSize())
+			return nil
 		}
-		if err := t.send(m, limited); err != nil {
+		if allZero {
+			// Zero elision: the destination materializes zeros with no round
+			// trip and no staging — the zero fingerprint is always resolvable.
+			err := sendRef(ext, fps)
+			return wire, err
+		}
+		arg := transport.ExtentArg(ext.Start, ext.Count)
+		adv := transport.Message{Type: transport.MsgHashAdvert, Arg: arg, Payload: dedup.AppendFingerprints(fpBuf[:0], fps)}
+		if err := t.send(adv, limited); err != nil {
+			return 0, err
+		}
+		wire += int64(adv.FrameSize())
+		want, err := t.awaitReply(transport.MsgHashWant, arg)
+		if err != nil {
+			return wire, err
+		}
+		defer transport.PutBuf(want) // the reply's pooled payload
+		if len(want) != dedup.WantLen(ext.Count) {
+			return wire, fmt.Errorf("core: want bitmap %d bytes for %d-block advert", len(want), ext.Count)
+		}
+		// Walk the want bitmap as maximal same-verdict runs: wanted runs go
+		// down the chain, unwanted runs travel as fingerprint references.
+		err = dedup.WalkWant(ext.Count, want, func(off, n int, wanted bool) error {
+			sub := bitmap.Extent{Start: ext.Start + off, Count: n}
+			if !wanted {
+				return sendRef(sub, fps[off:off+n])
+			}
+			w, err := next(sub, data[off*bs:(off+n)*bs])
+			wire += w
 			return err
-		}
-		wire += int64(m.FrameSize())
-		return nil
-	})
-	transport.PutBuf(want) // the reply's pooled payload, fully consumed
-	return wire, err
+		})
+		return wire, err
+	}
 }
 
 // --- Destination side ---
@@ -166,16 +140,12 @@ func (dd *destDedup) observe(block int, data []byte) {
 // checkFPExtent validates a MsgHashAdvert/MsgBlockRef frame against the
 // prepared VBD and decodes its fingerprints.
 func (t *transfer) checkFPExtent(m transport.Message) (bitmap.Extent, []dedup.Fingerprint, error) {
-	start, count := transport.ExtentSplit(m.Arg)
-	dev := t.host.Backend.Device()
-	if count < 1 || start < 0 || start+count > dev.NumBlocks() {
-		return bitmap.Extent{}, nil, fmt.Errorf("core: dedup extent [%d,+%d) outside %d-block VBD", start, count, dev.NumBlocks())
-	}
-	fps, err := dedup.ParseFingerprints(m.Payload, count)
+	ext, err := splitExtent(m.Arg, t.dev)
 	if err != nil {
-		return bitmap.Extent{}, nil, err
+		return ext, nil, err
 	}
-	return bitmap.Extent{Start: start, Count: count}, fps, nil
+	fps, err := dedup.ParseFingerprints(m.Payload, ext.Count)
+	return ext, fps, err
 }
 
 // handleAdvert answers one MsgHashAdvert through Index.Answer. Runs under
@@ -239,13 +209,12 @@ func (d *destRun) applyBlockRef(m transport.Message) error {
 	if err != nil {
 		return err
 	}
-	dev := d.host.Backend.Device()
 	for k, fp := range fps {
 		content, ok := d.dd.idx.Materialize(d.dd.stage, fp)
 		if !ok {
 			return fmt.Errorf("core: block ref %d names content this host cannot produce", ext.Start+k)
 		}
-		if err := dev.WriteBlock(ext.Start+k, content); err != nil {
+		if err := d.dev.WriteBlock(ext.Start+k, content); err != nil {
 			return fmt.Errorf("core: apply block ref %d: %w", ext.Start+k, err)
 		}
 		d.dd.idx.Observe(d.dd.self, ext.Start+k, fp)

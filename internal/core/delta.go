@@ -18,67 +18,52 @@ import (
 // plain literal, whichever is smaller. The destination verifies every
 // patch's embedded strong hash before a single byte lands; a mismatch is
 // refused back (MsgDeltaPatch, empty payload) and the source re-sends that
-// extent literally before the pass's fence — degraded, never wrong. With
-// Dedup also negotiated, delta replaces the literal sends for the blocks
-// the want-bitmap asked for, composing the two. Memory pages,
-// freeze-and-copy, and post-copy pushes are never delta-encoded.
+// extent literally before the pass's fence — degraded, never wrong. The
+// delta encoder sits directly above the literal in the extent encoder chain
+// and below dedup, so with Dedup also negotiated it sees exactly the runs the
+// want-bitmap asked for, composing the two. Memory pages, freeze-and-copy,
+// and post-copy pushes are never delta-encoded.
 
 // deltaFenceArg is the MsgDeltaSig Arg bounding one delta send pass.
 // ExtentArg never produces 0 (a packed extent has count >= 1), so the value
 // can never collide with a real signature request.
 const deltaFenceArg = 0
 
-// sendExtentsDelta runs the sequential walker with the delta encoder: each
-// extent moves through the signature round trip, and the pass ends with the
-// fence. Sequential by design — each extent is a round trip, so a worker
-// pool would just reorder waits.
-func (t *transfer) sendExtentsDelta(cur *owedCursor, phaseName string, limited bool) (int, int64, error) {
-	sent, bytes, err := t.sendExtentsSeq(cur, phaseName, func(ext bitmap.Extent, data []byte) (int64, error) {
-		return t.sendDeltaExtent(ext, data, phaseName, limited)
-	})
-	if err != nil {
-		return sent, bytes, err
+// deltaEncoder returns the chain stage that moves an extent through the
+// signature round trip. A patch no smaller than the content hands the extent
+// to next instead — frames any delta-negotiated destination accepts, so the
+// round trip gates cost, never correctness.
+func (t *transfer) deltaEncoder(next extentEncoder, limited bool) extentEncoder {
+	return func(ext bitmap.Extent, data []byte) (int64, error) {
+		arg := transport.ExtentArg(ext.Start, ext.Count)
+		req := transport.Message{Type: transport.MsgDeltaSig, Arg: arg}
+		if err := t.send(req, limited); err != nil {
+			return 0, err
+		}
+		wire := int64(req.FrameSize())
+		sigRaw, err := t.awaitReply(transport.MsgDeltaSig, arg)
+		if err != nil {
+			return wire, err
+		}
+		sig, perr := delta.ParseSignature(sigRaw)
+		transport.PutBuf(sigRaw)
+		if perr != nil {
+			return wire, fmt.Errorf("core: delta signature for extent [%d,+%d): %w", ext.Start, ext.Count, perr)
+		}
+		patch := delta.Diff(sig, data)
+		if len(patch) >= len(data) {
+			// Diverged wholesale: the literal is no bigger and needs no apply.
+			lit, err := next(ext, data)
+			return wire + lit, err
+		}
+		m := transport.Message{Type: transport.MsgDeltaPatch, Arg: arg, Payload: patch}
+		if err := t.send(m, limited); err != nil {
+			return wire, err
+		}
+		t.deltaBlocks += ext.Count
+		t.deltaPending++
+		return wire + int64(m.FrameSize()), nil
 	}
-	fenceWire, err := t.deltaFence(limited)
-	return sent, bytes + fenceWire, err
-}
-
-// sendDeltaExtent moves one extent under the delta protocol and returns the
-// wire bytes it sent. The literal fallbacks — policy verdict false, or a
-// patch no smaller than the content — produce frames any delta-negotiated
-// destination accepts, so the round trip gates cost, never correctness.
-func (t *transfer) sendDeltaExtent(ext bitmap.Extent, data []byte, phaseName string, limited bool) (int64, error) {
-	if !t.pol.DeltaExtent(phaseName, ext.Count) {
-		return t.sendLiteral(ext, data, limited)
-	}
-	arg := transport.ExtentArg(ext.Start, ext.Count)
-	req := transport.Message{Type: transport.MsgDeltaSig, Arg: arg}
-	if err := t.send(req, limited); err != nil {
-		return 0, err
-	}
-	wire := int64(req.FrameSize())
-	sigRaw, err := t.awaitDeltaSig(arg)
-	if err != nil {
-		return wire, err
-	}
-	sig, perr := delta.ParseSignature(sigRaw)
-	transport.PutBuf(sigRaw)
-	if perr != nil {
-		return wire, fmt.Errorf("core: delta signature for extent [%d,+%d): %w", ext.Start, ext.Count, perr)
-	}
-	patch := delta.Diff(sig, data)
-	if len(patch) >= len(data) {
-		// Diverged wholesale: the literal is no bigger and needs no apply.
-		lit, err := t.sendLiteral(ext, data, limited)
-		return wire + lit, err
-	}
-	m := transport.Message{Type: transport.MsgDeltaPatch, Arg: arg, Payload: patch}
-	if err := t.send(m, limited); err != nil {
-		return wire, err
-	}
-	t.deltaBlocks += ext.Count
-	t.deltaPending++
-	return wire + int64(m.FrameSize()), nil
 }
 
 // deltaFence bounds one delta send pass. The source sends the Arg-0
@@ -98,34 +83,33 @@ func (t *transfer) deltaFence(limited bool) (int64, error) {
 		return 0, err
 	}
 	wire := int64(req.FrameSize())
-	echo, err := t.awaitDeltaSig(deltaFenceArg)
+	echo, err := t.awaitReply(transport.MsgDeltaSig, deltaFenceArg)
 	if err != nil {
 		return wire, err
 	}
 	transport.PutBuf(echo)
-	naks := t.takeDeltaNaks()
-	if len(naks) == 0 {
-		return wire, nil
-	}
+	t.deltaMu.Lock()
+	naks := t.deltaNaks
+	t.deltaNaks = nil
+	t.deltaMu.Unlock()
 	dev := t.srcDev
 	bs := dev.BlockSize()
 	var buf []byte
 	defer func() { transport.PutBuf(buf) }()
 	for _, arg := range naks {
-		start, count := transport.ExtentSplit(arg)
-		if count < 1 || start < 0 || start+count > dev.NumBlocks() {
-			return wire, fmt.Errorf("core: delta refusal names extent [%d,+%d) outside the device", start, count)
+		ext, err := splitExtent(arg, dev)
+		if err != nil {
+			return wire, fmt.Errorf("core: delta refusal: %w", err)
 		}
-		if need := count * bs; cap(buf) < need {
+		if need := ext.Count * bs; cap(buf) < need {
 			transport.PutBuf(buf)
 			buf = transport.GetBuf(need)
 		}
-		ext := bitmap.Extent{Start: start, Count: count}
-		data := buf[:count*bs]
+		data := buf[:ext.Count*bs]
 		if err := readExtent(dev, ext, data); err != nil {
 			return wire, err
 		}
-		t.deltaBlocks -= count // the patch was refused; these blocks moved literally
+		t.deltaBlocks -= ext.Count // the patch was refused; these blocks moved literally
 		lit, err := t.sendLiteral(ext, data, limited)
 		if err != nil {
 			return wire, err
@@ -137,23 +121,11 @@ func (t *transfer) deltaFence(limited bool) (int64, error) {
 
 // --- Destination side ---
 
-// checkDeltaExtent validates a MsgDeltaSig/MsgDeltaPatch Arg against the
-// prepared VBD.
-func (t *transfer) checkDeltaExtent(arg uint64) (bitmap.Extent, error) {
-	start, count := transport.ExtentSplit(arg)
-	dev := t.host.Backend.Device()
-	if count < 1 || start < 0 || start+count > dev.NumBlocks() {
-		return bitmap.Extent{}, fmt.Errorf("core: delta extent [%d,+%d) outside %d-block VBD", start, count, dev.NumBlocks())
-	}
-	return bitmap.Extent{Start: start, Count: count}, nil
-}
-
 // readExtent reads the destination's current on-disk content for ext into a
 // pooled buffer the caller must PutBuf.
 func (d *destRun) readExtent(ext bitmap.Extent) ([]byte, error) {
-	dev := d.host.Backend.Device()
-	buf := transport.GetBuf(ext.Count * dev.BlockSize())
-	if err := readExtent(dev, ext, buf); err != nil {
+	buf := transport.GetBuf(ext.Count * d.dev.BlockSize())
+	if err := readExtent(d.dev, ext, buf); err != nil {
 		transport.PutBuf(buf)
 		return nil, err
 	}
@@ -169,7 +141,7 @@ func (d *destRun) handleDeltaSig(m transport.Message) error {
 		// already ahead of this echo on the return path.
 		return d.destSend(transport.Message{Type: transport.MsgDeltaSig, Arg: deltaFenceArg})
 	}
-	ext, err := d.checkDeltaExtent(m.Arg)
+	ext, err := splitExtent(m.Arg, d.dev)
 	if err != nil {
 		return err
 	}
@@ -188,12 +160,11 @@ func (d *destRun) handleDeltaSig(m transport.Message) error {
 // the source with an empty echo — the literal re-send follows before the
 // fence — and is never partially applied.
 func (d *destRun) handleDeltaPatch(m transport.Message) error {
-	ext, err := d.checkDeltaExtent(m.Arg)
+	ext, err := splitExtent(m.Arg, d.dev)
 	if err != nil {
 		return err
 	}
-	dev := d.host.Backend.Device()
-	bs := dev.BlockSize()
+	bs := d.dev.BlockSize()
 	old, err := d.readExtent(ext)
 	if err != nil {
 		return err
@@ -208,11 +179,8 @@ func (d *destRun) handleDeltaPatch(m transport.Message) error {
 	}
 	for k := 0; k < ext.Count; k++ {
 		blk := out[k*bs : (k+1)*bs]
-		if err := dev.WriteBlock(ext.Start+k, blk); err != nil {
+		if err := d.writeBlock(ext.Start+k, blk); err != nil {
 			return fmt.Errorf("core: apply delta block %d: %w", ext.Start+k, err)
-		}
-		if d.dd != nil {
-			d.dd.observe(ext.Start+k, blk)
 		}
 	}
 	d.deltaBlocks += ext.Count

@@ -52,6 +52,7 @@ type destRun struct {
 
 	sc          *scatterPool
 	dd          *destDedup     // content-dedup session (nil unless negotiated)
+	recvBlocks  int            // blocks landed in any form: literal, reference or patch
 	deltaBlocks int            // blocks landed as delta patches (Report.DeltaBlocks)
 	transferred *bitmap.Bitmap // the freeze bitmap, set during pre-copy receive
 	postStart   time.Duration
@@ -80,9 +81,10 @@ func (d *destRun) progressSnapshot() destProgress {
 	return p
 }
 
-// noteRecvBlocks records blocks received for the in-flight disk iteration.
-// Out-of-range frames are left for the apply path to reject.
+// noteRecvBlocks counts blocks [lo,hi) as landed and records them in the
+// in-flight disk iteration's transfer cursor, when there is one.
 func (d *destRun) noteRecvBlocks(lo, hi int) {
+	d.recvBlocks += hi - lo
 	d.progMu.Lock()
 	if bm := d.prog.recvDisk; bm != nil && lo >= 0 && hi <= bm.Len() && lo < hi {
 		bm.SetRange(lo, hi)
@@ -101,20 +103,11 @@ func (d *destRun) run() (*DestResult, error) {
 	rep := &metrics.Report{Scheme: "TPM-dest"}
 	res := &DestResult{Report: rep}
 	d.destState = d.progressSnapshot
-	if d.cfg.Dedup {
-		dd, err := newDestDedup(d.cfg, d.host.Backend.Device())
-		if err != nil {
-			return res, err
-		}
-		d.dd = dd
-		if d.cfg.Swarm && len(d.cfg.SwarmPeers) > 0 {
-			// Peers that fail to dial or refuse the hello drop out here;
-			// losing all of them just leaves the session single-source.
-			dd.swarm = dialSwarm(d.cfg, dd.self, d.host.Backend.Device().BlockSize())
-			if dd.swarm != nil {
-				defer dd.swarm.close()
-			}
-		}
+	if err := d.openDedup(); err != nil {
+		return res, err
+	}
+	if d.dd != nil && d.dd.swarm != nil {
+		defer d.dd.swarm.close()
 	}
 
 	// Data frames are handed to the scatter pool; every control frame drains
@@ -147,8 +140,65 @@ func (d *destRun) run() (*DestResult, error) {
 	return res, nil
 }
 
-// scatterApply queues an apply on the pool (or runs it inline).
-func (d *destRun) scatterApply(fn func() error) error { return d.sc.do(fn) }
+// openDedup starts the destination's content-dedup session when negotiated,
+// fanning want-sets across peer daemons when the swarm is on.
+func (d *destRun) openDedup() error {
+	if !d.cfg.Dedup {
+		return nil
+	}
+	dd, err := newDestDedup(d.cfg, d.dev)
+	if err != nil {
+		return err
+	}
+	d.dd = dd
+	if d.cfg.Swarm && len(d.cfg.SwarmPeers) > 0 {
+		// Peers that fail to dial or refuse the hello drop out here; losing
+		// all of them just leaves the session single-source.
+		dd.swarm = dialSwarm(d.cfg, dd.self, d.dev.BlockSize())
+	}
+	return nil
+}
+
+// writeBlock lands one block on the VBD and, in a dedup session, records
+// its content in the index. Called from scatter-pool workers.
+func (d *destRun) writeBlock(block int, data []byte) error {
+	if err := d.dev.WriteBlock(block, data); err != nil {
+		return err
+	}
+	if d.dd != nil {
+		d.dd.observe(block, data)
+	}
+	return nil
+}
+
+// diskHandlers returns the appliers for every frame that moves disk content
+// ahead of the freeze — literal data, and the dedup and delta dialogues when
+// negotiated. Disk pre-copy and pre-sync receive through the same table.
+func (d *destRun) diskHandlers() frameHandlers {
+	write := d.writeBlock // bound once, not per frame
+	data := func(m transport.Message) error {
+		ext, err := d.applyData(m, d.sc, write)
+		d.noteRecvBlocks(ext.Start, ext.End())
+		return err
+	}
+	h := frameHandlers{transport.MsgBlockData: data, transport.MsgExtent: data}
+	if d.dd != nil {
+		// Both dedup frames drain the scatter pool first: an advert's index
+		// lookups must see every literal already applied (and observed), and
+		// a reference materialized from this VBD must not race a queued
+		// write to its backing block.
+		h[transport.MsgHashAdvert] = d.drainOn(d.handleAdvert)
+		h[transport.MsgBlockRef] = d.drainOn(d.applyBlockRef)
+	}
+	if d.cfg.Delta {
+		// Delta frames drain too: a signature must summarize content with
+		// every queued literal already on the device, and a patch applies
+		// against (then overwrites) blocks a queued write may still own.
+		h[transport.MsgDeltaSig] = d.drainOn(d.handleDeltaSig)
+		h[transport.MsgDeltaPatch] = d.drainOn(d.handleDeltaPatch)
+	}
+	return h
+}
 
 // preCopyReceive applies every pre-copy and freeze-and-copy frame until the
 // source orders the resume. The destination cannot distinguish the disk,
@@ -190,98 +240,43 @@ func (d *destRun) preCopyReceive() error {
 			return nil
 		}
 	}
-	handlers := frameHandlers{
-		transport.MsgIterStart:    d.drainOn(diskIterStart),
-		transport.MsgIterEnd:      d.drainOn(iterEnd(func(p *destProgress, it uint32) { p.diskIters = it })),
-		transport.MsgMemIterStart: d.drainOn(memIterStart),
-		transport.MsgMemIterEnd:   d.drainOn(iterEnd(func(p *destProgress, it uint32) { p.memIters = it })),
-		transport.MsgSuspend: d.drainOn(func(transport.Message) error {
-			d.ev.suspended()
-			d.noteProgress(func(p *destProgress) { p.flags |= destSuspendSeen })
-			return nil
-		}),
-		// Data-frame appliers own their pooled payloads (the Recv transfer
-		// contract) and release them inside the scatter closure, after the
-		// device write and dedup observation — i.e. no earlier than the
-		// drain barrier any later control frame waits on.
-		transport.MsgBlockData: func(m transport.Message) error {
-			d.noteRecvBlocks(int(m.Arg), int(m.Arg)+1)
-			return d.scatterApply(func() error {
-				if err := d.applyBlock(m); err != nil {
-					return err
-				}
-				if d.dd != nil {
-					d.dd.observe(int(m.Arg), m.Payload)
-				}
-				m.Release()
-				return nil
-			})
-		},
-		transport.MsgExtent: func(m transport.Message) error {
-			ext, err := d.checkExtent(m)
-			if err != nil {
+	handlers := d.diskHandlers()
+	handlers[transport.MsgIterStart] = d.drainOn(diskIterStart)
+	handlers[transport.MsgIterEnd] = d.drainOn(iterEnd(func(p *destProgress, it uint32) { p.diskIters = it }))
+	handlers[transport.MsgMemIterStart] = d.drainOn(memIterStart)
+	handlers[transport.MsgMemIterEnd] = d.drainOn(iterEnd(func(p *destProgress, it uint32) { p.memIters = it }))
+	handlers[transport.MsgSuspend] = d.drainOn(func(transport.Message) error {
+		d.ev.suspended()
+		d.noteProgress(func(p *destProgress) { p.flags |= destSuspendSeen })
+		return nil
+	})
+	handlers[transport.MsgMemPage] = func(m transport.Message) error {
+		d.noteProgress(func(p *destProgress) {
+			if n := int(m.Arg); p.recvMem != nil && n >= 0 && n < p.recvMem.Len() {
+				p.recvMem.Set(n)
+			}
+		})
+		return d.sc.do(func() error {
+			if err := d.applyPage(m); err != nil {
 				return err
 			}
-			d.noteRecvBlocks(ext.Start, ext.End())
-			dev := d.host.Backend.Device()
-			payload, bs := m.Payload, dev.BlockSize()
-			return d.scatterApply(func() error {
-				for k := 0; k < ext.Count; k++ {
-					blk := payload[k*bs : (k+1)*bs]
-					if err := dev.WriteBlock(ext.Start+k, blk); err != nil {
-						return fmt.Errorf("core: apply block %d: %w", ext.Start+k, err)
-					}
-					if d.dd != nil {
-						d.dd.observe(ext.Start+k, blk)
-					}
-				}
-				transport.PutBuf(payload)
-				return nil
-			})
-		},
-		transport.MsgMemPage: func(m transport.Message) error {
-			d.noteProgress(func(p *destProgress) {
-				if n := int(m.Arg); p.recvMem != nil && n >= 0 && n < p.recvMem.Len() {
-					p.recvMem.Set(n)
-				}
-			})
-			return d.scatterApply(func() error {
-				if err := d.applyPage(m); err != nil {
-					return err
-				}
-				m.Release()
-				return nil
-			})
-		},
-		transport.MsgCPUState: d.drainOn(func(m transport.Message) error {
-			cpu := vm.CPUState{Registers: append([]byte(nil), m.Payload...)}
-			hostVM.SetCPU(cpu)
+			m.Release()
 			return nil
-		}),
-		transport.MsgBitmap: d.drainOn(func(m transport.Message) error {
-			d.transferred = &bitmap.Bitmap{}
-			if err := d.transferred.UnmarshalBinary(m.Payload); err != nil {
-				return fmt.Errorf("core: bitmap: %w", err)
-			}
-			d.noteProgress(func(p *destProgress) { p.flags |= destBitmapSeen })
-			return nil
-		}),
+		})
 	}
-	if d.dd != nil {
-		// Both dedup frames drain the scatter pool first: an advert's index
-		// lookups must see every literal already applied (and observed), and
-		// a reference materialized from this VBD must not race a queued
-		// write to its backing block.
-		handlers[transport.MsgHashAdvert] = d.drainOn(d.handleAdvert)
-		handlers[transport.MsgBlockRef] = d.drainOn(d.applyBlockRef)
-	}
-	if d.cfg.Delta {
-		// Delta frames drain too: a signature must summarize content with
-		// every queued literal already on the device, and a patch applies
-		// against (then overwrites) blocks a queued write may still own.
-		handlers[transport.MsgDeltaSig] = d.drainOn(d.handleDeltaSig)
-		handlers[transport.MsgDeltaPatch] = d.drainOn(d.handleDeltaPatch)
-	}
+	handlers[transport.MsgCPUState] = d.drainOn(func(m transport.Message) error {
+		cpu := vm.CPUState{Registers: append([]byte(nil), m.Payload...)}
+		hostVM.SetCPU(cpu)
+		return nil
+	})
+	handlers[transport.MsgBitmap] = d.drainOn(func(m transport.Message) error {
+		d.transferred = &bitmap.Bitmap{}
+		if err := d.transferred.UnmarshalBinary(m.Payload); err != nil {
+			return fmt.Errorf("core: bitmap: %w", err)
+		}
+		d.noteProgress(func(p *destProgress) { p.flags |= destBitmapSeen })
+		return nil
+	})
 	err := d.recvLoop(transport.MsgResume, handlers)
 	if err != nil {
 		return err
@@ -316,10 +311,9 @@ func (d *destRun) drainOn(fn func(transport.Message) error) func(transport.Messa
 // blocks until the source reports push completion and the gate is fully
 // synchronized.
 func (d *destRun) postCopyReceive(res *DestResult) error {
-	dev := d.host.Backend.Device()
 	// CPU was installed during pre-copy receive; surface it on the result.
 	res.CPU = d.host.VM.CPU()
-	gate := blkback.NewPostCopyGate(dev, d.host.VM.DomainID, d.transferred, func(n int) error {
+	gate := blkback.NewPostCopyGate(d.dev, d.host.VM.DomainID, d.transferred, func(n int) error {
 		return d.destSend(transport.Message{Type: transport.MsgPullRequest, Arg: uint64(n)})
 	}, d.clk)
 	res.Gate = gate
@@ -342,7 +336,7 @@ func (d *destRun) postCopyReceive(res *DestResult) error {
 	// The scatter pool applies extents concurrently; the gate's internal
 	// locking keeps each ReceiveBlock atomic against the resumed guest's
 	// reads and writes, so the write gate stays correct under concurrency.
-	bs := dev.BlockSize()
+	receive := gate.ReceiveBlock // bound once, not per frame
 	pushDone := false
 	for {
 		if pushDone {
@@ -359,32 +353,8 @@ func (d *destRun) postCopyReceive(res *DestResult) error {
 		}
 		d.noteWire()
 		switch m.Type {
-		case transport.MsgBlockData:
-			n, payload := int(m.Arg), m.Payload
-			if err := d.scatterApply(func() error {
-				if err := gate.ReceiveBlock(n, payload); err != nil {
-					return err
-				}
-				transport.PutBuf(payload)
-				return nil
-			}); err != nil {
-				return err
-			}
-		case transport.MsgExtent:
-			ext, err := d.checkExtent(m)
-			if err != nil {
-				return err
-			}
-			payload := m.Payload
-			if err := d.scatterApply(func() error {
-				for k := 0; k < ext.Count; k++ {
-					if err := gate.ReceiveBlock(ext.Start+k, payload[k*bs:(k+1)*bs]); err != nil {
-						return err
-					}
-				}
-				transport.PutBuf(payload)
-				return nil
-			}); err != nil {
+		case transport.MsgBlockData, transport.MsgExtent:
+			if _, err := d.applyData(m, d.sc, receive); err != nil {
 				return err
 			}
 		case transport.MsgPushDone:

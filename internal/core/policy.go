@@ -91,29 +91,6 @@ type Policy interface {
 	// to pre-copy traffic only — freeze-and-copy and post-copy are never
 	// throttled.
 	PrecopyRate(configured int64) int64
-
-	// DedupExtent reports whether the source should attempt content
-	// deduplication — a hash-advert/want-bitmap round trip — for a disk
-	// extent of the given phase and block count. Consulted only when
-	// Config.Dedup was negotiated; a false verdict sends the extent
-	// literally, which every dedup-negotiated destination accepts, so the
-	// verdict is a local latency/bandwidth trade (tiny extents can cost
-	// more in round trip than they save in bytes). All-zero runs are elided
-	// regardless of the verdict — they need no round trip.
-	DedupExtent(phase string, blocks int) bool
-
-	// DeltaExtent reports whether the source should attempt delta encoding
-	// — a signature-request round trip followed by a COPY/LITERAL patch —
-	// for a disk extent of the given phase and block count. Consulted only
-	// when Config.Delta was negotiated; a false verdict sends the extent
-	// literally, which every delta-negotiated destination accepts, so the
-	// verdict is a local trade: the round trip ships the destination's
-	// signature (roughly a tenth of the extent) in the hope that the patch
-	// saves far more, which pays off exactly when divergence is hot-block
-	// rewrites rather than wholesale replacement. The source additionally
-	// falls back to the literal whenever the computed patch is not smaller,
-	// so the verdict gates cost, never correctness.
-	DeltaExtent(phase string, blocks int) bool
 }
 
 // DefaultPolicy reproduces the paper's fixed behavior: stop conditions from
@@ -152,17 +129,6 @@ func (DefaultPolicy) ObserveCompression(transport.MsgType, int, int) {}
 
 // PrecopyRate returns the configured cap unchanged.
 func (DefaultPolicy) PrecopyRate(configured int64) int64 { return configured }
-
-// DedupExtent always attempts deduplication once Config.Dedup is
-// negotiated: the advert for even a single block costs 16 bytes plus a
-// round trip against a 4 KiB literal saved on a hit.
-func (DefaultPolicy) DedupExtent(string, int) bool { return true }
-
-// DeltaExtent always attempts delta encoding once Config.Delta is
-// negotiated: even a single 4 KiB block's signature round trip (~400
-// bytes) wins whenever more than a tenth of the block survived, and the
-// source's patch-vs-literal size check caps the loss when nothing did.
-func (DefaultPolicy) DeltaExtent(string, int) bool { return true }
 
 // AdaptivePolicy tunes the transfer from observations instead of constants:
 //

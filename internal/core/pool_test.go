@@ -1,8 +1,10 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"bbmig/internal/blockdev"
 	"bbmig/internal/transport"
 )
 
@@ -40,24 +42,61 @@ func TestPoisonedPoolMigrations(t *testing.T) {
 	}
 }
 
-// TestWireTraceReadaheadEquivalence proves the readahead path is a pure
-// pipelining change: with identical configs otherwise, the prefetching
-// sender emits a frame-for-frame identical dialogue (types, args, payload
-// hashes, order) to the sequential extent path.
+// TestWireTraceReadaheadEquivalence proves readahead is a pure pipelining
+// change on every encoder chain: with identical configs otherwise, the
+// prefetching walker emits a frame-for-frame identical dialogue (types, args,
+// payload hashes, order, both directions) to the inline one — for the bare
+// literal chain and with the dedup and delta round-trip encoders stacked on
+// it, which prefetch through the same walker.
 func TestWireTraceReadaheadEquivalence(t *testing.T) {
-	run := func(readahead int) []string {
-		e := newTraceEnv(t)
-		src, dst := runTraced(t, e, Config{MaxExtentBlocks: 8, Readahead: readahead}, nil)
-		return append(src, dst...)
-	}
-	seq := run(0)
-	ra := run(4)
-	if len(seq) != len(ra) {
-		t.Fatalf("frame count diverges: sequential %d, readahead %d", len(seq), len(ra))
-	}
-	for i := range seq {
-		if seq[i] != ra[i] {
-			t.Fatalf("frame %d diverges:\n  sequential: %s\n  readahead:  %s", i, seq[i], ra[i])
-		}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		frames []string // frame types the chain must actually have produced
+	}{
+		{"literal", Config{}, []string{"EXTENT"}},
+		{"dedup", Config{Dedup: true}, []string{"HASH_ADVERT", "BLOCK_REF"}},
+		{"delta", Config{Delta: true}, []string{"DELTA_PATCH"}},
+		{"dedup+delta", Config{Dedup: true, Delta: true}, []string{"HASH_ADVERT", "BLOCK_REF", "DELTA_PATCH"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(readahead int) []string {
+				e := newTraceEnv(t)
+				// The destination starts from a stale copy — every source
+				// block with its first 256 bytes rewritten — so the delta
+				// encoder has near matches to patch, not just zero runs.
+				buf := make([]byte, blockdev.BlockSize)
+				for n := 0; n < testBlocks; n += 3 {
+					if err := e.srcDisk.ReadBlock(n, buf); err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < 256; i++ {
+						buf[i] ^= 0x5a
+					}
+					if err := e.dstDisk.WriteBlock(n, buf); err != nil {
+						t.Fatal(err)
+					}
+				}
+				cfg := tc.cfg
+				cfg.MaxExtentBlocks, cfg.Readahead = 8, readahead
+				src, dst := runTraced(t, e, cfg, nil)
+				return append(src, dst...)
+			}
+			seq := run(0)
+			ra := run(4)
+			for _, typ := range tc.frames {
+				if !strings.Contains(strings.Join(seq, "\n"), typ+" ") {
+					t.Fatalf("no %s frame in the trace: the chain under test never ran", typ)
+				}
+			}
+			if len(seq) != len(ra) {
+				t.Fatalf("frame count diverges: sequential %d, readahead %d", len(seq), len(ra))
+			}
+			for i := range seq {
+				if seq[i] != ra[i] {
+					t.Fatalf("frame %d diverges:\n  sequential: %s\n  readahead:  %s", i, seq[i], ra[i])
+				}
+			}
+		})
 	}
 }

@@ -1,0 +1,119 @@
+package core
+
+import (
+	"fmt"
+	"time"
+
+	"bbmig/internal/bitmap"
+	"bbmig/internal/blockdev"
+	"bbmig/internal/transport"
+)
+
+// This file is the disk-only scheme: the paper's IM (§V), "ship only the
+// divergence bitmap", run ahead of cutover as a pre-sync. It is the shortest
+// pipeline over the transfer substrate — no handshake, no VM, no iteration:
+// one paced send pass over the owed set through the same encoder chain disk
+// pre-copy uses, bounded by a MsgDone carrying the block count, which the
+// destination checks against what landed and echoes. The connection-owning
+// layer (hostd) announces the session and decides what is owed; the wire
+// format is docs/WIRE.md §6 "Pre-sync session".
+
+// phasePreSync is the phase name the policy sees for pre-sync extents.
+const phasePreSync = "pre-sync"
+
+// SyncStats summarizes one endpoint's side of a pre-sync session.
+type SyncStats struct {
+	// Blocks is how many blocks were shipped (source) or landed
+	// (destination), in any form.
+	Blocks int
+	// DedupBlocks counts the blocks among them that travelled as 16-byte
+	// content references (or zero elisions) instead of literals — only with
+	// Config.Dedup set.
+	DedupBlocks int
+	// WireBytes is the total bytes this endpoint sent, frame headers included.
+	WireBytes int64
+	// Duration is the session's wall (or virtual-clock) time.
+	Duration time.Duration
+}
+
+func (t *transfer) syncStats(blocks, dedupBlocks int) SyncStats {
+	return SyncStats{
+		Blocks: blocks, DedupBlocks: dedupBlocks,
+		WireBytes: t.meter.BytesSent(), Duration: t.clk.Now() - t.start,
+	}
+}
+
+// SyncSource ships the blocks of dev that owed names to the SyncDest at the
+// other end of conn, and returns once the destination has acknowledged
+// holding all of them. dev is read as given — pass a snapshot for a
+// consistent image of a live disk. owed is not modified.
+//
+// Honoured cfg fields: Clock, BandwidthLimit and Policy (pacing, re-read per
+// frame, and the live extent limit), MaxExtentBlocks, Readahead, and Dedup,
+// which must match the destination's.
+func SyncSource(cfg Config, dev blockdev.Device, conn transport.Conn, owed *bitmap.Bitmap) (SyncStats, error) {
+	cfg = cfg.withDefaults()
+	t, err := newDiskTransfer(cfg, dev, conn, phasePreSync, "source")
+	if err != nil {
+		return SyncStats{}, err
+	}
+	t.awaitReply = t.recvReply
+	sent, _, err := t.sendBlocks(allOf(owed), phasePreSync, true)
+	if err == nil {
+		err = t.send(transport.Message{Type: transport.MsgDone, Arg: uint64(sent)}, false)
+	}
+	if err == nil {
+		// The ack is authoritative: bytes in a dead socket's buffer are not
+		// a sync.
+		_, err = t.recvReply(transport.MsgDone, uint64(sent))
+	}
+	return t.syncStats(sent, t.dedupBlocks), err
+}
+
+// recvReply is awaitReply for a scheme with no concurrent reader: the reply
+// to the one outstanding request is the next frame on the connection.
+func (t *transfer) recvReply(typ transport.MsgType, arg uint64) ([]byte, error) {
+	m, err := t.conn.Recv()
+	if err != nil {
+		return nil, fmt.Errorf("core: awaiting %v: %w", typ, err)
+	}
+	t.noteWire()
+	if m.Type == transport.MsgError {
+		return nil, fmt.Errorf("core: destination error: %s", m.Payload)
+	}
+	if m.Type != typ || m.Arg != arg {
+		return nil, fmt.Errorf("core: awaiting %v for %d, got %v for %d", typ, arg, m.Type, m.Arg)
+	}
+	return m.Payload, nil
+}
+
+// SyncDest applies one pre-sync session from conn to dev through the same
+// disk-frame appliers pre-copy receive uses, and acknowledges it once the
+// source's block count matches what landed. Honoured cfg fields: Clock,
+// Workers, and Dedup with DedupIndex/DedupName (Dedup must match the
+// source's).
+func SyncDest(cfg Config, dev blockdev.Device, conn transport.Conn) (SyncStats, error) {
+	cfg = cfg.withDefaults()
+	t, err := newDiskTransfer(cfg, dev, conn, phasePreSync, "dest")
+	if err != nil {
+		return SyncStats{}, err
+	}
+	d := &destRun{transfer: t, sc: newScatterPool(cfg.Workers)}
+	defer d.sc.close()
+	if err := d.openDedup(); err != nil {
+		return SyncStats{}, err
+	}
+	handlers := d.diskHandlers()
+	handlers[transport.MsgDone] = d.drainOn(func(m transport.Message) error {
+		if int(m.Arg) != d.recvBlocks {
+			return fmt.Errorf("core: pre-sync count %d, received %d", m.Arg, d.recvBlocks)
+		}
+		return d.destSend(transport.Message{Type: transport.MsgDone, Arg: m.Arg})
+	})
+	err = d.recvLoop(transport.MsgDone, handlers)
+	refs := 0
+	if d.dd != nil {
+		refs = d.dd.refs
+	}
+	return t.syncStats(d.recvBlocks, refs), err
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"bbmig/internal/bitmap"
@@ -80,15 +79,13 @@ type sourceRun struct {
 	resumedCh  chan time.Duration // destination resume observed (clock time)
 	doneCh     chan error
 	readerDone chan struct{}
-	wantCh     chan transport.Message // MsgHashWant replies (dedup sessions only)
-	sigCh      chan transport.Message // MsgDeltaSig replies (delta sessions only)
 
-	// Delta refusals (MsgDeltaPatch echoes) collected by the read loop.
-	// A slice under a mutex, not a bounded channel: a dropped refusal would
-	// leave the destination holding stale content for blocks the source
-	// considers sent, so every one must survive until the fence drains it.
-	deltaMu   sync.Mutex
-	deltaNaks []uint64
+	// replies is the one reply mailbox: the read loop posts every MsgHashWant
+	// and MsgDeltaSig frame here and waitReply takes them out. At most one
+	// request — advert, signature or fence — is ever outstanding, so anything
+	// else found in it is left over from a connection epoch that died
+	// mid-round-trip.
+	replies chan transport.Message
 
 	// freeze-and-copy state carried between phases (and across reconnects)
 	freezeStart time.Duration
@@ -224,70 +221,71 @@ func (s *sourceRun) startup() error {
 	s.pullCh = make(chan int, 1024)
 	s.resumedCh = make(chan time.Duration, 1)
 	s.doneCh = make(chan error, 1)
-	if s.cfg.Dedup {
-		s.wantCh = make(chan transport.Message, 8)
-		s.awaitWant = s.waitWant
-	}
-	if s.cfg.Delta {
-		s.sigCh = make(chan transport.Message, 8)
-		s.awaitDeltaSig = s.waitDeltaSig
-		s.takeDeltaNaks = s.takeNaks
-	}
+	s.replies = make(chan transport.Message, 8)
+	s.awaitReply = s.waitReply
 	s.startReader()
 	return nil
 }
 
-// waitWant blocks until the destination's reply to the outstanding advert
-// arrives. Replies whose Arg does not echo the advert are stale — left over
-// from a connection epoch that died mid-round-trip — and are discarded. A
-// destination failure surfaces through doneCh exactly as in post-copy.
-func (s *sourceRun) waitWant(arg uint64) ([]byte, error) {
+// waitReply blocks until the destination's reply to the outstanding request
+// arrives: a frame of type typ echoing arg (a fence echo's Arg is
+// deltaFenceArg, which a real signature reply can never carry). Anything
+// else in the mailbox is stale — superseded with its epoch — and is
+// discarded. A destination failure surfaces through doneCh exactly as in
+// post-copy.
+func (s *sourceRun) waitReply(typ transport.MsgType, arg uint64) ([]byte, error) {
 	for {
 		select {
-		case m := <-s.wantCh:
-			if m.Arg != arg {
-				m.Release() // stale epoch's reply, fully superseded
+		case m := <-s.replies:
+			if m.Type != typ || m.Arg != arg {
+				m.Release()
 				continue
 			}
 			return m.Payload, nil
 		case err := <-s.doneCh:
 			if err == nil {
-				err = fmt.Errorf("core: destination completed while an advert was outstanding")
+				err = fmt.Errorf("core: destination completed while a %v request was outstanding", typ)
 			}
 			return nil, err
 		}
 	}
 }
 
-// waitDeltaSig blocks until the destination's reply to the outstanding
-// signature request (or fence) arrives; the same stale-epoch discipline as
-// waitWant applies. Note a fence echo's Arg is deltaFenceArg (0), which a
-// real signature reply can never carry.
-func (s *sourceRun) waitDeltaSig(arg uint64) ([]byte, error) {
+// postReply files m in the mailbox without ever blocking the read loop: when
+// the mailbox is full its oldest entry, necessarily stale, makes room.
+func (s *sourceRun) postReply(m transport.Message) {
 	for {
 		select {
-		case m := <-s.sigCh:
-			if m.Arg != arg {
-				m.Release() // stale epoch's reply, fully superseded
-				continue
-			}
-			return m.Payload, nil
-		case err := <-s.doneCh:
-			if err == nil {
-				err = fmt.Errorf("core: destination completed while a delta request was outstanding")
-			}
-			return nil, err
+		case s.replies <- m:
+			return
+		default:
+		}
+		select {
+		case stale := <-s.replies:
+			stale.Release()
+		default:
 		}
 	}
 }
 
-// takeNaks returns and clears the refusals collected since the last fence.
-func (s *sourceRun) takeNaks() []uint64 {
+// dropReplies empties the mailbox and the refusal list of a dead epoch: the
+// next runFromCursor re-requests whatever it re-sends (the destination stages
+// against the newest advert only), and a refused extent was never confirmed
+// received, so the owed-set reconciliation re-sends it anyway.
+func (s *sourceRun) dropReplies() {
+	for {
+		select {
+		case stale := <-s.replies:
+			stale.Release()
+			continue
+		default:
+		}
+		break
+	}
 	s.deltaMu.Lock()
-	naks := s.deltaNaks
 	s.deltaNaks = nil
 	s.deltaMu.Unlock()
-	return naks
+	s.deltaPending = 0
 }
 
 func (s *sourceRun) startReader() {
@@ -356,32 +354,7 @@ func (s *sourceRun) reconnect(attempt int) error {
 		}
 	default:
 	}
-	// Drop advert replies from the dead epoch: the next runFromCursor
-	// re-adverts whatever it re-sends, and the destination stages against
-	// the newest advert only.
-	for s.wantCh != nil {
-		select {
-		case <-s.wantCh:
-			continue
-		default:
-		}
-		break
-	}
-	// Same for delta signature replies; refusals from the dead epoch are
-	// dropped too — their extents were never confirmed received, so the
-	// owed-set reconciliation below re-sends them anyway.
-	for s.sigCh != nil {
-		select {
-		case <-s.sigCh:
-			continue
-		default:
-		}
-		break
-	}
-	s.deltaMu.Lock()
-	s.deltaNaks = nil
-	s.deltaMu.Unlock()
-	s.deltaPending = 0
+	s.dropReplies()
 
 	s.clk.Sleep(s.backoffFor(attempt))
 	conn, err := s.cfg.Redial()
@@ -715,51 +688,22 @@ func (s *sourceRun) readLoop(done chan struct{}) {
 		case transport.MsgPullRequest:
 			s.pullCh <- int(m.Arg)
 		case transport.MsgHashWant:
-			if s.wantCh == nil {
+			if !s.cfg.Dedup {
 				s.doneCh <- fmt.Errorf("core: HASH_WANT on a session without dedup")
 				return
 			}
-			// Non-blocking with drop-oldest: at most one advert is ever
-			// outstanding, so anything already buffered is a stale epoch's
-			// reply and the freshest frame is the one worth keeping.
-			for {
-				select {
-				case s.wantCh <- m:
-				default:
-					select {
-					case stale := <-s.wantCh:
-						stale.Release()
-					default:
-					}
-					continue
-				}
-				break
-			}
+			s.postReply(m)
 		case transport.MsgDeltaSig:
-			if s.sigCh == nil {
+			if !s.cfg.Delta {
 				s.doneCh <- fmt.Errorf("core: DELTA_SIG on a session without delta")
 				return
 			}
-			// Same drop-oldest discipline as MsgHashWant: at most one
-			// signature request (or fence) is ever outstanding.
-			for {
-				select {
-				case s.sigCh <- m:
-				default:
-					select {
-					case stale := <-s.sigCh:
-						stale.Release()
-					default:
-					}
-					continue
-				}
-				break
-			}
+			s.postReply(m)
 		case transport.MsgDeltaPatch:
 			// A refusal: the destination could not verify a patch and wants
 			// the extent literally. Collected — never dropped — until the
 			// pass's fence re-sends the content.
-			if s.sigCh == nil {
+			if !s.cfg.Delta {
 				s.doneCh <- fmt.Errorf("core: DELTA_PATCH refusal on a session without delta")
 				return
 			}

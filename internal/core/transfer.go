@@ -28,16 +28,17 @@ type phase struct {
 
 // transfer is the per-endpoint substrate state.
 type transfer struct {
-	cfg     Config
-	host    Host
-	srcDev  blockdev.Device // source read path: live device, or a frozen snapshot of it
-	clk     clock.Clock
-	conn    transport.Conn   // engine-facing top of the decorator stack
-	meter   *transport.Meter // wire-byte accounting, closest to the raw conn
-	limiter *clock.RateLimiter
-	pol     Policy
-	ev      *emitter
-	start   time.Duration
+	cfg    Config
+	host   Host
+	dev    blockdev.Device // the disk this endpoint's frames address
+	srcDev blockdev.Device // source read path: dev, or a frozen snapshot of it
+	clk    clock.Clock
+	conn   transport.Conn   // engine-facing top of the decorator stack
+	meter  *transport.Meter // wire-byte accounting, closest to the raw conn
+	pace   *Pacer           // pre-copy pacing; nil when the policy's first verdict is unlimited
+	pol    Policy
+	ev     *emitter
+	start  time.Duration
 
 	// resendAll makes pre-copy passes send units that are already dirty
 	// again, as the engine did before owedCursor learned to skip them. Only
@@ -54,32 +55,46 @@ type transfer struct {
 	ckpt       func(phase string, iter int, pending *bitmap.Bitmap)
 	resumeIter map[string]*iterResume
 
-	// content-dedup state (Config.Dedup). awaitWant is the source's
-	// advert-reply hook, wired by sourceRun.startup (the endpoint read loop
-	// routes MsgHashWant frames into it); nil selects the literal send
-	// paths. dedupBlocks counts blocks this source moved by reference.
-	awaitWant   func(arg uint64) ([]byte, error)
-	dedupBlocks int
+	// awaitReply blocks until the destination answers the one outstanding
+	// request — a hash advert (MsgHashWant), a delta signature request or a
+	// delta fence (MsgDeltaSig) — with a frame of type typ echoing arg, and
+	// returns its pooled payload. TPM/IM wire it to the read loop's mailbox,
+	// pre-sync to an inline Recv; schemes that leave it nil (the baselines)
+	// have no reply path and send literally whatever was negotiated.
+	awaitReply func(typ transport.MsgType, arg uint64) ([]byte, error)
 
-	// delta state (Config.Delta). awaitDeltaSig is the source's
-	// signature-reply hook, wired by sourceRun.startup (the endpoint read
-	// loop routes MsgDeltaSig replies into it); nil selects the literal
-	// send paths. takeDeltaNaks drains the refusals collected since the
-	// last fence. deltaBlocks counts blocks this source moved as patches;
-	// deltaPending counts patches sent since the last fence.
-	awaitDeltaSig func(arg uint64) ([]byte, error)
-	takeDeltaNaks func() []uint64
-	deltaBlocks   int
-	deltaPending  int
+	// dedupBlocks and deltaBlocks count the blocks this source moved by
+	// reference and as patches; deltaPending counts patches sent since the
+	// last fence. deltaNaks holds the destination's patch refusals until the
+	// fence re-sends them — a slice under a mutex, not a bounded channel: a
+	// dropped refusal would leave the destination holding stale content for
+	// blocks the source considers sent.
+	dedupBlocks  int
+	deltaBlocks  int
+	deltaPending int
+	deltaMu      sync.Mutex
+	deltaNaks    []uint64
 }
 
-// newTransfer decorates conn and assembles the substrate. cfg must already
-// have defaults applied. The decorator order is meter innermost (it counts
-// actual wire bytes) with compression above it when negotiated; a resumable
-// session slips a rebindable shim underneath so a reconnect swaps the dead
-// link without disturbing metering or negotiated compression.
+// newTransfer assembles the substrate for one endpoint of a VM migration:
+// newDiskTransfer over the host's VBD, plus the host itself for the memory,
+// CPU and dirty-tracking phases.
 func newTransfer(cfg Config, host Host, conn transport.Conn, scheme, side string) (*transfer, error) {
-	t := &transfer{cfg: cfg, host: host, srcDev: host.Backend.Device(), clk: cfg.Clock, pol: cfg.Policy, sess: &session{}}
+	t, err := newDiskTransfer(cfg, host.Backend.Device(), conn, scheme, side)
+	if err == nil {
+		t.host = host
+	}
+	return t, err
+}
+
+// newDiskTransfer decorates conn and assembles the substrate over a bare
+// disk. cfg must already have defaults applied. The decorator order is meter
+// innermost (it counts actual wire bytes) with compression above it when
+// negotiated; a resumable session slips a rebindable shim underneath so a
+// reconnect swaps the dead link without disturbing metering or negotiated
+// compression.
+func newDiskTransfer(cfg Config, dev blockdev.Device, conn transport.Conn, scheme, side string) (*transfer, error) {
+	t := &transfer{cfg: cfg, dev: dev, srcDev: dev, clk: cfg.Clock, pol: cfg.Policy, sess: &session{}}
 	if (side == "source" && cfg.MaxRetries > 0) || (side != "source" && cfg.WaitReconnect != nil) {
 		t.swap = transport.NewSwappable(conn)
 		conn = t.swap
@@ -93,9 +108,7 @@ func newTransfer(cfg Config, host Host, conn transport.Conn, scheme, side string
 		}
 		t.conn = cc
 	}
-	if rate := t.pol.PrecopyRate(cfg.BandwidthLimit); rate != clock.Unlimited && rate > 0 {
-		t.limiter = clock.NewRateLimiter(t.clk, rate, rate/10)
-	}
+	t.pace = NewPacer(t.clk, func() int64 { return t.pol.PrecopyRate(cfg.BandwidthLimit) })
 	t.ev = newEmitter(cfg.OnEvent, t.clk, scheme, side)
 	t.start = t.clk.Now()
 	return t, nil
@@ -116,18 +129,15 @@ func (t *transfer) runPhases(phases ...phase) error {
 }
 
 // send transmits m, applying the pre-copy pacing cap when limited is true
-// and feeding the progress heartbeat. The policy's pacing verdict is
-// re-consulted per paced frame, so a policy whose rate moves over time — a
-// BudgetPolicy re-sharing a cluster-wide budget as migrations come and go —
-// takes effect mid-iteration. Rate changes are honoured only when the
-// migration started with a finite rate (otherwise no limiter exists to
-// retune, keeping the unlimited path identical to the seed's).
+// and feeding the progress heartbeat. The pacer re-consults the policy per
+// paced frame, so a policy whose rate moves over time — a BudgetPolicy
+// re-sharing a cluster-wide budget as migrations come and go — takes effect
+// mid-iteration. Rate changes are honoured only when the migration started
+// with a finite rate (otherwise no pacer exists to retune, keeping the
+// unlimited path identical to the seed's).
 func (t *transfer) send(m transport.Message, limited bool) error {
-	if limited && t.limiter != nil {
-		if rate := t.pol.PrecopyRate(t.cfg.BandwidthLimit); rate > 0 && rate != t.limiter.Rate() {
-			t.limiter.SetRate(rate)
-		}
-		t.limiter.Wait(m.FrameSize())
+	if limited {
+		t.pace.Wait(m.FrameSize())
 	}
 	if err := t.conn.Send(m); err != nil {
 		return err
@@ -148,7 +158,7 @@ func (t *transfer) noteWire() {
 // to the geometry payload; the destination's ack reports whether it will
 // honour resumes, and sessions the peer declines run fail-fast.
 func (t *transfer) handshake() error {
-	dev := t.host.Backend.Device()
+	dev := t.dev
 	mem := t.host.VM.Memory()
 	geom := transport.Geometry{
 		BlockSize: dev.BlockSize(), NumBlocks: dev.NumBlocks(),
@@ -184,7 +194,7 @@ func (t *transfer) handshake() error {
 // acceptHandshake runs the destination side of the handshake, validating
 // version and geometry against the prepared VBD and VM shell.
 func (t *transfer) acceptHandshake() error {
-	dev := t.host.Backend.Device()
+	dev := t.dev
 	mem := t.host.VM.Memory()
 	hello, err := t.conn.Recv()
 	if err != nil {
@@ -251,7 +261,7 @@ func effectiveMaxExtent(maxExt int, dev blockdev.Device) int {
 
 // extentBlocks asks the policy for the live coalescing limit and clamps it.
 func (t *transfer) extentBlocks(phase string) int {
-	return effectiveMaxExtent(t.pol.ExtentBlocks(phase, t.cfg.MaxExtentBlocks), t.host.Backend.Device())
+	return effectiveMaxExtent(t.pol.ExtentBlocks(phase, t.cfg.MaxExtentBlocks), t.dev)
 }
 
 // extentMessage frames one extent's data. Single-block extents keep the
@@ -265,8 +275,8 @@ func extentMessage(e bitmap.Extent, data []byte) transport.Message {
 }
 
 // owedCursor is the one place that decides which units of a send pass
-// travel and in what extents: every walker below — sequential, readahead,
-// pooled, dedup, delta, pages — draws its extents from next.
+// travel and in what extents: every walker below — ordered, pooled, pages —
+// draws its extents from next.
 //
 // A cursor built with a live view leaves out every unit the tracker already
 // shows dirty again at the moment the extent is cut. The tracker still owes
@@ -320,66 +330,119 @@ func (t *transfer) sendLiteral(ext bitmap.Extent, data []byte, limited bool) (in
 	return int64(m.FrameSize()), t.send(m, limited)
 }
 
+// extentEncoder moves one extent — ext's blocks, already read into data —
+// onto the wire and returns the wire bytes it cost. Encoders stack: each
+// claims the blocks it can move cheaper than a literal (zero runs and
+// references for dedup, patches for delta) and hands the remainder to the
+// next one down; the bottom of every stack is the literal frame.
+type extentEncoder func(ext bitmap.Extent, data []byte) (int64, error)
+
 // sendBlocks streams the blocks cur yields and returns the count and payload
-// wire bytes. The path is chosen by what was negotiated and by Workers and
-// Readahead; with none of them the sequential literal path at the default
-// extent limit of one block is wire-identical to the seed protocol.
+// wire bytes. This is the one place the send path is chosen: the encoder
+// chain is literal, wrapped by delta when negotiated, wrapped by dedup when
+// negotiated (so exact matches are claimed before near matches, and both
+// before the literal), and it runs on the ordered walker. Only the bare
+// literal chain may ride the unordered worker pool: a round-trip encoder
+// needs its frames in cursor order. With nothing negotiated and Workers and
+// Readahead unset, the ordered walker at the default extent limit of one
+// block is wire-identical to the seed protocol.
 func (t *transfer) sendBlocks(cur *owedCursor, phaseName string, limited bool) (int, int64, error) {
-	switch {
-	case t.cfg.Dedup && t.awaitWant != nil:
-		// Negotiated content dedup replaces the literal paths for disk
-		// sends; the advert/want alternation is inherently sequential, so
-		// Workers does not apply here. When Delta is also negotiated the
-		// wanted (would-be literal) sub-runs route through the delta
-		// protocol inside sendDedupExtent.
-		return t.sendExtentsDedup(cur, phaseName, limited)
-	case t.cfg.Delta && t.awaitDeltaSig != nil:
-		// Negotiated delta encoding without dedup: every extent takes the
-		// signature round trip, equally sequential.
-		return t.sendExtentsDelta(cur, phaseName, limited)
-	case t.cfg.Workers > 1:
-		return t.sendExtentsPooled(cur, phaseName, limited)
-	case t.cfg.Readahead > 0:
-		return t.sendExtentsReadahead(cur, phaseName, limited)
-	}
-	return t.sendExtentsSeq(cur, phaseName, func(ext bitmap.Extent, data []byte) (int64, error) {
+	var encode extentEncoder = func(ext bitmap.Extent, data []byte) (int64, error) {
 		return t.sendLiteral(ext, data, limited)
-	})
+	}
+	walk := t.sendExtentsOrdered
+	if t.cfg.Workers > 1 {
+		walk = t.sendExtentsPooled
+	}
+	if t.awaitReply != nil && t.cfg.Delta {
+		encode, walk = t.deltaEncoder(encode, limited), t.sendExtentsOrdered
+	}
+	if t.awaitReply != nil && t.cfg.Dedup {
+		encode, walk = t.dedupEncoder(encode, limited), t.sendExtentsOrdered
+	}
+	sent, bytes, err := walk(cur, phaseName, encode)
+	if err != nil {
+		return sent, bytes, err
+	}
+	// Patches shipped during the pass, by whichever encoder, are bounded
+	// here (no-op when none are pending).
+	fenceWire, err := t.deltaFence(limited)
+	return sent, bytes + fenceWire, err
 }
 
-// sendExtentsSeq is the sequential walker shared by the literal, dedup and
-// delta paths: it reads each extent into one reused staging buffer and hands
-// it to encode, which frames and sends it and returns the wire bytes it
-// cost. The policy is re-consulted for the coalescing limit before each
-// extent so an adaptive policy can grow it mid-iteration.
-func (t *transfer) sendExtentsSeq(cur *owedCursor, phaseName string, encode func(bitmap.Extent, []byte) (int64, error)) (int, int64, error) {
+// sendExtentsOrdered is the ordered walker: it cuts extents from cur, reads
+// each into a pooled buffer and hands them to encode strictly in cursor
+// order. With cfg.Readahead > 0 one prefetch goroutine cuts and reads up to
+// that many extents ahead of the encoder, so the next extent's blocks are
+// read while the current one is on the wire; with 0 the cut-and-read runs
+// inline. Either way encode sees the same extents in the same order, so the
+// frame sequence — and the golden wire traces — do not depend on the depth.
+// The policy is re-consulted for the coalescing limit before each cut so an
+// adaptive policy can grow it mid-iteration.
+func (t *transfer) sendExtentsOrdered(cur *owedCursor, phaseName string, encode extentEncoder) (int, int64, error) {
 	dev := t.srcDev
 	bs := dev.BlockSize()
-	var buf []byte
-	defer func() { transport.PutBuf(buf) }()
+	type job struct {
+		ext  bitmap.Extent // zero Count: the pass is over
+		data []byte        // pooled; ownership passes to the consumer
+		err  error
+	}
+	next := func() job {
+		ext := cur.next(t.extentBlocks(phaseName))
+		if ext.Count == 0 {
+			return job{}
+		}
+		data := transport.GetBuf(ext.Count * bs)
+		return job{ext: ext, data: data, err: readExtent(dev, ext, data)}
+	}
+	if depth := t.cfg.Readahead; depth > 0 {
+		cut := next
+		jobs := make(chan job, depth)
+		stop := make(chan struct{})
+		go func() {
+			defer close(jobs)
+			for {
+				j := cut()
+				if j.ext.Count == 0 {
+					return
+				}
+				select {
+				case jobs <- j:
+				case <-stop:
+					transport.PutBuf(j.data)
+					return
+				}
+				if j.err != nil {
+					return
+				}
+			}
+		}()
+		defer func() {
+			close(stop)
+			for j := range jobs { // reclaim extents prefetched past a failure
+				transport.PutBuf(j.data)
+			}
+		}()
+		next = func() job { return <-jobs } // closed and drained: the zero job
+	}
 	sent := 0
 	var bytes int64
 	for {
-		maxExt := t.extentBlocks(phaseName)
-		ext := cur.next(maxExt)
-		if ext.Count == 0 {
+		extStart := t.clk.Now()
+		j := next()
+		if j.ext.Count == 0 {
 			return sent, bytes, nil
 		}
-		if need := ext.Count * bs; cap(buf) < need {
-			transport.PutBuf(buf)
-			buf = transport.GetBuf(maxExt * bs)
+		wire, err := int64(0), j.err
+		if err == nil {
+			wire, err = encode(j.ext, j.data)
 		}
-		data := buf[:ext.Count*bs]
-		extStart := t.clk.Now()
-		if err := readExtent(dev, ext, data); err != nil {
-			return sent, bytes, err
-		}
-		wire, err := encode(ext, data)
+		transport.PutBuf(j.data)
 		if err != nil {
 			return sent, bytes, err
 		}
-		t.pol.ObserveExtent(ext.Count, wire, t.clk.Now()-extStart)
-		sent += ext.Count
+		t.pol.ObserveExtent(j.ext.Count, wire, t.clk.Now()-extStart)
+		sent += j.ext.Count
 		bytes += wire
 	}
 }
@@ -406,13 +469,14 @@ func (f *firstErr) get() error {
 	return f.err
 }
 
-// sendExtentsPooled fans cur's extents across cfg.Workers goroutines, each
-// reading an extent from the device and sending it, so device reads,
-// optional compression, and transport writes of different extents overlap.
-// Within one iteration every block number appears at most once, so the
-// destination may apply the extents in any order; the engine's control
-// frames bound the iteration on both sides.
-func (t *transfer) sendExtentsPooled(cur *owedCursor, phaseName string, limited bool) (int, int64, error) {
+// sendExtentsPooled is the unordered walker: it fans cur's extents across
+// cfg.Workers goroutines, each reading an extent from the device and handing
+// it to encode — which must be safe for concurrent use, as the literal
+// encoder is — so device reads, optional compression, and transport writes of
+// different extents overlap. Within one iteration every block number appears
+// at most once, so the destination may apply the extents in any order; the
+// engine's control frames bound the iteration on both sides.
+func (t *transfer) sendExtentsPooled(cur *owedCursor, phaseName string, encode extentEncoder) (int, int64, error) {
 	dev := t.srcDev
 	bs := dev.BlockSize()
 	workers := t.cfg.Workers
@@ -439,7 +503,7 @@ func (t *transfer) sendExtentsPooled(cur *owedCursor, phaseName string, limited 
 				var wire int64
 				err := readExtent(dev, ext, data)
 				if err == nil {
-					wire, err = t.sendLiteral(ext, data, limited)
+					wire, err = encode(ext, data)
 				}
 				if err != nil {
 					fail.set(err)
@@ -461,69 +525,6 @@ func (t *transfer) sendExtentsPooled(cur *owedCursor, phaseName string, limited 
 	close(jobs)
 	wg.Wait()
 	return int(sent.Load()), bytes.Load(), fail.get()
-}
-
-// sendExtentsReadahead walks cur's extents like sendExtentsSeq but decouples
-// device reads from transport writes: a prefetch goroutine assembles up to
-// cfg.Readahead extents into pooled buffers ahead of the sender, so the
-// next extent's blocks are read while the current one is on the wire. The
-// sender drains the queue in cursor order, which keeps the frame sequence
-// — and therefore the golden wire traces — identical to the sequential
-// path.
-func (t *transfer) sendExtentsReadahead(cur *owedCursor, phaseName string, limited bool) (int, int64, error) {
-	dev := t.srcDev
-	bs := dev.BlockSize()
-	type job struct {
-		ext  bitmap.Extent
-		data []byte // pooled; ownership passes to the sender
-		err  error
-	}
-	jobs := make(chan job, t.cfg.Readahead)
-	stop := make(chan struct{})
-	go func() {
-		defer close(jobs)
-		for {
-			ext := cur.next(t.extentBlocks(phaseName))
-			if ext.Count == 0 {
-				return
-			}
-			data := transport.GetBuf(ext.Count * bs)
-			jerr := readExtent(dev, ext, data)
-			select {
-			case jobs <- job{ext: ext, data: data, err: jerr}:
-			case <-stop:
-				transport.PutBuf(data)
-				return
-			}
-			if jerr != nil {
-				return
-			}
-		}
-	}()
-	defer func() {
-		close(stop)
-		for j := range jobs { // reclaim extents prefetched past a failure
-			transport.PutBuf(j.data)
-		}
-	}()
-	sent := 0
-	var bytes int64
-	for j := range jobs {
-		if j.err != nil {
-			transport.PutBuf(j.data)
-			return sent, bytes, j.err
-		}
-		sendStart := t.clk.Now()
-		wire, err := t.sendLiteral(j.ext, j.data, limited)
-		transport.PutBuf(j.data)
-		if err != nil {
-			return sent, bytes, err
-		}
-		t.pol.ObserveExtent(j.ext.Count, wire, t.clk.Now()-sendStart)
-		sent += j.ext.Count
-		bytes += wire
-	}
-	return sent, bytes, nil
 }
 
 // sendPages streams the pages cur yields. Pages are never coalesced — each
@@ -564,7 +565,7 @@ func (t *transfer) snapshotForReads() func() {
 	snap := vol.Snapshot()
 	t.srcDev = snap
 	return func() {
-		t.srcDev = t.host.Backend.Device()
+		t.srcDev = t.dev
 		snap.Release()
 	}
 }
@@ -694,41 +695,76 @@ func (t *transfer) memPreCopy(rep *metrics.Report) error {
 
 // --- Destination-side frame application ---
 
-// checkExtent validates a MsgExtent frame against the prepared VBD.
-func (t *transfer) checkExtent(m transport.Message) (bitmap.Extent, error) {
-	start, count := transport.ExtentSplit(m.Arg)
-	dev := t.host.Backend.Device()
+// splitExtent unpacks an ExtentArg read off the wire and bounds it by dev.
+func splitExtent(arg uint64, dev blockdev.Device) (bitmap.Extent, error) {
+	start, count := transport.ExtentSplit(arg)
 	if count < 1 || start < 0 || start+count > dev.NumBlocks() {
 		return bitmap.Extent{}, fmt.Errorf("core: extent [%d,+%d) outside %d-block VBD", start, count, dev.NumBlocks())
-	}
-	if want := count * dev.BlockSize(); len(m.Payload) != want {
-		return bitmap.Extent{}, fmt.Errorf("core: extent [%d,+%d) payload %d bytes, want %d", start, count, len(m.Payload), want)
 	}
 	return bitmap.Extent{Start: start, Count: count}, nil
 }
 
-// applyBlock writes one MsgBlockData frame to the VBD.
-func (t *transfer) applyBlock(m transport.Message) error {
-	if err := t.host.Backend.Device().WriteBlock(int(m.Arg), m.Payload); err != nil {
-		return fmt.Errorf("core: apply block %d: %w", m.Arg, err)
+// dataExtent is the one validator of literal data frames: it returns the
+// blocks a MsgBlockData (a one-block extent) or MsgExtent frame carries, or
+// an error when they fall outside dev or the payload is not exactly their
+// size.
+func dataExtent(m transport.Message, dev blockdev.Device) (bitmap.Extent, error) {
+	var ext bitmap.Extent
+	switch m.Type {
+	case transport.MsgBlockData:
+		if m.Arg >= uint64(dev.NumBlocks()) {
+			return ext, fmt.Errorf("core: block %d outside %d-block VBD", m.Arg, dev.NumBlocks())
+		}
+		ext = bitmap.Extent{Start: int(m.Arg), Count: 1}
+	case transport.MsgExtent:
+		var err error
+		if ext, err = splitExtent(m.Arg, dev); err != nil {
+			return ext, err
+		}
+	default:
+		return ext, fmt.Errorf("core: %v is not a data frame", m.Type)
 	}
-	return nil
+	if want := ext.Count * dev.BlockSize(); len(m.Payload) != want {
+		return bitmap.Extent{}, fmt.Errorf("core: extent [%d,+%d) payload %d bytes, want %d", ext.Start, ext.Count, len(m.Payload), want)
+	}
+	return ext, nil
 }
 
-// applyExtent scatters one MsgExtent frame's blocks to the VBD.
-func (t *transfer) applyExtent(m transport.Message) error {
-	ext, err := t.checkExtent(m)
+// applyData is the one applier of literal data frames: it validates m
+// against the VBD, hands each block to sink — a device write, plus dedup
+// observation, or the post-copy gate — and releases the pooled payload
+// (appliers own their payloads, the Recv transfer contract). With a scatter
+// pool the sink loop runs on a worker, so the release lands no earlier than
+// the drain barrier any later control frame waits on; a nil pool applies
+// inline. The validated extent is returned for progress accounting.
+func (t *transfer) applyData(m transport.Message, sc *scatterPool, sink func(block int, data []byte) error) (bitmap.Extent, error) {
+	ext, err := dataExtent(m, t.dev)
 	if err != nil {
-		return err
+		return ext, err
 	}
-	dev := t.host.Backend.Device()
-	bs := dev.BlockSize()
+	payload, bs := m.Payload, t.dev.BlockSize()
+	if sc == nil {
+		return ext, sinkExtent(ext, payload, bs, sink)
+	}
+	return ext, sc.do(func() error { return sinkExtent(ext, payload, bs, sink) })
+}
+
+// sinkExtent hands each block of a validated extent's payload to sink and
+// then releases the payload.
+func sinkExtent(ext bitmap.Extent, payload []byte, bs int, sink func(block int, data []byte) error) error {
 	for k := 0; k < ext.Count; k++ {
-		if err := dev.WriteBlock(ext.Start+k, m.Payload[k*bs:(k+1)*bs]); err != nil {
+		if err := sink(ext.Start+k, payload[k*bs:(k+1)*bs]); err != nil {
 			return fmt.Errorf("core: apply block %d: %w", ext.Start+k, err)
 		}
 	}
+	transport.PutBuf(payload)
 	return nil
+}
+
+// applyLiteral writes one data frame straight to the VBD, inline.
+func (t *transfer) applyLiteral(m transport.Message) error {
+	_, err := t.applyData(m, nil, t.dev.WriteBlock)
+	return err
 }
 
 // applyPage writes one MsgMemPage frame into the VM shell's memory.
@@ -753,17 +789,17 @@ func (t *transfer) takeResume(phase string) *iterResume {
 type frameHandlers map[transport.MsgType]func(transport.Message) error
 
 // recvLoop receives frames, dispatching each to its handler, until the
-// `until` type arrives. MsgError frames abort with the carried cause;
-// unlisted types are protocol errors. The receive side of the byte heartbeat
-// is fed here. Receives ride destRecv, so a resumable destination survives
-// connection loss mid-loop: duplicate frames the reconnecting source re-sends
-// are applied idempotently by the handlers.
+// `until` type arrives; a handler listed for `until` itself runs on that
+// frame before the loop returns. MsgError frames abort with the carried
+// cause; unlisted types are protocol errors. The receive side of the byte
+// heartbeat is fed here. Receives ride destRecv, so a resumable destination
+// survives connection loss mid-loop: duplicate frames the reconnecting source
+// re-sends are applied idempotently by the handlers.
 //
 // Buffer ownership: non-data frames are consumed synchronously by their
 // handlers (every handler parses or copies what it keeps), so their pooled
-// payloads are released here. Data frames pass through to appliers that may
-// defer the write into the scatter pool; those release their own payloads
-// once applied (or leave them to the GC on cold paths — see bufpool.go).
+// payloads are released here. Data frames pass through applyData, which
+// releases the payload once applied — possibly later, on the scatter pool.
 func (t *transfer) recvLoop(until transport.MsgType, handlers frameHandlers) error {
 	for {
 		m, err := t.destRecv()
@@ -771,29 +807,26 @@ func (t *transfer) recvLoop(until transport.MsgType, handlers frameHandlers) err
 			return fmt.Errorf("core: receive: %w", err)
 		}
 		t.noteWire()
-		if m.Type == until {
-			m.Release()
-			return nil
-		}
 		if m.Type == transport.MsgError {
 			return fmt.Errorf("core: source error: %s", m.Payload)
 		}
 		fn, ok := handlers[m.Type]
-		if !ok {
+		if !ok && m.Type != until {
 			return fmt.Errorf("core: unexpected message %v", m.Type)
 		}
-		if fn == nil {
-			m.Release()
-			continue
-		}
-		if err := fn(m); err != nil {
-			return err
+		if fn != nil {
+			if err := fn(m); err != nil {
+				return err
+			}
 		}
 		if !transport.IsDataFrame(m.Type) && m.Type != transport.MsgDelta {
 			// MsgDelta is the one non-data frame whose handler retains the
 			// payload (the forward-and-replay queue); its replay loop
 			// releases the buffers once applied.
 			m.Release()
+		}
+		if m.Type == until {
+			return nil
 		}
 	}
 }

@@ -210,36 +210,59 @@ func TestSyncOutIncremental(t *testing.T) {
 // vault re-diverges the attempted set, so a later incremental migration
 // cannot skip blocks the peer never received.
 func TestSyncOutRollback(t *testing.T) {
-	A := NewMachine("A")
-	d, err := A.CreateDomain("guest", tBlocks, tPages, workload.Web, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedPattern(t, d, 200, 1)
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		// peer plays the destination on the accepted connection until it
+		// returns; the connection is closed behind it.
+		peer func(c transport.Conn)
+	}{
+		// A half-open destination that reads nothing: the sync's sends (or
+		// its final ack wait) must fail.
+		{"dead-peer", core.Config{}, func(transport.Conn) {}},
+		// A dedup'd sync cut between an advert and its want reply: the
+		// source is parked on the round trip when the link dies.
+		{"dedup-cut-after-advert", core.Config{Dedup: true, MaxExtentBlocks: 16}, func(c transport.Conn) {
+			for {
+				m, err := c.Recv()
+				if err != nil || m.Type == transport.MsgHashAdvert {
+					return
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			A := NewMachine("A")
+			d, err := A.CreateDomain("guest", tBlocks, tPages, workload.Web, 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seedPattern(t, d, 200, 1)
 
-	// A half-open "destination" that accepts, reads nothing, and closes
-	// after the first frame lands in its buffer window.
-	l, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted := make(chan struct{})
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		close(accepted)
-		c.Close() // the sync's sends (or its final ack wait) must fail
-	}()
-	_, err = A.SyncOut("guest", "B", l.Addr().String(), core.Config{})
-	l.Close()
-	<-accepted
-	if err == nil {
-		t.Fatal("sync against a dead peer reported success")
-	}
-	// The whole disk must still be owed to B.
-	if got := d.Vault().DivergentBlocks("B"); got != tBlocks {
-		t.Fatalf("vault owes B %d blocks after failed sync, want %d", got, tBlocks)
+			l, err := transport.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			accepted := make(chan struct{})
+			go func() {
+				c, err := transport.Accept(l)
+				if err != nil {
+					return
+				}
+				close(accepted)
+				tc.peer(c)
+				c.Close()
+			}()
+			_, err = A.SyncOut("guest", "B", l.Addr().String(), tc.cfg)
+			l.Close()
+			<-accepted
+			if err == nil {
+				t.Fatal("sync against a dead peer reported success")
+			}
+			// The whole disk must still be owed to B.
+			if got := d.Vault().DivergentBlocks("B"); got != tBlocks {
+				t.Fatalf("vault owes B %d blocks after failed sync, want %d", got, tBlocks)
+			}
+		})
 	}
 }

@@ -15,10 +15,10 @@ import (
 // content from its fingerprint index over a sidecar session, so an
 // evacuating fleet's destinations can draw on every uplink that holds a
 // copy. The serve loop mirrors ServeSync structurally — accept one
-// connection, dispatch frames until the peer hangs up — and mirrors
-// SyncOut's pacing discipline: the limiter's rate is re-read per answer
-// from the shared budget, so an orchestrator retuning mid-flight takes
-// effect on the next frame.
+// connection, dispatch frames until the peer hangs up — and paces through
+// the engine's core.Pacer: the rate is re-read per answer from the shared
+// budget, so an orchestrator retuning mid-flight takes effect on the next
+// frame.
 
 // SetSwarmPeers installs the machine's standing list of peer swarm-serve
 // addresses. An inbound migration whose announce carries the swarm
@@ -78,14 +78,11 @@ func (m *Machine) serveSwarmConn(conn transport.Conn, budget *core.RateBudget) e
 		return err
 	}
 
-	var leave func()
-	var limiter *clock.RateLimiter
+	var pace *core.Pacer // nil: unpaced
 	if budget != nil {
-		leave = budget.Join()
+		leave := budget.Join()
 		defer leave()
-		if rate := budget.Share(); rate > 0 && rate != clock.Unlimited {
-			limiter = clock.NewRateLimiter(clock.NewReal(), rate, rate/10)
-		}
+		pace = core.NewPacer(clock.NewReal(), budget.Share)
 	}
 
 	for {
@@ -113,12 +110,7 @@ func (m *Machine) serveSwarmConn(conn transport.Conn, budget *core.RateBudget) e
 			}
 		}
 		reply := transport.Message{Type: transport.MsgSwarmBlock, Arg: msg.Arg, Payload: append(mask, body...)}
-		if limiter != nil {
-			if rate := budget.Share(); rate > 0 && rate != clock.Unlimited && rate != limiter.Rate() {
-				limiter.SetRate(rate)
-			}
-			limiter.Wait(reply.FrameSize())
-		}
+		pace.Wait(reply.FrameSize())
 		if err := conn.Send(reply); err != nil {
 			return fmt.Errorf("hostd: swarm send: %w", err)
 		}

@@ -11,13 +11,9 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"time"
 
-	"bbmig/internal/bitmap"
 	"bbmig/internal/blockdev"
-	"bbmig/internal/clock"
 	"bbmig/internal/core"
-	"bbmig/internal/dedup"
 	"bbmig/internal/transport"
 )
 
@@ -71,20 +67,13 @@ func (m *Machine) Load() Load {
 	return l
 }
 
-// SyncReport summarizes one pre-sync transfer.
+// SyncReport summarizes one pre-sync transfer: the engine's per-endpoint
+// stats under the synced domain's name. On the source, WireBytes includes the
+// announce frame.
 type SyncReport struct {
 	// Domain is the synced domain's name.
 	Domain string
-	// Blocks is how many divergent blocks were shipped.
-	Blocks int
-	// WireBytes is the total bytes sent, frame headers included.
-	WireBytes int64
-	// DedupBlocks counts the shipped blocks that travelled as 16-byte
-	// content references (or zero elisions) instead of literals — only with
-	// core.Config.Dedup set on the pre-sync.
-	DedupBlocks int
-	// Duration is the transfer's wall (or virtual-clock) time.
-	Duration time.Duration
+	core.SyncStats
 }
 
 // SyncOut pushes the named domain's divergence against destHost to the
@@ -96,10 +85,13 @@ type SyncReport struct {
 // pre-sync the paper prescribes for planned maintenance, shrinking the final
 // cutover window from a whole-disk copy to the recent write set.
 //
+// The transfer itself is the engine's disk-only scheme (core.SyncSource);
+// what is hostd's is the announce, the vault ordering and the snapshot.
 // Honoured cfg fields: BandwidthLimit and Policy pace the transfer (the
 // pacing verdict is re-read per frame, so a core.BudgetPolicy shares a
-// cluster budget live), MaxExtentBlocks coalesces runs, Clock times and
-// paces it. The sync stream is always a single uncompressed connection.
+// cluster budget live), MaxExtentBlocks coalesces runs, Dedup ships content
+// the peer can already produce by reference, Clock times and paces it. The
+// sync stream is always a single uncompressed, non-delta connection.
 //
 // On any failure the shipped set is re-diverged in the vault, so a torn sync
 // can never make a later incremental migration skip blocks the destination
@@ -110,10 +102,6 @@ func (m *Machine) SyncOut(domainName, destHost, addr string, cfg core.Config) (*
 	m.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("hostd: no domain %q on %s", domainName, m.Name)
-	}
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.NewReal()
 	}
 	bm := d.vault.InitialFor(destHost)
 	rep := &SyncReport{Domain: domainName}
@@ -141,8 +129,8 @@ func (m *Machine) SyncOut(domainName, destHost, addr string, cfg core.Config) (*
 	if err != nil {
 		return nil, err
 	}
-	meter := transport.NewMeter(conn)
-	if err := meter.Send(transport.Message{Type: transport.MsgAnnounce, Payload: ab}); err != nil {
+	annMsg := transport.Message{Type: transport.MsgAnnounce, Payload: ab}
+	if err := conn.Send(annMsg); err != nil {
 		return nil, err
 	}
 
@@ -159,150 +147,24 @@ func (m *Machine) SyncOut(domainName, destHost, addr string, cfg core.Config) (*
 	// the snapshot and re-diverged — shipped now and again later, safe twice.
 	src, releaseSnap := blockdev.SnapshotOf(d.disk)
 	defer releaseSnap()
-	fail := func(err error) (*SyncReport, error) {
+
+	rep.SyncStats, err = core.SyncSource(core.Config{
+		Clock: cfg.Clock, BandwidthLimit: cfg.BandwidthLimit, Policy: cfg.Policy,
+		MaxExtentBlocks: cfg.MaxExtentBlocks, Dedup: cfg.Dedup,
+	}, src, conn, bm)
+	rep.WireBytes += int64(annMsg.FrameSize())
+	if err != nil {
 		d.vault.DivergePeer(destHost, bm) // a torn sync re-diverges the whole attempt
-		return rep, err
+		return rep, fmt.Errorf("hostd: sync: %w", err)
 	}
-
-	// The pacing discipline below (limiter built from the policy's initial
-	// verdict, re-read and SetRate'd per frame) intentionally mirrors the
-	// engine's transfer.send; keep the two in step if either changes.
-	pol := cfg.Policy
-	if pol == nil {
-		pol = core.DefaultPolicy{}
-	}
-	bw := cfg.BandwidthLimit
-	if bw <= 0 {
-		bw = clock.Unlimited
-	}
-	var limiter *clock.RateLimiter
-	if rate := pol.PrecopyRate(bw); rate != clock.Unlimited && rate > 0 {
-		limiter = clock.NewRateLimiter(clk, rate, rate/10)
-	}
-
-	bs := d.disk.BlockSize()
-	maxExt := cfg.MaxExtentBlocks
-	if maxExt < 1 {
-		maxExt = 1
-	}
-	if limit := transport.MaxPayload / bs; maxExt > limit {
-		maxExt = limit
-	}
-	start := clk.Now()
-	send := func(msg transport.Message) error {
-		if limiter != nil {
-			if rate := pol.PrecopyRate(bw); rate > 0 && rate != limiter.Rate() {
-				limiter.SetRate(rate)
-			}
-			limiter.Wait(msg.FrameSize())
-		}
-		return meter.Send(msg)
-	}
-	buf := make([]byte, maxExt*bs)
-	for pos := 0; ; {
-		ext := bm.NextExtent(pos, maxExt)
-		if ext.Count == 0 {
-			break
-		}
-		data := buf[:ext.Count*bs]
-		for k := 0; k < ext.Count; k++ {
-			if err := src.ReadBlock(ext.Start+k, data[k*bs:(k+1)*bs]); err != nil {
-				return fail(err)
-			}
-		}
-		if cfg.Dedup {
-			if err := syncSendDedup(meter, send, pol, rep, ext, data, bs); err != nil {
-				return fail(err)
-			}
-		} else {
-			msg := transport.Message{Type: transport.MsgExtent, Arg: transport.ExtentArg(ext.Start, ext.Count), Payload: data}
-			if ext.Count == 1 {
-				msg = transport.Message{Type: transport.MsgBlockData, Arg: uint64(ext.Start), Payload: data}
-			}
-			if err := send(msg); err != nil {
-				return fail(fmt.Errorf("hostd: sync send: %w", err))
-			}
-		}
-		rep.Blocks += ext.Count
-		pos = ext.End()
-	}
-	if err := meter.Send(transport.Message{Type: transport.MsgDone, Arg: uint64(rep.Blocks)}); err != nil {
-		return fail(err)
-	}
-	// The ack is authoritative: bytes in a dead socket's buffer are not a
-	// sync. Without it the vault could believe in a copy nobody holds.
-	ackm, err := meter.Recv()
-	if err != nil {
-		return fail(fmt.Errorf("hostd: sync ack: %w", err))
-	}
-	if ackm.Type != transport.MsgDone {
-		return fail(fmt.Errorf("hostd: sync ack: unexpected %v", ackm.Type))
-	}
-	rep.WireBytes = meter.BytesSent()
-	rep.Duration = clk.Now() - start
 	return rep, nil
-}
-
-// syncSendDedup moves one pre-sync extent under the content-dedup protocol:
-// all-zero runs and destination-held content travel as 16-byte references,
-// the rest as literals — the engine's advert/want/ref alternation
-// (docs/WIRE.md §10) with the want reply read inline, since the sync stream
-// has no concurrent reader.
-func syncSendDedup(conn transport.Conn, send func(transport.Message) error, pol core.Policy, rep *SyncReport, ext bitmap.Extent, data []byte, bs int) error {
-	zero := dedup.ZeroFingerprint(bs)
-	fps := make([]dedup.Fingerprint, ext.Count)
-	allZero := true
-	for k := range fps {
-		fps[k] = dedup.Of(data[k*bs : (k+1)*bs])
-		if fps[k] != zero {
-			allZero = false
-		}
-	}
-	arg := transport.ExtentArg(ext.Start, ext.Count)
-	if allZero {
-		rep.DedupBlocks += ext.Count
-		return send(transport.Message{Type: transport.MsgBlockRef, Arg: arg, Payload: dedup.AppendFingerprints(nil, fps)})
-	}
-	literal := func(sub bitmap.Extent, body []byte) transport.Message {
-		if sub.Count == 1 {
-			return transport.Message{Type: transport.MsgBlockData, Arg: uint64(sub.Start), Payload: body}
-		}
-		return transport.Message{Type: transport.MsgExtent, Arg: transport.ExtentArg(sub.Start, sub.Count), Payload: body}
-	}
-	if !pol.DedupExtent("pre-sync", ext.Count) {
-		return send(literal(ext, data))
-	}
-	if err := send(transport.Message{Type: transport.MsgHashAdvert, Arg: arg, Payload: dedup.AppendFingerprints(nil, fps)}); err != nil {
-		return err
-	}
-	reply, err := conn.Recv()
-	if err != nil {
-		return fmt.Errorf("hostd: sync want: %w", err)
-	}
-	if reply.Type != transport.MsgHashWant || reply.Arg != arg {
-		return fmt.Errorf("hostd: sync want: unexpected %v", reply.Type)
-	}
-	want := reply.Payload
-	if len(want) != dedup.WantLen(ext.Count) {
-		return fmt.Errorf("hostd: sync want bitmap %d bytes for %d blocks", len(want), ext.Count)
-	}
-	return dedup.WalkWant(ext.Count, want, func(off, n int, wanted bool) error {
-		sub := bitmap.Extent{Start: ext.Start + off, Count: n}
-		var m transport.Message
-		if wanted {
-			m = literal(sub, data[off*bs:(off+n)*bs])
-		} else {
-			m = transport.Message{Type: transport.MsgBlockRef, Arg: transport.ExtentArg(sub.Start, sub.Count), Payload: dedup.AppendFingerprints(nil, fps[off:off+n])}
-			rep.DedupBlocks += sub.Count
-		}
-		return send(m)
-	})
 }
 
 // ServeSync accepts exactly one inbound pre-sync on l and applies it to this
 // machine's retained-disk store: the named domain's peer copy is created (or
 // updated in place) so a later inbound migration of that domain runs
 // incrementally. The domain itself does not move and no VM shell is created.
+// The frames are applied by the engine's disk-only scheme (core.SyncDest).
 func (m *Machine) ServeSync(l net.Listener) (*SyncReport, error) {
 	conn, err := transport.Accept(l)
 	if err != nil {
@@ -336,104 +198,17 @@ func (m *Machine) ServeSync(l net.Listener) (*SyncReport, error) {
 	// A dedup'd sync answers adverts from the machine index; the synced
 	// disk itself is a registered source, so content the peer copy already
 	// holds elsewhere (or clone siblings hold) never retransmits.
-	var idx *dedup.Index
-	var stage map[dedup.Fingerprint][]byte
+	cfg := core.Config{Dedup: ann.dedup}
 	if ann.dedup {
-		idx = m.prepareDedup()
+		cfg.DedupIndex, cfg.DedupName = m.prepareDedup(), diskSourceName(ann.name)
 	}
-	self := diskSourceName(ann.name)
-
 	rep := &SyncReport{Domain: ann.name}
-	bs := disk.BlockSize()
-	write := func(n int, data []byte) error {
-		if err := disk.WriteBlock(n, data); err != nil {
-			return err
-		}
-		if idx != nil {
-			idx.Observe(self, n, dedup.Of(data))
-		}
-		return nil
+	rep.SyncStats, err = core.SyncDest(cfg, disk, conn)
+	if err != nil {
+		return rep, fmt.Errorf("hostd: sync: %w", err)
 	}
-	for {
-		msg, err := conn.Recv()
-		if err != nil {
-			return rep, fmt.Errorf("hostd: sync receive: %w", err)
-		}
-		switch msg.Type {
-		case transport.MsgBlockData:
-			if err := write(int(msg.Arg), msg.Payload); err != nil {
-				return rep, err
-			}
-			rep.Blocks++
-		case transport.MsgExtent:
-			start, count := transport.ExtentSplit(msg.Arg)
-			if count < 1 || start < 0 || start+count > disk.NumBlocks() || len(msg.Payload) != count*bs {
-				return rep, fmt.Errorf("hostd: sync extent [%d,+%d) invalid", start, count)
-			}
-			for k := 0; k < count; k++ {
-				if err := write(start+k, msg.Payload[k*bs:(k+1)*bs]); err != nil {
-					return rep, err
-				}
-			}
-			rep.Blocks += count
-		case transport.MsgHashAdvert:
-			if idx == nil {
-				return rep, fmt.Errorf("hostd: HASH_ADVERT on a sync without dedup")
-			}
-			start, count := transport.ExtentSplit(msg.Arg)
-			if count < 1 || start < 0 || start+count > disk.NumBlocks() {
-				return rep, fmt.Errorf("hostd: sync advert [%d,+%d) invalid", start, count)
-			}
-			fps, err := dedup.ParseFingerprints(msg.Payload, count)
-			if err != nil {
-				return rep, err
-			}
-			var want []byte
-			want, stage = idx.Answer(fps)
-			if err := conn.Send(transport.Message{Type: transport.MsgHashWant, Arg: msg.Arg, Payload: want}); err != nil {
-				return rep, err
-			}
-		case transport.MsgBlockRef:
-			if idx == nil {
-				return rep, fmt.Errorf("hostd: BLOCK_REF on a sync without dedup")
-			}
-			start, count := transport.ExtentSplit(msg.Arg)
-			if count < 1 || start < 0 || start+count > disk.NumBlocks() {
-				return rep, fmt.Errorf("hostd: sync ref [%d,+%d) invalid", start, count)
-			}
-			fps, err := dedup.ParseFingerprints(msg.Payload, count)
-			if err != nil {
-				return rep, err
-			}
-			for k, fp := range fps {
-				content, ok := idx.Materialize(stage, fp)
-				if !ok {
-					return rep, fmt.Errorf("hostd: sync ref %d names unknown content", start+k)
-				}
-				if err := disk.WriteBlock(start+k, content); err != nil {
-					return rep, err
-				}
-				// The fingerprint is already in hand: observe it directly
-				// instead of re-hashing 4 KiB per referenced block.
-				idx.Observe(self, start+k, fp)
-			}
-			rep.Blocks += count
-			rep.DedupBlocks += count
-		case transport.MsgDone:
-			if int(msg.Arg) != rep.Blocks {
-				return rep, fmt.Errorf("hostd: sync count %d, received %d", msg.Arg, rep.Blocks)
-			}
-			if err := conn.Send(transport.Message{Type: transport.MsgDone, Arg: msg.Arg}); err != nil {
-				return rep, err
-			}
-			if idx != nil {
-				_ = m.SaveIndex()
-			}
-			return rep, nil
-		case transport.MsgError:
-			return rep, fmt.Errorf("hostd: sync aborted by source: %s", msg.Payload)
-		default:
-			return rep, fmt.Errorf("hostd: unexpected sync frame %v", msg.Type)
-		}
+	if ann.dedup {
+		_ = m.SaveIndex()
 	}
+	return rep, nil
 }
