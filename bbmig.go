@@ -248,8 +248,9 @@ type JournalState = core.JournalState
 // Journal mirrors a resumable migration's checkpoints (optionally to disk).
 type Journal = core.Journal
 
-// LoadJournal reads a journal persisted via Config.JournalPath, for
-// cold-resuming a migration after a source restart.
+// LoadJournal reads a journal persisted via Config.JournalPath for a disk
+// of the given block count, for cold-resuming a migration after a source
+// restart.
 var LoadJournal = core.LoadJournal
 
 // AcceptResume parks on a listener until a connection opens with a valid

@@ -10,6 +10,7 @@ package bbmig_test
 
 import (
 	"io"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -170,6 +171,41 @@ func BenchmarkBitmapScan_FlatSparse(b *testing.B) {
 		if n == 0 {
 			b.Fatal("empty")
 		}
+	}
+}
+
+// BenchmarkBitmapMarshal prices the one encoding every travelling bitmap
+// uses (WIRE.md §4) on the paper's disk: an idle guest's empty freeze set,
+// the web server's 13 440-block divergence, and a half-set bitmap, which
+// must still take the dense path at the dense path's cost.
+func BenchmarkBitmapMarshal(b *testing.B) {
+	half := bitmap.New(ablationBits)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < ablationBits; i++ {
+		if rng.Int63()&1 == 1 {
+			half.Set(i)
+		}
+	}
+	for _, fx := range []struct {
+		name string
+		bm   *bitmap.Bitmap
+	}{
+		{"paper-empty", bitmap.New(ablationBits)},
+		{"paper-web", workload.WriteSet(workload.New(workload.Web, ablationBits, 1), ablationBits, 13440)},
+		{"paper-half", half},
+	} {
+		b.Run(fx.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var size int
+			for i := 0; i < b.N; i++ {
+				data, err := fx.bm.MarshalBinary()
+				if err != nil {
+					b.Fatal(err)
+				}
+				size = len(data)
+			}
+			b.ReportMetric(float64(size), "bytes")
+		})
 	}
 }
 

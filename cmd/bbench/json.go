@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"runtime"
@@ -452,6 +453,40 @@ func runJSON(path string, seed int64) error {
 		testing.Benchmark(func(b *testing.B) { deltaMigrate(b, blocks, false) }))
 	add("MigrateWAN/delta-back",
 		testing.Benchmark(func(b *testing.B) { deltaMigrate(b, blocks, true) }))
+
+	// The one encoding every travelling bitmap uses (WIRE.md §4), on the
+	// paper's 10 001 920-block disk: an idle guest's empty freeze set, the
+	// web server's 13 440-block divergence, and a half-set bitmap that must
+	// still take the dense path at the dense path's cost.
+	const paperBlocks = 10_001_920
+	half := bitmap.New(paperBlocks)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < paperBlocks; i++ {
+		if rng.Int63()&1 == 1 {
+			half.Set(i)
+		}
+	}
+	for _, fx := range []struct {
+		name string
+		bm   *bitmap.Bitmap
+	}{
+		{"paper-empty", bitmap.New(paperBlocks)},
+		{"paper-web", workload.WriteSet(workload.New(workload.Web, paperBlocks, seed), paperBlocks, 13440)},
+		{"paper-half", half},
+	} {
+		add("BitmapMarshal/"+fx.name, testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			var size int
+			for i := 0; i < b.N; i++ {
+				data, err := fx.bm.MarshalBinary()
+				if err != nil {
+					b.Fatal(err)
+				}
+				size = len(data)
+			}
+			b.ReportMetric(float64(size), "bytes")
+		}))
+	}
 
 	// Snapshot block layer: the fingerprint/dedup scan shape against a
 	// write-hammered volume, live-contended vs frozen CoW snapshot. The

@@ -119,6 +119,7 @@ func table1(seed int64, _ int) {
 	_, tab := sim.TableI(seed)
 	fmt.Print(tab.String())
 	fmt.Println("paper: 796 / 798 / 957 s; 60 / 62 / 110 ms; 39097 / 39072 / 40934 MB")
+	fmt.Println("(downtime sits ~24 ms under the paper's: the freeze bitmap travels run-length encoded, not as 1.2 MB)")
 }
 
 func table2(seed int64, _ int) {

@@ -332,15 +332,12 @@ func runSend(addr, image string, sizeMB, memMB int, wl string, limitMbps int, se
 		// A restarted source re-runs the migration incrementally from the
 		// journal's owed-block view (the destination's VBD retains what
 		// already landed; duplicates are applied idempotently).
-		st, err := core.LoadJournal(opts.journalPath)
+		st, err := core.LoadJournal(opts.journalPath, disk.NumBlocks())
 		if err != nil {
 			return fmt.Errorf("cold resume: %w", err)
 		}
 		if st.Pending == nil {
 			return fmt.Errorf("cold resume: journal at phase %q carries no pending blocks", st.Phase)
-		}
-		if st.Pending.Len() != disk.NumBlocks() {
-			return fmt.Errorf("journal bitmap covers %d blocks, disk has %d", st.Pending.Len(), disk.NumBlocks())
 		}
 		backend.SeedDirty(st.Pending)
 		initial = backend.SwapDirty()

@@ -343,7 +343,7 @@ func TestCLIResumableMigration(t *testing.T) {
 		t.Fatalf("images differ after resumed CLI migration: %v %v", same, err)
 	}
 	// The journal records completion.
-	st, err := core.LoadJournal(sendOpts.journalPath)
+	st, err := core.LoadJournal(sendOpts.journalPath, sizeMB<<20/blockdev.BlockSize)
 	if err != nil {
 		t.Fatalf("journal: %v", err)
 	}

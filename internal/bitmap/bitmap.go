@@ -6,15 +6,20 @@
 // migration phase: one bit per block, 0 = clean, 1 = dirty (paper §IV-A-2).
 // Two variants are provided:
 //
-//   - Bitmap: a plain, dense bitmap. For a 32 GiB disk with 4 KiB blocks it
-//     occupies 1 MiB, exactly as the paper computes. Scans are
+//   - Bitmap: a plain bitmap, dense in memory. For a 32 GiB disk with 4 KiB
+//     blocks it occupies 1 MiB, exactly as the paper computes. Scans are
 //     word-at-a-time, so sparse bitmaps skip 64 clean blocks per step.
 //   - Atomic: a dense bitmap safe for concurrent writers, used by the block
 //     backend driver which records writes while the migration engine scans.
+//
+// On the wire and on disk a Bitmap is not always dense: MarshalBinary (see
+// codec.go) writes a self-describing encoding that is the paper's dense form
+// for small or busy bitmaps and a run-length form when that saves at least
+// one block, so what crosses the link in the freeze window follows the dirty
+// set, not the disk size.
 package bitmap
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -211,44 +216,6 @@ func (b *Bitmap) Equal(other *Bitmap) bool {
 		}
 	}
 	return true
-}
-
-// marshal layout: 8-byte little-endian bit count, then the words.
-const marshalHeader = 8
-
-// MarshalBinary serializes the bitmap. The freeze-and-copy phase transfers
-// exactly this representation to the destination (§IV-A-3).
-func (b *Bitmap) MarshalBinary() ([]byte, error) {
-	out := make([]byte, marshalHeader+8*len(b.words))
-	binary.LittleEndian.PutUint64(out, uint64(b.n))
-	for i, w := range b.words {
-		binary.LittleEndian.PutUint64(out[marshalHeader+8*i:], w)
-	}
-	return out, nil
-}
-
-// UnmarshalBinary deserializes a bitmap produced by MarshalBinary.
-func (b *Bitmap) UnmarshalBinary(data []byte) error {
-	if len(data) < marshalHeader {
-		return fmt.Errorf("bitmap: truncated header: %d bytes", len(data))
-	}
-	n := binary.LittleEndian.Uint64(data)
-	const maxBits = 1 << 40 // 1 Tbit guard against corrupt headers
-	if n > maxBits {
-		return fmt.Errorf("bitmap: implausible bit count %d", n)
-	}
-	words := (int(n) + wordBits - 1) / wordBits
-	if len(data) != marshalHeader+8*words {
-		return fmt.Errorf("bitmap: want %d payload bytes for %d bits, have %d",
-			8*words, n, len(data)-marshalHeader)
-	}
-	b.n = int(n)
-	b.words = make([]uint64, words)
-	for i := range b.words {
-		b.words[i] = binary.LittleEndian.Uint64(data[marshalHeader+8*i:])
-	}
-	b.clearTail()
-	return nil
 }
 
 // SizeBytes returns the in-memory size of the bit array, the quantity the

@@ -32,6 +32,26 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveLoadLargeSparse: a fresh-write bitmap of a large, mostly clean disk
+// rests in the runs form — the file costs what the set costs — and loads
+// back equal.
+func TestSaveLoadLargeSparse(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fresh.bm")
+	b := New(10_001_920)
+	b.SetRange(4_000_000, 4_000_300)
+	b.Set(9_999_999)
+	if err := b.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() > 64 {
+		t.Fatalf("sparse paper-scale bitmap saved as %d bytes (%v)", st.Size(), err)
+	}
+	got, err := LoadFile(path)
+	if err != nil || !got.Equal(b) {
+		t.Fatalf("large sparse round trip: %v", err)
+	}
+}
+
 // TestSaveOverwritesAtomically: a save over an existing file replaces it
 // whole, and a stale .tmp from a crashed previous save is harmless.
 func TestSaveOverwritesAtomically(t *testing.T) {
@@ -141,6 +161,7 @@ func FuzzLoadBytes(f *testing.F) {
 	b := samplePersistBitmap(128)
 	raw, _ := b.MarshalBinary()
 	f.Add(raw)
+	f.Add(runsPayload(128, 3, 4, 20, 1))
 	f.Add([]byte("BBM1junk"))
 	f.Add([]byte{})
 	dir := f.TempDir()

@@ -309,9 +309,9 @@ func MigrateOnDemandDest(cfg Config, host Host, conn transport.Conn, release <-c
 					host.VM.SetCPU(res.CPU)
 					return nil
 				},
-				transport.MsgBitmap: func(m transport.Message) error {
-					transferred = &bitmap.Bitmap{}
-					return transferred.UnmarshalBinary(m.Payload)
+				transport.MsgBitmap: func(m transport.Message) (err error) {
+					transferred, err = bitmap.UnmarshalSized(m.Payload, host.Backend.Device().NumBlocks())
+					return err
 				},
 			})
 		}},

@@ -1,0 +1,529 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"bbmig/internal/bitmap"
+	"bbmig/internal/blkback"
+	"bbmig/internal/blockdev"
+	"bbmig/internal/metrics"
+	"bbmig/internal/transport"
+	"bbmig/internal/vm"
+	"bbmig/internal/workload"
+)
+
+// These tests hold the engine to the bitmap wire encoding (WIRE.md §4) at
+// the disk sizes where the runs form is chosen — the golden traces and the
+// rest of the suite run on 2 048-block disks, which always get the dense
+// form — and every decode site to the size of the device behind it.
+
+const runsTag = 1 // top byte of a runs-form bitmap header
+
+// sparseWorld is two hosts over sparse disks too large to fill: the source
+// holds patterned content at the written blocks, the destination is blank.
+type sparseWorld struct {
+	srcDisk, dstDisk *blockdev.MemDisk
+	src, dst         Host
+	router           *Router
+	connSrc, connDst transport.Conn
+}
+
+func newSparseWorld(t *testing.T, blocks int, written *bitmap.Bitmap) *sparseWorld {
+	t.Helper()
+	w := &sparseWorld{
+		srcDisk: blockdev.NewMemDisk(blocks, blockdev.BlockSize),
+		dstDisk: blockdev.NewMemDisk(blocks, blockdev.BlockSize),
+	}
+	buf := make([]byte, blockdev.BlockSize)
+	written.ForEachSet(func(n int) bool {
+		workload.FillBlock(buf, n, 0)
+		if err := w.srcDisk.WriteBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
+	srcVM := vm.New("guest", testDomain, testPages, 256)
+	for p := 0; p < testPages; p += 2 {
+		workload.FillBlock(buf, p+100000, 0)
+		if err := srcVM.Memory().WritePage(p, buf[:vm.PageSize]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.src = Host{VM: srcVM, Backend: blkback.NewBackend(w.srcDisk, testDomain)}
+	w.dst = Host{VM: vm.NewDestination(srcVM), Backend: blkback.NewBackend(w.dstDisk, testDomain)}
+	w.router = NewRouter(w.src.Backend.Submit)
+	w.connSrc, w.connDst = transport.NewPipe(64)
+	return w
+}
+
+// migrate runs both ends to completion.
+func (w *sparseWorld) migrate(t *testing.T, srcCfg, dstCfg Config, conn transport.Conn, initial *bitmap.Bitmap) *metrics.Report {
+	t.Helper()
+	srcCh := make(chan error, 1)
+	var rep *metrics.Report
+	go func() {
+		var err error
+		rep, err = MigrateSource(srcCfg, w.src, conn, initial)
+		srcCh <- err
+	}()
+	if _, err := MigrateDest(dstCfg, w.dst, w.connDst); err != nil {
+		t.Fatalf("destination: %v", err)
+	}
+	if err := <-srcCh; err != nil {
+		t.Fatalf("source: %v", err)
+	}
+	return rep
+}
+
+// checkSameContent compares the two disks over every block either holds.
+func (w *sparseWorld) checkSameContent(t *testing.T) {
+	t.Helper()
+	held := w.srcDisk.AllocatedBitmap()
+	held.Union(w.dstDisk.AllocatedBitmap())
+	a, b := make([]byte, blockdev.BlockSize), make([]byte, blockdev.BlockSize)
+	held.ForEachSet(func(n int) bool {
+		if err := w.srcDisk.ReadBlock(n, a); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.dstDisk.ReadBlock(n, b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("block %d differs between source and destination", n)
+		}
+		return true
+	})
+}
+
+// sentFrame is one frame a frameTap saw go out.
+type sentFrame struct {
+	typ      transport.MsgType
+	size     int    // wire bytes
+	start, n int    // blocks or pages carried
+	payload  []byte // kept for MsgBitmap only
+}
+
+// frameTap records the frames sent through it.
+type frameTap struct {
+	transport.Conn
+	mu     sync.Mutex
+	frames []sentFrame
+}
+
+func (f *frameTap) Send(m transport.Message) error {
+	fr := sentFrame{typ: m.Type, size: m.FrameSize()}
+	fr.start, fr.n = transport.CarriedUnits(m)
+	if m.Type == transport.MsgBitmap {
+		fr.payload = append([]byte(nil), m.Payload...)
+	}
+	f.mu.Lock()
+	f.frames = append(f.frames, fr)
+	f.mu.Unlock()
+	return f.Conn.Send(m)
+}
+
+// freezeWindow returns the wire bytes from MsgSuspend through MsgResume, the
+// MsgBitmap frame inside it, and the frames sent after MsgResume.
+func (f *frameTap) freezeWindow(t *testing.T) (bytes int, bm sentFrame, after []sentFrame) {
+	t.Helper()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	open := false
+	for i, fr := range f.frames {
+		if fr.typ == transport.MsgSuspend {
+			open = true
+		}
+		if open {
+			bytes += fr.size
+		}
+		if fr.typ == transport.MsgBitmap {
+			bm = fr
+		}
+		if open && fr.typ == transport.MsgResume {
+			return bytes, bm, f.frames[i+1:]
+		}
+	}
+	t.Fatal("no SUSPEND … RESUME window on the wire")
+	return
+}
+
+func denseBitmapLen(bits int) int { return 8 + 8*((bits+63)/64) }
+
+// TestFreezeWindowCarriesDirtySetNotDiskSize: the paper-scale incremental
+// return of an idle guest on the default config. The freeze set is empty, so
+// the frozen window is the CPU state and four frame headers — not the
+// 1 250 248-byte dense bitmap of a 10 001 920-block disk — and the whole
+// migration is that much lighter.
+func TestFreezeWindowCarriesDirtySetNotDiskSize(t *testing.T) {
+	const blocks, divergent = 10_001_920, 400
+	diverged := workload.WriteSet(workload.New(workload.Web, blocks, 1), blocks, divergent)
+	w := newSparseWorld(t, blocks, diverged)
+	tap := &frameTap{Conn: w.connSrc}
+	rep := w.migrate(t, Config{OnFreeze: w.router.Freeze}, Config{}, tap, diverged.Clone())
+	w.checkSameContent(t)
+
+	frozen, bm, _ := tap.freezeWindow(t)
+	if frozen > 1024 {
+		t.Fatalf("%d bytes crossed the link between SUSPEND and RESUME, want <= 1024", frozen)
+	}
+	if len(bm.payload) != 8 {
+		t.Fatalf("empty freeze bitmap travelled as %d bytes, want the bare 8-byte header", len(bm.payload))
+	}
+	if saved := denseBitmapLen(blocks) - len(bm.payload); saved < 1_200_000 {
+		t.Fatalf("freeze bitmap saves %d bytes against the dense form, want >= 1.2 MB", saved)
+	}
+	// Every other frame is what it always was, so the report shows the
+	// saving: payload plus per-frame overhead, nowhere near 1.25 MB more.
+	payload := int64(divergent+testPages) * (blockdev.BlockSize + 13)
+	if rep.MigratedBytes > payload+16<<10 {
+		t.Fatalf("migrated %d bytes for %d bytes of blocks and pages: the bitmap is still paying for the disk size",
+			rep.MigratedBytes, payload)
+	}
+}
+
+// TestLiveFreezeSetTravelsCompact: a TPM under a progress-paced rewriting
+// guest on a 65 536-block disk, so a non-empty freeze set travels in the
+// runs form. The destination decodes exactly the set the source froze,
+// post-copy pushes and pulls exactly that set, and the disks end up equal.
+func TestLiveFreezeSetTravelsCompact(t *testing.T) {
+	const blocks, hot = 1 << 16, 96
+	allocated := bitmap.New(blocks)
+	for n := 0; n < blocks; n += 16 {
+		allocated.Set(n)
+	}
+	w := newSparseWorld(t, blocks, allocated)
+	hotBlock := func(i int) int { return (i * 7 % hot) * 601 }
+
+	var mu sync.Mutex
+	gen := make(map[int]uint32)
+	tap := &frameTap{Conn: w.connSrc}
+	block := make([]byte, blockdev.BlockSize)
+	guest := &workload.Paced{Conn: tap, Every: 8, Round: func(i int) {
+		n := hotBlock(i)
+		mu.Lock()
+		gen[n]++
+		workload.FillBlock(block, n, gen[n])
+		mu.Unlock()
+		if err := w.router.Submit(blockdev.Request{Op: blockdev.Write, Domain: testDomain, Block: n, Data: block}); err != nil {
+			t.Errorf("guest write: %v", err)
+		}
+	}}
+
+	// After the resume the guest reads its hot set back through the gate: a
+	// block still owed is pulled, and every read must see the last write.
+	resumed, readsDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(readsDone)
+		<-resumed
+		got, want := make([]byte, blockdev.BlockSize), make([]byte, blockdev.BlockSize)
+		for i := 0; i < hot; i++ {
+			n := hotBlock(i)
+			if err := w.router.Submit(blockdev.Request{Op: blockdev.Read, Domain: testDomain, Block: n, Data: got}); err != nil {
+				t.Errorf("guest read of block %d: %v", n, err)
+				return
+			}
+			mu.Lock()
+			g, written := gen[n]
+			mu.Unlock()
+			if workload.FillBlock(want, n, g); written && !bytes.Equal(got, want) {
+				t.Errorf("stale read of block %d after resume", n)
+			}
+		}
+	}()
+
+	cfg := Config{SkipUnused: true, MaxExtentBlocks: 16, DiskDirtyThreshold: 8}
+	srcCfg, dstCfg := cfg, cfg
+	srcCfg.OnFreeze = func() {
+		guest.Stop()
+		w.router.Freeze()
+	}
+	dstCfg.OnResume = func(g *blkback.PostCopyGate) {
+		w.router.ResumeGate(g)
+		close(resumed)
+	}
+	rep := w.migrate(t, srcCfg, dstCfg, guest, nil)
+	<-readsDone
+
+	_, bm, after := tap.freezeWindow(t)
+	if bm.payload[7] != runsTag || denseBitmapLen(blocks)-len(bm.payload) < 4096 {
+		t.Fatalf("freeze bitmap travelled as %d bytes with tag %d, want the runs form", len(bm.payload), bm.payload[7])
+	}
+	froze, err := bitmap.UnmarshalSized(bm.payload, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if froze.Count() == 0 {
+		t.Fatal("the racing guest left nothing dirty at the freeze: the test did not exercise a non-empty set")
+	}
+	carried := bitmap.New(blocks)
+	for _, fr := range after {
+		if fr.n > 0 {
+			carried.SetRange(fr.start, fr.start+fr.n)
+		}
+	}
+	if !carried.Equal(froze) {
+		t.Fatalf("post-copy carried %v, the freeze bitmap held %v", carried, froze)
+	}
+	if rep.BlocksPushed+rep.BlocksPulled < froze.Count() {
+		t.Fatalf("pushed %d + pulled %d blocks of a freeze set of %d", rep.BlocksPushed, rep.BlocksPulled, froze.Count())
+	}
+	if diffs, err := blockdev.Diff(w.dstDisk, w.srcDisk); err != nil || len(diffs) != 0 {
+		t.Fatalf("destination differs from the source at %d blocks (%v)", len(diffs), err)
+	}
+}
+
+// ackTap keeps the first frame received on a redialed link: the session ack.
+type ackTap struct {
+	transport.Conn
+	ack *transport.Message
+}
+
+func (a *ackTap) Recv() (transport.Message, error) {
+	m, err := a.Conn.Recv()
+	if err == nil && a.ack.Type == 0 {
+		*a.ack = transport.Message{Type: m.Type, Payload: append([]byte(nil), m.Payload...)}
+	}
+	return m, err
+}
+
+// TestResumeCursorTravelsCompact cuts the link halfway through the first
+// iteration of a 65 536-block disk. The destination's transfer cursor comes
+// back in the runs form, and the resumed iteration still re-sends only what
+// that cursor does not confirm.
+func TestResumeCursorTravelsCompact(t *testing.T) {
+	const blocks, stride = 1 << 16, 32
+	allocated := bitmap.New(blocks)
+	for n := 0; n < blocks; n += stride {
+		allocated.Set(n)
+	}
+	owed := allocated.Count()
+	w := newSparseWorld(t, blocks, allocated)
+
+	inj := transport.NewInjector([]transport.Fault{{AfterSends: int64(2 + owed/2), Kind: transport.FaultCut}})
+	relink := newPipeRelinker(inj)
+	sends := make([]int, blocks)
+	var ack transport.Message
+	var iters []Event
+	srcCfg := Config{
+		SkipUnused: true,
+		MaxRetries: 5, RetryBackoff: time.Millisecond,
+		Redial: func() (transport.Conn, error) {
+			c, err := relink.redial()
+			return &ackTap{Conn: &blockLog{Conn: c, sends: sends}, ack: &ack}, err
+		},
+		OnFreeze: w.router.Freeze,
+		OnEvent: func(ev Event) {
+			if ev.Kind == EventIterationEnd && ev.Phase == PhaseDiskPreCopy {
+				iters = append(iters, ev)
+			}
+		},
+	}
+	rep := w.migrate(t, srcCfg, Config{WaitReconnect: relink.waitReconnect},
+		&blockLog{Conn: inj.Wrap(w.connSrc), sends: sends}, nil)
+	w.checkSameContent(t)
+	if rep.Retries != 1 {
+		t.Fatalf("survived %d retries, want 1", rep.Retries)
+	}
+
+	// flags(1) diskIters(4) memIters(4), then the disk cursor section:
+	// iteration(4) length(4) bitmap.
+	if ack.Type != transport.MsgSessionAck || len(ack.Payload) < 17+8 {
+		t.Fatalf("no session ack with a disk cursor captured: %v, %d bytes", ack.Type, len(ack.Payload))
+	}
+	cursorLen := int(binary.LittleEndian.Uint32(ack.Payload[13:]))
+	cursor := ack.Payload[17 : 17+cursorLen]
+	if cursor[7] != runsTag || denseBitmapLen(blocks)-cursorLen < 4096 {
+		t.Fatalf("disk cursor travelled as %d bytes with tag %d, want the runs form", cursorLen, cursor[7])
+	}
+	confirmed, err := bitmap.UnmarshalSized(cursor, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pipe holds 64 frames: the destination had confirmed all but those
+	// in flight at the cut, and only the rest travels again.
+	if got := confirmed.Count(); got < owed/2-2*64 || got > owed/2 {
+		t.Fatalf("cursor confirms %d blocks of the %d sent before the cut", got, owed/2)
+	}
+	resumedIter := iters[0]
+	if resumedIter.Iteration != 1 || resumedIter.Units != owed-confirmed.Count() {
+		t.Fatalf("resumed iteration 1 sent %d blocks, want the %d the cursor does not confirm", resumedIter.Units, owed-confirmed.Count())
+	}
+	for b, n := range sends {
+		switch {
+		case !allocated.Test(b) && n != 0:
+			t.Fatalf("unallocated block %d sent %d times", b, n)
+		case allocated.Test(b) && confirmed.Test(b) && n != 1:
+			t.Fatalf("block %d, confirmed by the cursor, was sent %d times", b, n)
+		case allocated.Test(b) && n < 1:
+			t.Fatalf("block %d never sent", b)
+		}
+	}
+}
+
+// lyingConn replaces the payload of the first frame of one type.
+type lyingConn struct {
+	transport.Conn
+	typ     transport.MsgType
+	payload []byte
+}
+
+func (l *lyingConn) Send(m transport.Message) error {
+	if m.Type == l.typ {
+		m.Payload = l.payload
+	}
+	return l.Conn.Send(m)
+}
+
+// wrongSizedBitmaps are freeze bitmaps no destination of testBlocks blocks
+// may accept: a dense one for a larger disk, and ten bytes of runs form
+// declaring a terabit.
+func wrongSizedBitmaps(t *testing.T) map[string][]byte {
+	t.Helper()
+	dense, err := bitmap.NewAllSet(testBlocks + 64).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := binary.LittleEndian.AppendUint64(nil, 1<<40|runsTag<<56)
+	return map[string][]byte{"dense, 64 blocks too long": dense, "runs, a terabit": append(runs, 5, 1)}
+}
+
+// TestDestRefusesWrongSizedFreezeBitmap: a source whose freeze bitmap does
+// not match the destination's device is refused at the frame, before a
+// post-copy gate is built over it.
+func TestDestRefusesWrongSizedFreezeBitmap(t *testing.T) {
+	for name, lie := range wrongSizedBitmaps(t) {
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(t)
+			srcCh := make(chan error, 1)
+			go func() {
+				_, err := MigrateSource(Config{OnFreeze: e.router.Freeze}, e.src,
+					&lyingConn{Conn: e.connSrc, typ: transport.MsgBitmap, payload: lie}, nil)
+				srcCh <- err
+			}()
+			res, err := MigrateDest(Config{}, e.dst, e.connDst)
+			if err == nil || !strings.Contains(err.Error(), "freeze bitmap") {
+				t.Fatalf("destination accepted a freeze bitmap of the wrong size: %v", err)
+			}
+			if res.Gate != nil || e.dst.VM.State() == vm.Running {
+				t.Fatal("destination built a gate or resumed the VM on a refused bitmap")
+			}
+			e.connDst.Close()
+			e.connSrc.Close()
+			if err := <-srcCh; err == nil {
+				t.Fatal("source completed against a destination that refused its bitmap")
+			}
+		})
+	}
+}
+
+// TestOnDemandDestRefusesWrongSizedBitmap is the same guard on the
+// on-demand baseline's destination.
+func TestOnDemandDestRefusesWrongSizedBitmap(t *testing.T) {
+	for name, lie := range wrongSizedBitmaps(t) {
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(t)
+			srcCh := make(chan error, 1)
+			go func() {
+				_, err := MigrateOnDemandSource(Config{OnFreeze: e.router.Freeze}, e.src,
+					&lyingConn{Conn: e.connSrc, typ: transport.MsgBitmap, payload: lie})
+				srcCh <- err
+			}()
+			res, err := MigrateOnDemandDest(Config{}, e.dst, e.connDst, make(chan struct{}))
+			if err == nil || !strings.Contains(err.Error(), "bitmap") {
+				t.Fatalf("destination accepted a bitmap of the wrong size: %v", err)
+			}
+			if res.Gate != nil {
+				t.Fatal("destination built a gate on a refused bitmap")
+			}
+			e.connDst.Close()
+			e.connSrc.Close()
+			if err := <-srcCh; err == nil {
+				t.Fatal("source completed against a destination that refused its bitmap")
+			}
+		})
+	}
+}
+
+// TestSessionAckRefusesWrongSizedCursor: the destination's transfer cursors
+// are subtracted from the source's own iteration bitmaps, so each must be
+// exactly the source's disk or memory size.
+func TestSessionAckRefusesWrongSizedCursor(t *testing.T) {
+	good := destProgress{
+		diskIters: 1, recvDiskNum: 2, recvDisk: newBitmapWith(testBlocks, 10, 5),
+		recvMemNum: 1, recvMem: newBitmapWith(testPages, 3, 2),
+	}
+	data, err := good.marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := parseDestProgress(data, testBlocks, testPages)
+	if err != nil || !got.recvDisk.Equal(good.recvDisk) || !got.recvMem.Equal(good.recvMem) {
+		t.Fatalf("matching cursors refused or mangled: %v", err)
+	}
+	if _, err := parseDestProgress(data, testBlocks+64, testPages); err == nil {
+		t.Fatal("disk cursor of another disk's size accepted")
+	}
+	if _, err := parseDestProgress(data, testBlocks, testPages-1); err == nil {
+		t.Fatal("memory cursor of another memory's size accepted")
+	}
+	// A runs-form cursor declaring a terabit must not be allocated for.
+	lie := wrongSizedBitmaps(t)["runs, a terabit"]
+	payload := append([]byte(nil), data[:9]...)
+	payload = binary.LittleEndian.AppendUint32(payload, 2)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(lie)))
+	payload = append(payload, lie...)
+	payload = append(payload, 0, 0, 0, 0, 0, 0, 0, 0) // absent memory cursor
+	if _, err := parseDestProgress(payload, testBlocks, testPages); err == nil {
+		t.Fatal("terabit disk cursor accepted")
+	}
+}
+
+// TestJournalRefusesAnotherDisksPendingSet: a journal is loaded for a disk,
+// and a pending set of any other size is refused.
+func TestJournalRefusesAnotherDisksPendingSet(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.bin")
+	j := &Journal{Path: path}
+	if err := j.Checkpoint(JournalState{Phase: PhaseDiskPreCopy, Iter: 1, Pending: newBitmapWith(testBlocks, 7, 9)}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := LoadJournal(path, testBlocks); err != nil || st.Pending.Count() != 9 {
+		t.Fatalf("journal for its own disk: %v", err)
+	}
+	if _, err := LoadJournal(path, testBlocks*2); err == nil {
+		t.Fatal("journal loaded for a disk of another size")
+	}
+}
+
+// TestVaultRefusesAnotherDisksSets: a vault arriving with a VM must describe
+// the receiver's disk, in its header and in every peer's divergence set.
+func TestVaultRefusesAnotherDisksSets(t *testing.T) {
+	v := NewVault(testBlocks)
+	v.MarkSynced("alpha")
+	v.RecordWrites(newBitmapWith(testBlocks, 10, 25))
+	data, err := v.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := UnmarshalVault(data, testBlocks); err != nil || got.DivergentBlocks("alpha") != 25 {
+		t.Fatalf("vault for its own disk: %v", err)
+	}
+	if _, err := UnmarshalVault(data, testBlocks+64); err == nil {
+		t.Fatal("vault accepted for a disk of another size")
+	}
+	// A header that matches the device over a peer set that does not.
+	lie := wrongSizedBitmaps(t)["runs, a terabit"]
+	forged := binary.LittleEndian.AppendUint64(nil, testBlocks)
+	forged = binary.LittleEndian.AppendUint32(forged, 1)
+	forged = binary.LittleEndian.AppendUint16(forged, 5)
+	forged = binary.LittleEndian.AppendUint32(forged, uint32(len(lie)))
+	forged = append(append(forged, "alpha"...), lie...)
+	if _, err := UnmarshalVault(forged, testBlocks); err == nil {
+		t.Fatal("vault with a terabit peer set accepted")
+	}
+}

@@ -198,22 +198,30 @@ func TestTPMIdleVM(t *testing.T) {
 	}
 }
 
-// dirtier churns guest memory pages until stopped, standing in for the
-// running guest's memory writes.
-func memDirtier(mem *vm.Memory, hot int, stop <-chan struct{}) {
-	buf := make([]byte, vm.PageSize)
-	i := uint32(0)
-	for {
-		select {
-		case <-stop:
-			return
-		default:
+// startMemDirtier churns guest memory pages, standing in for the running
+// guest's memory writes, until the returned stop is called. stop returns
+// only once the last write has landed: a page written after the freeze
+// captured the dirty set would never travel.
+func startMemDirtier(mem *vm.Memory, hot int) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]byte, vm.PageSize)
+		for i := uint32(0); ; i++ {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			p := int(i) % hot
+			workload.FillBlock(buf, p+200000, i)
+			mem.WritePage(p, buf)
+			time.Sleep(200 * time.Microsecond)
 		}
-		p := int(i) % hot
-		workload.FillBlock(buf, p+200000, i)
-		mem.WritePage(p, buf)
-		i++
-		time.Sleep(200 * time.Microsecond)
+	}()
+	return func() {
+		close(quit)
+		<-done
 	}
 }
 
@@ -221,7 +229,6 @@ func TestTPMUnderWorkload(t *testing.T) {
 	e := newEnv(t)
 	gen := workload.NewWebServer(testBlocks, 11)
 	stopIO := make(chan struct{})
-	stopMem := make(chan struct{})
 	var replayErr error
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -229,11 +236,11 @@ func TestTPMUnderWorkload(t *testing.T) {
 		defer wg.Done()
 		_, replayErr = workload.Replay(clockReal(), gen, testDomain, time.Hour, 200, e.submitVerified, stopIO)
 	}()
-	go memDirtier(e.src.VM.Memory(), 32, stopMem)
+	stopMem := startMemDirtier(e.src.VM.Memory(), 32)
 
 	cfg := Config{
 		OnFreeze: func() {
-			close(stopMem) // guest pauses: memory writes stop
+			stopMem() // guest pauses: memory writes stop
 			e.router.Freeze()
 		},
 		OnResume: e.router.ResumeGate,

@@ -97,7 +97,6 @@ func TestDedupUnderWorkload(t *testing.T) {
 	templateDisk(t, e, 16)
 	gen := workload.NewWebServer(testBlocks, 23)
 	stopIO := make(chan struct{})
-	stopMem := make(chan struct{})
 	var replayErr error
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -105,11 +104,11 @@ func TestDedupUnderWorkload(t *testing.T) {
 		defer wg.Done()
 		_, replayErr = workload.Replay(clockReal(), gen, testDomain, time.Hour, 200, e.submitVerified, stopIO)
 	}()
-	go memDirtier(e.src.VM.Memory(), 32, stopMem)
+	stopMem := startMemDirtier(e.src.VM.Memory(), 32)
 
 	cfg := Config{Dedup: true, MaxExtentBlocks: 8}
 	cfg.OnFreeze = func() {
-		close(stopMem)
+		stopMem()
 		e.router.Freeze()
 	}
 	cfg.OnResume = e.router.ResumeGate

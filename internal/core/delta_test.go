@@ -238,7 +238,6 @@ func TestDeltaUnderWorkload(t *testing.T) {
 	e := newEnv(t)
 	gen := workload.NewWebServer(testBlocks, 23)
 	stopIO := make(chan struct{})
-	stopMem := make(chan struct{})
 	var replayErr error
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -246,11 +245,11 @@ func TestDeltaUnderWorkload(t *testing.T) {
 		defer wg.Done()
 		_, replayErr = workload.Replay(clockReal(), gen, testDomain, time.Hour, 200, e.submitVerified, stopIO)
 	}()
-	go memDirtier(e.src.VM.Memory(), 32, stopMem)
+	stopMem := startMemDirtier(e.src.VM.Memory(), 32)
 
 	cfg := Config{Delta: true, MaxExtentBlocks: 8}
 	cfg.OnFreeze = func() {
-		close(stopMem)
+		stopMem()
 		e.router.Freeze()
 	}
 	cfg.OnResume = e.router.ResumeGate

@@ -270,10 +270,13 @@ func (d *destRun) preCopyReceive() error {
 		return nil
 	})
 	handlers[transport.MsgBitmap] = d.drainOn(func(m transport.Message) error {
-		d.transferred = &bitmap.Bitmap{}
-		if err := d.transferred.UnmarshalBinary(m.Payload); err != nil {
-			return fmt.Errorf("core: bitmap: %w", err)
+		// Sized by this side's device: a bitmap of any other length would
+		// build a post-copy gate that disagrees with the disk behind it.
+		bm, err := bitmap.UnmarshalSized(m.Payload, d.dev.NumBlocks())
+		if err != nil {
+			return fmt.Errorf("core: freeze bitmap: %w", err)
 		}
+		d.transferred = bm
 		d.noteProgress(func(p *destProgress) { p.flags |= destBitmapSeen })
 		return nil
 	})

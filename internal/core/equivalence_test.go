@@ -109,7 +109,6 @@ func TestEquivalenceTPMUnderWorkload(t *testing.T) {
 			e.useStriped(pc.streams)
 			gen := workload.NewWebServer(testBlocks, 23)
 			stopIO := make(chan struct{})
-			stopMem := make(chan struct{})
 			var replayErr error
 			var wg sync.WaitGroup
 			wg.Add(1)
@@ -117,14 +116,14 @@ func TestEquivalenceTPMUnderWorkload(t *testing.T) {
 				defer wg.Done()
 				_, replayErr = workload.Replay(clockReal(), gen, testDomain, time.Hour, 200, e.submitVerified, stopIO)
 			}()
-			go memDirtier(e.src.VM.Memory(), 32, stopMem)
+			stopMem := startMemDirtier(e.src.VM.Memory(), 32)
 
 			cfg := Config{
 				Streams:         pc.streams,
 				MaxExtentBlocks: pc.maxExtentBlocks,
 				Workers:         pc.workers,
 				OnFreeze: func() {
-					close(stopMem)
+					stopMem()
 					e.router.Freeze()
 				},
 				OnResume: e.router.ResumeGate,

@@ -348,7 +348,7 @@ func TestVaultMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalVault(data)
+	got, err := UnmarshalVault(data, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,10 +365,10 @@ func TestVaultMarshalRoundTrip(t *testing.T) {
 		t.Fatal("marshal not deterministic")
 	}
 	// corruption rejected
-	if _, err := UnmarshalVault(data[:8]); err == nil {
+	if _, err := UnmarshalVault(data[:8], 500); err == nil {
 		t.Fatal("truncated vault accepted")
 	}
-	if _, err := UnmarshalVault(data[:len(data)-3]); err == nil {
+	if _, err := UnmarshalVault(data[:len(data)-3], 500); err == nil {
 		t.Fatal("clipped vault accepted")
 	}
 }

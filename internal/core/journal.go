@@ -151,7 +151,7 @@ func marshalJournal(st JournalState) ([]byte, error) {
 	return append(out, crc[:]...), nil
 }
 
-func unmarshalJournal(data []byte) (JournalState, error) {
+func unmarshalJournal(data []byte, numBlocks int) (JournalState, error) {
 	var st JournalState
 	if len(data) < journalHeaderLen+4 {
 		return st, fmt.Errorf("core: journal truncated: %d bytes", len(data))
@@ -175,8 +175,8 @@ func unmarshalJournal(data []byte) (JournalState, error) {
 		return st, fmt.Errorf("core: journal bitmap length %d inconsistent with %d-byte file", bmLen, len(data))
 	}
 	if bmLen > 0 {
-		st.Pending = &bitmap.Bitmap{}
-		if err := st.Pending.UnmarshalBinary(body[journalHeaderLen:]); err != nil {
+		var err error
+		if st.Pending, err = bitmap.UnmarshalSized(body[journalHeaderLen:], numBlocks); err != nil {
 			return st, fmt.Errorf("core: journal bitmap: %w", err)
 		}
 	}
@@ -196,11 +196,13 @@ func writeJournalFile(path string, st JournalState) error {
 	return nil
 }
 
-// LoadJournal reads a journal file written by Checkpoint.
-func LoadJournal(path string) (JournalState, error) {
+// LoadJournal reads a journal file written by Checkpoint for a disk of
+// numBlocks blocks; a pending set of any other size belongs to another disk
+// and is refused.
+func LoadJournal(path string, numBlocks int) (JournalState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return JournalState{}, fmt.Errorf("core: journal load: %w", err)
 	}
-	return unmarshalJournal(data)
+	return unmarshalJournal(data, numBlocks)
 }

@@ -104,8 +104,10 @@ func (p destProgress) marshal() ([]byte, error) {
 	return out, nil
 }
 
-// parseDestProgress decodes a MsgSessionAck payload.
-func parseDestProgress(data []byte) (destProgress, error) {
+// parseDestProgress decodes a MsgSessionAck payload. The cursors must be
+// exactly the source's own disk and memory sizes: owedUnits subtracts them
+// from iteration bitmaps of those sizes.
+func parseDestProgress(data []byte, diskBlocks, memPages int) (destProgress, error) {
 	var p destProgress
 	if len(data) < 9 {
 		return p, fmt.Errorf("core: session ack payload %d bytes, want >= 9", len(data))
@@ -114,7 +116,7 @@ func parseDestProgress(data []byte) (destProgress, error) {
 	p.diskIters = binary.LittleEndian.Uint32(data[1:])
 	p.memIters = binary.LittleEndian.Uint32(data[5:])
 	rest := data[9:]
-	for i := 0; i < 2; i++ {
+	for i, units := range []int{diskBlocks, memPages} {
 		if len(rest) < 8 {
 			return p, fmt.Errorf("core: session ack cursor section truncated")
 		}
@@ -126,8 +128,8 @@ func parseDestProgress(data []byte) (destProgress, error) {
 		}
 		var bm *bitmap.Bitmap
 		if n > 0 {
-			bm = &bitmap.Bitmap{}
-			if err := bm.UnmarshalBinary(rest[:n]); err != nil {
+			var err error
+			if bm, err = bitmap.UnmarshalSized(rest[:n], units); err != nil {
 				return p, fmt.Errorf("core: session ack cursor: %w", err)
 			}
 		}

@@ -434,7 +434,7 @@ func TestResumeJournalCheckpoints(t *testing.T) {
 		OnFreeze:     e.router.Freeze,
 		OnEvent: func(ev Event) {
 			if ev.Kind == EventPhaseEnd && ev.Phase == PhaseDiskPreCopy && ev.Side == "source" {
-				st, err := LoadJournal(path)
+				st, err := LoadJournal(path, testBlocks)
 				if err == nil && st.Phase == PhaseDiskPreCopy {
 					sawDiskPhase = true
 				}
@@ -455,7 +455,7 @@ func TestResumeJournalCheckpoints(t *testing.T) {
 	if !sawDiskPhase {
 		t.Fatal("journal never reflected the disk pre-copy phase")
 	}
-	final, err := LoadJournal(path)
+	final, err := LoadJournal(path, testBlocks)
 	if err != nil {
 		t.Fatalf("final journal: %v", err)
 	}
@@ -481,7 +481,7 @@ func TestJournalStateRoundTrip(t *testing.T) {
 	if err := j.Checkpoint(st); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadJournal(path)
+	got, err := LoadJournal(path, testBlocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestJournalStateRoundTrip(t *testing.T) {
 		if err := writeRaw(t, path, data[:cut]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadJournal(path); err == nil {
+		if _, err := LoadJournal(path, testBlocks); err == nil {
 			t.Fatalf("truncation to %d bytes loaded successfully", cut)
 		}
 	}
@@ -511,7 +511,7 @@ func TestJournalStateRoundTrip(t *testing.T) {
 	if err := writeRaw(t, path, flipped); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadJournal(path); err == nil {
+	if _, err := LoadJournal(path, testBlocks); err == nil {
 		t.Fatal("corrupted journal loaded successfully")
 	}
 }

@@ -390,7 +390,7 @@ func (s *sourceRun) reconnect(attempt int) error {
 		conn.Close()
 		return fmt.Errorf("core: bad session ack (%v, epoch %d)", ack.Type, ack.Arg)
 	}
-	prog, err := parseDestProgress(ack.Payload)
+	prog, err := parseDestProgress(ack.Payload, s.dev.NumBlocks(), s.host.VM.Memory().NumPages())
 	if err != nil {
 		conn.Close()
 		return err

@@ -154,12 +154,16 @@ func (v *Vault) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalVault deserializes a vault produced by MarshalBinary.
-func UnmarshalVault(data []byte) (*Vault, error) {
+// UnmarshalVault deserializes a vault produced by MarshalBinary for a disk
+// of numBlocks blocks — the receiver's own device, which the vault and every
+// divergence set in it must match.
+func UnmarshalVault(data []byte, numBlocks int) (*Vault, error) {
 	if len(data) < 12 {
 		return nil, fmt.Errorf("core: vault truncated: %d bytes", len(data))
 	}
-	numBlocks := int(binary.LittleEndian.Uint64(data))
+	if got := binary.LittleEndian.Uint64(data); got != uint64(numBlocks) {
+		return nil, fmt.Errorf("core: vault covers %d blocks, disk has %d", got, numBlocks)
+	}
 	count := int(binary.LittleEndian.Uint32(data[8:]))
 	v := NewVault(numBlocks)
 	off := 12
@@ -175,14 +179,11 @@ func UnmarshalVault(data []byte) (*Vault, error) {
 		}
 		name := string(data[off : off+nameLen])
 		off += nameLen
-		bm := &bitmap.Bitmap{}
-		if err := bm.UnmarshalBinary(data[off : off+bmLen]); err != nil {
+		bm, err := bitmap.UnmarshalSized(data[off:off+bmLen], numBlocks)
+		if err != nil {
 			return nil, fmt.Errorf("core: vault peer %q: %w", name, err)
 		}
 		off += bmLen
-		if bm.Len() != numBlocks {
-			return nil, fmt.Errorf("core: vault peer %q bitmap %d bits, want %d", name, bm.Len(), numBlocks)
-		}
 		v.peers[name] = bm
 	}
 	return v, nil

@@ -652,7 +652,7 @@ func (m *Machine) receive(connp *transport.Conn, l net.Listener, cfg core.Config
 	if vf.Type != transport.MsgAnnounce {
 		return res, fmt.Errorf("hostd: expected vault frame, got %v", vf.Type)
 	}
-	vault, err := core.UnmarshalVault(vf.Payload)
+	vault, err := core.UnmarshalVault(vf.Payload, d.backend.Device().NumBlocks())
 	if err != nil {
 		return res, err
 	}

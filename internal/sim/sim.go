@@ -199,6 +199,8 @@ type Result struct {
 	MigrationSeries metrics.Series
 	// MigStart/MigEnd bound the migration on the shared timeline.
 	MigStart, MigEnd time.Duration
+	// FreezeBitmapBytes is what the freeze bitmap cost on the wire.
+	FreezeBitmapBytes int
 
 	// carried state for an incremental migration back
 	fresh *bitmap.Bitmap
@@ -398,20 +400,21 @@ func run(p Params, initial *bitmap.Bitmap, cur *cursor, start time.Duration) *Re
 	s.rep.PreCopyTime = s.now - migStart
 
 	// --- Freeze-and-copy: final pages + CPU + block-bitmap. ---
+	// The freeze bitmap is everything dirtied since the last iteration
+	// swap; it crosses the link in the engine's own encoding, so its cost
+	// follows the dirty set, not the disk size.
+	carry := s.dirty.Clone()
+	s.dirty.Reset()
+	s.trackDirty = false
 	finalPages := s.memDirty
-	bitmapBytes := float64(numBlocks/8 + 16)
-	freezeBytes := finalPages*4096 + bitmapBytes + 4096 /* CPU state */
+	bitmapBytes := carry.EncodedLen() + frameOverhead
+	freezeBytes := finalPages*4096 + float64(bitmapBytes) + 4096 /* CPU state */
 	s.emit(core.Event{Kind: core.EventPhaseStart, Phase: core.PhaseFreezeCopy})
 	s.emit(core.Event{Kind: core.EventSuspended, Phase: core.PhaseFreezeCopy})
 	downtime := p.FixedDowntime + time.Duration(freezeBytes/p.NetBytesPerSec*float64(time.Second))
 	s.advanceNoDisk(downtime) // guest frozen: its I/O halts; clock moves
 	s.rep.Downtime = downtime
 	s.rep.MemBytesMoved += int64(finalPages * 4096)
-
-	// Freeze bitmap: everything dirtied since the last iteration swap.
-	carry := s.dirty.Clone()
-	s.dirty.Reset()
-	s.trackDirty = false
 
 	// --- Post-copy: resume on destination; push everything in the bitmap
 	// while guest reads pull (§IV-A-3). ---
@@ -462,6 +465,8 @@ func run(p Params, initial *bitmap.Bitmap, cur *cursor, start time.Duration) *Re
 		cur:             s.cur,
 		p:               s.p,
 		now:             s.now,
+
+		FreezeBitmapBytes: bitmapBytes,
 	}
 }
 

@@ -43,15 +43,18 @@ func TestTableIShape(t *testing.T) {
 		t.Error("diabolical migration not the slowest")
 	}
 
-	// Paper downtimes: 60 / 62 / 110 ms.
+	// Paper downtimes: 60 / 62 / 110 ms, of which ~24 ms is its dense
+	// 1.2 MB bitmap at this link rate. The simulated freeze window carries
+	// the bitmap in the engine's encoding (WIRE.md §4), a few hundred bytes
+	// for these freeze sets, so the bands sit that much below the paper.
 	check := func(name string, got time.Duration, lo, hi int64) {
 		if ms := got.Milliseconds(); ms < lo || ms > hi {
 			t.Errorf("%s downtime %d ms outside [%d, %d]", name, ms, lo, hi)
 		}
 	}
-	check("web", web.Downtime, 35, 95)
-	check("stream", stream.Downtime, 35, 95)
-	check("diabolical", diab.Downtime, 85, 170)
+	check("web", web.Downtime, 20, 70)
+	check("stream", stream.Downtime, 20, 70)
+	check("diabolical", diab.Downtime, 60, 145)
 	if diab.Downtime <= web.Downtime {
 		t.Error("diabolical downtime not the largest")
 	}

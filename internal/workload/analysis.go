@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"bbmig/internal/bitmap"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/clock"
 )
@@ -112,6 +113,21 @@ func Replay(clk clock.Clock, g Generator, domain int, until time.Duration, speed
 		}
 		st.WorkloadElapsed = a.At
 	}
+}
+
+// WriteSet returns the first count distinct blocks the generator writes, as
+// a bitmap over its numBlocks-block disk: the divergence a guest of that kind
+// leaves behind, laid out as the guest lays it out. The generator is left
+// mid-stream; Reset it before reuse.
+func WriteSet(g Generator, numBlocks, count int) *bitmap.Bitmap {
+	set := bitmap.New(numBlocks)
+	for n := 0; n < count; {
+		if a := g.Next(); a.Op == blockdev.Write && !set.Test(a.Block) {
+			set.Set(a.Block)
+			n++
+		}
+	}
+	return set
 }
 
 // FillBlock writes a deterministic pattern identifying (block, generation)
