@@ -28,33 +28,43 @@ type DestResult struct {
 // receive memory, CPU state, and eventually run. The function returns once
 // the local disk is fully synchronized with the (now stopped) source.
 //
-// Like the source, the destination is a phase pipeline — handshake, pre-copy
+// Like the source, the destination is a phase list — handshake, pre-copy
 // receive, post-copy — announced on cfg.OnEvent, so a host daemon can report
 // the live state of an inbound migration.
 func MigrateDest(cfg Config, host Host, conn transport.Conn) (*DestResult, error) {
-	cfg = cfg.withDefaults()
-	tr, err := newTransfer(cfg, host, conn, "TPM-dest", "dest")
+	d, err := newDestRun(cfg, host, conn, "TPM-dest")
 	if err != nil {
-		return &DestResult{Report: &metrics.Report{Scheme: "TPM-dest"}}, err
+		return d.res, err
 	}
-	d := &destRun{transfer: tr}
-	res, err := d.run()
-	tr.ev.finish(err)
-	if err != nil {
-		_ = tr.conn.Send(transport.Message{Type: transport.MsgError, Payload: []byte(err.Error())})
-		return res, err
+	// Only this scheme answers a reconnecting source and joins a dedup session.
+	d.destState = d.progressSnapshot
+	if err := d.openDedup(); err != nil {
+		return d.res, d.finish(err)
 	}
-	return res, nil
+	if d.dd != nil && d.dd.swarm != nil {
+		defer d.dd.swarm.close()
+	}
+	return d.run([]phase{
+		{PhaseHandshake, d.acceptHandshake},
+		// The destination cannot tell the disk, memory and freeze sub-phases
+		// apart more precisely than the control frames it receives; the event
+		// stream reports iteration ends and the suspend as they arrive.
+		{PhaseDiskPreCopy, d.receiveUntilResume(d.vmHandlers(), d.iterHandlers(), d.diskHandlers(), d.bitmapHandler())},
+		{PhasePostCopy, steps(d.resumeBehindGate, d.postCopyReceive)},
+	})
 }
 
+// destRun is the destination endpoint of every scheme: the steps below, each
+// written once, chained by a scheme's phase list.
 type destRun struct {
 	*transfer
 
+	res         *DestResult
 	sc          *scatterPool
 	dd          *destDedup     // content-dedup session (nil unless negotiated)
 	recvBlocks  int            // blocks landed in any form: literal, reference or patch
 	deltaBlocks int            // blocks landed as delta patches (Report.DeltaBlocks)
-	transferred *bitmap.Bitmap // the freeze bitmap, set during pre-copy receive
+	transferred *bitmap.Bitmap // the freeze bitmap, set by bitmapHandler
 	postStart   time.Duration
 
 	// prog is the pipeline position reported to a reconnecting source in
@@ -63,6 +73,41 @@ type destRun struct {
 	// while a concurrent pull-send may be recovering the connection.
 	progMu sync.Mutex
 	prog   destProgress
+}
+
+// newDestRun assembles the destination endpoint of scheme over conn.
+func newDestRun(cfg Config, host Host, conn transport.Conn, scheme string) (*destRun, error) {
+	tr, err := newTransfer(cfg.withDefaults(), host, conn, scheme, "dest")
+	return &destRun{transfer: tr, res: &DestResult{Report: tr.rep}}, err
+}
+
+// run executes the scheme's phase list and closes the report with what the
+// gate, when the scheme built one, and the dedup session counted.
+func (d *destRun) run(phases []phase) (*DestResult, error) {
+	// Data frames are handed to the scatter pool; every control frame drains
+	// it first, so iteration boundaries order cross-iteration rewrites exactly
+	// as a sequential loop would.
+	d.sc = newScatterPool(d.cfg.Workers)
+	defer d.sc.close()
+	cursor := 0
+	err := d.runPhases(phases, &cursor)
+	if err == nil {
+		rep := d.rep
+		rep.PostCopyTime = d.clk.Now() - d.postStart
+		rep.DeltaBlocks = d.deltaBlocks
+		if d.dd != nil {
+			rep.DedupBlocks = d.dd.refs
+			rep.SwarmBlocks = d.dd.swarmBlocks
+		}
+		if gate := d.res.Gate; gate != nil {
+			gs := gate.Stats()
+			rep.BlocksPulled = int(gs.Pulls)
+			rep.StalePushes = int(gs.StalePushes)
+			rep.ReadStallTime = gs.ReadStallTime
+			rep.ResidualDirty = gate.RemainingDirty()
+		}
+	}
+	return d.res, d.finish(err)
 }
 
 // progressSnapshot implements the transfer.destState callback. The cursor
@@ -97,47 +142,6 @@ func (d *destRun) noteProgress(fn func(*destProgress)) {
 	d.progMu.Lock()
 	fn(&d.prog)
 	d.progMu.Unlock()
-}
-
-func (d *destRun) run() (*DestResult, error) {
-	rep := &metrics.Report{Scheme: "TPM-dest"}
-	res := &DestResult{Report: rep}
-	d.destState = d.progressSnapshot
-	if err := d.openDedup(); err != nil {
-		return res, err
-	}
-	if d.dd != nil && d.dd.swarm != nil {
-		defer d.dd.swarm.close()
-	}
-
-	// Data frames are handed to the scatter pool; every control frame drains
-	// it first, so iteration boundaries order cross-iteration rewrites
-	// exactly as the sequential loop did.
-	d.sc = newScatterPool(d.cfg.Workers)
-	defer d.sc.close()
-
-	err := d.runPhases(
-		phase{PhaseHandshake, d.acceptHandshake},
-		phase{PhaseDiskPreCopy, d.preCopyReceive},
-		phase{PhasePostCopy, func() error { return d.postCopyReceive(res) }},
-	)
-	if err != nil {
-		return res, err
-	}
-
-	if d.dd != nil {
-		rep.DedupBlocks = d.dd.refs
-		rep.SwarmBlocks = d.dd.swarmBlocks
-	}
-	rep.DeltaBlocks = d.deltaBlocks
-	gs := res.Gate.Stats()
-	rep.PostCopyTime = d.clk.Now() - d.postStart
-	rep.TotalTime = d.clk.Now() - d.start
-	rep.MigratedBytes = d.meter.BytesSent() + d.meter.BytesReceived()
-	rep.BlocksPulled = int(gs.Pulls)
-	rep.StalePushes = int(gs.StalePushes)
-	rep.ReadStallTime = gs.ReadStallTime
-	return res, nil
 }
 
 // openDedup starts the destination's content-dedup session when negotiated,
@@ -200,13 +204,57 @@ func (d *destRun) diskHandlers() frameHandlers {
 	return h
 }
 
-// preCopyReceive applies every pre-copy and freeze-and-copy frame until the
-// source orders the resume. The destination cannot distinguish the disk,
-// memory, and freeze sub-phases more precisely than the control frames it
-// receives; the event stream reports iteration ends and the suspend as they
-// arrive.
-func (d *destRun) preCopyReceive() error {
-	hostVM := d.host.VM
+// receiveUntilResume is the one receive step ahead of the resume: it applies
+// every frame the scheme's handler groups list until the source orders the
+// resume — a control frame too, so the pool is drained before acting on it.
+func (d *destRun) receiveUntilResume(groups ...frameHandlers) func() error {
+	handlers := frameHandlers{}
+	for _, g := range groups {
+		for typ, fn := range g {
+			handlers[typ] = fn
+		}
+	}
+	return func() error {
+		if err := d.recvLoop(transport.MsgResume, handlers); err != nil {
+			return err
+		}
+		return d.sc.drain()
+	}
+}
+
+// vmHandlers applies the guest's own state: the suspend notice, memory pages
+// and the CPU registers.
+func (d *destRun) vmHandlers() frameHandlers {
+	return frameHandlers{
+		transport.MsgSuspend: d.drainOn(func(transport.Message) error {
+			d.ev.suspended()
+			d.noteProgress(func(p *destProgress) { p.flags |= destSuspendSeen })
+			return nil
+		}),
+		transport.MsgMemPage: func(m transport.Message) error {
+			d.noteProgress(func(p *destProgress) {
+				if n := int(m.Arg); p.recvMem != nil && n >= 0 && n < p.recvMem.Len() {
+					p.recvMem.Set(n)
+				}
+			})
+			return d.sc.do(func() error {
+				if err := d.applyPage(m); err != nil {
+					return err
+				}
+				m.Release()
+				return nil
+			})
+		},
+		transport.MsgCPUState: d.drainOn(func(m transport.Message) error {
+			d.host.VM.SetCPU(vm.CPUState{Registers: append([]byte(nil), m.Payload...)})
+			return nil
+		}),
+	}
+}
+
+// iterHandlers follows the pre-copy iteration markers, disk and memory: each
+// end is announced on the event stream and advances the progress record.
+func (d *destRun) iterHandlers() frameHandlers {
 	// MsgIterStart/MsgMemIterStart carry the iteration index in Arg; keep it
 	// so the end-of-iteration event reports which iteration finished.
 	var curIter int
@@ -218,7 +266,7 @@ func (d *destRun) preCopyReceive() error {
 		d.noteProgress(func(p *destProgress) {
 			if p.recvDisk == nil || p.recvDiskNum != uint32(curIter) {
 				p.recvDiskNum = uint32(curIter)
-				p.recvDisk = bitmap.New(d.host.Backend.Device().NumBlocks())
+				p.recvDisk = bitmap.New(d.dev.NumBlocks())
 			}
 		})
 		return nil
@@ -228,7 +276,7 @@ func (d *destRun) preCopyReceive() error {
 		d.noteProgress(func(p *destProgress) {
 			if p.recvMem == nil || p.recvMemNum != uint32(curIter) {
 				p.recvMemNum = uint32(curIter)
-				p.recvMem = bitmap.New(hostVM.Memory().NumPages())
+				p.recvMem = bitmap.New(d.host.VM.Memory().NumPages())
 			}
 		})
 		return nil
@@ -240,36 +288,17 @@ func (d *destRun) preCopyReceive() error {
 			return nil
 		}
 	}
-	handlers := d.diskHandlers()
-	handlers[transport.MsgIterStart] = d.drainOn(diskIterStart)
-	handlers[transport.MsgIterEnd] = d.drainOn(iterEnd(func(p *destProgress, it uint32) { p.diskIters = it }))
-	handlers[transport.MsgMemIterStart] = d.drainOn(memIterStart)
-	handlers[transport.MsgMemIterEnd] = d.drainOn(iterEnd(func(p *destProgress, it uint32) { p.memIters = it }))
-	handlers[transport.MsgSuspend] = d.drainOn(func(transport.Message) error {
-		d.ev.suspended()
-		d.noteProgress(func(p *destProgress) { p.flags |= destSuspendSeen })
-		return nil
-	})
-	handlers[transport.MsgMemPage] = func(m transport.Message) error {
-		d.noteProgress(func(p *destProgress) {
-			if n := int(m.Arg); p.recvMem != nil && n >= 0 && n < p.recvMem.Len() {
-				p.recvMem.Set(n)
-			}
-		})
-		return d.sc.do(func() error {
-			if err := d.applyPage(m); err != nil {
-				return err
-			}
-			m.Release()
-			return nil
-		})
+	return frameHandlers{
+		transport.MsgIterStart:    d.drainOn(diskIterStart),
+		transport.MsgIterEnd:      d.drainOn(iterEnd(func(p *destProgress, it uint32) { p.diskIters = it })),
+		transport.MsgMemIterStart: d.drainOn(memIterStart),
+		transport.MsgMemIterEnd:   d.drainOn(iterEnd(func(p *destProgress, it uint32) { p.memIters = it })),
 	}
-	handlers[transport.MsgCPUState] = d.drainOn(func(m transport.Message) error {
-		cpu := vm.CPUState{Registers: append([]byte(nil), m.Payload...)}
-		hostVM.SetCPU(cpu)
-		return nil
-	})
-	handlers[transport.MsgBitmap] = d.drainOn(func(m transport.Message) error {
+}
+
+// bitmapHandler receives the freeze bitmap.
+func (d *destRun) bitmapHandler() frameHandlers {
+	return frameHandlers{transport.MsgBitmap: d.drainOn(func(m transport.Message) error {
 		// Sized by this side's device: a bitmap of any other length would
 		// build a post-copy gate that disagrees with the disk behind it.
 		bm, err := bitmap.UnmarshalSized(m.Payload, d.dev.NumBlocks())
@@ -279,19 +308,7 @@ func (d *destRun) preCopyReceive() error {
 		d.transferred = bm
 		d.noteProgress(func(p *destProgress) { p.flags |= destBitmapSeen })
 		return nil
-	})
-	err := d.recvLoop(transport.MsgResume, handlers)
-	if err != nil {
-		return err
-	}
-	// MsgResume is a control frame too: drain before acting on it.
-	if err := d.sc.drain(); err != nil {
-		return err
-	}
-	if d.transferred == nil {
-		return fmt.Errorf("core: source resumed without sending a bitmap")
-	}
-	return nil
+	})}
 }
 
 // drainOn wraps a control-frame handler so the scatter pool is drained
@@ -303,23 +320,16 @@ func (d *destRun) drainOn(fn func(transport.Message) error) func(transport.Messa
 		if err := d.sc.drain(); err != nil {
 			return err
 		}
-		if fn == nil {
-			return nil
-		}
 		return fn(m)
 	}
 }
 
-// postCopyReceive resumes the VM behind the gate and applies pushed/pulled
-// blocks until the source reports push completion and the gate is fully
-// synchronized.
-func (d *destRun) postCopyReceive(res *DestResult) error {
-	// CPU was installed during pre-copy receive; surface it on the result.
-	res.CPU = d.host.VM.CPU()
-	gate := blkback.NewPostCopyGate(d.dev, d.host.VM.DomainID, d.transferred, func(n int) error {
-		return d.destSend(transport.Message{Type: transport.MsgPullRequest, Arg: uint64(n)})
-	}, d.clk)
-	res.Gate = gate
+// resumeVM starts the guest on this host and tells the source, ending the
+// downtime. A scheme that leaves blocks behind passes the gate the guest's
+// I/O must go through from now on.
+func (d *destRun) resumeVM(gate *blkback.PostCopyGate) error {
+	// CPU was installed by its handler; surface it on the result.
+	d.res.CPU, d.res.Gate = d.host.VM.CPU(), gate
 	if err := d.host.VM.Resume(); err != nil {
 		return fmt.Errorf("core: resume: %w", err)
 	}
@@ -327,51 +337,56 @@ func (d *destRun) postCopyReceive(res *DestResult) error {
 	// The flag is raised before RESUMED is sent: if that send dies with the
 	// link, the reconnect ack must already tell the source the VM runs here.
 	d.noteProgress(func(p *destProgress) { p.flags |= destResumed })
-	if d.cfg.OnResume != nil {
+	if gate != nil && d.cfg.OnResume != nil {
 		d.cfg.OnResume(gate)
 	}
-	if err := d.destSend(transport.Message{Type: transport.MsgResumed}); err != nil {
+	d.postStart = d.clk.Now()
+	return d.destSend(transport.Message{Type: transport.MsgResumed})
+}
+
+// resumeBehindGate resumes the VM behind a post-copy gate over the freeze
+// bitmap; the gate faults blocks in from the source with pull requests.
+func (d *destRun) resumeBehindGate() error {
+	if d.transferred == nil {
+		return fmt.Errorf("core: source resumed without sending a bitmap")
+	}
+	return d.resumeVM(blkback.NewPostCopyGate(d.dev, d.host.VM.DomainID, d.transferred, func(n int) error {
+		return d.destSend(transport.Message{Type: transport.MsgPullRequest, Arg: uint64(n)})
+	}, d.clk))
+}
+
+// gateData applies one pushed or pulled data frame through the gate, whose
+// internal locking keeps each ReceiveBlock atomic against the resumed guest's
+// reads and writes, so the write gate stays correct under the pool's
+// concurrency.
+func (d *destRun) gateData(sc *scatterPool) frameHandlers {
+	receive := d.res.Gate.ReceiveBlock // bound once, not per frame
+	data := func(m transport.Message) error {
+		_, err := d.applyData(m, sc, receive)
 		return err
 	}
-	d.postStart = d.clk.Now()
+	return frameHandlers{transport.MsgBlockData: data, transport.MsgExtent: data}
+}
 
-	// Apply pushed/pulled blocks until the source reports push completion.
-	// The scatter pool applies extents concurrently; the gate's internal
-	// locking keeps each ReceiveBlock atomic against the resumed guest's
-	// reads and writes, so the write gate stays correct under concurrency.
-	receive := gate.ReceiveBlock // bound once, not per frame
-	pushDone := false
-	for {
-		if pushDone {
-			if err := d.sc.drain(); err != nil {
-				return err
-			}
-			if gate.Synchronized() {
-				break
-			}
-		}
-		m, err := d.destRecv()
-		if err != nil {
-			return fmt.Errorf("core: post-copy receive: %w", err)
-		}
-		d.noteWire()
-		switch m.Type {
-		case transport.MsgBlockData, transport.MsgExtent:
-			if _, err := d.applyData(m, d.sc, receive); err != nil {
-				return err
-			}
-		case transport.MsgPushDone:
-			if err := d.sc.drain(); err != nil {
-				return err
-			}
-			pushDone = true
-			d.noteProgress(func(p *destProgress) { p.flags |= destPushDone })
-		case transport.MsgError:
-			return fmt.Errorf("core: source error: %s", m.Payload)
-		default:
-			return fmt.Errorf("core: unexpected message %v in post-copy", m.Type)
-		}
+// postCopyReceive applies pushed/pulled blocks until the source reports push
+// completion, by which point every block of the freeze bitmap has arrived or
+// been overwritten here, and reports the disk synchronized.
+func (d *destRun) postCopyReceive() error {
+	if err := d.recvLoop(transport.MsgPushDone, d.gateData(d.sc)); err != nil {
+		return err
+	}
+	if err := d.sc.drain(); err != nil {
+		return err
+	}
+	d.noteProgress(func(p *destProgress) { p.flags |= destPushDone })
+	if n := d.res.Gate.RemainingDirty(); n != 0 {
+		return fmt.Errorf("core: push done with %d blocks still inconsistent", n)
 	}
 	d.noteProgress(func(p *destProgress) { p.flags |= destSynced })
+	return d.done()
+}
+
+// done tells the source the destination no longer depends on it.
+func (d *destRun) done() error {
 	return d.destSend(transport.Message{Type: transport.MsgDone})
 }

@@ -285,18 +285,18 @@ func (e *env) runRacing(cfg Config, resendAll bool) (*metrics.Report, *DestResul
 	}
 	cfg.OnResume = e.router.ResumeGate
 
-	tr, err := newTransfer(srcCfg.withDefaults(), e.src, guest, "TPM", "source")
+	s, err := newSourceRun(srcCfg, e.src, guest, "TPM")
 	if err != nil {
 		e.t.Fatal(err)
 	}
-	tr.resendAll = resendAll
+	s.resendAll = resendAll
 	type srcOut struct {
 		rep *metrics.Report
 		err error
 	}
 	srcCh := make(chan srcOut, 1)
 	go func() {
-		rep, err := (&sourceRun{transfer: tr}).run(nil)
+		rep, err := s.run(s.tpmPhases(nil))
 		srcCh <- srcOut{rep, err}
 	}()
 	res, err := MigrateDest(cfg, e.dst, e.connDst)

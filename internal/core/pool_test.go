@@ -79,8 +79,8 @@ func TestWireTraceReadaheadEquivalence(t *testing.T) {
 				}
 				cfg := tc.cfg
 				cfg.MaxExtentBlocks, cfg.Readahead = 8, readahead
-				src, dst := runTraced(t, e, cfg, nil)
-				return append(src, dst...)
+				runTracedTPM(wholeDisk)(t, e, cfg, cfg)
+				return append(e.connSrc.trace(), e.connDst.trace()...)
 			}
 			seq := run(0)
 			ra := run(4)

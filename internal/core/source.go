@@ -17,9 +17,9 @@ import (
 // passes to the engine, which drops from it the blocks it defers to a later
 // iteration (see owedCursor).
 //
-// The migration is a pipeline of named phases — handshake, disk pre-copy,
+// The migration is a list of named phases — handshake, disk pre-copy,
 // memory pre-copy, freeze-and-copy, post-copy — each announced on
-// cfg.OnEvent. With Config.MaxRetries and Redial set, the pipeline is
+// cfg.OnEvent. With Config.MaxRetries and Redial set, the list is
 // resumable: progress is checkpointed at phase and iteration boundaries and
 // a connection failure re-dials, re-negotiates the session, and re-enters
 // the interrupted phase sending only the blocks still owed. On success the
@@ -27,43 +27,57 @@ import (
 // arrives, the source machine may be shut down) and the report carries every
 // §III-A metric the source can observe.
 func MigrateSource(cfg Config, host Host, conn transport.Conn, initial *bitmap.Bitmap) (*metrics.Report, error) {
-	cfg = cfg.withDefaults()
 	scheme := "TPM"
 	if initial != nil {
 		scheme = "IM"
 	}
-	tr, err := newTransfer(cfg, host, conn, scheme, "source")
+	s, err := newSourceRun(cfg, host, conn, scheme)
 	if err != nil {
-		return &metrics.Report{Scheme: scheme}, err
+		return s.rep, err
 	}
-	s := &sourceRun{transfer: tr}
-	rep, err := s.run(initial)
-	tr.ev.finish(err)
-	if err != nil {
-		// best-effort abort notification
-		_ = tr.conn.Send(transport.Message{Type: transport.MsgError, Payload: []byte(err.Error())})
-		return rep, err
-	}
-	return rep, nil
+	return s.run(s.tpmPhases(initial))
 }
 
-// Pipeline cursor positions of the source run. The cursor advances as
-// phases complete, and is where a resumed session re-enters.
+// Cursor positions of the TPM/IM phase list: the indices a resumed session
+// re-enters at.
 const (
 	curHandshake = iota
 	curDisk
 	curMem
 	curFreeze
 	curPost
-	curDone
 )
 
+// tpmPhases is the TPM/IM scheme. It is the one list that arms the reply
+// mailbox (dedup and delta ride it) and, with MaxRetries, the checkpoints the
+// retry loop in run rewinds to; every other scheme runs literal and fail-fast.
+func (s *sourceRun) tpmPhases(initial *bitmap.Bitmap) []phase {
+	s.awaitReply = s.waitReply
+	if s.cfg.MaxRetries > 0 {
+		s.journal.Path = s.cfg.JournalPath
+		s.ckpt = s.checkpoint
+		s.resumeIter = make(map[string]*iterResume)
+		s.diskIterBMs = make(map[int]*bitmap.Bitmap)
+		s.memIterBMs = make(map[int]*bitmap.Bitmap)
+	}
+	return []phase{
+		curHandshake: {PhaseHandshake, s.startup},
+		// Pre-copy: disk first, then memory (§IV-B: "disk storage data are
+		// pre-copied before memory copying because memory dirty rate is much
+		// higher").
+		curDisk:   {PhaseDiskPreCopy, func() error { return s.diskPreCopy(initial) }},
+		curMem:    {PhaseMemPreCopy, s.memPreCopy},
+		curFreeze: {PhaseFreezeCopy, s.freezeAndCopy},
+		curPost:   {PhasePostCopy, s.postCopy},
+	}
+}
+
+// sourceRun is the source endpoint of every scheme: the steps below, each
+// written once, chained by a scheme's phase list.
 type sourceRun struct {
 	*transfer
 
-	rep     *metrics.Report
-	initial *bitmap.Bitmap
-	cursor  int
+	cursor  int // index into the phase list; where a resumed session re-enters
 	journal Journal
 
 	// Per-iteration pending bitmaps, kept while the session is resumable.
@@ -74,7 +88,7 @@ type sourceRun struct {
 	diskIterBMs map[int]*bitmap.Bitmap
 	memIterBMs  map[int]*bitmap.Bitmap
 
-	// post-copy coordination (set by the reader goroutine)
+	// destination → source mailboxes, filled by the one reader goroutine
 	pullCh     chan int
 	resumedCh  chan time.Duration // destination resume observed (clock time)
 	doneCh     chan error
@@ -99,121 +113,42 @@ type sourceRun struct {
 	epochTried uint32 // highest epoch ever offered; epochs must never repeat
 }
 
-func (s *sourceRun) run(initial *bitmap.Bitmap) (*metrics.Report, error) {
-	dev := s.host.Backend.Device()
-	mem := s.host.VM.Memory()
-	rep := &metrics.Report{
-		Scheme:      "TPM",
-		DiskBytes:   blockdev.Capacity(dev),
-		MemoryBytes: int64(mem.NumPages()) * int64(mem.PageSize()),
-	}
-	if initial != nil {
-		rep.Scheme = "IM"
-	}
-	s.rep = rep
-	s.initial = initial
-	if s.cfg.MaxRetries > 0 {
-		s.journal.Path = s.cfg.JournalPath
-		s.ckpt = s.checkpoint
-		s.resumeIter = make(map[string]*iterResume)
-		s.diskIterBMs = make(map[int]*bitmap.Bitmap)
-		s.memIterBMs = make(map[int]*bitmap.Bitmap)
-	}
+// newSourceRun assembles the source endpoint of scheme over conn. The report
+// carries the host's geometry even when the substrate cannot be built.
+func newSourceRun(cfg Config, host Host, conn transport.Conn, scheme string) (*sourceRun, error) {
+	tr, err := newTransfer(cfg.withDefaults(), host, conn, scheme, "source")
+	mem := host.VM.Memory()
+	tr.rep.DiskBytes = blockdev.Capacity(host.Backend.Device())
+	tr.rep.MemoryBytes = int64(mem.NumPages()) * int64(mem.PageSize())
+	return &sourceRun{transfer: tr}, err
+}
 
-	attempt := 0
-	for {
-		err := s.runFromCursor()
-		if err == nil {
-			break
-		}
-		if !s.canResume(err) {
-			return rep, err
-		}
+// run executes the scheme's phase list and closes the report. A list that
+// armed checkpoints (tpmPhases) rides out connection failures: each one
+// re-dials, and the list re-enters at the cursor reconnect left behind.
+func (s *sourceRun) run(phases []phase) (*metrics.Report, error) {
+	err := s.runPhases(phases, &s.cursor)
+	for attempt := 0; err != nil && s.canResume(err); err = s.runPhases(phases, &s.cursor) {
 		redialed := false
-		for attempt < s.cfg.MaxRetries {
+		for !redialed && attempt < s.cfg.MaxRetries {
 			attempt++
-			if rerr := s.reconnect(attempt); rerr == nil {
-				redialed = true
-				break
-			}
+			redialed = s.reconnect(attempt) == nil
 		}
 		if !redialed {
-			return rep, fmt.Errorf("core: retries exhausted: %w", err)
+			err = fmt.Errorf("core: retries exhausted: %w", err)
+			break
 		}
 	}
-	rep.TotalTime = s.clk.Now() - s.start
-	rep.MigratedBytes = s.meter.BytesSent() + s.meter.BytesReceived()
-	rep.DedupBlocks = s.dedupBlocks
-	rep.DeltaBlocks = s.deltaBlocks
-
-	// Finite dependency achieved: the source copy can be shut down.
-	s.host.VM.Stop()
-	return rep, nil
-}
-
-// runFromCursor executes the pipeline from the current cursor position,
-// emitting the same phase events a straight-through run produces.
-func (s *sourceRun) runFromCursor() error {
-	for {
-		switch s.cursor {
-		case curHandshake:
-			if err := s.phaseStep(PhaseHandshake, s.startup); err != nil {
-				return err
-			}
-			s.cursor = curDisk
-		case curDisk:
-			// Pre-copy: disk first, then memory (§IV-B: "disk storage data
-			// are pre-copied before memory copying because memory dirty rate
-			// is much higher").
-			if err := s.phaseStep(PhaseDiskPreCopy, func() error { return s.diskPreCopy(s.rep, s.initial) }); err != nil {
-				return err
-			}
-			delete(s.resumeIter, PhaseDiskPreCopy)
-			s.cursor = curMem
-		case curMem:
-			err := s.phaseStep(PhaseMemPreCopy, func() error {
-				if err := s.memPreCopy(s.rep); err != nil {
-					return err
-				}
-				s.rep.PreCopyTime = s.clk.Now() - s.start
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			delete(s.resumeIter, PhaseMemPreCopy)
-			s.cursor = curFreeze
-		case curFreeze:
-			if err := s.phaseStep(PhaseFreezeCopy, func() error { return s.freezeAndCopy(s.rep) }); err != nil {
-				return err
-			}
-			s.cursor = curPost
-		case curPost:
-			if err := s.phaseStep(PhasePostCopy, func() error { return s.postCopy(s.rep) }); err != nil {
-				return err
-			}
-			s.cursor = curDone
-		default:
-			if s.ckpt != nil {
-				_ = s.journal.Checkpoint(JournalState{Token: s.sess.token, Epoch: s.sess.epoch, Phase: "done"})
-			}
-			return nil
-		}
+	if err == nil && s.ckpt != nil {
+		_ = s.journal.Checkpoint(JournalState{Token: s.sess.token, Epoch: s.sess.epoch, Phase: "done"})
 	}
-}
-
-// phaseStep runs one named phase with its start/end events.
-func (s *sourceRun) phaseStep(name string, fn func() error) error {
-	s.ev.phaseStart(name)
-	if err := fn(); err != nil {
-		return err
-	}
-	s.ev.phaseEnd(name)
-	return nil
+	s.rep.DedupBlocks = s.dedupBlocks
+	s.rep.DeltaBlocks = s.deltaBlocks
+	return s.rep, s.finish(err)
 }
 
 // startup is the handshake phase body: the HELLO exchange plus starting the
-// destination reader before any pull/ack traffic flows.
+// one destination reader before any pull/ack traffic flows.
 func (s *sourceRun) startup() error {
 	if err := s.handshake(); err != nil {
 		return err
@@ -222,7 +157,6 @@ func (s *sourceRun) startup() error {
 	s.resumedCh = make(chan time.Duration, 1)
 	s.doneCh = make(chan error, 1)
 	s.replies = make(chan transport.Message, 8)
-	s.awaitReply = s.waitReply
 	s.startReader()
 	return nil
 }
@@ -269,7 +203,7 @@ func (s *sourceRun) postReply(m transport.Message) {
 }
 
 // dropReplies empties the mailbox and the refusal list of a dead epoch: the
-// next runFromCursor re-requests whatever it re-sends (the destination stages
+// re-entered phase re-requests whatever it re-sends (the destination stages
 // against the newest advert only), and a refused extent was never confirmed
 // received, so the owed-set reconciliation re-sends it anyway.
 func (s *sourceRun) dropReplies() {
@@ -295,9 +229,10 @@ func (s *sourceRun) startReader() {
 }
 
 // canResume reports whether err is a connection failure a negotiated
-// resumable session can ride out.
+// resumable session can ride out. Only a list that armed checkpoints has
+// anything to re-enter from: every other scheme stays fail-fast.
 func (s *sourceRun) canResume(err error) bool {
-	return s.cfg.MaxRetries > 0 && s.cfg.Redial != nil &&
+	return s.ckpt != nil && s.cfg.Redial != nil &&
 		s.sess.isResumable() && transport.IsConnError(err)
 }
 
@@ -335,7 +270,7 @@ func (s *sourceRun) backoffFor(attempt int) time.Duration {
 
 // reconnect tears down the dead link, re-dials, runs the session-resume
 // exchange, and re-positions the pipeline from the destination's progress
-// record so the next runFromCursor sends only what is still owed.
+// record so the re-entered phase list sends only what is still owed.
 func (s *sourceRun) reconnect(attempt int) error {
 	// Quiesce: kill the dead link so the reader unblocks, wait for it to
 	// exit, and consume any failure it reported (a clean DONE is latched —
@@ -518,15 +453,9 @@ func (s *sourceRun) applyDestProgress(p destProgress) {
 	}
 }
 
-// freezeAndCopy suspends the VM and transfers the final dirty pages, CPU
-// state, and the block-bitmap of all inconsistent blocks — the only disk
-// state transferred during downtime (§IV-A-3). The phase ends when the
-// destination reports the VM running, which bounds the measured downtime.
-// On re-entry after a reconnect the VM is already suspended and the captured
-// page/bitmap sets are re-sent verbatim; the destination applies duplicates
-// idempotently.
-func (s *sourceRun) freezeAndCopy(rep *metrics.Report) error {
-	mem := s.host.VM.Memory()
+// suspend freezes the guest — once: re-entry after a reconnect finds it
+// frozen — and tells the destination.
+func (s *sourceRun) suspend() error {
 	if !s.suspended {
 		if s.cfg.OnFreeze != nil {
 			s.cfg.OnFreeze()
@@ -538,58 +467,104 @@ func (s *sourceRun) freezeAndCopy(rep *metrics.Report) error {
 		s.suspended = true
 		s.ev.suspended()
 	}
-	if err := s.send(transport.Message{Type: transport.MsgSuspend}, false); err != nil {
-		return err
-	}
-	// Remaining dirty memory pages and CPU state. The sets are captured
-	// once — the VM is frozen, so they cannot grow — and retained for
-	// re-sending if the link dies mid-phase.
-	if s.freezePages == nil {
-		s.freezePages = mem.SwapDirty()
-		s.host.Backend.StopTracking()
-		s.finalDirty = s.host.Backend.SwapDirty()
-		if s.ckpt != nil {
-			_ = s.journal.Checkpoint(JournalState{
-				Token: s.sess.token, Epoch: s.sess.epoch,
-				Phase: PhaseFreezeCopy, Pending: s.finalDirty,
-			})
-		}
-	}
-	nPages, pageBytes, err := s.sendPages(allOf(s.freezePages), false)
-	if err != nil {
-		return err
-	}
-	rep.MemIterations = append(rep.MemIterations, metrics.Iteration{
-		Index: len(rep.MemIterations) + 1, Units: nPages, Bytes: pageBytes,
+	return s.send(transport.Message{Type: transport.MsgSuspend}, false)
+}
+
+// sendFinalPages sends the pages of set inside the freeze, unpaced, and books
+// them as the last memory iteration.
+func (s *sourceRun) sendFinalPages(set *bitmap.Bitmap) error {
+	nPages, pageBytes, err := s.sendPages(allOf(set), false)
+	s.rep.MemIterations = append(s.rep.MemIterations, metrics.Iteration{
+		Index: len(s.rep.MemIterations) + 1, Units: nPages, Bytes: pageBytes,
 		Duration: s.clk.Now() - s.freezeStart,
 	})
-	cpu := s.host.VM.CPU()
-	if err := s.send(transport.Message{Type: transport.MsgCPUState, Payload: cpu.Registers}, false); err != nil {
-		return err
-	}
-	// The block-bitmap of all inconsistent blocks.
-	bmBytes, err := s.finalDirty.MarshalBinary()
+	return err
+}
+
+// sendCPU sends the frozen guest's registers.
+func (s *sourceRun) sendCPU() error {
+	return s.send(transport.Message{Type: transport.MsgCPUState, Payload: s.host.VM.CPU().Registers}, false)
+}
+
+// sendBitmap sends the block-bitmap of all blocks the destination must treat
+// as inconsistent after resume.
+func (s *sourceRun) sendBitmap(bm *bitmap.Bitmap) error {
+	payload, err := bm.MarshalBinary()
 	if err != nil {
 		return err
 	}
-	if err := s.send(transport.Message{Type: transport.MsgBitmap, Payload: bmBytes}, false); err != nil {
-		return err
-	}
-	if err := s.send(transport.Message{Type: transport.MsgResume}, false); err != nil {
-		return err
-	}
-	// Downtime ends when the destination reports the VM running.
+	return s.send(transport.Message{Type: transport.MsgBitmap, Payload: payload}, false)
+}
+
+// orderResume tells the destination it holds everything the guest needs to
+// run.
+func (s *sourceRun) orderResume() error {
+	return s.send(transport.Message{Type: transport.MsgResume}, false)
+}
+
+// awaitResumed blocks until the destination reports the VM running, which
+// ends the measured downtime.
+func (s *sourceRun) awaitResumed() error {
 	select {
 	case at := <-s.resumedCh:
-		rep.Downtime = at - s.freezeStart
-		s.ev.resumed()
+		s.noteResumed(at)
+		return nil
 	case err := <-s.doneCh:
 		if err == nil {
 			err = fmt.Errorf("core: connection closed before resume")
 		}
 		return err
 	}
+}
+
+// noteResumed books the end of the downtime at clock time at.
+func (s *sourceRun) noteResumed(at time.Duration) {
+	s.rep.Downtime = at - s.freezeStart
+	s.ev.resumed()
+}
+
+// waitDone blocks until the destination reports itself complete. That is the
+// finite dependency achieved: the source copy can be shut down.
+func (s *sourceRun) waitDone() error {
+	if !s.doneSeen {
+		if err := <-s.doneCh; err != nil {
+			return err
+		}
+	}
+	s.host.VM.Stop()
 	return nil
+}
+
+// freezeAndCopy suspends the VM and transfers the final dirty pages, CPU
+// state, and the block-bitmap of all inconsistent blocks — the only disk
+// state transferred during downtime (§IV-A-3). The phase ends when the
+// destination reports the VM running. On re-entry after a reconnect the
+// captured page/bitmap sets are re-sent verbatim; the destination applies
+// duplicates idempotently.
+func (s *sourceRun) freezeAndCopy() error {
+	if err := s.suspend(); err != nil {
+		return err
+	}
+	// The sets are captured once — the VM is frozen, so they cannot grow —
+	// and retained for re-sending if the link dies mid-phase.
+	if s.freezePages == nil {
+		s.freezePages = s.host.VM.Memory().SwapDirty()
+		s.host.Backend.StopTracking()
+		s.finalDirty = s.host.Backend.SwapDirty()
+		s.checkpointFreeze(PhaseFreezeCopy)
+	}
+	return steps(
+		func() error { return s.sendFinalPages(s.freezePages) },
+		s.sendCPU,
+		func() error { return s.sendBitmap(s.finalDirty) },
+		s.orderResume, s.awaitResumed)()
+}
+
+// checkpointFreeze journals the freeze bitmap as what a cold resume owes.
+func (s *sourceRun) checkpointFreeze(phase string) {
+	if s.ckpt != nil {
+		_ = s.journal.Checkpoint(JournalState{Token: s.sess.token, Epoch: s.sess.epoch, Phase: phase, Pending: s.finalDirty})
+	}
 }
 
 // postCopy pushes all blocks in the freeze bitmap, serving pulls
@@ -597,78 +572,76 @@ func (s *sourceRun) freezeAndCopy(rep *metrics.Report) error {
 // fully-synchronized acknowledgement. Re-entry after a reconnect re-pushes
 // the whole freeze set: frames in flight when the link died are
 // unconfirmed, and the destination gate drops duplicates as stale.
-func (s *sourceRun) postCopy(rep *metrics.Report) error {
+func (s *sourceRun) postCopy() error {
 	postStart := s.clk.Now()
-	if s.ckpt != nil {
-		_ = s.journal.Checkpoint(JournalState{
-			Token: s.sess.token, Epoch: s.sess.epoch,
-			Phase: PhasePostCopy, Pending: s.finalDirty,
-		})
-	}
-	if s.doneSeen {
-		rep.PostCopyTime = s.clk.Now() - postStart
-		return nil
-	}
-	if !s.skipPush {
-		if err := s.pushBlocks(rep, s.finalDirty); err != nil {
+	s.checkpointFreeze(PhasePostCopy)
+	if !s.doneSeen && !s.skipPush {
+		if err := s.pushBlocks(s.finalDirty); err != nil {
 			return err
 		}
 	}
-	if err := <-s.doneCh; err != nil {
+	if err := s.waitDone(); err != nil {
 		return err
 	}
-	rep.PostCopyTime = s.clk.Now() - postStart
+	s.rep.PostCopyTime = s.clk.Now() - postStart
+	return nil
+}
+
+// sendExtent reads ext from the source read path into *buf, grown from the
+// pool as needed, and sends it unpaced.
+func (s *sourceRun) sendExtent(ext bitmap.Extent, buf *[]byte) error {
+	need := ext.Count * s.srcDev.BlockSize()
+	if cap(*buf) < need {
+		transport.PutBuf(*buf)
+		*buf = transport.GetBuf(need)
+	}
+	data := (*buf)[:need]
+	if err := readExtent(s.srcDev, ext, data); err != nil {
+		return err
+	}
+	return s.send(extentMessage(ext, data), false)
+}
+
+// servePull answers one pull request. Pull replies always travel as single
+// blocks.
+func (s *sourceRun) servePull(n int, buf *[]byte) error {
+	if err := s.sendExtent(bitmap.Extent{Start: n, Count: 1}, buf); err != nil {
+		return err
+	}
+	s.rep.BlocksPulled++
+	s.ev.pullServed(n)
 	return nil
 }
 
 // pushBlocks pushes every block of bm to the destination, serving queued
-// pull requests first ("sends the pulled block preferentially"). Pull
-// replies always travel as single blocks; the background push coalesces the
-// remaining set into extents at the policy's live limit.
-func (s *sourceRun) pushBlocks(rep *metrics.Report, bm *bitmap.Bitmap) error {
-	dev := s.srcDev
-	bs := dev.BlockSize()
+// pull requests first ("sends the pulled block preferentially"); the
+// background push coalesces the remaining set into extents at the policy's
+// live limit.
+func (s *sourceRun) pushBlocks(bm *bitmap.Bitmap) error {
 	var buf []byte
 	defer func() { transport.PutBuf(buf) }()
-	sendExtent := func(e bitmap.Extent) error {
-		if need := e.Count * bs; cap(buf) < need {
-			transport.PutBuf(buf)
-			buf = transport.GetBuf(need)
-		}
-		data := buf[:e.Count*bs]
-		if err := readExtent(dev, e, data); err != nil {
-			return err
-		}
-		return s.send(extentMessage(e, data), false)
-	}
 	remaining := bm.Clone()
 	for {
-		// Serve every queued pull first.
-		for {
-			select {
-			case n := <-s.pullCh:
-				if remaining.Test(n) { // not yet pushed
-					if err := sendExtent(bitmap.Extent{Start: n, Count: 1}); err != nil {
-						return err
-					}
-					remaining.Clear(n)
-					rep.BlocksPulled++
-					s.ev.pullServed(n)
+		select {
+		case n := <-s.pullCh:
+			if remaining.Test(n) { // not yet pushed
+				if err := s.servePull(n, &buf); err != nil {
+					return err
 				}
-				continue
-			default:
+				remaining.Clear(n)
 			}
-			break
+			continue
+		default:
 		}
 		ext := remaining.NextExtent(0, s.extentBlocks(PhasePostCopy))
 		if ext.Count == 0 {
 			break
 		}
-		if err := sendExtent(ext); err != nil {
+		if err := s.sendExtent(ext, &buf); err != nil {
 			return err
 		}
 		remaining.ClearRange(ext.Start, ext.End())
-		rep.BlocksPushed += ext.Count
+		s.rep.BlocksPushed += ext.Count
 	}
 	return s.send(transport.Message{Type: transport.MsgPushDone}, false)
 }
@@ -686,6 +659,12 @@ func (s *sourceRun) readLoop(done chan struct{}) {
 		}
 		switch m.Type {
 		case transport.MsgPullRequest:
+			// Checked here, once, for every consumer of pullCh: a block number
+			// past the device would index the push set out of range.
+			if m.Arg >= uint64(s.dev.NumBlocks()) {
+				s.doneCh <- fmt.Errorf("core: pull request for block %d outside %d-block VBD", m.Arg, s.dev.NumBlocks())
+				return
+			}
 			s.pullCh <- int(m.Arg)
 		case transport.MsgHashWant:
 			if !s.cfg.Dedup {

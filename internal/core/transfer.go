@@ -17,13 +17,26 @@ import (
 // connection decoration (metering, negotiated compression, policy pacing),
 // the handshake, the block/extent/page send paths, the iterative pre-copy
 // scaffolding, and the destination-side frame appliers. TPM, IM, and the
-// three comparison baselines are phase pipelines over these primitives —
-// they differ in which phases they chain, not in how bytes move.
+// three comparison baselines are phase lists over these primitives — they
+// differ in which steps their phases chain, not in how bytes move.
 
-// phase is one named step of a migration pipeline.
+// phase is one named entry of a scheme's phase list.
 type phase struct {
 	name string
 	run  func() error
+}
+
+// steps chains step functions into one phase body, stopping at the first
+// error.
+func steps(fns ...func() error) func() error {
+	return func() error {
+		for _, fn := range fns {
+			if err := fn(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // transfer is the per-endpoint substrate state.
@@ -39,6 +52,7 @@ type transfer struct {
 	pol    Policy
 	ev     *emitter
 	start  time.Duration
+	rep    *metrics.Report // this endpoint's view of the run
 
 	// resendAll makes pre-copy passes send units that are already dirty
 	// again, as the engine did before owedCursor learned to skip them. Only
@@ -81,9 +95,7 @@ type transfer struct {
 // CPU and dirty-tracking phases.
 func newTransfer(cfg Config, host Host, conn transport.Conn, scheme, side string) (*transfer, error) {
 	t, err := newDiskTransfer(cfg, host.Backend.Device(), conn, scheme, side)
-	if err == nil {
-		t.host = host
-	}
+	t.host = host
 	return t, err
 }
 
@@ -92,9 +104,11 @@ func newTransfer(cfg Config, host Host, conn transport.Conn, scheme, side string
 // innermost (it counts actual wire bytes) with compression above it when
 // negotiated; a resumable session slips a rebindable shim underneath so a
 // reconnect swaps the dead link without disturbing metering or negotiated
-// compression.
+// compression. The transfer is never nil: on error it still carries the
+// (empty) report the entry points hand back.
 func newDiskTransfer(cfg Config, dev blockdev.Device, conn transport.Conn, scheme, side string) (*transfer, error) {
 	t := &transfer{cfg: cfg, dev: dev, srcDev: dev, clk: cfg.Clock, pol: cfg.Policy, sess: &session{}}
+	t.rep = &metrics.Report{Scheme: scheme}
 	if (side == "source" && cfg.MaxRetries > 0) || (side != "source" && cfg.WaitReconnect != nil) {
 		t.swap = transport.NewSwappable(conn)
 		conn = t.swap
@@ -104,7 +118,7 @@ func newDiskTransfer(cfg Config, dev blockdev.Device, conn transport.Conn, schem
 	if cfg.CompressLevel != 0 {
 		cc, err := transport.NewCompressedPolicy(t.meter, cfg.CompressLevel, t.pol.CompressPayload, t.pol.ObserveCompression)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		t.conn = cc
 	}
@@ -114,17 +128,33 @@ func newDiskTransfer(cfg Config, dev blockdev.Device, conn transport.Conn, schem
 	return t, nil
 }
 
-// runPhases executes the pipeline, announcing each phase on the event
-// stream. The terminal Completed/Failed event is the caller's to emit
-// (via ev.finish) once scheme-specific bookkeeping is done.
-func (t *transfer) runPhases(phases ...phase) error {
-	for _, ph := range phases {
+// runPhases is the one phase runner: it executes phases from *cursor on,
+// announcing each on the event stream and advancing the cursor as each
+// completes, so a caller that repositions the cursor after a failure re-enters
+// the list there with the same events a straight-through run produces.
+func (t *transfer) runPhases(phases []phase, cursor *int) error {
+	for *cursor < len(phases) {
+		ph := phases[*cursor]
 		t.ev.phaseStart(ph.name)
 		if err := ph.run(); err != nil {
 			return err
 		}
 		t.ev.phaseEnd(ph.name)
+		*cursor++
 	}
+	return nil
+}
+
+// finish closes the run on either side: the terminal event, then the
+// report's totals or, on failure, a best-effort abort notice to the peer.
+func (t *transfer) finish(err error) error {
+	t.ev.finish(err)
+	if err != nil {
+		_ = t.conn.Send(transport.Message{Type: transport.MsgError, Payload: []byte(err.Error())})
+		return err
+	}
+	t.rep.TotalTime = t.clk.Now() - t.start
+	t.rep.MigratedBytes = t.meter.BytesSent() + t.meter.BytesReceived()
 	return nil
 }
 
@@ -643,7 +673,7 @@ func (t *transfer) preCopyLoop(sp preCopySpec, initial *bitmap.Bitmap) error {
 // initial set (whole disk, or an incremental bitmap); iteration k sends the
 // blocks dirtied during k-1. The remaining dirty blocks stay in the backend
 // bitmap and ride to the destination in freeze-and-copy.
-func (t *transfer) diskPreCopy(rep *metrics.Report, initial *bitmap.Bitmap) error {
+func (t *transfer) diskPreCopy(initial *bitmap.Bitmap) error {
 	dev := t.host.Backend.Device()
 	t.host.Backend.StartTracking()
 	toSend := initial
@@ -667,17 +697,19 @@ func (t *transfer) diskPreCopy(rep *metrics.Report, initial *bitmap.Bitmap) erro
 		dirtyCount: t.host.Backend.DirtyCount,
 		swapDirty:  t.host.Backend.SwapDirty,
 		record: func(it metrics.Iteration) {
-			rep.DiskIterations = append(rep.DiskIterations, it)
+			t.rep.DiskIterations = append(t.rep.DiskIterations, it)
 		},
 	}, toSend)
 }
 
 // memPreCopy runs the Xen-style iterative memory pre-copy: iteration 1 sends
 // every page, later iterations send pages dirtied during the previous one.
-func (t *transfer) memPreCopy(rep *metrics.Report) error {
+// Memory goes last in every scheme that pre-copies, so its end is the end of
+// pre-copy.
+func (t *transfer) memPreCopy() error {
 	mem := t.host.VM.Memory()
 	mem.StartTracking()
-	return t.preCopyLoop(preCopySpec{
+	err := t.preCopyLoop(preCopySpec{
 		phase:    PhaseMemPreCopy,
 		startMsg: transport.MsgMemIterStart, endMsg: transport.MsgMemIterEnd,
 		threshold: t.cfg.MemDirtyThreshold, maxIter: t.cfg.MaxMemIters,
@@ -688,9 +720,11 @@ func (t *transfer) memPreCopy(rep *metrics.Report) error {
 		dirtyCount: mem.DirtyCount,
 		swapDirty:  mem.SwapDirty,
 		record: func(it metrics.Iteration) {
-			rep.MemIterations = append(rep.MemIterations, it)
+			t.rep.MemIterations = append(t.rep.MemIterations, it)
 		},
 	}, bitmap.NewAllSet(mem.NumPages()))
+	t.rep.PreCopyTime = t.clk.Now() - t.start
+	return err
 }
 
 // --- Destination-side frame application ---
@@ -759,12 +793,6 @@ func sinkExtent(ext bitmap.Extent, payload []byte, bs int, sink func(block int, 
 	}
 	transport.PutBuf(payload)
 	return nil
-}
-
-// applyLiteral writes one data frame straight to the VBD, inline.
-func (t *transfer) applyLiteral(m transport.Message) error {
-	_, err := t.applyData(m, nil, t.dev.WriteBlock)
-	return err
 }
 
 // applyPage writes one MsgMemPage frame into the VM shell's memory.

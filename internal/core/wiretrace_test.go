@@ -89,24 +89,6 @@ func newTraceEnv(t *testing.T) *traceEnv {
 	return e
 }
 
-// runTraced migrates with the default config and returns both directions'
-// frame sequences.
-func runTraced(t *testing.T, e *traceEnv, cfg Config, initial *bitmap.Bitmap) (srcTrace, dstTrace []string) {
-	t.Helper()
-	srcCh := make(chan error, 1)
-	go func() {
-		_, err := MigrateSource(cfg, e.src, e.connSrc, initial)
-		srcCh <- err
-	}()
-	if _, err := MigrateDest(cfg, e.dst, e.connDst); err != nil {
-		t.Fatalf("destination: %v", err)
-	}
-	if err := <-srcCh; err != nil {
-		t.Fatalf("source: %v", err)
-	}
-	return e.connSrc.trace(), e.connDst.trace()
-}
-
 // renderTrace formats both directions as one golden document.
 func renderTrace(srcTrace, dstTrace []string) string {
 	var b strings.Builder
@@ -160,26 +142,216 @@ func checkGolden(t *testing.T, name, got string) {
 	t.Fatal("wire trace differs from golden (length mismatch)")
 }
 
-// TestWireTraceGoldenTPM proves the engine under the default config emits a
-// frame-for-frame identical wire dialogue to the seed protocol for a primary
-// (whole-disk) TPM migration: same frame types, same order, same args, same
-// payload bytes (FNV-1a hashed). Any refactor of the engine must keep this
-// green without regenerating the golden.
-func TestWireTraceGoldenTPM(t *testing.T) {
-	e := newTraceEnv(t)
-	src, dst := runTraced(t, e, Config{}, nil)
-	checkGolden(t, "wiretrace_tpm.golden", renderTrace(src, dst))
+// goldenScheme is one row of TestWireTraceGolden: a scheme run to completion
+// on the deterministic traceEnv, with the kind@phase event sequence each
+// endpoint must announce (heartbeats left out: they are throttled by byte
+// count, not part of the sequence).
+type goldenScheme struct {
+	name                 string
+	run                  func(t *testing.T, e *traceEnv, src, dst Config)
+	srcEvents, dstEvents []string
 }
 
-// TestWireTraceGoldenIM does the same for an incremental migration seeded
-// from a fixed bitmap of divergent blocks (§V).
-func TestWireTraceGoldenIM(t *testing.T) {
-	e := newTraceEnv(t)
+// await runs both endpoints (runPair) and fails the test if either does.
+func await(t *testing.T, source, dest func() error) {
+	t.Helper()
+	if srcErr, dstErr := runPair(source, dest); srcErr != nil || dstErr != nil {
+		t.Fatalf("source: %v, destination: %v", srcErr, dstErr)
+	}
+}
+
+func runTracedTPM(initial func(e *traceEnv) *bitmap.Bitmap) func(*testing.T, *traceEnv, Config, Config) {
+	return func(t *testing.T, e *traceEnv, src, dst Config) {
+		await(t,
+			func() error { _, err := MigrateSource(src, e.src, e.connSrc, initial(e)); return err },
+			func() error { _, err := MigrateDest(dst, e.dst, e.connDst); return err })
+	}
+}
+
+// wholeDisk is the primary migration's initial set: none.
+func wholeDisk(*traceEnv) *bitmap.Bitmap { return nil }
+
+// imDivergence seeds the fixed set of divergent blocks an incremental
+// migration (§V) starts from.
+func imDivergence(e *traceEnv) *bitmap.Bitmap {
 	initial := bitmap.New(testBlocks)
 	for _, n := range []int{0, 1, 2, 3, 64, 65, 66, 500, 501, 777, 1024, 2047} {
 		initial.Set(n)
 	}
 	e.src.Backend.SeedDirty(initial)
-	src, dst := runTraced(t, e, Config{}, e.src.Backend.SwapDirty())
-	checkGolden(t, "wiretrace_im.golden", renderTrace(src, dst))
+	return e.src.Backend.SwapDirty()
+}
+
+func runTracedFreezeAndCopy(t *testing.T, e *traceEnv, src, dst Config) {
+	await(t,
+		func() error { _, err := MigrateFreezeAndCopySource(src, e.src, e.connSrc); return err },
+		func() error { _, err := MigrateFreezeAndCopyDest(dst, e.dst, e.connDst); return err })
+}
+
+// runTracedOnDemand reads a fixed set of blocks through the gate once the
+// source has seen RESUMED (so RESUMED and the first PULL_REQUEST cannot swap
+// places on the wire), one at a time, then releases the source.
+func runTracedOnDemand(t *testing.T, e *traceEnv, src, dst Config) {
+	gateCh := make(chan *blkback.PostCopyGate, 1)
+	dst.OnResume = func(g *blkback.PostCopyGate) { gateCh <- g }
+	resumed := make(chan struct{})
+	src.OnEvent = ChainEvents(src.OnEvent, func(ev Event) {
+		if ev.Kind == EventResumed {
+			close(resumed)
+		}
+	})
+	release := make(chan struct{})
+	go func() {
+		defer close(release)
+		<-resumed
+		gate := <-gateCh
+		buf := make([]byte, blockdev.BlockSize)
+		for _, n := range []int{0, 3, 9, 600, 601} {
+			if err := gate.Submit(blockdev.Request{Op: blockdev.Read, Block: n, Domain: testDomain, Data: buf}); err != nil {
+				t.Errorf("on-demand read %d: %v", n, err)
+			}
+		}
+	}()
+	await(t,
+		func() error { _, err := MigrateOnDemandSource(src, e.src, e.connSrc); return err },
+		func() error { _, err := MigrateOnDemandDest(dst, e.dst, e.connDst, release); return err })
+}
+
+// runTracedDelta submits a fixed write script through the forwarder from the
+// engine's own goroutine, at three fixed points of the pipeline, so every
+// DELTA frame has one possible place in the source's send order.
+func runTracedDelta(t *testing.T, e *traceEnv, src, dst Config) {
+	fwd := NewDeltaForwarder(e.src.Backend, e.connSrc)
+	gen := uint32(0)
+	write := func(blocks ...int) {
+		buf := make([]byte, blockdev.BlockSize)
+		for _, n := range blocks {
+			gen++
+			workload.FillBlock(buf, n, gen)
+			if err := fwd.Submit(blockdev.Request{Op: blockdev.Write, Block: n, Domain: testDomain, Data: buf}); err != nil {
+				t.Errorf("scripted write %d: %v", n, err)
+			}
+		}
+	}
+	src.OnEvent = ChainEvents(src.OnEvent, func(ev Event) {
+		switch {
+		case ev.Kind == EventPhaseStart && ev.Phase == PhaseDeltaForward:
+			write(5, 5, 9, 700)
+		case ev.Kind == EventPhaseStart && ev.Phase == PhaseMemPreCopy:
+			write(5, 1500)
+		}
+	})
+	src.OnFreeze = func() { write(9) }
+	var res *DestResult
+	await(t,
+		func() error { _, err := MigrateDeltaSource(src, e.src, e.connSrc, fwd); return err },
+		func() (err error) { res, err = MigrateDeltaDest(dst, e.dst, e.connDst); return err })
+	if res.Report.StalePushes != 3 { // 5 three times, 9 twice
+		t.Errorf("%d redundant deltas, want 3", res.Report.StalePushes)
+	}
+	diffs, err := blockdev.Diff(e.dstDisk, e.srcDisk)
+	if err != nil || len(diffs) != 0 {
+		t.Errorf("replayed disk differs from the source at %d blocks (%v)", len(diffs), err)
+	}
+}
+
+// eventSeq renders an endpoint's events as kind@phase.
+func eventSeq(c *collectEvents) []string {
+	var out []string
+	for _, ev := range c.all() {
+		if ev.Kind != EventBytesTransferred {
+			out = append(out, ev.Kind.String()+"@"+ev.Phase)
+		}
+	}
+	return out
+}
+
+// phaseEvents spells "phase-start@p, inner@p..., phase-end@p".
+func phaseEvents(p string, inner ...string) []string {
+	out := []string{"phase-start@" + p}
+	for _, k := range inner {
+		out = append(out, k+"@"+p)
+	}
+	return append(out, "phase-end@"+p)
+}
+
+func seqOf(parts ...[]string) []string {
+	var out []string
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+var (
+	tpmSrcEvents = seqOf(
+		phaseEvents(PhaseHandshake),
+		phaseEvents(PhaseDiskPreCopy, "iteration-end"),
+		phaseEvents(PhaseMemPreCopy, "iteration-end"),
+		phaseEvents(PhaseFreezeCopy, "suspended", "resumed"),
+		phaseEvents(PhasePostCopy), []string{"completed@" + PhasePostCopy})
+	tpmDstEvents = seqOf(
+		phaseEvents(PhaseHandshake),
+		phaseEvents(PhaseDiskPreCopy, "iteration-end", "iteration-end", "suspended"),
+		phaseEvents(PhasePostCopy, "resumed"), []string{"completed@" + PhasePostCopy})
+)
+
+var goldenSchemes = []goldenScheme{
+	{"tpm", runTracedTPM(wholeDisk), tpmSrcEvents, tpmDstEvents},
+	{"im", runTracedTPM(imDivergence), tpmSrcEvents, tpmDstEvents},
+	{"freeze_and_copy", runTracedFreezeAndCopy,
+		seqOf(
+			phaseEvents(PhaseHandshake),
+			phaseEvents(PhaseFreezeCopy, "suspended", "resumed"), []string{"completed@" + PhaseFreezeCopy}),
+		seqOf(
+			phaseEvents(PhaseHandshake),
+			phaseEvents(PhaseFreezeCopy, "suspended"),
+			phaseEvents(PhasePostCopy, "resumed"), []string{"completed@" + PhasePostCopy})},
+	{"on_demand", runTracedOnDemand,
+		seqOf(
+			phaseEvents(PhaseHandshake),
+			phaseEvents(PhaseMemPreCopy, "iteration-end"),
+			phaseEvents(PhaseFreezeCopy, "suspended"),
+			phaseEvents(PhaseOnDemand, "resumed", "pull-served", "pull-served", "pull-served", "pull-served", "pull-served"),
+			[]string{"completed@" + PhaseOnDemand}),
+		seqOf(
+			phaseEvents(PhaseHandshake),
+			phaseEvents(PhaseMemPreCopy, "iteration-end", "suspended"),
+			phaseEvents(PhaseOnDemand, "resumed"), []string{"completed@" + PhaseOnDemand})},
+	{"delta_forward", runTracedDelta,
+		seqOf(
+			phaseEvents(PhaseHandshake),
+			phaseEvents(PhaseDeltaForward),
+			phaseEvents(PhaseMemPreCopy, "iteration-end"),
+			phaseEvents(PhaseFreezeCopy, "suspended", "resumed"), []string{"completed@" + PhaseFreezeCopy}),
+		seqOf(
+			phaseEvents(PhaseHandshake),
+			phaseEvents(PhaseDeltaForward, "suspended"),
+			phaseEvents(PhaseDeltaReplay, "resumed"), []string{"completed@" + PhaseDeltaReplay})},
+}
+
+// TestWireTraceGolden proves each scheme under the default config emits a
+// frame-for-frame identical wire dialogue to the recorded one — for TPM and IM
+// the seed protocol's, for the three comparison baselines the dialogue of
+// their hand-written pipelines before they became phase lists: same frame
+// types, same order, same args, same payload bytes (FNV-1a hashed). The same
+// run pins the event sequence each endpoint announces. Any refactor of the
+// engine must keep this green without regenerating the goldens.
+func TestWireTraceGolden(t *testing.T) {
+	for _, sc := range goldenSchemes {
+		t.Run(sc.name, func(t *testing.T) {
+			e := newTraceEnv(t)
+			var srcEvs, dstEvs collectEvents
+			sc.run(t, e, Config{OnEvent: srcEvs.handle}, Config{OnEvent: dstEvs.handle})
+			checkGolden(t, "wiretrace_"+sc.name+".golden", renderTrace(e.connSrc.trace(), e.connDst.trace()))
+			for _, side := range []struct {
+				name      string
+				got, want []string
+			}{{"source", eventSeq(&srcEvs), sc.srcEvents}, {"dest", eventSeq(&dstEvs), sc.dstEvents}} {
+				if strings.Join(side.got, " ") != strings.Join(side.want, " ") {
+					t.Errorf("%s events\n  got:  %v\n  want: %v", side.name, side.got, side.want)
+				}
+			}
+		})
+	}
 }

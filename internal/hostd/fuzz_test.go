@@ -1,0 +1,57 @@
+package hostd
+
+import (
+	"bytes"
+	"testing"
+
+	"bbmig/internal/transport"
+	"bbmig/internal/workload"
+)
+
+// FuzzAnnounce feeds unmarshalAnnounce, the first parser a listening daemon
+// runs on bytes from the network. It must never panic, and an input it
+// accepts must re-marshal to the same bytes — up to the two reads-as rules of
+// WIRE.md §6, applied to the input first: a flag is set only by the byte 1,
+// and a stream count of 0 reads as 1.
+func FuzzAnnounce(f *testing.F) {
+	good, err := announce{
+		name: "guest-7", srcHost: "machine-A",
+		geom: transport.Geometry{BlockSize: 4096, NumBlocks: 100, PageSize: 4096, NumPages: 50},
+		kind: workload.Diabolic, work: true, streams: 3, compress: -1, dedup: true, delta: true,
+	}.marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:announceHeaderLen-1])                 // shorter than the header
+	f.Add(good[:len(good)-1])                         // truncated geometry
+	f.Add(append(bytes.Clone(good), 0))               // trailing byte
+	f.Add(append([]byte{200, 0}, good[2:]...))        // name length past the payload
+	f.Add(append(bytes.Clone(good[:6]), good[7:]...)) // one header byte missing: lengths inconsistent
+	zeroGeom := bytes.Clone(good)
+	clear(zeroGeom[len(zeroGeom)-32:])
+	f.Add(zeroGeom) // well-framed, geometry invalid
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := unmarshalAnnounce(data)
+		if err != nil {
+			return
+		}
+		out, err := a.marshal()
+		if err != nil {
+			t.Fatalf("accepted announce %+v does not marshal: %v", a, err)
+		}
+		want := bytes.Clone(data)
+		for _, flag := range []int{5, 8, 9, 10, 11} {
+			if want[flag] != 1 {
+				want[flag] = 0
+			}
+		}
+		if want[6] == 0 {
+			want[6] = 1
+		}
+		if !bytes.Equal(out, want) {
+			t.Fatalf("accepted input does not round-trip:\n in:  %x\n out: %x", data, out)
+		}
+	})
+}
