@@ -50,6 +50,18 @@ var metricGates = map[string]string{
 	"SimFleetSweep/diurnal-predictive": "speedup",
 }
 
+// countGates lists the MemDelta rows' metrics: counts the engine makes on an
+// in-order send path under a progress-paced guest, so they repeat exactly and
+// are held to countTolerancePct whatever -max-regress says. All three are
+// lower-is-better except delta_pages, which only has to stay put: pages that
+// stop travelling as deltas show up as bytes in the other two.
+var countGates = []string{"freeze_bytes", "mem_bytes", "delta_pages"}
+
+const (
+	countGatePrefix   = "MemDelta/"
+	countTolerancePct = 2
+)
+
 // loadBenchFile reads a BENCH_*.json snapshot. Any schema in the
 // "bbmig-bench/v1" family is accepted — v1 snapshots simply carry no
 // allocs_per_op, and the alloc gate skips rows the baseline lacks.
@@ -202,10 +214,40 @@ func compareBench(newPath, basePath string, maxRegressPct float64) error {
 			name, base, key, got, -drop, status)
 	}
 
+	countChecked := 0
+	for _, b := range baseFile.Benchmarks {
+		if !strings.HasPrefix(b.Name, countGatePrefix) {
+			continue
+		}
+		for _, key := range countGates {
+			base, ok := b.Metrics[key]
+			if !ok {
+				continue
+			}
+			countChecked++
+			got, ok := metric(newFile, b.Name, key)
+			if !ok {
+				failures = append(failures, fmt.Sprintf("%s: metric %q missing from %s", b.Name, key, newPath))
+				continue
+			}
+			// Against max(base, 1) so a zero count (no delta ever pays for the
+			// page-rewriting guest) is gated too.
+			move := (got - base) / max(base, 1) * 100
+			bad := move > countTolerancePct || (key == "delta_pages" && move < -countTolerancePct)
+			status := "ok"
+			if bad {
+				status = "REGRESSION"
+				failures = append(failures,
+					fmt.Sprintf("%s: %s %.0f vs baseline %.0f (%+.1f%%, tolerance %d%%)", b.Name, key, got, base, move, countTolerancePct))
+			}
+			fmt.Printf("gate %-44s base %9.0f %-12s  now %9.0f  (%+.1f%%) %s\n", b.Name, base, key, got, move, status)
+		}
+	}
+
 	if len(failures) > 0 {
 		return fmt.Errorf("bench regression gate failed:\n  %s", strings.Join(failures, "\n  "))
 	}
-	fmt.Printf("bench gate passed: %d throughput + %d allocation + %d metric benchmarks within %.0f%% of %s\n",
-		checked, allocChecked, metricChecked, maxRegressPct, basePath)
+	fmt.Printf("bench gate passed: %d throughput + %d allocation + %d metric benchmarks within %.0f%%, %d counts within %d%% of %s\n",
+		checked, allocChecked, metricChecked, maxRegressPct, countChecked, countTolerancePct, basePath)
 	return nil
 }

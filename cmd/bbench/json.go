@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -173,6 +175,82 @@ func liveMigrate(b *testing.B, blocks int) {
 	}
 	b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/op")
 	b.ReportMetric(float64(skipped)/float64(b.N), "skipped/op")
+}
+
+// memDeltaMigrate runs one full TPM migration over modelled GbE under a
+// progress-paced guest that rewrites a 512-page hot set of its 2048 pages —
+// 32 pages per eight units sent, faster than the link drains them — either
+// one word at a time (wordTouch) or as whole pages. Its three counts repeat
+// exactly on the in-order send path: the bytes the destination receives
+// while the guest is frozen, the memory's wire bytes, and the pages that
+// travelled as deltas.
+func memDeltaMigrate(b *testing.B, wordTouch bool) {
+	const frameStall = 40 * time.Microsecond
+	const blocks, pages, hotPages, perRound = 1024, 2048, 512, 32
+	srcDisk := kernelImage(blocks, 2000)
+	var freeze, memBytes, deltaPages int64
+	b.SetBytes(blocks*blockdev.BlockSize + pages*vm.PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dstDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+		guest := vm.New("g", 1, pages, 256)
+		page := make([]byte, vm.PageSize)
+		for p := 0; p < pages; p++ {
+			workload.FillBlock(page, p, 7)
+			if err := guest.Memory().WritePage(p, page); err != nil {
+				b.Fatal(err)
+			}
+		}
+		src := core.Host{VM: guest, Backend: blkback.NewBackend(srcDisk, 1)}
+		dst := core.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, 1)}
+		pa, pb := transport.NewPipe(256)
+		cd := transport.NewMeter(transport.NewWAN(pb, frameStall, 125e6))
+		sent := transport.NewMeter(transport.NewWAN(pa, frameStall, 125e6))
+		cs := &workload.Paced{Conn: sent, Every: 8, Round: func(r int) {
+			for k := perRound * r; k < perRound*(r+1); k++ {
+				p := k % hotPages
+				if wordTouch {
+					workload.FillBlock(page, p, 7)
+					binary.LittleEndian.PutUint64(page, uint64(k)+1)
+				} else {
+					workload.FillBlock(page, p, uint32(k)+8)
+				}
+				if err := guest.Memory().WritePage(p, page); err != nil {
+					b.Error(err)
+				}
+			}
+		}}
+		var sentAtFreeze atomic.Int64 // set on the source's goroutine, read on the destination's
+		srcCfg := core.Config{MaxExtentBlocks: 64, OnFreeze: func() {
+			cs.Stop()
+			sentAtFreeze.Store(sent.BytesSent())
+		}}
+		dstCfg := core.Config{MaxExtentBlocks: 64, OnResume: func(*blkback.PostCopyGate) {
+			freeze += cd.BytesReceived() - sentAtFreeze.Load()
+		}}
+		errCh := make(chan error, 1)
+		go func() {
+			rep, err := core.MigrateSource(srcCfg, src, cs, nil)
+			if err == nil {
+				for _, it := range rep.MemIterations {
+					memBytes += it.Bytes
+				}
+				deltaPages += int64(rep.DeltaPages())
+			}
+			errCh <- err
+		}()
+		if _, err := core.MigrateDest(dstCfg, dst, cd); err != nil {
+			b.Fatal(err)
+		}
+		if err := <-errCh; err != nil {
+			b.Fatal(err)
+		}
+		cs.Close()
+		cd.Close()
+	}
+	b.ReportMetric(float64(freeze)/float64(b.N), "freeze_bytes")
+	b.ReportMetric(float64(memBytes)/float64(b.N), "mem_bytes")
+	b.ReportMetric(float64(deltaPages)/float64(b.N), "delta_pages")
 }
 
 // tcpMigrate runs one full migration of a kernel-build image over loopback
@@ -429,6 +507,14 @@ func runJSON(path string, seed int64) error {
 	// The same link under a guest that writes while it is migrated.
 	add("MigrateLive/rewrite",
 		testing.Benchmark(func(b *testing.B) { liveMigrate(b, blocks) }))
+
+	// Page deltas: what the freeze window and the memory pre-copy carry for a
+	// guest that touches words of its hot pages, and for one that rewrites
+	// them whole (no delta pays: the literal path's worst case).
+	add("MemDelta/word-touch",
+		testing.Benchmark(func(b *testing.B) { memDeltaMigrate(b, true) }))
+	add("MemDelta/page-rewrite",
+		testing.Benchmark(func(b *testing.B) { memDeltaMigrate(b, false) }))
 
 	// Real engine over loopback TCP: the zero-copy hot path against the raw
 	// socket floor. A 64 MiB image so the steady state, not the handshake,

@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -163,6 +165,46 @@ func TestCompareBenchAllocGate(t *testing.T) {
 }
 
 // TestCompareBenchBadFiles: unreadable or malformed snapshots error.
+// TestCompareBenchCountGate: the MemDelta rows' counts repeat exactly, so they
+// are held to 2 % whatever -max-regress allows the timed rows: growth of the
+// byte counts fails, shrinkage passes, and delta_pages may move neither way —
+// a zero baseline included.
+func TestCompareBenchCountGate(t *testing.T) {
+	dir := t.TempDir()
+	row := func(name string, freeze, mem, deltas float64) benchResult {
+		return benchResult{Name: name, MBPerSec: 60, Metrics: map[string]float64{
+			"freeze_bytes": freeze, "mem_bytes": mem, "delta_pages": deltas,
+		}}
+	}
+	headline := benchResult{Name: headlinePrefix + "fixed", MBPerSec: 2000, AllocsPerOp: 700}
+	snapshot := func(file string, touch, rewrite benchResult) string {
+		path := filepath.Join(dir, file)
+		writeSnapshotV11(t, path, []benchResult{headline, touch, rewrite})
+		return path
+	}
+	base := snapshot("base.json", row("MemDelta/word-touch", 14268, 8429056, 512), row("MemDelta/page-rewrite", 2104252, 11044992, 0))
+	for _, tc := range []struct {
+		name           string
+		touch, rewrite benchResult
+		fails          string
+	}{
+		{"unchanged", row("MemDelta/word-touch", 14268, 8429056, 512), row("MemDelta/page-rewrite", 2104252, 11044992, 0), ""},
+		{"smaller window", row("MemDelta/word-touch", 9000, 8400000, 512), row("MemDelta/page-rewrite", 2104252, 11044992, 0), ""},
+		{"window grew 3%", row("MemDelta/word-touch", 14700, 8429056, 512), row("MemDelta/page-rewrite", 2104252, 11044992, 0), "freeze_bytes"},
+		{"memory bytes grew", row("MemDelta/word-touch", 14268, 8429056, 512), row("MemDelta/page-rewrite", 2104252, 11400000, 0), "mem_bytes"},
+		{"deltas stopped", row("MemDelta/word-touch", 14268, 8429056, 400), row("MemDelta/page-rewrite", 2104252, 11044992, 0), "delta_pages"},
+		{"deltas from nowhere", row("MemDelta/word-touch", 14268, 8429056, 512), row("MemDelta/page-rewrite", 2104252, 11044992, 3), "delta_pages"},
+	} {
+		err := compareBench(snapshot("new.json", tc.touch, tc.rewrite), base, 25)
+		switch {
+		case tc.fails == "" && err != nil:
+			t.Errorf("%s: gate failed: %v", tc.name, err)
+		case tc.fails != "" && (err == nil || !strings.Contains(err.Error(), tc.fails)):
+			t.Errorf("%s: gate error %v, want one naming %s", tc.name, err, tc.fails)
+		}
+	}
+}
+
 func TestCompareBenchBadFiles(t *testing.T) {
 	dir := t.TempDir()
 	good := dir + "/good.json"

@@ -107,6 +107,9 @@ type View struct{ a *Atomic }
 // View returns a read-only handle on a.
 func (a *Atomic) View() View { return View{a} }
 
+// Test reports whether bit i is dirty right now; the zero View holds nothing.
+func (v View) Test(i int) bool { return v.a != nil && v.a.Test(i) }
+
 // Snapshot copies the current contents into a plain Bitmap.
 func (a *Atomic) Snapshot() *Bitmap {
 	b := New(a.n)

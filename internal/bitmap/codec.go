@@ -183,9 +183,10 @@ func (b *Bitmap) decode(data []byte, want int) error {
 	return nil
 }
 
-// minimalUvarint reads one uvarint off p, refusing a truncated, overlong or
-// zero-padded one.
-func minimalUvarint(p []byte) (x uint64, rest []byte, ok bool) {
+// MinimalUvarint reads one uvarint off p, refusing a truncated, overlong or
+// zero-padded one: the canonical codecs (the runs form here, the page deltas
+// in internal/vm) accept exactly one spelling of every count.
+func MinimalUvarint(p []byte) (x uint64, rest []byte, ok bool) {
 	x, k := binary.Uvarint(p)
 	if k <= 0 || (k > 1 && p[k-1] == 0) {
 		return 0, nil, false
@@ -199,8 +200,8 @@ func minimalUvarint(p []byte) (x uint64, rest []byte, ok bool) {
 func forEachRun(pairs []byte, n int, fn func(lo, hi int)) error {
 	pos := 0
 	for first := true; len(pairs) > 0; first = false {
-		gap, rest, ok := minimalUvarint(pairs)
-		run, rest, ok2 := minimalUvarint(rest)
+		gap, rest, ok := MinimalUvarint(pairs)
+		run, rest, ok2 := MinimalUvarint(rest)
 		if !ok || !ok2 {
 			return fmt.Errorf("bitmap: runs form: truncated or non-minimal uvarint after bit %d", pos)
 		}

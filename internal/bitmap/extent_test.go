@@ -316,6 +316,19 @@ func TestNextExtentExcludingCutsAtRedirtied(t *testing.T) {
 	b.NextExtentExcluding(NewAtomic(199).View(), 0, 0)
 }
 
+// TestViewTest: a view reads single bits of the live tracker; the zero View
+// holds nothing.
+func TestViewTest(t *testing.T) {
+	a := NewAtomic(130)
+	a.Set(129)
+	if v := a.View(); !v.Test(129) || v.Test(128) {
+		t.Fatal("view disagrees with its tracker")
+	}
+	if (View{}).Test(129) {
+		t.Fatal("zero view holds a bit")
+	}
+}
+
 // FuzzNextExtentExcluding feeds arbitrary word patterns through the same
 // check as the property test.
 func FuzzNextExtentExcluding(f *testing.F) {

@@ -89,7 +89,7 @@ func MigrateOnDemandSource(cfg Config, host Host, conn transport.Conn) (*metrics
 		{PhaseMemPreCopy, s.memPreCopy},
 		{PhaseFreezeCopy, steps(
 			s.suspend,
-			func() error { return s.sendFinalPages(host.VM.Memory().SwapDirty()) },
+			func() error { return s.sendFinalPages(host.VM.Memory().StopTracking()) },
 			s.sendCPU,
 			func() error { return s.sendBitmap(bitmap.NewAllSet(s.dev.NumBlocks())) },
 			s.orderResume)},
@@ -233,7 +233,7 @@ func MigrateDeltaSource(cfg Config, host Host, conn transport.Conn, fwd *DeltaFo
 			s.suspend,
 			func() error {
 				fwd.active.Store(false)
-				return s.sendFinalPages(host.VM.Memory().SwapDirty())
+				return s.sendFinalPages(host.VM.Memory().StopTracking())
 			},
 			s.sendCPU, s.orderResume, s.awaitResumed, s.waitDone)},
 	})

@@ -225,26 +225,27 @@ func (d *destRun) receiveUntilResume(groups ...frameHandlers) func() error {
 // vmHandlers applies the guest's own state: the suspend notice, memory pages
 // and the CPU registers.
 func (d *destRun) vmHandlers() frameHandlers {
+	page := func(m transport.Message) error {
+		d.noteProgress(func(p *destProgress) {
+			if n := int(m.Arg); p.recvMem != nil && n >= 0 && n < p.recvMem.Len() {
+				p.recvMem.Set(n)
+			}
+		})
+		return d.sc.do(func() error {
+			if err := d.applyPage(m); err != nil {
+				return err
+			}
+			m.Release()
+			return nil
+		})
+	}
 	return frameHandlers{
 		transport.MsgSuspend: d.drainOn(func(transport.Message) error {
 			d.ev.suspended()
 			d.noteProgress(func(p *destProgress) { p.flags |= destSuspendSeen })
 			return nil
 		}),
-		transport.MsgMemPage: func(m transport.Message) error {
-			d.noteProgress(func(p *destProgress) {
-				if n := int(m.Arg); p.recvMem != nil && n >= 0 && n < p.recvMem.Len() {
-					p.recvMem.Set(n)
-				}
-			})
-			return d.sc.do(func() error {
-				if err := d.applyPage(m); err != nil {
-					return err
-				}
-				m.Release()
-				return nil
-			})
-		},
+		transport.MsgMemPage: page, transport.MsgMemPageDelta: page,
 		transport.MsgCPUState: d.drainOn(func(m transport.Message) error {
 			d.host.VM.SetCPU(vm.CPUState{Registers: append([]byte(nil), m.Payload...)})
 			return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync"
 	"testing"
 	"time"
@@ -254,16 +255,38 @@ func (a *iterationAudit) Send(m transport.Message) error {
 	return a.Conn.Send(m)
 }
 
-// runRacing migrates e's world under a progress-paced racing guest: one
-// verified disk write into a 96-block hot set and one page write into a
-// 48-page hot set per eight units the source sends, so every iteration is
-// raced by rewrites of blocks and pages on both sides of its cursor. With
-// resendAll the engine sends re-dirtied units anyway — the reference the
-// skip is measured against.
-func (e *env) runRacing(cfg Config, resendAll bool) (*metrics.Report, *DestResult) {
+// racingHotPages is the racing guest's page working set: every fifth page.
+const racingHotPages = 48
+
+// pageAudit counts, per page, the literal and delta frames the source sends.
+type pageAudit struct {
+	transport.Conn
+	literals, deltas [testPages]int
+}
+
+func (a *pageAudit) Send(m transport.Message) error {
+	switch m.Type {
+	case transport.MsgMemPage:
+		a.literals[m.Arg]++
+	case transport.MsgMemPageDelta:
+		a.deltas[m.Arg]++
+	}
+	return a.Conn.Send(m)
+}
+
+// runRacing migrates e's world under a progress-paced racing guest: per eight
+// units the source sends, one verified disk write into a 96-block hot set and
+// three page writes into a 48-page hot set, so every iteration is raced by
+// rewrites of blocks and pages on both sides of its cursor. The guest either
+// rewrites whole pages or, with wordTouch, changes one word of the page it
+// wrote before. With resendAll the engine sends re-dirtied units anyway, and
+// every page literally — the reference the skip and the page deltas are
+// measured against.
+func (e *env) runRacing(cfg Config, resendAll, wordTouch bool) (*metrics.Report, *sourceRun, *pageAudit) {
 	e.t.Helper()
 	mem := e.src.VM.Memory()
-	audit := &iterationAudit{Conn: e.connSrc}
+	pages := &pageAudit{Conn: e.connSrc}
+	audit := &iterationAudit{Conn: pages}
 	page := make([]byte, blockdev.BlockSize)
 	block := make([]byte, blockdev.BlockSize)
 	guest := &workload.Paced{Conn: audit, Every: 8, Round: func(i int) {
@@ -271,10 +294,17 @@ func (e *env) runRacing(cfg Config, resendAll bool) (*metrics.Report, *DestResul
 		if err := e.submitVerified(req); err != nil {
 			e.t.Errorf("guest write: %v", err)
 		}
-		p := (i * 5 % 48) * 5
-		workload.FillBlock(page, p+300000, uint32(i))
-		if err := mem.WritePage(p, page); err != nil {
-			e.t.Errorf("guest page write: %v", err)
+		for k := 3 * i; k < 3*i+3; k++ {
+			p := (k * 5 % racingHotPages) * 5
+			if wordTouch {
+				workload.FillBlock(page, p+300000, 0)
+				binary.LittleEndian.PutUint64(page, uint64(k)+1)
+			} else {
+				workload.FillBlock(page, p+300000, uint32(k))
+			}
+			if err := mem.WritePage(p, page); err != nil {
+				e.t.Errorf("guest page write: %v", err)
+			}
 		}
 	}}
 	cfg.DiskDirtyThreshold, cfg.MemDirtyThreshold = 8, 4 // below the hot sets: pre-copy iterates
@@ -311,15 +341,27 @@ func (e *env) runRacing(cfg Config, resendAll bool) (*metrics.Report, *DestResul
 	if len(audit.repeats) != 0 {
 		e.t.Fatalf("units sent twice within one iteration: %v", audit.repeats)
 	}
-	return out.rep, res
+	return out.rep, s, pages
 }
+
+// parentLiteralPages is the most memory pages (pre-copy and freeze, all
+// literal) the commit before page deltas sent under runRacing's whole-page
+// guest, over every send path below and repeated runs: the worst-case bound
+// is measured against it.
+const parentLiteralPages = 285
 
 // TestEquivalenceSkipRedirtied runs the racing guest across every send path
 // and checks the skip rule's contract on each: the destination equals the
 // source at the freeze; no unit travels twice within an iteration; every
 // iteration accounts for its whole set as sent + skipped; freeze-and-copy and
-// the post-copy push leave nothing out; and the run sends no more units than
-// the same run with the skip forced off.
+// the post-copy push leave nothing out; and the run sends no more blocks than
+// the same run with the skip forced off. The page half of the contract is in
+// bytes, over two guests. One that touches a word per write: every page
+// travels literally exactly once, every hot page of the final set as a
+// one-word delta, and memory costs fewer bytes than resending everything
+// literally. One that rewrites whole pages, for which no delta ever pays: the
+// skip still triggers, no delta frame is sent, and — the worst case against
+// the parent commit — at most one literal page more per working-set page.
 func TestEquivalenceSkipRedirtied(t *testing.T) {
 	paths := []struct {
 		name    string
@@ -335,56 +377,93 @@ func TestEquivalenceSkipRedirtied(t *testing.T) {
 		{"dedup", 1, Config{MaxExtentBlocks: 16, Dedup: true}},
 		{"delta", 1, Config{MaxExtentBlocks: 16, Delta: true}},
 	}
-	sentUnits := func(its []metrics.Iteration) (n int) {
+	sum := func(its []metrics.Iteration, field func(metrics.Iteration) int64) (n int64) {
 		for _, it := range its {
-			n += it.Units
+			n += field(it)
 		}
 		return n
 	}
+	units := func(it metrics.Iteration) int64 { return int64(it.Units) }
+	wire := func(it metrics.Iteration) int64 { return it.Bytes }
 	for _, pc := range paths {
-		t.Run(pc.name, func(t *testing.T) {
-			run := func(resendAll bool) *metrics.Report {
-				e := newEnv(t)
-				e.useStriped(pc.streams)
-				rep, _ := e.runRacing(pc.cfg, resendAll)
-				for _, ph := range []struct {
-					name  string
-					total int
-					its   []metrics.Iteration
-				}{{"disk", testBlocks, rep.DiskIterations}, {"mem", testPages, rep.MemIterations}} {
-					set := ph.total // iteration 1 owes everything, iteration k+1 what k left dirty
-					for _, it := range ph.its {
-						if it.Units+it.Skipped != set {
-							t.Fatalf("%s iteration %d: sent %d + skipped %d != its set of %d", ph.name, it.Index, it.Units, it.Skipped, set)
+		for _, wordTouch := range []bool{true, false} {
+			name := pc.name + "/page-rewrite"
+			if wordTouch {
+				name = pc.name + "/word-touch"
+			}
+			t.Run(name, func(t *testing.T) {
+				run := func(resendAll bool) (*metrics.Report, *sourceRun, *pageAudit) {
+					e := newEnv(t)
+					e.useStriped(pc.streams)
+					rep, s, pages := e.runRacing(pc.cfg, resendAll, wordTouch)
+					for _, ph := range []struct {
+						name  string
+						total int
+						its   []metrics.Iteration
+					}{{"disk", testBlocks, rep.DiskIterations}, {"mem", testPages, rep.MemIterations}} {
+						set := ph.total // iteration 1 owes everything, iteration k+1 what k left dirty
+						for _, it := range ph.its {
+							if it.Units+it.Skipped != set {
+								t.Fatalf("%s iteration %d: sent %d + skipped %d != its set of %d", ph.name, it.Index, it.Units, it.Skipped, set)
+							}
+							set = it.DirtyEnd
 						}
-						set = it.DirtyEnd
 					}
+					// The freeze bitmap is what the last disk iteration left dirty
+					// plus the guest's writes during memory pre-copy.
+					last := rep.DiskIterations[len(rep.DiskIterations)-1]
+					if got := rep.BlocksPushed + rep.BlocksPulled; got < last.DirtyEnd {
+						t.Fatalf("post-copy moved %d blocks, fewer than the %d the last disk iteration left dirty", got, last.DirtyEnd)
+					}
+					return rep, s, pages
 				}
-				// The freeze bitmap is what the last disk iteration left dirty
-				// plus the guest's writes during memory pre-copy.
-				last := rep.DiskIterations[len(rep.DiskIterations)-1]
-				if got := rep.BlocksPushed + rep.BlocksPulled; got < last.DirtyEnd {
-					t.Fatalf("post-copy moved %d blocks, fewer than the %d the last disk iteration left dirty", got, last.DirtyEnd)
+				skip, s, pages := run(false)
+				all, _, allPages := run(true)
+				if skip.SkippedBlocks() == 0 || skip.SkippedPages() == 0 {
+					t.Fatalf("racing guest never triggered the skip: %d blocks, %d pages", skip.SkippedBlocks(), skip.SkippedPages())
 				}
-				if final := rep.MemIterations[len(rep.MemIterations)-1]; final.Skipped != 0 {
-					t.Fatalf("freeze-and-copy skipped %d pages", final.Skipped)
+				if all.SkippedBlocks() != 0 || all.SkippedPages() != 0 || all.DeltaPages() != 0 {
+					t.Fatalf("reference run skipped %d blocks, %d pages and sent %d deltas", all.SkippedBlocks(), all.SkippedPages(), all.DeltaPages())
 				}
-				return rep
-			}
-			skip, all := run(false), run(true)
-			if skip.SkippedBlocks() == 0 || skip.SkippedPages() == 0 {
-				t.Fatalf("racing guest never triggered the skip: %d blocks, %d pages", skip.SkippedBlocks(), skip.SkippedPages())
-			}
-			if all.SkippedBlocks() != 0 || all.SkippedPages() != 0 {
-				t.Fatalf("reference run skipped %d blocks, %d pages", all.SkippedBlocks(), all.SkippedPages())
-			}
-			sb, ab := sentUnits(skip.DiskIterations)+skip.BlocksPushed+skip.BlocksPulled, sentUnits(all.DiskIterations)+all.BlocksPushed+all.BlocksPulled
-			sp, ap := sentUnits(skip.MemIterations), sentUnits(all.MemIterations)
-			if sb > ab || sp > ap {
-				t.Fatalf("skip sent %d blocks, %d pages; resend-everything sent %d, %d", sb, sp, ab, ap)
-			}
-			t.Logf("blocks %d vs %d, pages %d vs %d (skipped %d, %d)", sb, ab, sp, ap, skip.SkippedBlocks(), skip.SkippedPages())
-		})
+				sb := sum(skip.DiskIterations, units) + int64(skip.BlocksPushed+skip.BlocksPulled)
+				ab := sum(all.DiskIterations, units) + int64(all.BlocksPushed+all.BlocksPulled)
+				if sb > ab {
+					t.Fatalf("skip sent %d blocks, resend-everything %d", sb, ab)
+				}
+				literals, deltas := 0, 0
+				for p := range pages.literals {
+					literals += pages.literals[p]
+					deltas += pages.deltas[p]
+				}
+				final := skip.MemIterations[len(skip.MemIterations)-1]
+				memBytes, allBytes := sum(skip.MemIterations, wire), sum(all.MemIterations, wire)
+				t.Logf("blocks %d vs %d; pages: %d literal + %d delta in %d B vs %d literal in %d B (skipped %d, %d; |W| = %d)",
+					sb, ab, literals, deltas, memBytes, sum(all.MemIterations, units), allBytes, skip.SkippedBlocks(), skip.SkippedPages(), s.pages.Hot())
+				if s.pages.Hot() != racingHotPages {
+					t.Fatalf("|W| = %d, the guest's hot set is %d pages", s.pages.Hot(), racingHotPages)
+				}
+				if wordTouch {
+					for p := range pages.literals {
+						if pages.literals[p] != 1 || pages.deltas[p] > allPages.literals[p]-1 {
+							t.Fatalf("page %d: %d literals, %d deltas (resend-everything: %d literals)", p, pages.literals[p], pages.deltas[p], allPages.literals[p])
+						}
+					}
+					if final.Units == 0 || final.Deltas != final.Units || final.Bytes != int64(final.Units)*(13+4+2+8) {
+						t.Fatalf("freeze: %d pages, %d deltas, %d B: not one changed word each", final.Units, final.Deltas, final.Bytes)
+					}
+					if memBytes >= allBytes {
+						t.Fatalf("memory cost %d B, resend-everything %d B", memBytes, allBytes)
+					}
+					return
+				}
+				if deltas != 0 {
+					t.Fatalf("%d delta frames for a guest whose deltas never pay", deltas)
+				}
+				if literals > parentLiteralPages+s.pages.Hot() {
+					t.Fatalf("%d literal pages; the parent commit sent at most %d and |W| = %d", literals, parentLiteralPages, s.pages.Hot())
+				}
+			})
+		}
 	}
 }
 

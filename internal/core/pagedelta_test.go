@@ -1,0 +1,379 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"bbmig/internal/blkback"
+	"bbmig/internal/blockdev"
+	"bbmig/internal/metrics"
+	"bbmig/internal/transport"
+	"bbmig/internal/vm"
+	"bbmig/internal/workload"
+)
+
+// memIters is DefaultPolicy with the memory pre-copy pinned to exactly n
+// iterations, so a scripted guest can write at an iteration's end event —
+// after the engine has counted the dirty set — and still get the next
+// iteration.
+type memIters struct {
+	DefaultPolicy
+	n int
+}
+
+func (p memIters) ContinuePreCopy(st IterationStat) bool {
+	if st.Phase == PhaseMemPreCopy {
+		return st.Iteration < p.n
+	}
+	return p.DefaultPolicy.ContinuePreCopy(st)
+}
+
+// hotPageScript is a guest whose page writes are scripted at fixed points of
+// the source's event stream, on the source's own goroutine: no clock, no
+// race, the same frames every run.
+//
+//	memory pre-copy starts   one word of pages 4 and 6, 250 words of 8, 10, 12
+//	memory iteration 1 ends  the same of 4, 8, 10, 12 again; all of cold page 20
+//	memory iteration 2 ends  one word of 6, 12 and 20; all of cold page 30
+//
+// With a one-page freeze budget iteration 2 leaves 4, 8 and 10 to the freeze
+// (their deltas fit the budget), sends 12's delta now (it does not) and 20
+// literally (it has no base yet); the freeze carries 4, 6, 8, 10, 12 and 20 as
+// deltas and 30, never seen dirty before, literally.
+type hotPageScript struct {
+	t    *testing.T
+	mem  *vm.Memory
+	gen  uint64
+	seen map[string]bool
+}
+
+// poke changes words [0, words) of page p to values it never held.
+func (g *hotPageScript) poke(p, words int) {
+	page := make([]byte, vm.PageSize)
+	if err := g.mem.ReadPage(p, page); err != nil {
+		g.t.Error(err)
+	}
+	g.gen++
+	for w := 0; w < words; w++ {
+		binary.LittleEndian.PutUint64(page[8*w:], g.gen<<32|uint64(w+1))
+	}
+	if err := g.mem.WritePage(p, page); err != nil {
+		g.t.Error(err)
+	}
+}
+
+func (g *hotPageScript) onEvent(ev Event) {
+	at := fmt.Sprintf("%v@%s#%d", ev.Kind, ev.Phase, ev.Iteration)
+	if g.seen[at] { // a phase re-entered after a reconnect announces itself again
+		return
+	}
+	g.seen[at] = true
+	const all = vm.PageSize / 8
+	switch at {
+	case "phase-start@" + PhaseMemPreCopy + "#0":
+		g.poke(4, 1)
+		g.poke(6, 1)
+		for _, p := range []int{8, 10, 12} {
+			g.poke(p, 250)
+		}
+	case "iteration-end@" + PhaseMemPreCopy + "#1":
+		g.poke(4, 1)
+		for _, p := range []int{8, 10, 12} {
+			g.poke(p, 250)
+		}
+		g.poke(20, all)
+	case "iteration-end@" + PhaseMemPreCopy + "#2":
+		g.poke(6, 1)
+		g.poke(12, 1)
+		g.poke(20, 1)
+		g.poke(30, all)
+	}
+}
+
+// hotPageConfig is the source configuration the script runs under: a
+// one-page freeze budget and, for the scripted guest, the two memory
+// iterations its writes are laid out over.
+func hotPageConfig(t *testing.T, mem *vm.Memory, scripted bool) Config {
+	cfg := Config{MemDirtyThreshold: 1}
+	if scripted {
+		cfg.Policy = memIters{n: 2}
+		cfg.OnEvent = (&hotPageScript{t: t, mem: mem, seen: map[string]bool{}}).onEvent
+	}
+	return cfg
+}
+
+// pageForms extracts, per page, the sequence of frame types a source trace
+// carried it in.
+func pageForms(trace []string) map[int][]string {
+	forms := map[int][]string{}
+	for _, f := range trace {
+		var typ string
+		var arg int
+		if _, err := fmt.Sscanf(f, "%s arg=%d", &typ, &arg); err == nil && strings.HasPrefix(typ, "MEM_PAGE") {
+			forms[arg] = append(forms[arg], typ)
+		}
+	}
+	return forms
+}
+
+func sameMemory(t *testing.T, src, dst *vm.Memory) {
+	t.Helper()
+	a, b := memImage(t, src), memImage(t, dst)
+	for p := 0; p < src.NumPages(); p++ {
+		if !bytes.Equal(a[p*vm.PageSize:(p+1)*vm.PageSize], b[p*vm.PageSize:(p+1)*vm.PageSize]) {
+			t.Fatalf("destination page %d differs from the source's", p)
+		}
+	}
+}
+
+// TestWireTraceGoldenHotPages pins the frames a writing guest produces:
+// literal, then delta — in pre-copy when the freeze budget is spent, in the
+// freeze otherwise — for a page the source has seen dirty, literal only for a
+// cold one. The same harness with the guest idle emits exactly the default
+// TPM trace: page deltas are never seen by a guest that does not write.
+func TestWireTraceGoldenHotPages(t *testing.T) {
+	idle := newTraceEnv(t)
+	runTracedTPM(wholeDisk)(t, idle, hotPageConfig(t, idle.src.VM.Memory(), false), Config{})
+	matchGolden(t, "wiretrace_tpm.golden", renderTrace(idle.connSrc.trace(), idle.connDst.trace()))
+
+	e := newTraceEnv(t)
+	runTracedTPM(wholeDisk)(t, e, hotPageConfig(t, e.src.VM.Memory(), true), Config{})
+	sameMemory(t, e.src.VM.Memory(), e.dst.VM.Memory())
+	checkGolden(t, "wiretrace_tpm_hotpages.golden", renderTrace(e.connSrc.trace(), e.connDst.trace()))
+
+	lit, delta := "MEM_PAGE", "MEM_PAGE_DELTA"
+	forms := pageForms(e.connSrc.trace())
+	for p, want := range map[int][]string{
+		4:  {lit, delta},        // left to the freeze by iteration 2
+		6:  {lit, delta},        // clean through iteration 2, touched before the freeze
+		8:  {lit, delta},        // a 2 KB delta, still inside the budget
+		12: {lit, delta, delta}, // past the budget: iteration 2 sends it, the freeze again
+		20: {lit, lit, delta},   // first seen dirty in iteration 1: no base until iteration 2
+		30: {lit, lit},          // never seen dirty before the freeze
+		31: {lit},               // never written
+	} {
+		if strings.Join(forms[p], " ") != strings.Join(want, " ") {
+			t.Errorf("page %d travelled as %v, want %v", p, forms[p], want)
+		}
+	}
+}
+
+// TestAbortedMigrationLeavesNoDirtyEvidence: a migration that gives up in the
+// middle of memory pre-copy, under a guest that is writing pages, stops and
+// drains memory dirty logging on its way out. The next attempt, with the
+// guest idle, sees an empty working set, keeps no base, sends no delta and
+// emits exactly the default TPM trace.
+func TestAbortedMigrationLeavesNoDirtyEvidence(t *testing.T) {
+	e := newTraceEnv(t)
+	mem := e.src.VM.Memory()
+
+	// Attempt 1: the link is cut halfway through memory iteration 1, the one
+	// redial allowed fails, the source gives up. The guest rewrites pages with
+	// the bytes they hold — dirtying them without changing the image the
+	// second attempt's trace is hashed from.
+	pa, pb := transport.NewPipe(64)
+	page := make([]byte, vm.PageSize)
+	guest := &workload.Paced{Conn: transport.NewFaultConn(pa, framesMidMemPhase, 0), Every: 8, Round: func(i int) {
+		p := i * 7 % testPages
+		if err := mem.ReadPage(p, page); err != nil {
+			t.Error(err)
+		}
+		if err := mem.WritePage(p, page); err != nil {
+			t.Error(err)
+		}
+	}}
+	gone := errors.New("no route to host")
+	scratch := Host{VM: vm.NewDestination(e.src.VM), Backend: blkback.NewBackend(blockdev.NewMemDisk(testBlocks, blockdev.BlockSize), testDomain)}
+	srcErr, dstErr := runPair(
+		func() error {
+			_, err := MigrateSource(Config{
+				MaxRetries: 1, RetryBackoff: time.Millisecond,
+				Redial: func() (transport.Conn, error) { return nil, gone },
+			}, e.src, guest, nil)
+			return err
+		},
+		func() error {
+			_, err := MigrateDest(Config{
+				WaitReconnect: func(transport.SessionToken, uint32) (transport.Conn, uint32, error) { return nil, 0, gone },
+			}, scratch, pb)
+			return err
+		})
+	if srcErr == nil || !strings.Contains(srcErr.Error(), "retries exhausted") || dstErr == nil {
+		t.Fatalf("attempt 1: source %v, destination %v; want both to give up", srcErr, dstErr)
+	}
+	if mem.Tracking() || mem.DirtyCount() != 0 {
+		t.Fatalf("aborted migration left logging on (%v) and %d dirty pages behind", mem.Tracking(), mem.DirtyCount())
+	}
+
+	// Attempt 2, idle.
+	hot, bases := -1, -1
+	var s *sourceRun
+	s, err := newSourceRun(Config{OnEvent: func(ev Event) {
+		if ev.Kind == EventPhaseEnd && ev.Phase == PhaseMemPreCopy {
+			hot, bases = s.pages.Hot(), s.pages.Bases()
+		}
+	}}, e.src, e.connSrc, "TPM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep *metrics.Report
+	await(t,
+		func() (err error) { rep, err = s.run(s.tpmPhases(nil)); return err },
+		func() error { _, err := MigrateDest(Config{}, e.dst, e.connDst); return err })
+	if hot != 0 || bases != 0 || rep.DeltaPages() != 0 {
+		t.Fatalf("idle retry: |W| = %d, %d bases, %d delta pages; want none", hot, bases, rep.DeltaPages())
+	}
+	matchGolden(t, "wiretrace_tpm.golden", renderTrace(e.connSrc.trace(), e.connDst.trace()))
+}
+
+// frameIndex returns the 0-based position of the first frame of trace that
+// starts with prefix.
+func frameIndex(t *testing.T, trace []string, prefix string) int {
+	t.Helper()
+	for i, f := range trace {
+		if strings.HasPrefix(f, prefix) {
+			return i
+		}
+	}
+	t.Fatalf("no %q frame in the trace", prefix)
+	return -1
+}
+
+// reconnectAudit fails the test when, after a reconnect, a page travels as a
+// delta although it has not been sent literally since: its base would predate
+// the cut, and frames in flight at the cut are unconfirmed.
+type reconnectAudit struct {
+	transport.Conn
+	t       *testing.T
+	literal map[uint64]bool // pages sent literally on this, the reconnected, link; nil on the first
+}
+
+func (a *reconnectAudit) Send(m transport.Message) error {
+	switch {
+	case a.literal == nil:
+	case m.Type == transport.MsgMemPage:
+		a.literal[m.Arg] = true
+	case m.Type == transport.MsgMemPageDelta && !a.literal[m.Arg]:
+		a.t.Errorf("page %d sent as a delta against a base from before the reconnect", m.Arg)
+	}
+	return a.Conn.Send(m)
+}
+
+// TestReconnectDropsEveryBase cuts the link on the one delta frame of memory
+// iteration 2 (transport.FaultCut: the frame is lost, the source's book has
+// already moved that page's base forward). After the reconnect every page
+// owed is literal — above all that one, which an intact book would find
+// unchanged against its base and never send — and the destination verifies.
+func TestReconnectDropsEveryBase(t *testing.T) {
+	// A dry run of the same script finds the frame to cut on.
+	dry := newTraceEnv(t)
+	runTracedTPM(wholeDisk)(t, dry, hotPageConfig(t, dry.src.VM.Memory(), true), Config{})
+	cut := frameIndex(t, dry.connSrc.trace(), "MEM_PAGE_DELTA arg=12 ")
+
+	e := newTraceEnv(t)
+	inj := transport.NewInjector([]transport.Fault{{AfterSends: int64(cut), Kind: transport.FaultCut}})
+	relink := newPipeRelinker(inj)
+	cfg := hotPageConfig(t, e.src.VM.Memory(), true)
+	cfg.MaxRetries, cfg.RetryBackoff = 2, time.Millisecond
+	var relinked *reconnectAudit
+	cfg.Redial = func() (transport.Conn, error) {
+		c, err := relink.redial()
+		relinked = &reconnectAudit{Conn: c, t: t, literal: map[uint64]bool{}}
+		return relinked, err
+	}
+	audit := &reconnectAudit{Conn: inj.Wrap(e.connSrc), t: t}
+	var rep *metrics.Report
+	await(t,
+		func() (err error) { rep, err = MigrateSource(cfg, e.src, audit, nil); return err },
+		func() error {
+			_, err := MigrateDest(Config{WaitReconnect: relink.waitReconnect}, e.dst, e.connDst)
+			return err
+		})
+	if rep.Retries != 1 {
+		t.Fatalf("survived %d reconnects, want 1", rep.Retries)
+	}
+	sameMemory(t, e.src.VM.Memory(), e.dst.VM.Memory())
+	if relinked == nil || !relinked.literal[12] {
+		t.Fatal("page 12, whose delta was lost with the link, was not re-sent literally")
+	}
+}
+
+// TestLyingSourcePageDelta plays a source that sends MEM_PAGE_DELTA for a
+// page it never sent, and one whose delta names a base the destination does
+// not hold: the destination fails the migration with an error naming the
+// page, and its memory is untouched.
+func TestLyingSourcePageDelta(t *testing.T) {
+	base := make([]byte, vm.PageSize)
+	workload.FillBlock(base, 777, 0)
+	cur := append([]byte(nil), base...)
+	cur[100] ^= 1
+	good, _ := vm.AppendPageDelta(nil, base, cur)
+	wrongCRC := append([]byte(nil), good...)
+	wrongCRC[0] ^= 0xff
+
+	for _, tc := range []struct {
+		name   string
+		frames []transport.Message
+		holds  []byte // what page 9 must hold afterwards; nil: never allocated
+	}{
+		{"never sent", []transport.Message{{Type: transport.MsgMemPageDelta, Arg: 9, Payload: good}}, nil},
+		{"wrong crc", []transport.Message{
+			{Type: transport.MsgMemPage, Arg: 9, Payload: base},
+			{Type: transport.MsgMemPageDelta, Arg: 9, Payload: wrongCRC}}, base},
+		{"stale base", []transport.Message{
+			{Type: transport.MsgMemPage, Arg: 9, Payload: cur},
+			{Type: transport.MsgMemPageDelta, Arg: 9, Payload: good}}, cur},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTraceEnv(t)
+			geom, err := transport.Geometry{
+				BlockSize: blockdev.BlockSize, NumBlocks: testBlocks, PageSize: vm.PageSize, NumPages: testPages,
+			}.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			liar := func() error {
+				script := append([]transport.Message{
+					{Type: transport.MsgHello, Arg: transport.ProtocolVersion, Payload: geom},
+					{Type: transport.MsgMemIterStart, Arg: 1},
+				}, tc.frames...)
+				for i, m := range script {
+					if err := e.connSrc.Send(m); err != nil {
+						return err
+					}
+					if i == 0 {
+						if _, err := e.connSrc.Recv(); err != nil { // HELLO_ACK
+							return err
+						}
+					}
+				}
+				_, err := e.connSrc.Recv() // the destination's ERROR, or the close
+				return err
+			}
+			_, dstErr := runPair(liar, func() error {
+				_, err := MigrateDest(Config{}, e.dst, e.connDst)
+				e.connDst.Close()
+				return err
+			})
+			if dstErr == nil || !strings.Contains(dstErr.Error(), "page 9") {
+				t.Fatalf("destination error %v, want one naming page 9", dstErr)
+			}
+			mem := e.dst.VM.Memory()
+			if tc.holds == nil {
+				if mem.AllocatedPages() != 0 {
+					t.Fatal("refused delta left a page behind")
+				}
+				return
+			}
+			got := make([]byte, vm.PageSize)
+			if err := mem.ReadPage(9, got); err != nil || !bytes.Equal(got, tc.holds) {
+				t.Fatalf("refused delta changed page 9 (%v)", err)
+			}
+		})
+	}
+}

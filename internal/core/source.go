@@ -8,6 +8,7 @@ import (
 	"bbmig/internal/blockdev"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
+	"bbmig/internal/vm"
 )
 
 // MigrateSource runs the source side of a TPM migration over conn. initial
@@ -120,13 +121,26 @@ func newSourceRun(cfg Config, host Host, conn transport.Conn, scheme string) (*s
 	mem := host.VM.Memory()
 	tr.rep.DiskBytes = blockdev.Capacity(host.Backend.Device())
 	tr.rep.MemoryBytes = int64(mem.NumPages()) * int64(mem.PageSize())
+	tr.pages = vm.NewBaseBook(mem, tr.cfg.MemDirtyThreshold)
 	return &sourceRun{transfer: tr}, err
 }
 
 // run executes the scheme's phase list and closes the report. A list that
 // armed checkpoints (tpmPhases) rides out connection failures: each one
 // re-dials, and the list re-enters at the cursor reconnect left behind.
+//
+// Memory dirty logging runs from here, not from memory pre-copy: what it
+// collects while everything else is sent is the evidence of which pages are
+// hot. It is stopped and drained at the freeze capture and — so an aborted
+// attempt leaves no stale dirt for the next one to read as evidence — on
+// every exit.
 func (s *sourceRun) run(phases []phase) (*metrics.Report, error) {
+	mem := s.host.VM.Memory()
+	mem.StartTracking()
+	defer func() {
+		mem.StopTracking()
+		s.pages.Drop()
+	}()
 	err := s.runPhases(phases, &s.cursor)
 	for attempt := 0; err != nil && s.canResume(err); err = s.runPhases(phases, &s.cursor) {
 		redialed := false
@@ -290,6 +304,7 @@ func (s *sourceRun) reconnect(attempt int) error {
 	default:
 	}
 	s.dropReplies()
+	s.pages.Drop() // frames in flight are unconfirmed: everything owed from here on is literal
 
 	s.clk.Sleep(s.backoffFor(attempt))
 	conn, err := s.cfg.Redial()
@@ -471,11 +486,12 @@ func (s *sourceRun) suspend() error {
 }
 
 // sendFinalPages sends the pages of set inside the freeze, unpaced, and books
-// them as the last memory iteration.
+// them as the last memory iteration. A page that has a base travels as the
+// words the guest changed since.
 func (s *sourceRun) sendFinalPages(set *bitmap.Bitmap) error {
 	nPages, pageBytes, err := s.sendPages(allOf(set), false)
 	s.rep.MemIterations = append(s.rep.MemIterations, metrics.Iteration{
-		Index: len(s.rep.MemIterations) + 1, Units: nPages, Bytes: pageBytes,
+		Index: len(s.rep.MemIterations) + 1, Units: nPages, Deltas: s.pages.TakeDeltas(), Bytes: pageBytes,
 		Duration: s.clk.Now() - s.freezeStart,
 	})
 	return err
@@ -548,7 +564,7 @@ func (s *sourceRun) freezeAndCopy() error {
 	// The sets are captured once — the VM is frozen, so they cannot grow —
 	// and retained for re-sending if the link dies mid-phase.
 	if s.freezePages == nil {
-		s.freezePages = s.host.VM.Memory().SwapDirty()
+		s.freezePages = s.host.VM.Memory().StopTracking()
 		s.host.Backend.StopTracking()
 		s.finalDirty = s.host.Backend.SwapDirty()
 		s.checkpointFreeze(PhaseFreezeCopy)

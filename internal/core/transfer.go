@@ -11,6 +11,7 @@ import (
 	"bbmig/internal/clock"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
+	"bbmig/internal/vm"
 )
 
 // This file is the transfer substrate every migration scheme composes:
@@ -55,9 +56,14 @@ type transfer struct {
 	rep    *metrics.Report // this endpoint's view of the run
 
 	// resendAll makes pre-copy passes send units that are already dirty
-	// again, as the engine did before owedCursor learned to skip them. Only
-	// tests set it: it is the reference the skip is measured against.
+	// again, and every page literally, as the engine did before owedCursor
+	// learned to skip them and pages learned deltas. Only tests set it: it is
+	// the reference both are measured against.
 	resendAll bool
+
+	// pages is the source's working-set evidence and base book: it picks the
+	// form — literal, delta, or left to a later pass — of every page send.
+	pages *vm.BaseBook
 
 	// resumable-session state. sess is always non-nil; swap is the stack's
 	// rebind point (nil when the session cannot resume, keeping the default
@@ -305,8 +311,9 @@ func extentMessage(e bitmap.Extent, data []byte) transport.Message {
 }
 
 // owedCursor is the one place that decides which units of a send pass
-// travel and in what extents: every walker below — ordered, pooled, pages —
-// draws its extents from next.
+// travel and in what extents: the block walkers below, ordered and pooled,
+// draw their extents from next; the page walker shows the base book the live
+// view page by page and leaves out, with skip, the pages the book hands back.
 //
 // A cursor built with a live view leaves out every unit the tracker already
 // shows dirty again at the moment the extent is cut. The tracker still owes
@@ -341,6 +348,13 @@ func (c *owedCursor) next(max int) bitmap.Extent {
 	}
 	c.pos = end + ext.Count
 	return ext
+}
+
+// skip leaves unit n out of the pass exactly as next leaves out a re-dirtied
+// unit: dropped from the checkpointed owed set, counted.
+func (c *owedCursor) skip(n int) {
+	c.bm.Clear(n)
+	c.skipped++
 }
 
 // readExtent reads ext's blocks from dev into data, which must hold them.
@@ -557,19 +571,27 @@ func (t *transfer) sendExtentsPooled(cur *owedCursor, phaseName string, encode e
 	return int(sent.Load()), bytes.Load(), fail.get()
 }
 
-// sendPages streams the pages cur yields. Pages are never coalesced — each
-// MsgMemPage is its own frame, the Xen-style format.
+// sendPages streams the pages of cur's set, never coalesced: each page is
+// its own frame, the Xen-style format — a MsgMemPage, or a MsgMemPageDelta
+// against the bytes last sent when the base book has them and the delta pays
+// (vm.BaseBook states the rule, including which re-dirtied pages still
+// travel). Pre-copy and the freeze share this one path.
 func (t *transfer) sendPages(cur *owedCursor, limited bool) (int, int64, error) {
-	mem := t.host.VM.Memory()
-	buf := transport.GetBuf(mem.PageSize())
-	defer transport.PutBuf(buf)
 	sent := 0
 	var bytes int64
-	for ext := cur.next(1); ext.Count > 0; ext = cur.next(1) {
-		if err := mem.ReadPage(ext.Start, buf); err != nil {
+	for n := cur.bm.NextSet(0); n >= 0; n = cur.bm.NextSet(n + 1) {
+		payload, delta, err := t.pages.Frame(n, cur.live)
+		if err != nil {
 			return sent, bytes, err
 		}
-		m := transport.Message{Type: transport.MsgMemPage, Arg: uint64(ext.Start), Payload: buf}
+		if payload == nil {
+			cur.skip(n)
+			continue
+		}
+		m := transport.Message{Type: transport.MsgMemPage, Arg: uint64(n), Payload: payload}
+		if delta {
+			m.Type = transport.MsgMemPageDelta
+		}
 		if err := t.send(m, limited); err != nil {
 			return sent, bytes, err
 		}
@@ -607,6 +629,7 @@ type preCopySpec struct {
 	phase              string
 	startMsg, endMsg   transport.MsgType
 	threshold, maxIter int
+	open               func() // runs once, ahead of iteration 1 of a loop that is not resumed
 	send               func(cur *owedCursor) (int, int64, error)
 	live               bitmap.View // the tracker swapDirty drains: what a pass may skip
 	dirtyCount         func() int
@@ -628,6 +651,8 @@ func (t *transfer) preCopyLoop(sp preCopySpec, initial *bitmap.Bitmap) error {
 	startIter := 1
 	if res := t.takeResume(sp.phase); res != nil {
 		startIter, toSend = res.iter, res.pending
+	} else if sp.open != nil {
+		sp.open()
 	}
 	prev := toSend.Count()
 	for iter := startIter; ; iter++ {
@@ -704,22 +729,35 @@ func (t *transfer) diskPreCopy(initial *bitmap.Bitmap) error {
 
 // memPreCopy runs the Xen-style iterative memory pre-copy: iteration 1 sends
 // every page, later iterations send pages dirtied during the previous one.
-// Memory goes last in every scheme that pre-copies, so its end is the end of
-// pre-copy.
+// Dirty logging has been on since the run began, so what it holds now is the
+// working set the guest showed during everything sent before memory: it, and
+// every later iteration's set, tell the base book which pages are worth a
+// base. Memory goes last in every scheme that pre-copies, so its end is the
+// end of pre-copy.
 func (t *transfer) memPreCopy() error {
 	mem := t.host.VM.Memory()
-	mem.StartTracking()
+	swap := func() *bitmap.Bitmap {
+		set := mem.SwapDirty()
+		if !t.resendAll {
+			t.pages.SawDirty(set)
+		}
+		return set
+	}
 	err := t.preCopyLoop(preCopySpec{
 		phase:    PhaseMemPreCopy,
 		startMsg: transport.MsgMemIterStart, endMsg: transport.MsgMemIterEnd,
 		threshold: t.cfg.MemDirtyThreshold, maxIter: t.cfg.MaxMemIters,
+		// Iteration 1 owes every page anyway, so what logging holds is only
+		// evidence; a resumed pass owes its own set and must keep the rest.
+		open: func() { swap() },
 		send: func(cur *owedCursor) (int, int64, error) {
 			return t.sendPages(cur, true)
 		},
 		live:       mem.DirtyView(),
 		dirtyCount: mem.DirtyCount,
-		swapDirty:  mem.SwapDirty,
+		swapDirty:  swap,
 		record: func(it metrics.Iteration) {
+			it.Deltas = t.pages.TakeDeltas()
 			t.rep.MemIterations = append(t.rep.MemIterations, it)
 		},
 	}, bitmap.NewAllSet(mem.NumPages()))
@@ -795,9 +833,15 @@ func sinkExtent(ext bitmap.Extent, payload []byte, bs int, sink func(block int, 
 	return nil
 }
 
-// applyPage writes one MsgMemPage frame into the VM shell's memory.
+// applyPage lands one page frame in the VM shell's memory: a MsgMemPage
+// overwrites the page, a MsgMemPageDelta patches it after checking that this
+// side holds the base it was cut against.
 func (t *transfer) applyPage(m transport.Message) error {
-	if err := t.host.VM.Memory().WritePage(int(m.Arg), m.Payload); err != nil {
+	apply := t.host.VM.Memory().WritePage
+	if m.Type == transport.MsgMemPageDelta {
+		apply = t.host.VM.Memory().ApplyDelta
+	}
+	if err := apply(int(m.Arg), m.Payload); err != nil {
 		return fmt.Errorf("core: apply page %d: %w", m.Arg, err)
 	}
 	return nil

@@ -108,17 +108,22 @@ func renderTrace(srcTrace, dstTrace []string) string {
 
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
-	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join("testdata", name), []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(path)
+	matchGolden(t, name, got)
+}
+
+// matchGolden compares got with a recorded golden and never rewrites it.
+func matchGolden(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatalf("golden file missing (run with -update-golden to create): %v", err)
 	}

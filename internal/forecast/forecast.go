@@ -523,7 +523,9 @@ type Convergence struct {
 // threshold (converged), when it stops shrinking — the paper's "dirty rate
 // caught the transfer rate" — or at the iteration cap. Each iteration ships
 // its whole set here; the engine leaves out units already dirty again
-// (core.owedCursor), so predicted bytes and durations are upper bounds.
+// (core.owedCursor), so predicted bytes and durations are upper bounds; the
+// page-sized downtime estimate is one too, since the engine's final page set
+// travels as word deltas where it has a base (vm.BaseBook).
 func (m *Model) PredictConvergence(p MigrationParams) Convergence {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -14,7 +14,8 @@ import (
 type Iteration struct {
 	Index    int           // 1-based iteration number
 	Units    int           // blocks or pages transferred
-	Skipped  int           // units of the iteration's set left out because they were already dirty again; they ride a later iteration or the freeze set
+	Skipped  int           // units of the iteration's set left out because they were already dirty again (they ride a later iteration or the freeze set); for pages also those left to the freeze as deltas or unchanged since last sent
+	Deltas   int           // pages among Units that travelled as word deltas against the bytes last sent (memory only; Bytes counts what they cost)
 	Bytes    int64         // wire bytes of the payloads
 	Duration time.Duration // time the iteration took
 	DirtyEnd int           // dirty units accumulated when the iteration ended
@@ -97,6 +98,15 @@ func skipped(its []Iteration) int {
 	return total
 }
 
+// DeltaPages sums the pages that travelled as deltas, pre-copy and freeze.
+func (r *Report) DeltaPages() int {
+	total := 0
+	for _, it := range r.MemIterations {
+		total += it.Deltas
+	}
+	return total
+}
+
 // DiskIterationCount returns how many disk pre-copy iterations ran.
 func (r *Report) DiskIterationCount() int { return len(r.DiskIterations) }
 
@@ -118,6 +128,18 @@ func (r *Report) String() string {
 		r.DiskIterationCount(), r.RetransferredBlocks())
 	if sb, sp := r.SkippedBlocks(), r.SkippedPages(); sb+sp > 0 {
 		fmt.Fprintf(&b, "  skipped (re-dirtied) : %d blocks, %d pages sent once instead of twice\n", sb, sp)
+	}
+	if r.DeltaPages() > 0 {
+		// The last memory entry is the freeze's final page set.
+		parts := make([]string, len(r.MemIterations))
+		for i, it := range r.MemIterations {
+			name := fmt.Sprintf("iter %d", it.Index)
+			if i == len(parts)-1 {
+				name = "freeze"
+			}
+			parts[i] = fmt.Sprintf("%s %d of %d pages in %d B", name, it.Deltas, it.Units, it.Bytes)
+		}
+		fmt.Fprintf(&b, "  page deltas          : %s\n", strings.Join(parts, "; "))
 	}
 	fmt.Fprintf(&b, "  post-copy            : %.0f ms (%d pushed, %d pulled, %d stale)\n",
 		r.PostCopyTime.Seconds()*1000, r.BlocksPushed, r.BlocksPulled, r.StalePushes)

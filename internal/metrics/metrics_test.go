@@ -45,6 +45,20 @@ func TestReportString(t *testing.T) {
 			t.Fatalf("report %q missing %q", s, want)
 		}
 	}
+	if strings.Contains(s, "page deltas") {
+		t.Fatalf("report %q mentions page deltas although none were sent", s)
+	}
+	r.MemIterations = []Iteration{
+		{Index: 1, Units: 2048, Bytes: 8415232},
+		{Index: 2, Units: 0, Skipped: 512},
+		{Index: 3, Units: 512, Deltas: 512, Bytes: 13824},
+	}
+	if r.DeltaPages() != 512 {
+		t.Fatalf("DeltaPages = %d", r.DeltaPages())
+	}
+	if want := "iter 1 0 of 2048 pages in 8415232 B; iter 2 0 of 0 pages in 0 B; freeze 512 of 512 pages in 13824 B"; !strings.Contains(r.String(), want) {
+		t.Fatalf("report %q missing %q", r.String(), want)
+	}
 }
 
 func TestSeriesStats(t *testing.T) {

@@ -11,7 +11,9 @@
 // integration tests replay against real devices. One rule is not mirrored:
 // a simulated iteration ships its whole set, while the engine leaves out
 // units the guest has already dirtied again (core.owedCursor), so simulated
-// bytes and times are upper bounds on the engine's.
+// bytes and times are upper bounds on the engine's. So is the freeze window:
+// the simulated final page set costs a page per page, while the engine sends
+// a page it has seen dirty as the words that changed (vm.BaseBook).
 //
 // Two resources are modelled, calibrated to the paper's testbed:
 //

@@ -156,6 +156,14 @@ const (
 	// a patch whose verification failed, and the source re-sends that
 	// extent literally before ending the pass — degraded, never wrong.
 	MsgDeltaPatch
+	// MsgMemPageDelta carries one memory page as the 8-byte words that differ
+	// from the bytes the source last sent for it (WIRE.md §13): Arg is the
+	// page number and the payload the CRC-32C of that base followed by
+	// canonical (skip, literal) word records. Never negotiated and never
+	// emitted for a page the source has not seen dirty; the destination
+	// checks the CRC against its own copy before touching the page and fails
+	// the migration on a mismatch.
+	MsgMemPageDelta
 )
 
 // String implements fmt.Stringer.
@@ -172,7 +180,7 @@ func (t MsgType) String() string {
 		MsgSessionResume: "SESSION_RESUME", MsgSessionAck: "SESSION_ACK",
 		MsgHashAdvert: "HASH_ADVERT", MsgHashWant: "HASH_WANT", MsgBlockRef: "BLOCK_REF",
 		MsgSwarmHello: "SWARM_HELLO", MsgSwarmFetch: "SWARM_FETCH", MsgSwarmBlock: "SWARM_BLOCK",
-		MsgDeltaSig: "DELTA_SIG", MsgDeltaPatch: "DELTA_PATCH",
+		MsgDeltaSig: "DELTA_SIG", MsgDeltaPatch: "DELTA_PATCH", MsgMemPageDelta: "MEM_PAGE_DELTA",
 	}
 	if s, ok := names[t]; ok {
 		return s
@@ -319,7 +327,7 @@ func ExtentSplit(arg uint64) (start, count int) {
 // by units rather than bytes read frames through it.
 func CarriedUnits(m Message) (start, count int) {
 	switch m.Type {
-	case MsgBlockData, MsgMemPage:
+	case MsgBlockData, MsgMemPage, MsgMemPageDelta:
 		return int(m.Arg), 1
 	case MsgExtent, MsgBlockRef:
 		return ExtentSplit(m.Arg)

@@ -312,10 +312,54 @@ func TestTCPEndToEnd(t *testing.T) {
 }
 
 func TestMsgTypeString(t *testing.T) {
-	if MsgBlockData.String() != "BLOCK_DATA" {
-		t.Fatal(MsgBlockData.String())
+	if MsgBlockData.String() != "BLOCK_DATA" || MsgMemPageDelta.String() != "MEM_PAGE_DELTA" {
+		t.Fatal(MsgBlockData.String(), MsgMemPageDelta.String())
 	}
 	if MsgType(200).String() == "" {
 		t.Fatal("unknown type has empty string")
 	}
+}
+
+// FuzzFrameDecode: the frame decoder and the extent unpacking read bytes a
+// peer chose. Decoding never panics; a frame it accepts re-encodes to exactly
+// the bytes it consumed; and whatever Arg it carried unpacks to a
+// non-negative extent that packs back to the same Arg whenever it is legal.
+func FuzzFrameDecode(f *testing.F) {
+	frame := func(m Message) []byte {
+		b, err := encode(nil, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	f.Add(frame(Message{Type: MsgHello, Arg: ProtocolVersion, Payload: make([]byte, 32)}))
+	f.Add(frame(Message{Type: MsgExtent, Arg: ExtentArg(7, 2), Payload: make([]byte, 2*4096)}))
+	f.Add(frame(Message{Type: MsgMemPageDelta, Arg: 3, Payload: []byte{1, 2, 3, 4, 0, 1, 8, 7, 6, 5, 4, 3, 2, 1}}))
+	f.Add(frame(Message{Type: MsgDeltaPatch, Arg: ^uint64(0)}))
+	f.Add([]byte{byte(MsgBlockData), 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}) // length past MaxPayload
+	f.Add([]byte{byte(MsgBlockData), 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 1, 2})       // payload cut short
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := readMessage(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(m.Payload) > MaxPayload {
+			t.Fatalf("accepted a %d-byte payload", len(m.Payload))
+		}
+		again, err := encode(nil, m)
+		if err != nil || !bytes.Equal(again, data[:m.FrameSize()]) {
+			t.Fatalf("accepted frame re-encodes differently (%v)", err)
+		}
+		start, count := ExtentSplit(m.Arg)
+		if start < 0 || count < 0 || count > MaxExtentBlocks {
+			t.Fatalf("ExtentSplit(%#x) = (%d, %d)", m.Arg, start, count)
+		}
+		if count >= 1 && ExtentArg(start, count) != m.Arg {
+			t.Fatalf("ExtentArg(ExtentSplit(%#x)) = %#x", m.Arg, ExtentArg(start, count))
+		}
+		if _, n := CarriedUnits(m); n < 0 || (n > 0 && !IsDataFrame(m.Type) && m.Type != MsgBlockRef && m.Type != MsgDeltaPatch) {
+			t.Fatalf("CarriedUnits(%v) = %d units", m.Type, n)
+		}
+		m.Release()
+	})
 }

@@ -110,8 +110,13 @@ func (m *Memory) WritePage(n int, src []byte) error {
 // StartTracking begins recording dirtied pages.
 func (m *Memory) StartTracking() { m.tracking.Store(true) }
 
-// StopTracking stops recording dirtied pages.
-func (m *Memory) StopTracking() { m.tracking.Store(false) }
+// StopTracking stops recording dirtied pages and drains what was recorded:
+// the final dirty set of a frozen guest, or the leftovers of a migration that
+// gave up, which a later attempt must not mistake for fresh evidence.
+func (m *Memory) StopTracking() *bitmap.Bitmap {
+	m.tracking.Store(false)
+	return m.dirty.SwapOut()
+}
 
 // Tracking reports whether dirty tracking is active.
 func (m *Memory) Tracking() bool { return m.tracking.Load() }
