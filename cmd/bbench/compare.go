@@ -26,8 +26,11 @@ import (
 // rather than widening the tolerance.
 const headlinePrefix = "MigrateModeledLink/"
 
-// allocGatePrefixes selects the benchmarks whose allocs_per_op the gate
-// enforces. Unlike MB/s, an allocation count is hardware-independent — the
+// allocGatePrefixes selects the benchmarks whose per-op heap cost the gate
+// enforces, as a count (allocs_per_op) and as bytes (bytes_per_op: 76 MB in
+// 25 k allocations is invisible to a count, and a pooled buffer that stops
+// being returned shows up here first). Unlike MB/s, an allocation count is
+// hardware-independent — the
 // same binary allocates the same on a laptop and a CI runner — so the
 // loopback-TCP rows, too noisy for a cross-machine throughput gate, are
 // gated on allocations: an accidental per-block allocation on the hot path
@@ -38,8 +41,18 @@ const headlinePrefix = "MigrateModeledLink/"
 // Get/Release or snapshot overlay paths trips it immediately. The
 // MigrateWAN rows pin the delta path's allocation budget — signatures,
 // diffs, and patch application all run per-extent, so a per-chunk leak
-// multiplies fast.
-var allocGatePrefixes = []string{"MigrateModeledLink/", "MigrateTCP/", "MigrateWAN/", "SnapshotScan/"}
+// multiplies fast — and the MigrateDedup row does the same for the stage an
+// advert is answered into.
+var allocGatePrefixes = []string{"MigrateModeledLink/", "MigrateTCP/", "MigrateWAN/", "MigrateDedup/", "SnapshotScan/"}
+
+// heapGates are the two per-op heap costs held on the alloc-gated rows.
+var heapGates = []struct {
+	field, unit string
+	of          func(benchResult) float64
+}{
+	{"allocs_per_op", "allocs/op", func(b benchResult) float64 { return b.AllocsPerOp }},
+	{"bytes_per_op", "B/op", func(b benchResult) float64 { return b.BytesPerOp }},
+}
 
 // metricGates lists deterministic simulator metrics the gate enforces,
 // higher-is-better: a drop beyond the tolerance fails the build. The fleet
@@ -91,18 +104,19 @@ func mbPerSec(f *benchFile) map[string]float64 {
 	return out
 }
 
-// allocsPerOp indexes a snapshot's allocation rows by name.
-func allocsPerOp(f *benchFile) map[string]float64 {
+// heapPerOp indexes one of a snapshot's per-op heap costs by row name; rows
+// that do not carry it (older schemas, unmeasured rows) are absent.
+func heapPerOp(f *benchFile, of func(benchResult) float64) map[string]float64 {
 	out := make(map[string]float64)
 	for _, b := range f.Benchmarks {
-		if b.AllocsPerOp > 0 {
-			out[b.Name] = b.AllocsPerOp
+		if v := of(b); v > 0 {
+			out[b.Name] = v
 		}
 	}
 	return out
 }
 
-// allocGated reports whether name's allocs_per_op is regression-gated.
+// allocGated reports whether name's per-op heap cost is regression-gated.
 func allocGated(name string) bool {
 	for _, p := range allocGatePrefixes {
 		if strings.HasPrefix(name, p) {
@@ -114,9 +128,10 @@ func allocGated(name string) bool {
 
 // compareBench gates newPath against basePath: every headline benchmark
 // present in the baseline must be present in the new snapshot and within
-// maxRegressPct of the baseline's MB/s, and every alloc-gated row the
-// baseline carries allocation data for must not have grown its allocs/op
-// by more than maxRegressPct. Improvements and new benchmarks pass freely.
+// maxRegressPct of the baseline's MB/s, and every alloc-gated row must not
+// have grown either heap cost the baseline carries for it — allocs/op,
+// bytes/op — by more than maxRegressPct. Improvements and new benchmarks
+// pass freely.
 func compareBench(newPath, basePath string, maxRegressPct float64) error {
 	newFile, err := loadBenchFile(newPath)
 	if err != nil {
@@ -155,28 +170,30 @@ func compareBench(newPath, basePath string, maxRegressPct float64) error {
 		return fmt.Errorf("baseline %s has no %s* benchmarks to gate against", basePath, headlinePrefix)
 	}
 
-	newAllocs, baseAllocs := allocsPerOp(newFile), allocsPerOp(baseFile)
 	allocChecked := 0
-	for name, base := range baseAllocs {
-		if !allocGated(name) {
-			continue
+	for _, g := range heapGates {
+		newCost, baseCost := heapPerOp(newFile, g.of), heapPerOp(baseFile, g.of)
+		for name, base := range baseCost {
+			if !allocGated(name) {
+				continue
+			}
+			allocChecked++
+			got, ok := newCost[name]
+			if !ok {
+				failures = append(failures, fmt.Sprintf("%s: %s missing from %s", name, g.field, newPath))
+				continue
+			}
+			growth := (got - base) / base * 100
+			status := "ok"
+			if growth > maxRegressPct {
+				status = "REGRESSION"
+				failures = append(failures,
+					fmt.Sprintf("%s: %.0f %s vs baseline %.0f (+%.1f%%, tolerance %.0f%%)",
+						name, got, g.unit, base, growth, maxRegressPct))
+			}
+			fmt.Printf("gate %-44s base %11.0f %-9s  now %11.0f  (%+.1f%%) %s\n",
+				name, base, g.unit, got, growth, status)
 		}
-		allocChecked++
-		got, ok := newAllocs[name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: allocs_per_op missing from %s", name, newPath))
-			continue
-		}
-		growth := (got - base) / base * 100
-		status := "ok"
-		if growth > maxRegressPct {
-			status = "REGRESSION"
-			failures = append(failures,
-				fmt.Sprintf("%s: %.0f allocs/op vs baseline %.0f (+%.1f%%, tolerance %.0f%%)",
-					name, got, base, growth, maxRegressPct))
-		}
-		fmt.Printf("gate %-44s base %9.0f allocs/op  now %9.0f allocs/op  (%+.1f%%) %s\n",
-			name, base, got, growth, status)
 	}
 
 	// Deterministic metric floors: gated only when the baseline carries the

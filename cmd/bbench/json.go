@@ -18,6 +18,7 @@ import (
 	"bbmig/internal/blockdev"
 	"bbmig/internal/blockdev/bcache"
 	"bbmig/internal/core"
+	"bbmig/internal/dedup"
 	"bbmig/internal/sim"
 	"bbmig/internal/transport"
 	"bbmig/internal/vm"
@@ -37,13 +38,16 @@ type benchResult struct {
 	NsPerOp     float64            `json:"ns_per_op,omitempty"`
 	MBPerSec    float64            `json:"mb_per_s,omitempty"`
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
+	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 // benchFile is the BENCH_*.json schema. The schema string is versioned
 // within the "bbmig-bench/v1" family: v1.1 added allocs_per_op and the
-// MigrateTCP rows. Readers accept any v1* snapshot (missing fields decode
-// to zero), so -compare still reads a pre-bump baseline.
+// MigrateTCP rows, v1.2 bytes_per_op (heap bytes allocated per op: a few
+// large allocations weigh nothing in a count) and the MigrateDedup row.
+// Readers accept any v1* snapshot (missing fields decode to zero), so
+// -compare still reads a pre-bump baseline.
 type benchFile struct {
 	Schema     string        `json:"schema"`
 	GoVersion  string        `json:"go_version"`
@@ -429,6 +433,71 @@ func deltaMigrate(b *testing.B, blocks int, delta bool) {
 	}
 }
 
+// dedupMigrate runs one full migration of a template-provisioned clone —
+// three quarters of the disk cycle 512 template payloads, the last quarter
+// was never written — over modelled GbE to a destination whose fingerprint
+// index knows a sibling clone: every block travels as a reference. The index
+// is built and warmed from the sibling before every migration, off the clock
+// (as benchmark/workloads.go does): one index shared across iterations goes
+// cold after its first migration (ROADMAP 3(e)), and this row measures the
+// codec, not that finding.
+func dedupMigrate(b *testing.B, blocks int) {
+	const frameStall = 40 * time.Microsecond
+	const distinct = 512
+	clone := func() *blockdev.MemDisk {
+		disk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+		buf := make([]byte, blockdev.BlockSize)
+		for n := 0; n < blocks*3/4; n++ {
+			workload.FillBlock(buf, n%distinct, 11)
+			disk.WriteBlock(n, buf)
+		}
+		return disk
+	}
+	srcDisk, sibling := clone(), clone()
+	var refs int
+	b.SetBytes(int64(blocks) * blockdev.BlockSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		idx := dedup.NewIndex(blockdev.BlockSize)
+		if err := idx.RegisterSource("disk/sibling", sibling); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := idx.ScanSource("disk/sibling"); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		dstDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+		guest := vm.New("g", 1, 64, 256)
+		src := core.Host{VM: guest, Backend: blkback.NewBackend(srcDisk, 1)}
+		dst := core.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, 1)}
+		pa, pb := transport.NewPipe(256)
+		cs := transport.NewWAN(pa, frameStall, 125e6)
+		cd := transport.NewWAN(pb, frameStall, 125e6)
+		cfg := core.Config{MaxExtentBlocks: 64, Dedup: true}
+		dstCfg := cfg
+		dstCfg.DedupIndex, dstCfg.DedupName = idx, "disk/clone"
+		errCh := make(chan error, 1)
+		go func() {
+			rep, err := core.MigrateSource(cfg, src, cs, nil)
+			if err == nil {
+				refs = rep.DedupBlocks
+			}
+			errCh <- err
+		}()
+		if _, err := core.MigrateDest(dstCfg, dst, cd); err != nil {
+			b.Fatal(err)
+		}
+		if err := <-errCh; err != nil {
+			b.Fatal(err)
+		}
+		cs.Close()
+		cd.Close()
+	}
+	b.ReportMetric(float64(refs)/float64(blocks), "ref_share")
+}
+
 // snapshotScan measures a full-device scan — the shape of the engine's
 // fingerprint and dedup passes — over a bcache volume with guest writes
 // interleaved every eight blocks. With frozen set the scan reads a CoW
@@ -479,7 +548,7 @@ func snapshotScan(b *testing.B, blocks int, frozen bool, statsOut *bcache.Stats)
 func runJSON(path string, seed int64) error {
 	const blocks = 4096 // 16 MiB image keeps the suite fast enough for CI
 	out := benchFile{
-		Schema:    "bbmig-bench/v1.1",
+		Schema:    "bbmig-bench/v1.2",
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
@@ -491,9 +560,9 @@ func runJSON(path string, seed int64) error {
 		}
 		out.Benchmarks = append(out.Benchmarks, benchResult{
 			Name: name, Iterations: r.N, NsPerOp: float64(r.NsPerOp()), MBPerSec: mbps,
-			AllocsPerOp: float64(r.AllocsPerOp()), Metrics: r.Extra,
+			AllocsPerOp: float64(r.AllocsPerOp()), BytesPerOp: float64(r.AllocedBytesPerOp()), Metrics: r.Extra,
 		})
-		fmt.Printf("%-44s %8d ns/op  %9.1f MB/s  %8d allocs/op\n", name, r.NsPerOp(), mbps, r.AllocsPerOp())
+		fmt.Printf("%-44s %8d ns/op  %9.1f MB/s  %8d allocs/op  %10d B/op\n", name, r.NsPerOp(), mbps, r.AllocsPerOp(), r.AllocedBytesPerOp())
 	}
 
 	// Real engine over the modelled link: the policy trajectory.
@@ -539,6 +608,11 @@ func runJSON(path string, seed int64) error {
 		testing.Benchmark(func(b *testing.B) { deltaMigrate(b, blocks, false) }))
 	add("MigrateWAN/delta-back",
 		testing.Benchmark(func(b *testing.B) { deltaMigrate(b, blocks, true) }))
+
+	// Template clone to a destination that knows a sibling: the dedup codec's
+	// own cost, every block by reference.
+	add("MigrateDedup/warm",
+		testing.Benchmark(func(b *testing.B) { dedupMigrate(b, blocks) }))
 
 	// The one encoding every travelling bitmap uses (WIRE.md §4), on the
 	// paper's 10 001 920-block disk: an idle guest's empty freeze set, the

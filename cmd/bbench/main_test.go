@@ -164,7 +164,41 @@ func TestCompareBenchAllocGate(t *testing.T) {
 	}
 }
 
-// TestCompareBenchBadFiles: unreadable or malformed snapshots error.
+// TestCompareBenchBytesGate covers the bytes_per_op arm: on the alloc-gated
+// rows it is held to the same tolerance as the count, so a few large
+// allocations cannot hide behind an unchanged allocs/op; a v1.1 baseline
+// without the field gates nothing, and a gated row that loses it fails.
+func TestCompareBenchBytesGate(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := func(file string, dedupBytes float64) string {
+		path := filepath.Join(dir, file)
+		writeSnapshotV11(t, path, []benchResult{
+			{Name: "MigrateModeledLink/default-per-block", MBPerSec: 100, AllocsPerOp: 5000, BytesPerOp: 2e6},
+			{Name: "MigrateDedup/warm", MBPerSec: 90, AllocsPerOp: 2500, BytesPerOp: dedupBytes},
+			{Name: "SomethingElse/unrelated", MBPerSec: 50, AllocsPerOp: 10, BytesPerOp: dedupBytes * 100},
+		})
+		return path
+	}
+	base := snapshot("base.json", 9e6)
+	if err := compareBench(snapshot("ok.json", 10e6), base, 25); err != nil {
+		t.Errorf("+11%% bytes/op failed a 25%% gate: %v", err)
+	}
+	if err := compareBench(snapshot("less.json", 1e6), base, 25); err != nil {
+		t.Errorf("fewer bytes/op failed the gate: %v", err)
+	}
+	err := compareBench(snapshot("bad.json", 76e6), base, 25)
+	if err == nil || !strings.Contains(err.Error(), "MigrateDedup/warm") || !strings.Contains(err.Error(), "B/op") {
+		t.Errorf("76 MB/op in an unchanged allocation count: gate said %v", err)
+	}
+	if err := compareBench(snapshot("lost.json", 0), base, 25); err == nil || !strings.Contains(err.Error(), "bytes_per_op missing") {
+		t.Errorf("a gated row without bytes_per_op: gate said %v", err)
+	}
+	// A v1.1 baseline carries counts only: nothing to hold the bytes to.
+	if err := compareBench(snapshot("new.json", 76e6), snapshot("v11.json", 0), 25); err != nil {
+		t.Errorf("bytes/op gated against a baseline that has none: %v", err)
+	}
+}
+
 // TestCompareBenchCountGate: the MemDelta rows' counts repeat exactly, so they
 // are held to 2 % whatever -max-regress allows the timed rows: growth of the
 // byte counts fails, shrinkage passes, and delta_pages may move neither way —
@@ -205,6 +239,7 @@ func TestCompareBenchCountGate(t *testing.T) {
 	}
 }
 
+// TestCompareBenchBadFiles: unreadable or malformed snapshots error.
 func TestCompareBenchBadFiles(t *testing.T) {
 	dir := t.TempDir()
 	good := dir + "/good.json"

@@ -523,3 +523,48 @@ func ExampleCache() {
 	_ = vol.Release()
 	// Output: snapshot sees a
 }
+
+// TestWriteBlockCopiesItsSource pins what lets a migration hand every device
+// borrowed content — a dedup stage slot, the process-wide shared zero block:
+// WriteBlock takes a copy, so scribbling over the source afterwards changes
+// nothing the device holds, and the device never writes through its source.
+func TestWriteBlockCopiesItsSource(t *testing.T) {
+	file, err := blockdev.CreateFileDisk(t.TempDir()+"/disk.img", 4, testBS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	for name, dev := range map[string]blockdev.Device{
+		"MemDisk":  blockdev.NewMemDisk(4, testBS),
+		"FileDisk": file,
+		"bcache":   New(blockdev.NewMemDisk(4, testBS), 2),
+	} {
+		src, want, got := make([]byte, testBS), make([]byte, testBS), make([]byte, testBS)
+		fillBlock(src, 1, 1)
+		copy(want, src)
+		if err := dev.WriteBlock(1, src); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if string(src) != string(want) {
+			t.Errorf("%s: WriteBlock modified its source", name)
+		}
+		for i := range src { // the lender reuses its buffer
+			src[i] = 0xEE
+		}
+		if err := dev.ReadBlock(1, got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s: block changed with the buffer it was written from", name)
+		}
+		// Overwriting the block must not land in the first write's source.
+		if err := dev.WriteBlock(1, make([]byte, testBS)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, b := range src {
+			if b != 0xEE {
+				t.Fatalf("%s: a later write reached the first write's source", name)
+			}
+		}
+	}
+}

@@ -33,15 +33,15 @@ func (t *transfer) dedupEncoder(next extentEncoder, limited bool) extentEncoder 
 		fps = fps[:0]
 		allZero := true
 		for k := 0; k < ext.Count; k++ {
-			fp := dedup.Of(data[k*bs : (k+1)*bs])
-			fps = append(fps, fp)
-			if fp != zero {
-				allZero = false
+			// Comparing a zero block costs a fraction of hashing it.
+			fp := zero
+			if blk := data[k*bs : (k+1)*bs]; !dedup.IsZero(blk) {
+				fp, allZero = dedup.Of(blk), false
 			}
+			fps = append(fps, fp)
 		}
-		// Fingerprint payloads (adverts, references) are staged in one pooled
-		// scratch buffer: sends only borrow their payload, so the scratch is
-		// reusable the moment each send returns.
+		// Adverts and references are staged in one pooled scratch buffer: a
+		// send only borrows its payload, so the scratch is reusable on return.
 		fpBuf := transport.GetBuf(len(fps) * dedup.FingerprintSize)
 		defer transport.PutBuf(fpBuf)
 		var wire int64
@@ -96,18 +96,18 @@ func (t *transfer) dedupEncoder(next extentEncoder, limited bool) extentEncoder 
 // --- Destination side ---
 
 // destDedup is one migration's destination-side dedup session: the
-// fingerprint index consulted for adverts, the content staged between an
-// advert and its references, and the name the destination VBD's own blocks
-// are observed under.
+// fingerprint index consulted for adverts (possibly shared with concurrent
+// sessions), this session's own stage and fingerprint scratch, and the name
+// the destination VBD's own blocks are observed under.
 type destDedup struct {
 	idx   *dedup.Index
 	self  string
-	stage map[dedup.Fingerprint][]byte
-	refs  int // blocks materialized by reference (Report.DedupBlocks)
+	stage dedup.Stage         // content staged between an advert and its references
+	fps   []dedup.Fingerprint // the frame being handled, decoded
+	refs  int                 // blocks materialized by reference (Report.DedupBlocks)
 
-	// swarm fans want-sets across peer host daemons (Config.Swarm); nil
-	// keeps the session single-source. swarmBlocks counts blocks whose
-	// content a peer produced (Report.SwarmBlocks).
+	// swarm fans want-sets across peer host daemons (Config.Swarm), nil for a
+	// single-source session; swarmBlocks counts what peers produced.
 	swarm       *swarmClient
 	swarmBlocks int
 }
@@ -137,32 +137,44 @@ func (dd *destDedup) observe(block int, data []byte) {
 	dd.idx.Observe(dd.self, block, dedup.Of(data))
 }
 
+// close ends the session, if there was one: stage buffer back to the pool,
+// swarm sidecar connections torn down.
+func (dd *destDedup) close() {
+	if dd != nil {
+		dd.stage.Release()
+		if dd.swarm != nil {
+			dd.swarm.close()
+		}
+	}
+}
+
 // checkFPExtent validates a MsgHashAdvert/MsgBlockRef frame against the
-// prepared VBD and decodes its fingerprints.
-func (t *transfer) checkFPExtent(m transport.Message) (bitmap.Extent, []dedup.Fingerprint, error) {
-	ext, err := splitExtent(m.Arg, t.dev)
+// prepared VBD and decodes its fingerprints into the session's scratch,
+// valid until the next frame is checked.
+func (d *destRun) checkFPExtent(m transport.Message) (bitmap.Extent, []dedup.Fingerprint, error) {
+	ext, err := splitExtent(m.Arg, d.dev)
 	if err != nil {
 		return ext, nil, err
 	}
-	fps, err := dedup.ParseFingerprints(m.Payload, ext.Count)
-	return ext, fps, err
+	d.dd.fps, err = dedup.ParseFingerprintsInto(d.dd.fps, m.Payload, ext.Count)
+	return ext, d.dd.fps, err
 }
 
-// handleAdvert answers one MsgHashAdvert through Index.Answer. Runs under
-// drainOn, so every earlier literal is applied — and observed — before the
-// lookup.
+// handleAdvert answers one MsgHashAdvert through Index.AnswerInto, which
+// replaces the previous advert's staging wholesale: references only ever name
+// the immediately preceding advert (or zero). Runs under drainOn, so every
+// earlier literal is applied — and observed — before the lookup.
 func (d *destRun) handleAdvert(m transport.Message) error {
 	_, fps, err := d.checkFPExtent(m)
 	if err != nil {
 		return err
 	}
-	want, stage := d.dd.idx.Answer(fps)
+	want := d.dd.idx.AnswerInto(&d.dd.stage, fps)
 	// Swarm fetch: before conceding a literal send, ask the peer fleet for
 	// the still-wanted content. Whatever arrives (already verified against
 	// its fingerprint) is staged exactly as locally-produced content is, and
 	// its want bit clears so the source ships a 16-byte reference instead.
-	// Anything the swarm misses stays wanted — the literal fallback needs no
-	// extra protocol.
+	// Anything the swarm misses stays wanted: the literal is the fallback.
 	if d.dd.swarm != nil {
 		var missing []dedup.Fingerprint
 		seen := make(map[dedup.Fingerprint]bool)
@@ -173,44 +185,33 @@ func (d *destRun) handleAdvert(m transport.Message) error {
 			}
 		}
 		if len(missing) > 0 {
-			bs := d.host.Backend.Device().BlockSize()
-			got := d.dd.swarm.fetch(missing, bs)
-			if len(got) > 0 {
-				if stage == nil {
-					stage = make(map[dedup.Fingerprint][]byte, len(got))
+			got := d.dd.swarm.fetch(missing, d.dev.BlockSize())
+			for k, fp := range fps {
+				if !dedup.Want(want, k) {
+					continue
 				}
-				for k, fp := range fps {
-					if !dedup.Want(want, k) {
-						continue
-					}
-					if content, ok := got[fp]; ok {
-						stage[fp] = content
-						dedup.ClearWant(want, k)
-						d.dd.swarmBlocks++
-					}
+				if content, ok := got[fp]; ok {
+					d.dd.stage.Put(k, fp, content)
+					dedup.ClearWant(want, k)
+					d.dd.swarmBlocks++
 				}
 			}
 		}
 	}
-	// Replace the previous advert's staging wholesale: references only ever
-	// name the immediately preceding advert (or zero), so older staged
-	// content can no longer be referenced.
-	d.dd.stage = stage
 	return d.destSend(transport.Message{Type: transport.MsgHashWant, Arg: m.Arg, Payload: want})
 }
 
-// applyBlockRef materializes one MsgBlockRef run through Index.Materialize.
-// An unresolvable fingerprint is a protocol error — the source only sends
-// references for content this destination claimed, so reaching it means
-// the claim expired mid-extent; failing the migration (and letting the
-// retry path re-send) is the only answer that cannot write wrong bytes.
+// applyBlockRef materializes one MsgBlockRef run through Index.Materialize;
+// the device copies the borrowed content. An unresolvable fingerprint is a
+// protocol error (the source only references content this destination
+// claimed): failing the migration is the only answer that cannot write wrong bytes.
 func (d *destRun) applyBlockRef(m transport.Message) error {
 	ext, fps, err := d.checkFPExtent(m)
 	if err != nil {
 		return err
 	}
 	for k, fp := range fps {
-		content, ok := d.dd.idx.Materialize(d.dd.stage, fp)
+		content, ok := d.dd.idx.Materialize(&d.dd.stage, fp)
 		if !ok {
 			return fmt.Errorf("core: block ref %d names content this host cannot produce", ext.Start+k)
 		}

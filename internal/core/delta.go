@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bbmig/internal/bitmap"
+	"bbmig/internal/blockdev"
 	"bbmig/internal/delta"
 	"bbmig/internal/transport"
 )
@@ -34,6 +35,7 @@ const deltaFenceArg = 0
 // to next instead — frames any delta-negotiated destination accepts, so the
 // round trip gates cost, never correctness.
 func (t *transfer) deltaEncoder(next extentEncoder, limited bool) extentEncoder {
+	var differ delta.Differ // table and patch scratch, reused extent to extent
 	return func(ext bitmap.Extent, data []byte) (int64, error) {
 		arg := transport.ExtentArg(ext.Start, ext.Count)
 		req := transport.Message{Type: transport.MsgDeltaSig, Arg: arg}
@@ -45,12 +47,12 @@ func (t *transfer) deltaEncoder(next extentEncoder, limited bool) extentEncoder 
 		if err != nil {
 			return wire, err
 		}
-		sig, perr := delta.ParseSignature(sigRaw)
-		transport.PutBuf(sigRaw)
+		defer transport.PutBuf(sigRaw) // sig is a view of the reply: it dies here
+		sig, perr := delta.ViewSignature(sigRaw)
 		if perr != nil {
 			return wire, fmt.Errorf("core: delta signature for extent [%d,+%d): %w", ext.Start, ext.Count, perr)
 		}
-		patch := delta.Diff(sig, data)
+		patch := differ.Diff(&sig, data) // borrowed until the next Diff; send borrows it in turn
 		if len(patch) >= len(data) {
 			// Diverged wholesale: the literal is no bigger and needs no apply.
 			lit, err := next(ext, data)
@@ -92,25 +94,18 @@ func (t *transfer) deltaFence(limited bool) (int64, error) {
 	naks := t.deltaNaks
 	t.deltaNaks = nil
 	t.deltaMu.Unlock()
-	dev := t.srcDev
-	bs := dev.BlockSize()
-	var buf []byte
-	defer func() { transport.PutBuf(buf) }()
 	for _, arg := range naks {
-		ext, err := splitExtent(arg, dev)
+		ext, err := splitExtent(arg, t.srcDev)
 		if err != nil {
 			return wire, fmt.Errorf("core: delta refusal: %w", err)
 		}
-		if need := ext.Count * bs; cap(buf) < need {
-			transport.PutBuf(buf)
-			buf = transport.GetBuf(need)
-		}
-		data := buf[:ext.Count*bs]
-		if err := readExtent(dev, ext, data); err != nil {
+		data, err := readPooled(t.srcDev, ext)
+		if err != nil {
 			return wire, err
 		}
 		t.deltaBlocks -= ext.Count // the patch was refused; these blocks moved literally
 		lit, err := t.sendLiteral(ext, data, limited)
+		transport.PutBuf(data)
 		if err != nil {
 			return wire, err
 		}
@@ -121,11 +116,11 @@ func (t *transfer) deltaFence(limited bool) (int64, error) {
 
 // --- Destination side ---
 
-// readExtent reads the destination's current on-disk content for ext into a
-// pooled buffer the caller must PutBuf.
-func (d *destRun) readExtent(ext bitmap.Extent) ([]byte, error) {
-	buf := transport.GetBuf(ext.Count * d.dev.BlockSize())
-	if err := readExtent(d.dev, ext, buf); err != nil {
+// readPooled reads dev's current content for ext into a pooled buffer the
+// caller must PutBuf.
+func readPooled(dev blockdev.Device, ext bitmap.Extent) ([]byte, error) {
+	buf := transport.GetBuf(ext.Count * dev.BlockSize())
+	if err := readExtent(dev, ext, buf); err != nil {
 		transport.PutBuf(buf)
 		return nil, err
 	}
@@ -145,13 +140,15 @@ func (d *destRun) handleDeltaSig(m transport.Message) error {
 	if err != nil {
 		return err
 	}
-	old, err := d.readExtent(ext)
+	old, err := readPooled(d.dev, ext)
 	if err != nil {
 		return err
 	}
-	sig := delta.Sig(old, d.cfg.DeltaChunk)
+	// The records are computed straight into the reply's pooled payload.
+	sig := delta.AppendSig(transport.GetBuf(delta.SigLen(len(old), d.cfg.DeltaChunk))[:0], old, d.cfg.DeltaChunk)
 	transport.PutBuf(old)
-	return d.destSend(transport.Message{Type: transport.MsgDeltaSig, Arg: m.Arg, Payload: sig.Marshal()})
+	defer transport.PutBuf(sig)
+	return d.destSend(transport.Message{Type: transport.MsgDeltaSig, Arg: m.Arg, Payload: sig})
 }
 
 // handleDeltaPatch applies one patch against the destination's current
@@ -165,11 +162,13 @@ func (d *destRun) handleDeltaPatch(m transport.Message) error {
 		return err
 	}
 	bs := d.dev.BlockSize()
-	old, err := d.readExtent(ext)
+	old, err := readPooled(d.dev, ext)
 	if err != nil {
 		return err
 	}
-	out, aerr := delta.Apply(old, m.Payload)
+	buf := transport.GetBuf(ext.Count * bs)
+	defer transport.PutBuf(buf) // once the rebuilt blocks are written
+	out, aerr := delta.AppendApply(buf[:0], old, m.Payload)
 	transport.PutBuf(old)
 	if aerr == nil && len(out) != ext.Count*bs {
 		aerr = fmt.Errorf("core: patch rebuilt %d bytes for a %d-block extent", len(out), ext.Count)

@@ -41,9 +41,7 @@ func MigrateDest(cfg Config, host Host, conn transport.Conn) (*DestResult, error
 	if err := d.openDedup(); err != nil {
 		return d.res, d.finish(err)
 	}
-	if d.dd != nil && d.dd.swarm != nil {
-		defer d.dd.swarm.close()
-	}
+	defer d.dd.close()
 	return d.run([]phase{
 		{PhaseHandshake, d.acceptHandshake},
 		// The destination cannot tell the disk, memory and freeze sub-phases

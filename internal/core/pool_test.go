@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bbmig/internal/blockdev"
+	"bbmig/internal/dedup"
 	"bbmig/internal/transport"
 )
 
@@ -15,30 +16,80 @@ import (
 // stage — corrupts data deterministically and fails the convergence check.
 // The matrix covers every composition the release discipline threads
 // through: readahead prefetch, striped multi-stream with scatter workers,
-// negotiated compression, and content dedup. Run with -race, the striped
-// rows double as the concurrent send/recv pool-recycling race test.
+// negotiated compression, content dedup, and the delta codec. The stale rows
+// start the destination from an older copy of the image (half the written
+// blocks identical, half with their first 256 bytes different) that its
+// fingerprint index has scanned, so the borrowed buffers carry content that
+// matters: a dedup stage read after the next advert released it, a signature
+// view read after its reply was released, or a rebuilt extent released before
+// its blocks were written lands poison on the disk. Run with -race, the
+// striped rows double as the concurrent send/recv pool-recycling race test.
 func TestPoisonedPoolMigrations(t *testing.T) {
 	transport.SetBufPoison(true)
 	defer transport.SetBufPoison(false)
 	cases := []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		stale bool
 	}{
-		{"per-block", Config{}},
-		{"readahead", Config{MaxExtentBlocks: 16, Readahead: 4}},
-		{"striped-workers", Config{Streams: 4, MaxExtentBlocks: 16, Workers: 4}},
-		{"compressed", Config{MaxExtentBlocks: 16, CompressLevel: -1}},
-		{"compressed-workers", Config{MaxExtentBlocks: 16, CompressLevel: -1, Workers: 4}},
-		{"dedup", Config{Dedup: true, MaxExtentBlocks: 16}},
-		{"dedup-striped", Config{Dedup: true, MaxExtentBlocks: 16, Streams: 4}},
+		{name: "per-block"},
+		{name: "readahead", cfg: Config{MaxExtentBlocks: 16, Readahead: 4}},
+		{name: "striped-workers", cfg: Config{Streams: 4, MaxExtentBlocks: 16, Workers: 4}},
+		{name: "compressed", cfg: Config{MaxExtentBlocks: 16, CompressLevel: -1}},
+		{name: "compressed-workers", cfg: Config{MaxExtentBlocks: 16, CompressLevel: -1, Workers: 4}},
+		{name: "dedup", cfg: Config{Dedup: true, MaxExtentBlocks: 16}},
+		{name: "dedup-striped", cfg: Config{Dedup: true, MaxExtentBlocks: 16, Streams: 4}},
+		{name: "dedup-stale", cfg: Config{Dedup: true, MaxExtentBlocks: 16}, stale: true},
+		{name: "delta", cfg: Config{Delta: true, MaxExtentBlocks: 16}, stale: true},
+		{name: "dedup+delta", cfg: Config{Dedup: true, Delta: true, MaxExtentBlocks: 16}, stale: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEnv(t)
 			e.useStriped(tc.cfg.Streams)
-			_, res := e.runTPM(tc.cfg, nil)
+			cfg := tc.cfg
+			if tc.stale {
+				staleDestination(t, e.srcDisk, e.dstDisk, 2)
+				if cfg.Dedup {
+					cfg.DedupIndex, cfg.DedupName = dedup.NewIndex(blockdev.BlockSize), "retained"
+					if err := cfg.DedupIndex.RegisterSource(cfg.DedupName, e.dstDisk); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := cfg.DedupIndex.ScanSource(cfg.DedupName); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			rep, res := e.runTPM(cfg, nil)
 			e.checkConverged(res.CPU)
+			if tc.stale && cfg.Dedup && rep.DedupBlocks <= testBlocks*2/3 {
+				t.Errorf("%d blocks by reference: no staged content was referenced, only zeros", rep.DedupBlocks)
+			}
+			if tc.stale && cfg.Delta && rep.DeltaBlocks == 0 {
+				t.Error("no block travelled as a patch: the delta buffers were never exercised")
+			}
 		})
+	}
+}
+
+// staleDestination starts dst as an older copy of the test image on src:
+// every written block is there, and every rewriteEvery-th of them differs
+// from the source in its first 256 bytes.
+func staleDestination(t *testing.T, src, dst *blockdev.MemDisk, rewriteEvery int) {
+	t.Helper()
+	buf := make([]byte, blockdev.BlockSize)
+	for n := 0; n < testBlocks; n += 3 { // the test image has every third block written
+		if err := src.ReadBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+		if n/3%rewriteEvery == 0 {
+			for i := 0; i < 256; i++ {
+				buf[i] ^= 0x5a
+			}
+		}
+		if err := dst.WriteBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -65,18 +116,7 @@ func TestWireTraceReadaheadEquivalence(t *testing.T) {
 				// The destination starts from a stale copy — every source
 				// block with its first 256 bytes rewritten — so the delta
 				// encoder has near matches to patch, not just zero runs.
-				buf := make([]byte, blockdev.BlockSize)
-				for n := 0; n < testBlocks; n += 3 {
-					if err := e.srcDisk.ReadBlock(n, buf); err != nil {
-						t.Fatal(err)
-					}
-					for i := 0; i < 256; i++ {
-						buf[i] ^= 0x5a
-					}
-					if err := e.dstDisk.WriteBlock(n, buf); err != nil {
-						t.Fatal(err)
-					}
-				}
+				staleDestination(t, e.srcDisk, e.dstDisk, 1)
 				cfg := tc.cfg
 				cfg.MaxExtentBlocks, cfg.Readahead = 8, readahead
 				runTracedTPM(wholeDisk)(t, e, cfg, cfg)

@@ -103,6 +103,7 @@ func SyncDest(cfg Config, dev blockdev.Device, conn transport.Conn) (SyncStats, 
 	if err := d.openDedup(); err != nil {
 		return SyncStats{}, err
 	}
+	defer d.dd.close()
 	handlers := d.diskHandlers()
 	handlers[transport.MsgDone] = d.drainOn(func(m transport.Message) error {
 		if int(m.Arg) != d.recvBlocks {

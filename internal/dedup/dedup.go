@@ -22,8 +22,10 @@
 package dedup
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"sync"
 )
 
 // FingerprintSize is the wire size of one block fingerprint: SHA-256
@@ -42,35 +44,46 @@ func Of(data []byte) Fingerprint {
 	return fp
 }
 
+// zeroPage is what IsZero compares against, a page at a time: bytes.Equal is
+// vectorised where a byte loop is not.
+var zeroPage [4096]byte
+
 // IsZero reports whether data is all zero bytes (the candidate for
 // zero-block elision).
 func IsZero(data []byte) bool {
-	for _, b := range data {
-		if b != 0 {
+	for len(data) > len(zeroPage) {
+		if !bytes.Equal(data[:len(zeroPage)], zeroPage[:]) {
 			return false
 		}
+		data = data[len(zeroPage):]
 	}
-	return true
+	return bytes.Equal(data, zeroPage[:len(data)])
 }
 
-// zeroFPs caches the zero-block fingerprint per block size.
-var zeroFPs = map[int]Fingerprint{}
+// zeroContent is the all-zero block of one block size and its fingerprint.
+// The block is shared by every Index of that size and is read-only: it is
+// handed out as materialized content and must never be written through.
+type zeroContent struct {
+	block []byte
+	fp    Fingerprint
+}
+
+// zeros caches one zeroContent per block size (int → *zeroContent).
+var zeros sync.Map
+
+func zeroOf(blockSize int) *zeroContent {
+	if z, ok := zeros.Load(blockSize); ok {
+		return z.(*zeroContent)
+	}
+	block := make([]byte, blockSize)
+	z, _ := zeros.LoadOrStore(blockSize, &zeroContent{block: block, fp: Of(block)})
+	return z.(*zeroContent)
+}
 
 // ZeroFingerprint returns the fingerprint of an all-zero block of the given
-// size. Every Index serves it without any observation: zero content is
-// always materializable.
-func ZeroFingerprint(blockSize int) Fingerprint {
-	if fp, ok := zeroFPs[blockSize]; ok {
-		return fp
-	}
-	return Of(make([]byte, blockSize))
-}
-
-func init() {
-	// Pre-warm the common block size so the hot path never allocates a
-	// scratch zero block (and the map is never written concurrently).
-	zeroFPs[4096] = Of(make([]byte, 4096))
-}
+// size, hashed once per size. Every Index serves it without any observation:
+// zero content is always materializable.
+func ZeroFingerprint(blockSize int) Fingerprint { return zeroOf(blockSize).fp }
 
 // AppendFingerprints appends the wire form of fps (FingerprintSize bytes
 // each, in order) to buf — the MsgHashAdvert / MsgBlockRef payload encoding.
@@ -84,14 +97,24 @@ func AppendFingerprints(buf []byte, fps []Fingerprint) []byte {
 // ParseFingerprints decodes a MsgHashAdvert / MsgBlockRef payload that must
 // carry exactly count fingerprints.
 func ParseFingerprints(payload []byte, count int) ([]Fingerprint, error) {
+	return ParseFingerprintsInto(nil, payload, count)
+}
+
+// ParseFingerprintsInto is ParseFingerprints decoding into dst's backing
+// array when it is large enough. It returns dst unchanged on error, so a
+// caller keeps its scratch.
+func ParseFingerprintsInto(dst []Fingerprint, payload []byte, count int) ([]Fingerprint, error) {
 	if len(payload) != count*FingerprintSize {
-		return nil, fmt.Errorf("dedup: fingerprint payload %d bytes, want %d×%d", len(payload), count, FingerprintSize)
+		return dst, fmt.Errorf("dedup: fingerprint payload %d bytes, want %d×%d", len(payload), count, FingerprintSize)
 	}
-	fps := make([]Fingerprint, count)
-	for i := range fps {
-		copy(fps[i][:], payload[i*FingerprintSize:])
+	if cap(dst) < count {
+		dst = make([]Fingerprint, count)
 	}
-	return fps, nil
+	dst = dst[:count]
+	for i := range dst {
+		copy(dst[i][:], payload[i*FingerprintSize:])
+	}
+	return dst, nil
 }
 
 // WantLen returns the MsgHashWant payload size for an advert of count

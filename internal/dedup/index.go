@@ -3,6 +3,8 @@ package dedup
 import (
 	"fmt"
 	"sync"
+
+	"bbmig/internal/transport"
 )
 
 // BlockReader is the slice of blockdev.Device an Index needs from a content
@@ -43,6 +45,7 @@ type Index struct {
 	mu        sync.Mutex
 	blockSize int
 	zero      Fingerprint
+	zeroBlock []byte // shared and read-only, see zeroContent
 	sources   map[string]BlockReader
 	entries   map[Fingerprint]loc
 	rev       map[string]map[int]Fingerprint // source → block → observed fp
@@ -53,9 +56,11 @@ func NewIndex(blockSize int) *Index {
 	if blockSize <= 0 {
 		panic(fmt.Sprintf("dedup: block size %d", blockSize))
 	}
+	z := zeroOf(blockSize)
 	return &Index{
 		blockSize: blockSize,
-		zero:      ZeroFingerprint(blockSize),
+		zero:      z.fp,
+		zeroBlock: z.block,
 		sources:   make(map[string]BlockReader),
 		entries:   make(map[Fingerprint]loc),
 		rev:       make(map[string]map[int]Fingerprint),
@@ -173,15 +178,26 @@ func (ix *Index) ScanReader(name string, r BlockReader) (int, error) {
 	return indexed, nil
 }
 
-// Lookup materializes the content behind fp, or reports that the index
-// cannot. The zero fingerprint always succeeds. Any other hit re-reads the
-// recorded block and re-hashes it; a mismatch (the block was overwritten
-// since the observation) evicts the entry and reports a miss, so callers
-// can trust returned bytes unconditionally. The returned slice is freshly
-// allocated and the caller's to keep.
+// Lookup materializes the content behind fp in a freshly allocated block the
+// caller keeps, or reports that the index cannot. See LookupInto.
 func (ix *Index) Lookup(fp Fingerprint) ([]byte, bool) {
+	buf := make([]byte, ix.blockSize)
+	if !ix.LookupInto(fp, buf) {
+		return nil, false
+	}
+	return buf, true
+}
+
+// LookupInto materializes the content behind fp into dst (one block long),
+// or reports that the index cannot; dst is scratch either way. The zero
+// fingerprint always succeeds. Any other hit re-reads the recorded block and
+// re-hashes it; a mismatch (the block was overwritten since the observation)
+// evicts the entry and reports a miss, so callers can trust the bytes of a
+// hit unconditionally.
+func (ix *Index) LookupInto(fp Fingerprint, dst []byte) bool {
 	if fp == ix.zero {
-		return make([]byte, ix.blockSize), true
+		clear(dst)
+		return true
 	}
 	ix.mu.Lock()
 	l, ok := ix.entries[fp]
@@ -191,60 +207,106 @@ func (ix *Index) Lookup(fp Fingerprint) ([]byte, bool) {
 	}
 	ix.mu.Unlock()
 	if !ok || dev == nil {
-		return nil, false
+		return false
 	}
-	if l.block < 0 || l.block >= dev.NumBlocks() {
+	if l.block < 0 || l.block >= dev.NumBlocks() || dev.ReadBlock(l.block, dst) != nil || Of(dst) != fp {
 		ix.evict(fp, l)
-		return nil, false
+		return false
 	}
-	buf := make([]byte, ix.blockSize)
-	if err := dev.ReadBlock(l.block, buf); err != nil {
-		ix.evict(fp, l)
-		return nil, false
-	}
-	if Of(buf) != fp {
-		ix.evict(fp, l)
-		return nil, false
-	}
-	return buf, true
+	return true
 }
 
-// Answer is the destination's half of one MsgHashAdvert: every advertised
-// fingerprint the index can produce (verified by Lookup's re-hash) is
-// staged for the references that follow, and everything else gets its want
-// bit set. Zero fingerprints are neither wanted nor staged — zeros are
-// implicit. Both the engine's receive loop and ServeSync answer adverts
-// through here, so the reply semantics cannot diverge.
-func (ix *Index) Answer(fps []Fingerprint) (want []byte, stage map[Fingerprint][]byte) {
-	want = make([]byte, WantLen(len(fps)))
-	stage = make(map[Fingerprint][]byte)
+// Stage is the content one advert staged for the references that follow it:
+// one block-sized slot per advertised position in a single pooled buffer,
+// captured at advert time so it cannot be overwritten underneath. It belongs
+// to one destination session — the Index is shared by concurrent inbound
+// migrations, a Stage never is — and the next advert replaces it wholesale,
+// which the protocol allows because a reference only ever names the advert
+// immediately before it. The zero value is an empty stage.
+type Stage struct {
+	buf   []byte              // pooled; slot k is buf[k*blockSize:][:blockSize]
+	slots map[Fingerprint]int // staged fingerprint → its slot
+	want  []byte              // the advert's want-bitmap, reused
+}
+
+// reset empties the stage for an advert of count blocks. The old buffer goes
+// back to the pool first: content read after its advert was replaced is a
+// bug, and the pool's poison mode makes it a visible one.
+func (st *Stage) reset(count, blockSize int) {
+	st.Release()
+	st.buf = transport.GetBuf(count * blockSize)
+	if st.slots == nil {
+		st.slots = make(map[Fingerprint]int, count)
+	}
+	if n := WantLen(count); cap(st.want) < n {
+		st.want = make([]byte, n)
+	} else {
+		st.want = st.want[:n]
+		clear(st.want)
+	}
+}
+
+// Release returns the stage's buffer to the pool and forgets its content.
+// The session calls it when it ends; the stage stays usable.
+func (st *Stage) Release() {
+	transport.PutBuf(st.buf)
+	st.buf = nil
+	clear(st.slots)
+}
+
+// Put stages content (one block, already verified against fp) in slot k of
+// the current advert — how swarm-fetched blocks join locally produced ones.
+func (st *Stage) Put(k int, fp Fingerprint, content []byte) {
+	copy(st.buf[k*len(content):(k+1)*len(content)], content)
+	st.slots[fp] = k
+}
+
+// Answer is AnswerInto on a fresh Stage the caller keeps (and never has to
+// release: an unreleased stage is simply garbage collected).
+func (ix *Index) Answer(fps []Fingerprint) (want []byte, stage *Stage) {
+	stage = new(Stage)
+	return ix.AnswerInto(stage, fps), stage
+}
+
+// AnswerInto is the destination's half of one MsgHashAdvert: st is emptied,
+// every advertised fingerprint the index can produce is verified (LookupInto's
+// re-hash) straight into its slot of st for the references that follow, and
+// everything else gets its want bit set. Zero fingerprints are neither wanted
+// nor staged — zeros are implicit. The returned want-bitmap belongs to st and
+// is valid until st's next advert. Both the engine's receive loop and
+// ServeSync answer adverts through here, so the reply semantics cannot
+// diverge.
+func (ix *Index) AnswerInto(st *Stage, fps []Fingerprint) (want []byte) {
+	st.reset(len(fps), ix.blockSize)
 	for k, fp := range fps {
 		if fp == ix.zero {
 			continue
 		}
-		if _, ok := stage[fp]; ok {
+		if _, ok := st.slots[fp]; ok {
 			continue
 		}
-		if content, ok := ix.Lookup(fp); ok {
-			stage[fp] = content
+		if ix.LookupInto(fp, st.buf[k*ix.blockSize:(k+1)*ix.blockSize]) {
+			st.slots[fp] = k
 		} else {
-			SetWant(want, k)
+			SetWant(st.want, k)
 		}
 	}
-	return want, stage
+	return st.want
 }
 
-// Materialize resolves one MsgBlockRef fingerprint: staged content first
-// (captured at advert time, so it cannot be overwritten underneath), the
-// index (verify-on-read) as fallback, zeros implicitly. ok is false when
-// the content cannot be produced — a protocol error for the caller, never
-// a silent wrong write.
-func (ix *Index) Materialize(stage map[Fingerprint][]byte, fp Fingerprint) (content []byte, ok bool) {
+// Materialize resolves one MsgBlockRef fingerprint: staged content first, the
+// index (verify-on-read) as fallback, zeros implicitly. ok is false when the
+// content cannot be produced — a protocol error for the caller, never a
+// silent wrong write. The content is read-only and borrowed: staged content
+// lives until st's next advert, and zeros are one block shared process-wide.
+func (ix *Index) Materialize(st *Stage, fp Fingerprint) (content []byte, ok bool) {
 	if fp == ix.zero {
-		return make([]byte, ix.blockSize), true
+		return ix.zeroBlock, true
 	}
-	if c := stage[fp]; c != nil {
-		return c, true
+	if st != nil {
+		if k, ok := st.slots[fp]; ok {
+			return st.buf[k*ix.blockSize : (k+1)*ix.blockSize], true
+		}
 	}
 	return ix.Lookup(fp)
 }

@@ -14,9 +14,12 @@
 package delta
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 const (
@@ -54,21 +57,39 @@ const (
 // Signature describes existing content as fixed-size chunks, each carrying a
 // weak rolling hash (for the O(1) sliding-window probe) and a truncated
 // SHA-256 strong hash (for confirmation). A trailing short chunk is recorded
-// so lengths round-trip, but Diff never matches against it.
+// so lengths round-trip, but Diff never matches against it. The chunk records
+// stay in their wire form: a Signature is its header plus a view of them.
 type Signature struct {
 	// Chunk is the chunk size in bytes, in [MinChunk, MaxChunk].
 	Chunk int
 	// OldLen is the length of the content the signature describes.
 	OldLen int
-	// Weak holds one rolling hash per chunk.
-	Weak []uint32
-	// Strong holds one truncated SHA-256 per chunk.
-	Strong [][strongSize]byte
+	// recs holds one sigRecordLen record per chunk: weak(4) | strong(8).
+	recs []byte
+}
+
+// weak returns chunk i's rolling hash.
+func (s *Signature) weak(i int) uint32 {
+	return binary.LittleEndian.Uint32(s.recs[i*sigRecordLen:])
+}
+
+// strong returns chunk i's truncated SHA-256, as strongOf packs it.
+func (s *Signature) strong(i int) uint64 {
+	return binary.LittleEndian.Uint64(s.recs[i*sigRecordLen+4:])
 }
 
 // numChunks returns how many chunk records describe oldLen bytes.
 func numChunks(oldLen, chunk int) int {
 	return (oldLen + chunk - 1) / chunk
+}
+
+// clampChunk resolves a requested chunk size: 0 selects DefaultChunk,
+// out-of-range values are clamped.
+func clampChunk(chunk int) int {
+	if chunk <= 0 {
+		return DefaultChunk
+	}
+	return min(max(chunk, MinChunk), MaxChunk)
 }
 
 // weakSum computes the rsync rolling checksum of p: two 16-bit sums packed
@@ -92,133 +113,139 @@ func weakRoll(sum uint32, w int, out, in byte) uint32 {
 	return a&0xffff | b<<16
 }
 
-// strongOf returns the truncated SHA-256 chunk hash of p.
-func strongOf(p []byte) (s [strongSize]byte) {
+// strongOf returns the truncated SHA-256 chunk hash of p: its first
+// strongSize bytes, read little-endian.
+func strongOf(p []byte) uint64 {
 	sum := sha256.Sum256(p)
-	copy(s[:], sum[:strongSize])
-	return s
+	return binary.LittleEndian.Uint64(sum[:strongSize])
+}
+
+// SigLen returns the marshaled size of a signature over oldLen bytes.
+func SigLen(oldLen, chunk int) int {
+	return sigHeaderLen + numChunks(oldLen, clampChunk(chunk))*sigRecordLen
+}
+
+// AppendSig appends the marshaled signature of old at the given chunk size
+// (see clampChunk) to dst — chunk(4) | oldLen(4) | per chunk: weak(4)
+// strong(8), little-endian — computing each record where it travels. A dst
+// with SigLen spare capacity is not reallocated.
+func AppendSig(dst, old []byte, chunk int) []byte {
+	chunk = clampChunk(chunk)
+	n, size := len(dst), SigLen(len(old), chunk)
+	dst = slices.Grow(dst, size)[:n+size]
+	binary.LittleEndian.PutUint32(dst[n:], uint32(chunk))
+	binary.LittleEndian.PutUint32(dst[n+4:], uint32(len(old)))
+	rec := dst[n+sigHeaderLen:]
+	for off := 0; off < len(old); off += chunk {
+		putRecord(rec, old[off:min(off+chunk, len(old))])
+		rec = rec[sigRecordLen:]
+	}
+	return dst
+}
+
+// putRecord writes chunk p's signature record at rec. It is its own function
+// so that the two hash loops get registers of their own: inlined into
+// AppendSig's loop they ran a fifth slower.
+func putRecord(rec, p []byte) {
+	binary.LittleEndian.PutUint32(rec, weakSum(p))
+	binary.LittleEndian.PutUint64(rec[4:], strongOf(p))
 }
 
 // Sig computes the signature of old with the given chunk size (0 selects
 // DefaultChunk; out-of-range values are clamped).
 func Sig(old []byte, chunk int) *Signature {
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	if chunk < MinChunk {
-		chunk = MinChunk
-	}
-	if chunk > MaxChunk {
-		chunk = MaxChunk
-	}
-	n := numChunks(len(old), chunk)
-	s := &Signature{
-		Chunk:  chunk,
-		OldLen: len(old),
-		Weak:   make([]uint32, 0, n),
-		Strong: make([][strongSize]byte, 0, n),
-	}
-	for off := 0; off < len(old); off += chunk {
-		end := off + chunk
-		if end > len(old) {
-			end = len(old)
-		}
-		s.Weak = append(s.Weak, weakSum(old[off:end]))
-		s.Strong = append(s.Strong, strongOf(old[off:end]))
-	}
-	return s
+	raw := AppendSig(make([]byte, 0, SigLen(len(old), chunk)), old, chunk)
+	return &Signature{Chunk: clampChunk(chunk), OldLen: len(old), recs: raw[sigHeaderLen:]}
 }
 
 // Marshal encodes the signature as a flat little-endian blob:
 // chunk(4) | oldLen(4) | per chunk: weak(4) strong(8).
 func (s *Signature) Marshal() []byte {
-	out := make([]byte, sigHeaderLen+len(s.Weak)*sigRecordLen)
-	binary.LittleEndian.PutUint32(out[0:], uint32(s.Chunk))
-	binary.LittleEndian.PutUint32(out[4:], uint32(s.OldLen))
-	p := sigHeaderLen
-	for i, w := range s.Weak {
-		binary.LittleEndian.PutUint32(out[p:], w)
-		copy(out[p+4:], s.Strong[i][:])
-		p += sigRecordLen
-	}
-	return out
+	out := make([]byte, 0, sigHeaderLen+len(s.recs))
+	out = binary.LittleEndian.AppendUint32(out, uint32(s.Chunk))
+	out = binary.LittleEndian.AppendUint32(out, uint32(s.OldLen))
+	return append(out, s.recs...)
 }
 
-// ParseSignature decodes and validates a marshaled signature. The record
-// count must match the declared length exactly — trailing or missing bytes
-// are an error, never silently tolerated.
-func ParseSignature(data []byte) (*Signature, error) {
+// ViewSignature validates a marshaled signature and returns it as a view
+// over data: no record is copied, so the Signature is valid only while data
+// is neither modified nor released. The record count must match the declared
+// length exactly — trailing or missing bytes are an error, never silently
+// tolerated.
+func ViewSignature(data []byte) (Signature, error) {
 	if len(data) < sigHeaderLen {
-		return nil, fmt.Errorf("delta: signature %d bytes, want >= %d", len(data), sigHeaderLen)
+		return Signature{}, fmt.Errorf("delta: signature %d bytes, want >= %d", len(data), sigHeaderLen)
 	}
 	chunk := int(binary.LittleEndian.Uint32(data[0:]))
 	oldLen := int(binary.LittleEndian.Uint32(data[4:]))
 	if chunk < MinChunk || chunk > MaxChunk {
-		return nil, fmt.Errorf("delta: chunk size %d outside [%d, %d]", chunk, MinChunk, MaxChunk)
+		return Signature{}, fmt.Errorf("delta: chunk size %d outside [%d, %d]", chunk, MinChunk, MaxChunk)
 	}
 	if oldLen < 0 || oldLen > MaxTarget {
-		return nil, fmt.Errorf("delta: signature describes %d bytes, max %d", oldLen, MaxTarget)
+		return Signature{}, fmt.Errorf("delta: signature describes %d bytes, max %d", oldLen, MaxTarget)
 	}
 	n := numChunks(oldLen, chunk)
 	if want := sigHeaderLen + n*sigRecordLen; len(data) != want {
-		return nil, fmt.Errorf("delta: signature %d bytes, want %d for %d chunks", len(data), want, n)
+		return Signature{}, fmt.Errorf("delta: signature %d bytes, want %d for %d chunks", len(data), want, n)
 	}
-	s := &Signature{
-		Chunk:  chunk,
-		OldLen: oldLen,
-		Weak:   make([]uint32, 0, n),
-		Strong: make([][strongSize]byte, 0, n),
-	}
-	p := sigHeaderLen
-	for i := 0; i < n; i++ {
-		s.Weak = append(s.Weak, binary.LittleEndian.Uint32(data[p:]))
-		var st [strongSize]byte
-		copy(st[:], data[p+4:])
-		s.Strong = append(s.Strong, st)
-		p += sigRecordLen
-	}
-	return s, nil
+	return Signature{Chunk: chunk, OldLen: oldLen, recs: data[sigHeaderLen:]}, nil
 }
 
-// patchWriter accumulates a patch's op stream, merging adjacent COPY runs.
+// ParseSignature decodes and validates a marshaled signature into one that
+// owns its records (see ViewSignature for the rules and for the form that
+// does not copy).
+func ParseSignature(data []byte) (*Signature, error) {
+	s, err := ViewSignature(data)
+	if err != nil {
+		return nil, err
+	}
+	s.recs = append([]byte(nil), s.recs...)
+	return &s, nil
+}
+
+// patchWriter accumulates a patch's op stream over target, merging adjacent
+// COPY chunks into runs. At most one of the two runs is pending at a time,
+// and a literal run is a range of target, appended once when it ends.
 type patchWriter struct {
 	buf     []byte
-	lit     []byte // pending literal bytes, flushed before any COPY
-	copyIdx int    // first chunk of the pending COPY run (-1 = none)
+	target  []byte
+	litFrom int // start of the pending literal run in target (-1 = none)
+	copyIdx int // first chunk of the pending COPY run (-1 = none)
 	copyN   int
 }
 
-func (w *patchWriter) flushLit() {
-	if len(w.lit) == 0 {
+// flushLit ends the pending literal run at target[:end].
+func (w *patchWriter) flushLit(end int) {
+	if w.litFrom < 0 {
 		return
 	}
-	var hdr [5]byte
-	hdr[0] = opLiteral
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(w.lit)))
-	w.buf = append(w.buf, hdr[:]...)
-	w.buf = append(w.buf, w.lit...)
-	w.lit = w.lit[:0]
+	w.buf = append(w.buf, opLiteral)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(end-w.litFrom))
+	w.buf = append(w.buf, w.target[w.litFrom:end]...)
+	w.litFrom = -1
 }
 
 func (w *patchWriter) flushCopy() {
 	if w.copyN == 0 {
 		return
 	}
-	var hdr [9]byte
-	hdr[0] = opCopy
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(w.copyIdx))
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(w.copyN))
-	w.buf = append(w.buf, hdr[:]...)
+	w.buf = append(w.buf, opCopy)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(w.copyIdx))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(w.copyN))
 	w.copyIdx, w.copyN = -1, 0
 }
 
-func (w *patchWriter) literal(p []byte) {
-	w.flushCopy()
-	w.lit = append(w.lit, p...)
+// literalFrom opens a literal run at pos unless one is already open.
+func (w *patchWriter) literalFrom(pos int) {
+	if w.litFrom < 0 {
+		w.flushCopy()
+		w.litFrom = pos
+	}
 }
 
-func (w *patchWriter) copyChunk(idx int) {
-	w.flushLit()
+// copyChunk records that target[pos:pos+chunk] is old chunk idx.
+func (w *patchWriter) copyChunk(idx, pos int) {
+	w.flushLit(pos)
 	if w.copyN > 0 && w.copyIdx+w.copyN == idx {
 		w.copyN++
 		return
@@ -227,75 +254,110 @@ func (w *patchWriter) copyChunk(idx int) {
 	w.copyIdx, w.copyN = idx, 1
 }
 
+// Differ is the scratch one sender's Diff calls run on: the chunk table and
+// the patch buffer are reused from extent to extent, so a steady-state diff
+// allocates nothing. The zero value is ready; a Differ is not safe for
+// concurrent use.
+type Differ struct {
+	// head and next are a chained hash table over the signature's full
+	// chunks, keyed by weak hash: head[bucket] is the lowest chunk index in
+	// the bucket, next[i] the next higher one, -1 ends a chain. Chains mix
+	// weak hashes that share a bucket; the probe filters.
+	head, next []int32
+	buf        []byte
+}
+
+// weakMul spreads a weak hash (two 16-bit sums, both poor in their high
+// bits for short chunks) over the table's buckets.
+const weakMul = 2654435761
+
+// Diff computes the patch that rebuilds target from the content sig
+// describes; see Differ.Diff. The patch is freshly allocated.
+func Diff(sig *Signature, target []byte) []byte {
+	return new(Differ).Diff(sig, target)
+}
+
 // Diff computes the patch that rebuilds target from the content sig
 // describes: chunk(4) | targetLen(4) | ops | truncated SHA-256(16) of
 // target. COPY ops name whole chunks of the old content; everything the
 // signature cannot supply travels as LITERAL bytes. Only full chunks are
-// matched, so a signature's trailing short chunk never contributes.
-func Diff(sig *Signature, target []byte) []byte {
+// matched, so a signature's trailing short chunk never contributes. The
+// returned patch is the Differ's buffer, valid until its next Diff.
+func (d *Differ) Diff(sig *Signature, target []byte) []byte {
 	chunk := sig.Chunk
-	// Index the signature's full chunks by weak hash. Collisions keep every
-	// candidate: the strong hash arbitrates.
-	byWeak := make(map[uint32][]int, len(sig.Weak))
-	for i, w := range sig.Weak {
-		if (i+1)*chunk <= sig.OldLen { // full chunks only
-			byWeak[w] = append(byWeak[w], i)
-		}
+	full := sig.OldLen / chunk // the chunks a COPY may name
+	// Index the full chunks by weak hash. Collisions keep every candidate,
+	// lowest index first: the strong hash arbitrates.
+	shift := 32 - bits.Len(uint(full))
+	if buckets := 1 << (32 - shift); cap(d.head) < buckets || cap(d.next) < full {
+		d.head, d.next = make([]int32, buckets), make([]int32, full)
+	} else {
+		d.head, d.next = d.head[:buckets], d.next[:full]
 	}
-	w := &patchWriter{copyIdx: -1}
-	w.buf = make([]byte, patchHeaderLen, patchHeaderLen+64)
-	binary.LittleEndian.PutUint32(w.buf[0:], uint32(chunk))
-	binary.LittleEndian.PutUint32(w.buf[4:], uint32(len(target)))
+	for b := range d.head {
+		d.head[b] = -1
+	}
+	for i := full - 1; i >= 0; i-- {
+		b := sig.weak(i) * weakMul >> shift
+		d.next[i], d.head[b] = d.head[b], int32(i)
+	}
+	w := patchWriter{buf: d.buf[:0], target: target, litFrom: -1, copyIdx: -1}
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(chunk))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(target)))
 
 	pos := 0
 	var sum uint32
 	fresh := true // sum must be recomputed for the window at pos
 	for pos+chunk <= len(target) {
+		window := target[pos : pos+chunk]
 		if fresh {
-			sum = weakSum(target[pos : pos+chunk])
+			sum = weakSum(window)
 			fresh = false
 		}
-		matched := -1
-		if cands := byWeak[sum]; cands != nil {
-			strong := strongOf(target[pos : pos+chunk])
-			// Among strong-verified candidates prefer the one continuing the
-			// pending COPY run: repetitive content (all-zero extents) then
-			// merges into one op instead of one op per chunk.
-			want := -1
-			if w.copyN > 0 {
-				want = w.copyIdx + w.copyN
+		// Among strong-verified candidates prefer the one continuing the
+		// pending COPY run — repetitive content (all-zero extents) then merges
+		// into one op instead of one op per chunk, and content rewritten in
+		// place matches without a probe — else take the lowest index. The
+		// strong hash is computed once, and only when a weak hash matches.
+		matched, hashed := -1, false
+		var strong uint64
+		if next := w.copyIdx + w.copyN; w.copyN > 0 && next < full && sig.weak(next) == sum {
+			strong, hashed = strongOf(window), true
+			if sig.strong(next) == strong {
+				matched = next
 			}
-			for _, ci := range cands {
-				if sig.Strong[ci] != strong {
-					continue
-				}
-				if matched < 0 {
-					matched = ci
-				}
-				if ci == want {
-					matched = ci
-					break
-				}
+		}
+		for ci := d.head[sum*weakMul>>shift]; ci >= 0 && matched < 0; ci = d.next[ci] {
+			if sig.weak(int(ci)) != sum {
+				continue
+			}
+			if !hashed {
+				strong, hashed = strongOf(window), true
+			}
+			if sig.strong(int(ci)) == strong {
+				matched = int(ci)
 			}
 		}
 		if matched >= 0 {
-			w.copyChunk(matched)
+			w.copyChunk(matched, pos)
 			pos += chunk
 			fresh = true
 			continue
 		}
-		w.literal(target[pos : pos+1])
+		w.literalFrom(pos)
 		if pos+chunk < len(target) {
 			sum = weakRoll(sum, chunk, target[pos], target[pos+chunk])
 		}
 		pos++
 	}
-	w.literal(target[pos:]) // tail shorter than one chunk
+	if pos < len(target) {
+		w.literalFrom(pos) // tail shorter than one chunk
+	}
 	w.flushCopy()
-	w.flushLit()
+	w.flushLit(len(target))
 	verify := sha256.Sum256(target)
-	w.buf = append(w.buf, verify[:verifySize]...)
-	return w.buf
+	d.buf = append(w.buf, verify[:verifySize]...)
+	return d.buf
 }
 
 // Apply rebuilds the target content from old and a patch produced by Diff,
@@ -304,6 +366,13 @@ func Diff(sig *Signature, target []byte) []byte {
 // hash mismatch returns an error and no bytes — the caller falls back to a
 // literal transfer, never to wrong content.
 func Apply(old, patch []byte) ([]byte, error) {
+	return AppendApply(nil, old, patch)
+}
+
+// AppendApply is Apply appending the rebuilt content to dst, which a caller
+// that knows the length it expects supplies with that much spare capacity;
+// dst grows past it only as far as the patch's own ops earn.
+func AppendApply(dst, old, patch []byte) ([]byte, error) {
 	if len(patch) < patchHeaderLen+verifySize {
 		return nil, fmt.Errorf("delta: patch %d bytes, want >= %d", len(patch), patchHeaderLen+verifySize)
 	}
@@ -319,11 +388,9 @@ func Apply(old, patch []byte) ([]byte, error) {
 	verify := patch[len(patch)-verifySize:]
 	fullChunks := len(old) / chunk
 
-	capHint := targetLen
-	if capHint > 1<<20 {
-		capHint = 1 << 20 // grow on demand; a hostile header can't force the allocation
-	}
-	out := make([]byte, 0, capHint)
+	// Grow on demand past 1 MiB; a hostile header can't force the allocation.
+	out := slices.Grow(dst, min(targetLen, 1<<20))
+	end := len(dst) + targetLen
 	for len(ops) > 0 {
 		switch op := ops[0]; op {
 		case opCopy:
@@ -336,7 +403,7 @@ func Apply(old, patch []byte) ([]byte, error) {
 			if n <= 0 || idx < 0 || idx > fullChunks-n {
 				return nil, fmt.Errorf("delta: COPY [%d,+%d) outside %d old chunks", idx, n, fullChunks)
 			}
-			if len(out)+n*chunk > targetLen {
+			if len(out)+n*chunk > end {
 				return nil, fmt.Errorf("delta: ops overflow the declared %d-byte target", targetLen)
 			}
 			out = append(out, old[idx*chunk:(idx+n)*chunk]...)
@@ -349,7 +416,7 @@ func Apply(old, patch []byte) ([]byte, error) {
 			if n <= 0 || n > len(ops) {
 				return nil, fmt.Errorf("delta: LITERAL of %d bytes with %d remaining", n, len(ops))
 			}
-			if len(out)+n > targetLen {
+			if len(out)+n > end {
 				return nil, fmt.Errorf("delta: ops overflow the declared %d-byte target", targetLen)
 			}
 			out = append(out, ops[:n]...)
@@ -358,14 +425,11 @@ func Apply(old, patch []byte) ([]byte, error) {
 			return nil, fmt.Errorf("delta: unknown op %d", op)
 		}
 	}
-	if len(out) != targetLen {
-		return nil, fmt.Errorf("delta: ops rebuilt %d bytes, declared %d", len(out), targetLen)
+	if len(out) != end {
+		return nil, fmt.Errorf("delta: ops rebuilt %d bytes, declared %d", len(out)-len(dst), targetLen)
 	}
-	sum := sha256.Sum256(out)
-	for i := 0; i < verifySize; i++ {
-		if sum[i] != verify[i] {
-			return nil, fmt.Errorf("delta: strong hash mismatch on reconstructed content")
-		}
+	if sum := sha256.Sum256(out[len(dst):]); !bytes.Equal(sum[:verifySize], verify) {
+		return nil, fmt.Errorf("delta: strong hash mismatch on reconstructed content")
 	}
 	return out, nil
 }

@@ -152,3 +152,46 @@ func TestApplyVerification(t *testing.T) {
 		t.Error("patch trailer is not the truncated SHA-256 of the target")
 	}
 }
+
+// TestEnginePathAllocations holds the codec's steady state, as the engine
+// drives it, to a handful of allocations per 16-block extent: signature
+// written into a reused reply buffer, read back as a view, diffed on a reused
+// Differ, applied into a reused output buffer. It used to cost a map bucket
+// per chunk and a copy of every literal.
+func TestEnginePathAllocations(t *testing.T) {
+	tc := goldenCases()[0]
+	var differ Differ
+	sigBuf := make([]byte, 0, SigLen(len(tc.old), DefaultChunk))
+	out := make([]byte, 0, len(tc.new))
+	allocs := testing.AllocsPerRun(10, func() {
+		sigBuf = AppendSig(sigBuf[:0], tc.old, DefaultChunk)
+		sig, err := ViewSignature(sigBuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patch := differ.Diff(&sig, tc.new)
+		if out, err = AppendApply(out[:0], tc.old, patch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(out, tc.new) {
+		t.Fatal("the extent did not round-trip")
+	}
+	if allocs > 4 {
+		t.Errorf("sig, view, diff, apply of one extent: %.1f allocations, want <= 4", allocs)
+	}
+}
+
+// TestAppendApplyKeepsPrefix: AppendApply appends, so what dst already held
+// is neither rebuilt over nor hashed into the verification.
+func TestAppendApplyKeepsPrefix(t *testing.T) {
+	tc := goldenCases()[1]
+	patch := Diff(Sig(tc.old, DefaultChunk), tc.new)
+	out, err := AppendApply([]byte("prefix"), tc.old, patch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(out[:6]) != "prefix" || !bytes.Equal(out[6:], tc.new) {
+		t.Error("AppendApply did not append the target after dst's content")
+	}
+}

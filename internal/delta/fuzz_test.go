@@ -52,3 +52,43 @@ func FuzzDeltaPatch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDeltaRoundTrip is the codec's defining property over arbitrary
+// content and chunk sizes — Apply(old, Diff(Sig(old), new)) == new — run
+// through both forms at once: the in-place one on a Differ that is reused
+// across inputs (stale table entries and patch bytes must not leak from one
+// extent into the next) and the allocating wrappers, which must agree with it
+// byte for byte.
+func FuzzDeltaRoundTrip(f *testing.F) {
+	for _, tc := range goldenCases() {
+		f.Add(tc.old[:768], tc.new[:768], uint16(DefaultChunk)) // small seeds: the engine minimizes what it finds
+	}
+	f.Add([]byte(nil), []byte("tail only"), uint16(MinChunk))
+	f.Add(bytes.Repeat([]byte{1, 2, 3}, 100), bytes.Repeat([]byte{1, 2, 3}, 90), uint16(17))
+	var differ Differ
+	var sigBuf, out []byte
+	f.Fuzz(func(t *testing.T, old, target []byte, chunk uint16) {
+		sigBuf = AppendSig(sigBuf[:0], old, int(chunk))
+		if len(sigBuf) != SigLen(len(old), int(chunk)) {
+			t.Fatalf("AppendSig wrote %d bytes, SigLen says %d", len(sigBuf), SigLen(len(old), int(chunk)))
+		}
+		if owned := Sig(old, int(chunk)).Marshal(); !bytes.Equal(owned, sigBuf) {
+			t.Fatal("Sig().Marshal() and AppendSig disagree")
+		}
+		view, err := ViewSignature(sigBuf)
+		if err != nil {
+			t.Fatalf("own signature rejected: %v", err)
+		}
+		patch := differ.Diff(&view, target)
+		if fresh := Diff(&view, target); !bytes.Equal(fresh, patch) {
+			t.Fatal("a reused Differ and a fresh one produce different patches")
+		}
+		out, err = AppendApply(out[:0], old, patch)
+		if err != nil {
+			t.Fatalf("own patch rejected: %v", err)
+		}
+		if !bytes.Equal(out, target) {
+			t.Fatalf("rebuilt %d bytes differ from the %d-byte target", len(out), len(target))
+		}
+	})
+}

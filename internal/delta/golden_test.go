@@ -1,0 +1,93 @@
+package delta
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+)
+
+// goldenExtent is 16 blocks of 4 KiB: the engine's delta extent.
+const goldenExtent = 16 * 4096
+
+// noise fills p from a fixed xorshift stream, so the vectors below depend on
+// nothing but this file.
+func noise(p []byte, seed uint64) {
+	x := seed*0x9E3779B97F4A7C15 + 1
+	for i := range p {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		p[i] = byte(x >> 32)
+	}
+}
+
+// goldenCases are the four extents the codec's bytes are pinned on: the
+// in-place rewrite the WAN return trip is made of, content shifted off the
+// chunk grid, and the two repetitive shapes where the candidate rule
+// (continue the pending COPY run, else the lowest matching chunk) decides
+// what the patch looks like.
+func goldenCases() []struct {
+	name     string
+	old, new []byte
+} {
+	base := make([]byte, goldenExtent)
+	noise(base, 1)
+
+	head := append([]byte(nil), base...)
+	for blk := 0; blk < goldenExtent; blk += 4096 {
+		noise(head[blk:blk+256], uint64(blk)+2)
+	}
+
+	shifted := make([]byte, goldenExtent)
+	noise(shifted[:7], 3)
+	copy(shifted[7:], base)
+
+	zero := make([]byte, goldenExtent)
+
+	pattern := make([]byte, 128)
+	noise(pattern, 4)
+	repeated := bytes.Repeat(pattern, goldenExtent/len(pattern))
+	// One byte off in the middle: the COPY run breaks there and the rule has
+	// to restart it from the lowest chunk.
+	broken := append([]byte(nil), repeated...)
+	broken[goldenExtent/2+5] ^= 0xff
+
+	return []struct {
+		name     string
+		old, new []byte
+	}{
+		{"head-rewrite", base, head},
+		{"shift-7", base, shifted},
+		{"all-zero", zero, zero},
+		{"pattern-128", repeated, broken},
+	}
+}
+
+// TestGoldenVectors pins the wire bytes of a signature and a patch, captured
+// before the codec moved onto borrowed scratch: "first 8 bytes of SHA-256 /
+// 24-bit length", in hex, of Sig(old).Marshal() and of Diff(Sig(old), new).
+func TestGoldenVectors(t *testing.T) {
+	golden := map[string][2]string{
+		"head-rewrite": {"a67a8cce76f229fd/001808", "c22a014f0dbbdc30/0010f8"},
+		"shift-7":      {"a67a8cce76f229fd/001808", "ed7696c14b91bf64/0000ab"},
+		"all-zero":     {"c0e49a56a6e744a8/001808", "553e3a91c17bba00/000021"},
+		"pattern-128":  {"cb802f87ea10fdb9/001808", "cdd4597fe91ceb04/0000af"},
+	}
+	sum := func(p []byte) string {
+		h := sha256.Sum256(p)
+		return hex.EncodeToString(h[:8]) + "/" + hex.EncodeToString([]byte{byte(len(p) >> 16), byte(len(p) >> 8), byte(len(p))})
+	}
+	for _, tc := range goldenCases() {
+		sig := Sig(tc.old, DefaultChunk)
+		raw := sig.Marshal()
+		patch := Diff(sig, tc.new)
+		if got, want := [2]string{sum(raw), sum(patch)}, golden[tc.name]; got != want {
+			t.Errorf("%s: signature, patch = %q, want %q", tc.name, got, want)
+		}
+		out, err := Apply(tc.old, patch)
+		if err != nil || !bytes.Equal(out, tc.new) {
+			t.Errorf("%s: patch does not rebuild the target (%v)", tc.name, err)
+		}
+	}
+}

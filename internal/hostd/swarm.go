@@ -42,7 +42,7 @@ func (m *Machine) swarmPeerList() []string {
 // disconnects (the normal end of a session — the destination simply closes
 // when its migration finishes, so a closed connection is success, not
 // error). Every answered block is produced through the index's
-// verify-on-read Lookup: stale or corrupt local content degrades to a miss
+// verify-on-read LookupInto: stale or corrupt local content degrades to a miss
 // the destination covers from the source, never to wrong bytes on the wire.
 //
 // budget, when non-nil, paces the session: the per-frame rate is the
@@ -97,21 +97,25 @@ func (m *Machine) serveSwarmConn(conn transport.Conn, budget *core.RateBudget) e
 			return fmt.Errorf("hostd: swarm fetch payload %d bytes not a fingerprint multiple", len(msg.Payload))
 		}
 		count := len(msg.Payload) / dedup.FingerprintSize
-		fps, err := dedup.ParseFingerprints(msg.Payload, count)
-		if err != nil {
-			return err
-		}
-		mask := make([]byte, dedup.WantLen(count))
-		body := make([]byte, 0, count*idx.BlockSize())
-		for k, fp := range fps {
-			if content, ok := idx.Lookup(fp); ok {
-				dedup.SetWant(mask, k) // hit bit: content follows in order
-				body = append(body, content...)
+		// One pooled reply buffer, laid out as it travels: hit-mask, then the
+		// hit blocks in order, each verified where it lies.
+		bs, maskLen := idx.BlockSize(), dedup.WantLen(count)
+		buf := transport.GetBuf(maskLen + count*bs)
+		clear(buf[:maskLen])
+		n := maskLen
+		for k := 0; k < count; k++ {
+			var fp dedup.Fingerprint
+			copy(fp[:], msg.Payload[k*dedup.FingerprintSize:])
+			if idx.LookupInto(fp, buf[n:n+bs]) {
+				dedup.SetWant(buf, k) // hit bit: content follows in order
+				n += bs
 			}
 		}
-		reply := transport.Message{Type: transport.MsgSwarmBlock, Arg: msg.Arg, Payload: append(mask, body...)}
+		reply := transport.Message{Type: transport.MsgSwarmBlock, Arg: msg.Arg, Payload: buf[:n]}
 		pace.Wait(reply.FrameSize())
-		if err := conn.Send(reply); err != nil {
+		err = conn.Send(reply)
+		transport.PutBuf(buf) // Send only borrowed it
+		if err != nil {
 			return fmt.Errorf("hostd: swarm send: %w", err)
 		}
 	}

@@ -31,28 +31,55 @@ type Compressed struct {
 	// are policy feedback hooks; the wire format is identical either way.
 	decide  func(kind MsgType, size int) bool
 	observe func(kind MsgType, rawLen, wireLen int)
-
-	// Each concurrent Send takes a compressor from the pool, so the worker
-	// pool's sends deflate different extents in parallel instead of
-	// serializing on one shared writer.
-	pool sync.Pool // *compressor
-
-	// Each Recv takes a decompressor from the pool: the flate reader's
-	// ~32 KiB window and internal state are reused across payloads instead
-	// of being rebuilt per frame.
-	dpool sync.Pool // *decompressor
 }
 
 // compressor is one reusable flate writer + staging buffer.
 type compressor struct {
-	buf bytes.Buffer
-	fw  *flate.Writer
+	buf  bytes.Buffer
+	fw   *flate.Writer
+	home *sync.Pool // its level's pool in deflaters
 }
 
 // decompressor is one reusable flate reader + its byte source.
 type decompressor struct {
 	br *bytes.Reader
 	fr io.ReadCloser // flate reader; also a flate.Resetter
+}
+
+// Flate state is pooled per process, not per conn: a flate.Writer's tables
+// run to a megabyte at the fast levels, and a migration that built its own —
+// one per concurrent sender, plus the reader's window — threw them all away
+// when it ended.
+var (
+	// deflaters holds idle compressors, one pool per flate level. Each
+	// concurrent Send takes one, so the worker pool's sends deflate different
+	// extents in parallel instead of serializing on one shared writer.
+	deflaters [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool // *compressor
+
+	// inflaters holds idle decompressors. Each Recv takes one: the flate
+	// reader's ~32 KiB window and internal state are reused across payloads
+	// and conns instead of being rebuilt.
+	inflaters = sync.Pool{New: func() any {
+		d := &decompressor{br: bytes.NewReader(nil)}
+		d.fr = flate.NewReader(d.br)
+		return d
+	}}
+)
+
+// getCompressor takes an idle compressor for level from the process-wide
+// pool, building one when none is idle. An invalid level is the only error.
+func getCompressor(level int) (*compressor, error) {
+	if level < flate.HuffmanOnly || level > flate.BestCompression {
+		return nil, fmt.Errorf("transport: compression level %d: want a value in [%d, %d]", level, flate.HuffmanOnly, flate.BestCompression)
+	}
+	pool := &deflaters[level-flate.HuffmanOnly]
+	if co, ok := pool.Get().(*compressor); ok {
+		return co, nil
+	}
+	co := &compressor{home: pool}
+	var err error
+	co.fw, err = flate.NewWriter(&co.buf, level)
+	return co, err
 }
 
 // rawEmpty is the wire form of an empty payload: a lone raw marker. It is
@@ -73,22 +100,14 @@ func NewCompressedPolicy(inner Conn, level int, decide func(kind MsgType, size i
 		level = flate.DefaultCompression
 	}
 	// Validate the level eagerly so a bad one fails at construction, not on
-	// the first Send from a worker goroutine.
-	if _, err := flate.NewWriter(io.Discard, level); err != nil {
-		return nil, fmt.Errorf("transport: compression level %d: %w", level, err)
+	// the first Send from a worker goroutine. The compressor this builds is
+	// the first Send's.
+	co, err := getCompressor(level)
+	if err != nil {
+		return nil, err
 	}
-	c := &Compressed{inner: inner, level: level, decide: decide, observe: observe}
-	c.pool.New = func() any {
-		co := &compressor{}
-		co.fw, _ = flate.NewWriter(&co.buf, level)
-		return co
-	}
-	c.dpool.New = func() any {
-		d := &decompressor{br: bytes.NewReader(nil)}
-		d.fr = flate.NewReader(d.br)
-		return d
-	}
-	return c, nil
+	co.home.Put(co)
+	return &Compressed{inner: inner, level: level, decide: decide, observe: observe}, nil
 }
 
 // Send implements Conn. Wire payloads are staged in pooled buffers (or the
@@ -109,16 +128,18 @@ func (c *Compressed) Send(m Message) error {
 		PutBuf(out)
 		return err
 	}
-	co := c.pool.Get().(*compressor)
+	co, err := getCompressor(c.level)
+	if err != nil {
+		return err
+	}
+	defer co.home.Put(co)
 	co.buf.Reset()
 	co.buf.WriteByte(compressDeflate)
 	co.fw.Reset(&co.buf)
 	if _, err := co.fw.Write(m.Payload); err != nil {
-		c.pool.Put(co)
 		return fmt.Errorf("transport: compress: %w", err)
 	}
 	if err := co.fw.Close(); err != nil {
-		c.pool.Put(co)
 		return fmt.Errorf("transport: compress flush: %w", err)
 	}
 	var out, pooled []byte
@@ -134,8 +155,7 @@ func (c *Compressed) Send(m Message) error {
 		c.observe(m.Type, len(m.Payload), len(out))
 	}
 	m.Payload = out
-	err := c.inner.Send(m)
-	c.pool.Put(co)
+	err = c.inner.Send(m)
 	if pooled != nil {
 		PutBuf(pooled)
 	}
@@ -165,13 +185,14 @@ func (c *Compressed) Recv() (Message, error) {
 		}
 		return m, nil
 	case compressDeflate:
-		d := c.dpool.Get().(*decompressor)
+		d := inflaters.Get().(*decompressor)
 		d.br.Reset(body)
 		if err := d.fr.(flate.Resetter).Reset(d.br, nil); err != nil {
 			return m, fmt.Errorf("transport: decompress reset: %w", err)
 		}
 		out, err := readAllPooled(d.fr, len(body)*4)
-		c.dpool.Put(d)
+		d.br.Reset(nil) // an idle decompressor must not pin the wire buffer it last read
+		inflaters.Put(d)
 		if err != nil {
 			return m, fmt.Errorf("transport: decompress %v: %w", m.Type, err)
 		}

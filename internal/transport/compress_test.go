@@ -161,3 +161,48 @@ func TestFaultConnRecv(t *testing.T) {
 	}
 	fb.Close()
 }
+
+// TestFlateStateIsProcessWide: conns opened one after another draw their
+// flate state from one process-wide pool per level (what that saves is held
+// by the MigrateTCP/compressed bytes_per_op gate, not here: sync.Pool drops
+// entries at random under -race). Every level still gets the state it asked
+// for — a level-1 writer handed to a level-9 conn would round-trip, just not
+// at level 9 — and a level flate does not have still fails when the conn is
+// built, not on the first Send.
+func TestFlateStateIsProcessWide(t *testing.T) {
+	payload := bytes.Repeat([]byte("the quick brown fox "), 1000)
+	roundTrip := func(level int) int64 {
+		t.Helper()
+		a, b := NewPipe(4)
+		meter := NewMeter(a)
+		ca, err := NewCompressed(meter, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := NewCompressed(b, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ca.Send(Message{Type: MsgExtent, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := cb.Recv()
+		if err != nil || !bytes.Equal(got.Payload, payload) {
+			t.Fatalf("level %d: round trip failed: %v", level, err)
+		}
+		got.Release()
+		ca.Close()
+		return meter.BytesSent()
+	}
+	if first, again := roundTrip(1), roundTrip(1); first != again {
+		t.Errorf("a reused compressor sent %d bytes for what a fresh one sent in %d", again, first)
+	}
+	if fast, best := roundTrip(-2), roundTrip(9); best >= fast {
+		t.Errorf("level 9 sent %d bytes, Huffman-only %d: levels share a compressor", best, fast)
+	}
+	for _, level := range []int{-3, 10} {
+		if _, err := NewCompressed(nil, level); err == nil {
+			t.Errorf("level %d accepted", level)
+		}
+	}
+}
