@@ -21,16 +21,22 @@
 // # Parallel transfer
 //
 // The paper ships every dirty block as its own frame over one ordered
-// connection; three Config knobs lift that limit while defaulting to the
+// connection; four Config knobs lift that limit while defaulting to the
 // paper's exact behavior:
 //
 //   - Config.MaxExtentBlocks coalesces runs of contiguous dirty blocks into
 //     single MsgExtent frames (Arg packs start and count, payload carries
 //     the concatenated blocks), amortizing per-frame header and flush cost.
-//   - Config.Workers pipelines read→compress→send on the source and
-//     scatter-applies received frames on the destination. Parallelism stays
-//     within one pre-copy iteration — each block/page number appears at most
-//     once per iteration — and iteration boundaries drain the pools.
+//   - Config.Workers is the lane count of one pool type: the source's one
+//     extent walker cuts in cursor order and reads and encodes (frame,
+//     compress, send) on that many lanes when the chain is the bare
+//     literal, and the destination applies received frames on as many.
+//     Parallelism stays within one pre-copy iteration — each block/page
+//     number appears at most once per iteration — and iteration boundaries
+//     drain the pools.
+//   - Config.Readahead puts a queue that many extents deep between the
+//     walker's read lanes and its encode lanes, under any Workers and any
+//     negotiated encoder.
 //   - Config.Streams stripes data frames round-robin across N connections
 //     (DialStriped/AcceptStriped/NewStriped). Control frames are pinned to
 //     stream 0 behind a broadcast barrier, so SUSPEND/RESUME/ITER_END keep

@@ -22,7 +22,8 @@
 //
 // Parallel transfer: -streams N opens N TCP connections and stripes block
 // data across them, -extent-blocks M coalesces up to M contiguous blocks
-// per frame, and -workers W pipelines device reads and sends. Both ends
+// per frame, -workers W reads and encodes (source) and applies (destination)
+// extents on W lanes, and -readahead R reads R extents ahead of the encoder. Both ends
 // must pass the same -streams value (like -compress / -compress-level,
 // which now ride in core.Config and are applied by the engine itself); the
 // defaults keep the single-connection per-block wire format:
@@ -110,8 +111,8 @@ func main() {
 		progress   = flag.Bool("progress", false, "print live phase/iteration/byte progress events")
 		streams    = flag.Int("streams", 1, "parallel transport connections (both ends must agree)")
 		extentBlk  = flag.Int("extent-blocks", 1, "send: max contiguous blocks coalesced per frame")
-		workers    = flag.Int("workers", 1, "send: read/send pipeline workers; recv: scatter-write workers")
-		readahead  = flag.Int("readahead", 0, "send: extents prefetched into pooled buffers ahead of the wire (0 = sequential; ignored where the unordered -workers > 1 pool runs)")
+		workers    = flag.Int("workers", 1, "send: read-and-encode lanes (device read, frame, compress, send) when nothing negotiated needs cursor order; recv: apply lanes")
+		readahead  = flag.Int("readahead", 0, "send: extents read into pooled buffers ahead of the encoder, under any -workers (0 = sequential)")
 		dedupFlag  = flag.Bool("dedup", false, "content-addressed dedup: ship block fingerprints and references instead of known bytes (both ends must agree)")
 		swarmPeers = flag.String("swarm-peers", "", "recv: comma-separated peer swarm-serve addresses to fetch wanted blocks from (needs -dedup)")
 		deltaFlag  = flag.Bool("delta", false, "delta-encode blocks against the destination's stale copies (both ends must agree)")

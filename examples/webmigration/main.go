@@ -11,13 +11,14 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
+	"sync/atomic"
 	"time"
 
 	"bbmig"
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/clock"
-	"bbmig/internal/metrics"
 	"bbmig/internal/vm"
 	"bbmig/internal/workload"
 )
@@ -48,10 +49,13 @@ func main() {
 	dstDone := make(chan *bbmig.DestResult, 1)
 	// Track request latency per migration phase — the paper's §III-A
 	// disruption-time metric, as a client of the web server would see it.
-	lat := metrics.NewLatencyTracker("before")
+	// Only the workload goroutine appends; main reads once it has stopped.
+	windows := []string{"before", "freeze+post", "after"}
+	lat := make([][]time.Duration, len(windows))
+	var window atomic.Int32
 	cfg := bbmig.Config{
 		OnFreeze: func() {
-			lat.SetWindow("freeze+post")
+			window.Store(1)
 			router.Freeze()
 		},
 		OnResume: router.ResumeGate,
@@ -77,7 +81,8 @@ func main() {
 		timed := func(req blockdev.Request) error {
 			start := time.Now()
 			err := router.Submit(req)
-			lat.Record(time.Since(start))
+			w := window.Load()
+			lat[w] = append(lat[w], time.Since(start))
 			return err
 		}
 		st, err := workload.Replay(clock.NewReal(), gen, domain, 24*time.Hour, speedup, timed, stop)
@@ -102,7 +107,7 @@ func main() {
 
 	// Keep serving from the destination for a moment, then stop.
 	time.Sleep(100 * time.Millisecond)
-	lat.SetWindow("after")
+	window.Store(2)
 	time.Sleep(100 * time.Millisecond)
 	close(stop)
 	st := <-wlDone
@@ -114,5 +119,11 @@ func main() {
 		res.Report.BlocksPulled, res.Report.StalePushes)
 	fmt.Printf("destination accumulated %d fresh blocks for a later incremental migration back\n",
 		res.Gate.FreshBitmap().Count())
-	fmt.Printf("request latency per phase (disruption view, §III-A):\n%s", lat.Summary())
+	fmt.Println("request latency per phase (disruption view, §III-A):")
+	for w, d := range lat {
+		if n := len(d); n > 0 {
+			sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+			fmt.Printf("%-11s n=%-6d p50=%-10v p99=%-10v max=%v\n", windows[w], n, d[(n-1)/2], d[(n-1)*99/100], d[n-1])
+		}
+	}
 }

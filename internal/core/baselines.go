@@ -101,12 +101,10 @@ func MigrateOnDemandSource(cfg Config, host Host, conn transport.Conn) (*metrics
 // persists for as long as the destination keeps faulting. The source VM is
 // not stopped — it never stops being needed.
 func (s *sourceRun) servePulls() error {
-	var buf []byte
-	defer func() { transport.PutBuf(buf) }()
 	for {
 		select {
 		case n := <-s.pullCh:
-			if err := s.servePull(n, &buf); err != nil {
+			if err := s.servePull(n); err != nil {
 				return err
 			}
 		case at := <-s.resumedCh:

@@ -40,8 +40,8 @@ const (
 	// DefaultMaxExtentBlocks is the per-frame block coalescing limit: one,
 	// the paper's block-per-message wire format.
 	DefaultMaxExtentBlocks = 1
-	// DefaultWorkers is the source read/send and destination scatter-write
-	// concurrency: one, the paper's sequential loops.
+	// DefaultWorkers is the source read-and-encode and destination apply
+	// lane count: one, the paper's sequential loops.
 	DefaultWorkers = 1
 	// DefaultRetryBackoff is the base reconnect delay when Config.MaxRetries
 	// enables resumable migration and RetryBackoff is left zero.
@@ -106,24 +106,28 @@ type Config struct {
 	// iterations become bandwidth- rather than latency-bound.
 	MaxExtentBlocks int
 
-	// Workers sizes the source-side read→send worker pool and the
-	// destination-side scatter-write pool. Zero or one selects the paper's
-	// sequential loops. Workers only parallelize within one pre-copy
-	// iteration, where every block and page number appears at most once, so
-	// reordering is safe; iteration boundaries remain synchronization
-	// points.
+	// Workers is the lane count of the one pool type both endpoints run:
+	// on the source, the lanes that read the extents the walker has cut —
+	// so a latency-bound device is read that many extents at a time — and
+	// encode them (frame, compress, send), when the encoder chain is
+	// order-free — the bare literal; a Dedup or Delta stage holds it to one
+	// lane — and on the destination, the lanes that apply received data
+	// frames. Zero or one selects the paper's sequential loops. Lanes only
+	// run within one pre-copy iteration, where every block and page number
+	// appears at most once, so reordering is safe; iteration boundaries
+	// remain synchronization points.
 	Workers int
 
-	// Readahead, when positive, prefetches up to that many extents into
-	// pooled buffers while the current extent is on the wire, overlapping
-	// device reads with transport writes without reordering anything: the
-	// frame sequence stays identical to the sequential path, so the knob is
-	// purely local and needs no negotiation. It applies to every ordered
-	// disk send — literal, dedup and delta alike, which share one walker —
-	// and is ignored only where the unordered worker pool runs instead
-	// (Workers > 1 with neither Dedup nor Delta negotiated: the pool
-	// already overlaps reads and sends). Zero (the default) keeps the fully
-	// sequential read→send loop.
+	// Readahead is how many extents the source reads into pooled buffers
+	// ahead of the encoder, overlapping device reads with transport writes:
+	// it splits the walker's read and encode stages onto separate lanes with
+	// a queue that deep between them. It reorders nothing — on an
+	// order-bound chain extents reach the encoder in cursor order at any
+	// depth — so the knob is purely local and needs no negotiation. It is
+	// honoured on every disk send pass — literal, dedup and delta alike,
+	// under any Workers, which widens both stages. Zero (the default) keeps
+	// read and send on one goroutine per lane, the fully sequential
+	// read→send loop at one lane.
 	Readahead int
 
 	// CompressLevel, when non-zero, DEFLATE-compresses the migration stream

@@ -131,7 +131,7 @@ func newDestDedup(cfg Config, dev blockdev.Device) (*destDedup, error) {
 }
 
 // observe records one applied block's content in the index. Called from
-// scatter-pool workers for literals and inline for references; the index is
+// the pool's lanes for literals and inline for references; the index is
 // concurrency-safe.
 func (dd *destDedup) observe(block int, data []byte) {
 	dd.idx.Observe(dd.self, block, dedup.Of(data))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bbmig/internal/bitmap"
-	"bbmig/internal/blockdev"
 	"bbmig/internal/delta"
 	"bbmig/internal/transport"
 )
@@ -99,13 +98,8 @@ func (t *transfer) deltaFence(limited bool) (int64, error) {
 		if err != nil {
 			return wire, fmt.Errorf("core: delta refusal: %w", err)
 		}
-		data, err := readPooled(t.srcDev, ext)
-		if err != nil {
-			return wire, err
-		}
 		t.deltaBlocks -= ext.Count // the patch was refused; these blocks moved literally
-		lit, err := t.sendLiteral(ext, data, limited)
-		transport.PutBuf(data)
+		lit, err := t.sendRead(ext, limited)
 		if err != nil {
 			return wire, err
 		}
@@ -115,17 +109,6 @@ func (t *transfer) deltaFence(limited bool) (int64, error) {
 }
 
 // --- Destination side ---
-
-// readPooled reads dev's current content for ext into a pooled buffer the
-// caller must PutBuf.
-func readPooled(dev blockdev.Device, ext bitmap.Extent) ([]byte, error) {
-	buf := transport.GetBuf(ext.Count * dev.BlockSize())
-	if err := readExtent(dev, ext, buf); err != nil {
-		transport.PutBuf(buf)
-		return nil, err
-	}
-	return buf, nil
-}
 
 // handleDeltaSig answers one signature request from the destination's
 // current content. Runs under drainOn, so every earlier write is on the

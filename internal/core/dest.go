@@ -58,7 +58,7 @@ type destRun struct {
 	*transfer
 
 	res         *DestResult
-	sc          *scatterPool
+	lanes       *lanePool
 	dd          *destDedup     // content-dedup session (nil unless negotiated)
 	recvBlocks  int            // blocks landed in any form: literal, reference or patch
 	deltaBlocks int            // blocks landed as delta patches (Report.DeltaBlocks)
@@ -82,11 +82,11 @@ func newDestRun(cfg Config, host Host, conn transport.Conn, scheme string) (*des
 // run executes the scheme's phase list and closes the report with what the
 // gate, when the scheme built one, and the dedup session counted.
 func (d *destRun) run(phases []phase) (*DestResult, error) {
-	// Data frames are handed to the scatter pool; every control frame drains
+	// Data frames are handed to the lane pool; every control frame drains
 	// it first, so iteration boundaries order cross-iteration rewrites exactly
 	// as a sequential loop would.
-	d.sc = newScatterPool(d.cfg.Workers)
-	defer d.sc.close()
+	d.lanes = newLanePool(d.cfg.Workers, 0)
+	defer d.lanes.close()
 	cursor := 0
 	err := d.runPhases(phases, &cursor)
 	if err == nil {
@@ -162,7 +162,7 @@ func (d *destRun) openDedup() error {
 }
 
 // writeBlock lands one block on the VBD and, in a dedup session, records
-// its content in the index. Called from scatter-pool workers.
+// its content in the index. Called from the pool's lanes.
 func (d *destRun) writeBlock(block int, data []byte) error {
 	if err := d.dev.WriteBlock(block, data); err != nil {
 		return err
@@ -177,15 +177,15 @@ func (d *destRun) writeBlock(block int, data []byte) error {
 // ahead of the freeze — literal data, and the dedup and delta dialogues when
 // negotiated. Disk pre-copy and pre-sync receive through the same table.
 func (d *destRun) diskHandlers() frameHandlers {
-	write := d.writeBlock // bound once, not per frame
+	write := blockSink(d.dev.BlockSize(), d.writeBlock) // bound once, not per frame
 	data := func(m transport.Message) error {
-		ext, err := d.applyData(m, d.sc, write)
+		ext, err := d.applyData(m, d.lanes, write)
 		d.noteRecvBlocks(ext.Start, ext.End())
 		return err
 	}
 	h := frameHandlers{transport.MsgBlockData: data, transport.MsgExtent: data}
 	if d.dd != nil {
-		// Both dedup frames drain the scatter pool first: an advert's index
+		// Both dedup frames drain the lane pool first: an advert's index
 		// lookups must see every literal already applied (and observed), and
 		// a reference materialized from this VBD must not race a queued
 		// write to its backing block.
@@ -216,34 +216,41 @@ func (d *destRun) receiveUntilResume(groups ...frameHandlers) func() error {
 		if err := d.recvLoop(transport.MsgResume, handlers); err != nil {
 			return err
 		}
-		return d.sc.drain()
+		return d.lanes.drain()
 	}
 }
 
 // vmHandlers applies the guest's own state: the suspend notice, memory pages
-// and the CPU registers.
+// and the CPU registers. A page frame is a job like a data frame, the page
+// number its one-unit extent: a MsgMemPage overwrites the page, a
+// MsgMemPageDelta patches it after checking that this side holds the base it
+// was cut against.
 func (d *destRun) vmHandlers() frameHandlers {
-	page := func(m transport.Message) error {
-		d.noteProgress(func(p *destProgress) {
-			if n := int(m.Arg); p.recvMem != nil && n >= 0 && n < p.recvMem.Len() {
-				p.recvMem.Set(n)
+	page := func(apply func(n int, data []byte) error) func(transport.Message) error {
+		run := func(ext bitmap.Extent, data []byte) error {
+			if err := apply(ext.Start, data); err != nil {
+				return fmt.Errorf("core: apply page %d: %w", ext.Start, err)
 			}
-		})
-		return d.sc.do(func() error {
-			if err := d.applyPage(m); err != nil {
-				return err
-			}
-			m.Release()
 			return nil
-		})
+		}
+		return func(m transport.Message) error {
+			n := int(m.Arg)
+			d.noteProgress(func(p *destProgress) {
+				if p.recvMem != nil && n >= 0 && n < p.recvMem.Len() {
+					p.recvMem.Set(n)
+				}
+			})
+			return d.lanes.do(job{ext: bitmap.Extent{Start: n, Count: 1}, data: m.Payload, run: run})
+		}
 	}
+	mem := d.host.VM.Memory()
 	return frameHandlers{
 		transport.MsgSuspend: d.drainOn(func(transport.Message) error {
 			d.ev.suspended()
 			d.noteProgress(func(p *destProgress) { p.flags |= destSuspendSeen })
 			return nil
 		}),
-		transport.MsgMemPage: page, transport.MsgMemPageDelta: page,
+		transport.MsgMemPage: page(mem.WritePage), transport.MsgMemPageDelta: page(mem.ApplyDelta),
 		transport.MsgCPUState: d.drainOn(func(m transport.Message) error {
 			d.host.VM.SetCPU(vm.CPUState{Registers: append([]byte(nil), m.Payload...)})
 			return nil
@@ -310,13 +317,13 @@ func (d *destRun) bitmapHandler() frameHandlers {
 	})}
 }
 
-// drainOn wraps a control-frame handler so the scatter pool is drained
+// drainOn wraps a control-frame handler so the lane pool is drained
 // before it acts — everything sent before a phase boundary is applied before
 // the boundary advances. (transport.IsDataFrame is the same predicate
 // Striped stripes by; these are exactly the non-data frames.)
 func (d *destRun) drainOn(fn func(transport.Message) error) func(transport.Message) error {
 	return func(m transport.Message) error {
-		if err := d.sc.drain(); err != nil {
+		if err := d.lanes.drain(); err != nil {
 			return err
 		}
 		return fn(m)
@@ -358,10 +365,10 @@ func (d *destRun) resumeBehindGate() error {
 // internal locking keeps each ReceiveBlock atomic against the resumed guest's
 // reads and writes, so the write gate stays correct under the pool's
 // concurrency.
-func (d *destRun) gateData(sc *scatterPool) frameHandlers {
-	receive := d.res.Gate.ReceiveBlock // bound once, not per frame
+func (d *destRun) gateData(pool *lanePool) frameHandlers {
+	receive := blockSink(d.dev.BlockSize(), d.res.Gate.ReceiveBlock) // bound once, not per frame
 	data := func(m transport.Message) error {
-		_, err := d.applyData(m, sc, receive)
+		_, err := d.applyData(m, pool, receive)
 		return err
 	}
 	return frameHandlers{transport.MsgBlockData: data, transport.MsgExtent: data}
@@ -371,10 +378,10 @@ func (d *destRun) gateData(sc *scatterPool) frameHandlers {
 // completion, by which point every block of the freeze bitmap has arrived or
 // been overwritten here, and reports the disk synchronized.
 func (d *destRun) postCopyReceive() error {
-	if err := d.recvLoop(transport.MsgPushDone, d.gateData(d.sc)); err != nil {
+	if err := d.recvLoop(transport.MsgPushDone, d.gateData(d.lanes)); err != nil {
 		return err
 	}
-	if err := d.sc.drain(); err != nil {
+	if err := d.lanes.drain(); err != nil {
 		return err
 	}
 	d.noteProgress(func(p *destProgress) { p.flags |= destPushDone })

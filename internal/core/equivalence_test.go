@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -544,36 +545,28 @@ func (c *freezeWatch) Send(m transport.Message) error {
 	return c.Conn.Send(m)
 }
 
-// TestScatterPool exercises the pool directly: ordering across drains,
-// inline mode, and error stickiness.
-func TestScatterPool(t *testing.T) {
-	p := newScatterPool(4)
+// TestLanePool exercises the pool directly: drain as a barrier, and the nil
+// pool's inline mode.
+func TestLanePool(t *testing.T) {
+	p := newLanePool(4, 0)
 	defer p.close()
-	var mu sync.Mutex
-	applied := 0
+	var applied atomic.Int64
+	count := func(bitmap.Extent, []byte) error { applied.Add(1); return nil }
 	for i := 0; i < 100; i++ {
-		if err := p.do(func() error {
-			mu.Lock()
-			applied++
-			mu.Unlock()
-			return nil
-		}); err != nil {
+		if err := p.do(job{run: count}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := p.drain(); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	if applied != 100 {
-		t.Fatalf("drain returned before %d/100 applies", applied)
+	if n := applied.Load(); n != 100 {
+		t.Fatalf("drain returned before %d/100 jobs", n)
 	}
-	mu.Unlock()
 
-	inline := newScatterPool(1)
-	ran := false
-	if err := inline.do(func() error { ran = true; return nil }); err != nil || !ran {
-		t.Fatal("inline pool did not run the apply synchronously")
+	inline := newLanePool(1, 0)
+	if err := inline.do(job{run: count}); err != nil || applied.Load() != 101 {
+		t.Fatal("inline pool did not run the job synchronously")
 	}
 	inline.close()
 }

@@ -40,13 +40,13 @@ func FuzzDataExtent(f *testing.F) {
 		}
 		tr := &transfer{dev: dev}
 		seen := 0
-		_, aerr := tr.applyData(m, nil, func(block int, data []byte) error {
+		_, aerr := tr.applyData(m, nil, blockSink(bs, func(block int, data []byte) error {
 			if block < 0 || block >= blocks || len(data) != bs {
 				t.Fatalf("sink handed block %d with %d bytes", block, len(data))
 			}
 			seen++
 			return dev.WriteBlock(block, data)
-		})
+		}))
 		if (aerr == nil) != (err == nil) {
 			t.Fatalf("validator said %v, applier said %v", err, aerr)
 		}

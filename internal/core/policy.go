@@ -70,7 +70,10 @@ type Policy interface {
 	ExtentBlocks(phase string, configured int) int
 
 	// ObserveExtent feeds one completed extent send back: blocks coalesced,
-	// wire bytes, and the time the read+send took.
+	// wire bytes, and the time the read+send took — the send alone where
+	// Readahead has split the read off onto lanes of its own. It is called
+	// from the walker's lanes, so with Workers > 1 or Readahead > 0
+	// concurrently with ExtentBlocks.
 	ObserveExtent(blocks int, wireBytes int64, d time.Duration)
 
 	// CompressPayload reports whether a payload of the given type and size

@@ -98,8 +98,8 @@ func SyncDest(cfg Config, dev blockdev.Device, conn transport.Conn) (SyncStats, 
 	if err != nil {
 		return SyncStats{}, err
 	}
-	d := &destRun{transfer: t, sc: newScatterPool(cfg.Workers)}
-	defer d.sc.close()
+	d := &destRun{transfer: t, lanes: newLanePool(cfg.Workers, 0)}
+	defer d.lanes.close()
 	if err := d.openDedup(); err != nil {
 		return SyncStats{}, err
 	}

@@ -526,10 +526,19 @@ func (s *sourceRun) awaitResumed() error {
 		s.noteResumed(at)
 		return nil
 	case err := <-s.doneCh:
-		if err == nil {
-			err = fmt.Errorf("core: connection closed before resume")
+		if err != nil {
+			return err
 		}
-		return err
+		// The read loop latches RESUMED before the DONE that follows it on
+		// the wire; with both ready the select above may pick either.
+		s.doneSeen = true
+		select {
+		case at := <-s.resumedCh:
+			s.noteResumed(at)
+			return nil
+		default:
+			return fmt.Errorf("core: connection closed before resume")
+		}
 	}
 }
 
@@ -603,25 +612,10 @@ func (s *sourceRun) postCopy() error {
 	return nil
 }
 
-// sendExtent reads ext from the source read path into *buf, grown from the
-// pool as needed, and sends it unpaced.
-func (s *sourceRun) sendExtent(ext bitmap.Extent, buf *[]byte) error {
-	need := ext.Count * s.srcDev.BlockSize()
-	if cap(*buf) < need {
-		transport.PutBuf(*buf)
-		*buf = transport.GetBuf(need)
-	}
-	data := (*buf)[:need]
-	if err := readExtent(s.srcDev, ext, data); err != nil {
-		return err
-	}
-	return s.send(extentMessage(ext, data), false)
-}
-
 // servePull answers one pull request. Pull replies always travel as single
-// blocks.
-func (s *sourceRun) servePull(n int, buf *[]byte) error {
-	if err := s.sendExtent(bitmap.Extent{Start: n, Count: 1}, buf); err != nil {
+// blocks, unpaced.
+func (s *sourceRun) servePull(n int) error {
+	if _, err := s.sendRead(bitmap.Extent{Start: n, Count: 1}, false); err != nil {
 		return err
 	}
 	s.rep.BlocksPulled++
@@ -634,14 +628,12 @@ func (s *sourceRun) servePull(n int, buf *[]byte) error {
 // background push coalesces the remaining set into extents at the policy's
 // live limit.
 func (s *sourceRun) pushBlocks(bm *bitmap.Bitmap) error {
-	var buf []byte
-	defer func() { transport.PutBuf(buf) }()
 	remaining := bm.Clone()
 	for {
 		select {
 		case n := <-s.pullCh:
 			if remaining.Test(n) { // not yet pushed
-				if err := s.servePull(n, &buf); err != nil {
+				if err := s.servePull(n); err != nil {
 					return err
 				}
 				remaining.Clear(n)
@@ -653,7 +645,7 @@ func (s *sourceRun) pushBlocks(bm *bitmap.Bitmap) error {
 		if ext.Count == 0 {
 			break
 		}
-		if err := s.sendExtent(ext, &buf); err != nil {
+		if _, err := s.sendRead(ext, false); err != nil {
 			return err
 		}
 		remaining.ClearRange(ext.Start, ext.End())

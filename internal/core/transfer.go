@@ -311,9 +311,9 @@ func extentMessage(e bitmap.Extent, data []byte) transport.Message {
 }
 
 // owedCursor is the one place that decides which units of a send pass
-// travel and in what extents: the block walkers below, ordered and pooled,
-// draw their extents from next; the page walker shows the base book the live
-// view page by page and leaves out, with skip, the pages the book hands back.
+// travel and in what extents: the block walker below draws its extents from
+// next; the page walker shows the base book the live view page by page and
+// leaves out, with skip, the pages the book hands back.
 //
 // A cursor built with a live view leaves out every unit the tracker already
 // shows dirty again at the moment the extent is cut. The tracker still owes
@@ -323,7 +323,7 @@ func extentMessage(e bitmap.Extent, data []byte) transport.Message {
 // Only preCopyLoop builds cursors with a live view; every other send
 // (freeze-and-copy, post-copy, the baselines' single passes) sends all of bm.
 //
-// Not safe for concurrent use: each walker calls next from one goroutine.
+// Not safe for concurrent use: a walker calls next from one goroutine.
 type owedCursor struct {
 	bm      *bitmap.Bitmap
 	live    bitmap.View
@@ -357,21 +357,36 @@ func (c *owedCursor) skip(n int) {
 	c.skipped++
 }
 
-// readExtent reads ext's blocks from dev into data, which must hold them.
-func readExtent(dev blockdev.Device, ext bitmap.Extent, data []byte) error {
+// readPooled reads ext's blocks from dev into a pooled buffer the caller owns
+// (and hands to a job, or PutBufs).
+func readPooled(dev blockdev.Device, ext bitmap.Extent) ([]byte, error) {
 	bs := dev.BlockSize()
+	data := transport.GetBuf(ext.Count * bs)
 	for k := 0; k < ext.Count; k++ {
 		if err := dev.ReadBlock(ext.Start+k, data[k*bs:(k+1)*bs]); err != nil {
-			return err
+			transport.PutBuf(data)
+			return nil, err
 		}
 	}
-	return nil
+	return data, nil
 }
 
 // sendLiteral frames and sends one extent's data and returns its wire bytes.
 func (t *transfer) sendLiteral(ext bitmap.Extent, data []byte, limited bool) (int64, error) {
 	m := extentMessage(ext, data)
 	return int64(m.FrameSize()), t.send(m, limited)
+}
+
+// sendRead is the walker's read-and-literal step for a caller that cuts its
+// own extents (post-copy's push and pull replies, a delta refusal's re-send):
+// ext is read from the source read path and sent literally.
+func (t *transfer) sendRead(ext bitmap.Extent, limited bool) (int64, error) {
+	data, err := readPooled(t.srcDev, ext)
+	if err != nil {
+		return 0, err
+	}
+	defer transport.PutBuf(data)
+	return t.sendLiteral(ext, data, limited)
 }
 
 // extentEncoder moves one extent — ext's blocks, already read into data —
@@ -382,29 +397,27 @@ func (t *transfer) sendLiteral(ext bitmap.Extent, data []byte, limited bool) (in
 type extentEncoder func(ext bitmap.Extent, data []byte) (int64, error)
 
 // sendBlocks streams the blocks cur yields and returns the count and payload
-// wire bytes. This is the one place the send path is chosen: the encoder
-// chain is literal, wrapped by delta when negotiated, wrapped by dedup when
-// negotiated (so exact matches are claimed before near matches, and both
-// before the literal), and it runs on the ordered walker. Only the bare
-// literal chain may ride the unordered worker pool: a round-trip encoder
-// needs its frames in cursor order. With nothing negotiated and Workers and
-// Readahead unset, the ordered walker at the default extent limit of one
-// block is wire-identical to the seed protocol.
+// wire bytes. This is the one place the encoder chain is built: literal,
+// wrapped by delta when negotiated, wrapped by dedup when negotiated (so
+// exact matches are claimed before near matches, and both before the
+// literal). The bare literal chain is order-free — within one pass every
+// block number appears at most once, so the destination may apply its frames
+// in any order — and is read and encoded on cfg.Workers lanes; a round-trip
+// stage needs its frames in cursor order and holds the chain to one. With
+// nothing negotiated and Workers and Readahead unset, the walker at the
+// default extent limit of one block is wire-identical to the seed protocol.
 func (t *transfer) sendBlocks(cur *owedCursor, phaseName string, limited bool) (int, int64, error) {
 	var encode extentEncoder = func(ext bitmap.Extent, data []byte) (int64, error) {
 		return t.sendLiteral(ext, data, limited)
 	}
-	walk := t.sendExtentsOrdered
-	if t.cfg.Workers > 1 {
-		walk = t.sendExtentsPooled
-	}
+	lanes := t.cfg.Workers
 	if t.awaitReply != nil && t.cfg.Delta {
-		encode, walk = t.deltaEncoder(encode, limited), t.sendExtentsOrdered
+		encode, lanes = t.deltaEncoder(encode, limited), 1
 	}
 	if t.awaitReply != nil && t.cfg.Dedup {
-		encode, walk = t.dedupEncoder(encode, limited), t.sendExtentsOrdered
+		encode, lanes = t.dedupEncoder(encode, limited), 1
 	}
-	sent, bytes, err := walk(cur, phaseName, encode)
+	sent, bytes, err := t.sendExtents(cur, phaseName, encode, lanes)
 	if err != nil {
 		return sent, bytes, err
 	}
@@ -414,161 +427,71 @@ func (t *transfer) sendBlocks(cur *owedCursor, phaseName string, limited bool) (
 	return sent, bytes + fenceWire, err
 }
 
-// sendExtentsOrdered is the ordered walker: it cuts extents from cur, reads
-// each into a pooled buffer and hands them to encode strictly in cursor
-// order. With cfg.Readahead > 0 one prefetch goroutine cuts and reads up to
-// that many extents ahead of the encoder, so the next extent's blocks are
-// read while the current one is on the wire; with 0 the cut-and-read runs
-// inline. Either way encode sees the same extents in the same order, so the
-// frame sequence — and the golden wire traces — do not depend on the depth.
-// The policy is re-consulted for the coalescing limit before each cut so an
-// adaptive policy can grow it mid-iteration.
-func (t *transfer) sendExtentsOrdered(cur *owedCursor, phaseName string, encode extentEncoder) (int, int64, error) {
+// sendExtents is the one extent walker, a cut → read → encode pipeline whose
+// stages are lane pools. The walker itself only cuts: it draws extents from
+// cur strictly in cursor order, re-consulting the policy for the coalescing
+// limit before each cut so an adaptive policy can grow it mid-iteration. The
+// read stage fills a pooled buffer per extent: inline on the walker when
+// lanes <= 1, on lanes goroutines otherwise, so a latency-bound device is
+// read lanes deep. The encode stage hands each extent to encode: with
+// cfg.Readahead 0 on the goroutine that read it, with Readahead > 0 on lanes
+// of its own behind a queue that deep, so the next extents' blocks are read
+// while the current one is on the wire. With lanes <= 1 both stages keep
+// cursor order (one lane is a FIFO), so encode sees the same extents in the
+// same order whatever the depth and the frame sequence — and the golden wire
+// traces — do not depend on it; with more, encode must be safe for concurrent
+// use, as the literal encoder is.
+func (t *transfer) sendExtents(cur *owedCursor, phaseName string, encode extentEncoder, lanes int) (int, int64, error) {
 	dev := t.srcDev
-	bs := dev.BlockSize()
-	type job struct {
-		ext  bitmap.Extent // zero Count: the pass is over
-		data []byte        // pooled; ownership passes to the consumer
-		err  error
-	}
-	next := func() job {
-		ext := cur.next(t.extentBlocks(phaseName))
-		if ext.Count == 0 {
-			return job{}
-		}
-		data := transport.GetBuf(ext.Count * bs)
-		return job{ext: ext, data: data, err: readExtent(dev, ext, data)}
-	}
-	if depth := t.cfg.Readahead; depth > 0 {
-		cut := next
-		jobs := make(chan job, depth)
-		stop := make(chan struct{})
-		go func() {
-			defer close(jobs)
-			for {
-				j := cut()
-				if j.ext.Count == 0 {
-					return
-				}
-				select {
-				case jobs <- j:
-				case <-stop:
-					transport.PutBuf(j.data)
-					return
-				}
-				if j.err != nil {
-					return
-				}
-			}
-		}()
-		defer func() {
-			close(stop)
-			for j := range jobs { // reclaim extents prefetched past a failure
-				transport.PutBuf(j.data)
-			}
-		}()
-		next = func() job { return <-jobs } // closed and drained: the zero job
-	}
-	sent := 0
-	var bytes int64
-	for {
-		extStart := t.clk.Now()
-		j := next()
-		if j.ext.Count == 0 {
-			return sent, bytes, nil
-		}
-		wire, err := int64(0), j.err
-		if err == nil {
-			wire, err = encode(j.ext, j.data)
-		}
-		transport.PutBuf(j.data)
-		if err != nil {
-			return sent, bytes, err
-		}
-		t.pol.ObserveExtent(j.ext.Count, wire, t.clk.Now()-extStart)
-		sent += j.ext.Count
-		bytes += wire
-	}
-}
-
-// firstErr latches the first error a worker pool hits.
-type firstErr struct {
-	failed atomic.Bool
-	mu     sync.Mutex
-	err    error
-}
-
-func (f *firstErr) set(err error) {
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-		f.failed.Store(true)
-	}
-	f.mu.Unlock()
-}
-
-func (f *firstErr) get() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
-}
-
-// sendExtentsPooled is the unordered walker: it fans cur's extents across
-// cfg.Workers goroutines, each reading an extent from the device and handing
-// it to encode — which must be safe for concurrent use, as the literal
-// encoder is — so device reads, optional compression, and transport writes of
-// different extents overlap. Within one iteration every block number appears
-// at most once, so the destination may apply the extents in any order; the
-// engine's control frames bound the iteration on both sides.
-func (t *transfer) sendExtentsPooled(cur *owedCursor, phaseName string, encode extentEncoder) (int, int64, error) {
-	dev := t.srcDev
-	bs := dev.BlockSize()
-	workers := t.cfg.Workers
-	jobs := make(chan bitmap.Extent, workers*2)
 	var sent, bytes atomic.Int64
-	var fail firstErr
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf []byte
-			defer func() { transport.PutBuf(buf) }()
-			for ext := range jobs {
-				if fail.failed.Load() {
-					continue // drain the queue so the producer never blocks
-				}
-				if need := ext.Count * bs; cap(buf) < need {
-					transport.PutBuf(buf)
-					buf = transport.GetBuf(need)
-				}
-				data := buf[:ext.Count*bs]
-				extStart := t.clk.Now()
-				var wire int64
-				err := readExtent(dev, ext, data)
-				if err == nil {
-					wire, err = encode(ext, data)
-				}
-				if err != nil {
-					fail.set(err)
-					continue
-				}
-				t.pol.ObserveExtent(ext.Count, wire, t.clk.Now()-extStart)
-				sent.Add(int64(ext.Count))
-				bytes.Add(wire)
-			}
-		}()
+	// encodeFrom encodes an extent and feeds the outcome back to the policy,
+	// timed from start.
+	encodeFrom := func(start time.Duration, ext bitmap.Extent, data []byte) error {
+		wire, err := encode(ext, data)
+		if err != nil {
+			return err
+		}
+		t.pol.ObserveExtent(ext.Count, wire, t.clk.Now()-start)
+		sent.Add(int64(ext.Count))
+		bytes.Add(wire)
+		return nil
 	}
-	for !fail.failed.Load() {
+	var encoders *lanePool // nil: whoever read an extent encodes it
+	if depth := t.cfg.Readahead; depth > 0 {
+		encoders = newLanePool(lanes, depth)
+	}
+	defer encoders.close()
+	run := func(ext bitmap.Extent, data []byte) error { return encodeFrom(t.clk.Now(), ext, data) }
+	read := func(ext bitmap.Extent, _ []byte) error {
+		start := t.clk.Now()
+		data, err := readPooled(dev, ext)
+		if err != nil {
+			return err
+		}
+		if encoders == nil { // read and send are one step, timed as one
+			defer transport.PutBuf(data)
+			return encodeFrom(start, ext, data)
+		}
+		return encoders.do(job{ext: ext, data: data, run: run})
+	}
+	readers := newLanePool(lanes, 0)
+	defer readers.close()
+	var err error
+	for err == nil {
 		ext := cur.next(t.extentBlocks(phaseName))
 		if ext.Count == 0 {
 			break
 		}
-		jobs <- ext
+		err = readers.do(job{ext: ext, run: read})
 	}
-	close(jobs)
-	wg.Wait()
-	return int(sent.Load()), bytes.Load(), fail.get()
+	// The pass is over, or failed: the barrier, stage by stage, and the first
+	// error.
+	for _, p := range []*lanePool{readers, encoders} {
+		if perr := p.drain(); err == nil {
+			err = perr
+		}
+	}
+	return int(sent.Load()), bytes.Load(), err
 }
 
 // sendPages streams the pages of cur's set, never coalesced: each page is
@@ -803,48 +726,33 @@ func dataExtent(m transport.Message, dev blockdev.Device) (bitmap.Extent, error)
 }
 
 // applyData is the one applier of literal data frames: it validates m
-// against the VBD, hands each block to sink — a device write, plus dedup
-// observation, or the post-copy gate — and releases the pooled payload
-// (appliers own their payloads, the Recv transfer contract). With a scatter
-// pool the sink loop runs on a worker, so the release lands no earlier than
-// the drain barrier any later control frame waits on; a nil pool applies
-// inline. The validated extent is returned for progress accounting.
-func (t *transfer) applyData(m transport.Message, sc *scatterPool, sink func(block int, data []byte) error) (bitmap.Extent, error) {
+// against the VBD and hands the extent and its payload to the pool as a job,
+// which releases the payload (appliers own their payloads, the Recv transfer
+// contract) once sink has run — inline on a nil pool, else on a lane, no
+// earlier than the drain barrier any later control frame waits on. sink is a
+// blockSink, bound once per handler group. The validated extent is returned
+// for progress accounting.
+func (t *transfer) applyData(m transport.Message, pool *lanePool, sink func(bitmap.Extent, []byte) error) (bitmap.Extent, error) {
 	ext, err := dataExtent(m, t.dev)
 	if err != nil {
+		transport.PutBuf(m.Payload) // rejected before it became a job
 		return ext, err
 	}
-	payload, bs := m.Payload, t.dev.BlockSize()
-	if sc == nil {
-		return ext, sinkExtent(ext, payload, bs, sink)
-	}
-	return ext, sc.do(func() error { return sinkExtent(ext, payload, bs, sink) })
+	return ext, pool.do(job{ext: ext, data: m.Payload, run: sink})
 }
 
-// sinkExtent hands each block of a validated extent's payload to sink and
-// then releases the payload.
-func sinkExtent(ext bitmap.Extent, payload []byte, bs int, sink func(block int, data []byte) error) error {
-	for k := 0; k < ext.Count; k++ {
-		if err := sink(ext.Start+k, payload[k*bs:(k+1)*bs]); err != nil {
-			return fmt.Errorf("core: apply block %d: %w", ext.Start+k, err)
+// blockSink makes a job's run of a per-block sink — a device write, plus
+// dedup observation, or the post-copy gate: each block of a validated
+// extent's payload goes to sink in turn.
+func blockSink(bs int, sink func(block int, data []byte) error) func(bitmap.Extent, []byte) error {
+	return func(ext bitmap.Extent, payload []byte) error {
+		for k := 0; k < ext.Count; k++ {
+			if err := sink(ext.Start+k, payload[k*bs:(k+1)*bs]); err != nil {
+				return fmt.Errorf("core: apply block %d: %w", ext.Start+k, err)
+			}
 		}
+		return nil
 	}
-	transport.PutBuf(payload)
-	return nil
-}
-
-// applyPage lands one page frame in the VM shell's memory: a MsgMemPage
-// overwrites the page, a MsgMemPageDelta patches it after checking that this
-// side holds the base it was cut against.
-func (t *transfer) applyPage(m transport.Message) error {
-	apply := t.host.VM.Memory().WritePage
-	if m.Type == transport.MsgMemPageDelta {
-		apply = t.host.VM.Memory().ApplyDelta
-	}
-	if err := apply(int(m.Arg), m.Payload); err != nil {
-		return fmt.Errorf("core: apply page %d: %w", m.Arg, err)
-	}
-	return nil
 }
 
 // takeResume consumes the re-entry state for one phase, if any.
@@ -870,8 +778,8 @@ type frameHandlers map[transport.MsgType]func(transport.Message) error
 //
 // Buffer ownership: non-data frames are consumed synchronously by their
 // handlers (every handler parses or copies what it keeps), so their pooled
-// payloads are released here. Data frames pass through applyData, which
-// releases the payload once applied — possibly later, on the scatter pool.
+// payloads are released here. Data frames become jobs, and the lane pool
+// releases a job's payload once it has run — possibly later, on a lane.
 func (t *transfer) recvLoop(until transport.MsgType, handlers frameHandlers) error {
 	for {
 		m, err := t.destRecv()

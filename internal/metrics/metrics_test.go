@@ -111,58 +111,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestLatencyTracker(t *testing.T) {
-	l := NewLatencyTracker("before")
-	if l.Window() != "before" {
-		t.Fatal("initial window wrong")
-	}
-	for i := 1; i <= 100; i++ {
-		l.Record(time.Duration(i) * time.Millisecond)
-	}
-	l.SetWindow("migrating")
-	for i := 1; i <= 10; i++ {
-		l.Record(time.Duration(i*10) * time.Millisecond)
-	}
-	if l.Count("before") != 100 || l.Count("migrating") != 10 || l.Count("after") != 0 {
-		t.Fatalf("counts wrong: %d %d", l.Count("before"), l.Count("migrating"))
-	}
-	if got := l.Percentile("before", 0.5); got != 50*time.Millisecond {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := l.Percentile("before", 1.0); got != 100*time.Millisecond {
-		t.Fatalf("p100 = %v", got)
-	}
-	if got := l.Percentile("empty", 0.5); got != 0 {
-		t.Fatalf("empty percentile = %v", got)
-	}
-	if got := l.Max("migrating"); got != 100*time.Millisecond {
-		t.Fatalf("max = %v", got)
-	}
-	s := l.Summary()
-	if !strings.Contains(s, "before") || !strings.Contains(s, "migrating") {
-		t.Fatalf("summary %q", s)
-	}
-}
-
-func TestLatencyTrackerConcurrent(t *testing.T) {
-	l := NewLatencyTracker("w")
-	done := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		go func() {
-			for j := 0; j < 1000; j++ {
-				l.Record(time.Microsecond)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		<-done
-	}
-	if l.Count("w") != 4000 {
-		t.Fatalf("Count = %d", l.Count("w"))
-	}
-}
-
 func TestStorageTimeSumsDiskPhases(t *testing.T) {
 	r := Report{
 		PostCopyTime: 500 * time.Millisecond,

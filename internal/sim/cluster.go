@@ -135,40 +135,21 @@ func ClusterSweep(seed int64) ([]ClusterSweepRow, *metrics.Table) {
 // estimateMigration predicts one migration's rough duration at the given
 // rate — enough to aim an outage injection inside the transfer window, and
 // close enough to the full simulation (within ~20%) to size a schedule.
-// It prices iteration 1 the way the simulator does: with Dedup negotiated
-// the DedupShare fraction travels as 16-byte references under a per-block
-// advert, and with Delta the remaining literals pay the signature round trip
-// and ship only their changed chunk fraction (with the engine's
-// patch-vs-literal fallback). Later iterations' re-sends and the freeze
-// window are workload-dependent and left out — the bulk copy dominates a
-// paper-testbed migration.
+// It prices iteration 1 with the simulator's own formula (iter1Wire), the
+// DedupShare fraction as references. Later iterations' re-sends and the
+// freeze window are workload-dependent and left out — the bulk copy dominates
+// a paper-testbed migration.
 func estimateMigration(p Params, rate float64) time.Duration {
 	diskBlocks := float64(int64(p.DiskMB) << 20 / blockdev.BlockSize)
 	extent := p.MaxExtentBlocks
 	if extent < 1 {
 		extent = 1
 	}
-	perLit := blockdev.BlockSize + float64(frameOverhead)/float64(extent)
-
 	share := 0.0
 	if p.Dedup {
 		share = clamp01(p.DedupShare)
 	}
-	refs := diskBlocks * share
-	lits := diskBlocks - refs
-	litWire := lits * perLit
-	if p.Delta && lits > 0 {
-		perPatch := deltaSigPerBlock + deltaPatchPerBlockOverhead +
-			(1-clamp01(p.DeltaMatchShare))*blockdev.BlockSize
-		if perPatch >= perLit+deltaSigPerBlock {
-			perPatch = perLit + deltaSigPerBlock
-		}
-		litWire = lits * perPatch
-	}
-	wire := litWire + refs*dedupRefPerBlock
-	if p.Dedup {
-		wire += diskBlocks * dedupAdvertPerBlock
-	}
+	wire, _ := iter1Wire(p, diskBlocks, diskBlocks*share, blockdev.BlockSize+float64(frameOverhead)/float64(extent))
 	wire += float64(int64(p.MemMB) << 20) // memory pre-copy travels literal
 	return time.Duration(wire / rate * float64(time.Second))
 }

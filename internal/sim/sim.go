@@ -339,24 +339,9 @@ func run(p Params, initial *bitmap.Bitmap, cur *cursor, start time.Duration) *Re
 			}
 			refsSwarm := int(float64(sentBlocks) * swarmShare)
 			refs := int(float64(sentBlocks)*share) + refsSwarm
-			lits := sentBlocks - refs
-			litWire := float64(lits) * s.perBlockWire()
-			if p.Delta && lits > 0 {
-				match := clamp01(p.DeltaMatchShare)
-				perPatch := deltaSigPerBlock + deltaPatchPerBlockOverhead +
-					(1-match)*blockdev.BlockSize
-				if lit := s.perBlockWire(); perPatch >= lit+deltaSigPerBlock {
-					// Patch no smaller than the literal: the engine falls
-					// back, with the signature round trip already sunk.
-					perPatch = lit + deltaSigPerBlock
-				} else {
-					s.rep.DeltaBlocks += lits
-				}
-				litWire = float64(lits) * perPatch
-			}
-			wire := litWire + float64(refs)*dedupRefPerBlock
-			if p.Dedup {
-				wire += float64(sentBlocks) * dedupAdvertPerBlock
+			wire, patched := iter1Wire(p, float64(sentBlocks), float64(refs), s.perBlockWire())
+			if patched {
+				s.rep.DeltaBlocks += sentBlocks - refs
 			}
 			if refsSwarm > 0 {
 				// Swarm-produced blocks cross the peers' sidecar links in
@@ -575,6 +560,34 @@ func (s *sim) migRate() float64 {
 // coalescing: the frame header is shared by up to liveExtent blocks.
 func (s *sim) perBlockWire() float64 {
 	return blockdev.BlockSize + float64(frameOverhead)/float64(s.liveExtent())
+}
+
+// iter1Wire prices iteration 1 of a content-addressed pre-copy over blocks
+// blocks, refs of which the destination can already produce: with Dedup
+// negotiated every block pays the advert and the refs travel as 16-byte
+// references; the rest travel literally at perLiteral bytes each — or, with
+// Delta negotiated, as signature-priced patches carrying their changed chunk
+// fraction. A patch no smaller than the literal falls back to it, as the
+// engine does, with the signature round trip already sunk; patched reports
+// whether the literals travelled as patches.
+func iter1Wire(p Params, blocks, refs, perLiteral float64) (wire float64, patched bool) {
+	lits := blocks - refs
+	litWire := lits * perLiteral
+	if p.Delta && lits > 0 {
+		perPatch := deltaSigPerBlock + deltaPatchPerBlockOverhead +
+			(1-clamp01(p.DeltaMatchShare))*blockdev.BlockSize
+		if perPatch >= perLiteral+deltaSigPerBlock {
+			perPatch = perLiteral + deltaSigPerBlock
+		} else {
+			patched = true
+		}
+		litWire = lits * perPatch
+	}
+	wire = litWire + refs*dedupRefPerBlock
+	if p.Dedup {
+		wire += blocks * dedupAdvertPerBlock
+	}
+	return wire, patched
 }
 
 // step advances one integration step of dt, returning the migration bytes

@@ -77,7 +77,7 @@ const MaxStreams = 255
 
 // IsDataFrame reports whether a frame carries bulk migration data — the
 // frames a Striped conn may reorder between control frames, and the frames
-// the destination's scatter pool may apply out of order. The two uses must
+// the destination's lane pool may apply out of order. The two uses must
 // agree, which is why there is exactly one copy of this predicate. A page
 // delta qualifies although it is applied against the page's earlier frame: a
 // page is sent at most once between two fenced control frames, so a base and
