@@ -221,17 +221,25 @@ func BlockFingerprint(d Device, n int) ([32]byte, error) {
 }
 
 // Diff returns the block numbers at which two devices differ. It returns an
-// error if geometries differ.
+// error if geometries differ. When both are Allocators only the blocks either
+// holds data at are read: a sparse disk costs its footprint, not its size.
 func Diff(a, b Device) ([]int, error) {
 	if a.BlockSize() != b.BlockSize() || a.NumBlocks() != b.NumBlocks() {
 		return nil, fmt.Errorf("blockdev: geometry mismatch: %dx%d vs %dx%d",
 			a.NumBlocks(), a.BlockSize(), b.NumBlocks(), b.BlockSize())
 	}
+	held := bitmap.NewAllSet(a.NumBlocks())
+	if aa, ok := a.(Allocator); ok {
+		if ab, ok := b.(Allocator); ok {
+			held = aa.AllocatedBitmap()
+			held.Union(ab.AllocatedBitmap())
+		}
+	}
 	var diffs []int
 	bufs := getScanBufs(a.BlockSize())
 	defer scanBufs.Put(bufs)
 	ba, bb := bufs[0], bufs[1]
-	for n := 0; n < a.NumBlocks(); n++ {
+	for n := held.NextSet(0); n >= 0; n = held.NextSet(n + 1) {
 		if err := a.ReadBlock(n, ba); err != nil {
 			return nil, err
 		}

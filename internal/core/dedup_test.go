@@ -1,35 +1,20 @@
 package core
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"bbmig/internal/blockdev"
 	"bbmig/internal/dedup"
 	"bbmig/internal/workload"
 )
 
-// templateDisk rewrites the env's source disk (and shadow) into a
-// clone-fleet shape: the first three quarters cycle through `distinct`
-// template contents, the last quarter is all zeros — the §IV-A-2 dedup
-// argument taken from positional to content identity.
-func templateDisk(t *testing.T, e *env, distinct int) {
-	t.Helper()
-	buf := make([]byte, blockdev.BlockSize)
-	filled := testBlocks * 3 / 4
-	for n := 0; n < testBlocks; n++ {
-		if n < filled {
-			workload.FillBlock(buf, n%distinct, 7)
-		} else {
-			clear(buf)
-		}
-		if err := e.srcDisk.WriteBlock(n, buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.shadow.WriteBlock(n, buf); err != nil {
-			t.Fatal(err)
-		}
+// template fills a clone-fleet image: the first three quarters cycle
+// through distinct template contents, the last quarter is all zeros — the
+// §IV-A-2 dedup argument taken from positional to content identity.
+func template(distinct int) func([]byte, int) bool {
+	return func(buf []byte, n int) bool {
+		workload.FillBlock(buf, n%distinct, 7)
+		return n < testBlocks*3/4
 	}
 }
 
@@ -40,10 +25,7 @@ func templateDisk(t *testing.T, e *env, distinct int) {
 // quarter ships as references only.
 func TestDedupEquivalence(t *testing.T) {
 	run := func(cfg Config) (int64, int, int) {
-		e := newEnv(t)
-		templateDisk(t, e, 16)
-		rep, res := e.runTPM(cfg, nil)
-		e.checkConverged(res.CPU)
+		rep, res := newWorld(t, worldSpec{fill: template(16)}).tpm(cfg, cfg, nil)
 		return rep.MigratedBytes, rep.DedupBlocks, res.Report.DedupBlocks
 	}
 	baseBytes, baseDedup, _ := run(Config{})
@@ -77,11 +59,7 @@ func TestDedupTransferShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newEnv(t)
-			templateDisk(t, e, 16)
-			e.useStriped(tc.cfg.Streams)
-			rep, res := e.runTPM(tc.cfg, nil)
-			e.checkConverged(res.CPU)
+			rep, _ := newWorld(t, worldSpec{fill: template(16), streams: tc.cfg.Streams}).tpm(tc.cfg, tc.cfg, nil)
 			if rep.DedupBlocks == 0 {
 				t.Fatal("no blocks travelled by reference")
 			}
@@ -93,32 +71,13 @@ func TestDedupTransferShapes(t *testing.T) {
 // migration: the shadow-truth check proves reference materialization never
 // writes stale or wrong bytes even while the dirty set churns.
 func TestDedupUnderWorkload(t *testing.T) {
-	e := newEnv(t)
-	templateDisk(t, e, 16)
-	gen := workload.NewWebServer(testBlocks, 23)
-	stopIO := make(chan struct{})
-	var replayErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, replayErr = workload.Replay(clockReal(), gen, testDomain, time.Hour, 200, e.submitVerified, stopIO)
-	}()
-	stopMem := startMemDirtier(e.src.VM.Memory(), 32)
-
+	w := newWorld(t, worldSpec{fill: template(16)})
+	g := w.startGuest(workload.NewWebServer(testBlocks, 23), 200, 32, nil)
 	cfg := Config{Dedup: true, MaxExtentBlocks: 8}
-	cfg.OnFreeze = func() {
-		stopMem()
-		e.router.Freeze()
-	}
-	cfg.OnResume = e.router.ResumeGate
-	_, res := e.runTPM(cfg, nil)
-	close(stopIO)
-	wg.Wait()
-	if replayErr != nil {
-		t.Fatalf("workload: %v", replayErr)
-	}
-	e.checkConverged(res.CPU)
+	src := cfg
+	src.OnFreeze = g.freeze
+	w.tpm(src, cfg, nil)
+	g.stop()
 }
 
 // TestDedupSharedIndexAcrossMigrations is the clone-fleet scenario at engine
@@ -127,11 +86,8 @@ func TestDedupUnderWorkload(t *testing.T) {
 func TestDedupSharedIndexAcrossMigrations(t *testing.T) {
 	idx := dedup.NewIndex(blockdev.BlockSize)
 	run := func(name string, distinct int) (int64, int) {
-		e := newEnv(t)
-		templateDisk(t, e, distinct)
 		cfg := Config{Dedup: true, DedupIndex: idx, DedupName: name}
-		rep, res := e.runTPM(cfg, nil)
-		e.checkConverged(res.CPU)
+		rep, _ := newWorld(t, worldSpec{fill: template(distinct)}).tpm(cfg, cfg, nil)
 		return rep.MigratedBytes, rep.DedupBlocks
 	}
 	// Many distinct contents: the first clone seeds the index.
@@ -152,16 +108,11 @@ func TestDedupSharedIndexAcrossMigrations(t *testing.T) {
 // engine users: a dedup sender against a literal receiver must error out on
 // both sides, not corrupt anything.
 func TestDedupMismatchFailsCleanly(t *testing.T) {
-	e := newEnv(t)
-	srcCh := make(chan error, 1)
-	go func() {
-		_, err := MigrateSource(Config{Dedup: true}, e.src, e.connSrc, nil)
-		srcCh <- err
-	}()
-	if _, err := MigrateDest(Config{}, e.dst, e.connDst); err == nil {
+	_, _, srcErr, dstErr := newWorld(t).tpmPair(Config{Dedup: true}, Config{}, nil)
+	if dstErr == nil {
 		t.Fatal("literal destination accepted dedup frames")
 	}
-	if err := <-srcCh; err == nil {
+	if srcErr == nil {
 		t.Fatal("dedup source completed against a literal destination")
 	}
 }
@@ -169,18 +120,8 @@ func TestDedupMismatchFailsCleanly(t *testing.T) {
 // TestDedupZeroElision pins the no-round-trip path: an all-zero disk must
 // travel as references alone, with wire bytes a small fraction of capacity.
 func TestDedupZeroElision(t *testing.T) {
-	e := newEnv(t)
-	buf := make([]byte, blockdev.BlockSize)
-	for n := 0; n < testBlocks; n += 3 {
-		if err := e.srcDisk.WriteBlock(n, buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.shadow.WriteBlock(n, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, res := e.runTPM(Config{Dedup: true, MaxExtentBlocks: 64}, nil)
-	e.checkConverged(res.CPU)
+	cfg := Config{Dedup: true, MaxExtentBlocks: 64}
+	rep, _ := newWorld(t, worldSpec{fill: func([]byte, int) bool { return false }}).tpm(cfg, cfg, nil)
 	if rep.DedupBlocks != testBlocks {
 		t.Fatalf("%d of %d zero blocks elided", rep.DedupBlocks, testBlocks)
 	}

@@ -2,32 +2,23 @@ package core
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 	"time"
 
 	"bbmig/internal/bitmap"
-	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
-	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
-	"bbmig/internal/vm"
 	"bbmig/internal/workload"
 )
-
-// backReports pairs the two ends' reports of one return-trip migration.
-type backReports struct {
-	src *metrics.Report
-	dst *metrics.Report
-}
 
 // hotRewrite diverges the destination disk the way a warm workload does:
 // each listed block keeps most of its content and gets a small in-place
 // rewrite — the divergence shape exact-match dedup cannot exploit and delta
 // encoding exists for. rewriteLen bytes at the block head change; the rest
-// survives.
-func hotRewrite(t *testing.T, disk *blockdev.MemDisk, blocks []int, rewriteLen int, salt uint32) {
+// survives. It returns the rewritten blocks as a set.
+func hotRewrite(t *testing.T, disk *blockdev.MemDisk, blocks []int, rewriteLen int, salt uint32) *bitmap.Bitmap {
 	t.Helper()
+	fresh := bitmap.New(disk.NumBlocks())
 	buf := make([]byte, blockdev.BlockSize)
 	patch := make([]byte, blockdev.BlockSize)
 	for _, n := range blocks {
@@ -39,46 +30,9 @@ func hotRewrite(t *testing.T, disk *blockdev.MemDisk, blocks []int, rewriteLen i
 		if err := disk.WriteBlock(n, buf); err != nil {
 			t.Fatal(err)
 		}
+		fresh.Set(n)
 	}
-}
-
-// migrateBack runs the incremental return trip of the env's world — the
-// destination's current disk travels back onto the (stale) source disk —
-// and returns the source report. The caller is responsible for having
-// diverged e.dstDisk first. wrap, when non-nil, decorates each side's conn.
-func (e *env) migrateBack(t *testing.T, cfg Config, fresh *bitmap.Bitmap, wrap func(transport.Conn) transport.Conn) *backReports {
-	t.Helper()
-	backSrcVM := e.dst.VM
-	backDstVM := vm.NewDestination(backSrcVM)
-	backSrc := Host{VM: backSrcVM, Backend: blkback.NewBackend(e.dstDisk, testDomain)}
-	backDst := Host{VM: backDstVM, Backend: blkback.NewBackend(e.srcDisk, testDomain)}
-	backSrc.Backend.SeedDirty(fresh)
-	router2 := NewRouter(backSrc.Backend.Submit)
-	c1, c2 := transport.NewPipe(64)
-	var sc, dc transport.Conn = c1, c2
-	if wrap != nil {
-		sc, dc = wrap(sc), wrap(dc)
-	}
-	cfg.OnFreeze = router2.Freeze
-	cfg.OnResume = router2.ResumeGate
-	type out struct {
-		rep *metrics.Report
-		err error
-	}
-	srcCh := make(chan out, 1)
-	go func() {
-		rep, err := MigrateSource(cfg, backSrc, sc, backSrc.Backend.SwapDirty())
-		srcCh <- out{rep, err}
-	}()
-	dres, derr := MigrateDest(cfg, backDst, dc)
-	if derr != nil {
-		t.Fatalf("IM destination: %v", derr)
-	}
-	o := <-srcCh
-	if o.err != nil {
-		t.Fatalf("IM source: %v", o.err)
-	}
-	return &backReports{src: o.rep, dst: dres.Report}
+	return fresh
 }
 
 // TestDeltaTPMConvergence runs delta-negotiated primary migrations under
@@ -105,10 +59,7 @@ func TestDeltaTPMConvergence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newEnv(t)
-			e.useStriped(tc.cfg.Streams)
-			rep, res := e.runTPM(tc.cfg, nil)
-			e.checkConverged(res.CPU)
+			rep, res := newWorld(t, worldSpec{streams: tc.cfg.Streams}).tpm(tc.cfg, tc.cfg, nil)
 			if tc.wantPatches && rep.DeltaBlocks == 0 {
 				t.Fatal("no blocks travelled as patches")
 			}
@@ -132,26 +83,14 @@ func TestDeltaEquivalenceIM(t *testing.T) {
 		divergent = append(divergent, n)
 	}
 	run := func(backCfg Config) (diskWire int64, img []byte, srcPatched, dstPatched int) {
-		e := newEnv(t)
-		_, res := e.runTPM(Config{}, nil)
-		e.checkConverged(res.CPU)
-		hotRewrite(t, e.dstDisk, divergent, blockdev.BlockSize/16, 7)
-		fresh := bitmap.New(testBlocks)
-		for _, n := range divergent {
-			fresh.Set(n)
-		}
-		back := e.migrateBack(t, backCfg, fresh, nil)
-		diffs, err := blockdev.Diff(e.srcDisk, e.dstDisk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(diffs) != 0 {
-			t.Fatalf("after IM back, disks differ at %d blocks (first %v)", len(diffs), diffs[0])
-		}
-		for _, it := range back.src.DiskIterations {
+		w := newWorld(t)
+		w.tpm(Config{}, Config{}, nil)
+		fresh := hotRewrite(t, w.dstDisk, divergent, blockdev.BlockSize/16, 7)
+		rep, res := w.reverse(worldSpec{}).tpm(backCfg, backCfg, fresh)
+		for _, it := range rep.DiskIterations {
 			diskWire += it.Bytes
 		}
-		return diskWire, diskImage(t, e.srcDisk), back.src.DeltaBlocks, back.dst.DeltaBlocks
+		return diskWire, diskImage(t, w.srcDisk), rep.DeltaBlocks, res.Report.DeltaBlocks
 	}
 	litWire, litImg, litPatched, _ := run(Config{MaxExtentBlocks: 16})
 	if litPatched != 0 {
@@ -200,10 +139,10 @@ func (c patchCorruptor) Send(m transport.Message) error {
 // re-sends the content literally — the migration still converges
 // byte-identically and zero blocks are accounted as delta-moved.
 func TestDeltaMismatchDegrades(t *testing.T) {
-	e := newEnv(t)
-	e.connSrc = patchCorruptor{e.connSrc}
-	rep, res := e.runTPM(Config{Delta: true, MaxExtentBlocks: 16}, nil)
-	e.checkConverged(res.CPU)
+	w := newWorld(t)
+	w.connSrc = patchCorruptor{w.connSrc}
+	cfg := Config{Delta: true, MaxExtentBlocks: 16}
+	rep, res := w.tpm(cfg, cfg, nil)
 	if res.Report.DeltaBlocks != 0 {
 		t.Fatalf("destination applied %d corrupted patches", res.Report.DeltaBlocks)
 	}
@@ -216,16 +155,11 @@ func TestDeltaMismatchDegrades(t *testing.T) {
 // for raw engine users: a delta sender against a literal receiver must
 // error out on both sides, not corrupt anything.
 func TestDeltaNegotiationMismatchFailsCleanly(t *testing.T) {
-	e := newEnv(t)
-	srcCh := make(chan error, 1)
-	go func() {
-		_, err := MigrateSource(Config{Delta: true}, e.src, e.connSrc, nil)
-		srcCh <- err
-	}()
-	if _, err := MigrateDest(Config{}, e.dst, e.connDst); err == nil {
+	_, _, srcErr, dstErr := newWorld(t).tpmPair(Config{Delta: true}, Config{}, nil)
+	if dstErr == nil {
 		t.Fatal("literal destination accepted delta frames")
 	}
-	if err := <-srcCh; err == nil {
+	if srcErr == nil {
 		t.Fatal("delta source completed against a literal destination")
 	}
 }
@@ -235,31 +169,13 @@ func TestDeltaNegotiationMismatchFailsCleanly(t *testing.T) {
 // application never writes stale or wrong bytes while the dirty set churns
 // under the signature round trips.
 func TestDeltaUnderWorkload(t *testing.T) {
-	e := newEnv(t)
-	gen := workload.NewWebServer(testBlocks, 23)
-	stopIO := make(chan struct{})
-	var replayErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, replayErr = workload.Replay(clockReal(), gen, testDomain, time.Hour, 200, e.submitVerified, stopIO)
-	}()
-	stopMem := startMemDirtier(e.src.VM.Memory(), 32)
-
+	w := newWorld(t)
+	g := w.startGuest(workload.NewWebServer(testBlocks, 23), 200, 32, nil)
 	cfg := Config{Delta: true, MaxExtentBlocks: 8}
-	cfg.OnFreeze = func() {
-		stopMem()
-		e.router.Freeze()
-	}
-	cfg.OnResume = e.router.ResumeGate
-	_, res := e.runTPM(cfg, nil)
-	close(stopIO)
-	wg.Wait()
-	if replayErr != nil {
-		t.Fatalf("workload: %v", replayErr)
-	}
-	e.checkConverged(res.CPU)
+	src := cfg
+	src.OnFreeze = g.freeze
+	w.tpm(src, cfg, nil)
+	g.stop()
 }
 
 // TestDeltaWANFlakyResume is the end-to-end WAN scenario the layer exists
@@ -268,19 +184,13 @@ func TestDeltaUnderWorkload(t *testing.T) {
 // source must reconnect, resume the interrupted phase, and land a disk
 // byte-identical to the sender's freeze-time content.
 func TestDeltaWANFlakyResume(t *testing.T) {
-	e := newEnv(t)
-	_, res := e.runTPM(Config{}, nil)
-	e.checkConverged(res.CPU)
-
+	w := newWorld(t)
+	w.tpm(Config{}, Config{}, nil)
 	divergent := make([]int, 0, testBlocks/4)
 	for n := 0; n < testBlocks; n += 4 {
 		divergent = append(divergent, n)
 	}
-	hotRewrite(t, e.dstDisk, divergent, blockdev.BlockSize/16, 9)
-	fresh := bitmap.New(testBlocks)
-	for _, n := range divergent {
-		fresh.Set(n)
-	}
+	fresh := hotRewrite(t, w.dstDisk, divergent, blockdev.BlockSize/16, 9)
 
 	// WAN shape: per-frame stall plus serialization at an asymmetric rate
 	// (the return direction is the slow uplink). Stalls are kept far below
@@ -290,59 +200,23 @@ func TestDeltaWANFlakyResume(t *testing.T) {
 	wan := func(c transport.Conn) transport.Conn {
 		return transport.NewWAN(c, 200*time.Microsecond, 64<<20)
 	}
-
 	inj := transport.NewInjector([]transport.Fault{{AfterSends: 40, Kind: transport.FaultCut}})
 	relink := newPipeRelinker(inj)
-	redial := func() (transport.Conn, error) {
+	back := w.reverse(worldSpec{link: func(src, dst transport.Conn) (transport.Conn, transport.Conn) {
+		return inj.Wrap(wan(src)), wan(dst)
+	}})
+	cfg := Config{Delta: true, CompressLevel: -1, MaxExtentBlocks: 16}
+	srcCfg, dstCfg := cfg, cfg
+	srcCfg.MaxRetries, srcCfg.RetryBackoff = 5, time.Millisecond
+	srcCfg.Redial = func() (transport.Conn, error) {
 		c, err := relink.redial()
 		if err != nil {
 			return nil, err
 		}
 		return wan(c), nil
 	}
-
-	backSrcVM := e.dst.VM
-	backDstVM := vm.NewDestination(backSrcVM)
-	backSrc := Host{VM: backSrcVM, Backend: blkback.NewBackend(e.dstDisk, testDomain)}
-	backDst := Host{VM: backDstVM, Backend: blkback.NewBackend(e.srcDisk, testDomain)}
-	backSrc.Backend.SeedDirty(fresh)
-	router2 := NewRouter(backSrc.Backend.Submit)
-	c1, c2 := transport.NewPipe(64)
-
-	srcCfg := Config{
-		Delta: true, CompressLevel: -1, MaxExtentBlocks: 16,
-		MaxRetries: 5, RetryBackoff: time.Millisecond,
-		Redial:   redial,
-		OnFreeze: router2.Freeze,
-	}
-	dstCfg := Config{
-		Delta: true, CompressLevel: -1, MaxExtentBlocks: 16,
-		WaitReconnect: relink.waitReconnect,
-		OnResume:      router2.ResumeGate,
-	}
-	srcCh := make(chan error, 1)
-	var retries int
-	go func() {
-		rep, err := MigrateSource(srcCfg, backSrc, inj.Wrap(wan(c1)), backSrc.Backend.SwapDirty())
-		if rep != nil {
-			retries = rep.Retries
-		}
-		srcCh <- err
-	}()
-	if _, err := MigrateDest(dstCfg, backDst, wan(c2)); err != nil {
-		t.Fatalf("IM destination: %v", err)
-	}
-	if err := <-srcCh; err != nil {
-		t.Fatalf("IM source: %v", err)
-	}
-	if retries != 1 {
-		t.Fatalf("source survived %d retries, want 1", retries)
-	}
-	diffs, err := blockdev.Diff(e.srcDisk, e.dstDisk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diffs) != 0 {
-		t.Fatalf("after flaky WAN IM back, disks differ at %d blocks (first %v)", len(diffs), diffs[0])
+	dstCfg.WaitReconnect = relink.waitReconnect
+	if rep, _ := back.tpm(srcCfg, dstCfg, fresh); rep.Retries != 1 {
+		t.Fatalf("source survived %d retries, want 1", rep.Retries)
 	}
 }

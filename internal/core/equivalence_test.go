@@ -6,43 +6,28 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"bbmig/internal/bitmap"
-	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
-	"bbmig/internal/vm"
 	"bbmig/internal/workload"
 )
 
 // parallelConfigs is the equivalence matrix: the seed's sequential
 // single-stream per-block transfer against coalesced/striped/pipelined
-// variants. Every row must produce byte-identical results.
+// variants, and a source disk behind a bcache volume, whose passes read
+// point-in-time snapshots. Every row must produce byte-identical results.
 var parallelConfigs = []struct {
-	name            string
-	streams         int
-	maxExtentBlocks int
-	workers         int
+	name string
+	spec worldSpec
+	cfg  Config
 }{
-	{"serial-1stream-extent1", 1, 1, 1},
-	{"coalesced-1stream", 1, 16, 1},
-	{"pipelined-1stream", 1, 16, 4},
-	{"striped-4stream-coalesced", 4, 64, 4},
-}
-
-// useStriped replaces the env's single pipe with an n-wide striped bundle.
-func (e *env) useStriped(n int) {
-	if n <= 1 {
-		return
-	}
-	a := make([]transport.Conn, n)
-	b := make([]transport.Conn, n)
-	for i := range a {
-		a[i], b[i] = transport.NewPipe(64)
-	}
-	e.connSrc, e.connDst = transport.NewStriped(a), transport.NewStriped(b)
+	{"serial-1stream-extent1", worldSpec{}, Config{MaxExtentBlocks: 1, Workers: 1}},
+	{"coalesced-1stream", worldSpec{}, Config{MaxExtentBlocks: 16, Workers: 1}},
+	{"pipelined-1stream", worldSpec{}, Config{MaxExtentBlocks: 16, Workers: 4}},
+	{"striped-4stream-coalesced", worldSpec{streams: 4}, Config{Streams: 4, MaxExtentBlocks: 64, Workers: 4}},
+	{"bcache-volume", worldSpec{volume: true}, Config{MaxExtentBlocks: 16}},
 }
 
 // diskImage flattens a disk into one byte slice for cross-run comparison.
@@ -57,18 +42,6 @@ func diskImage(t *testing.T, d blockdev.Device) []byte {
 	return out
 }
 
-// memImage flattens guest memory likewise.
-func memImage(t *testing.T, m *vm.Memory) []byte {
-	t.Helper()
-	out := make([]byte, m.NumPages()*m.PageSize())
-	for p := 0; p < m.NumPages(); p++ {
-		if err := m.ReadPage(p, out[p*m.PageSize():(p+1)*m.PageSize()]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out
-}
-
 // TestEquivalenceTPM migrates the same deterministic VM under every
 // transfer configuration and requires byte-identical destination disks and
 // memories — the wire format may change shape, the data may not.
@@ -76,16 +49,13 @@ func TestEquivalenceTPM(t *testing.T) {
 	var refDisk, refMem []byte
 	for _, pc := range parallelConfigs {
 		t.Run(pc.name, func(t *testing.T) {
-			e := newEnv(t)
-			e.useStriped(pc.streams)
-			cfg := Config{Streams: pc.streams, MaxExtentBlocks: pc.maxExtentBlocks, Workers: pc.workers}
-			rep, res := e.runTPM(cfg, nil)
-			e.checkConverged(res.CPU)
+			w := newWorld(t, pc.spec)
+			rep, _ := w.tpm(pc.cfg, pc.cfg, nil)
 			if rep.DiskIterations[0].Units != testBlocks {
 				t.Fatalf("first iteration sent %d blocks, want %d", rep.DiskIterations[0].Units, testBlocks)
 			}
-			disk := diskImage(t, e.dstDisk)
-			mem := memImage(t, e.dst.VM.Memory())
+			disk := diskImage(t, w.dstDisk)
+			mem := memImage(t, w.dst.VM.Memory())
 			if refDisk == nil {
 				refDisk, refMem = disk, mem
 				return
@@ -101,42 +71,19 @@ func TestEquivalenceTPM(t *testing.T) {
 }
 
 // TestEquivalenceTPMUnderWorkload races a verified write workload against
-// the migration under each configuration: the shadow-truth check in
-// checkConverged asserts the destination ends byte-identical to the source's
-// write history, pull path and stale-push dropping included.
+// the migration under each configuration: the shadow check asserts the
+// destination ends byte-identical to the guest's write history, pull path and
+// stale-push dropping included — and, on the bcache row, that no write racing
+// a pass's snapshot is lost.
 func TestEquivalenceTPMUnderWorkload(t *testing.T) {
 	for _, pc := range parallelConfigs {
 		t.Run(pc.name, func(t *testing.T) {
-			e := newEnv(t)
-			e.useStriped(pc.streams)
-			gen := workload.NewWebServer(testBlocks, 23)
-			stopIO := make(chan struct{})
-			var replayErr error
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_, replayErr = workload.Replay(clockReal(), gen, testDomain, time.Hour, 200, e.submitVerified, stopIO)
-			}()
-			stopMem := startMemDirtier(e.src.VM.Memory(), 32)
-
-			cfg := Config{
-				Streams:         pc.streams,
-				MaxExtentBlocks: pc.maxExtentBlocks,
-				Workers:         pc.workers,
-				OnFreeze: func() {
-					stopMem()
-					e.router.Freeze()
-				},
-				OnResume: e.router.ResumeGate,
-			}
-			_, res := e.runTPM(cfg, nil)
-			close(stopIO)
-			wg.Wait()
-			if replayErr != nil {
-				t.Fatalf("workload: %v", replayErr)
-			}
-			e.checkConverged(res.CPU)
+			w := newWorld(t, pc.spec)
+			g := w.startGuest(workload.NewWebServer(testBlocks, 23), 200, 32, nil)
+			src := pc.cfg
+			src.OnFreeze = g.freeze
+			w.tpm(src, pc.cfg, nil)
+			g.stop()
 		})
 	}
 }
@@ -151,69 +98,25 @@ func TestEquivalenceIM(t *testing.T) {
 	var refDisk []byte
 	for _, pc := range parallelConfigs {
 		t.Run(pc.name, func(t *testing.T) {
-			e := newEnv(t)
-			e.useStriped(pc.streams)
-			cfg := Config{Streams: pc.streams, MaxExtentBlocks: pc.maxExtentBlocks, Workers: pc.workers}
-			_, res := e.runTPM(cfg, nil)
-			e.checkConverged(res.CPU)
+			w := newWorld(t, pc.spec)
+			w.tpm(pc.cfg, pc.cfg, nil)
 
 			// Deterministic post-migration divergence on the destination.
 			buf := make([]byte, blockdev.BlockSize)
 			fresh := bitmap.New(testBlocks)
 			for _, n := range divergent {
 				workload.FillBlock(buf, n, 99)
-				if err := e.dstDisk.WriteBlock(n, buf); err != nil {
+				if err := w.dstDisk.WriteBlock(n, buf); err != nil {
 					t.Fatal(err)
 				}
 				fresh.Set(n)
 			}
-
 			// Migrate back incrementally: the old source disk is the stale
 			// peer copy, only the divergent blocks travel.
-			backSrcVM := e.dst.VM
-			backDstVM := vm.NewDestination(backSrcVM)
-			backSrc := Host{VM: backSrcVM, Backend: blkback.NewBackend(e.dstDisk, testDomain)}
-			backDst := Host{VM: backDstVM, Backend: blkback.NewBackend(e.srcDisk, testDomain)}
-			backSrc.Backend.SeedDirty(fresh)
-			router2 := NewRouter(backSrc.Backend.Submit)
-			var c1, c2 transport.Conn
-			if pc.streams > 1 {
-				a := make([]transport.Conn, pc.streams)
-				b := make([]transport.Conn, pc.streams)
-				for i := range a {
-					a[i], b[i] = transport.NewPipe(64)
-				}
-				c1, c2 = transport.NewStriped(a), transport.NewStriped(b)
-			} else {
-				c1, c2 = transport.NewPipe(64)
+			if rep, _ := w.reverse(pc.spec).tpm(pc.cfg, pc.cfg, fresh); rep.Scheme != "IM" {
+				t.Errorf("scheme %q, want IM", rep.Scheme)
 			}
-			backCfg := Config{
-				Streams: pc.streams, MaxExtentBlocks: pc.maxExtentBlocks, Workers: pc.workers,
-				OnFreeze: router2.Freeze, OnResume: router2.ResumeGate,
-			}
-			srcCh := make(chan error, 1)
-			go func() {
-				rep, err := MigrateSource(backCfg, backSrc, c1, backSrc.Backend.SwapDirty())
-				if err == nil && rep.Scheme != "IM" {
-					t.Errorf("scheme %q, want IM", rep.Scheme)
-				}
-				srcCh <- err
-			}()
-			if _, err := MigrateDest(backCfg, backDst, c2); err != nil {
-				t.Fatalf("IM destination: %v", err)
-			}
-			if err := <-srcCh; err != nil {
-				t.Fatalf("IM source: %v", err)
-			}
-
-			diffs, err := blockdev.Diff(e.srcDisk, e.dstDisk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(diffs) != 0 {
-				t.Fatalf("after IM back, disks differ at %d blocks (first %v)", len(diffs), diffs[0])
-			}
-			disk := diskImage(t, e.srcDisk)
+			disk := diskImage(t, w.srcDisk)
 			if refDisk == nil {
 				refDisk = disk
 				return
@@ -275,7 +178,7 @@ func (a *pageAudit) Send(m transport.Message) error {
 	return a.Conn.Send(m)
 }
 
-// runRacing migrates e's world under a progress-paced racing guest: per eight
+// runRacing migrates w under a progress-paced racing guest: per eight
 // units the source sends, one verified disk write into a 96-block hot set and
 // three page writes into a 48-page hot set, so every iteration is raced by
 // rewrites of blocks and pages on both sides of its cursor. The guest either
@@ -283,17 +186,17 @@ func (a *pageAudit) Send(m transport.Message) error {
 // wrote before. With resendAll the engine sends re-dirtied units anyway, and
 // every page literally — the reference the skip and the page deltas are
 // measured against.
-func (e *env) runRacing(cfg Config, resendAll, wordTouch bool) (*metrics.Report, *sourceRun, *pageAudit) {
-	e.t.Helper()
-	mem := e.src.VM.Memory()
-	pages := &pageAudit{Conn: e.connSrc}
+func (w *world) runRacing(cfg Config, resendAll, wordTouch bool) (*metrics.Report, *sourceRun, *pageAudit) {
+	w.t.Helper()
+	mem := w.src.VM.Memory()
+	pages := &pageAudit{Conn: w.connSrc}
 	audit := &iterationAudit{Conn: pages}
 	page := make([]byte, blockdev.BlockSize)
 	block := make([]byte, blockdev.BlockSize)
 	guest := &workload.Paced{Conn: audit, Every: 8, Round: func(i int) {
 		req := blockdev.Request{Op: blockdev.Write, Domain: testDomain, Block: (i * 7 % 96) * 21, Data: block}
-		if err := e.submitVerified(req); err != nil {
-			e.t.Errorf("guest write: %v", err)
+		if err := w.shadow.Submit(req); err != nil {
+			w.t.Errorf("guest write: %v", err)
 		}
 		for k := 3 * i; k < 3*i+3; k++ {
 			p := (k * 5 % racingHotPages) * 5
@@ -304,7 +207,7 @@ func (e *env) runRacing(cfg Config, resendAll, wordTouch bool) (*metrics.Report,
 				workload.FillBlock(page, p+300000, uint32(k))
 			}
 			if err := mem.WritePage(p, page); err != nil {
-				e.t.Errorf("guest page write: %v", err)
+				w.t.Errorf("guest page write: %v", err)
 			}
 		}
 	}}
@@ -312,37 +215,23 @@ func (e *env) runRacing(cfg Config, resendAll, wordTouch bool) (*metrics.Report,
 	srcCfg := cfg
 	srcCfg.OnFreeze = func() {
 		guest.Stop()
-		e.router.Freeze()
+		w.router.Freeze()
 	}
-	cfg.OnResume = e.router.ResumeGate
+	cfg.OnResume = w.router.ResumeGate
 
-	s, err := newSourceRun(srcCfg, e.src, guest, "TPM")
+	s, err := newSourceRun(srcCfg, w.src, guest, "TPM")
 	if err != nil {
-		e.t.Fatal(err)
+		w.t.Fatal(err)
 	}
 	s.resendAll = resendAll
-	type srcOut struct {
-		rep *metrics.Report
-		err error
-	}
-	srcCh := make(chan srcOut, 1)
-	go func() {
-		rep, err := s.run(s.tpmPhases(nil))
-		srcCh <- srcOut{rep, err}
-	}()
-	res, err := MigrateDest(cfg, e.dst, e.connDst)
-	if err != nil {
-		e.t.Fatalf("destination: %v", err)
-	}
-	out := <-srcCh
-	if out.err != nil {
-		e.t.Fatalf("source: %v", out.err)
-	}
-	e.checkConverged(res.CPU) // the guest stopped at the freeze: shadow and source memory are the freeze-time state
+	var rep *metrics.Report
+	w.migrate(
+		func() (err error) { rep, err = s.run(s.tpmPhases(nil)); return err },
+		func() error { _, err := MigrateDest(cfg, w.dst, w.connDst); return err })
 	if len(audit.repeats) != 0 {
-		e.t.Fatalf("units sent twice within one iteration: %v", audit.repeats)
+		w.t.Fatalf("units sent twice within one iteration: %v", audit.repeats)
 	}
-	return out.rep, s, pages
+	return rep, s, pages
 }
 
 // parentLiteralPages is the most memory pages (pre-copy and freeze, all
@@ -394,9 +283,7 @@ func TestEquivalenceSkipRedirtied(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				run := func(resendAll bool) (*metrics.Report, *sourceRun, *pageAudit) {
-					e := newEnv(t)
-					e.useStriped(pc.streams)
-					rep, s, pages := e.runRacing(pc.cfg, resendAll, wordTouch)
+					rep, s, pages := newWorld(t, worldSpec{streams: pc.streams}).runRacing(pc.cfg, resendAll, wordTouch)
 					for _, ph := range []struct {
 						name  string
 						total int
@@ -473,14 +360,14 @@ func TestEquivalenceSkipRedirtied(t *testing.T) {
 // to consult the live tracker, they would leave everything out. They send
 // all of it.
 func TestFreezeAndPostCopyNeverSkip(t *testing.T) {
-	e := newEnv(t)
-	mem := e.src.VM.Memory()
+	w := newWorld(t)
+	mem := w.src.VM.Memory()
 	buf := make([]byte, blockdev.BlockSize)
 	const lateBlocks, latePages = 300, 40
-	redirty := &freezeWatch{Conn: e.connSrc}
+	redirty := &freezeWatch{Conn: w.connSrc}
 	pagesBeforeCPU := 0
 	redirty.onFirstFreezeFrame = func() {
-		e.src.Backend.SeedDirty(bitmap.NewAllSet(testBlocks))
+		w.src.Backend.SeedDirty(bitmap.NewAllSet(testBlocks))
 		for p := 0; p < testPages; p++ { // rewriting a page with its own content dirties it and changes nothing
 			if err := mem.ReadPage(p, buf); err != nil {
 				t.Error(err)
@@ -494,7 +381,7 @@ func TestFreezeAndPostCopyNeverSkip(t *testing.T) {
 	cfg := Config{OnFreeze: func() {
 		// The freeze sets: written after the last pre-copy iteration.
 		for n := 0; n < lateBlocks; n++ {
-			if err := e.submitVerified(blockdev.Request{Op: blockdev.Write, Domain: testDomain, Block: n * 5, Data: buf}); err != nil {
+			if err := w.shadow.Submit(blockdev.Request{Op: blockdev.Write, Domain: testDomain, Block: n * 5, Data: buf}); err != nil {
 				t.Error(err)
 			}
 		}
@@ -504,11 +391,10 @@ func TestFreezeAndPostCopyNeverSkip(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		e.router.Freeze()
+		w.router.Freeze()
 	}}
-	e.connSrc = redirty
-	rep, res := e.runTPM(cfg, nil)
-	e.checkConverged(res.CPU)
+	w.connSrc = redirty
+	rep, _ := w.tpm(cfg, Config{}, nil)
 	if !redirty.fired {
 		t.Fatal("trackers were never re-dirtied")
 	}
@@ -576,8 +462,6 @@ func TestLanePool(t *testing.T) {
 // to size staging buffers — the unclamped value once requested a 64 GiB
 // allocation in the post-copy pusher.
 func TestOversizedMaxExtentClamped(t *testing.T) {
-	e := newEnv(t)
 	cfg := Config{MaxExtentBlocks: transport.MaxExtentBlocks, Workers: 2}
-	_, res := e.runTPM(cfg, nil)
-	e.checkConverged(res.CPU)
+	newWorld(t).tpm(cfg, cfg, nil)
 }

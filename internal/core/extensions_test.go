@@ -18,10 +18,10 @@ import (
 // blocks, and the destination still ends up bit-identical (zeros read as
 // zeros on the fresh VBD).
 func TestSkipUnusedElidesFreeBlocks(t *testing.T) {
-	e := newEnv(t) // every 3rd block allocated → ~683 of 2048
-	allocated := e.srcDisk.WrittenBlocks()
-	rep, res := e.runTPM(Config{SkipUnused: true}, nil)
-	e.checkConverged(res.CPU)
+	w := newWorld(t) // every 3rd block allocated → ~683 of 2048
+	allocated := w.srcDisk.WrittenBlocks()
+	cfg := Config{SkipUnused: true}
+	rep, _ := w.tpm(cfg, cfg, nil)
 	if got := rep.DiskIterations[0].Units; got != allocated {
 		t.Fatalf("first iteration sent %d blocks, allocation map has %d", got, allocated)
 	}
@@ -29,15 +29,14 @@ func TestSkipUnusedElidesFreeBlocks(t *testing.T) {
 		t.Fatal("SkipUnused sent the whole disk")
 	}
 	// Compare against a full migration's first iteration for the saving.
-	e2 := newEnv(t)
-	repFull, _ := e2.runTPM(Config{}, nil)
+	repFull, _ := newWorld(t).tpm(Config{}, Config{}, nil)
 	if rep.MigratedBytes >= repFull.MigratedBytes {
 		t.Fatalf("SkipUnused moved %d bytes, full migration %d", rep.MigratedBytes, repFull.MigratedBytes)
 	}
 }
 
 func TestSkipUnusedIgnoredWithoutAllocator(t *testing.T) {
-	e := newEnv(t)
+	w := newWorld(t)
 	// FileDisk does not implement Allocator: SkipUnused must fall back to
 	// the full disk rather than fail or corrupt.
 	img, err := blockdev.CreateFileDisk(t.TempDir()+"/img", testBlocks, blockdev.BlockSize)
@@ -50,9 +49,10 @@ func TestSkipUnusedIgnoredWithoutAllocator(t *testing.T) {
 		workload.FillBlock(buf, n, 0)
 		img.WriteBlock(n, buf)
 	}
-	e.src.Backend = blkback.NewBackend(img, testDomain)
-	e.router = NewRouter(e.src.Backend.Submit)
-	rep, _ := e.runTPM(Config{SkipUnused: true}, nil)
+	w.src.Backend = blkback.NewBackend(img, testDomain)
+	w.router = NewRouter(w.src.Backend.Submit)
+	cfg := Config{SkipUnused: true}
+	rep, _ := w.tpm(cfg, cfg, nil)
 	if rep.DiskIterations[0].Units != testBlocks {
 		t.Fatalf("non-allocator device sent %d blocks, want full %d", rep.DiskIterations[0].Units, testBlocks)
 	}
@@ -136,67 +136,43 @@ func TestVaultPanicsOnSizeMismatch(t *testing.T) {
 // TestVaultDrivenIM runs a real three-host migration chain using the vault
 // to seed each hop, verifying disk consistency at every stop.
 func TestVaultDrivenIM(t *testing.T) {
-	const domain = 1
 	disks := map[string]*blockdev.MemDisk{
 		"A": blockdev.NewMemDisk(testBlocks, blockdev.BlockSize),
 		"B": blockdev.NewMemDisk(testBlocks, blockdev.BlockSize),
 		"C": blockdev.NewMemDisk(testBlocks, blockdev.BlockSize),
 	}
-	shadow := blockdev.NewMemDisk(testBlocks, blockdev.BlockSize)
 	buf := make([]byte, blockdev.BlockSize)
 	for n := 0; n < testBlocks; n += 4 {
 		workload.FillBlock(buf, n, 0)
 		disks["A"].WriteBlock(n, buf)
-		shadow.WriteBlock(n, buf)
 	}
-	guest := vm.New("vaulted", domain, 64, 256)
+	guest := vm.New("vaulted", testDomain, 64, 256)
 	vault := NewVault(testBlocks)
 	cur := "A"
+	// The guest's disk is whichever host it runs on.
+	shadow, err := workload.NewShadow(disks["A"], func(req blockdev.Request) error { return disks[cur].WriteBlock(req.Block, req.Data) })
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// writeSome dirties a few blocks on the current host and tells the vault.
-	gen := uint32(0)
 	writeSome := func(lo, n int) {
-		dirty := bitmap.New(testBlocks)
 		for i := lo; i < lo+n; i++ {
-			gen++
-			workload.FillBlock(buf, i, gen)
-			if err := disks[cur].WriteBlock(i, buf); err != nil {
+			if err := shadow.Submit(blockdev.Request{Op: blockdev.Write, Block: i, Domain: testDomain, Data: buf}); err != nil {
 				t.Fatal(err)
 			}
-			shadow.WriteBlock(i, buf)
-			dirty.Set(i)
 		}
-		vault.RecordWrites(dirty)
+		vault.RecordWrites(newBitmapWith(testBlocks, lo, n))
 	}
 
 	hop := func(to string) {
-		src := Host{VM: guest, Backend: blkback.NewBackend(disks[cur], domain)}
-		src.Backend.SeedDirty(vault.InitialFor(to))
-		dstVM := vm.NewDestination(guest)
-		dst := Host{VM: dstVM, Backend: blkback.NewBackend(disks[to], domain)}
-		c1, c2 := transport.NewPipe(64)
-		errCh := make(chan error, 1)
-		go func() {
-			_, err := MigrateSource(Config{}, src, c1, src.Backend.SwapDirty())
-			errCh <- err
-		}()
-		if _, err := MigrateDest(Config{}, dst, c2); err != nil {
-			t.Fatalf("hop %s→%s dest: %v", cur, to, err)
-		}
-		if err := <-errCh; err != nil {
-			t.Fatalf("hop %s→%s src: %v", cur, to, err)
-		}
+		w := assemble(t, worldSpec{}, disks[cur], disks[to], guest)
+		w.shadow = shadow
+		w.tpm(Config{}, Config{}, vault.InitialFor(to))
 		vault.MarkSynced(cur) // the host we left holds a synced copy
 		vault.MarkSynced(to)
 		cur = to
-		guest = dstVM
-		diffs, err := blockdev.Diff(disks[to], shadow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(diffs) != 0 {
-			t.Fatalf("after hop to %s, %d blocks differ", to, len(diffs))
-		}
+		guest = w.dst.VM
 	}
 
 	writeSome(100, 30)
@@ -214,20 +190,20 @@ func TestVaultDrivenIM(t *testing.T) {
 // and verifies consistency plus a wire-byte reduction on the zero-heavy
 // disk.
 func TestCompressedMigration(t *testing.T) {
-	e := newEnv(t)
-	rawSrc, rawDst := e.connSrc, e.connDst
-	meter := transport.NewMeter(rawSrc)
-	cs, err := transport.NewCompressed(meter, 6)
-	if err != nil {
-		t.Fatal(err)
+	var meter *transport.Meter
+	compressed := func(src, dst transport.Conn) (transport.Conn, transport.Conn) {
+		meter = transport.NewMeter(src)
+		cs, err := transport.NewCompressed(meter, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cd, err := transport.NewCompressed(dst, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs, cd
 	}
-	cd, err := transport.NewCompressed(rawDst, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.connSrc, e.connDst = cs, cd
-	rep, res := e.runTPM(Config{}, nil)
-	e.checkConverged(res.CPU)
+	rep, _ := newWorld(t, worldSpec{link: compressed}).tpm(Config{}, Config{}, nil)
 	// 2/3 of the disk is zeros and the patterned blocks are regular: the
 	// wire must carry far less than the logical amount.
 	if meter.BytesSent() >= rep.DiskBytes/2 {
@@ -244,36 +220,15 @@ func TestMigrationSurvivesLinkDeath(t *testing.T) {
 	// pre-copy, and the memory phase (the idle migration totals ~2320
 	// sends, so all of these strike mid-flight).
 	for _, failAfter := range []int64{1, 5, 100, 2100} {
-		e := newEnv(t)
-		faulty := transport.NewFaultConn(e.connSrc, failAfter, 0)
-		srcCh := make(chan error, 1)
-		go func() {
-			_, err := MigrateSource(Config{}, e.src, faulty, nil)
-			srcCh <- err
-		}()
-		dstCh := make(chan error, 1)
-		go func() {
-			_, err := MigrateDest(Config{}, e.dst, e.connDst)
-			dstCh <- err
-		}()
-		timeout := time.After(10 * time.Second)
-		for i := 0; i < 2; i++ {
-			select {
-			case err := <-srcCh:
-				if err == nil {
-					t.Fatalf("failAfter=%d: source reported success over a dead link", failAfter)
-				}
-			case err := <-dstCh:
-				if err == nil {
-					t.Fatalf("failAfter=%d: destination reported success over a dead link", failAfter)
-				}
-			case <-timeout:
-				t.Fatalf("failAfter=%d: migration hung after link death", failAfter)
-			}
+		w := newWorld(t)
+		w.connSrc = transport.NewFaultConn(w.connSrc, failAfter, 0)
+		// runPair fails the test if either end hangs.
+		if _, _, srcErr, dstErr := w.tpmPair(Config{}, Config{}, nil); srcErr == nil || dstErr == nil {
+			t.Fatalf("failAfter=%d: source %v, destination %v: success reported over a dead link", failAfter, srcErr, dstErr)
 		}
 		// the source VM must still be intact and runnable
-		if e.src.VM.State() != vm.Running {
-			t.Fatalf("failAfter=%d: source VM state %v after failed migration", failAfter, e.src.VM.State())
+		if w.src.VM.State() != vm.Running {
+			t.Fatalf("failAfter=%d: source VM state %v after failed migration", failAfter, w.src.VM.State())
 		}
 	}
 }
@@ -281,7 +236,7 @@ func TestMigrationSurvivesLinkDeath(t *testing.T) {
 // TestLinkDeathDuringPostCopy cuts the link after the destination resumed:
 // the destination VM is already running; the engine must surface the error.
 func TestLinkDeathDuringPostCopy(t *testing.T) {
-	e := newEnv(t)
+	w := newWorld(t)
 	// Keep a large dirty set for post-copy: the writes land once the single
 	// disk iteration is over (a block re-dirtied during it would be skipped
 	// there and the frame count below would move), so all of them ride the
@@ -294,30 +249,23 @@ func TestLinkDeathDuringPostCopy(t *testing.T) {
 		<-diskDone
 		for n := 0; n < 600; n++ {
 			workload.FillBlock(buf, n, 1)
-			e.router.Submit(blockdev.Request{Op: blockdev.Write, Block: n, Domain: testDomain, Data: buf})
+			w.shadow.Submit(blockdev.Request{Op: blockdev.Write, Block: n, Domain: testDomain, Data: buf})
 		}
 	}()
 	// Fail the source's sends a little after the resume handshake: the
 	// hello + iteration + pages + control messages total ~2320, and the
 	// freeze waits for all 600 dirty writes to land, so cutting at 2500
 	// sends is guaranteed to strike inside the post-copy push stream.
-	faulty := transport.NewFaultConn(e.connSrc, 2500, 0)
+	w.connSrc = transport.NewFaultConn(w.connSrc, 2500, 0)
 	cfg := Config{MaxDiskIters: 1, OnFreeze: func() {
 		<-writerDone
-		e.router.Freeze()
+		w.router.Freeze()
 	}, OnEvent: func(ev Event) {
 		if ev.Kind == EventPhaseEnd && ev.Phase == PhaseDiskPreCopy {
 			close(diskDone)
 		}
 	}}
-	srcCh := make(chan error, 1)
-	go func() {
-		_, err := MigrateSource(cfg, e.src, faulty, nil)
-		srcCh <- err
-	}()
-	_, dstErr := MigrateDest(Config{MaxDiskIters: 1}, e.dst, e.connDst)
-	srcErr := <-srcCh
-	if srcErr == nil && dstErr == nil {
+	if _, _, srcErr, dstErr := w.tpmPair(cfg, Config{MaxDiskIters: 1}, nil); srcErr == nil && dstErr == nil {
 		t.Fatal("both sides reported success despite link death")
 	}
 }

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
+	"bbmig/internal/bitmap"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/transport"
 )
@@ -55,6 +59,55 @@ func FuzzDataExtent(f *testing.F) {
 		}
 		if err != nil && seen != 0 {
 			t.Fatalf("sink saw %d blocks of a rejected frame", seen)
+		}
+	})
+}
+
+// FuzzSessionAck throws arbitrary MsgSessionAck payloads at the destination
+// progress parser a reconnecting source trusts: whatever arrives it never
+// panics, allocates in proportion to the payload and the disk and memory
+// sizes it was given — never to a size the payload declares — and a record it
+// accepts is a fixed point of marshal and parse.
+func FuzzSessionAck(f *testing.F) {
+	const blocks, pages = 4096, 512
+	good, err := destProgress{
+		flags: destSuspendSeen, diskIters: 1, memIters: 2,
+		recvDiskNum: 2, recvDisk: newBitmapWith(blocks, 10, 5), recvMemNum: 3, recvMem: newBitmapWith(pages, 3, 2),
+	}.marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:9])
+	f.Add(good[:len(good)-1])
+	terabit := binary.LittleEndian.AppendUint64(nil, 1<<40|runsTag<<56)
+	f.Add(append(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(good[:9:9], 1), uint32(len(terabit))), terabit...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := parseDestProgress(data, blocks, pages)
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+8*len(data)+(blocks+pages)/4); grew > bound {
+			t.Fatalf("parsing %d bytes allocated %d, bound %d", len(data), grew, bound)
+		}
+		if err != nil {
+			return
+		}
+		again, err := p.marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := parseDestProgress(again, blocks, pages)
+		if err != nil {
+			t.Fatalf("re-parsing a marshalled record: %v", err)
+		}
+		same := func(a, b *bitmap.Bitmap) bool { return (a == nil) == (b == nil) && (a == nil || a.Equal(b)) }
+		if p.flags != q.flags || p.diskIters != q.diskIters || p.memIters != q.memIters ||
+			p.recvDiskNum != q.recvDiskNum || p.recvMemNum != q.recvMemNum || !same(p.recvDisk, q.recvDisk) || !same(p.recvMem, q.recvMem) {
+			t.Fatalf("parse → marshal → parse moved the record: %+v → %+v", p, q)
+		}
+		if thrice, err := q.marshal(); err != nil || !bytes.Equal(thrice, again) {
+			t.Fatalf("marshal is not stable on a parsed record (%v)", err)
 		}
 	})
 }

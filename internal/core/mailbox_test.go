@@ -13,8 +13,7 @@ import (
 // discarded and its pooled payload released, and the destination finishing
 // or failing while a request is outstanding surfaces as the error.
 func TestReplyMailbox(t *testing.T) {
-	transport.SetBufPoison(true)
-	defer transport.SetBufPoison(false)
+	// Not a migration: the source's own mailboxes, which the test fills.
 	s := &sourceRun{replies: make(chan transport.Message, 8), doneCh: make(chan error, 1)}
 	payload := func(fill byte) []byte {
 		b := transport.GetBuf(64)

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
@@ -121,33 +120,22 @@ func pageForms(trace []string) map[int][]string {
 	return forms
 }
 
-func sameMemory(t *testing.T, src, dst *vm.Memory) {
-	t.Helper()
-	a, b := memImage(t, src), memImage(t, dst)
-	for p := 0; p < src.NumPages(); p++ {
-		if !bytes.Equal(a[p*vm.PageSize:(p+1)*vm.PageSize], b[p*vm.PageSize:(p+1)*vm.PageSize]) {
-			t.Fatalf("destination page %d differs from the source's", p)
-		}
-	}
-}
-
 // TestWireTraceGoldenHotPages pins the frames a writing guest produces:
 // literal, then delta — in pre-copy when the freeze budget is spent, in the
 // freeze otherwise — for a page the source has seen dirty, literal only for a
 // cold one. The same harness with the guest idle emits exactly the default
 // TPM trace: page deltas are never seen by a guest that does not write.
 func TestWireTraceGoldenHotPages(t *testing.T) {
-	idle := newTraceEnv(t)
-	runTracedTPM(wholeDisk)(t, idle, hotPageConfig(t, idle.src.VM.Memory(), false), Config{})
-	matchGolden(t, "wiretrace_tpm.golden", renderTrace(idle.connSrc.trace(), idle.connDst.trace()))
+	idle := traced(t)
+	idle.tpm(hotPageConfig(t, idle.src.VM.Memory(), false), Config{}, nil)
+	matchGolden(t, "wiretrace_tpm.golden", idle.trace())
 
-	e := newTraceEnv(t)
-	runTracedTPM(wholeDisk)(t, e, hotPageConfig(t, e.src.VM.Memory(), true), Config{})
-	sameMemory(t, e.src.VM.Memory(), e.dst.VM.Memory())
-	checkGolden(t, "wiretrace_tpm_hotpages.golden", renderTrace(e.connSrc.trace(), e.connDst.trace()))
+	w := traced(t)
+	w.tpm(hotPageConfig(t, w.src.VM.Memory(), true), Config{}, nil)
+	checkGolden(t, "wiretrace_tpm_hotpages.golden", w.trace())
 
 	lit, delta := "MEM_PAGE", "MEM_PAGE_DELTA"
-	forms := pageForms(e.connSrc.trace())
+	forms := pageForms(w.traceSrc.trace())
 	for p, want := range map[int][]string{
 		4:  {lit, delta},        // left to the freeze by iteration 2
 		6:  {lit, delta},        // clean through iteration 2, touched before the freeze
@@ -164,71 +152,77 @@ func TestWireTraceGoldenHotPages(t *testing.T) {
 }
 
 // TestAbortedMigrationLeavesNoDirtyEvidence: a migration that gives up in the
-// middle of memory pre-copy, under a guest that is writing pages, stops and
-// drains memory dirty logging on its way out. The next attempt, with the
-// guest idle, sees an empty working set, keeps no base, sends no delta and
-// emits exactly the default TPM trace.
+// middle, under a guest that is writing pages and blocks, stops and drains
+// memory dirty logging and disk tracking on its way out. The next attempt,
+// with the guest idle, sees an empty working set, keeps no base, sends no
+// delta, skips no block and emits exactly the default TPM trace.
 func TestAbortedMigrationLeavesNoDirtyEvidence(t *testing.T) {
-	e := newTraceEnv(t)
-	mem := e.src.VM.Memory()
+	w := newWorld(t)
+	mem := w.src.VM.Memory()
 
-	// Attempt 1: the link is cut halfway through memory iteration 1, the one
-	// redial allowed fails, the source gives up. The guest rewrites pages with
-	// the bytes they hold — dirtying them without changing the image the
-	// second attempt's trace is hashed from.
-	pa, pb := transport.NewPipe(64)
-	page := make([]byte, vm.PageSize)
-	guest := &workload.Paced{Conn: transport.NewFaultConn(pa, framesMidMemPhase, 0), Every: 8, Round: func(i int) {
-		p := i * 7 % testPages
+	// Attempt 1: the link is cut where memory iteration 1 would be half done,
+	// the one redial allowed fails, the source gives up. The guest rewrites
+	// pages and blocks with the bytes they hold — dirtying them without
+	// changing the image the second attempt's trace is hashed from.
+	page, block := make([]byte, vm.PageSize), make([]byte, blockdev.BlockSize)
+	guest := &workload.Paced{Conn: transport.NewFaultConn(w.connSrc, framesMidMemPhase, 0), Every: 8, Round: func(i int) {
+		p, n := i*7%testPages, i*7%testBlocks
 		if err := mem.ReadPage(p, page); err != nil {
 			t.Error(err)
 		}
 		if err := mem.WritePage(p, page); err != nil {
 			t.Error(err)
 		}
+		if err := w.srcDisk.ReadBlock(n, block); err != nil {
+			t.Error(err)
+		}
+		if err := w.router.Submit(blockdev.Request{Op: blockdev.Write, Block: n, Domain: testDomain, Data: block}); err != nil {
+			t.Error(err)
+		}
 	}}
 	gone := errors.New("no route to host")
-	scratch := Host{VM: vm.NewDestination(e.src.VM), Backend: blkback.NewBackend(blockdev.NewMemDisk(testBlocks, blockdev.BlockSize), testDomain)}
-	srcErr, dstErr := runPair(
+	srcErr, dstErr := w.runPair(
 		func() error {
 			_, err := MigrateSource(Config{
 				MaxRetries: 1, RetryBackoff: time.Millisecond,
 				Redial: func() (transport.Conn, error) { return nil, gone },
-			}, e.src, guest, nil)
+			}, w.src, guest, nil)
 			return err
 		},
 		func() error {
 			_, err := MigrateDest(Config{
 				WaitReconnect: func(transport.SessionToken, uint32) (transport.Conn, uint32, error) { return nil, 0, gone },
-			}, scratch, pb)
+			}, w.dst, w.connDst)
 			return err
 		})
 	if srcErr == nil || !strings.Contains(srcErr.Error(), "retries exhausted") || dstErr == nil {
 		t.Fatalf("attempt 1: source %v, destination %v; want both to give up", srcErr, dstErr)
 	}
-	if mem.Tracking() || mem.DirtyCount() != 0 {
-		t.Fatalf("aborted migration left logging on (%v) and %d dirty pages behind", mem.Tracking(), mem.DirtyCount())
+	if mem.DirtyCount() != 0 || w.src.Backend.DirtyCount() != 0 {
+		t.Fatalf("aborted migration left %d dirty pages and %d dirty blocks behind", mem.DirtyCount(), w.src.Backend.DirtyCount())
 	}
 
-	// Attempt 2, idle.
+	// Attempt 2, idle, to a fresh destination over a fresh link.
+	retry := traced(t)
+	retry.src = w.src
 	hot, bases := -1, -1
 	var s *sourceRun
 	s, err := newSourceRun(Config{OnEvent: func(ev Event) {
 		if ev.Kind == EventPhaseEnd && ev.Phase == PhaseMemPreCopy {
 			hot, bases = s.pages.Hot(), s.pages.Bases()
 		}
-	}}, e.src, e.connSrc, "TPM")
+	}}, retry.src, retry.connSrc, "TPM")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rep *metrics.Report
-	await(t,
+	retry.migrate(
 		func() (err error) { rep, err = s.run(s.tpmPhases(nil)); return err },
-		func() error { _, err := MigrateDest(Config{}, e.dst, e.connDst); return err })
+		func() error { _, err := MigrateDest(Config{}, retry.dst, retry.connDst); return err })
 	if hot != 0 || bases != 0 || rep.DeltaPages() != 0 {
 		t.Fatalf("idle retry: |W| = %d, %d bases, %d delta pages; want none", hot, bases, rep.DeltaPages())
 	}
-	matchGolden(t, "wiretrace_tpm.golden", renderTrace(e.connSrc.trace(), e.connDst.trace()))
+	matchGolden(t, "wiretrace_tpm.golden", retry.trace())
 }
 
 // frameIndex returns the 0-based position of the first frame of trace that
@@ -271,14 +265,14 @@ func (a *reconnectAudit) Send(m transport.Message) error {
 // unchanged against its base and never send — and the destination verifies.
 func TestReconnectDropsEveryBase(t *testing.T) {
 	// A dry run of the same script finds the frame to cut on.
-	dry := newTraceEnv(t)
-	runTracedTPM(wholeDisk)(t, dry, hotPageConfig(t, dry.src.VM.Memory(), true), Config{})
-	cut := frameIndex(t, dry.connSrc.trace(), "MEM_PAGE_DELTA arg=12 ")
+	dry := traced(t)
+	dry.tpm(hotPageConfig(t, dry.src.VM.Memory(), true), Config{}, nil)
+	cut := frameIndex(t, dry.traceSrc.trace(), "MEM_PAGE_DELTA arg=12 ")
 
-	e := newTraceEnv(t)
+	w := traced(t)
 	inj := transport.NewInjector([]transport.Fault{{AfterSends: int64(cut), Kind: transport.FaultCut}})
 	relink := newPipeRelinker(inj)
-	cfg := hotPageConfig(t, e.src.VM.Memory(), true)
+	cfg := hotPageConfig(t, w.src.VM.Memory(), true)
 	cfg.MaxRetries, cfg.RetryBackoff = 2, time.Millisecond
 	var relinked *reconnectAudit
 	cfg.Redial = func() (transport.Conn, error) {
@@ -286,18 +280,11 @@ func TestReconnectDropsEveryBase(t *testing.T) {
 		relinked = &reconnectAudit{Conn: c, t: t, literal: map[uint64]bool{}}
 		return relinked, err
 	}
-	audit := &reconnectAudit{Conn: inj.Wrap(e.connSrc), t: t}
-	var rep *metrics.Report
-	await(t,
-		func() (err error) { rep, err = MigrateSource(cfg, e.src, audit, nil); return err },
-		func() error {
-			_, err := MigrateDest(Config{WaitReconnect: relink.waitReconnect}, e.dst, e.connDst)
-			return err
-		})
+	w.connSrc = &reconnectAudit{Conn: inj.Wrap(w.connSrc), t: t}
+	rep, _ := w.tpm(cfg, Config{WaitReconnect: relink.waitReconnect}, nil)
 	if rep.Retries != 1 {
 		t.Fatalf("survived %d reconnects, want 1", rep.Retries)
 	}
-	sameMemory(t, e.src.VM.Memory(), e.dst.VM.Memory())
 	if relinked == nil || !relinked.literal[12] {
 		t.Fatal("page 12, whose delta was lost with the link, was not re-sent literally")
 	}
@@ -330,7 +317,7 @@ func TestLyingSourcePageDelta(t *testing.T) {
 			{Type: transport.MsgMemPageDelta, Arg: 9, Payload: good}}, cur},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newTraceEnv(t)
+			w := newWorld(t)
 			geom, err := transport.Geometry{
 				BlockSize: blockdev.BlockSize, NumBlocks: testBlocks, PageSize: vm.PageSize, NumPages: testPages,
 			}.MarshalBinary()
@@ -343,27 +330,27 @@ func TestLyingSourcePageDelta(t *testing.T) {
 					{Type: transport.MsgMemIterStart, Arg: 1},
 				}, tc.frames...)
 				for i, m := range script {
-					if err := e.connSrc.Send(m); err != nil {
+					if err := w.connSrc.Send(m); err != nil {
 						return err
 					}
 					if i == 0 {
-						if _, err := e.connSrc.Recv(); err != nil { // HELLO_ACK
+						if _, err := w.connSrc.Recv(); err != nil { // HELLO_ACK
 							return err
 						}
 					}
 				}
-				_, err := e.connSrc.Recv() // the destination's ERROR, or the close
+				_, err := w.connSrc.Recv() // the destination's ERROR, or the close
 				return err
 			}
-			_, dstErr := runPair(liar, func() error {
-				_, err := MigrateDest(Config{}, e.dst, e.connDst)
-				e.connDst.Close()
+			_, dstErr := w.runPair(liar, func() error {
+				_, err := MigrateDest(Config{}, w.dst, w.connDst)
+				w.connDst.Close()
 				return err
 			})
 			if dstErr == nil || !strings.Contains(dstErr.Error(), "page 9") {
 				t.Fatalf("destination error %v, want one naming page 9", dstErr)
 			}
-			mem := e.dst.VM.Memory()
+			mem := w.dst.VM.Memory()
 			if tc.holds == nil {
 				if mem.AllocatedPages() != 0 {
 					t.Fatal("refused delta left a page behind")

@@ -46,21 +46,8 @@ func (c *collectEvents) kinds() []EventKind {
 // TestEventStreamTPM verifies both endpoints announce the full phase
 // pipeline in order, with iteration, suspend/resume, and terminal events.
 func TestEventStreamTPM(t *testing.T) {
-	e := newEnv(t)
 	var srcEvs, dstEvs collectEvents
-	srcCfg := Config{OnEvent: srcEvs.handle, OnFreeze: e.router.Freeze}
-	dstCfg := Config{OnEvent: dstEvs.handle, OnResume: e.router.ResumeGate}
-	srcCh := make(chan error, 1)
-	go func() {
-		_, err := MigrateSource(srcCfg, e.src, e.connSrc, nil)
-		srcCh <- err
-	}()
-	if _, err := MigrateDest(dstCfg, e.dst, e.connDst); err != nil {
-		t.Fatalf("destination: %v", err)
-	}
-	if err := <-srcCh; err != nil {
-		t.Fatalf("source: %v", err)
-	}
+	newWorld(t).tpm(Config{OnEvent: srcEvs.handle}, Config{OnEvent: dstEvs.handle}, nil)
 
 	// Source: every phase in pipeline order, then completion.
 	wantPhases := []string{PhaseHandshake, PhaseDiskPreCopy, PhaseMemPreCopy, PhaseFreezeCopy, PhasePostCopy}
@@ -131,18 +118,17 @@ func TestEventStreamTPM(t *testing.T) {
 // the mid-flight view: during the freeze the tracker must already report the
 // phase and bytes moved.
 func TestProgressTracker(t *testing.T) {
-	e := newEnv(t)
+	w := newWorld(t)
 	tracker := NewProgressTracker()
 	var atFreeze Progress
 	cfg := Config{
 		OnEvent: tracker.Handle,
 		OnFreeze: func() {
 			atFreeze = tracker.Snapshot()
-			e.router.Freeze()
+			w.router.Freeze()
 		},
 	}
-	_, res := e.runTPM(cfg, nil)
-	e.checkConverged(res.CPU)
+	w.tpm(cfg, Config{}, nil)
 
 	if atFreeze.Done {
 		t.Fatal("tracker reported done at the freeze point")
@@ -165,21 +151,12 @@ func TestProgressTracker(t *testing.T) {
 // TestEventStreamFailure: a geometry mismatch must surface as EventFailed on
 // the source.
 func TestEventStreamFailure(t *testing.T) {
-	e := newEnv(t)
+	w := newWorld(t)
 	var evs collectEvents
-	srcCh := make(chan error, 1)
-	go func() {
-		_, err := MigrateSource(Config{OnEvent: evs.handle}, e.src, e.connSrc, nil)
-		srcCh <- err
-	}()
 	// Destination with a mismatched VBD: one block too many.
-	badDst := e.dst
-	badDst.Backend = blkbackNew(testBlocks + 1)
-	if _, err := MigrateDest(Config{}, badDst, e.connDst); err == nil {
-		t.Fatal("destination accepted mismatched geometry")
-	}
-	if err := <-srcCh; err == nil {
-		t.Fatal("source did not observe the abort")
+	w.dst.Backend = blkbackNew(testBlocks + 1)
+	if _, _, srcErr, dstErr := w.tpmPair(Config{OnEvent: evs.handle}, Config{}, nil); srcErr == nil || dstErr == nil {
+		t.Fatalf("source %v, destination %v: both must abort on mismatched geometry", srcErr, dstErr)
 	}
 	final := evs.all()
 	if len(final) == 0 {
@@ -199,22 +176,11 @@ func blkbackNew(n int) *blkback.Backend {
 // TestEquivalenceAdaptivePolicy: the adaptive policy changes frame shapes,
 // never data. The destination must converge byte-identically.
 func TestEquivalenceAdaptivePolicy(t *testing.T) {
-	e := newEnv(t)
 	cfg := Config{Policy: &AdaptivePolicy{}}
-	rep, res := e.runTPM(cfg, nil)
-	e.checkConverged(res.CPU)
+	rep, _ := newWorld(t).tpm(cfg, cfg, nil)
 	if rep.DiskIterations[0].Units != testBlocks {
 		t.Fatalf("first iteration sent %d blocks, want %d", rep.DiskIterations[0].Units, testBlocks)
 	}
-}
-
-// modeledEnv wires an env over Latent pipes: every frame pays a per-message
-// stall, the latency-bound link shape the adaptive policy exists for.
-func modeledEnv(t *testing.T, stall time.Duration) *env {
-	e := newEnv(t)
-	a, b := transport.NewPipe(256)
-	e.connSrc, e.connDst = transport.NewLatent(a, stall), transport.NewLatent(b, stall)
-	return e
 }
 
 // TestAdaptiveBeatsDefaultOnModeledLink is the acceptance benchmark scenario
@@ -226,13 +192,15 @@ func TestAdaptiveBeatsDefaultOnModeledLink(t *testing.T) {
 		t.Skip("timing test")
 	}
 	const stall = 100 * time.Microsecond
-	run := func(pol Policy) time.Duration {
-		e := modeledEnv(t, stall)
-		start := time.Now()
-		_, res := e.runTPM(Config{Policy: pol}, nil)
-		elapsed := time.Since(start)
-		e.checkConverged(res.CPU)
-		return elapsed
+	// Every frame pays a per-message stall: the latency-bound link shape the
+	// adaptive policy exists for.
+	modeled := func(transport.Conn, transport.Conn) (transport.Conn, transport.Conn) {
+		a, b := transport.NewPipe(256)
+		return transport.NewLatent(a, stall), transport.NewLatent(b, stall)
+	}
+	run := func(pol Policy) time.Duration { // the source's own clock: the runner's checks are not the migration
+		rep, _ := newWorld(t, worldSpec{link: modeled}).tpm(Config{Policy: pol}, Config{Policy: pol}, nil)
+		return rep.TotalTime
 	}
 	fixed := run(nil) // DefaultPolicy, extent 1: one stall per block
 	adaptive := run(&AdaptivePolicy{})
@@ -308,10 +276,8 @@ func TestCompressLevelConfig(t *testing.T) {
 		p    Policy
 	}{{"default", nil}, {"adaptive", &AdaptivePolicy{}}} {
 		t.Run(pol.name, func(t *testing.T) {
-			e := newEnv(t)
 			cfg := Config{CompressLevel: 6, Policy: pol.p}
-			rep, res := e.runTPM(cfg, nil)
-			e.checkConverged(res.CPU)
+			rep, _ := newWorld(t).tpm(cfg, cfg, nil)
 			uncompressed := int64(testBlocks)*4096 + int64(testPages)*4096
 			if rep.MigratedBytes >= uncompressed {
 				t.Fatalf("compressed migration moved %d wire bytes, more than the %d raw payload", rep.MigratedBytes, uncompressed)
@@ -323,22 +289,17 @@ func TestCompressLevelConfig(t *testing.T) {
 // TestCompressLevelMismatchFails: one compressed endpoint against one raw
 // endpoint must abort in the handshake, not corrupt the stream.
 func TestCompressLevelMismatchFails(t *testing.T) {
-	e := newEnv(t)
-	srcCh := make(chan error, 1)
-	go func() {
-		_, err := MigrateSource(Config{CompressLevel: 6}, e.src, e.connSrc, nil)
-		srcCh <- err
-	}()
-	_, dstErr := MigrateDest(Config{}, e.dst, e.connDst)
+	w := newWorld(t)
+	_, _, srcErr, dstErr := w.tpmPair(Config{CompressLevel: 6}, Config{}, nil)
 	if dstErr == nil {
 		t.Fatal("raw destination accepted a compressed stream")
 	}
-	if err := <-srcCh; err == nil {
+	if srcErr == nil {
 		t.Fatal("compressed source never noticed the mismatch")
 	}
 	// The destination disk must be untouched: the failure happened before
 	// any data frame.
-	img := diskImage(t, e.dstDisk)
+	img := diskImage(t, w.dstDisk)
 	if !bytes.Equal(img, make([]byte, len(img))) {
 		t.Fatal("mismatched handshake corrupted the destination disk")
 	}

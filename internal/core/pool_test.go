@@ -34,8 +34,6 @@ import (
 // its blocks were written lands poison on the disk. Run with -race, the
 // striped rows double as the concurrent send/recv pool-recycling race test.
 func TestPoisonedPoolMigrations(t *testing.T) {
-	transport.SetBufPoison(true)
-	defer transport.SetBufPoison(false)
 	cases := []struct {
 		name  string
 		cfg   Config
@@ -56,14 +54,13 @@ func TestPoisonedPoolMigrations(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newEnv(t)
-			e.useStriped(tc.cfg.Streams)
+			w := newWorld(t, worldSpec{streams: tc.cfg.Streams})
 			cfg := tc.cfg
 			if tc.stale {
-				staleDestination(t, e.srcDisk, e.dstDisk, 2)
+				staleDestination(t, w.srcDisk, w.dstDisk, 2)
 				if cfg.Dedup {
 					cfg.DedupIndex, cfg.DedupName = dedup.NewIndex(blockdev.BlockSize), "retained"
-					if err := cfg.DedupIndex.RegisterSource(cfg.DedupName, e.dstDisk); err != nil {
+					if err := cfg.DedupIndex.RegisterSource(cfg.DedupName, w.dstDisk); err != nil {
 						t.Fatal(err)
 					}
 					if _, err := cfg.DedupIndex.ScanSource(cfg.DedupName); err != nil {
@@ -71,8 +68,7 @@ func TestPoisonedPoolMigrations(t *testing.T) {
 					}
 				}
 			}
-			rep, res := e.runTPM(cfg, nil)
-			e.checkConverged(res.CPU)
+			rep, _ := w.tpm(cfg, cfg, nil)
 			if tc.stale && cfg.Dedup && rep.DedupBlocks <= testBlocks*2/3 {
 				t.Errorf("%d blocks by reference: no staged content was referenced, only zeros", rep.DedupBlocks)
 			}
@@ -125,15 +121,15 @@ func TestWireTraceReadaheadEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(readahead, workers int) []string {
-				e := newTraceEnv(t)
+				w := traced(t)
 				// The destination starts from a stale copy — every source
 				// block with its first 256 bytes rewritten — so the delta
 				// encoder has near matches to patch, not just zero runs.
-				staleDestination(t, e.srcDisk, e.dstDisk, 1)
+				staleDestination(t, w.srcDisk, w.dstDisk, 1)
 				cfg := tc.cfg
 				cfg.MaxExtentBlocks, cfg.Readahead, cfg.Workers = 8, readahead, workers
-				runTracedTPM(wholeDisk)(t, e, cfg, cfg)
-				return append(e.connSrc.trace(), e.connDst.trace()...)
+				w.tpm(cfg, cfg, nil)
+				return append(w.traceSrc.trace(), w.traceDst.trace()...)
 			}
 			seq := run(0, 1)
 			ra := run(4, tc.workers)
@@ -311,27 +307,25 @@ func BenchmarkSendBlocksSlowDevice(b *testing.B) {
 // goroutine the walker started is gone when it returns, and — poison armed —
 // no lane ever saw a buffer that had already been handed back.
 func TestSendExtentsFirstErrorNoLeak(t *testing.T) {
-	transport.SetBufPoison(true)
-	defer transport.SetBufPoison(false)
 	const failAt = 37
 	errEncode := errors.New("encoder refused the extent")
-	e := newEnv(t) // for its pattern-filled disk
+	w := newWorld(t) // for its pattern-filled disk
 	cfg := Config{Workers: 4, Readahead: 4, MaxExtentBlocks: 8}.withDefaults()
-	tr, err := newDiskTransfer(cfg, e.srcDisk, heldConn{}, "test", "source")
+	tr, err := newDiskTransfer(cfg, w.srcDisk, heldConn{}, "test", "source")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var calls atomic.Int64
 	var mu sync.Mutex
 	var torn []int
-	bs := e.srcDisk.BlockSize()
+	bs := w.srcDisk.BlockSize()
 	encode := func(ext bitmap.Extent, data []byte) (int64, error) {
 		if calls.Add(1) == failAt {
 			return 0, errEncode
 		}
 		want := make([]byte, bs)
 		for k := 0; k < ext.Count; k++ {
-			if err := e.srcDisk.ReadBlock(ext.Start+k, want); err != nil {
+			if err := w.srcDisk.ReadBlock(ext.Start+k, want); err != nil {
 				return 0, err
 			}
 			if !bytes.Equal(data[k*bs:(k+1)*bs], want) {
@@ -392,8 +386,6 @@ func handlerDest(dev blockdev.Device, workers int) *destRun {
 // pool whether its job ran, failed, or was refused because an earlier one had
 // failed. Poison mode makes a release visible: the bytes turn to 0xDB.
 func TestFailedApplyReleasesPayload(t *testing.T) {
-	transport.SetBufPoison(true)
-	defer transport.SetBufPoison(false)
 	const frames, failAt = 64, 9
 	for _, workers := range []int{1, 4} {
 		dev := &failNthWrite{Device: blockdev.NewMemDisk(frames, blockdev.BlockSize), nth: failAt}

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/transport"
 	"bbmig/internal/workload"
@@ -23,16 +21,15 @@ import (
 // applied, or mis-ordered pull shows up as a block diff.
 func TestRandomizedMigrationsConverge(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(seed))
-			e := newEnv(t)
 			// randomized transport stack
-			buffer := 1 << (3 + rng.Intn(5)) // 8..128
-			cs, cd := transport.NewPipe(buffer)
-			var meterAgnostic transport.Conn = cs
-			if rng.Intn(2) == 1 {
+			link := func(transport.Conn, transport.Conn) (transport.Conn, transport.Conn) {
+				cs, cd := transport.NewPipe(1 << (3 + rng.Intn(5))) // 8..128
+				if rng.Intn(2) == 0 {
+					return cs, cd
+				}
 				a, err := transport.NewCompressed(cs, 1+rng.Intn(8))
 				if err != nil {
 					t.Fatal(err)
@@ -41,10 +38,9 @@ func TestRandomizedMigrationsConverge(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				meterAgnostic, cd = a, b
+				return a, b
 			}
-			e.connSrc, e.connDst = meterAgnostic, cd
-
+			w := newWorld(t, worldSpec{link: link, shared: true})
 			cfg := Config{
 				MaxDiskIters:       1 + rng.Intn(5),
 				DiskDirtyThreshold: 1 + rng.Intn(256),
@@ -55,27 +51,13 @@ func TestRandomizedMigrationsConverge(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				cfg.BandwidthLimit = int64(16+rng.Intn(64)) << 20
 			}
-
 			kinds := []workload.Kind{workload.Web, workload.Kernel, workload.Stream}
 			gen := workload.New(kinds[rng.Intn(len(kinds))], testBlocks, seed*7+1)
-			stopIO := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			var replayErr error
-			go func() {
-				defer wg.Done()
-				_, replayErr = workload.Replay(clockReal(), gen, testDomain, time.Hour,
-					float64(50+rng.Intn(300)), e.submitVerified, stopIO)
-			}()
-
-			_, res := e.runTPM(cfg, nil)
+			g := w.startGuest(gen, float64(50+rng.Intn(300)), 0, nil)
+			_, res := w.tpm(cfg, cfg, nil)
 			time.Sleep(time.Duration(rng.Intn(50)) * time.Millisecond)
-			close(stopIO)
-			wg.Wait()
-			if replayErr != nil {
-				t.Fatalf("workload: %v", replayErr)
-			}
-			e.checkConverged(res.CPU)
+			g.stop()
+			w.checkConverged()
 			if !res.Gate.Synchronized() {
 				t.Fatal("gate not synchronized")
 			}
@@ -88,50 +70,31 @@ func TestRandomizedMigrationsConverge(t *testing.T) {
 // within an order of magnitude of the undisturbed baseline (no I/O blocking
 // like the Bradford baseline's replay window).
 func TestDisruptionTimeBounded(t *testing.T) {
-	e := newEnv(t)
+	w := newWorld(t)
 	// Latencies per window — before, migrating, after — appended to by the
 	// replay goroutine alone and read once it has stopped.
 	var lat [3][]time.Duration
 	var window atomic.Int32
-	gen := workload.NewWebServer(testBlocks, 33)
-	stopIO := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
 	timed := func(req blockdev.Request) error {
 		start := time.Now()
-		err := e.submitVerified(req)
-		w := window.Load()
-		lat[w] = append(lat[w], time.Since(start))
+		err := w.shadow.Submit(req)
+		win := window.Load()
+		lat[win] = append(lat[win], time.Since(start))
 		return err
 	}
-	var replayErr error
-	go func() {
-		defer wg.Done()
-		_, replayErr = workload.Replay(clockReal(), gen, testDomain, time.Hour, 300, timed, stopIO)
-	}()
+	g := w.startGuest(workload.NewWebServer(testBlocks, 33), 300, 0, timed)
 	time.Sleep(100 * time.Millisecond) // collect a baseline
-	cfg := Config{
-		OnFreeze: func() {
-			window.Store(1)
-			e.router.Freeze()
-		},
-		OnResume: func(g *blkback.PostCopyGate) {
-			e.router.ResumeGate(g)
-		},
-	}
 	// The "migrating" window opens at the freeze (downtime + post-copy is
 	// where disruption concentrates; pre-copy contention is the other
 	// component but a MemDisk doesn't contend).
-	_, res := e.runTPM(cfg, nil)
+	w.tpm(Config{OnFreeze: func() {
+		window.Store(1)
+		w.router.Freeze()
+	}}, Config{}, nil)
 	time.Sleep(100 * time.Millisecond)
 	window.Store(2)
 	time.Sleep(50 * time.Millisecond)
-	close(stopIO)
-	wg.Wait()
-	if replayErr != nil {
-		t.Fatalf("workload: %v", replayErr)
-	}
-	e.checkConverged(res.CPU)
+	g.stop()
 	if len(lat[0]) == 0 || len(lat[1]) == 0 {
 		t.Skipf("windows undersampled: before=%d migrating=%d", len(lat[0]), len(lat[1]))
 	}

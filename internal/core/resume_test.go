@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"bbmig/internal/bitmap"
-	"bbmig/internal/blockdev"
-	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
 	"bbmig/internal/workload"
 )
@@ -63,35 +61,16 @@ func (r *pipeRelinker) waitReconnect(token transport.SessionToken, lastEpoch uin
 	}
 }
 
-// runResumable migrates e's world with the given per-epoch fault scripts on
-// the source's connections, returning both reports.
-func (e *env) runResumable(t *testing.T, scripts ...[]transport.Fault) (*DestResult, int64) {
-	t.Helper()
+// runResumable migrates w with the given per-epoch fault scripts on the
+// source's connections and requires one survived retry per script that
+// faults. It returns the bytes the source moved.
+func (w *world) runResumable(scripts ...[]transport.Fault) int64 {
+	w.t.Helper()
 	inj := transport.NewInjector(scripts...)
 	relink := newPipeRelinker(inj)
-
-	srcCfg := Config{
-		MaxRetries:   5,
-		RetryBackoff: time.Millisecond,
-		Redial:       relink.redial,
-		OnFreeze:     e.router.Freeze,
-	}
-	dstCfg := Config{WaitReconnect: relink.waitReconnect}
-
-	srcCh := make(chan error, 1)
-	var rep *metrics.Report
-	go func() {
-		var err error
-		rep, err = MigrateSource(srcCfg, e.src, inj.Wrap(e.connSrc), nil)
-		srcCh <- err
-	}()
-	res, err := MigrateDest(dstCfg, e.dst, e.connDst)
-	if err != nil {
-		t.Fatalf("destination: %v", err)
-	}
-	if err := <-srcCh; err != nil {
-		t.Fatalf("source: %v", err)
-	}
+	w.connSrc = inj.Wrap(w.connSrc)
+	rep, _ := w.tpm(Config{MaxRetries: 5, RetryBackoff: time.Millisecond, Redial: relink.redial},
+		Config{WaitReconnect: relink.waitReconnect}, nil)
 	wantRetries := 0
 	for _, sc := range scripts {
 		if len(sc) > 0 {
@@ -99,18 +78,8 @@ func (e *env) runResumable(t *testing.T, scripts ...[]transport.Fault) (*DestRes
 		}
 	}
 	if rep.Retries != wantRetries {
-		t.Fatalf("source survived %d retries, want %d", rep.Retries, wantRetries)
+		w.t.Fatalf("source survived %d retries, want %d", rep.Retries, wantRetries)
 	}
-	return res, rep.MigratedBytes
-}
-
-// cleanRunBytes measures one fault-free default-config migration of a fresh
-// identical world, the baseline for the "materially less than two full
-// transfers" assertion.
-func cleanRunBytes(t *testing.T) int64 {
-	t.Helper()
-	e := newEnv(t)
-	rep, _ := e.runTPM(Config{}, nil)
 	return rep.MigratedBytes
 }
 
@@ -126,12 +95,11 @@ const framesMidMemPhase = 1 + (1 + testBlocks + 1) + 1 + testPages/2
 // iteration, so the total wire cost stays materially below two full
 // transfers.
 func TestResumeMidMemPreCopy(t *testing.T) {
-	clean := cleanRunBytes(t)
-
-	e := newEnv(t)
-	res, bytes := e.runResumable(t,
-		[]transport.Fault{{AfterSends: framesMidMemPhase, Kind: transport.FaultCut}})
-	e.checkConverged(res.CPU)
+	// The baseline: one fault-free default-config migration of an identical
+	// world.
+	cleanRep, _ := newWorld(t).tpm(Config{}, Config{}, nil)
+	clean := cleanRep.MigratedBytes
+	bytes := newWorld(t).runResumable([]transport.Fault{{AfterSends: framesMidMemPhase, Kind: transport.FaultCut}})
 
 	if bytes <= clean {
 		t.Fatalf("resumed run moved %d bytes, below the clean run's %d — fault never fired?", bytes, clean)
@@ -148,10 +116,7 @@ func TestResumeMidMemPreCopy(t *testing.T) {
 // TestResumeMidDiskPreCopy kills the link a quarter into the first disk
 // iteration; the rewind re-sends that iteration only.
 func TestResumeMidDiskPreCopy(t *testing.T) {
-	e := newEnv(t)
-	res, _ := e.runResumable(t,
-		[]transport.Fault{{AfterSends: 2 + testBlocks/4, Kind: transport.FaultCut}})
-	e.checkConverged(res.CPU)
+	newWorld(t).runResumable([]transport.Fault{{AfterSends: 2 + testBlocks/4, Kind: transport.FaultCut}})
 }
 
 // blockLog counts, across every connection epoch it wraps, how often each
@@ -176,12 +141,12 @@ func (l *blockLog) Send(m transport.Message) error {
 // iteration neither re-sends nor re-counts them; the tracker still owes them,
 // so they travel exactly once, later, and the final image is exact.
 func TestResumeDoesNotResendSkipped(t *testing.T) {
-	e := newEnv(t)
+	w := newWorld(t)
 	// Ten blocks the cut iteration reaches before the fault, ten it reaches
 	// only after the resume: all dirty in the live tracker from the start.
 	early, late := newBitmapWith(testBlocks, 10, 10), newBitmapWith(testBlocks, 1500, 10)
-	e.src.Backend.SeedDirty(early)
-	e.src.Backend.SeedDirty(late)
+	w.src.Backend.SeedDirty(early)
+	w.src.Backend.SeedDirty(late)
 
 	inj := transport.NewInjector([]transport.Fault{{AfterSends: 2 + testBlocks/4, Kind: transport.FaultCut}})
 	relink := newPipeRelinker(inj)
@@ -193,28 +158,14 @@ func TestResumeDoesNotResendSkipped(t *testing.T) {
 			c, err := relink.redial()
 			return &blockLog{Conn: c, sends: sends}, err
 		},
-		OnFreeze: e.router.Freeze,
 		OnEvent: func(ev Event) {
 			if ev.Kind == EventIterationEnd && ev.Phase == PhaseDiskPreCopy {
 				iters = append(iters, ev)
 			}
 		},
 	}
-	srcCh := make(chan error, 1)
-	var rep *metrics.Report
-	go func() {
-		var err error
-		rep, err = MigrateSource(srcCfg, e.src, &blockLog{Conn: inj.Wrap(e.connSrc), sends: sends}, nil)
-		srcCh <- err
-	}()
-	res, err := MigrateDest(Config{WaitReconnect: relink.waitReconnect}, e.dst, e.connDst)
-	if err != nil {
-		t.Fatalf("destination: %v", err)
-	}
-	if err := <-srcCh; err != nil {
-		t.Fatalf("source: %v", err)
-	}
-	e.checkConverged(res.CPU)
+	w.connSrc = &blockLog{Conn: inj.Wrap(w.connSrc), sends: sends}
+	rep, _ := w.tpm(srcCfg, Config{WaitReconnect: relink.waitReconnect}, nil)
 	if rep.Retries != 1 {
 		t.Fatalf("survived %d retries, want 1", rep.Retries)
 	}
@@ -240,51 +191,38 @@ func TestResumeDoesNotResendSkipped(t *testing.T) {
 // notices, not the send path), during the freeze/post-copy window where the
 // source is waiting on destination traffic.
 func TestResumeRecvFault(t *testing.T) {
-	e := newEnv(t)
 	// The source receives HELLO_ACK (1) and then destination notifications;
 	// failing the 2nd recv lands while waiting for RESUMED or DONE.
-	res, _ := e.runResumable(t,
-		[]transport.Fault{{AfterRecvs: 1, Kind: transport.FaultCut}})
-	e.checkConverged(res.CPU)
+	newWorld(t).runResumable([]transport.Fault{{AfterRecvs: 1, Kind: transport.FaultCut}})
 }
 
 // TestResumeTwoFaults survives a mid-mem-precopy cut and then a second cut
 // on the first reconnected epoch.
 func TestResumeTwoFaults(t *testing.T) {
-	e := newEnv(t)
-	res, _ := e.runResumable(t,
+	newWorld(t).runResumable(
 		[]transport.Fault{{AfterSends: framesMidMemPhase, Kind: transport.FaultCut}},
 		[]transport.Fault{{AfterSends: testPages / 2, Kind: transport.FaultCut}})
-	e.checkConverged(res.CPU)
 }
 
 // TestResumeHalfClose: the source's send side dies but its receive side
 // stays up (one-sided close); the retry driver must still re-establish a
 // fresh link and complete.
 func TestResumeHalfClose(t *testing.T) {
-	e := newEnv(t)
-	res, _ := e.runResumable(t,
-		[]transport.Fault{{AfterSends: framesMidMemPhase, Kind: transport.FaultHalfClose}})
-	e.checkConverged(res.CPU)
+	newWorld(t).runResumable([]transport.Fault{{AfterSends: framesMidMemPhase, Kind: transport.FaultHalfClose}})
 }
 
 // TestFaultFailsFastWithoutRetries: a cut link under the default config
 // (MaxRetries 0) aborts both endpoints with a connection error instead of
 // hanging or retrying.
 func TestFaultFailsFastWithoutRetries(t *testing.T) {
-	e := newEnv(t)
-	faulty := transport.NewScriptedFaultConn(e.connSrc,
-		transport.Fault{AfterSends: framesMidMemPhase, Kind: transport.FaultCut})
-	srcCh := make(chan error, 1)
-	go func() {
-		_, err := MigrateSource(Config{OnFreeze: e.router.Freeze}, e.src, faulty, nil)
-		srcCh <- err
-	}()
-	if _, err := MigrateDest(Config{}, e.dst, e.connDst); err == nil {
+	w := newWorld(t)
+	w.connSrc = transport.NewScriptedFaultConn(w.connSrc, transport.Fault{AfterSends: framesMidMemPhase, Kind: transport.FaultCut})
+	_, _, srcErr, dstErr := w.tpmPair(Config{}, Config{}, nil)
+	if dstErr == nil {
 		t.Fatal("destination completed over a cut link")
 	}
-	if err := <-srcCh; !transport.IsConnError(err) {
-		t.Fatalf("source error %v, want a connection error", err)
+	if !transport.IsConnError(srcErr) {
+		t.Fatalf("source error %v, want a connection error", srcErr)
 	}
 }
 
@@ -292,98 +230,32 @@ func TestFaultFailsFastWithoutRetries(t *testing.T) {
 // handshake declines the offered token and a later fault is fatal despite
 // the source's retry budget.
 func TestResumeDeclinedByDest(t *testing.T) {
-	e := newEnv(t)
+	w := newWorld(t)
 	relink := newPipeRelinker(nil)
-	srcCfg := Config{
-		MaxRetries:   3,
-		RetryBackoff: time.Millisecond,
-		Redial:       relink.redial,
-		OnFreeze:     e.router.Freeze,
-	}
-	faulty := transport.NewScriptedFaultConn(e.connSrc,
-		transport.Fault{AfterSends: framesMidMemPhase, Kind: transport.FaultCut})
-	srcCh := make(chan error, 1)
-	go func() {
-		_, err := MigrateSource(srcCfg, e.src, faulty, nil)
-		srcCh <- err
-	}()
-	if _, err := MigrateDest(Config{}, e.dst, e.connDst); err == nil {
+	w.connSrc = transport.NewScriptedFaultConn(w.connSrc, transport.Fault{AfterSends: framesMidMemPhase, Kind: transport.FaultCut})
+	_, _, srcErr, dstErr := w.tpmPair(Config{MaxRetries: 3, RetryBackoff: time.Millisecond, Redial: relink.redial}, Config{}, nil)
+	if dstErr == nil {
 		t.Fatal("destination completed over a cut link")
 	}
-	if err := <-srcCh; err == nil {
+	if srcErr == nil {
 		t.Fatal("source completed although the destination declined resume")
 	}
 }
 
 // TestResumeUnderWorkload runs the crash/resume scenario with the guest
 // dirtying blocks throughout, verifying post-resume convergence with
-// concurrent writes (the shadow-disk check is authoritative).
+// concurrent writes (the shadow check is authoritative).
 func TestResumeUnderWorkload(t *testing.T) {
-	e := newEnv(t)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	gen := workload.New(workload.Web, testBlocks, 7)
-	go func() {
-		defer close(done)
-		buf := make([]byte, blockdev.BlockSize)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			a := gen.Next()
-			if a.Op != blockdev.Write {
-				continue
-			}
-			for n := a.Block; n < a.Block+a.Count && n < testBlocks; n++ {
-				workload.FillBlock(buf, n, uint32(i+1))
-				_ = e.submitVerified(blockdev.Request{Domain: testDomain, Op: blockdev.Write, Block: n, Data: buf})
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-	}()
-	defer func() {
-		select {
-		case <-stop:
-		default:
-			close(stop)
-		}
-		<-done
-	}()
-
-	inj := transport.NewInjector(
-		[]transport.Fault{{AfterSends: framesMidMemPhase, Kind: transport.FaultCut}})
-	relink := newPipeRelinker(inj)
-	srcCfg := Config{
-		MaxRetries:   5,
-		RetryBackoff: time.Millisecond,
-		Redial:       relink.redial,
-		OnFreeze: func() {
-			close(stop)
-			<-done
-			e.router.Freeze()
-		},
-	}
-	srcCh := make(chan error, 1)
-	go func() {
-		_, err := MigrateSource(srcCfg, e.src, inj.Wrap(e.connSrc), nil)
-		srcCh <- err
-	}()
-	res, err := MigrateDest(Config{WaitReconnect: relink.waitReconnect}, e.dst, e.connDst)
-	if err != nil {
-		t.Fatalf("destination: %v", err)
-	}
-	if err := <-srcCh; err != nil {
-		t.Fatalf("source: %v", err)
-	}
-	e.checkConverged(res.CPU)
+	w := newWorld(t)
+	g := w.startGuest(workload.New(workload.Web, testBlocks, 7), 200, 0, nil)
+	w.runResumable([]transport.Fault{{AfterSends: framesMidMemPhase, Kind: transport.FaultCut}})
+	g.stop()
 }
 
 // TestResumeEventStream checks the reconnect surfaces on the event bus and
 // in ProgressTracker.
 func TestResumeEventStream(t *testing.T) {
-	e := newEnv(t)
+	w := newWorld(t)
 	tracker := NewProgressTracker()
 	inj := transport.NewInjector(
 		[]transport.Fault{{AfterSends: framesMidMemPhase, Kind: transport.FaultCut}})
@@ -392,20 +264,10 @@ func TestResumeEventStream(t *testing.T) {
 		MaxRetries:   5,
 		RetryBackoff: time.Millisecond,
 		Redial:       relink.redial,
-		OnFreeze:     e.router.Freeze,
 		OnEvent:      tracker.Handle,
 	}
-	srcCh := make(chan error, 1)
-	go func() {
-		_, err := MigrateSource(srcCfg, e.src, inj.Wrap(e.connSrc), nil)
-		srcCh <- err
-	}()
-	if _, err := MigrateDest(Config{WaitReconnect: relink.waitReconnect}, e.dst, e.connDst); err != nil {
-		t.Fatalf("destination: %v", err)
-	}
-	if err := <-srcCh; err != nil {
-		t.Fatalf("source: %v", err)
-	}
+	w.connSrc = inj.Wrap(w.connSrc)
+	w.tpm(srcCfg, Config{WaitReconnect: relink.waitReconnect}, nil)
 	p := tracker.Snapshot()
 	if p.Reconnects != 1 {
 		t.Fatalf("tracker saw %d reconnects, want 1", p.Reconnects)
@@ -419,7 +281,7 @@ func TestResumeEventStream(t *testing.T) {
 // ends in the done state; intermediate checkpoints load and carry a pending
 // set usable for a cold incremental restart.
 func TestResumeJournalCheckpoints(t *testing.T) {
-	e := newEnv(t)
+	w := newWorld(t)
 	path := t.TempDir() + "/migration.journal"
 
 	var sawDiskPhase bool
@@ -431,7 +293,6 @@ func TestResumeJournalCheckpoints(t *testing.T) {
 		RetryBackoff: time.Millisecond,
 		Redial:       relink.redial,
 		JournalPath:  path,
-		OnFreeze:     e.router.Freeze,
 		OnEvent: func(ev Event) {
 			if ev.Kind == EventPhaseEnd && ev.Phase == PhaseDiskPreCopy && ev.Side == "source" {
 				st, err := LoadJournal(path, testBlocks)
@@ -441,17 +302,8 @@ func TestResumeJournalCheckpoints(t *testing.T) {
 			}
 		},
 	}
-	srcCh := make(chan error, 1)
-	go func() {
-		_, err := MigrateSource(srcCfg, e.src, inj.Wrap(e.connSrc), nil)
-		srcCh <- err
-	}()
-	if _, err := MigrateDest(Config{WaitReconnect: relink.waitReconnect}, e.dst, e.connDst); err != nil {
-		t.Fatalf("destination: %v", err)
-	}
-	if err := <-srcCh; err != nil {
-		t.Fatalf("source: %v", err)
-	}
+	w.connSrc = inj.Wrap(w.connSrc)
+	w.tpm(srcCfg, Config{WaitReconnect: relink.waitReconnect}, nil)
 	if !sawDiskPhase {
 		t.Fatal("journal never reflected the disk pre-copy phase")
 	}
@@ -558,7 +410,7 @@ func (c recvDeadConn) Recv() (transport.Message, error) {
 // attempt must offer a HIGHER epoch — re-offering N would be rejected as
 // stale forever, burning the whole retry budget.
 func TestResumeSurvivesLostAck(t *testing.T) {
-	e := newEnv(t)
+	w := newWorld(t)
 	relink := newPipeRelinker(nil)
 	ackLost := false
 	redial := func() (transport.Conn, error) {
@@ -574,28 +426,14 @@ func TestResumeSurvivesLostAck(t *testing.T) {
 		MaxRetries:   5,
 		RetryBackoff: time.Millisecond,
 		Redial:       redial,
-		OnFreeze:     e.router.Freeze,
 	}
 	inj := transport.NewInjector(
 		[]transport.Fault{{AfterSends: framesMidMemPhase, Kind: transport.FaultCut}})
-	srcCh := make(chan error, 1)
-	var rep *metrics.Report
-	go func() {
-		var err error
-		rep, err = MigrateSource(srcCfg, e.src, inj.Wrap(e.connSrc), nil)
-		srcCh <- err
-	}()
-	res, err := MigrateDest(Config{WaitReconnect: relink.waitReconnect}, e.dst, e.connDst)
-	if err != nil {
-		t.Fatalf("destination: %v", err)
-	}
-	if err := <-srcCh; err != nil {
-		t.Fatalf("source: %v", err)
-	}
+	w.connSrc = inj.Wrap(w.connSrc)
+	rep, _ := w.tpm(srcCfg, Config{WaitReconnect: relink.waitReconnect}, nil)
 	// One link cut, two reconnect attempts (the first lost its ack), one
 	// successful resume.
 	if rep.Retries != 1 {
 		t.Fatalf("source recorded %d successful resumes, want 1", rep.Retries)
 	}
-	e.checkConverged(res.CPU)
 }

@@ -40,15 +40,11 @@ func (p *pullInjector) Recv() (transport.Message, error) {
 func TestSourceRefusesOutOfRangePull(t *testing.T) {
 	for name, arg := range map[string]uint64{"one past the device": testBlocks, "2^40": 1 << 40} {
 		t.Run(name, func(t *testing.T) {
-			e := newEnv(t)
-			srcCh := make(chan error, 1)
-			go func() {
-				_, err := MigrateSource(Config{OnFreeze: e.router.Freeze}, e.src, &pullInjector{Conn: e.connSrc, arg: arg}, nil)
-				srcCh <- err
-			}()
-			_, dstErr := MigrateDest(Config{OnResume: e.router.ResumeGate}, e.dst, e.connDst)
-			if err := <-srcCh; err == nil || !strings.Contains(err.Error(), "pull request for block") {
-				t.Fatalf("source error %v, want the refused pull", err)
+			w := newWorld(t)
+			w.connSrc = &pullInjector{Conn: w.connSrc, arg: arg}
+			_, _, srcErr, dstErr := w.tpmPair(Config{}, Config{}, nil)
+			if srcErr == nil || !strings.Contains(srcErr.Error(), "pull request for block") {
+				t.Fatalf("source error %v, want the refused pull", srcErr)
 			}
 			if dstErr == nil || !strings.Contains(dstErr.Error(), "pull request for block") {
 				t.Fatalf("destination error %v, want the source's cause", dstErr)
@@ -77,26 +73,21 @@ func (f failingDisk) ReadBlock(n int, buf []byte) error {
 // error carries the source's cause instead of a bare closed connection.
 func TestSourceFailureReachesDestination(t *testing.T) {
 	const bad = 900
-	schemes := map[string]func(e *env) (srcErr, dstErr error){
-		"TPM": func(e *env) (error, error) {
-			return runPair(
-				func() error { _, err := MigrateSource(Config{}, e.src, e.connSrc, nil); return err },
-				func() error { _, err := MigrateDest(Config{}, e.dst, e.connDst); return err })
+	schemes := map[string]func(w *world) (srcErr, dstErr error){
+		"TPM": func(w *world) (error, error) {
+			_, _, srcErr, dstErr := w.tpmPair(Config{}, Config{}, nil)
+			return srcErr, dstErr
 		},
-		"IM": func(e *env) (error, error) {
-			return runPair(
-				func() error {
-					_, err := MigrateSource(Config{}, e.src, e.connSrc, newBitmapWith(testBlocks, bad-10, 20))
-					return err
-				},
-				func() error { _, err := MigrateDest(Config{}, e.dst, e.connDst); return err })
+		"IM": func(w *world) (error, error) {
+			_, _, srcErr, dstErr := w.tpmPair(Config{}, Config{}, newBitmapWith(testBlocks, bad-10, 20))
+			return srcErr, dstErr
 		},
-		"freeze-and-copy": func(e *env) (error, error) {
-			return runPair(
-				func() error { _, err := MigrateFreezeAndCopySource(Config{}, e.src, e.connSrc); return err },
-				func() error { _, err := MigrateFreezeAndCopyDest(Config{}, e.dst, e.connDst); return err })
+		"freeze-and-copy": func(w *world) (error, error) {
+			return w.runPair(
+				func() error { _, err := MigrateFreezeAndCopySource(Config{}, w.src, w.connSrc); return err },
+				func() error { _, err := MigrateFreezeAndCopyDest(Config{}, w.dst, w.connDst); return err })
 		},
-		"on-demand": func(e *env) (error, error) {
+		"on-demand": func(w *world) (error, error) {
 			// The only disk reads of this scheme answer pulls: fault the bad
 			// block in once the guest runs behind the gate.
 			gateCh := make(chan *blkback.PostCopyGate, 1)
@@ -104,23 +95,26 @@ func TestSourceFailureReachesDestination(t *testing.T) {
 				gateCh <- g
 				go g.Submit(blockdev.Request{Op: blockdev.Read, Block: bad, Domain: testDomain, Data: make([]byte, blockdev.BlockSize)})
 			}}
-			defer func() { (<-gateCh).Close() }()
-			return runPair(
-				func() error { _, err := MigrateOnDemandSource(Config{}, e.src, e.connSrc); return err },
-				func() error { _, err := MigrateOnDemandDest(cfg, e.dst, e.connDst, make(chan struct{})); return err })
+			return w.runPair(
+				func() error { _, err := MigrateOnDemandSource(Config{}, w.src, w.connSrc); return err },
+				func() error {
+					_, err := MigrateOnDemandDest(cfg, w.dst, w.connDst, make(chan struct{}))
+					(<-gateCh).Close() // fail the faulting read, still waiting on its pull
+					return err
+				})
 		},
-		"delta-forward": func(e *env) (error, error) {
-			fwd := NewDeltaForwarder(e.src.Backend, e.connSrc)
-			return runPair(
-				func() error { _, err := MigrateDeltaSource(Config{}, e.src, e.connSrc, fwd); return err },
-				func() error { _, err := MigrateDeltaDest(Config{}, e.dst, e.connDst); return err })
+		"delta-forward": func(w *world) (error, error) {
+			fwd := NewDeltaForwarder(w.src.Backend, w.connSrc)
+			return w.runPair(
+				func() error { _, err := MigrateDeltaSource(Config{}, w.src, w.connSrc, fwd); return err },
+				func() error { _, err := MigrateDeltaDest(Config{}, w.dst, w.connDst); return err })
 		},
 	}
 	for name, run := range schemes {
 		t.Run(name, func(t *testing.T) {
-			e := newEnv(t)
-			e.src.Backend = blkback.NewBackend(failingDisk{e.srcDisk, bad}, testDomain)
-			srcErr, dstErr := run(e)
+			w := newWorld(t)
+			w.src.Backend = blkback.NewBackend(failingDisk{w.srcDisk, bad}, testDomain)
+			srcErr, dstErr := run(w)
 			if !errors.Is(srcErr, errMedium) {
 				t.Fatalf("source error %v, want the device's", srcErr)
 			}
@@ -129,12 +123,4 @@ func TestSourceFailureReachesDestination(t *testing.T) {
 			}
 		})
 	}
-}
-
-// runPair runs both endpoints to their end and returns both errors.
-func runPair(source, dest func() error) (srcErr, dstErr error) {
-	srcCh := make(chan error, 1)
-	go func() { srcCh <- source() }()
-	dstErr = dest()
-	return <-srcCh, dstErr
 }

@@ -133,7 +133,8 @@ func newSourceRun(cfg Config, host Host, conn transport.Conn, scheme string) (*s
 // collects while everything else is sent is the evidence of which pages are
 // hot. It is stopped and drained at the freeze capture and — so an aborted
 // attempt leaves no stale dirt for the next one to read as evidence — on
-// every exit.
+// every exit; disk tracking, which the freeze stops, on a failed one (the next
+// attempt's first iteration would skip a stale dirty block as re-dirtied).
 func (s *sourceRun) run(phases []phase) (*metrics.Report, error) {
 	mem := s.host.VM.Memory()
 	mem.StartTracking()
@@ -153,7 +154,10 @@ func (s *sourceRun) run(phases []phase) (*metrics.Report, error) {
 			break
 		}
 	}
-	if err == nil && s.ckpt != nil {
+	if err != nil {
+		s.host.Backend.StopTracking()
+		s.host.Backend.SwapDirty()
+	} else if s.ckpt != nil {
 		_ = s.journal.Checkpoint(JournalState{Token: s.sess.token, Epoch: s.sess.epoch, Phase: "done"})
 	}
 	s.rep.DedupBlocks = s.dedupBlocks

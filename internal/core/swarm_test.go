@@ -101,7 +101,7 @@ func swarmDialer(peers map[string]*swarmTestPeer) SwarmDialFunc {
 	}
 }
 
-// templateContents builds the template block contents templateDisk writes,
+// templateContents builds the template block contents template writes,
 // keyed by fingerprint — a warm peer's servable inventory.
 func templateContents(distinct int) map[dedup.Fingerprint][]byte {
 	out := make(map[dedup.Fingerprint][]byte, distinct)
@@ -120,11 +120,7 @@ func templateContents(distinct int) map[dedup.Fingerprint][]byte {
 func TestSwarmFetchEndToEnd(t *testing.T) {
 	const distinct = 512
 	run := func(cfg Config) (*metrics.Report, *DestResult) {
-		e := newEnv(t)
-		templateDisk(t, e, distinct)
-		rep, res := e.runTPM(cfg, nil)
-		e.checkConverged(res.CPU)
-		return rep, res
+		return newWorld(t, worldSpec{fill: template(distinct)}).tpm(cfg, cfg, nil)
 	}
 	base, baseRes := run(Config{Dedup: true, MaxExtentBlocks: 16})
 	if baseRes.Report.SwarmBlocks != 0 {
@@ -159,15 +155,13 @@ func TestSwarmFetchEndToEnd(t *testing.T) {
 func TestSwarmPeerFailures(t *testing.T) {
 	const distinct = 64
 	run := func(peers map[string]*swarmTestPeer, order ...string) *DestResult {
-		e := newEnv(t)
-		templateDisk(t, e, distinct)
-		_, res := e.runTPM(Config{
+		cfg := Config{
 			Dedup: true, MaxExtentBlocks: 16,
 			Swarm:      true,
 			SwarmPeers: order,
 			SwarmDial:  swarmDialer(peers),
-		}, nil)
-		e.checkConverged(res.CPU)
+		}
+		_, res := newWorld(t, worldSpec{fill: template(distinct)}).tpm(cfg, cfg, nil)
 		return res
 	}
 
@@ -224,16 +218,14 @@ func TestSwarmPeerFailures(t *testing.T) {
 func TestSwarmResumeAcrossCut(t *testing.T) {
 	const distinct = 64
 	peer := &swarmTestPeer{content: templateContents(distinct)}
-	e := newEnv(t)
-	templateDisk(t, e, distinct)
+	w := newWorld(t, worldSpec{fill: template(distinct)})
 
 	inj := transport.NewInjector([]transport.Fault{{AfterSends: 80, Kind: transport.FaultCut}})
 	relink := newPipeRelinker(inj)
 	srcCfg := Config{
 		Dedup: true, MaxExtentBlocks: 16,
 		MaxRetries: 5, RetryBackoff: time.Millisecond,
-		Redial:   relink.redial,
-		OnFreeze: e.router.Freeze,
+		Redial: relink.redial,
 	}
 	dstCfg := Config{
 		Dedup: true, MaxExtentBlocks: 16,
@@ -243,21 +235,8 @@ func TestSwarmResumeAcrossCut(t *testing.T) {
 		WaitReconnect: relink.waitReconnect,
 	}
 
-	srcCh := make(chan error, 1)
-	var rep *metrics.Report
-	go func() {
-		var err error
-		rep, err = MigrateSource(srcCfg, e.src, inj.Wrap(e.connSrc), nil)
-		srcCh <- err
-	}()
-	res, err := MigrateDest(dstCfg, e.dst, e.connDst)
-	if err != nil {
-		t.Fatalf("destination: %v", err)
-	}
-	if err := <-srcCh; err != nil {
-		t.Fatalf("source: %v", err)
-	}
-	e.checkConverged(res.CPU)
+	w.connSrc = inj.Wrap(w.connSrc)
+	rep, res := w.tpm(srcCfg, dstCfg, nil)
 	if rep.Retries != 1 {
 		t.Fatalf("source survived %d retries, want 1", rep.Retries)
 	}

@@ -14,8 +14,6 @@ import (
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/transport"
-	"bbmig/internal/vm"
-	"bbmig/internal/workload"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite wire-trace golden files")
@@ -46,47 +44,6 @@ func (t *traceConn) trace() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]string(nil), t.frames...)
-}
-
-// traceEnv is a fully deterministic two-host world: pattern-filled disk and
-// memory, fixed CPU state, no workload, no randomness.
-type traceEnv struct {
-	srcDisk, dstDisk *blockdev.MemDisk
-	src, dst         Host
-	connSrc, connDst *traceConn
-}
-
-func newTraceEnv(t *testing.T) *traceEnv {
-	t.Helper()
-	e := &traceEnv{
-		srcDisk: blockdev.NewMemDisk(testBlocks, blockdev.BlockSize),
-		dstDisk: blockdev.NewMemDisk(testBlocks, blockdev.BlockSize),
-	}
-	buf := make([]byte, blockdev.BlockSize)
-	for n := 0; n < testBlocks; n += 3 {
-		workload.FillBlock(buf, n, 0)
-		if err := e.srcDisk.WriteBlock(n, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srcVM := vm.New("guest", testDomain, testPages, 0)
-	cpu := make([]byte, 512)
-	for i := range cpu {
-		cpu[i] = byte(i * 7)
-	}
-	srcVM.SetCPU(vm.CPUState{Registers: cpu})
-	for p := 0; p < testPages; p += 2 {
-		workload.FillBlock(buf, p+100000, 0)
-		if err := srcVM.Memory().WritePage(p, buf[:vm.PageSize]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.src = Host{VM: srcVM, Backend: blkback.NewBackend(e.srcDisk, testDomain)}
-	e.dst = Host{VM: vm.NewDestination(srcVM), Backend: blkback.NewBackend(e.dstDisk, testDomain)}
-	cs, cd := transport.NewPipe(64)
-	e.connSrc = &traceConn{inner: cs}
-	e.connDst = &traceConn{inner: cd}
-	return e
 }
 
 // renderTrace formats both directions as one golden document.
@@ -148,55 +105,56 @@ func matchGolden(t *testing.T, name, got string) {
 }
 
 // goldenScheme is one row of TestWireTraceGolden: a scheme run to completion
-// on the deterministic traceEnv, with the kind@phase event sequence each
-// endpoint must announce (heartbeats left out: they are throttled by byte
-// count, not part of the sequence).
+// on a traced world, with the kind@phase event sequence each endpoint must
+// announce (heartbeats left out: they are throttled by byte count, not part
+// of the sequence).
 type goldenScheme struct {
 	name                 string
-	run                  func(t *testing.T, e *traceEnv, src, dst Config)
+	run                  func(t *testing.T, w *world, src, dst Config)
 	srcEvents, dstEvents []string
 }
 
-// await runs both endpoints (runPair) and fails the test if either does.
-func await(t *testing.T, source, dest func() error) {
-	t.Helper()
-	if srcErr, dstErr := runPair(source, dest); srcErr != nil || dstErr != nil {
-		t.Fatalf("source: %v, destination: %v", srcErr, dstErr)
-	}
-}
+// traced is the golden traces' world: the default one, every frame recorded.
+func traced(t *testing.T) *world { return newWorld(t, worldSpec{traced: true}) }
 
-func runTracedTPM(initial func(e *traceEnv) *bitmap.Bitmap) func(*testing.T, *traceEnv, Config, Config) {
-	return func(t *testing.T, e *traceEnv, src, dst Config) {
-		await(t,
-			func() error { _, err := MigrateSource(src, e.src, e.connSrc, initial(e)); return err },
-			func() error { _, err := MigrateDest(dst, e.dst, e.connDst); return err })
-	}
-}
+// trace renders the frames both ends sent as one golden document.
+func (w *world) trace() string { return renderTrace(w.traceSrc.trace(), w.traceDst.trace()) }
 
-// wholeDisk is the primary migration's initial set: none.
-func wholeDisk(*traceEnv) *bitmap.Bitmap { return nil }
-
-// imDivergence seeds the fixed set of divergent blocks an incremental
-// migration (§V) starts from.
-func imDivergence(e *traceEnv) *bitmap.Bitmap {
+// runTracedIM returns the guest to a destination that holds its image but
+// for the fixed set of divergent blocks an incremental migration (§V) starts
+// from.
+func runTracedIM(t *testing.T, w *world, src, dst Config) {
 	initial := bitmap.New(testBlocks)
 	for _, n := range []int{0, 1, 2, 3, 64, 65, 66, 500, 501, 777, 1024, 2047} {
 		initial.Set(n)
 	}
-	e.src.Backend.SeedDirty(initial)
-	return e.src.Backend.SwapDirty()
+	buf := make([]byte, blockdev.BlockSize)
+	for n := 0; n < testBlocks; n++ {
+		if initial.Test(n) {
+			continue
+		}
+		if err := w.srcDisk.ReadBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.dstDisk.WriteBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.src.Backend.SeedDirty(initial)
+	w.tpm(src, dst, w.src.Backend.SwapDirty())
 }
 
-func runTracedFreezeAndCopy(t *testing.T, e *traceEnv, src, dst Config) {
-	await(t,
-		func() error { _, err := MigrateFreezeAndCopySource(src, e.src, e.connSrc); return err },
-		func() error { _, err := MigrateFreezeAndCopyDest(dst, e.dst, e.connDst); return err })
+func runTracedFreezeAndCopy(t *testing.T, w *world, src, dst Config) {
+	w.migrate(
+		func() error { _, err := MigrateFreezeAndCopySource(src, w.src, w.connSrc); return err },
+		func() error { _, err := MigrateFreezeAndCopyDest(dst, w.dst, w.connDst); return err })
 }
 
 // runTracedOnDemand reads a fixed set of blocks through the gate once the
 // source has seen RESUMED (so RESUMED and the first PULL_REQUEST cannot swap
 // places on the wire), one at a time, then releases the source.
-func runTracedOnDemand(t *testing.T, e *traceEnv, src, dst Config) {
+func runTracedOnDemand(t *testing.T, w *world, src, dst Config) {
+	w.partial = true
 	gateCh := make(chan *blkback.PostCopyGate, 1)
 	dst.OnResume = func(g *blkback.PostCopyGate) { gateCh <- g }
 	resumed := make(chan struct{})
@@ -217,23 +175,21 @@ func runTracedOnDemand(t *testing.T, e *traceEnv, src, dst Config) {
 			}
 		}
 	}()
-	await(t,
-		func() error { _, err := MigrateOnDemandSource(src, e.src, e.connSrc); return err },
-		func() error { _, err := MigrateOnDemandDest(dst, e.dst, e.connDst, release); return err })
+	w.migrate(
+		func() error { _, err := MigrateOnDemandSource(src, w.src, w.connSrc); return err },
+		func() error { _, err := MigrateOnDemandDest(dst, w.dst, w.connDst, release); return err })
 }
 
 // runTracedDelta submits a fixed write script through the forwarder from the
 // engine's own goroutine, at three fixed points of the pipeline, so every
 // DELTA frame has one possible place in the source's send order.
-func runTracedDelta(t *testing.T, e *traceEnv, src, dst Config) {
-	fwd := NewDeltaForwarder(e.src.Backend, e.connSrc)
-	gen := uint32(0)
+func runTracedDelta(t *testing.T, w *world, src, dst Config) {
+	fwd := NewDeltaForwarder(w.src.Backend, w.connSrc)
+	w.router = NewRouter(fwd.Submit)
 	write := func(blocks ...int) {
 		buf := make([]byte, blockdev.BlockSize)
 		for _, n := range blocks {
-			gen++
-			workload.FillBlock(buf, n, gen)
-			if err := fwd.Submit(blockdev.Request{Op: blockdev.Write, Block: n, Domain: testDomain, Data: buf}); err != nil {
+			if err := w.shadow.Submit(blockdev.Request{Op: blockdev.Write, Block: n, Domain: testDomain, Data: buf}); err != nil {
 				t.Errorf("scripted write %d: %v", n, err)
 			}
 		}
@@ -248,15 +204,11 @@ func runTracedDelta(t *testing.T, e *traceEnv, src, dst Config) {
 	})
 	src.OnFreeze = func() { write(9) }
 	var res *DestResult
-	await(t,
-		func() error { _, err := MigrateDeltaSource(src, e.src, e.connSrc, fwd); return err },
-		func() (err error) { res, err = MigrateDeltaDest(dst, e.dst, e.connDst); return err })
+	w.migrate(
+		func() error { _, err := MigrateDeltaSource(src, w.src, w.connSrc, fwd); return err },
+		func() (err error) { res, err = MigrateDeltaDest(dst, w.dst, w.connDst); return err })
 	if res.Report.StalePushes != 3 { // 5 three times, 9 twice
 		t.Errorf("%d redundant deltas, want 3", res.Report.StalePushes)
-	}
-	diffs, err := blockdev.Diff(e.dstDisk, e.srcDisk)
-	if err != nil || len(diffs) != 0 {
-		t.Errorf("replayed disk differs from the source at %d blocks (%v)", len(diffs), err)
 	}
 }
 
@@ -302,8 +254,8 @@ var (
 )
 
 var goldenSchemes = []goldenScheme{
-	{"tpm", runTracedTPM(wholeDisk), tpmSrcEvents, tpmDstEvents},
-	{"im", runTracedTPM(imDivergence), tpmSrcEvents, tpmDstEvents},
+	{"tpm", func(t *testing.T, w *world, src, dst Config) { w.tpm(src, dst, nil) }, tpmSrcEvents, tpmDstEvents},
+	{"im", runTracedIM, tpmSrcEvents, tpmDstEvents},
 	{"freeze_and_copy", runTracedFreezeAndCopy,
 		seqOf(
 			phaseEvents(PhaseHandshake),
@@ -345,10 +297,10 @@ var goldenSchemes = []goldenScheme{
 func TestWireTraceGolden(t *testing.T) {
 	for _, sc := range goldenSchemes {
 		t.Run(sc.name, func(t *testing.T) {
-			e := newTraceEnv(t)
+			w := traced(t)
 			var srcEvs, dstEvs collectEvents
-			sc.run(t, e, Config{OnEvent: srcEvs.handle}, Config{OnEvent: dstEvs.handle})
-			checkGolden(t, "wiretrace_"+sc.name+".golden", renderTrace(e.connSrc.trace(), e.connDst.trace()))
+			sc.run(t, w, Config{OnEvent: srcEvs.handle}, Config{OnEvent: dstEvs.handle})
+			checkGolden(t, "wiretrace_"+sc.name+".golden", w.trace())
 			for _, side := range []struct {
 				name      string
 				got, want []string

@@ -51,38 +51,6 @@ func dedupHop(t *testing.T, src, dst *Machine, domain string) *metrics.Report {
 	return rep
 }
 
-// diskEqual compares a hosted domain's disk against an expected image disk.
-func domainDiskEqual(t *testing.T, m *Machine, name string, want *blockdev.MemDisk) {
-	t.Helper()
-	d, ok := m.Domain(name)
-	if !ok {
-		t.Fatalf("domain %q not hosted on %s", name, m.Name)
-	}
-	diffs, err := blockdev.Diff(d.Disk(), want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diffs) != 0 {
-		t.Fatalf("%s on %s differs at %d blocks (first %v)", name, m.Name, len(diffs), diffs[0])
-	}
-}
-
-// snapshot copies a domain's current disk image.
-func snapshotDisk(t *testing.T, d *Domain) *blockdev.MemDisk {
-	t.Helper()
-	out := blockdev.NewMemDisk(d.Disk().NumBlocks(), d.Disk().BlockSize())
-	buf := make([]byte, d.Disk().BlockSize())
-	for n := 0; n < d.Disk().NumBlocks(); n++ {
-		if err := d.Disk().ReadBlock(n, buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := out.WriteBlock(n, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out
-}
-
 // TestDedupCloneFleet is the clone-fleet scenario the tentpole targets: two
 // template-provisioned siblings migrate A→B; the first seeds B's machine
 // index, so the second arrives almost entirely by reference — and both land
@@ -98,12 +66,12 @@ func TestDedupCloneFleet(t *testing.T) {
 	}
 	d1, _ := a.Domain("web1")
 	d2, _ := a.Domain("web2")
-	want1, want2 := snapshotDisk(t, d1), snapshotDisk(t, d2)
+	want1, want2 := shadow(t, d1), shadow(t, d2)
 
 	rep1 := dedupHop(t, a, b, "web1")
 	rep2 := dedupHop(t, a, b, "web2")
-	domainDiskEqual(t, b, "web1", want1)
-	domainDiskEqual(t, b, "web2", want2)
+	want1.on(t, b)
+	want2.on(t, b)
 
 	if rep2.DedupBlocks != tBlocks {
 		t.Fatalf("sibling moved %d of %d blocks by reference", rep2.DedupBlocks, tBlocks)
@@ -154,10 +122,10 @@ func TestDedupMigrateBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := snapshotDisk(t, db)
+	want := shadow(t, db)
 
 	rep := dedupHop(t, b, a, "g")
-	domainDiskEqual(t, a, "g", want)
+	want.on(t, a)
 	if rep.Scheme != "IM" {
 		t.Fatalf("migrate-back scheme %q, want IM", rep.Scheme)
 	}
@@ -281,9 +249,9 @@ func TestIndexPersistence(t *testing.T) {
 	}
 	// The degraded machine still serves a correct dedup migration.
 	d2, _ := b.Domain("g")
-	want := snapshotDisk(t, d2)
+	want := shadow(t, d2)
 	dedupHop(t, b, c, "g")
-	domainDiskEqual(t, c, "g", want)
+	want.on(t, c)
 
 	// A valid index persisted with a foreign block size is equally
 	// unusable: reject it, start empty, keep migrating.

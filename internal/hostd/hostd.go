@@ -455,7 +455,11 @@ func (m *Machine) MigrateOut(domainName, destHost, addr string, cfg core.Config)
 	defer untrack()
 	rep, err := core.MigrateSource(cfg, core.Host{VM: d.vmRef, Backend: d.backend}, conn, d.backend.SwapDirty())
 	if err != nil {
-		// The guest must keep running here on failure.
+		// The guest must keep running here on failure, unfrozen unless the
+		// destination runs it (a Resume error only says it was never frozen).
+		if p, _ := m.MigrationProgress(domainName); !p.Resumed {
+			_ = d.vmRef.Resume()
+		}
 		d.router.ResumeAt(d.backend.Submit)
 		if d.hasWork && d.stopWork == nil {
 			d.startWorkload()
@@ -597,10 +601,11 @@ func (m *Machine) receive(connp *transport.Conn, l net.Listener, cfg core.Config
 	// A returning domain resumes onto this machine's retained copy; a new
 	// one gets a fresh zeroed VBD behind the machine's block cache.
 	disk := m.retained[ann.name]
-	if disk == nil || disk.NumBlocks() != ann.geom.NumBlocks {
-		disk = m.newVolumeLocked(blockdev.NewMemDisk(ann.geom.NumBlocks, blockdev.BlockSize))
-	} else {
+	returning := disk != nil && disk.NumBlocks() == ann.geom.NumBlocks
+	if returning {
 		delete(m.retained, ann.name)
+	} else {
+		disk = m.newVolumeLocked(blockdev.NewMemDisk(ann.geom.NumBlocks, blockdev.BlockSize))
 	}
 	m.mu.Unlock()
 
@@ -640,6 +645,13 @@ func (m *Machine) receive(connp *transport.Conn, l net.Listener, cfg core.Config
 	}
 	res, err := core.MigrateDest(cfg, core.Host{VM: shell, Backend: d.backend}, conn)
 	if err != nil {
+		// Not resumed here, the copy is still the sender's base for us: every
+		// block the attempt wrote is in the sender's divergence set.
+		if returning && shell.State() != vm.Running {
+			m.mu.Lock()
+			m.retained[ann.name] = disk
+			m.mu.Unlock()
+		}
 		return res, err
 	}
 

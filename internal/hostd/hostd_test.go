@@ -44,6 +44,51 @@ func hop(t *testing.T, src, dst *Machine, domain string) *metrics.Report {
 	return rep
 }
 
+// shadowed is a guest's disk as its writes made it. It follows the domain
+// from machine to machine: writes go to whichever Domain d is.
+type shadowed struct {
+	*workload.Shadow
+	d *Domain
+}
+
+func shadow(t *testing.T, d *Domain) *shadowed {
+	t.Helper()
+	s := &shadowed{d: d}
+	var err error
+	if s.Shadow, err = workload.NewShadow(d.Disk(), func(req blockdev.Request) error {
+		req.Domain = s.d.VM().DomainID
+		return s.d.Submit(req)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// write writes blocks [lo, lo+n) through the shadow.
+func (s *shadowed) write(t *testing.T, lo, n int) {
+	t.Helper()
+	buf := make([]byte, blockdev.BlockSize)
+	for i := lo; i < lo+n; i++ {
+		if err := s.Submit(blockdev.Request{Op: blockdev.Write, Block: i, Data: buf}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// on follows the domain to m and requires its disk there to hold every write.
+func (s *shadowed) on(t *testing.T, m *Machine) *Domain {
+	t.Helper()
+	d, ok := m.Domain(s.d.Name)
+	if !ok {
+		t.Fatalf("%s not on %s", s.d.Name, m.Name)
+	}
+	if err := s.Verify(d.Disk()); err != nil {
+		t.Fatalf("on %s: %v", m.Name, err)
+	}
+	s.d = d
+	return d
+}
+
 func TestAnnounceRoundTrip(t *testing.T) {
 	a := announce{
 		name:     "guest-7",
@@ -106,56 +151,27 @@ func TestHostdChainIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadow := blockdev.NewMemDisk(tBlocks, blockdev.BlockSize)
-	gen := uint32(0)
-	write := func(d *Domain, lo, n int) {
-		t.Helper()
-		buf := make([]byte, blockdev.BlockSize)
-		for i := lo; i < lo+n; i++ {
-			gen++
-			workload.FillBlock(buf, i, gen)
-			if err := d.Submit(blockdev.Request{Op: blockdev.Write, Block: i, Domain: d.VM().DomainID, Data: buf}); err != nil {
-				t.Fatal(err)
-			}
-			shadow.WriteBlock(i, buf)
-		}
-	}
-	check := func(m *Machine) *Domain {
-		t.Helper()
-		dom, ok := m.Domain("guest")
-		if !ok {
-			t.Fatalf("guest not on %s", m.Name)
-		}
-		diffs, err := blockdev.Diff(dom.Disk(), shadow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(diffs) != 0 {
-			t.Fatalf("on %s, %d blocks differ from truth", m.Name, len(diffs))
-		}
-		return dom
-	}
-
-	write(d, 100, 50)
+	g := shadow(t, d)
+	g.write(t, 100, 50)
 	repAB := hop(t, A, B, "guest")
 	if len(A.Domains()) != 0 {
 		t.Fatal("domain still on A after migrating away")
 	}
-	dB := check(B)
+	g.on(t, B)
 	if repAB.DiskIterations[0].Units != tBlocks {
 		t.Fatalf("first hop sent %d blocks, want full disk", repAB.DiskIterations[0].Units)
 	}
 
-	write(dB, 200, 30)
+	g.write(t, 200, 30)
 	repBC := hop(t, B, C, "guest")
-	dC := check(C)
+	g.on(t, C)
 	if repBC.DiskIterations[0].Units != tBlocks {
 		t.Fatalf("hop to unknown host C sent %d blocks, want full", repBC.DiskIterations[0].Units)
 	}
 
-	write(dC, 300, 20)
+	g.write(t, 300, 20)
 	repCA := hop(t, C, A, "guest")
-	check(A)
+	g.on(t, A)
 	// Incremental: A diverges by the writes made on B (30) and C (20) only.
 	sent := repCA.DiskIterations[0].Units
 	if sent != 50 {
@@ -266,15 +282,8 @@ func TestHostdStripedHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadow := blockdev.NewMemDisk(tBlocks, blockdev.BlockSize)
-	buf := make([]byte, blockdev.BlockSize)
-	for i := 0; i < 600; i++ {
-		workload.FillBlock(buf, i, 5)
-		if err := d.Submit(blockdev.Request{Op: blockdev.Write, Block: i, Domain: d.VM().DomainID, Data: buf}); err != nil {
-			t.Fatal(err)
-		}
-		shadow.WriteBlock(i, buf)
-	}
+	g := shadow(t, d)
+	g.write(t, 0, 600)
 
 	cfg := core.Config{Streams: 4, MaxExtentBlocks: 32, Workers: 3}
 	l, err := transport.Listen("127.0.0.1:0")
@@ -297,17 +306,7 @@ func TestHostdStripedHop(t *testing.T) {
 	if rep.DiskIterations[0].Units != tBlocks {
 		t.Fatalf("sent %d blocks, want full disk", rep.DiskIterations[0].Units)
 	}
-	dom, ok := B.Domain("guest")
-	if !ok {
-		t.Fatal("guest not hosted on B")
-	}
-	diffs, err := blockdev.Diff(dom.Disk(), shadow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diffs) != 0 {
-		t.Fatalf("striped hop corrupted %d blocks", len(diffs))
-	}
+	dom := g.on(t, B)
 	if dom.Vault() == nil {
 		t.Fatal("vault not shipped over striped bundle")
 	}
@@ -325,15 +324,8 @@ func TestHostdCompressedHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadow := blockdev.NewMemDisk(tBlocks, blockdev.BlockSize)
-	buf := make([]byte, blockdev.BlockSize)
-	for i := 0; i < 400; i++ {
-		workload.FillBlock(buf, i, 3)
-		if err := d.Submit(blockdev.Request{Op: blockdev.Write, Block: i, Domain: d.VM().DomainID, Data: buf}); err != nil {
-			t.Fatal(err)
-		}
-		shadow.WriteBlock(i, buf)
-	}
+	g := shadow(t, d)
+	g.write(t, 0, 400)
 	l, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -350,17 +342,7 @@ func TestHostdCompressedHop(t *testing.T) {
 	if err := <-resCh; err != nil {
 		t.Fatalf("compressed serve: %v", err)
 	}
-	dom, ok := B.Domain("guest")
-	if !ok {
-		t.Fatal("guest not hosted on B")
-	}
-	diffs, err := blockdev.Diff(dom.Disk(), shadow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diffs) != 0 {
-		t.Fatalf("compressed hop corrupted %d blocks", len(diffs))
-	}
+	g.on(t, B)
 }
 
 // TestHostdCompressMismatchFails: a receiver pinned to a different level
@@ -457,14 +439,27 @@ func TestHostdLiveStatus(t *testing.T) {
 }
 
 // flakyProxy forwards TCP connections to backend, cutting the first
-// connection after capBytes of client→backend traffic; later connections
-// pass through untouched. It models a link flap between two host daemons.
+// connection after capBytes of client→backend traffic, or when cut is called;
+// later connections pass through untouched. It models a link flap between two
+// host daemons.
 type flakyProxy struct {
 	l       net.Listener
 	backend string
 	cap     int64
 	first   sync.Once
 	wg      sync.WaitGroup
+
+	mu   sync.Mutex
+	kill func() // the first connection's, once it is open
+}
+
+// cut kills the first connection now.
+func (p *flakyProxy) cut() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.kill != nil {
+		p.kill()
+	}
 }
 
 func newFlakyProxy(t *testing.T, backend string, capBytes int64) *flakyProxy {
@@ -509,6 +504,11 @@ func (p *flakyProxy) forward(client net.Conn, flaky bool) {
 		client.Close()
 		server.Close()
 	}
+	if flaky {
+		p.mu.Lock()
+		p.kill = kill
+		p.mu.Unlock()
+	}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -538,15 +538,8 @@ func TestHostdResumableHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadow := blockdev.NewMemDisk(tBlocks, blockdev.BlockSize)
-	buf := make([]byte, blockdev.BlockSize)
-	for i := 100; i < 400; i++ {
-		workload.FillBlock(buf, i, 1)
-		if err := d.Submit(blockdev.Request{Op: blockdev.Write, Block: i, Domain: d.VM().DomainID, Data: buf}); err != nil {
-			t.Fatal(err)
-		}
-		shadow.WriteBlock(i, buf)
-	}
+	g := shadow(t, d)
+	g.write(t, 100, 300)
 
 	l, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
@@ -576,17 +569,7 @@ func TestHostdResumableHop(t *testing.T) {
 	if rep.Retries < 1 {
 		t.Fatalf("migration survived %d retries, want ≥ 1 (fault never fired?)", rep.Retries)
 	}
-	dom, ok := B.Domain("guest")
-	if !ok {
-		t.Fatal("guest not hosted on B")
-	}
-	diffs, err := blockdev.Diff(dom.Disk(), shadow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diffs) != 0 {
-		t.Fatalf("%d blocks differ from truth after resumed hop", len(diffs))
-	}
+	dom := g.on(t, B)
 	if len(A.Domains()) != 0 {
 		t.Fatal("domain still on A after a successful (resumed) migration")
 	}
@@ -594,5 +577,53 @@ func TestHostdResumableHop(t *testing.T) {
 	// incremental.
 	if dom.Vault() == nil {
 		t.Fatal("vault missing after resumed hop")
+	}
+}
+
+// TestHostdRetryAfterFailedReturn: an incremental return that dies mid-link
+// leaves both machines fit to retry it. A→B, forty writes on B, then a B→A
+// return whose link is cut at the freeze: B has frozen the guest, A has
+// written the forty blocks but never resumed it. B must run the guest again
+// (not leave it frozen), and A must still hold its copy as the return's base
+// (not drop it with the failed attempt), so the clean retry moves the same
+// forty blocks and lands A's disk exactly.
+func TestHostdRetryAfterFailedReturn(t *testing.T) {
+	A, B := NewMachine("A"), NewMachine("B")
+	d, err := A.CreateDomain("guest", tBlocks, tPages, workload.Web, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := shadow(t, d)
+	g.write(t, 0, tBlocks) // a disk a fresh volume is no stand-in for
+	hop(t, A, B, "guest")
+	g.on(t, B)
+	g.write(t, 100, 40)
+
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	proxy := newFlakyProxy(t, l.Addr().String(), 1<<40)
+	defer proxy.close()
+	resCh := make(chan error, 1)
+	go func() {
+		_, err := A.ServeOne(l, core.Config{})
+		resCh <- err
+	}()
+	if _, err := B.MigrateOut("guest", A.Name, proxy.addr(), core.Config{OnFreeze: proxy.cut}); err == nil {
+		t.Fatal("return over a cut link succeeded")
+	}
+	if err := <-resCh; err == nil {
+		t.Fatal("A accepted a return over a cut link")
+	}
+	if dB, ok := B.Domain("guest"); !ok || dB.VM().State() != vm.Running {
+		t.Fatalf("after the failed return the guest is hosted on B: %v, running: %v", ok, ok && dB.VM().State() == vm.Running)
+	}
+
+	rep := hop(t, B, A, "guest")
+	g.on(t, A)
+	if sent := rep.DiskIterations[0].Units; sent != 40 {
+		t.Fatalf("retry sent %d blocks, want the 40 divergent", sent)
 	}
 }

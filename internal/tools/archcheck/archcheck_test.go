@@ -1,0 +1,190 @@
+package archcheck
+
+import (
+	"bytes"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+var repoRoot = filepath.Join("..", "..", "..")
+
+// coreLineBudget bounds internal/core's non-test lines, counted as
+// `cat *.go | wc -l` counts them. It only grows in the PR that defends it.
+const coreLineBudget = 4961
+
+// source is one package's non-test files, parsed.
+type source struct {
+	fset  *token.FileSet
+	files []*ast.File
+	lines int
+}
+
+func parse(t *testing.T, dir string) source {
+	t.Helper()
+	src := source{fset: token.NewFileSet()}
+	paths, err := filepath.Glob(filepath.Join(repoRoot, dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		if strings.HasSuffix(p, "_test.go") {
+			continue
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := parser.ParseFile(src.fset, p, data, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.files = append(src.files, f)
+		src.lines += bytes.Count(data, []byte("\n"))
+	}
+	return src
+}
+
+// inspect calls visit on every node, with the base name of its file.
+func (s source) inspect(visit func(file string, n ast.Node)) {
+	for _, f := range s.files {
+		name := filepath.Base(s.fset.Position(f.Pos()).Filename)
+		ast.Inspect(f, func(n ast.Node) bool {
+			visit(name, n)
+			return true
+		})
+	}
+}
+
+// method names the method a selector calls as pkg.Type.Method, or "".
+func method(info *types.Info, sel *ast.SelectorExpr) string {
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal {
+		return ""
+	}
+	recv := s.Recv()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil { // error.Error has no package
+		return ""
+	}
+	return named.Obj().Pkg().Name() + "." + named.Obj().Name() + "." + sel.Sel.Name
+}
+
+// msgName is the frame type constant e names, or "".
+func msgName(e ast.Expr) string {
+	if sel, ok := e.(*ast.SelectorExpr); ok && strings.HasPrefix(sel.Sel.Name, "Msg") {
+		return sel.Sel.Name
+	}
+	return ""
+}
+
+// TestArchitecture is the repository's structural contract, in place of the
+// grep guards CI used to run. Each rule names a thing there is one of; a
+// second one, whatever it is called, fails it.
+func TestArchitecture(t *testing.T) {
+	t.Run("hostd runs no engine loop", func(t *testing.T) {
+		// hostd owns connections and vaults, not transfer loops: a limiter, an
+		// extent walk or a want-bitmap walk there is a second copy of engine
+		// code.
+		hostd := parse(t, "internal/hostd")
+		hostd.inspect(func(file string, n ast.Node) {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			pkg, _ := sel.X.(*ast.Ident)
+			qualified := sel.Sel.Name
+			if pkg != nil {
+				qualified = pkg.Name + "." + qualified
+			}
+			switch {
+			case sel.Sel.Name == "NextExtent", qualified == "clock.NewRateLimiter", qualified == "dedup.WalkWant":
+				t.Errorf("%s: hostd calls %s: a second copy of engine code", hostd.fset.Position(call.Pos()), qualified)
+			}
+		})
+	})
+
+	core := parse(t, "internal/core")
+	info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	conf := types.Config{Importer: importer.ForCompiler(core.fset, "source", nil)}
+	if _, err := conf.Check("bbmig/internal/core", core.fset, core.files, info); err != nil {
+		t.Fatal(err)
+	}
+	calls, frames := map[string]int{}, map[string]int{}
+	spawns, queues := map[string]int{}, map[string]bool{}
+	core.inspect(func(file string, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+				calls[method(info, sel)]++
+			}
+		case *ast.KeyValueExpr: // Type: transport.Msg…, a frame built
+			if key, ok := n.Key.(*ast.Ident); ok && key.Name == "Type" {
+				frames[msgName(n.Value)]++
+			}
+		case *ast.AssignStmt: // m.Type = transport.Msg…, likewise
+			for i, lhs := range n.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Type" && i < len(n.Rhs) {
+					frames[msgName(n.Rhs[i])]++
+				}
+			}
+		case *ast.GoStmt:
+			spawns[file]++
+		case *ast.ChanType:
+			if id, ok := n.Value.(*ast.Ident); ok && id.Name == "job" {
+				queues[file] = true
+			}
+		}
+	})
+
+	t.Run("schemes are phase lists", func(t *testing.T) {
+		// The guest is frozen, resumed and announced as resumed from one step
+		// each, whatever the scheme; pre-copy and the freeze frame pages
+		// through one send path, which asks the base book for the form. None
+		// may be missing either: a rule that counts nothing has rotted.
+		for name, n := range map[string]int{
+			"vm.VM.Suspend": calls["vm.VM.Suspend"], "vm.VM.Resume": calls["vm.VM.Resume"],
+			"MsgResumed": frames["MsgResumed"], "MsgMemPage": frames["MsgMemPage"], "MsgMemPageDelta": frames["MsgMemPageDelta"],
+		} {
+			if n != 1 {
+				t.Errorf("internal/core: %d places do %s, want exactly 1", n, name)
+			}
+		}
+	})
+
+	t.Run("one walker, one lane pool", func(t *testing.T) {
+		// The source cuts extents in one walker and both endpoints run jobs on
+		// the pool in scatter.go; goroutines start only from an allow-list:
+		// the on-demand receive loop, the pool's lanes, the source's reader, a
+		// swarm fetch.
+		if n := calls["core.owedCursor.next"]; n != 1 {
+			t.Errorf("internal/core: %d calls cut extents off an owedCursor, want exactly 1", n)
+		}
+		if want := map[string]bool{"scatter.go": true}; !reflect.DeepEqual(queues, want) {
+			t.Errorf("internal/core: job queues in %v, want only %v", queues, want)
+		}
+		if want := map[string]int{"baselines.go": 1, "scatter.go": 1, "source.go": 1, "swarm.go": 1}; !reflect.DeepEqual(spawns, want) {
+			t.Errorf("internal/core: go statements per file %v, allowed %v", spawns, want)
+		}
+	})
+
+	t.Run("line budget", func(t *testing.T) {
+		if core.lines > coreLineBudget {
+			t.Errorf("internal/core has %d non-test lines, budget %d", core.lines, coreLineBudget)
+		}
+	})
+}

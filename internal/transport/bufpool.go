@@ -97,8 +97,8 @@ func PutBuf(b []byte) {
 	}
 	b = b[:c]
 	if bufPoison.Load() {
-		for i := range b {
-			b[i] = 0xDB
+		for i := copy(b, []byte{0xDB}); i < len(b); i *= 2 { // doubling copies: memmove speed
+			copy(b[i:], b[:i])
 		}
 	}
 	box := boxPool.Get().(*bufBox)
