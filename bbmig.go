@@ -36,7 +36,7 @@
 //     drain the pools.
 //   - Config.Readahead puts a queue that many extents deep between the
 //     walker's read lanes and its encode lanes, under any Workers and any
-//     negotiated encoder.
+//     encoder chain.
 //   - Config.Streams stripes data frames round-robin across N connections
 //     (DialStriped/AcceptStriped/NewStriped). Control frames are pinned to
 //     stream 0 behind a broadcast barrier, so SUSPEND/RESUME/ITER_END keep
@@ -87,16 +87,16 @@
 // (persisted alongside its retained disks), so evacuating a fleet of
 // template-provisioned clones between the same hosts ships fingerprints
 // instead of images — `bbench -exp dedup` models a clone-fleet evacuation
-// moving 5-10x fewer bytes. Dedup is negotiated like Streams and
-// CompressLevel: hostd carries it in the announce; raw engine users pass
-// -dedup (bbmig) or Config.Dedup on both sides.
+// moving 5-10x fewer bytes. Dedup is a source setting: the adverts and
+// references name themselves, and every destination answers them (hostd's
+// announce only hints it to ready the machine index first).
 //
 // # Fault tolerance and resumable migration
 //
 // By default a connection failure is fatal, matching the seed protocol.
 // Setting Config.MaxRetries (with a Config.Redial callback on the source
 // and a Config.WaitReconnect callback on the destination) makes the
-// migration resumable: the handshake negotiates a session token, the source
+// migration resumable: the source's HELLO offers a session token, the source
 // checkpoints a journal (pipeline cursor + pending bitmap — the paper's
 // persistent block-bitmap put to work) at phase and iteration boundaries,
 // and on a link failure it backs off, re-dials, and exchanges a resume
@@ -127,15 +127,16 @@
 // cluster` sweeps evacuation makespan and per-VM downtime against scheduler
 // concurrency at paper scale.
 //
-// # Negotiated vs local configuration
+// # The destination follows the source
 //
-// Three Config fields change the wire framing and must match on both
-// endpoints: Streams, CompressLevel, and Dedup. The hostd layer negotiates
-// all three automatically in its announce frame (a mismatched receiver
-// refuses before the engine handshake); raw engine users pass matching
-// values on both sides. Everything else — thresholds, Workers,
-// MaxExtentBlocks, BandwidthLimit, Policy, OnEvent and the lifecycle
-// hooks — is local-only and may differ freely between endpoints.
+// Nothing the engine can see on the wire is negotiated. CompressLevel is a
+// bit in the HELLO, Dedup and Delta frames name themselves, and a resumable
+// source offers its token in the HELLO, so a destination with the zero
+// Config follows whatever the source chose. Only Streams must match on both
+// endpoints, because the striped bundle is built before the engine runs;
+// the hostd layer carries it in its announce frame. Everything else —
+// thresholds, Workers, MaxExtentBlocks, BandwidthLimit, Policy, OnEvent and
+// the lifecycle hooks — is local and may differ freely between endpoints.
 //
 // Subpackages (internal/...) hold the substrates: bitmap, blockdev, blkback,
 // transport, vm, workload, metrics, and the paper-scale simulator sim. The

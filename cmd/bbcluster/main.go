@@ -13,7 +13,7 @@
 // pre-copy budget the in-flight migrations share, -max-total/-per-host set
 // the scheduler's concurrency caps, -presync runs the incremental pre-sync
 // leg before each drain cutover, -retries sets each migration's resume
-// budget, -dedup negotiates content-addressed transfer on every migration
+// budget, -dedup turns on content-addressed transfer on every migration
 // (each machine answers adverts from its shared fingerprint index), -swarm
 // additionally fans each dedup'd migration's want-set across peer machines
 // nominated by content overlap (up to -swarm-peers sidecar serve sessions,
@@ -57,7 +57,7 @@ func run(args []string, out io.Writer) error {
 	perHost := fs.Int("per-host", cluster.DefaultMaxPerHost, "per-host concurrent migration cap")
 	maxTotal := fs.Int("max-total", cluster.DefaultMaxTotal, "fleet-wide concurrent migration cap")
 	presync := fs.Bool("presync", false, "pre-sync each drain move so the cutover ships only the recent write set")
-	dedupFlag := fs.Bool("dedup", false, "negotiate content-addressed dedup on every migration and pre-sync")
+	dedupFlag := fs.Bool("dedup", false, "content-addressed dedup on every migration and pre-sync")
 	swarmFlag := fs.Bool("swarm", false, "fan each dedup'd migration's want-set across content-overlapping peer machines (implies nothing without -dedup)")
 	swarmPeers := fs.Int("swarm-peers", cluster.DefaultSwarmPeers, "max sidecar swarm-serve peers nominated per migration")
 	retries := fs.Int("retries", cluster.DefaultDrainRetries, "per-migration reconnect/resume budget")

@@ -260,7 +260,7 @@ func memDeltaMigrate(b *testing.B, wordTouch bool) {
 // tcpMigrate runs one full migration of a kernel-build image over loopback
 // TCP under cfg — the real-socket arm of the suite, where the pooled buffer
 // discipline and vectored sends show up as allocs/op and MB/s. Both
-// endpoints share cfg, so the negotiated knobs always match.
+// endpoints share cfg, so the stream counts always match.
 func tcpMigrate(b *testing.B, blocks int, cfg core.Config) {
 	srcDisk := kernelImage(blocks, 20000)
 	b.SetBytes(int64(blocks) * blockdev.BlockSize)

@@ -23,9 +23,10 @@
 // Parallel transfer: -streams N opens N TCP connections and stripes block
 // data across them, -extent-blocks M coalesces up to M contiguous blocks
 // per frame, -workers W reads and encodes (source) and applies (destination)
-// extents on W lanes, and -readahead R reads R extents ahead of the encoder. Both ends
-// must pass the same -streams value (like -compress / -compress-level,
-// which now ride in core.Config and are applied by the engine itself); the
+// extents on W lanes, and -readahead R reads R extents ahead of the encoder.
+// Both ends must pass the same -streams value: the bundle is built before
+// the migration starts. Everything else the receiver follows from the wire —
+// -compress / -compress-level, -dedup and -delta are sender flags. The
 // defaults keep the single-connection per-block wire format:
 //
 //	bbmig -mode recv -listen :7011 -image guest.img -streams 4
@@ -35,40 +36,40 @@
 // pre-copy iterations, wire-byte heartbeats, suspend/resume, post-copy
 // pulls) as the migration runs.
 //
-// Content-addressed dedup: -dedup (both ends must pass it, like -streams)
-// replaces literal disk transfer with the hash-advert/want-bitmap/reference
-// protocol — all-zero blocks are elided outright and any block whose
-// content the receiver can already produce (received earlier in the same
-// migration, or present on its disk) travels as a 16-byte reference:
+// Content-addressed dedup: -dedup on the sender replaces literal disk
+// transfer with the hash-advert/want-bitmap/reference protocol — all-zero
+// blocks are elided outright and any block whose content the receiver can
+// already produce (received earlier in the same migration, or present on
+// its disk) travels as a 16-byte reference:
 //
-//	bbmig -mode recv -listen :7011 -image guest.img -dedup
+//	bbmig -mode recv -listen :7011 -image guest.img
 //	bbmig -mode send -addr dst:7011 -image guest.img -dedup
 //
-// Swarm multi-source fetch: -swarm-peers (recv mode, needs -dedup) names
-// peer hostd swarm-serve addresses; blocks the source advertises that no
-// local content can produce are fetched from those peers over sidecar
+// Swarm multi-source fetch: -swarm-peers (recv mode) names peer hostd
+// swarm-serve addresses; when the sender dedups, blocks it advertises that
+// no local content can produce are fetched from those peers over sidecar
 // sessions, verified by fingerprint on arrival, and only the remainder
 // travels as literals from the source:
 //
-//	bbmig -mode recv -listen :7011 -image guest.img -dedup -swarm-peers peer1:7012,peer2:7012
+//	bbmig -mode recv -listen :7011 -image guest.img -swarm-peers peer1:7012,peer2:7012
 //
-// Delta encoding: -delta (both ends must pass it, like -dedup; hostd
-// negotiates it automatically via its announce) replaces literal transfer
-// of blocks whose stale counterpart the destination already holds with
+// Delta encoding: -delta on the sender replaces literal transfer of blocks
+// whose stale counterpart the destination already holds with
 // signature-priced COPY/LITERAL patches — the WAN-friendly path for
 // migrating an environment back home after a dwell, when divergence is
 // hot-block rewrites. -delta-chunk tunes the receiver-local signature
 // chunk size:
 //
-//	bbmig -mode recv -listen :7011 -image guest.img -delta
+//	bbmig -mode recv -listen :7011 -image guest.img
 //	bbmig -mode send -addr dst:7011 -image guest.img -delta -initial-bitmap fresh.bm
 //
 // Fault tolerance: -max-retries N makes the sender survive up to N
-// connection failures by resuming the negotiated session — the receiver
-// always offers a reconnect path — re-sending only the blocks the receiver
-// hasn't confirmed. -journal FILE persists the migration journal (pipeline
-// cursor + pending bitmap) at every checkpoint; after a sender crash,
-// -resume re-runs the migration incrementally from the journaled owed set:
+// connection failures by resuming the session its handshake offered — the
+// receiver always offers a reconnect path — re-sending only the blocks the
+// receiver hasn't confirmed. -journal FILE persists the migration journal
+// (pipeline cursor + pending bitmap) at every checkpoint; after a sender
+// crash, -resume re-runs the migration incrementally from the journaled owed
+// set:
 //
 //	bbmig -mode send -addr dst:7011 -image src.img -max-retries 5 -journal src.journal
 //	bbmig -mode send -addr dst:7011 -image src.img -journal src.journal -resume
@@ -106,16 +107,16 @@ func main() {
 		limitMbps  = flag.Int("limit-mbps", 0, "pre-copy bandwidth cap in Mbit/s (0 = unlimited)")
 		seed       = flag.Int64("seed", 1, "workload seed")
 		speedup    = flag.Float64("speedup", 1, "workload time compression factor")
-		compress   = flag.Bool("compress", false, "DEFLATE-compress the migration stream at the default level (both ends must agree)")
-		compLevel  = flag.Int("compress-level", 0, "explicit flate level -2..9 (overrides -compress; both ends must agree)")
+		compress   = flag.Bool("compress", false, "send: DEFLATE-compress the migration stream at the default level (the receiver follows)")
+		compLevel  = flag.Int("compress-level", 0, "send: explicit flate level -2..9, overrides -compress (the receiver follows)")
 		progress   = flag.Bool("progress", false, "print live phase/iteration/byte progress events")
 		streams    = flag.Int("streams", 1, "parallel transport connections (both ends must agree)")
 		extentBlk  = flag.Int("extent-blocks", 1, "send: max contiguous blocks coalesced per frame")
-		workers    = flag.Int("workers", 1, "send: read-and-encode lanes (device read, frame, compress, send) when nothing negotiated needs cursor order; recv: apply lanes")
+		workers    = flag.Int("workers", 1, "send: read-and-encode lanes (device read, frame, compress, send) unless -dedup or -delta needs cursor order; recv: apply lanes")
 		readahead  = flag.Int("readahead", 0, "send: extents read into pooled buffers ahead of the encoder, under any -workers (0 = sequential)")
-		dedupFlag  = flag.Bool("dedup", false, "content-addressed dedup: ship block fingerprints and references instead of known bytes (both ends must agree)")
-		swarmPeers = flag.String("swarm-peers", "", "recv: comma-separated peer swarm-serve addresses to fetch wanted blocks from (needs -dedup)")
-		deltaFlag  = flag.Bool("delta", false, "delta-encode blocks against the destination's stale copies (both ends must agree)")
+		dedupFlag  = flag.Bool("dedup", false, "send: content-addressed dedup: ship block fingerprints and references instead of known bytes (the receiver follows)")
+		swarmPeers = flag.String("swarm-peers", "", "recv: comma-separated peer swarm-serve addresses to fetch wanted blocks from when the sender dedups")
+		deltaFlag  = flag.Bool("delta", false, "send: delta-encode blocks against the destination's stale copies (the receiver follows)")
 		deltaChunk = flag.Int("delta-chunk", 0, "recv: signature chunk size in bytes (0 = default 128; local, travels inside each signature)")
 		initialBM  = flag.String("initial-bitmap", "", "send: bitmap file selecting blocks for an incremental migration")
 		freshBM    = flag.String("fresh-bitmap", "", "recv: file to save the fresh-write bitmap to (enables a later IM back)")
@@ -139,10 +140,6 @@ func main() {
 		journalPath: *journal, cacheBlocks: *cacheBlk,
 	}
 	if *swarmPeers != "" {
-		if !*dedupFlag {
-			fmt.Fprintln(os.Stderr, "bbmig: -swarm-peers needs -dedup")
-			os.Exit(2)
-		}
 		opts.swarmPeers = strings.Split(*swarmPeers, ",")
 	}
 	var err error
@@ -190,10 +187,11 @@ func openOrCreate(path string, sizeMB int) (*blockdev.FileDisk, error) {
 	return blockdev.CreateFileDisk(path, blocks, blockdev.BlockSize)
 }
 
-// xferOpts bundles the transfer-shape knobs shared by both endpoints.
-// Compression is no longer a connection-layer wrap here: it rides in
-// core.Config.CompressLevel and the engine decorates its own stream, so the
-// cmd layer only builds the raw (possibly striped) transport.
+// xferOpts bundles the transfer-shape knobs of both endpoints; each side
+// reads the ones that are its own. Compression is not a connection-layer
+// wrap here: it rides in core.Config.CompressLevel and the engine decorates
+// its own stream, so the cmd layer only builds the raw (possibly striped)
+// transport.
 type xferOpts struct {
 	streams       int
 	extentBlocks  int
@@ -362,8 +360,8 @@ func runSend(addr, image string, sizeMB, memMB int, wl string, limitMbps int, se
 		cfg.BandwidthLimit = int64(limitMbps) * 1e6 / 8
 	}
 	if cfg.MaxRetries > 0 {
-		// Reconnects re-dial a single plain stream; the engine re-applies
-		// compression and resumes the session on it.
+		// Reconnects re-dial a single plain stream; the engine resumes the
+		// session on it, compression and all.
 		cfg.Redial = func() (transport.Conn, error) {
 			c, err := transport.Dial(addr)
 			if err != nil {
@@ -434,8 +432,8 @@ func recvServe(l net.Listener, image string, sizeMB, memMB int, opts xferOpts, f
 	cfg.OnResume = func(g *blkback.PostCopyGate) {
 		fmt.Println("VM resumed here; post-copy synchronization running")
 	}
-	// Always offer a reconnect path: it only activates when the sender
-	// negotiates a resumable session in its handshake.
+	// Always offer a reconnect path: it only activates when the sender's
+	// HELLO offers a resumable session.
 	cfg.WaitReconnect = func(token transport.SessionToken, lastEpoch uint32) (transport.Conn, uint32, error) {
 		fmt.Println("link lost; waiting for the source to reconnect...")
 		return transport.AcceptResume(l, token, lastEpoch, transport.DefaultResumeWait)

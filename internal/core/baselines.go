@@ -45,10 +45,7 @@ func (s *sourceRun) diskPass(phaseName string, limited bool) (int, error) {
 // inside the freeze. The report's Downtime ≈ TotalTime, the defect that
 // motivates live migration.
 func MigrateFreezeAndCopySource(cfg Config, host Host, conn transport.Conn) (*metrics.Report, error) {
-	s, err := newSourceRun(cfg, host, conn, "freeze-and-copy")
-	if err != nil {
-		return s.rep, err
-	}
+	s := newSourceRun(cfg, host, conn, "freeze-and-copy")
 	return s.run([]phase{
 		{PhaseHandshake, s.startup},
 		{PhaseFreezeCopy, steps(
@@ -61,10 +58,7 @@ func MigrateFreezeAndCopySource(cfg Config, host Host, conn transport.Conn) (*me
 
 // MigrateFreezeAndCopyDest receives a freeze-and-copy migration.
 func MigrateFreezeAndCopyDest(cfg Config, host Host, conn transport.Conn) (*DestResult, error) {
-	d, err := newDestRun(cfg, host, conn, "freeze-and-copy-dest")
-	if err != nil {
-		return d.res, err
-	}
+	d := newDestRun(cfg, host, conn, "freeze-and-copy-dest")
 	return d.run([]phase{
 		{PhaseHandshake, d.acceptHandshake},
 		{PhaseFreezeCopy, d.receiveUntilResume(d.vmHandlers(), d.diskHandlers())},
@@ -80,10 +74,7 @@ func MigrateFreezeAndCopyDest(cfg Config, host Host, conn transport.Conn) (*Dest
 // defect the paper's push-and-pull avoids. The returned report's
 // ResidualDirty is filled by the destination side.
 func MigrateOnDemandSource(cfg Config, host Host, conn transport.Conn) (*metrics.Report, error) {
-	s, err := newSourceRun(cfg, host, conn, "on-demand")
-	if err != nil {
-		return s.rep, err
-	}
+	s := newSourceRun(cfg, host, conn, "on-demand")
 	return s.run([]phase{
 		{PhaseHandshake, s.startup},
 		{PhaseMemPreCopy, s.memPreCopy},
@@ -120,10 +111,7 @@ func (s *sourceRun) servePulls() error {
 // reports how many blocks were never localized (ResidualDirty — the blocks
 // whose loss would take the VM down with the source).
 func MigrateOnDemandDest(cfg Config, host Host, conn transport.Conn, release <-chan struct{}) (*DestResult, error) {
-	d, err := newDestRun(cfg, host, conn, "on-demand-dest")
-	if err != nil {
-		return d.res, err
-	}
+	d := newDestRun(cfg, host, conn, "on-demand-dest")
 	return d.run([]phase{
 		{PhaseHandshake, d.acceptHandshake},
 		{PhaseMemPreCopy, d.receiveUntilResume(d.vmHandlers(), d.iterHandlers(), d.bitmapHandler())},
@@ -197,10 +185,7 @@ func (f *DeltaForwarder) Deltas() int64 { return f.deltas.Load() }
 // pass while fwd forwards every write, then memory pre-copy, freeze, resume.
 // The destination replays the queued deltas with guest I/O blocked.
 func MigrateDeltaSource(cfg Config, host Host, conn transport.Conn, fwd *DeltaForwarder) (*metrics.Report, error) {
-	s, err := newSourceRun(cfg, host, conn, "delta-forward")
-	if err != nil {
-		return s.rep, err
-	}
+	s := newSourceRun(cfg, host, conn, "delta-forward")
 	return s.run([]phase{
 		{PhaseHandshake, steps(s.startup, func() error {
 			// Forward every write from now on; the full-disk pass races
@@ -243,10 +228,7 @@ func MigrateDeltaSource(cfg Config, host Host, conn transport.Conn, fwd *DeltaFo
 // redundant rewrites of the same block — the cost the paper's block-bitmap
 // eliminates.
 func MigrateDeltaDest(cfg Config, host Host, conn transport.Conn) (*DestResult, error) {
-	d, err := newDestRun(cfg, host, conn, "delta-forward-dest")
-	if err != nil {
-		return d.res, err
-	}
+	d := newDestRun(cfg, host, conn, "delta-forward-dest")
 	// The queue keeps each MsgDelta frame whole: recvLoop leaves that one
 	// payload to its handler, and the replay releases it once applied. The
 	// iteration markers bound nothing here — the replay orders every write.

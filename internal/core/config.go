@@ -59,20 +59,14 @@ type ReconnectFunc func(token transport.SessionToken, lastEpoch uint32) (transpo
 
 // Config parameterizes a migration.
 //
-// Four fields are negotiated — both endpoints must agree or the handshake
-// fails: Streams (the striped connection count), CompressLevel (the stream
-// compression setting), Dedup (content-addressed transfer), and Delta
-// (rsync-style delta encoding). The hostd layer negotiates all four
-// automatically through its announce frame; raw engine users (cmd/bbmig,
-// tests) must pass matching values on both sides.
-// Swarm is a fourth announced capability, but a soft one: it permits the
-// destination to open sidecar peer sessions without changing a single byte
-// of the migration channel, so a mismatch degrades to single-source dedup
-// rather than failing the handshake.
-// Every other field is local-only: stop
-// conditions, Workers, MaxExtentBlocks, BandwidthLimit, Policy, and the
-// OnEvent/OnFreeze/OnResume hooks all produce frames any destination
-// accepts.
+// The destination follows the source: nothing the engine can see on the wire
+// is negotiated. CompressLevel, Dedup, Delta and MaxRetries are source-side
+// — compression is a bit in the HELLO, dedup and delta frames name
+// themselves, a resumable source offers its token in the HELLO — and a
+// destination with the zero Config accepts all of them. Streams alone must
+// match on both ends: striping is a connection-layer shape, built (by
+// cmd/bbmig, or by hostd from its announce) before the engine runs. Every
+// other field is local to the side that sets it.
 type Config struct {
 	// Clock paces and measures the run. Nil defaults to a wall clock.
 	Clock clock.Clock
@@ -130,12 +124,12 @@ type Config struct {
 	// read→send loop at one lane.
 	Readahead int
 
-	// CompressLevel, when non-zero, DEFLATE-compresses the migration stream
-	// at that flate level (-1 = flate default, 1 fastest … 9 best, -2
-	// Huffman-only). Both endpoints must use the same setting — it changes
-	// the wire framing — so it is negotiated: hostd carries it in the
-	// announce frame and rejects mismatches before the engine handshake.
-	// Zero (the default) keeps the seed's uncompressed wire format.
+	// CompressLevel, when non-zero on the source, DEFLATE-compresses the
+	// migration stream at that flate level (-1 = flate default, 1 fastest …
+	// 9 best, -2 Huffman-only). Source-side: the source's HELLO says so, and
+	// every frame after the HELLO_ACK, both ways, rides the compressed
+	// framing; the destination follows, compressing its replies at flate's
+	// default. Zero (the default) keeps the seed's uncompressed wire format.
 	CompressLevel int
 
 	// Dedup, when true, enables content-addressed deduplication for disk
@@ -146,23 +140,21 @@ type Config struct {
 	// (MsgBlockRef) materialized from the destination's fingerprint index —
 	// retained peer copies, clone siblings' disks, blocks received earlier
 	// in this migration, and the implicit zero block. All-zero runs are
-	// elided without a round trip. Like Streams and CompressLevel this is
-	// negotiated — both endpoints must agree or the destination rejects the
-	// unexpected frames; hostd carries it in the announce and an
-	// unconfigured receiver adopts the sender's choice. Dedup is the
+	// elided without a round trip. Source-side: every destination answers
+	// the frames, opening its dedup session at the first one. Dedup is the
 	// outermost stage of the source's extent encoder chain: the runs the
-	// destination wants go down the chain (to Delta when negotiated, else
-	// to the literal frame). Its frames must arrive in cursor order, so
-	// Workers does not parallelize the send; memory pages, freeze-and-copy,
-	// and post-copy pushes always travel literally. False (the default)
-	// keeps the seed wire format byte for byte.
+	// destination wants go down the chain (to Delta when set, else to the
+	// literal frame). Its frames must arrive in cursor order, so Workers does
+	// not parallelize the send; memory pages, freeze-and-copy, and post-copy
+	// pushes always travel literally. False (the default) keeps the seed wire
+	// format byte for byte.
 	Dedup bool
 
 	// DedupIndex is the destination-side fingerprint index consulted to
-	// answer hash adverts (ignored on the source). Nil with Dedup set
-	// builds a fresh per-migration index, which still elides zero blocks
-	// and deduplicates repeated content within the migration; hostd passes
-	// its machine-wide index so retained and clone-sibling disks dedup
+	// answer hash adverts (ignored on the source). Nil builds a fresh
+	// per-migration index at the first advert, which still elides zero
+	// blocks and deduplicates repeated content within the migration; hostd
+	// passes its machine-wide index so retained and clone-sibling disks dedup
 	// across migrations. The index may be shared between concurrent
 	// migrations — it is concurrency-safe and verify-on-read.
 	DedupIndex *dedup.Index
@@ -173,7 +165,7 @@ type Config struct {
 	// observations outlive the migration.
 	DedupName string
 
-	// Swarm, when true alongside Dedup, lets the destination fan its
+	// Swarm, when true on the destination, lets its dedup session fan the
 	// want-set across sidecar fetch sessions to peer host daemons before
 	// answering each hash advert: content a peer's index can produce (and
 	// verify on read) arrives over the peers' uplinks, the want bit clears,
@@ -185,7 +177,7 @@ type Config struct {
 	// main-channel wire format is byte-identical with or without it, and a
 	// block no peer produces simply stays wanted and falls back to a
 	// literal send from the source. False (the default) keeps dedup
-	// single-source.
+	// single-source. hostd sets it from its announce's swarm flag.
 	Swarm bool
 
 	// SwarmPeers lists the peer hostd swarm-serve addresses the destination
@@ -210,17 +202,13 @@ type Config struct {
 	// against its own content and verifies the patch's embedded strong hash
 	// before any byte lands; a mismatch is refused back to the source,
 	// which re-sends the extent literally before the pass ends — degraded,
-	// never wrong. Like Dedup this is negotiated: both endpoints must agree
-	// or the destination rejects the unexpected frames; hostd carries it in
-	// the announce and an unconfigured receiver adopts the sender's choice.
-	// Delta sits directly above the literal frame in the source's extent
-	// encoder chain, below Dedup: with both negotiated it sees exactly the
+	// never wrong. Source-side, like Dedup: every destination answers the
+	// frames. Delta sits directly above the literal frame in the source's
+	// extent encoder chain, below Dedup: with both set it sees exactly the
 	// blocks the destination's want-bitmap asked for, so exact matches
-	// travel as 16-byte references and near matches as patches. Its frames
-	// must arrive in cursor order, so Workers does not parallelize the
-	// send; memory pages, freeze-and-copy, and post-copy pushes always
-	// travel literally. False (the default) keeps the seed wire format byte
-	// for byte.
+	// travel as 16-byte references and near matches as patches. Cursor
+	// order, Workers and what always travels literally are as for Dedup.
+	// False (the default) keeps the seed wire format byte for byte.
 	Delta bool
 
 	// DeltaChunk is the signature chunk size in bytes used by the
@@ -248,8 +236,8 @@ type Config struct {
 	// block. Local-only.
 	OnEvent EventFunc
 
-	// MaxRetries, when positive, makes the source side resumable: the
-	// handshake negotiates a session token, progress is checkpointed at
+	// MaxRetries, when positive, makes the source side resumable: its HELLO
+	// offers a session token, progress is checkpointed at
 	// phase and iteration boundaries, and a connection failure re-dials
 	// (via Redial) up to MaxRetries times, re-entering the interrupted
 	// phase and sending only the blocks still owed instead of restarting.
@@ -267,16 +255,17 @@ type Config struct {
 	// failure (source side). The engine performs the session-resume
 	// exchange on the returned connection itself; the callback only
 	// supplies a fresh link (re-dialing TCP, rebuilding nothing else —
-	// resumed epochs always run on a single stream, though negotiated
-	// compression is re-applied by the engine). Required for MaxRetries to
+	// resumed epochs always run on a single stream, though compression
+	// carries over, above the rebind point). Required for MaxRetries to
 	// take effect. The engine closes superseded connections; the most
 	// recently returned one is the caller's to close after the migration
 	// ends.
 	Redial RedialFunc
 
-	// WaitReconnect, when non-nil, makes the destination side resumable: on
-	// a connection failure the engine parks here until the layer that owns
-	// the listener hands it the reconnecting source's fresh link. The
+	// WaitReconnect, when non-nil, makes the destination side resumable: it
+	// accepts a resumable source's token, and on a connection failure the
+	// engine parks here until the layer that owns the listener hands it the
+	// reconnecting source's fresh link. Destination-side. The
 	// callback must validate the MsgSessionResume frame itself (token
 	// match, epoch > lastEpoch — transport.AcceptResume does exactly this)
 	// and return the connection with the frame's epoch.

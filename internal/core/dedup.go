@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bbmig/internal/bitmap"
-	"bbmig/internal/blockdev"
 	"bbmig/internal/dedup"
 	"bbmig/internal/transport"
 )
@@ -112,22 +111,35 @@ type destDedup struct {
 	swarmBlocks int
 }
 
-// newDestDedup builds the session state, registering the destination VBD as
-// a lookup source so content received earlier in the migration deduplicates
-// later iterations.
-func newDestDedup(cfg Config, dev blockdev.Device) (*destDedup, error) {
-	idx := cfg.DedupIndex
-	if idx == nil {
-		idx = dedup.NewIndex(dev.BlockSize())
+// openDedup opens the destination's session at the first frame that needs
+// one — a dedup source's first disk frame is an advert or a zero-run
+// reference, so it observes every block it would have opened before the
+// handshake: the index, with this VBD registered as a lookup source so
+// content received earlier in the migration deduplicates later iterations,
+// and the swarm when it is on. It runs with the lanes drained, so every
+// write that observes into the session is handed to them after it exists.
+func (d *destRun) openDedup() error {
+	if d.dd != nil {
+		return nil
 	}
-	name := cfg.DedupName
+	idx := d.cfg.DedupIndex
+	if idx == nil {
+		idx = dedup.NewIndex(d.dev.BlockSize())
+	}
+	name := d.cfg.DedupName
 	if name == "" {
 		name = "self"
 	}
-	if err := idx.RegisterSource(name, dev); err != nil {
-		return nil, err
+	if err := idx.RegisterSource(name, d.dev); err != nil {
+		return err
 	}
-	return &destDedup{idx: idx, self: name}, nil
+	d.dd = &destDedup{idx: idx, self: name}
+	if d.cfg.Swarm && len(d.cfg.SwarmPeers) > 0 {
+		// Peers that fail to dial or refuse the hello drop out here; losing
+		// all of them just leaves the session single-source.
+		d.dd.swarm = dialSwarm(d.cfg, name, d.dev.BlockSize())
+	}
+	return nil
 }
 
 // observe records one applied block's content in the index. Called from
@@ -149,10 +161,13 @@ func (dd *destDedup) close() {
 }
 
 // checkFPExtent validates a MsgHashAdvert/MsgBlockRef frame against the
-// prepared VBD and decodes its fingerprints into the session's scratch,
-// valid until the next frame is checked.
+// prepared VBD, joins the dedup session, and decodes the frame's fingerprints
+// into the session's scratch, valid until the next frame is checked.
 func (d *destRun) checkFPExtent(m transport.Message) (bitmap.Extent, []dedup.Fingerprint, error) {
 	ext, err := splitExtent(m.Arg, d.dev)
+	if err == nil {
+		err = d.openDedup()
+	}
 	if err != nil {
 		return ext, nil, err
 	}

@@ -104,19 +104,6 @@ func TestDedupSharedIndexAcrossMigrations(t *testing.T) {
 	}
 }
 
-// TestDedupMismatchFailsCleanly pins the negotiation contract for raw
-// engine users: a dedup sender against a literal receiver must error out on
-// both sides, not corrupt anything.
-func TestDedupMismatchFailsCleanly(t *testing.T) {
-	_, _, srcErr, dstErr := newWorld(t).tpmPair(Config{Dedup: true}, Config{}, nil)
-	if dstErr == nil {
-		t.Fatal("literal destination accepted dedup frames")
-	}
-	if srcErr == nil {
-		t.Fatal("dedup source completed against a literal destination")
-	}
-}
-
 // TestDedupZeroElision pins the no-round-trip path: an all-zero disk must
 // travel as references alone, with wire bytes a small fraction of capacity.
 func TestDedupZeroElision(t *testing.T) {

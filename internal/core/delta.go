@@ -20,7 +20,7 @@ import (
 // refused back (MsgDeltaPatch, empty payload) and the source re-sends that
 // extent literally before the pass's fence — degraded, never wrong. The
 // delta encoder sits directly above the literal in the extent encoder chain
-// and below dedup, so with Dedup also negotiated it sees exactly the runs the
+// and below dedup, so with Dedup also set it sees exactly the runs the
 // want-bitmap asked for, composing the two. Memory pages, freeze-and-copy,
 // and post-copy pushes are never delta-encoded.
 
@@ -31,8 +31,8 @@ const deltaFenceArg = 0
 
 // deltaEncoder returns the chain stage that moves an extent through the
 // signature round trip. A patch no smaller than the content hands the extent
-// to next instead — frames any delta-negotiated destination accepts, so the
-// round trip gates cost, never correctness.
+// to next instead — frames every destination accepts, so the round trip
+// gates cost, never correctness.
 func (t *transfer) deltaEncoder(next extentEncoder, limited bool) extentEncoder {
 	var differ delta.Differ // table and patch scratch, reused extent to extent
 	return func(ext bitmap.Extent, data []byte) (int64, error) {

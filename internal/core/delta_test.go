@@ -151,19 +151,6 @@ func TestDeltaMismatchDegrades(t *testing.T) {
 	}
 }
 
-// TestDeltaNegotiationMismatchFailsCleanly pins the negotiation contract
-// for raw engine users: a delta sender against a literal receiver must
-// error out on both sides, not corrupt anything.
-func TestDeltaNegotiationMismatchFailsCleanly(t *testing.T) {
-	_, _, srcErr, dstErr := newWorld(t).tpmPair(Config{Delta: true}, Config{}, nil)
-	if dstErr == nil {
-		t.Fatal("literal destination accepted delta frames")
-	}
-	if srcErr == nil {
-		t.Fatal("delta source completed against a literal destination")
-	}
-}
-
 // TestDeltaUnderWorkload races a verified write workload against a
 // delta-negotiated migration: the shadow-truth check proves patch
 // application never writes stale or wrong bytes while the dirty set churns

@@ -32,16 +32,9 @@ type DestResult struct {
 // receive, post-copy — announced on cfg.OnEvent, so a host daemon can report
 // the live state of an inbound migration.
 func MigrateDest(cfg Config, host Host, conn transport.Conn) (*DestResult, error) {
-	d, err := newDestRun(cfg, host, conn, "TPM-dest")
-	if err != nil {
-		return d.res, err
-	}
-	// Only this scheme answers a reconnecting source and joins a dedup session.
+	d := newDestRun(cfg, host, conn, "TPM-dest")
+	// Only this scheme answers a reconnecting source.
 	d.destState = d.progressSnapshot
-	if err := d.openDedup(); err != nil {
-		return d.res, d.finish(err)
-	}
-	defer d.dd.close()
 	return d.run([]phase{
 		{PhaseHandshake, d.acceptHandshake},
 		// The destination cannot tell the disk, memory and freeze sub-phases
@@ -59,7 +52,7 @@ type destRun struct {
 
 	res         *DestResult
 	lanes       *lanePool
-	dd          *destDedup     // content-dedup session (nil unless negotiated)
+	dd          *destDedup     // content-dedup session (nil until the first dedup frame)
 	recvBlocks  int            // blocks landed in any form: literal, reference or patch
 	deltaBlocks int            // blocks landed as delta patches (Report.DeltaBlocks)
 	transferred *bitmap.Bitmap // the freeze bitmap, set by bitmapHandler
@@ -74,14 +67,15 @@ type destRun struct {
 }
 
 // newDestRun assembles the destination endpoint of scheme over conn.
-func newDestRun(cfg Config, host Host, conn transport.Conn, scheme string) (*destRun, error) {
-	tr, err := newTransfer(cfg.withDefaults(), host, conn, scheme, "dest")
-	return &destRun{transfer: tr, res: &DestResult{Report: tr.rep}}, err
+func newDestRun(cfg Config, host Host, conn transport.Conn, scheme string) *destRun {
+	tr := newTransfer(cfg.withDefaults(), host, conn, scheme, "dest")
+	return &destRun{transfer: tr, res: &DestResult{Report: tr.rep}}
 }
 
 // run executes the scheme's phase list and closes the report with what the
 // gate, when the scheme built one, and the dedup session counted.
 func (d *destRun) run(phases []phase) (*DestResult, error) {
+	defer func() { d.dd.close() }()
 	// Data frames are handed to the lane pool; every control frame drains
 	// it first, so iteration boundaries order cross-iteration rewrites exactly
 	// as a sequential loop would.
@@ -142,25 +136,6 @@ func (d *destRun) noteProgress(fn func(*destProgress)) {
 	d.progMu.Unlock()
 }
 
-// openDedup starts the destination's content-dedup session when negotiated,
-// fanning want-sets across peer daemons when the swarm is on.
-func (d *destRun) openDedup() error {
-	if !d.cfg.Dedup {
-		return nil
-	}
-	dd, err := newDestDedup(d.cfg, d.dev)
-	if err != nil {
-		return err
-	}
-	d.dd = dd
-	if d.cfg.Swarm && len(d.cfg.SwarmPeers) > 0 {
-		// Peers that fail to dial or refuse the hello drop out here; losing
-		// all of them just leaves the session single-source.
-		dd.swarm = dialSwarm(d.cfg, dd.self, d.dev.BlockSize())
-	}
-	return nil
-}
-
 // writeBlock lands one block on the VBD and, in a dedup session, records
 // its content in the index. Called from the pool's lanes.
 func (d *destRun) writeBlock(block int, data []byte) error {
@@ -174,8 +149,9 @@ func (d *destRun) writeBlock(block int, data []byte) error {
 }
 
 // diskHandlers returns the appliers for every frame that moves disk content
-// ahead of the freeze — literal data, and the dedup and delta dialogues when
-// negotiated. Disk pre-copy and pre-sync receive through the same table.
+// ahead of the freeze — literal data, and the dedup and delta dialogues,
+// which name themselves and are accepted whenever a source sends them. Disk
+// pre-copy and pre-sync receive through the same table.
 func (d *destRun) diskHandlers() frameHandlers {
 	write := blockSink(d.dev.BlockSize(), d.writeBlock) // bound once, not per frame
 	data := func(m transport.Message) error {
@@ -183,23 +159,17 @@ func (d *destRun) diskHandlers() frameHandlers {
 		d.noteRecvBlocks(ext.Start, ext.End())
 		return err
 	}
-	h := frameHandlers{transport.MsgBlockData: data, transport.MsgExtent: data}
-	if d.dd != nil {
-		// Both dedup frames drain the lane pool first: an advert's index
-		// lookups must see every literal already applied (and observed), and
-		// a reference materialized from this VBD must not race a queued
-		// write to its backing block.
-		h[transport.MsgHashAdvert] = d.drainOn(d.handleAdvert)
-		h[transport.MsgBlockRef] = d.drainOn(d.applyBlockRef)
+	// The dedup and delta frames drain the lane pool first: an advert's index
+	// lookups must see every literal already applied (and observed), a
+	// reference materialized from this VBD must not race a queued write to its
+	// backing block, a signature must summarize content with every queued
+	// literal already on the device, and a patch applies against (then
+	// overwrites) blocks a queued write may still own.
+	return frameHandlers{
+		transport.MsgBlockData: data, transport.MsgExtent: data,
+		transport.MsgHashAdvert: d.drainOn(d.handleAdvert), transport.MsgBlockRef: d.drainOn(d.applyBlockRef),
+		transport.MsgDeltaSig: d.drainOn(d.handleDeltaSig), transport.MsgDeltaPatch: d.drainOn(d.handleDeltaPatch),
 	}
-	if d.cfg.Delta {
-		// Delta frames drain too: a signature must summarize content with
-		// every queued literal already on the device, and a patch applies
-		// against (then overwrites) blocks a queued write may still own.
-		h[transport.MsgDeltaSig] = d.drainOn(d.handleDeltaSig)
-		h[transport.MsgDeltaPatch] = d.drainOn(d.handleDeltaPatch)
-	}
-	return h
 }
 
 // receiveUntilResume is the one receive step ahead of the resume: it applies

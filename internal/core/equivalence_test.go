@@ -219,10 +219,7 @@ func (w *world) runRacing(cfg Config, resendAll, wordTouch bool) (*metrics.Repor
 	}
 	cfg.OnResume = w.router.ResumeGate
 
-	s, err := newSourceRun(srcCfg, w.src, guest, "TPM")
-	if err != nil {
-		w.t.Fatal(err)
-	}
+	s := newSourceRun(srcCfg, w.src, guest, "TPM")
 	s.resendAll = resendAll
 	var rep *metrics.Report
 	w.migrate(

@@ -207,14 +207,11 @@ func TestAbortedMigrationLeavesNoDirtyEvidence(t *testing.T) {
 	retry.src = w.src
 	hot, bases := -1, -1
 	var s *sourceRun
-	s, err := newSourceRun(Config{OnEvent: func(ev Event) {
+	s = newSourceRun(Config{OnEvent: func(ev Event) {
 		if ev.Kind == EventPhaseEnd && ev.Phase == PhaseMemPreCopy {
 			hot, bases = s.pages.Hot(), s.pages.Bases()
 		}
 	}}, retry.src, retry.connSrc, "TPM")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rep *metrics.Report
 	retry.migrate(
 		func() (err error) { rep, err = s.run(s.tpmPhases(nil)); return err },

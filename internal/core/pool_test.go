@@ -48,6 +48,9 @@ func TestPoisonedPoolMigrations(t *testing.T) {
 		{name: "compressed-workers", cfg: Config{MaxExtentBlocks: 16, CompressLevel: -1, Workers: 4}},
 		{name: "dedup", cfg: Config{Dedup: true, MaxExtentBlocks: 16}},
 		{name: "dedup-striped", cfg: Config{Dedup: true, MaxExtentBlocks: 16, Streams: 4}},
+		// Four destination apply lanes record into the dedup session the
+		// receive loop opens at the first advert.
+		{name: "dedup-workers", cfg: Config{Dedup: true, MaxExtentBlocks: 16, Workers: 4}},
 		{name: "dedup-stale", cfg: Config{Dedup: true, MaxExtentBlocks: 16}, stale: true},
 		{name: "delta", cfg: Config{Delta: true, MaxExtentBlocks: 16}, stale: true},
 		{name: "dedup+delta", cfg: Config{Dedup: true, Delta: true, MaxExtentBlocks: 16}, stale: true},
@@ -190,10 +193,7 @@ func TestReadaheadComposesWithWorkers(t *testing.T) {
 	}
 	conn := heldConn{release: make(chan struct{})}
 	cfg := Config{Workers: workers, Readahead: readahead}.withDefaults() // one block per extent
-	tr, err := newDiskTransfer(cfg, dev, conn, "test", "source")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := newDiskTransfer(cfg, dev, conn, "test", "source")
 	type result struct {
 		sent int
 		err  error
@@ -252,10 +252,7 @@ func TestWorkersParallelizeReads(t *testing.T) {
 		dev := &rendezvousDisk{Device: blockdev.NewMemDisk(testBlocks, blockdev.BlockSize), want: 4, met: make(chan struct{}), giveUp: make(chan struct{})}
 		timer := time.AfterFunc(5*time.Second, func() { close(dev.giveUp) })
 		cfg := Config{Workers: 4, Readahead: readahead}.withDefaults()
-		tr, err := newDiskTransfer(cfg, dev, nullConn{}, "test", "source")
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := newDiskTransfer(cfg, dev, nullConn{}, "test", "source")
 		sent, _, err := tr.sendBlocks(allOf(bitmap.NewAllSet(testBlocks)), PhaseDiskPreCopy, false)
 		timer.Stop()
 		if err != nil || sent != testBlocks {
@@ -289,10 +286,7 @@ func BenchmarkSendBlocksSlowDevice(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d-readahead-%d", c.Workers, c.Readahead), func(b *testing.B) {
 			dev := slowDisk{blockdev.NewMemDisk(blocks, blockdev.BlockSize), 200 * time.Microsecond}
 			c.MaxExtentBlocks = 8
-			tr, err := newDiskTransfer(c.withDefaults(), dev, nullConn{}, "bench", "source")
-			if err != nil {
-				b.Fatal(err)
-			}
+			tr := newDiskTransfer(c.withDefaults(), dev, nullConn{}, "bench", "source")
 			for i := 0; i < b.N; i++ {
 				if _, _, err := tr.sendBlocks(allOf(bitmap.NewAllSet(blocks)), PhaseDiskPreCopy, false); err != nil {
 					b.Fatal(err)
@@ -311,10 +305,7 @@ func TestSendExtentsFirstErrorNoLeak(t *testing.T) {
 	errEncode := errors.New("encoder refused the extent")
 	w := newWorld(t) // for its pattern-filled disk
 	cfg := Config{Workers: 4, Readahead: 4, MaxExtentBlocks: 8}.withDefaults()
-	tr, err := newDiskTransfer(cfg, w.srcDisk, heldConn{}, "test", "source")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := newDiskTransfer(cfg, w.srcDisk, heldConn{}, "test", "source")
 	var calls atomic.Int64
 	var mu sync.Mutex
 	var torn []int

@@ -49,14 +49,11 @@ func (t *transfer) syncStats(blocks, dedupBlocks int) SyncStats {
 // consistent image of a live disk. owed is not modified.
 //
 // Honoured cfg fields: Clock, BandwidthLimit and Policy (pacing, re-read per
-// frame, and the live extent limit), MaxExtentBlocks, Readahead, and Dedup,
-// which must match the destination's.
+// frame, and the live extent limit), MaxExtentBlocks, Readahead, and Dedup.
+// A pre-sync has no HELLO, so it is never compressed.
 func SyncSource(cfg Config, dev blockdev.Device, conn transport.Conn, owed *bitmap.Bitmap) (SyncStats, error) {
 	cfg = cfg.withDefaults()
-	t, err := newDiskTransfer(cfg, dev, conn, phasePreSync, "source")
-	if err != nil {
-		return SyncStats{}, err
-	}
+	t := newDiskTransfer(cfg, dev, conn, phasePreSync, "source")
 	t.awaitReply = t.recvReply
 	sent, _, err := t.sendBlocks(allOf(owed), phasePreSync, true)
 	if err == nil {
@@ -90,20 +87,13 @@ func (t *transfer) recvReply(typ transport.MsgType, arg uint64) ([]byte, error) 
 // SyncDest applies one pre-sync session from conn to dev through the same
 // disk-frame appliers pre-copy receive uses, and acknowledges it once the
 // source's block count matches what landed. Honoured cfg fields: Clock,
-// Workers, and Dedup with DedupIndex/DedupName (Dedup must match the
-// source's).
+// Workers, and DedupIndex/DedupName for the dedup frames a source may send.
 func SyncDest(cfg Config, dev blockdev.Device, conn transport.Conn) (SyncStats, error) {
 	cfg = cfg.withDefaults()
-	t, err := newDiskTransfer(cfg, dev, conn, phasePreSync, "dest")
-	if err != nil {
-		return SyncStats{}, err
-	}
+	t := newDiskTransfer(cfg, dev, conn, phasePreSync, "dest")
 	d := &destRun{transfer: t, lanes: newLanePool(cfg.Workers, 0)}
 	defer d.lanes.close()
-	if err := d.openDedup(); err != nil {
-		return SyncStats{}, err
-	}
-	defer d.dd.close()
+	defer func() { d.dd.close() }()
 	handlers := d.diskHandlers()
 	handlers[transport.MsgDone] = d.drainOn(func(m transport.Message) error {
 		if int(m.Arg) != d.recvBlocks {
@@ -111,7 +101,7 @@ func SyncDest(cfg Config, dev blockdev.Device, conn transport.Conn) (SyncStats, 
 		}
 		return d.destSend(transport.Message{Type: transport.MsgDone, Arg: m.Arg})
 	})
-	err = d.recvLoop(transport.MsgDone, handlers)
+	err := d.recvLoop(transport.MsgDone, handlers)
 	refs := 0
 	if d.dd != nil {
 		refs = d.dd.refs

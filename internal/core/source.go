@@ -32,10 +32,7 @@ func MigrateSource(cfg Config, host Host, conn transport.Conn, initial *bitmap.B
 	if initial != nil {
 		scheme = "IM"
 	}
-	s, err := newSourceRun(cfg, host, conn, scheme)
-	if err != nil {
-		return s.rep, err
-	}
+	s := newSourceRun(cfg, host, conn, scheme)
 	return s.run(s.tpmPhases(initial))
 }
 
@@ -114,15 +111,14 @@ type sourceRun struct {
 	epochTried uint32 // highest epoch ever offered; epochs must never repeat
 }
 
-// newSourceRun assembles the source endpoint of scheme over conn. The report
-// carries the host's geometry even when the substrate cannot be built.
-func newSourceRun(cfg Config, host Host, conn transport.Conn, scheme string) (*sourceRun, error) {
-	tr, err := newTransfer(cfg.withDefaults(), host, conn, scheme, "source")
+// newSourceRun assembles the source endpoint of scheme over conn.
+func newSourceRun(cfg Config, host Host, conn transport.Conn, scheme string) *sourceRun {
+	tr := newTransfer(cfg.withDefaults(), host, conn, scheme, "source")
 	mem := host.VM.Memory()
 	tr.rep.DiskBytes = blockdev.Capacity(host.Backend.Device())
 	tr.rep.MemoryBytes = int64(mem.NumPages()) * int64(mem.PageSize())
 	tr.pages = vm.NewBaseBook(mem, tr.cfg.MemDirtyThreshold)
-	return &sourceRun{transfer: tr}, err
+	return &sourceRun{transfer: tr}
 }
 
 // run executes the scheme's phase list and closes the report. A list that
@@ -669,6 +665,12 @@ func (s *sourceRun) readLoop(done chan struct{}) {
 			s.doneCh <- fmt.Errorf("core: source read loop: %w", err)
 			return
 		}
+		// A reply to a request this source never makes comes from a lying peer.
+		if (m.Type == transport.MsgHashWant && !s.cfg.Dedup) ||
+			((m.Type == transport.MsgDeltaSig || m.Type == transport.MsgDeltaPatch) && !s.cfg.Delta) {
+			s.doneCh <- fmt.Errorf("core: %v answers a request this source never made", m.Type)
+			return
+		}
 		switch m.Type {
 		case transport.MsgPullRequest:
 			// Checked here, once, for every consumer of pullCh: a block number
@@ -678,26 +680,12 @@ func (s *sourceRun) readLoop(done chan struct{}) {
 				return
 			}
 			s.pullCh <- int(m.Arg)
-		case transport.MsgHashWant:
-			if !s.cfg.Dedup {
-				s.doneCh <- fmt.Errorf("core: HASH_WANT on a session without dedup")
-				return
-			}
-			s.postReply(m)
-		case transport.MsgDeltaSig:
-			if !s.cfg.Delta {
-				s.doneCh <- fmt.Errorf("core: DELTA_SIG on a session without delta")
-				return
-			}
+		case transport.MsgHashWant, transport.MsgDeltaSig:
 			s.postReply(m)
 		case transport.MsgDeltaPatch:
 			// A refusal: the destination could not verify a patch and wants
 			// the extent literally. Collected — never dropped — until the
 			// pass's fence re-sends the content.
-			if !s.cfg.Delta {
-				s.doneCh <- fmt.Errorf("core: DELTA_PATCH refusal on a session without delta")
-				return
-			}
 			s.deltaMu.Lock()
 			s.deltaNaks = append(s.deltaNaks, m.Arg)
 			s.deltaMu.Unlock()

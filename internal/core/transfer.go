@@ -15,7 +15,7 @@ import (
 )
 
 // This file is the transfer substrate every migration scheme composes:
-// connection decoration (metering, negotiated compression, policy pacing),
+// connection decoration (metering, compression, policy pacing),
 // the handshake, the block/extent/page send paths, the iterative pre-copy
 // scaffolding, and the destination-side frame appliers. TPM, IM, and the
 // three comparison baselines are phase lists over these primitives — they
@@ -80,7 +80,7 @@ type transfer struct {
 	// delta fence (MsgDeltaSig) — with a frame of type typ echoing arg, and
 	// returns its pooled payload. TPM/IM wire it to the read loop's mailbox,
 	// pre-sync to an inline Recv; schemes that leave it nil (the baselines)
-	// have no reply path and send literally whatever was negotiated.
+	// have no reply path and send literally whatever was configured.
 	awaitReply func(typ transport.MsgType, arg uint64) ([]byte, error)
 
 	// dedupBlocks and deltaBlocks count the blocks this source moved by
@@ -99,20 +99,19 @@ type transfer struct {
 // newTransfer assembles the substrate for one endpoint of a VM migration:
 // newDiskTransfer over the host's VBD, plus the host itself for the memory,
 // CPU and dirty-tracking phases.
-func newTransfer(cfg Config, host Host, conn transport.Conn, scheme, side string) (*transfer, error) {
-	t, err := newDiskTransfer(cfg, host.Backend.Device(), conn, scheme, side)
+func newTransfer(cfg Config, host Host, conn transport.Conn, scheme, side string) *transfer {
+	t := newDiskTransfer(cfg, host.Backend.Device(), conn, scheme, side)
 	t.host = host
-	return t, err
+	return t
 }
 
 // newDiskTransfer decorates conn and assembles the substrate over a bare
 // disk. cfg must already have defaults applied. The decorator order is meter
-// innermost (it counts actual wire bytes) with compression above it when
-// negotiated; a resumable session slips a rebindable shim underneath so a
-// reconnect swaps the dead link without disturbing metering or negotiated
-// compression. The transfer is never nil: on error it still carries the
-// (empty) report the entry points hand back.
-func newDiskTransfer(cfg Config, dev blockdev.Device, conn transport.Conn, scheme, side string) (*transfer, error) {
+// innermost (it counts actual wire bytes) with compression above it once the
+// HELLO asks for it; a resumable session slips a rebindable shim underneath
+// so a reconnect swaps the dead link without disturbing metering or
+// compression.
+func newDiskTransfer(cfg Config, dev blockdev.Device, conn transport.Conn, scheme, side string) *transfer {
 	t := &transfer{cfg: cfg, dev: dev, srcDev: dev, clk: cfg.Clock, pol: cfg.Policy, sess: &session{}}
 	t.rep = &metrics.Report{Scheme: scheme}
 	if (side == "source" && cfg.MaxRetries > 0) || (side != "source" && cfg.WaitReconnect != nil) {
@@ -121,17 +120,10 @@ func newDiskTransfer(cfg Config, dev blockdev.Device, conn transport.Conn, schem
 	}
 	t.meter = transport.NewMeter(conn)
 	t.conn = t.meter
-	if cfg.CompressLevel != 0 {
-		cc, err := transport.NewCompressedPolicy(t.meter, cfg.CompressLevel, t.pol.CompressPayload, t.pol.ObserveCompression)
-		if err != nil {
-			return t, err
-		}
-		t.conn = cc
-	}
 	t.pace = NewPacer(t.clk, func() int64 { return t.pol.PrecopyRate(cfg.BandwidthLimit) })
 	t.ev = newEmitter(cfg.OnEvent, t.clk, scheme, side)
 	t.start = t.clk.Now()
-	return t, nil
+	return t
 }
 
 // runPhases is the one phase runner: it executes phases from *cursor on,
@@ -189,10 +181,31 @@ func (t *transfer) noteWire() {
 	t.ev.noteBytes(t.meter.BytesSent() + t.meter.BytesReceived())
 }
 
-// handshake runs the HELLO/HELLO_ACK exchange from the source side. A
-// resumable source (MaxRetries > 0) appends a freshly minted session token
-// to the geometry payload; the destination's ack reports whether it will
-// honour resumes, and sessions the peer declines run fail-fast.
+// helloCompress is caps bit 0 of MsgHello.Arg, above the 32-bit protocol
+// version (WIRE.md §3).
+const helloCompress = 1 << 32
+
+// compressAfter stacks the compression decorator on the engine's connection
+// from the next frame on, both ways, when hello asks for it. level is the
+// flate level this side deflates at; inflating needs none.
+func (t *transfer) compressAfter(hello transport.Message, level int) error {
+	if hello.Arg&helloCompress == 0 {
+		return nil
+	}
+	cc, err := transport.NewCompressedPolicy(t.meter, level, t.pol.CompressPayload, t.pol.ObserveCompression)
+	if err == nil {
+		t.conn = cc
+	}
+	return err
+}
+
+// handshake runs the HELLO/HELLO_ACK exchange from the source side. Both
+// travel raw, so a refusal reads as one whatever the HELLO asked for; the
+// HELLO asks for compression, from the frame after the ack on, when
+// CompressLevel is set. A resumable source (MaxRetries > 0) appends a freshly
+// minted session token to the geometry payload; the destination's ack reports
+// whether it will honour resumes, and sessions the peer declines run
+// fail-fast.
 func (t *transfer) handshake() error {
 	dev := t.dev
 	mem := t.host.VM.Memory()
@@ -213,22 +226,31 @@ func (t *transfer) handshake() error {
 		t.sess.offered = true
 		gb = append(gb, token[:]...)
 	}
-	if err := t.send(transport.Message{Type: transport.MsgHello, Arg: transport.ProtocolVersion, Payload: gb}, false); err != nil {
+	hello := transport.Message{Type: transport.MsgHello, Arg: transport.ProtocolVersion, Payload: gb}
+	if t.cfg.CompressLevel != 0 {
+		hello.Arg |= helloCompress
+	}
+	if err := t.send(hello, false); err != nil {
 		return err
 	}
 	ack, err := t.conn.Recv()
 	if err != nil {
 		return fmt.Errorf("core: waiting for hello ack: %w", err)
 	}
-	if ack.Type != transport.MsgHelloAck {
+	switch ack.Type {
+	case transport.MsgHelloAck:
+	case transport.MsgError:
+		return fmt.Errorf("core: destination refused: %s", ack.Payload)
+	default:
 		return fmt.Errorf("core: unexpected handshake reply %v", ack.Type)
 	}
 	t.sess.setResumable(t.sess.offered && ack.Arg&transport.HelloAckResume != 0)
-	return nil
+	return t.compressAfter(hello, t.cfg.CompressLevel)
 }
 
 // acceptHandshake runs the destination side of the handshake, validating
-// version and geometry against the prepared VBD and VM shell.
+// version and geometry against the prepared VBD and VM shell and following
+// the HELLO's capability bits; one it does not know refuses the migration.
 func (t *transfer) acceptHandshake() error {
 	dev := t.dev
 	mem := t.host.VM.Memory()
@@ -239,8 +261,11 @@ func (t *transfer) acceptHandshake() error {
 	if hello.Type != transport.MsgHello {
 		return fmt.Errorf("core: expected HELLO, got %v", hello.Type)
 	}
-	if hello.Arg != transport.ProtocolVersion {
-		return fmt.Errorf("core: protocol version %d, want %d", hello.Arg, transport.ProtocolVersion)
+	if version := uint32(hello.Arg); version != transport.ProtocolVersion {
+		return fmt.Errorf("core: protocol version %d, want %d", version, transport.ProtocolVersion)
+	}
+	if caps := hello.Arg >> 32; caps&^(helloCompress>>32) != 0 {
+		return fmt.Errorf("core: HELLO capability bits %#x not understood", caps)
 	}
 	// A resumable source appends a 16-byte session token to the geometry.
 	// Accept it (and advertise resume support in the ack) only when this
@@ -274,7 +299,12 @@ func (t *transfer) acceptHandshake() error {
 			geom.NumPages, geom.PageSize, mem.NumPages(), mem.PageSize())
 	}
 	hello.Release() // token and geometry both copied out above
-	return t.send(transport.Message{Type: transport.MsgHelloAck, Arg: ackArg}, false)
+	if err := t.send(transport.Message{Type: transport.MsgHelloAck, Arg: ackArg}, false); err != nil {
+		return err
+	}
+	// Replies are acks, want-bitmaps and signatures: flate's default level
+	// serves them all.
+	return t.compressAfter(hello, 0)
 }
 
 // effectiveMaxExtent bounds an extent limit by what one frame may carry
@@ -398,13 +428,13 @@ type extentEncoder func(ext bitmap.Extent, data []byte) (int64, error)
 
 // sendBlocks streams the blocks cur yields and returns the count and payload
 // wire bytes. This is the one place the encoder chain is built: literal,
-// wrapped by delta when negotiated, wrapped by dedup when negotiated (so
+// wrapped by delta when configured, wrapped by dedup when configured (so
 // exact matches are claimed before near matches, and both before the
 // literal). The bare literal chain is order-free — within one pass every
 // block number appears at most once, so the destination may apply its frames
 // in any order — and is read and encoded on cfg.Workers lanes; a round-trip
 // stage needs its frames in cursor order and holds the chain to one. With
-// nothing negotiated and Workers and Readahead unset, the walker at the
+// no codec configured and Workers and Readahead unset, the walker at the
 // default extent limit of one block is wire-identical to the seed protocol.
 func (t *transfer) sendBlocks(cur *owedCursor, phaseName string, limited bool) (int, int64, error) {
 	var encode extentEncoder = func(ext bitmap.Extent, data []byte) (int64, error) {

@@ -267,41 +267,30 @@ func (m *Machine) CreateDomainOn(name string, dev blockdev.Device, pages int, ki
 	return d, nil
 }
 
-// clampCompress bounds a flate level to the engine's accepted range
-// (core.Config applies the same bounds), so the one-byte announce encoding
-// and the receiver's mismatch check see the value the engines will run.
-func clampCompress(level int) int {
-	if level < -2 {
-		return -2
-	}
-	if level > 9 {
-		return 9
-	}
-	return level
-}
-
 // announce is the first MsgAnnounce payload: identity, geometry, the
-// transport stream count the sender will open, the stream compression level
-// both engines must use (negotiated here so a mismatch fails the handshake
-// instead of corrupting the stream), and whether the sender will run a
-// resumable session (so the receiver arms its reconnect accept path before
-// the engine handshake offers the token).
+// transport stream count the sender will open (the bundle is built before
+// the engine runs), and two host-preparation hints. Everything the engine
+// can see on the wire — compression, dedup and delta frames, a resumable
+// session — it follows by itself; the hints only let the receiving host make
+// the most of it, and correctness never depends on them.
 type announce struct {
-	name     string
-	srcHost  string
-	geom     transport.Geometry
-	kind     workload.Kind
-	work     bool
-	streams  int
-	compress int
-	resume   bool
-	dedup    bool
-	swarm    bool
-	delta    bool
+	name    string
+	srcHost string
+	geom    transport.Geometry
+	kind    workload.Kind
+	work    bool
+	streams int
+	dedup   bool // ready the machine's fingerprint index: adverts will come
+	swarm   bool // the sender permits sidecar fetches from peer hosts
 }
 
-// announceHeaderLen is the fixed prefix before the variable-length fields.
-const announceHeaderLen = 12
+// announce header layout: the fixed prefix before the variable-length
+// fields, and the bits of its flags byte.
+const (
+	announceHeaderLen = 8
+	announceDedup     = 1 << 0
+	announceSwarm     = 1 << 1
+)
 
 func (a announce) marshal() ([]byte, error) {
 	gb, err := a.geom.MarshalBinary()
@@ -315,19 +304,12 @@ func (a announce) marshal() ([]byte, error) {
 	if a.work {
 		out[5] = 1
 	}
-	out[6] = byte(a.streams)        // 0 reads as 1: pre-striping senders
-	out[7] = byte(int8(a.compress)) // flate level, -2..9; 0 = uncompressed
-	if a.resume {
-		out[8] = 1
-	}
+	out[6] = byte(a.streams) // 0 reads as 1: pre-striping senders
 	if a.dedup {
-		out[9] = 1 // capability byte: content-addressed dedup frames will flow
+		out[7] |= announceDedup
 	}
 	if a.swarm {
-		out[10] = 1 // capability byte: destination may open sidecar swarm sessions
-	}
-	if a.delta {
-		out[11] = 1 // capability byte: delta sig/patch frames will flow
+		out[7] |= announceSwarm
 	}
 	out = append(out, a.name...)
 	out = append(out, a.srcHost...)
@@ -343,16 +325,16 @@ func unmarshalAnnounce(data []byte) (announce, error) {
 	nameLen := int(binary.LittleEndian.Uint16(data[0:]))
 	srcLen := int(binary.LittleEndian.Uint16(data[2:]))
 	a.kind = workload.Kind(data[4])
-	a.work = data[5] == 1
-	a.streams = int(data[6])
-	if a.streams < 1 {
-		a.streams = 1
+	if data[5] > 1 {
+		return a, fmt.Errorf("hostd: announce workload flag %d", data[5])
 	}
-	a.compress = int(int8(data[7]))
-	a.resume = data[8] == 1
-	a.dedup = data[9] == 1
-	a.swarm = data[10] == 1
-	a.delta = data[11] == 1
+	a.work = data[5] == 1
+	a.streams = max(int(data[6]), 1)
+	if flags := data[7]; flags&^(announceDedup|announceSwarm) != 0 {
+		return a, fmt.Errorf("hostd: announce flags %#x not understood", flags)
+	}
+	a.dedup = data[7]&announceDedup != 0
+	a.swarm = data[7]&announceSwarm != 0
 	const geomLen = 32
 	if len(data) != announceHeaderLen+nameLen+srcLen+geomLen {
 		return a, fmt.Errorf("hostd: announce length %d inconsistent", len(data))
@@ -394,14 +376,11 @@ func (m *Machine) MigrateOut(domainName, destHost, addr string, cfg core.Config)
 			BlockSize: d.disk.BlockSize(), NumBlocks: d.disk.NumBlocks(),
 			PageSize: mem.PageSize(), NumPages: mem.NumPages(),
 		},
-		kind:     d.workKind,
-		work:     d.hasWork,
-		streams:  streams,
-		compress: clampCompress(cfg.CompressLevel),
-		resume:   cfg.MaxRetries > 0,
-		dedup:    cfg.Dedup,
-		swarm:    cfg.Dedup && cfg.Swarm,
-		delta:    cfg.Delta,
+		kind:    d.workKind,
+		work:    d.hasWork,
+		streams: streams,
+		dedup:   cfg.Dedup,
+		swarm:   cfg.Dedup && cfg.Swarm,
 	}
 	ab, err := ann.marshal()
 	if err != nil {
@@ -423,9 +402,9 @@ func (m *Machine) MigrateOut(domainName, destHost, addr string, cfg core.Config)
 		conn = striped
 	}
 	// With retries enabled, each reconnect re-dials a single plain stream
-	// (resumed epochs trade striping for simplicity; compression is
-	// re-applied by the engine). cur tracks the live link so the vault
-	// ships over whatever connection the migration ended on.
+	// (resumed epochs trade striping for simplicity; compression carries
+	// over inside the engine). cur tracks the live link so the vault ships
+	// over whatever connection the migration ended on.
 	cur := conn
 	if cfg.MaxRetries > 0 {
 		cfg.Redial = func() (transport.Conn, error) {
@@ -525,35 +504,21 @@ func (m *Machine) receive(connp *transport.Conn, l net.Listener, cfg core.Config
 		}
 		conn, *connp = striped, striped
 	}
-	// Compression is negotiated by the announce: the sender names the level
-	// and a receiver configured with a conflicting one refuses before any
-	// engine frame crosses, rather than corrupting the stream. An
-	// unconfigured receiver adopts the sender's level.
-	if local := clampCompress(cfg.CompressLevel); local != 0 && local != ann.compress {
-		return nil, fmt.Errorf("hostd: compress level mismatch: sender %d, receiver %d", ann.compress, local)
-	}
-	cfg.CompressLevel = ann.compress
-	// Content dedup is a sender-declared capability the receiver adopts:
-	// any hostd can serve adverts from its machine index, so there is
-	// nothing to refuse. The index is readied before the engine runs so the
-	// first advert already sees every retained and clone-sibling disk.
-	cfg.Dedup = ann.dedup
+	// The engine follows compression, dedup, delta and resume from the wire.
+	// The dedup hint readies the machine index before the engine runs, so
+	// the first advert already sees every retained and clone-sibling disk;
+	// without it an advert is answered from a fresh per-migration index.
 	if ann.dedup {
 		cfg.DedupIndex = m.prepareDedup()
 		cfg.DedupName = diskSourceName(ann.name)
 	}
-	// Delta is likewise sender-declared and receiver-adopted: the receiver
-	// only ever answers signature requests from its own disk content, so
-	// there is nothing to refuse (its DeltaChunk stays a local knob — the
-	// chunk size travels inside every signature and patch).
-	cfg.Delta = ann.delta
 	// Swarm is announced permission, not obligation: the sender allows
 	// sidecar fetches, and this receiver engages them only when it actually
 	// has peer addresses — from the caller's config (the cluster passes its
 	// nominations there) or the machine's standing SetSwarmPeers list. An
 	// un-announced migration never opens sidecar sessions, whatever the
 	// receiver's configuration says.
-	if ann.dedup && ann.swarm {
+	if ann.swarm {
 		if len(cfg.SwarmPeers) == 0 {
 			cfg.SwarmPeers = m.swarmPeerList()
 		}
@@ -562,12 +527,12 @@ func (m *Machine) receive(connp *transport.Conn, l net.Listener, cfg core.Config
 		cfg.Swarm = false
 		cfg.SwarmPeers = nil
 	}
-	// A resumable sender reconnects to the same listener; the accept loop
-	// parks there until a connection opens with the session's resume frame
-	// and hands it (and the vault that follows the engine exchange) to the
-	// engine. cur tracks the live link across rebinds — the engine may
-	// recover from either its receive loop or a pull-send goroutine, so the
-	// holder is mutex-guarded.
+	// A resumable sender — its HELLO carries the token, the engine sees it —
+	// reconnects to the same listener; the accept loop parks there until a
+	// connection opens with the session's resume frame and hands it (and the
+	// vault that follows the engine exchange) to the engine. cur tracks the
+	// live link across rebinds — the engine may recover from either its
+	// receive loop or a pull-send goroutine, so the holder is mutex-guarded.
 	var curMu sync.Mutex
 	cur := conn
 	liveConn := func() transport.Conn {
@@ -578,17 +543,15 @@ func (m *Machine) receive(connp *transport.Conn, l net.Listener, cfg core.Config
 	// The caller's deferred Close must tear down the link the migration
 	// ended on, not the one it started on.
 	defer func() { *connp = liveConn() }()
-	if ann.resume {
-		cfg.WaitReconnect = func(token transport.SessionToken, lastEpoch uint32) (transport.Conn, uint32, error) {
-			c, epoch, err := transport.AcceptResume(l, token, lastEpoch, transport.DefaultResumeWait)
-			if err != nil {
-				return nil, 0, err
-			}
-			curMu.Lock()
-			cur = c
-			curMu.Unlock()
-			return c, epoch, nil
+	cfg.WaitReconnect = func(token transport.SessionToken, lastEpoch uint32) (transport.Conn, uint32, error) {
+		c, epoch, err := transport.AcceptResume(l, token, lastEpoch, transport.DefaultResumeWait)
+		if err != nil {
+			return nil, 0, err
 		}
+		curMu.Lock()
+		cur = c
+		curMu.Unlock()
+		return c, epoch, nil
 	}
 
 	m.mu.Lock()

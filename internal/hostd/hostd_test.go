@@ -91,13 +91,13 @@ func (s *shadowed) on(t *testing.T, m *Machine) *Domain {
 
 func TestAnnounceRoundTrip(t *testing.T) {
 	a := announce{
-		name:     "guest-7",
-		srcHost:  "machine-A",
-		geom:     transport.Geometry{BlockSize: 4096, NumBlocks: 100, PageSize: 4096, NumPages: 50},
-		kind:     workload.Diabolic,
-		work:     true,
-		streams:  3,
-		compress: -1,
+		name:    "guest-7",
+		srcHost: "machine-A",
+		geom:    transport.Geometry{BlockSize: 4096, NumBlocks: 100, PageSize: 4096, NumPages: 50},
+		kind:    workload.Diabolic,
+		work:    true,
+		streams: 3,
+		swarm:   true,
 	}
 	data, err := a.marshal()
 	if err != nil {
@@ -315,9 +315,9 @@ func TestHostdStripedHop(t *testing.T) {
 	}
 }
 
-// TestHostdCompressedHop negotiates stream compression through the announce
-// byte: the sender names a level, the unconfigured receiver adopts it, and
-// the migrated disk arrives intact.
+// TestHostdCompressedHop compresses a daemon-to-daemon hop: the sender
+// names a level, the unconfigured receiver follows its HELLO, and the
+// migrated disk arrives intact.
 func TestHostdCompressedHop(t *testing.T) {
 	A, B := NewMachine("A"), NewMachine("B")
 	d, err := A.CreateDomain("guest", tBlocks, tPages, workload.Web, 1, false)
@@ -333,7 +333,7 @@ func TestHostdCompressedHop(t *testing.T) {
 	defer l.Close()
 	resCh := make(chan error, 1)
 	go func() {
-		_, err := B.ServeOne(l, core.Config{}) // receiver unconfigured: adopts
+		_, err := B.ServeOne(l, core.Config{}) // receiver unconfigured: follows
 		resCh <- err
 	}()
 	if _, err := A.MigrateOut("guest", "B", l.Addr().String(), core.Config{CompressLevel: 6}); err != nil {
@@ -345,13 +345,18 @@ func TestHostdCompressedHop(t *testing.T) {
 	g.on(t, B)
 }
 
-// TestHostdCompressMismatchFails: a receiver pinned to a different level
-// must refuse the migration at the announce, before any engine frame.
-func TestHostdCompressMismatchFails(t *testing.T) {
+// TestHostdCompressFollowsSender: a receiver handed a flate level of its own
+// takes a migration compressed at another — the level is the sender's alone,
+// and the receiver's is ignored — and the guest runs on B with its disk
+// intact.
+func TestHostdCompressFollowsSender(t *testing.T) {
 	A, B := NewMachine("A"), NewMachine("B")
-	if _, err := A.CreateDomain("guest", tBlocks, tPages, workload.Web, 1, false); err != nil {
+	d, err := A.CreateDomain("guest", tBlocks, tPages, workload.Web, 1, false)
+	if err != nil {
 		t.Fatal(err)
 	}
+	g := shadow(t, d)
+	g.write(t, 0, 400)
 	l, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -362,16 +367,17 @@ func TestHostdCompressMismatchFails(t *testing.T) {
 		_, err := B.ServeOne(l, core.Config{CompressLevel: 9})
 		resCh <- err
 	}()
-	_, srcErr := A.MigrateOut("guest", "B", l.Addr().String(), core.Config{CompressLevel: 1})
-	dstErr := <-resCh
-	if dstErr == nil {
-		t.Fatal("receiver accepted a mismatched compress level")
+	if _, err := A.MigrateOut("guest", "B", l.Addr().String(), core.Config{CompressLevel: 1}); err != nil {
+		t.Fatalf("migrate out: %v", err)
 	}
-	if srcErr == nil {
-		t.Fatal("sender never noticed the refusal")
+	if err := <-resCh; err != nil {
+		t.Fatalf("serve: %v", err)
 	}
-	if d, ok := A.Domain("guest"); !ok || d.VM().State() != vm.Running {
-		t.Fatal("guest lost after refused migration")
+	if got := g.on(t, B).VM().State(); got != vm.Running {
+		t.Fatalf("guest state %v on B", got)
+	}
+	if _, ok := A.Domain("guest"); ok {
+		t.Fatal("guest still on A")
 	}
 }
 

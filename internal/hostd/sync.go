@@ -198,7 +198,7 @@ func (m *Machine) ServeSync(l net.Listener) (*SyncReport, error) {
 	// A dedup'd sync answers adverts from the machine index; the synced
 	// disk itself is a registered source, so content the peer copy already
 	// holds elsewhere (or clone siblings hold) never retransmits.
-	cfg := core.Config{Dedup: ann.dedup}
+	var cfg core.Config
 	if ann.dedup {
 		cfg.DedupIndex, cfg.DedupName = m.prepareDedup(), diskSourceName(ann.name)
 	}

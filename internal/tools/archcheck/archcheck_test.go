@@ -18,7 +18,7 @@ var repoRoot = filepath.Join("..", "..", "..")
 
 // coreLineBudget bounds internal/core's non-test lines, counted as
 // `cat *.go | wc -l` counts them. It only grows in the PR that defends it.
-const coreLineBudget = 4961
+const coreLineBudget = 4925
 
 // source is one package's non-test files, parsed.
 type source struct {
@@ -116,6 +116,41 @@ func TestArchitecture(t *testing.T) {
 				t.Errorf("%s: hostd calls %s: a second copy of engine code", hostd.fset.Position(call.Pos()), qualified)
 			}
 		})
+	})
+
+	t.Run("hostd negotiates nothing the engine sees", func(t *testing.T) {
+		// The destination engine follows compression, dedup and delta frames
+		// and a resumable HELLO by itself, and MigrateOut hands the caller's
+		// config to the engine untouched: a hostd that names these knobs, or
+		// an announce that carries them, is a second negotiation.
+		hostd := parse(t, "internal/hostd")
+		announced := false
+		hostd.inspect(func(file string, n ast.Node) {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if n.Name == "CompressLevel" || n.Name == "Delta" {
+					t.Errorf("%s: hostd names %s", hostd.fset.Position(n.Pos()), n.Name)
+				}
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || n.Name.Name != "announce" {
+					return
+				}
+				announced = true
+				for _, f := range st.Fields.List {
+					for _, name := range f.Names {
+						for _, knob := range []string{"compress", "resume", "delta"} {
+							if strings.Contains(strings.ToLower(name.Name), knob) {
+								t.Errorf("%s: announce field %s carries what the engine negotiates", hostd.fset.Position(name.Pos()), name.Name)
+							}
+						}
+					}
+				}
+			}
+		})
+		if !announced {
+			t.Error("internal/hostd: no announce struct: the rule has rotted")
+		}
 	})
 
 	core := parse(t, "internal/core")

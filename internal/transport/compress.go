@@ -190,7 +190,7 @@ func (c *Compressed) Recv() (Message, error) {
 		if err := d.fr.(flate.Resetter).Reset(d.br, nil); err != nil {
 			return m, fmt.Errorf("transport: decompress reset: %w", err)
 		}
-		out, err := readAllPooled(d.fr, len(body)*4)
+		out, err := readAllPooled(d.fr, len(body)*4, MaxPayload)
 		d.br.Reset(nil) // an idle decompressor must not pin the wire buffer it last read
 		inflaters.Put(d)
 		if err != nil {
@@ -205,17 +205,17 @@ func (c *Compressed) Recv() (Message, error) {
 }
 
 // readAllPooled reads r to EOF into a pooled buffer sized by hint, growing
-// through pool classes as needed. The caller owns the returned buffer.
-func readAllPooled(r io.Reader, hint int) ([]byte, error) {
-	if hint < 1<<12 {
-		hint = 1 << 12
-	}
-	out := GetBuf(hint)
+// through pool classes as needed, and fails as soon as r yields more than
+// limit bytes — holding at most limit+1 of them, so a small deflate bomb
+// costs one frame's worth of memory, not what it would inflate to. The
+// caller owns the returned buffer.
+func readAllPooled(r io.Reader, hint, limit int) ([]byte, error) {
+	out := GetBuf(min(max(hint, 1<<12), limit+1))
 	out = out[:cap(out)]
 	n := 0
 	for {
 		if n == len(out) {
-			grown := GetBuf(2 * len(out))
+			grown := GetBuf(min(2*len(out), limit+1))
 			grown = grown[:cap(grown)]
 			copy(grown, out[:n])
 			PutBuf(out)
@@ -223,6 +223,10 @@ func readAllPooled(r io.Reader, hint int) ([]byte, error) {
 		}
 		k, err := r.Read(out[n:])
 		n += k
+		if n > limit {
+			PutBuf(out)
+			return nil, fmt.Errorf("payload inflates past %d bytes", limit)
+		}
 		if err == io.EOF {
 			return out[:n], nil
 		}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"compress/flate"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -110,6 +111,92 @@ func TestCompressedRejectsGarbageMarker(t *testing.T) {
 	if _, err := cb.Recv(); err == nil {
 		t.Fatal("corrupt deflate stream accepted")
 	}
+}
+
+// deflated is a compressed-stream frame payload: the deflate marker, then
+// the flate stream of each chunk in turn at the given level.
+func deflated(t testing.TB, level int, chunks ...[]byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteByte(compressDeflate)
+	fw, err := flate.NewWriter(&buf, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range chunks {
+		if _, err := fw.Write(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCompressedRecvBoundsInflation: a deflate frame of about 100 KB that
+// inflates to 100 MiB — a thousand times its size — fails the Recv like any
+// other frame past MaxPayload, instead of coming back as a payload no peer
+// may send.
+func TestCompressedRecvBoundsInflation(t *testing.T) {
+	zeros := make([]byte, 1<<20)
+	chunks := make([][]byte, 100)
+	for i := range chunks {
+		chunks[i] = zeros
+	}
+	bomb := deflated(t, flate.BestCompression, chunks...)
+	if len(bomb)*500 > 100<<20 {
+		t.Fatalf("the bomb is %d bytes: not the ~1000x case", len(bomb))
+	}
+	a, b := NewPipe(1)
+	defer a.Close()
+	cb, err := NewCompressed(b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Send(Message{Type: MsgExtent, Payload: bomb}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := cb.Recv(); err == nil {
+		t.Fatalf("a %d-byte frame came back as a %d-byte payload", len(bomb), len(m.Payload))
+	}
+}
+
+// FuzzCompressedRecv feeds Compressed.Recv arbitrary frame payloads — what a
+// peer's compressed stream can deliver. It must never panic, a payload it
+// accepts is within MaxPayload, and a raw-marker frame comes back as its
+// body, byte for byte.
+func FuzzCompressedRecv(f *testing.F) {
+	good := deflated(f, 1, bytes.Repeat([]byte("block "), 700))
+	f.Add([]byte{compressRaw})
+	f.Add([]byte{compressRaw, 1, 2, 3})
+	f.Add(good)
+	f.Add(good[:len(good)/2]) // a stream cut short
+	f.Add([]byte{compressDeflate, 0xff, 0xff})
+	f.Add([]byte{7}) // an unknown marker
+	f.Add([]byte{})  // no marker at all
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		a, b := NewPipe(1)
+		defer a.Close()
+		cb, err := NewCompressed(b, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Send(Message{Type: MsgExtent, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := cb.Recv()
+		if err != nil {
+			return
+		}
+		if len(m.Payload) > MaxPayload {
+			t.Fatalf("accepted a %d-byte payload", len(m.Payload))
+		}
+		if payload[0] == compressRaw && !bytes.Equal(m.Payload, payload[1:]) {
+			t.Fatalf("raw frame %x came back as %x", payload[1:], m.Payload)
+		}
+		m.Release()
+	})
 }
 
 func TestQuickCompressedRoundTrip(t *testing.T) {
