@@ -61,15 +61,14 @@
 //
 // # Policies
 //
-// The Policy interface owns the decisions the engine otherwise freezes in
-// constants: pre-copy stop conditions, the live extent coalescing limit,
-// per-payload compression verdicts, and pre-copy pacing. DefaultPolicy (the
-// nil default) reproduces the paper's behavior exactly — with the other
-// knobs at their defaults it is wire-identical to the seed protocol, which
-// a golden frame-trace test enforces. AdaptivePolicy grows the extent size
-// by slow start from observed throughput and gates compression attempts by
-// observed shrink ratio; on a latency-bound link it recovers the hand-tuned
-// configuration's throughput without anyone picking constants.
+// The Policy interface owns the decisions the engine cannot measure for
+// itself: pre-copy stop conditions, the live extent coalescing limit, and
+// pre-copy pacing. DefaultPolicy (the nil default) reproduces the paper's behavior
+// exactly — with the other knobs at their defaults it is wire-identical to
+// the seed protocol, which a golden frame-trace test enforces. AdaptivePolicy
+// grows the extent size by slow start from observed throughput; on a
+// latency-bound link it recovers the hand-tuned configuration's throughput
+// without anyone picking constants.
 //
 // # Content-addressed deduplication
 //
@@ -171,16 +170,16 @@ type DestResult = core.DestResult
 // Report carries the paper's §III-A metrics for one migration run.
 type Report = metrics.Report
 
-// Policy owns the runtime transfer decisions (stop conditions, extent size,
-// compression verdicts, pacing). Nil in Config selects DefaultPolicy.
+// Policy owns the runtime transfer decisions the engine cannot measure (stop
+// conditions, extent size, pacing). Nil in Config selects DefaultPolicy.
 type Policy = core.Policy
 
 // DefaultPolicy reproduces the paper's fixed behavior; it is wire-identical
 // to the seed protocol under the default Config.
 type DefaultPolicy = core.DefaultPolicy
 
-// AdaptivePolicy tunes extent size and compression from observed
-// dirty-rate vs. throughput. One instance per migration.
+// AdaptivePolicy grows the extent size by slow start from observed
+// throughput. One instance per migration.
 type AdaptivePolicy = core.AdaptivePolicy
 
 // IterationStat summarizes one pre-copy iteration for policy decisions.

@@ -824,7 +824,7 @@ func benchMigrateDedup(b *testing.B, mode string) {
 		pa, pb := transport.NewPipe(256)
 		var cs transport.Conn = transport.NewShaped(
 			transport.NewLatent(pa, frameStall),
-			clock.NewRateLimiter(clock.NewReal(), linkBps, linkBps/10))
+			clock.NewRateLimiter(clock.NewReal(), linkBps))
 		var cd transport.Conn = transport.NewLatent(pb, frameStall)
 		cfg := core.Config{MaxExtentBlocks: 64}
 		dcfg := cfg
@@ -992,11 +992,10 @@ func benchMigrateSwarm(b *testing.B) {
 		pa, pb := transport.NewPipe(256)
 		var cs transport.Conn = transport.NewShaped(
 			transport.NewLatent(pa, frameStall),
-			clock.NewRateLimiter(clock.NewReal(), linkBps, linkBps/10))
+			clock.NewRateLimiter(clock.NewReal(), linkBps))
 		var cd transport.Conn = transport.NewLatent(pb, frameStall)
 		cfg := core.Config{MaxExtentBlocks: 64, Dedup: true}
 		dcfg := cfg
-		dcfg.Swarm = true
 		dcfg.SwarmPeers = []string{l.Addr().String()}
 		errCh := make(chan error, 1)
 		repCh := make(chan *metrics.Report, 1)

@@ -220,7 +220,6 @@ func (o xferOpts) config() core.Config {
 		Dedup:           o.dedup,
 		Delta:           o.delta,
 		DeltaChunk:      o.deltaChunk,
-		Swarm:           len(o.swarmPeers) > 0,
 		SwarmPeers:      o.swarmPeers,
 		MaxRetries:      o.maxRetries,
 		RetryBackoff:    o.retryBackoff,

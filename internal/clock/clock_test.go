@@ -74,8 +74,8 @@ func TestVirtualConcurrent(t *testing.T) {
 
 func TestRateLimiterVirtualThroughput(t *testing.T) {
 	v := NewVirtual()
-	// 1 MB/s, 64KB burst
-	rl := NewRateLimiter(v, 1<<20, 64<<10)
+	// 1 MB/s, ~100KB burst
+	rl := NewRateLimiter(v, 1<<20)
 	start := v.Now()
 	total := 0
 	for i := 0; i < 100; i++ {
@@ -93,8 +93,8 @@ func TestRateLimiterVirtualThroughput(t *testing.T) {
 
 func TestRateLimiterLargeSingleWait(t *testing.T) {
 	v := NewVirtual()
-	rl := NewRateLimiter(v, 1000, 100) // 1000 B/s, tiny burst
-	rl.Wait(5000)                      // 5x burst: must drain in chunks, ~4.9s
+	rl := NewRateLimiter(v, 1000) // 1000 B/s, 100 B burst
+	rl.Wait(5000)                 // 50x burst: must drain in chunks, ~4.9s
 	if got := v.Now(); got < 4*time.Second || got > 6*time.Second {
 		t.Fatalf("Wait(5000) advanced %v, want ~4.9s", got)
 	}
@@ -102,7 +102,7 @@ func TestRateLimiterLargeSingleWait(t *testing.T) {
 
 func TestRateLimiterUnlimited(t *testing.T) {
 	v := NewVirtual()
-	rl := NewRateLimiter(v, Unlimited, 0)
+	rl := NewRateLimiter(v, Unlimited)
 	if d := rl.Wait(1 << 30); d != 0 || v.Now() != 0 {
 		t.Fatalf("unlimited limiter waited %v / advanced %v", d, v.Now())
 	}
@@ -110,7 +110,7 @@ func TestRateLimiterUnlimited(t *testing.T) {
 
 func TestRateLimiterZeroAndNegative(t *testing.T) {
 	v := NewVirtual()
-	rl := NewRateLimiter(v, 100, 10)
+	rl := NewRateLimiter(v, 100)
 	if rl.Wait(0) != 0 || rl.Wait(-5) != 0 {
 		t.Fatal("zero/negative Wait should be free")
 	}
@@ -118,7 +118,7 @@ func TestRateLimiterZeroAndNegative(t *testing.T) {
 
 func TestRateLimiterSetRate(t *testing.T) {
 	v := NewVirtual()
-	rl := NewRateLimiter(v, 1000, 1)
+	rl := NewRateLimiter(v, 1000)
 	if rl.Rate() != 1000 {
 		t.Fatalf("Rate = %d", rl.Rate())
 	}
@@ -138,13 +138,13 @@ func TestRateLimiterBadRatePanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewRateLimiter(NewVirtual(), 0, 0)
+	NewRateLimiter(NewVirtual(), 0)
 }
 
 func TestRateLimiterRealClockSmoke(t *testing.T) {
 	// Small real-time smoke test: 1 MB at 10 MB/s ≈ 100 ms.
 	c := NewReal()
-	rl := NewRateLimiter(c, 10<<20, 64<<10)
+	rl := NewRateLimiter(c, 10<<20)
 	start := time.Now()
 	for i := 0; i < 16; i++ {
 		rl.Wait(64 << 10)

@@ -16,8 +16,9 @@ const Unlimited = math.MaxInt64
 // impact on Bonnie++ throughput at the cost of ~37% longer pre-copy.
 //
 // Tokens are bytes. The bucket refills at bytesPerSec and holds at most
-// burst bytes. Wait(n) blocks (via the Clock) until n tokens are available;
-// n may exceed burst, in which case the call drains the bucket repeatedly.
+// burst bytes, always a tenth of a second of the current rate. Wait(n)
+// blocks (via the Clock) until n tokens are available; n may exceed burst,
+// in which case the call drains the bucket repeatedly.
 type RateLimiter struct {
 	mu          sync.Mutex
 	clk         Clock
@@ -27,18 +28,13 @@ type RateLimiter struct {
 	last        time.Duration
 }
 
-// NewRateLimiter returns a limiter over clk at bytesPerSec with the given
-// burst. A bytesPerSec of Unlimited returns a limiter whose Wait is free.
-func NewRateLimiter(clk Clock, bytesPerSec, burst int64) *RateLimiter {
+// NewRateLimiter returns a limiter over clk at bytesPerSec. A bytesPerSec of
+// Unlimited returns a limiter whose Wait is free.
+func NewRateLimiter(clk Clock, bytesPerSec int64) *RateLimiter {
 	if bytesPerSec <= 0 {
 		panic(fmt.Sprintf("clock: bad rate %d", bytesPerSec))
 	}
-	if burst <= 0 {
-		burst = bytesPerSec / 10
-		if burst == 0 {
-			burst = 1
-		}
-	}
+	burst := burstOf(bytesPerSec)
 	return &RateLimiter{
 		clk:         clk,
 		bytesPerSec: bytesPerSec,
@@ -48,6 +44,9 @@ func NewRateLimiter(clk Clock, bytesPerSec, burst int64) *RateLimiter {
 	}
 }
 
+// burstOf is the bucket size at bytesPerSec: a tenth of a second of it.
+func burstOf(bytesPerSec int64) int64 { return max(bytesPerSec/10, 1) }
+
 // Rate returns the configured bandwidth in bytes per second.
 func (r *RateLimiter) Rate() int64 {
 	r.mu.Lock()
@@ -55,8 +54,9 @@ func (r *RateLimiter) Rate() int64 {
 	return r.bytesPerSec
 }
 
-// SetRate changes the bandwidth. Existing tokens are kept (clamped to the
-// new burst).
+// SetRate changes the bandwidth and with it the burst: a limiter retuned to
+// a smaller share must not keep the burst of the larger one. Existing tokens
+// are kept, clamped to the new burst.
 func (r *RateLimiter) SetRate(bytesPerSec int64) {
 	if bytesPerSec <= 0 {
 		panic(fmt.Sprintf("clock: bad rate %d", bytesPerSec))
@@ -65,6 +65,8 @@ func (r *RateLimiter) SetRate(bytesPerSec int64) {
 	defer r.mu.Unlock()
 	r.refillLocked()
 	r.bytesPerSec = bytesPerSec
+	r.burst = burstOf(bytesPerSec)
+	r.tokens = min(r.tokens, float64(r.burst))
 }
 
 func (r *RateLimiter) refillLocked() {

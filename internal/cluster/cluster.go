@@ -113,7 +113,7 @@ type Options struct {
 	// each migration's want-set across peer machines: the scheduler
 	// nominates up to SwarmPeers members by placement's content-overlap
 	// data, starts a sidecar swarm-serve session on each (paced from the
-	// shared budget), and hands their addresses to the destination. Peers
+	// shared budget), and hands their addresses to both endpoints. Peers
 	// that hold nothing relevant just answer misses — the source's literal
 	// fallback covers them — so nomination optimizes bandwidth, never
 	// correctness.

@@ -446,15 +446,15 @@ func (c *Cluster) runJob(t *Ticket, src, dst *hostd.Machine, leave func()) {
 		t.mu.Unlock()
 	}
 
-	// Swarm fan-out: start sidecar serve sessions on nominated peers and
-	// allow them in the announce. With no willing peers the flag stays off
-	// and the migration runs exactly as before.
-	var swarmAddrs []string
+	// Swarm fan-out: start sidecar serve sessions on nominated peers; their
+	// addresses in the source config allow them in the announce. With no
+	// willing peers the migration runs exactly as before. Options.Swarm is
+	// the only switch: peers a job's own config names are dropped.
+	cfg.SwarmPeers = nil
 	if c.opts.Swarm && cfg.Dedup {
 		var stopPeers func()
-		swarmAddrs, stopPeers = c.startSwarmPeers(t)
+		cfg.SwarmPeers, stopPeers = c.startSwarmPeers(t)
 		defer stopPeers()
-		cfg.Swarm = len(swarmAddrs) > 0
 	}
 
 	l, err := c.opts.Listen()
@@ -471,7 +471,7 @@ func (c *Cluster) runJob(t *Ticket, src, dst *hostd.Machine, leave func()) {
 		// engages them only when the announce carries the swarm flag.
 		dcfg := core.Config{
 			Clock: cfg.Clock, Workers: cfg.Workers, MaxExtentBlocks: cfg.MaxExtentBlocks,
-			SwarmPeers: swarmAddrs,
+			SwarmPeers: cfg.SwarmPeers,
 		}
 		_, err := dst.ServeOne(l, dcfg)
 		destErr <- err

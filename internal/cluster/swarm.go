@@ -10,7 +10,7 @@ import (
 // content dedup, the scheduler nominates peer machines whose indexes
 // plausibly hold the moving domain's content, starts one sidecar
 // swarm-serve session per nominee (hostd.ServeSwarm, paced from the shared
-// budget), and hands the session addresses to the destination config. The
+// budget), and puts the session addresses in both endpoints' SwarmPeers. The
 // migration channel is untouched; tearing the sessions down just reverts
 // the migration to single-source dedup.
 

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"net"
+	"sync/atomic"
 	"testing"
 
 	"bbmig/internal/blockdev"
@@ -59,5 +61,51 @@ func TestClusterSwarmMigration(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("block %d landed wrong", i)
 		}
+	}
+}
+
+// TestClusterSwarmOffIgnoresJobPeers: Options.Swarm is the cluster's only
+// swarm switch. A job whose own config runs dedup and names a swarm peer
+// still migrates single-source when it is off — nobody dials the peer.
+func TestClusterSwarmOffIgnoresJobPeers(t *testing.T) {
+	peer, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dialed atomic.Int32
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			conn, err := peer.Accept()
+			if err != nil {
+				return
+			}
+			dialed.Add(1)
+			conn.Close()
+		}
+	}()
+
+	c := New(Options{})
+	ms := newFleet(t, c, 2, 4)
+	addDomain(t, ms[0], "guest", 64)
+	for _, m := range ms {
+		if _, err := c.Heartbeat(m.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := core.Config{Dedup: true, MaxExtentBlocks: 16, SwarmPeers: []string{peer.Addr().String()}}
+	tk, err := c.Submit(Job{Domain: "guest", From: "host0", To: "host1", Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = tk.Wait()
+	peer.Close()
+	<-accepted
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := dialed.Load(); n != 0 {
+		t.Fatalf("the destination dialed the job's swarm peer %d times with Options.Swarm off", n)
 	}
 }

@@ -30,9 +30,9 @@ import (
 
 // diskPass sends the whole disk once, paced or not, and books it as the only
 // disk iteration.
-func (s *sourceRun) diskPass(phaseName string, limited bool) (int, error) {
+func (s *sourceRun) diskPass(limited bool) (int, error) {
 	start := s.clk.Now()
-	sent, bytes, err := s.sendBlocks(allOf(bitmap.NewAllSet(s.dev.NumBlocks())), phaseName, limited)
+	sent, bytes, err := s.sendBlocks(allOf(bitmap.NewAllSet(s.dev.NumBlocks())), limited)
 	s.rep.DiskIterations = []metrics.Iteration{{Index: 1, Units: sent, Bytes: bytes, Duration: s.clk.Now() - start}}
 	return sent, err
 }
@@ -50,7 +50,7 @@ func MigrateFreezeAndCopySource(cfg Config, host Host, conn transport.Conn) (*me
 		{PhaseHandshake, s.startup},
 		{PhaseFreezeCopy, steps(
 			s.suspend,
-			func() error { _, err := s.diskPass(PhaseFreezeCopy, false); return err },
+			func() error { _, err := s.diskPass(false); return err },
 			func() error { return s.sendFinalPages(bitmap.NewAllSet(host.VM.Memory().NumPages())) },
 			s.sendCPU, s.orderResume, s.awaitResumed, s.waitDone)},
 	})
@@ -204,7 +204,7 @@ func MigrateDeltaSource(cfg Config, host Host, conn transport.Conn, fwd *DeltaFo
 			// so a consistent base image plus the delta replay reproduces
 			// the live disk exactly.
 			restore := s.snapshotForReads()
-			sent, err := s.diskPass(PhaseDeltaForward, true)
+			sent, err := s.diskPass(true)
 			restore()
 			if err != nil {
 				return err

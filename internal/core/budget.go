@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bbmig/internal/clock"
-	"bbmig/internal/transport"
 )
 
 // RateBudget divides a global pre-copy bandwidth budget among the
@@ -126,23 +125,13 @@ func (p *BudgetPolicy) ContinuePreCopy(st IterationStat) bool {
 }
 
 // ExtentBlocks delegates to the inner policy.
-func (p *BudgetPolicy) ExtentBlocks(phase string, configured int) int {
-	return p.inner().ExtentBlocks(phase, configured)
+func (p *BudgetPolicy) ExtentBlocks(configured int) int {
+	return p.inner().ExtentBlocks(configured)
 }
 
 // ObserveExtent delegates to the inner policy.
 func (p *BudgetPolicy) ObserveExtent(blocks int, wireBytes int64, d time.Duration) {
 	p.inner().ObserveExtent(blocks, wireBytes, d)
-}
-
-// CompressPayload delegates to the inner policy.
-func (p *BudgetPolicy) CompressPayload(kind transport.MsgType, size int) bool {
-	return p.inner().CompressPayload(kind, size)
-}
-
-// ObserveCompression delegates to the inner policy.
-func (p *BudgetPolicy) ObserveCompression(kind transport.MsgType, rawLen, wireLen int) {
-	p.inner().ObserveCompression(kind, rawLen, wireLen)
 }
 
 // PrecopyRate returns min(inner verdict, live budget share). Note the
@@ -165,8 +154,10 @@ func (p *BudgetPolicy) PrecopyRate(configured int64) int64 {
 // bucket built from the rate source's first verdict, retuned to the live
 // verdict before every frame, so a share that moves mid-transfer (a
 // RateBudget re-dividing as migrations come and go) takes effect on the next
-// frame. A sender whose first verdict is unlimited gets a nil Pacer, which
-// never blocks and never consults the source again.
+// frame. The burst is always a tenth of a second at the live rate: a sender
+// whose share shrank sends no more after an idle spell than one that started
+// at that share. A sender whose first verdict is unlimited gets a nil Pacer,
+// which never blocks and never consults the source again.
 type Pacer struct {
 	lim  *clock.RateLimiter
 	rate func() int64
@@ -179,7 +170,7 @@ func NewPacer(clk clock.Clock, rate func() int64) *Pacer {
 	if r <= 0 || r == clock.Unlimited {
 		return nil
 	}
-	return &Pacer{lim: clock.NewRateLimiter(clk, r, r/10), rate: rate}
+	return &Pacer{lim: clock.NewRateLimiter(clk, r), rate: rate}
 }
 
 // Wait blocks until a frame of n bytes may go at the live rate.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bbmig/internal/clock"
-	"bbmig/internal/transport"
 )
 
 func TestRateBudgetShare(t *testing.T) {
@@ -83,12 +82,8 @@ func TestBudgetPolicyPrecopyRate(t *testing.T) {
 	if !pt.ContinuePreCopy(IterationStat{Dirty: 10, Threshold: 1, Iteration: 1, MaxIterations: 4}) {
 		t.Fatal("delegated ContinuePreCopy verdict wrong")
 	}
-	if !pt.CompressPayload(transport.MsgBlockData, 4096) {
-		t.Fatal("delegated CompressPayload verdict wrong")
-	}
 	pt.ObserveExtent(1, 1, time.Millisecond)
-	pt.ObserveCompression(transport.MsgBlockData, 10, 10)
-	if got := pt.ExtentBlocks(PhaseDiskPreCopy, 8); got != 8 {
+	if got := pt.ExtentBlocks(8); got != 8 {
 		t.Fatalf("delegated ExtentBlocks %d", got)
 	}
 }
@@ -110,4 +105,30 @@ func TestBudgetSharedAcrossMigrations(t *testing.T) {
 		t.Fatalf("share %d after a peer left — the engine re-reads this per frame", got)
 	}
 	leave1()
+}
+
+// TestPacerBurstFollowsShare: a migration that started alone on a budget and
+// then had its share cut tenfold by nine peers joining may, after an idle
+// spell, send one tenth of a second of its new share without waiting — what
+// a migration that started at that share may — not a tenth of a second of
+// the share it started with.
+func TestPacerBurstFollowsShare(t *testing.T) {
+	const total = 100 << 20 // bytes/second
+	v := clock.NewVirtual()
+	b := NewRateBudget(total)
+	defer b.Join()()
+	p := NewPacer(v, b.Share)
+	for i := 0; i < 9; i++ {
+		defer b.Join()()
+	}
+	share := b.Share()
+	v.Advance(10 * time.Second)
+	const frame = 64 << 10
+	free := 0 // bytes through the pacer up to and including its first sleep
+	for start := v.Now(); v.Now() == start && free < total; free += frame {
+		p.Wait(frame)
+	}
+	if limit := int(share/10) + frame; free > limit {
+		t.Fatalf("%d bytes passed the pacer unpaced after the share fell to %d B/s; want at most %d", free, share, limit)
+	}
 }

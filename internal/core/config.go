@@ -129,7 +129,9 @@ type Config struct {
 	// 9 best, -2 Huffman-only). Source-side: the source's HELLO says so, and
 	// every frame after the HELLO_ACK, both ways, rides the compressed
 	// framing; the destination follows, compressing its replies at flate's
-	// default. Zero (the default) keeps the seed's uncompressed wire format.
+	// default. A payload that does not shrink goes out raw behind a one-byte
+	// marker (transport.Compressed). Zero (the default) keeps the seed's
+	// uncompressed wire format.
 	CompressLevel int
 
 	// Dedup, when true, enables content-addressed deduplication for disk
@@ -165,27 +167,23 @@ type Config struct {
 	// observations outlive the migration.
 	DedupName string
 
-	// Swarm, when true on the destination, lets its dedup session fan the
-	// want-set across sidecar fetch sessions to peer host daemons before
-	// answering each hash advert: content a peer's index can produce (and
-	// verify on read) arrives over the peers' uplinks, the want bit clears,
-	// and the source ships only a 16-byte reference — turning an evacuation
-	// from a source-bandwidth problem into a fleet-bandwidth problem. The
-	// capability travels in the hostd announce (a destination never opens
-	// sidecar sessions the source did not allow), but the migration channel
-	// itself is untouched: swarm frames ride separate connections, so the
-	// main-channel wire format is byte-identical with or without it, and a
-	// block no peer produces simply stays wanted and falls back to a
-	// literal send from the source. False (the default) keeps dedup
-	// single-source. hostd sets it from its announce's swarm flag.
-	Swarm bool
-
-	// SwarmPeers lists the peer hostd swarm-serve addresses the destination
-	// may fetch from (ignored on the source). The cluster orchestrator
-	// nominates peers from placement's content-overlap data; raw engine
-	// users pass addresses directly. Peers that refuse, die, or serve
-	// content that fails fingerprint verification are dropped for the rest
-	// of the migration — correctness never depends on peer health.
+	// SwarmPeers lists the peer hostd swarm-serve addresses a destination's
+	// dedup session may fan its want-set across, over sidecar fetch sessions,
+	// before answering each hash advert: content a peer's index can produce
+	// (and verify on read) arrives over the peers' uplinks, the want bit
+	// clears, and the source ships only a 16-byte reference — turning an
+	// evacuation from a source-bandwidth problem into a fleet-bandwidth
+	// problem. A non-empty list is the permission; empty (the default) keeps
+	// dedup single-source. Swarm frames ride separate connections, so the
+	// migration channel is byte-identical either way, and a block no peer
+	// produces stays wanted and falls back to a literal from the source.
+	// Peers that refuse, die, or serve content that fails fingerprint
+	// verification are dropped for the rest of the migration — correctness
+	// never depends on peer health. The cluster orchestrator nominates peers
+	// from placement's content-overlap data; raw engine users pass addresses
+	// directly. The source engine ignores the list; hostd's MigrateOut reads
+	// it to permit the swarm in its announce, and a receiving hostd clears it
+	// for a migration whose announce did not.
 	SwarmPeers []string
 
 	// SwarmDial opens one sidecar connection to a SwarmPeers address; nil
@@ -220,14 +218,13 @@ type Config struct {
 	// finer-grained reuse at the cost of larger signatures.
 	DeltaChunk int
 
-	// Policy owns the transfer decisions the engine otherwise freezes in
-	// constants: pre-copy stop conditions, the live extent coalescing limit,
-	// per-payload compression verdicts, and pre-copy pacing. Nil selects
-	// DefaultPolicy, which reproduces the paper's exact behavior (and, with
-	// the other knobs at their defaults, the seed wire format byte for
-	// byte). Policies are local-only: nothing they decide needs the peer's
-	// agreement. A Policy instance must not be shared between concurrent
-	// migrations.
+	// Policy owns the transfer decisions the engine cannot measure for
+	// itself: pre-copy stop conditions, the live extent coalescing limit,
+	// and pre-copy pacing. Nil selects DefaultPolicy, which reproduces the
+	// paper's exact behavior (and, with the other knobs at their defaults,
+	// the seed wire format byte for byte). Policies are local-only: nothing
+	// they decide needs the peer's agreement. A Policy instance must not be
+	// shared between concurrent migrations.
 	Policy Policy
 
 	// OnEvent, when non-nil, receives typed progress events (phase

@@ -105,8 +105,9 @@ type destDedup struct {
 	fps   []dedup.Fingerprint // the frame being handled, decoded
 	refs  int                 // blocks materialized by reference (Report.DedupBlocks)
 
-	// swarm fans want-sets across peer host daemons (Config.Swarm), nil for a
-	// single-source session; swarmBlocks counts what peers produced.
+	// swarm fans want-sets across peer host daemons (Config.SwarmPeers),
+	// nil for a single-source session; swarmBlocks counts what peers
+	// produced.
 	swarm       *swarmClient
 	swarmBlocks int
 }
@@ -116,7 +117,7 @@ type destDedup struct {
 // reference, so it observes every block it would have opened before the
 // handshake: the index, with this VBD registered as a lookup source so
 // content received earlier in the migration deduplicates later iterations,
-// and the swarm when it is on. It runs with the lanes drained, so every
+// and the swarm when it has peers. It runs with the lanes drained, so every
 // write that observes into the session is handed to them after it exists.
 func (d *destRun) openDedup() error {
 	if d.dd != nil {
@@ -134,7 +135,7 @@ func (d *destRun) openDedup() error {
 		return err
 	}
 	d.dd = &destDedup{idx: idx, self: name}
-	if d.cfg.Swarm && len(d.cfg.SwarmPeers) > 0 {
+	if len(d.cfg.SwarmPeers) > 0 {
 		// Peers that fail to dial or refuse the hello drop out here; losing
 		// all of them just leaves the session single-source.
 		d.dd.swarm = dialSwarm(d.cfg, name, d.dev.BlockSize())

@@ -213,56 +213,21 @@ func TestAdaptiveBeatsDefaultOnModeledLink(t *testing.T) {
 // healthy throughput must grow the limit; a rate collapse must shrink it.
 func TestAdaptivePolicyExtentGrowth(t *testing.T) {
 	p := &AdaptivePolicy{}
-	if got := p.ExtentBlocks(PhaseDiskPreCopy, 1); got != 1 {
+	if got := p.ExtentBlocks(1); got != 1 {
 		t.Fatalf("initial extent %d, want the configured 1", got)
 	}
 	for i := 0; i < 64; i++ {
-		cur := p.ExtentBlocks(PhaseDiskPreCopy, 1)
+		cur := p.ExtentBlocks(1)
 		p.ObserveExtent(cur, int64(cur*4096), time.Duration(cur)*time.Microsecond)
 	}
-	grown := p.ExtentBlocks(PhaseDiskPreCopy, 1)
+	grown := p.ExtentBlocks(1)
 	if grown < 16 {
 		t.Fatalf("extent failed to grow under healthy throughput: %d", grown)
 	}
 	// Collapse: full extent, terrible rate.
 	p.ObserveExtent(grown, int64(grown*4096), 10*time.Second)
-	if shrunk := p.ExtentBlocks(PhaseDiskPreCopy, 1); shrunk >= grown {
+	if shrunk := p.ExtentBlocks(1); shrunk >= grown {
 		t.Fatalf("extent did not shrink after a rate collapse: %d -> %d", grown, shrunk)
-	}
-}
-
-// TestAdaptiveCompressionGating: incompressible payloads must stop being
-// attempted after the observation window, then be re-probed.
-func TestAdaptiveCompressionGating(t *testing.T) {
-	p := &AdaptivePolicy{}
-	kind := transport.MsgBlockData
-	// 32 incompressible outcomes → gate closes.
-	for i := 0; i < 32; i++ {
-		if !p.CompressPayload(kind, 4096) {
-			t.Fatal("gate closed before the observation window filled")
-		}
-		p.ObserveCompression(kind, 4096, 4097)
-	}
-	if p.CompressPayload(kind, 4096) {
-		t.Fatal("gate still open after 32 incompressible payloads")
-	}
-	// The gate re-probes after compressionProbeEvery skips.
-	reopened := false
-	for i := 0; i < compressionProbeEvery+1; i++ {
-		if p.CompressPayload(kind, 4096) {
-			reopened = true
-			break
-		}
-	}
-	if !reopened {
-		t.Fatal("gate never re-probed")
-	}
-	// Compressible data keeps the gate open.
-	for i := 0; i < 32; i++ {
-		p.ObserveCompression(kind, 4096, 512)
-	}
-	if !p.CompressPayload(kind, 4096) {
-		t.Fatal("gate closed on compressible data")
 	}
 }
 

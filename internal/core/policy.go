@@ -3,14 +3,11 @@ package core
 import (
 	"sync"
 	"time"
-
-	"bbmig/internal/transport"
 )
 
 // IterationStat summarizes one completed pre-copy iteration for policy
-// decisions and progress events. Threshold, MaxIterations, and
-// MaxExtentBlocks carry the configured limits so policies can stay stateless
-// with respect to Config.
+// decisions and progress events. Threshold and MaxIterations carry the
+// configured limits so policies can stay stateless with respect to Config.
 type IterationStat struct {
 	Phase     string // PhaseDiskPreCopy or PhaseMemPreCopy
 	Iteration int    // 1-based index of the iteration that just finished
@@ -21,53 +18,37 @@ type IterationStat struct {
 	Dirty     int // dirty units when the iteration ended
 	PrevDirty int // dirty count after the previous iteration (or the initial set size)
 
-	Threshold       int // configured dirty threshold for this phase
-	MaxIterations   int // configured iteration budget for this phase
-	MaxExtentBlocks int // configured extent coalescing limit
+	Threshold     int // configured dirty threshold for this phase
+	MaxIterations int // configured iteration budget for this phase
 }
 
-// Throughput returns the iteration's achieved wire rate in bytes/second.
-func (st IterationStat) Throughput() float64 {
-	if st.Duration <= 0 {
-		return 0
-	}
-	return float64(st.SentBytes) / st.Duration.Seconds()
-}
-
-// DirtyRate returns the rate at which dirty units accumulated during the
-// iteration, in units/second.
-func (st IterationStat) DirtyRate() float64 {
-	if st.Duration <= 0 {
-		return 0
-	}
-	return float64(st.Dirty) / st.Duration.Seconds()
-}
-
-// Policy owns the transfer decisions the engine previously froze in
-// constants: when to run another pre-copy iteration, how many contiguous
-// blocks to coalesce per frame, whether a given payload is worth attempting
-// to compress, and how hard to pace the pre-copy phases.
+// Policy owns the transfer decisions the engine cannot make from its own
+// measurements: when to run another pre-copy iteration (§IV-A-1), how many
+// contiguous blocks to coalesce per frame, and how hard to pace the
+// pre-copy phases (§VI-C-3). Compression is not among them:
+// transport.Compressed deflates every payload and sends raw whatever did not
+// shrink.
 //
 // The engine consults the policy; the wire protocol constrains nothing —
 // every choice a Policy can make produces frames any destination accepts, so
 // policies are a local (non-negotiated) concern. DefaultPolicy reproduces
 // the paper's exact behavior and is wire-identical to the seed protocol
-// (guarded by the golden trace test); AdaptivePolicy tunes itself from
-// observed dirty-rate vs. throughput.
+// (guarded by the golden trace test); AdaptivePolicy grows the extent limit
+// from observed throughput.
 //
-// Observe* methods are feedback hooks called from send paths, possibly from
-// several worker goroutines at once; implementations must be concurrency-safe.
+// ObserveExtent is a feedback hook called from the walker's lanes, possibly
+// from several goroutines at once; implementations must be concurrency-safe.
 type Policy interface {
 	// ContinuePreCopy reports whether another pre-copy iteration should run
 	// after the one st describes. Returning false hands the remaining dirty
 	// set to the next phase (freeze-and-copy for disk, suspend for memory).
 	ContinuePreCopy(st IterationStat) bool
 
-	// ExtentBlocks returns the extent coalescing limit to use right now for
-	// the given phase; configured is Config.MaxExtentBlocks. The engine
-	// clamps the result to what one frame can carry. Values <= 1 select the
-	// paper's block-per-message format.
-	ExtentBlocks(phase string, configured int) int
+	// ExtentBlocks returns the extent coalescing limit to use right now;
+	// configured is Config.MaxExtentBlocks. The engine clamps the result to
+	// what one frame can carry. Values <= 1 select the paper's
+	// block-per-message format.
+	ExtentBlocks(configured int) int
 
 	// ObserveExtent feeds one completed extent send back: blocks coalesced,
 	// wire bytes, and the time the read+send took — the send alone where
@@ -75,19 +56,6 @@ type Policy interface {
 	// from the walker's lanes, so with Workers > 1 or Readahead > 0
 	// concurrently with ExtentBlocks.
 	ObserveExtent(blocks int, wireBytes int64, d time.Duration)
-
-	// CompressPayload reports whether a payload of the given type and size
-	// is worth attempting to compress. Consulted only when the stream is
-	// compressed (Config.CompressLevel != 0); a false verdict sends the
-	// payload raw under the compression framing, which every compressed
-	// destination accepts.
-	CompressPayload(kind transport.MsgType, size int) bool
-
-	// ObserveCompression reports a compression attempt's outcome: the raw
-	// payload size and the size that went to the wire, compression framing
-	// included (rawLen+1 when the payload was incompressible and sent raw
-	// under its one-byte marker).
-	ObserveCompression(kind transport.MsgType, rawLen, wireLen int)
 
 	// PrecopyRate returns the pre-copy pacing in bytes/second; configured is
 	// Config.BandwidthLimit (clock.Unlimited when uncapped). The cap applies
@@ -98,8 +66,7 @@ type Policy interface {
 
 // DefaultPolicy reproduces the paper's fixed behavior: stop conditions from
 // the configured thresholds and budgets (§IV-A-1), the configured extent
-// size, compression attempted on every payload, pacing from Config. The
-// zero value is ready to use.
+// size, pacing from Config. The zero value is ready to use.
 type DefaultPolicy struct{}
 
 // ContinuePreCopy implements the paper's three stop conditions: dirty set
@@ -119,33 +86,22 @@ func (DefaultPolicy) ContinuePreCopy(st IterationStat) bool {
 }
 
 // ExtentBlocks returns the configured limit unchanged.
-func (DefaultPolicy) ExtentBlocks(_ string, configured int) int { return configured }
+func (DefaultPolicy) ExtentBlocks(configured int) int { return configured }
 
 // ObserveExtent is a no-op.
 func (DefaultPolicy) ObserveExtent(int, int64, time.Duration) {}
 
-// CompressPayload always attempts compression, the seed's -compress behavior.
-func (DefaultPolicy) CompressPayload(transport.MsgType, int) bool { return true }
-
-// ObserveCompression is a no-op.
-func (DefaultPolicy) ObserveCompression(transport.MsgType, int, int) {}
-
 // PrecopyRate returns the configured cap unchanged.
 func (DefaultPolicy) PrecopyRate(configured int64) int64 { return configured }
 
-// AdaptivePolicy tunes the transfer from observations instead of constants:
-//
-//   - Extent growth (slow start): the coalescing limit starts at the
-//     configured value and doubles after every adaptWindow full extents whose
-//     measured wire rate kept improving, up to the frame-payload cap. On a
-//     latency-bound link this converges on large extents within one pre-copy
-//     iteration; if the measured rate collapses (a congested or
-//     contention-limited link where big bursts hurt), the limit halves.
-//   - Compression gating: per payload kind, attempts are skipped once the
-//     observed shrink ratio shows the data is incompressible, then re-probed
-//     periodically, so CPU is spent only where the link wins.
-//   - Stop conditions and pacing follow DefaultPolicy — the adaptive layer
-//     changes how bytes move, not the paper's phase semantics.
+// AdaptivePolicy is extent slow start: the coalescing limit starts at the
+// configured value and doubles after every adaptWindow full extents whose
+// measured wire rate kept improving, up to the frame-payload cap. On a
+// latency-bound link this converges on large extents within one pre-copy
+// iteration; if the measured rate collapses (a congested or
+// contention-limited link where big bursts hurt), the limit halves. Stop
+// conditions and pacing follow DefaultPolicy — the adaptive layer changes
+// how bytes move, not the paper's phase semantics.
 //
 // The zero value is ready to use. Safe for concurrent use by one migration;
 // do not share one instance between concurrent migrations.
@@ -156,8 +112,6 @@ type AdaptivePolicy struct {
 	extent  int     // current coalescing limit (0 = uninitialized)
 	inGrow  int     // full extents observed in the current growth window
 	bestBps float64 // best observed extent wire rate
-
-	comp map[transport.MsgType]*compStat
 }
 
 // adaptWindow is how many full extents must be observed at the current limit
@@ -168,18 +122,9 @@ const adaptWindow = 4
 // payload limit and the device size.
 const adaptMaxExtent = 1 << 14
 
-// compStat tracks compression outcomes for one payload kind.
-type compStat struct {
-	attempts int
-	raw      int64
-	wire     int64
-	skipping bool
-	skipped  int
-}
-
 // ExtentBlocks returns the adaptive coalescing limit, starting from the
 // configured value.
-func (p *AdaptivePolicy) ExtentBlocks(phase string, configured int) int {
+func (p *AdaptivePolicy) ExtentBlocks(configured int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.extent == 0 {
@@ -218,54 +163,5 @@ func (p *AdaptivePolicy) ObserveExtent(blocks int, wireBytes int64, d time.Durat
 	if p.inGrow >= adaptWindow && p.extent < adaptMaxExtent {
 		p.extent *= 2
 		p.inGrow = 0
-	}
-}
-
-// compressionProbeEvery re-attempts compression after this many skipped
-// payloads, so a phase change in the data (e.g. disk blocks → memory pages)
-// is noticed.
-const compressionProbeEvery = 256
-
-// incompressibleRatio is the wire/raw ratio above which a payload kind is
-// declared not worth compressing.
-const incompressibleRatio = 0.95
-
-// CompressPayload gates compression attempts per payload kind.
-func (p *AdaptivePolicy) CompressPayload(kind transport.MsgType, size int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := p.comp[kind]
-	if st == nil || !st.skipping {
-		return true
-	}
-	st.skipped++
-	if st.skipped >= compressionProbeEvery {
-		// probe: reset the window and try again
-		st.skipping, st.skipped = false, 0
-		st.attempts, st.raw, st.wire = 0, 0, 0
-		return true
-	}
-	return false
-}
-
-// ObserveCompression updates the per-kind shrink statistics.
-func (p *AdaptivePolicy) ObserveCompression(kind transport.MsgType, rawLen, wireLen int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.comp == nil {
-		p.comp = make(map[transport.MsgType]*compStat)
-	}
-	st := p.comp[kind]
-	if st == nil {
-		st = &compStat{}
-		p.comp[kind] = st
-	}
-	st.attempts++
-	st.raw += int64(rawLen)
-	st.wire += int64(wireLen)
-	if st.attempts >= 32 {
-		st.skipping = float64(st.wire) >= incompressibleRatio*float64(st.raw)
-		st.attempts, st.raw, st.wire = 0, 0, 0
-		st.skipped = 0
 	}
 }

@@ -200,7 +200,7 @@ func TestReadaheadComposesWithWorkers(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		sent, _, err := tr.sendBlocks(allOf(bitmap.NewAllSet(testBlocks)), PhaseDiskPreCopy, false)
+		sent, _, err := tr.sendBlocks(allOf(bitmap.NewAllSet(testBlocks)), false)
 		done <- result{sent, err}
 	}()
 	select {
@@ -253,7 +253,7 @@ func TestWorkersParallelizeReads(t *testing.T) {
 		timer := time.AfterFunc(5*time.Second, func() { close(dev.giveUp) })
 		cfg := Config{Workers: 4, Readahead: readahead}.withDefaults()
 		tr := newDiskTransfer(cfg, dev, nullConn{}, "test", "source")
-		sent, _, err := tr.sendBlocks(allOf(bitmap.NewAllSet(testBlocks)), PhaseDiskPreCopy, false)
+		sent, _, err := tr.sendBlocks(allOf(bitmap.NewAllSet(testBlocks)), false)
 		timer.Stop()
 		if err != nil || sent != testBlocks {
 			t.Fatalf("readahead %d: pass sent %d of %d blocks, err %v", readahead, sent, testBlocks, err)
@@ -288,7 +288,7 @@ func BenchmarkSendBlocksSlowDevice(b *testing.B) {
 			c.MaxExtentBlocks = 8
 			tr := newDiskTransfer(c.withDefaults(), dev, nullConn{}, "bench", "source")
 			for i := 0; i < b.N; i++ {
-				if _, _, err := tr.sendBlocks(allOf(bitmap.NewAllSet(blocks)), PhaseDiskPreCopy, false); err != nil {
+				if _, _, err := tr.sendBlocks(allOf(bitmap.NewAllSet(blocks)), false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -328,7 +328,7 @@ func TestSendExtentsFirstErrorNoLeak(t *testing.T) {
 		return int64(len(data)), nil
 	}
 	before := runtime.NumGoroutine()
-	sent, _, err := tr.sendExtents(allOf(bitmap.NewAllSet(testBlocks)), PhaseDiskPreCopy, encode, cfg.Workers)
+	sent, _, err := tr.sendExtents(allOf(bitmap.NewAllSet(testBlocks)), encode, cfg.Workers)
 	if !errors.Is(err, errEncode) {
 		t.Fatalf("pass returned %v, want the encoder's error", err)
 	}

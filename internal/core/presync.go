@@ -18,7 +18,7 @@ import (
 // layer (hostd) announces the session and decides what is owed; the wire
 // format is docs/WIRE.md §6 "Pre-sync session".
 
-// phasePreSync is the phase name the policy sees for pre-sync extents.
+// phasePreSync names the pre-sync session in its report and events.
 const phasePreSync = "pre-sync"
 
 // SyncStats summarizes one endpoint's side of a pre-sync session.
@@ -55,7 +55,7 @@ func SyncSource(cfg Config, dev blockdev.Device, conn transport.Conn, owed *bitm
 	cfg = cfg.withDefaults()
 	t := newDiskTransfer(cfg, dev, conn, phasePreSync, "source")
 	t.awaitReply = t.recvReply
-	sent, _, err := t.sendBlocks(allOf(owed), phasePreSync, true)
+	sent, _, err := t.sendBlocks(allOf(owed), true)
 	if err == nil {
 		err = t.send(transport.Message{Type: transport.MsgDone, Arg: uint64(sent)}, false)
 	}

@@ -641,7 +641,7 @@ func (s *sourceRun) pushBlocks(bm *bitmap.Bitmap) error {
 			continue
 		default:
 		}
-		ext := remaining.NextExtent(0, s.extentBlocks(PhasePostCopy))
+		ext := remaining.NextExtent(0, s.extentBlocks())
 		if ext.Count == 0 {
 			break
 		}

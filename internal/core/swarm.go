@@ -9,9 +9,9 @@ import (
 )
 
 // This file is the destination half of swarm multi-source fetch
-// (Config.Swarm): sidecar sessions to peer host daemons whose fingerprint
-// indexes can produce wanted content, so an evacuation draws on the fleet's
-// uplinks instead of the source's alone. The swarm rides entirely outside
+// (Config.SwarmPeers): sidecar sessions to peer host daemons whose
+// fingerprint indexes can produce wanted content, so an evacuation draws on
+// the fleet's uplinks instead of the source's alone. The swarm rides outside
 // the migration channel — MsgSwarmHello / MsgSwarmFetch / MsgSwarmBlock
 // frames (WIRE.md §11) travel destination→peer connections — and it is
 // purely an optimization: every fetched block is re-fingerprinted before it

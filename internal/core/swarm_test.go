@@ -130,7 +130,6 @@ func TestSwarmFetchEndToEnd(t *testing.T) {
 	peer := &swarmTestPeer{content: templateContents(distinct)}
 	rep, res := run(Config{
 		Dedup: true, MaxExtentBlocks: 16,
-		Swarm:      true,
 		SwarmPeers: []string{"warm"},
 		SwarmDial:  swarmDialer(map[string]*swarmTestPeer{"warm": peer}),
 	})
@@ -157,7 +156,6 @@ func TestSwarmPeerFailures(t *testing.T) {
 	run := func(peers map[string]*swarmTestPeer, order ...string) *DestResult {
 		cfg := Config{
 			Dedup: true, MaxExtentBlocks: 16,
-			Swarm:      true,
 			SwarmPeers: order,
 			SwarmDial:  swarmDialer(peers),
 		}
@@ -229,7 +227,6 @@ func TestSwarmResumeAcrossCut(t *testing.T) {
 	}
 	dstCfg := Config{
 		Dedup: true, MaxExtentBlocks: 16,
-		Swarm:         true,
 		SwarmPeers:    []string{"warm"},
 		SwarmDial:     swarmDialer(map[string]*swarmTestPeer{"warm": peer}),
 		WaitReconnect: relink.waitReconnect,

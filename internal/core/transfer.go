@@ -192,7 +192,7 @@ func (t *transfer) compressAfter(hello transport.Message, level int) error {
 	if hello.Arg&helloCompress == 0 {
 		return nil
 	}
-	cc, err := transport.NewCompressedPolicy(t.meter, level, t.pol.CompressPayload, t.pol.ObserveCompression)
+	cc, err := transport.NewCompressed(t.meter, level)
 	if err == nil {
 		t.conn = cc
 	}
@@ -326,8 +326,8 @@ func effectiveMaxExtent(maxExt int, dev blockdev.Device) int {
 }
 
 // extentBlocks asks the policy for the live coalescing limit and clamps it.
-func (t *transfer) extentBlocks(phase string) int {
-	return effectiveMaxExtent(t.pol.ExtentBlocks(phase, t.cfg.MaxExtentBlocks), t.dev)
+func (t *transfer) extentBlocks() int {
+	return effectiveMaxExtent(t.pol.ExtentBlocks(t.cfg.MaxExtentBlocks), t.dev)
 }
 
 // extentMessage frames one extent's data. Single-block extents keep the
@@ -436,7 +436,7 @@ type extentEncoder func(ext bitmap.Extent, data []byte) (int64, error)
 // stage needs its frames in cursor order and holds the chain to one. With
 // no codec configured and Workers and Readahead unset, the walker at the
 // default extent limit of one block is wire-identical to the seed protocol.
-func (t *transfer) sendBlocks(cur *owedCursor, phaseName string, limited bool) (int, int64, error) {
+func (t *transfer) sendBlocks(cur *owedCursor, limited bool) (int, int64, error) {
 	var encode extentEncoder = func(ext bitmap.Extent, data []byte) (int64, error) {
 		return t.sendLiteral(ext, data, limited)
 	}
@@ -447,7 +447,7 @@ func (t *transfer) sendBlocks(cur *owedCursor, phaseName string, limited bool) (
 	if t.awaitReply != nil && t.cfg.Dedup {
 		encode, lanes = t.dedupEncoder(encode, limited), 1
 	}
-	sent, bytes, err := t.sendExtents(cur, phaseName, encode, lanes)
+	sent, bytes, err := t.sendExtents(cur, encode, lanes)
 	if err != nil {
 		return sent, bytes, err
 	}
@@ -471,7 +471,7 @@ func (t *transfer) sendBlocks(cur *owedCursor, phaseName string, limited bool) (
 // same order whatever the depth and the frame sequence — and the golden wire
 // traces — do not depend on it; with more, encode must be safe for concurrent
 // use, as the literal encoder is.
-func (t *transfer) sendExtents(cur *owedCursor, phaseName string, encode extentEncoder, lanes int) (int, int64, error) {
+func (t *transfer) sendExtents(cur *owedCursor, encode extentEncoder, lanes int) (int, int64, error) {
 	dev := t.srcDev
 	var sent, bytes atomic.Int64
 	// encodeFrom encodes an extent and feeds the outcome back to the policy,
@@ -508,7 +508,7 @@ func (t *transfer) sendExtents(cur *owedCursor, phaseName string, encode extentE
 	defer readers.close()
 	var err error
 	for err == nil {
-		ext := cur.next(t.extentBlocks(phaseName))
+		ext := cur.next(t.extentBlocks())
 		if ext.Count == 0 {
 			break
 		}
@@ -636,7 +636,6 @@ func (t *transfer) preCopyLoop(sp preCopySpec, initial *bitmap.Bitmap) error {
 			Phase: sp.phase, Iteration: iter, Sent: sent, Skipped: cur.skipped, SentBytes: bytes,
 			Duration: iterDur, Dirty: dirtyNow, PrevDirty: prev,
 			Threshold: sp.threshold, MaxIterations: sp.maxIter,
-			MaxExtentBlocks: t.cfg.MaxExtentBlocks,
 		}
 		t.ev.iterationEnd(st)
 		if !t.pol.ContinuePreCopy(st) {
@@ -669,7 +668,7 @@ func (t *transfer) diskPreCopy(initial *bitmap.Bitmap) error {
 		send: func(cur *owedCursor) (int, int64, error) {
 			restore := t.snapshotForReads()
 			defer restore()
-			return t.sendBlocks(cur, PhaseDiskPreCopy, true)
+			return t.sendBlocks(cur, true)
 		},
 		live:       t.host.Backend.DirtyView(),
 		dirtyCount: t.host.Backend.DirtyCount,

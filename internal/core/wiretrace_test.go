@@ -255,6 +255,10 @@ var (
 
 var goldenSchemes = []goldenScheme{
 	{"tpm", func(t *testing.T, w *world, src, dst Config) { w.tpm(src, dst, nil) }, tpmSrcEvents, tpmDstEvents},
+	{"tpm_compressed", func(t *testing.T, w *world, src, dst Config) {
+		src.CompressLevel, src.Workers = 1, 1
+		w.tpm(src, dst, nil)
+	}, tpmSrcEvents, tpmDstEvents},
 	{"im", runTracedIM, tpmSrcEvents, tpmDstEvents},
 	{"freeze_and_copy", runTracedFreezeAndCopy,
 		seqOf(

@@ -127,11 +127,6 @@ type Machine struct {
 	idxScanned map[string]blockdev.Device
 	idxPath    string
 	idxSaveMu  sync.Mutex
-
-	// swarmPeers is the standing list of peer swarm-serve addresses an
-	// inbound swarm-capable migration fetches from when the caller's config
-	// does not nominate its own (see SetSwarmPeers).
-	swarmPeers []string
 }
 
 // NewMachine returns an empty Machine.
@@ -380,7 +375,7 @@ func (m *Machine) MigrateOut(domainName, destHost, addr string, cfg core.Config)
 		work:    d.hasWork,
 		streams: streams,
 		dedup:   cfg.Dedup,
-		swarm:   cfg.Dedup && cfg.Swarm,
+		swarm:   cfg.Dedup && len(cfg.SwarmPeers) > 0,
 	}
 	ab, err := ann.marshal()
 	if err != nil {
@@ -513,18 +508,11 @@ func (m *Machine) receive(connp *transport.Conn, l net.Listener, cfg core.Config
 		cfg.DedupName = diskSourceName(ann.name)
 	}
 	// Swarm is announced permission, not obligation: the sender allows
-	// sidecar fetches, and this receiver engages them only when it actually
-	// has peer addresses — from the caller's config (the cluster passes its
-	// nominations there) or the machine's standing SetSwarmPeers list. An
-	// un-announced migration never opens sidecar sessions, whatever the
-	// receiver's configuration says.
-	if ann.swarm {
-		if len(cfg.SwarmPeers) == 0 {
-			cfg.SwarmPeers = m.swarmPeerList()
-		}
-		cfg.Swarm = len(cfg.SwarmPeers) > 0
-	} else {
-		cfg.Swarm = false
+	// sidecar fetches, and this receiver engages them only when its own
+	// config names peer addresses (the cluster passes its nominations
+	// there). An un-announced migration never opens sidecar sessions,
+	// whatever the receiver's configuration says.
+	if !ann.swarm {
 		cfg.SwarmPeers = nil
 	}
 	// A resumable sender — its HELLO carries the token, the engine sees it —

@@ -20,23 +20,6 @@ import (
 // budget, so an orchestrator retuning mid-flight takes effect on the next
 // frame.
 
-// SetSwarmPeers installs the machine's standing list of peer swarm-serve
-// addresses. An inbound migration whose announce carries the swarm
-// capability fetches from these when its own config nominates none; an
-// empty list (the default) keeps inbound dedup single-source.
-func (m *Machine) SetSwarmPeers(addrs ...string) {
-	m.mu.Lock()
-	m.swarmPeers = append([]string(nil), addrs...)
-	m.mu.Unlock()
-}
-
-// swarmPeerList snapshots the standing peer list.
-func (m *Machine) swarmPeerList() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.swarmPeers...)
-}
-
 // ServeSwarm accepts exactly one sidecar swarm-fetch session on l and
 // serves it from the machine's content index until the fetching destination
 // disconnects (the normal end of a session — the destination simply closes

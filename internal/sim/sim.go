@@ -109,7 +109,7 @@ type Params struct {
 	// a cold destination. Ignored unless Delta.
 	DeltaMatchShare float64
 
-	// Swarm models multi-source fetch (core.Config.Swarm) on top of Dedup:
+	// Swarm models multi-source fetch (core.Config.SwarmPeers) on top of Dedup:
 	// during iteration 1 an extra SwarmShare fraction of the content —
 	// blocks the destination does not hold but peer machines do — arrives
 	// over the peers' sidecar sessions at SwarmBytesPerSec aggregate, in

@@ -24,13 +24,6 @@ const (
 type Compressed struct {
 	inner Conn
 	level int
-
-	// decide, when non-nil, gates compression attempts per payload: a false
-	// verdict sends the payload raw (marker byte only). observe, when
-	// non-nil, receives each attempt's outcome (raw and wire sizes). Both
-	// are policy feedback hooks; the wire format is identical either way.
-	decide  func(kind MsgType, size int) bool
-	observe func(kind MsgType, rawLen, wireLen int)
 }
 
 // compressor is one reusable flate writer + staging buffer.
@@ -89,13 +82,6 @@ var rawEmpty = []byte{compressRaw}
 // NewCompressed wraps inner at the given flate level (flate.DefaultCompression
 // if 0).
 func NewCompressed(inner Conn, level int) (*Compressed, error) {
-	return NewCompressedPolicy(inner, level, nil, nil)
-}
-
-// NewCompressedPolicy wraps inner at the given flate level with per-payload
-// policy hooks: decide gates whether a payload is worth attempting to
-// compress, observe receives each outcome. Either may be nil.
-func NewCompressedPolicy(inner Conn, level int, decide func(kind MsgType, size int) bool, observe func(kind MsgType, rawLen, wireLen int)) (*Compressed, error) {
 	if level == 0 {
 		level = flate.DefaultCompression
 	}
@@ -107,7 +93,7 @@ func NewCompressedPolicy(inner Conn, level int, decide func(kind MsgType, size i
 		return nil, err
 	}
 	co.home.Put(co)
-	return &Compressed{inner: inner, level: level, decide: decide, observe: observe}, nil
+	return &Compressed{inner: inner, level: level}, nil
 }
 
 // Send implements Conn. Wire payloads are staged in pooled buffers (or the
@@ -118,15 +104,6 @@ func (c *Compressed) Send(m Message) error {
 	if len(m.Payload) == 0 {
 		m.Payload = rawEmpty
 		return c.inner.Send(m)
-	}
-	if c.decide != nil && !c.decide(m.Type, len(m.Payload)) {
-		out := GetBuf(len(m.Payload) + 1)
-		out[0] = compressRaw
-		copy(out[1:], m.Payload)
-		m.Payload = out
-		err := c.inner.Send(m)
-		PutBuf(out)
-		return err
 	}
 	co, err := getCompressor(c.level)
 	if err != nil {
@@ -142,23 +119,16 @@ func (c *Compressed) Send(m Message) error {
 	if err := co.fw.Close(); err != nil {
 		return fmt.Errorf("transport: compress flush: %w", err)
 	}
-	var out, pooled []byte
 	if co.buf.Len() < len(m.Payload)+1 {
-		out = co.buf.Bytes()
-	} else {
-		pooled = GetBuf(len(m.Payload) + 1)
-		pooled[0] = compressRaw
-		copy(pooled[1:], m.Payload)
-		out = pooled
+		m.Payload = co.buf.Bytes()
+		return c.inner.Send(m)
 	}
-	if c.observe != nil {
-		c.observe(m.Type, len(m.Payload), len(out))
-	}
+	out := GetBuf(len(m.Payload) + 1)
+	out[0] = compressRaw
+	copy(out[1:], m.Payload)
 	m.Payload = out
 	err = c.inner.Send(m)
-	if pooled != nil {
-		PutBuf(pooled)
-	}
+	PutBuf(out)
 	return err
 }
 

@@ -205,7 +205,7 @@ func TestMeterCounts(t *testing.T) {
 func TestShapedThrottles(t *testing.T) {
 	v := clock.NewVirtual()
 	a, b := NewPipe(1024)
-	rl := clock.NewRateLimiter(v, 1000, 100) // 1000 B/s virtual
+	rl := clock.NewRateLimiter(v, 1000) // 1000 B/s virtual
 	sa := NewShaped(a, rl)
 	msg := Message{Type: MsgBlockData, Payload: make([]byte, 487)} // 500 wire bytes
 	go func() {
