@@ -56,11 +56,13 @@ var heapGates = []struct {
 
 // metricGates lists deterministic simulator metrics the gate enforces,
 // higher-is-better: a drop beyond the tolerance fails the build. The fleet
-// row pins the autopilot's headline — predictive drain speedup over
-// reactive on the diurnal shape — so a forecaster or policy regression is a
-// red check, not a quiet table change.
+// rows pin what the cluster's trough rule buys over reactive scheduling —
+// the diurnal speedup, and the bursty one that must not fall below doing
+// nothing — so a forecaster or policy regression is a red check, not a
+// quiet table change.
 var metricGates = map[string]string{
 	"SimFleetSweep/diurnal-predictive": "speedup",
+	"SimFleetSweep/bursty-predictive":  "speedup",
 }
 
 // countGates lists the MemDelta rows' metrics: counts the engine makes on an

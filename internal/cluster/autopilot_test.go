@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bbmig/internal/blockdev"
-	"bbmig/internal/forecast"
 	"bbmig/internal/hostd"
 	"bbmig/internal/workload"
 )
@@ -209,9 +208,8 @@ func TestTroughDeferral(t *testing.T) {
 	}
 
 	c := New(Options{
-		Forecast:       true,
-		ForecastConfig: forecast.Config{Buckets: 16},
-		Now:            fakeNow,
+		Forecast: true,
+		Now:      fakeNow,
 	})
 	a := hostd.NewMachine("hostA")
 	b := hostd.NewMachine("hostB")
@@ -274,11 +272,6 @@ func TestTroughDeferral(t *testing.T) {
 	}
 	if st := c.Status(); st.Deferred != 1 {
 		t.Fatalf("Status.Deferred = %d, want 1", st.Deferred)
-	}
-
-	// The forecast also answers the (domain, link-share) question directly.
-	if cv, err := c.PredictMigration("vmA"); err != nil || cv.Iterations < 1 {
-		t.Fatalf("PredictMigration = %+v, %v", cv, err)
 	}
 
 	// Time reaches the trough: the job dispatches and completes.

@@ -29,8 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"bbmig/internal/blockdev"
-	"bbmig/internal/clock"
 	"bbmig/internal/core"
 	"bbmig/internal/forecast"
 	"bbmig/internal/hostd"
@@ -55,16 +53,6 @@ const (
 	// zero: three peers, enough to out-aggregate a single source uplink
 	// without fanning every migration across the whole fleet.
 	DefaultSwarmPeers = 3
-	// DefaultForecastHorizon is how far ahead admission looks for a
-	// write-rate trough when Options.Forecast is on and ForecastHorizon is
-	// zero.
-	DefaultForecastHorizon = time.Hour
-	// DefaultTroughRatio is the deferral trigger when Options.TroughRatio
-	// is zero: a queued low/normal-priority job is pushed into a predicted
-	// trough only when the domain's current predicted rate exceeds the
-	// trough rate by this factor — anything flatter is not worth waiting
-	// for.
-	DefaultTroughRatio = 2.0
 )
 
 // Options configures a Cluster. The zero value is usable: unlimited
@@ -134,22 +122,10 @@ type Options struct {
 
 	// Forecast enables per-domain dirty-rate models: every heartbeat's
 	// DomainWrites counters become rate observations, and admission defers
-	// low/normal-priority jobs into predicted write-rate troughs (see
-	// ForecastHorizon and TroughRatio). Evacuate- and high-priority jobs
-	// are never deferred — maintenance outranks interference avoidance.
+	// low/normal-priority jobs into predicted write-rate troughs
+	// (forecast.Model.DeferUntil). Evacuate- and high-priority jobs are
+	// never deferred — maintenance outranks interference avoidance.
 	Forecast bool
-
-	// ForecastConfig tunes the per-domain models when Forecast is on; the
-	// zero value selects forecast's defaults.
-	ForecastConfig forecast.Config
-
-	// ForecastHorizon bounds how far into the future admission will defer
-	// a job to reach a trough; zero selects DefaultForecastHorizon.
-	ForecastHorizon time.Duration
-
-	// TroughRatio is the minimum current-rate/trough-rate ratio before
-	// admission defers a job; zero selects DefaultTroughRatio.
-	TroughRatio float64
 }
 
 func (o Options) withDefaults() Options {
@@ -167,12 +143,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Now == nil {
 		o.Now = time.Now
-	}
-	if o.ForecastHorizon <= 0 {
-		o.ForecastHorizon = DefaultForecastHorizon
-	}
-	if o.TroughRatio <= 0 {
-		o.TroughRatio = DefaultTroughRatio
 	}
 	return o
 }
@@ -281,7 +251,7 @@ func (c *Cluster) heartbeatLocked(m *member) {
 	for name, writes := range m.load.DomainWrites {
 		mdl := c.models[name]
 		if mdl == nil {
-			mdl = forecast.NewModel(c.opts.ForecastConfig)
+			mdl = forecast.NewModel()
 			c.models[name] = mdl
 		}
 		mdl.ObserveCount(at, writes)
@@ -306,41 +276,6 @@ func (c *Cluster) DomainModel(domain string) (*forecast.Model, bool) {
 	defer c.mu.Unlock()
 	m, ok := c.models[domain]
 	return m, ok
-}
-
-// PredictMigration forecasts the named domain's pre-copy outcome if a
-// migration started now at the budget's current per-migration share: the
-// (domain, link-share) convergence question the paper's §IV stop rules
-// answer reactively, answered ahead of time. The hot set is unknown at
-// this layer, so the prediction conservatively lets writes spread over the
-// whole disk.
-func (c *Cluster) PredictMigration(domain string) (forecast.Convergence, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	mdl, ok := c.models[domain]
-	if !ok {
-		return forecast.Convergence{}, fmt.Errorf("cluster: no forecast model for domain %q", domain)
-	}
-	var blocks int64
-	for _, m := range c.members {
-		if d, hosted := m.machine.Domain(domain); hosted {
-			blocks = int64(d.Disk().NumBlocks())
-			break
-		}
-	}
-	if blocks == 0 {
-		return forecast.Convergence{}, fmt.Errorf("cluster: domain %q not hosted anywhere", domain)
-	}
-	share := c.budget.Share()
-	rate := float64(share) / blockdev.BlockSize
-	if share == clock.Unlimited {
-		rate = DefaultLinkBps / blockdev.BlockSize
-	}
-	return mdl.PredictConvergence(forecast.MigrationParams{
-		StartAt:      c.opts.Now().Sub(c.start),
-		Blocks:       int(blocks),
-		BlocksPerSec: rate,
-	}), nil
 }
 
 // aliveLocked reports whether a member's heartbeat is fresh enough to

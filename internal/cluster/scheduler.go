@@ -280,11 +280,8 @@ func (c *Cluster) Dispatch() {
 // deferredLocked reports whether t must keep waiting for its earliest-start
 // time. On the first admission attempt of a low/normal-priority job with
 // Forecast on, it also decides — once — whether to stamp a predicted-trough
-// deferral onto the ticket: if the domain's current predicted write rate
-// exceeds the predicted trough rate by Options.TroughRatio, starting now
-// would balloon the pre-copy's retransfers (§IV: the dirty rate would catch
-// the transfer rate sooner), so the job waits for the trough instead. A
-// deferred ticket arms a one-shot timer to re-dispatch when its time comes.
+// deferral onto the ticket (forecast.Model.DeferUntil). A deferred ticket
+// arms a one-shot timer to re-dispatch when its time comes.
 func (c *Cluster) deferredLocked(t *Ticket) bool {
 	now := c.opts.Now()
 	t.mu.Lock()
@@ -314,17 +311,12 @@ func (c *Cluster) deferredLocked(t *Ticket) bool {
 // troughLocked asks the domain's forecast model whether now is a bad time
 // to migrate, returning the predicted trough time when deferral is worth it.
 func (c *Cluster) troughLocked(domain string, now time.Time) (time.Time, bool) {
-	mdl, ok := c.models[domain]
-	if !ok || mdl.Samples() < 16 {
-		return time.Time{}, false // not enough history to disagree with "now"
+	if mdl, ok := c.models[domain]; ok {
+		if until, ok := mdl.DeferUntil(now.Sub(c.start)); ok {
+			return c.start.Add(until), true
+		}
 	}
-	at := now.Sub(c.start)
-	cur := mdl.RateAt(at)
-	troughAt, troughRate := mdl.NextTrough(at, c.opts.ForecastHorizon)
-	if troughAt <= at || cur <= c.opts.TroughRatio*troughRate+1e-9 {
-		return time.Time{}, false
-	}
-	return c.start.Add(troughAt), true
+	return time.Time{}, false
 }
 
 // admitLocked starts t if admission control allows, reporting whether it

@@ -1,17 +1,17 @@
 // Package forecast models per-domain dirty-block write rates so the cluster
 // layer can anticipate migrations instead of merely reacting to them. The
 // paper's §IV stop conditions decide one migration at a time — "stop
-// pre-copy when the dirty rate catches the transfer rate"; this package
-// generalizes that test into a prediction: given a domain's observed write
-// history, what would an iterative pre-copy cost if it started *now*, and
-// when is the next write-rate trough worth deferring it into?
+// pre-copy when the dirty rate catches the transfer rate"; this package asks
+// the same question of a domain's write history before a migration starts:
+// is the domain writing so much faster now than it will in an upcoming
+// trough that the migration should wait for it (DeferUntil)?
 //
-// A Model ingests either raw rate samples (ObserveRate) or the cumulative
-// write counters a hostd heartbeat reports (ObserveCount) and maintains
-// three estimators on top of a bounded sample ring:
+// A Model ingests the cumulative write counters a hostd heartbeat reports
+// (ObserveCount) and maintains three estimators on top of a bounded sample
+// ring:
 //
 //   - an exponentially-weighted moving average (Rate) tracking the recent
-//     write rate with a configurable half-life;
+//     write rate with a five-minute half-life;
 //   - a duration-weighted long-run mean (MeanRate) over every observation
 //     ever made, which only sharpens as the window grows — the estimator
 //     behind the monotone-error property the tests pin;
@@ -20,14 +20,8 @@
 //     projects the rate at arbitrary future times and locates upcoming
 //     troughs (NextTrough).
 //
-// PredictConvergence then replays the §IV pre-copy loop against the
-// predicted rate curve: iteration k ships the blocks iteration k-1
-// dirtied, writes accumulate against a hot-set-capped unique-block model
-// (the same saturation law workload.Locality measures), and the loop stops
-// when the dirty set falls under the threshold, the dirty rate catches the
-// transfer rate, or the iteration cap fires. The result — convergence,
-// iteration count, pre-copy time, final dirty set — is what admission
-// control and the autopilot trade off against waiting for a trough.
+// DeferUntil is the one admission rule built on them; the cluster's
+// scheduler and the fleet simulator both call it.
 //
 // All Model methods are safe for concurrent use.
 package forecast
@@ -38,69 +32,45 @@ import (
 	"time"
 )
 
-// Defaults for Config fields left zero.
+// The deferral rule DeferUntil applies.
 const (
-	// DefaultMaxSamples bounds the sample ring: enough for a few periods of
-	// heartbeat-cadence history without per-domain memory mattering at
-	// 10k-domain scale (256 samples ≈ 4 KiB).
-	DefaultMaxSamples = 256
-	// DefaultHalfLife is the EWMA half-life: five minutes, a few heartbeat
-	// intervals, so Rate tracks phase changes without chasing single bursts.
-	DefaultHalfLife = 5 * time.Minute
-	// DefaultBuckets is how many phase buckets the periodic predictor
-	// divides one period into.
-	DefaultBuckets = 32
-	// DefaultMinPeriodicity is the autocorrelation score a candidate period
-	// must reach before RateAt trusts phase buckets over the flat estimators.
-	DefaultMinPeriodicity = 0.5
-	// DefaultMaxIterations caps the predicted pre-copy loop when
-	// MigrationParams.MaxIterations is zero.
-	DefaultMaxIterations = 30
+	// TroughHorizon bounds how far ahead DeferUntil looks for a trough.
+	TroughHorizon = time.Hour
+	// TroughRatio is the deferral trigger: a migration waits for the trough
+	// only when the current predicted rate exceeds the trough's by this
+	// factor — anything flatter is not worth waiting for.
+	TroughRatio = 2.0
 )
 
-// Config parameterizes a Model. The zero value selects the defaults above.
-type Config struct {
-	// MaxSamples is the sample-ring capacity; zero selects DefaultMaxSamples.
-	MaxSamples int
-	// HalfLife is the EWMA half-life; zero selects DefaultHalfLife.
-	HalfLife time.Duration
-	// Buckets is the phase resolution of the periodic predictor; zero
-	// selects DefaultBuckets.
-	Buckets int
-	// MinPeriodicity is the autocorrelation acceptance threshold in [0, 1];
-	// zero selects DefaultMinPeriodicity.
-	MinPeriodicity float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxSamples <= 0 {
-		c.MaxSamples = DefaultMaxSamples
-	}
-	if c.HalfLife <= 0 {
-		c.HalfLife = DefaultHalfLife
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = DefaultBuckets
-	}
-	if c.MinPeriodicity <= 0 {
-		c.MinPeriodicity = DefaultMinPeriodicity
-	}
-	return c
-}
+// Model shape.
+const (
+	// maxSamples bounds the sample ring: enough for a few periods of
+	// heartbeat-cadence history without per-domain memory mattering at
+	// 10k-domain scale (256 samples ≈ 4 KiB).
+	maxSamples = 256
+	// halfLife is the EWMA half-life: five minutes, a few heartbeat
+	// intervals, so Rate tracks phase changes without chasing single bursts.
+	halfLife = 5 * time.Minute
+	// buckets is how many phase buckets the periodic predictor divides one
+	// period into.
+	buckets = 32
+	// minPeriodicity is the autocorrelation score a candidate period must
+	// reach before RateAt trusts phase buckets over the flat estimators.
+	minPeriodicity = 0.5
+)
 
 // sample is one observed (interval, rate) pair on the model's timeline.
 type sample struct {
 	at   time.Duration // end of the observation interval
-	dur  time.Duration // interval length (0 for the very first sample)
+	dur  time.Duration // interval length
 	rate float64       // blocks/second over the interval
 }
 
 // Model is a per-domain dirty-rate estimator. Feed it write observations
-// with ObserveCount or ObserveRate; query it with Rate, MeanRate, Period,
-// RateAt, NextTrough, and PredictConvergence.
+// with ObserveCount; query it with Rate, MeanRate, Period, RateAt,
+// NextTrough, and DeferUntil.
 type Model struct {
-	mu  sync.Mutex
-	cfg Config
+	mu sync.Mutex
 
 	ring  []sample // fixed-capacity ring, chronological from start
 	start int      // index of the oldest sample
@@ -126,9 +96,9 @@ type Model struct {
 	chron       []sample // scratch: chronological view of the ring
 }
 
-// NewModel returns an empty model with cfg's (defaulted) parameters.
-func NewModel(cfg Config) *Model {
-	return &Model{cfg: cfg.withDefaults()}
+// NewModel returns an empty model.
+func NewModel() *Model {
+	return &Model{}
 }
 
 // ObserveCount feeds one heartbeat-style observation: the domain's
@@ -159,27 +129,10 @@ func (m *Model) ObserveCount(at time.Duration, count int64) {
 	m.lastCount = count
 }
 
-// ObserveRate feeds one pre-computed rate sample (blocks/second) observed
-// over the interval ending at time at. The interval length is inferred
-// from the previous observation's timestamp. Observations at or before the
-// previous timestamp are ignored.
-func (m *Model) ObserveRate(at time.Duration, rate float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.n > 0 || m.haveCount {
-		if at <= m.lastAt {
-			return
-		}
-		m.observeLocked(at, at-m.lastAt, rate)
-		return
-	}
-	m.observeLocked(at, 0, rate)
-}
-
 // observeLocked appends one sample and updates the running estimators.
 func (m *Model) observeLocked(at, dur time.Duration, rate float64) {
 	if m.ring == nil {
-		m.ring = make([]sample, m.cfg.MaxSamples)
+		m.ring = make([]sample, maxSamples)
 	}
 	s := sample{at: at, dur: dur, rate: rate}
 	if m.n < len(m.ring) {
@@ -192,30 +145,18 @@ func (m *Model) observeLocked(at, dur time.Duration, rate float64) {
 	m.lastAt = at
 	m.cacheOK = false
 
-	if dur > 0 {
-		sec := dur.Seconds()
-		m.sumRateDur += rate * sec
-		m.sumDur += sec
-		// Time-decayed EWMA: the decay factor depends on how much time the
-		// observation covers, so irregular heartbeats still weight correctly.
-		if !m.haveEWMA {
-			m.ewma = rate
-			m.haveEWMA = true
-		} else {
-			alpha := 1 - math.Exp(-sec*math.Ln2/m.cfg.HalfLife.Seconds())
-			m.ewma += alpha * (rate - m.ewma)
-		}
-	} else if !m.haveEWMA {
+	sec := dur.Seconds()
+	m.sumRateDur += rate * sec
+	m.sumDur += sec
+	// Time-decayed EWMA: the decay factor depends on how much time the
+	// observation covers, so irregular heartbeats still weight correctly.
+	if !m.haveEWMA {
 		m.ewma = rate
 		m.haveEWMA = true
+	} else {
+		alpha := 1 - math.Exp(-sec*math.Ln2/halfLife.Seconds())
+		m.ewma += alpha * (rate - m.ewma)
 	}
-}
-
-// Samples returns how many rate samples the ring currently holds.
-func (m *Model) Samples() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.n
 }
 
 // Rate returns the EWMA estimate of the current write rate in
@@ -240,7 +181,7 @@ func (m *Model) MeanRate() float64 {
 }
 
 // Period returns the detected dominant write-rate period, if the ring's
-// autocorrelation found one above Config.MinPeriodicity.
+// autocorrelation found one above minPeriodicity.
 func (m *Model) Period() (time.Duration, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -324,6 +265,10 @@ func (m *Model) meanIntervalLocked() time.Duration {
 func (m *Model) NextTrough(from, horizon time.Duration) (time.Duration, float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.nextTroughLocked(from, horizon)
+}
+
+func (m *Model) nextTroughLocked(from, horizon time.Duration) (time.Duration, float64) {
 	m.refreshLocked()
 	if !m.periodic || horizon <= 0 {
 		return from, m.rateAtLocked(from)
@@ -349,6 +294,27 @@ func (m *Model) NextTrough(from, horizon time.Duration) (time.Duration, float64)
 		}
 	}
 	return from, m.rateAtLocked(from)
+}
+
+// DeferUntil is the trough rule admission applies to a migration about to
+// start at now: it returns the predicted trough to wait for, and true, only
+// when the model holds at least 16 samples, NextTrough finds a trough after
+// now within TroughHorizon, and the rate predicted for now exceeds
+// TroughRatio times the trough's; otherwise it returns (0, false). Starting
+// in the loud phase would let the dirty rate catch the transfer rate sooner
+// (§IV) and balloon the pre-copy's retransfers.
+func (m *Model) DeferUntil(now time.Duration) (until time.Duration, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.n < 16 {
+		return 0, false // not enough history to disagree with "now"
+	}
+	cur := m.rateAtLocked(now)
+	troughAt, troughRate := m.nextTroughLocked(now, TroughHorizon)
+	if troughAt <= now || cur <= TroughRatio*troughRate+1e-9 {
+		return 0, false
+	}
+	return troughAt, true
 }
 
 // refreshLocked rebuilds the cached period detection and phase buckets.
@@ -409,7 +375,7 @@ func (m *Model) refreshLocked() {
 			bestR, bestLag = scores[lag], lag
 		}
 	}
-	if bestLag == 0 || bestR < m.cfg.MinPeriodicity {
+	if bestLag == 0 || bestR < minPeriodicity {
 		return
 	}
 	interval := m.meanIntervalLocked()
@@ -421,19 +387,14 @@ func (m *Model) refreshLocked() {
 	m.periodScore = bestR
 
 	// Duration-weighted per-phase-bucket means over the ring.
-	if cap(m.bucketRate) < m.cfg.Buckets {
-		m.bucketRate = make([]float64, m.cfg.Buckets)
-		m.bucketHas = make([]bool, m.cfg.Buckets)
+	if m.bucketRate == nil {
+		m.bucketRate = make([]float64, buckets)
+		m.bucketHas = make([]bool, buckets)
 	}
-	m.bucketRate = m.bucketRate[:m.cfg.Buckets]
-	m.bucketHas = m.bucketHas[:m.cfg.Buckets]
-	sums := make([]float64, m.cfg.Buckets)
-	weights := make([]float64, m.cfg.Buckets)
+	sums := make([]float64, buckets)
+	weights := make([]float64, buckets)
 	for _, s := range m.chron {
 		w := s.dur.Seconds()
-		if w <= 0 {
-			continue
-		}
 		b := m.bucketOf(s.at)
 		sums[b] += s.rate * w
 		weights[b] += w
@@ -447,126 +408,4 @@ func (m *Model) refreshLocked() {
 			m.bucketHas[b] = false
 		}
 	}
-}
-
-// integrateLocked returns the predicted blocks written over [from, to].
-func (m *Model) integrateLocked(from, to time.Duration) float64 {
-	if to <= from {
-		return 0
-	}
-	step := (to - from) / 16
-	if m.periodic {
-		if s := m.period / time.Duration(len(m.bucketRate)); s > 0 && s < step {
-			step = s
-		}
-	}
-	if step <= 0 {
-		step = time.Millisecond
-	}
-	total := 0.0
-	for t := from; t < to; t += step {
-		end := t + step
-		if end > to {
-			end = to
-		}
-		mid := t + (end-t)/2
-		total += m.rateAtLocked(mid) * (end - t).Seconds()
-	}
-	return total
-}
-
-// MigrationParams describes one candidate (domain, link-share) pair for
-// PredictConvergence.
-type MigrationParams struct {
-	// StartAt is when the pre-copy would begin, on the model's timeline
-	// (the same time base its observations used).
-	StartAt time.Duration
-	// Blocks is the domain's VBD size in blocks.
-	Blocks int
-	// HotBlocks caps the writable working set: predicted writes dirty at
-	// most this many unique blocks (workload.LocalityStats.UniqueBlocks is
-	// the natural source). Zero means the whole disk is writable.
-	HotBlocks int
-	// BlocksPerSec is the link share the migration would get, in
-	// blocks/second.
-	BlocksPerSec float64
-	// MaxIterations caps the pre-copy loop; zero selects
-	// DefaultMaxIterations.
-	MaxIterations int
-	// DirtyThreshold stops the loop once the predicted dirty set is at or
-	// under this many blocks (zero: only a fully clean iteration stops it).
-	DirtyThreshold int
-}
-
-// Convergence is PredictConvergence's verdict on one candidate migration.
-type Convergence struct {
-	// Converges reports whether the predicted dirty set fell to the
-	// threshold. False means a stop rule fired first — the dirty rate
-	// caught the transfer rate (§IV) or the iteration cap hit — and the
-	// cutover would ship FinalDirtyBlocks.
-	Converges bool
-	// Iterations is how many pre-copy iterations the prediction ran.
-	Iterations int
-	// PreCopyTime is the predicted wall time of those iterations.
-	PreCopyTime time.Duration
-	// FinalDirtyBlocks is the predicted dirty set at cutover.
-	FinalDirtyBlocks int
-	// Downtime is the predicted freeze window: FinalDirtyBlocks at the
-	// given link share. Platform-fixed pause costs are the caller's to add.
-	Downtime time.Duration
-}
-
-// PredictConvergence replays the §IV iterative pre-copy loop against the
-// model's predicted rate curve: each iteration ships the previous
-// iteration's dirty set while new writes accumulate under a hot-set-capped
-// unique-block law, and the loop stops when the dirty set reaches the
-// threshold (converged), when it stops shrinking — the paper's "dirty rate
-// caught the transfer rate" — or at the iteration cap. Each iteration ships
-// its whole set here; the engine leaves out units already dirty again
-// (core.owedCursor), so predicted bytes and durations are upper bounds; the
-// page-sized downtime estimate is one too, since the engine's final page set
-// travels as word deltas where it has a base (vm.BaseBook).
-func (m *Model) PredictConvergence(p MigrationParams) Convergence {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	c := Convergence{}
-	if p.Blocks <= 0 || p.BlocksPerSec <= 0 {
-		return c
-	}
-	maxIters := p.MaxIterations
-	if maxIters <= 0 {
-		maxIters = DefaultMaxIterations
-	}
-	hot := float64(p.HotBlocks)
-	if hot <= 0 {
-		hot = float64(p.Blocks)
-	}
-
-	toSend := float64(p.Blocks)
-	t := p.StartAt
-	prev := math.Inf(1)
-	for iter := 1; ; iter++ {
-		dt := time.Duration(toSend / p.BlocksPerSec * float64(time.Second))
-		writes := m.integrateLocked(t, t+dt)
-		dirty := hot * (1 - math.Exp(-writes/hot))
-		t += dt
-		c.Iterations = iter
-		c.FinalDirtyBlocks = int(math.Ceil(dirty))
-		if c.FinalDirtyBlocks <= p.DirtyThreshold {
-			c.Converges = true
-			break
-		}
-		if iter >= maxIters {
-			break
-		}
-		if iter > 1 && dirty >= prev {
-			break // dirty rate caught the transfer rate: pre-copy has stalled
-		}
-		prev = dirty
-		toSend = dirty
-	}
-	c.PreCopyTime = t - p.StartAt
-	c.Downtime = time.Duration(float64(c.FinalDirtyBlocks) / p.BlocksPerSec * float64(time.Second))
-	return c
 }

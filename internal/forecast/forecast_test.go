@@ -42,7 +42,7 @@ const (
 )
 
 func TestModelConstantTrace(t *testing.T) {
-	m := forecast.NewModel(forecast.Config{})
+	m := forecast.NewModel()
 	for i := 0; i <= 64; i++ {
 		m.ObserveCount(time.Duration(i)*30*time.Second, int64(i)*3000) // 100 blk/s
 	}
@@ -63,29 +63,10 @@ func TestModelConstantTrace(t *testing.T) {
 	if at != 35*time.Minute || math.Abs(rate-100) > 1 {
 		t.Fatalf("NextTrough on flat curve = (%v, %.1f), want (now, ~100)", at, rate)
 	}
-
-	// Pinned convergence: 10000 blocks at 1000 blk/s against a 2000-block
-	// hot set dirtied at 100 blk/s. Iter 1 ships the disk in 10 s (1000
-	// writes -> ~787 unique); iter 2 ships those in ~0.8 s (~77 unique);
-	// iter 3 lands under the 80-block threshold.
-	c := m.PredictConvergence(forecast.MigrationParams{
-		StartAt: 35 * time.Minute, Blocks: 10000, HotBlocks: 2000,
-		BlocksPerSec: 1000, MaxIterations: 10, DirtyThreshold: 80,
-	})
-	if !c.Converges || c.Iterations != 2 {
-		// iter 2's ~77 dirty is already under the 80 threshold
-		t.Fatalf("convergence = %+v, want converged in 2 iterations", c)
-	}
-	if c.PreCopyTime < 10500*time.Millisecond || c.PreCopyTime > 11100*time.Millisecond {
-		t.Fatalf("pre-copy time = %v, want ~10.8 s", c.PreCopyTime)
-	}
-	if c.FinalDirtyBlocks < 70 || c.FinalDirtyBlocks > 80 {
-		t.Fatalf("final dirty = %d, want ~77", c.FinalDirtyBlocks)
-	}
 }
 
 func TestModelDiurnalTrace(t *testing.T) {
-	m := forecast.NewModel(forecast.Config{})
+	m := forecast.NewModel()
 	feedSquare(m, 3*diurnalPeriod, diurnalPeriod, diurnalHb, diurnalHigh, diurnalLow, 0.5)
 
 	p, ok := m.Period()
@@ -119,51 +100,19 @@ func TestModelDiurnalTrace(t *testing.T) {
 	if rate > 2*diurnalLow {
 		t.Fatalf("NextTrough rate = %.1f, want ~%.0f", rate, diurnalLow)
 	}
-
-	// Convergence contrast: the same migration started in the trough
-	// converges; started mid-high-phase it stalls (dirty rate catches the
-	// 400 blk/s transfer rate).
-	base := forecast.MigrationParams{
-		Blocks: 20000, HotBlocks: 8000, BlocksPerSec: 400,
-		MaxIterations: 8, DirtyThreshold: 64,
-	}
-	inTrough := base
-	inTrough.StartAt = lowAt
-	ct := m.PredictConvergence(inTrough)
-	if !ct.Converges {
-		t.Fatalf("trough-start migration did not converge: %+v", ct)
-	}
-	inHigh := base
-	inHigh.StartAt = highAt
-	ch := m.PredictConvergence(inHigh)
-	if ch.Converges {
-		t.Fatalf("high-phase migration converged: %+v", ch)
-	}
-	if ch.FinalDirtyBlocks < 3000 {
-		t.Fatalf("high-phase final dirty = %d, want a ballooned (>3000) set", ch.FinalDirtyBlocks)
-	}
-	if ct.PreCopyTime >= ch.PreCopyTime {
-		t.Fatalf("trough pre-copy %v not faster than high-phase %v", ct.PreCopyTime, ch.PreCopyTime)
-	}
 }
 
-func TestModelBurstyTrace(t *testing.T) {
-	// Deterministic aperiodic bursts: rate 800 for pseudo-randomly placed
-	// 30 s windows, 20 otherwise.
-	m := forecast.NewModel(forecast.Config{})
-	state := uint64(0x9e3779b97f4a7c15)
-	next := func() uint64 {
+// feedBursty drives a model with n heartbeats of deterministic aperiodic
+// bursts — rate 800 for xorshift-placed 30 s windows, 20 otherwise — and
+// returns the trace's true mean rate.
+func feedBursty(m *forecast.Model, state uint64, n int) float64 {
+	var cum, sumRate float64
+	for i := 0; i <= n; i++ {
 		state ^= state << 13
 		state ^= state >> 7
 		state ^= state << 17
-		return state
-	}
-	var cum float64
-	var sumRate float64
-	n := 240
-	for i := 0; i <= n; i++ {
 		rate := 20.0
-		if next()%4 == 0 {
+		if state%4 == 0 {
 			rate = 800
 		}
 		if i > 0 {
@@ -172,7 +121,12 @@ func TestModelBurstyTrace(t *testing.T) {
 		}
 		m.ObserveCount(time.Duration(i)*30*time.Second, int64(cum))
 	}
-	trueMean := sumRate / float64(n)
+	return sumRate / float64(n)
+}
+
+func TestModelBurstyTrace(t *testing.T) {
+	m := forecast.NewModel()
+	trueMean := feedBursty(m, 0x9e3779b97f4a7c15, 240)
 	if got := m.MeanRate(); math.Abs(got-trueMean) > 0.02*trueMean {
 		t.Fatalf("mean rate = %.1f, want ~%.1f", got, trueMean)
 	}
@@ -181,13 +135,6 @@ func TestModelBurstyTrace(t *testing.T) {
 	if got := m.RateAt(12 * time.Hour); math.Abs(got-trueMean) > 0.75*trueMean {
 		t.Fatalf("RateAt(far future) = %.1f, want within 75%% of mean %.1f", got, trueMean)
 	}
-	c := m.PredictConvergence(forecast.MigrationParams{
-		StartAt: time.Duration(n) * 30 * time.Second, Blocks: 50000, HotBlocks: 4000,
-		BlocksPerSec: 2000, MaxIterations: 8, DirtyThreshold: 64,
-	})
-	if !c.Converges {
-		t.Fatalf("bursty-mean migration should converge at 2000 blk/s: %+v", c)
-	}
 }
 
 func TestModelDiabolicalTrace(t *testing.T) {
@@ -195,7 +142,7 @@ func TestModelDiabolicalTrace(t *testing.T) {
 	const window = 5 * time.Second
 
 	g := workload.New(workload.Diabolic, 8192, 1)
-	m := forecast.NewModel(forecast.Config{})
+	m := forecast.NewModel()
 	var cum int64
 	nextBoundary := window
 	for {
@@ -217,30 +164,6 @@ func TestModelDiabolicalTrace(t *testing.T) {
 	if got := m.MeanRate(); math.Abs(got-trueMean) > 0.05*trueMean {
 		t.Fatalf("mean rate = %.1f, want within 5%% of %.1f", got, trueMean)
 	}
-
-	// Hot-set size from the locality analyzer, the pairing the cluster
-	// layer uses: convergence against Bonnie++'s own unique-block count.
-	g.Reset()
-	loc := workload.Locality(g, horizon)
-	c := m.PredictConvergence(forecast.MigrationParams{
-		StartAt: nextBoundary, Blocks: 8192, HotBlocks: loc.UniqueBlocks,
-		BlocksPerSec: 4 * trueMean, MaxIterations: 8, DirtyThreshold: 8,
-	})
-	if c.Iterations < 2 {
-		t.Fatalf("diabolical at 4x mean rate finished in %d iterations; the hot set should force retransfers", c.Iterations)
-	}
-	if !c.Converges && c.FinalDirtyBlocks > loc.UniqueBlocks {
-		t.Fatalf("final dirty %d exceeds the %d-block hot set", c.FinalDirtyBlocks, loc.UniqueBlocks)
-	}
-	// At a transfer rate well under the mean write rate, pre-copy must
-	// stall: the §IV stop rule fires with a hot-set-sized dirty set.
-	slow := m.PredictConvergence(forecast.MigrationParams{
-		StartAt: nextBoundary, Blocks: 8192, HotBlocks: loc.UniqueBlocks,
-		BlocksPerSec: trueMean / 2, MaxIterations: 8, DirtyThreshold: 8,
-	})
-	if slow.Converges {
-		t.Fatalf("sub-write-rate migration converged: %+v", slow)
-	}
 }
 
 // TestForecastErrorMonotone pins the property that the long-run mean's
@@ -252,7 +175,7 @@ func TestForecastErrorMonotone(t *testing.T) {
 	trueMean := 0.5*diurnalHigh + 0.5*diurnalLow
 	var prev float64
 	for i, periods := range []float64{1.5, 2.5, 4.5, 8.5, 16.5} {
-		m := forecast.NewModel(forecast.Config{})
+		m := forecast.NewModel()
 		until := time.Duration(periods * float64(diurnalPeriod))
 		feedSquare(m, until, diurnalPeriod, diurnalHb, diurnalHigh, diurnalLow, 0.5)
 		err := math.Abs(m.MeanRate() - trueMean)
@@ -268,26 +191,8 @@ func TestForecastErrorMonotone(t *testing.T) {
 	// The same property under aperiodic noise, with slack: bursty traces
 	// converge in distribution, not sample-path-monotonically.
 	burstErr := func(samples int) float64 {
-		m := forecast.NewModel(forecast.Config{})
-		state := uint64(12345)
-		next := func() uint64 {
-			state ^= state << 13
-			state ^= state >> 7
-			state ^= state << 17
-			return state
-		}
-		var cum, sum float64
-		for i := 0; i <= samples; i++ {
-			rate := 20.0
-			if next()%4 == 0 {
-				rate = 800
-			}
-			if i > 0 {
-				cum += rate * 30
-				sum += rate
-			}
-			m.ObserveCount(time.Duration(i)*30*time.Second, int64(cum))
-		}
+		m := forecast.NewModel()
+		feedBursty(m, 12345, samples)
 		return math.Abs(m.MeanRate() - 215) // E[rate] = 0.75*20 + 0.25*800
 	}
 	first := burstErr(64)
@@ -303,5 +208,54 @@ func TestForecastErrorMonotone(t *testing.T) {
 	}
 	if final := burstErr(2048); final > first {
 		t.Fatalf("bursty error did not shrink: %.1f at 2048 samples vs %.1f at 64", final, first)
+	}
+}
+
+// TestDeferUntil pins the trough rule: a domain sampled in the loud half of
+// a deep diurnal wave waits for the quiet half, and nothing else waits — not
+// the quiet half itself, not a wave too shallow to clear TroughRatio, not a
+// flat or bursty trace, and not a model with too little history to trust.
+func TestDeferUntil(t *testing.T) {
+	midHigh := 3*diurnalPeriod + diurnalPeriod/4
+	m := forecast.NewModel()
+	feedSquare(m, midHigh, diurnalPeriod, diurnalHb, diurnalHigh, diurnalLow, 0.5)
+	until, ok := m.DeferUntil(midHigh)
+	if !ok {
+		t.Fatal("mid-high phase of a diurnal wave did not defer")
+	}
+	if phase := until % diurnalPeriod; phase < diurnalPeriod/2 {
+		t.Fatalf("deferred to phase %v, still in the high half", phase)
+	}
+	if wait := until - midHigh; wait <= 0 || wait >= diurnalPeriod {
+		t.Fatalf("deferred %v ahead, want within one period", wait)
+	}
+
+	midLow := 3*diurnalPeriod + 3*diurnalPeriod/4
+	lowPhase := forecast.NewModel()
+	feedSquare(lowPhase, midLow, diurnalPeriod, diurnalHb, diurnalHigh, diurnalLow, 0.5)
+	shallow := forecast.NewModel()
+	feedSquare(shallow, midHigh, diurnalPeriod, diurnalHb, 1.5*diurnalLow, diurnalLow, 0.5)
+	flat := forecast.NewModel()
+	feedSquare(flat, midHigh, diurnalPeriod, diurnalHb, diurnalHigh, diurnalHigh, 0.5)
+	bursty := forecast.NewModel()
+	feedBursty(bursty, 0x9e3779b97f4a7c15, 240)
+	// A four-beat wave shows its period within 15 samples; only the history
+	// floor keeps it from deferring.
+	young := forecast.NewModel()
+	feedSquare(young, 15*diurnalHb, 4*diurnalHb, diurnalHb, diurnalHigh, diurnalLow, 0.5)
+
+	for name, c := range map[string]struct {
+		m   *forecast.Model
+		now time.Duration
+	}{
+		"mid-low phase":   {lowPhase, midLow},
+		"shallow wave":    {shallow, midHigh},
+		"flat trace":      {flat, midHigh},
+		"bursty trace":    {bursty, 240 * 30 * time.Second},
+		"15 samples only": {young, 15*diurnalHb + time.Minute},
+	} {
+		if until, ok := c.m.DeferUntil(c.now); ok {
+			t.Errorf("%s: deferred to %v", name, until)
+		}
 	}
 }

@@ -13,15 +13,16 @@ import (
 // The fleet model. Where ClusterSweep drains one paper-testbed host at full
 // engine fidelity, FleetSweep answers the autopilot's question at datacenter
 // scale: across hundreds of hosts and ten thousand domains with time-varying
-// write rates, how much does forecast-driven scheduling — migrate each
-// domain in a predicted write-rate trough instead of whenever a slot frees —
-// buy in drain makespan, downtime, and interference (blocks re-sent because
-// the guest dirtied them mid-copy)?
+// write rates, how much does the cluster's trough rule — defer a migration
+// into its domain's predicted write-rate trough when it writes well above
+// the trough rate now (forecast.Model.DeferUntil) — buy in makespan,
+// downtime, and interference (blocks re-sent because the guest dirtied them
+// mid-copy)?
 //
 // The model trades the engine's block-level machinery for a closed-form
-// replay of its §IV iteration law, the same one forecast.PredictConvergence
-// uses: each pre-copy iteration ships the previous iteration's dirty set at
-// the migration's bandwidth share while the guest dirties
+// replay of its §IV iteration law: each pre-copy iteration ships the
+// previous iteration's dirty set at the migration's bandwidth share while
+// the guest dirties
 // hot·(1−exp(−writes/hot)) unique blocks, and the final set travels in the
 // freeze window. That keeps a 10 000-domain sweep inside a second-scale
 // wall-time budget, and every per-domain outcome streams straight into
@@ -62,13 +63,11 @@ func (s FleetShape) String() string {
 	return fmt.Sprintf("shape(%d)", int(s))
 }
 
-// Fleet model constants: the engine stop conditions mirror Defaults, the
-// trough test mirrors cluster.DefaultTroughRatio.
+// Fleet model constants: the engine stop conditions mirror Defaults.
 const (
 	fleetMaxIters       = 4
 	fleetDirtyThreshold = 8
 	fleetFixedDowntime  = 30 * time.Millisecond
-	fleetTroughRatio    = 2.0
 )
 
 // FleetParams parameterizes one fleet drain simulation.
@@ -80,11 +79,13 @@ type FleetParams struct {
 	Hosts, Domains int
 	// Shape selects the write-rate profile.
 	Shape FleetShape
-	// Predictive selects the scheduling policy: false migrates each host's
-	// domains in index order as slots free (reactive); true feeds a
-	// forecast.Model per domain from warmup heartbeats and starts each
-	// migration on the quietest candidate, waiting for the earliest
-	// predicted trough when every candidate is loud.
+	// Predictive selects the scheduling policy. Both migrate each host's
+	// domains in index order as slots free; true first feeds a
+	// forecast.Model per domain from warmup heartbeats and stamps each
+	// domain with DeferUntil when the batch is submitted, the rule the
+	// cluster applies to normal- and low-priority moves (Rebalance, the
+	// autopilot). A Drain submits PriorityEvacuate jobs, which the cluster
+	// never defers, so a drain runs the reactive arm.
 	Predictive bool
 
 	// LinkBps is each draining host's uplink; zero selects the paper's
@@ -159,6 +160,7 @@ type fleetDomain struct {
 	high, low float64 // write rates, blocks/second
 	phase     time.Duration
 	mdl       *forecast.Model
+	notBefore time.Duration // DeferUntil's stamp; zero when not deferred
 }
 
 // splitmix64 is the per-domain parameter hash (Steele et al.'s SplitMix64
@@ -314,7 +316,7 @@ func warmupModels(p FleetParams, doms []fleetDomain) {
 	beats := int(time.Duration(p.WarmupPeriods) * p.Period / p.Heartbeat)
 	cum := make([]float64, len(doms))
 	for i := range doms {
-		doms[i].mdl = forecast.NewModel(forecast.Config{})
+		doms[i].mdl = forecast.NewModel()
 	}
 	for b := 1; b <= beats; b++ {
 		at := time.Duration(b) * p.Heartbeat
@@ -325,87 +327,20 @@ func warmupModels(p FleetParams, doms []fleetDomain) {
 	}
 }
 
-// pickMigration chooses the next migration for a freed slot. Reactive takes
-// the first pending domain now. Predictive runs every candidate through the
-// trough test — quiet means its forecast rate at the slot time is within
-// fleetTroughRatio of its own predicted trough — and migrates quiet
-// candidates earliest-deadline-first: the one whose trough is predicted to
-// end soonest goes now, so no trough is wasted on a domain that had plenty
-// left. When every candidate is loud the slot asks the forecaster both
-// questions — migrate the quietest loud domain now, or idle until the
-// earliest predicted trough among the candidates and migrate there — and
-// takes whichever predicted completion is sooner. Without that comparison
-// the drain tail (domains deep in their high phase) would park slots for up
-// to half a period when pushing through costs one loud migration.
-func (p FleetParams) pickMigration(doms []fleetDomain, pending []int, now time.Duration) (pick int, startAt time.Duration) {
-	if !p.Predictive {
-		return 0, now
-	}
-	step := p.Period / 32
-	best, bestRem := -1, time.Duration(math.MaxInt64)
+// pickMigration takes, for a slot free at now, the first pending domain
+// whose deferral stamp has passed; when none has, the slot idles until the
+// earliest stamp — the cluster dispatcher's walk over a queue of deferred
+// tickets.
+func pickMigration(doms []fleetDomain, pending []int, now time.Duration) (pick int, startAt time.Duration) {
 	for k, i := range pending {
-		mdl := doms[i].mdl
-		troughAt, troughRate := mdl.NextTrough(now, p.Period)
-		limit := fleetTroughRatio*troughRate + 1e-9
-		if troughAt > now || mdl.RateAt(now) > limit {
-			continue // loud now
+		if doms[i].notBefore <= now {
+			return k, now
 		}
-		rem := p.Period // predicted time until the forecast leaves the trough band
-		for off := step; off <= p.Period; off += step {
-			if mdl.RateAt(now+off) > limit {
-				rem = off
-				break
-			}
-		}
-		if rem < p.predictTotal(doms, i, now) {
-			continue // trough too short to finish in — migrating would cross
-		}
-		if rem < bestRem {
-			best, bestRem = k, rem
+		if doms[i].notBefore < doms[pending[pick]].notBefore {
+			pick = k
 		}
 	}
-	if best >= 0 {
-		return best, now
-	}
-
-	// Everyone is loud: quietest-now versus earliest-trough, by predicted
-	// completion.
-	loudest, loudRate := 0, math.Inf(1)
-	for k, i := range pending {
-		if r := doms[i].mdl.RateAt(now); r < loudRate {
-			loudest, loudRate = k, r
-		}
-	}
-	wait, waitAt := -1, time.Duration(math.MaxInt64)
-	for k, i := range pending {
-		if at, _ := doms[i].mdl.NextTrough(now, p.Period); at > now && at < waitAt {
-			wait, waitAt = k, at
-		}
-	}
-	if wait < 0 {
-		return loudest, now
-	}
-	loud := p.predictTotal(doms, pending[loudest], now)
-	quiet := (waitAt - now) + p.predictTotal(doms, pending[wait], waitAt)
-	if quiet < loud {
-		return wait, waitAt
-	}
-	return loudest, now
-}
-
-// predictTotal is the forecaster's answer to "how long would migrating
-// domain i starting at startAt take": predicted pre-copy plus freeze for the
-// (domain, link-share) pair, the same call the cluster's PredictMigration
-// makes.
-func (p FleetParams) predictTotal(doms []fleetDomain, i int, startAt time.Duration) time.Duration {
-	cv := doms[i].mdl.PredictConvergence(forecast.MigrationParams{
-		StartAt:        startAt,
-		Blocks:         int(doms[i].size),
-		BlocksPerSec:   p.LinkBps / float64(p.PerHostCap) / blockdev.BlockSize,
-		MaxIterations:  fleetMaxIters,
-		DirtyThreshold: fleetDirtyThreshold,
-	})
-	return cv.PreCopyTime + cv.Downtime
+	return pick, doms[pending[pick]].notBefore
 }
 
 // RunFleet simulates one drain arm and streams the outcomes into one row.
@@ -429,6 +364,9 @@ func RunFleet(p FleetParams) FleetRow {
 		var pending []int
 		for i := h; i < p.Domains; i += p.Hosts {
 			pending = append(pending, i)
+			if p.Predictive {
+				doms[i].notBefore, _ = doms[i].mdl.DeferUntil(drainAt)
+			}
 		}
 		slots := make([]time.Duration, p.PerHostCap)
 		for s := range slots {
@@ -441,7 +379,7 @@ func RunFleet(p FleetParams) FleetRow {
 					s = k
 				}
 			}
-			pick, startAt := p.pickMigration(doms, pending, slots[s])
+			pick, startAt := pickMigration(doms, pending, slots[s])
 			i := pending[pick]
 			pending = append(pending[:pick], pending[pick+1:]...)
 
@@ -479,11 +417,11 @@ func RunFleet(p FleetParams) FleetRow {
 }
 
 // FleetSweep runs the reactive and predictive arms over all three shapes at
-// the given scale and stamps each predictive row's Speedup against its
-// same-shape reactive arm. The headline is the diurnal pair: trough-aware
-// scheduling should beat reactive by well over 1.5x on makespan while
-// collapsing downtime, tie on the constant control, and roughly tie on the
-// unforecastable bursty arm.
+// the given scale, each shape's reactive row followed by its predictive row,
+// and stamps each predictive row's Speedup against its same-shape reactive
+// arm. At seed 1 the trough rule drains the diurnal fleet 1.19x faster at
+// 40 hosts × 2 000 domains and 1.29x at 200 × 10 000, and ties exactly on
+// the constant control and the unforecastable bursty arm.
 func FleetSweep(seed int64, hosts, domains int) ([]FleetRow, *metrics.Table) {
 	var rows []FleetRow
 	for _, shape := range []FleetShape{FleetDiurnal, FleetConstant, FleetBursty} {
@@ -498,7 +436,7 @@ func FleetSweep(seed int64, hosts, domains int) ([]FleetRow, *metrics.Table) {
 	}
 
 	t := &metrics.Table{
-		Title: fmt.Sprintf("Fleet drain sweep — %d domains, %d hosts, reactive vs predictive", domains, hosts),
+		Title: fmt.Sprintf("Fleet sweep — %d domains, %d hosts, normal-priority moves, reactive vs predictive (trough rule)", domains, hosts),
 		Columns: []string{
 			"shape", "policy", "migs", "makespan (s)", "mean dur (s)",
 			"mean down (ms)", "max down (ms)", "high starts", "retrans (GB)", "speedup",
