@@ -210,7 +210,7 @@ func TestCompareBenchCountGate(t *testing.T) {
 			"freeze_bytes": freeze, "mem_bytes": mem, "delta_pages": deltas,
 		}}
 	}
-	headline := benchResult{Name: headlinePrefix + "fixed", MBPerSec: 2000, AllocsPerOp: 700}
+	headline := benchResult{Name: "MigrateModeledLink/fixed", MBPerSec: 2000, AllocsPerOp: 700}
 	snapshot := func(file string, touch, rewrite benchResult) string {
 		path := filepath.Join(dir, file)
 		writeSnapshotV11(t, path, []benchResult{headline, touch, rewrite})
@@ -260,6 +260,16 @@ func TestCompareBenchBadFiles(t *testing.T) {
 	}
 	if err := compareBench(good, wrongSchema, 25); err == nil {
 		t.Fatal("wrong schema accepted")
+	}
+}
+
+// BenchmarkSuite runs the rows `bbench -json` records, under the same names,
+// so a profile of one is a profile of the snapshot's row:
+//
+//	go test -run xxx -bench 'Suite/MigrateTCP/compressed' -benchmem -memprofile mem.out ./cmd/bbench
+func BenchmarkSuite(b *testing.B) {
+	for _, r := range suite(1) {
+		b.Run(r.name, r.run)
 	}
 }
 

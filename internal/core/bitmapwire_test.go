@@ -197,6 +197,48 @@ func (a *ackTap) Recv() (transport.Message, error) {
 	return m, err
 }
 
+// dropConn is a link that loses every frame sent through it.
+type dropConn struct{ transport.Conn }
+
+func (dropConn) Send(transport.Message) error { return nil }
+
+// TestPushCarriesTheFreezeSetInOrder pushes a freeze set of 1 344 runs
+// spread over the paper's 10 001 920-block disk, some longer than the live
+// extent limit. The push carries exactly the set — every run cut at the
+// limit, in ascending order — then PUSH_DONE, however far into the disk the
+// last cut ended.
+func TestPushCarriesTheFreezeSetInOrder(t *testing.T) {
+	const blocks, limit = 10_001_920, 16
+	disk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+	host := Host{VM: vm.New("guest", testDomain, testPages, 0), Backend: blkback.NewBackend(disk, testDomain)}
+	tap := &frameTap{Conn: dropConn{}}
+	s := newSourceRun(Config{MaxExtentBlocks: limit}, host, tap, "TPM")
+	set := bitmap.New(blocks)
+	var want []sentFrame
+	for i := 0; i < 1344; i++ {
+		start, n := i*7441, 1+i%40
+		set.SetRange(start, start+n)
+		for c := 0; c < n; c += limit {
+			want = append(want, sentFrame{start: start + c, n: min(limit, n-c)})
+		}
+	}
+	if err := s.pushBlocks(set); err != nil {
+		t.Fatal(err)
+	}
+	frames := tap.frames
+	if len(frames) != len(want)+1 || frames[len(want)].typ != transport.MsgPushDone {
+		t.Fatalf("%d frames, want %d extents and PUSH_DONE", len(frames), len(want))
+	}
+	for i, w := range want {
+		if got := frames[i]; got.start != w.start || got.n != w.n {
+			t.Fatalf("frame %d carries [%d,+%d), want [%d,+%d)", i, got.start, got.n, w.start, w.n)
+		}
+	}
+	if s.rep.BlocksPushed != set.Count() {
+		t.Fatalf("pushed %d blocks of a %d-block set", s.rep.BlocksPushed, set.Count())
+	}
+}
+
 // TestResumeCursorTravelsCompact cuts the link halfway through the first
 // iteration of a 65 536-block disk. The destination's transfer cursor comes
 // back in the runs form, and the resumed iteration still re-sends only what

@@ -195,7 +195,7 @@ func TestAdaptiveBeatsDefaultOnModeledLink(t *testing.T) {
 	// adaptive policy exists for.
 	modeled := func(transport.Conn, transport.Conn) (transport.Conn, transport.Conn) {
 		a, b := transport.NewPipe(256)
-		return transport.NewLatent(a, stall), transport.NewLatent(b, stall)
+		return transport.NewWAN(a, stall, 0), transport.NewWAN(b, stall, 0)
 	}
 	run := func(pol Policy) time.Duration { // the source's own clock: the runner's checks are not the migration
 		rep, _ := newWorld(t, worldSpec{link: modeled}).tpm(Config{Policy: pol}, Config{Policy: pol}, nil)

@@ -623,13 +623,12 @@ func (s *sourceRun) servePull(n int) error {
 	return nil
 }
 
-// pushBlocks pushes every block of bm to the destination, serving queued
-// pull requests first ("sends the pulled block preferentially"); the
-// background push coalesces the remaining set into extents at the policy's
-// live limit.
+// pushBlocks pushes every block of bm, serving queued pulls first ("sends the
+// pulled block preferentially") and coalescing the rest into extents at the
+// policy's live limit; a pull only clears, so each scan resumes at the last cut.
 func (s *sourceRun) pushBlocks(bm *bitmap.Bitmap) error {
 	remaining := bm.Clone()
-	for {
+	for next := 0; ; {
 		select {
 		case n := <-s.pullCh:
 			if remaining.Test(n) { // not yet pushed
@@ -641,7 +640,7 @@ func (s *sourceRun) pushBlocks(bm *bitmap.Bitmap) error {
 			continue
 		default:
 		}
-		ext := remaining.NextExtent(0, s.extentBlocks())
+		ext := remaining.NextExtent(next, s.extentBlocks())
 		if ext.Count == 0 {
 			break
 		}
@@ -649,6 +648,7 @@ func (s *sourceRun) pushBlocks(bm *bitmap.Bitmap) error {
 			return err
 		}
 		remaining.ClearRange(ext.Start, ext.End())
+		next = ext.End()
 		s.rep.BlocksPushed += ext.Count
 	}
 	return s.send(transport.Message{Type: transport.MsgPushDone}, false)

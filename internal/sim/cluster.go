@@ -60,46 +60,22 @@ type ClusterSweepRow struct {
 // solo figure, and concurrency 8 only halves per-migration bandwidth —
 // makespan barely moves but every VM's freeze window roughly doubles.
 func ClusterSweep(seed int64) ([]ClusterSweepRow, *metrics.Table) {
-	base := Defaults(workload.Web)
-	base.Seed = seed
-	base.DwellAfter = time.Minute
-	link := base.NetBytesPerSec
-	budget := clusterUplinkLinks * link
-
 	runRow := func(label string, c int, outage time.Duration) ClusterSweepRow {
-		rate := link
-		if share := budget / float64(c); share < rate {
-			rate = share
-		}
-		row := ClusterSweepRow{Label: label, Concurrency: c, PerMigRate: rate}
-		var totalDowntime time.Duration
-		idx := 0
-		for idx < clusterDomains {
-			waveMax := time.Duration(0)
-			for k := 0; k < c && idx < clusterDomains; k++ {
-				p := base
-				p.Seed = seed + int64(idx)
-				p.NetBytesPerSec = rate
-				if outage > 0 && idx == 0 {
-					// Cut the first migration mid disk pre-copy (each
-					// simulated migration runs on its own timeline from 0).
-					p.OutageAt = time.Duration(0.4 * float64(estimateMigration(base, rate)))
-					p.OutageDuration = outage
-				}
-				r := RunTPM(p)
-				if dur := r.MigEnd - r.MigStart; dur > waveMax {
-					waveMax = dur
-				}
-				dt := r.Report.Downtime
-				totalDowntime += dt
-				if dt > row.MaxDowntime {
-					row.MaxDowntime = dt
-				}
-				row.Retries += r.Report.Retries
-				row.ResentMB += float64(r.Report.ResentBytes) / 1e6
-				idx++
+		rate, makespan, results := evacuate(seed, c, func(p *Params, i int) {
+			if outage > 0 && i == 0 {
+				// Cut the first migration mid disk pre-copy (each simulated
+				// migration runs on its own timeline from 0).
+				p.OutageAt = time.Duration(0.4 * float64(estimateMigration(*p, p.NetBytesPerSec)))
+				p.OutageDuration = outage
 			}
-			row.Makespan += waveMax
+		})
+		row := ClusterSweepRow{Label: label, Concurrency: c, PerMigRate: rate, Makespan: makespan}
+		var totalDowntime time.Duration
+		for _, r := range results {
+			totalDowntime += r.Report.Downtime
+			row.MaxDowntime = max(row.MaxDowntime, r.Report.Downtime)
+			row.Retries += r.Report.Retries
+			row.ResentMB += float64(r.Report.ResentBytes) / 1e6
 		}
 		row.MeanDowntime = totalDowntime / clusterDomains
 		return row
@@ -130,6 +106,32 @@ func ClusterSweep(seed int64) ([]ClusterSweepRow, *metrics.Table) {
 		)
 	}
 	return rows, t
+}
+
+// evacuate is the drain's wave model: clusterDomains paper-testbed web
+// domains, each on its own seed and tuned by arm, migrate in waves of c at
+// min(link, budget/c), and a wave ends when its slowest migration completes.
+// It returns the per-migration rate, the makespan, and every domain's
+// result in order.
+func evacuate(seed int64, c int, arm func(p *Params, i int)) (rate float64, makespan time.Duration, results []*Result) {
+	base := Defaults(workload.Web)
+	base.DwellAfter = time.Minute
+	link := base.NetBytesPerSec
+	rate = min(link, clusterUplinkLinks*link/float64(c))
+	for i := 0; i < clusterDomains; i += c {
+		var wave time.Duration
+		for k := i; k < i+c && k < clusterDomains; k++ {
+			p := base
+			p.Seed = seed + int64(k)
+			p.NetBytesPerSec = rate
+			arm(&p, k)
+			r := RunTPM(p)
+			wave = max(wave, r.MigEnd-r.MigStart)
+			results = append(results, r)
+		}
+		makespan += wave
+	}
+	return rate, makespan, results
 }
 
 // estimateMigration predicts one migration's rough duration at the given

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"bbmig/internal/metrics"
-	"bbmig/internal/workload"
 )
 
 // The clone-fleet dedup model. DedupSweep answers the content-addressed
@@ -45,8 +44,8 @@ type DedupSweepRow struct {
 	Reduction float64
 	// DedupBlocks is one migration's reference-materialized block count.
 	DedupBlocks int
-	// Makespan is the evacuation's duration under the ClusterSweep wave
-	// model at the sweet-spot concurrency.
+	// Makespan is the evacuation's duration under the drain's wave model
+	// (evacuate) at the sweet-spot concurrency.
 	Makespan time.Duration
 }
 
@@ -57,17 +56,7 @@ type DedupSweepRow struct {
 // template overlap). The acceptance bar the test pins: warm-fleet
 // evacuation moves at least 5x fewer bytes than literal.
 func DedupSweep(seed int64) ([]DedupSweepRow, *metrics.Table) {
-	base := Defaults(workload.Web)
-	base.Seed = seed
-	base.DwellAfter = time.Minute
-	link := base.NetBytesPerSec
-	budget := clusterUplinkLinks * link
 	const concurrency = 4
-	rate := link
-	if share := budget / concurrency; share < rate {
-		rate = share
-	}
-
 	arms := []struct {
 		label string
 		dedup bool
@@ -80,30 +69,11 @@ func DedupSweep(seed int64) ([]DedupSweepRow, *metrics.Table) {
 	var rows []DedupSweepRow
 	var literalFleet float64
 	for _, arm := range arms {
-		row := DedupSweepRow{Label: arm.label, Share: arm.share}
-		idx := 0
-		for idx < clusterDomains {
-			waveMax := time.Duration(0)
-			for k := 0; k < concurrency && idx < clusterDomains; k++ {
-				p := base
-				p.Seed = seed + int64(idx)
-				p.NetBytesPerSec = rate
-				p.Dedup = arm.dedup
-				p.DedupShare = arm.share
-				r := RunTPM(p)
-				wire := float64(r.Report.MigratedBytes + r.Report.MemBytesMoved)
-				row.FleetWireGB += wire / 1e9
-				if idx == 0 {
-					row.PerDomainWireMB = wire / 1e6
-					row.DedupBlocks = r.Report.DedupBlocks
-				}
-				if dur := r.MigEnd - r.MigStart; dur > waveMax {
-					waveMax = dur
-				}
-				idx++
-			}
-			row.Makespan += waveMax
-		}
+		_, makespan, results := evacuate(seed, concurrency, func(p *Params, _ int) {
+			p.Dedup, p.DedupShare = arm.dedup, arm.share
+		})
+		row := DedupSweepRow{Label: arm.label, Share: arm.share, Makespan: makespan, DedupBlocks: results[0].Report.DedupBlocks}
+		row.PerDomainWireMB, row.FleetWireGB = fleetWire(results)
 		if arm.label == "literal" {
 			literalFleet = row.FleetWireGB
 		}
@@ -130,4 +100,17 @@ func DedupSweep(seed int64) ([]DedupSweepRow, *metrics.Table) {
 		)
 	}
 	return rows, t
+}
+
+// fleetWire sums an evacuation's wire bytes (disk accounting plus memory
+// pages): the first domain's in MB, the fleet's in GB.
+func fleetWire(results []*Result) (perDomainMB, fleetGB float64) {
+	for i, r := range results {
+		wire := float64(r.Report.MigratedBytes + r.Report.MemBytesMoved)
+		fleetGB += wire / 1e9
+		if i == 0 {
+			perDomainMB = wire / 1e6
+		}
+	}
+	return perDomainMB, fleetGB
 }

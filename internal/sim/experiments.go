@@ -13,8 +13,10 @@ import (
 
 // This file defines one entry point per table/figure of the paper's
 // evaluation (§VI). Each returns both raw results and a rendered
-// metrics.Table/Series so cmd/bbench and bench_test.go print rows directly
-// comparable to the paper.
+// metrics.Table/Series: `bbench -exp` prints the tables, the root
+// bench_test.go reports the same quantities as benchmark metrics, and
+// `bbench -json` snapshots the headlines. The evacuation sweeps (cluster.go,
+// dedup.go, swarm.go) share one wave model, evacuate.
 
 // TableIWorkloads lists the three §VI-B workloads in Table I column order.
 func TableIWorkloads() []workload.Kind {

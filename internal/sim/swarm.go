@@ -37,8 +37,8 @@ type SwarmSweepRow struct {
 	FleetWireGB float64
 	// SwarmBlocks is one migration's peer-produced block count.
 	SwarmBlocks int
-	// Makespan is the evacuation's duration under the ClusterSweep wave
-	// model at the sweet-spot concurrency.
+	// Makespan is the evacuation's duration under the drain's wave model
+	// (evacuate) at the sweet-spot concurrency.
 	Makespan time.Duration
 	// Speedup is the makespan improvement versus the single-source dedup
 	// arm (1x for that arm itself; the acceptance bar pins ≥2x for the
@@ -54,17 +54,8 @@ type SwarmSweepRow struct {
 // The acceptance bar the test pins: the swarm arm's makespan beats
 // single-source dedup by at least 2x.
 func SwarmSweep(seed int64) ([]SwarmSweepRow, *metrics.Table) {
-	base := Defaults(workload.Web)
-	base.Seed = seed
-	base.DwellAfter = time.Minute
-	link := base.NetBytesPerSec
-	budget := clusterUplinkLinks * link
 	const concurrency = 4
-	rate := link
-	if share := budget / concurrency; share < rate {
-		rate = share
-	}
-
+	link := Defaults(workload.Web).NetBytesPerSec
 	arms := []struct {
 		label      string
 		dedup      bool
@@ -79,37 +70,17 @@ func SwarmSweep(seed int64) ([]SwarmSweepRow, *metrics.Table) {
 	var rows []SwarmSweepRow
 	var baselineMakespan time.Duration
 	for _, arm := range arms {
-		row := SwarmSweepRow{Label: arm.label}
-		idx := 0
-		for idx < clusterDomains {
-			waveMax := time.Duration(0)
-			for k := 0; k < concurrency && idx < clusterDomains; k++ {
-				p := base
-				p.Seed = seed + int64(idx)
-				p.NetBytesPerSec = rate
-				p.Dedup = arm.dedup
-				p.DedupShare = arm.share
-				if arm.swarm {
-					p.Swarm = true
-					p.SwarmShare = arm.swarmShare
-					// Each nominated peer serves over its own uplink; the
-					// sidecar links are separate from the source path.
-					p.SwarmBytesPerSec = swarmPeerCount * link
-				}
-				r := RunTPM(p)
-				wire := float64(r.Report.MigratedBytes + r.Report.MemBytesMoved)
-				row.FleetWireGB += wire / 1e9
-				if idx == 0 {
-					row.PerDomainWireMB = wire / 1e6
-					row.SwarmBlocks = r.Report.SwarmBlocks
-				}
-				if dur := r.MigEnd - r.MigStart; dur > waveMax {
-					waveMax = dur
-				}
-				idx++
+		_, makespan, results := evacuate(seed, concurrency, func(p *Params, _ int) {
+			p.Dedup, p.DedupShare = arm.dedup, arm.share
+			if arm.swarm {
+				// Each nominated peer serves over its own uplink; the sidecar
+				// links are separate from the source path.
+				p.Swarm, p.SwarmShare = true, arm.swarmShare
+				p.SwarmBytesPerSec = swarmPeerCount * link
 			}
-			row.Makespan += waveMax
-		}
+		})
+		row := SwarmSweepRow{Label: arm.label, Makespan: makespan, SwarmBlocks: results[0].Report.SwarmBlocks}
+		row.PerDomainWireMB, row.FleetWireGB = fleetWire(results)
 		if arm.label == arms[1].label {
 			baselineMakespan = row.Makespan
 		}

@@ -8,8 +8,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-
-	"bbmig/internal/clock"
 )
 
 // Conn is a bidirectional, ordered message stream between the two migration
@@ -175,29 +173,3 @@ func (m *Meter) MessagesSent() int64 { return m.sentMsgs.Load() }
 
 // MessagesReceived returns the number of messages received.
 func (m *Meter) MessagesReceived() int64 { return m.recvdMsgs.Load() }
-
-// Shaped applies a token-bucket bandwidth cap to a Conn's send path,
-// implementing the paper's migration rate limit. The limiter may be shared
-// between several Conns to model one capped NIC.
-type Shaped struct {
-	inner   Conn
-	limiter *clock.RateLimiter
-}
-
-// NewShaped wraps inner so every Send first acquires the message's frame
-// size from limiter.
-func NewShaped(inner Conn, limiter *clock.RateLimiter) *Shaped {
-	return &Shaped{inner: inner, limiter: limiter}
-}
-
-// Send implements Conn.
-func (s *Shaped) Send(m Message) error {
-	s.limiter.Wait(m.FrameSize())
-	return s.inner.Send(m)
-}
-
-// Recv implements Conn.
-func (s *Shaped) Recv() (Message, error) { return s.inner.Recv() }
-
-// Close implements Conn.
-func (s *Shaped) Close() error { return s.inner.Close() }

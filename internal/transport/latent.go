@@ -35,18 +35,13 @@ type Latent struct {
 // granularity would distort the model more than bursting does.
 const latentQuantum = time.Millisecond
 
-// NewLatent wraps inner so each Send occupies the link for stall.
-func NewLatent(inner Conn, stall time.Duration) *Latent {
-	return &Latent{inner: inner, stall: stall}
-}
-
 // NewWAN wraps inner in a wide-area link profile: each Send occupies the
 // link for stall (the one-way propagation delay — half the RTT, so one
 // request/reply round trip costs a full RTT) plus the frame's serialization
 // time at bytesPerSec. Asymmetric links are modelled by wrapping each
 // direction's sending side in its own NewWAN with that direction's rate —
 // Latent only ever delays Send, so the uplink and downlink profiles never
-// interfere. bytesPerSec <= 0 keeps the pure per-frame stall of NewLatent.
+// interfere. bytesPerSec <= 0 keeps a pure per-frame stall: the LAN model.
 func NewWAN(inner Conn, stall time.Duration, bytesPerSec int64) *Latent {
 	return &Latent{inner: inner, stall: stall, bps: bytesPerSec}
 }

@@ -401,7 +401,7 @@ func ExampleStriped() {
 func TestLatentAccountsLinkTime(t *testing.T) {
 	a, b := NewPipe(64)
 	const stall = 2 * time.Millisecond
-	l := NewLatent(a, stall)
+	l := NewWAN(a, stall, 0)
 	defer l.Close()
 	defer b.Close()
 	done := make(chan struct{})

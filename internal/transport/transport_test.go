@@ -7,9 +7,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"bbmig/internal/clock"
 )
 
 // rwc adapts two in-memory pipes into an io.ReadWriteCloser pair.
@@ -200,32 +197,6 @@ func TestMeterCounts(t *testing.T) {
 		t.Fatalf("received %d bytes / %d msgs", mb.BytesReceived(), mb.MessagesReceived())
 	}
 	ma.Close()
-}
-
-func TestShapedThrottles(t *testing.T) {
-	v := clock.NewVirtual()
-	a, b := NewPipe(1024)
-	rl := clock.NewRateLimiter(v, 1000) // 1000 B/s virtual
-	sa := NewShaped(a, rl)
-	msg := Message{Type: MsgBlockData, Payload: make([]byte, 487)} // 500 wire bytes
-	go func() {
-		for i := 0; i < 10; i++ {
-			b.Recv()
-		}
-	}()
-	for i := 0; i < 10; i++ {
-		if err := sa.Send(msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 10 * 500B = 5000B at 1000B/s ≈ 4.9s of virtual time.
-	if got := v.Now(); got < 4*time.Second || got > 6*time.Second {
-		t.Fatalf("shaped send advanced %v, want ~4.9s", got)
-	}
-	sa.Close()
-	if _, err := sa.Recv(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("recv after close: %v", err)
-	}
 }
 
 func TestGeometryRoundTrip(t *testing.T) {
