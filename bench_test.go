@@ -406,7 +406,16 @@ func BenchmarkTraceRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		gen.Reset()
 		sink = 0
-		if _, err := workload.Record(gen, 10000, &sink, 1<<21); err != nil {
+		tw, err := workload.NewTraceWriter(&sink, 1<<21)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for range 10000 {
+			if err := tw.Append(gen.Next()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := tw.Flush(); err != nil {
 			b.Fatal(err)
 		}
 	}

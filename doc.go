@@ -1,14 +1,15 @@
-// Package bbmig is the public facade of the block-bitmap whole-system live
-// VM migration library, a reproduction of Luo et al., "Live and Incremental
-// Whole-System Migration of Virtual Machines Using Block-Bitmap" (IEEE
-// CLUSTER 2008).
+// Package bbmig documents the block-bitmap whole-system live VM migration
+// library, a reproduction of Luo et al., "Live and Incremental Whole-System
+// Migration of Virtual Machines Using Block-Bitmap" (IEEE CLUSTER 2008). It
+// holds no code: the engine is internal/core, and callers import it and the
+// substrates it runs on directly.
 //
 // The library migrates a virtual machine's complete run-time state — local
 // disk storage, memory, and CPU state — between two hosts with no shared
 // storage, keeping the VM live throughout:
 //
-//	src := bbmig.Host{VM: guest, Backend: blkback.NewBackend(disk, guest.DomainID)}
-//	report, err := bbmig.MigrateSource(bbmig.Config{}, src, conn, nil)
+//	src := core.Host{VM: guest, Backend: blkback.NewBackend(disk, guest.DomainID)}
+//	report, err := core.MigrateSource(core.Config{}, src, conn, nil)
 //
 // Three phases (§IV): pre-copy iteratively ships the disk then memory while
 // a block-bitmap records concurrent writes; freeze-and-copy suspends the VM
@@ -81,10 +82,10 @@
 // index — retained peer copies, clone siblings' disks, blocks received
 // earlier in the same migration, and the implicit zero block (all-zero
 // runs are elided without even a round trip). The index is advisory and
-// verify-on-read: a stale or corrupt-loaded entry degrades to a literal
-// send, never to wrong bytes. hostd maintains one index per machine
-// (persisted alongside its retained disks), so evacuating a fleet of
-// template-provisioned clones between the same hosts ships fingerprints
+// verify-on-read: a stale entry degrades to a literal send, never to wrong
+// bytes. hostd maintains one in-memory index per machine, beside its
+// retained disks, so evacuating a fleet of template-provisioned clones
+// between the same hosts ships fingerprints
 // instead of images — `bbench -exp dedup` models a clone-fleet evacuation
 // moving 5-10x fewer bytes. Dedup is a source setting: the adverts and
 // references name themselves, and every destination answers them (hostd's
@@ -143,162 +144,3 @@
 // migration daemon and cmd/bbench regenerates every table and figure of the
 // paper's evaluation (plus a machine-readable BENCH_*.json suite).
 package bbmig
-
-import (
-	"bbmig/internal/bitmap"
-	"bbmig/internal/core"
-	"bbmig/internal/dedup"
-	"bbmig/internal/metrics"
-	"bbmig/internal/transport"
-)
-
-// Config parameterizes a migration; the zero value uses the paper's
-// defaults. See core.Config for field documentation.
-type Config = core.Config
-
-// Host bundles one machine's VM and block backend.
-type Host = core.Host
-
-// Router switches the guest's I/O path across the migration and implements
-// the freeze window.
-type Router = core.Router
-
-// DestResult is the destination side's outcome, carrying the post-copy gate
-// whose fresh bitmap seeds an incremental migration back.
-type DestResult = core.DestResult
-
-// Report carries the paper's §III-A metrics for one migration run.
-type Report = metrics.Report
-
-// Policy owns the runtime transfer decisions the engine cannot measure (stop
-// conditions, extent size, pacing). Nil in Config selects DefaultPolicy.
-type Policy = core.Policy
-
-// DefaultPolicy reproduces the paper's fixed behavior; it is wire-identical
-// to the seed protocol under the default Config.
-type DefaultPolicy = core.DefaultPolicy
-
-// AdaptivePolicy grows the extent size by slow start from observed
-// throughput. One instance per migration.
-type AdaptivePolicy = core.AdaptivePolicy
-
-// IterationStat summarizes one pre-copy iteration for policy decisions.
-type IterationStat = core.IterationStat
-
-// RateBudget divides a global pre-copy bandwidth budget among the
-// migrations currently drawing from it (the cluster orchestrator's shared
-// allocator).
-type RateBudget = core.RateBudget
-
-// NewRateBudget returns a budget of total bytes/second; <= 0 disables it.
-var NewRateBudget = core.NewRateBudget
-
-// BudgetPolicy decorates a Policy so a migration's pre-copy pacing follows
-// a shared RateBudget, re-read live on every paced frame.
-type BudgetPolicy = core.BudgetPolicy
-
-// DedupIndex is the destination-side content-fingerprint index consulted
-// under Config.Dedup; share one per machine so retained and clone-sibling
-// disks deduplicate across migrations (hostd does exactly this).
-type DedupIndex = dedup.Index
-
-// NewDedupIndex returns an empty content index for the given block size.
-var NewDedupIndex = dedup.NewIndex
-
-// Fingerprint is one block's content hash (SHA-256 truncated to 128 bits).
-type Fingerprint = dedup.Fingerprint
-
-// FingerprintOf fingerprints a block's content.
-var FingerprintOf = dedup.Of
-
-// Event is one typed progress notification; see Config.OnEvent.
-type Event = core.Event
-
-// EventKind identifies a progress event.
-type EventKind = core.EventKind
-
-// EventFunc consumes progress events; it may be invoked concurrently.
-type EventFunc = core.EventFunc
-
-// Progress is a point-in-time snapshot of one migration endpoint.
-type Progress = core.Progress
-
-// ProgressTracker folds an event stream into a queryable Progress snapshot.
-type ProgressTracker = core.ProgressTracker
-
-// NewProgressTracker returns an empty tracker; wire Handle into
-// Config.OnEvent and call Snapshot from any goroutine.
-var NewProgressTracker = core.NewProgressTracker
-
-// ChainEvents composes several event handlers into one.
-var ChainEvents = core.ChainEvents
-
-// Bitmap is the block-bitmap used to select blocks for incremental
-// migration.
-type Bitmap = bitmap.Bitmap
-
-// RedialFunc re-establishes the source's transport after a connection
-// failure; pair with Config.MaxRetries.
-type RedialFunc = core.RedialFunc
-
-// ReconnectFunc hands the destination engine a reconnecting source's fresh
-// connection; see Config.WaitReconnect.
-type ReconnectFunc = core.ReconnectFunc
-
-// SessionToken identifies a resumable migration across reconnects.
-type SessionToken = transport.SessionToken
-
-// JournalState is one checkpoint of a resumable migration's journal.
-type JournalState = core.JournalState
-
-// Journal mirrors a resumable migration's checkpoints (optionally to disk).
-type Journal = core.Journal
-
-// LoadJournal reads a journal persisted via Config.JournalPath for a disk
-// of the given block count, for cold-resuming a migration after a source
-// restart.
-var LoadJournal = core.LoadJournal
-
-// AcceptResume parks on a listener until a connection opens with a valid
-// session-resume frame — the standard Config.WaitReconnect implementation
-// for TCP destinations.
-var AcceptResume = transport.AcceptResume
-
-// IsConnError reports whether an error is a retryable connection failure
-// (as opposed to a protocol or device error).
-var IsConnError = transport.IsConnError
-
-// NewRouter returns a Router initially routing to submit.
-var NewRouter = core.NewRouter
-
-// MigrateSource runs the source side of a three-phase migration. A nil
-// initial bitmap migrates the whole disk; a previous DestResult's
-// Gate.FreshBitmap() migrates incrementally.
-var MigrateSource = core.MigrateSource
-
-// MigrateDest runs the destination side of a three-phase migration.
-var MigrateDest = core.MigrateDest
-
-// Dial connects to a destination migration daemon over TCP.
-var Dial = transport.Dial
-
-// Listen opens a TCP listener for incoming migrations.
-var Listen = transport.Listen
-
-// Accept wraps an accepted connection as a migration transport.
-var Accept = transport.Accept
-
-// NewPipe returns two connected in-process transports, for tests and
-// single-process demonstrations.
-var NewPipe = transport.NewPipe
-
-// NewStriped bundles several transports into one multi-stream connection;
-// pair with Config.Streams, MaxExtentBlocks, and Workers for parallel
-// transfer.
-var NewStriped = transport.NewStriped
-
-// DialStriped opens a Config.Streams-wide striped bundle to a destination.
-var DialStriped = transport.DialStriped
-
-// AcceptStriped accepts a striped bundle opened by DialStriped.
-var AcceptStriped = transport.AcceptStriped

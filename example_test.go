@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"log"
 
-	"bbmig"
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/cluster"
+	"bbmig/internal/core"
 	"bbmig/internal/hostd"
+	"bbmig/internal/metrics"
+	"bbmig/internal/transport"
 	"bbmig/internal/vm"
 	"bbmig/internal/workload"
 )
@@ -28,19 +30,19 @@ func Example() {
 		srcDisk.WriteBlock(n, buf)
 	}
 	guest := vm.New("guest", domain, pages, 512)
-	src := bbmig.Host{VM: guest, Backend: blkback.NewBackend(srcDisk, domain)}
+	src := core.Host{VM: guest, Backend: blkback.NewBackend(srcDisk, domain)}
 
 	// Destination machine: an empty VBD and a VM shell.
 	dstDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
-	dst := bbmig.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, domain)}
+	dst := core.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, domain)}
 
-	connSrc, connDst := bbmig.NewPipe(64)
+	connSrc, connDst := transport.NewPipe(64)
 	go func() {
-		if _, err := bbmig.MigrateSource(bbmig.Config{}, src, connSrc, nil); err != nil {
+		if _, err := core.MigrateSource(core.Config{}, src, connSrc, nil); err != nil {
 			log.Fatal(err)
 		}
 	}()
-	res, err := bbmig.MigrateDest(bbmig.Config{}, dst, connDst)
+	res, err := core.MigrateDest(core.Config{}, dst, connDst)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func Example_cluster() {
 // the rest was never written. Each template payload crosses the wire once,
 // its repeats travel as 16-byte references, and the zero half is elided
 // outright — yet the destination disk is byte-identical. hostd shares one
-// DedupIndex per machine, so a second clone migrating to the same host
+// dedup.Index per machine, so a second clone migrating to the same host
 // would arrive almost entirely by reference.
 func Example_dedup() {
 	const blocks, pages, domain = 2048, 16, 1
@@ -111,22 +113,22 @@ func Example_dedup() {
 		srcDisk.WriteBlock(n, buf)
 	}
 	guest := vm.New("clone", domain, pages, 512)
-	src := bbmig.Host{VM: guest, Backend: blkback.NewBackend(srcDisk, domain)}
+	src := core.Host{VM: guest, Backend: blkback.NewBackend(srcDisk, domain)}
 
 	dstDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
-	dst := bbmig.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, domain)}
+	dst := core.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, domain)}
 
-	cfg := bbmig.Config{Dedup: true, MaxExtentBlocks: 64}
-	connSrc, connDst := bbmig.NewPipe(64)
-	repCh := make(chan *bbmig.Report, 1)
+	cfg := core.Config{Dedup: true, MaxExtentBlocks: 64}
+	connSrc, connDst := transport.NewPipe(64)
+	repCh := make(chan *metrics.Report, 1)
 	go func() {
-		rep, err := bbmig.MigrateSource(cfg, src, connSrc, nil)
+		rep, err := core.MigrateSource(cfg, src, connSrc, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		repCh <- rep
 	}()
-	if _, err := bbmig.MigrateDest(cfg, dst, connDst); err != nil {
+	if _, err := core.MigrateDest(cfg, dst, connDst); err != nil {
 		log.Fatal(err)
 	}
 	rep := <-repCh

@@ -14,11 +14,13 @@ import (
 	"log"
 	"time"
 
-	"bbmig"
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/clock"
+	"bbmig/internal/core"
+	"bbmig/internal/metrics"
 	"bbmig/internal/sim"
+	"bbmig/internal/transport"
 	"bbmig/internal/vm"
 	"bbmig/internal/workload"
 )
@@ -31,13 +33,13 @@ const (
 
 // runOnce migrates under the diabolical workload with the given bandwidth
 // cap and reports the migration plus achieved workload ops.
-func runOnce(capBytesPerSec int64) (*bbmig.Report, int64) {
+func runOnce(capBytesPerSec int64) (*metrics.Report, int64) {
 	srcDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
 	dstDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
 	guest := vm.New("diabolical", domain, pages, 1024)
-	src := bbmig.Host{VM: guest, Backend: blkback.NewBackend(srcDisk, domain)}
-	dst := bbmig.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, domain)}
-	router := bbmig.NewRouter(src.Backend.Submit)
+	src := core.Host{VM: guest, Backend: blkback.NewBackend(srcDisk, domain)}
+	dst := core.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, domain)}
+	router := core.NewRouter(src.Backend.Submit)
 
 	stop := make(chan struct{})
 	opsCh := make(chan int64, 1)
@@ -55,21 +57,21 @@ func runOnce(capBytesPerSec int64) (*bbmig.Report, int64) {
 	}()
 	time.Sleep(100 * time.Millisecond)
 
-	connSrc, connDst := bbmig.NewPipe(64)
-	cfg := bbmig.Config{
+	connSrc, connDst := transport.NewPipe(64)
+	cfg := core.Config{
 		OnFreeze:       router.Freeze,
 		OnResume:       router.ResumeGate,
 		BandwidthLimit: capBytesPerSec,
 	}
-	repCh := make(chan *bbmig.Report, 1)
+	repCh := make(chan *metrics.Report, 1)
 	go func() {
-		rep, err := bbmig.MigrateSource(cfg, src, connSrc, nil)
+		rep, err := core.MigrateSource(cfg, src, connSrc, nil)
 		if err != nil {
 			log.Fatalf("source: %v", err)
 		}
 		repCh <- rep
 	}()
-	if _, err := bbmig.MigrateDest(cfg, dst, connDst); err != nil {
+	if _, err := core.MigrateDest(cfg, dst, connDst); err != nil {
 		log.Fatalf("destination: %v", err)
 	}
 	rep := <-repCh

@@ -11,10 +11,13 @@ import (
 	"log"
 	"time"
 
-	"bbmig"
+	"bbmig/internal/bitmap"
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/clock"
+	"bbmig/internal/core"
+	"bbmig/internal/metrics"
+	"bbmig/internal/transport"
 	"bbmig/internal/vm"
 	"bbmig/internal/workload"
 )
@@ -27,18 +30,18 @@ const (
 
 // migrate runs one full TPM/IM migration between two hosts over a pipe and
 // returns both reports.
-func migrate(src, dst bbmig.Host, router *bbmig.Router, initial *bbmig.Bitmap) (*bbmig.Report, *bbmig.DestResult) {
-	connSrc, connDst := bbmig.NewPipe(64)
-	cfg := bbmig.Config{OnFreeze: router.Freeze, OnResume: router.ResumeGate}
-	repCh := make(chan *bbmig.Report, 1)
+func migrate(src, dst core.Host, router *core.Router, initial *bitmap.Bitmap) (*metrics.Report, *core.DestResult) {
+	connSrc, connDst := transport.NewPipe(64)
+	cfg := core.Config{OnFreeze: router.Freeze, OnResume: router.ResumeGate}
+	repCh := make(chan *metrics.Report, 1)
 	go func() {
-		rep, err := bbmig.MigrateSource(cfg, src, connSrc, initial)
+		rep, err := core.MigrateSource(cfg, src, connSrc, initial)
 		if err != nil {
 			log.Fatalf("source: %v", err)
 		}
 		repCh <- rep
 	}()
-	res, err := bbmig.MigrateDest(cfg, dst, connDst)
+	res, err := core.MigrateDest(cfg, dst, connDst)
 	if err != nil {
 		log.Fatalf("destination: %v", err)
 	}
@@ -50,8 +53,8 @@ func main() {
 	homeDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
 	guest := vm.New("workstation", domain, pages, 1024)
 
-	office := bbmig.Host{VM: guest, Backend: blkback.NewBackend(officeDisk, domain)}
-	router := bbmig.NewRouter(office.Backend.Submit)
+	office := core.Host{VM: guest, Backend: blkback.NewBackend(officeDisk, domain)}
+	router := core.NewRouter(office.Backend.Submit)
 
 	// A kernel-build-like workload stands in for the user's work session.
 	stop := make(chan struct{})
@@ -64,7 +67,7 @@ func main() {
 	time.Sleep(100 * time.Millisecond)
 
 	// Evening: office → home, whole system.
-	home := bbmig.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(homeDisk, domain)}
+	home := core.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(homeDisk, domain)}
 	repOut, resOut := migrate(office, home, router, nil)
 	fmt.Println("== primary migration office → home ==")
 	fmt.Print(repOut.String())
@@ -76,15 +79,15 @@ func main() {
 
 	// Morning: home → office, incrementally. The home side seeds its
 	// backend with the fresh bitmap; only those blocks travel.
-	backSrc := bbmig.Host{VM: home.VM, Backend: blkback.NewBackend(homeDisk, domain)}
+	backSrc := core.Host{VM: home.VM, Backend: blkback.NewBackend(homeDisk, domain)}
 	backSrc.Backend.SeedDirty(resOut.Gate.FreshBitmap())
-	backDst := bbmig.Host{VM: vm.NewDestination(home.VM), Backend: blkback.NewBackend(officeDisk, domain)}
-	router2 := bbmig.NewRouter(backSrc.Backend.Submit)
+	backDst := core.Host{VM: vm.NewDestination(home.VM), Backend: blkback.NewBackend(officeDisk, domain)}
+	router2 := core.NewRouter(backSrc.Backend.Submit)
 	repBack, _ := migrate(backSrc, backDst, router2, backSrc.Backend.SwapDirty())
 	fmt.Println("== incremental migration home → office ==")
 	fmt.Print(repBack.String())
 
-	diskBytes := func(r *bbmig.Report) int64 {
+	diskBytes := func(r *metrics.Report) int64 {
 		var total int64
 		for _, it := range r.DiskIterations {
 			total += it.Bytes

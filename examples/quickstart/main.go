@@ -9,9 +9,11 @@ import (
 	"fmt"
 	"log"
 
-	"bbmig"
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
+	"bbmig/internal/core"
+	"bbmig/internal/metrics"
+	"bbmig/internal/transport"
 	"bbmig/internal/vm"
 )
 
@@ -34,25 +36,25 @@ func main() {
 		}
 	}
 	guest := vm.New("quickstart-guest", domain, pages, 1024)
-	src := bbmig.Host{VM: guest, Backend: blkback.NewBackend(srcDisk, domain)}
+	src := core.Host{VM: guest, Backend: blkback.NewBackend(srcDisk, domain)}
 
 	// Destination machine: an empty VBD of the same geometry and a VM shell.
 	dstDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
-	dst := bbmig.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, domain)}
+	dst := core.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, domain)}
 
 	// Wire the two migration daemons together (TCP in production — see
 	// examples/webmigration; an in-process pipe here).
-	connSrc, connDst := bbmig.NewPipe(64)
+	connSrc, connDst := transport.NewPipe(64)
 
-	srcDone := make(chan *bbmig.Report, 1)
+	srcDone := make(chan *metrics.Report, 1)
 	go func() {
-		rep, err := bbmig.MigrateSource(bbmig.Config{}, src, connSrc, nil)
+		rep, err := core.MigrateSource(core.Config{}, src, connSrc, nil)
 		if err != nil {
 			log.Fatalf("source: %v", err)
 		}
 		srcDone <- rep
 	}()
-	res, err := bbmig.MigrateDest(bbmig.Config{}, dst, connDst)
+	res, err := core.MigrateDest(core.Config{}, dst, connDst)
 	if err != nil {
 		log.Fatalf("destination: %v", err)
 	}

@@ -15,10 +15,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bbmig"
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/clock"
+	"bbmig/internal/core"
+	"bbmig/internal/transport"
 	"bbmig/internal/vm"
 	"bbmig/internal/workload"
 )
@@ -34,26 +35,26 @@ func main() {
 	srcDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
 	guest := vm.New("webserver", domain, pages, 2048)
 	backend := blkback.NewBackend(srcDisk, domain)
-	router := bbmig.NewRouter(backend.Submit)
-	src := bbmig.Host{VM: guest, Backend: backend}
+	router := core.NewRouter(backend.Submit)
+	src := core.Host{VM: guest, Backend: backend}
 
 	dstDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
-	dst := bbmig.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, domain)}
+	dst := core.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, domain)}
 
 	// Destination daemon on a real TCP socket.
-	l, err := bbmig.Listen("127.0.0.1:0")
+	l, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer l.Close()
-	dstDone := make(chan *bbmig.DestResult, 1)
+	dstDone := make(chan *core.DestResult, 1)
 	// Track request latency per migration phase — the paper's §III-A
 	// disruption-time metric, as a client of the web server would see it.
 	// Only the workload goroutine appends; main reads once it has stopped.
 	windows := []string{"before", "freeze+post", "after"}
 	lat := make([][]time.Duration, len(windows))
 	var window atomic.Int32
-	cfg := bbmig.Config{
+	cfg := core.Config{
 		OnFreeze: func() {
 			window.Store(1)
 			router.Freeze()
@@ -61,12 +62,12 @@ func main() {
 		OnResume: router.ResumeGate,
 	}
 	go func() {
-		conn, err := bbmig.Accept(l)
+		conn, err := transport.Accept(l)
 		if err != nil {
 			log.Fatalf("accept: %v", err)
 		}
 		defer conn.Close()
-		res, err := bbmig.MigrateDest(cfg, dst, conn)
+		res, err := core.MigrateDest(cfg, dst, conn)
 		if err != nil {
 			log.Fatalf("destination: %v", err)
 		}
@@ -93,13 +94,13 @@ func main() {
 	}()
 	time.Sleep(200 * time.Millisecond) // build up some dirty state first
 
-	conn, err := bbmig.Dial(l.Addr().String())
+	conn, err := transport.Dial(l.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer conn.Close()
 	fmt.Printf("migrating %q over %s while the web workload runs...\n", guest.Name, l.Addr())
-	rep, err := bbmig.MigrateSource(cfg, src, conn, nil)
+	rep, err := core.MigrateSource(cfg, src, conn, nil)
 	if err != nil {
 		log.Fatalf("source: %v", err)
 	}

@@ -8,14 +8,14 @@ import (
 
 // Atomic is a dense bitmap safe for concurrent use. The block backend driver
 // sets bits from the domain's I/O path while the migration engine concurrently
-// scans, snapshots, and resets the bitmap, mirroring the paper's blkback
+// scans, snapshots, and swaps out the bitmap, mirroring the paper's blkback
 // (writer) / blkd (reader) split.
 //
-// All operations are lock-free word-level atomics. Snapshot and Reset are not
-// mutually atomic with in-flight writers; the engine tolerates this the same
-// way the paper does — a write racing a snapshot lands in either the current
-// or the next iteration's bitmap, both of which preserve consistency because
-// a block recorded "dirty" is simply retransmitted.
+// All operations are lock-free word-level atomics. Snapshot is not atomic
+// with in-flight writers; the engine tolerates this the same way the paper
+// does — a write racing a snapshot lands in either the current or the next
+// iteration's bitmap, both of which preserve consistency because a block
+// recorded "dirty" is simply retransmitted.
 type Atomic struct {
 	words []atomic.Uint64
 	n     int
@@ -29,9 +29,6 @@ func NewAtomic(n int) *Atomic {
 	return &Atomic{words: make([]atomic.Uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// Len returns the number of bits.
-func (a *Atomic) Len() int { return a.n }
-
 func (a *Atomic) check(i int) {
 	if i < 0 || i >= a.n {
 		panic(fmt.Sprintf("bitmap: index %d out of range [0,%d)", i, a.n))
@@ -44,38 +41,10 @@ func (a *Atomic) Set(i int) {
 	a.words[i/wordBits].Or(1 << uint(i%wordBits))
 }
 
-// Clear marks bit i clean.
-func (a *Atomic) Clear(i int) {
-	a.check(i)
-	a.words[i/wordBits].And(^(uint64(1) << uint(i%wordBits)))
-}
-
 // Test reports whether bit i is dirty.
 func (a *Atomic) Test(i int) bool {
 	a.check(i)
 	return a.words[i/wordBits].Load()&(1<<uint(i%wordBits)) != 0
-}
-
-// SetRange marks bits [lo, hi) dirty.
-func (a *Atomic) SetRange(lo, hi int) {
-	if lo < 0 || hi > a.n || lo > hi {
-		panic(fmt.Sprintf("bitmap: bad range [%d,%d) of %d", lo, hi, a.n))
-	}
-	for i := lo; i < hi; {
-		w, off := i/wordBits, i%wordBits
-		span := wordBits - off
-		if rem := hi - i; rem < span {
-			span = rem
-		}
-		var mask uint64
-		if span == wordBits {
-			mask = ^uint64(0)
-		} else {
-			mask = ((uint64(1) << uint(span)) - 1) << uint(off)
-		}
-		a.words[w].Or(mask)
-		i += span
-	}
 }
 
 // Count returns the number of dirty bits at this instant.
@@ -85,16 +54,6 @@ func (a *Atomic) Count() int {
 		c += bits.OnesCount64(a.words[i].Load())
 	}
 	return c
-}
-
-// Any reports whether any bit is set.
-func (a *Atomic) Any() bool {
-	for i := range a.words {
-		if a.words[i].Load() != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // View is a read-only handle on an Atomic, for readers that must watch a
@@ -131,21 +90,4 @@ func (a *Atomic) SwapOut() *Bitmap {
 		b.words[i] = a.words[i].Swap(0)
 	}
 	return b
-}
-
-// Reset clears all bits.
-func (a *Atomic) Reset() {
-	for i := range a.words {
-		a.words[i].Store(0)
-	}
-}
-
-// LoadFrom overwrites the contents from a plain Bitmap of identical length.
-func (a *Atomic) LoadFrom(b *Bitmap) {
-	if b.n != a.n {
-		panic(fmt.Sprintf("bitmap: load size mismatch %d != %d", b.n, a.n))
-	}
-	for i := range a.words {
-		a.words[i].Store(b.words[i])
-	}
 }

@@ -246,6 +246,15 @@ func maskedWalk(t *testing.T, b *Bitmap, live *Atomic, start, max int, mutate fu
 	}
 }
 
+// atomicRange returns a setter of bits [lo, hi) of a.
+func atomicRange(a *Atomic) func(lo, hi int) {
+	return func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a.Set(i)
+		}
+	}
+}
+
 // TestNextExtentExcludingMatchesSubtract is the masked scan's property test:
 // over random owed sets, live sets, extent limits and start positions it
 // yields exactly the extents of toSend.Clone().Subtract(live.Snapshot()),
@@ -269,7 +278,7 @@ func TestNextExtentExcludingMatchesSubtract(t *testing.T) {
 		b := New(n)
 		live := NewAtomic(n)
 		fill(n, []float64{0.1, 0.5, 1}[rng.Intn(3)], b.SetRange)
-		fill(n, []float64{0, 0.1, 0.5, 1}[rng.Intn(4)], live.SetRange)
+		fill(n, []float64{0, 0.1, 0.5, 1}[rng.Intn(4)], atomicRange(live))
 		max := []int{0, 1, 7, 64, 100}[rng.Intn(5)]
 		start := rng.Intn(n + 1)
 		var mutate func()
@@ -297,7 +306,7 @@ func TestNextExtentExcludingCutsAtRedirtied(t *testing.T) {
 	b := NewAllSet(200)
 	live := NewAtomic(200)
 	live.Set(70)
-	live.SetRange(130, 135)
+	atomicRange(live)(130, 135)
 	got := maskedWalk(t, b, live, 0, 0, nil)
 	want := []Extent{{0, 70}, {71, 59}, {135, 65}}
 	if len(got) != len(want) {

@@ -134,28 +134,6 @@ func (b *Backend) Submit(req blockdev.Request) error {
 	}
 }
 
-// SubmitExtent performs a multi-block request described as a byte extent,
-// splitting it into block-granular sub-requests the way the real blkback
-// splits a scatter-gather ring request. data supplies the write payload (or
-// receives read data) and must cover the full extent rounded to blocks.
-func (b *Backend) SubmitExtent(op blockdev.Op, ext blockdev.Extent, domain int, data []byte) error {
-	lo, hi := ext.Blocks(b.dev.BlockSize())
-	if hi > b.dev.NumBlocks() {
-		return fmt.Errorf("blkback: extent %+v beyond device end", ext)
-	}
-	bs := b.dev.BlockSize()
-	if len(data) < (hi-lo)*bs {
-		return fmt.Errorf("blkback: extent buffer %d < %d", len(data), (hi-lo)*bs)
-	}
-	for n := lo; n < hi; n++ {
-		req := blockdev.Request{Op: op, Block: n, Domain: domain, Data: data[(n-lo)*bs : (n-lo+1)*bs]}
-		if err := b.Submit(req); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SwapDirty atomically captures and resets the dirty bitmap — the
 // per-iteration "blkd reads the block-bitmap from blkback, then it is reset"
 // step.

@@ -116,35 +116,6 @@ func TestBackendSeedDirty(t *testing.T) {
 	}
 }
 
-func TestBackendSubmitExtent(t *testing.T) {
-	b := NewBackend(blockdev.NewMemDisk(16, bs), 1)
-	b.StartTracking()
-	// write 2.5 blocks starting mid-block: touches blocks 1,2,3
-	data := bytes.Repeat([]byte{0xCD}, 3*bs)
-	ext := blockdev.Extent{Offset: bs + 100, Length: 2*bs + 100}
-	if err := b.SubmitExtent(blockdev.Write, ext, 1, data); err != nil {
-		t.Fatal(err)
-	}
-	bm := b.DirtySnapshot()
-	for _, n := range []int{1, 2, 3} {
-		if !bm.Test(n) {
-			t.Fatalf("block %d not tracked", n)
-		}
-	}
-	if bm.Count() != 3 {
-		t.Fatalf("Count = %d", bm.Count())
-	}
-	// extent past device end rejected
-	bad := blockdev.Extent{Offset: 15 * bs, Length: 2 * bs}
-	if err := b.SubmitExtent(blockdev.Write, bad, 1, data); err == nil {
-		t.Fatal("OOB extent accepted")
-	}
-	// short buffer rejected
-	if err := b.SubmitExtent(blockdev.Write, ext, 1, data[:bs]); err == nil {
-		t.Fatal("short buffer accepted")
-	}
-}
-
 func TestBackendBadOp(t *testing.T) {
 	b := NewBackend(blockdev.NewMemDisk(4, bs), 1)
 	if err := b.Submit(blockdev.Request{Op: blockdev.Op(9), Block: 0}); err == nil {

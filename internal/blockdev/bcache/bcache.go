@@ -2,16 +2,16 @@
 // copy-on-write snapshot layer behind the blockdev.Volume API.
 //
 // A Cache wraps any blockdev.Device and serves reads from an in-memory,
-// LRU-evicted block set while buffering writes (dirty write-back). Blocks
-// can be pinned with Get and released with Block.Release — the biscuit
-// Bdev_block_t / minixfs bcache lifecycle — so concurrent out-migrations of
-// one domain share cached reads instead of hammering the backing store.
-// Snapshot freezes a consistent point-in-time view of the volume: the first
-// guest write to a snapshotted block copies the old contents aside, so
-// migrations, dedup scans, fingerprint audits, and pre-sync read frozen
-// data while the guest keeps writing. Storage is carved from per-shard
-// slabs and recycled through per-shard free lists, the same pooled-slab
-// discipline MemDisk uses, so steady-state churn is allocation-free.
+// LRU-evicted block set while buffering writes (dirty write-back), so
+// concurrent out-migrations of one domain share cached reads instead of
+// hammering the backing store. Every access copies under the shard lock; no
+// caller ever holds a reference into cache storage. Snapshot freezes a
+// consistent point-in-time view of the volume: the first guest write to a
+// snapshotted block copies the old contents aside, so migrations, dedup
+// scans and pre-sync read frozen data while the guest keeps writing.
+// Storage is carved from per-shard slabs and recycled through per-shard free
+// lists, the same pooled-slab discipline MemDisk uses, so steady-state churn
+// is allocation-free.
 package bcache
 
 import (
@@ -61,18 +61,16 @@ type Cache struct {
 type shard struct {
 	mu     sync.Mutex
 	blocks map[int]*block
-	// lruHead/lruTail chain UNPINNED blocks only, most recently used first.
+	// lruHead/lruTail chain the resident blocks, most recently used first.
 	lruHead, lruTail *block
 	slab             []byte
 	free             [][]byte
 }
 
-// block is one cached block: its storage, pin count, and dirty flag.
-// A pinned block (refs > 0) is off the LRU chain and immune to eviction.
+// block is one cached block: its storage and dirty flag.
 type block struct {
 	n          int
 	data       []byte
-	refs       int
 	dirty      bool
 	prev, next *block
 }
@@ -96,8 +94,6 @@ type Stats struct {
 	Snapshots int
 	// Cached is the number of blocks currently resident in the cache.
 	Cached int
-	// Pinned is the number of blocks currently pinned by Get.
-	Pinned int
 	// Dirty is the number of resident blocks awaiting write-back.
 	Dirty int
 }
@@ -180,7 +176,7 @@ func (c *Cache) alloc(s *shard) []byte {
 }
 
 // lruPush inserts b at the head (most recently used) of the shard's
-// unpinned chain. Caller holds s.mu.
+// chain. Caller holds s.mu.
 func (s *shard) lruPush(b *block) {
 	b.prev = nil
 	b.next = s.lruHead
@@ -193,7 +189,7 @@ func (s *shard) lruPush(b *block) {
 	}
 }
 
-// lruRemove unlinks b from the unpinned chain. Caller holds s.mu.
+// lruRemove unlinks b from the chain. Caller holds s.mu.
 func (s *shard) lruRemove(b *block) {
 	if b.prev != nil {
 		b.prev.next = b.next
@@ -208,7 +204,7 @@ func (s *shard) lruRemove(b *block) {
 	b.prev, b.next = nil, nil
 }
 
-// lruTouch moves an unpinned b to the head of the chain. Caller holds s.mu.
+// lruTouch moves b to the head of the chain. Caller holds s.mu.
 func (s *shard) lruTouch(b *block) {
 	if s.lruHead == b {
 		return
@@ -217,11 +213,10 @@ func (s *shard) lruTouch(b *block) {
 	s.lruPush(b)
 }
 
-// evict sheds least-recently-used unpinned blocks until the shard is back
-// under capacity, writing dirty victims back first. keep is the block the
-// caller is about to hand out and must survive even if it is the LRU tail —
-// without it a shard full of pinned blocks would evict the block being
-// served. Caller holds s.mu.
+// evict sheds least-recently-used blocks until the shard is back under
+// capacity, writing dirty victims back first. keep is the block the caller
+// is about to copy from or into and must survive even if it is the LRU tail.
+// Caller holds s.mu.
 func (c *Cache) evict(s *shard, keep *block) error {
 	victim := s.lruTail
 	for len(s.blocks) > c.shardCap && victim != nil {
@@ -281,9 +276,7 @@ func (c *Cache) ReadBlock(n int, dst []byte) error {
 	defer s.mu.Unlock()
 	if b := s.blocks[n]; b != nil {
 		copy(dst, b.data)
-		if b.refs == 0 {
-			s.lruTouch(b)
-		}
+		s.lruTouch(b)
 		c.count(func(st *Stats) { st.Hits++ })
 		return nil
 	}
@@ -313,7 +306,7 @@ func (c *Cache) WriteBlock(n int, src []byte) error {
 		b = &block{n: n, data: c.alloc(s)}
 		s.blocks[n] = b
 		s.lruPush(b)
-	} else if b.refs == 0 {
+	} else {
 		s.lruTouch(b)
 	}
 	copy(b.data, src)
@@ -354,69 +347,6 @@ func (c *Cache) cowCopy(s *shard, n int) error {
 	return nil
 }
 
-// Get pins block n in the cache and returns it. The pin holds the block
-// resident (immune to eviction) until Release. Data contents track live
-// writes to the block; callers needing a frozen view use Snapshot instead.
-func (c *Cache) Get(n int) (*Block, error) {
-	if c.released.Load() {
-		return nil, ErrReleased
-	}
-	if err := blockdev.CheckRange(c, n); err != nil {
-		return nil, err
-	}
-	s := c.shard(n)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.blocks[n]
-	if b != nil {
-		c.count(func(st *Stats) { st.Hits++ })
-	} else {
-		c.count(func(st *Stats) { st.Misses++ })
-		var err error
-		if b, err = c.fill(s, n); err != nil {
-			return nil, err
-		}
-	}
-	if b.refs == 0 {
-		s.lruRemove(b)
-	}
-	b.refs++
-	return &Block{c: c, b: b}, nil
-}
-
-// Block is a pinned cache block handle returned by Get.
-type Block struct {
-	c    *Cache
-	b    *block
-	done bool
-}
-
-// Num returns the block number.
-func (h *Block) Num() int { return h.b.n }
-
-// Data returns the cached block contents. The slice aliases cache storage:
-// treat it as read-only, and note that concurrent WriteBlock calls to the
-// same block show through, exactly like a shared buffer cache page.
-func (h *Block) Data() []byte { return h.b.data }
-
-// Release drops the pin. Releasing a handle twice panics — that is a
-// refcounting bug the property tests exist to catch.
-func (h *Block) Release() {
-	s := h.c.shard(h.b.n)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if h.done || h.b.refs <= 0 {
-		panic("bcache: block released twice")
-	}
-	h.done = true
-	h.b.refs--
-	if h.b.refs == 0 {
-		s.lruPush(h.b)
-		// Unpinning may have put the shard over capacity.
-		_ = h.c.evict(s, nil)
-	}
-}
-
 // Flush writes every dirty cached block back to the backing device.
 func (c *Cache) Flush() error {
 	for i := range c.shards {
@@ -451,17 +381,14 @@ func (c *Cache) Snapshot() blockdev.Snapshot {
 
 // Release implements blockdev.Volume: flush dirty blocks and end the
 // volume's lifecycle. It fails — leaving the cache usable — if snapshots
-// or pinned blocks are still outstanding, which makes leaked references
-// loud instead of silent.
+// are still outstanding, which makes leaked references loud instead of
+// silent.
 func (c *Cache) Release() error {
 	c.snapMu.Lock()
 	outstanding := len(c.snaps)
 	c.snapMu.Unlock()
 	if outstanding > 0 {
 		return fmt.Errorf("bcache: release with %d snapshots outstanding", outstanding)
-	}
-	if pinned := c.Stats().Pinned; pinned > 0 {
-		return fmt.Errorf("bcache: release with %d blocks pinned", pinned)
 	}
 	if err := c.Flush(); err != nil {
 		return err
@@ -512,9 +439,6 @@ func (c *Cache) Stats() Stats {
 		s.mu.Lock()
 		st.Cached += len(s.blocks)
 		for _, b := range s.blocks {
-			if b.refs > 0 {
-				st.Pinned++
-			}
 			if b.dirty {
 				st.Dirty++
 			}

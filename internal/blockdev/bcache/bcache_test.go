@@ -166,116 +166,36 @@ func TestTwoSnapshotsShareCopies(t *testing.T) {
 	s3.Release()
 }
 
-// TestRefcountLifecycle checks pin accounting: Release of the volume is
-// refused while handles are out, double handle release panics, and counts
-// return to zero.
+// TestRefcountLifecycle checks the volume's reference accounting: Release
+// is refused while any snapshot is out, succeeds once the last one is
+// released, and I/O after it fails with ErrReleased.
 func TestRefcountLifecycle(t *testing.T) {
 	backing := blockdev.NewMemDisk(8, testBS)
 	c := New(backing, 0)
-	h, err := c.Get(3)
-	if err != nil {
-		t.Fatal(err)
+	s1, s2 := c.Snapshot(), c.Snapshot()
+	if st := c.Stats(); st.Snapshots != 2 {
+		t.Fatalf("Snapshots = %d, want 2", st.Snapshots)
 	}
-	if h.Num() != 3 || len(h.Data()) != testBS {
-		t.Fatalf("handle: num %d data %d", h.Num(), len(h.Data()))
-	}
-	if st := c.Stats(); st.Pinned != 1 {
-		t.Fatalf("Pinned = %d, want 1", st.Pinned)
-	}
-	if err := c.Release(); err == nil {
-		t.Fatal("volume Release must refuse while blocks are pinned")
-	}
-	h2, err := c.Get(3) // second pin of the same block
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Release()
-	if st := c.Stats(); st.Pinned != 1 {
-		t.Fatalf("Pinned = %d after one of two releases, want 1", st.Pinned)
-	}
-	h2.Release()
-	if st := c.Stats(); st.Pinned != 0 {
-		t.Fatalf("Pinned = %d, want 0", st.Pinned)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("double Release of a block handle must panic")
-			}
-		}()
-		h2.Release()
-	}()
-
-	snap := c.Snapshot()
 	if err := c.Release(); err == nil {
 		t.Fatal("volume Release must refuse while snapshots are out")
 	}
-	snap.Release()
+	s1.Release()
+	if st := c.Stats(); st.Snapshots != 1 {
+		t.Fatalf("Snapshots = %d after one of two releases, want 1", st.Snapshots)
+	}
+	if err := c.Release(); err == nil {
+		t.Fatal("volume Release must refuse while one snapshot is still out")
+	}
+	s2.Release()
 	if err := c.Release(); err != nil {
 		t.Fatalf("final Release: %v", err)
 	}
 	if err := c.ReadBlock(0, make([]byte, testBS)); err != ErrReleased {
-		t.Fatalf("I/O after Release: got %v, want ErrReleased", err)
+		t.Fatalf("read after Release: got %v, want ErrReleased", err)
 	}
-	if _, err := c.Get(0); err != ErrReleased {
-		t.Fatalf("Get after Release: got %v, want ErrReleased", err)
+	if err := c.WriteBlock(0, make([]byte, testBS)); err != ErrReleased {
+		t.Fatalf("write after Release: got %v, want ErrReleased", err)
 	}
-}
-
-// TestEvictionSkipsPinned pins blocks in one shard far past its capacity and
-// checks none of them are evicted (their contents survive, the shard just
-// runs over budget), while unpinned neighbors are still shed.
-func TestEvictionSkipsPinned(t *testing.T) {
-	const blocks = 16 * shardCount
-	backing := blockdev.NewMemDisk(blocks, testBS)
-	c := New(backing, shardCount) // shardCap = 1: every shard holds one block
-	buf := make([]byte, testBS)
-	for n := 0; n < blocks; n++ {
-		fillBlock(buf, n, 1)
-		if err := c.WriteBlock(n, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Pin 8 blocks that all land in shard 0 (same residue mod shardCount).
-	var handles []*Block
-	for i := 0; i < 8; i++ {
-		h, err := c.Get(i * shardCount)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, h)
-	}
-	// Hammer shard 0 with other blocks: pressure must evict only unpinned.
-	for i := 8; i < 16; i++ {
-		if err := c.ReadBlock(i*shardCount, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, h := range handles {
-		want := make([]byte, testBS)
-		fillBlock(want, h.Num(), 1)
-		if string(h.Data()) != string(want) {
-			t.Fatalf("pinned block %d corrupted by eviction pressure", h.Num())
-		}
-		h.Release()
-	}
-	if st := c.Stats(); st.Evictions == 0 {
-		t.Fatalf("unpinned blocks should have been evicted, got %+v", st)
-	}
-	if mustFP(t, c) != mustFP(t, blockdevGen1(blocks)) {
-		t.Fatal("device content corrupted under pin pressure")
-	}
-}
-
-// blockdevGen1 builds the expected generation-1 image as a reference.
-func blockdevGen1(blocks int) blockdev.Device {
-	ref := blockdev.NewMemDisk(blocks, testBS)
-	buf := make([]byte, testBS)
-	for n := 0; n < blocks; n++ {
-		fillBlock(buf, n, 1)
-		_ = ref.WriteBlock(n, buf)
-	}
-	return ref
 }
 
 // TestAllocatedBitmap checks the Allocator view: backing bitmap plus cached
@@ -384,8 +304,8 @@ func TestSnapshotUnderLoad(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedOps runs live reads, writes, pins, snapshots, and
-// flushes together purely to give the race detector surface area.
+// TestConcurrentMixedOps runs live reads, writes, snapshots, and flushes
+// together purely to give the race detector surface area.
 func TestConcurrentMixedOps(t *testing.T) {
 	const blocks = 96
 	backing := blockdev.NewMemDisk(blocks, testBS)
@@ -399,7 +319,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 			buf := make([]byte, testBS)
 			for i := 0; i < 400; i++ {
 				n := r.Intn(blocks)
-				switch r.Intn(5) {
+				switch r.Intn(4) {
 				case 0:
 					fillBlock(buf, n, i)
 					if err := c.WriteBlock(n, buf); err != nil {
@@ -410,20 +330,12 @@ func TestConcurrentMixedOps(t *testing.T) {
 						t.Errorf("read: %v", err)
 					}
 				case 2:
-					h, err := c.Get(n)
-					if err != nil {
-						t.Errorf("get: %v", err)
-						continue
-					}
-					copy(buf, h.Data())
-					h.Release()
-				case 3:
 					snap := c.Snapshot()
 					if err := snap.ReadBlock(n, buf); err != nil {
 						t.Errorf("snap read: %v", err)
 					}
 					snap.Release()
-				case 4:
+				case 3:
 					if err := c.Flush(); err != nil {
 						t.Errorf("flush: %v", err)
 					}
@@ -433,8 +345,8 @@ func TestConcurrentMixedOps(t *testing.T) {
 	}
 	wg.Wait()
 	st := c.Stats()
-	if st.Pinned != 0 || st.Snapshots != 0 {
-		t.Fatalf("leaked pins or snapshots: %+v", st)
+	if st.Snapshots != 0 {
+		t.Fatalf("leaked snapshots: %+v", st)
 	}
 	if err := c.Release(); err != nil {
 		t.Fatalf("Release: %v", err)

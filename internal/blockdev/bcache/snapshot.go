@@ -51,9 +51,7 @@ func (sn *snapshot) ReadBlock(n int, dst []byte) error {
 	}
 	if b := s.blocks[n]; b != nil {
 		copy(dst, b.data)
-		if b.refs == 0 {
-			s.lruTouch(b)
-		}
+		s.lruTouch(b)
 		c.count(func(st *Stats) { st.Hits++ })
 		return nil
 	}

@@ -98,17 +98,17 @@ type Snapshot interface {
 
 // Volume is the redesigned storage surface the engine and host daemon
 // operate on: a Device that can also freeze consistent point-in-time views
-// of itself. Migration pre-copy iterations, dedup ScanSource passes,
-// Fingerprint audits, and hostd pre-sync all read a Snapshot while the
-// guest keeps writing the live volume — the paper's block-level
-// transparency claim (§IV-A-4) made literal. Release flushes any cached
-// dirty state to the backing device and ends the volume's lifecycle.
+// of itself. Migration pre-copy iterations, dedup scans and hostd pre-sync
+// all read a Snapshot while the guest keeps writing the live volume — the
+// paper's block-level transparency claim (§IV-A-4) made literal. Release
+// flushes any cached dirty state to the backing device and ends the
+// volume's lifecycle.
 type Volume interface {
 	Device
 	// Snapshot freezes a point-in-time read-only view of the volume.
 	Snapshot() Snapshot
 	// Release flushes outstanding dirty state and releases the volume. It
-	// fails if snapshots or pinned blocks are still outstanding.
+	// fails if snapshots are still outstanding.
 	Release() error
 }
 
@@ -138,26 +138,6 @@ type Allocator interface {
 	// AllocatedBitmap returns a bitmap with one set bit per block that may
 	// contain nonzero data.
 	AllocatedBitmap() *bitmap.Bitmap
-}
-
-// Extent describes a byte range of the device, as submitted by a guest file
-// system. Guests issue extent-granular writes; the backend splits them into
-// blocks ("split the requested area into 4K blocks and set corresponding
-// bits", §IV-B).
-type Extent struct {
-	Offset int64 // byte offset
-	Length int64 // byte length
-}
-
-// Blocks returns the half-open block-number range [lo, hi) covered by the
-// extent for the given block size.
-func (e Extent) Blocks(blockSize int) (lo, hi int) {
-	if e.Length <= 0 {
-		return 0, 0
-	}
-	lo = int(e.Offset / int64(blockSize))
-	hi = int((e.Offset + e.Length + int64(blockSize) - 1) / int64(blockSize))
-	return lo, hi
 }
 
 // CheckRange validates a block number against a device.
@@ -192,8 +172,7 @@ func getScanBufs(bs int) *[2][]byte {
 
 // Fingerprint hashes the full device contents. Tests use it to assert the
 // paper's consistency requirement: after migration the source and destination
-// disks are bit-identical; hostd runs it against snapshots for background
-// divergence audits.
+// disks are bit-identical.
 func Fingerprint(d Device) ([32]byte, error) {
 	h := sha256.New()
 	bufs := getScanBufs(d.BlockSize())
@@ -208,16 +187,6 @@ func Fingerprint(d Device) ([32]byte, error) {
 	var out [32]byte
 	copy(out[:], h.Sum(nil))
 	return out, nil
-}
-
-// BlockFingerprint hashes a single block, for fine-grained divergence checks.
-func BlockFingerprint(d Device, n int) ([32]byte, error) {
-	bufs := getScanBufs(d.BlockSize())
-	defer scanBufs.Put(bufs)
-	if err := d.ReadBlock(n, bufs[0]); err != nil {
-		return [32]byte{}, err
-	}
-	return sha256.Sum256(bufs[0]), nil
 }
 
 // Diff returns the block numbers at which two devices differ. It returns an

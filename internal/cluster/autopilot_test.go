@@ -83,17 +83,14 @@ func TestAutopilotStress(t *testing.T) {
 		}(int64(g))
 	}
 
-	// A drain races the autopilot: empty host2, then re-admit it.
+	// A drain races the autopilot: empty host2.
 	wg.Add(1)
 	drainErr := make(chan error, 1)
 	go func() {
 		defer wg.Done()
 		time.Sleep(50 * time.Millisecond)
-		if _, err := c.Drain("host2", DrainOptions{}); err != nil {
-			drainErr <- err
-			return
-		}
-		drainErr <- c.Undrain("host2")
+		_, err := c.Drain("host2", DrainOptions{})
+		drainErr <- err
 	}()
 
 	// Manual submissions race the planner's snapshots: some will lose the

@@ -188,8 +188,7 @@ func New(opts Options) *Cluster {
 }
 
 // Budget exposes the cluster's shared bandwidth allocator, so out-of-band
-// migrations (or operators retuning the fleet limit via SetTotal) share the
-// same pool the scheduler draws from.
+// migrations share the same pool the scheduler draws from.
 func (c *Cluster) Budget() *core.RateBudget { return c.budget }
 
 // MemberOptions parameterizes one Register call.
@@ -287,19 +286,6 @@ func (c *Cluster) aliveLocked(m *member) bool {
 	return c.opts.Now().Sub(m.lastBeat) <= c.opts.HeartbeatTTL
 }
 
-// Undrain returns a previously drained (or mid-drain) host to placement
-// eligibility.
-func (c *Cluster) Undrain(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.members[name]
-	if !ok {
-		return fmt.Errorf("cluster: unknown member %q", name)
-	}
-	m.draining = false
-	return nil
-}
-
 // MemberStatus is one member's row in a Status report.
 type MemberStatus struct {
 	// Name is the machine name.
@@ -311,8 +297,8 @@ type MemberStatus struct {
 	// RunningIn and RunningOut count migrations this cluster is running
 	// into and out of the host right now.
 	RunningIn, RunningOut int
-	// Draining marks a host excluded from placement (Drain in progress or
-	// completed without Undrain).
+	// Draining marks a host excluded from placement: a Drain is in progress
+	// or has completed.
 	Draining bool
 	// Stale marks a host whose heartbeat exceeded Options.HeartbeatTTL.
 	Stale bool

@@ -63,7 +63,7 @@ func TestPlacementScoring(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := c.Place("host0")
+	got, err := c.PlaceDomain("", "host0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,14 +71,14 @@ func TestPlacementScoring(t *testing.T) {
 		t.Fatalf("placed on %s, want host2", got)
 	}
 	// Excluding host2 falls back to host1.
-	if got, err = c.Place("host0", "host2"); err != nil || got != "host1" {
+	if got, err = c.PlaceDomain("", "host0", "host2"); err != nil || got != "host1" {
 		t.Fatalf("place with exclusion = %s, %v; want host1", got, err)
 	}
 	// A draining host is no candidate.
 	c.mu.Lock()
 	c.members["host2"].draining = true
 	c.mu.Unlock()
-	if got, err = c.Place("host0"); err != nil || got != "host1" {
+	if got, err = c.PlaceDomain("", "host0"); err != nil || got != "host1" {
 		t.Fatalf("place around draining host = %s, %v; want host1", got, err)
 	}
 	// Full hosts are no candidates: fill host1 to capacity.
@@ -86,7 +86,7 @@ func TestPlacementScoring(t *testing.T) {
 	if _, err := c.Heartbeat("host1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err = c.Place("host0"); err == nil {
+	if _, err = c.PlaceDomain("", "host0"); err == nil {
 		t.Fatal("placement succeeded with every host full or draining")
 	}
 }
@@ -120,7 +120,7 @@ func TestPlacementContentOverlap(t *testing.T) {
 	if got, err := c.PlaceDomain("g", "host0"); err != nil || got != "host2" {
 		t.Fatalf("PlaceDomain(g) = %s, %v; want host2 (retains g)", got, err)
 	}
-	if got, err := c.Place("host0"); err != nil || got != "host1" {
+	if got, err := c.PlaceDomain("", "host0"); err != nil || got != "host1" {
 		t.Fatalf("Place without domain = %s, %v; want host1 (lexicographic)", got, err)
 	}
 }
@@ -132,11 +132,11 @@ func TestPlacementStaleness(t *testing.T) {
 		Now:          func() time.Time { return now },
 	})
 	newFleet(t, c, 2, 4)
-	if got, err := c.Place("host0"); err != nil || got != "host1" {
+	if got, err := c.PlaceDomain("", "host0"); err != nil || got != "host1" {
 		t.Fatalf("place = %s, %v", got, err)
 	}
 	now = now.Add(2 * time.Minute) // host1's heartbeat ages out
-	if _, err := c.Place("host0"); err == nil {
+	if _, err := c.PlaceDomain("", "host0"); err == nil {
 		t.Fatal("stale member still placeable")
 	}
 	if !c.Status().Members[1].Stale {
@@ -145,7 +145,7 @@ func TestPlacementStaleness(t *testing.T) {
 	if _, err := c.Heartbeat("host1"); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := c.Place("host0"); err != nil || got != "host1" {
+	if got, err := c.PlaceDomain("", "host0"); err != nil || got != "host1" {
 		t.Fatalf("place after heartbeat = %s, %v", got, err)
 	}
 }
@@ -350,15 +350,9 @@ func TestDrainEvacuatesHost(t *testing.T) {
 	if res.Makespan <= 0 {
 		t.Fatal("makespan not recorded")
 	}
-	// The drained host is out of the placement pool until Undrain.
-	if to, err := c.Place("host1"); err == nil && to == "host0" {
+	// The drained host stays out of the placement pool.
+	if to, err := c.PlaceDomain("", "host1"); err == nil && to == "host0" {
 		t.Fatal("drained host still receives placements")
-	}
-	if err := c.Undrain("host0"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Place("host1"); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -78,8 +78,8 @@ func (r *DrainResult) Failed() []Move {
 // flaps within a move are ridden out by the engine's resume path without
 // surfacing here at all.
 //
-// The host stays draining afterwards — maintenance usually follows — until
-// Undrain re-admits it.
+// The host stays draining afterwards: maintenance usually follows, and a
+// drained host takes no further placements.
 func (c *Cluster) Drain(host string, opts DrainOptions) (*DrainResult, error) {
 	c.mu.Lock()
 	mb, ok := c.members[host]

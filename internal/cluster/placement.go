@@ -23,20 +23,13 @@ const (
 	overlapWeight  = 0.3
 )
 
-// Place picks the best destination for migrating a domain off `from`,
+// PlaceDomain picks the best destination for migrating domain off `from`,
 // consulting each member's last-heartbeat load plus the scheduler's live
-// reservations. Hosts that are the source, excluded, draining, stale, at
-// their concurrency cap, or out of domain capacity are not candidates; with
-// no candidate left an error is returned (a queued job retries placement at
-// every dispatch). Use PlaceDomain when the moving domain is known — it
-// additionally weights content overlap.
-func (c *Cluster) Place(from string, exclude ...string) (string, error) {
-	return c.PlaceDomain("", from, exclude...)
-}
-
-// PlaceDomain is Place with the moving domain named, so candidates that
-// retain that domain's disk collect the content-overlap bonus. An empty
-// domain degrades to plain Place scoring.
+// reservations; candidates that retain the domain's disk collect the
+// content-overlap bonus, and an empty domain names none. Hosts that are the
+// source, excluded, draining, stale, at their concurrency cap, or out of
+// domain capacity are not candidates; with no candidate left an error is
+// returned (a queued job retries placement at every dispatch).
 func (c *Cluster) PlaceDomain(domain, from string, exclude ...string) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -330,7 +330,7 @@ func (c *Cluster) admitLocked(t *Ticket) bool {
 	}
 	// Bandwidth admission: never start a migration that would dilute the
 	// per-migration share below the configured floor. Read the live budget,
-	// not Options — SetTotal retunes and out-of-band Joins count too.
+	// not Options — out-of-band Joins count too.
 	if c.opts.MinShare > 0 {
 		if total := c.budget.Total(); total != clock.Unlimited &&
 			total/int64(c.budget.Active()+1) < c.opts.MinShare {

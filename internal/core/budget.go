@@ -67,17 +67,6 @@ func (b *RateBudget) Total() int64 {
 	return b.total
 }
 
-// SetTotal changes the global rate. A total <= 0 disables the budget. Every
-// migration drawing from the budget sees the new share on its next frame.
-func (b *RateBudget) SetTotal(total int64) {
-	if total <= 0 {
-		total = clock.Unlimited
-	}
-	b.mu.Lock()
-	b.total = total
-	b.mu.Unlock()
-}
-
 // Share returns the per-migration rate right now: total divided by the
 // active draw count (at least one, so a migration that forgot to Join still
 // gets a sane cap). An unlimited budget returns clock.Unlimited.

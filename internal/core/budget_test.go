@@ -26,12 +26,7 @@ func TestRateBudgetShare(t *testing.T) {
 	if got := b.Share(); got != 100 {
 		t.Fatalf("share after leave = %d, want 100", got)
 	}
-	b.SetTotal(200)
-	if got := b.Share(); got != 200 {
-		t.Fatalf("share after SetTotal = %d", got)
-	}
-	b.SetTotal(0) // disables the budget
-	if got := b.Share(); got != clock.Unlimited {
+	if got := NewRateBudget(0).Share(); got != clock.Unlimited {
 		t.Fatalf("unlimited budget share = %d", got)
 	}
 	l2()

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 	"time"
 
@@ -321,10 +324,100 @@ func TestVaultMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnmarshalVaultAcceptsOnlyCanonical pins the vault parser to
+// MarshalBinary's own form: trailing bytes after the last peer, a repeated
+// peer name, out-of-order peers and a set in the encoding MarshalBinary would
+// not pick all fail.
+func TestUnmarshalVaultAcceptsOnlyCanonical(t *testing.T) {
+	// Large enough that MarshalBinary picks the runs form for one run.
+	const blocks = 1 << 16
+	set := newBitmapWith(blocks, 10, 1)
+	runs, err := set.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := binary.LittleEndian.AppendUint64(nil, blocks)
+	for w := 0; w < (blocks+63)/64; w++ {
+		var word uint64
+		if w == 0 {
+			word = 1 << 10
+		}
+		dense = binary.LittleEndian.AppendUint64(dense, word)
+	}
+	if bm, err := bitmap.UnmarshalSized(dense, blocks); err != nil || !bm.Equal(set) {
+		t.Fatalf("dense form of the set does not decode to it: %v", err)
+	}
+	type peer struct {
+		name string
+		set  []byte
+	}
+	vault := func(peers ...peer) []byte {
+		out := binary.LittleEndian.AppendUint64(nil, blocks)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(peers)))
+		for _, p := range peers {
+			out = binary.LittleEndian.AppendUint16(out, uint16(len(p.name)))
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(p.set)))
+			out = append(append(out, p.name...), p.set...)
+		}
+		return out
+	}
+	good := vault(peer{"alpha", runs}, peer{"beta", runs})
+	if v, err := UnmarshalVault(good, blocks); err != nil || v.DivergentBlocks("beta") != 1 {
+		t.Fatalf("canonical vault refused: %v", err)
+	}
+	for name, data := range map[string][]byte{
+		"trailing byte":   append(good[:len(good):len(good)], 0),
+		"repeated peer":   vault(peer{"alpha", runs}, peer{"alpha", runs}),
+		"peers unordered": vault(peer{"beta", runs}, peer{"alpha", runs}),
+		"dense set":       vault(peer{"alpha", dense}),
+	} {
+		if _, err := UnmarshalVault(data, blocks); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// FuzzUnmarshalVault feeds arbitrary bytes to the vault parser hostd runs on
+// every inbound migration: no input may panic or allocate far beyond its own
+// size, and every accepted input must re-marshal to exactly itself.
+func FuzzUnmarshalVault(f *testing.F) {
+	const blocks = 64
+	v := NewVault(blocks)
+	v.MarkSynced("alpha")
+	v.RecordWrites(newBitmapWith(blocks, 3, 9))
+	v.MarkSynced("beta")
+	seed, err := v.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(append(seed[:len(seed):len(seed)], 0))
+	f.Add(seed[:12])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := UnmarshalVault(data, blocks)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*uint64(len(data))+1<<16 {
+			t.Fatalf("%d-byte input allocated %d bytes", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		again, err := got.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted %x, re-marshals to %x", data, again)
+		}
+	})
+}
+
 func TestVaultAddPeerAndRecordWriteRange(t *testing.T) {
 	v := NewVault(100)
-	v.AddPeer("X")
-	v.AddPeer("X") // idempotent
+	v.MarkSynced("X")
+	v.MarkSynced("X") // idempotent
 	if got := v.DivergentBlocks("X"); got != 0 {
 		t.Fatalf("new peer diverges by %d", got)
 	}

@@ -64,7 +64,7 @@ func (p *swarmTestPeer) serve(conn transport.Conn) {
 			return
 		}
 		count := len(m.Payload) / dedup.FingerprintSize
-		fps, err := dedup.ParseFingerprints(m.Payload, count)
+		fps, err := dedup.ParseFingerprintsInto(nil, m.Payload, count)
 		if err != nil {
 			return
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -33,16 +34,6 @@ func NewVault(numBlocks int) *Vault {
 		panic(fmt.Sprintf("core: negative vault size %d", numBlocks))
 	}
 	return &Vault{numBlocks: numBlocks, peers: make(map[string]*bitmap.Bitmap)}
-}
-
-// AddPeer registers a host that now holds a synchronized copy of the disk
-// (e.g. the source we just arrived from). Its divergence set starts empty.
-func (v *Vault) AddPeer(name string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if _, ok := v.peers[name]; !ok {
-		v.peers[name] = bitmap.New(v.numBlocks)
-	}
 }
 
 // Peers returns the registered peer names.
@@ -156,7 +147,10 @@ func (v *Vault) MarshalBinary() ([]byte, error) {
 
 // UnmarshalVault deserializes a vault produced by MarshalBinary for a disk
 // of numBlocks blocks — the receiver's own device, which the vault and every
-// divergence set in it must match.
+// divergence set in it must match. Only MarshalBinary's own form is
+// accepted: peers in strictly increasing name order (so no name twice),
+// each set in the encoding MarshalBinary picks, and nothing after the last
+// peer. Any accepted input re-marshals to exactly itself.
 func UnmarshalVault(data []byte, numBlocks int) (*Vault, error) {
 	if len(data) < 12 {
 		return nil, fmt.Errorf("core: vault truncated: %d bytes", len(data))
@@ -166,7 +160,7 @@ func UnmarshalVault(data []byte, numBlocks int) (*Vault, error) {
 	}
 	count := int(binary.LittleEndian.Uint32(data[8:]))
 	v := NewVault(numBlocks)
-	off := 12
+	off, prev := 12, ""
 	for i := 0; i < count; i++ {
 		if len(data) < off+6 {
 			return nil, fmt.Errorf("core: vault peer %d header truncated", i)
@@ -178,13 +172,24 @@ func UnmarshalVault(data []byte, numBlocks int) (*Vault, error) {
 			return nil, fmt.Errorf("core: vault peer %d body truncated", i)
 		}
 		name := string(data[off : off+nameLen])
+		if i > 0 && name <= prev {
+			return nil, fmt.Errorf("core: vault peer %q out of order or repeated", name)
+		}
+		prev = name
 		off += nameLen
-		bm, err := bitmap.UnmarshalSized(data[off:off+bmLen], numBlocks)
+		raw := data[off : off+bmLen]
+		bm, err := bitmap.UnmarshalSized(raw, numBlocks)
 		if err != nil {
 			return nil, fmt.Errorf("core: vault peer %q: %w", name, err)
 		}
+		if canon, _ := bm.MarshalBinary(); !bytes.Equal(canon, raw) {
+			return nil, fmt.Errorf("core: vault peer %q: set not in canonical form", name)
+		}
 		off += bmLen
 		v.peers[name] = bm
+	}
+	if off != len(data) {
+		return nil, fmt.Errorf("core: vault has %d bytes after its last peer", len(data)-off)
 	}
 	return v, nil
 }

@@ -17,8 +17,8 @@
 // Safety model: the index is advisory, never trusted. Every Lookup re-reads
 // the candidate block and re-hashes it before claiming the content, so
 // stale entries (a source block overwritten since it was observed, a
-// corrupt persisted index) degrade to "absent" — a full literal send —
-// never to wrong bytes.
+// source that went away) degrade to "absent" — a full literal send — never
+// to wrong bytes.
 package dedup
 
 import (
@@ -94,15 +94,10 @@ func AppendFingerprints(buf []byte, fps []Fingerprint) []byte {
 	return buf
 }
 
-// ParseFingerprints decodes a MsgHashAdvert / MsgBlockRef payload that must
-// carry exactly count fingerprints.
-func ParseFingerprints(payload []byte, count int) ([]Fingerprint, error) {
-	return ParseFingerprintsInto(nil, payload, count)
-}
-
-// ParseFingerprintsInto is ParseFingerprints decoding into dst's backing
-// array when it is large enough. It returns dst unchanged on error, so a
-// caller keeps its scratch.
+// ParseFingerprintsInto decodes a MsgHashAdvert / MsgBlockRef payload that
+// must carry exactly count fingerprints, into dst's backing array when it is
+// large enough. It returns dst unchanged on error, so a caller keeps its
+// scratch.
 func ParseFingerprintsInto(dst []Fingerprint, payload []byte, count int) ([]Fingerprint, error) {
 	if len(payload) != count*FingerprintSize {
 		return dst, fmt.Errorf("dedup: fingerprint payload %d bytes, want %d×%d", len(payload), count, FingerprintSize)

@@ -35,8 +35,8 @@ type loc struct {
 // Observations are advisory: guest writes move content underneath the index
 // all the time. Lookup therefore re-reads and re-hashes the candidate block
 // before claiming the content, evicting entries that no longer verify, so
-// the worst a stale (or corrupt-loaded) index can cause is a literal send
-// that deduplication would have saved — never wrong bytes.
+// the worst a stale index can cause is a literal send that deduplication
+// would have saved — never wrong bytes.
 //
 // An Index is safe for concurrent use and is meant to be shared: one
 // hostd.Machine maintains one index across every inbound migration and
@@ -79,8 +79,8 @@ func (ix *Index) Len() int {
 }
 
 // RegisterSource makes (or re-makes) a named device available for lookups.
-// Entries previously loaded or observed under the same name become
-// resolvable again; registering does not scan — call ScanSource for that.
+// Entries previously observed under the same name become resolvable
+// again; registering does not scan — call ScanSource for that.
 func (ix *Index) RegisterSource(name string, dev BlockReader) error {
 	if dev.BlockSize() != ix.blockSize {
 		return fmt.Errorf("dedup: source %q block size %d, index %d", name, dev.BlockSize(), ix.blockSize)
@@ -89,14 +89,6 @@ func (ix *Index) RegisterSource(name string, dev BlockReader) error {
 	ix.sources[name] = dev
 	ix.mu.Unlock()
 	return nil
-}
-
-// HasSource reports whether a source of that name is registered.
-func (ix *Index) HasSource(name string) bool {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	_, ok := ix.sources[name]
-	return ok
 }
 
 // DropSource unregisters a source and evicts every entry observed on it.

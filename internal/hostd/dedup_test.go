@@ -1,13 +1,10 @@
 package hostd
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"bbmig/internal/blockdev"
 	"bbmig/internal/core"
-	"bbmig/internal/dedup"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
 	"bbmig/internal/workload"
@@ -201,69 +198,5 @@ func TestSyncOutDedup(t *testing.T) {
 	// And the vault considers B synced: a MigrateOut now ships ~nothing.
 	if div := da.Vault().DivergentBlocks("B"); div != 0 {
 		t.Fatalf("vault still shows %d divergent blocks after sync", div)
-	}
-}
-
-// TestIndexPersistence pins the hostd persistence path: the index survives
-// a save/load round trip, and a corrupt index file degrades to an empty
-// index (migrations still converge, just without cross-restart dedup).
-func TestIndexPersistence(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "content.bbdx")
-
-	a, b := NewMachine("A"), NewMachine("B")
-	if err := b.SetIndexPath(path); err != nil {
-		t.Fatal(err)
-	}
-	d, err := a.CreateDomain("g", tBlocks, tPages, workload.Web, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeTemplate(t, d, 512, 64)
-	dedupHop(t, a, b, "g")
-
-	if st, err := os.Stat(path); err != nil || st.Size() == 0 {
-		t.Fatalf("index not persisted after migration: %v", err)
-	}
-	// A fresh machine loads the persisted index cleanly.
-	if err := NewMachine("B2").SetIndexPath(path); err != nil {
-		t.Fatalf("reload: %v", err)
-	}
-
-	// Corrupt it: SetIndexPath must report the damage but leave a usable
-	// empty index behind — full-send degradation, never wrong bytes.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c := NewMachine("C")
-	if err := c.SetIndexPath(path); err == nil {
-		t.Fatal("corrupt index loaded silently")
-	}
-	if c.ContentIndex().Len() != 0 {
-		t.Fatal("corrupt load left entries behind")
-	}
-	// The degraded machine still serves a correct dedup migration.
-	d2, _ := b.Domain("g")
-	want := shadow(t, d2)
-	dedupHop(t, b, c, "g")
-	want.on(t, c)
-
-	// A valid index persisted with a foreign block size is equally
-	// unusable: reject it, start empty, keep migrating.
-	foreign := filepath.Join(dir, "foreign.bbdx")
-	if err := dedup.NewIndex(512).SaveFile(foreign); err != nil {
-		t.Fatal(err)
-	}
-	e := NewMachine("E")
-	if err := e.SetIndexPath(foreign); err == nil {
-		t.Fatal("foreign-block-size index loaded silently")
-	}
-	if e.ContentIndex().BlockSize() != blockdev.BlockSize {
-		t.Fatal("degraded index has the wrong block size")
 	}
 }

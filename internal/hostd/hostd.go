@@ -116,17 +116,14 @@ type Machine struct {
 	nextID    int
 
 	// cacheBlocks sizes the block cache wrapped around each newly
-	// provisioned volume (0 = bcache.DefaultMaxBlocks); see SetCacheBlocks.
+	// provisioned volume (0 = bcache.DefaultMaxBlocks); tests shrink it to
+	// make eviction run.
 	cacheBlocks int
 
 	// content-dedup state (see index.go): the machine-wide fingerprint
-	// index, which disk sources have been scanned into it, and where it is
-	// persisted. idxSaveMu serializes SaveIndex so concurrent migrations
-	// cannot interleave writes through the shared temp file.
+	// index and which disk sources have been scanned into it.
 	idx        *dedup.Index
 	idxScanned map[string]blockdev.Device
-	idxPath    string
-	idxSaveMu  sync.Mutex
 }
 
 // NewMachine returns an empty Machine.
@@ -138,16 +135,6 @@ func NewMachine(name string) *Machine {
 		migrating: make(map[string]*core.ProgressTracker),
 		nextID:    1,
 	}
-}
-
-// SetCacheBlocks sizes the block cache wrapped around each volume this
-// machine provisions from now on: n blocks of cached reads and buffered
-// writes per domain disk (0 restores bcache.DefaultMaxBlocks). Volumes
-// already provisioned keep their existing cache.
-func (m *Machine) SetCacheBlocks(n int) {
-	m.mu.Lock()
-	m.cacheBlocks = n
-	m.mu.Unlock()
 }
 
 // newVolumeLocked wraps dev in this machine's block cache, making it a
@@ -632,10 +619,8 @@ func (m *Machine) receive(connp *transport.Conn, l net.Listener, cfg core.Config
 	m.mu.Unlock()
 	if ann.dedup {
 		hosted = true
-		// The engine observed every received block; no rescan needed. The
-		// persisted index now covers the new arrival too.
+		// The engine observed every received block; no rescan needed.
 		m.noteIndexed(ann.name)
-		_ = m.SaveIndex()
 	}
 	if d.hasWork {
 		d.startWorkload()

@@ -2,18 +2,14 @@
 // of content-addressed transfer (core.Config.Dedup) looks blocks up in one
 // index per Machine, fed by every disk the machine can read back — retained
 // peer copies of departed domains and the live disks of hosted domains
-// (clone siblings of an inbound guest). The index is persisted alongside
-// the retained-disk store when SetIndexPath is configured; a torn or
-// corrupt index file degrades to an empty index (every advert answered
-// "send the literal"), never to wrong bytes — dedup.Index re-verifies
-// content on every lookup.
+// (clone siblings of an inbound guest). The index lives in memory, like the
+// retained disks its entries name; a stale entry degrades to a miss (every
+// advert answered "send the literal"), never to wrong bytes — dedup.Index
+// re-verifies content on every lookup.
 
 package hostd
 
 import (
-	"fmt"
-	"os"
-
 	"bbmig/internal/blockdev"
 	"bbmig/internal/dedup"
 )
@@ -39,51 +35,6 @@ func (m *Machine) contentIndexLocked() *dedup.Index {
 		m.idxScanned = make(map[string]blockdev.Device)
 	}
 	return m.idx
-}
-
-// SetIndexPath configures where the machine persists its fingerprint index
-// and loads any index already there. A missing file starts empty; a
-// corrupt, torn, or wrong-block-size file also starts empty — full-send
-// degradation, migrations always proceed — and the load error is returned
-// so the operator can log it. Entries loaded from disk resolve again once
-// the disks they reference re-register (a returning domain, a
-// re-provisioned retained copy); until then lookups simply miss.
-func (m *Machine) SetIndexPath(path string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.idxPath = path
-	m.idx = nil
-	m.contentIndexLocked()
-	if _, err := os.Stat(path); err != nil {
-		return nil // nothing persisted yet
-	}
-	ix, err := dedup.LoadFile(path)
-	if err != nil {
-		return fmt.Errorf("hostd: index at %s unusable (starting empty): %w", path, err)
-	}
-	if ix.BlockSize() != blockdev.BlockSize {
-		return fmt.Errorf("hostd: index at %s has block size %d, want %d (starting empty)",
-			path, ix.BlockSize(), blockdev.BlockSize)
-	}
-	m.idx = ix
-	return nil
-}
-
-// SaveIndex persists the index to the configured path (a no-op without
-// one). Called automatically after each dedup'd inbound migration or
-// pre-sync; exposed so operators can checkpoint on their own schedule.
-// Serialized on idxSaveMu: concurrent migrations finishing together must
-// not interleave writes through the shared temp file.
-func (m *Machine) SaveIndex() error {
-	m.mu.Lock()
-	idx, path := m.idx, m.idxPath
-	m.mu.Unlock()
-	if idx == nil || path == "" {
-		return nil
-	}
-	m.idxSaveMu.Lock()
-	defer m.idxSaveMu.Unlock()
-	return idx.SaveFile(path)
 }
 
 // prepareDedup readies the index for an inbound dedup migration or

@@ -24,7 +24,7 @@ import (
 // like while pre-copy reads were in flight.
 func TestMigrationSnapshotConsistencyUnderLoad(t *testing.T) {
 	A, B := NewMachine("A"), NewMachine("B")
-	A.SetCacheBlocks(256) // well under tBlocks: eviction runs during the test
+	A.cacheBlocks = 256 // well under tBlocks: eviction runs during the test
 	d, err := A.CreateDomain("guest", tBlocks, tPages, workload.Web, 1, false)
 	if err != nil {
 		t.Fatal(err)

@@ -207,8 +207,5 @@ func (m *Machine) ServeSync(l net.Listener) (*SyncReport, error) {
 	if err != nil {
 		return rep, fmt.Errorf("hostd: sync: %w", err)
 	}
-	if ann.dedup {
-		_ = m.SaveIndex()
-	}
 	return rep, nil
 }

@@ -188,30 +188,6 @@ func (s *Series) Mean(from, to time.Duration) float64 {
 	return sum / float64(n)
 }
 
-// Min returns the smallest sample value over [from, to), or 0 if empty.
-func (s *Series) Min(from, to time.Duration) float64 {
-	first := true
-	min := 0.0
-	for _, p := range s.Samples {
-		if p.At >= from && p.At < to {
-			if first || p.Value < min {
-				min = p.Value
-				first = false
-			}
-		}
-	}
-	return min
-}
-
-// Render prints the series as aligned text rows, one per sample, suitable
-// for regenerating a figure by eye or by plotting tool.
-func (s *Series) Render(w *strings.Builder) {
-	fmt.Fprintf(w, "# %s (%s)\n", s.Label, s.Unit)
-	for _, p := range s.Samples {
-		fmt.Fprintf(w, "%8.0f  %10.2f\n", p.At.Seconds(), p.Value)
-	}
-}
-
 // Table renders labelled rows with a header, used by the bench harness to
 // print paper-table lookalikes.
 type Table struct {

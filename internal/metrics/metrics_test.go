@@ -73,19 +73,8 @@ func TestSeriesStats(t *testing.T) {
 	if got := s.Mean(2*time.Second, 4*time.Second); got != 2.5 {
 		t.Fatalf("windowed Mean = %f", got)
 	}
-	if got := s.Min(3*time.Second, 8*time.Second); got != 3 {
-		t.Fatalf("Min = %f", got)
-	}
-	if got := s.Min(20*time.Second, 30*time.Second); got != 0 {
-		t.Fatalf("empty Min = %f", got)
-	}
 	if got := s.Mean(20*time.Second, 30*time.Second); got != 0 {
 		t.Fatalf("empty Mean = %f", got)
-	}
-	var b strings.Builder
-	s.Render(&b)
-	if !strings.Contains(b.String(), "throughput") || len(strings.Split(b.String(), "\n")) < 10 {
-		t.Fatal("Render output malformed")
 	}
 }
 

@@ -1,60 +1,27 @@
 package metrics
 
-import "math"
-
-// StreamStats is a single-pass (Welford) accumulator for a stream of
-// values: count, mean, variance, min, and max in O(1) memory. The fleet
-// simulator aggregates per-domain outcomes at 10k-domain scale through it
-// instead of materializing per-domain time series; anything that wants a
-// distribution summary without keeping samples can use it.
+// StreamStats is a single-pass accumulator for a stream of values: count,
+// mean, and max in O(1) memory. The fleet simulator aggregates per-domain
+// outcomes at 10k-domain scale through it instead of materializing
+// per-domain time series.
 //
 // The zero value is an empty accumulator ready for Add. StreamStats is not
-// safe for concurrent use; Merge combines independently filled accumulators.
+// safe for concurrent use.
 type StreamStats struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
+	n         int64
+	mean, max float64
 }
 
 // Add folds one value into the accumulator.
 func (s *StreamStats) Add(x float64) {
 	s.n++
 	if s.n == 1 {
-		s.mean, s.m2 = x, 0
-		s.min, s.max = x, x
+		s.mean, s.max = x, x
 		return
 	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-	if x < s.min {
-		s.min = x
-	}
+	s.mean += (x - s.mean) / float64(s.n)
 	if x > s.max {
 		s.max = x
-	}
-}
-
-// Merge folds another accumulator's state into this one (Chan et al.'s
-// parallel combine), leaving o unchanged.
-func (s *StreamStats) Merge(o *StreamStats) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	s.mean += d * float64(o.n) / float64(n)
-	s.n = n
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
 	}
 }
 
@@ -63,22 +30,6 @@ func (s *StreamStats) Count() int64 { return s.n }
 
 // Mean returns the running mean (zero when empty).
 func (s *StreamStats) Mean() float64 { return s.mean }
-
-// Std returns the population standard deviation (zero when empty).
-func (s *StreamStats) Std() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n))
-}
-
-// Min returns the smallest value seen (zero when empty).
-func (s *StreamStats) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
 
 // Max returns the largest value seen (zero when empty).
 func (s *StreamStats) Max() float64 {

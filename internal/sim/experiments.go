@@ -367,40 +367,8 @@ func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%d ms", d.Milliseconds())
 }
 
-// StreamSweep measures what striped transfer and extent coalescing buy once
-// the per-frame serialization stall is modelled explicitly instead of being
-// folded into the measured effective bandwidth: the same kernel-build-style
-// transfer at 1..8 streams, per-block vs 64-block extents. FrameLatency is
-// set to a flush-per-message cost representative of a syscall+wakeup
-// (~150 µs), which reproduces the gap between per-block transfer throughput
-// and line rate that motivates the parallel pipeline.
-func StreamSweep(seed int64) ([]*Result, *metrics.Table) {
-	t := &metrics.Table{
-		Title:   "Striped transfer sweep — web workload, per-frame stall 150 µs",
-		Columns: []string{"streams", "extent blocks", "total time (s)", "precopy (s)", "migrated (MB)"},
-	}
-	var results []*Result
-	for _, c := range []struct{ streams, extent int }{
-		{1, 1}, {2, 1}, {4, 1}, {8, 1}, {1, 64}, {4, 64},
-	} {
-		p := Defaults(workload.Web)
-		p.Seed = seed
-		p.Streams = c.streams
-		p.MaxExtentBlocks = c.extent
-		p.FrameLatency = 150 * time.Microsecond
-		p.DwellAfter = time.Minute
-		r := RunTPM(p)
-		results = append(results, r)
-		t.AddRow(fmt.Sprintf("%d", c.streams), fmt.Sprintf("%d", c.extent),
-			fmt.Sprintf("%.0f", r.Report.TotalTime.Seconds()),
-			fmt.Sprintf("%.0f", r.Report.PreCopyTime.Seconds()),
-			fmt.Sprintf("%.0f", r.Report.MigratedMB()))
-	}
-	return results, t
-}
-
 // AdaptiveSweep compares the transfer policies on a latency-modelled link
-// (per-frame stall 150 µs, the StreamSweep calibration): the paper's fixed
+// (per-frame stall 150 µs, a syscall-plus-wakeup flush): the paper's fixed
 // per-block format, a hand-tuned fixed 64-block extent, and the adaptive
 // slow-start that core.AdaptivePolicy implements. The adaptive row must at
 // least match the hand-tuned one without anyone picking the constant.

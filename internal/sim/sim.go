@@ -58,20 +58,15 @@ type Params struct {
 	// 0 means unlimited.
 	RateLimit float64
 
-	// Streams is the number of striped transport connections the transfer
-	// path fans frames across; zero or one models the paper's single blkd
-	// socket.
-	Streams int
 	// MaxExtentBlocks is the per-frame block coalescing limit; zero or one
 	// models the paper's block-per-message format. Larger extents amortize
 	// the per-frame header and the FrameLatency stall.
 	MaxExtentBlocks int
 	// FrameLatency is the per-frame serialization stall of the transfer
 	// path (per-message flush and handling). It is amortized across the
-	// frame's payload and divided by Streams (frames on different streams
-	// overlap). Zero — the default — folds the stall into NetBytesPerSec
-	// the way the paper's measured effective bandwidth already does, so
-	// calibrated results are unchanged.
+	// frame's payload. Zero — the default — folds the stall into
+	// NetBytesPerSec the way the paper's measured effective bandwidth
+	// already does, so calibrated results are unchanged.
 	FrameLatency time.Duration
 
 	// AdaptiveExtents models core.AdaptivePolicy's slow-start extent
@@ -268,9 +263,6 @@ func run(p Params, initial *bitmap.Bitmap, cur *cursor, start time.Duration) *Re
 	idle := initial != nil && cur == nil
 	if p.Step <= 0 {
 		p.Step = 250 * time.Millisecond
-	}
-	if p.Streams < 1 {
-		p.Streams = 1
 	}
 	if p.MaxExtentBlocks < 1 {
 		p.MaxExtentBlocks = 1
@@ -537,9 +529,8 @@ func (s *sim) consumeFault() bool {
 
 // migRate returns the migration bandwidth before disk contention. When a
 // per-frame stall is modelled, each frame of payload P costs P/net +
-// FrameLatency/Streams seconds, so the effective rate rises with extent
-// coalescing (bigger P) and striping (stall overlapped across streams).
-// A severed link moves nothing.
+// FrameLatency seconds, so the effective rate rises with extent coalescing
+// (bigger P). A severed link moves nothing.
 func (s *sim) migRate() float64 {
 	if s.linkDown() {
 		return 0
@@ -547,7 +538,7 @@ func (s *sim) migRate() float64 {
 	r := s.p.NetBytesPerSec
 	if s.p.FrameLatency > 0 {
 		frameBytes := s.migFrameBytes()
-		perByte := 1/r + s.p.FrameLatency.Seconds()/(float64(s.p.Streams)*frameBytes)
+		perByte := 1/r + s.p.FrameLatency.Seconds()/frameBytes
 		r = 1 / perByte
 	}
 	if s.p.RateLimit > 0 && s.p.RateLimit < r {

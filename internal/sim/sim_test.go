@@ -432,25 +432,19 @@ func TestTableIRobustAcrossSeeds(t *testing.T) {
 	}
 }
 
-// TestStreamSweep checks the parallel-transfer model: with a per-frame
-// stall, coalescing and striping must each recover transfer time, and the
-// defaults (no stall) must leave the calibrated results untouched.
+// TestStreamSweep checks the frame-stall model the transfer sweeps run on:
+// with a per-frame stall, extent coalescing must recover transfer time, and
+// the defaults (no stall) must leave the calibrated results untouched.
 func TestStreamSweep(t *testing.T) {
-	results, tab := StreamSweep(1)
-	if len(results) != 6 {
-		t.Fatalf("StreamSweep returned %d results", len(results))
+	stalled := func(extent int) time.Duration {
+		p := Defaults(workload.Web)
+		p.MaxExtentBlocks = extent
+		p.FrameLatency = 150 * time.Microsecond
+		p.DwellAfter = time.Minute
+		return RunTPM(p).Report.TotalTime
 	}
-	oneStream := results[0].Report.TotalTime  // 1 stream, per-block
-	fourStream := results[2].Report.TotalTime // 4 streams, per-block
-	coalesced := results[4].Report.TotalTime  // 1 stream, 64-block extents
-	if !(fourStream < oneStream) {
-		t.Errorf("4 streams (%v) not faster than 1 (%v) under per-frame stall", fourStream, oneStream)
-	}
-	if !(coalesced < oneStream) {
-		t.Errorf("coalescing (%v) not faster than per-block (%v) under per-frame stall", coalesced, oneStream)
-	}
-	if !strings.Contains(tab.String(), "Striped") {
-		t.Error("sweep table rendering broken")
+	if perBlock, coalesced := stalled(1), stalled(64); !(coalesced < perBlock) {
+		t.Errorf("coalescing (%v) not faster than per-block (%v) under per-frame stall", coalesced, perBlock)
 	}
 
 	// Defaults (FrameLatency 0) must reproduce the calibrated paper band

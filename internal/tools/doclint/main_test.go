@@ -7,9 +7,9 @@ import (
 )
 
 // TestTargetPackagesDocumented is the in-tree half of the CI doc gate: the
-// facade, the cluster orchestrator, the engine, the host daemon, the
-// transport, the simulator, the dedup layer, and the block layer must have
-// zero undocumented exported identifiers.
+// root package's documentation, the cluster orchestrator, the engine, the
+// host daemon, the transport, the simulator, the dedup layer, and the block
+// layer must have zero undocumented exported identifiers.
 func TestTargetPackagesDocumented(t *testing.T) {
 	root := filepath.Join("..", "..", "..")
 	for _, dir := range []string{

@@ -207,32 +207,12 @@ const MaxPayload = 64 << 20
 // the "amount of migrated data" metric counts.
 func (m Message) FrameSize() int { return headerLen + len(m.Payload) }
 
-// encode appends the wire form of m to buf and returns the result.
-func encode(buf []byte, m Message) ([]byte, error) {
-	if len(m.Payload) > MaxPayload {
-		return nil, fmt.Errorf("transport: payload %d exceeds max %d", len(m.Payload), MaxPayload)
-	}
-	var hdr [headerLen]byte
-	hdr[0] = byte(m.Type)
-	binary.LittleEndian.PutUint64(hdr[1:], m.Arg)
-	binary.LittleEndian.PutUint32(hdr[9:], uint32(len(m.Payload)))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, m.Payload...)
-	return buf, nil
-}
-
-// readMessage decodes one frame from r. The payload is drawn from the
+// readMessageHdr decodes one frame from r. The payload is drawn from the
 // buffer pool and ownership transfers to the caller (see bufpool.go);
-// zero-length payloads allocate nothing at all.
-func readMessage(r io.Reader) (Message, error) {
-	var hdr [headerLen]byte
-	return readMessageHdr(r, &hdr)
-}
-
-// readMessageHdr is readMessage with a caller-owned header scratch: the
-// array would otherwise escape through the io.Reader interface and cost
-// one heap allocation per frame — exactly the per-frame overhead the
-// pooled path exists to eliminate.
+// zero-length payloads allocate nothing at all. hdr is caller-owned header
+// scratch: the array would otherwise escape through the io.Reader interface
+// and cost one heap allocation per frame — exactly the per-frame overhead
+// the pooled path exists to eliminate.
 func readMessageHdr(r io.Reader, hdr *[headerLen]byte) (Message, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Message{}, err

@@ -2,12 +2,29 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"testing"
 	"testing/quick"
 )
+
+// encode appends the wire form of m to buf, as a stream connection's Send
+// writes it, and returns the result.
+func encode(buf []byte, m Message) ([]byte, error) {
+	if len(m.Payload) > MaxPayload {
+		return nil, fmt.Errorf("transport: payload %d exceeds max %d", len(m.Payload), MaxPayload)
+	}
+	var hdr [headerLen]byte
+	hdr[0] = byte(m.Type)
+	binary.LittleEndian.PutUint64(hdr[1:], m.Arg)
+	binary.LittleEndian.PutUint32(hdr[9:], uint32(len(m.Payload)))
+	buf = append(buf, hdr[:]...)
+	buf = append(buf, m.Payload...)
+	return buf, nil
+}
 
 // rwc adapts two in-memory pipes into an io.ReadWriteCloser pair.
 func netPair(t *testing.T) (Conn, Conn) {
@@ -126,7 +143,7 @@ func TestReadMessageRejectsCorruptLength(t *testing.T) {
 	// Corrupt the length field to a huge value.
 	b[9], b[10], b[11], b[12] = 0xff, 0xff, 0xff, 0xff
 	buf.Write(b)
-	if _, err := readMessage(&buf); err == nil {
+	if _, err := readMessageHdr(&buf, new([headerLen]byte)); err == nil {
 		t.Fatal("corrupt length accepted")
 	}
 }
@@ -228,7 +245,7 @@ func TestQuickEncodeDecode(t *testing.T) {
 		if err != nil {
 			return len(payload) > MaxPayload
 		}
-		got, err := readMessage(bytes.NewReader(b))
+		got, err := readMessageHdr(bytes.NewReader(b), new([headerLen]byte))
 		if err != nil {
 			return false
 		}
@@ -310,7 +327,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{byte(MsgBlockData), 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}) // length past MaxPayload
 	f.Add([]byte{byte(MsgBlockData), 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 1, 2})       // payload cut short
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := readMessage(bytes.NewReader(data))
+		m, err := readMessageHdr(bytes.NewReader(data), new([headerLen]byte))
 		if err != nil {
 			return
 		}

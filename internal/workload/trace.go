@@ -15,9 +15,9 @@ import (
 // This file implements I/O trace recording and replay — the instrumentation
 // behind the paper's §IV-A-2 statistics ("we have checked the storage write
 // locality using some benchmarks": a kernel build, SPECweb, Bonnie++). A
-// Recorder interposes on a submit path and logs every access; a TraceReader
-// replays a recorded trace as a Generator, so captured workloads drive
-// migrations exactly like the synthetic ones.
+// TraceWriter logs every access a generator makes; a TraceReader replays a
+// recorded trace as a Generator, so captured workloads drive migrations
+// exactly like the synthetic ones.
 //
 // Wire format: 16-byte header ("BBTRACE1" + block count), then one 17-byte
 // record per access: at(8) op(1) block(4) count(4), little-endian.
@@ -66,21 +66,6 @@ func (t *TraceWriter) Count() int64 { return t.count }
 
 // Flush drains the write buffer.
 func (t *TraceWriter) Flush() error { return t.w.Flush() }
-
-// Record consumes gen until the horizon and writes the trace to w,
-// returning the number of accesses captured.
-func Record(gen Generator, horizon int64, w io.Writer, numBlocks int) (int64, error) {
-	tw, err := NewTraceWriter(w, numBlocks)
-	if err != nil {
-		return 0, err
-	}
-	for i := int64(0); i < horizon; i++ {
-		if err := tw.Append(gen.Next()); err != nil {
-			return tw.Count(), err
-		}
-	}
-	return tw.Count(), tw.Flush()
-}
 
 // TraceReader replays a recorded trace as a Generator. The whole trace is
 // held in memory so Reset is cheap; traces of tens of millions of events fit

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,11 +13,26 @@ import (
 	"bbmig/internal/clock"
 )
 
+// record consumes horizon accesses of gen and writes them to w as a trace,
+// returning how many it captured.
+func record(gen Generator, horizon int64, w io.Writer, numBlocks int) (int64, error) {
+	tw, err := NewTraceWriter(w, numBlocks)
+	if err != nil {
+		return 0, err
+	}
+	for i := int64(0); i < horizon; i++ {
+		if err := tw.Append(gen.Next()); err != nil {
+			return tw.Count(), err
+		}
+	}
+	return tw.Count(), tw.Flush()
+}
+
 func TestTraceRecordReplayRoundTrip(t *testing.T) {
 	gen := NewWebServer(testDiskBlocks, 5)
 	var buf bytes.Buffer
 	const horizon = 5000
-	n, err := Record(gen, horizon, &buf, testDiskBlocks)
+	n, err := record(gen, horizon, &buf, testDiskBlocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +63,7 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 func TestTraceLoopsWithTimeShift(t *testing.T) {
 	gen := NewStreaming(testDiskBlocks, 5)
 	var buf bytes.Buffer
-	if _, err := Record(gen, 100, &buf, testDiskBlocks); err != nil {
+	if _, err := record(gen, 100, &buf, testDiskBlocks); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := ReadTrace("loop", &buf)
@@ -72,7 +88,7 @@ func TestTraceAsMigrationWorkload(t *testing.T) {
 	// A recorded trace drives a device exactly like a live generator.
 	gen := NewKernelBuild(1024, 5)
 	var buf bytes.Buffer
-	if _, err := Record(gen, 2000, &buf, 1024); err != nil {
+	if _, err := record(gen, 2000, &buf, 1024); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := ReadTrace("kb", &buf)
@@ -101,7 +117,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Record(gen, 1000, f, testDiskBlocks); err != nil {
+	if _, err := record(gen, 1000, f, testDiskBlocks); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -120,7 +136,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 func TestTraceRejectsCorruption(t *testing.T) {
 	gen := NewWebServer(testDiskBlocks, 5)
 	var buf bytes.Buffer
-	Record(gen, 10, &buf, testDiskBlocks)
+	record(gen, 10, &buf, testDiskBlocks)
 	data := buf.Bytes()
 
 	cases := map[string][]byte{
