@@ -76,18 +76,17 @@ const (
 // suite is the timed rows, in snapshot order; seed picks the bitmap
 // fixtures' content.
 func suite(seed int64) []row {
-	modeledRow := func(cfg core.Config, adaptive bool) func(*testing.B) {
-		return func(b *testing.B) { kernelMigrate(b, modelled, blocks, 8000, cfg, adaptive) }
+	modeledRow := func(cfg core.Config) func(*testing.B) {
+		return func(b *testing.B) { kernelMigrate(b, modelled, blocks, 8000, cfg) }
 	}
 	tcpRow := func(cfg core.Config) func(*testing.B) {
-		return func(b *testing.B) { kernelMigrate(b, loopback, tcpBlocks, 20000, cfg, false) }
+		return func(b *testing.B) { kernelMigrate(b, loopback, tcpBlocks, 20000, cfg) }
 	}
 	return []row{
-		// The modelled link: the policy trajectory, and four striped streams.
-		{"MigrateModeledLink/default-per-block", modeledRow(core.Config{MaxExtentBlocks: 1}, false)},
-		{"MigrateModeledLink/fixed-64-extents", modeledRow(core.Config{MaxExtentBlocks: 64}, false)},
-		{"MigrateModeledLink/adaptive-policy", modeledRow(core.Config{MaxExtentBlocks: 1}, true)},
-		{"MigrateModeledLink/striped4", modeledRow(core.Config{Streams: 4, MaxExtentBlocks: 64, Workers: 4}, false)},
+		// The modelled link: per-block frames, extents, and four striped streams.
+		{"MigrateModeledLink/default-per-block", modeledRow(core.Config{MaxExtentBlocks: 1})},
+		{"MigrateModeledLink/fixed-64-extents", modeledRow(core.Config{MaxExtentBlocks: 64})},
+		{"MigrateModeledLink/striped4", modeledRow(core.Config{Streams: 4, MaxExtentBlocks: 64, Workers: 4})},
 
 		// The same image under a guest that writes while it is migrated, and
 		// guests rewriting words of their hot pages, or whole pages.
@@ -280,19 +279,13 @@ func (w world) migrate(b *testing.B, ln link, srcCfg, dstCfg core.Config, initia
 }
 
 // kernelMigrate runs TPM of an n-block kernel-build image over ln under cfg.
-// adaptive gives each run's source a fresh AdaptivePolicy: policies are
-// stateful and per-migration, and the receiver applies whatever arrives.
-func kernelMigrate(b *testing.B, ln link, n, writes int, cfg core.Config, adaptive bool) {
+func kernelMigrate(b *testing.B, ln link, n, writes int, cfg core.Config) {
 	srcDisk := kernelImage(n, writes)
 	b.SetBytes(int64(n) * blockdev.BlockSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srcCfg := cfg
-		if adaptive {
-			srcCfg.Policy = &core.AdaptivePolicy{}
-		}
-		newWorld(srcDisk, blockdev.NewMemDisk(n, blockdev.BlockSize), 64).migrate(b, ln, srcCfg, cfg, nil, nil)
+		newWorld(srcDisk, blockdev.NewMemDisk(n, blockdev.BlockSize), 64).migrate(b, ln, cfg, cfg, nil, nil)
 	}
 }
 
@@ -659,15 +652,6 @@ func runJSON(path string, seed int64) error {
 			"downtime_ms": float64(r.Downtime.Milliseconds()),
 			"migrated_mb": r.MigratedMB(),
 			"disk_iters":  float64(r.DiskIterationCount()),
-		})
-	}
-	results, _ := sim.AdaptiveSweep(seed)
-	for i, name := range []string{"default", "fixed64", "adaptive"} {
-		r := results[i].Report
-		add("SimAdaptiveSweep/"+name, map[string]float64{
-			"total_s":     r.TotalTime.Seconds(),
-			"precopy_s":   r.PreCopyTime.Seconds(),
-			"migrated_mb": r.MigratedMB(),
 		})
 	}
 	swarmRows, _ := sim.SwarmSweep(seed)

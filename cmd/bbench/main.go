@@ -12,7 +12,6 @@
 //	bbench -exp downtime-granularity  — how granularity inflates downtime
 //	bbench -exp schemes     §II       — all four schemes, one table
 //	bbench -exp availability §II-B    — on-demand fetching availability p²
-//	bbench -exp adaptive    transfer-policy sweep on a latency-modelled link
 //	bbench -exp faults      link-outage sweep: resumable migration vs restart
 //	bbench -exp cluster     evacuation sweep: drain makespan/downtime vs concurrency
 //	bbench -exp dedup       clone-fleet sweep: content-addressed dedup vs literal transfer
@@ -53,7 +52,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1|table2|table3|fig5|fig6|iters|locality|granularity|availability|adaptive|faults|cluster|dedup|swarm|wan|fleet|all)")
+	exp := flag.String("exp", "all", "experiment to run (table1|table2|table3|fig5|fig6|iters|locality|granularity|availability|faults|cluster|dedup|swarm|wan|fleet|all)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	samples := flag.Int("samples", 40, "series rows to print for figures")
 	flag.IntVar(&fleetHosts, "fleet-hosts", 200, "fleet sweep host count")
@@ -88,8 +87,8 @@ func main() {
 		{"table1", table1}, {"table2", table2}, {"table3", table3}, {"fig5", fig5}, {"fig6", fig6},
 		{"iters", iters}, {"locality", locality}, {"granularity", granularity},
 		{"downtime-granularity", downtimeGranularity}, {"schemes", schemes}, {"availability", availability},
-		{"adaptive", adaptive}, {"faults", faults}, {"cluster", clusterSweep}, {"dedup", dedupSweep},
-		{"swarm", swarmSweep}, {"wan", wanSweep}, {"fleet", fleetSweep},
+		{"faults", faults}, {"cluster", clusterSweep}, {"dedup", dedupSweep}, {"swarm", swarmSweep},
+		{"wan", wanSweep}, {"fleet", fleetSweep},
 	} {
 		if *exp == "all" || *exp == e.name {
 			e.run(*seed, *samples)
@@ -202,12 +201,6 @@ func downtimeGranularity(seed int64, _ int) {
 func schemes(seed int64, _ int) {
 	fmt.Print(sim.SchemeComparison(workload.Web, seed).String())
 	fmt.Print(sim.SchemeComparison(workload.Diabolic, seed).String())
-}
-
-func adaptive(seed int64, _ int) {
-	_, tab := sim.AdaptiveSweep(seed)
-	fmt.Print(tab.String())
-	fmt.Println("adaptive slow-start must close most of the gap to the hand-tuned extent without configuration")
 }
 
 func faults(seed int64, _ int) {

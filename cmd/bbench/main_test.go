@@ -57,14 +57,14 @@ func TestCompareBenchGate(t *testing.T) {
 	base := dir + "/base.json"
 	writeSnapshot(t, base, map[string]float64{
 		"MigrateModeledLink/default-per-block": 100,
-		"MigrateModeledLink/adaptive-policy":   1000,
+		"MigrateModeledLink/fixed-64-extents":  1000,
 		"SomethingElse/unrelated":              50,
 	})
 
 	ok := dir + "/ok.json"
 	writeSnapshot(t, ok, map[string]float64{
 		"MigrateModeledLink/default-per-block": 80,   // -20%: within 25%
-		"MigrateModeledLink/adaptive-policy":   1200, // improvement
+		"MigrateModeledLink/fixed-64-extents":  1200, // improvement
 		"SomethingElse/unrelated":              1,    // ignored: not headline
 	})
 	if err := compareBench(ok, base, 25); err != nil {
@@ -74,7 +74,7 @@ func TestCompareBenchGate(t *testing.T) {
 	bad := dir + "/bad.json"
 	writeSnapshot(t, bad, map[string]float64{
 		"MigrateModeledLink/default-per-block": 70, // -30%: regression
-		"MigrateModeledLink/adaptive-policy":   1000,
+		"MigrateModeledLink/fixed-64-extents":  1000,
 	})
 	if err := compareBench(bad, base, 25); err == nil {
 		t.Fatal("30% drop passed a 25% gate")

@@ -60,16 +60,16 @@
 // Progress snapshot — the hostd layer uses exactly this to answer
 // live-status queries for in-flight migrations.
 //
-// # Policies
+// # Stop rule and pacing
 //
-// The Policy interface owns the decisions the engine cannot measure for
-// itself: pre-copy stop conditions, the live extent coalescing limit, and
-// pre-copy pacing. DefaultPolicy (the nil default) reproduces the paper's behavior
-// exactly — with the other knobs at their defaults it is wire-identical to
-// the seed protocol, which a golden frame-trace test enforces. AdaptivePolicy
-// grows the extent size by slow start from observed throughput; on a
-// latency-bound link it recovers the hand-tuned configuration's throughput
-// without anyone picking constants.
+// Pre-copy stops by the paper's fixed rule (§IV-A-1), one exported function,
+// ContinuePreCopy: when the dirty set is down to its threshold, when the
+// iteration budget is spent, or when the dirty rate has caught up with the
+// transfer rate. The engine and the simulator both call it. Pacing is one
+// cap (§VI-C-3): min(Config.BandwidthLimit, Config.Budget's live share),
+// re-read before every paced frame. Extents are cut at Config.MaxExtentBlocks.
+// With every knob at its default the engine is wire-identical to the seed
+// protocol, which a golden frame-trace test enforces.
 //
 // # Content-addressed deduplication
 //
@@ -117,9 +117,9 @@
 // concurrent migrations under per-host and fleet-wide caps with priority
 // queues and queued-job cancellation; and Drain/Rebalance build maintenance
 // operations on both. Concurrent migrations share the network through a
-// RateBudget: each one's Config carries a BudgetPolicy whose pacing verdict
-// is re-read on every paced frame, so the per-migration share re-splits
-// live as migrations start and finish. Drains can pre-sync each domain's
+// RateBudget: each one's Config.Budget points at it and its pacing rate is
+// re-read on every paced frame, so the per-migration share re-splits live
+// as migrations start and finish. Drains can pre-sync each domain's
 // divergence to its target while the guest keeps running (hostd.SyncOut),
 // shrinking the cutover to the recent write set — the paper's Incremental
 // Migration applied to planned maintenance. cmd/bbcluster demonstrates the
@@ -135,7 +135,7 @@
 // Config follows whatever the source chose. Only Streams must match on both
 // endpoints, because the striped bundle is built before the engine runs;
 // the hostd layer carries it in its announce frame. Everything else —
-// thresholds, Workers, MaxExtentBlocks, BandwidthLimit, Policy, OnEvent and
+// thresholds, Workers, MaxExtentBlocks, BandwidthLimit, Budget, OnEvent and
 // the lifecycle hooks — is local and may differ freely between endpoints.
 //
 // Subpackages (internal/...) hold the substrates: bitmap, blockdev, blkback,

@@ -8,7 +8,7 @@
 //   - a placement engine (Place) scoring destination hosts by free capacity,
 //     current migration load, and link bandwidth;
 //   - an admission-controlled scheduler (Submit) with a global pre-copy
-//     bandwidth budget shared live via core.RateBudget/BudgetPolicy,
+//     bandwidth budget shared live via core.RateBudget (Config.Budget),
 //     per-host and fleet-wide concurrency caps, priority queues, and
 //     queued-job cancellation;
 //   - fleet operations built on both: Drain evacuates every domain off a
@@ -81,21 +81,9 @@ type Options struct {
 	// (suits in-process fleets whose machines cannot silently die).
 	HeartbeatTTL time.Duration
 
-	// BaseConfig is the per-migration core.Config template. Policy, if set,
-	// is shared across concurrent migrations and MUST be stateless — use
-	// PolicyFactory for anything with mutable state, which also takes
-	// precedence when both are set. The scheduler wraps whichever policy a
-	// job ends up with in a core.BudgetPolicy drawing from the global
-	// budget.
+	// BaseConfig is the per-migration core.Config template. The scheduler
+	// sets its Budget to the cluster's global budget.
 	BaseConfig core.Config
-
-	// PolicyFactory, when non-nil, supplies a fresh inner Policy per
-	// migration; it takes precedence over BaseConfig.Policy, because only a
-	// factory can satisfy the one-instance-per-migration Policy contract
-	// (e.g. func() core.Policy { return &core.AdaptivePolicy{} }). A bare
-	// BaseConfig.Policy is shared across concurrent jobs and must therefore
-	// be stateless.
-	PolicyFactory func() core.Policy
 
 	// Swarm, when true alongside a dedup'd BaseConfig (or job config), fans
 	// each migration's want-set across peer machines: the scheduler

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -154,68 +152,5 @@ func TestDrainReplacesCanceledMove(t *testing.T) {
 	}
 	if _, ok := m.Domain("evac"); !ok {
 		t.Fatalf("evac not hosted on reported target %s", mv.Target)
-	}
-}
-
-// poisonPolicy stands in for a stateful Options.BaseConfig.Policy that
-// PolicyFactory must shadow: any call proves the shared instance leaked
-// into a migration.
-type poisonPolicy struct {
-	core.Policy
-	used atomic.Bool
-}
-
-// ContinuePreCopy records that the shared policy was driven.
-func (p *poisonPolicy) ContinuePreCopy(st core.IterationStat) bool {
-	p.used.Store(true)
-	return p.Policy.ContinuePreCopy(st)
-}
-
-// TestPolicyFactoryShadowsSharedPolicy pins the jobConfig fix: the factory
-// supplies every migration's policy even when BaseConfig.Policy is also
-// set, because only fresh per-job instances are safe to mutate. The two
-// migrations barrier at their freeze points so the factory-minted policies
-// demonstrably run concurrently — under -race, a regression that shared the
-// stateful base policy would be caught, and the poison instance reports any
-// use at all.
-func TestPolicyFactoryShadowsSharedPolicy(t *testing.T) {
-	poison := &poisonPolicy{Policy: &core.AdaptivePolicy{}}
-	var minted atomic.Int32
-	var frozen sync.WaitGroup
-	frozen.Add(2)
-	c := New(Options{
-		MaxTotal:   2,
-		MaxPerHost: 4,
-		BaseConfig: core.Config{
-			Policy:   poison,
-			OnFreeze: func() { frozen.Done(); frozen.Wait() },
-		},
-		PolicyFactory: func() core.Policy {
-			minted.Add(1)
-			return &core.AdaptivePolicy{}
-		},
-	})
-	ms := newFleet(t, c, 4, 4)
-	addDomain(t, ms[0], "a", 8)
-	addDomain(t, ms[1], "b", 8)
-	ta, err := c.Submit(Job{Domain: "a", From: "host0", To: "host2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := c.Submit(Job{Domain: "b", From: "host1", To: "host3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ta.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got := minted.Load(); got != 2 {
-		t.Fatalf("factory minted %d policies for 2 jobs", got)
-	}
-	if poison.used.Load() {
-		t.Fatal("shared BaseConfig.Policy was driven despite PolicyFactory")
 	}
 }

@@ -62,7 +62,7 @@ type Job struct {
 	// the head start.
 	PreSync bool
 	// Config, when non-nil, replaces the cluster's BaseConfig for this job
-	// (the scheduler still wraps its Policy in the shared-budget decorator).
+	// (the scheduler still sets its Budget).
 	Config *core.Config
 	// NotBefore, when non-zero, holds the job in the queue until that
 	// time: the caller's own trough plan. With Options.Forecast on and
@@ -403,21 +403,13 @@ func (c *Cluster) failQueuedLocked(t *Ticket, err error) bool {
 }
 
 // jobConfig builds the source-side migration config for t: the job override
-// or BaseConfig, with a fresh inner policy from PolicyFactory when set, all
-// wrapped in the shared-budget decorator. PolicyFactory wins over a bare
-// Policy even when both are set: concurrent jobs must never share one
-// stateful policy instance, and only the factory can mint a fresh one per
-// migration. A bare Policy is used as-is and therefore must be stateless.
+// or BaseConfig, paced from the shared budget.
 func (c *Cluster) jobConfig(t *Ticket) core.Config {
 	cfg := c.opts.BaseConfig
 	if t.job.Config != nil {
 		cfg = *t.job.Config
 	}
-	inner := cfg.Policy
-	if c.opts.PolicyFactory != nil {
-		inner = c.opts.PolicyFactory()
-	}
-	cfg.Policy = &core.BudgetPolicy{Inner: inner, Budget: c.budget}
+	cfg.Budget = c.budget
 	return cfg
 }
 

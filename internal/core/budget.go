@@ -3,20 +3,19 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"bbmig/internal/clock"
 )
 
 // RateBudget divides a global pre-copy bandwidth budget among the
 // migrations currently drawing from it. The cluster orchestrator creates one
-// budget per fleet and gives every migration it schedules a BudgetPolicy
-// pointing at it: each migration's pacing becomes total/active, re-read
-// live, so admitting or completing a migration immediately re-shares the
-// bandwidth among the survivors without restarting anyone's limiter.
+// budget per fleet and sets it as Config.Budget of every migration it
+// schedules: each migration's pacing becomes total/active, re-read live, so
+// admitting or completing a migration immediately re-shares the bandwidth
+// among the survivors without restarting anyone's limiter.
 //
-// A RateBudget is safe for concurrent use; unlike a Policy, sharing one
-// instance between concurrent migrations is the whole point.
+// A RateBudget is safe for concurrent use; sharing one instance between
+// concurrent migrations is the whole point.
 type RateBudget struct {
 	mu     sync.Mutex
 	total  int64 // bytes/second; clock.Unlimited disables the budget
@@ -81,61 +80,6 @@ func (b *RateBudget) Share() int64 {
 		n = 1
 	}
 	return b.total / int64(n)
-}
-
-// BudgetPolicy decorates an inner Policy so the migration's pre-copy pacing
-// follows a shared RateBudget: PrecopyRate returns the smaller of the inner
-// policy's verdict and the live budget share. Every other decision delegates
-// to the inner policy (nil selects DefaultPolicy).
-//
-// The engine re-consults PrecopyRate on every paced frame, so share changes
-// (migrations joining or leaving the budget) take effect mid-iteration. One
-// BudgetPolicy instance per migration, as with any Policy; only the
-// RateBudget behind it is shared.
-type BudgetPolicy struct {
-	// Inner is the decorated policy; nil selects DefaultPolicy.
-	Inner Policy
-	// Budget is the shared allocator. A nil Budget makes the decorator a
-	// pass-through.
-	Budget *RateBudget
-}
-
-// inner returns the decorated policy, defaulting to DefaultPolicy.
-func (p *BudgetPolicy) inner() Policy {
-	if p.Inner == nil {
-		return DefaultPolicy{}
-	}
-	return p.Inner
-}
-
-// ContinuePreCopy delegates to the inner policy.
-func (p *BudgetPolicy) ContinuePreCopy(st IterationStat) bool {
-	return p.inner().ContinuePreCopy(st)
-}
-
-// ExtentBlocks delegates to the inner policy.
-func (p *BudgetPolicy) ExtentBlocks(configured int) int {
-	return p.inner().ExtentBlocks(configured)
-}
-
-// ObserveExtent delegates to the inner policy.
-func (p *BudgetPolicy) ObserveExtent(blocks int, wireBytes int64, d time.Duration) {
-	p.inner().ObserveExtent(blocks, wireBytes, d)
-}
-
-// PrecopyRate returns min(inner verdict, live budget share). Note the
-// engine only honours live rate changes when the migration starts with a
-// finite rate (a limiter must exist to retune); a finite RateBudget
-// guarantees that.
-func (p *BudgetPolicy) PrecopyRate(configured int64) int64 {
-	rate := p.inner().PrecopyRate(configured)
-	if p.Budget == nil {
-		return rate
-	}
-	if share := p.Budget.Share(); share < rate {
-		return share
-	}
-	return rate
 }
 
 // Pacer is the one implementation of the pacing rule every paced sender

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"bbmig/internal/blockdev"
 	"bbmig/internal/clock"
+	"bbmig/internal/transport"
 )
 
 func TestRateBudgetShare(t *testing.T) {
@@ -52,51 +54,60 @@ func TestRateBudgetConcurrent(t *testing.T) {
 	}
 }
 
+// enginePacer returns the pre-copy pacer the engine builds from cfg, on a
+// virtual clock.
+func enginePacer(cfg Config) *Pacer {
+	cfg.Clock = clock.NewVirtual()
+	conn, _ := transport.NewPipe(1)
+	return newDiskTransfer(cfg.withDefaults(), blockdev.NewMemDisk(1, blockdev.BlockSize), conn, "TPM", "source").pace
+}
+
+// paced sends one byte through p and returns the rate it was paced at.
+func paced(p *Pacer) int64 {
+	p.Wait(1)
+	return p.lim.Rate()
+}
+
+// TestBudgetPolicyPrecopyRate: the engine paces pre-copy at the smaller of
+// BandwidthLimit and Config.Budget's live share, and builds no pacer when
+// neither caps anything.
 func TestBudgetPolicyPrecopyRate(t *testing.T) {
 	b := NewRateBudget(100)
-	p := &BudgetPolicy{Budget: b}
-	leave := b.Join()
-	defer leave()
-	if got := p.PrecopyRate(clock.Unlimited); got != 100 {
+	defer b.Join()()
+	if got := paced(enginePacer(Config{Budget: b})); got != 100 {
 		t.Fatalf("budgeted rate %d, want 100", got)
 	}
-	// The inner policy's verdict wins when it is stricter than the share.
-	if got := p.PrecopyRate(60); got != 60 {
+	// The local cap wins when it is stricter than the share.
+	if got := paced(enginePacer(Config{BandwidthLimit: 60, Budget: b})); got != 60 {
 		t.Fatalf("rate with tighter local cap = %d, want 60", got)
 	}
-	leave2 := b.Join()
-	if got := p.PrecopyRate(clock.Unlimited); got != 50 {
+	p := enginePacer(Config{Budget: b})
+	leave := b.Join()
+	if got := paced(p); got != 50 {
 		t.Fatalf("rate after second join = %d, want 50", got)
 	}
-	leave2()
-	// Nil budget and nil inner degrade to DefaultPolicy pass-through.
-	var pt BudgetPolicy
-	if got := pt.PrecopyRate(42); got != 42 {
-		t.Fatalf("pass-through rate %d", got)
+	leave()
+	if got := paced(enginePacer(Config{BandwidthLimit: 42})); got != 42 {
+		t.Fatalf("unbudgeted rate %d, want the local cap 42", got)
 	}
-	if !pt.ContinuePreCopy(IterationStat{Dirty: 10, Threshold: 1, Iteration: 1, MaxIterations: 4}) {
-		t.Fatal("delegated ContinuePreCopy verdict wrong")
-	}
-	pt.ObserveExtent(1, 1, time.Millisecond)
-	if got := pt.ExtentBlocks(8); got != 8 {
-		t.Fatalf("delegated ExtentBlocks %d", got)
+	if enginePacer(Config{Budget: NewRateBudget(0)}) != nil {
+		t.Fatal("an unlimited migration built a pacer")
 	}
 }
 
 // TestBudgetSharedAcrossMigrations drives the engine's live-retune path: a
-// migration paced by a BudgetPolicy must speed up when a second budget
-// member leaves mid-run. Asserted structurally (the limiter's rate moves),
-// via the policy's own view of the share.
+// migration paced from a budget it shares with a second one speeds up on its
+// next frame once the second leaves.
 func TestBudgetSharedAcrossMigrations(t *testing.T) {
 	b := NewRateBudget(1000)
-	p := &BudgetPolicy{Budget: b}
 	leave1 := b.Join()
 	leave2 := b.Join()
-	if got := p.PrecopyRate(clock.Unlimited); got != 500 {
+	p := enginePacer(Config{Budget: b})
+	if got := paced(p); got != 500 {
 		t.Fatalf("share %d with two active", got)
 	}
 	leave2()
-	if got := p.PrecopyRate(clock.Unlimited); got != 1000 {
+	if got := paced(p); got != 1000 {
 		t.Fatalf("share %d after a peer left — the engine re-reads this per frame", got)
 	}
 	leave1()

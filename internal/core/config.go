@@ -85,6 +85,15 @@ type Config struct {
 	// the pre-copy bandwidth.
 	BandwidthLimit int64
 
+	// Budget, when non-nil, further caps pre-copy pacing at the budget's live
+	// share: the rate is min(BandwidthLimit, Budget.Share()), re-read before
+	// every paced frame, so migrations joining or leaving a shared budget
+	// re-divide it mid-iteration. The cluster orchestrator hands every
+	// migration it schedules its one fleet budget, joined at admission; the
+	// engine itself never joins. Nil (the default) paces by BandwidthLimit
+	// alone. Local-only.
+	Budget *RateBudget
+
 	// Streams is the number of transport connections the migration should
 	// fan data frames across. The engine itself migrates over whatever Conn
 	// it is handed; this knob is read by the connection-owning layers
@@ -218,15 +227,6 @@ type Config struct {
 	// finer-grained reuse at the cost of larger signatures.
 	DeltaChunk int
 
-	// Policy owns the transfer decisions the engine cannot measure for
-	// itself: pre-copy stop conditions, the live extent coalescing limit,
-	// and pre-copy pacing. Nil selects DefaultPolicy, which reproduces the
-	// paper's exact behavior (and, with the other knobs at their defaults,
-	// the seed wire format byte for byte). Policies are local-only: nothing
-	// they decide needs the peer's agreement. A Policy instance must not be
-	// shared between concurrent migrations.
-	Policy Policy
-
 	// OnEvent, when non-nil, receives typed progress events (phase
 	// transitions, iteration ends, byte heartbeats, suspend/resume, pull
 	// service) as the migration runs. May be invoked concurrently; must not
@@ -346,9 +346,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeltaChunk > delta.MaxChunk {
 		c.DeltaChunk = delta.MaxChunk
-	}
-	if c.Policy == nil {
-		c.Policy = DefaultPolicy{}
 	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0

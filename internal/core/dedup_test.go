@@ -55,7 +55,6 @@ func TestDedupTransferShapes(t *testing.T) {
 		{"coalesced16", Config{Dedup: true, MaxExtentBlocks: 16}},
 		{"compressed", Config{Dedup: true, MaxExtentBlocks: 16, CompressLevel: -1}},
 		{"striped4", Config{Dedup: true, MaxExtentBlocks: 16, Streams: 4}},
-		{"adaptive", Config{Dedup: true, Policy: &AdaptivePolicy{}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

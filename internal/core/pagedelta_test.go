@@ -16,22 +16,6 @@ import (
 	"bbmig/internal/workload"
 )
 
-// memIters is DefaultPolicy with the memory pre-copy pinned to exactly n
-// iterations, so a scripted guest can write at an iteration's end event —
-// after the engine has counted the dirty set — and still get the next
-// iteration.
-type memIters struct {
-	DefaultPolicy
-	n int
-}
-
-func (p memIters) ContinuePreCopy(st IterationStat) bool {
-	if st.Phase == PhaseMemPreCopy {
-		return st.Iteration < p.n
-	}
-	return p.DefaultPolicy.ContinuePreCopy(st)
-}
-
 // hotPageScript is a guest whose page writes are scripted at fixed points of
 // the source's event stream, on the source's own goroutine: no clock, no
 // race, the same frames every run.
@@ -94,16 +78,25 @@ func (g *hotPageScript) onEvent(ev Event) {
 	}
 }
 
-// hotPageConfig is the source configuration the script runs under: a
-// one-page freeze budget and, for the scripted guest, the two memory
-// iterations its writes are laid out over.
-func hotPageConfig(t *testing.T, mem *vm.Memory, scripted bool) Config {
-	cfg := Config{MemDirtyThreshold: 1}
+// hotPageTPM migrates w under the script, or with the guest idle, from a
+// source configured as src plus a one-page freeze budget. The scripted run
+// gets exactly the two memory iterations its writes are laid out over: each
+// is written at an iteration's end event, after the engine has counted the
+// dirty set.
+func hotPageTPM(w *world, scripted bool, src, dst Config) *metrics.Report {
+	src.MemDirtyThreshold, src.OnFreeze, dst.OnResume = 1, w.router.Freeze, w.router.ResumeGate
+	memIters := 0
 	if scripted {
-		cfg.Policy = memIters{n: 2}
-		cfg.OnEvent = (&hotPageScript{t: t, mem: mem, seen: map[string]bool{}}).onEvent
+		src.OnEvent = (&hotPageScript{t: w.t, mem: w.src.VM.Memory(), seen: map[string]bool{}}).onEvent
+		memIters = 2
 	}
-	return cfg
+	s := newSourceRun(src, w.src, w.connSrc, "TPM")
+	s.memIters = memIters
+	var rep *metrics.Report
+	w.migrate(
+		func() (err error) { rep, err = s.run(s.tpmPhases(nil)); return err },
+		func() error { _, err := MigrateDest(dst, w.dst, w.connDst); return err })
+	return rep
 }
 
 // pageForms extracts, per page, the sequence of frame types a source trace
@@ -127,11 +120,11 @@ func pageForms(trace []string) map[int][]string {
 // TPM trace: page deltas are never seen by a guest that does not write.
 func TestWireTraceGoldenHotPages(t *testing.T) {
 	idle := traced(t)
-	idle.tpm(hotPageConfig(t, idle.src.VM.Memory(), false), Config{}, nil)
+	hotPageTPM(idle, false, Config{}, Config{})
 	matchGolden(t, "wiretrace_tpm.golden", idle.trace())
 
 	w := traced(t)
-	w.tpm(hotPageConfig(t, w.src.VM.Memory(), true), Config{}, nil)
+	hotPageTPM(w, true, Config{}, Config{})
 	checkGolden(t, "wiretrace_tpm_hotpages.golden", w.trace())
 
 	lit, delta := "MEM_PAGE", "MEM_PAGE_DELTA"
@@ -263,14 +256,13 @@ func (a *reconnectAudit) Send(m transport.Message) error {
 func TestReconnectDropsEveryBase(t *testing.T) {
 	// A dry run of the same script finds the frame to cut on.
 	dry := traced(t)
-	dry.tpm(hotPageConfig(t, dry.src.VM.Memory(), true), Config{}, nil)
+	hotPageTPM(dry, true, Config{}, Config{})
 	cut := frameIndex(t, dry.traceSrc.trace(), "MEM_PAGE_DELTA arg=12 ")
 
 	w := traced(t)
 	inj := transport.NewInjector([]transport.Fault{{AfterSends: int64(cut), Kind: transport.FaultCut}})
 	relink := newPipeRelinker(inj)
-	cfg := hotPageConfig(t, w.src.VM.Memory(), true)
-	cfg.MaxRetries, cfg.RetryBackoff = 2, time.Millisecond
+	cfg := Config{MaxRetries: 2, RetryBackoff: time.Millisecond}
 	var relinked *reconnectAudit
 	cfg.Redial = func() (transport.Conn, error) {
 		c, err := relink.redial()
@@ -278,7 +270,7 @@ func TestReconnectDropsEveryBase(t *testing.T) {
 		return relinked, err
 	}
 	w.connSrc = &reconnectAudit{Conn: inj.Wrap(w.connSrc), t: t}
-	rep, _ := w.tpm(cfg, Config{WaitReconnect: relink.waitReconnect}, nil)
+	rep := hotPageTPM(w, true, cfg, Config{WaitReconnect: relink.waitReconnect})
 	if rep.Retries != 1 {
 		t.Fatalf("survived %d reconnects, want 1", rep.Retries)
 	}

@@ -172,62 +172,27 @@ func blkbackNew(n int) *blkback.Backend {
 	return blkback.NewBackend(blockdev.NewMemDisk(n, blockdev.BlockSize), testDomain)
 }
 
-// TestEquivalenceAdaptivePolicy: the adaptive policy changes frame shapes,
-// never data. The destination must converge byte-identically.
-func TestEquivalenceAdaptivePolicy(t *testing.T) {
-	cfg := Config{Policy: &AdaptivePolicy{}}
-	rep, _ := newWorld(t).tpm(cfg, cfg, nil)
-	if rep.DiskIterations[0].Units != testBlocks {
-		t.Fatalf("first iteration sent %d blocks, want %d", rep.DiskIterations[0].Units, testBlocks)
-	}
-}
-
-// TestAdaptiveBeatsDefaultOnModeledLink is the acceptance benchmark scenario
-// as a test: on a link with a 100 µs per-frame stall, the adaptive policy's
-// extent growth must finish the same migration well ahead of the fixed
-// default (which pays the stall once per 4 KiB block).
-func TestAdaptiveBeatsDefaultOnModeledLink(t *testing.T) {
+// TestExtentsBeatPerBlockOnModeledLink is the modelled-link benchmark
+// scenario as a test: on a link with a 100 µs per-frame stall, coalescing
+// 64-block extents must finish the same migration well ahead of the paper's
+// block-per-message format, which pays the stall once per 4 KiB block.
+func TestExtentsBeatPerBlockOnModeledLink(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
 	const stall = 100 * time.Microsecond
-	// Every frame pays a per-message stall: the latency-bound link shape the
-	// adaptive policy exists for.
 	modeled := func(transport.Conn, transport.Conn) (transport.Conn, transport.Conn) {
 		a, b := transport.NewPipe(256)
 		return transport.NewWAN(a, stall, 0), transport.NewWAN(b, stall, 0)
 	}
-	run := func(pol Policy) time.Duration { // the source's own clock: the runner's checks are not the migration
-		rep, _ := newWorld(t, worldSpec{link: modeled}).tpm(Config{Policy: pol}, Config{Policy: pol}, nil)
+	run := func(extent int) time.Duration { // the source's own clock: the runner's checks are not the migration
+		rep, _ := newWorld(t, worldSpec{link: modeled}).tpm(Config{MaxExtentBlocks: extent}, Config{}, nil)
 		return rep.TotalTime
 	}
-	fixed := run(nil) // DefaultPolicy, extent 1: one stall per block
-	adaptive := run(&AdaptivePolicy{})
-	t.Logf("modeled link (%v/frame): default %v, adaptive %v", stall, fixed, adaptive)
-	if adaptive*2 >= fixed {
-		t.Fatalf("adaptive policy (%v) did not clearly beat the fixed default (%v) on a latency-bound link", adaptive, fixed)
-	}
-}
-
-// TestAdaptivePolicyExtentGrowth drives the policy directly: full extents at
-// healthy throughput must grow the limit; a rate collapse must shrink it.
-func TestAdaptivePolicyExtentGrowth(t *testing.T) {
-	p := &AdaptivePolicy{}
-	if got := p.ExtentBlocks(1); got != 1 {
-		t.Fatalf("initial extent %d, want the configured 1", got)
-	}
-	for i := 0; i < 64; i++ {
-		cur := p.ExtentBlocks(1)
-		p.ObserveExtent(cur, int64(cur*4096), time.Duration(cur)*time.Microsecond)
-	}
-	grown := p.ExtentBlocks(1)
-	if grown < 16 {
-		t.Fatalf("extent failed to grow under healthy throughput: %d", grown)
-	}
-	// Collapse: full extent, terrible rate.
-	p.ObserveExtent(grown, int64(grown*4096), 10*time.Second)
-	if shrunk := p.ExtentBlocks(1); shrunk >= grown {
-		t.Fatalf("extent did not shrink after a rate collapse: %d -> %d", grown, shrunk)
+	perBlock, extents := run(1), run(64)
+	t.Logf("modeled link (%v/frame): per-block %v, 64-block extents %v", stall, perBlock, extents)
+	if extents*2 >= perBlock {
+		t.Fatalf("64-block extents (%v) did not clearly beat per-block frames (%v) on a latency-bound link", extents, perBlock)
 	}
 }
 
@@ -235,17 +200,12 @@ func TestAdaptivePolicyExtentGrowth(t *testing.T) {
 // both ends and verifies convergence plus an actual wire-byte saving on the
 // zero-heavy disk.
 func TestCompressLevelConfig(t *testing.T) {
-	for _, pol := range []struct {
-		name string
-		p    Policy
-	}{{"default", nil}, {"adaptive", &AdaptivePolicy{}}} {
-		t.Run(pol.name, func(t *testing.T) {
-			cfg := Config{CompressLevel: 6, Policy: pol.p}
-			rep, _ := newWorld(t).tpm(cfg, cfg, nil)
-			uncompressed := int64(testBlocks)*4096 + int64(testPages)*4096
-			if rep.MigratedBytes >= uncompressed {
-				t.Fatalf("compressed migration moved %d wire bytes, more than the %d raw payload", rep.MigratedBytes, uncompressed)
-			}
-		})
-	}
+	t.Run("default", func(t *testing.T) {
+		cfg := Config{CompressLevel: 6}
+		rep, _ := newWorld(t).tpm(cfg, cfg, nil)
+		uncompressed := int64(testBlocks)*4096 + int64(testPages)*4096
+		if rep.MigratedBytes >= uncompressed {
+			t.Fatalf("compressed migration moved %d wire bytes, more than the %d raw payload", rep.MigratedBytes, uncompressed)
+		}
+	})
 }

@@ -48,8 +48,8 @@ func (t *transfer) syncStats(blocks, dedupBlocks int) SyncStats {
 // holding all of them. dev is read as given — pass a snapshot for a
 // consistent image of a live disk. owed is not modified.
 //
-// Honoured cfg fields: Clock, BandwidthLimit and Policy (pacing, re-read per
-// frame, and the live extent limit), MaxExtentBlocks, Readahead, and Dedup.
+// Honoured cfg fields: Clock, BandwidthLimit and Budget (pacing, re-read per
+// frame), MaxExtentBlocks, Readahead, and Dedup.
 // A pre-sync has no HELLO, so it is never compressed.
 func SyncSource(cfg Config, dev blockdev.Device, conn transport.Conn, owed *bitmap.Bitmap) (SyncStats, error) {
 	cfg = cfg.withDefaults()

@@ -624,10 +624,12 @@ func (s *sourceRun) servePull(n int) error {
 }
 
 // pushBlocks pushes every block of bm, serving queued pulls first ("sends the
-// pulled block preferentially") and coalescing the rest into extents at the
-// policy's live limit; a pull only clears, so each scan resumes at the last cut.
+// pulled block preferentially") and coalescing the rest into extents of at
+// most MaxExtentBlocks; a pull only clears, so each scan resumes at the last
+// cut.
 func (s *sourceRun) pushBlocks(bm *bitmap.Bitmap) error {
 	remaining := bm.Clone()
+	maxExt := effectiveMaxExtent(s.cfg.MaxExtentBlocks, s.dev)
 	for next := 0; ; {
 		select {
 		case n := <-s.pullCh:
@@ -640,7 +642,7 @@ func (s *sourceRun) pushBlocks(bm *bitmap.Bitmap) error {
 			continue
 		default:
 		}
-		ext := remaining.NextExtent(next, s.extentBlocks())
+		ext := remaining.NextExtent(next, maxExt)
 		if ext.Count == 0 {
 			break
 		}

@@ -15,7 +15,7 @@ import (
 )
 
 // This file is the transfer substrate every migration scheme composes:
-// connection decoration (metering, compression, policy pacing),
+// connection decoration (metering, compression, pacing),
 // the handshake, the block/extent/page send paths, the iterative pre-copy
 // scaffolding, and the destination-side frame appliers. TPM, IM, and the
 // three comparison baselines are phase lists over these primitives — they
@@ -49,8 +49,7 @@ type transfer struct {
 	clk    clock.Clock
 	conn   transport.Conn   // engine-facing top of the decorator stack
 	meter  *transport.Meter // wire-byte accounting, closest to the raw conn
-	pace   *Pacer           // pre-copy pacing; nil when the policy's first verdict is unlimited
-	pol    Policy
+	pace   *Pacer           // pre-copy pacing; nil when the first rate is unlimited
 	ev     *emitter
 	start  time.Duration
 	rep    *metrics.Report // this endpoint's view of the run
@@ -60,6 +59,11 @@ type transfer struct {
 	// learned to skip them and pages learned deltas. Only tests set it: it is
 	// the reference both are measured against.
 	resendAll bool
+
+	// memIters, when positive, runs memory pre-copy for exactly that many
+	// iterations whatever ContinuePreCopy says, so a scripted guest can write
+	// at an iteration's end and still get the next one. Only tests set it.
+	memIters int
 
 	// pages is the source's working-set evidence and base book: it picks the
 	// form — literal, delta, or left to a later pass — of every page send.
@@ -112,7 +116,7 @@ func newTransfer(cfg Config, host Host, conn transport.Conn, scheme, side string
 // so a reconnect swaps the dead link without disturbing metering or
 // compression.
 func newDiskTransfer(cfg Config, dev blockdev.Device, conn transport.Conn, scheme, side string) *transfer {
-	t := &transfer{cfg: cfg, dev: dev, srcDev: dev, clk: cfg.Clock, pol: cfg.Policy, sess: &session{}}
+	t := &transfer{cfg: cfg, dev: dev, srcDev: dev, clk: cfg.Clock, sess: &session{}}
 	t.rep = &metrics.Report{Scheme: scheme}
 	if (side == "source" && cfg.MaxRetries > 0) || (side != "source" && cfg.WaitReconnect != nil) {
 		t.swap = transport.NewSwappable(conn)
@@ -120,7 +124,12 @@ func newDiskTransfer(cfg Config, dev blockdev.Device, conn transport.Conn, schem
 	}
 	t.meter = transport.NewMeter(conn)
 	t.conn = t.meter
-	t.pace = NewPacer(t.clk, func() int64 { return t.pol.PrecopyRate(cfg.BandwidthLimit) })
+	t.pace = NewPacer(t.clk, func() int64 {
+		if cfg.Budget == nil {
+			return cfg.BandwidthLimit
+		}
+		return min(cfg.BandwidthLimit, cfg.Budget.Share())
+	})
 	t.ev = newEmitter(cfg.OnEvent, t.clk, scheme, side)
 	t.start = t.clk.Now()
 	return t
@@ -157,12 +166,11 @@ func (t *transfer) finish(err error) error {
 }
 
 // send transmits m, applying the pre-copy pacing cap when limited is true
-// and feeding the progress heartbeat. The pacer re-consults the policy per
-// paced frame, so a policy whose rate moves over time — a BudgetPolicy
-// re-sharing a cluster-wide budget as migrations come and go — takes effect
-// mid-iteration. Rate changes are honoured only when the migration started
-// with a finite rate (otherwise no pacer exists to retune, keeping the
-// unlimited path identical to the seed's).
+// and feeding the progress heartbeat. The pacer re-reads the rate per paced
+// frame, so a Config.Budget share that moves as migrations come and go takes
+// effect mid-iteration. Rate changes are honoured only when the migration
+// started with a finite rate (otherwise no pacer exists to retune, keeping
+// the unlimited path identical to the seed's).
 func (t *transfer) send(m transport.Message, limited bool) error {
 	if limited {
 		t.pace.Wait(m.FrameSize())
@@ -325,11 +333,6 @@ func effectiveMaxExtent(maxExt int, dev blockdev.Device) int {
 	return maxExt
 }
 
-// extentBlocks asks the policy for the live coalescing limit and clamps it.
-func (t *transfer) extentBlocks() int {
-	return effectiveMaxExtent(t.pol.ExtentBlocks(t.cfg.MaxExtentBlocks), t.dev)
-}
-
 // extentMessage frames one extent's data. Single-block extents keep the
 // seed's MsgBlockData form so extent coalescing alone never changes how a
 // lone block looks on the wire.
@@ -458,12 +461,11 @@ func (t *transfer) sendBlocks(cur *owedCursor, limited bool) (int, int64, error)
 }
 
 // sendExtents is the one extent walker, a cut → read → encode pipeline whose
-// stages are lane pools. The walker itself only cuts: it draws extents from
-// cur strictly in cursor order, re-consulting the policy for the coalescing
-// limit before each cut so an adaptive policy can grow it mid-iteration. The
-// read stage fills a pooled buffer per extent: inline on the walker when
-// lanes <= 1, on lanes goroutines otherwise, so a latency-bound device is
-// read lanes deep. The encode stage hands each extent to encode: with
+// stages are lane pools. The walker itself only cuts: it draws extents of at
+// most MaxExtentBlocks from cur strictly in cursor order. The read stage
+// fills a pooled buffer per extent: inline on the walker when lanes <= 1, on
+// lanes goroutines otherwise, so a latency-bound device is read lanes deep.
+// The encode stage hands each extent to encode: with
 // cfg.Readahead 0 on the goroutine that read it, with Readahead > 0 on lanes
 // of its own behind a queue that deep, so the next extents' blocks are read
 // while the current one is on the wire. With lanes <= 1 both stages keep
@@ -474,14 +476,11 @@ func (t *transfer) sendBlocks(cur *owedCursor, limited bool) (int, int64, error)
 func (t *transfer) sendExtents(cur *owedCursor, encode extentEncoder, lanes int) (int, int64, error) {
 	dev := t.srcDev
 	var sent, bytes atomic.Int64
-	// encodeFrom encodes an extent and feeds the outcome back to the policy,
-	// timed from start.
-	encodeFrom := func(start time.Duration, ext bitmap.Extent, data []byte) error {
+	run := func(ext bitmap.Extent, data []byte) error {
 		wire, err := encode(ext, data)
 		if err != nil {
 			return err
 		}
-		t.pol.ObserveExtent(ext.Count, wire, t.clk.Now()-start)
 		sent.Add(int64(ext.Count))
 		bytes.Add(wire)
 		return nil
@@ -491,24 +490,23 @@ func (t *transfer) sendExtents(cur *owedCursor, encode extentEncoder, lanes int)
 		encoders = newLanePool(lanes, depth)
 	}
 	defer encoders.close()
-	run := func(ext bitmap.Extent, data []byte) error { return encodeFrom(t.clk.Now(), ext, data) }
 	read := func(ext bitmap.Extent, _ []byte) error {
-		start := t.clk.Now()
 		data, err := readPooled(dev, ext)
 		if err != nil {
 			return err
 		}
-		if encoders == nil { // read and send are one step, timed as one
+		if encoders == nil {
 			defer transport.PutBuf(data)
-			return encodeFrom(start, ext, data)
+			return run(ext, data)
 		}
 		return encoders.do(job{ext: ext, data: data, run: run})
 	}
 	readers := newLanePool(lanes, 0)
 	defer readers.close()
+	maxExt := effectiveMaxExtent(t.cfg.MaxExtentBlocks, t.dev)
 	var err error
 	for err == nil {
-		ext := cur.next(t.extentBlocks())
+		ext := cur.next(maxExt)
 		if ext.Count == 0 {
 			break
 		}
@@ -590,10 +588,35 @@ type preCopySpec struct {
 	record             func(metrics.Iteration)
 }
 
+// IterationStat summarizes one completed pre-copy iteration for the stop rule
+// and the progress events.
+type IterationStat struct {
+	Phase     string // PhaseDiskPreCopy or PhaseMemPreCopy
+	Iteration int    // 1-based index of the iteration that just finished
+	Sent      int    // units (blocks or pages) transferred
+	Skipped   int    // units of the iteration's set left out as already dirty again (counted in Dirty, not in Sent)
+	SentBytes int64  // wire bytes of the iteration's frames
+	Dirty     int    // dirty units when the iteration ended
+	PrevDirty int    // dirty count after the previous iteration (or the initial set size)
+
+	Threshold     int // configured dirty threshold for this phase
+	MaxIterations int // configured iteration budget for this phase
+}
+
+// ContinuePreCopy is the paper's pre-copy stop rule (§IV-A-1): another
+// iteration runs unless the dirty set is down to the threshold, the iteration
+// budget is spent, or the dirty rate has caught up with the transfer rate
+// (the set stopped shrinking). Stopping hands the remaining dirty set to the
+// next phase: freeze-and-copy for disk, suspend for memory.
+func ContinuePreCopy(st IterationStat) bool {
+	return st.Dirty > st.Threshold && st.Iteration < st.MaxIterations &&
+		(st.Iteration <= 1 || st.Dirty < st.PrevDirty)
+}
+
 // preCopyLoop is the shared iteration scaffolding: iteration 1 sends the
-// initial set, iteration k sends what was dirtied during k-1, and the policy
-// decides when to stop. The remaining dirty set stays in the tracker for the
-// next phase.
+// initial set, iteration k sends what was dirtied during k-1, and
+// ContinuePreCopy decides when to stop. The remaining dirty set stays in the
+// tracker for the next phase.
 //
 // A resumable source re-enters here mid-phase: a pending resumeIter entry
 // replaces the start iteration and its bitmap (the blocks still owed after a
@@ -634,11 +657,14 @@ func (t *transfer) preCopyLoop(sp preCopySpec, initial *bitmap.Bitmap) error {
 		})
 		st := IterationStat{
 			Phase: sp.phase, Iteration: iter, Sent: sent, Skipped: cur.skipped, SentBytes: bytes,
-			Duration: iterDur, Dirty: dirtyNow, PrevDirty: prev,
-			Threshold: sp.threshold, MaxIterations: sp.maxIter,
+			Dirty: dirtyNow, PrevDirty: prev, Threshold: sp.threshold, MaxIterations: sp.maxIter,
 		}
 		t.ev.iterationEnd(st)
-		if !t.pol.ContinuePreCopy(st) {
+		more := ContinuePreCopy(st)
+		if t.memIters > 0 && sp.phase == PhaseMemPreCopy {
+			more = iter < t.memIters
+		}
+		if !more {
 			return nil
 		}
 		prev = dirtyNow

@@ -87,11 +87,11 @@ type SyncReport struct {
 //
 // The transfer itself is the engine's disk-only scheme (core.SyncSource);
 // what is hostd's is the announce, the vault ordering and the snapshot.
-// Honoured cfg fields: BandwidthLimit and Policy pace the transfer (the
-// pacing verdict is re-read per frame, so a core.BudgetPolicy shares a
-// cluster budget live), MaxExtentBlocks coalesces runs, Dedup ships content
-// the peer can already produce by reference, Clock times and paces it. The
-// sync stream is always a single uncompressed, non-delta connection.
+// Honoured cfg fields: BandwidthLimit and Budget pace the transfer (the rate
+// is re-read per frame, so a cluster's shared budget re-divides live),
+// MaxExtentBlocks coalesces runs, Dedup ships content the peer can already
+// produce by reference, Clock times and paces it. The sync stream is always a
+// single uncompressed, non-delta connection.
 //
 // On any failure the shipped set is re-diverged in the vault, so a torn sync
 // can never make a later incremental migration skip blocks the destination
@@ -149,7 +149,7 @@ func (m *Machine) SyncOut(domainName, destHost, addr string, cfg core.Config) (*
 	defer releaseSnap()
 
 	rep.SyncStats, err = core.SyncSource(core.Config{
-		Clock: cfg.Clock, BandwidthLimit: cfg.BandwidthLimit, Policy: cfg.Policy,
+		Clock: cfg.Clock, BandwidthLimit: cfg.BandwidthLimit, Budget: cfg.Budget,
 		MaxExtentBlocks: cfg.MaxExtentBlocks, Dedup: cfg.Dedup,
 	}, src, conn, bm)
 	rep.WireBytes += int64(annMsg.FrameSize())

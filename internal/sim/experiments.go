@@ -367,42 +367,6 @@ func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%d ms", d.Milliseconds())
 }
 
-// AdaptiveSweep compares the transfer policies on a latency-modelled link
-// (per-frame stall 150 µs, a syscall-plus-wakeup flush): the paper's fixed
-// per-block format, a hand-tuned fixed 64-block extent, and the adaptive
-// slow-start that core.AdaptivePolicy implements. The adaptive row must at
-// least match the hand-tuned one without anyone picking the constant.
-func AdaptiveSweep(seed int64) ([]*Result, *metrics.Table) {
-	t := &metrics.Table{
-		Title:   "Transfer policy sweep — web workload, per-frame stall 150 µs",
-		Columns: []string{"policy", "total time (s)", "precopy (s)", "migrated (MB)"},
-	}
-	var results []*Result
-	for _, c := range []struct {
-		name     string
-		extent   int
-		adaptive bool
-	}{
-		{"default (per-block)", 1, false},
-		{"fixed 64-block extents", 64, false},
-		{"adaptive slow-start", 1, true},
-	} {
-		p := Defaults(workload.Web)
-		p.Seed = seed
-		p.MaxExtentBlocks = c.extent
-		p.AdaptiveExtents = c.adaptive
-		p.FrameLatency = 150 * time.Microsecond
-		p.DwellAfter = time.Minute
-		r := RunTPM(p)
-		results = append(results, r)
-		t.AddRow(c.name,
-			fmt.Sprintf("%.0f", r.Report.TotalTime.Seconds()),
-			fmt.Sprintf("%.0f", r.Report.PreCopyTime.Seconds()),
-			fmt.Sprintf("%.0f", r.Report.MigratedMB()))
-	}
-	return results, t
-}
-
 // FaultSweep quantifies what resumable migration buys at paper scale: a
 // 10-second link outage is injected at several points of a web-workload TPM
 // migration, and the resumed run (re-send only the interrupted iteration,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bbmig/internal/blockdev"
+	"bbmig/internal/core"
 	"bbmig/internal/forecast"
 	"bbmig/internal/metrics"
 )
@@ -284,7 +285,6 @@ func (p FleetParams) migrate(doms []fleetDomain, i int, start time.Duration) (du
 	shareBlk := p.LinkBps / float64(p.PerHostCap) / blockdev.BlockSize
 	toSend := d.size
 	t := start
-	prev := math.Inf(1)
 	var pre float64
 	for iter := 1; ; iter++ {
 		step := toSend / shareBlk
@@ -293,12 +293,15 @@ func (p FleetParams) migrate(doms []fleetDomain, i int, start time.Duration) (du
 		pre += step
 		t += fdur(step)
 		dirty := d.hot * (1 - math.Exp(-writes/d.hot))
-		if dirty <= fleetDirtyThreshold || iter >= fleetMaxIters || dirty >= prev {
+		if !core.ContinuePreCopy(core.IterationStat{
+			Iteration: iter, Dirty: int(dirty), PrevDirty: int(toSend),
+			Threshold: fleetDirtyThreshold, MaxIterations: fleetMaxIters,
+		}) {
 			down = fdur(dirty/shareBlk) + fleetFixedDowntime
 			sent += dirty
 			break
 		}
-		prev, toSend = dirty, dirty
+		toSend = dirty
 	}
 	return fdur(pre) + down, down, sent
 }

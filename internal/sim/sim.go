@@ -69,12 +69,6 @@ type Params struct {
 	// already does, so calibrated results are unchanged.
 	FrameLatency time.Duration
 
-	// AdaptiveExtents models core.AdaptivePolicy's slow-start extent
-	// growth: the live coalescing limit starts at MaxExtentBlocks and
-	// doubles each integration step the migration transfers, up to
-	// adaptiveExtentCap. With FrameLatency zero it changes nothing.
-	AdaptiveExtents bool
-
 	// Dedup models negotiated content-addressed transfer (core.Config.Dedup)
 	// on the first disk pre-copy iteration — the bulk image copy: every
 	// block costs a fingerprint advert, and the DedupShare fraction whose
@@ -182,10 +176,6 @@ func Defaults(kind workload.Kind) Params {
 // frameOverhead is the per-block wire overhead (transport header).
 const frameOverhead = 13
 
-// adaptiveExtentCap bounds the modelled slow-start growth, mirroring the
-// engine-side clamp of extents to what one frame can carry.
-const adaptiveExtentCap = 1024
-
 // Result is the outcome of a simulated migration.
 type Result struct {
 	Report *metrics.Report
@@ -225,7 +215,6 @@ type sim struct {
 	memDirty float64 // expected dirty pages (analytic hot-set model)
 	memProf  workload.MemoryProfile
 	memPhase bool // memory pre-copy active: frames are single pages
-	extent   int  // live extent coalescing limit (adaptive growth)
 
 	outageArmed   bool          // OutageAt not yet reached
 	linkDownUntil time.Duration // link dead until this instant
@@ -295,7 +284,6 @@ func run(p Params, initial *bitmap.Bitmap, cur *cursor, start time.Duration) *Re
 	if initial != nil {
 		s.rep.Scheme = "IM"
 	}
-	s.extent = p.MaxExtentBlocks
 	s.outageArmed = p.OutageAt > 0
 	s.wSeries = metrics.Series{Label: p.Workload.String() + " throughput", Unit: "MB/s"}
 	s.mSeries = metrics.Series{Label: "migration transfer rate", Unit: "MB/s"}
@@ -361,11 +349,11 @@ func run(p Params, initial *bitmap.Bitmap, cur *cursor, start time.Duration) *Re
 			Bytes: int64(sentBlocks) * blockdev.BlockSize, Dirty: s.dirty.Count(),
 		})
 		dirtyNow := s.dirty.Count()
-		if dirtyNow <= p.DiskDirtyThresholdBlks || iter >= p.MaxDiskIters {
+		if !core.ContinuePreCopy(core.IterationStat{
+			Iteration: iter, Dirty: dirtyNow, PrevDirty: prevSent,
+			Threshold: p.DiskDirtyThresholdBlks, MaxIterations: p.MaxDiskIters,
+		}) {
 			break
-		}
-		if iter > 1 && dirtyNow >= prevSent {
-			break // dirty rate caught up with transfer rate: stop proactively
 		}
 		prevSent = dirtyNow
 		toSend = s.dirty.Clone()
@@ -474,40 +462,15 @@ func (s *sim) emit(ev core.Event) {
 	s.p.OnEvent(ev)
 }
 
-// liveExtent returns the current coalescing limit: fixed, or the adaptive
-// slow-start value.
-func (s *sim) liveExtent() int {
-	if s.extent < 1 {
-		return 1
-	}
-	return s.extent
-}
-
-// growExtent advances the modelled slow start by one integration step.
-func (s *sim) growExtent() {
-	if !s.p.AdaptiveExtents || s.memPhase {
-		return
-	}
-	if s.extent < 1 {
-		s.extent = 1 // run() clamps MaxExtentBlocks, but never double from zero
-	}
-	if s.extent < adaptiveExtentCap {
-		s.extent *= 2
-		if s.extent > adaptiveExtentCap {
-			s.extent = adaptiveExtentCap
-		}
-	}
-}
-
 // migFrameBytes returns the payload+header size of one frame in the current
-// phase: disk phases coalesce up to the live extent limit per frame, but
+// phase: disk phases coalesce up to MaxExtentBlocks per frame, but
 // the engine never coalesces memory pages — each MsgMemPage is its own
 // frame — so the stall amortization must not flatter the memory pre-copy.
 func (s *sim) migFrameBytes() float64 {
 	if s.memPhase {
 		return 4096 + frameOverhead
 	}
-	return float64(blockdev.BlockSize*s.liveExtent() + frameOverhead)
+	return float64(blockdev.BlockSize*s.p.MaxExtentBlocks + frameOverhead)
 }
 
 // linkDown reports whether the modelled outage currently severs the link.
@@ -527,14 +490,20 @@ func (s *sim) consumeFault() bool {
 	return true
 }
 
-// migRate returns the migration bandwidth before disk contention. When a
-// per-frame stall is modelled, each frame of payload P costs P/net +
-// FrameLatency seconds, so the effective rate rises with extent coalescing
-// (bigger P). A severed link moves nothing.
+// migRate returns the migration bandwidth before disk contention: linkRate,
+// or nothing while the link is severed.
 func (s *sim) migRate() float64 {
 	if s.linkDown() {
 		return 0
 	}
+	return s.linkRate()
+}
+
+// linkRate returns the migration path's rate while the link is up. When a
+// per-frame stall is modelled, each frame of payload P costs P/net +
+// FrameLatency seconds, so the effective rate rises with extent coalescing
+// (bigger P).
+func (s *sim) linkRate() float64 {
 	r := s.p.NetBytesPerSec
 	if s.p.FrameLatency > 0 {
 		frameBytes := s.migFrameBytes()
@@ -547,10 +516,10 @@ func (s *sim) migRate() float64 {
 	return r
 }
 
-// perBlockWire returns the wire bytes one block costs with the live extent
-// coalescing: the frame header is shared by up to liveExtent blocks.
+// perBlockWire returns the wire bytes one block costs with extent
+// coalescing: the frame header is shared by up to MaxExtentBlocks blocks.
 func (s *sim) perBlockWire() float64 {
-	return blockdev.BlockSize + float64(frameOverhead)/float64(s.liveExtent())
+	return blockdev.BlockSize + float64(frameOverhead)/float64(s.p.MaxExtentBlocks)
 }
 
 // iter1Wire prices iteration 1 of a content-addressed pre-copy over blocks
@@ -610,9 +579,6 @@ func (s *sim) step(dt time.Duration) float64 {
 	}
 	s.wSeries.Add(s.now, wEff/1e6)
 	s.mSeries.Add(s.now, mEff/1e6)
-	if mig > 0 {
-		s.growExtent()
-	}
 	return mEff * dt.Seconds()
 }
 
@@ -794,7 +760,9 @@ func (s *sim) advanceMemModel(dt time.Duration) {
 func (s *sim) memPreCopy() {
 	s.memPhase = true
 	defer func() { s.memPhase = false }()
-	rate := s.migRate()
+	// The link's rate when up: an outage live now holds the page loop below
+	// until the link returns.
+	rate := s.linkRate()
 	toSend := float64(s.numPages)
 	s.memDirty = 0
 	prev := toSend

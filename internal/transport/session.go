@@ -104,8 +104,8 @@ func AcceptResume(l net.Listener, token SessionToken, lastEpoch uint32, timeout 
 
 // Swappable is a Conn whose underlying connection can be replaced after a
 // reconnect. A resumable migration builds its decorator stack (meter,
-// compression) above one Swappable, so metering and policy state survive the
-// rebind while the dead link below is swapped out. The caller must quiesce
+// compression) above one Swappable, so metering and compression state survive
+// the rebind while the dead link below is swapped out. The caller must quiesce
 // its own send path before Rebind; a racing operation on the old connection
 // simply fails and is retried by the resume machinery.
 type Swappable struct {
