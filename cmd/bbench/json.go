@@ -168,8 +168,9 @@ func cloneImage() *blockdev.MemDisk {
 
 // link is how the runner joins a migration's endpoints: loopback TCP, or
 // in-process pipes whose sending sides transport.NewWAN models with a
-// per-frame stall and a rate each way (0 is unlimited). A Config asking for
-// more than one stream gets a striped bundle either way.
+// per-frame stall and a rate each way (0 is unlimited). Either way the ends
+// are a striped bundle as wide as the source Config asks, one stream by
+// default.
 type link struct {
 	tcp      bool
 	stall    time.Duration
@@ -194,18 +195,10 @@ func (ln link) connect(streams int) (src, dst transport.Conn, err error) {
 		accepted := make(chan error, 1)
 		go func() {
 			var err error
-			if streams > 1 {
-				dst, err = transport.AcceptStriped(l, nil)
-			} else {
-				dst, err = transport.Accept(l)
-			}
+			dst, err = transport.AcceptStriped(l, nil)
 			accepted <- err
 		}()
-		if streams > 1 {
-			src, err = transport.DialStriped(l.Addr().String(), streams, nil)
-		} else {
-			src, err = transport.Dial(l.Addr().String())
-		}
+		src, err = transport.DialStriped(l.Addr().String(), streams, nil)
 		if err != nil {
 			l.Close() // the accept gives up
 		}
@@ -216,9 +209,6 @@ func (ln link) connect(streams int) (src, dst transport.Conn, err error) {
 	for i := range a {
 		pa, pb := transport.NewPipe(256)
 		a[i], b[i] = transport.NewWAN(pa, ln.stall, ln.up), transport.NewWAN(pb, ln.stall, ln.down)
-	}
-	if streams == 1 {
-		return a[0], b[0], nil
 	}
 	return transport.NewStriped(a), transport.NewStriped(b), nil
 }

@@ -24,12 +24,12 @@
 // data across them, -extent-blocks M coalesces up to M contiguous blocks
 // per frame, -workers W reads and encodes (source) and applies (destination)
 // extents on W lanes, and -readahead R reads R extents ahead of the encoder.
-// Both ends must pass the same -streams value: the bundle is built before
-// the migration starts. Everything else the receiver follows from the wire —
-// -compress / -compress-level, -dedup and -delta are sender flags. The
-// defaults keep the single-connection per-block wire format:
+// The receiver follows everything the sender chooses from the wire: each
+// connection labels the bundle's width, and -streams, -compress /
+// -compress-level, -dedup and -delta are sender flags. The defaults keep the
+// per-block wire format over one connection:
 //
-//	bbmig -mode recv -listen :7011 -image guest.img -streams 4
+//	bbmig -mode recv -listen :7011 -image guest.img
 //	bbmig -mode send -addr dst:7011 -image guest.img -streams 4 -extent-blocks 64 -workers 4
 //
 // -progress prints the engine's live event stream (phase transitions,
@@ -110,7 +110,7 @@ func main() {
 		compress   = flag.Bool("compress", false, "send: DEFLATE-compress the migration stream at the default level (the receiver follows)")
 		compLevel  = flag.Int("compress-level", 0, "send: explicit flate level -2..9, overrides -compress (the receiver follows)")
 		progress   = flag.Bool("progress", false, "print live phase/iteration/byte progress events")
-		streams    = flag.Int("streams", 1, "parallel transport connections (both ends must agree)")
+		streams    = flag.Int("streams", 1, "send: parallel transport connections (the receiver follows)")
 		extentBlk  = flag.Int("extent-blocks", 1, "send: max contiguous blocks coalesced per frame")
 		workers    = flag.Int("workers", 1, "send: read-and-encode lanes (device read, frame, compress, send) unless -dedup or -delta needs cursor order; recv: apply lanes")
 		readahead  = flag.Int("readahead", 0, "send: extents read into pooled buffers ahead of the encoder, under any -workers (0 = sequential)")
@@ -190,8 +190,7 @@ func openOrCreate(path string, sizeMB int) (*blockdev.FileDisk, error) {
 // xferOpts bundles the transfer-shape knobs of both endpoints; each side
 // reads the ones that are its own. Compression is not a connection-layer
 // wrap here: it rides in core.Config.CompressLevel and the engine decorates
-// its own stream, so the cmd layer only builds the raw (possibly striped)
-// transport.
+// its own stream, so the cmd layer only builds the raw striped bundle.
 type xferOpts struct {
 	streams       int
 	extentBlocks  int
@@ -260,23 +259,6 @@ func progressPrinter() core.EventFunc {
 	}
 }
 
-// dialConn opens the migration transport: a single connection, or a striped
-// bundle of o.streams raw connections.
-func dialConn(addr string, o xferOpts) (transport.Conn, error) {
-	if o.streams <= 1 {
-		return transport.Dial(addr)
-	}
-	return transport.DialStriped(addr, o.streams, nil)
-}
-
-// acceptConn mirrors dialConn on the listening side.
-func acceptConn(l net.Listener, o xferOpts) (transport.Conn, error) {
-	if o.streams <= 1 {
-		return transport.Accept(l)
-	}
-	return transport.AcceptStriped(l, nil)
-}
-
 // cacheWrap fronts a file-backed image with a write-back block cache when
 // -cache-blocks is set; the engine then reads pre-copy data from CoW
 // snapshots of the cache instead of the contended live device. The returned
@@ -319,11 +301,11 @@ func runSend(addr, image string, sizeMB, memMB int, wl string, limitMbps int, se
 		done <- nil
 	}
 
-	conn, err := dialConn(addr, opts)
+	conn, err := transport.DialStriped(addr, max(opts.streams, 1), nil)
 	if err != nil {
 		return err
 	}
-	cur := conn
+	var cur transport.Conn = conn
 	defer func() { cur.Close() }()
 	var initial *bitmap.Bitmap
 	if coldResume {
@@ -410,7 +392,7 @@ func runRecv(listenAddr, image string, sizeMB, memMB int, opts xferOpts, freshBM
 // runRecv so tests (and the demo) can bind the port themselves.
 func recvServe(l net.Listener, image string, sizeMB, memMB int, opts xferOpts, freshBMPath string) error {
 	fmt.Printf("waiting for migration on %s...\n", l.Addr())
-	conn, err := acceptConn(l, opts)
+	conn, err := transport.AcceptStriped(l, nil)
 	if err != nil {
 		return err
 	}
@@ -480,7 +462,7 @@ func runDemo(sizeMB, memMB int, wl string, seed int64, opts xferOpts) error {
 	defer l.Close()
 	errCh := make(chan error, 1)
 	go func() {
-		conn, err := acceptConn(l, opts)
+		conn, err := transport.AcceptStriped(l, nil)
 		if err != nil {
 			errCh <- err
 			return

@@ -250,44 +250,51 @@ func TestStripedCompressedMigration(t *testing.T) {
 	}
 }
 
-// TestBareRecvFollowsSender runs `send -compress -dedup -delta` against a
-// `recv` given none of those flags: the receiver follows what the sender puts
-// on the wire, and the images end equal.
+// TestBareRecvFollowsSender runs `send -compress -dedup -delta`, and
+// `send -streams 4 -extent-blocks 16 -workers 2`, against a `recv` given none
+// of those flags: the receiver follows what the sender puts on the wire, the
+// bundle's width included, and the images end equal.
 func TestBareRecvFollowsSender(t *testing.T) {
-	dir := t.TempDir()
-	srcImg := filepath.Join(dir, "src.img")
-	dstImg := filepath.Join(dir, "dst.img")
-	const sizeMB, memMB = 4, 1
+	for name, send := range map[string]xferOpts{
+		"codecs":  {compressLevel: -1, dedup: true, delta: true},
+		"striped": {streams: 4, extentBlocks: 16, workers: 2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			srcImg := filepath.Join(dir, "src.img")
+			dstImg := filepath.Join(dir, "dst.img")
+			const sizeMB, memMB = 4, 1
 
-	// Every other block holds one of 16 contents: repeats for dedup to
-	// reference, zeros for it to elide.
-	d, err := openOrCreate(srcImg, sizeMB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, blockdev.BlockSize)
-	for n := 0; n < d.NumBlocks(); n += 2 {
-		workload.FillBlock(buf, n%16, 3)
-		d.WriteBlock(n, buf)
-	}
-	d.Close()
+			// Every other block holds one of 16 contents: repeats for dedup to
+			// reference, zeros for it to elide.
+			d, err := openOrCreate(srcImg, sizeMB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, blockdev.BlockSize)
+			for n := 0; n < d.NumBlocks(); n += 2 {
+				workload.FillBlock(buf, n%16, 3)
+				d.WriteBlock(n, buf)
+			}
+			d.Close()
 
-	l, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	recvDone := make(chan error, 1)
-	go func() { recvDone <- recvServe(l, dstImg, sizeMB, memMB, xferOpts{}, "") }()
-	send := xferOpts{compressLevel: -1, dedup: true, delta: true} // -compress -dedup -delta
-	if err := runSend(l.Addr().String(), srcImg, sizeMB, memMB, "none", 0, 1, 1, send, "", false); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	if err := <-recvDone; err != nil {
-		t.Fatalf("recv: %v", err)
-	}
-	if same, err := imagesEqual(srcImg, dstImg); err != nil || !same {
-		t.Fatalf("images differ: %v %v", same, err)
+			l, err := transport.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			recvDone := make(chan error, 1)
+			go func() { recvDone <- recvServe(l, dstImg, sizeMB, memMB, xferOpts{}, "") }()
+			if err := runSend(l.Addr().String(), srcImg, sizeMB, memMB, "none", 0, 1, 1, send, "", false); err != nil {
+				t.Fatalf("send: %v", err)
+			}
+			if err := <-recvDone; err != nil {
+				t.Fatalf("recv: %v", err)
+			}
+			if same, err := imagesEqual(srcImg, dstImg); err != nil || !same {
+				t.Fatalf("images differ: %v %v", same, err)
+			}
+		})
 	}
 }
 

@@ -39,9 +39,9 @@
 //     walker's read lanes and its encode lanes, under any Workers and any
 //     encoder chain.
 //   - Config.Streams stripes data frames round-robin across N connections
-//     (DialStriped/AcceptStriped/NewStriped). Control frames are pinned to
-//     stream 0 behind a broadcast barrier, so SUSPEND/RESUME/ITER_END keep
-//     their ordering against data on other streams.
+//     (DialStriped/AcceptStriped/NewStriped; each connection labels the
+//     bundle's width). Control frames are pinned to stream 0 behind a
+//     broadcast barrier, so SUSPEND/RESUME/ITER_END keep their ordering.
 //
 // The default (1 stream, extent size 1, 1 worker) is wire-compatible with
 // the seed protocol.
@@ -129,14 +129,13 @@
 //
 // # The destination follows the source
 //
-// Nothing the engine can see on the wire is negotiated. CompressLevel is a
-// bit in the HELLO, Dedup and Delta frames name themselves, and a resumable
-// source offers its token in the HELLO, so a destination with the zero
-// Config follows whatever the source chose. Only Streams must match on both
-// endpoints, because the striped bundle is built before the engine runs;
-// the hostd layer carries it in its announce frame. Everything else —
-// thresholds, Workers, MaxExtentBlocks, BandwidthLimit, Budget, OnEvent and
-// the lifecycle hooks — is local and may differ freely between endpoints.
+// Nothing is negotiated, and no setting has to match on both endpoints. The
+// striped bundle's connections label its width, CompressLevel is a bit in
+// the HELLO, Dedup and Delta frames name themselves, and a resumable source
+// offers its token in the HELLO, so a destination with the zero Config
+// follows whatever the source chose. Everything else — thresholds, Workers,
+// MaxExtentBlocks, BandwidthLimit, Budget, OnEvent and the lifecycle hooks
+// — is local and may differ freely between endpoints.
 //
 // Subpackages (internal/...) hold the substrates: bitmap, blockdev, blkback,
 // transport, vm, workload, metrics, and the paper-scale simulator sim. The

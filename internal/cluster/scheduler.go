@@ -449,10 +449,10 @@ func (c *Cluster) runJob(t *Ticket, src, dst *hostd.Machine, leave func()) {
 	}
 	destErr := make(chan error, 1)
 	go func() {
-		// Local-only knobs ride along; the stream count arrives in the
-		// announce, and the engine follows compression, dedup and delta from
-		// the wire. Swarm peer addresses are local to the destination: it
-		// engages them only when the announce carries the swarm flag.
+		// Local-only knobs ride along; the bundle labels its own width, and
+		// the engine follows compression, dedup and delta from the wire.
+		// Swarm peer addresses are local to the destination: it engages them
+		// only when the announce carries the swarm flag.
 		dcfg := core.Config{
 			Clock: cfg.Clock, Workers: cfg.Workers, MaxExtentBlocks: cfg.MaxExtentBlocks,
 			SwarmPeers: cfg.SwarmPeers,

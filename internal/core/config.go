@@ -34,9 +34,6 @@ const (
 	// DefaultMemDirtyThreshold suspends the VM once the dirty page set is
 	// this small (pages).
 	DefaultMemDirtyThreshold = 64
-	// DefaultStreams is the number of transport connections: one, the
-	// paper's single blkd socket.
-	DefaultStreams = 1
 	// DefaultMaxExtentBlocks is the per-frame block coalescing limit: one,
 	// the paper's block-per-message wire format.
 	DefaultMaxExtentBlocks = 1
@@ -59,14 +56,12 @@ type ReconnectFunc func(token transport.SessionToken, lastEpoch uint32) (transpo
 
 // Config parameterizes a migration.
 //
-// The destination follows the source: nothing the engine can see on the wire
-// is negotiated. CompressLevel, Dedup, Delta and MaxRetries are source-side
-// — compression is a bit in the HELLO, dedup and delta frames name
-// themselves, a resumable source offers its token in the HELLO — and a
-// destination with the zero Config accepts all of them. Streams alone must
-// match on both ends: striping is a connection-layer shape, built (by
-// cmd/bbmig, or by hostd from its announce) before the engine runs. Every
-// other field is local to the side that sets it.
+// The destination follows the source: no field has to match on both ends.
+// Streams, CompressLevel, Dedup, Delta and MaxRetries are source-side — each
+// connection of a striped bundle labels its width, compression is a bit in
+// the HELLO, dedup and delta frames name themselves, a resumable source
+// offers its token in the HELLO — and a destination with the zero Config
+// accepts all of them. Every other field is local to the side that sets it.
 type Config struct {
 	// Clock paces and measures the run. Nil defaults to a wall clock.
 	Clock clock.Clock
@@ -94,12 +89,13 @@ type Config struct {
 	// alone. Local-only.
 	Budget *RateBudget
 
-	// Streams is the number of transport connections the migration should
-	// fan data frames across. The engine itself migrates over whatever Conn
-	// it is handed; this knob is read by the connection-owning layers
-	// (cmd/bbmig, hostd) to build a transport.Striped of this width, and is
-	// threaded through Config so one struct configures the whole path.
-	// Zero or one selects the paper's single ordered connection.
+	// Streams is the number of transport connections the source fans data
+	// frames across. The engine never reads it: it migrates over whatever
+	// Conn it is handed. The connection-owning layers (cmd/bbmig, hostd) dial
+	// a transport.DialStriped bundle this wide, which bounds it to
+	// [1, transport.MaxStreams], and their destinations learn the width from
+	// the bundle's labels. Zero or one selects one connection, the paper's
+	// single ordered stream. Source-side.
 	Streams int
 
 	// MaxExtentBlocks caps how many contiguous dirty blocks are coalesced
@@ -313,12 +309,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BandwidthLimit <= 0 {
 		c.BandwidthLimit = clock.Unlimited
-	}
-	if c.Streams <= 0 {
-		c.Streams = DefaultStreams
-	}
-	if c.Streams > transport.MaxStreams {
-		c.Streams = transport.MaxStreams // stream counts travel in one wire byte
 	}
 	if c.MaxExtentBlocks <= 0 {
 		c.MaxExtentBlocks = DefaultMaxExtentBlocks

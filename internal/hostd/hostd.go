@@ -7,11 +7,12 @@
 // VM, so migrating to any previously visited host is automatically
 // incremental (the paper's §VII multi-host future-work item).
 //
-// Wire protocol: an outbound migration opens a connection, sends one
-// MsgAnnounce frame (domain name, source host, geometry, workload), runs the
-// ordinary engine protocol, and finishes with a second MsgAnnounce frame
-// carrying the domain's serialized vault — sent after the freeze, so it
-// covers every write the guest ever made on the source.
+// Wire protocol: an outbound migration opens a striped bundle (one stream
+// unless Config.Streams asks for more; the bundle labels its own width),
+// sends one MsgAnnounce frame (domain name, source host, geometry, workload),
+// runs the ordinary engine protocol, and finishes with a second MsgAnnounce
+// frame carrying the domain's serialized vault — sent after the freeze, so
+// it covers every write the guest ever made on the source.
 package hostd
 
 import (
@@ -249,19 +250,17 @@ func (m *Machine) CreateDomainOn(name string, dev blockdev.Device, pages int, ki
 	return d, nil
 }
 
-// announce is the first MsgAnnounce payload: identity, geometry, the
-// transport stream count the sender will open (the bundle is built before
-// the engine runs), and two host-preparation hints. Everything the engine
-// can see on the wire — compression, dedup and delta frames, a resumable
-// session — it follows by itself; the hints only let the receiving host make
-// the most of it, and correctness never depends on them.
+// announce is the first MsgAnnounce payload: identity, geometry and two
+// host-preparation hints. Everything the engine can see on the wire —
+// compression, dedup and delta frames, a resumable session — it follows by
+// itself, and the bundle labels its own width; the hints only let the
+// receiving host make the most of it, and correctness never depends on them.
 type announce struct {
 	name    string
 	srcHost string
 	geom    transport.Geometry
 	kind    workload.Kind
 	work    bool
-	streams int
 	dedup   bool // ready the machine's fingerprint index: adverts will come
 	swarm   bool // the sender permits sidecar fetches from peer hosts
 }
@@ -269,7 +268,7 @@ type announce struct {
 // announce header layout: the fixed prefix before the variable-length
 // fields, and the bits of its flags byte.
 const (
-	announceHeaderLen = 8
+	announceHeaderLen = 7
 	announceDedup     = 1 << 0
 	announceSwarm     = 1 << 1
 )
@@ -286,12 +285,11 @@ func (a announce) marshal() ([]byte, error) {
 	if a.work {
 		out[5] = 1
 	}
-	out[6] = byte(a.streams) // 0 reads as 1: pre-striping senders
 	if a.dedup {
-		out[7] |= announceDedup
+		out[6] |= announceDedup
 	}
 	if a.swarm {
-		out[7] |= announceSwarm
+		out[6] |= announceSwarm
 	}
 	out = append(out, a.name...)
 	out = append(out, a.srcHost...)
@@ -311,12 +309,11 @@ func unmarshalAnnounce(data []byte) (announce, error) {
 		return a, fmt.Errorf("hostd: announce workload flag %d", data[5])
 	}
 	a.work = data[5] == 1
-	a.streams = max(int(data[6]), 1)
-	if flags := data[7]; flags&^(announceDedup|announceSwarm) != 0 {
+	if flags := data[6]; flags&^(announceDedup|announceSwarm) != 0 {
 		return a, fmt.Errorf("hostd: announce flags %#x not understood", flags)
 	}
-	a.dedup = data[7]&announceDedup != 0
-	a.swarm = data[7]&announceSwarm != 0
+	a.dedup = data[6]&announceDedup != 0
+	a.swarm = data[6]&announceSwarm != 0
 	const geomLen = 32
 	if len(data) != announceHeaderLen+nameLen+srcLen+geomLen {
 		return a, fmt.Errorf("hostd: announce length %d inconsistent", len(data))
@@ -338,17 +335,14 @@ func (m *Machine) MigrateOut(domainName, destHost, addr string, cfg core.Config)
 		return nil, fmt.Errorf("hostd: no domain %q on %s", domainName, m.Name)
 	}
 
-	streams := cfg.Streams
-	if streams < 1 {
-		streams = 1
-	}
-	if streams > transport.MaxStreams {
-		streams = transport.MaxStreams // the announce carries the count in one byte
-	}
-	conn0, err := transport.Dial(addr)
+	conn, err := transport.DialStriped(addr, max(cfg.Streams, 1), nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hostd: %w", err)
 	}
+	// cur tracks the live link, so the vault ships over — and the deferred
+	// Close tears down — whatever connection the migration ended on.
+	var cur transport.Conn = conn
+	defer func() { cur.Close() }()
 
 	mem := d.vmRef.Memory()
 	ann := announce{
@@ -358,36 +352,22 @@ func (m *Machine) MigrateOut(domainName, destHost, addr string, cfg core.Config)
 			BlockSize: d.disk.BlockSize(), NumBlocks: d.disk.NumBlocks(),
 			PageSize: mem.PageSize(), NumPages: mem.NumPages(),
 		},
-		kind:    d.workKind,
-		work:    d.hasWork,
-		streams: streams,
-		dedup:   cfg.Dedup,
-		swarm:   cfg.Dedup && len(cfg.SwarmPeers) > 0,
+		kind:  d.workKind,
+		work:  d.hasWork,
+		dedup: cfg.Dedup,
+		swarm: cfg.Dedup && len(cfg.SwarmPeers) > 0,
 	}
 	ab, err := ann.marshal()
 	if err != nil {
-		conn0.Close()
 		return nil, err
 	}
-	if err := conn0.Send(transport.Message{Type: transport.MsgAnnounce, Payload: ab}); err != nil {
-		conn0.Close()
+	// A control frame: it rides stream 0, ahead of the engine's HELLO.
+	if err := conn.Send(transport.Message{Type: transport.MsgAnnounce, Payload: ab}); err != nil {
 		return nil, err
-	}
-	// The announce names the stream count; dial the extra data streams and
-	// label each so the destination can reassemble the bundle.
-	var conn transport.Conn = conn0
-	if streams > 1 {
-		striped, err := transport.DialExtraStreams(addr, conn0, streams, nil)
-		if err != nil {
-			return nil, fmt.Errorf("hostd: %w", err)
-		}
-		conn = striped
 	}
 	// With retries enabled, each reconnect re-dials a single plain stream
 	// (resumed epochs trade striping for simplicity; compression carries
-	// over inside the engine). cur tracks the live link so the vault ships
-	// over whatever connection the migration ended on.
-	cur := conn
+	// over inside the engine).
 	if cfg.MaxRetries > 0 {
 		cfg.Redial = func() (transport.Conn, error) {
 			c, err := transport.Dial(addr)
@@ -398,7 +378,6 @@ func (m *Machine) MigrateOut(domainName, destHost, addr string, cfg core.Config)
 			return c, nil
 		}
 	}
-	defer func() { cur.Close() }()
 
 	// Seed incremental migration from the vault's view of the destination;
 	// writes from here to the freeze are tracked by the backend as usual.
@@ -448,24 +427,40 @@ func (m *Machine) MigrateOut(domainName, destHost, addr string, cfg core.Config)
 	return rep, nil
 }
 
-// ServeOne accepts exactly one inbound migration on l and hosts the received
-// domain afterwards, returning the destination-side result. When the
-// announce names more than one stream, the sender's extra connections are
-// accepted from l and bundled before the engine runs.
+// ServeOne accepts exactly one inbound migration on l — a striped bundle of
+// whatever width the sender labels — and hosts the received domain
+// afterwards, returning the destination-side result.
 func (m *Machine) ServeOne(l net.Listener, cfg core.Config) (*core.DestResult, error) {
-	conn, err := transport.Accept(l)
+	conn, err := transport.AcceptStriped(l, nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hostd: %w", err)
 	}
-	defer func() { conn.Close() }()
-	return m.receive(&conn, l, cfg)
-}
+	// A resumable sender — its HELLO carries the token, the engine sees it —
+	// reconnects to the same listener; the accept loop parks there until a
+	// connection opens with the session's resume frame and hands it (and the
+	// vault that follows the engine exchange) to the engine. cur tracks the
+	// live link across rebinds — the engine may recover from either its
+	// receive loop or a pull-send goroutine, so the holder is mutex-guarded —
+	// and the link the migration ended on is the one closed.
+	var curMu sync.Mutex
+	var cur transport.Conn = conn
+	liveConn := func() transport.Conn {
+		curMu.Lock()
+		defer curMu.Unlock()
+		return cur
+	}
+	defer func() { liveConn().Close() }()
+	cfg.WaitReconnect = func(token transport.SessionToken, lastEpoch uint32) (transport.Conn, uint32, error) {
+		c, epoch, err := transport.AcceptResume(l, token, lastEpoch, transport.DefaultResumeWait)
+		if err != nil {
+			return nil, 0, err
+		}
+		curMu.Lock()
+		cur = c
+		curMu.Unlock()
+		return c, epoch, nil
+	}
 
-// receive runs the destination side over *connp, upgrading it in place to a
-// striped bundle when the announce asks for one (so the caller's deferred
-// Close tears down every stream).
-func (m *Machine) receive(connp *transport.Conn, l net.Listener, cfg core.Config) (*core.DestResult, error) {
-	conn := *connp
 	first, err := conn.Recv()
 	if err != nil {
 		return nil, err
@@ -476,15 +471,6 @@ func (m *Machine) receive(connp *transport.Conn, l net.Listener, cfg core.Config
 	ann, err := unmarshalAnnounce(first.Payload)
 	if err != nil {
 		return nil, err
-	}
-	if ann.streams > 1 {
-		// On failure AcceptExtraStreams already closed conn; the caller's
-		// deferred second Close is harmless.
-		striped, err := transport.AcceptExtraStreams(l, conn, ann.streams, nil)
-		if err != nil {
-			return nil, fmt.Errorf("hostd: %w", err)
-		}
-		conn, *connp = striped, striped
 	}
 	// The engine follows compression, dedup, delta and resume from the wire.
 	// The dedup hint readies the machine index before the engine runs, so
@@ -501,32 +487,6 @@ func (m *Machine) receive(connp *transport.Conn, l net.Listener, cfg core.Config
 	// whatever the receiver's configuration says.
 	if !ann.swarm {
 		cfg.SwarmPeers = nil
-	}
-	// A resumable sender — its HELLO carries the token, the engine sees it —
-	// reconnects to the same listener; the accept loop parks there until a
-	// connection opens with the session's resume frame and hands it (and the
-	// vault that follows the engine exchange) to the engine. cur tracks the
-	// live link across rebinds — the engine may recover from either its
-	// receive loop or a pull-send goroutine, so the holder is mutex-guarded.
-	var curMu sync.Mutex
-	cur := conn
-	liveConn := func() transport.Conn {
-		curMu.Lock()
-		defer curMu.Unlock()
-		return cur
-	}
-	// The caller's deferred Close must tear down the link the migration
-	// ended on, not the one it started on.
-	defer func() { *connp = liveConn() }()
-	cfg.WaitReconnect = func(token transport.SessionToken, lastEpoch uint32) (transport.Conn, uint32, error) {
-		c, epoch, err := transport.AcceptResume(l, token, lastEpoch, transport.DefaultResumeWait)
-		if err != nil {
-			return nil, 0, err
-		}
-		curMu.Lock()
-		cur = c
-		curMu.Unlock()
-		return c, epoch, nil
 	}
 
 	m.mu.Lock()

@@ -96,7 +96,6 @@ func TestAnnounceRoundTrip(t *testing.T) {
 		geom:    transport.Geometry{BlockSize: 4096, NumBlocks: 100, PageSize: 4096, NumPages: 50},
 		kind:    workload.Diabolic,
 		work:    true,
-		streams: 3,
 		swarm:   true,
 	}
 	data, err := a.marshal()
@@ -274,8 +273,9 @@ func TestHostdMigrationFailureKeepsGuest(t *testing.T) {
 }
 
 // TestHostdStripedHop migrates a domain daemon-to-daemon with a multi-stream
-// transfer (announce-driven extra accepts, striped engine + vault hand-off)
-// and verifies the received disk matches the source's frozen state.
+// transfer to a receiver configured with nothing: it learns the width from
+// the bundle's labels. The striped engine and the vault hand-off land the
+// source's frozen disk.
 func TestHostdStripedHop(t *testing.T) {
 	A, B := NewMachine("A"), NewMachine("B")
 	d, err := A.CreateDomain("guest", tBlocks, tPages, workload.Web, 1, false)
@@ -293,7 +293,7 @@ func TestHostdStripedHop(t *testing.T) {
 	defer l.Close()
 	resCh := make(chan error, 1)
 	go func() {
-		_, err := B.ServeOne(l, cfg)
+		_, err := B.ServeOne(l, core.Config{})
 		resCh <- err
 	}()
 	rep, err := A.MigrateOut("guest", "B", l.Addr().String(), cfg)

@@ -122,8 +122,7 @@ func (m *Machine) SyncOut(domainName, destHost, addr string, cfg core.Config) (*
 			BlockSize: d.disk.BlockSize(), NumBlocks: d.disk.NumBlocks(),
 			PageSize: mem.PageSize(), NumPages: mem.NumPages(),
 		},
-		kind: d.workKind, work: d.hasWork, streams: 1,
-		dedup: cfg.Dedup,
+		kind: d.workKind, work: d.hasWork, dedup: cfg.Dedup,
 	}
 	ab, err := ann.marshal()
 	if err != nil {

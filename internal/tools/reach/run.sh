@@ -14,8 +14,8 @@
 # every build output and run artifact stays in a temporary directory.
 #
 # Every row the file keeps is one of: a fault path (reached only after a link
-# failure), a test fake, a paper baseline the goldens compare against, an
-# observer a test asserts through, or hostd striping. The archcheck rule "no
+# failure), a test fake, a paper baseline the goldens compare against, or an
+# observer a test asserts through. The archcheck rule "no
 # test-only code" (internal/tools/archcheck) is the build-time half of this
 # report: it fails on a function no non-test file names.
 set -euo pipefail
@@ -76,7 +76,7 @@ recv -image dst.img -fresh-bitmap fresh.bm
 step "$bin/bbmig" -mode send -addr "$addr" -image src.img -mem-mb 2 -workload web -speedup 50 \
 	-max-retries 2 -journal primary.journal
 wait "$rpid"
-recv -image src.img -streams 2 -workers 2 -cache-blocks 256
+recv -image src.img -workers 2 -cache-blocks 256
 step "$bin/bbmig" -mode send -addr "$addr" -image dst.img -mem-mb 2 -workload kernel -speedup 50 \
 	-initial-bitmap fresh.bm -streams 2 -extent-blocks 16 -compress-level 1 -dedup -delta -cache-blocks 256
 wait "$rpid"

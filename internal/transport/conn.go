@@ -8,6 +8,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Conn is a bidirectional, ordered message stream between the two migration
@@ -122,6 +123,17 @@ func Accept(l net.Listener) (Conn, error) {
 		tc.SetNoDelay(true)
 	}
 	return NewStream(c), nil
+}
+
+// acceptWithin bounds l's Accepts to d from now, when d is positive and l
+// takes a deadline (a TCP listener does). The returned func lifts the bound.
+func acceptWithin(l net.Listener, d time.Duration) (lift func()) {
+	dl, ok := l.(interface{ SetDeadline(time.Time) error })
+	if !ok || d <= 0 {
+		return func() {}
+	}
+	dl.SetDeadline(time.Now().Add(d))
+	return func() { dl.SetDeadline(time.Time{}) }
 }
 
 // Meter counts the wire bytes crossing a Conn in each direction. The

@@ -87,9 +87,9 @@ const (
 	// ordered against data frames striped across other streams. Arg is a
 	// sanity-check sequence number. Never seen by the engine.
 	MsgStripeBarrier
-	// MsgStripeHello labels one TCP connection of a striped bundle: Arg is
-	// the stream index and the payload a single byte holding the total
-	// stream count. Exchanged raw, before any framing decorators, by
+	// MsgStripeHello labels every TCP connection of a striped bundle, one
+	// wide or more: Arg is the stream index and the payload one byte holding
+	// the bundle's width. Exchanged raw, before any framing decorators, by
 	// DialStriped/AcceptStriped. Never seen by the engine.
 	MsgStripeHello
 	// MsgSessionResume is the first frame of a reconnecting source: Arg is

@@ -78,11 +78,7 @@ func ParseResume(m Message, token SessionToken, lastEpoch uint32) (uint32, error
 // a source that died for good cannot park the destination forever while
 // this loop eats every unrelated connection the listener receives.
 func AcceptResume(l net.Listener, token SessionToken, lastEpoch uint32, timeout time.Duration) (Conn, uint32, error) {
-	type deadliner interface{ SetDeadline(time.Time) error }
-	if d, ok := l.(deadliner); ok && timeout > 0 {
-		d.SetDeadline(time.Now().Add(timeout))
-		defer d.SetDeadline(time.Time{})
-	}
+	defer acceptWithin(l, timeout)()
 	for {
 		conn, err := Accept(l)
 		if err != nil {

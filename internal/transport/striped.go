@@ -5,6 +5,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Striped fans one logical Conn across several underlying connections so the
@@ -71,8 +72,8 @@ type Striped struct {
 	allDead  chan struct{}
 }
 
-// MaxStreams bounds a striped bundle: stream counts travel in single-byte
-// wire fields (MsgStripeHello payload, the hostd announce).
+// MaxStreams bounds a striped bundle: the width travels in MsgStripeHello's
+// one-byte payload.
 const MaxStreams = 255
 
 // IsDataFrame reports whether a frame carries bulk migration data — the
@@ -346,59 +347,32 @@ func (b *recvBarrier) abort() {
 }
 
 // DialStriped opens n TCP connections to addr and bundles them as one
-// Striped conn. Each connection is labeled with a raw MsgStripeHello frame
-// (stream index in Arg, total count in the payload) so the acceptor can
-// reassemble the bundle regardless of accept order. wrap, when non-nil,
-// decorates each connection (e.g. with compression) after the label is sent;
-// both endpoints must wrap symmetrically.
+// Striped conn. Every connection — stream 0, and a one-wide bundle's only
+// one, included — opens with a raw MsgStripeHello label (stream index in
+// Arg, width in the payload), so the acceptor learns the width from the
+// first label and reassembles the bundle in any accept order. wrap, when
+// non-nil, decorates each connection (e.g. with compression) after its label
+// is sent; both endpoints must wrap symmetrically. On error every connection
+// is closed.
 func DialStriped(addr string, n int, wrap func(Conn) (Conn, error)) (*Striped, error) {
 	if n < 1 || n > MaxStreams {
 		return nil, fmt.Errorf("transport: dial striped: %d streams outside [1,%d]", n, MaxStreams)
 	}
-	conn0, err := Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	if err := sendStripeHello(conn0, 0, n); err != nil {
-		conn0.Close()
-		return nil, err
-	}
-	if wrap != nil {
-		w, err := wrap(conn0)
-		if err != nil {
-			conn0.Close()
-			return nil, err
-		}
-		conn0 = w
-	}
-	return DialExtraStreams(addr, conn0, n, wrap)
-}
-
-// DialExtraStreams dials streams 1..n-1 of a bundle whose stream 0 the
-// caller already established (and identified through its own protocol, as
-// hostd's announce does), labels each with MsgStripeHello, and bundles
-// everything. On error every connection — conn0 included — is closed.
-func DialExtraStreams(addr string, conn0 Conn, n int, wrap func(Conn) (Conn, error)) (*Striped, error) {
-	if n < 1 || n > MaxStreams {
-		conn0.Close()
-		return nil, fmt.Errorf("transport: %d streams outside [1,%d]", n, MaxStreams)
-	}
-	conns := make([]Conn, 1, n)
-	conns[0] = conn0
+	conns := make([]Conn, 0, n)
 	fail := func(err error) (*Striped, error) {
 		for _, c := range conns {
 			c.Close()
 		}
 		return nil, err
 	}
-	for i := 1; i < n; i++ {
+	for i := range n {
 		c, err := Dial(addr)
 		if err != nil {
 			return fail(err)
 		}
 		conns = append(conns, c)
-		if err := sendStripeHello(c, i, n); err != nil {
-			return fail(err)
+		if err := c.Send(stripeHello(i, n)); err != nil {
+			return fail(fmt.Errorf("transport: stripe hello %d: %w", i, err))
 		}
 		if wrap != nil {
 			w, err := wrap(c)
@@ -411,106 +385,79 @@ func DialExtraStreams(addr string, conn0 Conn, n int, wrap func(Conn) (Conn, err
 	return NewStriped(conns), nil
 }
 
-// sendStripeHello labels one connection of an n-wide bundle.
-func sendStripeHello(c Conn, idx, n int) error {
-	if err := c.Send(Message{Type: MsgStripeHello, Arg: uint64(idx), Payload: []byte{byte(n)}}); err != nil {
-		return fmt.Errorf("transport: stripe hello %d: %w", idx, err)
-	}
-	return nil
+// stripeHello labels stream idx of an n-wide bundle.
+func stripeHello(idx, n int) Message {
+	return Message{Type: MsgStripeHello, Arg: uint64(idx), Payload: []byte{byte(n)}}
 }
 
-// recvStripeHello reads and validates one connection's label.
-func recvStripeHello(c Conn) (idx, total int, err error) {
-	hello, err := c.Recv()
-	if err != nil {
-		return 0, 0, fmt.Errorf("transport: stripe hello: %w", err)
+// parseStripeHello reads one connection's label: a MsgStripeHello whose
+// 1-byte payload names a width in [1, MaxStreams] and whose Arg names an
+// index below it.
+func parseStripeHello(m Message) (idx, total int, err error) {
+	if m.Type != MsgStripeHello || len(m.Payload) != 1 {
+		return 0, 0, fmt.Errorf("transport: expected STRIPE_HELLO, got %v", m.Type)
 	}
-	if hello.Type != MsgStripeHello || len(hello.Payload) != 1 {
-		return 0, 0, fmt.Errorf("transport: expected STRIPE_HELLO, got %v", hello.Type)
+	total = int(m.Payload[0])
+	if total < 1 || total > MaxStreams || m.Arg >= uint64(total) {
+		return 0, 0, fmt.Errorf("transport: stripe hello idx=%d total=%d inconsistent", m.Arg, total)
 	}
-	return int(hello.Arg), int(hello.Payload[0]), nil
+	return int(m.Arg), total, nil
 }
+
+// bundleWait bounds the wait for each further connection of a bundle once a
+// label has named its width: a sender that died after its first streams must
+// not park the acceptor forever.
+var bundleWait = 10 * time.Second
 
 // AcceptStriped accepts one striped bundle on l: the first connection's
-// MsgStripeHello announces the stream count, and further connections are
-// accepted until every index is present. wrap mirrors DialStriped's.
+// MsgStripeHello names the width, and further connections are accepted, each
+// within bundleWait of the last, until every index is present. wrap mirrors
+// DialStriped's. On error every accepted connection is closed.
 func AcceptStriped(l net.Listener, wrap func(Conn) (Conn, error)) (*Striped, error) {
-	c, err := Accept(l)
-	if err != nil {
-		return nil, err
-	}
-	idx, total, err := recvStripeHello(c)
-	if err == nil && (total < 1 || idx < 0 || idx >= total) {
-		err = fmt.Errorf("transport: stripe hello idx=%d total=%d inconsistent", idx, total)
-	}
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	if wrap != nil {
-		w, werr := wrap(c)
-		if werr != nil {
-			c.Close()
-			return nil, werr
-		}
-		c = w
-	}
-	return acceptRemaining(l, map[int]Conn{idx: c}, total, wrap)
-}
-
-// AcceptExtraStreams accepts streams 1..n-1 of a bundle whose stream 0 the
-// caller already holds (identified through its own protocol) and bundles
-// them. On error every connection — conn0 included — is closed.
-func AcceptExtraStreams(l net.Listener, conn0 Conn, n int, wrap func(Conn) (Conn, error)) (*Striped, error) {
-	if n < 1 || n > MaxStreams {
-		conn0.Close()
-		return nil, fmt.Errorf("transport: %d streams outside [1,%d]", n, MaxStreams)
-	}
-	return acceptRemaining(l, map[int]Conn{0: conn0}, n, wrap)
-}
-
-// acceptRemaining collects labeled connections from l until indices 0..n-1
-// are all present, starting from the already-claimed ones in got.
-func acceptRemaining(l net.Listener, got map[int]Conn, n int, wrap func(Conn) (Conn, error)) (*Striped, error) {
+	var conns []Conn // by stream index, sized by the first label
 	fail := func(err error) (*Striped, error) {
-		for _, c := range got {
-			c.Close()
+		for _, c := range conns {
+			if c != nil {
+				c.Close()
+			}
 		}
 		return nil, err
 	}
-	for len(got) < n {
+	lift := func() {}
+	defer func() { lift() }()
+	for got := 0; got == 0 || got < len(conns); got++ {
 		c, err := Accept(l)
 		if err != nil {
 			return fail(err)
 		}
-		idx, total, err := recvStripeHello(c)
-		if err == nil {
-			switch {
-			case total != n:
-				err = fmt.Errorf("transport: stripe hello names %d streams, bundle has %d", total, n)
-			case idx < 0 || idx >= n:
-				err = fmt.Errorf("transport: stripe index %d outside bundle of %d", idx, n)
-			case got[idx] != nil:
-				err = fmt.Errorf("transport: duplicate stripe index %d", idx)
+		m, err := c.Recv()
+		if err != nil {
+			c.Close()
+			return fail(fmt.Errorf("transport: stripe hello: %w", err))
+		}
+		idx, total, err := parseStripeHello(m)
+		m.Release()
+		switch {
+		case err != nil:
+		case conns == nil:
+			conns = make([]Conn, total)
+		case total != len(conns):
+			err = fmt.Errorf("transport: stripe hello names %d streams, bundle has %d", total, len(conns))
+		case conns[idx] != nil:
+			err = fmt.Errorf("transport: duplicate stripe index %d", idx)
+		}
+		if err == nil && wrap != nil {
+			var w Conn
+			if w, err = wrap(c); err == nil {
+				c = w
 			}
 		}
 		if err != nil {
 			c.Close()
 			return fail(err)
 		}
-		if wrap != nil {
-			w, werr := wrap(c)
-			if werr != nil {
-				c.Close()
-				return fail(werr)
-			}
-			c = w
-		}
-		got[idx] = c
-	}
-	conns := make([]Conn, n)
-	for i := range conns {
-		conns[i] = got[i]
+		conns[idx] = c
+		lift = acceptWithin(l, bundleWait)
 	}
 	return NewStriped(conns), nil
 }

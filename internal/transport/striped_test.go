@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -352,6 +353,93 @@ func TestDialStripedWithCompression(t *testing.T) {
 	if m, err = r.Recv(); err != nil || m.Type != MsgIterEnd {
 		t.Fatalf("recv control %v %v", m, err)
 	}
+}
+
+// TestAcceptStripedGivesUpOnDeadSender: a 2-wide sender labels stream 0 and
+// dies. The acceptor must fail within bundleWait, not wait forever for
+// stream 1, and the listener must come back without a deadline.
+func TestAcceptStripedGivesUpOnDeadSender(t *testing.T) {
+	defer func(w time.Duration) { bundleWait = w }(bundleWait)
+	bundleWait = 100 * time.Millisecond
+	l, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := AcceptStriped(l, nil)
+		errCh <- err
+	}()
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send(stripeHello(0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	select {
+	case err := <-errCh:
+		if err == nil {
+			t.Fatal("a half bundle was accepted")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("AcceptStriped still waiting for stream 1 of a dead sender")
+	}
+
+	// The deadline is lifted: a one-wide bundle dialed after the wait is
+	// accepted however long it takes to arrive.
+	go func() {
+		time.Sleep(2 * bundleWait)
+		if s, err := DialStriped(l.Addr().String(), 1, nil); err == nil {
+			s.Close()
+		}
+	}()
+	s, err := AcceptStriped(l, nil)
+	if err != nil {
+		t.Fatalf("accept after a given-up bundle: %v", err)
+	}
+	s.Close()
+}
+
+// FuzzStripeHello feeds the bundle label parser, the first thing a
+// migration's acceptor reads off each connection. It never panics, and a
+// label it accepts re-encodes to exactly the frame it read.
+func FuzzStripeHello(f *testing.F) {
+	frame := func(m Message) []byte {
+		b, err := encode(nil, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	f.Add(frame(stripeHello(0, 1)))
+	f.Add(frame(stripeHello(3, 4)))
+	f.Add(frame(stripeHello(254, MaxStreams)))
+	f.Add(frame(Message{Type: MsgStripeHello, Arg: 4, Payload: []byte{4}}))         // index past the width
+	f.Add(frame(Message{Type: MsgStripeHello, Payload: []byte{0}}))                 // width 0
+	f.Add(frame(Message{Type: MsgStripeHello, Payload: []byte{2, 0}}))              // 2-byte payload
+	f.Add(frame(Message{Type: MsgHello, Arg: ProtocolVersion, Payload: []byte{1}})) // an engine HELLO
+	f.Add(frame(Message{Type: MsgStripeHello, Arg: 1 << 63, Payload: []byte{2}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := readMessageHdr(bytes.NewReader(data), new([headerLen]byte))
+		if err != nil {
+			return
+		}
+		defer m.Release()
+		idx, total, err := parseStripeHello(m)
+		if err != nil {
+			return
+		}
+		if total < 1 || total > MaxStreams || idx < 0 || idx >= total {
+			t.Fatalf("accepted label idx=%d total=%d", idx, total)
+		}
+		again, err := encode(nil, stripeHello(idx, total))
+		if err != nil || !bytes.Equal(again, data[:m.FrameSize()]) {
+			t.Fatalf("accepted label re-encodes differently (%v)", err)
+		}
+	})
 }
 
 func TestExtentArgRoundTrip(t *testing.T) {
