@@ -34,7 +34,10 @@ const (
 // cross-machine throughput gate. The fleet rows pin what the cluster's
 // trough rule buys; bursty must not fall below doing nothing. The MemDelta
 // counts repeat exactly on an in-order send path, so they are held to 2 %
-// whatever -max-regress says, and delta_pages may move neither way.
+// whatever -max-regress says, and delta_pages may move neither way. So is
+// wire_share, the idle migrations' wire bytes per logical byte: a change that
+// stops eliding zero extents fails it. (A move is measured against
+// max(base, 1), so on a ratio 2 % is two hundredths.)
 var gates = []struct {
 	prefix, field string
 	better        better
@@ -43,8 +46,10 @@ var gates = []struct {
 	{"MigrateModeledLink/", "mb_per_s", higher, 0},
 	{"MigrateModeledLink/", "allocs_per_op", lower, 0},
 	{"MigrateModeledLink/", "bytes_per_op", lower, 0},
+	{"MigrateModeledLink/", "wire_share", lower, 2},
 	{"MigrateTCP/", "allocs_per_op", lower, 0},
 	{"MigrateTCP/", "bytes_per_op", lower, 0},
+	{"MigrateTCP/", "wire_share", lower, 2},
 	{"MigrateWAN/", "allocs_per_op", lower, 0},
 	{"MigrateWAN/", "bytes_per_op", lower, 0},
 	{"MigrateDedup/", "allocs_per_op", lower, 0},

@@ -239,6 +239,32 @@ func TestCompareBenchCountGate(t *testing.T) {
 	}
 }
 
+// TestCompareBenchWireShareGate: wire_share is a count, held to two
+// hundredths on the TCP and modelled-link rows whatever -max-regress allows:
+// a migration that stops eliding zero extents fails, one that moves fewer
+// bytes passes.
+func TestCompareBenchWireShareGate(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := func(file string, share float64) string {
+		path := filepath.Join(dir, file)
+		writeSnapshotV11(t, path, []benchResult{
+			{Name: "MigrateTCP/cold", MBPerSec: 900, AllocsPerOp: 2000, Metrics: map[string]float64{"wire_share": share}},
+			{Name: "MigrateModeledLink/fixed-64-extents", MBPerSec: 200, AllocsPerOp: 700, Metrics: map[string]float64{"wire_share": share}},
+		})
+		return path
+	}
+	base := snapshot("base.json", 0.3753)
+	if err := compareBench(snapshot("same.json", 0.3753), base, 25); err != nil {
+		t.Errorf("unchanged wire_share failed the gate: %v", err)
+	}
+	if err := compareBench(snapshot("less.json", 0.2), base, 25); err != nil {
+		t.Errorf("fewer wire bytes failed the gate: %v", err)
+	}
+	if err := compareBench(snapshot("literal.json", 1.0003), base, 25); err == nil || !strings.Contains(err.Error(), "wire_share") {
+		t.Errorf("zero extents sent literally again: gate said %v", err)
+	}
+}
+
 // TestCompareBenchBadFiles: unreadable or malformed snapshots error.
 func TestCompareBenchBadFiles(t *testing.T) {
 	dir := t.TempDir()

@@ -36,11 +36,15 @@
 // pre-copy iterations, wire-byte heartbeats, suspend/resume, post-copy
 // pulls) as the migration runs.
 //
+// Zero extents: with -extent-blocks above 1, -dedup or -delta on the sender,
+// an extent whose blocks are all zero travels as one header-only
+// ZERO_EXTENT frame; the summary's dedup line counts those blocks.
+//
 // Content-addressed dedup: -dedup on the sender replaces literal disk
-// transfer with the hash-advert/want-bitmap/reference protocol — all-zero
-// blocks are elided outright and any block whose content the receiver can
-// already produce (received earlier in the same migration, or present on
-// its disk) travels as a 16-byte reference:
+// transfer with the hash-advert/want-bitmap/reference protocol — any block
+// whose content the receiver can already produce (zero, received earlier in
+// the same migration, or present on its disk) travels as a 16-byte
+// reference:
 //
 //	bbmig -mode recv -listen :7011 -image guest.img
 //	bbmig -mode send -addr dst:7011 -image guest.img -dedup

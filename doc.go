@@ -28,6 +28,10 @@
 //   - Config.MaxExtentBlocks coalesces runs of contiguous dirty blocks into
 //     single MsgExtent frames (Arg packs start and count, payload carries
 //     the concatenated blocks), amortizing per-frame header and flush cost.
+//     An extent whose blocks are all zero travels as one header-only
+//     MsgZeroExtent: the head stage of the source's extent encoder chain
+//     (zero → dedup → delta → literal), built whenever extents, Dedup or
+//     Delta are on.
 //   - Config.Workers is the lane count of one pool type: the source's one
 //     extent walker cuts in cursor order and reads and encodes (frame,
 //     compress, send) on that many lanes when the chain is the bare
@@ -80,14 +84,15 @@
 // content it cannot already produce, and everything else travels as
 // 16-byte references materialized from the destination's fingerprint
 // index — retained peer copies, clone siblings' disks, blocks received
-// earlier in the same migration, and the implicit zero block (all-zero
-// runs are elided without even a round trip). The index is advisory and
-// verify-on-read: a stale entry degrades to a literal send, never to wrong
-// bytes. hostd maintains one in-memory index per machine, beside its
-// retained disks, so evacuating a fleet of template-provisioned clones
-// between the same hosts ships fingerprints
-// instead of images — `bbench -exp dedup` models a clone-fleet evacuation
-// moving 5-10x fewer bytes. Dedup is a source setting: the adverts and
+// earlier in the same migration, and the implicit zero block (an extent
+// that is all zeros never reaches the advert: the zero stage above dedup
+// sends it as one MsgZeroExtent, without a round trip). The index is
+// advisory and verify-on-read: a stale entry degrades to a literal send,
+// never to wrong bytes. hostd maintains one in-memory index per machine,
+// beside its retained disks, so evacuating a fleet of template-provisioned
+// clones between the same hosts ships fingerprints instead of images —
+// `bbench -exp dedup` models a clone-fleet evacuation moving 5-10x fewer
+// bytes. Dedup is a source setting: the adverts and
 // references name themselves, and every destination answers them (hostd's
 // announce only hints it to ready the machine index first).
 //

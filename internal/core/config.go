@@ -102,7 +102,10 @@ type Config struct {
 	// into one MsgExtent frame. Zero or one reproduces the paper's
 	// block-per-message wire format (and is wire-compatible with it);
 	// larger values amortize the per-frame header and flush cost so
-	// iterations become bandwidth- rather than latency-bound.
+	// iterations become bandwidth- rather than latency-bound, and send an
+	// extent whose blocks are all zero as one header-only MsgZeroExtent —
+	// the head stage of the source's extent encoder chain, which Dedup and
+	// Delta also switch on.
 	MaxExtentBlocks int
 
 	// Workers is the lane count of the one pool type both endpoints run:
@@ -146,10 +149,12 @@ type Config struct {
 	// already produce, and everything else travels as 16-byte references
 	// (MsgBlockRef) materialized from the destination's fingerprint index —
 	// retained peer copies, clone siblings' disks, blocks received earlier
-	// in this migration, and the implicit zero block. All-zero runs are
-	// elided without a round trip. Source-side: every destination answers
-	// the frames, opening its dedup session at the first one. Dedup is the
-	// outermost stage of the source's extent encoder chain: the runs the
+	// in this migration, and the implicit zero block. An extent whose
+	// blocks are all zero never reaches the advert: the chain's head stage,
+	// above dedup, sends it as one MsgZeroExtent with no round trip (see
+	// MaxExtentBlocks). Source-side: every destination answers the frames,
+	// opening its dedup session at the first advert. Dedup sits below that
+	// zero stage in the source's extent encoder chain: the runs the
 	// destination wants go down the chain (to Delta when set, else to the
 	// literal frame). Its frames must arrive in cursor order, so Workers does
 	// not parallelize the send; memory pages, freeze-and-copy, and post-copy

@@ -9,33 +9,32 @@ import (
 )
 
 // This file is the engine half of content-addressed transfer (Config.Dedup):
-// the source-side dedup encoder, the outermost stage of the extent encoder
-// chain for disk sends, and the destination-side advert/reference appliers
-// wired into the receive loop. The protocol per extent is strictly
-// alternating — one MsgHashAdvert, one MsgHashWant reply, then the extent's
-// wanted sub-runs (handed down the chain) and MsgBlockRef sub-runs — so at
-// most one advert is ever outstanding and a reference only ever names a
-// fingerprint from the advert that immediately precedes it (or the implicit
-// zero fingerprint, which needs no advert at all). Memory pages,
-// freeze-and-copy, and post-copy pushes are never deduplicated.
+// the source-side dedup encoder, the extent encoder chain's stage below the
+// zero stage, and the destination-side advert/reference appliers wired into
+// the receive loop. The protocol per extent is strictly alternating — one
+// MsgHashAdvert, one MsgHashWant reply, then the extent's wanted sub-runs
+// (handed down the chain) and MsgBlockRef sub-runs — so at most one advert is
+// ever outstanding and a reference only ever names a fingerprint from the
+// advert that immediately precedes it (or the implicit zero fingerprint,
+// which the destination resolves without one). A wholly zero extent never
+// gets here: the zero stage above sends it as one MsgZeroExtent. Memory
+// pages, freeze-and-copy, and post-copy pushes are never deduplicated.
 
-// dedupEncoder returns the chain stage that fingerprints each extent, elides
-// all-zero runs outright, and otherwise adverts the fingerprints, ships what
-// the destination can already produce as 16-byte references, and hands the
-// runs it wants — exactly the content exact-match dedup could not save — to
-// next.
+// dedupEncoder returns the chain stage that fingerprints each extent, adverts
+// the fingerprints, ships what the destination can already produce as 16-byte
+// references, and hands the runs it wants — exactly the content exact-match
+// dedup could not save — to next.
 func (t *transfer) dedupEncoder(next extentEncoder, limited bool) extentEncoder {
 	bs := t.dev.BlockSize()
 	zero := dedup.ZeroFingerprint(bs)
 	var fps []dedup.Fingerprint
 	return func(ext bitmap.Extent, data []byte) (int64, error) {
 		fps = fps[:0]
-		allZero := true
 		for k := 0; k < ext.Count; k++ {
 			// Comparing a zero block costs a fraction of hashing it.
 			fp := zero
 			if blk := data[k*bs : (k+1)*bs]; !dedup.IsZero(blk) {
-				fp, allZero = dedup.Of(blk), false
+				fp = dedup.Of(blk)
 			}
 			fps = append(fps, fp)
 		}
@@ -43,32 +42,12 @@ func (t *transfer) dedupEncoder(next extentEncoder, limited bool) extentEncoder 
 		// send only borrows its payload, so the scratch is reusable on return.
 		fpBuf := transport.GetBuf(len(fps) * dedup.FingerprintSize)
 		defer transport.PutBuf(fpBuf)
-		var wire int64
-		sendRef := func(sub bitmap.Extent, run []dedup.Fingerprint) error {
-			m := transport.Message{
-				Type:    transport.MsgBlockRef,
-				Arg:     transport.ExtentArg(sub.Start, sub.Count),
-				Payload: dedup.AppendFingerprints(fpBuf[:0], run),
-			}
-			if err := t.send(m, limited); err != nil {
-				return err
-			}
-			t.dedupBlocks += sub.Count
-			wire += int64(m.FrameSize())
-			return nil
-		}
-		if allZero {
-			// Zero elision: the destination materializes zeros with no round
-			// trip and no staging — the zero fingerprint is always resolvable.
-			err := sendRef(ext, fps)
-			return wire, err
-		}
 		arg := transport.ExtentArg(ext.Start, ext.Count)
 		adv := transport.Message{Type: transport.MsgHashAdvert, Arg: arg, Payload: dedup.AppendFingerprints(fpBuf[:0], fps)}
 		if err := t.send(adv, limited); err != nil {
 			return 0, err
 		}
-		wire += int64(adv.FrameSize())
+		wire := int64(adv.FrameSize())
 		want, err := t.awaitReply(transport.MsgHashWant, arg)
 		if err != nil {
 			return wire, err
@@ -81,12 +60,22 @@ func (t *transfer) dedupEncoder(next extentEncoder, limited bool) extentEncoder 
 		// down the chain, unwanted runs travel as fingerprint references.
 		err = dedup.WalkWant(ext.Count, want, func(off, n int, wanted bool) error {
 			sub := bitmap.Extent{Start: ext.Start + off, Count: n}
-			if !wanted {
-				return sendRef(sub, fps[off:off+n])
+			if wanted {
+				w, err := next(sub, data[off*bs:(off+n)*bs])
+				wire += w
+				return err
 			}
-			w, err := next(sub, data[off*bs:(off+n)*bs])
-			wire += w
-			return err
+			ref := transport.Message{
+				Type:    transport.MsgBlockRef,
+				Arg:     transport.ExtentArg(sub.Start, sub.Count),
+				Payload: dedup.AppendFingerprints(fpBuf[:0], fps[off:off+n]),
+			}
+			if err := t.send(ref, limited); err != nil {
+				return err
+			}
+			t.dedupBlocks.Add(int64(n))
+			wire += int64(ref.FrameSize())
+			return nil
 		})
 		return wire, err
 	}
@@ -103,7 +92,6 @@ type destDedup struct {
 	self  string
 	stage dedup.Stage         // content staged between an advert and its references
 	fps   []dedup.Fingerprint // the frame being handled, decoded
-	refs  int                 // blocks materialized by reference (Report.DedupBlocks)
 
 	// swarm fans want-sets across peer host daemons (Config.SwarmPeers),
 	// nil for a single-source session; swarmBlocks counts what peers
@@ -113,12 +101,14 @@ type destDedup struct {
 }
 
 // openDedup opens the destination's session at the first frame that needs
-// one — a dedup source's first disk frame is an advert or a zero-run
-// reference, so it observes every block it would have opened before the
-// handshake: the index, with this VBD registered as a lookup source so
-// content received earlier in the migration deduplicates later iterations,
-// and the swarm when it has peers. It runs with the lanes drained, so every
-// write that observes into the session is handed to them after it exists.
+// one — a dedup source's first disk frame that is not a zero run is an
+// advert, so it observes every block but the zero runs ahead of it, which no
+// lookup needs (the zero fingerprint always resolves, and the index verifies
+// what it serves on read): the index, with this VBD registered as a lookup
+// source so content received earlier in the migration deduplicates later
+// iterations, and the swarm when it has peers. It runs with the lanes
+// drained, so every write that observes into the session is handed to them
+// after it exists.
 func (d *destRun) openDedup() error {
 	if d.dd != nil {
 		return nil
@@ -236,7 +226,7 @@ func (d *destRun) applyBlockRef(m transport.Message) error {
 		}
 		d.dd.idx.Observe(d.dd.self, ext.Start+k, fp)
 	}
-	d.dd.refs += ext.Count
+	d.refBlocks += ext.Count
 	d.noteRecvBlocks(ext.Start, ext.End())
 	return nil
 }

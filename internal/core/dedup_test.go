@@ -19,10 +19,11 @@ func template(distinct int) func([]byte, int) bool {
 }
 
 // TestDedupEquivalence migrates the same template-shaped VM with and
-// without content dedup: the destination must end byte-identical, and the
+// without content dedup: the destination must end byte-identical, both ends
+// must count the same blocks as moved by reference or zero run, and the
 // dedup'd run must move at least 5x fewer wire bytes (the clone-fleet
 // acceptance bar) because repeated template content ships once and the zero
-// quarter ships as references only.
+// quarter as header-only zero runs.
 func TestDedupEquivalence(t *testing.T) {
 	run := func(cfg Config) (int64, int, int) {
 		rep, res := newWorld(t, worldSpec{fill: template(16)}).tpm(cfg, cfg, nil)
@@ -104,7 +105,7 @@ func TestDedupSharedIndexAcrossMigrations(t *testing.T) {
 }
 
 // TestDedupZeroElision pins the no-round-trip path: an all-zero disk must
-// travel as references alone, with wire bytes a small fraction of capacity.
+// travel as zero runs alone, with wire bytes a small fraction of capacity.
 func TestDedupZeroElision(t *testing.T) {
 	cfg := Config{Dedup: true, MaxExtentBlocks: 64}
 	rep, _ := newWorld(t, worldSpec{fill: func([]byte, int) bool { return false }}).tpm(cfg, cfg, nil)

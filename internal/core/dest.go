@@ -7,6 +7,7 @@ import (
 
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blkback"
+	"bbmig/internal/dedup"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
 	"bbmig/internal/vm"
@@ -53,7 +54,8 @@ type destRun struct {
 	res         *DestResult
 	lanes       *lanePool
 	dd          *destDedup     // content-dedup session (nil until the first dedup frame)
-	recvBlocks  int            // blocks landed in any form: literal, reference or patch
+	recvBlocks  int            // blocks landed in any form: literal, reference, zero run or patch
+	refBlocks   int            // blocks landed by reference or as zero runs (Report.DedupBlocks)
 	deltaBlocks int            // blocks landed as delta patches (Report.DeltaBlocks)
 	transferred *bitmap.Bitmap // the freeze bitmap, set by bitmapHandler
 	postStart   time.Duration
@@ -86,9 +88,8 @@ func (d *destRun) run(phases []phase) (*DestResult, error) {
 	if err == nil {
 		rep := d.rep
 		rep.PostCopyTime = d.clk.Now() - d.postStart
-		rep.DeltaBlocks = d.deltaBlocks
+		rep.DedupBlocks, rep.DeltaBlocks = d.refBlocks, d.deltaBlocks
 		if d.dd != nil {
-			rep.DedupBlocks = d.dd.refs
 			rep.SwarmBlocks = d.dd.swarmBlocks
 		}
 		if gate := d.res.Gate; gate != nil {
@@ -148,15 +149,36 @@ func (d *destRun) writeBlock(block int, data []byte) error {
 	return nil
 }
 
+// writeZero lands one block of a zero run from the shared zero block and, in
+// a dedup session, observes it under the zero fingerprint: nothing is hashed.
+// Called from the pool's lanes.
+func (d *destRun) writeZero(block int, zero []byte) error {
+	if err := d.dev.WriteBlock(block, zero); err != nil {
+		return err
+	}
+	if d.dd != nil {
+		d.dd.idx.Observe(d.dd.self, block, dedup.ZeroFingerprint(len(zero)))
+	}
+	return nil
+}
+
 // diskHandlers returns the appliers for every frame that moves disk content
-// ahead of the freeze — literal data, and the dedup and delta dialogues,
-// which name themselves and are accepted whenever a source sends them. Disk
-// pre-copy and pre-sync receive through the same table.
+// ahead of the freeze — literal data, zero runs, and the dedup and delta
+// dialogues, which name themselves and are accepted whenever a source sends
+// them. Disk pre-copy, the baselines' disk passes and pre-sync receive
+// through the same table.
 func (d *destRun) diskHandlers() frameHandlers {
-	write := blockSink(d.dev.BlockSize(), d.writeBlock) // bound once, not per frame
+	bs := d.dev.BlockSize()
+	write, zeros := blockSink(bs, d.writeBlock), blockSink(bs, d.writeZero) // bound once, not per frame
 	data := func(m transport.Message) error {
 		ext, err := d.applyData(m, d.lanes, write)
 		d.noteRecvBlocks(ext.Start, ext.End())
+		return err
+	}
+	zeroRun := func(m transport.Message) error {
+		ext, err := d.applyData(m, d.lanes, zeros)
+		d.noteRecvBlocks(ext.Start, ext.End())
+		d.refBlocks += ext.Count
 		return err
 	}
 	// The dedup and delta frames drain the lane pool first: an advert's index
@@ -166,7 +188,7 @@ func (d *destRun) diskHandlers() frameHandlers {
 	// literal already on the device, and a patch applies against (then
 	// overwrites) blocks a queued write may still own.
 	return frameHandlers{
-		transport.MsgBlockData: data, transport.MsgExtent: data,
+		transport.MsgBlockData: data, transport.MsgExtent: data, transport.MsgZeroExtent: zeroRun,
 		transport.MsgHashAdvert: d.drainOn(d.handleAdvert), transport.MsgBlockRef: d.drainOn(d.applyBlockRef),
 		transport.MsgDeltaSig: d.drainOn(d.handleDeltaSig), transport.MsgDeltaPatch: d.drainOn(d.handleDeltaPatch),
 	}

@@ -27,8 +27,8 @@ type SyncStats struct {
 	// (destination), in any form.
 	Blocks int
 	// DedupBlocks counts the blocks among them that travelled as 16-byte
-	// content references (or zero elisions) instead of literals — only with
-	// Config.Dedup set.
+	// content references (Config.Dedup) or inside header-only zero runs
+	// (Config.Dedup, Delta or MaxExtentBlocks > 1) instead of literals.
 	DedupBlocks int
 	// WireBytes is the total bytes this endpoint sent, frame headers included.
 	WireBytes int64
@@ -64,7 +64,7 @@ func SyncSource(cfg Config, dev blockdev.Device, conn transport.Conn, owed *bitm
 		// a sync.
 		_, err = t.recvReply(transport.MsgDone, uint64(sent))
 	}
-	return t.syncStats(sent, t.dedupBlocks), err
+	return t.syncStats(sent, int(t.dedupBlocks.Load())), err
 }
 
 // recvReply is awaitReply for a scheme with no concurrent reader: the reply
@@ -102,9 +102,5 @@ func SyncDest(cfg Config, dev blockdev.Device, conn transport.Conn) (SyncStats, 
 		return d.destSend(transport.Message{Type: transport.MsgDone, Arg: m.Arg})
 	})
 	err := d.recvLoop(transport.MsgDone, handlers)
-	refs := 0
-	if d.dd != nil {
-		refs = d.dd.refs
-	}
-	return t.syncStats(d.recvBlocks, refs), err
+	return t.syncStats(d.recvBlocks, d.refBlocks), err
 }

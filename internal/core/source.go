@@ -156,7 +156,7 @@ func (s *sourceRun) run(phases []phase) (*metrics.Report, error) {
 	} else if s.ckpt != nil {
 		_ = s.journal.Checkpoint(JournalState{Token: s.sess.token, Epoch: s.sess.epoch, Phase: "done"})
 	}
-	s.rep.DedupBlocks = s.dedupBlocks
+	s.rep.DedupBlocks = int(s.dedupBlocks.Load())
 	s.rep.DeltaBlocks = s.deltaBlocks
 	return s.rep, s.finish(err)
 }

@@ -9,6 +9,7 @@ import (
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/clock"
+	"bbmig/internal/dedup"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
 	"bbmig/internal/vm"
@@ -88,12 +89,13 @@ type transfer struct {
 	awaitReply func(typ transport.MsgType, arg uint64) ([]byte, error)
 
 	// dedupBlocks and deltaBlocks count the blocks this source moved by
-	// reference and as patches; deltaPending counts patches sent since the
-	// last fence. deltaNaks holds the destination's patch refusals until the
-	// fence re-sends them — a slice under a mutex, not a bounded channel: a
-	// dropped refusal would leave the destination holding stale content for
-	// blocks the source considers sent.
-	dedupBlocks  int
+	// reference or as zero runs, and as patches; deltaPending counts patches
+	// sent since the last fence. dedupBlocks is atomic: the zero stage runs on
+	// every lane of the bare literal chain. deltaNaks holds the destination's
+	// patch refusals until the fence re-sends them — a slice under a mutex,
+	// not a bounded channel: a dropped refusal would leave the destination
+	// holding stale content for blocks the source considers sent.
+	dedupBlocks  atomic.Int64
 	deltaBlocks  int
 	deltaPending int
 	deltaMu      sync.Mutex
@@ -424,21 +426,41 @@ func (t *transfer) sendRead(ext bitmap.Extent, limited bool) (int64, error) {
 
 // extentEncoder moves one extent — ext's blocks, already read into data —
 // onto the wire and returns the wire bytes it cost. Encoders stack: each
-// claims the blocks it can move cheaper than a literal (zero runs and
-// references for dedup, patches for delta) and hands the remainder to the
-// next one down; the bottom of every stack is the literal frame.
+// claims the extents or blocks it can move cheaper than a literal (whole zero
+// extents, references for dedup, patches for delta) and hands the remainder
+// to the next one down; the bottom of every stack is the literal frame.
 type extentEncoder func(ext bitmap.Extent, data []byte) (int64, error)
+
+// zeroEncoder returns the head stage of every chain but the paper's own: an
+// extent whose bytes are all zero travels as one header-only MsgZeroExtent,
+// and any other extent goes to next untouched. It keeps no order, so the
+// chain below it keeps its lanes.
+func (t *transfer) zeroEncoder(next extentEncoder, limited bool) extentEncoder {
+	return func(ext bitmap.Extent, data []byte) (int64, error) {
+		if !dedup.IsZero(data) {
+			return next(ext, data)
+		}
+		m := transport.Message{Type: transport.MsgZeroExtent, Arg: transport.ExtentArg(ext.Start, ext.Count)}
+		if err := t.send(m, limited); err != nil {
+			return 0, err
+		}
+		t.dedupBlocks.Add(int64(ext.Count))
+		return int64(m.FrameSize()), nil
+	}
+}
 
 // sendBlocks streams the blocks cur yields and returns the count and payload
 // wire bytes. This is the one place the encoder chain is built: literal,
 // wrapped by delta when configured, wrapped by dedup when configured (so
 // exact matches are claimed before near matches, and both before the
-// literal). The bare literal chain is order-free — within one pass every
-// block number appears at most once, so the destination may apply its frames
-// in any order — and is read and encoded on cfg.Workers lanes; a round-trip
-// stage needs its frames in cursor order and holds the chain to one. With
-// no codec configured and Workers and Readahead unset, the walker at the
-// default extent limit of one block is wire-identical to the seed protocol.
+// literal), wrapped by the zero stage whenever extents, dedup or delta are
+// (so a whole zero extent costs one header and no round trip). The bare
+// literal chain is order-free — within one pass every block number appears at
+// most once, so the destination may apply its frames in any order — and is
+// read and encoded on cfg.Workers lanes; a round-trip stage needs its frames
+// in cursor order and holds the chain to one. With no codec configured and
+// Workers and Readahead unset, the walker at the default extent limit of one
+// block is wire-identical to the seed protocol.
 func (t *transfer) sendBlocks(cur *owedCursor, limited bool) (int, int64, error) {
 	var encode extentEncoder = func(ext bitmap.Extent, data []byte) (int64, error) {
 		return t.sendLiteral(ext, data, limited)
@@ -449,6 +471,9 @@ func (t *transfer) sendBlocks(cur *owedCursor, limited bool) (int, int64, error)
 	}
 	if t.awaitReply != nil && t.cfg.Dedup {
 		encode, lanes = t.dedupEncoder(encode, limited), 1
+	}
+	if t.cfg.MaxExtentBlocks > 1 || t.cfg.Dedup || t.cfg.Delta {
+		encode = t.zeroEncoder(encode, limited)
 	}
 	sent, bytes, err := t.sendExtents(cur, encode, lanes)
 	if err != nil {
@@ -754,10 +779,10 @@ func splitExtent(arg uint64, dev blockdev.Device) (bitmap.Extent, error) {
 	return bitmap.Extent{Start: start, Count: count}, nil
 }
 
-// dataExtent is the one validator of literal data frames: it returns the
-// blocks a MsgBlockData (a one-block extent) or MsgExtent frame carries, or
-// an error when they fall outside dev or the payload is not exactly their
-// size.
+// dataExtent is the one validator of data frames: it returns the blocks a
+// MsgBlockData (a one-block extent), MsgExtent or MsgZeroExtent frame
+// covers, or an error when they fall outside dev or the payload is not
+// exactly their size — none at all, for a zero run.
 func dataExtent(m transport.Message, dev blockdev.Device) (bitmap.Extent, error) {
 	var ext bitmap.Extent
 	switch m.Type {
@@ -766,7 +791,7 @@ func dataExtent(m transport.Message, dev blockdev.Device) (bitmap.Extent, error)
 			return ext, fmt.Errorf("core: block %d outside %d-block VBD", m.Arg, dev.NumBlocks())
 		}
 		ext = bitmap.Extent{Start: int(m.Arg), Count: 1}
-	case transport.MsgExtent:
+	case transport.MsgExtent, transport.MsgZeroExtent:
 		var err error
 		if ext, err = splitExtent(m.Arg, dev); err != nil {
 			return ext, err
@@ -774,19 +799,23 @@ func dataExtent(m transport.Message, dev blockdev.Device) (bitmap.Extent, error)
 	default:
 		return ext, fmt.Errorf("core: %v is not a data frame", m.Type)
 	}
-	if want := ext.Count * dev.BlockSize(); len(m.Payload) != want {
+	want := ext.Count * dev.BlockSize()
+	if m.Type == transport.MsgZeroExtent {
+		want = 0
+	}
+	if len(m.Payload) != want {
 		return bitmap.Extent{}, fmt.Errorf("core: extent [%d,+%d) payload %d bytes, want %d", ext.Start, ext.Count, len(m.Payload), want)
 	}
 	return ext, nil
 }
 
-// applyData is the one applier of literal data frames: it validates m
+// applyData is the one applier of data frames: it validates m
 // against the VBD and hands the extent and its payload to the pool as a job,
 // which releases the payload (appliers own their payloads, the Recv transfer
 // contract) once sink has run — inline on a nil pool, else on a lane, no
 // earlier than the drain barrier any later control frame waits on. sink is a
-// blockSink, bound once per handler group. The validated extent is returned
-// for progress accounting.
+// blockSink, bound once per handler group; a zero run's job carries no data.
+// The validated extent is returned for progress accounting.
 func (t *transfer) applyData(m transport.Message, pool *lanePool, sink func(bitmap.Extent, []byte) error) (bitmap.Extent, error) {
 	ext, err := dataExtent(m, t.dev)
 	if err != nil {
@@ -798,11 +827,17 @@ func (t *transfer) applyData(m transport.Message, pool *lanePool, sink func(bitm
 
 // blockSink makes a job's run of a per-block sink — a device write, plus
 // dedup observation, or the post-copy gate: each block of a validated
-// extent's payload goes to sink in turn.
+// extent's payload goes to sink in turn, or, for a zero run's empty payload,
+// one shared zero block, which the sink only reads.
 func blockSink(bs int, sink func(block int, data []byte) error) func(bitmap.Extent, []byte) error {
+	zero := make([]byte, bs)
 	return func(ext bitmap.Extent, payload []byte) error {
 		for k := 0; k < ext.Count; k++ {
-			if err := sink(ext.Start+k, payload[k*bs:(k+1)*bs]); err != nil {
+			data := zero
+			if len(payload) > 0 {
+				data = payload[k*bs : (k+1)*bs]
+			}
+			if err := sink(ext.Start+k, data); err != nil {
 				return fmt.Errorf("core: apply block %d: %w", ext.Start+k, err)
 			}
 		}

@@ -145,8 +145,15 @@ func TestSyncOutIncremental(t *testing.T) {
 	if sr.Blocks != tBlocks {
 		t.Fatalf("first sync shipped %d blocks, want the whole %d-block disk", sr.Blocks, tBlocks)
 	}
-	if sr.WireBytes <= int64(tBlocks)*blockdev.BlockSize {
-		t.Fatalf("wire bytes %d below payload size", sr.WireBytes)
+	// The 600 written blocks travel literally, in the ten 64-block extents
+	// that hold them; each of the other 22 extents was never written and
+	// travels as one header-only zero run.
+	const literal = 640
+	if sr.DedupBlocks != tBlocks-literal {
+		t.Fatalf("first sync sent %d blocks as zero runs, want %d", sr.DedupBlocks, tBlocks-literal)
+	}
+	if payload := int64(literal) * blockdev.BlockSize; sr.WireBytes <= payload || sr.WireBytes > payload+1<<10 {
+		t.Fatalf("wire bytes %d, want the %d literal blocks' %d payload bytes plus frame headers", sr.WireBytes, literal, payload)
 	}
 	if got := A.Load().ActiveMigrations; got != 0 {
 		t.Fatalf("sync left %d active migrations", got)

@@ -145,14 +145,18 @@ func syncTraceDomain(t *testing.T, m *Machine) *Domain {
 // TestSyncFrameSequence pins the pre-sync wire dialogue (WIRE.md §6
 // "Pre-sync session"): the goldens were recorded from the hand-rolled
 // SyncOut/ServeSync loops before pre-sync moved onto the engine substrate,
-// and the engine-backed pre-sync must reproduce them frame for frame.
+// and the engine-backed pre-sync must reproduce them frame for frame — but
+// for each wholly zero extent, whose EXTENT or BLOCK_REF became one
+// header-only ZERO_EXTENT at the same Arg. Zero-run blocks count with the
+// references.
 func TestSyncFrameSequence(t *testing.T) {
 	t.Run("literal", func(t *testing.T) {
 		a, b := NewMachine("A"), NewMachine("B")
 		syncTraceDomain(t, a)
 		sr, got := tapSync(t, a, b, "g", core.Config{MaxExtentBlocks: 64})
-		if sr.Blocks != 512 || sr.DedupBlocks != 0 {
-			t.Fatalf("literal sync shipped %d blocks (%d by reference), want 512 / 0", sr.Blocks, sr.DedupBlocks)
+		// [384,448) and [448,512) are the only 64-block extents with no content.
+		if sr.Blocks != 512 || sr.DedupBlocks != 128 {
+			t.Fatalf("literal sync shipped %d blocks (%d as zero runs), want 512 / 128", sr.Blocks, sr.DedupBlocks)
 		}
 		checkSyncGolden(t, "presync_literal.golden", got)
 	})

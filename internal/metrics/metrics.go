@@ -46,7 +46,7 @@ type Report struct {
 	Retries     int   // connection failures survived by resuming the session
 	ResentBytes int64 // wire bytes re-sent because a failure rewound an iteration
 
-	DedupBlocks int // disk blocks materialized by reference (or zero-elided) instead of retransmitted
+	DedupBlocks int // disk blocks materialized by reference or zero-elided (ZERO_EXTENT) instead of retransmitted
 	SwarmBlocks int // disk blocks whose content arrived from swarm peers instead of the source
 	DeltaBlocks int // disk blocks that travelled as COPY/LITERAL patches instead of literals
 
@@ -144,7 +144,7 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "  post-copy            : %.0f ms (%d pushed, %d pulled, %d stale)\n",
 		r.PostCopyTime.Seconds()*1000, r.BlocksPushed, r.BlocksPulled, r.StalePushes)
 	if r.DedupBlocks > 0 {
-		fmt.Fprintf(&b, "  dedup                : %d blocks by reference\n", r.DedupBlocks)
+		fmt.Fprintf(&b, "  dedup                : %d blocks by reference or zero-elided\n", r.DedupBlocks)
 	}
 	if r.SwarmBlocks > 0 {
 		fmt.Fprintf(&b, "  swarm                : %d blocks fetched from peers\n", r.SwarmBlocks)

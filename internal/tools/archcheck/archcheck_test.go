@@ -20,15 +20,15 @@ var repoRoot = filepath.Join("..", "..", "..")
 // lineBudgets bound packages' non-test lines, counted as `cat *.go | wc -l`
 // counts them. A budget only grows in the change that defends it.
 var lineBudgets = map[string]int{
-	"cmd/bbench":               1114,
+	"cmd/bbench":               1142,
 	"internal/blockdev/bcache": 530,
 	"internal/cluster":         1555,
-	"internal/core":            4595,
+	"internal/core":            4643,
 	"internal/dedup":           464,
 	"internal/forecast":        411,
 	"internal/hostd":           1021,
 	"internal/sim":             2300,
-	"internal/transport":       1891,
+	"internal/transport":       1913,
 }
 
 // The reasons a function no non-test file names may stay. They are three of
@@ -239,6 +239,24 @@ func msgName(e ast.Expr) string {
 	return ""
 }
 
+// builtFrame is the frame type n builds — `Type: transport.Msg…` in a
+// literal, or `m.Type = transport.Msg…` — or "".
+func builtFrame(n ast.Node) string {
+	switch n := n.(type) {
+	case *ast.KeyValueExpr:
+		if key, ok := n.Key.(*ast.Ident); ok && key.Name == "Type" {
+			return msgName(n.Value)
+		}
+	case *ast.AssignStmt:
+		for i, lhs := range n.Lhs {
+			if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Type" && i < len(n.Rhs) {
+				return msgName(n.Rhs[i])
+			}
+		}
+	}
+	return ""
+}
+
 // TestArchitecture is the repository's structural contract, in place of the
 // grep guards CI used to run. Each rule names a thing there is one of; a
 // second one, whatever it is called, fails it.
@@ -315,20 +333,11 @@ func TestArchitecture(t *testing.T) {
 	calls, frames := map[string]int{}, map[string]int{}
 	spawns, queues := map[string]int{}, map[string]bool{}
 	core.inspect(func(file string, n ast.Node) {
+		frames[builtFrame(n)]++
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 				calls[method(info, sel)]++
-			}
-		case *ast.KeyValueExpr: // Type: transport.Msg…, a frame built
-			if key, ok := n.Key.(*ast.Ident); ok && key.Name == "Type" {
-				frames[msgName(n.Value)]++
-			}
-		case *ast.AssignStmt: // m.Type = transport.Msg…, likewise
-			for i, lhs := range n.Lhs {
-				if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Type" && i < len(n.Rhs) {
-					frames[msgName(n.Rhs[i])]++
-				}
 			}
 		case *ast.GoStmt:
 			spawns[file]++
@@ -351,6 +360,22 @@ func TestArchitecture(t *testing.T) {
 			if n != 1 {
 				t.Errorf("internal/core: %d places do %s, want exactly 1", n, name)
 			}
+		}
+	})
+
+	t.Run("one zero-run encoder", func(t *testing.T) {
+		// A MsgZeroExtent is built by the head stage of the source's extent
+		// encoder chain and nowhere else in shipped code: a second builder is a
+		// second zero-elision rule, or a zero run sent where the destination
+		// accepts none (post-copy, pull replies, memory).
+		builders := map[string]bool{}
+		for _, dir := range packageDirs(t) {
+			for fn := range parse(t, dir).declsWhere(func(n ast.Node) bool { return builtFrame(n) == "MsgZeroExtent" }) {
+				builders[dir+"/"+fn] = true
+			}
+		}
+		if want := map[string]bool{"internal/core/transfer.zeroEncoder": true}; !reflect.DeepEqual(builders, want) {
+			t.Errorf("MsgZeroExtent built in %v, want only %v", builders, want)
 		}
 	})
 

@@ -24,6 +24,10 @@ const (
 type Compressed struct {
 	inner Conn
 	level int
+
+	// inflated is the size the last deflated payload Recv took in inflated
+	// to, where the next one's buffer starts. Recv has a single consumer.
+	inflated int
 }
 
 // compressor is one reusable flate writer + staging buffer.
@@ -35,8 +39,9 @@ type compressor struct {
 
 // decompressor is one reusable flate reader + its byte source.
 type decompressor struct {
-	br *bytes.Reader
-	fr io.ReadCloser // flate reader; also a flate.Resetter
+	br    *bytes.Reader
+	fr    io.ReadCloser // flate reader; also a flate.Resetter
+	probe [1]byte       // the read past a full buffer (inflate)
 }
 
 // Flate state is pooled per process, not per conn: a flate.Writer's tables
@@ -160,12 +165,15 @@ func (c *Compressed) Recv() (Message, error) {
 		if err := d.fr.(flate.Resetter).Reset(d.br, nil); err != nil {
 			return m, fmt.Errorf("transport: decompress reset: %w", err)
 		}
-		out, err := readAllPooled(d.fr, len(body)*4, MaxPayload)
+		// Send deflates only what shrinks, so the body is a lower bound on
+		// the payload; the last one's size is the likelier guess.
+		out, err := d.inflate(max(len(body), c.inflated), MaxPayload)
 		d.br.Reset(nil) // an idle decompressor must not pin the wire buffer it last read
 		inflaters.Put(d)
 		if err != nil {
 			return m, fmt.Errorf("transport: decompress %v: %w", m.Type, err)
 		}
+		c.inflated = len(out)
 		m.Release() // wire buffer fully consumed
 		m.Payload = out
 		return m, nil
@@ -174,24 +182,33 @@ func (c *Compressed) Recv() (Message, error) {
 	}
 }
 
-// readAllPooled reads r to EOF into a pooled buffer sized by hint, growing
-// through pool classes as needed, and fails as soon as r yields more than
-// limit bytes — holding at most limit+1 of them, so a small deflate bomb
-// costs one frame's worth of memory, not what it would inflate to. The
-// caller owns the returned buffer.
-func readAllPooled(r io.Reader, hint, limit int) ([]byte, error) {
-	out := GetBuf(min(max(hint, 1<<12), limit+1))
+// inflate reads d's flate stream to its end into a pooled buffer that starts
+// at the pool class of size and grows through the classes as needed, and
+// fails as soon as the stream yields more than limit bytes — holding at most
+// limit+1 of them, so a small deflate bomb costs one frame's worth of memory,
+// not what it would inflate to. A full buffer grows only once a one-byte
+// probe read proves more bytes follow: flate reports EOF only on the empty
+// final block Close writes, so a payload that fills its buffer exactly is not
+// copied into one twice its size. The caller owns the returned buffer.
+func (d *decompressor) inflate(size, limit int) ([]byte, error) {
+	out := GetBuf(min(max(size, 1<<12), limit+1))
 	out = out[:cap(out)]
 	n := 0
 	for {
-		if n == len(out) {
+		full := n == len(out)
+		dst := out[n:]
+		if full {
+			dst = d.probe[:]
+		}
+		k, err := d.fr.Read(dst)
+		if full && k > 0 {
 			grown := GetBuf(min(2*len(out), limit+1))
 			grown = grown[:cap(grown)]
 			copy(grown, out[:n])
 			PutBuf(out)
 			out = grown
+			out[n] = d.probe[0]
 		}
-		k, err := r.Read(out[n:])
 		n += k
 		if n > limit {
 			PutBuf(out)

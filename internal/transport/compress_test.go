@@ -162,6 +162,55 @@ func TestCompressedRecvBoundsInflation(t *testing.T) {
 	}
 }
 
+// TestCompressedRecvSizesToClass: an inflated payload comes back in a buffer
+// of its own pool class, not one twice as large, whether it is the conn's
+// first payload of that size or a repeat, and whether it deflates a
+// thousandfold (zeros) or about twice (bytes drawn from sixteen values).
+func TestCompressedRecvSizesToClass(t *testing.T) {
+	for _, size := range []int{4 << 10, 256 << 10, 1 << 20} {
+		patterned := make([]byte, size)
+		x := uint32(size)
+		for i := range patterned {
+			x = x*1664525 + 1013904223
+			patterned[i] = byte(x>>28) + 'a'
+		}
+		for name, payload := range map[string][]byte{"zero": make([]byte, size), "patterned": patterned} {
+			ca, cb, _ := compressedPair(t)
+			for round := 0; round < 2; round++ {
+				go ca.Send(Message{Type: MsgExtent, Payload: payload})
+				m, err := cb.Recv()
+				if err != nil || !bytes.Equal(m.Payload, payload) {
+					t.Fatalf("%s %d: round trip failed: %v", name, size, err)
+				}
+				class := 1 << minBufClass
+				for class < len(m.Payload) {
+					class *= 2
+				}
+				if cap(m.Payload) != class {
+					t.Errorf("%s %d, round %d: len %d cap %d, want cap %d", name, size, round, len(m.Payload), cap(m.Payload), class)
+				}
+				m.Release()
+			}
+			ca.Close()
+		}
+	}
+}
+
+// TestCompressedEmptyPayloadCostsOneByte: a frame with no payload — a zero
+// extent, a control frame — costs its header and the raw marker, nothing
+// more, and arrives with no payload.
+func TestCompressedEmptyPayloadCostsOneByte(t *testing.T) {
+	ca, cb, meter := compressedPair(t)
+	go ca.Send(Message{Type: MsgZeroExtent, Arg: ExtentArg(64, 64)})
+	m, err := cb.Recv()
+	if err != nil || m.Type != MsgZeroExtent || m.Arg != ExtentArg(64, 64) || len(m.Payload) != 0 {
+		t.Fatalf("got %v arg %d with %d payload bytes (%v)", m.Type, m.Arg, len(m.Payload), err)
+	}
+	if got := meter.BytesSent(); got != headerLen+1 {
+		t.Fatalf("an empty frame cost %d wire bytes, want %d", got, headerLen+1)
+	}
+}
+
 // FuzzCompressedRecv feeds Compressed.Recv arbitrary frame payloads — what a
 // peer's compressed stream can deliver. It must never panic, a payload it
 // accepts is within MaxPayload, and a raw-marker frame comes back as its

@@ -119,7 +119,7 @@ const (
 	// per block. The destination writes each block from content it already
 	// holds (staged at advert time, resolved from its fingerprint index, or
 	// the implicit zero block). Sent only for content the destination
-	// declined to want — plus all-zero runs, which need no advert at all.
+	// declined to want; a wholly zero extent travels as MsgZeroExtent.
 	MsgBlockRef
 	// MsgSwarmHello opens a sidecar swarm-fetch session with a peer host
 	// daemon: Arg carries the block size the fingerprints describe and the
@@ -164,6 +164,10 @@ const (
 	// checks the CRC against its own copy before touching the page and fails
 	// the migration on a mismatch.
 	MsgMemPageDelta
+	// MsgZeroExtent materializes a run of all-zero disk blocks: Arg packs the
+	// extent like MsgExtent and the payload is empty (WIRE.md §14). A data
+	// frame: the destination writes zeros over every block of the run.
+	MsgZeroExtent
 )
 
 // String implements fmt.Stringer.
@@ -181,6 +185,7 @@ func (t MsgType) String() string {
 		MsgHashAdvert: "HASH_ADVERT", MsgHashWant: "HASH_WANT", MsgBlockRef: "BLOCK_REF",
 		MsgSwarmHello: "SWARM_HELLO", MsgSwarmFetch: "SWARM_FETCH", MsgSwarmBlock: "SWARM_BLOCK",
 		MsgDeltaSig: "DELTA_SIG", MsgDeltaPatch: "DELTA_PATCH", MsgMemPageDelta: "MEM_PAGE_DELTA",
+		MsgZeroExtent: "ZERO_EXTENT",
 	}
 	if s, ok := names[t]; ok {
 		return s
@@ -302,14 +307,14 @@ func ExtentSplit(arg uint64) (start, count int) {
 }
 
 // CarriedUnits returns the run of blocks or pages whose content m moves
-// source to destination in any form — literal, reference or patch — or a
-// zero count for every other frame. Observers that pace or audit a transfer
-// by units rather than bytes read frames through it.
+// source to destination in any form — literal, reference, zero run or patch
+// — or a zero count for every other frame. Observers that pace or audit a
+// transfer by units rather than bytes read frames through it.
 func CarriedUnits(m Message) (start, count int) {
 	switch m.Type {
 	case MsgBlockData, MsgMemPage, MsgMemPageDelta:
 		return int(m.Arg), 1
-	case MsgExtent, MsgBlockRef:
+	case MsgExtent, MsgBlockRef, MsgZeroExtent:
 		return ExtentSplit(m.Arg)
 	case MsgDeltaPatch:
 		if len(m.Payload) > 0 { // an empty one is the destination's refusal

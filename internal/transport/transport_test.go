@@ -300,8 +300,11 @@ func TestTCPEndToEnd(t *testing.T) {
 }
 
 func TestMsgTypeString(t *testing.T) {
-	if MsgBlockData.String() != "BLOCK_DATA" || MsgMemPageDelta.String() != "MEM_PAGE_DELTA" {
-		t.Fatal(MsgBlockData.String(), MsgMemPageDelta.String())
+	if MsgBlockData.String() != "BLOCK_DATA" || MsgMemPageDelta.String() != "MEM_PAGE_DELTA" || MsgZeroExtent.String() != "ZERO_EXTENT" {
+		t.Fatal(MsgBlockData.String(), MsgMemPageDelta.String(), MsgZeroExtent.String())
+	}
+	if MsgZeroExtent != 34 {
+		t.Fatalf("MsgZeroExtent is %d on the wire, want 34", MsgZeroExtent)
 	}
 	if MsgType(200).String() == "" {
 		t.Fatal("unknown type has empty string")
@@ -324,6 +327,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(frame(Message{Type: MsgExtent, Arg: ExtentArg(7, 2), Payload: make([]byte, 2*4096)}))
 	f.Add(frame(Message{Type: MsgMemPageDelta, Arg: 3, Payload: []byte{1, 2, 3, 4, 0, 1, 8, 7, 6, 5, 4, 3, 2, 1}}))
 	f.Add(frame(Message{Type: MsgDeltaPatch, Arg: ^uint64(0)}))
+	f.Add(frame(Message{Type: MsgZeroExtent, Arg: ExtentArg(9, 64)}))
 	f.Add([]byte{byte(MsgBlockData), 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}) // length past MaxPayload
 	f.Add([]byte{byte(MsgBlockData), 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 1, 2})       // payload cut short
 	f.Fuzz(func(t *testing.T, data []byte) {
