@@ -33,8 +33,9 @@ const (
 // large allocations hide in a count) also hold the rows too noisy for a
 // cross-machine throughput gate. The fleet rows pin what the cluster's
 // trough rule buys; bursty must not fall below doing nothing. The MemDelta
-// counts repeat exactly on an in-order send path, so they are held to 2 %
-// whatever -max-regress says, and delta_pages may move neither way. So is
+// counts, and the frames a live migration's freeze window carries, repeat
+// exactly on an in-order send path, so they are held to 2 % whatever
+// -max-regress says, and delta_pages may move neither way. So is
 // wire_share, the idle migrations' wire bytes per logical byte: a change that
 // stops eliding zero extents fails it. (A move is measured against
 // max(base, 1), so on a ratio 2 % is two hundredths.)
@@ -59,6 +60,8 @@ var gates = []struct {
 	{"SimFleetSweep/diurnal-predictive", "speedup", higher, 0},
 	{"SimFleetSweep/bursty-predictive", "speedup", higher, 0},
 	{"MemDelta/", "freeze_bytes", lower, 2},
+	{"MemDelta/", "freeze_frames", lower, 2},
+	{"MigrateLive/rewrite", "freeze_frames", lower, 2},
 	{"MemDelta/", "mem_bytes", lower, 2},
 	{"MemDelta/", "delta_pages", both, 2},
 }

@@ -301,16 +301,43 @@ func imageMigrate(b *testing.B, ln link, srcDisk *blockdev.MemDisk, cfg core.Con
 	b.ReportMetric(share, "wire_share")
 }
 
+// freezeMeter meters both ends of a link and books what the destination
+// receives while the guest is frozen: from the source's OnFreeze (frozen) to
+// the destination's OnResume (resumed), summed over a row's migrations.
+type freezeMeter struct {
+	sent, received    *transport.Meter
+	bytesAt, framesAt atomic.Int64 // the source's totals at the freeze, read on the destination's goroutine
+	bytes, frames     int64
+}
+
+func (f *freezeMeter) wrap(src, dst transport.Conn) (transport.Conn, transport.Conn) {
+	f.sent, f.received = transport.NewMeter(src), transport.NewMeter(dst)
+	return f.sent, f.received
+}
+
+func (f *freezeMeter) frozen() {
+	f.bytesAt.Store(f.sent.BytesSent())
+	f.framesAt.Store(f.sent.MessagesSent())
+}
+
+func (f *freezeMeter) resumed() {
+	f.bytes += f.received.BytesReceived() - f.bytesAt.Load()
+	f.frames += f.received.MessagesReceived() - f.framesAt.Load()
+}
+
 // liveMigrate runs TPM of a kernel-build image over modelled GbE under a
 // progress-paced rewriting guest (workload.Paced: per ten units sent, one
 // write of the web trace and eight pages of a 256-page hot set). The
-// sequential extent path keeps the race in frame order, so wire-bytes/op and
-// skipped/op (units pre-copy left out as already dirty again) repeat exactly.
+// sequential extent path keeps the race in frame order, so wire-bytes/op,
+// skipped/op (units pre-copy left out as already dirty again) and
+// freeze_frames (frames the destination receives while the guest is frozen)
+// repeat exactly.
 func liveMigrate(b *testing.B) {
 	const pages, hotPages = 1024, 256
 	srcDisk := kernelImage(blocks, 8000)
 	buf := make([]byte, blockdev.BlockSize)
 	var wire, skipped int64
+	var fm freezeMeter
 	b.SetBytes(blocks * blockdev.BlockSize)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -333,13 +360,17 @@ func liveMigrate(b *testing.B) {
 				}
 			}
 		}}
-		cfg := core.Config{MaxExtentBlocks: 64, OnResume: router.ResumeGate}
-		srcCfg := cfg
-		srcCfg.OnFreeze = func() {
+		srcCfg := core.Config{MaxExtentBlocks: 64, OnFreeze: func() {
 			paced.Stop()
+			fm.frozen()
 			router.Freeze()
-		}
-		rep, _ := w.migrate(b, gbe, srcCfg, cfg, nil, func(src, dst transport.Conn) (transport.Conn, transport.Conn) {
+		}}
+		dstCfg := core.Config{MaxExtentBlocks: 64, OnResume: func(g *blkback.PostCopyGate) {
+			fm.resumed()
+			router.ResumeGate(g)
+		}}
+		rep, _ := w.migrate(b, gbe, srcCfg, dstCfg, nil, func(src, dst transport.Conn) (transport.Conn, transport.Conn) {
+			src, dst = fm.wrap(src, dst)
 			paced.Conn = src
 			return paced, dst
 		})
@@ -348,18 +379,21 @@ func liveMigrate(b *testing.B) {
 	}
 	b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/op")
 	b.ReportMetric(float64(skipped)/float64(b.N), "skipped/op")
+	b.ReportMetric(float64(fm.frames)/float64(b.N), "freeze_frames")
 }
 
 // memDeltaMigrate runs TPM over modelled GbE under a progress-paced guest
 // that rewrites a 512-page hot set of its 2048 pages — 32 pages per eight
 // units sent, faster than the link drains them — either one word at a time
 // (wordTouch) or as whole pages. Its three counts repeat exactly on the
-// in-order send path: the bytes the destination receives while the guest is
-// frozen, the memory's wire bytes, and the pages that travelled as deltas.
+// in-order send path: the bytes and frames the destination receives while
+// the guest is frozen, the memory's wire bytes, and the pages that travelled
+// as deltas.
 func memDeltaMigrate(b *testing.B, wordTouch bool) {
 	const blocks, pages, hotPages, perRound = 1024, 2048, 512, 32
 	srcDisk := kernelImage(blocks, 2000)
-	var freeze, memBytes, deltaPages int64
+	var memBytes, deltaPages int64
+	var fm freezeMeter
 	b.SetBytes(blocks*blockdev.BlockSize + pages*vm.PageSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -385,26 +419,23 @@ func memDeltaMigrate(b *testing.B, wordTouch bool) {
 				}
 			}
 		}}
-		var sent, received *transport.Meter
-		var sentAtFreeze atomic.Int64 // set on the source's goroutine, read on the destination's
 		srcCfg := core.Config{MaxExtentBlocks: 64, OnFreeze: func() {
 			paced.Stop()
-			sentAtFreeze.Store(sent.BytesSent())
+			fm.frozen()
 		}}
-		dstCfg := core.Config{MaxExtentBlocks: 64, OnResume: func(*blkback.PostCopyGate) {
-			freeze += received.BytesReceived() - sentAtFreeze.Load()
-		}}
+		dstCfg := core.Config{MaxExtentBlocks: 64, OnResume: func(*blkback.PostCopyGate) { fm.resumed() }}
 		rep, _ := w.migrate(b, gbe, srcCfg, dstCfg, nil, func(src, dst transport.Conn) (transport.Conn, transport.Conn) {
-			sent, received = transport.NewMeter(src), transport.NewMeter(dst)
-			paced.Conn = sent
-			return paced, received
+			src, dst = fm.wrap(src, dst)
+			paced.Conn = src
+			return paced, dst
 		})
 		for _, it := range rep.MemIterations {
 			memBytes += it.Bytes
 		}
 		deltaPages += int64(rep.DeltaPages())
 	}
-	b.ReportMetric(float64(freeze)/float64(b.N), "freeze_bytes")
+	b.ReportMetric(float64(fm.bytes)/float64(b.N), "freeze_bytes")
+	b.ReportMetric(float64(fm.frames)/float64(b.N), "freeze_frames")
 	b.ReportMetric(float64(memBytes)/float64(b.N), "mem_bytes")
 	b.ReportMetric(float64(deltaPages)/float64(b.N), "delta_pages")
 }

@@ -31,7 +31,8 @@
 //     An extent whose blocks are all zero travels as one header-only
 //     MsgZeroExtent: the head stage of the source's extent encoder chain
 //     (zero → dedup → delta → literal), built whenever extents, Dedup or
-//     Delta are on.
+//     Delta are on. Memory passes batch the same way: up to that many pages,
+//     literal pages and page deltas mixed, travel in one MsgMemPages frame.
 //   - Config.Workers is the lane count of one pool type: the source's one
 //     extent walker cuts in cursor order and reads and encodes (frame,
 //     compress, send) on that many lanes when the chain is the bare

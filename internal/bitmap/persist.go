@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 )
 
 // persistMagic prefixes a checksummed bitmap file: magic, CRC-32 (IEEE) of
@@ -37,19 +38,41 @@ func (b *Bitmap) SaveFile(path string) error {
 }
 
 // AtomicWriteFile is the crash discipline every migration persistence path
-// shares (fresh-write bitmaps here, the journal in core): write to a
-// sibling temp file, then rename over the target, so a crash leaves either
-// the old contents or the new — never a torn file that silently loads.
-func AtomicWriteFile(path string, data []byte) error {
+// shares (fresh-write bitmaps here, the journal in core): write a sibling temp
+// file and fsync it, rename it over the target, then fsync the directory, so a
+// crash — a power cut included — leaves either the old contents or the new,
+// never a torn file that silently loads. A save that fails before the rename
+// removes its temp file and leaves the target as it was.
+func AtomicWriteFile(path string, data []byte) (err error) {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
+	_, err = f.Write(data)
+	if serr := f.Sync(); err == nil {
+		err = serr
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("rename: %w", err)
 	}
-	return nil
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // LoadFile reads a bitmap previously written by SaveFile. Files from the

@@ -99,13 +99,15 @@ type Config struct {
 	Streams int
 
 	// MaxExtentBlocks caps how many contiguous dirty blocks are coalesced
-	// into one MsgExtent frame. Zero or one reproduces the paper's
-	// block-per-message wire format (and is wire-compatible with it);
-	// larger values amortize the per-frame header and flush cost so
-	// iterations become bandwidth- rather than latency-bound, and send an
-	// extent whose blocks are all zero as one header-only MsgZeroExtent —
-	// the head stage of the source's extent encoder chain, which Dedup and
-	// Delta also switch on.
+	// into one MsgExtent frame, and how many pages of a memory pass — literal
+	// pages and page deltas mixed, contiguous or not — travel in one
+	// MsgMemPages frame. Zero or one reproduces the paper's block- and
+	// page-per-message wire format (and is wire-compatible with it); larger
+	// values amortize the per-frame header and flush cost so iterations, and
+	// the freeze's final pages, become bandwidth- rather than latency-bound,
+	// and send an extent whose blocks are all zero as one header-only
+	// MsgZeroExtent — the head stage of the source's extent encoder chain,
+	// which Dedup and Delta also switch on.
 	MaxExtentBlocks int
 
 	// Workers is the lane count of the one pool type both endpoints run:

@@ -216,8 +216,15 @@ func (d *destRun) receiveUntilResume(groups ...frameHandlers) func() error {
 // and the CPU registers. A page frame is a job like a data frame, the page
 // number its one-unit extent: a MsgMemPage overwrites the page, a
 // MsgMemPageDelta patches it after checking that this side holds the base it
-// was cut against.
+// was cut against. A MsgMemPages batch is validated whole before it becomes
+// one job, which does the same for each of its pages in order.
 func (d *destRun) vmHandlers() frameHandlers {
+	mem := d.host.VM.Memory()
+	received := func(p *destProgress, n int) {
+		if p.recvMem != nil && n >= 0 && n < p.recvMem.Len() {
+			p.recvMem.Set(n)
+		}
+	}
 	page := func(apply func(n int, data []byte) error) func(transport.Message) error {
 		run := func(ext bitmap.Extent, data []byte) error {
 			if err := apply(ext.Start, data); err != nil {
@@ -227,15 +234,34 @@ func (d *destRun) vmHandlers() frameHandlers {
 		}
 		return func(m transport.Message) error {
 			n := int(m.Arg)
-			d.noteProgress(func(p *destProgress) {
-				if p.recvMem != nil && n >= 0 && n < p.recvMem.Len() {
-					p.recvMem.Set(n)
-				}
-			})
+			d.noteProgress(func(p *destProgress) { received(p, n) })
 			return d.lanes.do(job{ext: bitmap.Extent{Start: n, Count: 1}, data: m.Payload, run: run})
 		}
 	}
-	mem := d.host.VM.Memory()
+	batch := func(m transport.Message) error {
+		entries, err := transport.ParseMemPages(m, mem.NumPages(), mem.PageSize())
+		if err != nil {
+			transport.PutBuf(m.Payload) // rejected before it became a job
+			return fmt.Errorf("core: %w", err)
+		}
+		d.noteProgress(func(p *destProgress) {
+			for _, e := range entries {
+				received(p, e.Page)
+			}
+		})
+		return d.lanes.do(job{data: m.Payload, run: func(bitmap.Extent, []byte) error {
+			for _, e := range entries {
+				apply := mem.ApplyDelta
+				if len(e.Body) == mem.PageSize() {
+					apply = mem.WritePage
+				}
+				if err := apply(e.Page, e.Body); err != nil {
+					return fmt.Errorf("core: apply page %d: %w", e.Page, err)
+				}
+			}
+			return nil
+		}})
+	}
 	return frameHandlers{
 		transport.MsgSuspend: d.drainOn(func(transport.Message) error {
 			d.ev.suspended()
@@ -243,6 +269,7 @@ func (d *destRun) vmHandlers() frameHandlers {
 			return nil
 		}),
 		transport.MsgMemPage: page(mem.WritePage), transport.MsgMemPageDelta: page(mem.ApplyDelta),
+		transport.MsgMemPages: batch,
 		transport.MsgCPUState: d.drainOn(func(m transport.Message) error {
 			d.host.VM.SetCPU(vm.CPUState{Registers: append([]byte(nil), m.Payload...)})
 			return nil

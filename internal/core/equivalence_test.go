@@ -11,6 +11,7 @@ import (
 	"bbmig/internal/blockdev"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
+	"bbmig/internal/vm"
 	"bbmig/internal/workload"
 )
 
@@ -133,6 +134,7 @@ func TestEquivalenceIM(t *testing.T) {
 // start and end frames no block or page travels twice.
 type iterationAudit struct {
 	transport.Conn
+	frameReader
 	mu      sync.Mutex
 	seen    map[int]bool // nil outside pre-copy iterations
 	repeats []int
@@ -140,14 +142,15 @@ type iterationAudit struct {
 
 func (a *iterationAudit) Send(m transport.Message) error {
 	a.mu.Lock()
+	units := a.units(m) // every frame: the HELLO says whether payloads are deflated
 	switch m.Type {
 	case transport.MsgIterStart, transport.MsgMemIterStart:
 		a.seen = make(map[int]bool)
 	case transport.MsgIterEnd, transport.MsgMemIterEnd:
 		a.seen = nil
 	default:
-		if start, n := transport.CarriedUnits(m); a.seen != nil {
-			for u := start; u < start+n; u++ {
+		if a.seen != nil {
+			for _, u := range units {
 				if a.seen[u] {
 					a.repeats = append(a.repeats, u)
 				}
@@ -159,21 +162,115 @@ func (a *iterationAudit) Send(m transport.Message) error {
 	return a.Conn.Send(m)
 }
 
+// frameReader reads the units a frame the source sends carries, as the
+// destination will see them: below the engine, payloads are deflated once the
+// HELLO has asked for compression.
+type frameReader struct {
+	t          *testing.T
+	compressed bool
+}
+
+// units lists the blocks or pages m carries: a page batch's entries, or the
+// run transport.CarriedUnits names.
+func (r *frameReader) units(m transport.Message) []int {
+	var units []int
+	if pages, _ := r.pages(m); pages != nil {
+		for _, p := range pages {
+			units = append(units, p.Page)
+		}
+		return units
+	}
+	start, n := transport.CarriedUnits(m)
+	for u := start; u < start+n; u++ {
+		units = append(units, u)
+	}
+	return units
+}
+
+// pages returns the pages a memory frame carries, a page frame as a
+// one-entry batch, or nil for any other frame, and the frame's size as the
+// engine framed it. An entry's body is the literal page when it is a whole
+// page long, a page delta otherwise.
+func (r *frameReader) pages(m transport.Message) ([]transport.MemPage, int) {
+	if m.Type == transport.MsgHello {
+		r.compressed = m.Arg&helloCompress != 0
+	}
+	switch m.Type {
+	case transport.MsgMemPage, transport.MsgMemPageDelta, transport.MsgMemPages:
+	default:
+		return nil, 0
+	}
+	if r.compressed {
+		m.Payload = append([]byte(nil), m.Payload...) // inflated in place
+		c, err := transport.NewCompressed(replayConn{m}, 0)
+		if err == nil {
+			m, err = c.Recv()
+		}
+		if err != nil {
+			r.t.Fatalf("inflating a %v frame: %v", m.Type, err)
+		}
+	}
+	if m.Type != transport.MsgMemPages {
+		return []transport.MemPage{{Page: int(m.Arg), Body: m.Payload}}, m.FrameSize()
+	}
+	pages, err := transport.ParseMemPages(m, 1<<30, vm.PageSize)
+	if err != nil {
+		r.t.Errorf("the source sent a malformed page batch: %v", err)
+	}
+	return pages, m.FrameSize()
+}
+
+// replayConn receives one frame, forever.
+type replayConn struct{ m transport.Message }
+
+func (c replayConn) Send(transport.Message) error     { return nil }
+func (c replayConn) Recv() (transport.Message, error) { return c.m, nil }
+func (c replayConn) Close() error                     { return nil }
+
 // racingHotPages is the racing guest's page working set: every fifth page.
 const racingHotPages = 48
 
-// pageAudit counts, per page, the literal and delta frames the source sends.
+// pagePass is what one memory pass — a pre-copy iteration, or the freeze —
+// put on the wire: its page frames, their wire bytes, the pages they carried,
+// and how many of those were one-word deltas.
+type pagePass struct {
+	frames, pages, oneWord int
+	bytes                  int64
+}
+
+// oneWordDelta is the body of a page delta that changes one word: the base
+// checksum, one (skip, literal) record and the word.
+const oneWordDelta = 4 + 1 + 1 + 8
+
+// pageAudit counts, per page, the literal and delta entries the source sends,
+// and what each memory pass sent.
 type pageAudit struct {
 	transport.Conn
+	frameReader
 	literals, deltas [testPages]int
+	passes           []pagePass
 }
 
 func (a *pageAudit) Send(m transport.Message) error {
-	switch m.Type {
-	case transport.MsgMemPage:
-		a.literals[m.Arg]++
-	case transport.MsgMemPageDelta:
-		a.deltas[m.Arg]++
+	if m.Type == transport.MsgMemIterStart || m.Type == transport.MsgSuspend {
+		a.passes = append(a.passes, pagePass{})
+	}
+	if pages, size := a.pages(m); pages != nil {
+		pass := &a.passes[len(a.passes)-1]
+		pass.frames++
+		pass.bytes += int64(size)
+		for _, p := range pages {
+			pass.pages++
+			switch len(p.Body) {
+			case vm.PageSize:
+				a.literals[p.Page]++
+			case oneWordDelta:
+				pass.oneWord++
+				fallthrough
+			default:
+				a.deltas[p.Page]++
+			}
+		}
 	}
 	return a.Conn.Send(m)
 }
@@ -189,8 +286,8 @@ func (a *pageAudit) Send(m transport.Message) error {
 func (w *world) runRacing(cfg Config, resendAll, wordTouch bool) (*metrics.Report, *sourceRun, *pageAudit) {
 	w.t.Helper()
 	mem := w.src.VM.Memory()
-	pages := &pageAudit{Conn: w.connSrc}
-	audit := &iterationAudit{Conn: pages}
+	pages := &pageAudit{Conn: w.connSrc, frameReader: frameReader{t: w.t}}
+	audit := &iterationAudit{Conn: pages, frameReader: frameReader{t: w.t}}
 	page := make([]byte, blockdev.BlockSize)
 	block := make([]byte, blockdev.BlockSize)
 	guest := &workload.Paced{Conn: audit, Every: 8, Round: func(i int) {
@@ -333,8 +430,13 @@ func TestEquivalenceSkipRedirtied(t *testing.T) {
 							t.Fatalf("page %d: %d literals, %d deltas (resend-everything: %d literals)", p, pages.literals[p], pages.deltas[p], allPages.literals[p])
 						}
 					}
-					if final.Units == 0 || final.Deltas != final.Units || final.Bytes != int64(final.Units)*(13+4+2+8) {
-						t.Fatalf("freeze: %d pages, %d deltas, %d B: not one changed word each", final.Units, final.Deltas, final.Bytes)
+					// The freeze carries its pages in batches of up to the extent
+					// limit, as one-word deltas, and books what it put on the wire.
+					freeze, limit := pages.passes[len(pages.passes)-1], max(pc.cfg.MaxExtentBlocks, 1)
+					if final.Units == 0 || final.Deltas != final.Units || freeze.pages != final.Units || freeze.oneWord != final.Units ||
+						freeze.frames != (final.Units+limit-1)/limit || freeze.bytes != final.Bytes {
+						t.Fatalf("freeze: %d pages, %d deltas, %d B booked; %+v sent: not one changed word each, batched %d to a frame",
+							final.Units, final.Deltas, final.Bytes, freeze, limit)
 					}
 					if memBytes >= allBytes {
 						t.Fatalf("memory cost %d B, resend-everything %d B", memBytes, allBytes)

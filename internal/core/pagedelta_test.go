@@ -307,35 +307,7 @@ func TestLyingSourcePageDelta(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := newWorld(t)
-			geom, err := transport.Geometry{
-				BlockSize: blockdev.BlockSize, NumBlocks: testBlocks, PageSize: vm.PageSize, NumPages: testPages,
-			}.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			liar := func() error {
-				script := append([]transport.Message{
-					{Type: transport.MsgHello, Arg: transport.ProtocolVersion, Payload: geom},
-					{Type: transport.MsgMemIterStart, Arg: 1},
-				}, tc.frames...)
-				for i, m := range script {
-					if err := w.connSrc.Send(m); err != nil {
-						return err
-					}
-					if i == 0 {
-						if _, err := w.connSrc.Recv(); err != nil { // HELLO_ACK
-							return err
-						}
-					}
-				}
-				_, err := w.connSrc.Recv() // the destination's ERROR, or the close
-				return err
-			}
-			_, dstErr := w.runPair(liar, func() error {
-				_, err := MigrateDest(Config{}, w.dst, w.connDst)
-				w.connDst.Close()
-				return err
-			})
+			dstErr := lieToDest(w, tc.frames...)
 			if dstErr == nil || !strings.Contains(dstErr.Error(), "page 9") {
 				t.Fatalf("destination error %v, want one naming page 9", dstErr)
 			}
@@ -352,4 +324,40 @@ func TestLyingSourcePageDelta(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lieToDest plays a source that opens memory iteration 1 and sends frames,
+// and returns the destination's error.
+func lieToDest(w *world, frames ...transport.Message) error {
+	w.t.Helper()
+	geom, err := transport.Geometry{
+		BlockSize: blockdev.BlockSize, NumBlocks: testBlocks, PageSize: vm.PageSize, NumPages: testPages,
+	}.MarshalBinary()
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	liar := func() error {
+		script := append([]transport.Message{
+			{Type: transport.MsgHello, Arg: transport.ProtocolVersion, Payload: geom},
+			{Type: transport.MsgMemIterStart, Arg: 1},
+		}, frames...)
+		for i, m := range script {
+			if err := w.connSrc.Send(m); err != nil {
+				return err
+			}
+			if i == 0 {
+				if _, err := w.connSrc.Recv(); err != nil { // HELLO_ACK
+					return err
+				}
+			}
+		}
+		_, err := w.connSrc.Recv() // the destination's ERROR, or the close
+		return err
+	}
+	_, dstErr := w.runPair(liar, func() error {
+		_, err := MigrateDest(Config{}, w.dst, w.connDst)
+		w.connDst.Close()
+		return err
+	})
+	return dstErr
 }

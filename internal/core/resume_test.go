@@ -127,7 +127,10 @@ type blockLog struct {
 }
 
 func (l *blockLog) Send(m transport.Message) error {
-	if start, n := transport.CarriedUnits(m); m.Type != transport.MsgMemPage {
+	switch m.Type {
+	case transport.MsgMemPage, transport.MsgMemPageDelta, transport.MsgMemPages:
+	default:
+		start, n := transport.CarriedUnits(m)
 		for b := start; b < start+n; b++ {
 			l.sends[b]++
 		}

@@ -629,7 +629,7 @@ func (s *sourceRun) servePull(n int) error {
 // cut.
 func (s *sourceRun) pushBlocks(bm *bitmap.Bitmap) error {
 	remaining := bm.Clone()
-	maxExt := effectiveMaxExtent(s.cfg.MaxExtentBlocks, s.dev)
+	maxExt := effectiveMaxExtent(s.cfg.MaxExtentBlocks, s.dev.BlockSize(), s.dev.NumBlocks())
 	for next := 0; ; {
 		select {
 		case n := <-s.pullCh:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -319,15 +320,15 @@ func (t *transfer) acceptHandshake() error {
 
 // effectiveMaxExtent bounds an extent limit by what one frame may carry
 // (MaxPayload, minus one byte for the marker a Compressed decorator prepends
-// to incompressible payloads) and what the device holds, so an oversized
-// limit can neither demand absurd staging buffers nor produce unencodable
-// frames.
-func effectiveMaxExtent(maxExt int, dev blockdev.Device) int {
-	if limit := (transport.MaxPayload - 1) / dev.BlockSize(); maxExt > limit {
+// to incompressible payloads) of units that cost unitBytes each, and by the
+// units there are, so an oversized limit can neither demand absurd staging
+// buffers nor produce unencodable frames.
+func effectiveMaxExtent(maxExt, unitBytes, units int) int {
+	if limit := (transport.MaxPayload - 1) / unitBytes; maxExt > limit {
 		maxExt = limit
 	}
-	if n := dev.NumBlocks(); maxExt > n {
-		maxExt = n
+	if maxExt > units {
+		maxExt = units
 	}
 	if maxExt < 1 {
 		maxExt = 1
@@ -528,7 +529,7 @@ func (t *transfer) sendExtents(cur *owedCursor, encode extentEncoder, lanes int)
 	}
 	readers := newLanePool(lanes, 0)
 	defer readers.close()
-	maxExt := effectiveMaxExtent(t.cfg.MaxExtentBlocks, t.dev)
+	maxExt := effectiveMaxExtent(t.cfg.MaxExtentBlocks, t.dev.BlockSize(), t.dev.NumBlocks())
 	var err error
 	for err == nil {
 		ext := cur.next(maxExt)
@@ -547,16 +548,42 @@ func (t *transfer) sendExtents(cur *owedCursor, encode extentEncoder, lanes int)
 	return int(sent.Load()), bytes.Load(), err
 }
 
-// sendPages streams the pages of cur's set, never coalesced: each page is
-// its own frame, the Xen-style format — a MsgMemPage, or a MsgMemPageDelta
-// against the bytes last sent when the base book has them and the delta pays
-// (vm.BaseBook states the rule, including which re-dirtied pages still
-// travel). Pre-copy and the freeze share this one path.
+// sendPages streams the pages of cur's set in batches. Each page the base
+// book frames — literal, or a delta against the bytes last sent when the book
+// has them and the delta pays (vm.BaseBook states the rule, including which
+// re-dirtied pages still travel) — is copied into the pass's batch at once,
+// and the batch travels as one MsgMemPages frame when it holds the page limit
+// (MaxExtentBlocks, bounded like an extent) or the pass ends. A batch of one
+// page is the Xen-style page frame, a MsgMemPage or MsgMemPageDelta, so at the
+// default limit of one the stream is the seed's frame for frame. Pre-copy and
+// the freeze share this one path.
 func (t *transfer) sendPages(cur *owedCursor, limited bool) (int, int64, error) {
-	sent := 0
+	mem := t.host.VM.Memory()
+	entryBytes := mem.PageSize() + 2*binary.MaxVarintLen64
+	limit := effectiveMaxExtent(t.cfg.MaxExtentBlocks, entryBytes, mem.NumPages())
+	batch := transport.GetBuf(limit * entryBytes)
+	defer transport.PutBuf(batch)
+	batch = batch[:0]
+	var sent, count, first, prev int
 	var bytes int64
+	var body []byte // the last page's payload: the frame's, when it is the batch's only page
+	var delta bool
+	flush := func() error {
+		m := transport.Message{Type: transport.MsgMemPages, Arg: transport.ExtentArg(first, count), Payload: batch}
+		if count == 1 {
+			m = transport.Message{Type: transport.MsgMemPage, Arg: uint64(first), Payload: body}
+			if delta {
+				m.Type = transport.MsgMemPageDelta
+			}
+		}
+		if err := t.send(m, limited); err != nil {
+			return err
+		}
+		sent, bytes, count, batch = sent+count, bytes+int64(m.FrameSize()), 0, batch[:0]
+		return nil
+	}
 	for n := cur.bm.NextSet(0); n >= 0; n = cur.bm.NextSet(n + 1) {
-		payload, delta, err := t.pages.Frame(n, cur.live)
+		payload, d, err := t.pages.Frame(n, cur.live)
 		if err != nil {
 			return sent, bytes, err
 		}
@@ -564,15 +591,22 @@ func (t *transfer) sendPages(cur *owedCursor, limited bool) (int, int64, error) 
 			cur.skip(n)
 			continue
 		}
-		m := transport.Message{Type: transport.MsgMemPage, Arg: uint64(n), Payload: payload}
-		if delta {
-			m.Type = transport.MsgMemPageDelta
+		gap := n - prev - 1
+		if count == 0 {
+			first, gap = n, 0
 		}
-		if err := t.send(m, limited); err != nil {
+		batch = transport.AppendMemPage(batch, gap, payload)
+		body, delta, prev = batch[len(batch)-len(payload):], d, n
+		if count++; count == limit {
+			if err := flush(); err != nil {
+				return sent, bytes, err
+			}
+		}
+	}
+	if count > 0 {
+		if err := flush(); err != nil {
 			return sent, bytes, err
 		}
-		sent++
-		bytes += int64(m.FrameSize())
 	}
 	return sent, bytes, nil
 }

@@ -214,7 +214,6 @@ type sim struct {
 
 	memDirty float64 // expected dirty pages (analytic hot-set model)
 	memProf  workload.MemoryProfile
-	memPhase bool // memory pre-copy active: frames are single pages
 
 	outageArmed   bool          // OutageAt not yet reached
 	linkDownUntil time.Duration // link dead until this instant
@@ -462,17 +461,6 @@ func (s *sim) emit(ev core.Event) {
 	s.p.OnEvent(ev)
 }
 
-// migFrameBytes returns the payload+header size of one frame in the current
-// phase: disk phases coalesce up to MaxExtentBlocks per frame, but
-// the engine never coalesces memory pages — each MsgMemPage is its own
-// frame — so the stall amortization must not flatter the memory pre-copy.
-func (s *sim) migFrameBytes() float64 {
-	if s.memPhase {
-		return 4096 + frameOverhead
-	}
-	return float64(blockdev.BlockSize*s.p.MaxExtentBlocks + frameOverhead)
-}
-
 // linkDown reports whether the modelled outage currently severs the link.
 func (s *sim) linkDown() bool {
 	return s.now < s.linkDownUntil
@@ -501,12 +489,12 @@ func (s *sim) migRate() float64 {
 
 // linkRate returns the migration path's rate while the link is up. When a
 // per-frame stall is modelled, each frame of payload P costs P/net +
-// FrameLatency seconds, so the effective rate rises with extent coalescing
-// (bigger P).
+// FrameLatency seconds, so the effective rate rises with coalescing (bigger
+// P): up to MaxExtentBlocks blocks per extent, or pages per page batch.
 func (s *sim) linkRate() float64 {
 	r := s.p.NetBytesPerSec
 	if s.p.FrameLatency > 0 {
-		frameBytes := s.migFrameBytes()
+		frameBytes := float64(blockdev.BlockSize*s.p.MaxExtentBlocks + frameOverhead)
 		perByte := 1/r + s.p.FrameLatency.Seconds()/frameBytes
 		r = 1 / perByte
 	}
@@ -758,8 +746,6 @@ func (s *sim) advanceMemModel(dt time.Duration) {
 // model: iteration 1 sends every page; iteration k sends the pages dirtied
 // during iteration k-1.
 func (s *sim) memPreCopy() {
-	s.memPhase = true
-	defer func() { s.memPhase = false }()
 	// The link's rate when up: an outage live now holds the page loop below
 	// until the link returns.
 	rate := s.linkRate()

@@ -20,15 +20,15 @@ var repoRoot = filepath.Join("..", "..", "..")
 // lineBudgets bound packages' non-test lines, counted as `cat *.go | wc -l`
 // counts them. A budget only grows in the change that defends it.
 var lineBudgets = map[string]int{
-	"cmd/bbench":               1142,
+	"cmd/bbench":               1176,
 	"internal/blockdev/bcache": 530,
 	"internal/cluster":         1555,
-	"internal/core":            4643,
+	"internal/core":            4706,
 	"internal/dedup":           464,
 	"internal/forecast":        411,
 	"internal/hostd":           1021,
-	"internal/sim":             2300,
-	"internal/transport":       1913,
+	"internal/sim":             2286,
+	"internal/transport":       1998,
 }
 
 // The reasons a function no non-test file names may stay. They are three of
@@ -351,11 +351,13 @@ func TestArchitecture(t *testing.T) {
 	t.Run("schemes are phase lists", func(t *testing.T) {
 		// The guest is frozen, resumed and announced as resumed from one step
 		// each, whatever the scheme; pre-copy and the freeze frame pages
-		// through one send path, which asks the base book for the form. None
-		// may be missing either: a rule that counts nothing has rotted.
+		// through one send path, which asks the base book for the form and
+		// batches what it frames. None may be missing either: a rule that
+		// counts nothing has rotted.
 		for name, n := range map[string]int{
 			"vm.VM.Suspend": calls["vm.VM.Suspend"], "vm.VM.Resume": calls["vm.VM.Resume"],
 			"MsgResumed": frames["MsgResumed"], "MsgMemPage": frames["MsgMemPage"], "MsgMemPageDelta": frames["MsgMemPageDelta"],
+			"MsgMemPages": frames["MsgMemPages"],
 		} {
 			if n != 1 {
 				t.Errorf("internal/core: %d places do %s, want exactly 1", n, name)

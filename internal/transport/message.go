@@ -168,6 +168,13 @@ const (
 	// extent like MsgExtent and the payload is empty (WIRE.md §14). A data
 	// frame: the destination writes zeros over every block of the run.
 	MsgZeroExtent
+	// MsgMemPages carries a run of memory pages, literal pages and page
+	// deltas mixed, in strictly ascending page order (WIRE.md §15): Arg packs
+	// the first page and the entry count like MsgExtent, and the payload is
+	// one (gap, length, body) entry per page (AppendMemPage, ParseMemPages). A
+	// data frame, sent whenever MaxExtentBlocks lets a memory pass batch more
+	// than one page.
+	MsgMemPages
 )
 
 // String implements fmt.Stringer.
@@ -185,7 +192,7 @@ func (t MsgType) String() string {
 		MsgHashAdvert: "HASH_ADVERT", MsgHashWant: "HASH_WANT", MsgBlockRef: "BLOCK_REF",
 		MsgSwarmHello: "SWARM_HELLO", MsgSwarmFetch: "SWARM_FETCH", MsgSwarmBlock: "SWARM_BLOCK",
 		MsgDeltaSig: "DELTA_SIG", MsgDeltaPatch: "DELTA_PATCH", MsgMemPageDelta: "MEM_PAGE_DELTA",
-		MsgZeroExtent: "ZERO_EXTENT",
+		MsgZeroExtent: "ZERO_EXTENT", MsgMemPages: "MEM_PAGES",
 	}
 	if s, ok := names[t]; ok {
 		return s
@@ -306,15 +313,17 @@ func ExtentSplit(arg uint64) (start, count int) {
 	return int(arg & (1<<40 - 1)), int(arg >> 40)
 }
 
-// CarriedUnits returns the run of blocks or pages whose content m moves
-// source to destination in any form — literal, reference, zero run or patch
-// — or a zero count for every other frame. Observers that pace or audit a
-// transfer by units rather than bytes read frames through it.
+// CarriedUnits returns the first block or page whose content m moves source
+// to destination in any form — literal, reference, zero run, patch or page
+// batch — and how many units it carries, or a zero count for every other
+// frame. The units need not be contiguous: a MsgMemPages frame's pages may
+// skip (ParseMemPages lists them). Observers that pace or audit a transfer by
+// units rather than bytes read frames through it.
 func CarriedUnits(m Message) (start, count int) {
 	switch m.Type {
 	case MsgBlockData, MsgMemPage, MsgMemPageDelta:
 		return int(m.Arg), 1
-	case MsgExtent, MsgBlockRef, MsgZeroExtent:
+	case MsgExtent, MsgBlockRef, MsgZeroExtent, MsgMemPages:
 		return ExtentSplit(m.Arg)
 	case MsgDeltaPatch:
 		if len(m.Payload) > 0 { // an empty one is the destination's refusal

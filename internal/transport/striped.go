@@ -84,7 +84,7 @@ const MaxStreams = 255
 // page is sent at most once between two fenced control frames, so a base and
 // its delta never share a fence interval.
 func IsDataFrame(t MsgType) bool {
-	return t == MsgBlockData || t == MsgExtent || t == MsgZeroExtent || t == MsgMemPage || t == MsgMemPageDelta
+	return t == MsgBlockData || t == MsgExtent || t == MsgZeroExtent || t == MsgMemPage || t == MsgMemPageDelta || t == MsgMemPages
 }
 
 // NewStriped builds a logical connection over conns. conns[0] is the control
