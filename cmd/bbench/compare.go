@@ -37,8 +37,9 @@ const (
 // exactly on an in-order send path, so they are held to 2 % whatever
 // -max-regress says, and delta_pages may move neither way. So is
 // wire_share, the idle migrations' wire bytes per logical byte: a change that
-// stops eliding zero extents fails it. (A move is measured against
-// max(base, 1), so on a ratio 2 % is two hundredths.)
+// stops eliding zero extents fails it. So is hashes_per_block, the SHA-256
+// calls a dedup destination's index makes per block. (A move is measured
+// against max(base, 1), so on a ratio 2 % is two hundredths.)
 var gates = []struct {
 	prefix, field string
 	better        better
@@ -55,6 +56,7 @@ var gates = []struct {
 	{"MigrateWAN/", "bytes_per_op", lower, 0},
 	{"MigrateDedup/", "allocs_per_op", lower, 0},
 	{"MigrateDedup/", "bytes_per_op", lower, 0},
+	{"MigrateDedup/", "hashes_per_block", lower, 2},
 	{"SnapshotScan/", "allocs_per_op", lower, 0},
 	{"SnapshotScan/", "bytes_per_op", lower, 0},
 	{"SimFleetSweep/diurnal-predictive", "speedup", higher, 0},

@@ -534,32 +534,37 @@ func deltaMigrate(b *testing.B, delta, stale bool) {
 // quarter elides), or — warm — to one whose index knows a sibling, so every
 // block travels by reference. The warm index is built before every run, off
 // the clock: one shared across runs goes cold after its first migration, and
-// this row measures the codec, not that finding.
+// this row measures the codec, not that finding. hashes_per_block is the
+// SHA-256 calls the destination's index makes per block, its warm-up scan
+// included: a count no machine moves.
 func dedupMigrate(b *testing.B, on, warm bool) {
 	srcDisk, sibling := cloneImage(), cloneImage()
 	cfg := core.Config{MaxExtentBlocks: 64, Dedup: on}
 	var refs int
+	var hashes int64
 	b.SetBytes(blocks * blockdev.BlockSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dstCfg := cfg
+		b.StopTimer()
+		idx, dstCfg := dedup.NewIndex(blockdev.BlockSize), cfg
+		if on {
+			dstCfg.DedupIndex, dstCfg.DedupName = idx, "disk/clone"
+		}
 		if warm {
-			b.StopTimer()
-			idx := dedup.NewIndex(blockdev.BlockSize)
 			if err := idx.RegisterSource("disk/sibling", sibling); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := idx.ScanSource("disk/sibling"); err != nil {
 				b.Fatal(err)
 			}
-			b.StartTimer()
-			dstCfg.DedupIndex, dstCfg.DedupName = idx, "disk/clone"
 		}
+		b.StartTimer()
 		rep, _ := newWorld(srcDisk, blockdev.NewMemDisk(blocks, blockdev.BlockSize), 64).migrate(b, gbe, cfg, dstCfg, nil, nil)
-		refs = rep.DedupBlocks
+		refs, hashes = rep.DedupBlocks, idx.Stats().Hashes
 	}
 	b.ReportMetric(float64(refs)/blocks, "ref_share")
+	b.ReportMetric(float64(hashes)/blocks, "hashes_per_block")
 }
 
 // swarmMigrate is the dedup rows' clone and link toward a cold destination

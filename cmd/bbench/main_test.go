@@ -265,6 +265,26 @@ func TestCompareBenchWireShareGate(t *testing.T) {
 	}
 }
 
+// TestCompareBenchHashGate: hashes_per_block is a count, held like
+// wire_share: a dedup destination whose index hashes more per block fails.
+func TestCompareBenchHashGate(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := func(file string, hashes float64) string {
+		path := filepath.Join(dir, file)
+		writeSnapshotV11(t, path, []benchResult{
+			{Name: "MigrateDedup/warm", MBPerSec: 400, AllocsPerOp: 700, Metrics: map[string]float64{"hashes_per_block": hashes}},
+		})
+		return path
+	}
+	base := snapshot("base.json", 0.875)
+	if err := compareBench(snapshot("same.json", 0.875), base, 25); err != nil {
+		t.Errorf("unchanged hashes_per_block failed the gate: %v", err)
+	}
+	if err := compareBench(snapshot("rehash.json", 1.75), base, 25); err == nil || !strings.Contains(err.Error(), "hashes_per_block") {
+		t.Errorf("an index hashing twice as much: gate said %v", err)
+	}
+}
+
 // TestCompareBenchBadFiles: unreadable or malformed snapshots error.
 func TestCompareBenchBadFiles(t *testing.T) {
 	dir := t.TempDir()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"bbmig/internal/bitmap"
 	"bbmig/internal/blockdev"
 )
 
@@ -57,6 +58,19 @@ func (sn *snapshot) ReadBlock(n int, dst []byte) error {
 	}
 	c.count(func(st *Stats) { st.Misses++ })
 	return c.backing.ReadBlock(n, dst)
+}
+
+// AllocatedBitmap implements blockdev.Allocator: the live cache's allocated
+// blocks plus every block copied aside since the snapshot was taken. A block
+// outside both was untouched and unallocated, so it reads as zeros here too.
+func (sn *snapshot) AllocatedBitmap() *bitmap.Bitmap {
+	bm := sn.c.AllocatedBitmap()
+	sn.mu.Lock()
+	for n := range sn.overlay {
+		bm.Set(n)
+	}
+	sn.mu.Unlock()
+	return bm
 }
 
 // WriteBlock implements blockdev.Device by refusing: snapshots are frozen.

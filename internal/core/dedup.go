@@ -53,8 +53,8 @@ func (t *transfer) dedupEncoder(next extentEncoder, limited bool) extentEncoder 
 			return wire, err
 		}
 		defer transport.PutBuf(want) // the reply's pooled payload
-		if len(want) != dedup.WantLen(ext.Count) {
-			return wire, fmt.Errorf("core: want bitmap %d bytes for %d-block advert", len(want), ext.Count)
+		if err := dedup.CheckMask(want, ext.Count); err != nil {
+			return wire, fmt.Errorf("core: want bitmap: %w", err)
 		}
 		// Walk the want bitmap as maximal same-verdict runs: wanted runs go
 		// down the chain, unwanted runs travel as fingerprint references.

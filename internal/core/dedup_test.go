@@ -1,10 +1,12 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"bbmig/internal/blockdev"
 	"bbmig/internal/dedup"
+	"bbmig/internal/transport"
 	"bbmig/internal/workload"
 )
 
@@ -64,6 +66,19 @@ func TestDedupTransferShapes(t *testing.T) {
 				t.Fatal("no blocks travelled by reference")
 			}
 		})
+	}
+}
+
+// TestSourceRefusesPaddedWantBitmap plays a destination whose HASH_WANT for a
+// five-block advert sets a padding bit: the source refuses the reply instead
+// of reading it as "want none".
+func TestSourceRefusesPaddedWantBitmap(t *testing.T) {
+	w := newWorld(t, worldSpec{fill: template(16)})
+	w.connDst = &lyingConn{Conn: w.connDst, typ: transport.MsgHashWant, payload: []byte{1 << 7}}
+	cfg := Config{Dedup: true, MaxExtentBlocks: 5}
+	_, _, srcErr, _ := w.tpmPair(cfg, cfg, nil)
+	if srcErr == nil || !strings.Contains(srcErr.Error(), "padding bit") {
+		t.Fatalf("source accepted a want bitmap with a padding bit set: %v", srcErr)
 	}
 }
 

@@ -186,11 +186,11 @@ func fetchFromPeer(conn transport.Conn, seq uint64, fps []dedup.Fingerprint, blo
 	if m.Type != transport.MsgSwarmBlock || m.Arg != seq {
 		return nil, fmt.Errorf("core: swarm peer answered %v (arg %d), want SWARM_BLOCK (arg %d)", m.Type, m.Arg, seq)
 	}
-	maskLen := dedup.WantLen(len(fps))
-	if len(m.Payload) < maskLen {
-		return nil, fmt.Errorf("core: swarm block payload %d bytes, want ≥%d-byte hit-mask", len(m.Payload), maskLen)
-	}
+	maskLen := min(dedup.WantLen(len(fps)), len(m.Payload)) // short: CheckMask refuses it
 	mask, body := m.Payload[:maskLen], m.Payload[maskLen:]
+	if err := dedup.CheckMask(mask, len(fps)); err != nil {
+		return nil, fmt.Errorf("core: swarm block hit-mask: %w", err)
+	}
 	got := make(map[dedup.Fingerprint][]byte)
 	off := 0
 	for i, fp := range fps {

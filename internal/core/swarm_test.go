@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -207,6 +208,29 @@ func TestSwarmPeerFailures(t *testing.T) {
 			t.Fatal("honest peer never consulted")
 		}
 	})
+}
+
+// TestSwarmRefusesPaddedHitMask: a peer whose SWARM_BLOCK hit-mask sets a bit
+// past the fetch's count is refused, even though the content it sends for
+// the real hits verifies.
+func TestSwarmRefusesPaddedHitMask(t *testing.T) {
+	var fps []dedup.Fingerprint
+	var body []byte
+	for fp, content := range templateContents(3) {
+		fps = append(fps, fp)
+		body = append(body, content...)
+	}
+	a, b := transport.NewPipe(4)
+	defer a.Close()
+	go func() {
+		m, err := b.Recv()
+		if err == nil {
+			b.Send(transport.Message{Type: transport.MsgSwarmBlock, Arg: m.Arg, Payload: append([]byte{0b1000_0111}, body...)})
+		}
+	}()
+	if _, err := fetchFromPeer(a, 9, fps, blockdev.BlockSize); err == nil || !strings.Contains(err.Error(), "padding bit") {
+		t.Fatalf("a hit-mask with a padding bit set: %v", err)
+	}
 }
 
 // TestSwarmResumeAcrossCut cuts the migration channel mid disk pre-copy of

@@ -18,7 +18,10 @@
 // the candidate block and re-hashes it before claiming the content, so
 // stale entries (a source block overwritten since it was observed, a
 // source that went away) degrade to "absent" — a full literal send — never
-// to wrong bytes.
+// to wrong bytes. Advert answers may instead stage a copy from a bounded
+// cache of copies whose hash matched when they were taken: such a copy stays
+// its fingerprint's content whatever happens to its source. Lookup and
+// Materialize never consult that cache; they stay verify-on-read.
 package dedup
 
 import (
@@ -118,6 +121,19 @@ func WantLen(count int) int { return (count + 7) / 8 }
 
 // SetWant marks block k of a want-bitmap as "send the literal".
 func SetWant(buf []byte, k int) { buf[k/8] |= 1 << (k % 8) }
+
+// CheckMask refuses a peer's want-bitmap or hit-mask for count blocks unless
+// it is in its one canonical form: WantLen(count) bytes, no padding bit past
+// count set.
+func CheckMask(mask []byte, count int) error {
+	if len(mask) != WantLen(count) {
+		return fmt.Errorf("dedup: mask of %d bytes for %d blocks", len(mask), count)
+	}
+	if count%8 != 0 && mask[len(mask)-1]>>(count%8) != 0 {
+		return fmt.Errorf("dedup: mask for %d blocks sets a padding bit", count)
+	}
+	return nil
+}
 
 // Want reports whether block k of a want-bitmap asks for the literal.
 func Want(buf []byte, k int) bool { return buf[k/8]&(1<<(k%8)) != 0 }

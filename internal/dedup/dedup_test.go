@@ -77,6 +77,19 @@ func TestWantBits(t *testing.T) {
 			t.Fatalf("bit %d = %v, want %v", k, Want(buf, k), want)
 		}
 	}
+	if err := CheckMask(buf, 11); err != nil {
+		t.Fatalf("canonical mask refused: %v", err)
+	}
+	for _, count := range []int{0, 8, 16} {
+		if err := CheckMask(make([]byte, WantLen(count)), count); err != nil {
+			t.Errorf("empty %d-block mask refused: %v", count, err)
+		}
+	}
+	for name, bad := range map[string][]byte{"short": buf[:1], "long": append(buf[:2:2], 0), "padding bit 11": {buf[0], buf[1] | 1<<3}, "padding bit 15": {buf[0], buf[1] | 1<<7}} {
+		if CheckMask(bad, 11) == nil {
+			t.Errorf("%s mask for 11 blocks accepted", name)
+		}
+	}
 }
 
 func TestIndexLookupVerifies(t *testing.T) {

@@ -3,7 +3,9 @@ package dedup
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
+	"bbmig/internal/blockdev"
 	"bbmig/internal/transport"
 )
 
@@ -36,7 +38,9 @@ type loc struct {
 // all the time. Lookup therefore re-reads and re-hashes the candidate block
 // before claiming the content, evicting entries that no longer verify, so
 // the worst a stale index can cause is a literal send that deduplication
-// would have saved — never wrong bytes.
+// would have saved — never wrong bytes. Advert answers may also come from a
+// bounded cache of copies whose hash matched when they were taken (see
+// verified): such a copy is its fingerprint's content for good.
 //
 // An Index is safe for concurrent use and is meant to be shared: one
 // hostd.Machine maintains one index across every inbound migration and
@@ -49,6 +53,29 @@ type Index struct {
 	sources   map[string]BlockReader
 	entries   map[Fingerprint]loc
 	rev       map[string]map[int]Fingerprint // source → block → observed fp
+	answers   verified                       // consulted by AnswerInto alone
+
+	hashes, lookups, answerHits, scanSkipped atomic.Int64 // see Stats
+}
+
+// Stats counts the work an Index has done since it was made. The counts do
+// not depend on the machine, so work a change removes shows as a number.
+type Stats struct {
+	Hashes      int64 // SHA-256 calls: scanned blocks and lookup re-hashes
+	Lookups     int64 // verify-on-read lookups of a non-zero fingerprint
+	AnswerHits  int64 // advertised fingerprints staged from a verified copy
+	ScanSkipped int64 // blocks a scan did not hash: never written, or zero
+}
+
+// Stats returns the index's counters.
+func (ix *Index) Stats() Stats {
+	return Stats{ix.hashes.Load(), ix.lookups.Load(), ix.answerHits.Load(), ix.scanSkipped.Load()}
+}
+
+// hash is Of, counted.
+func (ix *Index) hash(data []byte) Fingerprint {
+	ix.hashes.Add(1)
+	return Of(data)
 }
 
 // NewIndex returns an empty index for devices of the given block size.
@@ -153,20 +180,33 @@ func (ix *Index) ScanSource(name string) (int, error) {
 // consistent image, while lookups still verify against the registered live
 // device, so an observation the guest overwrites mid-scan simply misses
 // later (it can never resolve to wrong bytes).
+//
+// Zero content is implicit, so the scan never hashes it: blocks a
+// blockdev.Allocator reader reports never written are not read, and a read
+// block is compared with zero before it is hashed.
 func (ix *Index) ScanReader(name string, r BlockReader) (int, error) {
+	next := func(n int) int {
+		if n < r.NumBlocks() {
+			return n
+		}
+		return -1
+	}
+	if a, ok := r.(blockdev.Allocator); ok {
+		next = a.AllocatedBitmap().NextSet
+	}
 	buf := make([]byte, ix.blockSize)
 	indexed := 0
-	for n := 0; n < r.NumBlocks(); n++ {
+	for n := next(0); n >= 0; n = next(n + 1) {
 		if err := r.ReadBlock(n, buf); err != nil {
 			return indexed, err
 		}
-		fp := Of(buf)
-		if fp == ix.zero {
+		if IsZero(buf) {
 			continue
 		}
-		ix.Observe(name, n, fp)
+		ix.Observe(name, n, ix.hash(buf))
 		indexed++
 	}
+	ix.scanSkipped.Add(int64(r.NumBlocks() - indexed))
 	return indexed, nil
 }
 
@@ -191,6 +231,7 @@ func (ix *Index) LookupInto(fp Fingerprint, dst []byte) bool {
 		clear(dst)
 		return true
 	}
+	ix.lookups.Add(1)
 	ix.mu.Lock()
 	l, ok := ix.entries[fp]
 	var dev BlockReader
@@ -201,7 +242,7 @@ func (ix *Index) LookupInto(fp Fingerprint, dst []byte) bool {
 	if !ok || dev == nil {
 		return false
 	}
-	if l.block < 0 || l.block >= dev.NumBlocks() || dev.ReadBlock(l.block, dst) != nil || Of(dst) != fp {
+	if l.block < 0 || l.block >= dev.NumBlocks() || dev.ReadBlock(l.block, dst) != nil || ix.hash(dst) != fp {
 		ix.evict(fp, l)
 		return false
 	}
@@ -261,13 +302,14 @@ func (ix *Index) Answer(fps []Fingerprint) (want []byte, stage *Stage) {
 }
 
 // AnswerInto is the destination's half of one MsgHashAdvert: st is emptied,
-// every advertised fingerprint the index can produce is verified (LookupInto's
-// re-hash) straight into its slot of st for the references that follow, and
-// everything else gets its want bit set. Zero fingerprints are neither wanted
-// nor staged — zeros are implicit. The returned want-bitmap belongs to st and
-// is valid until st's next advert. Both the engine's receive loop and
-// ServeSync answer adverts through here, so the reply semantics cannot
-// diverge.
+// every advertised fingerprint the index can produce is staged in its slot of
+// st for the references that follow, and everything else gets its want bit
+// set. Content is staged from the verified cache when it holds the
+// fingerprint, and otherwise verified (LookupInto's re-hash) straight into
+// the slot and cached. Zero fingerprints are neither wanted nor staged —
+// zeros are implicit. The returned want-bitmap belongs to st and is valid
+// until st's next advert. Both the engine's receive loop and ServeSync answer
+// adverts through here, so the reply semantics cannot diverge.
 func (ix *Index) AnswerInto(st *Stage, fps []Fingerprint) (want []byte) {
 	st.reset(len(fps), ix.blockSize)
 	for k, fp := range fps {
@@ -277,13 +319,78 @@ func (ix *Index) AnswerInto(st *Stage, fps []Fingerprint) (want []byte) {
 		if _, ok := st.slots[fp]; ok {
 			continue
 		}
-		if ix.LookupInto(fp, st.buf[k*ix.blockSize:(k+1)*ix.blockSize]) {
-			st.slots[fp] = k
-		} else {
+		slot := st.buf[k*ix.blockSize : (k+1)*ix.blockSize]
+		switch {
+		case ix.answers.get(fp, slot):
+			ix.answerHits.Add(1)
+		case ix.LookupInto(fp, slot):
+			ix.answers.put(fp, slot)
+		default:
 			SetWant(st.want, k)
+			continue
 		}
+		st.slots[fp] = k
 	}
 	return st.want
+}
+
+// The verified cache holds answerCap blocks, carved from slabs of answerSlab
+// blocks each, so filling it costs a handful of allocations.
+const (
+	answerCap  = 1024
+	answerSlab = 64
+)
+
+// verified is a bounded FIFO of block copies whose fingerprint was checked
+// when the copy was taken. A copy that hashed to fp is fp's content for good,
+// whatever later happens to the block or the source it was read from, so
+// AnswerInto may stage it without another read and hash. Lookup and
+// Materialize never consult it: they stay verify-on-read.
+type verified struct {
+	mu    sync.Mutex
+	slot  map[Fingerprint]int // cached fingerprint → its slot
+	fps   [answerCap]Fingerprint
+	slabs [answerCap / answerSlab][]byte // slot k: slabs[k/answerSlab], block k%answerSlab
+	taken int                            // copies ever taken; the next fills slot taken%answerCap
+}
+
+// block returns slot k's storage for bs-byte blocks.
+func (v *verified) block(k, bs int) []byte {
+	return v.slabs[k/answerSlab][k%answerSlab*bs:][:bs]
+}
+
+// get copies fp's cached content into dst, reporting whether there was any.
+func (v *verified) get(fp Fingerprint, dst []byte) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	k, ok := v.slot[fp]
+	if ok {
+		copy(dst, v.block(k, len(dst)))
+	}
+	return ok
+}
+
+// put caches a copy of content, which the caller has just hashed to fp,
+// replacing the oldest copy once the cache is full.
+func (v *verified) put(fp Fingerprint, content []byte) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if _, ok := v.slot[fp]; ok {
+		return
+	}
+	k := v.taken % answerCap
+	if v.taken >= answerCap {
+		delete(v.slot, v.fps[k])
+	}
+	v.taken++
+	if v.slot == nil {
+		v.slot = make(map[Fingerprint]int, answerCap)
+	}
+	if v.slabs[k/answerSlab] == nil {
+		v.slabs[k/answerSlab] = make([]byte, answerSlab*len(content))
+	}
+	v.fps[k], v.slot[fp] = fp, k
+	copy(v.block(k, len(content)), content)
 }
 
 // Materialize resolves one MsgBlockRef fingerprint: staged content first, the

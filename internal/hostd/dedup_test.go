@@ -1,10 +1,12 @@
 package hostd
 
 import (
+	"bytes"
 	"testing"
 
 	"bbmig/internal/blockdev"
 	"bbmig/internal/core"
+	"bbmig/internal/dedup"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
 	"bbmig/internal/workload"
@@ -130,6 +132,40 @@ func TestDedupMigrateBack(t *testing.T) {
 	// identical rewrites must ride as references against A's retained copy.
 	if rep.DedupBlocks < 256 {
 		t.Fatalf("only %d blocks deduped on the way back", rep.DedupBlocks)
+	}
+}
+
+// TestPrepareDedupHashesOnlyWrittenBlocks runs the shipped scan path over a
+// retained paper-scale disk (the 39 070 MB VBD with the web server's 13 440
+// divergent blocks): the fingerprint pass hashes exactly the written blocks,
+// not ten million, and the index then answers an advert for one of them.
+func TestPrepareDedupHashesOnlyWrittenBlocks(t *testing.T) {
+	const blocks, written, stride = 10_001_920, 13_440, 743
+	disk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+	buf := make([]byte, blockdev.BlockSize)
+	for k := 0; k < written; k++ {
+		workload.FillBlock(buf, k*stride, 1)
+		if err := disk.WriteBlock(k*stride, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := NewMachine("A")
+	m.mu.Lock()
+	m.retained["g"] = m.newVolumeLocked(disk)
+	m.mu.Unlock()
+
+	idx := m.prepareDedup()
+	if st := idx.Stats(); st.Hashes != written || st.ScanSkipped != blocks-written {
+		t.Fatalf("scan of %d written blocks of %d: %+v", written, blocks, st)
+	}
+	workload.FillBlock(buf, 42*stride, 1)
+	fp := dedup.Of(buf)
+	want, stage := idx.Answer([]dedup.Fingerprint{fp})
+	if dedup.Want(want, 0) {
+		t.Fatal("the index wants the literal of a scanned block")
+	}
+	if got, ok := idx.Materialize(stage, fp); !ok || !bytes.Equal(got, buf) {
+		t.Fatal("the advert's content was not staged")
 	}
 }
 

@@ -20,15 +20,15 @@ var repoRoot = filepath.Join("..", "..", "..")
 // lineBudgets bound packages' non-test lines, counted as `cat *.go | wc -l`
 // counts them. A budget only grows in the change that defends it.
 var lineBudgets = map[string]int{
-	"cmd/bbench":               1176,
-	"internal/blockdev/bcache": 530,
+	"cmd/bbench":               1183,
+	"internal/blockdev/bcache": 544,
 	"internal/cluster":         1555,
 	"internal/core":            4706,
-	"internal/dedup":           464,
+	"internal/dedup":           587,
 	"internal/forecast":        411,
-	"internal/hostd":           1021,
+	"internal/hostd":           1020,
 	"internal/sim":             2286,
-	"internal/transport":       1998,
+	"internal/transport":       2001,
 }
 
 // The reasons a function no non-test file names may stay. They are three of

@@ -32,6 +32,8 @@ type streamConn struct {
 	c      io.Closer
 	hdr    [headerLen]byte // reused send header, guarded by sendMu
 	small  []byte          // staging buffer for small frames, guarded by sendMu
+	iov    [2][]byte       // a vectored send's header and payload, guarded by sendMu
+	vec    net.Buffers     // over iov; one built per Send escapes, two objects a frame
 	rhdr   [headerLen]byte // reused recv header (Recv is single-consumer)
 }
 
@@ -68,8 +70,9 @@ func (s *streamConn) Send(m Message) error {
 	binary.LittleEndian.PutUint64(hdr[1:], m.Arg)
 	binary.LittleEndian.PutUint32(hdr[9:], uint32(len(m.Payload)))
 	if len(m.Payload) >= vectoredMin {
-		bufs := net.Buffers{hdr, m.Payload}
-		if _, err := bufs.WriteTo(s.w); err != nil {
+		s.iov = [2][]byte{hdr, m.Payload}
+		s.vec = s.iov[:] // WriteTo consumes it, nil-ing what it wrote
+		if _, err := s.vec.WriteTo(s.w); err != nil {
 			return fmt.Errorf("transport: send %v: %w", m.Type, err)
 		}
 		return nil

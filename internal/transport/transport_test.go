@@ -63,6 +63,53 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStreamSendAllocatesNothing pins the vectored send path to zero heap
+// allocations a frame, over an in-memory writer and over loopback TCP, where
+// the header+payload pair goes out as one writev.
+func TestStreamSendAllocatesNothing(t *testing.T) {
+	m := Message{Type: MsgBlockData, Arg: 7, Payload: make([]byte, 4096)}
+	discard := NewStream(struct {
+		io.Reader
+		io.Writer
+		io.Closer
+	}{nil, io.Discard, io.NopCloser(nil)})
+	l, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := c.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	tcp, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]Conn{"in-memory": discard, "tcp": tcp} {
+		if n := testing.AllocsPerRun(200, func() {
+			if err := c.Send(m); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: a 4 KiB Send allocates %.1f times", name, n)
+		}
+	}
+	tcp.Close()
+	<-drained
+}
+
 func TestStreamOrdering(t *testing.T) {
 	a, b := netPair(t)
 	defer a.Close()

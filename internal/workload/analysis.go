@@ -130,14 +130,35 @@ func WriteSet(g Generator, numBlocks, count int) *bitmap.Bitmap {
 	return set
 }
 
+// fillPeriod is the length after which FillBlock's pattern repeats:
+// lcm(12, 256), the 12-byte seed against the byte ramp.
+const fillPeriod = 768
+
 // FillBlock writes a deterministic pattern identifying (block, generation)
 // into buf. Verification code uses it to check that the destination holds
 // the latest generation of every block.
+//
+// Byte i is seed[i%12] ^ byte(i), where the seed is the block number and the
+// generation, little-endian. One period is built eight bytes at a time — a
+// word of the seed repeated twice, XOR the ramp's word at that offset — and
+// then doubled into buf with copy.
 func FillBlock(buf []byte, block int, generation uint32) {
-	var seed [12]byte
+	var seed [24]byte
 	binary.LittleEndian.PutUint64(seed[0:], uint64(block))
 	binary.LittleEndian.PutUint32(seed[8:], generation)
-	for i := 0; i < len(buf); i++ {
-		buf[i] = seed[i%12] ^ byte(i)
+	copy(seed[12:], seed[:12])
+	words := [3]uint64{
+		binary.LittleEndian.Uint64(seed[0:]),
+		binary.LittleEndian.Uint64(seed[8:]),
+		binary.LittleEndian.Uint64(seed[16:]),
+	}
+	var period [fillPeriod]byte
+	for j := 0; j < fillPeriod/8; j++ {
+		// Bytes 8j … 8j+7 of the ramp, which never wrap inside one word.
+		ramp := uint64(0x0706050403020100) + uint64(byte(8*j))*0x0101010101010101
+		binary.LittleEndian.PutUint64(period[8*j:], words[j%3]^ramp)
+	}
+	for n := copy(buf, period[:]); n < len(buf); {
+		n += copy(buf[n:], buf[:n])
 	}
 }

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -304,6 +307,50 @@ func TestFillBlockDistinguishesGenerations(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("FillBlock not deterministic")
 		}
+	}
+}
+
+// fillBlockLoop is FillBlock's definition, one byte at a time: the oracle
+// the word-and-copy kernel must match.
+func fillBlockLoop(buf []byte, block int, generation uint32) {
+	var seed [12]byte
+	binary.LittleEndian.PutUint64(seed[0:], uint64(block))
+	binary.LittleEndian.PutUint32(seed[8:], generation)
+	for i := 0; i < len(buf); i++ {
+		buf[i] = seed[i%12] ^ byte(i)
+	}
+}
+
+func TestFillBlockMatchesByteLoop(t *testing.T) {
+	for _, n := range []int{0, 1, 11, 767, 768, 769, 4096, 4097, 65536} {
+		for _, block := range []int{0, 1, 10, -1, -4097, 1 << 40, math.MaxInt, math.MinInt} {
+			for _, gen := range []uint32{0, 1, 0xdeadbeef, math.MaxUint32} {
+				got, want := make([]byte, n), make([]byte, n)
+				for i := range got {
+					got[i] = 0xA5 // every byte must be written
+				}
+				FillBlock(got, block, gen)
+				fillBlockLoop(want, block, gen)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("FillBlock(%d bytes, block %d, gen %#x) differs from the byte loop", n, block, gen)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkFillBlock(b *testing.B) {
+	buf := make([]byte, blockdev.BlockSize)
+	for _, bc := range []struct {
+		name string
+		fill func([]byte, int, uint32)
+	}{{"period", FillBlock}, {"byte-loop", fillBlockLoop}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(buf)))
+			for i := 0; i < b.N; i++ {
+				bc.fill(buf, i, 7)
+			}
+		})
 	}
 }
 
