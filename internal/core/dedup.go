@@ -133,11 +133,11 @@ func (d *destRun) openDedup() error {
 	return nil
 }
 
-// observe records one applied block's content in the index. Called from
-// the pool's lanes for literals and inline for references; the index is
+// observe hashes one applied literal block into the index. Called from the
+// pool's lanes (references observe the fingerprint they name); the index is
 // concurrency-safe.
 func (dd *destDedup) observe(block int, data []byte) {
-	dd.idx.Observe(dd.self, block, dedup.Of(data))
+	dd.idx.ObserveContent(dd.self, block, data)
 }
 
 // close ends the session, if there was one: stage buffer back to the pool,

@@ -397,6 +397,11 @@ func TestFailedApplyReleasesPayload(t *testing.T) {
 		for n := 0; n < frames; n++ {
 			feed(data, transport.Message{Type: transport.MsgBlockData, Arg: uint64(n), Payload: transport.GetBuf(blockdev.BlockSize)})
 		}
+		// Let the device's failure land first: on several lanes the page
+		// job below could otherwise run, and fail, before the ninth write.
+		if err := d.lanes.drain(); err != nil && firstErr == nil {
+			firstErr = err
+		}
 		// A delta for a page this side never received cannot apply.
 		feed(pages[transport.MsgMemPageDelta], transport.Message{Type: transport.MsgMemPageDelta, Arg: 3, Payload: transport.GetBuf(64)})
 		// A frame the validator rejects never becomes a job; whoever rejected

@@ -18,10 +18,7 @@
 // the candidate block and re-hashes it before claiming the content, so
 // stale entries (a source block overwritten since it was observed, a
 // source that went away) degrade to "absent" — a full literal send — never
-// to wrong bytes. Advert answers may instead stage a copy from a bounded
-// cache of copies whose hash matched when they were taken: such a copy stays
-// its fingerprint's content whatever happens to its source. Lookup and
-// Materialize never consult that cache; they stay verify-on-read.
+// to wrong bytes.
 package dedup
 
 import (

@@ -38,9 +38,7 @@ type loc struct {
 // all the time. Lookup therefore re-reads and re-hashes the candidate block
 // before claiming the content, evicting entries that no longer verify, so
 // the worst a stale index can cause is a literal send that deduplication
-// would have saved — never wrong bytes. Advert answers may also come from a
-// bounded cache of copies whose hash matched when they were taken (see
-// verified): such a copy is its fingerprint's content for good.
+// would have saved — never wrong bytes.
 //
 // An Index is safe for concurrent use and is meant to be shared: one
 // hostd.Machine maintains one index across every inbound migration and
@@ -53,23 +51,21 @@ type Index struct {
 	sources   map[string]BlockReader
 	entries   map[Fingerprint]loc
 	rev       map[string]map[int]Fingerprint // source → block → observed fp
-	answers   verified                       // consulted by AnswerInto alone
 
-	hashes, lookups, answerHits, scanSkipped atomic.Int64 // see Stats
+	hashes, lookups, scanSkipped atomic.Int64 // see Stats
 }
 
 // Stats counts the work an Index has done since it was made. The counts do
 // not depend on the machine, so work a change removes shows as a number.
 type Stats struct {
-	Hashes      int64 // SHA-256 calls: scanned blocks and lookup re-hashes
+	Hashes      int64 // SHA-256 calls: scanned, observed and re-verified blocks
 	Lookups     int64 // verify-on-read lookups of a non-zero fingerprint
-	AnswerHits  int64 // advertised fingerprints staged from a verified copy
 	ScanSkipped int64 // blocks a scan did not hash: never written, or zero
 }
 
 // Stats returns the index's counters.
 func (ix *Index) Stats() Stats {
-	return Stats{ix.hashes.Load(), ix.lookups.Load(), ix.answerHits.Load(), ix.scanSkipped.Load()}
+	return Stats{ix.hashes.Load(), ix.lookups.Load(), ix.scanSkipped.Load()}
 }
 
 // hash is Of, counted.
@@ -140,6 +136,11 @@ func (ix *Index) Observe(source string, block int, fp Fingerprint) {
 	ix.observeLocked(source, block, fp)
 }
 
+// ObserveContent is Observe of data's fingerprint, hashed and counted here.
+func (ix *Index) ObserveContent(source string, block int, data []byte) {
+	ix.Observe(source, block, ix.hash(data))
+}
+
 func (ix *Index) observeLocked(source string, block int, fp Fingerprint) {
 	blocks := ix.rev[source]
 	if blocks == nil {
@@ -203,7 +204,7 @@ func (ix *Index) ScanReader(name string, r BlockReader) (int, error) {
 		if IsZero(buf) {
 			continue
 		}
-		ix.Observe(name, n, ix.hash(buf))
+		ix.ObserveContent(name, n, buf)
 		indexed++
 	}
 	ix.scanSkipped.Add(int64(r.NumBlocks() - indexed))
@@ -302,14 +303,13 @@ func (ix *Index) Answer(fps []Fingerprint) (want []byte, stage *Stage) {
 }
 
 // AnswerInto is the destination's half of one MsgHashAdvert: st is emptied,
-// every advertised fingerprint the index can produce is staged in its slot of
-// st for the references that follow, and everything else gets its want bit
-// set. Content is staged from the verified cache when it holds the
-// fingerprint, and otherwise verified (LookupInto's re-hash) straight into
-// the slot and cached. Zero fingerprints are neither wanted nor staged —
-// zeros are implicit. The returned want-bitmap belongs to st and is valid
-// until st's next advert. Both the engine's receive loop and ServeSync answer
-// adverts through here, so the reply semantics cannot diverge.
+// every advertised fingerprint the index can produce is verified (LookupInto's
+// re-hash) straight into its slot of st for the references that follow, and
+// everything else gets its want bit set. Zero fingerprints are neither wanted
+// nor staged — zeros are implicit. The returned want-bitmap belongs to st and
+// is valid until st's next advert. Both the engine's receive loop and
+// ServeSync answer adverts through here, so the reply semantics cannot
+// diverge.
 func (ix *Index) AnswerInto(st *Stage, fps []Fingerprint) (want []byte) {
 	st.reset(len(fps), ix.blockSize)
 	for k, fp := range fps {
@@ -319,78 +319,13 @@ func (ix *Index) AnswerInto(st *Stage, fps []Fingerprint) (want []byte) {
 		if _, ok := st.slots[fp]; ok {
 			continue
 		}
-		slot := st.buf[k*ix.blockSize : (k+1)*ix.blockSize]
-		switch {
-		case ix.answers.get(fp, slot):
-			ix.answerHits.Add(1)
-		case ix.LookupInto(fp, slot):
-			ix.answers.put(fp, slot)
-		default:
+		if ix.LookupInto(fp, st.buf[k*ix.blockSize:(k+1)*ix.blockSize]) {
+			st.slots[fp] = k
+		} else {
 			SetWant(st.want, k)
-			continue
 		}
-		st.slots[fp] = k
 	}
 	return st.want
-}
-
-// The verified cache holds answerCap blocks, carved from slabs of answerSlab
-// blocks each, so filling it costs a handful of allocations.
-const (
-	answerCap  = 1024
-	answerSlab = 64
-)
-
-// verified is a bounded FIFO of block copies whose fingerprint was checked
-// when the copy was taken. A copy that hashed to fp is fp's content for good,
-// whatever later happens to the block or the source it was read from, so
-// AnswerInto may stage it without another read and hash. Lookup and
-// Materialize never consult it: they stay verify-on-read.
-type verified struct {
-	mu    sync.Mutex
-	slot  map[Fingerprint]int // cached fingerprint → its slot
-	fps   [answerCap]Fingerprint
-	slabs [answerCap / answerSlab][]byte // slot k: slabs[k/answerSlab], block k%answerSlab
-	taken int                            // copies ever taken; the next fills slot taken%answerCap
-}
-
-// block returns slot k's storage for bs-byte blocks.
-func (v *verified) block(k, bs int) []byte {
-	return v.slabs[k/answerSlab][k%answerSlab*bs:][:bs]
-}
-
-// get copies fp's cached content into dst, reporting whether there was any.
-func (v *verified) get(fp Fingerprint, dst []byte) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	k, ok := v.slot[fp]
-	if ok {
-		copy(dst, v.block(k, len(dst)))
-	}
-	return ok
-}
-
-// put caches a copy of content, which the caller has just hashed to fp,
-// replacing the oldest copy once the cache is full.
-func (v *verified) put(fp Fingerprint, content []byte) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if _, ok := v.slot[fp]; ok {
-		return
-	}
-	k := v.taken % answerCap
-	if v.taken >= answerCap {
-		delete(v.slot, v.fps[k])
-	}
-	v.taken++
-	if v.slot == nil {
-		v.slot = make(map[Fingerprint]int, answerCap)
-	}
-	if v.slabs[k/answerSlab] == nil {
-		v.slabs[k/answerSlab] = make([]byte, answerSlab*len(content))
-	}
-	v.fps[k], v.slot[fp] = fp, k
-	copy(v.block(k, len(content)), content)
 }
 
 // Materialize resolves one MsgBlockRef fingerprint: staged content first, the

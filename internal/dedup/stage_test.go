@@ -120,7 +120,7 @@ func TestStageSurvivesOverwriteUntilNextAdvert(t *testing.T) {
 	}
 	checkStaged(t, ix, &st, frozen, fps)
 
-	ix.AnswerInto(&st, fps[:1]) // fps[0] no longer verifies on disk, but its verified copy is cached
+	ix.AnswerInto(&st, fps[:1]) // fps[0] no longer verifies: nothing is staged
 	if _, ok := ix.Materialize(&st, fps[2]); ok {
 		t.Error("a reference reached the advert before the last one")
 	}
@@ -132,77 +132,45 @@ func TestStageSurvivesOverwriteUntilNextAdvert(t *testing.T) {
 	st.Release() // idempotent
 }
 
-// TestAnswerCacheServesVerifiedCopies: content an advert verified is cached,
-// so a later advert stages the original bytes after the source block was
-// overwritten and even after the source was dropped — the copy hashed to its
-// fingerprint when it was taken. Lookup stays verify-on-read and misses, and
-// a reference still reaches only the advert immediately before it.
-func TestAnswerCacheServesVerifiedCopies(t *testing.T) {
+// TestAnswerVerifiesOnRead: every advert re-reads and re-hashes what it
+// stages, so a later advert of a fingerprint whose block was overwritten
+// wants the literal, and a dropped source answers nothing. Stats counts
+// each hash the index makes, observed content included.
+func TestAnswerVerifiesOnRead(t *testing.T) {
 	ix := NewIndex(blockdev.BlockSize)
 	disk, fps := warmDisk(t, ix, "d", 4, 1)
-	orig := make([]byte, blockdev.BlockSize)
-	disk.ReadBlock(0, orig)
 	var st Stage
 	defer st.Release()
-
-	ix.AnswerInto(&st, fps[:1]) // verified from block 0 and cached
-	ix.AnswerInto(&st, fps[1:2])
-	fill(disk, 0, 0xE0)
-	fill(disk, 1, 0xE1)
-	for _, drop := range []bool{false, true} {
-		if drop {
-			ix.DropSource("d")
+	answers := func(fp Fingerprint) bool {
+		if Want(ix.AnswerInto(&st, []Fingerprint{fp}), 0) {
+			return false
 		}
-		if want := ix.AnswerInto(&st, fps[:1]); Want(want, 0) {
-			t.Fatalf("dropped=%v: a cached fingerprint is wanted", drop)
+		if _, ok := ix.Materialize(&st, fp); !ok {
+			t.Fatal("an unwanted fingerprint was not staged")
 		}
-		if got, ok := ix.Materialize(&st, fps[0]); !ok || !bytes.Equal(got, orig) {
-			t.Fatalf("dropped=%v: the advert did not stage the original bytes", drop)
-		}
-		if _, ok := ix.Lookup(fps[0]); ok {
-			t.Errorf("dropped=%v: Lookup served a fingerprint whose block was overwritten", drop)
-		}
-		if _, ok := ix.Materialize(&st, fps[1]); ok {
-			t.Errorf("dropped=%v: a reference reached the advert before last, cached or not", drop)
-		}
+		return true
 	}
-	// Four scanned blocks, two adverts verified, and two verify-on-read
-	// misses before the drop evicted the entries; the last two adverts were
-	// answered from the cache without a read or a hash.
-	if s := ix.Stats(); s.AnswerHits != 2 || s.Hashes != 4+2+2 {
-		t.Errorf("stats %+v, want 2 answer hits and 8 hashes", s)
+	if !answers(fps[0]) || !answers(fps[1]) {
+		t.Fatal("a scanned fingerprint is wanted")
 	}
-}
-
-// TestAnswerCacheIsBoundedFIFO fills the cache past its capacity: the oldest
-// copy goes first, the newest stay, and storage is a fixed set of slabs.
-func TestAnswerCacheIsBoundedFIFO(t *testing.T) {
-	var v verified
-	block := func(i int) (Fingerprint, []byte) {
-		content := bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 8)
-		return Of(content), content
+	fill(disk, 0, 0xE0) // a guest write the index has not seen
+	if answers(fps[0]) {
+		t.Error("an advert staged a fingerprint whose block was overwritten")
 	}
-	for i := 0; i < answerCap+answerCap/2; i++ {
-		fp, content := block(i)
-		v.put(fp, content)
-		v.put(fp, content) // a repeat takes no second slot
+	buf := make([]byte, blockdev.BlockSize)
+	disk.ReadBlock(0, buf)
+	ix.ObserveContent("d", 0, buf) // a landed block, as the destination records it
+	if !answers(Of(buf)) {
+		t.Error("observed content is wanted")
 	}
-	got := make([]byte, 16)
-	for i := 0; i < answerCap+answerCap/2; i++ {
-		fp, content := block(i)
-		if hit := v.get(fp, got); hit != (i >= answerCap/2) {
-			t.Fatalf("copy %d cached = %v after %d puts", i, hit, answerCap+answerCap/2)
-		} else if hit && !bytes.Equal(got, content) {
-			t.Fatalf("copy %d: cached bytes differ", i)
-		}
+	ix.DropSource("d")
+	if answers(fps[1]) || answers(Of(buf)) {
+		t.Error("a dropped source still answers adverts")
 	}
-	if len(v.slot) != answerCap {
-		t.Errorf("%d copies cached, capacity %d", len(v.slot), answerCap)
-	}
-	for k, slab := range v.slabs {
-		if len(slab) != answerSlab*16 {
-			t.Errorf("slab %d holds %d bytes, want %d", k, len(slab), answerSlab*16)
-		}
+	// Four scanned blocks, two verified answers, one re-hash that missed,
+	// one observed block and its verified answer; nothing after the drop.
+	if s := ix.Stats(); s.Hashes != 4+2+1+1+1 || s.Lookups != 6 || s.ScanSkipped != 0 {
+		t.Errorf("stats %+v, want 9 hashes and 6 lookups", s)
 	}
 }
 

@@ -1,10 +1,11 @@
-// Machine-level content-fingerprint index maintenance: one index per Machine
-// (core.Config.Dedup's destination side), fed by every disk the machine can
-// read back — retained copies of departed domains, live disks of hosted ones
-// (an inbound guest's clone siblings) — and in memory, like those disks. A
-// stale entry degrades to a miss, never to wrong bytes: dedup.Index
-// re-verifies on every lookup, and answers adverts that way or from copies
-// whose hash matched when taken. A first scan hashes only written blocks.
+// Machine-level content-fingerprint index maintenance: the destination side
+// of content-addressed transfer (core.Config.Dedup) looks blocks up in one
+// index per Machine, fed by every disk the machine can read back — retained
+// peer copies of departed domains and the live disks of hosted domains
+// (clone siblings of an inbound guest). The index lives in memory, like the
+// retained disks its entries name; a stale entry degrades to a miss (every
+// advert answered "send the literal"), never to wrong bytes — dedup.Index
+// re-verifies content on every lookup and scans only written blocks.
 
 package hostd
 

@@ -24,9 +24,9 @@ var lineBudgets = map[string]int{
 	"internal/blockdev/bcache": 544,
 	"internal/cluster":         1555,
 	"internal/core":            4706,
-	"internal/dedup":           587,
+	"internal/dedup":           519,
 	"internal/forecast":        411,
-	"internal/hostd":           1020,
+	"internal/hostd":           1021,
 	"internal/sim":             2286,
 	"internal/transport":       2001,
 }
