@@ -287,10 +287,12 @@ func (w world) migrate(b *testing.B, ln link, srcCfg, dstCfg core.Config, initia
 
 // imageMigrate runs TPM of srcDisk over ln under cfg and reports wire_share:
 // the wire bytes per logical byte (disk and memory), a count no machine
-// moves.
+// moves. Over TCP it also reports writes_per_frame: the writes both ends'
+// streams issued per data frame sent, the syscalls staging saves.
 func imageMigrate(b *testing.B, ln link, srcDisk *blockdev.MemDisk, cfg core.Config) {
 	n := srcDisk.NumBlocks()
 	var share float64
+	writes0, frames0 := transport.StreamWrites()
 	b.SetBytes(int64(n) * blockdev.BlockSize)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -299,6 +301,9 @@ func imageMigrate(b *testing.B, ln link, srcDisk *blockdev.MemDisk, cfg core.Con
 		share = float64(rep.MigratedBytes) / float64(rep.DiskBytes+rep.MemoryBytes)
 	}
 	b.ReportMetric(share, "wire_share")
+	if writes, frames := transport.StreamWrites(); ln.tcp {
+		b.ReportMetric(float64(writes-writes0)/float64(frames-frames0), "writes_per_frame")
+	}
 }
 
 // freezeMeter meters both ends of a link and books what the destination

@@ -54,6 +54,13 @@ func (r *RateLimiter) Rate() int64 {
 	return r.bytesPerSec
 }
 
+// Burst returns the bucket size in bytes: a tenth of a second of the rate.
+func (r *RateLimiter) Burst() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.burst
+}
+
 // SetRate changes the bandwidth and with it the burst: a limiter retuned to
 // a smaller share must not keep the burst of the larger one. Existing tokens
 // are kept, clamped to the new burst.

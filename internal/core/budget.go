@@ -106,13 +106,19 @@ func NewPacer(clk clock.Clock, rate func() int64) *Pacer {
 	return &Pacer{lim: clock.NewRateLimiter(clk, r), rate: rate}
 }
 
-// Wait blocks until a frame of n bytes may go at the live rate.
-func (p *Pacer) Wait(n int) {
+// Wait blocks until a frame of n bytes may go at the live rate, and reports
+// whether the rate, and with it the burst, moved since the last frame.
+func (p *Pacer) Wait(n int) (retuned bool) {
 	if p == nil {
-		return
+		return false
 	}
 	if r := p.rate(); r > 0 && r != p.lim.Rate() {
 		p.lim.SetRate(r)
+		retuned = true
 	}
 	p.lim.Wait(n)
+	return retuned
 }
+
+// Burst returns the bytes the pacer lets go at once at the live rate.
+func (p *Pacer) Burst() int64 { return p.lim.Burst() }

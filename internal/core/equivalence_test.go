@@ -17,8 +17,9 @@ import (
 
 // parallelConfigs is the equivalence matrix: the seed's sequential
 // single-stream per-block transfer against coalesced/striped/pipelined
-// variants, and a source disk behind a bcache volume, whose passes read
-// point-in-time snapshots. Every row must produce byte-identical results.
+// variants, a source disk behind a bcache volume, whose passes read
+// point-in-time snapshots, and loopback TCP links, where the source stages
+// data frames. Every row must produce byte-identical results.
 var parallelConfigs = []struct {
 	name string
 	spec worldSpec
@@ -29,6 +30,8 @@ var parallelConfigs = []struct {
 	{"pipelined-1stream", worldSpec{}, Config{MaxExtentBlocks: 16, Workers: 4}},
 	{"striped-4stream-coalesced", worldSpec{streams: 4}, Config{Streams: 4, MaxExtentBlocks: 64, Workers: 4}},
 	{"bcache-volume", worldSpec{volume: true}, Config{MaxExtentBlocks: 16}},
+	{"staged-tcp-extent1", worldSpec{stream: true}, Config{MaxExtentBlocks: 1, Workers: 1}},
+	{"staged-tcp-striped4", worldSpec{stream: true, streams: 4}, Config{Streams: 4, MaxExtentBlocks: 64, Workers: 4}},
 }
 
 // diskImage flattens a disk into one byte slice for cross-run comparison.

@@ -44,6 +44,7 @@ type worldSpec struct {
 	blocks  int                                                            // disk size; 0 is testBlocks
 	fill    func(buf []byte, n int) bool                                   // block n's initial content, false for zeros
 	streams int                                                            // more than one stripes the link
+	stream  bool                                                           // links are loopback TCP, where the source stages data frames
 	traced  bool                                                           // record the frames each side sends
 	volume  bool                                                           // the source disk sits behind a bcache volume
 	link    func(src, dst transport.Conn) (transport.Conn, transport.Conn) // wraps or replaces the link
@@ -80,6 +81,7 @@ type world struct {
 	src, dst           Host
 	router             *Router
 	connSrc, connDst   transport.Conn
+	pair               func() (transport.Conn, transport.Conn) // a fresh link like the world's; nil for in-memory pipes
 	traceSrc, traceDst *traceConn
 	shadow             *workload.Shadow
 	partial            bool // the destination keeps depending on the source for blocks (on-demand)
@@ -137,11 +139,16 @@ func assemble(t *testing.T, sp worldSpec, srcDisk, dstDisk *blockdev.MemDisk, gu
 	if w.shadow, err = workload.NewShadow(srcDisk, func(req blockdev.Request) error { return w.router.Submit(req) }); err != nil {
 		t.Fatal(err)
 	}
-	w.connSrc, w.connDst = transport.NewPipe(64)
+	pair := func() (transport.Conn, transport.Conn) { return transport.NewPipe(64) }
+	if sp.stream {
+		w.pair = func() (transport.Conn, transport.Conn) { return streamPair(t) }
+		pair = w.pair
+	}
+	w.connSrc, w.connDst = pair()
 	if sp.streams > 1 {
 		a, b := make([]transport.Conn, sp.streams), make([]transport.Conn, sp.streams)
 		for i := range a {
-			a[i], b[i] = transport.NewPipe(64)
+			a[i], b[i] = pair()
 		}
 		w.connSrc, w.connDst = transport.NewStriped(a), transport.NewStriped(b)
 	}
@@ -153,6 +160,30 @@ func assemble(t *testing.T, sp worldSpec, srcDisk, dstDisk *blockdev.MemDisk, gu
 		w.connSrc, w.connDst = w.traceSrc, w.traceDst
 	}
 	return w
+}
+
+// streamPair is one loopback TCP connection's two ends.
+func streamPair(t *testing.T) (transport.Conn, transport.Conn) {
+	t.Helper()
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan transport.Conn, 1)
+	go func() {
+		c, _ := transport.Accept(l) // a failed dial closes the listener
+		accepted <- c
+	}()
+	a, err := transport.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := <-accepted
+	if b == nil {
+		t.Fatal("loopback accept failed")
+	}
+	return a, b
 }
 
 // reverse is the incremental return trip of a world whose migration

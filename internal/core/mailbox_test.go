@@ -14,7 +14,7 @@ import (
 // or failing while a request is outstanding surfaces as the error.
 func TestReplyMailbox(t *testing.T) {
 	// Not a migration: the source's own mailboxes, which the test fills.
-	s := &sourceRun{replies: make(chan transport.Message, 8), doneCh: make(chan error, 1)}
+	s := &sourceRun{transfer: &transfer{conn: nullConn{}}, replies: make(chan transport.Message, 8), doneCh: make(chan error, 1)}
 	payload := func(fill byte) []byte {
 		b := transport.GetBuf(64)
 		for i := range b {

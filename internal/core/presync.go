@@ -70,6 +70,9 @@ func SyncSource(cfg Config, dev blockdev.Device, conn transport.Conn, owed *bitm
 // recvReply is awaitReply for a scheme with no concurrent reader: the reply
 // to the one outstanding request is the next frame on the connection.
 func (t *transfer) recvReply(typ transport.MsgType, arg uint64) ([]byte, error) {
+	if err := transport.Flush(t.conn); err != nil {
+		return nil, err
+	}
 	m, err := t.conn.Recv()
 	if err != nil {
 		return nil, fmt.Errorf("core: awaiting %v: %w", typ, err)

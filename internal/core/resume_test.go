@@ -19,13 +19,14 @@ func writeRaw(t *testing.T, path string, data []byte) error {
 }
 
 // pipeRelinker wires a resumable migration's two reconnect callbacks over
-// in-process pipes: the source's Redial mints a fresh pipe pair (optionally
-// fault-wrapped per epoch by inj) and the destination's WaitReconnect
-// receives the peer end and validates the resume frame, exactly as a TCP
-// accept loop would via transport.AcceptResume.
+// in-process pipes, or pair's links when set: the source's Redial mints a
+// fresh pair (optionally fault-wrapped per epoch by inj) and the
+// destination's WaitReconnect receives the peer end and validates the resume
+// frame, exactly as a TCP accept loop would via transport.AcceptResume.
 type pipeRelinker struct {
-	ch  chan transport.Conn
-	inj *transport.Injector
+	ch   chan transport.Conn
+	inj  *transport.Injector
+	pair func() (transport.Conn, transport.Conn)
 }
 
 func newPipeRelinker(inj *transport.Injector) *pipeRelinker {
@@ -33,7 +34,12 @@ func newPipeRelinker(inj *transport.Injector) *pipeRelinker {
 }
 
 func (r *pipeRelinker) redial() (transport.Conn, error) {
-	pa, pb := transport.NewPipe(64)
+	var pa, pb transport.Conn
+	if r.pair != nil {
+		pa, pb = r.pair()
+	} else {
+		pa, pb = transport.NewPipe(64)
+	}
 	r.ch <- pb
 	if r.inj != nil {
 		return r.inj.Wrap(pa), nil
@@ -68,6 +74,7 @@ func (w *world) runResumable(scripts ...[]transport.Fault) int64 {
 	w.t.Helper()
 	inj := transport.NewInjector(scripts...)
 	relink := newPipeRelinker(inj)
+	relink.pair = w.pair
 	w.connSrc = inj.Wrap(w.connSrc)
 	rep, _ := w.tpm(Config{MaxRetries: 5, RetryBackoff: time.Millisecond, Redial: relink.redial},
 		Config{WaitReconnect: relink.waitReconnect}, nil)
@@ -117,6 +124,37 @@ func TestResumeMidMemPreCopy(t *testing.T) {
 // iteration; the rewind re-sends that iteration only.
 func TestResumeMidDiskPreCopy(t *testing.T) {
 	newWorld(t).runResumable([]transport.Fault{{AfterSends: 2 + testBlocks/4, Kind: transport.FaultCut}})
+}
+
+// TestResumeStaged cuts the link mid-pass over loopback TCP, where the source
+// stages data frames: each cut loses the staged batch with the link, yet
+// every run resumes and, since what is owed comes from the destination's
+// progress, re-sends only that — the wire cost stays near one transfer.
+func TestResumeStaged(t *testing.T) {
+	clean, _ := newWorld(t, worldSpec{stream: true}).tpm(Config{}, Config{}, nil)
+	for _, tc := range []struct {
+		name    string
+		scripts [][]transport.Fault
+	}{
+		{"mid-disk", [][]transport.Fault{{{AfterSends: 2 + testBlocks/4, Kind: transport.FaultCut}}}},
+		{"mid-mem", [][]transport.Fault{{{AfterSends: framesMidMemPhase, Kind: transport.FaultCut}}}},
+		{"two-faults", [][]transport.Fault{
+			{{AfterSends: framesMidMemPhase, Kind: transport.FaultCut}},
+			{{AfterSends: testPages / 2, Kind: transport.FaultCut}}}},
+		{"half-close", [][]transport.Fault{{{AfterSends: framesMidMemPhase, Kind: transport.FaultHalfClose}}}},
+		{"recv", [][]transport.Fault{{{AfterRecvs: 1, Kind: transport.FaultCut}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, worldSpec{stream: true})
+			if !transport.Stage(w.connSrc, transport.StageMax) {
+				t.Fatal("the loopback link does not stage")
+			}
+			bytes := w.runResumable(tc.scripts...)
+			if limit := clean.MigratedBytes + clean.MigratedBytes/4; bytes >= limit {
+				t.Fatalf("resumed run moved %d bytes, want < %d (clean run %d): resume re-sent more than was owed", bytes, limit, clean.MigratedBytes)
+			}
+		})
+	}
 }
 
 // blockLog counts, across every connection epoch it wraps, how often each

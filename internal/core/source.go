@@ -182,6 +182,9 @@ func (s *sourceRun) startup() error {
 // discarded. A destination failure surfaces through doneCh exactly as in
 // post-copy.
 func (s *sourceRun) waitReply(typ transport.MsgType, arg uint64) ([]byte, error) {
+	if err := transport.Flush(s.conn); err != nil {
+		return nil, err
+	}
 	for {
 		select {
 		case m := <-s.replies:
@@ -613,9 +616,12 @@ func (s *sourceRun) postCopy() error {
 }
 
 // servePull answers one pull request. Pull replies always travel as single
-// blocks, unpaced.
+// blocks, unpaced, and leave at once: the destination's guest waits on them.
 func (s *sourceRun) servePull(n int) error {
 	if _, err := s.sendRead(bitmap.Extent{Start: n, Count: 1}, false); err != nil {
+		return err
+	}
+	if err := transport.Flush(s.conn); err != nil {
 		return err
 	}
 	s.rep.BlocksPulled++

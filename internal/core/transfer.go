@@ -135,7 +135,30 @@ func newDiskTransfer(cfg Config, dev blockdev.Device, conn transport.Conn, schem
 	})
 	t.ev = newEmitter(cfg.OnEvent, t.clk, scheme, side)
 	t.start = t.clk.Now()
+	if side == "source" {
+		t.stage()
+	}
 	return t
+}
+
+// stage opts the source's connection into staging data frames
+// (transport.Stage), at most StageMax bytes and, when paced, at most the
+// pacer's burst. Staged frames leave with the next control frame, at the
+// bound, or at a flush, which the engine issues wherever it is about to wait
+// on its peer: the end of a send pass, a pull reply, a reply wait. A
+// compressing source stages nothing, for the reason transport.Compressed
+// forwards no staging: the meter below it is opted in here, before the
+// handshake stacks compression, and a staged batch of deflated frames would
+// land on the destination's inflater at once, inside the freeze.
+func (t *transfer) stage() {
+	if t.cfg.CompressLevel != 0 {
+		return
+	}
+	limit := int64(transport.StageMax)
+	if t.pace != nil {
+		limit = min(limit, t.pace.Burst())
+	}
+	transport.Stage(t.conn, int(limit))
 }
 
 // runPhases is the one phase runner: it executes phases from *cursor on,
@@ -175,8 +198,8 @@ func (t *transfer) finish(err error) error {
 // started with a finite rate (otherwise no pacer exists to retune, keeping
 // the unlimited path identical to the seed's).
 func (t *transfer) send(m transport.Message, limited bool) error {
-	if limited {
-		t.pace.Wait(m.FrameSize())
+	if limited && t.pace.Wait(m.FrameSize()) {
+		t.stage() // the burst moved with the rate
 	}
 	if err := t.conn.Send(m); err != nil {
 		return err
@@ -483,6 +506,9 @@ func (t *transfer) sendBlocks(cur *owedCursor, limited bool) (int, int64, error)
 	// Patches shipped during the pass, by whichever encoder, are bounded
 	// here (no-op when none are pending).
 	fenceWire, err := t.deltaFence(limited)
+	if err == nil {
+		err = transport.Flush(t.conn)
+	}
 	return sent, bytes + fenceWire, err
 }
 
@@ -608,7 +634,7 @@ func (t *transfer) sendPages(cur *owedCursor, limited bool) (int, int64, error) 
 			return sent, bytes, err
 		}
 	}
-	return sent, bytes, nil
+	return sent, bytes, transport.Flush(t.conn)
 }
 
 // snapshotForReads freezes the source read path on a point-in-time view of

@@ -21,6 +21,10 @@ const (
 //
 // Payloads that do not shrink (already-random blocks) are sent raw with a
 // one-byte marker, so the worst case costs one byte per message.
+//
+// Compressed is not a Stager, so nothing below it stages: a deflated frame
+// of a few hundred bytes can inflate to a whole extent, and a staged batch of
+// them would land on the far side's inflater at once.
 type Compressed struct {
 	inner Conn
 	level int

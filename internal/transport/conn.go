@@ -24,6 +24,51 @@ type Conn interface {
 	Close() error
 }
 
+// Stager is the optional half of a Conn that stages data frames: the
+// engine opts a conn in with Stage, and calls Flush before it waits on its
+// peer. A decorator forwards both to the conn it wraps; one that does not
+// turns staging off below it, and every frame it passes on is written
+// before Send returns.
+type Stager interface {
+	// Stage bounds the data frames staged below at limit bytes (at most
+	// StageMax; 0 stages none) and reports whether a conn below stages.
+	Stage(limit int) bool
+	// Flush writes every staged frame to the stream.
+	Flush() error
+}
+
+// StageMax bounds the bytes of data frames a conn stages. It is every
+// stream conn's read buffer size, so one staged batch is one read on the far
+// side.
+const StageMax = 256 << 10
+
+// Stage opts c into staging data frames, up to limit bytes, and reports
+// whether c stages them.
+func Stage(c Conn, limit int) bool {
+	s, ok := c.(Stager)
+	return ok && s.Stage(limit)
+}
+
+// Flush writes what c has staged. A conn that stages nothing has nothing to
+// write.
+func Flush(c Conn) error {
+	if s, ok := c.(Stager); ok {
+		return s.Flush()
+	}
+	return nil
+}
+
+// Socket accounting across every stream conn of the process: the writes
+// that reached a stream, and the data frames sent.
+var streamWrites, streamDataFrames atomic.Int64
+
+// StreamWrites returns how many writes stream conns have issued to their
+// streams and how many data frames they have sent, since the process
+// started.
+func StreamWrites() (writes, dataFrames int64) {
+	return streamWrites.Load(), streamDataFrames.Load()
+}
+
 // streamConn frames messages over any byte stream.
 type streamConn struct {
 	sendMu sync.Mutex
@@ -31,61 +76,120 @@ type streamConn struct {
 	r      *bufio.Reader
 	c      io.Closer
 	hdr    [headerLen]byte // reused send header, guarded by sendMu
-	small  []byte          // staging buffer for small frames, guarded by sendMu
-	iov    [2][]byte       // a vectored send's header and payload, guarded by sendMu
+	staged []byte          // data frames awaiting the next write: a pooled buffer while any wait, else nil; guarded by sendMu
+	limit  int             // bytes staged may hold, guarded by sendMu; 0 stages nothing
+	small  []byte          // a small frame's header and payload, copied into one piece; guarded by sendMu
+	iov    [3][]byte       // one write: staged, a header, its payload; guarded by sendMu
 	vec    net.Buffers     // over iov; one built per Send escapes, two objects a frame
+	werr   error           // the first failed write, guarded by sendMu: the framing is lost from there
 	rhdr   [headerLen]byte // reused recv header (Recv is single-consumer)
 }
 
-// vectoredMin is the payload size at which Send switches from staging the
-// frame into one contiguous buffer to a vectored header+payload write
-// (writev on a TCP conn). Below it, the copy is cheaper than a second
-// iovec; above it, the copy would dominate.
+// vectoredMin is the payload size from which a frame that is not staged
+// goes out as a vectored header+payload write (writev on a TCP conn). Below
+// it, the copy into one piece is cheaper than a second iovec.
 const vectoredMin = 1 << 10
 
 // NewStream wraps a byte stream (typically a *net.TCPConn) as a Conn.
 func NewStream(rw io.ReadWriteCloser) Conn {
 	return &streamConn{
-		w: rw,
-		r: bufio.NewReaderSize(rw, 256<<10),
-		c: rw,
+		w:     rw,
+		r:     bufio.NewReaderSize(rw, StageMax),
+		c:     rw,
+		small: make([]byte, 0, headerLen+vectoredMin),
 	}
 }
 
-// Send implements Conn. Each message reaches the stream before Send
-// returns — migration control messages are latency-sensitive (a buffered
-// SUSPEND would inflate downtime) — and the payload is only borrowed: the
-// caller owns it again, for reuse or release, as soon as Send returns.
-// Small frames are staged into one contiguous write; large payloads go out
-// as a vectored header+payload pair, which on a TCP conn is a single
-// writev instead of two small writes defeating segment coalescing.
+// Send implements Conn. The payload is only borrowed: the caller owns it
+// again, for reuse or release, as soon as Send returns.
+//
+// A frame that is not a data frame reaches the stream before Send returns,
+// in one write behind whatever is staged: migration control messages are
+// latency-sensitive (a buffered SUSPEND would inflate downtime). So does
+// every frame on a conn nobody opted in with Stage. On an opted-in conn a
+// data frame (IsDataFrame) with a payload that fits under the bound is
+// copied into the staging buffer and waits for the next write; one that does
+// not fit leaves at once with the staged bytes ahead of it, its payload
+// never copied.
 func (s *streamConn) Send(m Message) error {
 	if len(m.Payload) > MaxPayload {
 		return fmt.Errorf("transport: payload %d exceeds max %d", len(m.Payload), MaxPayload)
 	}
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
+	if s.werr != nil {
+		return s.werr
+	}
 	hdr := s.hdr[:]
 	hdr[0] = byte(m.Type)
 	binary.LittleEndian.PutUint64(hdr[1:], m.Arg)
 	binary.LittleEndian.PutUint32(hdr[9:], uint32(len(m.Payload)))
-	if len(m.Payload) >= vectoredMin {
-		s.iov = [2][]byte{hdr, m.Payload}
-		s.vec = s.iov[:] // WriteTo consumes it, nil-ing what it wrote
-		if _, err := s.vec.WriteTo(s.w); err != nil {
-			return fmt.Errorf("transport: send %v: %w", m.Type, err)
+	if IsDataFrame(m.Type) {
+		streamDataFrames.Add(1)
+		// A frame without a payload, a zero run, is never staged: it saves
+		// no copy, and for its 13 bytes the far side writes a whole extent,
+		// which would wait with it while the sender reads the next one.
+		if len(m.Payload) > 0 && len(s.staged)+headerLen+len(m.Payload) <= s.limit {
+			if s.staged == nil {
+				s.staged = GetBuf(StageMax)[:0]
+			}
+			s.staged = append(append(s.staged, hdr...), m.Payload...)
+			return nil
 		}
+	}
+	return s.flushLocked(hdr, m.Payload)
+}
+
+// flushLocked writes the staged bytes and then, when hdr is not nil, the
+// frame of hdr and payload, in one write, and returns the staging buffer to
+// the pool. It is the one place bytes reach the stream. A failed write fails
+// every later Send and Flush. Caller holds sendMu.
+func (s *streamConn) flushLocked(hdr, payload []byte) error {
+	if s.werr != nil {
+		return s.werr
+	}
+	if hdr != nil && len(payload) < vectoredMin {
+		s.small = append(append(s.small[:0], hdr...), payload...)
+		hdr, payload = s.small, nil
+	}
+	s.vec = s.iov[:0] // WriteTo consumes it, nil-ing what it wrote
+	for _, b := range [][]byte{s.staged, hdr, payload} {
+		if len(b) > 0 {
+			s.vec = append(s.vec, b)
+		}
+	}
+	var err error
+	switch len(s.vec) {
+	case 0:
 		return nil
+	case 1:
+		_, err = s.w.Write(s.vec[0])
+	default:
+		_, err = s.vec.WriteTo(s.w)
 	}
-	if s.small == nil {
-		s.small = make([]byte, 0, headerLen+vectoredMin)
+	streamWrites.Add(1)
+	s.iov = [3][]byte{} // the payload is the caller's again
+	PutBuf(s.staged)
+	s.staged = nil
+	if err != nil {
+		s.werr = fmt.Errorf("transport: write: %w", err)
 	}
-	b := append(s.small[:0], hdr...)
-	b = append(b, m.Payload...)
-	if _, err := s.w.Write(b); err != nil {
-		return fmt.Errorf("transport: send %v: %w", m.Type, err)
-	}
-	return nil
+	return s.werr
+}
+
+// Stage implements Stager.
+func (s *streamConn) Stage(limit int) bool {
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
+	s.limit = min(max(limit, 0), StageMax)
+	return s.limit > 0
+}
+
+// Flush implements Stager.
+func (s *streamConn) Flush() error {
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
+	return s.flushLocked(nil, nil)
 }
 
 // Recv implements Conn.
@@ -122,10 +226,15 @@ func Accept(l net.Listener) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: accept: %w", err)
 	}
+	return wrapAccepted(c), nil
+}
+
+// wrapAccepted wraps an accepted connection as a Conn.
+func wrapAccepted(c net.Conn) Conn {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	return NewStream(c), nil
+	return NewStream(c)
 }
 
 // acceptWithin bounds l's Accepts to d from now, when d is positive and l
@@ -176,6 +285,12 @@ func (m *Meter) Recv() (Message, error) {
 
 // Close implements Conn.
 func (m *Meter) Close() error { return m.inner.Close() }
+
+// Stage implements Stager.
+func (m *Meter) Stage(limit int) bool { return Stage(m.inner, limit) }
+
+// Flush implements Stager.
+func (m *Meter) Flush() error { return Flush(m.inner) }
 
 // BytesSent returns the cumulative wire bytes sent.
 func (m *Meter) BytesSent() int64 { return m.sent.Load() }

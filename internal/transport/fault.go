@@ -146,6 +146,7 @@ func (f *FaultConn) Send(m Message) error {
 	case FaultTruncate:
 		m.Payload = m.Payload[:len(m.Payload)/2]
 		_ = f.inner.Send(m) // best-effort: the mangled frame races the close
+		_ = Flush(f.inner)
 		f.inner.Close()
 		return ErrInjected
 	default: // FaultCut: the frame is lost in flight
@@ -187,8 +188,22 @@ func (f *FaultConn) Recv() (Message, error) {
 	return f.inner.Recv()
 }
 
-// Close implements Conn.
+// Close implements Conn. What the inner conn staged is lost with it.
 func (f *FaultConn) Close() error { return f.inner.Close() }
+
+// Stage implements Stager.
+func (f *FaultConn) Stage(limit int) bool { return Stage(f.inner, limit) }
+
+// Flush implements Stager: a dead send direction writes nothing.
+func (f *FaultConn) Flush() error {
+	f.mu.Lock()
+	dead := f.dead || f.sendDead
+	f.mu.Unlock()
+	if dead {
+		return ErrInjected
+	}
+	return Flush(f.inner)
+}
 
 // Injector hands out fault scripts across the successive connections of a
 // resumable migration: epoch 0 (the original connection) gets the first

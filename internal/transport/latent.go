@@ -7,14 +7,15 @@ import (
 
 // Latent models the per-frame cost of a real migration link: every frame
 // occupies the link for a fixed stall on top of whatever the inner Conn
-// costs, standing in for the synchronous per-message flush — syscall, NIC
-// doorbell, completion — that the paper's blkd pays on every block message.
-// Loopback transports hide this cost almost entirely (a loopback flush is
-// ~1 µs, a real one tens of µs), which makes per-block transfer look
-// artificially competitive in-process.
+// costs, standing in for what the paper's blkd pays on every block message —
+// syscall, NIC doorbell, completion. Loopback transports hide this cost
+// almost entirely, which makes per-block transfer look artificially
+// competitive in-process. Latent is not a Stager, so nothing below it stages:
+// its timing is the model, and staged frames would reach the far side in
+// bursts the model never sent.
 //
 // Concurrent Sends on one Latent serialize through the link occupancy,
-// exactly as frames on one ordered stream serialize through its flush;
+// exactly as frames on one ordered stream serialize through its link;
 // wrapping each connection of a Striped bundle in its own Latent lets the
 // stalls of different streams overlap, which is the mechanism by which
 // striping hides per-frame latency. Recv is passed through untouched.

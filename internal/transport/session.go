@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -74,26 +75,36 @@ func ParseResume(m Message, token SessionToken, lastEpoch uint32) (uint32, error
 // MsgSessionResume for token, returning it with the frame's epoch.
 // Non-matching connections are closed and the wait continues — a dest-side
 // layer parks here while its engine waits to be rebound. A positive timeout
-// bounds the whole wait (via the listener's deadline, when it has one), so
-// a source that died for good cannot park the destination forever while
-// this loop eats every unrelated connection the listener receives.
+// bounds the whole wait (via the listener's deadline, when it has one, and
+// each connection's read deadline for its first frame), so neither a source
+// that died for good nor a client that connects and says nothing can park
+// the destination forever while this loop eats every unrelated connection
+// the listener receives.
 func AcceptResume(l net.Listener, token SessionToken, lastEpoch uint32, timeout time.Duration) (Conn, uint32, error) {
 	defer acceptWithin(l, timeout)()
+	var deadline time.Time // zero: no bound
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+	}
 	for {
-		conn, err := Accept(l)
+		c, err := l.Accept()
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("transport: accept: %w", err)
 		}
+		c.SetReadDeadline(deadline)
+		conn := wrapAccepted(c)
 		m, err := conn.Recv()
 		if err != nil {
 			conn.Close()
 			continue
 		}
 		epoch, err := ParseResume(m, token, lastEpoch)
+		m.Release() // the token is compared, the epoch copied out
 		if err != nil {
 			conn.Close()
 			continue
 		}
+		c.SetReadDeadline(time.Time{})
 		return conn, epoch, nil
 	}
 }
@@ -105,7 +116,8 @@ func AcceptResume(l net.Listener, token SessionToken, lastEpoch uint32, timeout 
 // its own send path before Rebind; a racing operation on the old connection
 // simply fails and is retried by the resume machinery.
 type Swappable struct {
-	cur atomicConn
+	cur   atomicConn
+	limit atomic.Int64 // the staging bound the engine asked for, passed on to every rebound conn
 }
 
 // atomicConn is a tiny atomic box for a Conn.
@@ -135,8 +147,10 @@ func NewSwappable(c Conn) *Swappable {
 	return s
 }
 
-// Rebind replaces the underlying connection, closing the old one.
+// Rebind replaces the underlying connection, closing the old one (and
+// what it staged). The new one stages as the old one was asked to.
 func (s *Swappable) Rebind(c Conn) {
+	Stage(c, int(s.limit.Load()))
 	if old := s.cur.store(c); old != nil {
 		old.Close()
 	}
@@ -153,6 +167,15 @@ func (s *Swappable) Recv() (Message, error) { return s.cur.load().Recv() }
 
 // Close implements Conn.
 func (s *Swappable) Close() error { return s.cur.load().Close() }
+
+// Stage implements Stager.
+func (s *Swappable) Stage(limit int) bool {
+	s.limit.Store(int64(limit))
+	return Stage(s.cur.load(), limit)
+}
+
+// Flush implements Stager.
+func (s *Swappable) Flush() error { return Flush(s.cur.load()) }
 
 // IsConnError reports whether err looks like a connection failure — the
 // retryable class a resumable migration survives — as opposed to a protocol

@@ -239,6 +239,25 @@ func (s *Striped) Close() error {
 	return first
 }
 
+// Stage implements Stager on every stream; each stages up to limit bytes.
+func (s *Striped) Stage(limit int) bool {
+	on := false
+	for _, st := range s.streams {
+		on = st.Stage(limit) || on
+	}
+	return on
+}
+
+// Flush implements Stager on every stream.
+func (s *Striped) Flush() error {
+	for i, st := range s.streams {
+		if err := st.Flush(); err != nil {
+			return fmt.Errorf("transport: stream %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 func (s *Striped) startReaders() {
 	s.frames = make(chan Message, 4*len(s.streams))
 	for i := range s.streams {

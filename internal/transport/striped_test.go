@@ -390,8 +390,9 @@ func TestAcceptStripedGivesUpOnDeadSender(t *testing.T) {
 
 	// The deadline is lifted: a one-wide bundle dialed after the wait is
 	// accepted however long it takes to arrive.
+	late := 2 * bundleWait // read here: the deferred restore races a read on the dialer
 	go func() {
-		time.Sleep(2 * bundleWait)
+		time.Sleep(late)
 		if s, err := DialStriped(l.Addr().String(), 1, nil); err == nil {
 			s.Close()
 		}
