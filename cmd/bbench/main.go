@@ -20,8 +20,8 @@
 //	bbench -exp fleet       fleet sweep: reactive vs the cluster's trough rule
 //	bbench -exp all         everything above
 //
-// The fleet sweep defaults to the 10 000-domain, 200-host shape; -fleet-hosts
-// and -fleet-domains shrink it (the CI smoke runs 40x2000).
+// The fleet sweep defaults to 10 000 domains on 200 hosts; -fleet-hosts and
+// -fleet-domains shrink it (the printer goldens render 40x2000).
 //
 // In addition, -json FILE runs the machine-readable benchmark suite (real
 // engine over modelled links and loopback TCP, the bitmap codec, the
@@ -41,6 +41,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -78,20 +79,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The experiments, in the order -exp all runs them.
 	ran := false
-	for _, e := range []struct {
-		name string
-		run  func(int64, int)
-	}{
-		{"table1", table1}, {"table2", table2}, {"table3", table3}, {"fig5", fig5}, {"fig6", fig6},
-		{"iters", iters}, {"locality", locality}, {"granularity", granularity},
-		{"downtime-granularity", downtimeGranularity}, {"schemes", schemes}, {"availability", availability},
-		{"faults", faults}, {"cluster", clusterSweep}, {"dedup", dedupSweep}, {"swarm", swarmSweep},
-		{"wan", wanSweep}, {"fleet", fleetSweep},
-	} {
+	for _, e := range experiments {
 		if *exp == "all" || *exp == e.name {
-			e.run(*seed, *samples)
+			e.run(os.Stdout, *seed, *samples)
 			if *exp == "all" {
 				fmt.Println()
 			}
@@ -105,160 +96,168 @@ func main() {
 	}
 }
 
-func table1(seed int64, _ int) {
-	_, tab := sim.TableI(seed)
-	fmt.Print(tab.String())
-	fmt.Println("paper: 796 / 798 / 957 s; 60 / 62 / 110 ms; 39097 / 39072 / 40934 MB")
-	fmt.Println("(downtime sits ~24 ms under the paper's: the freeze bitmap travels run-length encoded, not as 1.2 MB)")
+// experiments are the -exp printers, in the order -exp all runs them.
+var experiments = []struct {
+	name string
+	run  func(w io.Writer, seed int64, samples int)
+}{
+	{"table1", table1}, {"table2", table2}, {"table3", table3}, {"fig5", fig5}, {"fig6", fig6}, {"iters", iters},
+	{"locality", locality}, {"granularity", granularity}, {"downtime-granularity", downtimeGranularity},
+	{"schemes", schemes}, {"availability", availability}, {"faults", faults}, {"cluster", clusterSweep},
+	{"dedup", dedupSweep}, {"swarm", swarmSweep}, {"wan", wanSweep}, {"fleet", fleetSweep},
 }
 
-func table2(seed int64, _ int) {
+func table1(w io.Writer, seed int64, _ int) {
+	_, tab := sim.TableI(seed)
+	fmt.Fprint(w, tab.String())
+	fmt.Fprintln(w, "paper: 796 / 798 / 957 s; 60 / 62 / 110 ms; 39097 / 39072 / 40934 MB")
+	fmt.Fprintln(w, "(downtime sits ~24 ms under the paper's: the freeze bitmap travels run-length encoded, not as 1.2 MB)")
+}
+
+func table2(w io.Writer, seed int64, _ int) {
 	primary, _ := sim.TableI(seed)
 	_, tab := sim.TableII(primary)
-	fmt.Print(tab.String())
-	fmt.Println("paper IM rows: 1.0 s & 52.5 MB / 0.6 s & 5.5 MB / 17 s & 911.4 MB")
+	fmt.Fprint(w, tab.String())
+	fmt.Fprintln(w, "paper IM rows: 1.0 s & 52.5 MB / 0.6 s & 5.5 MB / 17 s & 911.4 MB")
 }
 
-func table3(_ int64, _ int) {
+func table3(w io.Writer, _ int64, _ int) {
 	_, tab := sim.TableIII(1<<16, 200000)
-	fmt.Print(tab.String())
-	fmt.Println("paper: 47740→47604 / 96122→95569 / 26125→25887 (<1% overhead)")
+	fmt.Fprint(w, tab.String())
+	fmt.Fprintln(w, "paper: 47740→47604 / 96122→95569 / 26125→25887 (<1% overhead)")
 }
 
 // printSeries prints a downsampled throughput series with the migration
 // window marked.
-func printSeries(r *sim.Result, samples int) {
+func printSeries(w io.Writer, r *sim.Result, samples int) {
 	s := r.WorkloadSeries
 	if len(s.Samples) == 0 {
 		return
 	}
-	stride := len(s.Samples) / samples
-	if stride < 1 {
-		stride = 1
-	}
-	fmt.Printf("# %s (%s); migration window [%.0f s, %.0f s]\n",
+	stride := max(1, len(s.Samples)/samples)
+	fmt.Fprintf(w, "# %s (%s); migration window [%.0f s, %.0f s]\n",
 		s.Label, s.Unit, r.MigStart.Seconds(), r.MigEnd.Seconds())
-	fmt.Printf("%10s  %12s\n", "time (s)", "MB/s")
+	fmt.Fprintf(w, "%10s  %12s\n", "time (s)", "MB/s")
 	for i := 0; i < len(s.Samples); i += stride {
 		p := s.Samples[i]
 		marker := ""
 		if p.At >= r.MigStart && p.At <= r.MigEnd {
 			marker = "  | migrating"
 		}
-		fmt.Printf("%10.0f  %12.2f%s\n", p.At.Seconds(), p.Value, marker)
+		fmt.Fprintf(w, "%10.0f  %12.2f%s\n", p.At.Seconds(), p.Value, marker)
 	}
 }
 
-func fig5(seed int64, samples int) {
-	fmt.Println("Fig. 5 — SPECweb-like banking server throughput while migrating")
+func fig5(w io.Writer, seed int64, samples int) {
+	fmt.Fprintln(w, "Fig. 5 — SPECweb-like banking server throughput while migrating")
 	r := sim.Fig5(seed)
-	printSeries(r, samples)
+	printSeries(w, r, samples)
 	during := r.WorkloadSeries.Mean(r.MigStart, r.MigEnd)
 	after := r.WorkloadSeries.Mean(r.MigEnd+time.Minute, r.MigEnd+10*time.Minute)
-	fmt.Printf("mean during migration %.2f MB/s vs free-running %.2f MB/s — no noticeable drop (paper: none visible)\n", during, after)
+	fmt.Fprintf(w, "mean during migration %.2f MB/s vs free-running %.2f MB/s — no noticeable drop (paper: none visible)\n", during, after)
 }
 
-func fig6(seed int64, samples int) {
-	fmt.Println("Fig. 6 — impact on Bonnie++ throughput (unlimited migration bandwidth)")
+func fig6(w io.Writer, seed int64, samples int) {
+	fmt.Fprintln(w, "Fig. 6 — impact on Bonnie++ throughput (unlimited migration bandwidth)")
 	unl, lim := sim.Fig6(seed)
-	printSeries(unl, samples)
+	printSeries(w, unl, samples)
 	impact := func(r *sim.Result) float64 {
 		free := r.WorkloadSeries.Mean(r.MigEnd+2*time.Minute, r.MigEnd+8*time.Minute)
 		during := r.WorkloadSeries.Mean(r.MigStart, r.MigEnd)
 		return (1 - during/free) * 100
 	}
-	fmt.Printf("\n§VI-C-3 rate-limited variant:\n")
-	fmt.Printf("  unlimited: impact %.0f%%, pre-copy %.0f s\n", impact(unl), unl.Report.PreCopyTime.Seconds())
-	fmt.Printf("  limited:   impact %.0f%%, pre-copy %.0f s (%.0f%% longer)\n",
+	fmt.Fprintf(w, "\n§VI-C-3 rate-limited variant:\n")
+	fmt.Fprintf(w, "  unlimited: impact %.0f%%, pre-copy %.0f s\n", impact(unl), unl.Report.PreCopyTime.Seconds())
+	fmt.Fprintf(w, "  limited:   impact %.0f%%, pre-copy %.0f s (%.0f%% longer)\n",
 		impact(lim), lim.Report.PreCopyTime.Seconds(),
 		(lim.Report.PreCopyTime.Seconds()/unl.Report.PreCopyTime.Seconds()-1)*100)
-	fmt.Println("  paper: impact reduced about 50%, pre-copy about 37% longer")
+	fmt.Fprintln(w, "  paper: impact reduced about 50%, pre-copy about 37% longer")
 }
 
-func iters(seed int64, _ int) {
+func iters(w io.Writer, seed int64, _ int) {
 	results, _ := sim.TableI(seed)
 	for _, r := range results {
-		fmt.Print(sim.IterationDetail(r).String())
-		fmt.Println()
+		fmt.Fprint(w, sim.IterationDetail(r).String())
+		fmt.Fprintln(w)
 	}
-	fmt.Println("paper: web 3 iters / 6680 blocks retransferred / 62 left / 349 ms post-copy / 1 pulled;")
-	fmt.Println("       stream 2 iters / 610 blocks / 5 left / 380 ms; diabolical 4 iters / ~1464 MB")
+	fmt.Fprintln(w, "paper: web 3 iters / 6680 blocks retransferred / 62 left / 349 ms post-copy / 1 pulled;")
+	fmt.Fprintln(w, "       stream 2 iters / 610 blocks / 5 left / 380 ms; diabolical 4 iters / ~1464 MB")
 }
 
-func locality(_ int64, _ int) {
-	fmt.Print(sim.LocalityStats().String())
+func locality(w io.Writer, _ int64, _ int) {
+	fmt.Fprint(w, sim.LocalityStats().String())
 }
 
-func granularity(_ int64, _ int) {
-	fmt.Print(sim.GranularityAblation(32 << 30).String())
-	fmt.Print(sim.GranularityAblation(int64(39070) << 20).String())
+func granularity(w io.Writer, _ int64, _ int) {
+	fmt.Fprint(w, sim.GranularityAblation(32<<30).String())
+	fmt.Fprint(w, sim.GranularityAblation(int64(39070)<<20).String())
 }
 
-func downtimeGranularity(seed int64, _ int) {
-	fmt.Print(sim.DowntimeVsGranularity(workload.Web, seed).String())
+func downtimeGranularity(w io.Writer, seed int64, _ int) {
+	fmt.Fprint(w, sim.DowntimeVsGranularity(workload.Web, seed).String())
 }
 
-func schemes(seed int64, _ int) {
-	fmt.Print(sim.SchemeComparison(workload.Web, seed).String())
-	fmt.Print(sim.SchemeComparison(workload.Diabolic, seed).String())
+func schemes(w io.Writer, seed int64, _ int) {
+	fmt.Fprint(w, sim.SchemeComparison(workload.Web, seed).String())
+	fmt.Fprint(w, sim.SchemeComparison(workload.Diabolic, seed).String())
 }
 
-func faults(seed int64, _ int) {
+func faults(w io.Writer, seed int64, _ int) {
 	_, tab := sim.FaultSweep(seed)
-	fmt.Print(tab.String())
-	fmt.Println("cursor-exact resume re-sends only the in-flight window; restarting wastes everything before the cut")
+	fmt.Fprint(w, tab.String())
+	fmt.Fprintln(w, "cursor-exact resume re-sends only the in-flight window; restarting wastes everything before the cut")
 }
 
-func clusterSweep(seed int64, _ int) {
+func clusterSweep(w io.Writer, seed int64, _ int) {
 	_, tab := sim.ClusterSweep(seed)
-	fmt.Print(tab.String())
-	fmt.Println("concurrency buys makespan until the uplink budget saturates; past that it only dilutes")
-	fmt.Println("per-migration bandwidth and inflates every VM's freeze window. The outage arm completes")
-	fmt.Println("via resume, re-sending only the in-flight window.")
+	fmt.Fprint(w, tab.String())
+	fmt.Fprintln(w, "concurrency buys makespan until the uplink budget saturates; past that it only dilutes")
+	fmt.Fprintln(w, "per-migration bandwidth and inflates every VM's freeze window. The outage arm completes")
+	fmt.Fprintln(w, "via resume, re-sending only the in-flight window.")
 }
 
 // fleetHosts and fleetDomains size the fleet sweep; -fleet-hosts and
 // -fleet-domains override the 10k-domain default shape.
 var fleetHosts, fleetDomains int
 
-func fleetSweep(seed int64, _ int) {
+func fleetSweep(w io.Writer, seed int64, _ int) {
 	rows, tab := sim.FleetSweep(seed, fleetHosts, fleetDomains)
-	fmt.Print(tab.String())
+	fmt.Fprint(w, tab.String())
 	for i := 0; i+1 < len(rows); i += 2 {
 		re, pr := rows[i], rows[i+1]
-		fmt.Printf("%s: the trough rule speeds the makespan %.2fx, %d high-phase starts vs %d reactive\n",
+		fmt.Fprintf(w, "%s: the trough rule speeds the makespan %.2fx, %d high-phase starts vs %d reactive\n",
 			pr.Shape, pr.Speedup, pr.HighStarts, re.HighStarts)
 	}
-	fmt.Println("both arms are normal-priority moves (Rebalance, the autopilot); Drain submits")
-	fmt.Println("evacuations, which the cluster never defers.")
+	fmt.Fprintln(w, "both arms are normal-priority moves (Rebalance, the autopilot); Drain submits")
+	fmt.Fprintln(w, "evacuations, which the cluster never defers.")
 }
 
-func dedupSweep(seed int64, _ int) {
+func dedupSweep(w io.Writer, seed int64, _ int) {
 	_, tab := sim.DedupSweep(seed)
-	fmt.Print(tab.String())
-	fmt.Println("template-derived clones evacuating toward warm hosts ship fingerprints, not bytes:")
-	fmt.Println("zero blocks elide without a round trip, shared template content travels as 16-byte")
-	fmt.Println("references against the destination's retained and clone-sibling disks.")
+	fmt.Fprint(w, tab.String())
+	fmt.Fprintln(w, "template-derived clones evacuating toward warm hosts ship fingerprints, not bytes:")
+	fmt.Fprintln(w, "zero blocks elide without a round trip, shared template content travels as 16-byte")
+	fmt.Fprintln(w, "references against the destination's retained and clone-sibling disks.")
 }
 
-func swarmSweep(seed int64, _ int) {
+func swarmSweep(w io.Writer, seed int64, _ int) {
 	_, tab := sim.SwarmSweep(seed)
-	fmt.Print(tab.String())
-	fmt.Println("cold destinations hold nothing to dedup against, so single-source transfer is stuck")
-	fmt.Println("behind one uplink; fanning the want-set across three warm clone-hosting peers moves")
-	fmt.Println("the template share over their links in parallel and collapses the evacuation makespan.")
+	fmt.Fprint(w, tab.String())
+	fmt.Fprintln(w, "cold destinations hold nothing to dedup against, so single-source transfer is stuck")
+	fmt.Fprintln(w, "behind one uplink; fanning the want-set across three warm clone-hosting peers moves")
+	fmt.Fprintln(w, "the template share over their links in parallel and collapses the evacuation makespan.")
 }
 
-func wanSweep(seed int64, _ int) {
+func wanSweep(w io.Writer, seed int64, _ int) {
 	_, tab := sim.WANSweep(seed)
-	fmt.Print(tab.String())
-	fmt.Println("the IM return trip crosses the WAN toward a host that still holds stale copies of")
-	fmt.Println("everything, so divergence is hot-block rewrites: dedup can only claim the few blocks")
-	fmt.Println("whose new content the home host happens to index, while delta encoding ships just the")
-	fmt.Println("changed chunks of every rewritten block against its stale counterpart.")
+	fmt.Fprint(w, tab.String())
+	fmt.Fprintln(w, "the IM return trip crosses the WAN toward a host that still holds stale copies of")
+	fmt.Fprintln(w, "everything, so divergence is hot-block rewrites: dedup can only claim the few blocks")
+	fmt.Fprintln(w, "whose new content the home host happens to index, while delta encoding ships just the")
+	fmt.Fprintln(w, "changed chunks of every rewritten block against its stale counterpart.")
 }
 
-func availability(_ int64, _ int) {
+func availability(w io.Writer, _ int64, _ int) {
 	t := &metrics.Table{
 		Title:   "On-demand fetching availability (§II-B): VM depends on two machines",
 		Columns: []string{"machine availability p", "TPM after sync (p)", "on-demand (p²)"},
@@ -266,8 +265,8 @@ func availability(_ int64, _ int) {
 	for _, p := range []float64{0.9, 0.99, 0.999} {
 		t.AddRow(fmt.Sprintf("%.3f", p), fmt.Sprintf("%.4f", p), fmt.Sprintf("%.4f", core.Availability(p)))
 	}
-	fmt.Print(t.String())
-	fmt.Println(strings.TrimSpace(`
+	fmt.Fprint(w, t.String())
+	fmt.Fprintln(w, strings.TrimSpace(`
 TPM's push guarantees synchronization completes in finite time, after which
 the source can be shut down; on-demand fetching never sheds the dependency.`))
 }

@@ -1,34 +1,51 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestExperimentPrintersRun smoke-runs every experiment printer except the
-// slow Table III microbenchmark; each must complete without panicking.
-// Output correctness is asserted in internal/sim's tests — this covers the
-// rendering glue.
+var updateGolden = flag.Bool("update-golden", false, "rewrite the experiment printers' golden renders")
+
+// TestExperimentPrintersRun renders every experiment printer except the
+// wall-clock Table III microbenchmark and holds each render byte for byte to
+// testdata/<name>.golden (rewrite them with -update-golden). The simulator is
+// deterministic, so any change to a printed table is a change to the model;
+// each renders at bbench's default flags but the fleet sweep, which runs
+// at 40 hosts x 2 000 domains.
 func TestExperimentPrintersRun(t *testing.T) {
-	for name, fn := range map[string]func(int64, int){
-		"table1":               table1,
-		"table2":               table2,
-		"fig5":                 fig5,
-		"fig6":                 fig6,
-		"iters":                iters,
-		"locality":             locality,
-		"granularity":          granularity,
-		"downtime-granularity": downtimeGranularity,
-		"availability":         availability,
-		"schemes":              schemes,
-	} {
-		name, fn := name, fn
-		t.Run(name, func(t *testing.T) {
+	fleetHosts, fleetDomains = 40, 2000
+	for _, e := range experiments {
+		if e.name == "table3" {
+			continue
+		}
+		e := e
+		t.Run(e.name, func(t *testing.T) {
 			t.Parallel()
-			fn(1, 5)
+			var out bytes.Buffer
+			e.run(&out, 1, 40)
+			path := filepath.Join("testdata", e.name+".golden")
+			if *updateGolden {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("golden missing (run with -update-golden to create): %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Errorf("-exp %s render differs from %s:\n--- got ---\n%s--- want ---\n%s", e.name, path, out.Bytes(), want)
+			}
 		})
 	}
 }
@@ -317,9 +334,4 @@ func BenchmarkSuite(b *testing.B) {
 	for _, r := range suite(1) {
 		b.Run(r.name, r.run)
 	}
-}
-
-// TestFaultsPrinterRuns smoke-runs the fault-sweep printer.
-func TestFaultsPrinterRuns(t *testing.T) {
-	faults(1, 5)
 }
