@@ -70,11 +70,14 @@
 // Pre-copy stops by the paper's fixed rule (§IV-A-1), one exported function,
 // ContinuePreCopy: when the dirty set is down to its threshold, when the
 // iteration budget is spent, or when the dirty rate has caught up with the
-// transfer rate. The engine and the simulator both call it. Pacing is one
-// cap (§VI-C-3): min(Config.BandwidthLimit, Config.Budget's live share),
-// re-read before every paced frame. Extents are cut at Config.MaxExtentBlocks.
-// With every knob at its default the engine is wire-identical to the seed
-// protocol, which a golden frame-trace test enforces.
+// transfer rate. Its callers are the engine's one pre-copy loop and the
+// simulator's one pre-copy driver, which runs the disk and memory phases and
+// the fleet model; dirty counts are fractional, so the simulator's analytic
+// models ask with their expected counts. Pacing is one cap (§VI-C-3):
+// min(Config.BandwidthLimit, Config.Budget's live share), re-read before
+// every paced frame. Extents are cut at Config.MaxExtentBlocks. With every
+// knob at its default the engine is wire-identical to the seed protocol,
+// which a golden frame-trace test enforces.
 //
 // # Content-addressed deduplication
 //

@@ -420,3 +420,40 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal("explicit value overridden")
 	}
 }
+
+// TestContinuePreCopyTruthTable pins the §IV-A-1 stop rule on its edges: the
+// threshold is inclusive, the iteration budget ends the phase, a dirty set
+// that stopped shrinking ends it from iteration 2 on, and the comparisons are
+// on the fractional counts the simulator's models produce.
+func TestContinuePreCopyTruthTable(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		iter, max   int
+		dirty, prev float64
+		threshold   int
+		want        bool
+	}{
+		{"above threshold, shrinking", 2, 4, 65, 100, 64, true},
+		{"at threshold", 2, 4, 64, 100, 64, false},
+		{"below threshold", 2, 4, 10, 100, 64, false},
+		{"budget spent", 4, 4, 1000, 5000, 64, false},
+		{"budget not spent", 3, 4, 1000, 5000, 64, true},
+		{"plateau", 2, 4, 1000, 1000, 64, false},
+		{"growing", 3, 4, 1200, 1000, 64, false},
+		{"iteration 1 exempt from the plateau", 1, 4, 1200, 1000, 64, true},
+		{"iteration 1 still stops at the threshold", 1, 4, 64, 1000, 64, false},
+		{"budget of one", 1, 1, 1200, 1000, 64, false},
+		{"fractional dirty above threshold", 2, 30, 64.5, 100, 64, true},
+		{"fractional plateau", 2, 30, 99.5, 99.25, 64, false},
+		{"fractional shrink", 2, 30, 99.25, 99.5, 64, true},
+	} {
+		got := ContinuePreCopy(IterationStat{
+			Iteration: tc.iter, MaxIterations: tc.max,
+			Dirty: tc.dirty, PrevDirty: tc.prev, Threshold: tc.threshold,
+		})
+		if got != tc.want {
+			t.Errorf("%s: ContinuePreCopy(iter %d/%d, dirty %v, prev %v, threshold %d) = %v, want %v",
+				tc.name, tc.iter, tc.max, tc.dirty, tc.prev, tc.threshold, got, tc.want)
+		}
+	}
+}

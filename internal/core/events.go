@@ -188,7 +188,7 @@ func (e *emitter) noteBytes(total int64) {
 func (e *emitter) iterationEnd(st IterationStat) {
 	e.emit(Event{
 		Kind: EventIterationEnd, Phase: st.Phase,
-		Iteration: st.Iteration, Units: st.Sent, Skipped: st.Skipped, Bytes: st.SentBytes, Dirty: st.Dirty,
+		Iteration: st.Iteration, Units: st.Sent, Skipped: st.Skipped, Bytes: st.SentBytes, Dirty: int(st.Dirty),
 	})
 }
 

@@ -676,13 +676,13 @@ type preCopySpec struct {
 // IterationStat summarizes one completed pre-copy iteration for the stop rule
 // and the progress events.
 type IterationStat struct {
-	Phase     string // PhaseDiskPreCopy or PhaseMemPreCopy
-	Iteration int    // 1-based index of the iteration that just finished
-	Sent      int    // units (blocks or pages) transferred
-	Skipped   int    // units of the iteration's set left out as already dirty again (counted in Dirty, not in Sent)
-	SentBytes int64  // wire bytes of the iteration's frames
-	Dirty     int    // dirty units when the iteration ended
-	PrevDirty int    // dirty count after the previous iteration (or the initial set size)
+	Phase     string  // PhaseDiskPreCopy or PhaseMemPreCopy
+	Iteration int     // 1-based index of the iteration that just finished
+	Sent      int     // units (blocks or pages) transferred
+	Skipped   int     // units of the iteration's set left out as already dirty again (counted in Dirty, not in Sent)
+	SentBytes int64   // wire bytes of the iteration's frames
+	Dirty     float64 // dirty units when the iteration ended: an engine count, exact, or a simulator model's expectation
+	PrevDirty float64 // dirty count after the previous iteration (or the initial set size)
 
 	Threshold     int // configured dirty threshold for this phase
 	MaxIterations int // configured iteration budget for this phase
@@ -694,7 +694,7 @@ type IterationStat struct {
 // (the set stopped shrinking). Stopping hands the remaining dirty set to the
 // next phase: freeze-and-copy for disk, suspend for memory.
 func ContinuePreCopy(st IterationStat) bool {
-	return st.Dirty > st.Threshold && st.Iteration < st.MaxIterations &&
+	return st.Dirty > float64(st.Threshold) && st.Iteration < st.MaxIterations &&
 		(st.Iteration <= 1 || st.Dirty < st.PrevDirty)
 }
 
@@ -742,7 +742,7 @@ func (t *transfer) preCopyLoop(sp preCopySpec, initial *bitmap.Bitmap) error {
 		})
 		st := IterationStat{
 			Phase: sp.phase, Iteration: iter, Sent: sent, Skipped: cur.skipped, SentBytes: bytes,
-			Dirty: dirtyNow, PrevDirty: prev, Threshold: sp.threshold, MaxIterations: sp.maxIter,
+			Dirty: float64(dirtyNow), PrevDirty: float64(prev), Threshold: sp.threshold, MaxIterations: sp.maxIter,
 		}
 		t.ev.iterationEnd(st)
 		more := ContinuePreCopy(st)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"bbmig/internal/blockdev"
 	"bbmig/internal/metrics"
 	"bbmig/internal/workload"
 )
@@ -32,6 +31,10 @@ const clusterDomains = 8
 // clusterUplinkLinks sizes the draining host's uplink (the scheduler's
 // global budget) in units of one destination link.
 const clusterUplinkLinks = 4
+
+// drainConcurrency is the scheduler cap the evacuation sweeps and the fleet
+// model run at: the knee ClusterSweep finds, where the uplink saturates.
+const drainConcurrency = 4
 
 // ClusterSweepRow is one concurrency setting's outcome.
 type ClusterSweepRow struct {
@@ -63,9 +66,10 @@ func ClusterSweep(seed int64) ([]ClusterSweepRow, *metrics.Table) {
 	runRow := func(label string, c int, outage time.Duration) ClusterSweepRow {
 		rate, makespan, results := evacuate(seed, c, func(p *Params, i int) {
 			if outage > 0 && i == 0 {
-				// Cut the first migration mid disk pre-copy (each simulated
-				// migration runs on its own timeline from 0).
-				p.OutageAt = time.Duration(0.4 * float64(estimateMigration(*p, p.NetBytesPerSec)))
+				// Cut the first migration 40% into its clean run, mid disk
+				// pre-copy, as FaultSweep aims its cuts.
+				clean := RunTPM(*p)
+				p.OutageAt = clean.MigStart + time.Duration(0.4*float64(clean.MigEnd-clean.MigStart))
 				p.OutageDuration = outage
 			}
 		})
@@ -85,7 +89,7 @@ func ClusterSweep(seed int64) ([]ClusterSweepRow, *metrics.Table) {
 	for _, c := range []int{1, 2, 4, 8} {
 		rows = append(rows, runRow(fmt.Sprintf("%d", c), c, 0))
 	}
-	rows = append(rows, runRow("4 + 10 s outage", 4, 10*time.Second))
+	rows = append(rows, runRow(fmt.Sprintf("%d + 10 s outage", drainConcurrency), drainConcurrency, 10*time.Second))
 
 	t := &metrics.Table{
 		Title: fmt.Sprintf("Cluster evacuation sweep — %d web domains, uplink budget %dx link",
@@ -132,26 +136,4 @@ func evacuate(seed int64, c int, arm func(p *Params, i int)) (rate float64, make
 		makespan += wave
 	}
 	return rate, makespan, results
-}
-
-// estimateMigration predicts one migration's rough duration at the given
-// rate — enough to aim an outage injection inside the transfer window, and
-// close enough to the full simulation (within ~20%) to size a schedule.
-// It prices iteration 1 with the simulator's own formula (iter1Wire), the
-// DedupShare fraction as references. Later iterations' re-sends and the
-// freeze window are workload-dependent and left out — the bulk copy dominates
-// a paper-testbed migration.
-func estimateMigration(p Params, rate float64) time.Duration {
-	diskBlocks := float64(int64(p.DiskMB) << 20 / blockdev.BlockSize)
-	extent := p.MaxExtentBlocks
-	if extent < 1 {
-		extent = 1
-	}
-	share := 0.0
-	if p.Dedup {
-		share = clamp01(p.DedupShare)
-	}
-	wire, _ := iter1Wire(p, diskBlocks, diskBlocks*share, blockdev.BlockSize+float64(frameOverhead)/float64(extent))
-	wire += float64(int64(p.MemMB) << 20) // memory pre-copy travels literal
-	return time.Duration(wire / rate * float64(time.Second))
 }

@@ -2,9 +2,6 @@ package sim
 
 import (
 	"testing"
-	"time"
-
-	"bbmig/internal/workload"
 )
 
 // TestClusterSweep pins the acceptance properties of the evacuation model:
@@ -62,42 +59,5 @@ func TestClusterSweep(t *testing.T) {
 	// restart-scale makespan regression vs the clean c=4 run.
 	if fault.Makespan > c4.Makespan+c4.Makespan/4 {
 		t.Fatalf("faulted makespan %v vs clean %v: resume should bound the penalty", fault.Makespan, c4.Makespan)
-	}
-}
-
-// TestEstimateMigration pins the schedule estimator against the full
-// simulation: across the plain, dedup, and dedup+delta wire configurations
-// the closed-form estimate must land within 20% of RunTPM's measured
-// migration duration. The old estimator ignored the negotiated wire
-// reductions entirely, so a dedup-heavy drain aimed its outage injection
-// (and any schedule built on it) past the end of the real transfer.
-func TestEstimateMigration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full simulations skipped in -short mode")
-	}
-	cases := []struct {
-		name string
-		mut  func(*Params)
-	}{
-		{"plain", func(p *Params) {}},
-		{"dedup half", func(p *Params) { p.Dedup = true; p.DedupShare = 0.5 }},
-		{"dedup heavy", func(p *Params) { p.Dedup = true; p.DedupShare = 0.8 }},
-		{"dedup+delta", func(p *Params) {
-			p.Dedup, p.DedupShare = true, 0.3
-			p.Delta, p.DeltaMatchShare = true, 0.9
-		}},
-	}
-	for _, tc := range cases {
-		p := Defaults(workload.Web)
-		p.DwellAfter = time.Minute
-		tc.mut(&p)
-		got := estimateMigration(p, p.NetBytesPerSec)
-		r := RunTPM(p)
-		actual := r.MigEnd - r.MigStart
-		ratio := float64(got) / float64(actual)
-		if ratio < 0.8 || ratio > 1.2 {
-			t.Errorf("%s: estimate %v vs simulated %v (ratio %.2f), want within 20%%",
-				tc.name, got.Round(time.Second), actual.Round(time.Second), ratio)
-		}
 	}
 }

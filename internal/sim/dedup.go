@@ -56,7 +56,6 @@ type DedupSweepRow struct {
 // template overlap). The acceptance bar the test pins: warm-fleet
 // evacuation moves at least 5x fewer bytes than literal.
 func DedupSweep(seed int64) ([]DedupSweepRow, *metrics.Table) {
-	const concurrency = 4
 	arms := []struct {
 		label string
 		dedup bool
@@ -69,7 +68,7 @@ func DedupSweep(seed int64) ([]DedupSweepRow, *metrics.Table) {
 	var rows []DedupSweepRow
 	var literalFleet float64
 	for _, arm := range arms {
-		_, makespan, results := evacuate(seed, concurrency, func(p *Params, _ int) {
+		_, makespan, results := evacuate(seed, drainConcurrency, func(p *Params, _ int) {
 			p.Dedup, p.DedupShare = arm.dedup, arm.share
 		})
 		row := DedupSweepRow{Label: arm.label, Share: arm.share, Makespan: makespan, DedupBlocks: results[0].Report.DedupBlocks}
@@ -83,7 +82,7 @@ func DedupSweep(seed int64) ([]DedupSweepRow, *metrics.Table) {
 
 	t := &metrics.Table{
 		Title: fmt.Sprintf("Clone-fleet dedup sweep — %d template-derived web domains, concurrency %d",
-			clusterDomains, concurrency),
+			clusterDomains, drainConcurrency),
 		Columns: []string{
 			"arm", "held share", "per-domain wire (MB)", "fleet wire (GB)",
 			"reduction", "ref blocks", "makespan (s)",

@@ -342,7 +342,7 @@ func SchemeComparison(kind workload.Kind, seed int64) *metrics.Table {
 	copyDur := time.Duration(diskBytes / net * float64(time.Second))
 	st := workload.Locality(g, copyDur)
 	deltaBytes := float64(st.Writes) * blockdev.BlockSize
-	ioBlocked := time.Duration(deltaBytes / p.DiskBytesPerSec * float64(time.Second))
+	ioBlocked := time.Duration(deltaBytes / diskBytesPerSec * float64(time.Second))
 	redundantMB := float64(st.Rewrites) * blockdev.BlockSize / (1 << 20)
 
 	t := &metrics.Table{

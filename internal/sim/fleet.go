@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bbmig/internal/blockdev"
-	"bbmig/internal/core"
 	"bbmig/internal/forecast"
 	"bbmig/internal/metrics"
 )
@@ -64,11 +63,19 @@ func (s FleetShape) String() string {
 	return fmt.Sprintf("shape(%d)", int(s))
 }
 
-// Fleet model constants: the engine stop conditions mirror Defaults.
+// The fleet's fixed figures. Each draining host's uplink is the paper's
+// effective rate, shared by drainConcurrency migrations at a time, each at
+// the steady-state fair share fleetShareBlk. Warmup counters arrive every
+// fleetHeartbeat; fleetPeriod is the diurnal square wave's period — the
+// sim's compressed "day", scaled so a drain spans several troughs the way a
+// real drain spans several off-peak windows — and the forecast models see
+// fleetWarmupPeriods of them before the drain begins (enough that the period
+// lag sits well inside the autocorrelation scan).
 const (
-	fleetMaxIters       = 4
-	fleetDirtyThreshold = 8
-	fleetFixedDowntime  = 30 * time.Millisecond
+	fleetShareBlk      = netBytesPerSec / drainConcurrency / blockdev.BlockSize // blocks/second
+	fleetHeartbeat     = 30 * time.Second
+	fleetPeriod        = 20 * time.Minute
+	fleetWarmupPeriods = 3
 )
 
 // FleetParams parameterizes one fleet drain simulation.
@@ -88,45 +95,6 @@ type FleetParams struct {
 	// autopilot). A Drain submits PriorityEvacuate jobs, which the cluster
 	// never defers, so a drain runs the reactive arm.
 	Predictive bool
-
-	// LinkBps is each draining host's uplink; zero selects the paper's
-	// effective rate (Defaults().NetBytesPerSec).
-	LinkBps float64
-	// PerHostCap is the concurrent-migration cap per draining host; each
-	// migration runs at the steady-state fair share LinkBps/PerHostCap.
-	// Zero selects 4, the knee ClusterSweep finds.
-	PerHostCap int
-	// Heartbeat is the observation cadence warmup counters arrive at; zero
-	// selects 30 s.
-	Heartbeat time.Duration
-	// Period is the diurnal square-wave period — the sim's compressed
-	// "day", scaled so a drain spans several troughs the way a real drain
-	// spans several off-peak windows; zero selects 20 min.
-	Period time.Duration
-	// WarmupPeriods is how many periods of heartbeat history the forecast
-	// models see before the drain begins; zero selects 3 (enough that the
-	// period lag sits well inside the autocorrelation scan).
-	WarmupPeriods int
-}
-
-// withFleetDefaults fills zero fields.
-func (p FleetParams) withFleetDefaults() FleetParams {
-	if p.LinkBps <= 0 {
-		p.LinkBps = Defaults(0).NetBytesPerSec
-	}
-	if p.PerHostCap <= 0 {
-		p.PerHostCap = 4
-	}
-	if p.Heartbeat <= 0 {
-		p.Heartbeat = 30 * time.Second
-	}
-	if p.Period <= 0 {
-		p.Period = 20 * time.Minute
-	}
-	if p.WarmupPeriods <= 0 {
-		p.WarmupPeriods = 3
-	}
-	return p
 }
 
 // FleetRow is one (shape, policy) arm's outcome.
@@ -189,7 +157,6 @@ func saltMix(idx, salt uint64) uint64 {
 // migration hits the §IV plateau and a trough migration converges in a
 // couple of iterations — the paper's convergent/divergent dichotomy.
 func newFleetDomains(p FleetParams) []fleetDomain {
-	shareBlk := p.LinkBps / float64(p.PerHostCap) / blockdev.BlockSize
 	doms := make([]fleetDomain, p.Domains)
 	for i := range doms {
 		u1 := fleetU(p.Seed, i, 1)
@@ -199,16 +166,16 @@ func newFleetDomains(p FleetParams) []fleetDomain {
 		d := &doms[i]
 		d.size = float64(1<<17) * (1 + u1) // 512 MB – 1 GB of 4 KiB blocks
 		d.hot = d.size * (0.6 + 0.15*u2)
-		d.phase = time.Duration(u4 * float64(p.Period))
+		d.phase = time.Duration(u4 * float64(fleetPeriod))
 		switch p.Shape {
 		case FleetDiurnal:
-			d.high = (1.0 + 0.5*u3) * shareBlk
+			d.high = (1.0 + 0.5*u3) * fleetShareBlk
 			d.low = 0.01 * d.high
 		case FleetConstant:
-			d.high = (0.25 + 0.1*u3) * shareBlk
+			d.high = (0.25 + 0.1*u3) * fleetShareBlk
 			d.low = d.high
 		case FleetBursty:
-			d.high = (1.5 + 0.5*u3) * shareBlk
+			d.high = (1.5 + 0.5*u3) * fleetShareBlk
 			d.low = 0.03 * d.high
 		}
 	}
@@ -222,14 +189,13 @@ func (p FleetParams) rateAt(doms []fleetDomain, i int, t time.Duration) float64 
 	case FleetConstant:
 		return d.high
 	case FleetDiurnal:
-		ph := (t + d.phase) % p.Period
-		if ph < p.Period/2 {
+		if (t+d.phase)%fleetPeriod < fleetPeriod/2 {
 			return d.high
 		}
 		return d.low
 	case FleetBursty:
 		// One heartbeat-wide burst on average every eighth beat.
-		beat := uint64((t + d.phase) / p.Heartbeat)
+		beat := uint64((t + d.phase) / fleetHeartbeat)
 		if splitmix64(uint64(p.Seed)^saltMix(uint64(i), 0x105+beat*2))%8 == 0 {
 			return d.high
 		}
@@ -251,7 +217,7 @@ func (p FleetParams) writesIn(doms []fleetDomain, i int, from, to time.Duration)
 	case FleetDiurnal:
 		cum := func(t time.Duration) float64 {
 			sec := (t + d.phase).Seconds()
-			psec := p.Period.Seconds()
+			psec := fleetPeriod.Seconds()
 			half := psec / 2
 			n := math.Floor(sec / psec)
 			rem := sec - n*psec
@@ -265,7 +231,7 @@ func (p FleetParams) writesIn(doms []fleetDomain, i int, from, to time.Duration)
 	case FleetBursty:
 		var w float64
 		for t := from; t < to; {
-			next := (t/p.Heartbeat + 1) * p.Heartbeat
+			next := (t/fleetHeartbeat + 1) * fleetHeartbeat
 			if next > to {
 				next = to
 			}
@@ -277,33 +243,27 @@ func (p FleetParams) writesIn(doms []fleetDomain, i int, from, to time.Duration)
 	return 0
 }
 
-// migrate replays the §IV iteration law for one domain starting at start:
-// returns total duration (pre-copy + freeze), the freeze window, and blocks
-// sent on the wire.
+// migrate replays the §IV iteration law for one domain starting at start, in
+// closed form through the pre-copy driver: each iteration ships the previous
+// one's dirty set at the fair share while the guest dirties
+// hot·(1−exp(−writes/hot)) unique blocks. It returns the total duration
+// (pre-copy + freeze), the freeze window, and blocks sent on the wire.
 func (p FleetParams) migrate(doms []fleetDomain, i int, start time.Duration) (dur, down time.Duration, sent float64) {
 	d := &doms[i]
-	shareBlk := p.LinkBps / float64(p.PerHostCap) / blockdev.BlockSize
-	toSend := d.size
-	t := start
-	var pre float64
-	for iter := 1; ; iter++ {
-		step := toSend / shareBlk
-		writes := p.writesIn(doms, i, t, t+fdur(step))
-		sent += toSend
-		pre += step
-		t += fdur(step)
-		dirty := d.hot * (1 - math.Exp(-writes/d.hot))
-		if !core.ContinuePreCopy(core.IterationStat{
-			Iteration: iter, Dirty: int(dirty), PrevDirty: int(toSend),
-			Threshold: fleetDirtyThreshold, MaxIterations: fleetMaxIters,
-		}) {
-			down = fdur(dirty/shareBlk) + fleetFixedDowntime
-			sent += dirty
-			break
-		}
-		toSend = dirty
-	}
-	return fdur(pre) + down, down, sent
+	t, pre, writes := start, 0.0, 0.0
+	final := runPreCopy(preCopySpec{
+		threshold: diskDirtyThreshold, maxIter: maxDiskIters,
+		send: func(_ int, blocks float64) {
+			step := blocks / fleetShareBlk
+			writes = p.writesIn(doms, i, t, t+fdur(step))
+			sent += blocks
+			pre += step
+			t += fdur(step)
+		},
+		dirty: func() float64 { return d.hot * (1 - math.Exp(-writes/d.hot)) },
+	}, d.size)
+	down = fdur(final/fleetShareBlk) + fixedDowntime
+	return fdur(pre) + down, down, sent + final
 }
 
 // fdur converts seconds to a Duration.
@@ -312,19 +272,19 @@ func fdur(sec float64) time.Duration {
 }
 
 // warmupModels feeds every domain's forecast model the heartbeat counter
-// stream an autopilot would see: cumulative writes at Heartbeat cadence for
-// WarmupPeriods periods. Counters accumulate incrementally, so warmup is
+// stream an autopilot would see: cumulative writes at fleetHeartbeat cadence
+// for fleetWarmupPeriods periods. Counters accumulate incrementally, so warmup is
 // O(domains × beats) regardless of shape.
 func warmupModels(p FleetParams, doms []fleetDomain) {
-	beats := int(time.Duration(p.WarmupPeriods) * p.Period / p.Heartbeat)
+	beats := int(fleetWarmupPeriods * fleetPeriod / fleetHeartbeat)
 	cum := make([]float64, len(doms))
 	for i := range doms {
 		doms[i].mdl = forecast.NewModel()
 	}
 	for b := 1; b <= beats; b++ {
-		at := time.Duration(b) * p.Heartbeat
+		at := time.Duration(b) * fleetHeartbeat
 		for i := range doms {
-			cum[i] += p.writesIn(doms, i, at-p.Heartbeat, at)
+			cum[i] += p.writesIn(doms, i, at-fleetHeartbeat, at)
 			doms[i].mdl.ObserveCount(at, int64(cum[i]))
 		}
 	}
@@ -346,15 +306,14 @@ func pickMigration(doms []fleetDomain, pending []int, now time.Duration) (pick i
 	return pick, doms[pending[pick]].notBefore
 }
 
-// RunFleet simulates one drain arm and streams the outcomes into one row.
-func RunFleet(p FleetParams) FleetRow {
-	p = p.withFleetDefaults()
+// runFleet simulates one drain arm and streams the outcomes into one row.
+func runFleet(p FleetParams) FleetRow {
 	doms := newFleetDomains(p)
 	drained := p.Hosts / 5
 	if drained < 1 {
 		drained = 1
 	}
-	drainAt := time.Duration(p.WarmupPeriods) * p.Period
+	drainAt := fleetWarmupPeriods * fleetPeriod
 	if p.Predictive {
 		warmupModels(p, doms)
 	}
@@ -371,7 +330,7 @@ func RunFleet(p FleetParams) FleetRow {
 				doms[i].notBefore, _ = doms[i].mdl.DeferUntil(drainAt)
 			}
 		}
-		slots := make([]time.Duration, p.PerHostCap)
+		slots := make([]time.Duration, drainConcurrency)
 		for s := range slots {
 			slots[s] = drainAt
 		}
@@ -429,9 +388,9 @@ func FleetSweep(seed int64, hosts, domains int) ([]FleetRow, *metrics.Table) {
 	var rows []FleetRow
 	for _, shape := range []FleetShape{FleetDiurnal, FleetConstant, FleetBursty} {
 		base := FleetParams{Seed: seed, Hosts: hosts, Domains: domains, Shape: shape}
-		re := RunFleet(base)
+		re := runFleet(base)
 		base.Predictive = true
-		pr := RunFleet(base)
+		pr := runFleet(base)
 		if pr.Makespan > 0 {
 			pr.Speedup = float64(re.Makespan) / float64(pr.Makespan)
 		}

@@ -2,33 +2,38 @@
 // VBD, 512 MB of guest memory, a Gigabit LAN — in milliseconds of wall time.
 //
 // The real engine in internal/core moves actual bytes and cannot usefully
-// push 39 GB through a laptop for every benchmark run, so sim mirrors the
-// engine's phase logic (the same iteration rules, stop conditions, bitmap
-// mechanics, and push/pull post-copy) at bitmap granularity on a virtual
-// timeline: block *numbers* move, block *contents* don't. Workload
-// generators are shared with the real engine, so the dirty-block dynamics
-// that drive every Table I/II number come from the same access streams the
-// integration tests replay against real devices. One rule is not mirrored:
-// a simulated iteration ships its whole set, while the engine leaves out
-// units the guest has already dirtied again (core.owedCursor), so simulated
-// bytes and times are upper bounds on the engine's. So is the freeze window:
-// the simulated final page set costs a page per page, while the engine sends
-// a page it has seen dirty as the words that changed (vm.BaseBook).
+// push 39 GB through a laptop for every benchmark run, so sim replays the
+// engine's pre-copy law on a timeline of its own, at bitmap granularity:
+// block *numbers* move, block *contents* don't. The law is stated once: one
+// pre-copy driver (runPreCopy) runs the disk phase, the memory phase and the
+// fleet model's closed-form migrations, and it stops where the engine does,
+// by asking core.ContinuePreCopy. The bitmap mechanics and the push/pull
+// post-copy follow the engine's, and the workload generators are the ones the
+// integration tests replay against real devices, so the dirty-block dynamics
+// that drive every Table I/II number come from the same access streams. One
+// rule is not mirrored: a simulated iteration ships its whole set, while the
+// engine leaves out units the guest has already dirtied again
+// (core.owedCursor), so simulated bytes and times are upper bounds on the
+// engine's. So is the freeze window: the simulated final page set costs a
+// page per page, while the engine sends a page it has seen dirty as the words
+// that changed (vm.BaseBook).
 //
 // Two resources are modelled, calibrated to the paper's testbed:
 //
-//   - the migration path (NetBytesPerSec): the effective Gigabit rate,
-//     39 097 MB / 796.1 s ≈ 49.1 MB/s in Table I's web row;
-//   - the shared local disk (DiskBytesPerSec): when the migration's
+//   - the migration path (Params.NetBytesPerSec): the effective Gigabit
+//     rate, 39 097 MB / 796.1 s ≈ 49.1 MB/s in Table I's web row;
+//   - the shared local disk (diskBytesPerSec): when the migration's
 //     sequential scan and the guest's I/O overlap, both are scaled
 //     proportionally to fit the disk's contended capacity — the mechanism
 //     behind Fig. 6's Bonnie++ throughput dip and §VI-C-3's observation
 //     that capping migration bandwidth halves the impact while lengthening
 //     pre-copy ~37%.
+//
+// Both pre-copy phases cross the migration path through one drain, which
+// also models a cut link and the engine's resume.
 package sim
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -39,7 +44,10 @@ import (
 	"bbmig/internal/workload"
 )
 
-// Params configures one simulated migration.
+// Params configures one simulated migration. The testbed's fixed figures —
+// the disk's contended capacity, the stop conditions, the freeze and
+// post-copy overheads, the integration step — are the constants below, not
+// fields.
 type Params struct {
 	// DiskMB is the VBD size (paper: 39 070 MB ≈ a "40 GB" VBD).
 	DiskMB int
@@ -51,9 +59,6 @@ type Params struct {
 
 	// NetBytesPerSec is the effective migration path bandwidth.
 	NetBytesPerSec float64
-	// DiskBytesPerSec is the contended disk capacity available when the
-	// migration scan and guest I/O overlap.
-	DiskBytesPerSec float64
 	// RateLimit caps the migration's pre-copy bandwidth (§VI-C-3);
 	// 0 means unlimited.
 	RateLimit float64
@@ -98,78 +103,77 @@ type Params struct {
 	// a cold destination. Ignored unless Delta.
 	DeltaMatchShare float64
 
-	// Swarm models multi-source fetch (core.Config.SwarmPeers) on top of Dedup:
-	// during iteration 1 an extra SwarmShare fraction of the content —
+	// SwarmShare models multi-source fetch (core.Config.SwarmPeers) on top
+	// of Dedup: during iteration 1 this extra fraction of the content —
 	// blocks the destination does not hold but peer machines do — arrives
-	// over the peers' sidecar sessions at SwarmBytesPerSec aggregate, in
-	// parallel with the source's stream. On the main channel those blocks
-	// cost only advert and reference bytes, so the source's uplink carries
-	// the literal remainder while the fleet carries the bulk. Ignored
-	// unless Dedup.
-	Swarm bool
-	// SwarmShare is the iteration-1 content fraction swarm peers produce,
-	// beyond the DedupShare the destination holds locally (the two sum to
-	// at most 1).
+	// over the peers' sidecar sessions, in parallel with the source's
+	// stream. On the main channel those blocks cost only advert and
+	// reference bytes, so the source's uplink carries the literal remainder
+	// while the fleet carries the bulk. DedupShare and SwarmShare sum to at
+	// most 1. Ignored unless Dedup and SwarmBytesPerSec > 0.
 	SwarmShare float64
 	// SwarmBytesPerSec is the nominated peers' aggregate serve bandwidth —
 	// sidecar links, separate from the migration path and from the source
 	// host's disk, so an outage on the migration link does not stall them.
+	// Zero models no swarm.
 	SwarmBytesPerSec float64
 
 	// OnEvent, when non-nil, receives the same typed progress events the
 	// real engine emits (phase transitions, iteration ends, suspend,
-	// resume, completion) on the simulated timeline — the simulator no
-	// longer needs to be inferred from its cursor position.
+	// resume, completion) on the simulated timeline.
 	OnEvent core.EventFunc
 
 	// OutageAt, when positive, severs the migration link once at that point
 	// on the simulated timeline; the link stays down for OutageDuration
 	// while the guest keeps running (and dirtying) at full disk speed.
-	// The migration resumes the way the engine does — re-entering the
-	// interrupted iteration and re-sending it — with the penalty recorded
-	// in Report.Retries and Report.ResentBytes. Zero disables the fault.
+	// The migration resumes the way the engine does — re-sending the data
+	// in flight at the cut — with the penalty recorded in Report.Retries
+	// and Report.ResentBytes. Zero disables the fault.
 	OutageAt       time.Duration
 	OutageDuration time.Duration
-
-	// Engine stop conditions, mirroring core.Config.
-	MaxDiskIters           int
-	DiskDirtyThresholdBlks int
-	MaxMemIters            int
-	MemDirtyThresholdPages int
-
-	// FixedDowntime is the suspend/resume/device-reattach overhead that
-	// exists regardless of transfer sizes.
-	FixedDowntime time.Duration
-	// PostCopyLatency is the control-path overhead of entering and running
-	// the post-copy protocol (proc-file polling and per-pull round trips in
-	// the paper's blkd).
-	PostCopyLatency time.Duration
-
-	// Step is the integration step for the contention model.
-	Step time.Duration
 
 	// DwellAfter is how long the guest keeps running on the destination
 	// before an incremental migration back is measured (Table II).
 	DwellAfter time.Duration
 }
 
+// The paper testbed's fixed figures.
+const (
+	// netBytesPerSec is the Gigabit path's effective rate, 49.1 MiB/s in
+	// bytes (Defaults' NetBytesPerSec).
+	netBytesPerSec = 49.1e6 * 1.048576
+	// diskBytesPerSec is the contended disk capacity available when the
+	// migration scan and guest I/O overlap.
+	diskBytesPerSec = 76e6 * 1.048576
+
+	// The stop conditions core.ContinuePreCopy applies, as core.Config
+	// names them: MaxDiskIters, DiskDirtyThreshold (blocks), MaxMemIters
+	// and MemDirtyThreshold (pages).
+	maxDiskIters       = 4
+	diskDirtyThreshold = 8
+	maxMemIters        = 30
+	memDirtyThreshold  = 64
+
+	// fixedDowntime is the suspend/resume/device-reattach overhead that
+	// exists regardless of transfer sizes.
+	fixedDowntime = 30 * time.Millisecond
+	// postCopyLatency is the control-path overhead of entering and running
+	// the post-copy protocol (proc-file polling and per-pull round trips in
+	// the paper's blkd).
+	postCopyLatency = 330 * time.Millisecond
+	// stepLen is the integration step of the contention model.
+	stepLen = 250 * time.Millisecond
+)
+
 // Defaults returns the paper-testbed parameters for a given workload.
 func Defaults(kind workload.Kind) Params {
 	return Params{
-		DiskMB:                 39070,
-		MemMB:                  512,
-		Workload:               kind,
-		Seed:                   1,
-		NetBytesPerSec:         49.1e6 * 1.048576, // 49.1 MiB/s in bytes
-		DiskBytesPerSec:        76e6 * 1.048576,
-		MaxDiskIters:           4,
-		DiskDirtyThresholdBlks: 8,
-		MaxMemIters:            30,
-		MemDirtyThresholdPages: 64,
-		FixedDowntime:          30 * time.Millisecond,
-		PostCopyLatency:        330 * time.Millisecond,
-		Step:                   250 * time.Millisecond,
-		DwellAfter:             30 * time.Minute,
+		DiskMB:         39070,
+		MemMB:          512,
+		Workload:       kind,
+		Seed:           1,
+		NetBytesPerSec: netBytesPerSec,
+		DwellAfter:     30 * time.Minute,
 	}
 }
 
@@ -179,11 +183,9 @@ const frameOverhead = 13
 // Result is the outcome of a simulated migration.
 type Result struct {
 	Report *metrics.Report
-	// WorkloadSeries samples the guest's achieved I/O throughput (MB/s);
-	// MigrationSeries samples the migration transfer rate. Together they
-	// regenerate Figures 5 and 6.
-	WorkloadSeries  metrics.Series
-	MigrationSeries metrics.Series
+	// WorkloadSeries samples the guest's achieved I/O throughput (MB/s),
+	// which regenerates Figures 5 and 6.
+	WorkloadSeries metrics.Series
 	// MigStart/MigEnd bound the migration on the shared timeline.
 	MigStart, MigEnd time.Duration
 	// FreezeBitmapBytes is what the freeze bitmap cost on the wire.
@@ -191,7 +193,6 @@ type Result struct {
 
 	// carried state for an incremental migration back
 	fresh *bitmap.Bitmap
-	cur   *cursor
 	p     Params
 	now   time.Duration
 }
@@ -203,8 +204,6 @@ func (r *Result) FreshBlocks() int { return r.fresh.Count() }
 // sim holds the running state of one migration simulation.
 type sim struct {
 	p          Params
-	numBlocks  int
-	numPages   int
 	now        time.Duration
 	cur        *cursor
 	dirty      *bitmap.Bitmap // tracked writes since last swap (source side)
@@ -217,13 +216,13 @@ type sim struct {
 
 	outageArmed   bool          // OutageAt not yet reached
 	linkDownUntil time.Duration // link dead until this instant
-	faultFired    bool          // latched for the transfer loop to consume
+	faultFired    bool          // latched for the drain to consume
 
-	rep        *metrics.Report
-	wSeries    metrics.Series
-	mSeries    metrics.Series
-	preCopying bool // disk contention active (migration reading the disk)
-	postCopy   *postCopyState
+	rep       *metrics.Report
+	wSeries   metrics.Series
+	migrating bool // the migration uses the link (pre-copy and post-copy)
+	diskBusy  bool // ... and the disk, contending with the guest's I/O
+	postCopy  *postCopyState
 }
 
 type postCopyState struct {
@@ -235,7 +234,7 @@ type postCopyState struct {
 
 // RunTPM simulates a primary whole-disk TPM migration.
 func RunTPM(p Params) *Result {
-	return run(p, nil, nil, 0)
+	return run(p, nil, 0)
 }
 
 // RunIM simulates migrating the VM back using the fresh bitmap accumulated
@@ -244,35 +243,30 @@ func RunTPM(p Params) *Result {
 // after the work session (maintenance done, telecommute over), so no
 // workload dirties blocks mid-flight.
 func (r *Result) RunIM() *Result {
-	return run(r.p, r.fresh, nil, r.now)
+	return run(r.p, r.fresh, r.now)
 }
 
-func run(p Params, initial *bitmap.Bitmap, cur *cursor, start time.Duration) *Result {
-	idle := initial != nil && cur == nil
-	if p.Step <= 0 {
-		p.Step = 250 * time.Millisecond
-	}
+// run simulates one migration from start: a TPM of the whole disk, or, given
+// an initial bitmap, an IM of those blocks with the guest idle.
+func run(p Params, initial *bitmap.Bitmap, start time.Duration) *Result {
 	if p.MaxExtentBlocks < 1 {
 		p.MaxExtentBlocks = 1
 	}
 	numBlocks := p.DiskMB << 20 / blockdev.BlockSize
-	numPages := p.MemMB << 20 / 4096
-	if cur == nil {
-		g := workload.Generator(workload.New(p.Workload, numBlocks, p.Seed))
-		if idle {
-			g = idleGenerator{}
-		}
-		cur = newCursor(g)
+	blocks := numBlocks
+	var g workload.Generator = idleGenerator{}
+	if initial == nil {
+		g = workload.New(p.Workload, numBlocks, p.Seed)
+	} else {
+		blocks = initial.Count()
 	}
 	s := &sim{
-		p:         p,
-		numBlocks: numBlocks,
-		numPages:  numPages,
-		now:       start,
-		cur:       cur,
-		dirty:     bitmap.New(numBlocks),
-		fresh:     bitmap.New(numBlocks),
-		memProf:   workload.Profile(p.Workload),
+		p:       p,
+		now:     start,
+		cur:     newCursor(g),
+		dirty:   bitmap.New(numBlocks),
+		fresh:   bitmap.New(numBlocks),
+		memProf: workload.Profile(p.Workload),
 		rep: &metrics.Report{
 			Scheme:      "TPM",
 			Workload:    p.Workload.String(),
@@ -285,99 +279,44 @@ func run(p Params, initial *bitmap.Bitmap, cur *cursor, start time.Duration) *Re
 	}
 	s.outageArmed = p.OutageAt > 0
 	s.wSeries = metrics.Series{Label: p.Workload.String() + " throughput", Unit: "MB/s"}
-	s.mSeries = metrics.Series{Label: "migration transfer rate", Unit: "MB/s"}
 
 	migStart := s.now
 	s.trackDirty = true // blkback starts recording before the first copy
+	s.migrating = true
 
 	// --- Disk pre-copy (§IV-A-1): iterative, bitmap-driven. ---
 	s.emit(core.Event{Kind: core.EventPhaseStart, Phase: core.PhaseDiskPreCopy})
-	s.preCopying = true
-	toSend := initial
-	if toSend == nil {
-		toSend = bitmap.NewAllSet(numBlocks)
-	}
-	prevSent := toSend.Count()
-	for iter := 1; ; iter++ {
-		iterStart := s.now
-		sentBlocks := toSend.Count()
-		iterBytes := int64(sentBlocks) * blockdev.BlockSize
-		if (p.Dedup || p.Delta) && iter == 1 {
-			// Content-addressed iteration 1: every block pays the advert,
-			// the present share travels as references, the rest literally —
-			// or, with Delta negotiated, as signature-priced patches.
-			share, swarmShare := 0.0, 0.0
-			if p.Dedup {
-				share = clamp01(p.DedupShare)
-				if p.Swarm && p.SwarmBytesPerSec > 0 {
-					swarmShare = clamp01(p.SwarmShare)
-					if share+swarmShare > 1 {
-						swarmShare = 1 - share
-					}
-				}
-			}
-			refsSwarm := int(float64(sentBlocks) * swarmShare)
-			refs := int(float64(sentBlocks)*share) + refsSwarm
-			wire, patched := iter1Wire(p, float64(sentBlocks), float64(refs), s.perBlockWire())
-			if patched {
-				s.rep.DeltaBlocks += sentBlocks - refs
-			}
-			if refsSwarm > 0 {
-				// Swarm-produced blocks cross the peers' sidecar links in
-				// parallel with the source stream; the iteration ends when
-				// both flows drain.
-				swarmWire := float64(refsSwarm) * swarmPerBlockWire
-				s.transferWireParallel(wire, swarmWire)
-			} else {
-				s.transferWire(wire)
-			}
-			iterBytes = int64(wire)
-			s.rep.DedupBlocks += refs
-			s.rep.SwarmBlocks += refsSwarm
-		} else {
-			s.transferBlocks(int64(sentBlocks))
-		}
-		s.rep.DiskIterations = append(s.rep.DiskIterations, metrics.Iteration{
-			Index: iter, Units: sentBlocks,
-			Bytes:    iterBytes,
-			Duration: s.now - iterStart, DirtyEnd: s.dirty.Count(),
-		})
-		s.emit(core.Event{
-			Kind: core.EventIterationEnd, Phase: core.PhaseDiskPreCopy,
-			Iteration: iter, Units: sentBlocks,
-			Bytes: int64(sentBlocks) * blockdev.BlockSize, Dirty: s.dirty.Count(),
-		})
-		dirtyNow := s.dirty.Count()
-		if !core.ContinuePreCopy(core.IterationStat{
-			Iteration: iter, Dirty: dirtyNow, PrevDirty: prevSent,
-			Threshold: p.DiskDirtyThresholdBlks, MaxIterations: p.MaxDiskIters,
-		}) {
-			break
-		}
-		prevSent = dirtyNow
-		toSend = s.dirty.Clone()
-		s.dirty.Reset()
-	}
-	s.preCopying = false
+	s.diskBusy = true
+	s.preCopy(core.PhaseDiskPreCopy, &s.rep.DiskIterations, s.sendBlocks, preCopySpec{
+		threshold: diskDirtyThreshold, maxIter: maxDiskIters,
+		dirty: func() float64 { return float64(s.dirty.Count()) },
+		swap:  s.dirty.Reset,
+	}, float64(blocks))
+	s.diskBusy = false
 
 	// --- Memory pre-copy (Xen-style, analytic hot-set model). ---
 	s.emit(core.Event{Kind: core.EventPhaseStart, Phase: core.PhaseMemPreCopy})
-	s.memPreCopy()
+	s.memDirty = 0
+	s.preCopy(core.PhaseMemPreCopy, &s.rep.MemIterations, s.sendPages, preCopySpec{
+		threshold: memDirtyThreshold, maxIter: maxMemIters,
+		dirty: func() float64 { return s.memDirty },
+		swap:  func() { s.memDirty = 0 },
+	}, float64(p.MemMB<<20/4096))
 	s.rep.PreCopyTime = s.now - migStart
 
 	// --- Freeze-and-copy: final pages + CPU + block-bitmap. ---
 	// The freeze bitmap is everything dirtied since the last iteration
 	// swap; it crosses the link in the engine's own encoding, so its cost
-	// follows the dirty set, not the disk size.
-	carry := s.dirty.Clone()
-	s.dirty.Reset()
+	// follows the dirty set, not the disk size. Tracking stops here, so the
+	// tracker's bitmap is the carried set from now on.
 	s.trackDirty = false
+	carry := s.dirty
 	finalPages := s.memDirty
 	bitmapBytes := carry.EncodedLen() + frameOverhead
 	freezeBytes := finalPages*4096 + float64(bitmapBytes) + 4096 /* CPU state */
 	s.emit(core.Event{Kind: core.EventPhaseStart, Phase: core.PhaseFreezeCopy})
 	s.emit(core.Event{Kind: core.EventSuspended, Phase: core.PhaseFreezeCopy})
-	downtime := p.FixedDowntime + time.Duration(freezeBytes/p.NetBytesPerSec*float64(time.Second))
+	downtime := fixedDowntime + time.Duration(freezeBytes/p.NetBytesPerSec*float64(time.Second))
 	s.advanceNoDisk(downtime) // guest frozen: its I/O halts; clock moves
 	s.rep.Downtime = downtime
 	s.rep.MemBytesMoved += int64(finalPages * 4096)
@@ -389,15 +328,16 @@ func run(p Params, initial *bitmap.Bitmap, cur *cursor, start time.Duration) *Re
 	s.emit(core.Event{Kind: core.EventResumed, Phase: core.PhasePostCopy})
 	postStart := s.now
 	carryInit := carry.Count()
-	s.postCopy = &postCopyState{remaining: carry.Clone()}
-	s.preCopying = true // pushes contend with the guest on the dest disk
+	s.postCopy = &postCopyState{remaining: carry}
+	s.diskBusy = true // pushes contend with the guest on the dest disk
 	for s.postCopy.remaining.Any() {
 		s.stepPostCopy()
 	}
-	s.preCopying = false
-	s.now += p.PostCopyLatency
+	s.migrating, s.diskBusy = false, false
+	s.now += postCopyLatency
 	s.rep.PostCopyTime = s.now - postStart
-	s.rep.BlocksPushed = pushedCount(carryInit, s.postCopy)
+	// pushed = initial carry − pulled − superseded-by-writes
+	s.rep.BlocksPushed = max(0, carryInit-s.postCopy.pulled-s.postCopy.stale)
 	s.rep.BlocksPulled = s.postCopy.pulled
 	s.rep.StalePushes = s.postCopy.stale
 	s.postCopy = nil // synchronization complete; the dwell runs unmigrated
@@ -418,38 +358,112 @@ func run(p Params, initial *bitmap.Bitmap, cur *cursor, start time.Duration) *Re
 	// fresh bitmap that a later IM will carry back. ---
 	dwellEnd := s.now + p.DwellAfter
 	for s.now < dwellEnd {
-		s.step(minDur(s.p.Step*40, dwellEnd-s.now))
+		s.step(min(stepLen*40, dwellEnd-s.now))
 	}
 
 	return &Result{
-		Report:          s.rep,
-		WorkloadSeries:  s.wSeries,
-		MigrationSeries: s.mSeries,
-		MigStart:        migStart,
-		MigEnd:          migEnd,
-		fresh:           s.fresh,
-		cur:             s.cur,
-		p:               s.p,
-		now:             s.now,
+		Report:         s.rep,
+		WorkloadSeries: s.wSeries,
+		MigStart:       migStart,
+		MigEnd:         migEnd,
+		fresh:          s.fresh,
+		p:              s.p,
+		now:            s.now,
 
 		FreezeBitmapBytes: bitmapBytes,
 	}
 }
 
-func pushedCount(carryInit int, pc *postCopyState) int {
-	// pushed = initial carry − pulled − superseded-by-writes
-	n := carryInit - pc.pulled - pc.stale
-	if n < 0 {
-		n = 0
-	}
-	return n
+// preCopySpec is one pre-copy phase, shaped like the engine's: the driver
+// owns the iteration law, and a phase supplies how one iteration's set
+// crosses the link, how many units are dirty once it has, and the swap that
+// starts the next count.
+type preCopySpec struct {
+	threshold, maxIter int
+	send               func(iter int, units float64)
+	dirty              func() float64
+	swap               func() // nil: the dirty count needs no reset
 }
 
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
+// runPreCopy is the simulator's one pre-copy driver, the law of the engine's
+// preCopyLoop: iteration 1 sends the initial set of units, iteration k what
+// was dirtied during k−1, and core.ContinuePreCopy decides when to stop. It
+// returns the units left dirty for the next phase.
+func runPreCopy(sp preCopySpec, units float64) float64 {
+	prev := units
+	for iter := 1; ; iter++ {
+		sp.send(iter, units)
+		dirty := sp.dirty()
+		if !core.ContinuePreCopy(core.IterationStat{
+			Iteration: iter, Dirty: dirty, PrevDirty: prev,
+			Threshold: sp.threshold, MaxIterations: sp.maxIter,
+		}) {
+			return dirty
+		}
+		if sp.swap != nil {
+			sp.swap()
+		}
+		prev, units = dirty, dirty
 	}
-	return b
+}
+
+// preCopy runs one migration phase through the driver with move as its send
+// step. Each iteration is recorded in its, with the wire bytes move returns,
+// and reported as the engine's IterationEnd event on the simulated timeline.
+func (s *sim) preCopy(phase string, its *[]metrics.Iteration, move func(iter int, units float64) int64, sp preCopySpec, units float64) {
+	sp.send = func(iter int, units float64) {
+		start := s.now
+		bytes := move(iter, units)
+		dirty := int(sp.dirty())
+		*its = append(*its, metrics.Iteration{
+			Index: iter, Units: int(units), Bytes: bytes, Duration: s.now - start, DirtyEnd: dirty,
+		})
+		s.emit(core.Event{
+			Kind: core.EventIterationEnd, Phase: phase,
+			Iteration: iter, Units: int(units), Bytes: bytes, Dirty: dirty,
+		})
+	}
+	runPreCopy(sp, units)
+}
+
+// sendBlocks is the disk phase's send step: one iteration of blocks crosses
+// the link. It returns the iteration's bytes: the block payloads, or, on a
+// content-addressed iteration 1, its wire bytes.
+func (s *sim) sendBlocks(iter int, blocks float64) int64 {
+	if iter > 1 || !s.p.Dedup && !s.p.Delta {
+		s.drain(blocks*s.perBlockWire(), 0)
+		return int64(blocks) * blockdev.BlockSize
+	}
+	// Content-addressed iteration 1: every block pays the advert, the
+	// present share travels as references, the rest literally — or, with
+	// Delta negotiated, as signature-priced patches. Swarm-produced blocks
+	// cross the peers' sidecar links in parallel with the source stream.
+	share, swarmShare := 0.0, 0.0
+	if s.p.Dedup {
+		share = clamp01(s.p.DedupShare)
+		if s.p.SwarmBytesPerSec > 0 {
+			swarmShare = min(clamp01(s.p.SwarmShare), 1-share)
+		}
+	}
+	refsSwarm := int(blocks * swarmShare)
+	refs := int(blocks*share) + refsSwarm
+	wire, patched := iter1Wire(s.p, blocks, float64(refs), s.perBlockWire())
+	if patched {
+		s.rep.DeltaBlocks += int(blocks) - refs
+	}
+	s.drain(wire, float64(refsSwarm)*swarmPerBlockWire)
+	s.rep.DedupBlocks += refs
+	s.rep.SwarmBlocks += refsSwarm
+	return int64(wire)
+}
+
+// sendPages is the memory phase's send step: one iteration of pages crosses
+// the link, which is all memory touches — no disk contention.
+func (s *sim) sendPages(_ int, pages float64) int64 {
+	bytes := pages * 4096
+	s.drain(bytes, 0)
+	s.rep.MemBytesMoved += int64(bytes)
+	return int64(bytes)
 }
 
 // emit forwards one progress event on the simulated timeline.
@@ -466,9 +480,9 @@ func (s *sim) linkDown() bool {
 	return s.now < s.linkDownUntil
 }
 
-// consumeFault latches-and-clears the fired-fault flag; the transfer loops
-// call it after each step to apply the engine's resume semantics (re-send
-// the interrupted iteration).
+// consumeFault latches-and-clears the fired-fault flag and counts the retry;
+// the drain and the post-copy push call it after each step to apply the
+// engine's resume semantics.
 func (s *sim) consumeFault() bool {
 	if !s.faultFired {
 		return false
@@ -476,15 +490,6 @@ func (s *sim) consumeFault() bool {
 	s.faultFired = false
 	s.rep.Retries++
 	return true
-}
-
-// migRate returns the migration bandwidth before disk contention: linkRate,
-// or nothing while the link is severed.
-func (s *sim) migRate() float64 {
-	if s.linkDown() {
-		return 0
-	}
-	return s.linkRate()
 }
 
 // linkRate returns the migration path's rate while the link is up. When a
@@ -539,18 +544,19 @@ func iter1Wire(p Params, blocks, refs, perLiteral float64) (wire float64, patche
 }
 
 // step advances one integration step of dt, returning the migration bytes
-// credited. Guest accesses consumed in the step update the dirty/fresh
-// bitmaps; contention scales both parties proportionally into the disk
-// capacity (when the migration is touching the disk).
+// credited. The link's state at the start of the step decides its credit.
+// Guest accesses consumed in the step update the dirty/fresh bitmaps;
+// contention scales both parties proportionally into the disk capacity (when
+// the migration is touching the disk).
 func (s *sim) step(dt time.Duration) float64 {
 	demand := float64(s.cur.peekDemandBytes(dt)) / dt.Seconds()
 	mig := 0.0
-	if s.preCopying || s.postCopy != nil {
-		mig = s.migRate()
+	if s.migrating && !s.linkDown() {
+		mig = s.linkRate()
 	}
 	wEff, mEff := demand, mig
-	if s.preCopying && demand+mig > s.p.DiskBytesPerSec {
-		scale := s.p.DiskBytesPerSec / (demand + mig)
+	if s.diskBusy && demand+mig > diskBytesPerSec {
+		scale := diskBytesPerSec / (demand + mig)
 		wEff, mEff = demand*scale, mig*scale
 	}
 	slow := 1.0
@@ -566,7 +572,6 @@ func (s *sim) step(dt time.Duration) float64 {
 		s.faultFired = true
 	}
 	s.wSeries.Add(s.now, wEff/1e6)
-	s.mSeries.Add(s.now, mEff/1e6)
 	return mEff * dt.Seconds()
 }
 
@@ -648,52 +653,39 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// transferBlocks advances time until `blocks` blocks have crossed the wire.
-// If the modelled outage fires mid-iteration, the link stalls for the
-// outage window and the in-flight data is re-sent — the engine's
-// cursor-exact resume semantics.
-func (s *sim) transferBlocks(blocks int64) {
-	s.transferWire(float64(blocks) * s.perBlockWire())
-}
-
-// transferWire advances time until `total` wire bytes have crossed.
-func (s *sim) transferWire(total float64) {
-	remaining := total
-	for remaining > 0 {
-		remaining -= s.step(s.p.Step)
-		if s.consumeFault() && remaining > 0 {
-			resend := math.Min(total-remaining, inflightWindow)
-			if resend > 0 {
-				s.rep.ResentBytes += int64(resend)
-				remaining += resend
-			}
-		}
-	}
-}
-
-// transferWireParallel advances time until both the main-channel bytes and
-// the swarm sidecar bytes have crossed. The flows are independent links:
-// the source stream rides the contended migration path (outages and all),
-// the swarm total drains at the peers' aggregate rate, and the iteration —
-// like the real destination, which answers the next advert only when the
-// current extent settles — finishes with the slower of the two.
-func (s *sim) transferWireParallel(total, swarmTotal float64) {
+// drain advances time until total bytes have crossed the migration link and
+// swarmTotal the swarm peers' sidecar links, the slower flow deciding — like
+// the real destination, which answers the next advert only when the current
+// extent settles. The sidecars drain at SwarmBytesPerSec whatever the
+// migration link does; a swarm flow rides disk pre-copy only.
+//
+// A cut fires at the end of the step it falls in, which the link was up for
+// and so still credits. The data in flight at the cut — at most
+// inflightWindow of what this drain has sent — crosses again once the link
+// returns: the engine's cursor-exact resume. While the migration reads the
+// disk, the guest's I/O sets each step's credit, so the drain runs whole
+// steps; otherwise its last step ends when the bytes do.
+func (s *sim) drain(total, swarmTotal float64) {
 	remaining, swarmRemaining := total, swarmTotal
 	for remaining > 0 || swarmRemaining > 0 {
-		credit := s.step(s.p.Step)
+		dt := stepLen
+		if !s.diskBusy {
+			if dt = min(dt, time.Duration(remaining/s.linkRate()*float64(time.Second))); dt <= 0 {
+				return // less than a nanosecond of link time owed
+			}
+		}
+		credit := s.step(dt)
 		if remaining > 0 {
 			remaining -= credit
 			if s.consumeFault() && remaining > 0 {
 				resend := math.Min(total-remaining, inflightWindow)
-				if resend > 0 {
-					s.rep.ResentBytes += int64(resend)
-					remaining += resend
-				}
+				s.rep.ResentBytes += int64(resend)
+				remaining += resend
 			}
 		} else {
 			s.consumeFault() // an outage after the source drained costs nothing
 		}
-		swarmRemaining -= s.p.SwarmBytesPerSec * s.p.Step.Seconds()
+		swarmRemaining -= s.p.SwarmBytesPerSec * dt.Seconds()
 	}
 }
 
@@ -701,7 +693,7 @@ func (s *sim) transferWireParallel(total, swarmTotal float64) {
 // ascending order (the guest's reads/writes meanwhile clear bits through
 // applyAccess).
 func (s *sim) stepPostCopy() {
-	credit := s.step(s.p.Step)
+	credit := s.step(stepLen)
 	// An outage during post-copy just stalls the push; the remaining bitmap
 	// is the source's durable view, so resume loses at most one step.
 	s.consumeFault()
@@ -739,68 +731,5 @@ func (s *sim) advanceMemModel(dt time.Duration) {
 	if h <= 0 || r <= 0 {
 		return
 	}
-	s.memDirty = h - (h-s.memDirty)*expNeg(r*dt.Seconds()/h)
-}
-
-// memPreCopy mirrors the engine's iterative memory pre-copy on the analytic
-// model: iteration 1 sends every page; iteration k sends the pages dirtied
-// during iteration k-1.
-func (s *sim) memPreCopy() {
-	// The link's rate when up: an outage live now holds the page loop below
-	// until the link returns.
-	rate := s.linkRate()
-	toSend := float64(s.numPages)
-	s.memDirty = 0
-	prev := toSend
-	for iter := 1; ; iter++ {
-		dur := toSend * 4096 / rate
-		iterStart := s.now
-		// advance the world while pages stream (no disk contention:
-		// memory moves over the NIC only)
-		elapsed := time.Duration(0)
-		total := time.Duration(dur * float64(time.Second))
-		for elapsed < total {
-			step := minDur(s.p.Step, total-elapsed)
-			s.step(step)
-			if s.consumeFault() {
-				// Cursor-exact resume: only the in-flight window re-sends
-				// once the link returns.
-				resendSec := inflightWindow / rate
-				if rewind := time.Duration(resendSec * float64(time.Second)); rewind < elapsed {
-					elapsed -= rewind
-				} else {
-					elapsed = 0
-				}
-				s.rep.ResentBytes += inflightWindow
-				continue
-			}
-			if s.linkDown() {
-				continue // time passes, no pages move
-			}
-			elapsed += step
-		}
-		s.rep.MemBytesMoved += int64(toSend * 4096)
-		dirtyNow := s.memDirty
-		s.rep.MemIterations = append(s.rep.MemIterations, metrics.Iteration{
-			Index: iter, Units: int(toSend), Bytes: int64(toSend * 4096),
-			Duration: s.now - iterStart, DirtyEnd: int(dirtyNow),
-		})
-		if int(dirtyNow) <= s.p.MemDirtyThresholdPages || iter >= s.p.MaxMemIters {
-			return
-		}
-		if iter > 1 && dirtyNow >= prev {
-			return // writable working set saturated
-		}
-		prev = dirtyNow
-		toSend = dirtyNow
-		s.memDirty = 0
-	}
-}
-
-// expNeg computes e^-x for x ≥ 0.
-func expNeg(x float64) float64 {
-	if x < 0 {
-		panic(fmt.Sprintf("sim: expNeg(%v)", x))
-	}
-	return math.Exp(-x)
+	s.memDirty = h - (h-s.memDirty)*math.Exp(-r*dt.Seconds()/h)
 }

@@ -562,6 +562,39 @@ func TestOutageAtMemoryStart(t *testing.T) {
 	}
 }
 
+// TestMemoryOutageCharge: a cut during memory pre-copy is charged by the
+// disk drain's rule — the step the cut falls in still credits, the data in
+// flight re-sends — so memory iteration 1 lasts its clean duration plus the
+// outage plus the re-sent bytes at link rate, whether the cut lands in the
+// iteration's first step or later.
+func TestMemoryOutageCharge(t *testing.T) {
+	base := Defaults(workload.Web)
+	base.DiskMB, base.DwellAfter = 2048, 0
+	var memStart time.Duration
+	base.OnEvent = func(ev core.Event) {
+		if ev.Kind == core.EventPhaseStart && ev.Phase == core.PhaseMemPreCopy {
+			memStart = ev.At
+		}
+	}
+	clean := RunTPM(base).Report.MemIterations[0].Duration
+
+	for _, offset := range []time.Duration{100 * time.Millisecond, 2 * time.Second} {
+		p := base
+		p.OnEvent = nil
+		p.OutageAt, p.OutageDuration = memStart+offset, 10*time.Second
+		rep := RunTPM(p).Report
+		if rep.Retries != 1 || rep.ResentBytes != inflightWindow {
+			t.Fatalf("cut %v in: retries %d, re-sent %d bytes, want 1 and %d", offset, rep.Retries, rep.ResentBytes, inflightWindow)
+		}
+		resend := time.Duration(float64(rep.ResentBytes) / p.NetBytesPerSec * float64(time.Second))
+		want := clean + p.OutageDuration + resend
+		if got := rep.MemIterations[0].Duration; got < want-time.Microsecond || got > want+time.Microsecond {
+			t.Errorf("cut %v in: memory iteration 1 took %v, want clean %v + outage %v + re-send %v = %v",
+				offset, got, clean, p.OutageDuration, resend, want)
+		}
+	}
+}
+
 // TestOutageZeroDisabled: the default parameters never arm the fault path.
 func TestOutageZeroDisabled(t *testing.T) {
 	p := Defaults(workload.Web)

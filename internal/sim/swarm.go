@@ -54,29 +54,25 @@ type SwarmSweepRow struct {
 // The acceptance bar the test pins: the swarm arm's makespan beats
 // single-source dedup by at least 2x.
 func SwarmSweep(seed int64) ([]SwarmSweepRow, *metrics.Table) {
-	const concurrency = 4
 	link := Defaults(workload.Web).NetBytesPerSec
 	arms := []struct {
-		label      string
-		dedup      bool
-		swarm      bool
-		share      float64
-		swarmShare float64
+		label             string
+		dedup             bool
+		share, swarmShare float64
 	}{
-		{"literal", false, false, 0, 0},
-		{"single-source dedup, cold dest", true, false, dedupZeroShare, 0},
-		{"swarm, 3 warm clone peers", true, true, dedupZeroShare, dedupTemplateShare},
+		{"literal", false, 0, 0},
+		{"single-source dedup, cold dest", true, dedupZeroShare, 0},
+		{"swarm, 3 warm clone peers", true, dedupZeroShare, dedupTemplateShare},
 	}
 	var rows []SwarmSweepRow
 	var baselineMakespan time.Duration
 	for _, arm := range arms {
-		_, makespan, results := evacuate(seed, concurrency, func(p *Params, _ int) {
+		_, makespan, results := evacuate(seed, drainConcurrency, func(p *Params, _ int) {
 			p.Dedup, p.DedupShare = arm.dedup, arm.share
-			if arm.swarm {
+			if arm.swarmShare > 0 {
 				// Each nominated peer serves over its own uplink; the sidecar
 				// links are separate from the source path.
-				p.Swarm, p.SwarmShare = true, arm.swarmShare
-				p.SwarmBytesPerSec = swarmPeerCount * link
+				p.SwarmShare, p.SwarmBytesPerSec = arm.swarmShare, swarmPeerCount*link
 			}
 		})
 		row := SwarmSweepRow{Label: arm.label, Makespan: makespan, SwarmBlocks: results[0].Report.SwarmBlocks}
@@ -94,7 +90,7 @@ func SwarmSweep(seed int64) ([]SwarmSweepRow, *metrics.Table) {
 
 	t := &metrics.Table{
 		Title: fmt.Sprintf("Swarm evacuation sweep — %d clone domains to cold hosts, concurrency %d, %d warm peers",
-			clusterDomains, concurrency, swarmPeerCount),
+			clusterDomains, drainConcurrency, swarmPeerCount),
 		Columns: []string{
 			"arm", "per-domain wire (MB)", "fleet wire (GB)",
 			"swarm blocks", "makespan (s)", "vs single-source",

@@ -18,7 +18,6 @@ func TestSwarmModelBasics(t *testing.T) {
 	single := RunTPM(base)
 
 	p := base
-	p.Swarm = true
 	p.SwarmShare = dedupTemplateShare
 	p.SwarmBytesPerSec = 3 * base.NetBytesPerSec
 	sw := RunTPM(p)

@@ -102,7 +102,7 @@ func WANSweep(seed int64) ([]WANSweepRow, *metrics.Table) {
 			p.DeltaMatchShare = wanRewriteMatchShare
 			fresh := bitmap.New(numBlocks)
 			fresh.SetRange(0, hot)
-			r := run(p, fresh, nil, 0)
+			r := run(p, fresh, 0)
 			wire := float64(r.Report.MigratedBytes)
 			if arm.label == "literal" {
 				literal = wire
