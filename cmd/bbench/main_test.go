@@ -24,7 +24,6 @@ func TestExperimentPrintersRun(t *testing.T) {
 		if e.name == "table3" {
 			continue
 		}
-		e := e
 		t.Run(e.name, func(t *testing.T) {
 			t.Parallel()
 			var out bytes.Buffer
