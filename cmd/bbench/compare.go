@@ -32,15 +32,15 @@ const (
 // Heap cost per op is hardware-independent, so allocs/op and B/op (a few
 // large allocations hide in a count) also hold the rows too noisy for a
 // cross-machine throughput gate. The fleet rows pin what the cluster's
-// trough rule buys; bursty must not fall below doing nothing. The MemDelta
-// counts, and the frames a live migration's freeze window carries, repeat
-// exactly on an in-order send path, so they are held to 2 % whatever
-// -max-regress says, and delta_pages may move neither way. So is
-// wire_share, the idle migrations' wire bytes per logical byte: a change that
-// stops eliding zero extents fails it. So is hashes_per_block, the SHA-256
-// calls a dedup destination's index makes per block, and writes_per_frame,
-// the socket writes per data frame of a TCP row: a change that stops
-// staging data frames fails it. (A move is measured
+// trough rule buys; bursty must not fall below doing nothing. Counts that
+// repeat exactly are held to 2 % whatever -max-regress says: the MemDelta
+// counts and the frames a live migration's freeze window carries (in-order
+// send path; delta_pages may move neither way); wire_share, the idle
+// migrations' wire bytes per logical byte (a change that stops eliding zero
+// extents fails it); hashes_per_block, the SHA-256 calls a dedup
+// destination's index makes per block; writes_per_frame, the socket writes
+// per data frame of a TCP row (a change that stops staging fails it); and
+// the blocks of a WAN row whose patch was refused. (A move is measured
 // against max(base, 1), so on a ratio 2 % is two hundredths.)
 var gates = []struct {
 	prefix, field string
@@ -60,6 +60,7 @@ var gates = []struct {
 	{"MigrateTCP/", "writes_per_frame", lower, 2},
 	{"MigrateWAN/", "allocs_per_op", lower, 0},
 	{"MigrateWAN/", "bytes_per_op", lower, 0},
+	{"MigrateWAN/", "refused_blocks", lower, 2},
 	{"MigrateDedup/", "allocs_per_op", lower, 0},
 	{"MigrateDedup/", "bytes_per_op", lower, 0},
 	{"MigrateDedup/", "hashes_per_block", lower, 2},

@@ -504,7 +504,7 @@ func tcpCpBaseline(b *testing.B) {
 // patches against the stale copies, or, toward the empty disk, behind a
 // signature round trip per extent that cannot win: the protocol's floor.
 func deltaMigrate(b *testing.B, delta, stale bool) {
-	hot := blocks / 8
+	hot, refused := blocks/8, 0
 	baseline := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
 	srcDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
 	buf := make([]byte, blockdev.BlockSize)
@@ -530,8 +530,10 @@ func deltaMigrate(b *testing.B, delta, stale bool) {
 		}
 		fresh := bitmap.New(blocks)
 		fresh.SetRange(0, hot)
-		newWorld(srcDisk, dstDisk, 64).migrate(b, wan, cfg, cfg, fresh, nil)
+		rep, _ := newWorld(srcDisk, dstDisk, 64).migrate(b, wan, cfg, cfg, fresh, nil)
+		refused += rep.DeltaRefused
 	}
+	b.ReportMetric(float64(refused)/float64(b.N), "refused_blocks")
 }
 
 // dedupMigrate runs TPM of a template-provisioned clone over modelled GbE:

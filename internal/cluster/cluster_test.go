@@ -192,8 +192,15 @@ func TestPriorityOrderAndCancel(t *testing.T) {
 		addDomain(t, ms[0], d, 8)
 	}
 	// d1 starts immediately (queue empty); d2 queues at low priority, d3 at
-	// evacuate priority and must run before d2.
-	t1, err := c.Submit(Job{Domain: "d1", From: "host0", Priority: PriorityLow})
+	// evacuate priority and must run before d2. d1's first progress event
+	// holds its migration until both are queued: were d1 to finish before d3
+	// is submitted, d2 would start in an empty queue and rightly run first.
+	queued := make(chan struct{})
+	release := sync.OnceFunc(func() { close(queued) })
+	defer release()
+	var hold sync.Once
+	held := &core.Config{OnEvent: func(core.Event) { hold.Do(func() { <-queued }) }}
+	t1, err := c.Submit(Job{Domain: "d1", From: "host0", Priority: PriorityLow, Config: held})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +212,10 @@ func TestPriorityOrderAndCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s := t1.State(); s != JobRunning {
+		t.Fatalf("d1 is %v while held, want running", s)
+	}
+	release()
 	if err := t3.Wait(); err != nil {
 		t.Fatal(err)
 	}

@@ -209,7 +209,7 @@ type Config struct {
 	// content (MsgDeltaSig), diffs the new content against it, and ships a
 	// COPY/LITERAL op stream (MsgDeltaPatch) when — and only when — the
 	// patch is smaller than the literal. The destination applies each patch
-	// against its own content and verifies the patch's embedded strong hash
+	// against its own content and verifies the patch's SHA-256 trailer
 	// before any byte lands; a mismatch is refused back to the source,
 	// which re-sends the extent literally before the pass ends — degraded,
 	// never wrong. Source-side, like Dedup: every destination answers the

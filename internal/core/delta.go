@@ -8,21 +8,19 @@ import (
 	"bbmig/internal/transport"
 )
 
-// This file is the engine half of delta-encoded transfer (Config.Delta),
-// the WAN path for content that diverged but stayed similar — the 11-35%
-// hot-block rewrites exact-match dedup cannot exploit. The protocol per
-// extent is a strictly alternating round trip: the source requests the
-// signature of the destination's current content (MsgDeltaSig, empty
-// payload), the destination answers with the marshaled chunk signature,
-// and the source ships either a COPY/LITERAL patch (MsgDeltaPatch) or the
-// plain literal, whichever is smaller. The destination verifies every
-// patch's embedded strong hash before a single byte lands; a mismatch is
-// refused back (MsgDeltaPatch, empty payload) and the source re-sends that
-// extent literally before the pass's fence — degraded, never wrong. The
-// delta encoder sits directly above the literal in the extent encoder chain
-// and below dedup, so with Dedup also set it sees exactly the runs the
-// want-bitmap asked for, composing the two. Memory pages, freeze-and-copy,
-// and post-copy pushes are never delta-encoded.
+// This file is the engine half of delta-encoded transfer (Config.Delta), the
+// WAN path for content that diverged but stayed similar — the 11-35% hot-block
+// rewrites exact-match dedup cannot exploit. Per extent the source requests
+// the signature of the destination's current content (MsgDeltaSig, empty
+// payload), the destination answers with the marshaled chunk signature, and
+// the source ships a COPY/LITERAL patch (MsgDeltaPatch) or, when that is no
+// smaller, the literal. The destination checks every patch's SHA-256 trailer
+// before a byte lands; a refusal goes back (MsgDeltaPatch, empty payload) and
+// the source re-sends the extent literally before the pass's fence: degraded,
+// never wrong. The delta encoder sits directly above the literal in the extent
+// encoder chain and below dedup, so with Dedup also set it sees exactly the
+// runs the want-bitmap asked for. Memory pages, freeze-and-copy, and post-copy
+// pushes are never delta-encoded.
 
 // deltaFenceArg is the MsgDeltaSig Arg bounding one delta send pass.
 // ExtentArg never produces 0 (a packed extent has count >= 1), so the value
@@ -54,6 +52,7 @@ func (t *transfer) deltaEncoder(next extentEncoder, limited bool) extentEncoder 
 		patch := differ.Diff(&sig, data) // borrowed until the next Diff; send borrows it in turn
 		if len(patch) >= len(data) {
 			// Diverged wholesale: the literal is no bigger and needs no apply.
+			t.deltaDeclined += ext.Count
 			lit, err := next(ext, data)
 			return wire + lit, err
 		}
@@ -98,7 +97,7 @@ func (t *transfer) deltaFence(limited bool) (int64, error) {
 		if err != nil {
 			return wire, fmt.Errorf("core: delta refusal: %w", err)
 		}
-		t.deltaBlocks -= ext.Count // the patch was refused; these blocks moved literally
+		t.deltaRefused += ext.Count // the patch was refused; these blocks move literally
 		lit, err := t.sendRead(ext, limited)
 		if err != nil {
 			return wire, err
@@ -135,7 +134,7 @@ func (d *destRun) handleDeltaSig(m transport.Message) error {
 }
 
 // handleDeltaPatch applies one patch against the destination's current
-// content, verifying the patch's embedded strong hash before any byte
+// content, verifying the patch's SHA-256 trailer before any byte
 // lands. A patch that fails to parse, rebuild, or verify is refused back to
 // the source with an empty echo — the literal re-send follows before the
 // fence — and is never partially applied.

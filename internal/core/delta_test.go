@@ -2,11 +2,16 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blockdev"
+	"bbmig/internal/delta"
+	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
 	"bbmig/internal/workload"
 )
@@ -146,8 +151,116 @@ func TestDeltaMismatchDegrades(t *testing.T) {
 	if res.Report.DeltaBlocks != 0 {
 		t.Fatalf("destination applied %d corrupted patches", res.Report.DeltaBlocks)
 	}
-	if rep.DeltaBlocks != 0 {
-		t.Fatalf("source still accounts %d blocks as delta-moved after refusals", rep.DeltaBlocks)
+	if rep.DeltaBlocks != 0 || rep.DeltaRefused == 0 {
+		t.Fatalf("source accounts %d blocks as delta-moved and %d refused after refusals", rep.DeltaBlocks, rep.DeltaRefused)
+	}
+}
+
+// sigRewriter rewrites every chunk signature the destination sends: resign
+// gets the reply's payload, a copy it may change in place, and the content of
+// disk under the extent the reply answers.
+type sigRewriter struct {
+	transport.Conn
+	t      *testing.T
+	disk   blockdev.Device
+	resign func(sig, content []byte)
+}
+
+func (c sigRewriter) Send(m transport.Message) error {
+	if m.Type == transport.MsgDeltaSig && len(m.Payload) > 0 {
+		start, count := transport.ExtentSplit(m.Arg)
+		bs := c.disk.BlockSize()
+		content := make([]byte, count*bs)
+		for k := 0; k < count; k++ {
+			if err := c.disk.ReadBlock(start+k, content[k*bs:(k+1)*bs]); err != nil {
+				c.t.Error(err)
+			}
+		}
+		m.Payload = append([]byte(nil), m.Payload...)
+		c.resign(m.Payload, content)
+	}
+	return c.Conn.Send(m)
+}
+
+// patchCounter counts the blocks the source sends as patches.
+type patchCounter struct {
+	transport.Conn
+	blocks *atomic.Int64
+}
+
+func (c patchCounter) Send(m transport.Message) error {
+	if m.Type == transport.MsgDeltaPatch && len(m.Payload) > 0 {
+		_, count := transport.ExtentSplit(m.Arg)
+		c.blocks.Add(int64(count))
+	}
+	return c.Conn.Send(m)
+}
+
+// deltaReturnTrip runs the hot-rewrite return trip with delta on, every
+// signature the destination sends passed through resign with the content of
+// the trip's source disk (ofSource) or of its destination disk, and returns
+// the source's report and the blocks it sent as patches. The trip must
+// converge: both disks end byte-identical.
+func deltaReturnTrip(t *testing.T, resign func(sig, content []byte), ofSource bool) (*metrics.Report, int) {
+	w := newWorld(t)
+	w.tpm(Config{}, Config{}, nil)
+	divergent := make([]int, 0, testBlocks/4)
+	for n := 0; n < testBlocks; n += 4 {
+		divergent = append(divergent, n)
+	}
+	fresh := hotRewrite(t, w.dstDisk, divergent, blockdev.BlockSize/16, 7)
+	var patched atomic.Int64
+	signed := w.srcDisk // the return trip's destination
+	if ofSource {
+		signed = w.dstDisk
+	}
+	back := w.reverse(worldSpec{link: func(s, d transport.Conn) (transport.Conn, transport.Conn) {
+		return patchCounter{s, &patched}, sigRewriter{d, t, signed, resign}
+	}})
+	cfg := Config{Delta: true, MaxExtentBlocks: 16}
+	rep, _ := back.tpm(cfg, cfg, fresh)
+	if !bytes.Equal(diskImage(t, w.srcDisk), diskImage(t, w.dstDisk)) {
+		t.Fatal("the return trip left the disks different")
+	}
+	if sent := rep.DeltaBlocks + rep.DeltaRefused + rep.DeltaDeclined; sent != len(divergent) {
+		t.Fatalf("delta accounts for %d blocks (%d patched, %d refused, %d declined), want the %d divergent",
+			sent, rep.DeltaBlocks, rep.DeltaRefused, rep.DeltaDeclined, len(divergent))
+	}
+	return rep, int(patched.Load())
+}
+
+// TestDeltaForgedSignatureRefused is the collision a crafted guest could
+// build: every signature the destination sends describes the source's new
+// content, not the destination's, so every patch is one COPY naming old
+// chunks that do not hold those bytes. The SHA-256 trailer refuses each one,
+// every refused extent goes again literally, and the source counts them.
+func TestDeltaForgedSignatureRefused(t *testing.T) {
+	forge := func(sig, content []byte) {
+		chunk := int(binary.LittleEndian.Uint32(sig))
+		copy(sig, delta.AppendSig(nil, content, chunk))
+	}
+	rep, patched := deltaReturnTrip(t, forge, true)
+	if patched == 0 || rep.DeltaRefused != patched || rep.DeltaBlocks != 0 {
+		t.Fatalf("%d blocks sent as patches, %d refused, %d landed as patches; want every patch refused",
+			patched, rep.DeltaRefused, rep.DeltaBlocks)
+	}
+}
+
+// TestDeltaSHA256SignerFallsBack is a mixed-version pair: the destination
+// signs its chunks with the truncated SHA-256 strong hash the codec used
+// before CRC-32C ‖ CRC-32. No strong hash matches, so no patch is sent: every
+// extent is declined to a literal and the disks still end identical.
+func TestDeltaSHA256SignerFallsBack(t *testing.T) {
+	sha := func(sig, content []byte) {
+		chunk := int(binary.LittleEndian.Uint32(sig))
+		for i, off := 0, 0; off < len(content); i, off = i+1, off+chunk {
+			sum := sha256.Sum256(content[off:min(off+chunk, len(content))])
+			copy(sig[8+i*12+4:], sum[:8]) // the record is weak(4) | strong(8)
+		}
+	}
+	rep, patched := deltaReturnTrip(t, sha, false)
+	if patched != 0 || rep.DeltaBlocks != 0 || rep.DeltaRefused != 0 {
+		t.Fatalf("%d blocks sent as patches, %d landed, %d refused; want none", patched, rep.DeltaBlocks, rep.DeltaRefused)
 	}
 }
 

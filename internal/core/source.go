@@ -157,7 +157,7 @@ func (s *sourceRun) run(phases []phase) (*metrics.Report, error) {
 		_ = s.journal.Checkpoint(JournalState{Token: s.sess.token, Epoch: s.sess.epoch, Phase: "done"})
 	}
 	s.rep.DedupBlocks = int(s.dedupBlocks.Load())
-	s.rep.DeltaBlocks = s.deltaBlocks
+	s.rep.DeltaBlocks, s.rep.DeltaRefused, s.rep.DeltaDeclined = s.deltaBlocks-s.deltaRefused, s.deltaRefused, s.deltaDeclined
 	return s.rep, s.finish(err)
 }
 

@@ -89,18 +89,19 @@ type transfer struct {
 	// have no reply path and send literally whatever was configured.
 	awaitReply func(typ transport.MsgType, arg uint64) ([]byte, error)
 
-	// dedupBlocks and deltaBlocks count the blocks this source moved by
-	// reference or as zero runs, and as patches; deltaPending counts patches
-	// sent since the last fence. dedupBlocks is atomic: the zero stage runs on
-	// every lane of the bare literal chain. deltaNaks holds the destination's
-	// patch refusals until the fence re-sends them — a slice under a mutex,
-	// not a bounded channel: a dropped refusal would leave the destination
-	// holding stale content for blocks the source considers sent.
-	dedupBlocks  atomic.Int64
-	deltaBlocks  int
-	deltaPending int
-	deltaMu      sync.Mutex
-	deltaNaks    []uint64
+	// dedupBlocks counts the blocks this source moved by reference or as zero
+	// runs, atomically: the zero stage runs on every lane of the literal chain.
+	// deltaBlocks counts blocks sent as patches, deltaRefused those refused,
+	// deltaDeclined those whose patch was no smaller than the literal, and
+	// deltaPending the patches since the last fence. deltaNaks holds refusals
+	// until the fence re-sends them — a slice under a mutex, not a bounded
+	// channel: a dropped refusal would leave the destination holding stale
+	// content for blocks the source considers sent.
+	dedupBlocks                              atomic.Int64
+	deltaBlocks, deltaRefused, deltaDeclined int
+	deltaPending                             int
+	deltaMu                                  sync.Mutex
+	deltaNaks                                []uint64
 }
 
 // newTransfer assembles the substrate for one endpoint of a VM migration:

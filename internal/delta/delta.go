@@ -1,7 +1,7 @@
 // Package delta implements the rsync-style block delta codec behind the
 // engine's WAN transfer path (Config.Delta): the destination summarizes the
 // content it already holds as a chunk signature (a weak rolling hash plus a
-// truncated SHA-256 strong hash per chunk), the source diffs the new content
+// CRC-32C ‖ CRC-32 strong hash per chunk), the source diffs the new content
 // against that signature, and what crosses the wire is a COPY/LITERAL op
 // stream — bytes only for the chunks that actually changed.
 //
@@ -10,7 +10,10 @@
 // patch carries a truncated SHA-256 of the whole reconstructed extent which
 // Apply verifies before returning a single byte, and every parse path is
 // fuzz-hardened (FuzzDeltaSig/FuzzDeltaPatch) — arbitrary input can fail,
-// never panic, over-read, or yield unverified bytes.
+// never panic, over-read, or yield unverified bytes. The chunk hashes only
+// choose which old chunks a patch names; the trailer alone decides whether
+// its bytes land, so a chunk-hash collision, chance or crafted, costs a
+// refused patch and a literal resend, never wrong content.
 package delta
 
 import (
@@ -18,6 +21,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/bits"
 	"slices"
 )
@@ -37,7 +41,7 @@ const (
 	// matching the transport's frame payload limit.
 	MaxTarget = 64 << 20
 
-	// strongSize is the truncated SHA-256 length per signature chunk.
+	// strongSize is the length of a chunk's strong hash (see strongOf).
 	strongSize = 8
 	// verifySize is the truncated SHA-256 length protecting a whole patch.
 	verifySize = 16
@@ -55,8 +59,8 @@ const (
 )
 
 // Signature describes existing content as fixed-size chunks, each carrying a
-// weak rolling hash (for the O(1) sliding-window probe) and a truncated
-// SHA-256 strong hash (for confirmation). A trailing short chunk is recorded
+// weak rolling hash (for the O(1) sliding-window probe) and a CRC-32C ‖
+// CRC-32 strong hash (for confirmation). A trailing short chunk is recorded
 // so lengths round-trip, but Diff never matches against it. The chunk records
 // stay in their wire form: a Signature is its header plus a view of them.
 type Signature struct {
@@ -73,7 +77,8 @@ func (s *Signature) weak(i int) uint32 {
 	return binary.LittleEndian.Uint32(s.recs[i*sigRecordLen:])
 }
 
-// strong returns chunk i's truncated SHA-256, as strongOf packs it.
+// strong returns chunk i's strong hash, as strongOf packs it: CRC-32C in the
+// low word, CRC-32 in the high word.
 func (s *Signature) strong(i int) uint64 {
 	return binary.LittleEndian.Uint64(s.recs[i*sigRecordLen+4:])
 }
@@ -93,12 +98,35 @@ func clampChunk(chunk int) int {
 }
 
 // weakSum computes the rsync rolling checksum of p: two 16-bit sums packed
-// into one uint32, cheap to slide one byte at a time.
+// into one uint32, cheap to slide one byte at a time. The low sum a is the
+// byte sum; the high sum b weighs byte i by len(p)-i, which is the sum of a's
+// running prefixes, so sixteen bytes add 16·a plus their own bytes weighted
+// 16..1. Those per-step sums are taken in 16-bit lanes — byte pairs in four
+// lanes per word — and folded into the top lane by one multiply each: every
+// lane and every partial lane sum stays under 2^16, so no carry crosses a
+// lane and the result is the byte loop's, bit for bit.
 func weakSum(p []byte) uint32 {
+	const (
+		even = 0x00ff00ff00ff00ff
+		ones = 0x0001000100010001 // every lane weighed 1 in the top lane
+		odd  = 0x0007000500030001 // lane j weighed 7-2j in the top lane
+		odd8 = odd + 8*ones       // lane j weighed 15-2j
+	)
 	var a, b uint32
-	for i, c := range p {
+	for ; len(p) >= 16; p = p[16:] {
+		w1 := binary.LittleEndian.Uint64(p)
+		w2 := binary.LittleEndian.Uint64(p[8:])
+		e1, e2 := w1&even, w2&even             // bytes 0, 2, 4, 6 of each word: <= 255
+		s1, s2 := e1+w1>>8&even, e2+w2>>8&even // pairs (2j, 2j+1): <= 510
+		// Byte 2j of the first word weighs 16-2j = (15-2j)+1, byte 2j+1
+		// weighs 15-2j; the second word's bytes weigh eight less. The top
+		// lane sums to at most 510·64 + 255·8 < 2^16.
+		b += 16*a + uint32((s1*odd8+s2*odd+(e1+e2)*ones)>>48)
+		a += uint32((s1 + s2) * ones >> 48)
+	}
+	for _, c := range p {
 		a += uint32(c)
-		b += uint32(len(p)-i) * uint32(c)
+		b += a
 	}
 	return a&0xffff | b<<16
 }
@@ -113,11 +141,16 @@ func weakRoll(sum uint32, w int, out, in byte) uint32 {
 	return a&0xffff | b<<16
 }
 
-// strongOf returns the truncated SHA-256 chunk hash of p: its first
-// strongSize bytes, read little-endian.
+// castagnoli is the CRC-32C table; crc32 runs it on the SSE4.2 instruction
+// where there is one, and IEEE on carry-less multiply.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// strongOf returns chunk p's strong hash: CRC-32C in the low word, CRC-32
+// (IEEE) in the high word. It is a match filter, not a guarantee: two chunks
+// that collide on it make Diff name the wrong old chunk, and the patch's
+// SHA-256 trailer then refuses the rebuilt extent, which goes literally.
 func strongOf(p []byte) uint64 {
-	sum := sha256.Sum256(p)
-	return binary.LittleEndian.Uint64(sum[:strongSize])
+	return uint64(crc32.Checksum(p, castagnoli)) | uint64(crc32.ChecksumIEEE(p))<<32
 }
 
 // SigLen returns the marshaled size of a signature over oldLen bytes.
@@ -287,8 +320,11 @@ func (d *Differ) Diff(sig *Signature, target []byte) []byte {
 	chunk := sig.Chunk
 	full := sig.OldLen / chunk // the chunks a COPY may name
 	// Index the full chunks by weak hash. Collisions keep every candidate,
-	// lowest index first: the strong hash arbitrates.
-	shift := 32 - bits.Len(uint(full))
+	// lowest index first: the strong hash arbitrates. Four buckets or more
+	// per chunk leave most buckets empty, so most windows of a literal run
+	// slide on without a probe; a signature as large as a peer may send
+	// (MaxTarget in MinChunk chunks) gets no more than 2^23 (32 MiB).
+	shift := 32 - min(bits.Len(uint(full))+2, 23)
 	if buckets := 1 << (32 - shift); cap(d.head) < buckets || cap(d.next) < full {
 		d.head, d.next = make([]int32, buckets), make([]int32, full)
 	} else {
@@ -310,22 +346,24 @@ func (d *Differ) Diff(sig *Signature, target []byte) []byte {
 	fresh := true // sum must be recomputed for the window at pos
 	for pos+chunk <= len(target) {
 		window := target[pos : pos+chunk]
-		if fresh {
-			sum = weakSum(window)
-			fresh = false
-		}
 		// Among strong-verified candidates prefer the one continuing the
 		// pending COPY run — repetitive content (all-zero extents) then merges
 		// into one op instead of one op per chunk, and content rewritten in
-		// place matches without a probe — else take the lowest index. The
-		// strong hash is computed once, and only when a weak hash matches.
+		// place matches without a probe — else take the lowest index. A run
+		// is pending only right after a match, so its next chunk is confirmed
+		// by the strong hash alone, and the weak sum is computed only when
+		// that fails; the strong hash is computed at most once per window.
 		matched, hashed := -1, false
 		var strong uint64
-		if next := w.copyIdx + w.copyN; w.copyN > 0 && next < full && sig.weak(next) == sum {
+		if next := w.copyIdx + w.copyN; w.copyN > 0 && next < full {
 			strong, hashed = strongOf(window), true
 			if sig.strong(next) == strong {
 				matched = next
 			}
+		}
+		if matched < 0 && fresh {
+			sum = weakSum(window)
+			fresh = false
 		}
 		for ci := d.head[sum*weakMul>>shift]; ci >= 0 && matched < 0; ci = d.next[ci] {
 			if sig.weak(int(ci)) != sum {
@@ -345,23 +383,35 @@ func (d *Differ) Diff(sig *Signature, target []byte) []byte {
 			continue
 		}
 		w.literalFrom(pos)
-		if pos+chunk < len(target) {
-			sum = weakRoll(sum, chunk, target[pos], target[pos+chunk])
+		// Slide one byte, and on past every window whose bucket is empty:
+		// none of them can match, and the literal run stays open.
+		for pos++; pos+chunk <= len(target); pos++ {
+			sum = weakRoll(sum, chunk, target[pos-1], target[pos-1+chunk])
+			if d.head[sum*weakMul>>shift] >= 0 {
+				break
+			}
 		}
-		pos++
 	}
 	if pos < len(target) {
 		w.literalFrom(pos) // tail shorter than one chunk
 	}
 	w.flushCopy()
 	w.flushLit(len(target))
-	verify := sha256.Sum256(target)
-	d.buf = append(w.buf, verify[:verifySize]...)
+	verify := trailer(target)
+	d.buf = append(w.buf, verify[:]...)
 	return d.buf
 }
 
+// trailer is the check that makes a patch safe: the truncated SHA-256 of the
+// whole target, which Diff appends and AppendApply recomputes over what the
+// ops rebuilt before it returns a byte. It is the package's one SHA-256.
+func trailer(target []byte) [verifySize]byte {
+	sum := sha256.Sum256(target)
+	return [verifySize]byte(sum[:verifySize])
+}
+
 // Apply rebuilds the target content from old and a patch produced by Diff,
-// verifying the patch's embedded strong hash over the full result before
+// verifying the patch's SHA-256 trailer over the full result before
 // returning it. Any malformed op, out-of-range COPY, length mismatch, or
 // hash mismatch returns an error and no bytes — the caller falls back to a
 // literal transfer, never to wrong content.
@@ -428,8 +478,8 @@ func AppendApply(dst, old, patch []byte) ([]byte, error) {
 	if len(out) != end {
 		return nil, fmt.Errorf("delta: ops rebuilt %d bytes, declared %d", len(out)-len(dst), targetLen)
 	}
-	if sum := sha256.Sum256(out[len(dst):]); !bytes.Equal(sum[:verifySize], verify) {
-		return nil, fmt.Errorf("delta: strong hash mismatch on reconstructed content")
+	if sum := trailer(out[len(dst):]); !bytes.Equal(sum[:], verify) {
+		return nil, fmt.Errorf("delta: SHA-256 trailer mismatch on reconstructed content")
 	}
 	return out, nil
 }

@@ -195,3 +195,80 @@ func TestAppendApplyKeepsPrefix(t *testing.T) {
 		t.Error("AppendApply did not append the target after dst's content")
 	}
 }
+
+// weakSumByteLoop is the rsync checksum as a byte loop, the oracle weakSum's
+// word-at-a-time form must equal.
+func weakSumByteLoop(p []byte) uint32 {
+	var a, b uint32
+	for i, c := range p {
+		a += uint32(c)
+		b += uint32(len(p)-i) * uint32(c)
+	}
+	return a&0xffff | b<<16
+}
+
+// TestWeakSumMatchesByteLoop holds weakSum to the byte loop bit for bit: every
+// length to 300 (so every remainder of the 16-byte step), all-0xFF input (the
+// largest lane sums), random input and a MaxChunk window; and weakRoll, fed
+// the new sum, to a fresh sum of each shifted window.
+func TestWeakSumMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	check := func(what string, p []byte) {
+		t.Helper()
+		if got, want := weakSum(p), weakSumByteLoop(p); got != want {
+			t.Fatalf("%s, %d bytes: weakSum %#08x, byte loop %#08x", what, len(p), got, want)
+		}
+	}
+	for n := 0; n <= 300; n++ {
+		p := make([]byte, n)
+		rng.Read(p)
+		check("random", p)
+		check("all-0xFF", bytes.Repeat([]byte{0xff}, n))
+	}
+	big := make([]byte, MaxChunk)
+	rng.Read(big)
+	check("random", big)
+	check("all-0xFF", bytes.Repeat([]byte{0xff}, MaxChunk))
+
+	for _, w := range []int{MinChunk, DefaultChunk, 4096} {
+		p := make([]byte, w+500)
+		rng.Read(p)
+		copy(p[w/2:], bytes.Repeat([]byte{0xff}, w)) // a run of maximal bytes
+		sum := weakSum(p[:w])
+		for i := 0; i+w < len(p); i++ {
+			sum = weakRoll(sum, w, p[i], p[i+w])
+			if want := weakSumByteLoop(p[i+1 : i+1+w]); sum != want {
+				t.Fatalf("window %d rolled to %d: %#08x, fresh sum %#08x", w, i+1, sum, want)
+			}
+		}
+	}
+}
+
+// TestForgedSignatureRefused is the collision the strong hash cannot rule
+// out: one chunk's record is forged to the (weak, strong) of different
+// content, so Diff names that old chunk for the new bytes. The patch is a
+// COPY, and the trailer refuses what it rebuilds.
+func TestForgedSignatureRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	old := make([]byte, 4096)
+	rng.Read(old)
+	target := append([]byte(nil), old...)
+	rng.Read(target[512:640]) // chunk 4 of the old content no longer holds
+	raw := Sig(old, DefaultChunk).Marshal()
+	rec := raw[sigHeaderLen+4*sigRecordLen:]
+	putRecord(rec, target[512:640])
+	sig, err := ViewSignature(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch := Diff(&sig, target)
+	// One COPY of all 32 chunks, then the trailer: no literal byte at all.
+	if want := patchHeaderLen + 9 + verifySize; len(patch) != want || patch[patchHeaderLen] != opCopy {
+		t.Fatalf("forged signature: patch of %d bytes, want one COPY op (%d bytes)", len(patch), want)
+	}
+	if out, err := Apply(old, patch); err == nil {
+		t.Fatalf("patch naming a forged chunk applied (%d bytes, target equal: %v)", len(out), bytes.Equal(out, target))
+	}
+	// The honest signature yields a patch that rebuilds the target.
+	roundTrip(t, old, target, DefaultChunk)
+}

@@ -48,7 +48,7 @@ func FuzzDeltaPatch(f *testing.F) {
 		}
 		sum := sha256.Sum256(out)
 		if !bytes.Equal(sum[:verifySize], patch[len(patch)-verifySize:]) {
-			t.Fatalf("Apply returned bytes that fail the embedded strong hash")
+			t.Fatalf("Apply returned bytes that fail the SHA-256 trailer")
 		}
 	})
 }

@@ -64,15 +64,17 @@ func goldenCases() []struct {
 	}
 }
 
-// TestGoldenVectors pins the wire bytes of a signature and a patch, captured
-// before the codec moved onto borrowed scratch: "first 8 bytes of SHA-256 /
-// 24-bit length", in hex, of Sig(old).Marshal() and of Diff(Sig(old), new).
+// TestGoldenVectors pins the wire bytes of a signature and a patch: "first 8
+// bytes of SHA-256 / 24-bit length", in hex, of Sig(old).Marshal() and of
+// Diff(Sig(old), new). The patches were captured before the codec moved onto
+// borrowed scratch and have not moved since; the signatures were taken again
+// when the chunk strong hash became CRC-32C ‖ CRC-32.
 func TestGoldenVectors(t *testing.T) {
 	golden := map[string][2]string{
-		"head-rewrite": {"a67a8cce76f229fd/001808", "c22a014f0dbbdc30/0010f8"},
-		"shift-7":      {"a67a8cce76f229fd/001808", "ed7696c14b91bf64/0000ab"},
-		"all-zero":     {"c0e49a56a6e744a8/001808", "553e3a91c17bba00/000021"},
-		"pattern-128":  {"cb802f87ea10fdb9/001808", "cdd4597fe91ceb04/0000af"},
+		"head-rewrite": {"745e0f94dc63421f/001808", "c22a014f0dbbdc30/0010f8"},
+		"shift-7":      {"745e0f94dc63421f/001808", "ed7696c14b91bf64/0000ab"},
+		"all-zero":     {"4af6153a38be69db/001808", "553e3a91c17bba00/000021"},
+		"pattern-128":  {"5d4ef9cfb8690ef6/001808", "cdd4597fe91ceb04/0000af"},
 	}
 	sum := func(p []byte) string {
 		h := sha256.Sum256(p)

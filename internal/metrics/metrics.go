@@ -49,6 +49,12 @@ type Report struct {
 	DedupBlocks int // disk blocks materialized by reference or zero-elided (ZERO_EXTENT) instead of retransmitted
 	SwarmBlocks int // disk blocks whose content arrived from swarm peers instead of the source
 	DeltaBlocks int // disk blocks that travelled as COPY/LITERAL patches instead of literals
+	// DeltaRefused and DeltaDeclined count the disk blocks delta sent
+	// literally after all: their patch was refused by the destination (it
+	// did not rebuild what its trailer names), or was no smaller than the
+	// literal. Only a source counts them.
+	DeltaRefused  int
+	DeltaDeclined int
 
 	BlocksPushed  int           // post-copy blocks pushed by the source
 	BlocksPulled  int           // post-copy blocks pulled on demand
@@ -149,8 +155,9 @@ func (r *Report) String() string {
 	if r.SwarmBlocks > 0 {
 		fmt.Fprintf(&b, "  swarm                : %d blocks fetched from peers\n", r.SwarmBlocks)
 	}
-	if r.DeltaBlocks > 0 {
-		fmt.Fprintf(&b, "  delta                : %d blocks as patches\n", r.DeltaBlocks)
+	if r.DeltaBlocks+r.DeltaRefused+r.DeltaDeclined > 0 {
+		fmt.Fprintf(&b, "  delta                : %d blocks as patches; sent literally: %d refused, %d whose patch was no smaller\n",
+			r.DeltaBlocks, r.DeltaRefused, r.DeltaDeclined)
 	}
 	return b.String()
 }

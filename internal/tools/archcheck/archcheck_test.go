@@ -2,6 +2,7 @@ package archcheck
 
 import (
 	"bytes"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -20,7 +21,7 @@ var repoRoot = filepath.Join("..", "..", "..")
 // lineBudgets bound packages' non-test lines, counted as `cat *.go | wc -l`
 // counts them. A budget only grows in the change that defends it.
 var lineBudgets = map[string]int{
-	"cmd/bbench":               1194,
+	"cmd/bbench":               1196,
 	"internal/blockdev/bcache": 544,
 	"internal/cluster":         1555,
 	"internal/core":            4747,
@@ -384,6 +385,94 @@ func streamWrites(t *testing.T, src source) []string {
 		bad = append(bad, "streamConn.Send stages without asking IsDataFrame")
 	}
 	return bad
+}
+
+// patchTrailers lists what breaks "one patch trailer" in the delta package
+// parsed as src: crypto/sha256 named anywhere but trailer, and trailer asked
+// by anything but Differ.Diff, which writes it, and AppendApply, which checks
+// it — or not asked by both.
+func patchTrailers(src source) []string {
+	sha := map[string]bool{}
+	for _, f := range src.files {
+		for _, imp := range f.Imports {
+			if strings.Trim(imp.Path.Value, `"`) == "crypto/sha256" {
+				name := "sha256"
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				sha[name] = true
+			}
+		}
+	}
+	var bad []string
+	hashers := src.declsWhere(func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		return ok && sha[pkg.Name]
+	})
+	if want := map[string]bool{"trailer": true}; !reflect.DeepEqual(hashers, want) {
+		bad = append(bad, fmt.Sprintf("crypto/sha256 named in %v, want only %v", hashers, want))
+	}
+	callers := src.declsWhere(func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := call.Fun.(*ast.Ident)
+		return ok && id.Name == "trailer"
+	})
+	if want := map[string]bool{"Differ.Diff": true, "AppendApply": true}; !reflect.DeepEqual(callers, want) {
+		bad = append(bad, fmt.Sprintf("trailer called from %v, want exactly %v", callers, want))
+	}
+	return bad
+}
+
+// TestPatchTrailerCatchesPlants runs the "one patch trailer" rule on copies
+// of internal/delta, each with one defect planted: every plant fails it, the
+// untouched copy passes.
+func TestPatchTrailerCatchesPlants(t *testing.T) {
+	dir := filepath.Join(repoRoot, "internal/delta")
+	check := "if sum := trailer(out[len(dst):]); !bytes.Equal(sum[:], verify) {"
+	plants := map[string]struct{ file, code, from, to string }{
+		"clean":          {},
+		"second hasher":  {file: "plant.go", code: "package delta\n\nimport \"crypto/sha256\"\n\nfunc sum(p []byte) [32]byte { return sha256.Sum256(p) }\n"},
+		"renamed import": {file: "plant.go", code: "package delta\n\nimport h \"crypto/sha256\"\n\nvar newHash = h.New\n"},
+		"unchecked":      {file: "delta.go", from: check, to: "if sum := verify; !bytes.Equal(sum, verify) {"},
+		"third caller":   {file: "plant.go", code: "package delta\n\nfunc verified(p []byte) []byte { t := trailer(p); return t[:] }\n"},
+	}
+	for name, p := range plants {
+		tmp := t.TempDir()
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.from != "" && filepath.Base(path) == p.file {
+				if !bytes.Contains(data, []byte(p.from)) {
+					t.Fatalf("%s: %s no longer holds %q", name, p.file, p.from)
+				}
+				data = bytes.Replace(data, []byte(p.from), []byte(p.to), 1)
+			}
+			if err := os.WriteFile(filepath.Join(tmp, filepath.Base(path)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if p.code != "" {
+			if err := os.WriteFile(filepath.Join(tmp, p.file), []byte(p.code), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if bad := patchTrailers(parse(t, tmp)); (len(bad) == 0) != (name == "clean") {
+			t.Errorf("%s: the rule reports %v", name, bad)
+		}
+	}
 }
 
 // TestStreamWritesCatchesPlants runs the "one socket writer" rule on copies
@@ -770,6 +859,17 @@ func TestArchitecture(t *testing.T) {
 		// may wait, and to which a Striped conn may reorder.
 		for _, bad := range streamWrites(t, parse(t, "internal/transport")) {
 			t.Errorf("internal/transport: %s", bad)
+		}
+	})
+
+	t.Run("one patch trailer", func(t *testing.T) {
+		// A delta patch is safe because of one check: the truncated SHA-256
+		// of its target, written by Diff and verified by AppendApply before a
+		// byte lands. The chunk hashes only choose what a patch names; a
+		// second SHA-256 in the package is a second notion of "verified", and
+		// an AppendApply that does not ask the trailer lets them decide.
+		for _, bad := range patchTrailers(parse(t, "internal/delta")) {
+			t.Errorf("internal/delta: %s", bad)
 		}
 	})
 

@@ -151,7 +151,7 @@ const (
 	// MsgDeltaPatch carries delta-encoded extent content. Source →
 	// destination the payload is a COPY/LITERAL op stream (internal/delta
 	// patch format) the destination applies against its current content,
-	// verifying the patch's embedded strong hash before any byte lands;
+	// verifying the patch's SHA-256 trailer before any byte lands;
 	// destination → source an empty payload echoing the extent Arg refuses
 	// a patch whose verification failed, and the source re-sends that
 	// extent literally before ending the pass — degraded, never wrong.
