@@ -213,7 +213,7 @@ func fleetSpread(c *cluster.Cluster) int {
 	st := c.Status()
 	lo, hi := 1<<30, 0
 	for _, m := range st.Members {
-		if m.Draining || m.Stale {
+		if m.Draining {
 			continue
 		}
 		if m.Load.Domains < lo {
@@ -240,9 +240,6 @@ func printStatus(out io.Writer, c *cluster.Cluster) {
 		state := "ok"
 		if m.Draining {
 			state = "draining"
-		}
-		if m.Stale {
-			state = "stale"
 		}
 		t.AddRow(m.Name,
 			fmt.Sprintf("%d", m.Load.Domains),

@@ -70,7 +70,9 @@
 // Pre-copy stops by the paper's fixed rule (§IV-A-1), one exported function,
 // ContinuePreCopy: when the dirty set is down to its threshold, when the
 // iteration budget is spent, or when the dirty rate has caught up with the
-// transfer rate. Its callers are the engine's one pre-copy loop and the
+// transfer rate. Thresholds and budgets are constants, not Config fields
+// (DefaultMaxDiskIters, DefaultDiskDirtyThreshold, DefaultMaxMemIters,
+// DefaultMemDirtyThreshold). Its callers are the engine's one pre-copy loop and the
 // simulator's one pre-copy driver, which runs the disk and memory phases and
 // the fleet model; dirty counts are fractional, so the simulator's analytic
 // models ask with their expected counts. Pacing is one cap (§VI-C-3):
@@ -122,7 +124,7 @@
 //
 // internal/cluster manages a fleet of host daemons above all of this: a
 // placement engine scores destinations by free capacity, migration load,
-// and link bandwidth; an admission-controlled scheduler runs many
+// and retained content; an admission-controlled scheduler runs many
 // concurrent migrations under per-host and fleet-wide caps with priority
 // queues and queued-job cancellation; and Drain/Rebalance build maintenance
 // operations on both. Concurrent migrations share the network through a

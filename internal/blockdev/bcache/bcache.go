@@ -38,7 +38,7 @@ const slabBlocks = 64
 
 // Cache is a reference-counted, snapshot-capable block cache over a backing
 // Device. It implements blockdev.Volume (and blockdev.Allocator,
-// conservatively, so SkipUnused keeps working through a wrapped device).
+// conservatively, so index scans of a wrapped device skip unwritten blocks).
 // All methods are safe for concurrent use.
 type Cache struct {
 	backing   blockdev.Device

@@ -129,11 +129,13 @@ func SnapshotOf(d Device) (Device, func()) {
 }
 
 // Allocator is implemented by devices that know which blocks hold data.
-// The migration engine's SkipUnused option (the paper's §VII future-work
-// item: "if the Guest OS ... can tell the migration process which part is
-// not used, the amount of migrated data can be reduced further") uses it to
-// elide never-written blocks from the first pre-copy iteration, relying on
-// the destination VBD reading zeros for blocks it never receives.
+// Dedup index scans (dedup.Index.ScanReader) read only the blocks it names.
+// Handed to core.MigrateSource as the initial bitmap, it also elides
+// never-written blocks from the first pre-copy iteration (the paper's §VII
+// future-work item: "if the Guest OS ... can tell the migration process
+// which part is not used, the amount of migrated data can be reduced
+// further"), relying on the destination VBD reading zeros for blocks it
+// never receives.
 type Allocator interface {
 	// AllocatedBitmap returns a bitmap with one set bit per block that may
 	// contain nonzero data.

@@ -33,11 +33,6 @@ type AutopilotOptions struct {
 	// therefore the new submissions any one cycle makes); zero selects
 	// DefaultAutopilotMoves.
 	MaxMovesPerCycle int
-	// Exclude lists members the autopilot never plans moves from or onto.
-	Exclude []string
-	// PreSync asks each planned move to run the incremental pre-sync leg
-	// before its live migration.
-	PreSync bool
 }
 
 // AutopilotStats is a point-in-time counter snapshot of one autopilot.
@@ -111,10 +106,6 @@ func (a *Autopilot) cycle() {
 	a.c.HeartbeatAll()
 	a.reap()
 
-	ex := make(map[string]bool, len(a.opts.Exclude))
-	for _, n := range a.opts.Exclude {
-		ex[n] = true
-	}
 	a.mu.Lock()
 	skip := make(map[string]bool, len(a.inflight))
 	for d := range a.inflight {
@@ -123,7 +114,7 @@ func (a *Autopilot) cycle() {
 	budget := a.opts.MaxMovesPerCycle - len(a.inflight)
 	a.mu.Unlock()
 
-	plan := a.c.rebalancePlan(ex, skip)
+	plan := a.c.rebalancePlan(skip)
 
 	a.mu.Lock()
 	a.stats.Cycles++
@@ -141,8 +132,7 @@ func (a *Autopilot) cycle() {
 		// pinned move onto a since-filled host fails, is reaped, and is
 		// re-planned against fresh loads next cycle.
 		t, err := a.c.Submit(Job{
-			Domain: p.domain, From: p.from, To: p.to,
-			Priority: PriorityLow, PreSync: a.opts.PreSync,
+			Domain: p.domain, From: p.from, To: p.to, Priority: PriorityLow,
 		})
 		a.mu.Lock()
 		if err != nil {
@@ -182,7 +172,7 @@ func (a *Autopilot) Stats() AutopilotStats {
 	defer a.mu.Unlock()
 	st := a.stats
 	st.InFlight = len(a.inflight)
-	now := a.c.opts.Now()
+	now := a.c.opts.now()
 	for _, t := range a.inflight {
 		if nb := t.NotBefore(); !nb.IsZero() && now.Before(nb) && t.State() == JobQueued {
 			st.Deferred++

@@ -5,8 +5,8 @@
 //
 // Three pieces compose it:
 //
-//   - a placement engine (Place) scoring destination hosts by free capacity,
-//     current migration load, and link bandwidth;
+//   - a placement engine (PlaceDomain) scoring destination hosts by free
+//     capacity, current migration load, and retained content;
 //   - an admission-controlled scheduler (Submit) with a global pre-copy
 //     bandwidth budget shared live via core.RateBudget (Config.Budget),
 //     per-host and fleet-wide concurrency caps, priority queues, and
@@ -45,9 +45,6 @@ const (
 	// DefaultCapacity is the assumed per-host domain capacity when a member
 	// registers without one.
 	DefaultCapacity = 8
-	// DefaultLinkBps is the assumed member link bandwidth when unspecified:
-	// the paper testbed's effective Gigabit rate.
-	DefaultLinkBps = 49.1e6 * 1.048576
 	// DefaultSwarmPeers caps how many peer machines serve sidecar swarm
 	// fetches for one migration when Options.Swarm is on and SwarmPeers is
 	// zero: three peers, enough to out-aggregate a single source uplink
@@ -56,17 +53,12 @@ const (
 )
 
 // Options configures a Cluster. The zero value is usable: unlimited
-// bandwidth, default caps, members never go stale.
+// bandwidth, default caps.
 type Options struct {
 	// GlobalBandwidth is the fleet-wide pre-copy budget in bytes/second,
 	// shared live among in-flight migrations (each one's pacing becomes
 	// budget/active, re-read per frame). Zero means unlimited.
 	GlobalBandwidth int64
-
-	// MinShare, when positive with a finite GlobalBandwidth, is the
-	// admission floor: a migration is not started while doing so would drop
-	// the per-migration share below this rate. Zero disables the floor.
-	MinShare int64
 
 	// MaxPerHost caps concurrent migrations (inbound + outbound) per host;
 	// zero selects DefaultMaxPerHost.
@@ -75,11 +67,6 @@ type Options struct {
 	// MaxTotal caps concurrent migrations fleet-wide; zero selects
 	// DefaultMaxTotal.
 	MaxTotal int
-
-	// HeartbeatTTL bounds how stale a member's last heartbeat may be before
-	// placement and admission exclude it. Zero means members never go stale
-	// (suits in-process fleets whose machines cannot silently die).
-	HeartbeatTTL time.Duration
 
 	// BaseConfig is the per-migration core.Config template. The scheduler
 	// sets its Budget to the cluster's global budget.
@@ -99,21 +86,22 @@ type Options struct {
 	// DefaultSwarmPeers.
 	SwarmPeers int
 
-	// Listen opens the listener a scheduled migration's destination accepts
-	// on; the source dials its address. Nil selects loopback TCP ("127.0.0.1:0").
-	Listen func() (net.Listener, error)
-
-	// Now is the wall-clock source for heartbeat staleness and makespan
-	// accounting; nil selects time.Now. (Migrations themselves run on
-	// BaseConfig.Clock as usual.)
-	Now func() time.Time
-
 	// Forecast enables per-domain dirty-rate models: every heartbeat's
 	// DomainWrites counters become rate observations, and admission defers
 	// low/normal-priority jobs into predicted write-rate troughs
 	// (forecast.Model.DeferUntil). Evacuate- and high-priority jobs are
 	// never deferred — maintenance outranks interference avoidance.
 	Forecast bool
+
+	// listen opens the listener a scheduled migration's destination accepts
+	// on; the source dials its address. Nil selects loopback TCP
+	// ("127.0.0.1:0"). Tests interpose fault-injecting proxies here.
+	listen func() (net.Listener, error)
+
+	// now is the wall-clock source for heartbeats, deferrals and makespan
+	// accounting; nil selects time.Now. (Migrations themselves run on
+	// BaseConfig.Clock as usual.) Tests drive a synthetic clock here.
+	now func() time.Time
 }
 
 func (o Options) withDefaults() Options {
@@ -126,11 +114,11 @@ func (o Options) withDefaults() Options {
 	if o.SwarmPeers <= 0 {
 		o.SwarmPeers = DefaultSwarmPeers
 	}
-	if o.Listen == nil {
-		o.Listen = func() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
+	if o.listen == nil {
+		o.listen = func() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
 	}
-	if o.Now == nil {
-		o.Now = time.Now
+	if o.now == nil {
+		o.now = time.Now
 	}
 	return o
 }
@@ -140,9 +128,7 @@ type member struct {
 	name     string
 	machine  *hostd.Machine
 	capacity int
-	linkBps  float64
 	draining bool
-	lastBeat time.Time
 	load     hostd.Load
 
 	// scheduler reservations: migrations this cluster is running right now.
@@ -169,7 +155,7 @@ func New(opts Options) *Cluster {
 	return &Cluster{
 		opts:    opts,
 		budget:  core.NewRateBudget(opts.GlobalBandwidth),
-		start:   opts.Now(),
+		start:   opts.now(),
 		members: make(map[string]*member),
 		models:  make(map[string]*forecast.Model),
 	}
@@ -184,10 +170,6 @@ type MemberOptions struct {
 	// Capacity is the most domains this host should carry; zero selects
 	// DefaultCapacity.
 	Capacity int
-	// LinkBps is the modeled (or measured) migration-path bandwidth into
-	// this host in bytes/second, a placement tiebreaker; zero selects
-	// DefaultLinkBps.
-	LinkBps float64
 }
 
 // Register adds a machine to the fleet and records its first heartbeat. The
@@ -196,24 +178,19 @@ func (c *Cluster) Register(m *hostd.Machine, opt MemberOptions) error {
 	if opt.Capacity <= 0 {
 		opt.Capacity = DefaultCapacity
 	}
-	if opt.LinkBps <= 0 {
-		opt.LinkBps = DefaultLinkBps
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.members[m.Name]; dup {
 		return fmt.Errorf("cluster: member %q already registered", m.Name)
 	}
-	mb := &member{name: m.Name, machine: m, capacity: opt.Capacity, linkBps: opt.LinkBps}
+	mb := &member{name: m.Name, machine: m, capacity: opt.Capacity}
 	c.heartbeatLocked(mb)
 	c.members[m.Name] = mb
 	return nil
 }
 
-// Heartbeat refreshes a member's load report and liveness timestamp,
-// returning the load. Call it periodically for fleets whose machines can
-// die (pair with Options.HeartbeatTTL); the scheduler also refreshes both
-// endpoints of every migration it completes.
+// Heartbeat refreshes a member's load report, returning the load. The
+// scheduler also refreshes both endpoints of every migration it completes.
 func (c *Cluster) Heartbeat(name string) (hostd.Load, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -230,11 +207,10 @@ func (c *Cluster) Heartbeat(name string) (hostd.Load, error) {
 // write counters.
 func (c *Cluster) heartbeatLocked(m *member) {
 	m.load = m.machine.Load()
-	m.lastBeat = c.opts.Now()
 	if !c.opts.Forecast {
 		return
 	}
-	at := m.lastBeat.Sub(c.start)
+	at := c.opts.now().Sub(c.start)
 	for name, writes := range m.load.DomainWrites {
 		mdl := c.models[name]
 		if mdl == nil {
@@ -265,15 +241,6 @@ func (c *Cluster) DomainModel(domain string) (*forecast.Model, bool) {
 	return m, ok
 }
 
-// aliveLocked reports whether a member's heartbeat is fresh enough to
-// schedule against.
-func (c *Cluster) aliveLocked(m *member) bool {
-	if c.opts.HeartbeatTTL <= 0 {
-		return true
-	}
-	return c.opts.Now().Sub(m.lastBeat) <= c.opts.HeartbeatTTL
-}
-
 // MemberStatus is one member's row in a Status report.
 type MemberStatus struct {
 	// Name is the machine name.
@@ -288,10 +255,6 @@ type MemberStatus struct {
 	// Draining marks a host excluded from placement: a Drain is in progress
 	// or has completed.
 	Draining bool
-	// Stale marks a host whose heartbeat exceeded Options.HeartbeatTTL.
-	Stale bool
-	// LinkBps is the registered link bandwidth.
-	LinkBps float64
 }
 
 // Status is a point-in-time snapshot of the whole cluster.
@@ -314,7 +277,7 @@ func (c *Cluster) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Status{Running: c.running, ShareBps: c.budget.Share()}
-	now := c.opts.Now()
+	now := c.opts.now()
 	for _, t := range c.pending {
 		if t.State() == JobQueued {
 			st.Queued++
@@ -333,7 +296,7 @@ func (c *Cluster) Status() Status {
 		st.Members = append(st.Members, MemberStatus{
 			Name: m.name, Capacity: m.capacity, Load: m.load,
 			RunningIn: m.runningIn, RunningOut: m.runningOut,
-			Draining: m.draining, Stale: !c.aliveLocked(m), LinkBps: m.linkBps,
+			Draining: m.draining,
 		})
 	}
 	return st

@@ -5,7 +5,6 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"bbmig/internal/blockdev"
 	"bbmig/internal/core"
@@ -122,31 +121,6 @@ func TestPlacementContentOverlap(t *testing.T) {
 	}
 	if got, err := c.PlaceDomain("", "host0"); err != nil || got != "host1" {
 		t.Fatalf("Place without domain = %s, %v; want host1 (lexicographic)", got, err)
-	}
-}
-
-func TestPlacementStaleness(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := New(Options{
-		HeartbeatTTL: time.Minute,
-		Now:          func() time.Time { return now },
-	})
-	newFleet(t, c, 2, 4)
-	if got, err := c.PlaceDomain("", "host0"); err != nil || got != "host1" {
-		t.Fatalf("place = %s, %v", got, err)
-	}
-	now = now.Add(2 * time.Minute) // host1's heartbeat ages out
-	if _, err := c.PlaceDomain("", "host0"); err == nil {
-		t.Fatal("stale member still placeable")
-	}
-	if !c.Status().Members[1].Stale {
-		t.Fatal("status does not mark host1 stale")
-	}
-	if _, err := c.Heartbeat("host1"); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := c.PlaceDomain("", "host0"); err != nil || got != "host1" {
-		t.Fatalf("place after heartbeat = %s, %v", got, err)
 	}
 }
 
@@ -294,40 +268,6 @@ func TestPinnedDestinationCapacity(t *testing.T) {
 	}
 }
 
-func TestMinShareAdmission(t *testing.T) {
-	gate := make(chan struct{})
-	c := New(Options{
-		GlobalBandwidth: 100e6,
-		MinShare:        60e6, // only one migration fits the floor
-		MaxTotal:        4,
-	})
-	ms := newFleet(t, c, 3, 8)
-	addDomain(t, ms[0], "d1", 8)
-	addDomain(t, ms[0], "d2", 8)
-	hold := core.Config{OnFreeze: func() { <-gate }}
-	t1, err := c.Submit(Job{Domain: "d1", From: "host0", Config: &hold})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := c.Submit(Job{Domain: "d2", From: "host0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := t1.State(); st != JobRunning {
-		t.Fatalf("first job %v, want running", st)
-	}
-	if st := t2.State(); st != JobQueued {
-		t.Fatalf("second job %v, want queued behind the bandwidth floor", st)
-	}
-	close(gate)
-	if err := t1.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDrainEvacuatesHost(t *testing.T) {
 	c := New(Options{MaxTotal: 2, MaxPerHost: 2})
 	ms := newFleet(t, c, 4, 8)
@@ -422,7 +362,7 @@ func TestDrainSurvivesLinkFault(t *testing.T) {
 	var proxies []*flakyProxy
 	var mu sync.Mutex
 	c := New(Options{
-		Listen: func() (net.Listener, error) {
+		listen: func() (net.Listener, error) {
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				return nil, err

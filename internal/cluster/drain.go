@@ -25,11 +25,6 @@ type DrainOptions struct {
 	// Retries is each migration's resume budget (core.Config.MaxRetries);
 	// zero selects DefaultDrainRetries, negative disables resumption.
 	Retries int
-	// Exclude lists members never to place evacuated domains onto.
-	Exclude []string
-	// Replace lets a failed move re-place onto a different host and try
-	// once more. It defaults to true; set ReplaceDisabled to turn it off.
-	ReplaceDisabled bool
 }
 
 // Move records one domain's evacuation outcome.
@@ -74,9 +69,8 @@ func (r *DrainResult) Failed() []Move {
 // draining (no placement onto it), one PriorityEvacuate job per domain is
 // submitted with the resume budget of DrainOptions.Retries, and the call
 // blocks until every move settles. A move whose migration fails is re-placed
-// onto a different host and retried once (unless ReplaceDisabled); link
-// flaps within a move are ridden out by the engine's resume path without
-// surfacing here at all.
+// onto a different host and retried once; link flaps within a move are
+// ridden out by the engine's resume path without surfacing here at all.
 //
 // The host stays draining afterwards: maintenance usually follows, and a
 // drained host takes no further placements.
@@ -103,7 +97,7 @@ func (c *Cluster) Drain(host string, opts DrainOptions) (*DrainResult, error) {
 
 	domains := machine.Domains()
 	sort.Strings(domains)
-	start := c.opts.Now()
+	start := c.opts.now()
 	res := &DrainResult{Host: host}
 
 	type inflight struct {
@@ -128,18 +122,11 @@ func (c *Cluster) Drain(host string, opts DrainOptions) (*DrainResult, error) {
 		mv := Move{Domain: f.domain, Target: f.ticket.Target(), Report: f.ticket.Report(), Attempts: 1}
 		mv.Sync, _ = f.ticket.SyncReport()
 		mv.Err = err
-		if err != nil && !opts.ReplaceDisabled {
+		if err != nil {
 			// Re-place away from the failed target and try once more. A move
-			// that died before dispatch has no target yet — an empty string
-			// in the exclude list would exclude nothing (no member is named
-			// ""), so drop empties rather than ship a vacuous exclusion.
-			exclude := make([]string, 0, 1+len(opts.Exclude))
-			for _, e := range append([]string{mv.Target}, opts.Exclude...) {
-				if e != "" {
-					exclude = append(exclude, e)
-				}
-			}
-			if to, perr := c.PlaceDomain(f.domain, host, exclude...); perr == nil {
+			// that died before dispatch has no target yet, and excludes
+			// nothing: no member is named "".
+			if to, perr := c.PlaceDomain(f.domain, host, mv.Target); perr == nil {
 				if t2, serr := c.Submit(Job{
 					Domain: f.domain, From: host, To: to, Priority: PriorityEvacuate,
 					PreSync: opts.PreSync, Config: &cfg,
@@ -158,7 +145,7 @@ func (c *Cluster) Drain(host string, opts DrainOptions) (*DrainResult, error) {
 		}
 		res.Moves = append(res.Moves, mv)
 	}
-	res.Makespan = c.opts.Now().Sub(start)
+	res.Makespan = c.opts.now().Sub(start)
 	return res, nil
 }
 
@@ -174,11 +161,11 @@ type planned struct{ domain, from, to string }
 // rebalancePlan heartbeats the schedulable members and greedily plans
 // spread-≤1 moves against the fresh snapshot: while the spread between the
 // most- and least-loaded eligible host exceeds one domain, ship one domain
-// from the fullest host to the emptiest. Draining, stale, skipped, and
-// excluded hosts neither give nor receive; skip lists domains not to plan
-// (the autopilot's in-flight set). The plan is deterministic for a given
-// snapshot: hosts tie-break by name, domains are claimed in name order.
-func (c *Cluster) rebalancePlan(exclude map[string]bool, skip map[string]bool) []planned {
+// from the fullest host to the emptiest. Draining hosts neither give nor
+// receive; skip lists domains not to plan (the autopilot's in-flight set).
+// The plan is deterministic for a given snapshot: hosts tie-break by name,
+// domains are claimed in name order.
+func (c *Cluster) rebalancePlan(skip map[string]bool) []planned {
 	// Plan against a consistent snapshot of fresh loads.
 	c.mu.Lock()
 	type hostCount struct {
@@ -188,7 +175,7 @@ func (c *Cluster) rebalancePlan(exclude map[string]bool, skip map[string]bool) [
 	}
 	var hosts []hostCount
 	for _, m := range c.members {
-		if exclude[m.name] || m.draining || !c.aliveLocked(m) {
+		if m.draining {
 			continue
 		}
 		c.heartbeatLocked(m)
@@ -240,14 +227,9 @@ func (c *Cluster) rebalancePlan(exclude map[string]bool, skip map[string]bool) [
 // Rebalance evens domain counts across schedulable members: while the
 // spread between the most- and least-loaded eligible host exceeds one
 // domain, it moves one domain from the fullest host to the emptiest, then
-// waits for every submitted move. Draining, stale, and excluded hosts
-// neither give nor receive.
-func (c *Cluster) Rebalance(exclude ...string) (*RebalanceResult, error) {
-	ex := make(map[string]bool, len(exclude))
-	for _, n := range exclude {
-		ex[n] = true
-	}
-	plan := c.rebalancePlan(ex, nil)
+// waits for every submitted move. Draining hosts neither give nor receive.
+func (c *Cluster) Rebalance() (*RebalanceResult, error) {
+	plan := c.rebalancePlan(nil)
 
 	res := &RebalanceResult{}
 	var tickets []*Ticket

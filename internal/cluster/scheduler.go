@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"bbmig/internal/clock"
 	"bbmig/internal/core"
 	"bbmig/internal/hostd"
 	"bbmig/internal/metrics"
@@ -268,9 +267,8 @@ func (c *Cluster) dispatchLocked() {
 
 // Dispatch re-runs admission control over the queue immediately. The
 // scheduler calls it on every submit, completion, and deferral expiry;
-// exporting it lets control loops (and tests driving a synthetic
-// Options.Now) force re-evaluation after time or load they control has
-// moved.
+// exporting it lets control loops force re-evaluation after load they
+// control has moved.
 func (c *Cluster) Dispatch() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -283,7 +281,7 @@ func (c *Cluster) Dispatch() {
 // deferral onto the ticket (forecast.Model.DeferUntil). A deferred ticket
 // arms a one-shot timer to re-dispatch when its time comes.
 func (c *Cluster) deferredLocked(t *Ticket) bool {
-	now := c.opts.Now()
+	now := c.opts.now()
 	t.mu.Lock()
 	if !t.deferEval {
 		t.deferEval = true
@@ -328,17 +326,8 @@ func (c *Cluster) admitLocked(t *Ticket) bool {
 	if c.running >= c.opts.MaxTotal {
 		return false
 	}
-	// Bandwidth admission: never start a migration that would dilute the
-	// per-migration share below the configured floor. Read the live budget,
-	// not Options — out-of-band Joins count too.
-	if c.opts.MinShare > 0 {
-		if total := c.budget.Total(); total != clock.Unlimited &&
-			total/int64(c.budget.Active()+1) < c.opts.MinShare {
-			return false
-		}
-	}
 	src, ok := c.members[t.job.From]
-	if !ok || !c.aliveLocked(src) {
+	if !ok {
 		return false
 	}
 	if src.runningIn+src.runningOut >= c.opts.MaxPerHost {
@@ -347,8 +336,7 @@ func (c *Cluster) admitLocked(t *Ticket) bool {
 	var dst *member
 	if t.job.To != "" {
 		dst = c.members[t.job.To]
-		if dst == nil || !c.aliveLocked(dst) ||
-			dst.runningIn+dst.runningOut >= c.opts.MaxPerHost {
+		if dst == nil || dst.runningIn+dst.runningOut >= c.opts.MaxPerHost {
 			return false
 		}
 		// Concurrency pressure is transient (defer above); a pinned
@@ -381,8 +369,7 @@ func (c *Cluster) admitLocked(t *Ticket) bool {
 	dst.runningIn++
 	c.running++
 	// Reserve the bandwidth share at admission, not when the job goroutine
-	// gets scheduled, so the MinShare check above always sees every
-	// already-admitted migration in Budget().Active().
+	// gets scheduled, so a burst of admissions re-divides the budget at once.
 	leave := c.budget.Join()
 	go c.runJob(t, src.machine, dst.machine, leave)
 	return true
@@ -415,10 +402,10 @@ func (c *Cluster) jobConfig(t *Ticket) core.Config {
 
 // runJob drives one admitted migration end to end: optional pre-sync, then
 // MigrateOut against a dedicated listener served by the destination machine.
-// leave releases the budget share admitLocked reserved; it must run BEFORE
-// finishJob's re-dispatch or a MinShare-deferred job would still see this
-// migration holding a share and never start (leave is idempotent, so the
-// deferred call is just a safety net for panics).
+// leave releases the budget share admitLocked reserved; it runs before
+// finishJob's re-dispatch, so the next admitted migration's share never
+// counts this one (leave is idempotent, so the deferred call is just a
+// safety net for panics).
 func (c *Cluster) runJob(t *Ticket, src, dst *hostd.Machine, leave func()) {
 	cfg := c.jobConfig(t)
 	defer leave()
@@ -441,7 +428,7 @@ func (c *Cluster) runJob(t *Ticket, src, dst *hostd.Machine, leave func()) {
 		defer stopPeers()
 	}
 
-	l, err := c.opts.Listen()
+	l, err := c.opts.listen()
 	if err != nil {
 		leave()
 		c.finishJob(t, nil, fmt.Errorf("cluster: listen: %w", err))
@@ -475,7 +462,7 @@ func (c *Cluster) runJob(t *Ticket, src, dst *hostd.Machine, leave func()) {
 
 // preSync runs the job's incremental pre-sync leg on its own listener.
 func (c *Cluster) preSync(t *Ticket, src, dst *hostd.Machine, cfg core.Config) (*hostd.SyncReport, error) {
-	l, err := c.opts.Listen()
+	l, err := c.opts.listen()
 	if err != nil {
 		return nil, fmt.Errorf("cluster: presync listen: %w", err)
 	}

@@ -28,14 +28,14 @@ type swarmNominee struct {
 // is the strongest evidence a member's index can answer its adverts — and
 // falls back to how much content the member's index covers at all (hosted
 // plus retained disks), which is what serves clone siblings' template
-// blocks. Members holding nothing, the endpoints themselves, and
-// draining/stale members are never nominated.
+// blocks. Members holding nothing, the endpoints themselves, and draining
+// members are never nominated.
 func (c *Cluster) nominateSwarmPeers(domain, src, dst string, max int) []swarmNominee {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var nominees []swarmNominee
 	for _, m := range c.members {
-		if m.name == src || m.name == dst || m.draining || !c.aliveLocked(m) {
+		if m.name == src || m.name == dst || m.draining {
 			continue
 		}
 		content := m.load.Domains + m.load.RetainedDisks
@@ -76,7 +76,7 @@ func (c *Cluster) startSwarmPeers(t *Ticket) ([]string, func()) {
 	var addrs []string
 	var closers []func()
 	for _, n := range nominees {
-		l, err := c.opts.Listen()
+		l, err := c.opts.listen()
 		if err != nil {
 			continue
 		}

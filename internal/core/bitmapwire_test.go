@@ -144,7 +144,7 @@ func TestLiveFreezeSetTravelsCompact(t *testing.T) {
 		}
 	}()
 
-	cfg := Config{SkipUnused: true, MaxExtentBlocks: 16, DiskDirtyThreshold: 8}
+	cfg := Config{MaxExtentBlocks: 16}
 	srcCfg, dstCfg := cfg, cfg
 	srcCfg.OnFreeze = func() {
 		guest.Stop()
@@ -155,7 +155,7 @@ func TestLiveFreezeSetTravelsCompact(t *testing.T) {
 		close(resumed)
 	}
 	w.connSrc = guest
-	rep, _ := w.tpm(srcCfg, dstCfg, nil)
+	rep, _ := w.tpm(srcCfg, dstCfg, w.srcDisk.AllocatedBitmap())
 	<-readsDone
 
 	_, bm, after := tap.freezeWindow(t)
@@ -258,7 +258,6 @@ func TestResumeCursorTravelsCompact(t *testing.T) {
 	var ack transport.Message
 	var iters []Event
 	srcCfg := Config{
-		SkipUnused: true,
 		MaxRetries: 5, RetryBackoff: time.Millisecond,
 		Redial: func() (transport.Conn, error) {
 			c, err := relink.redial()
@@ -271,7 +270,7 @@ func TestResumeCursorTravelsCompact(t *testing.T) {
 		},
 	}
 	w.connSrc = &blockLog{Conn: inj.Wrap(w.connSrc), sends: sends}
-	rep, _ := w.tpm(srcCfg, Config{WaitReconnect: relink.waitReconnect}, nil)
+	rep, _ := w.tpm(srcCfg, Config{WaitReconnect: relink.waitReconnect}, w.srcDisk.AllocatedBitmap())
 	if rep.Retries != 1 {
 		t.Fatalf("survived %d retries, want 1", rep.Retries)
 	}

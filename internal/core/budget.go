@@ -58,14 +58,6 @@ func (b *RateBudget) Active() int {
 	return b.active
 }
 
-// Total returns the budget's global rate in bytes/second (clock.Unlimited
-// when the budget is disabled).
-func (b *RateBudget) Total() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.total
-}
-
 // Share returns the per-migration rate right now: total divided by the
 // active draw count (at least one, so a migration that forgot to Join still
 // gets a sane cap). An unlimited budget returns clock.Unlimited.

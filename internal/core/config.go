@@ -20,7 +20,9 @@ import (
 	"bbmig/internal/vm"
 )
 
-// Defaults for Config fields left zero.
+// The pre-copy stop conditions preCopyLoop hands ContinuePreCopy, fixed as
+// the paper fixes them (§IV-A-1). The memory threshold also sizes the base
+// book's freeze budget (vm.NewBaseBook).
 const (
 	// DefaultMaxDiskIters bounds disk pre-copy iterations ("we limit the
 	// maximum number of iterations to avoid endless migration", §IV-A-1).
@@ -34,6 +36,10 @@ const (
 	// DefaultMemDirtyThreshold suspends the VM once the dirty page set is
 	// this small (pages).
 	DefaultMemDirtyThreshold = 64
+)
+
+// Defaults for Config fields left zero.
+const (
 	// DefaultMaxExtentBlocks is the per-frame block coalescing limit: one,
 	// the paper's block-per-message wire format.
 	DefaultMaxExtentBlocks = 1
@@ -65,13 +71,6 @@ type ReconnectFunc func(token transport.SessionToken, lastEpoch uint32) (transpo
 type Config struct {
 	// Clock paces and measures the run. Nil defaults to a wall clock.
 	Clock clock.Clock
-
-	// MaxDiskIters, DiskDirtyThreshold, MaxMemIters, MemDirtyThreshold
-	// control the pre-copy stop conditions; zero selects the defaults.
-	MaxDiskIters       int
-	DiskDirtyThreshold int
-	MaxMemIters        int
-	MemDirtyThreshold  int
 
 	// BandwidthLimit caps the pre-copy transfer rate in bytes/second
 	// (§VI-C-3). Zero or clock.Unlimited disables the cap. The cap is not
@@ -198,9 +197,9 @@ type Config struct {
 	// for a migration whose announce did not.
 	SwarmPeers []string
 
-	// SwarmDial opens one sidecar connection to a SwarmPeers address; nil
+	// swarmDial opens one sidecar connection to a SwarmPeers address; nil
 	// selects the TCP dialer. Tests inject in-process pipes here.
-	SwarmDial SwarmDialFunc
+	swarmDial func(addr string) (transport.Conn, error)
 
 	// Delta, when true, enables rsync-style delta encoding for disk
 	// pre-copy traffic — the WAN path for content that diverged but stayed
@@ -280,13 +279,6 @@ type Config struct {
 	// memory.
 	JournalPath string
 
-	// SkipUnused elides never-written blocks from the first pre-copy
-	// iteration when the source device reports its allocation map
-	// (blockdev.Allocator) — the paper's §VII guest-cooperation future-work
-	// item. The destination VBD must be freshly zeroed, which MigrateDest
-	// cannot verify; enabling this on a dirty destination corrupts it.
-	SkipUnused bool
-
 	// OnFreeze, when non-nil, is invoked on the source right before the VM
 	// is suspended; the caller must quiesce guest I/O before returning
 	// (the Router helper does this).
@@ -301,18 +293,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = clock.NewReal()
-	}
-	if c.MaxDiskIters <= 0 {
-		c.MaxDiskIters = DefaultMaxDiskIters
-	}
-	if c.DiskDirtyThreshold <= 0 {
-		c.DiskDirtyThreshold = DefaultDiskDirtyThreshold
-	}
-	if c.MaxMemIters <= 0 {
-		c.MaxMemIters = DefaultMaxMemIters
-	}
-	if c.MemDirtyThreshold <= 0 {
-		c.MemDirtyThreshold = DefaultMemDirtyThreshold
 	}
 	if c.BandwidthLimit <= 0 {
 		c.BandwidthLimit = clock.Unlimited

@@ -7,6 +7,7 @@ import (
 
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
+	"bbmig/internal/delta"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
 	"bbmig/internal/vm"
@@ -72,23 +73,30 @@ func TestTPMUnderWorkload(t *testing.T) {
 // end-to-end.
 func TestTPMForcedPostCopyPull(t *testing.T) {
 	w := newWorld(t)
-	// Dirty a contiguous range during the first (and only) pre-copy
-	// iteration so it all rides the freeze bitmap, then read the
-	// highest-numbered dirty block the instant the VM resumes: the push
-	// stream proceeds in ascending order, so that block is still dirty and
-	// the read must pull it.
+	// Dirty a contiguous range at the end of the first disk iteration, after
+	// the stop rule has counted the (empty) dirty set, so pre-copy ends there
+	// and all of it rides the freeze bitmap; then read the highest-numbered
+	// dirty block the instant the VM resumes: the push stream proceeds in
+	// ascending order, so that block is still dirty and the read must pull it.
 	const loDirty, hiDirty = 1000, 1300
 	const hotBlock = hiDirty - 1
 	// The hot read runs beside OnResume, which cannot return until the read
 	// has registered its pull: pulled carries its outcome back.
 	pulled := make(chan error, 1)
-	writerDone := make(chan struct{})
 	src := Config{
-		MaxDiskIters: 1, // everything dirtied during iter1 rides the bitmap
-		OnFreeze: func() {
-			<-writerDone // all 300 dirty writes land before the freeze
-			w.router.Freeze()
+		OnEvent: func(ev Event) {
+			if ev.Kind != EventIterationEnd || ev.Phase != PhaseDiskPreCopy || ev.Iteration != 1 {
+				return
+			}
+			buf := make([]byte, blockdev.BlockSize)
+			for n := loDirty; n < hiDirty; n++ {
+				if err := w.shadow.Submit(blockdev.Request{Op: blockdev.Write, Block: n, Domain: testDomain, Data: buf}); err != nil {
+					t.Errorf("dirty write %d: %v", n, err)
+					return
+				}
+			}
 		},
+		OnFreeze: w.router.Freeze,
 	}
 	dst := Config{OnResume: func(g *blkback.PostCopyGate) {
 		w.router.ResumeGate(g)
@@ -104,23 +112,12 @@ func TestTPMForcedPostCopyPull(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}}
-	// Dirty the range once tracking has engaged.
-	go func() {
-		defer close(writerDone)
-		for !w.src.Backend.Tracking() {
-			time.Sleep(time.Millisecond)
-		}
-		buf := make([]byte, blockdev.BlockSize)
-		for n := loDirty; n < hiDirty; n++ {
-			if err := w.shadow.Submit(blockdev.Request{Op: blockdev.Write, Block: n, Domain: testDomain, Data: buf}); err != nil {
-				t.Errorf("dirty write %d: %v", n, err)
-				return
-			}
-		}
-	}()
 	rep, res := w.tpm(src, dst, nil)
 	if err := <-pulled; err != nil {
 		t.Fatal(err)
+	}
+	if len(rep.DiskIterations) != 1 {
+		t.Fatalf("%d disk iterations, want the one the writes followed", len(rep.DiskIterations))
 	}
 	// The dirtied range must have been synchronized in post-copy.
 	if rep.BlocksPushed+rep.BlocksPulled == 0 {
@@ -410,13 +407,12 @@ func TestRouterFreezeResume(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Clock == nil || c.MaxDiskIters != DefaultMaxDiskIters ||
-		c.DiskDirtyThreshold != DefaultDiskDirtyThreshold ||
-		c.MaxMemIters != DefaultMaxMemIters || c.MemDirtyThreshold != DefaultMemDirtyThreshold {
+	if c.Clock == nil || c.MaxExtentBlocks != DefaultMaxExtentBlocks || c.Workers != DefaultWorkers ||
+		c.DeltaChunk != delta.DefaultChunk || c.RetryBackoff != DefaultRetryBackoff {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
-	c2 := Config{MaxDiskIters: 7}.withDefaults()
-	if c2.MaxDiskIters != 7 {
+	c2 := Config{Workers: 7}.withDefaults()
+	if c2.Workers != 7 {
 		t.Fatal("explicit value overridden")
 	}
 }

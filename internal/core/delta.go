@@ -164,7 +164,7 @@ func (d *destRun) handleDeltaPatch(m transport.Message) error {
 			return fmt.Errorf("core: apply delta block %d: %w", ext.Start+k, err)
 		}
 	}
-	d.deltaBlocks += ext.Count
+	d.patchBlocks += ext.Count
 	d.noteRecvBlocks(ext.Start, ext.End())
 	return nil
 }

@@ -56,7 +56,7 @@ type destRun struct {
 	dd          *destDedup     // content-dedup session (nil until the first dedup frame)
 	recvBlocks  int            // blocks landed in any form: literal, reference, zero run or patch
 	refBlocks   int            // blocks landed by reference or as zero runs (Report.DedupBlocks)
-	deltaBlocks int            // blocks landed as delta patches (Report.DeltaBlocks)
+	patchBlocks int            // blocks landed as delta patches (Report.DeltaBlocks)
 	transferred *bitmap.Bitmap // the freeze bitmap, set by bitmapHandler
 	postStart   time.Duration
 
@@ -88,7 +88,7 @@ func (d *destRun) run(phases []phase) (*DestResult, error) {
 	if err == nil {
 		rep := d.rep
 		rep.PostCopyTime = d.clk.Now() - d.postStart
-		rep.DedupBlocks, rep.DeltaBlocks = d.refBlocks, d.deltaBlocks
+		rep.DedupBlocks, rep.DeltaBlocks = d.refBlocks, d.patchBlocks
 		if d.dd != nil {
 			rep.SwarmBlocks = d.dd.swarmBlocks
 		}
@@ -265,7 +265,6 @@ func (d *destRun) vmHandlers() frameHandlers {
 	return frameHandlers{
 		transport.MsgSuspend: d.drainOn(func(transport.Message) error {
 			d.ev.suspended()
-			d.noteProgress(func(p *destProgress) { p.flags |= destSuspendSeen })
 			return nil
 		}),
 		transport.MsgMemPage: page(mem.WritePage), transport.MsgMemPageDelta: page(mem.ApplyDelta),
@@ -331,7 +330,6 @@ func (d *destRun) bitmapHandler() frameHandlers {
 			return fmt.Errorf("core: freeze bitmap: %w", err)
 		}
 		d.transferred = bm
-		d.noteProgress(func(p *destProgress) { p.flags |= destBitmapSeen })
 		return nil
 	})}
 }
@@ -403,7 +401,6 @@ func (d *destRun) postCopyReceive() error {
 	if err := d.lanes.drain(); err != nil {
 		return err
 	}
-	d.noteProgress(func(p *destProgress) { p.flags |= destPushDone })
 	if n := d.res.Gate.RemainingDirty(); n != 0 {
 		return fmt.Errorf("core: push done with %d blocks still inconsistent", n)
 	}

@@ -311,7 +311,6 @@ func (w *world) runRacing(cfg Config, resendAll, wordTouch bool) (*metrics.Repor
 			}
 		}
 	}}
-	cfg.DiskDirtyThreshold, cfg.MemDirtyThreshold = 8, 4 // below the hot sets: pre-copy iterates
 	srcCfg := cfg
 	srcCfg.OnFreeze = func() {
 		guest.Stop()
@@ -321,6 +320,7 @@ func (w *world) runRacing(cfg Config, resendAll, wordTouch bool) (*metrics.Repor
 
 	s := newSourceRun(srcCfg, w.src, guest, "TPM")
 	s.resendAll = resendAll
+	s.stopRule = belowHotSets(8, 4)
 	var rep *metrics.Report
 	w.migrate(
 		func() (err error) { rep, err = s.run(s.tpmPhases(nil)); return err },

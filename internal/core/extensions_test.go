@@ -8,58 +8,12 @@ import (
 	"time"
 
 	"bbmig/internal/bitmap"
-	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
 	"bbmig/internal/vm"
 	"bbmig/internal/workload"
 )
-
-// TestSkipUnusedElidesFreeBlocks exercises the §VII guest-cooperation
-// extension: a mostly-empty disk migrates by sending only its allocated
-// blocks, and the destination still ends up bit-identical (zeros read as
-// zeros on the fresh VBD).
-func TestSkipUnusedElidesFreeBlocks(t *testing.T) {
-	w := newWorld(t) // every 3rd block allocated → ~683 of 2048
-	allocated := w.srcDisk.WrittenBlocks()
-	cfg := Config{SkipUnused: true}
-	rep, _ := w.tpm(cfg, cfg, nil)
-	if got := rep.DiskIterations[0].Units; got != allocated {
-		t.Fatalf("first iteration sent %d blocks, allocation map has %d", got, allocated)
-	}
-	if rep.DiskIterations[0].Units >= testBlocks {
-		t.Fatal("SkipUnused sent the whole disk")
-	}
-	// Compare against a full migration's first iteration for the saving.
-	repFull, _ := newWorld(t).tpm(Config{}, Config{}, nil)
-	if rep.MigratedBytes >= repFull.MigratedBytes {
-		t.Fatalf("SkipUnused moved %d bytes, full migration %d", rep.MigratedBytes, repFull.MigratedBytes)
-	}
-}
-
-func TestSkipUnusedIgnoredWithoutAllocator(t *testing.T) {
-	w := newWorld(t)
-	// FileDisk does not implement Allocator: SkipUnused must fall back to
-	// the full disk rather than fail or corrupt.
-	img, err := blockdev.CreateFileDisk(t.TempDir()+"/img", testBlocks, blockdev.BlockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer img.Close()
-	buf := make([]byte, blockdev.BlockSize)
-	for n := 0; n < testBlocks; n += 3 {
-		workload.FillBlock(buf, n, 0)
-		img.WriteBlock(n, buf)
-	}
-	w.src.Backend = blkback.NewBackend(img, testDomain)
-	w.router = NewRouter(w.src.Backend.Submit)
-	cfg := Config{SkipUnused: true}
-	rep, _ := w.tpm(cfg, cfg, nil)
-	if rep.DiskIterations[0].Units != testBlocks {
-		t.Fatalf("non-allocator device sent %d blocks, want full %d", rep.DiskIterations[0].Units, testBlocks)
-	}
-}
 
 // TestVaultMultiHost walks a VM A→B→C→A and checks each hop's initial
 // bitmap is exactly the divergence the receiving host missed.
@@ -260,7 +214,7 @@ func TestLinkDeathDuringPostCopy(t *testing.T) {
 	// freeze waits for all 600 dirty writes to land, so cutting at 2500
 	// sends is guaranteed to strike inside the post-copy push stream.
 	w.connSrc = transport.NewFaultConn(w.connSrc, 2500, 0)
-	cfg := Config{MaxDiskIters: 1, OnFreeze: func() {
+	cfg := Config{OnFreeze: func() {
 		<-writerDone
 		w.router.Freeze()
 	}, OnEvent: func(ev Event) {
@@ -268,7 +222,7 @@ func TestLinkDeathDuringPostCopy(t *testing.T) {
 			close(diskDone)
 		}
 	}}
-	if _, _, srcErr, dstErr := w.tpmPair(cfg, Config{MaxDiskIters: 1}, nil); srcErr == nil && dstErr == nil {
+	if _, _, srcErr, dstErr := w.tpmPair(cfg, Config{}, nil); srcErr == nil && dstErr == nil {
 		t.Fatal("both sides reported success despite link death")
 	}
 }

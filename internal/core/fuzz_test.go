@@ -80,7 +80,7 @@ func FuzzDataExtent(f *testing.F) {
 func FuzzSessionAck(f *testing.F) {
 	const blocks, pages = 4096, 512
 	good, err := destProgress{
-		flags: destSuspendSeen, diskIters: 1, memIters: 2,
+		flags: destResumed, diskIters: 1, memIters: 2,
 		recvDiskNum: 2, recvDisk: newBitmapWith(blocks, 10, 5), recvMemNum: 3, recvMem: newBitmapWith(pages, 3, 2),
 	}.marshal()
 	if err != nil {

@@ -243,6 +243,31 @@ func (w *world) migrate(source, dest func() error) {
 	}
 }
 
+// belowHotSets is a stop rule for a guest whose hot sets sit under the
+// Default*DirtyThreshold constants: the §IV-A-1 rule at a threshold of disk
+// blocks and mem pages, so pre-copy iterates against it.
+func belowHotSets(disk, mem int) func(IterationStat) bool {
+	return func(st IterationStat) bool {
+		st.Threshold = disk
+		if st.Phase == PhaseMemPreCopy {
+			st.Threshold = mem
+		}
+		return ContinuePreCopy(st)
+	}
+}
+
+// memIterations is a stop rule that runs memory pre-copy for exactly n
+// iterations, so a scripted guest can write at an iteration's end and still
+// get the next one; disk stops by the §IV-A-1 rule.
+func memIterations(n int) func(IterationStat) bool {
+	return func(st IterationStat) bool {
+		if st.Phase == PhaseMemPreCopy {
+			return st.Iteration < n
+		}
+		return ContinuePreCopy(st)
+	}
+}
+
 // tpmPair runs TPM — IM given initial — between the world's hosts, freezing
 // and resuming the guest's I/O through the router unless the configs hook
 // those themselves.

@@ -90,7 +90,7 @@ func TestMemPagesShapes(t *testing.T) {
 					src.MaxExtentBlocks, src.OnFreeze, dst.OnResume = limit, w.router.Freeze, w.router.ResumeGate
 					src.OnEvent = (&pageShapeScript{w: w, wordTouch: wordTouch, seen: map[string]bool{}}).onEvent
 					s := newSourceRun(src, w.src, pages, "TPM")
-					s.memIters = 3
+					s.stopRule = memIterations(3)
 					var rep *metrics.Report
 					w.migrate(
 						func() (err error) { rep, err = s.run(s.tpmPhases(nil)); return err },

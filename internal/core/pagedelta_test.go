@@ -84,14 +84,15 @@ func (g *hotPageScript) onEvent(ev Event) {
 // is written at an iteration's end event, after the engine has counted the
 // dirty set.
 func hotPageTPM(w *world, scripted bool, src, dst Config) *metrics.Report {
-	src.MemDirtyThreshold, src.OnFreeze, dst.OnResume = 1, w.router.Freeze, w.router.ResumeGate
-	memIters := 0
+	src.OnFreeze, dst.OnResume = w.router.Freeze, w.router.ResumeGate
 	if scripted {
 		src.OnEvent = (&hotPageScript{t: w.t, mem: w.src.VM.Memory(), seen: map[string]bool{}}).onEvent
-		memIters = 2
 	}
 	s := newSourceRun(src, w.src, w.connSrc, "TPM")
-	s.memIters = memIters
+	s.pages = vm.NewBaseBook(w.src.VM.Memory(), 1)
+	if scripted {
+		s.stopRule = memIterations(2)
+	}
 	var rep *metrics.Report
 	w.migrate(
 		func() (err error) { rep, err = s.run(s.tpmPhases(nil)); return err },

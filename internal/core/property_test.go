@@ -8,14 +8,15 @@ import (
 	"testing"
 	"time"
 
+	"bbmig/internal/bitmap"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/transport"
 	"bbmig/internal/workload"
 )
 
 // TestRandomizedMigrationsConverge is the engine's end-to-end property test:
-// across randomized initial disk fill, workload kind, engine stop
-// conditions, transport buffer depth, bandwidth caps, and compression, every
+// across randomized first-iteration sets (whole disk or written blocks),
+// workload kind, transport buffer depth, bandwidth caps, and compression, every
 // migration must leave the destination disk identical to the shadow truth,
 // memory intact, and both engines error-free. Any lost write, stale push
 // applied, or mis-ordered pull shows up as a block diff.
@@ -41,20 +42,21 @@ func TestRandomizedMigrationsConverge(t *testing.T) {
 				return a, b
 			}
 			w := newWorld(t, worldSpec{link: link, shared: true})
-			cfg := Config{
-				MaxDiskIters:       1 + rng.Intn(5),
-				DiskDirtyThreshold: 1 + rng.Intn(256),
-				MaxMemIters:        1 + rng.Intn(8),
-				MemDirtyThreshold:  1 + rng.Intn(64),
-				SkipUnused:         rng.Intn(2) == 1,
+			var initial *bitmap.Bitmap // the whole disk, or only its written blocks
+			if rng.Intn(2) == 1 {
+				// Read the allocation map with tracking already on, so a guest
+				// write to a block outside it is dirty by the time it lands.
+				w.src.Backend.StartTracking()
+				initial = w.srcDisk.AllocatedBitmap()
 			}
+			var cfg Config
 			if rng.Intn(3) == 0 {
 				cfg.BandwidthLimit = int64(16+rng.Intn(64)) << 20
 			}
 			kinds := []workload.Kind{workload.Web, workload.Kernel, workload.Stream}
 			gen := workload.New(kinds[rng.Intn(len(kinds))], testBlocks, seed*7+1)
 			g := w.startGuest(gen, float64(50+rng.Intn(300)), 0, nil)
-			_, res := w.tpm(cfg, cfg, nil)
+			_, res := w.tpm(cfg, cfg, initial)
 			time.Sleep(time.Duration(rng.Intn(50)) * time.Millisecond)
 			g.stop()
 			w.checkConverged()

@@ -67,13 +67,11 @@ type destProgress struct {
 	recvMem     *bitmap.Bitmap // pages received in that iteration (nil if none)
 }
 
-// destProgress flag bits.
+// destProgress flag bits: the milestones a reconnecting source acts on.
+// Bits 0, 1 and 3 are unused.
 const (
-	destSuspendSeen = 1 << 0 // SUSPEND arrived: freeze-and-copy reached
-	destBitmapSeen  = 1 << 1 // freeze bitmap arrived
-	destResumed     = 1 << 2 // destination VM is running (post-copy reached)
-	destPushDone    = 1 << 3 // PUSH_DONE arrived
-	destSynced      = 1 << 4 // every block consistent; DONE sent or imminent
+	destResumed = 1 << 2 // destination VM is running (post-copy reached)
+	destSynced  = 1 << 4 // every block consistent; DONE sent or imminent
 )
 
 // marshal encodes the progress record for the MsgSessionAck payload:

@@ -117,7 +117,7 @@ func newSourceRun(cfg Config, host Host, conn transport.Conn, scheme string) *so
 	mem := host.VM.Memory()
 	tr.rep.DiskBytes = blockdev.Capacity(host.Backend.Device())
 	tr.rep.MemoryBytes = int64(mem.NumPages()) * int64(mem.PageSize())
-	tr.pages = vm.NewBaseBook(mem, tr.cfg.MemDirtyThreshold)
+	tr.pages = vm.NewBaseBook(mem, DefaultMemDirtyThreshold)
 	return &sourceRun{transfer: tr}
 }
 

@@ -18,9 +18,6 @@ import (
 // is trusted, and anything the swarm fails to produce simply stays in the
 // want-bitmap for a literal send from the source.
 
-// SwarmDialFunc opens a sidecar connection to one swarm peer address.
-type SwarmDialFunc func(addr string) (transport.Conn, error)
-
 // swarmPeer is one live sidecar session.
 type swarmPeer struct {
 	addr string
@@ -42,7 +39,7 @@ type swarmClient struct {
 // silently: the swarm is best-effort by contract. Returns nil when no peer
 // survived, which disables the swarm for this migration.
 func dialSwarm(cfg Config, domain string, blockSize int) *swarmClient {
-	dial := cfg.SwarmDial
+	dial := cfg.swarmDial
 	if dial == nil {
 		dial = transport.Dial
 	}

@@ -92,7 +92,7 @@ func (p *swarmTestPeer) serve(conn transport.Conn) {
 }
 
 // swarmDialer routes Config.SwarmPeers addresses to in-process test peers.
-func swarmDialer(peers map[string]*swarmTestPeer) SwarmDialFunc {
+func swarmDialer(peers map[string]*swarmTestPeer) func(string) (transport.Conn, error) {
 	return func(addr string) (transport.Conn, error) {
 		p, ok := peers[addr]
 		if !ok {
@@ -132,7 +132,7 @@ func TestSwarmFetchEndToEnd(t *testing.T) {
 	rep, res := run(Config{
 		Dedup: true, MaxExtentBlocks: 16,
 		SwarmPeers: []string{"warm"},
-		SwarmDial:  swarmDialer(map[string]*swarmTestPeer{"warm": peer}),
+		swarmDial:  swarmDialer(map[string]*swarmTestPeer{"warm": peer}),
 	})
 	if res.Report.SwarmBlocks == 0 {
 		t.Fatal("swarm run fetched nothing from the peer")
@@ -158,7 +158,7 @@ func TestSwarmPeerFailures(t *testing.T) {
 		cfg := Config{
 			Dedup: true, MaxExtentBlocks: 16,
 			SwarmPeers: order,
-			SwarmDial:  swarmDialer(peers),
+			swarmDial:  swarmDialer(peers),
 		}
 		_, res := newWorld(t, worldSpec{fill: template(distinct)}).tpm(cfg, cfg, nil)
 		return res
@@ -252,7 +252,7 @@ func TestSwarmResumeAcrossCut(t *testing.T) {
 	dstCfg := Config{
 		Dedup: true, MaxExtentBlocks: 16,
 		SwarmPeers:    []string{"warm"},
-		SwarmDial:     swarmDialer(map[string]*swarmTestPeer{"warm": peer}),
+		swarmDial:     swarmDialer(map[string]*swarmTestPeer{"warm": peer}),
 		WaitReconnect: relink.waitReconnect,
 	}
 

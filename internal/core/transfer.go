@@ -62,10 +62,12 @@ type transfer struct {
 	// the reference both are measured against.
 	resendAll bool
 
-	// memIters, when positive, runs memory pre-copy for exactly that many
-	// iterations whatever ContinuePreCopy says, so a scripted guest can write
-	// at an iteration's end and still get the next one. Only tests set it.
-	memIters int
+	// stopRule, when non-nil, decides in place of ContinuePreCopy whether a
+	// pre-copy phase runs another iteration, so a scripted guest gets the stop
+	// shape its writes are laid out over — a fixed iteration count, or the
+	// rule at thresholds below its hot set — which the Default* constants do
+	// not produce. Only tests set it.
+	stopRule func(IterationStat) bool
 
 	// pages is the source's working-set evidence and base book: it picks the
 	// form — literal, delta, or left to a later pass — of every page send.
@@ -685,8 +687,8 @@ type IterationStat struct {
 	Dirty     float64 // dirty units when the iteration ended: an engine count, exact, or a simulator model's expectation
 	PrevDirty float64 // dirty count after the previous iteration (or the initial set size)
 
-	Threshold     int // configured dirty threshold for this phase
-	MaxIterations int // configured iteration budget for this phase
+	Threshold     int // dirty threshold for this phase (a Default*DirtyThreshold)
+	MaxIterations int // iteration budget for this phase (a DefaultMax*Iters)
 }
 
 // ContinuePreCopy is the paper's pre-copy stop rule (§IV-A-1): another
@@ -747,8 +749,8 @@ func (t *transfer) preCopyLoop(sp preCopySpec, initial *bitmap.Bitmap) error {
 		}
 		t.ev.iterationEnd(st)
 		more := ContinuePreCopy(st)
-		if t.memIters > 0 && sp.phase == PhaseMemPreCopy {
-			more = iter < t.memIters
+		if t.stopRule != nil {
+			more = t.stopRule(st)
 		}
 		if !more {
 			return nil
@@ -763,20 +765,14 @@ func (t *transfer) preCopyLoop(sp preCopySpec, initial *bitmap.Bitmap) error {
 // blocks dirtied during k-1. The remaining dirty blocks stay in the backend
 // bitmap and ride to the destination in freeze-and-copy.
 func (t *transfer) diskPreCopy(initial *bitmap.Bitmap) error {
-	dev := t.host.Backend.Device()
 	t.host.Backend.StartTracking()
-	toSend := initial
-	if toSend == nil {
-		if alloc, ok := dev.(blockdev.Allocator); ok && t.cfg.SkipUnused {
-			toSend = alloc.AllocatedBitmap()
-		} else {
-			toSend = bitmap.NewAllSet(dev.NumBlocks())
-		}
+	if initial == nil {
+		initial = bitmap.NewAllSet(t.host.Backend.Device().NumBlocks())
 	}
 	return t.preCopyLoop(preCopySpec{
 		phase:    PhaseDiskPreCopy,
 		startMsg: transport.MsgIterStart, endMsg: transport.MsgIterEnd,
-		threshold: t.cfg.DiskDirtyThreshold, maxIter: t.cfg.MaxDiskIters,
+		threshold: DefaultDiskDirtyThreshold, maxIter: DefaultMaxDiskIters,
 		send: func(cur *owedCursor) (int, int64, error) {
 			restore := t.snapshotForReads()
 			defer restore()
@@ -788,7 +784,7 @@ func (t *transfer) diskPreCopy(initial *bitmap.Bitmap) error {
 		record: func(it metrics.Iteration) {
 			t.rep.DiskIterations = append(t.rep.DiskIterations, it)
 		},
-	}, toSend)
+	}, initial)
 }
 
 // memPreCopy runs the Xen-style iterative memory pre-copy: iteration 1 sends
@@ -810,7 +806,7 @@ func (t *transfer) memPreCopy() error {
 	err := t.preCopyLoop(preCopySpec{
 		phase:    PhaseMemPreCopy,
 		startMsg: transport.MsgMemIterStart, endMsg: transport.MsgMemIterEnd,
-		threshold: t.cfg.MemDirtyThreshold, maxIter: t.cfg.MaxMemIters,
+		threshold: DefaultMemDirtyThreshold, maxIter: DefaultMaxMemIters,
 		// Iteration 1 owes every page anyway, so what logging holds is only
 		// evidence; a resumed pass owes its own set and must keep the rest.
 		open: func() { swap() },

@@ -146,9 +146,9 @@ const (
 	// migration scan and guest I/O overlap.
 	diskBytesPerSec = 76e6 * 1.048576
 
-	// The stop conditions core.ContinuePreCopy applies, as core.Config
-	// names them: MaxDiskIters, DiskDirtyThreshold (blocks), MaxMemIters
-	// and MemDirtyThreshold (pages).
+	// The stop conditions core.ContinuePreCopy applies, named as core's
+	// DefaultMaxDiskIters, DefaultDiskDirtyThreshold (blocks: 8 here, 128 in
+	// the engine), DefaultMaxMemIters and DefaultMemDirtyThreshold (pages).
 	maxDiskIters       = 4
 	diskDirtyThreshold = 8
 	maxMemIters        = 30

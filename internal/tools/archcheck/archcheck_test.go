@@ -23,13 +23,26 @@ var repoRoot = filepath.Join("..", "..", "..")
 var lineBudgets = map[string]int{
 	"cmd/bbench":               1196,
 	"internal/blockdev/bcache": 544,
-	"internal/cluster":         1555,
-	"internal/core":            4747,
+	"internal/cluster":         1468,
+	"internal/core":            4707,
 	"internal/dedup":           519,
 	"internal/forecast":        411,
 	"internal/hostd":           1021,
 	"internal/sim":             2151,
 	"internal/transport":       2178,
+}
+
+// optionBudgets bound the settable surface of the option types: the exported
+// fields of a struct, as dir/Type, or the parameters of a function, as
+// dir/Func or dir/Recv.Method. A budget only grows in the change that
+// defends it.
+var optionBudgets = map[string]int{
+	"internal/core/Config":               22,
+	"internal/cluster/Options":           7,
+	"internal/cluster/MemberOptions":     1,
+	"internal/cluster/DrainOptions":      2,
+	"internal/cluster/AutopilotOptions":  2,
+	"internal/cluster/Cluster.Rebalance": 0,
 }
 
 // The reasons a function no non-test file names may stay. They are three of
@@ -67,6 +80,7 @@ var testOnly = map[string]string{
 	"internal/core/MigrateOnDemandDest":           paperBaseline,
 	"internal/core/MigrateOnDemandSource":         paperBaseline,
 	"internal/core/NewDeltaForwarder":             paperBaseline,
+	"internal/core/RateBudget.Active":             observer,
 	"internal/core/Vault.DivergentBlocks":         observer,
 	"internal/core/Vault.Peers":                   observer,
 	"internal/dedup/Index.Len":                    observer,
@@ -428,6 +442,106 @@ func patchTrailers(src source) []string {
 		bad = append(bad, fmt.Sprintf("trailer called from %v, want exactly %v", callers, want))
 	}
 	return bad
+}
+
+// optionCounts counts, for every struct and function src declares, keyed as
+// optionBudgets keys them under dir, the struct's exported fields or the
+// function's parameters.
+func optionCounts(dir string, src source) map[string]int {
+	counts := map[string]int{}
+	width := func(fields *ast.FieldList, exportedOnly bool) (n int) {
+		for _, f := range fields.List {
+			var names []string
+			for _, id := range f.Names {
+				names = append(names, id.Name)
+			}
+			if len(names) == 0 { // an embedded field or an unnamed parameter: its type names it
+				typ := types.ExprString(f.Type)
+				names = append(names, typ[strings.LastIndexAny(typ, ".*")+1:])
+			}
+			for _, name := range names {
+				if !exportedOnly || token.IsExported(name) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	for _, f := range src.files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				counts[path.Join(dir, funcName(d))] = width(d.Type.Params, false)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						if st, ok := ts.Type.(*ast.StructType); ok {
+							counts[path.Join(dir, ts.Name.Name)] = width(st.Fields, true)
+						}
+					}
+				}
+			}
+		}
+	}
+	return counts
+}
+
+// overBudget lists the optionBudgets entries under dir that src declares
+// wider than their budget, or does not declare at all.
+func overBudget(dir string, src source) []string {
+	counts := optionCounts(dir, src)
+	var bad []string
+	for key, budget := range optionBudgets {
+		if path.Dir(key) != dir {
+			continue
+		}
+		n, ok := counts[key]
+		switch {
+		case !ok:
+			bad = append(bad, fmt.Sprintf("%s is not declared: its budget has rotted", key))
+		case n > budget:
+			bad = append(bad, fmt.Sprintf("%s has %d settable values, budget %d", key, n, budget))
+		}
+	}
+	return bad
+}
+
+// TestOptionBudgetCatchesPlants runs the option budgets on copies of
+// internal/cluster, each with one settable value planted: every plant fails
+// them, the untouched copy passes.
+func TestOptionBudgetCatchesPlants(t *testing.T) {
+	dir := filepath.Join(repoRoot, "internal/cluster")
+	plants := map[string]struct{ file, from, to string }{
+		"clean":           {},
+		"field":           {"drain.go", "\tRetries int\n}", "\tRetries int\n\tExclude []string\n}"},
+		"embedded field":  {"autopilot.go", "\tMaxMovesPerCycle int\n}", "\tMaxMovesPerCycle int\n\tDrainOptions\n}"},
+		"variadic option": {"drain.go", "Rebalance() (", "Rebalance(exclude ...string) ("},
+	}
+	for name, p := range plants {
+		tmp := t.TempDir()
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.file == filepath.Base(path) {
+				if !bytes.Contains(data, []byte(p.from)) {
+					t.Fatalf("%s: %s no longer holds %q", name, p.file, p.from)
+				}
+				data = bytes.Replace(data, []byte(p.from), []byte(p.to), 1)
+			}
+			if err := os.WriteFile(filepath.Join(tmp, filepath.Base(path)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if bad := overBudget("internal/cluster", parse(t, tmp)); (len(bad) == 0) != (name == "clean") {
+			t.Errorf("%s: the budgets report %v", name, bad)
+		}
+	}
 }
 
 // TestPatchTrailerCatchesPlants runs the "one patch trailer" rule on copies
@@ -870,6 +984,18 @@ func TestArchitecture(t *testing.T) {
 		// an AppendApply that does not ask the trailer lets them decide.
 		for _, bad := range patchTrailers(parse(t, "internal/delta")) {
 			t.Errorf("internal/delta: %s", bad)
+		}
+	})
+
+	t.Run("option budget", func(t *testing.T) {
+		dirs := map[string]bool{}
+		for key := range optionBudgets {
+			dirs[path.Dir(key)] = true
+		}
+		for dir := range dirs {
+			for _, bad := range overBudget(dir, parse(t, dir)) {
+				t.Error(bad)
+			}
 		}
 	})
 

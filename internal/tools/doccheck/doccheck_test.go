@@ -85,3 +85,67 @@ func TestWireCoverageDetects(t *testing.T) {
 		}
 	}
 }
+
+// TestDeclRefs resolves every backticked package reference in the README,
+// the architecture and wire docs and the library overview against the
+// declarations of the package it names.
+func TestDeclRefs(t *testing.T) {
+	findings, checked, err := DeclRefs(repoRoot, DeclFiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked < 50 {
+		t.Fatalf("only %d references checked: the scanner has rotted", checked)
+	}
+	for _, f := range findings {
+		t.Error(f)
+	}
+}
+
+// TestKnobTable holds README's engine knob table to core.Config: every
+// exported field is listed, and every listed field exists.
+func TestKnobTable(t *testing.T) {
+	findings, err := KnobTable(repoRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Error(f)
+	}
+}
+
+// TestDocChecksDetect pins both checks against a synthetic tree: a
+// reference to a missing declaration, a stale table row and an unlisted
+// field are found; resolvable references, foreign packages and file names
+// pass.
+func TestDocChecksDetect(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("internal/core/config.go", "package core\n\ntype Config struct {\n\tStreams int\n\tWorkers int\n\tclock int\n}\n\nfunc (Config) Check() {}\n")
+	write("internal/blockdev/bcache/bcache.go", "package bcache\n\nconst DefaultMaxBlocks = 1\n\ntype Cache struct{ Stats }\n\ntype Stats struct{}\n")
+	write("README.md", "`core.Config.Streams` `core.Config.Check()` `bcache.DefaultMaxBlocks` `bcache.Cache.Stats`\n"+
+		"`time.Now` `delta.go` `core.Config.Gone` `bcache.SetBlocks`\n\n"+
+		knobHeading+"\n\n| Field | Effect |\n|---|---|\n| `Streams`, `Budget` | x |\n\nafter: `Workers`\n")
+	findings, checked, err := DeclRefs(dir, []string{"README.md"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked != 7 || len(findings) != 2 {
+		t.Fatalf("checked %d references, findings %v; want 7 checked and the two unresolved", checked, findings)
+	}
+	findings, err = KnobTable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 2 {
+		t.Fatalf("knob table findings %v, want Workers unlisted and Budget undeclared", findings)
+	}
+}
