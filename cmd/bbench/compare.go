@@ -39,8 +39,11 @@ const (
 // migrations' wire bytes per logical byte (a change that stops eliding zero
 // extents fails it); hashes_per_block, the SHA-256 calls a dedup
 // destination's index makes per block; writes_per_frame, the socket writes
-// per data frame of a TCP row (a change that stops staging fails it); and
-// the blocks of a WAN row whose patch was refused. (A move is measured
+// per data frame of a TCP row (a change that stops staging fails it);
+// dev_calls_per_block and read_share, the device requests per block of a TCP
+// or device row and the source blocks it read (a change that goes back to a
+// request per block, or reads the holes it can name, fails them); and the
+// blocks of a WAN row whose patch was refused. (A move is measured
 // against max(base, 1), so on a ratio 2 % is two hundredths.)
 var gates = []struct {
 	prefix, field string
@@ -58,6 +61,9 @@ var gates = []struct {
 	{"MigrateTCP/", "bytes_per_op", lower, 0},
 	{"MigrateTCP/", "wire_share", lower, 2},
 	{"MigrateTCP/", "writes_per_frame", lower, 2},
+	{"MigrateTCP/", "dev_calls_per_block", lower, 2},
+	{"MigrateTCP/", "read_share", lower, 2},
+	{"MigrateDev/", "dev_calls_per_block", lower, 2},
 	{"MigrateWAN/", "allocs_per_op", lower, 0},
 	{"MigrateWAN/", "bytes_per_op", lower, 0},
 	{"MigrateWAN/", "refused_blocks", lower, 2},

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -82,7 +83,7 @@ func suite(seed int64) []row {
 	tcpRow := func(cfg core.Config) func(*testing.B) {
 		return func(b *testing.B) { imageMigrate(b, loopback, kernelImage(tcpBlocks, 20000), cfg) }
 	}
-	return []row{
+	rows := []row{
 		// The modelled link: per-block frames, extents, and four striped streams.
 		{"MigrateModeledLink/default-per-block", modeledRow(core.Config{MaxExtentBlocks: 1})},
 		{"MigrateModeledLink/fixed-64-extents", modeledRow(core.Config{MaxExtentBlocks: 64})},
@@ -137,6 +138,17 @@ func suite(seed int64) []row {
 		{"SnapshotScan/live-contended", func(b *testing.B) { snapshotScan(b, false) }},
 		{"SnapshotScan/snapshot", func(b *testing.B) { snapshotScan(b, true) }},
 	}
+	// Devices that take time, served a block or an extent a request, read and
+	// written on one lane or four.
+	for _, kind := range []string{"file", "slow"} {
+		for _, hide := range []bool{true, false} {
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("MigrateDev/%s-%s/workers-%d", kind, map[bool]string{true: "per-block", false: "extent"}[hide], workers)
+				rows = append(rows, row{name, func(b *testing.B) { devMigrate(b, kind, hide, workers) }})
+			}
+		}
+	}
+	return rows
 }
 
 // kernelImage builds a MemDisk carrying a deterministic kernel-build write
@@ -285,25 +297,125 @@ func (w world) migrate(b *testing.B, ln link, srcCfg, dstCfg core.Config, initia
 	return src, dst
 }
 
+// devCounts is what a row's counted devices were asked for: requests on
+// either side (a block, or an extent), and the blocks the source read.
+type devCounts struct{ calls, read atomic.Int64 }
+
+// report books the counts as dev_calls_per_block, the requests both devices
+// served per block owed, and read_share, the source's blocks read per block
+// owed: counts no machine moves.
+func (c *devCounts) report(b *testing.B, owed int) {
+	b.ReportMetric(float64(c.calls.Load())/float64(owed), "dev_calls_per_block")
+	b.ReportMetric(float64(c.read.Load())/float64(owed), "read_share")
+}
+
+// counted is a device that books every request it serves in counts, the
+// blocks it reads too when it is a source. It serves extents, through the
+// device it wraps or that device's per-block fallback, and forwards the
+// allocation map, so the engine asks it what it would ask the bare device.
+type counted struct {
+	blockdev.Device
+	counts *devCounts
+	source bool
+}
+
+func (d counted) ReadBlock(n int, dst []byte) error  { return d.ReadExtent(n, 1, dst) }
+func (d counted) WriteBlock(n int, src []byte) error { return d.WriteExtent(n, 1, src) }
+
+func (d counted) ReadExtent(n, count int, dst []byte) error {
+	d.counts.calls.Add(1)
+	if d.source {
+		d.counts.read.Add(int64(count))
+	}
+	return blockdev.ReadExtent(d.Device, n, count, dst)
+}
+
+func (d counted) WriteExtent(n, count int, src []byte) error {
+	d.counts.calls.Add(1)
+	return blockdev.WriteExtent(d.Device, n, count, src)
+}
+
+// AllocatedBitmap forwards blockdev.Allocator; a device that cannot say
+// reports every block allocated, which is always safe.
+func (d counted) AllocatedBitmap() *bitmap.Bitmap {
+	if a, ok := d.Device.(blockdev.Allocator); ok {
+		return a.AllocatedBitmap()
+	}
+	return bitmap.NewAllSet(d.NumBlocks())
+}
+
 // imageMigrate runs TPM of srcDisk over ln under cfg and reports wire_share:
 // the wire bytes per logical byte (disk and memory), a count no machine
-// moves. Over TCP it also reports writes_per_frame: the writes both ends'
-// streams issued per data frame sent, the syscalls staging saves.
+// moves, and the device counts (devCounts.report). Over TCP it also reports
+// writes_per_frame: the writes both ends' streams issued per data frame sent,
+// the syscalls staging saves.
 func imageMigrate(b *testing.B, ln link, srcDisk *blockdev.MemDisk, cfg core.Config) {
 	n := srcDisk.NumBlocks()
 	var share float64
+	var counts devCounts
 	writes0, frames0 := transport.StreamWrites()
 	b.SetBytes(int64(n) * blockdev.BlockSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, _ := newWorld(srcDisk, blockdev.NewMemDisk(n, blockdev.BlockSize), 64).migrate(b, ln, cfg, cfg, nil, nil)
+		src, dst := counted{srcDisk, &counts, true}, counted{blockdev.NewMemDisk(n, blockdev.BlockSize), &counts, false}
+		rep, _ := newWorld(src, dst, 64).migrate(b, ln, cfg, cfg, nil, nil)
 		share = float64(rep.MigratedBytes) / float64(rep.DiskBytes+rep.MemoryBytes)
 	}
 	b.ReportMetric(share, "wire_share")
+	counts.report(b, n*b.N)
 	if writes, frames := transport.StreamWrites(); ln.tcp {
 		b.ReportMetric(float64(writes-writes0)/float64(frames-frames0), "writes_per_frame")
 	}
+}
+
+// perBlock hides a device's extent methods: the engine's helpers fall back
+// to one request per block.
+type perBlock struct{ blockdev.Device }
+
+// devMigrate runs TPM of a kernel image between two devices that take time —
+// temp-file FileDisks ("file"), or MemDisks behind blockdev.Slow at 100 µs a
+// request and 400 MB/s ("slow") — over in-process pipes, at 64-block extents
+// and Workers lanes on both ends; perBlock hides the devices' extent methods.
+// It reports the device counts (devCounts.report).
+func devMigrate(b *testing.B, kind string, hide bool, workers int) {
+	const n = 1024
+	img := kernelImage(n, 2000)
+	var counts devCounts
+	open := func(source bool) blockdev.Device {
+		var dev blockdev.Device = blockdev.NewMemDisk(n, blockdev.BlockSize)
+		if kind == "file" {
+			fd, err := blockdev.CreateFileDisk(filepath.Join(b.TempDir(), "img"), n, blockdev.BlockSize)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { fd.Close() })
+			dev = fd
+		}
+		if source {
+			buf := make([]byte, n*blockdev.BlockSize)
+			if err := errors.Join(img.ReadExtent(0, n, buf), blockdev.WriteExtent(dev, 0, n, buf)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		dev = counted{dev, &counts, source}
+		if kind == "slow" {
+			dev = blockdev.Slow{Device: dev, Latency: 100 * time.Microsecond, Rate: 400e6}
+		}
+		if hide {
+			dev = perBlock{dev}
+		}
+		return dev
+	}
+	src, dst := open(true), open(false)
+	cfg := core.Config{MaxExtentBlocks: 64, Workers: workers}
+	b.SetBytes(n * blockdev.BlockSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newWorld(src, dst, 64).migrate(b, link{}, cfg, cfg, nil, nil)
+	}
+	counts.report(b, n*b.N)
 }
 
 // freezeMeter meters both ends of a link and books what the destination
@@ -445,13 +557,14 @@ func memDeltaMigrate(b *testing.B, wordTouch bool) {
 	b.ReportMetric(float64(deltaPages)/float64(b.N), "delta_pages")
 }
 
-// tcpCpBaseline is the wire-speed floor: the TCP rows' image pushed through
-// a raw TCP socket in 256 KiB chunks and written block by block on the far
-// side, no framing, no engine. MigrateTCP/dense, which moves as many bytes,
-// is judged against this row.
+// tcpCpBaseline is the wire-speed floor: the TCP rows' image read and pushed
+// through a raw TCP socket in 256 KiB chunks, each written as one extent on
+// the far side, no framing, no engine. MigrateTCP/dense, which moves as many
+// bytes, is judged against this row.
 func tcpCpBaseline(b *testing.B) {
 	const chunk = (256 << 10) / blockdev.BlockSize
-	srcDisk := kernelImage(tcpBlocks, 20000)
+	var counts devCounts
+	srcDisk := counted{kernelImage(tcpBlocks, 20000), &counts, true}
 	b.SetBytes(tcpBlocks * blockdev.BlockSize)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -460,16 +573,14 @@ func tcpCpBaseline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dstDisk := blockdev.NewMemDisk(tcpBlocks, blockdev.BlockSize)
+		dstDisk := counted{blockdev.NewMemDisk(tcpBlocks, blockdev.BlockSize), &counts, false}
 		done := make(chan error, 1)
 		go func() {
 			c, err := l.Accept()
 			buf := make([]byte, chunk*blockdev.BlockSize)
 			for n := 0; err == nil && n < tcpBlocks; n += chunk {
 				if _, err = io.ReadFull(c, buf); err == nil {
-					for j := 0; j < chunk; j++ {
-						dstDisk.WriteBlock(n+j, buf[j*blockdev.BlockSize:])
-					}
+					err = dstDisk.WriteExtent(n, chunk, buf)
 				}
 			}
 			if c != nil {
@@ -483,8 +594,8 @@ func tcpCpBaseline(b *testing.B) {
 		}
 		buf := make([]byte, chunk*blockdev.BlockSize)
 		for n := 0; n < tcpBlocks; n += chunk {
-			for j := 0; j < chunk; j++ {
-				srcDisk.ReadBlock(n+j, buf[j*blockdev.BlockSize:])
+			if err := srcDisk.ReadExtent(n, chunk, buf); err != nil {
+				b.Fatal(err)
 			}
 			if _, err := c.Write(buf); err != nil {
 				b.Fatal(err)
@@ -496,6 +607,7 @@ func tcpCpBaseline(b *testing.B) {
 		c.Close()
 		l.Close()
 	}
+	counts.report(b, tcpBlocks*b.N)
 }
 
 // deltaMigrate runs the WAN return trip: IM of a prefix rewritten in each

@@ -301,6 +301,32 @@ func TestCompareBenchHashGate(t *testing.T) {
 	}
 }
 
+// TestCompareBenchDeviceGate: dev_calls_per_block and read_share are counts,
+// held like wire_share on the TCP and device rows: a migration that goes back
+// to one device request per block, or reads the never-written extents it can
+// name, fails.
+func TestCompareBenchDeviceGate(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := func(file string, calls, read float64) string {
+		path := filepath.Join(dir, file)
+		writeSnapshotV11(t, path, []benchResult{
+			{Name: "MigrateTCP/cold", MBPerSec: 900, AllocsPerOp: 2000, Metrics: map[string]float64{"dev_calls_per_block": calls, "read_share": read}},
+			{Name: "MigrateDev/file-extent/workers-1", MBPerSec: 900, AllocsPerOp: 300, Metrics: map[string]float64{"dev_calls_per_block": calls}},
+		})
+		return path
+	}
+	base := snapshot("base.json", 0.0209, 0.3359)
+	if err := compareBench(snapshot("same.json", 0.0209, 0.3359), base, 25); err != nil {
+		t.Errorf("unchanged device counts failed the gate: %v", err)
+	}
+	if err := compareBench(snapshot("per-block.json", 2, 0.3359), base, 25); err == nil || !strings.Contains(err.Error(), "dev_calls_per_block") {
+		t.Errorf("a request per block again: gate said %v", err)
+	}
+	if err := compareBench(snapshot("holes.json", 0.0209, 1), base, 25); err == nil || !strings.Contains(err.Error(), "read_share") {
+		t.Errorf("holes read again: gate said %v", err)
+	}
+}
+
 // TestCompareBenchBadFiles: unreadable or malformed snapshots error.
 func TestCompareBenchBadFiles(t *testing.T) {
 	dir := t.TempDir()

@@ -142,6 +142,19 @@ func (b *Bitmap) Any() bool {
 	return false
 }
 
+// AnyIn reports whether any bit in [lo, hi) is set, a word at a time. The
+// range must lie inside the bitmap.
+func (b *Bitmap) AnyIn(lo, hi int) bool {
+	for i := lo; i < hi; {
+		end := min(i-i%wordBits+wordBits, hi)
+		if b.words[i/wordBits]>>uint(i%wordBits)&(uint64(1)<<uint(end-i)-1) != 0 {
+			return true
+		}
+		i = end
+	}
+	return false
+}
+
 // NextSet returns the index of the first dirty bit at or after i, or -1 if
 // none. Scanning is word-at-a-time so sparse bitmaps are cheap to walk.
 func (b *Bitmap) NextSet(i int) int {

@@ -23,9 +23,10 @@ import (
 	"bbmig/internal/blockdev"
 )
 
-// shardCount is the lock-striping width, matching MemDisk: guest writes,
-// migration snapshot reads, and background scans touching different blocks
-// proceed in parallel.
+// shardCount is the lock-striping width, matching MemDisk: blocks are sharded
+// by blockdev.RunBlocks-aligned run, so guest writes, migration snapshot
+// reads, and background scans touching different runs proceed in parallel,
+// and an extent inside one run takes one shard lock.
 const shardCount = 16
 
 // DefaultMaxBlocks is the cache capacity used when New is given 0: 4096
@@ -130,7 +131,8 @@ func New(backing blockdev.Device, maxBlocks int) *Cache {
 	return c
 }
 
-func (c *Cache) shard(n int) *shard { return &c.shards[n%shardCount] }
+// shard is the shard holding block n's run.
+func (c *Cache) shard(n int) *shard { return &c.shards[n/blockdev.RunBlocks%shardCount] }
 
 // BlockSize implements blockdev.Device.
 func (c *Cache) BlockSize() int { return c.blockSize }
@@ -141,18 +143,12 @@ func (c *Cache) NumBlocks() int { return c.numBlocks }
 // ErrReleased is returned for I/O against a released Cache.
 var ErrReleased = fmt.Errorf("bcache: volume released")
 
-// checkIO validates a block number and buffer for one I/O.
-func (c *Cache) checkIO(n int, buf []byte) error {
+// checkIO validates an extent and buffer for one I/O.
+func (c *Cache) checkIO(n, count int, buf []byte) error {
 	if c.released.Load() {
 		return ErrReleased
 	}
-	if err := blockdev.CheckRange(c, n); err != nil {
-		return err
-	}
-	if len(buf) < c.blockSize {
-		return fmt.Errorf("bcache: buffer %d < block size %d", len(buf), c.blockSize)
-	}
-	return nil
+	return blockdev.CheckExtent(c, n, count, len(buf))
 }
 
 // alloc carves one block's storage from the shard free list or slab.
@@ -266,81 +262,123 @@ func (c *Cache) count(f func(*Stats)) {
 	c.statMu.Unlock()
 }
 
-// ReadBlock implements blockdev.Device: cache hit or fill-from-backing.
-func (c *Cache) ReadBlock(n int, dst []byte) error {
-	if err := c.checkIO(n, dst); err != nil {
+// ReadBlock implements blockdev.Device: the one-block ReadExtent.
+func (c *Cache) ReadBlock(n int, dst []byte) error { return c.ReadExtent(n, 1, dst) }
+
+// WriteBlock implements blockdev.Device: the one-block WriteExtent.
+func (c *Cache) WriteBlock(n int, src []byte) error { return c.WriteExtent(n, 1, src) }
+
+// ReadExtent implements blockdev.ExtentDevice: one shard pass per run, each
+// block a cache hit or a fill from backing.
+func (c *Cache) ReadExtent(n, count int, dst []byte) error {
+	if err := c.checkIO(n, count, dst); err != nil {
 		return err
 	}
-	s := c.shard(n)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b := s.blocks[n]; b != nil {
-		copy(dst, b.data)
-		s.lruTouch(b)
-		c.count(func(st *Stats) { st.Hits++ })
+	return blockdev.EachRun(n, count, func(lo, hi int) error {
+		s := c.shard(lo)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return c.readRun(s, lo, hi, dst[(lo-n)*c.blockSize:], nil)
+	})
+}
+
+// readRun copies blocks [lo, hi), one run, into dst: a snapshot's copied-aside
+// block from its overlay (nil for the live view), else a cached block, else —
+// a miss — the backing device's, filled into the cache for the live view and
+// read straight into dst for a snapshot. Caller holds s.mu, and the
+// snapshot's lock for reading.
+func (c *Cache) readRun(s *shard, lo, hi int, dst []byte, overlay map[int][]byte) (err error) {
+	b, misses := lo, 0
+	defer func() {
+		c.count(func(st *Stats) { st.Hits, st.Misses = st.Hits+int64(b-lo-misses), st.Misses+int64(misses) })
+	}()
+	for ; b < hi && err == nil; b++ {
+		out := dst[(b-lo)*c.blockSize : (b-lo+1)*c.blockSize]
+		switch blk := s.blocks[b]; {
+		case overlay[b] != nil:
+			copy(out, overlay[b])
+		case blk != nil:
+			copy(out, blk.data)
+			s.lruTouch(blk)
+		case overlay != nil:
+			misses++
+			err = c.backing.ReadBlock(b, out)
+		default:
+			misses++
+			if blk, err = c.fill(s, b); err == nil {
+				copy(out, blk.data)
+			}
+		}
+	}
+	return err
+}
+
+// WriteExtent implements blockdev.ExtentDevice: one copy-on-write decision
+// per run for outstanding snapshots, then the new contents buffered dirty in
+// the cache.
+func (c *Cache) WriteExtent(n, count int, src []byte) error {
+	if err := c.checkIO(n, count, src); err != nil {
+		return err
+	}
+	return blockdev.EachRun(n, count, func(lo, hi int) error {
+		s := c.shard(lo)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if err := c.cowCopy(s, lo, hi); err != nil {
+			return err
+		}
+		for b := lo; b < hi; b++ {
+			blk := s.blocks[b]
+			if blk == nil {
+				blk = &block{n: b, data: c.alloc(s)}
+				s.blocks[b] = blk
+				s.lruPush(blk)
+			} else {
+				s.lruTouch(blk)
+			}
+			copy(blk.data, src[(b-n)*c.blockSize:])
+			blk.dirty = true
+			if err := c.evict(s, blk); err != nil {
+				return err
+			}
+		}
 		return nil
-	}
-	c.count(func(st *Stats) { st.Misses++ })
-	b, err := c.fill(s, n)
-	if err != nil {
-		return err
-	}
-	copy(dst, b.data)
-	return nil
+	})
 }
 
-// WriteBlock implements blockdev.Device: copy-on-write for outstanding
-// snapshots, then buffer the new contents dirty in the cache.
-func (c *Cache) WriteBlock(n int, src []byte) error {
-	if err := c.checkIO(n, src); err != nil {
-		return err
-	}
-	s := c.shard(n)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := c.cowCopy(s, n); err != nil {
-		return err
-	}
-	b := s.blocks[n]
-	if b == nil {
-		b = &block{n: n, data: c.alloc(s)}
-		s.blocks[n] = b
-		s.lruPush(b)
-	} else {
-		s.lruTouch(b)
-	}
-	copy(b.data, src)
-	b.dirty = true
-	return c.evict(s, b)
-}
-
-// cowCopy preserves the pre-write contents of block n for every
-// outstanding snapshot that has not copied it aside yet. Caller holds
+// cowCopy preserves the pre-write contents of blocks [lo, hi), one run, for
+// every outstanding snapshot that has not copied them aside yet. Caller holds
 // s.mu; lock order is shard.mu → snapMu → snapshot.mu.
-func (c *Cache) cowCopy(s *shard, n int) error {
+func (c *Cache) cowCopy(s *shard, lo, hi int) error {
 	c.snapMu.Lock()
 	defer c.snapMu.Unlock()
 	if len(c.snaps) == 0 {
 		return nil
 	}
-	// One immutable copy of the old contents is shared by every snapshot
-	// that still needs it; it is only materialized if at least one does.
-	var old []byte
+	// One immutable copy of a block's old contents is shared by every
+	// snapshot that still needs it; it is only materialized if one does.
+	var olds [blockdev.RunBlocks][]byte
+	copies := 0
+	defer func() { c.count(func(st *Stats) { st.CowCopies += int64(copies) }) }()
 	for snap := range c.snaps {
 		snap.mu.Lock()
-		_, have := snap.overlay[n]
-		if !have && old == nil {
-			old = make([]byte, c.blockSize)
-			if b := s.blocks[n]; b != nil {
-				copy(old, b.data)
-			} else if err := c.backing.ReadBlock(n, old); err != nil {
-				snap.mu.Unlock()
-				return fmt.Errorf("bcache: cow read block %d: %w", n, err)
+		for n := lo; n < hi; n++ {
+			if _, have := snap.overlay[n]; have {
+				continue
 			}
-			c.count(func(st *Stats) { st.CowCopies++ })
-		}
-		if !have {
-			snap.overlay[n] = old
+			if olds[n-lo] == nil {
+				old := c.alloc(s)
+				if b := s.blocks[n]; b != nil {
+					old, b.data = b.data, old // the write overwrites the whole block
+				} else if err := c.backing.ReadBlock(n, old); err != nil {
+					s.free = append(s.free, old)
+					snap.mu.Unlock()
+					return fmt.Errorf("bcache: cow read block %d: %w", n, err)
+				}
+				olds[n-lo] = old
+				copies++
+			}
+			snap.overlay[n] = olds[n-lo]
 		}
 		snap.mu.Unlock()
 	}

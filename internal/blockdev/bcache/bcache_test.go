@@ -166,6 +166,43 @@ func TestTwoSnapshotsShareCopies(t *testing.T) {
 	s3.Release()
 }
 
+// TestReleaseRecyclesUnsharedCopies: a copy two snapshots share survives the
+// first one's Release, however much the live volume is written after it, and
+// goes back to its shard's free list with the second.
+func TestReleaseRecyclesUnsharedCopies(t *testing.T) {
+	const blocks = 4 * blockdev.RunBlocks
+	c := New(blockdev.NewMemDisk(blocks, testBS), 0)
+	buf := make([]byte, testBS)
+	fillBlock(buf, 0, 1)
+	if err := c.WriteBlock(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	s1, s2 := c.Snapshot(), c.Snapshot()
+	old := mustFP(t, s2)
+	fillBlock(buf, 0, 2)
+	if err := c.WriteBlock(0, buf); err != nil { // one copy, shared by s1 and s2
+		t.Fatal(err)
+	}
+	s1.Release()
+	if n := len(c.shard(0).free); n != 0 {
+		t.Fatalf("%d buffers freed while s2 still holds the copy", n)
+	}
+	for n := 0; n < blocks; n++ { // every shard's storage churns
+		fillBlock(buf, n, 3)
+		if err := c.WriteBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if mustFP(t, s2) != old {
+		t.Fatal("s2 lost its copy when s1 was released")
+	}
+	before := len(c.shard(0).free)
+	s2.Release()
+	if got := len(c.shard(0).free) - before; got != blockdev.RunBlocks { // shard 0 holds run 0
+		t.Fatalf("s2's release freed %d buffers in shard 0, want its %d copies", got, blockdev.RunBlocks)
+	}
+}
+
 // TestRefcountLifecycle checks the volume's reference accounting: Release
 // is refused while any snapshot is out, succeeds once the last one is
 // released, and I/O after it fails with ErrReleased.

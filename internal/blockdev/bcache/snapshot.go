@@ -16,7 +16,7 @@ import (
 type snapshot struct {
 	c *Cache
 
-	mu       sync.Mutex
+	mu       sync.RWMutex   // readers share it for a run's reads; copy-aside and Release take it whole
 	overlay  map[int][]byte // block → immutable pre-write contents
 	released bool
 }
@@ -27,37 +27,29 @@ func (sn *snapshot) BlockSize() int { return sn.c.blockSize }
 // NumBlocks implements blockdev.Device.
 func (sn *snapshot) NumBlocks() int { return sn.c.numBlocks }
 
-// ReadBlock implements blockdev.Device: overlay first, then the live
-// cache. The whole lookup runs under the block's shard lock so it cannot
-// interleave with a writer's copy-aside-then-overwrite sequence.
-func (sn *snapshot) ReadBlock(n int, dst []byte) error {
+// ReadBlock implements blockdev.Device: the one-block ReadExtent.
+func (sn *snapshot) ReadBlock(n int, dst []byte) error { return sn.ReadExtent(n, 1, dst) }
+
+// ReadExtent implements blockdev.ExtentDevice: overlay first, then the live
+// cache. Each run is read under its shard lock, so it cannot interleave with
+// a writer's copy-aside-then-overwrite sequence, and under a shared hold of
+// the snapshot's lock, so lanes reading other runs proceed alongside.
+func (sn *snapshot) ReadExtent(n, count int, dst []byte) error {
 	c := sn.c
-	if err := c.checkIO(n, dst); err != nil {
+	if err := c.checkIO(n, count, dst); err != nil {
 		return err
 	}
-	s := c.shard(n)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sn.mu.Lock()
-	if sn.released {
-		sn.mu.Unlock()
-		return fmt.Errorf("bcache: read block %d from released snapshot", n)
-	}
-	old := sn.overlay[n]
-	sn.mu.Unlock()
-	if old != nil {
-		copy(dst, old)
-		c.count(func(st *Stats) { st.Hits++ })
-		return nil
-	}
-	if b := s.blocks[n]; b != nil {
-		copy(dst, b.data)
-		s.lruTouch(b)
-		c.count(func(st *Stats) { st.Hits++ })
-		return nil
-	}
-	c.count(func(st *Stats) { st.Misses++ })
-	return c.backing.ReadBlock(n, dst)
+	return blockdev.EachRun(n, count, func(lo, hi int) error {
+		s := c.shard(lo)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		sn.mu.RLock()
+		defer sn.mu.RUnlock()
+		if sn.released {
+			return fmt.Errorf("bcache: read blocks [%d,%d) from released snapshot", lo, hi)
+		}
+		return c.readRun(s, lo, hi, dst[(lo-n)*c.blockSize:], sn.overlay)
+	})
 }
 
 // AllocatedBitmap implements blockdev.Allocator: the live cache's allocated
@@ -74,22 +66,44 @@ func (sn *snapshot) AllocatedBitmap() *bitmap.Bitmap {
 }
 
 // WriteBlock implements blockdev.Device by refusing: snapshots are frozen.
-func (sn *snapshot) WriteBlock(int, []byte) error {
-	return blockdev.ErrSnapshotReadOnly
-}
+func (sn *snapshot) WriteBlock(int, []byte) error { return blockdev.ErrSnapshotReadOnly }
+
+// WriteExtent implements blockdev.ExtentDevice by refusing, as WriteBlock.
+func (sn *snapshot) WriteExtent(int, int, []byte) error { return blockdev.ErrSnapshotReadOnly }
 
 // Release implements blockdev.Snapshot: deregister from the cache and drop
-// the overlay. Live writes stop copying aside for this snapshot, and the
-// copied blocks become garbage (shared copies are freed when the last
-// snapshot referencing them goes).
+// the overlay. Live writes stop copying aside for this snapshot, and each
+// copied block no other snapshot shares goes back to its shard's free list,
+// up to the shard's capacity (shared copies wait for the last snapshot
+// holding them).
 func (sn *snapshot) Release() {
-	// Deregister first, then mark released: snapMu before sn.mu, the same
-	// order writers use, so Release cannot deadlock against a CoW copy.
-	sn.c.snapMu.Lock()
-	delete(sn.c.snaps, sn)
-	sn.c.snapMu.Unlock()
+	// Deregister and mark released under snapMu, then sn.mu — the order
+	// writers use, so Release cannot deadlock against a CoW copy — and free
+	// the copies after dropping both: shard locks come first in that order.
+	c := sn.c
+	c.snapMu.Lock()
+	delete(c.snaps, sn)
 	sn.mu.Lock()
 	sn.released = true
+	overlay := sn.overlay
 	sn.overlay = nil
 	sn.mu.Unlock()
+	for other := range c.snaps {
+		other.mu.RLock()
+		for n, old := range overlay {
+			if shared := other.overlay[n]; shared != nil && &shared[0] == &old[0] {
+				delete(overlay, n)
+			}
+		}
+		other.mu.RUnlock()
+	}
+	c.snapMu.Unlock()
+	for n, old := range overlay {
+		s := c.shard(n)
+		s.mu.Lock()
+		if len(s.free) < c.shardCap {
+			s.free = append(s.free, old)
+		}
+		s.mu.Unlock()
+	}
 }

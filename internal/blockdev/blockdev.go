@@ -5,7 +5,9 @@
 // Here a Device is any fixed-size array of equally-sized blocks addressable
 // by block number. Two implementations are provided: MemDisk (RAM-backed,
 // used by tests and the paper-scale simulator) and FileDisk (sparse
-// file-backed, used by the CLI and TCP examples). The migration algorithms
+// file-backed, used by the CLI and TCP examples); Slow gives any device a
+// cost per request. Each also serves a run of blocks in one request
+// (ExtentDevice). The migration algorithms
 // never look below the block interface, which is exactly the transparency
 // property the paper claims ("storage migration occurs at the block level;
 // the file system cannot observe the migration", §IV-A-4).
@@ -135,54 +137,125 @@ func SnapshotOf(d Device) (Device, func()) {
 // future-work item: "if the Guest OS ... can tell the migration process
 // which part is not used, the amount of migrated data can be reduced
 // further"), relying on the destination VBD reading zeros for blocks it
-// never receives.
+// never receives. With the zero stage on, the engine's send passes also
+// send the extents it calls holes as zero runs without reading them.
 type Allocator interface {
 	// AllocatedBitmap returns a bitmap with one set bit per block that may
 	// contain nonzero data.
 	AllocatedBitmap() *bitmap.Bitmap
 }
 
-// CheckRange validates a block number against a device.
-func CheckRange(d Device, n int) error {
-	if n < 0 || n >= d.NumBlocks() {
-		return fmt.Errorf("%w: block %d of %d", ErrOutOfRange, n, d.NumBlocks())
+// ErrShortBuffer is returned when a buffer cannot hold the blocks a request
+// names.
+var ErrShortBuffer = errors.New("blockdev: buffer shorter than the request")
+
+// CheckExtent validates a request for blocks [n, n+count) of d against a
+// buffer of size bytes. An extent holds at least one block.
+func CheckExtent(d Device, n, count, size int) error {
+	if n < 0 || count < 1 || n > d.NumBlocks()-count {
+		return fmt.Errorf("%w: blocks [%d,+%d) of %d", ErrOutOfRange, n, count, d.NumBlocks())
+	}
+	if size < count*d.BlockSize() {
+		return fmt.Errorf("%w: %d bytes for %d blocks of %d", ErrShortBuffer, size, count, d.BlockSize())
+	}
+	return nil
+}
+
+// ExtentDevice is implemented by devices that move a run of consecutive
+// blocks in one request: biscuit's list-of-blocks request, here an extent.
+// ReadExtent fills dst[:count*BlockSize()] with blocks [n, n+count);
+// WriteExtent overwrites them from src. Each block lands whole, as it does
+// through WriteBlock. The four Device methods stay the minimum: ReadExtent
+// and WriteExtent below serve any device, one call per block when it does
+// not implement this.
+type ExtentDevice interface {
+	Device
+	ReadExtent(n, count int, dst []byte) error
+	WriteExtent(n, count int, src []byte) error
+}
+
+// ReadExtent reads blocks [n, n+count) of d into dst: in one request when d
+// is an ExtentDevice, otherwise block by block.
+func ReadExtent(d Device, n, count int, dst []byte) error {
+	if e, ok := d.(ExtentDevice); ok {
+		return e.ReadExtent(n, count, dst)
+	}
+	return eachBlock(d, n, count, dst, d.ReadBlock)
+}
+
+// WriteExtent writes blocks [n, n+count) of d from src: in one request when
+// d is an ExtentDevice, otherwise block by block.
+func WriteExtent(d Device, n, count int, src []byte) error {
+	if e, ok := d.(ExtentDevice); ok {
+		return e.WriteExtent(n, count, src)
+	}
+	return eachBlock(d, n, count, src, d.WriteBlock)
+}
+
+// eachBlock is the per-block fallback of ReadExtent and WriteExtent.
+func eachBlock(d Device, n, count int, buf []byte, io func(int, []byte) error) error {
+	if err := CheckExtent(d, n, count, len(buf)); err != nil {
+		return err
+	}
+	bs := d.BlockSize()
+	for k := 0; k < count; k++ {
+		if err := io(n+k, buf[k*bs:(k+1)*bs]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RunBlocks is the lock granularity of the run-sharded devices (MemDisk and
+// the bcache views): blocks are grouped into aligned runs of RunBlocks, a run
+// lives in one shard, and an extent inside one run takes one lock.
+const RunBlocks = 64
+
+// EachRun calls fn once for every piece [lo, hi) of [n, n+count) that lies
+// inside one run, in order, and stops at the first error.
+func EachRun(n, count int, fn func(lo, hi int) error) error {
+	for lo, end := n, n+count; lo < end; {
+		hi := min(lo-lo%RunBlocks+RunBlocks, end)
+		if err := fn(lo, hi); err != nil {
+			return err
+		}
+		lo = hi
 	}
 	return nil
 }
 
 // scanBufs recycles the buffer pair used by whole-device scans so that
 // Fingerprint and Diff — which hostd now runs repeatedly against snapshots —
-// stop allocating a block buffer (or two) per call.
+// stop allocating a run-sized buffer (or two) per call.
 var scanBufs = sync.Pool{New: func() any {
 	p := new([2][]byte)
-	p[0] = make([]byte, BlockSize)
-	p[1] = make([]byte, BlockSize)
+	p[0] = make([]byte, RunBlocks*BlockSize)
+	p[1] = make([]byte, RunBlocks*BlockSize)
 	return p
 }}
 
-// getScanBufs returns a pooled buffer pair sized for bs-byte blocks.
+// getScanBufs returns a pooled buffer pair sized for a run of bs-byte blocks.
 func getScanBufs(bs int) *[2][]byte {
 	p := scanBufs.Get().(*[2][]byte)
-	if cap(p[0]) < bs {
-		p[0] = make([]byte, bs)
-		p[1] = make([]byte, bs)
+	if size := RunBlocks * bs; cap(p[0]) < size {
+		p[0] = make([]byte, size)
+		p[1] = make([]byte, size)
 	}
-	p[0] = p[0][:bs]
-	p[1] = p[1][:bs]
 	return p
 }
 
-// Fingerprint hashes the full device contents. Tests use it to assert the
-// paper's consistency requirement: after migration the source and destination
-// disks are bit-identical.
+// Fingerprint hashes the full device contents, read a run at a time. Tests
+// use it to assert the paper's consistency requirement: after migration the
+// source and destination disks are bit-identical.
 func Fingerprint(d Device) ([32]byte, error) {
 	h := sha256.New()
 	bufs := getScanBufs(d.BlockSize())
 	defer scanBufs.Put(bufs)
-	buf := bufs[0]
-	for n := 0; n < d.NumBlocks(); n++ {
-		if err := d.ReadBlock(n, buf); err != nil {
-			return [32]byte{}, fmt.Errorf("fingerprint block %d: %w", n, err)
+	for n := 0; n < d.NumBlocks(); n += RunBlocks {
+		count := min(RunBlocks, d.NumBlocks()-n)
+		buf := bufs[0][:count*d.BlockSize()]
+		if err := ReadExtent(d, n, count, buf); err != nil {
+			return [32]byte{}, fmt.Errorf("fingerprint blocks [%d,+%d): %w", n, count, err)
 		}
 		h.Write(buf)
 	}
@@ -194,6 +267,7 @@ func Fingerprint(d Device) ([32]byte, error) {
 // Diff returns the block numbers at which two devices differ. It returns an
 // error if geometries differ. When both are Allocators only the blocks either
 // holds data at are read: a sparse disk costs its footprint, not its size.
+// Either way the held blocks are read in extents of at most a run.
 func Diff(a, b Device) ([]int, error) {
 	if a.BlockSize() != b.BlockSize() || a.NumBlocks() != b.NumBlocks() {
 		return nil, fmt.Errorf("blockdev: geometry mismatch: %dx%d vs %dx%d",
@@ -207,18 +281,21 @@ func Diff(a, b Device) ([]int, error) {
 		}
 	}
 	var diffs []int
-	bufs := getScanBufs(a.BlockSize())
+	bs := a.BlockSize()
+	bufs := getScanBufs(bs)
 	defer scanBufs.Put(bufs)
-	ba, bb := bufs[0], bufs[1]
-	for n := held.NextSet(0); n >= 0; n = held.NextSet(n + 1) {
-		if err := a.ReadBlock(n, ba); err != nil {
+	for ext := held.NextExtent(0, RunBlocks); ext.Count > 0; ext = held.NextExtent(ext.End(), RunBlocks) {
+		ba, bb := bufs[0][:ext.Count*bs], bufs[1][:ext.Count*bs]
+		if err := ReadExtent(a, ext.Start, ext.Count, ba); err != nil {
 			return nil, err
 		}
-		if err := b.ReadBlock(n, bb); err != nil {
+		if err := ReadExtent(b, ext.Start, ext.Count, bb); err != nil {
 			return nil, err
 		}
-		if !bytes.Equal(ba, bb) {
-			diffs = append(diffs, n)
+		for k := 0; k < ext.Count; k++ {
+			if !bytes.Equal(ba[k*bs:(k+1)*bs], bb[k*bs:(k+1)*bs]) {
+				diffs = append(diffs, ext.Start+k)
+			}
 		}
 	}
 	return diffs, nil

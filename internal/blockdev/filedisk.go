@@ -3,14 +3,13 @@ package blockdev
 import (
 	"fmt"
 	"os"
-	"sync"
 )
 
 // FileDisk is a Device backed by a file, created sparse so large VBD images
 // do not consume physical space until written. It is what cmd/bbmig uses to
-// hold real disk images on both ends of a TCP migration.
+// hold real disk images on both ends of a TCP migration. An extent is one
+// pread or pwrite; the file's offsets need no lock.
 type FileDisk struct {
-	mu        sync.Mutex
 	f         *os.File
 	blockSize int
 	numBlocks int
@@ -61,30 +60,30 @@ func (d *FileDisk) BlockSize() int { return d.blockSize }
 // NumBlocks implements Device.
 func (d *FileDisk) NumBlocks() int { return d.numBlocks }
 
-// ReadBlock implements Device.
-func (d *FileDisk) ReadBlock(n int, dst []byte) error {
-	if err := CheckRange(d, n); err != nil {
+// ReadBlock implements Device: the one-block ReadExtent.
+func (d *FileDisk) ReadBlock(n int, dst []byte) error { return d.ReadExtent(n, 1, dst) }
+
+// WriteBlock implements Device: the one-block WriteExtent.
+func (d *FileDisk) WriteBlock(n int, src []byte) error { return d.WriteExtent(n, 1, src) }
+
+// ReadExtent implements ExtentDevice with one pread.
+func (d *FileDisk) ReadExtent(n, count int, dst []byte) error {
+	if err := CheckExtent(d, n, count, len(dst)); err != nil {
 		return err
 	}
-	if len(dst) < d.blockSize {
-		return fmt.Errorf("blockdev: read buffer %d < block size %d", len(dst), d.blockSize)
-	}
-	if _, err := d.f.ReadAt(dst[:d.blockSize], int64(n)*int64(d.blockSize)); err != nil {
-		return fmt.Errorf("blockdev: read block %d: %w", n, err)
+	if _, err := d.f.ReadAt(dst[:count*d.blockSize], int64(n)*int64(d.blockSize)); err != nil {
+		return fmt.Errorf("blockdev: read blocks [%d,+%d): %w", n, count, err)
 	}
 	return nil
 }
 
-// WriteBlock implements Device.
-func (d *FileDisk) WriteBlock(n int, src []byte) error {
-	if err := CheckRange(d, n); err != nil {
+// WriteExtent implements ExtentDevice with one pwrite.
+func (d *FileDisk) WriteExtent(n, count int, src []byte) error {
+	if err := CheckExtent(d, n, count, len(src)); err != nil {
 		return err
 	}
-	if len(src) < d.blockSize {
-		return fmt.Errorf("blockdev: write buffer %d < block size %d", len(src), d.blockSize)
-	}
-	if _, err := d.f.WriteAt(src[:d.blockSize], int64(n)*int64(d.blockSize)); err != nil {
-		return fmt.Errorf("blockdev: write block %d: %w", n, err)
+	if _, err := d.f.WriteAt(src[:count*d.blockSize], int64(n)*int64(d.blockSize)); err != nil {
+		return fmt.Errorf("blockdev: write blocks [%d,+%d): %w", n, count, err)
 	}
 	return nil
 }

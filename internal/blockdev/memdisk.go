@@ -7,17 +7,19 @@ import (
 	"bbmig/internal/bitmap"
 )
 
-// memDiskShards is the lock-striping width: block state is spread over this
-// many independently locked shards so the parallel migration pipeline's
-// scatter writers and the guest workload don't serialize on one mutex. 16
+// memDiskShards is the lock-striping width: runs of RunBlocks blocks are
+// spread over this many independently locked shards, so the parallel
+// migration pipeline's scatter writers and the guest workload don't
+// serialize on one mutex, and an extent inside one run takes one lock. 16
 // shards keeps per-disk overhead trivial while letting a worker pool scale.
 const memDiskShards = 16
 
 // MemDisk is a RAM-backed Device. Blocks are allocated lazily, so a "40 GB"
 // MemDisk that is mostly zeros costs memory proportional to its written
 // footprint only — this is what lets integration tests and the simulator
-// instantiate paper-scale VBDs. Block state is sharded by block number, so
-// concurrent readers and writers of different blocks proceed in parallel.
+// instantiate paper-scale VBDs. Block state is sharded by run, so concurrent
+// readers and writers of different runs proceed in parallel. It implements
+// ExtentDevice: ReadBlock and WriteBlock are its one-block extents.
 type MemDisk struct {
 	shards    [memDiskShards]memDiskShard
 	blockSize int
@@ -25,10 +27,13 @@ type MemDisk struct {
 }
 
 type memDiskShard struct {
-	mu     sync.RWMutex
-	blocks map[int][]byte // only blocks that were ever written
-	slab   []byte         // spare storage first-writes carve block slices from
+	mu   sync.RWMutex
+	runs map[int]*memRun // by run number: only runs with a block ever written
+	slab []byte          // spare storage first-writes carve block slices from
 }
+
+// memRun holds one run's blocks; a nil entry was never written.
+type memRun [RunBlocks][]byte
 
 // memDiskSlabBlocks bounds how many blocks' worth of storage a shard
 // allocates at once. Carving first-write block storage from slabs keeps a
@@ -48,12 +53,13 @@ func NewMemDisk(numBlocks, blockSize int) *MemDisk {
 		numBlocks: numBlocks,
 	}
 	for i := range m.shards {
-		m.shards[i].blocks = make(map[int][]byte)
+		m.shards[i].runs = make(map[int]*memRun)
 	}
 	return m
 }
 
-func (m *MemDisk) shard(n int) *memDiskShard { return &m.shards[n%memDiskShards] }
+// shard is the shard holding block n's run.
+func (m *MemDisk) shard(n int) *memDiskShard { return &m.shards[n/RunBlocks%memDiskShards] }
 
 // BlockSize implements Device.
 func (m *MemDisk) BlockSize() int { return m.blockSize }
@@ -61,58 +67,69 @@ func (m *MemDisk) BlockSize() int { return m.blockSize }
 // NumBlocks implements Device.
 func (m *MemDisk) NumBlocks() int { return m.numBlocks }
 
-// ReadBlock implements Device. Never-written blocks read as zeros.
-func (m *MemDisk) ReadBlock(n int, dst []byte) error {
-	if err := CheckRange(m, n); err != nil {
+// ReadBlock implements Device: the one-block ReadExtent.
+func (m *MemDisk) ReadBlock(n int, dst []byte) error { return m.ReadExtent(n, 1, dst) }
+
+// WriteBlock implements Device: the one-block WriteExtent.
+func (m *MemDisk) WriteBlock(n int, src []byte) error { return m.WriteExtent(n, 1, src) }
+
+// ReadExtent implements ExtentDevice, one read lock per run. Never-written
+// blocks read as zeros.
+func (m *MemDisk) ReadExtent(n, count int, dst []byte) error {
+	if err := CheckExtent(m, n, count, len(dst)); err != nil {
 		return err
 	}
-	if len(dst) < m.blockSize {
-		return fmt.Errorf("blockdev: read buffer %d < block size %d", len(dst), m.blockSize)
-	}
-	s := m.shard(n)
-	s.mu.RLock()
-	blk := s.blocks[n]
-	if blk == nil {
+	bs := m.blockSize
+	return EachRun(n, count, func(lo, hi int) error {
+		s := m.shard(lo)
+		s.mu.RLock()
+		run := s.runs[lo/RunBlocks]
+		for b := lo; b < hi; b++ {
+			out := dst[(b-n)*bs : (b-n+1)*bs]
+			if run != nil && run[b%RunBlocks] != nil {
+				copy(out, run[b%RunBlocks])
+			} else {
+				clear(out)
+			}
+		}
 		s.mu.RUnlock()
-		clear(dst[:m.blockSize])
 		return nil
-	}
-	copy(dst, blk)
-	s.mu.RUnlock()
-	return nil
+	})
 }
 
-// WriteBlock implements Device.
-func (m *MemDisk) WriteBlock(n int, src []byte) error {
-	if err := CheckRange(m, n); err != nil {
+// WriteExtent implements ExtentDevice, one write lock per run.
+func (m *MemDisk) WriteExtent(n, count int, src []byte) error {
+	if err := CheckExtent(m, n, count, len(src)); err != nil {
 		return err
 	}
-	if len(src) < m.blockSize {
-		return fmt.Errorf("blockdev: write buffer %d < block size %d", len(src), m.blockSize)
-	}
-	s := m.shard(n)
-	s.mu.Lock()
-	blk := s.blocks[n]
-	if blk == nil {
-		if len(s.slab) < m.blockSize {
-			// Size the slab to the disk: tiny disks get single-block slabs
-			// so an 8-block test fixture doesn't allocate 64 blocks' slack.
-			blocks := (m.numBlocks + memDiskShards - 1) / memDiskShards
-			if blocks > memDiskSlabBlocks {
-				blocks = memDiskSlabBlocks
-			}
-			if blocks < 1 {
-				blocks = 1
-			}
-			s.slab = make([]byte, blocks*m.blockSize)
+	bs := m.blockSize
+	return EachRun(n, count, func(lo, hi int) error {
+		s := m.shard(lo)
+		s.mu.Lock()
+		run := s.runs[lo/RunBlocks]
+		if run == nil {
+			run = new(memRun)
+			s.runs[lo/RunBlocks] = run
 		}
-		blk = s.slab[:m.blockSize:m.blockSize]
-		s.slab = s.slab[m.blockSize:]
-		s.blocks[n] = blk
-	}
-	copy(blk, src)
-	s.mu.Unlock()
-	return nil
+		for b := lo; b < hi; b++ {
+			blk := run[b%RunBlocks]
+			if blk == nil {
+				if len(s.slab) < bs {
+					// Size the slab to the disk: tiny disks get single-block
+					// slabs so an 8-block test fixture doesn't allocate 64
+					// blocks' slack.
+					blocks := min((m.numBlocks+memDiskShards-1)/memDiskShards, memDiskSlabBlocks)
+					s.slab = make([]byte, max(blocks, 1)*bs)
+				}
+				blk = s.slab[:bs:bs]
+				s.slab = s.slab[bs:]
+				run[b%RunBlocks] = blk
+			}
+			copy(blk, src[(b-n)*bs:])
+		}
+		s.mu.Unlock()
+		return nil
+	})
 }
 
 // WrittenBlocks returns how many blocks have ever been written (the
@@ -122,7 +139,13 @@ func (m *MemDisk) WrittenBlocks() int {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.RLock()
-		total += len(s.blocks)
+		for _, run := range s.runs {
+			for _, blk := range run {
+				if blk != nil {
+					total++
+				}
+			}
+		}
 		s.mu.RUnlock()
 	}
 	return total
@@ -136,8 +159,12 @@ func (m *MemDisk) AllocatedBitmap() *bitmap.Bitmap {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.RLock()
-		for n := range s.blocks {
-			bm.Set(n)
+		for r, run := range s.runs {
+			for k, blk := range run {
+				if blk != nil {
+					bm.Set(r*RunBlocks + k)
+				}
+			}
 		}
 		s.mu.RUnlock()
 	}

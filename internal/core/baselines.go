@@ -247,7 +247,7 @@ func MigrateDeltaDest(cfg Config, host Host, conn transport.Conn) (*DestResult, 
 		replayStart := d.clk.Now()
 		rewritten := make(map[uint64]bool)
 		for _, m := range queue {
-			if err := d.dev.WriteBlock(int(m.Arg), m.Payload); err != nil {
+			if err := blockdev.WriteExtent(d.dev, int(m.Arg), 1, m.Payload); err != nil {
 				return err
 			}
 			rewritten[m.Arg] = true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bbmig/internal/bitmap"
+	"bbmig/internal/blockdev"
 	"bbmig/internal/dedup"
 	"bbmig/internal/transport"
 )
@@ -221,7 +222,7 @@ func (d *destRun) applyBlockRef(m transport.Message) error {
 		if !ok {
 			return fmt.Errorf("core: block ref %d names content this host cannot produce", ext.Start+k)
 		}
-		if err := d.dev.WriteBlock(ext.Start+k, content); err != nil {
+		if err := blockdev.WriteExtent(d.dev, ext.Start+k, 1, content); err != nil {
 			return fmt.Errorf("core: apply block ref %d: %w", ext.Start+k, err)
 		}
 		d.dd.idx.Observe(d.dd.self, ext.Start+k, fp)

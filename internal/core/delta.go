@@ -158,11 +158,8 @@ func (d *destRun) handleDeltaPatch(m transport.Message) error {
 	if aerr != nil {
 		return d.destSend(transport.Message{Type: transport.MsgDeltaPatch, Arg: m.Arg})
 	}
-	for k := 0; k < ext.Count; k++ {
-		blk := out[k*bs : (k+1)*bs]
-		if err := d.writeBlock(ext.Start+k, blk); err != nil {
-			return fmt.Errorf("core: apply delta block %d: %w", ext.Start+k, err)
-		}
+	if err := d.writeExtent(ext, out, nil); err != nil {
+		return err
 	}
 	d.patchBlocks += ext.Count
 	d.noteRecvBlocks(ext.Start, ext.End())

@@ -7,6 +7,7 @@ import (
 
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blkback"
+	"bbmig/internal/blockdev"
 	"bbmig/internal/dedup"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
@@ -137,27 +138,29 @@ func (d *destRun) noteProgress(fn func(*destProgress)) {
 	d.progMu.Unlock()
 }
 
-// writeBlock lands one block on the VBD and, in a dedup session, records
-// its content in the index. Called from the pool's lanes.
-func (d *destRun) writeBlock(block int, data []byte) error {
-	if err := d.dev.WriteBlock(block, data); err != nil {
-		return err
-	}
-	if d.dd != nil {
-		d.dd.observe(block, data)
-	}
-	return nil
-}
-
-// writeZero lands one block of a zero run from the shared zero block and, in
-// a dedup session, observes it under the zero fingerprint: nothing is hashed.
+// writeExtent lands a validated extent on the VBD — a literal payload in one
+// request, a zero run (empty payload) from zeros, a run's worth of blocks per
+// request — and then, in a dedup session, records each block's content in
+// the index: a literal hashed, a zero block under the zero fingerprint.
 // Called from the pool's lanes.
-func (d *destRun) writeZero(block int, zero []byte) error {
-	if err := d.dev.WriteBlock(block, zero); err != nil {
-		return err
+func (d *destRun) writeExtent(ext bitmap.Extent, payload, zeros []byte) error {
+	bs := d.dev.BlockSize()
+	for lo := ext.Start; lo < ext.End(); {
+		data, count := payload, ext.Count
+		if len(payload) == 0 {
+			data, count = zeros, min(len(zeros)/bs, ext.End()-lo)
+		}
+		if err := blockdev.WriteExtent(d.dev, lo, count, data); err != nil {
+			return fmt.Errorf("core: apply blocks [%d,+%d): %w", lo, count, err)
+		}
+		lo += count
 	}
-	if d.dd != nil {
-		d.dd.idx.Observe(d.dd.self, block, dedup.ZeroFingerprint(len(zero)))
+	for k := 0; d.dd != nil && k < ext.Count; k++ {
+		if len(payload) == 0 {
+			d.dd.idx.Observe(d.dd.self, ext.Start+k, dedup.ZeroFingerprint(bs))
+		} else {
+			d.dd.observe(ext.Start+k, payload[k*bs:(k+1)*bs])
+		}
 	}
 	return nil
 }
@@ -168,15 +171,16 @@ func (d *destRun) writeZero(block int, zero []byte) error {
 // them. Disk pre-copy, the baselines' disk passes and pre-sync receive
 // through the same table.
 func (d *destRun) diskHandlers() frameHandlers {
-	bs := d.dev.BlockSize()
-	write, zeros := blockSink(bs, d.writeBlock), blockSink(bs, d.writeZero) // bound once, not per frame
+	// Bound once, not per frame; zeros is shared and only read.
+	zeros := make([]byte, blockdev.RunBlocks*d.dev.BlockSize())
+	write := func(ext bitmap.Extent, payload []byte) error { return d.writeExtent(ext, payload, zeros) }
 	data := func(m transport.Message) error {
 		ext, err := d.applyData(m, d.lanes, write)
 		d.noteRecvBlocks(ext.Start, ext.End())
 		return err
 	}
 	zeroRun := func(m transport.Message) error {
-		ext, err := d.applyData(m, d.lanes, zeros)
+		ext, err := d.applyData(m, d.lanes, write)
 		d.noteRecvBlocks(ext.Start, ext.End())
 		d.refBlocks += ext.Count
 		return err
@@ -383,7 +387,15 @@ func (d *destRun) resumeBehindGate() error {
 // reads and writes, so the write gate stays correct under the pool's
 // concurrency.
 func (d *destRun) gateData(pool *lanePool) frameHandlers {
-	receive := blockSink(d.dev.BlockSize(), d.res.Gate.ReceiveBlock) // bound once, not per frame
+	bs := d.dev.BlockSize()
+	receive := func(ext bitmap.Extent, payload []byte) error { // bound once, not per frame
+		for k := 0; k < ext.Count; k++ {
+			if err := d.res.Gate.ReceiveBlock(ext.Start+k, payload[k*bs:(k+1)*bs]); err != nil {
+				return fmt.Errorf("core: apply block %d: %w", ext.Start+k, err)
+			}
+		}
+		return nil
+	}
 	data := func(m transport.Message) error {
 		_, err := d.applyData(m, pool, receive)
 		return err

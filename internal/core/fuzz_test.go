@@ -15,8 +15,9 @@ import (
 // headers and payload lengths at the one data-frame validator and the applier
 // behind it, against a small device: whatever arrives, they never panic, never
 // address a block outside the device, and never hand the sink anything but
-// whole blocks — cut from a payload of exactly the extent's size, or, for a
-// zero run, which is accepted only with no payload at all, zeros.
+// an extent with a payload of exactly its size, or, for a zero run, which is
+// accepted only with no payload at all, none — which the destination's writer
+// lands as zeros, leaving every other block untouched.
 func FuzzDataExtent(f *testing.F) {
 	const blocks, bs = 64, 32
 	types := []transport.MsgType{transport.MsgBlockData, transport.MsgExtent, transport.MsgZeroExtent}
@@ -48,18 +49,20 @@ func FuzzDataExtent(f *testing.F) {
 				t.Fatalf("accepted %d payload bytes for a %d-block %v", payloadLen, ext.Count, m.Type)
 			}
 		}
-		tr := &transfer{dev: dev}
+		mark := bytes.Repeat([]byte{0x5A}, blocks*bs) // what an untouched block still holds
+		if err := blockdev.WriteExtent(dev, 0, blocks, mark); err != nil {
+			t.Fatal(err)
+		}
+		d := &destRun{transfer: &transfer{dev: dev}}
+		zeros := make([]byte, blockdev.RunBlocks*bs)
 		seen := 0
-		_, aerr := tr.applyData(m, nil, blockSink(bs, func(block int, data []byte) error {
-			if block < 0 || block >= blocks || len(data) != bs {
-				t.Fatalf("sink handed block %d with %d bytes", block, len(data))
+		_, aerr := d.applyData(m, nil, func(ext bitmap.Extent, payload []byte) error {
+			if ext.Start < 0 || ext.End() > blocks || len(payload) != ext.Count*bs && (!zero || len(payload) != 0) {
+				t.Fatalf("sink handed [%d,+%d) with %d bytes", ext.Start, ext.Count, len(payload))
 			}
-			if zero != (data[0] == 0) {
-				t.Fatalf("%v handed block %d starting %#x", m.Type, block, data[0])
-			}
-			seen++
-			return dev.WriteBlock(block, data)
-		}))
+			seen += ext.Count
+			return d.writeExtent(ext, payload, zeros)
+		})
 		if (aerr == nil) != (err == nil) {
 			t.Fatalf("validator said %v, applier said %v", err, aerr)
 		}
@@ -68,6 +71,22 @@ func FuzzDataExtent(f *testing.F) {
 		}
 		if err != nil && seen != 0 {
 			t.Fatalf("sink saw %d blocks of a rejected frame", seen)
+		}
+		got := make([]byte, blocks*bs)
+		if err := blockdev.ReadExtent(dev, 0, blocks, got); err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < blocks; n++ {
+			want := byte(0x5A)
+			if err == nil && n >= ext.Start && n < ext.End() {
+				want = 0xA5
+				if zero {
+					want = 0
+				}
+			}
+			if !bytes.Equal(got[n*bs:(n+1)*bs], bytes.Repeat([]byte{want}, bs)) {
+				t.Fatalf("%v: block %d does not hold %#x throughout", m.Type, n, want)
+			}
 		}
 	})
 }

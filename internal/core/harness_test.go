@@ -47,6 +47,7 @@ type worldSpec struct {
 	stream  bool                                                           // links are loopback TCP, where the source stages data frames
 	traced  bool                                                           // record the frames each side sends
 	volume  bool                                                           // the source disk sits behind a bcache volume
+	source  func(*blockdev.MemDisk) blockdev.Device                        // wraps the source disk the backend sees
 	link    func(src, dst transport.Conn) (transport.Conn, transport.Conn) // wraps or replaces the link
 	shared  bool                                                           // runs beside other worlds (t.Parallel): the goroutine count is not its own
 }
@@ -131,6 +132,9 @@ func assemble(t *testing.T, sp worldSpec, srcDisk, dstDisk *blockdev.MemDisk, gu
 	var srcDev blockdev.Device = srcDisk
 	if sp.volume {
 		srcDev = bcache.New(srcDisk, 256) // an eighth of the disk: the passes' snapshots copy aside and evict
+	}
+	if sp.source != nil {
+		srcDev = sp.source(srcDisk)
 	}
 	w.src = Host{VM: guest, Backend: blkback.NewBackend(srcDev, testDomain)}
 	w.dst = Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(dstDisk, testDomain)}

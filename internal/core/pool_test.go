@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -266,36 +265,6 @@ func TestWorkersParallelizeReads(t *testing.T) {
 	}
 }
 
-// slowDisk charges every ReadBlock a fixed latency.
-type slowDisk struct {
-	blockdev.Device
-	latency time.Duration
-}
-
-func (d slowDisk) ReadBlock(n int, buf []byte) error {
-	time.Sleep(d.latency)
-	return d.Device.ReadBlock(n, buf)
-}
-
-// BenchmarkSendBlocksSlowDevice is the literal pass over a read-latency-bound
-// device (200µs a block, nothing on the wire): the one place lane-parallel
-// reads, not MemDisk's memcpy, decide the time.
-func BenchmarkSendBlocksSlowDevice(b *testing.B) {
-	const blocks = 2048
-	for _, c := range []Config{{Workers: 1}, {Workers: 1, Readahead: 8}, {Workers: 4}, {Workers: 4, Readahead: 8}} {
-		b.Run(fmt.Sprintf("workers-%d-readahead-%d", c.Workers, c.Readahead), func(b *testing.B) {
-			dev := slowDisk{blockdev.NewMemDisk(blocks, blockdev.BlockSize), 200 * time.Microsecond}
-			c.MaxExtentBlocks = 8
-			tr := newDiskTransfer(c.withDefaults(), dev, nullConn{}, "bench", "source")
-			for i := 0; i < b.N; i++ {
-				if _, _, err := tr.sendBlocks(allOf(bitmap.NewAllSet(blocks)), false); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // TestSendExtentsFirstErrorNoLeak: with lanes and readahead both running, an
 // encoder that fails on its k-th extent ends the pass with that error, every
 // goroutine the walker started is gone when it returns, and — poison armed —
@@ -328,7 +297,7 @@ func TestSendExtentsFirstErrorNoLeak(t *testing.T) {
 		return int64(len(data)), nil
 	}
 	before := runtime.NumGoroutine()
-	sent, _, err := tr.sendExtents(allOf(bitmap.NewAllSet(testBlocks)), encode, cfg.Workers)
+	sent, _, err := tr.sendExtents(allOf(bitmap.NewAllSet(testBlocks)), encode, cfg.Workers, nil)
 	if !errors.Is(err, errEncode) {
 		t.Fatalf("pass returned %v, want the encoder's error", err)
 	}

@@ -419,16 +419,13 @@ func (c *owedCursor) skip(n int) {
 	c.skipped++
 }
 
-// readPooled reads ext's blocks from dev into a pooled buffer the caller owns
-// (and hands to a job, or PutBufs).
+// readPooled reads ext's blocks from dev, in one extent request, into a
+// pooled buffer the caller owns (and hands to a job, or PutBufs).
 func readPooled(dev blockdev.Device, ext bitmap.Extent) ([]byte, error) {
-	bs := dev.BlockSize()
-	data := transport.GetBuf(ext.Count * bs)
-	for k := 0; k < ext.Count; k++ {
-		if err := dev.ReadBlock(ext.Start+k, data[k*bs:(k+1)*bs]); err != nil {
-			transport.PutBuf(data)
-			return nil, err
-		}
+	data := transport.GetBuf(ext.Count * dev.BlockSize())
+	if err := blockdev.ReadExtent(dev, ext.Start, ext.Count, data); err != nil {
+		transport.PutBuf(data)
+		return nil, err
 	}
 	return data, nil
 }
@@ -459,12 +456,13 @@ func (t *transfer) sendRead(ext bitmap.Extent, limited bool) (int64, error) {
 type extentEncoder func(ext bitmap.Extent, data []byte) (int64, error)
 
 // zeroEncoder returns the head stage of every chain but the paper's own: an
-// extent whose bytes are all zero travels as one header-only MsgZeroExtent,
-// and any other extent goes to next untouched. It keeps no order, so the
-// chain below it keeps its lanes.
+// extent whose bytes are all zero — or, with nil data, a hole the walker did
+// not read — travels as one header-only MsgZeroExtent, and any other extent
+// goes to next untouched. It keeps no order, so the chain below it keeps its
+// lanes.
 func (t *transfer) zeroEncoder(next extentEncoder, limited bool) extentEncoder {
 	return func(ext bitmap.Extent, data []byte) (int64, error) {
-		if !dedup.IsZero(data) {
+		if data != nil && !dedup.IsZero(data) {
 			return next(ext, data)
 		}
 		m := transport.Message{Type: transport.MsgZeroExtent, Arg: transport.ExtentArg(ext.Start, ext.Count)}
@@ -488,6 +486,10 @@ func (t *transfer) zeroEncoder(next extentEncoder, limited bool) extentEncoder {
 // in cursor order and holds the chain to one. With no codec configured and
 // Workers and Readahead unset, the walker at the default extent limit of one
 // block is wire-identical to the seed protocol.
+// With the zero stage in the chain and a blockdev.Allocator to read, the pass
+// takes the allocation map once, after tracking is on, and sends an extent
+// with no allocated block as a zero run, unread: a guest write into it later
+// is dirty and travels again, as one just after a block is read does.
 func (t *transfer) sendBlocks(cur *owedCursor, limited bool) (int, int64, error) {
 	var encode extentEncoder = func(ext bitmap.Extent, data []byte) (int64, error) {
 		return t.sendLiteral(ext, data, limited)
@@ -499,10 +501,14 @@ func (t *transfer) sendBlocks(cur *owedCursor, limited bool) (int, int64, error)
 	if t.awaitReply != nil && t.cfg.Dedup {
 		encode, lanes = t.dedupEncoder(encode, limited), 1
 	}
+	var alloc *bitmap.Bitmap // nil: read every extent
 	if t.cfg.MaxExtentBlocks > 1 || t.cfg.Dedup || t.cfg.Delta {
 		encode = t.zeroEncoder(encode, limited)
+		if a, ok := t.srcDev.(blockdev.Allocator); ok {
+			alloc = a.AllocatedBitmap()
+		}
 	}
-	sent, bytes, err := t.sendExtents(cur, encode, lanes)
+	sent, bytes, err := t.sendExtents(cur, encode, lanes, alloc)
 	if err != nil {
 		return sent, bytes, err
 	}
@@ -518,8 +524,9 @@ func (t *transfer) sendBlocks(cur *owedCursor, limited bool) (int, int64, error)
 // sendExtents is the one extent walker, a cut → read → encode pipeline whose
 // stages are lane pools. The walker itself only cuts: it draws extents of at
 // most MaxExtentBlocks from cur strictly in cursor order. The read stage
-// fills a pooled buffer per extent: inline on the walker when lanes <= 1, on
-// lanes goroutines otherwise, so a latency-bound device is read lanes deep.
+// fills a pooled buffer per extent (none, and nil data, for one a non-nil
+// alloc holds no block of): inline on the walker when lanes <= 1, on lanes
+// goroutines otherwise, so a latency-bound device is read lanes deep.
 // The encode stage hands each extent to encode: with
 // cfg.Readahead 0 on the goroutine that read it, with Readahead > 0 on lanes
 // of its own behind a queue that deep, so the next extents' blocks are read
@@ -528,7 +535,7 @@ func (t *transfer) sendBlocks(cur *owedCursor, limited bool) (int, int64, error)
 // same order whatever the depth and the frame sequence — and the golden wire
 // traces — do not depend on it; with more, encode must be safe for concurrent
 // use, as the literal encoder is.
-func (t *transfer) sendExtents(cur *owedCursor, encode extentEncoder, lanes int) (int, int64, error) {
+func (t *transfer) sendExtents(cur *owedCursor, encode extentEncoder, lanes int, alloc *bitmap.Bitmap) (int, int64, error) {
 	dev := t.srcDev
 	var sent, bytes atomic.Int64
 	run := func(ext bitmap.Extent, data []byte) error {
@@ -546,9 +553,12 @@ func (t *transfer) sendExtents(cur *owedCursor, encode extentEncoder, lanes int)
 	}
 	defer encoders.close()
 	read := func(ext bitmap.Extent, _ []byte) error {
-		data, err := readPooled(dev, ext)
-		if err != nil {
-			return err
+		var data []byte
+		if alloc == nil || alloc.AnyIn(ext.Start, ext.End()) {
+			var err error
+			if data, err = readPooled(dev, ext); err != nil {
+				return err
+			}
 		}
 		if encoders == nil {
 			defer transport.PutBuf(data)
@@ -870,8 +880,8 @@ func dataExtent(m transport.Message, dev blockdev.Device) (bitmap.Extent, error)
 // against the VBD and hands the extent and its payload to the pool as a job,
 // which releases the payload (appliers own their payloads, the Recv transfer
 // contract) once sink has run — inline on a nil pool, else on a lane, no
-// earlier than the drain barrier any later control frame waits on. sink is a
-// blockSink, bound once per handler group; a zero run's job carries no data.
+// earlier than the drain barrier any later control frame waits on. sink is
+// bound once per handler group; a zero run's job carries no data.
 // The validated extent is returned for progress accounting.
 func (t *transfer) applyData(m transport.Message, pool *lanePool, sink func(bitmap.Extent, []byte) error) (bitmap.Extent, error) {
 	ext, err := dataExtent(m, t.dev)
@@ -880,26 +890,6 @@ func (t *transfer) applyData(m transport.Message, pool *lanePool, sink func(bitm
 		return ext, err
 	}
 	return ext, pool.do(job{ext: ext, data: m.Payload, run: sink})
-}
-
-// blockSink makes a job's run of a per-block sink — a device write, plus
-// dedup observation, or the post-copy gate: each block of a validated
-// extent's payload goes to sink in turn, or, for a zero run's empty payload,
-// one shared zero block, which the sink only reads.
-func blockSink(bs int, sink func(block int, data []byte) error) func(bitmap.Extent, []byte) error {
-	zero := make([]byte, bs)
-	return func(ext bitmap.Extent, payload []byte) error {
-		for k := 0; k < ext.Count; k++ {
-			data := zero
-			if len(payload) > 0 {
-				data = payload[k*bs : (k+1)*bs]
-			}
-			if err := sink(ext.Start+k, data); err != nil {
-				return fmt.Errorf("core: apply block %d: %w", ext.Start+k, err)
-			}
-		}
-		return nil
-	}
 }
 
 // takeResume consumes the re-entry state for one phase, if any.

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -154,5 +157,73 @@ func TestZeroExtentResumeOwedOnly(t *testing.T) {
 	}
 	if resent := iters[0].Units; resent > testBlocks-landed {
 		t.Fatalf("the resumed pass sent %d blocks, at most %d were owed", resent, testBlocks-landed)
+	}
+}
+
+// mapTap is the source disk with hooks: taken runs each time a pass has
+// taken the allocation map, before the walker cuts its first extent, and read
+// sees every extent read.
+type mapTap struct {
+	*blockdev.MemDisk
+	taken func()
+	read  func(n, count int)
+}
+
+func (m mapTap) AllocatedBitmap() *bitmap.Bitmap {
+	bm := m.MemDisk.AllocatedBitmap()
+	m.taken()
+	return bm
+}
+
+func (m mapTap) ReadExtent(n, count int, dst []byte) error {
+	m.read(n, count)
+	return m.MemDisk.ReadExtent(n, count, dst)
+}
+
+// TestHoleWrittenAfterMapTaken has the guest write into the never-written
+// half of the disk the moment the first pass has taken the allocation map.
+// Nothing in that half is read but the written block: the pass sends the
+// half's extents as zero runs, unread, because the map called them holes,
+// and the written block, dirty because tracking was on first, travels as
+// data after them. The destination verifies against the guest's writes.
+func TestHoleWrittenAfterMapTaken(t *testing.T) {
+	const half, hole = testBlocks / 2, testBlocks - 10
+	var w *world
+	var once sync.Once
+	var mu sync.Mutex
+	var holeReads []string
+	w = newWorld(t, worldSpec{
+		fill:   func(buf []byte, n int) bool { return n < half && everyThird(buf, n) },
+		traced: true,
+		source: func(disk *blockdev.MemDisk) blockdev.Device {
+			return mapTap{disk, func() {
+				once.Do(func() {
+					req := blockdev.Request{Op: blockdev.Write, Block: hole, Domain: testDomain, Data: make([]byte, blockdev.BlockSize)}
+					if err := w.shadow.Submit(req); err != nil {
+						t.Error(err)
+					}
+				})
+			}, func(n, count int) {
+				if n+count > half && (n > hole || n+count <= hole) {
+					mu.Lock()
+					holeReads = append(holeReads, fmt.Sprintf("[%d,+%d)", n, count))
+					mu.Unlock()
+				}
+			}}
+		},
+	})
+	cfg := Config{MaxExtentBlocks: zeroExtent, Workers: 2}
+	w.tpm(cfg, cfg, nil)
+	w.checkConverged()
+	if len(holeReads) > 0 {
+		t.Errorf("read never-written extents %v", holeReads)
+	}
+	frames := w.traceSrc.trace()
+	zeroRun := slices.IndexFunc(frames, func(f string) bool {
+		return strings.HasPrefix(f, fmt.Sprintf("ZERO_EXTENT arg=%d ", transport.ExtentArg(half, zeroExtent)))
+	})
+	resent := slices.IndexFunc(frames, func(f string) bool { return strings.HasPrefix(f, fmt.Sprintf("BLOCK_DATA arg=%d ", hole)) })
+	if zeroRun < 0 || resent < zeroRun {
+		t.Errorf("first hole extent as a zero run at frame %d, the written block as data at frame %d: want both, in that order", zeroRun, resent)
 	}
 }
