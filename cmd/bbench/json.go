@@ -312,7 +312,8 @@ func (c *devCounts) report(b *testing.B, owed int) {
 // counted is a device that books every request it serves in counts, the
 // blocks it reads too when it is a source. It serves extents, through the
 // device it wraps or that device's per-block fallback, and forwards the
-// allocation map, so the engine asks it what it would ask the bare device.
+// allocation map (all set if the device has none), so the engine asks it
+// what it would ask the bare device.
 type counted struct {
 	blockdev.Device
 	counts *devCounts
@@ -335,8 +336,6 @@ func (d counted) WriteExtent(n, count int, src []byte) error {
 	return blockdev.WriteExtent(d.Device, n, count, src)
 }
 
-// AllocatedBitmap forwards blockdev.Allocator; a device that cannot say
-// reports every block allocated, which is always safe.
 func (d counted) AllocatedBitmap() *bitmap.Bitmap {
 	if a, ok := d.Device.(blockdev.Allocator); ok {
 		return a.AllocatedBitmap()
@@ -346,27 +345,28 @@ func (d counted) AllocatedBitmap() *bitmap.Bitmap {
 
 // imageMigrate runs TPM of srcDisk over ln under cfg and reports wire_share:
 // the wire bytes per logical byte (disk and memory), a count no machine
-// moves, and the device counts (devCounts.report). Over TCP it also reports
-// writes_per_frame: the writes both ends' streams issued per data frame sent,
-// the syscalls staging saves.
+// moves. Over TCP it also reports writes_per_frame: the writes both ends'
+// streams issued per data frame sent, the syscalls staging saves. The timed
+// migrations run bare devices; one more, untimed, reports devCounts.report.
 func imageMigrate(b *testing.B, ln link, srcDisk *blockdev.MemDisk, cfg core.Config) {
 	n := srcDisk.NumBlocks()
 	var share float64
-	var counts devCounts
 	writes0, frames0 := transport.StreamWrites()
 	b.SetBytes(int64(n) * blockdev.BlockSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src, dst := counted{srcDisk, &counts, true}, counted{blockdev.NewMemDisk(n, blockdev.BlockSize), &counts, false}
-		rep, _ := newWorld(src, dst, 64).migrate(b, ln, cfg, cfg, nil, nil)
+		rep, _ := newWorld(srcDisk, blockdev.NewMemDisk(n, blockdev.BlockSize), 64).migrate(b, ln, cfg, cfg, nil, nil)
 		share = float64(rep.MigratedBytes) / float64(rep.DiskBytes+rep.MemoryBytes)
 	}
+	b.StopTimer()
 	b.ReportMetric(share, "wire_share")
-	counts.report(b, n*b.N)
 	if writes, frames := transport.StreamWrites(); ln.tcp {
 		b.ReportMetric(float64(writes-writes0)/float64(frames-frames0), "writes_per_frame")
 	}
+	var counts devCounts
+	newWorld(counted{srcDisk, &counts, true}, counted{blockdev.NewMemDisk(n, blockdev.BlockSize), &counts, false}, 64).migrate(b, ln, cfg, cfg, nil, nil)
+	counts.report(b, n)
 }
 
 // perBlock hides a device's extent methods: the engine's helpers fall back
@@ -374,8 +374,8 @@ func imageMigrate(b *testing.B, ln link, srcDisk *blockdev.MemDisk, cfg core.Con
 type perBlock struct{ blockdev.Device }
 
 // devMigrate runs TPM of a kernel image between two devices that take time —
-// temp-file FileDisks ("file"), or MemDisks behind blockdev.Slow at 100 µs a
-// request and 400 MB/s ("slow") — over in-process pipes, at 64-block extents
+// temp-file FileDisks ("file"), or MemDisks behind blockdev.Slow's modelled
+// latency and rate ("slow") — over in-process pipes, at 64-block extents
 // and Workers lanes on both ends; perBlock hides the devices' extent methods.
 // It reports the device counts (devCounts.report).
 func devMigrate(b *testing.B, kind string, hide bool, workers int) {
@@ -400,7 +400,7 @@ func devMigrate(b *testing.B, kind string, hide bool, workers int) {
 		}
 		dev = counted{dev, &counts, source}
 		if kind == "slow" {
-			dev = blockdev.Slow{Device: dev, Latency: 100 * time.Microsecond, Rate: 400e6}
+			dev = blockdev.Slow{Device: dev}
 		}
 		if hide {
 			dev = perBlock{dev}
@@ -557,14 +557,13 @@ func memDeltaMigrate(b *testing.B, wordTouch bool) {
 	b.ReportMetric(float64(deltaPages)/float64(b.N), "delta_pages")
 }
 
-// tcpCpBaseline is the wire-speed floor: the TCP rows' image read and pushed
-// through a raw TCP socket in 256 KiB chunks, each written as one extent on
-// the far side, no framing, no engine. MigrateTCP/dense, which moves as many
-// bytes, is judged against this row.
+// tcpCpBaseline is the wire-speed floor: the TCP rows' image pushed through
+// a raw TCP socket in 256 KiB chunks and written block by block on the far
+// side, no framing, no engine. MigrateTCP/dense, which moves as many bytes,
+// is judged against this row.
 func tcpCpBaseline(b *testing.B) {
 	const chunk = (256 << 10) / blockdev.BlockSize
-	var counts devCounts
-	srcDisk := counted{kernelImage(tcpBlocks, 20000), &counts, true}
+	srcDisk := kernelImage(tcpBlocks, 20000)
 	b.SetBytes(tcpBlocks * blockdev.BlockSize)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -573,14 +572,16 @@ func tcpCpBaseline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dstDisk := counted{blockdev.NewMemDisk(tcpBlocks, blockdev.BlockSize), &counts, false}
+		dstDisk := blockdev.NewMemDisk(tcpBlocks, blockdev.BlockSize)
 		done := make(chan error, 1)
 		go func() {
 			c, err := l.Accept()
 			buf := make([]byte, chunk*blockdev.BlockSize)
 			for n := 0; err == nil && n < tcpBlocks; n += chunk {
 				if _, err = io.ReadFull(c, buf); err == nil {
-					err = dstDisk.WriteExtent(n, chunk, buf)
+					for j := 0; j < chunk; j++ {
+						dstDisk.WriteBlock(n+j, buf[j*blockdev.BlockSize:])
+					}
 				}
 			}
 			if c != nil {
@@ -594,8 +595,8 @@ func tcpCpBaseline(b *testing.B) {
 		}
 		buf := make([]byte, chunk*blockdev.BlockSize)
 		for n := 0; n < tcpBlocks; n += chunk {
-			if err := srcDisk.ReadExtent(n, chunk, buf); err != nil {
-				b.Fatal(err)
+			for j := 0; j < chunk; j++ {
+				srcDisk.ReadBlock(n+j, buf[j*blockdev.BlockSize:])
 			}
 			if _, err := c.Write(buf); err != nil {
 				b.Fatal(err)
@@ -607,7 +608,6 @@ func tcpCpBaseline(b *testing.B) {
 		c.Close()
 		l.Close()
 	}
-	counts.report(b, tcpBlocks*b.N)
 }
 
 // deltaMigrate runs the WAN return trip: IM of a prefix rewritten in each

@@ -369,7 +369,7 @@ func (c *Cache) cowCopy(s *shard, lo, hi int) error {
 			if olds[n-lo] == nil {
 				old := c.alloc(s)
 				if b := s.blocks[n]; b != nil {
-					old, b.data = b.data, old // the write overwrites the whole block
+					copy(old, b.data)
 				} else if err := c.backing.ReadBlock(n, old); err != nil {
 					s.free = append(s.free, old)
 					snap.mu.Unlock()
@@ -438,18 +438,17 @@ func (c *Cache) Release() error {
 // AllocatedBitmap implements blockdev.Allocator. When the backing device
 // knows its allocation footprint the result is that bitmap plus any cached
 // dirty blocks not yet written back; otherwise every block is reported
-// allocated, which is always safe.
+// allocated, which is always safe. The shards are scanned before the backing
+// map is taken: an eviction writes a dirty block back under its shard lock
+// before the block leaves the shard, so every block written before the call
+// is in the scan or in the backing map (taken the other way round, neither
+// need hold a block written back in between).
 func (c *Cache) AllocatedBitmap() *bitmap.Bitmap {
-	var bm *bitmap.Bitmap
-	if a, ok := c.backing.(blockdev.Allocator); ok {
-		bm = a.AllocatedBitmap()
-	} else {
-		bm = bitmap.New(c.numBlocks)
-		for n := 0; n < c.numBlocks; n++ {
-			bm.Set(n)
-		}
-		return bm
+	a, ok := c.backing.(blockdev.Allocator)
+	if !ok {
+		return bitmap.NewAllSet(c.numBlocks)
 	}
+	bm := bitmap.New(c.numBlocks)
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
@@ -460,6 +459,7 @@ func (c *Cache) AllocatedBitmap() *bitmap.Bitmap {
 		}
 		s.mu.Unlock()
 	}
+	bm.Union(a.AllocatedBitmap())
 	return bm
 }
 

@@ -1,6 +1,8 @@
 package bcache
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -200,6 +202,96 @@ func TestReleaseRecyclesUnsharedCopies(t *testing.T) {
 	s2.Release()
 	if got := len(c.shard(0).free) - before; got != blockdev.RunBlocks { // shard 0 holds run 0
 		t.Fatalf("s2's release freed %d buffers in shard 0, want its %d copies", got, blockdev.RunBlocks)
+	}
+}
+
+// failingDisk is a backing device whose reads of block bad fail, and whose
+// writes all fail once failWrites is set.
+type failingDisk struct {
+	*blockdev.MemDisk
+	bad        int
+	failWrites bool
+}
+
+var errBacking = errors.New("backing device failed")
+
+func (d *failingDisk) ReadBlock(n int, dst []byte) error {
+	if n == d.bad {
+		return errBacking
+	}
+	return d.MemDisk.ReadBlock(n, dst)
+}
+
+func (d *failingDisk) WriteBlock(n int, src []byte) error {
+	if d.failWrites {
+		return errBacking
+	}
+	return d.MemDisk.WriteBlock(n, src)
+}
+
+// TestFailedWriteLeavesCacheIntact: a WriteExtent that fails part-way
+// through a run, while a snapshot is outstanding, leaves every block it did
+// not write reading as before, on the live view and the snapshot. It fails
+// once in the copy-on-write step (the backing read of an uncached block) and
+// once writing (the write-back of an evicted dirty block).
+func TestFailedWriteLeavesCacheIntact(t *testing.T) {
+	const blocks = blockdev.RunBlocks
+	for _, tc := range []struct {
+		name       string
+		maxBlocks  int // per-shard capacity is a sixteenth
+		cached     int // the first of four blocks dirty in the cache; the rest are only on the disk
+		bad        int // the block whose backing read fails, or -1
+		failWrites bool
+	}{
+		{"cow-read", 0, 0, 6, false},
+		{"write-back", 4 * shardCount, blocks - 4, -1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			disk := &failingDisk{MemDisk: blockdev.NewMemDisk(blocks, testBS), bad: -1}
+			c := New(disk, tc.maxBlocks)
+			old := make([]byte, blocks*testBS)
+			for n := 0; n < blocks; n++ {
+				fillBlock(old[n*testBS:(n+1)*testBS], n, 1)
+			}
+			if err := disk.MemDisk.WriteExtent(0, blocks, old); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.WriteExtent(tc.cached, 4, old[tc.cached*testBS:]); err != nil {
+				t.Fatal(err)
+			}
+			snap := c.Snapshot()
+			defer snap.Release()
+			disk.bad, disk.failWrites = tc.bad, tc.failWrites
+			newer := make([]byte, blocks*testBS)
+			for n := 0; n < blocks; n++ {
+				fillBlock(newer[n*testBS:(n+1)*testBS], n, 2)
+			}
+			if err := c.WriteExtent(0, blocks, newer); !errors.Is(err, errBacking) {
+				t.Fatalf("WriteExtent over a failing disk: %v, want the disk's error", err)
+			}
+			disk.bad, disk.failWrites = -1, false
+			live, frozen := make([]byte, blocks*testBS), make([]byte, blocks*testBS)
+			if err := errors.Join(c.ReadExtent(0, blocks, live), blockdev.ReadExtent(snap, 0, blocks, frozen)); err != nil {
+				t.Fatal(err)
+			}
+			for n := 0; n < blocks; n++ {
+				blk := func(b []byte) []byte { return b[n*testBS : (n+1)*testBS] }
+				if !bytes.Equal(blk(frozen), blk(old)) {
+					t.Errorf("snapshot block %d changed", n)
+				}
+				if !bytes.Equal(blk(live), blk(old)) && !bytes.Equal(blk(live), blk(newer)) {
+					t.Errorf("live block %d holds neither its old nor its new contents", n)
+				}
+			}
+			if tc.failWrites {
+				return
+			}
+			for n := 0; n < blocks; n++ { // the copy-on-write step failed: nothing was written
+				if !bytes.Equal(live[n*testBS:(n+1)*testBS], old[n*testBS:(n+1)*testBS]) {
+					t.Errorf("live block %d changed though the write failed before writing", n)
+				}
+			}
+		})
 	}
 }
 

@@ -6,7 +6,7 @@
 // by block number. Two implementations are provided: MemDisk (RAM-backed,
 // used by tests and the paper-scale simulator) and FileDisk (sparse
 // file-backed, used by the CLI and TCP examples); Slow gives any device a
-// cost per request. Each also serves a run of blocks in one request
+// modelled cost per request. Each also serves a run of blocks in one request
 // (ExtentDevice). The migration algorithms
 // never look below the block interface, which is exactly the transparency
 // property the paper claims ("storage migration occurs at the block level;

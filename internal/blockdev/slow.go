@@ -2,25 +2,24 @@ package blockdev
 
 import "time"
 
+// The model blockdev.Slow charges a request: a fixed latency plus the
+// request's bytes at a fixed rate. The figures are chosen, not measured on
+// any device; what a row over Slow shows follows from them.
+const (
+	slowLatency = 100 * time.Microsecond
+	slowRate    = 400e6 // bytes a second
+)
+
 // Slow is a device that takes time: each request it serves — one block, or
-// one extent — first sleeps Latency plus its bytes at Rate bytes a second (0:
-// no rate), then runs on the wrapped device. Requests sleep independently, as
-// on a device with a deep queue, so concurrent requests overlap their waits.
-// It sleeps on the time package, so a testing/synctest bubble prices it
-// exactly.
-type Slow struct {
-	Device
-	Latency time.Duration
-	Rate    int64
-}
+// one extent — first sleeps slowLatency plus its bytes at slowRate, then runs
+// on the wrapped device. Requests sleep independently, as on a device with an
+// unbounded queue, so concurrent requests overlap their waits. It sleeps on
+// the time package, so a testing/synctest bubble prices it exactly.
+type Slow struct{ Device }
 
 // wait charges one request of size bytes.
 func (s Slow) wait(size int) {
-	d := s.Latency
-	if s.Rate > 0 {
-		d += time.Duration(int64(size) * int64(time.Second) / s.Rate)
-	}
-	time.Sleep(d)
+	time.Sleep(slowLatency + time.Duration(int64(size)*int64(time.Second)/slowRate))
 }
 
 // ReadBlock implements Device: one request.
