@@ -19,7 +19,6 @@ import (
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
-	"bbmig/internal/clock"
 	"bbmig/internal/core"
 	"bbmig/internal/hostd"
 	"bbmig/internal/sim"
@@ -318,7 +317,7 @@ func benchPostCopyPolicy(b *testing.B, pullEnabled bool) {
 			}
 			return nil
 		}
-		gate := blkback.NewPostCopyGate(dev, 1, dirty, pull, clock.NewReal())
+		gate := blkback.NewPostCopyGate(dev, 1, dirty, pull)
 		stop := make(chan struct{})
 		// source: pushes all blocks in order, serving pulls preferentially,
 		// pacing each block to emulate wire time.

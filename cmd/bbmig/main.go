@@ -92,7 +92,6 @@ import (
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/blockdev/bcache"
-	"bbmig/internal/clock"
 	"bbmig/internal/core"
 	"bbmig/internal/transport"
 	"bbmig/internal/vm"
@@ -297,7 +296,7 @@ func runSend(addr, image string, sizeMB, memMB int, wl string, limitMbps int, se
 	if kind, ok := pickWorkload(wl); ok {
 		gen := workload.New(kind, disk.NumBlocks(), seed)
 		go func() {
-			_, err := workload.Replay(clock.NewReal(), gen, guest.DomainID, 24*time.Hour, speedup, router.Submit, stop)
+			_, err := workload.Replay(gen, guest.DomainID, 24*time.Hour, speedup, router.Submit, stop)
 			done <- err
 		}()
 		fmt.Printf("driving %s workload against %s during migration\n", kind, image)

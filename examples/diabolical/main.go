@@ -16,7 +16,6 @@ import (
 
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
-	"bbmig/internal/clock"
 	"bbmig/internal/core"
 	"bbmig/internal/metrics"
 	"bbmig/internal/sim"
@@ -49,7 +48,7 @@ func runOnce(capBytesPerSec int64) (*metrics.Report, int64) {
 		gen.FileAStart = blocks / 8
 		gen.FileBStart = blocks/8 + gen.FileBlocks + 64
 		gen.Reset()
-		st, err := workload.Replay(clock.NewReal(), gen, domain, 24*time.Hour, 40, router.Submit, stop)
+		st, err := workload.Replay(gen, domain, 24*time.Hour, 40, router.Submit, stop)
 		if err != nil {
 			log.Fatalf("workload: %v", err)
 		}

@@ -14,7 +14,6 @@ import (
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
-	"bbmig/internal/clock"
 	"bbmig/internal/core"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
@@ -60,7 +59,7 @@ func main() {
 	stop := make(chan struct{})
 	go func() {
 		gen := workload.NewKernelBuild(blocks, 7)
-		if _, err := workload.Replay(clock.NewReal(), gen, domain, 24*time.Hour, 150, router.Submit, stop); err != nil {
+		if _, err := workload.Replay(gen, domain, 24*time.Hour, 150, router.Submit, stop); err != nil {
 			log.Fatalf("workload: %v", err)
 		}
 	}()

@@ -17,7 +17,6 @@ import (
 
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
-	"bbmig/internal/clock"
 	"bbmig/internal/core"
 	"bbmig/internal/transport"
 	"bbmig/internal/vm"
@@ -86,7 +85,7 @@ func main() {
 			lat[w] = append(lat[w], time.Since(start))
 			return err
 		}
-		st, err := workload.Replay(clock.NewReal(), gen, domain, 24*time.Hour, speedup, timed, stop)
+		st, err := workload.Replay(gen, domain, 24*time.Hour, speedup, timed, stop)
 		if err != nil {
 			log.Fatalf("workload: %v", err)
 		}

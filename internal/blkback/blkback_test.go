@@ -9,7 +9,6 @@ import (
 
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blockdev"
-	"bbmig/internal/clock"
 )
 
 const bs = blockdev.BlockSize
@@ -142,7 +141,7 @@ func newGateEnv(t *testing.T, dirty ...int) *gateEnv {
 	e.gate = NewPostCopyGate(dev, 1, bm, func(n int) error {
 		e.pulls <- n
 		return nil
-	}, clock.NewReal())
+	})
 	return e
 }
 
@@ -216,7 +215,7 @@ func TestGatePullErrorAfterPushArrived(t *testing.T) {
 			}
 		}
 		return linkClosed
-	}, clock.NewReal())
+	})
 	buf := make([]byte, bs)
 	if err := gate.Submit(blockdev.Request{Op: blockdev.Read, Block: 7, Domain: 1, Data: buf}); err != nil {
 		t.Fatalf("read of a block that had already arrived failed: %v", err)
@@ -427,7 +426,7 @@ func TestGateBadOpAndGeometry(t *testing.T) {
 			t.Fatal("mismatched bitmap accepted")
 		}
 	}()
-	NewPostCopyGate(blockdev.NewMemDisk(8, bs), 1, bitmap.New(9), nil, clock.NewReal())
+	NewPostCopyGate(blockdev.NewMemDisk(8, bs), 1, bitmap.New(9), nil)
 }
 
 // TestGateConcurrentStress runs readers, writers, and a pusher concurrently
@@ -441,7 +440,7 @@ func TestGateConcurrentStress(t *testing.T) {
 	gate := NewPostCopyGate(dev, 1, dirty.Clone(), func(n int) error {
 		pulls <- n
 		return nil
-	}, clock.NewReal())
+	})
 
 	// source content: block n filled with n
 	source := blockdev.NewMemDisk(nblocks, bs)

@@ -8,7 +8,6 @@ import (
 
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blockdev"
-	"bbmig/internal/clock"
 )
 
 // ErrGateClosed is returned for requests submitted after the gate shut down
@@ -49,7 +48,6 @@ type PostCopyGate struct {
 	dev    blockdev.Device
 	domain int
 	pull   PullFunc
-	clk    clock.Clock
 
 	mu          sync.Mutex
 	transferred *bitmap.Bitmap // blocks still inconsistent with the source
@@ -64,8 +62,8 @@ type PostCopyGate struct {
 
 // NewPostCopyGate builds a gate over dev for the migrated domain. transferred
 // is the bitmap received in freeze-and-copy (ownership passes to the gate);
-// pull sends a pull request to the source; clk times read stalls.
-func NewPostCopyGate(dev blockdev.Device, domain int, transferred *bitmap.Bitmap, pull PullFunc, clk clock.Clock) *PostCopyGate {
+// pull sends a pull request to the source.
+func NewPostCopyGate(dev blockdev.Device, domain int, transferred *bitmap.Bitmap, pull PullFunc) *PostCopyGate {
 	if transferred.Len() != dev.NumBlocks() {
 		panic(fmt.Sprintf("blkback: bitmap %d bits for %d blocks", transferred.Len(), dev.NumBlocks()))
 	}
@@ -73,7 +71,6 @@ func NewPostCopyGate(dev blockdev.Device, domain int, transferred *bitmap.Bitmap
 		dev:         dev,
 		domain:      domain,
 		pull:        pull,
-		clk:         clk,
 		transferred: transferred,
 		fresh:       bitmap.NewAtomic(dev.NumBlocks()),
 		pending:     make(map[int][]chan error),
@@ -165,10 +162,10 @@ func (g *PostCopyGate) Submit(req blockdev.Request) error {
 				return fmt.Errorf("blkback: pull block %d: %w", req.Block, err)
 			}
 		}
-		start := g.clk.Now()
+		start := time.Now()
 		err := <-done
 		g.statsMu.Lock()
-		g.stats.ReadStallTime += g.clk.Now() - start
+		g.stats.ReadStallTime += time.Since(start)
 		g.statsMu.Unlock()
 		if err != nil {
 			return err

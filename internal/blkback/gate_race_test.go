@@ -8,7 +8,6 @@ import (
 
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blockdev"
-	"bbmig/internal/clock"
 	"bbmig/internal/workload"
 )
 
@@ -26,7 +25,7 @@ func TestGateScatterRace(t *testing.T) {
 
 	dev := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
 	transferred := bitmap.NewAllSet(blocks)
-	gate := NewPostCopyGate(dev, 1, transferred, func(int) error { return nil }, clock.NewReal())
+	gate := NewPostCopyGate(dev, 1, transferred, func(int) error { return nil })
 
 	pushData := func(n int, buf []byte) { workload.FillBlock(buf, n, 1) }
 	guestData := func(n int, buf []byte) { workload.FillBlock(buf, n+1_000_000, 7) }

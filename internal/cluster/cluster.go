@@ -99,8 +99,7 @@ type Options struct {
 	listen func() (net.Listener, error)
 
 	// now is the wall-clock source for heartbeats, deferrals and makespan
-	// accounting; nil selects time.Now. (Migrations themselves run on
-	// BaseConfig.Clock as usual.) Tests drive a synthetic clock here.
+	// accounting; nil selects time.Now. Tests drive a synthetic clock here.
 	now func() time.Time
 }
 
@@ -267,7 +266,7 @@ type Status struct {
 	// (explicit or trough-stamped); they are included in Queued.
 	Deferred int
 	// ShareBps is the current per-migration bandwidth share
-	// (clock.Unlimited when no budget is set).
+	// (core.Unlimited when no budget is set).
 	ShareBps int64
 }
 

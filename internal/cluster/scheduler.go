@@ -441,7 +441,7 @@ func (c *Cluster) runJob(t *Ticket, src, dst *hostd.Machine, leave func()) {
 		// Swarm peer addresses are local to the destination: it engages them
 		// only when the announce carries the swarm flag.
 		dcfg := core.Config{
-			Clock: cfg.Clock, Workers: cfg.Workers, MaxExtentBlocks: cfg.MaxExtentBlocks,
+			Workers: cfg.Workers, MaxExtentBlocks: cfg.MaxExtentBlocks,
 			SwarmPeers: cfg.SwarmPeers,
 		}
 		_, err := dst.ServeOne(l, dcfg)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blkback"
@@ -31,9 +32,9 @@ import (
 // diskPass sends the whole disk once, paced or not, and books it as the only
 // disk iteration.
 func (s *sourceRun) diskPass(limited bool) (int, error) {
-	start := s.clk.Now()
+	start := time.Now()
 	sent, bytes, err := s.sendBlocks(allOf(bitmap.NewAllSet(s.dev.NumBlocks())), limited)
-	s.rep.DiskIterations = []metrics.Iteration{{Index: 1, Units: sent, Bytes: bytes, Duration: s.clk.Now() - start}}
+	s.rep.DiskIterations = []metrics.Iteration{{Index: 1, Units: sent, Bytes: bytes, Duration: time.Since(start)}}
 	return sent, err
 }
 
@@ -244,7 +245,7 @@ func MigrateDeltaDest(cfg Config, host Host, conn transport.Conn) (*DestResult, 
 	replay := func() error {
 		// The VM runs, but with I/O blocked (Bradford: "all the write
 		// accesses must be blocked before all forwarded deltas are applied").
-		replayStart := d.clk.Now()
+		replayStart := time.Now()
 		rewritten := make(map[uint64]bool)
 		for _, m := range queue {
 			if err := blockdev.WriteExtent(d.dev, int(m.Arg), 1, m.Payload); err != nil {
@@ -253,7 +254,7 @@ func MigrateDeltaDest(cfg Config, host Host, conn transport.Conn) (*DestResult, 
 			rewritten[m.Arg] = true
 			m.Release()
 		}
-		d.rep.IOBlockedTime = d.clk.Now() - replayStart
+		d.rep.IOBlockedTime = time.Since(replayStart)
 		d.rep.StalePushes = len(queue) - len(rewritten) // redundant deltas play the same role
 		if d.cfg.OnResume != nil {
 			d.cfg.OnResume(nil) // I/O may flow again; no gate needed

@@ -2,10 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
-
-	"bbmig/internal/clock"
+	"time"
 )
+
+// Unlimited is the rate, in bytes/second, that caps nothing: an unlimited
+// Config.BandwidthLimit or RateBudget, under which no Pacer is built.
+const Unlimited = math.MaxInt64
 
 // RateBudget divides a global pre-copy bandwidth budget among the
 // migrations currently drawing from it. The cluster orchestrator creates one
@@ -18,7 +22,7 @@ import (
 // concurrent migrations is the whole point.
 type RateBudget struct {
 	mu     sync.Mutex
-	total  int64 // bytes/second; clock.Unlimited disables the budget
+	total  int64 // bytes/second; Unlimited disables the budget
 	active int   // migrations currently drawing a share
 }
 
@@ -26,7 +30,7 @@ type RateBudget struct {
 // unlimited: the budget admits everyone and shares nothing.
 func NewRateBudget(total int64) *RateBudget {
 	if total <= 0 {
-		total = clock.Unlimited
+		total = Unlimited
 	}
 	return &RateBudget{total: total}
 }
@@ -60,12 +64,12 @@ func (b *RateBudget) Active() int {
 
 // Share returns the per-migration rate right now: total divided by the
 // active draw count (at least one, so a migration that forgot to Join still
-// gets a sane cap). An unlimited budget returns clock.Unlimited.
+// gets a sane cap). An unlimited budget returns Unlimited.
 func (b *RateBudget) Share() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.total == clock.Unlimited {
-		return clock.Unlimited
+	if b.total == Unlimited {
+		return Unlimited
 	}
 	n := b.active
 	if n < 1 {
@@ -75,42 +79,74 @@ func (b *RateBudget) Share() int64 {
 }
 
 // Pacer is the one implementation of the pacing rule every paced sender
-// follows — the engine's pre-copy sends and hostd's swarm serve: a token
-// bucket built from the rate source's first verdict, retuned to the live
-// verdict before every frame, so a share that moves mid-transfer (a
-// RateBudget re-dividing as migrations come and go) takes effect on the next
-// frame. The burst is always a tenth of a second at the live rate: a sender
-// whose share shrank sends no more after an idle spell than one that started
-// at that share. A sender whose first verdict is unlimited gets a nil Pacer,
+// follows — the engine's pre-copy sends and hostd's swarm serve, which is how
+// the paper caps migration bandwidth ("we just simply limit the network
+// bandwidth used by the migration process in the pre-copy phase", §VI-C-3).
+// It is a token bucket of bytes built from the rate source's first verdict
+// and retuned to the live verdict before every frame, so a share that moves
+// mid-transfer (a RateBudget re-dividing as migrations come and go) takes
+// effect on the next frame. The bucket holds a tenth of a second at the live
+// rate: a sender whose share shrank sends no more after an idle spell than
+// one that started at that share. A sender whose first verdict is unlimited gets a nil Pacer,
 // which never blocks and never consults the source again.
 type Pacer struct {
-	lim  *clock.RateLimiter
 	rate func() int64
+
+	mu     sync.Mutex
+	bps    int64 // the live rate in bytes/second
+	tokens float64
+	last   time.Time // when tokens were last refilled
 }
 
-// NewPacer returns a pacer over clk drawing its rate, in bytes/second, from
-// rate, or nil when rate's first verdict is clock.Unlimited (or not positive).
-func NewPacer(clk clock.Clock, rate func() int64) *Pacer {
+// NewPacer returns a pacer drawing its rate, in bytes/second, from rate, or
+// nil when rate's first verdict is Unlimited (or not positive).
+func NewPacer(rate func() int64) *Pacer {
 	r := rate()
-	if r <= 0 || r == clock.Unlimited {
+	if r <= 0 || r == Unlimited {
 		return nil
 	}
-	return &Pacer{lim: clock.NewRateLimiter(clk, r), rate: rate}
+	return &Pacer{rate: rate, bps: r, tokens: float64(burstOf(r)), last: time.Now()}
 }
 
+// burstOf is the bucket size at bytesPerSec: a tenth of a second of it.
+func burstOf(bytesPerSec int64) int64 { return max(bytesPerSec/10, 1) }
+
 // Wait blocks until a frame of n bytes may go at the live rate, and reports
-// whether the rate, and with it the burst, moved since the last frame.
+// whether the rate, and with it the burst, moved since the last frame. The
+// frame spends its bytes at once, into debt if the bucket holds fewer, and
+// sleeps until the debt is repaid, so concurrent senders queue in the order
+// they called.
 func (p *Pacer) Wait(n int) (retuned bool) {
 	if p == nil {
 		return false
 	}
-	if r := p.rate(); r > 0 && r != p.lim.Rate() {
-		p.lim.SetRate(r)
+	p.mu.Lock()
+	p.refillLocked()
+	if r := p.rate(); r > 0 && r != p.bps {
+		p.bps = r
+		p.tokens = min(p.tokens, float64(burstOf(r)))
 		retuned = true
 	}
-	p.lim.Wait(n)
+	p.tokens -= float64(max(n, 0))
+	debt := time.Duration(-p.tokens / float64(p.bps) * float64(time.Second))
+	p.mu.Unlock()
+	if debt > 0 {
+		time.Sleep(debt)
+	}
 	return retuned
 }
 
+func (p *Pacer) refillLocked() {
+	now := time.Now()
+	if now.After(p.last) {
+		p.tokens = min(p.tokens+now.Sub(p.last).Seconds()*float64(p.bps), float64(burstOf(p.bps)))
+		p.last = now
+	}
+}
+
 // Burst returns the bytes the pacer lets go at once at the live rate.
-func (p *Pacer) Burst() int64 { return p.lim.Burst() }
+func (p *Pacer) Burst() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return burstOf(p.bps)
+}

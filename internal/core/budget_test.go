@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bbmig/internal/blockdev"
-	"bbmig/internal/clock"
 	"bbmig/internal/transport"
 )
 
@@ -28,7 +27,7 @@ func TestRateBudgetShare(t *testing.T) {
 	if got := b.Share(); got != 100 {
 		t.Fatalf("share after leave = %d, want 100", got)
 	}
-	if got := NewRateBudget(0).Share(); got != clock.Unlimited {
+	if got := NewRateBudget(0).Share(); got != Unlimited {
 		t.Fatalf("unlimited budget share = %d", got)
 	}
 	l2()
@@ -54,10 +53,8 @@ func TestRateBudgetConcurrent(t *testing.T) {
 	}
 }
 
-// enginePacer returns the pre-copy pacer the engine builds from cfg, on a
-// virtual clock.
+// enginePacer returns the pre-copy pacer the engine builds from cfg.
 func enginePacer(cfg Config) *Pacer {
-	cfg.Clock = clock.NewVirtual()
 	conn, _ := transport.NewPipe(1)
 	return newDiskTransfer(cfg.withDefaults(), blockdev.NewMemDisk(1, blockdev.BlockSize), conn, "TPM", "source").pace
 }
@@ -65,7 +62,7 @@ func enginePacer(cfg Config) *Pacer {
 // paced sends one byte through p and returns the rate it was paced at.
 func paced(p *Pacer) int64 {
 	p.Wait(1)
-	return p.lim.Rate()
+	return p.bps
 }
 
 // TestBudgetPolicyPrecopyRate: the engine paces pre-copy at the smaller of
@@ -117,24 +114,58 @@ func TestBudgetSharedAcrossMigrations(t *testing.T) {
 // then had its share cut tenfold by nine peers joining may, after an idle
 // spell, send one tenth of a second of its new share without waiting — what
 // a migration that started at that share may — not a tenth of a second of
-// the share it started with.
+// the share it started with. The idle spell is the bucket's refill mark moved
+// ten seconds back; TestPacerBurstFollowsShareVirtual sleeps it.
 func TestPacerBurstFollowsShare(t *testing.T) {
 	const total = 100 << 20 // bytes/second
-	v := clock.NewVirtual()
 	b := NewRateBudget(total)
 	defer b.Join()()
-	p := NewPacer(v, b.Share)
+	p := NewPacer(b.Share)
 	for i := 0; i < 9; i++ {
 		defer b.Join()()
 	}
 	share := b.Share()
-	v.Advance(10 * time.Second)
-	const frame = 64 << 10
-	free := 0 // bytes through the pacer up to and including its first sleep
-	for start := v.Now(); v.Now() == start && free < total; free += frame {
-		p.Wait(frame)
+	p.last = p.last.Add(-10 * time.Second)
+	p.Wait(0) // retunes to the share and refills for the idle spell
+	if p.tokens > float64(share/10) {
+		t.Fatalf("%.0f bytes may pass the pacer unpaced after the share fell to %d B/s; want at most %d", p.tokens, share, share/10)
 	}
-	if limit := int(share/10) + frame; free > limit {
-		t.Fatalf("%d bytes passed the pacer unpaced after the share fell to %d B/s; want at most %d", free, share, limit)
+}
+
+// TestPacerZeroAndNegative: a frame of no bytes costs nothing.
+func TestPacerZeroAndNegative(t *testing.T) {
+	p := NewPacer(func() int64 { return 100 })
+	before := p.tokens
+	p.Wait(0)
+	p.Wait(-5)
+	if p.tokens != before {
+		t.Fatalf("empty frames spent %.0f tokens", before-p.tokens)
+	}
+}
+
+// TestPacerUnlimited: an unlimited or non-positive first verdict builds no
+// pacer, and the nil pacer's Wait is free.
+func TestPacerUnlimited(t *testing.T) {
+	for _, r := range []int64{Unlimited, 0, -1} {
+		if p := NewPacer(func() int64 { return r }); p != nil {
+			t.Fatalf("rate %d built a pacer", r)
+		}
+	}
+	var p *Pacer
+	start := time.Now()
+	if p.Wait(1<<30) || time.Since(start) > time.Second {
+		t.Fatal("the nil pacer retuned or waited")
+	}
+}
+
+// TestPacerRealClockSmoke: 1 MiB at 10 MiB/s takes about 100 ms.
+func TestPacerRealClockSmoke(t *testing.T) {
+	p := NewPacer(func() int64 { return 10 << 20 })
+	start := time.Now()
+	for i := 0; i < 16; i++ {
+		p.Wait(64 << 10)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("1 MiB at 10 MiB/s took %v", elapsed)
 	}
 }

@@ -4,16 +4,16 @@
 // argues against (freeze-and-copy, pure on-demand fetching, and Bradford-
 // style delta forward-and-replay).
 //
-// The engine is transport- and clock-agnostic: the same code migrates a VM
-// over an in-process pipe in tests, over TCP via cmd/bbmig, and at paper
-// scale on a virtual clock in internal/sim.
+// The engine is transport-agnostic and reads time from the runtime: the same
+// code migrates a VM over TCP via cmd/bbmig and over an in-process pipe in
+// tests, where a testing/synctest bubble makes that time virtual and exact.
+// Paper-scale runs are internal/sim's model.
 package core
 
 import (
 	"time"
 
 	"bbmig/internal/blkback"
-	"bbmig/internal/clock"
 	"bbmig/internal/dedup"
 	"bbmig/internal/delta"
 	"bbmig/internal/transport"
@@ -69,11 +69,8 @@ type ReconnectFunc func(token transport.SessionToken, lastEpoch uint32) (transpo
 // offers its token in the HELLO — and a destination with the zero Config
 // accepts all of them. Every other field is local to the side that sets it.
 type Config struct {
-	// Clock paces and measures the run. Nil defaults to a wall clock.
-	Clock clock.Clock
-
 	// BandwidthLimit caps the pre-copy transfer rate in bytes/second
-	// (§VI-C-3). Zero or clock.Unlimited disables the cap. The cap is not
+	// (§VI-C-3). Zero or Unlimited disables the cap. The cap is not
 	// applied to the freeze-and-copy phase: throttling the downtime-
 	// critical transfer would be self-defeating, and the paper limits only
 	// the pre-copy bandwidth.
@@ -246,8 +243,7 @@ type Config struct {
 
 	// RetryBackoff is the base delay before the first reconnect attempt;
 	// each further attempt doubles it (capped at 32x). Zero selects
-	// DefaultRetryBackoff. Slept on Config.Clock, so simulated migrations
-	// retry on the virtual timeline.
+	// DefaultRetryBackoff.
 	RetryBackoff time.Duration
 
 	// Redial re-establishes the migration transport after a connection
@@ -291,11 +287,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Clock == nil {
-		c.Clock = clock.NewReal()
-	}
 	if c.BandwidthLimit <= 0 {
-		c.BandwidthLimit = clock.Unlimited
+		c.BandwidthLimit = Unlimited
 	}
 	if c.MaxExtentBlocks <= 0 {
 		c.MaxExtentBlocks = DefaultMaxExtentBlocks

@@ -407,7 +407,7 @@ func TestRouterFreezeResume(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Clock == nil || c.MaxExtentBlocks != DefaultMaxExtentBlocks || c.Workers != DefaultWorkers ||
+	if c.MaxExtentBlocks != DefaultMaxExtentBlocks || c.Workers != DefaultWorkers ||
 		c.DeltaChunk != delta.DefaultChunk || c.RetryBackoff != DefaultRetryBackoff {
 		t.Fatalf("defaults not applied: %+v", c)
 	}

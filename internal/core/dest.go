@@ -59,7 +59,7 @@ type destRun struct {
 	refBlocks   int            // blocks landed by reference or as zero runs (Report.DedupBlocks)
 	patchBlocks int            // blocks landed as delta patches (Report.DeltaBlocks)
 	transferred *bitmap.Bitmap // the freeze bitmap, set by bitmapHandler
-	postStart   time.Duration
+	postStart   time.Time
 
 	// prog is the pipeline position reported to a reconnecting source in
 	// the session ack — the destination's half of the agreement on which
@@ -88,7 +88,7 @@ func (d *destRun) run(phases []phase) (*DestResult, error) {
 	err := d.runPhases(phases, &cursor)
 	if err == nil {
 		rep := d.rep
-		rep.PostCopyTime = d.clk.Now() - d.postStart
+		rep.PostCopyTime = time.Since(d.postStart)
 		rep.DedupBlocks, rep.DeltaBlocks = d.refBlocks, d.patchBlocks
 		if d.dd != nil {
 			rep.SwarmBlocks = d.dd.swarmBlocks
@@ -367,7 +367,7 @@ func (d *destRun) resumeVM(gate *blkback.PostCopyGate) error {
 	if gate != nil && d.cfg.OnResume != nil {
 		d.cfg.OnResume(gate)
 	}
-	d.postStart = d.clk.Now()
+	d.postStart = time.Now()
 	return d.destSend(transport.Message{Type: transport.MsgResumed})
 }
 
@@ -379,7 +379,7 @@ func (d *destRun) resumeBehindGate() error {
 	}
 	return d.resumeVM(blkback.NewPostCopyGate(d.dev, d.host.VM.DomainID, d.transferred, func(n int) error {
 		return d.destSend(transport.Message{Type: transport.MsgPullRequest, Arg: uint64(n)})
-	}, d.clk))
+	}))
 }
 
 // gateData applies one pushed or pulled data frame through the gate, whose

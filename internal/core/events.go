@@ -90,7 +90,7 @@ type Event struct {
 	Scheme string        // TPM, IM, freeze-and-copy, on-demand, delta-forward
 	Side   string        // "source" or "dest"
 	Phase  string        // current pipeline phase (Phase* constants)
-	At     time.Duration // engine clock timestamp
+	At     time.Duration // since the endpoint's run started
 
 	Iteration int   // EventIterationEnd: 1-based iteration index
 	Units     int   // iteration units (blocks/pages) sent, or pulled block number
@@ -115,7 +115,7 @@ const progressByteQuantum = 1 << 20
 // every emit a cheap no-op, so the pipeline code emits unconditionally.
 type emitter struct {
 	fn     EventFunc
-	clk    interface{ Now() time.Duration }
+	origin time.Time // Event.At counts from here
 	scheme string
 	side   string
 
@@ -127,8 +127,8 @@ type emitter struct {
 	completed atomic.Bool
 }
 
-func newEmitter(fn EventFunc, clk interface{ Now() time.Duration }, scheme, side string) *emitter {
-	return &emitter{fn: fn, clk: clk, scheme: scheme, side: side}
+func newEmitter(fn EventFunc, origin time.Time, scheme, side string) *emitter {
+	return &emitter{fn: fn, origin: origin, scheme: scheme, side: side}
 }
 
 func (e *emitter) currentPhase() string {
@@ -145,7 +145,7 @@ func (e *emitter) emit(ev Event) {
 	if ev.Phase == "" {
 		ev.Phase = e.currentPhase()
 	}
-	ev.At = e.clk.Now()
+	ev.At = time.Since(e.origin)
 	e.fn(ev)
 }
 

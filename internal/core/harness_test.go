@@ -12,7 +12,6 @@ import (
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/blockdev/bcache"
-	"bbmig/internal/clock"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
 	"bbmig/internal/vm"
@@ -349,7 +348,7 @@ func (w *world) startGuest(gen workload.Generator, speedup float64, hotPages int
 	g := &guest{w: w, quit: make(chan struct{}), memQuit: make(chan struct{}), done: make(chan struct{}), memDone: make(chan struct{})}
 	go func() {
 		defer close(g.done)
-		_, g.err = workload.Replay(clock.NewReal(), gen, testDomain, time.Hour, speedup, submit, g.quit)
+		_, g.err = workload.Replay(gen, testDomain, time.Hour, speedup, submit, g.quit)
 	}()
 	go func() {
 		defer close(g.memDone)

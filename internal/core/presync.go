@@ -32,14 +32,14 @@ type SyncStats struct {
 	DedupBlocks int
 	// WireBytes is the total bytes this endpoint sent, frame headers included.
 	WireBytes int64
-	// Duration is the session's wall (or virtual-clock) time.
+	// Duration is the session's elapsed time.
 	Duration time.Duration
 }
 
 func (t *transfer) syncStats(blocks, dedupBlocks int) SyncStats {
 	return SyncStats{
 		Blocks: blocks, DedupBlocks: dedupBlocks,
-		WireBytes: t.meter.BytesSent(), Duration: t.clk.Now() - t.start,
+		WireBytes: t.meter.BytesSent(), Duration: time.Since(t.start),
 	}
 }
 
@@ -48,7 +48,7 @@ func (t *transfer) syncStats(blocks, dedupBlocks int) SyncStats {
 // holding all of them. dev is read as given — pass a snapshot for a
 // consistent image of a live disk. owed is not modified.
 //
-// Honoured cfg fields: Clock, BandwidthLimit and Budget (pacing, re-read per
+// Honoured cfg fields: BandwidthLimit and Budget (pacing, re-read per
 // frame), MaxExtentBlocks, Readahead, and Dedup.
 // A pre-sync has no HELLO, so it is never compressed.
 func SyncSource(cfg Config, dev blockdev.Device, conn transport.Conn, owed *bitmap.Bitmap) (SyncStats, error) {
@@ -89,7 +89,7 @@ func (t *transfer) recvReply(typ transport.MsgType, arg uint64) ([]byte, error) 
 
 // SyncDest applies one pre-sync session from conn to dev through the same
 // disk-frame appliers pre-copy receive uses, and acknowledges it once the
-// source's block count matches what landed. Honoured cfg fields: Clock,
+// source's block count matches what landed. Honoured cfg fields:
 // Workers, and DedupIndex/DedupName for the dedup frames a source may send.
 func SyncDest(cfg Config, dev blockdev.Device, conn transport.Conn) (SyncStats, error) {
 	cfg = cfg.withDefaults()

@@ -88,7 +88,7 @@ type sourceRun struct {
 
 	// destination → source mailboxes, filled by the one reader goroutine
 	pullCh     chan int
-	resumedCh  chan time.Duration // destination resume observed (clock time)
+	resumedCh  chan time.Time // destination resume observed
 	doneCh     chan error
 	readerDone chan struct{}
 
@@ -100,7 +100,7 @@ type sourceRun struct {
 	replies chan transport.Message
 
 	// freeze-and-copy state carried between phases (and across reconnects)
-	freezeStart time.Duration
+	freezeStart time.Time
 	freezePages *bitmap.Bitmap
 	finalDirty  *bitmap.Bitmap
 	suspended   bool
@@ -168,7 +168,7 @@ func (s *sourceRun) startup() error {
 		return err
 	}
 	s.pullCh = make(chan int, 1024)
-	s.resumedCh = make(chan time.Duration, 1)
+	s.resumedCh = make(chan time.Time, 1)
 	s.doneCh = make(chan error, 1)
 	s.replies = make(chan transport.Message, 8)
 	s.startReader()
@@ -309,7 +309,7 @@ func (s *sourceRun) reconnect(attempt int) error {
 	s.dropReplies()
 	s.pages.Drop() // frames in flight are unconfirmed: everything owed from here on is literal
 
-	s.clk.Sleep(s.backoffFor(attempt))
+	time.Sleep(s.backoffFor(attempt))
 	conn, err := s.cfg.Redial()
 	if err != nil {
 		return err
@@ -407,7 +407,7 @@ func (s *sourceRun) applyDestProgress(p destProgress) {
 			// The freeze phase completed even though the RESUMED
 			// notification was lost with the link.
 			if s.rep.Downtime == 0 {
-				s.rep.Downtime = s.clk.Now() - s.freezeStart
+				s.rep.Downtime = time.Since(s.freezeStart)
 			}
 			s.ev.resumed()
 			s.cursor = curPost
@@ -478,7 +478,7 @@ func (s *sourceRun) suspend() error {
 		if s.cfg.OnFreeze != nil {
 			s.cfg.OnFreeze()
 		}
-		s.freezeStart = s.clk.Now()
+		s.freezeStart = time.Now()
 		if err := s.host.VM.Suspend(); err != nil {
 			return fmt.Errorf("core: freeze: %w", err)
 		}
@@ -495,7 +495,7 @@ func (s *sourceRun) sendFinalPages(set *bitmap.Bitmap) error {
 	nPages, pageBytes, err := s.sendPages(allOf(set), false)
 	s.rep.MemIterations = append(s.rep.MemIterations, metrics.Iteration{
 		Index: len(s.rep.MemIterations) + 1, Units: nPages, Deltas: s.pages.TakeDeltas(), Bytes: pageBytes,
-		Duration: s.clk.Now() - s.freezeStart,
+		Duration: time.Since(s.freezeStart),
 	})
 	return err
 }
@@ -545,9 +545,9 @@ func (s *sourceRun) awaitResumed() error {
 	}
 }
 
-// noteResumed books the end of the downtime at clock time at.
-func (s *sourceRun) noteResumed(at time.Duration) {
-	s.rep.Downtime = at - s.freezeStart
+// noteResumed books the end of the downtime at at.
+func (s *sourceRun) noteResumed(at time.Time) {
+	s.rep.Downtime = at.Sub(s.freezeStart)
 	s.ev.resumed()
 }
 
@@ -601,7 +601,7 @@ func (s *sourceRun) checkpointFreeze(phase string) {
 // the whole freeze set: frames in flight when the link died are
 // unconfirmed, and the destination gate drops duplicates as stale.
 func (s *sourceRun) postCopy() error {
-	postStart := s.clk.Now()
+	postStart := time.Now()
 	s.checkpointFreeze(PhasePostCopy)
 	if !s.doneSeen && !s.skipPush {
 		if err := s.pushBlocks(s.finalDirty); err != nil {
@@ -611,7 +611,7 @@ func (s *sourceRun) postCopy() error {
 	if err := s.waitDone(); err != nil {
 		return err
 	}
-	s.rep.PostCopyTime = s.clk.Now() - postStart
+	s.rep.PostCopyTime = time.Since(postStart)
 	return nil
 }
 
@@ -702,7 +702,7 @@ func (s *sourceRun) readLoop(done chan struct{}) {
 			// Non-blocking: a retried RESUMED after a reconnect may duplicate
 			// one already latched.
 			select {
-			case s.resumedCh <- s.clk.Now():
+			case s.resumedCh <- time.Now():
 			default:
 			}
 		case transport.MsgDone:

@@ -9,7 +9,6 @@ import (
 
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blockdev"
-	"bbmig/internal/clock"
 	"bbmig/internal/dedup"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
@@ -46,14 +45,13 @@ func steps(fns ...func() error) func() error {
 type transfer struct {
 	cfg    Config
 	host   Host
-	dev    blockdev.Device // the disk this endpoint's frames address
-	srcDev blockdev.Device // source read path: dev, or a frozen snapshot of it
-	clk    clock.Clock
+	dev    blockdev.Device  // the disk this endpoint's frames address
+	srcDev blockdev.Device  // source read path: dev, or a frozen snapshot of it
 	conn   transport.Conn   // engine-facing top of the decorator stack
 	meter  *transport.Meter // wire-byte accounting, closest to the raw conn
 	pace   *Pacer           // pre-copy pacing; nil when the first rate is unlimited
 	ev     *emitter
-	start  time.Duration
+	start  time.Time
 	rep    *metrics.Report // this endpoint's view of the run
 
 	// resendAll makes pre-copy passes send units that are already dirty
@@ -122,7 +120,7 @@ func newTransfer(cfg Config, host Host, conn transport.Conn, scheme, side string
 // so a reconnect swaps the dead link without disturbing metering or
 // compression.
 func newDiskTransfer(cfg Config, dev blockdev.Device, conn transport.Conn, scheme, side string) *transfer {
-	t := &transfer{cfg: cfg, dev: dev, srcDev: dev, clk: cfg.Clock, sess: &session{}}
+	t := &transfer{cfg: cfg, dev: dev, srcDev: dev, sess: &session{}}
 	t.rep = &metrics.Report{Scheme: scheme}
 	if (side == "source" && cfg.MaxRetries > 0) || (side != "source" && cfg.WaitReconnect != nil) {
 		t.swap = transport.NewSwappable(conn)
@@ -130,14 +128,14 @@ func newDiskTransfer(cfg Config, dev blockdev.Device, conn transport.Conn, schem
 	}
 	t.meter = transport.NewMeter(conn)
 	t.conn = t.meter
-	t.pace = NewPacer(t.clk, func() int64 {
+	t.pace = NewPacer(func() int64 {
 		if cfg.Budget == nil {
 			return cfg.BandwidthLimit
 		}
 		return min(cfg.BandwidthLimit, cfg.Budget.Share())
 	})
-	t.ev = newEmitter(cfg.OnEvent, t.clk, scheme, side)
-	t.start = t.clk.Now()
+	t.start = time.Now()
+	t.ev = newEmitter(cfg.OnEvent, t.start, scheme, side)
 	if side == "source" {
 		t.stage()
 	}
@@ -189,7 +187,7 @@ func (t *transfer) finish(err error) error {
 		_ = t.conn.Send(transport.Message{Type: transport.MsgError, Payload: []byte(err.Error())})
 		return err
 	}
-	t.rep.TotalTime = t.clk.Now() - t.start
+	t.rep.TotalTime = time.Since(t.start)
 	t.rep.MigratedBytes = t.meter.BytesSent() + t.meter.BytesReceived()
 	return nil
 }
@@ -733,7 +731,7 @@ func (t *transfer) preCopyLoop(sp preCopySpec, initial *bitmap.Bitmap) error {
 		if t.ckpt != nil {
 			t.ckpt(sp.phase, iter, toSend)
 		}
-		iterStart := t.clk.Now()
+		iterStart := time.Now()
 		if err := t.send(transport.Message{Type: sp.startMsg, Arg: uint64(iter)}, true); err != nil {
 			return err
 		}
@@ -748,7 +746,7 @@ func (t *transfer) preCopyLoop(sp preCopySpec, initial *bitmap.Bitmap) error {
 		if err := t.send(transport.Message{Type: sp.endMsg, Arg: uint64(sent)}, true); err != nil {
 			return err
 		}
-		iterDur := t.clk.Now() - iterStart
+		iterDur := time.Since(iterStart)
 		dirtyNow := sp.dirtyCount()
 		sp.record(metrics.Iteration{
 			Index: iter, Units: sent, Skipped: cur.skipped, Bytes: bytes, Duration: iterDur, DirtyEnd: dirtyNow,
@@ -831,7 +829,7 @@ func (t *transfer) memPreCopy() error {
 			t.rep.MemIterations = append(t.rep.MemIterations, it)
 		},
 	}, bitmap.NewAllSet(mem.NumPages()))
-	t.rep.PreCopyTime = t.clk.Now() - t.start
+	t.rep.PreCopyTime = time.Since(t.start)
 	return err
 }
 

@@ -1,0 +1,148 @@
+//go:build goexperiment.synctest
+
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"testing/synctest"
+	"time"
+
+	"bbmig/internal/blockdev"
+	"bbmig/internal/metrics"
+	"bbmig/internal/transport"
+	"bbmig/internal/workload"
+)
+
+// The engine in virtual time. Inside a testing/synctest bubble time.Now,
+// time.Sleep and timers are the bubble's, and time moves only when every
+// goroutine in it is blocked, so an unmodified migration over in-memory pipes
+// and a modelled link repeats to the nanosecond and the byte, in a few
+// milliseconds of wall time. Build with GOEXPERIMENT=synctest (go1.24).
+
+// The modelled link of every virtual run: GbE's rate each way and a 50 µs
+// per-frame stall.
+const (
+	virtualStall = 50 * time.Microsecond
+	virtualRate  = 125e6
+)
+
+// virtualLink puts the modelled link on both sending sides.
+func virtualLink(src, dst transport.Conn) (transport.Conn, transport.Conn) {
+	return transport.NewWAN(src, virtualStall, virtualRate), transport.NewWAN(dst, virtualStall, virtualRate)
+}
+
+// virtualPair is runPair in a synctest bubble: it builds a world from sp
+// over transport.NewPipe and a transport.NewWAN each way — inside the bubble,
+// which the link's goroutines and the pipes must belong to — and hands it to
+// run, whose migrations go through the world's runner as usual. The result
+// leaves the bubble through a channel once every goroutine in it has exited.
+func virtualPair[R any](t *testing.T, sp worldSpec, run func(w *world) R) R {
+	t.Helper()
+	sp.link = virtualLink
+	out := make(chan R, 1)
+	synctest.Run(func() { out <- run(newWorld(t, sp)) })
+	return <-out
+}
+
+// virtualRow is the golden record of one migration: its report's times,
+// iterations and wire bytes, exactly.
+func virtualRow(name string, rep *metrics.Report) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s: %s time=%v downtime=%v wire=%d\n", name, rep.Scheme, rep.TotalTime, rep.Downtime, rep.MigratedBytes)
+	for _, it := range rep.DiskIterations {
+		fmt.Fprintf(&b, "  disk %d: units=%d bytes=%d time=%v\n", it.Index, it.Units, it.Bytes, it.Duration)
+	}
+	for _, it := range rep.MemIterations {
+		fmt.Fprintf(&b, "  mem %d: units=%d bytes=%d time=%v\n", it.Index, it.Units, it.Bytes, it.Duration)
+	}
+	return b.String()
+}
+
+// pacedGuest rewrites a hot set of w's disk as the source sends: one write
+// per eight units on the wire, on the sending goroutine, so the writes land
+// at the same points of the transfer in every run. It stops at the freeze.
+func pacedGuest(t *testing.T, w *world, src Config) Config {
+	const hot = 48
+	block := make([]byte, blockdev.BlockSize)
+	guest := &workload.Paced{Conn: w.connSrc, Every: 8, Round: func(i int) {
+		workload.FillBlock(block, i, uint32(i))
+		req := blockdev.Request{Op: blockdev.Write, Domain: testDomain, Block: (i * 7 % hot) * 41, Data: block}
+		if err := w.shadow.Submit(req); err != nil {
+			t.Errorf("guest write: %v", err)
+		}
+	}}
+	w.connSrc = guest
+	src.OnFreeze = func() {
+		guest.Stop()
+		w.router.Freeze()
+	}
+	return src
+}
+
+// imBack migrates w there and back: a TPM, then the guest rewrites every
+// 17th block on the destination, behind the post-copy gate, and IM carries
+// those writes home over a fresh link.
+func imBack(t *testing.T, w *world, cfg Config) *metrics.Report {
+	_, res := w.tpm(cfg, cfg, nil)
+	block := make([]byte, blockdev.BlockSize)
+	for n := 0; n < testBlocks; n += 17 {
+		workload.FillBlock(block, n, 9)
+		if err := w.shadow.Submit(blockdev.Request{Op: blockdev.Write, Domain: testDomain, Block: n, Data: block}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, _ := w.reverse(worldSpec{link: virtualLink}).tpm(cfg, cfg, res.Gate.FreshBitmap())
+	return rep
+}
+
+// TestVirtualGolden records {idle TPM, TPM under a paced guest, IM back} ×
+// MaxExtentBlocks {1, 64} on the modelled link in testdata/virtual.golden:
+// migration time, downtime, per-iteration units, bytes and time, and wire
+// bytes, to the nanosecond and the byte. A diff is a change to what the
+// engine costs on a link; -update-golden rewrites it.
+func TestVirtualGolden(t *testing.T) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "# modelled link: %v stall + %d B/s each way\n", virtualStall, int64(virtualRate))
+	idle := map[int]time.Duration{}
+	for _, extent := range []int{1, 64} {
+		cfg := Config{MaxExtentBlocks: extent}
+		rows := []struct {
+			name string
+			run  func(w *world) *metrics.Report
+		}{
+			{"idle-tpm", func(w *world) *metrics.Report {
+				rep, _ := w.tpm(cfg, cfg, nil)
+				return rep
+			}},
+			{"paced-guest-tpm", func(w *world) *metrics.Report {
+				rep, _ := w.tpm(pacedGuest(t, w, cfg), cfg, nil)
+				return rep
+			}},
+			{"im-back", func(w *world) *metrics.Report { return imBack(t, w, cfg) }},
+		}
+		for _, row := range rows {
+			rep := virtualPair(t, worldSpec{}, row.run)
+			if rep.Downtime <= 0 {
+				t.Errorf("%s at extent %d: downtime %v, want the freeze's frames charged", row.name, extent, rep.Downtime)
+			}
+			if row.name == "idle-tpm" {
+				idle[extent] = rep.TotalTime
+			}
+			b.WriteString(virtualRow(fmt.Sprintf("%s extent=%d", row.name, extent), rep))
+		}
+	}
+	// The modelled-link claim of TestExtentsBeatPerBlockOnModeledLink, exact.
+	fmt.Fprintf(&b, "idle per-block/extents time ratio: %.6f\n", float64(idle[1])/float64(idle[64]))
+	if idle[64]*2 >= idle[1] {
+		t.Errorf("64-block extents (%v) did not clearly beat per-block frames (%v) on the modelled link", idle[64], idle[1])
+	}
+	checkGolden(t, "virtual.golden", b.String())
+}
+
+// TestHelloUnknownCapabilityRefusedVirtual is TestHelloUnknownCapabilityRefused
+// in a bubble, where its runner's hang and settle timers cost no wall time.
+func TestHelloUnknownCapabilityRefusedVirtual(t *testing.T) {
+	synctest.Run(func() { TestHelloUnknownCapabilityRefused(t) })
+}

@@ -25,7 +25,6 @@ import (
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/blockdev/bcache"
-	"bbmig/internal/clock"
 	"bbmig/internal/core"
 	"bbmig/internal/dedup"
 	"bbmig/internal/metrics"
@@ -92,7 +91,7 @@ func (d *Domain) startWorkload() {
 	go func() {
 		defer d.workWG.Done()
 		// speedup 200: a laptop-scale stand-in for a continuously busy guest
-		_, _ = workload.Replay(clock.NewReal(), gen, d.vmRef.DomainID, 24*time.Hour, 200, d.Submit, stop)
+		_, _ = workload.Replay(gen, d.vmRef.DomainID, 24*time.Hour, 200, d.Submit, stop)
 	}()
 }
 

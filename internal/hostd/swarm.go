@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 
-	"bbmig/internal/clock"
 	"bbmig/internal/core"
 	"bbmig/internal/dedup"
 	"bbmig/internal/transport"
@@ -65,7 +64,7 @@ func (m *Machine) serveSwarmConn(conn transport.Conn, budget *core.RateBudget) e
 	if budget != nil {
 		leave := budget.Join()
 		defer leave()
-		pace = core.NewPacer(clock.NewReal(), budget.Share)
+		pace = core.NewPacer(budget.Share)
 	}
 
 	for {

@@ -90,7 +90,7 @@ type SyncReport struct {
 // Honoured cfg fields: BandwidthLimit and Budget pace the transfer (the rate
 // is re-read per frame, so a cluster's shared budget re-divides live),
 // MaxExtentBlocks coalesces runs, Dedup ships content the peer can already
-// produce by reference, Clock times and paces it. The sync stream is always a
+// produce by reference. The sync stream is always a
 // single uncompressed, non-delta connection.
 //
 // On any failure the shipped set is re-diverged in the vault, so a torn sync
@@ -148,7 +148,7 @@ func (m *Machine) SyncOut(domainName, destHost, addr string, cfg core.Config) (*
 	defer releaseSnap()
 
 	rep.SyncStats, err = core.SyncSource(core.Config{
-		Clock: cfg.Clock, BandwidthLimit: cfg.BandwidthLimit, Budget: cfg.Budget,
+		BandwidthLimit: cfg.BandwidthLimit, Budget: cfg.Budget,
 		MaxExtentBlocks: cfg.MaxExtentBlocks, Dedup: cfg.Dedup,
 	}, src, conn, bm)
 	rep.WireBytes += int64(annMsg.FrameSize())

@@ -6,7 +6,6 @@ import (
 
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
-	"bbmig/internal/clock"
 	"bbmig/internal/metrics"
 	"bbmig/internal/workload"
 )
@@ -112,12 +111,11 @@ func TableIII(blocks int, opsPerTest int) ([]TrackingOverheadResult, *metrics.Ta
 			if tracked {
 				b.StartTracking()
 			}
-			clk := clock.NewReal()
-			start := clk.Now()
+			start := time.Now()
 			for i := 0; i < opsPerTest; i++ {
 				op(b, i)
 			}
-			ns := float64(clk.Now()-start) / float64(opsPerTest)
+			ns := float64(time.Since(start)) / float64(opsPerTest)
 			if rep == 0 || ns < best {
 				best = ns
 			}

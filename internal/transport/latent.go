@@ -1,74 +1,165 @@
 package transport
 
 import (
+	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Latent models the per-frame cost of a real migration link: every frame
-// occupies the link for a fixed stall on top of whatever the inner Conn
-// costs, standing in for what the paper's blkd pays on every block message —
+// occupies the link for a fixed stall on top of its serialisation time,
+// standing in for what the paper's blkd pays on every block message —
 // syscall, NIC doorbell, completion. Loopback transports hide this cost
 // almost entirely, which makes per-block transfer look artificially
 // competitive in-process. Latent is not a Stager, so nothing below it stages:
-// its timing is the model, and staged frames would reach the far side in
-// bursts the model never sent.
+// its timing is the model.
 //
-// Concurrent Sends on one Latent serialize through the link occupancy,
-// exactly as frames on one ordered stream serialize through its link;
-// wrapping each connection of a Striped bundle in its own Latent lets the
-// stalls of different streams overlap, which is the mechanism by which
-// striping hides per-frame latency. Recv is passed through untouched.
-//
-// The accounting is cumulative: a sender is put to sleep only once it is at
-// least a scheduler quantum behind the modelled link, so the model stays
-// accurate for stalls far below the platform timer granularity.
+// The link is one queue with its own clock: frame k reaches the inner Conn at
+// due[k] = max(due[k-1], sent[k]) + stall + FrameSize/rate, sent[k] being
+// when Send was called. Send copies the frame into the queue and returns; it
+// blocks only while a frame already waits behind the one on the link, as a
+// write blocks on a full socket buffer. Since due[k] follows from due[k-1],
+// not from when the delivery goroutine woke, a late wake-up delays only its
+// own frame; in a testing/synctest bubble every frame is charged exactly.
+// Concurrent Sends serialise through the queue as frames on one stream do;
+// each stream of a Striped bundle wrapped in its own Latent overlaps its
+// stalls with the others', which is how striping hides per-frame latency.
+// Recv is passed through untouched.
 type Latent struct {
 	inner Conn
 	stall time.Duration
-	bps   int64 // serialization rate in bytes/second (0 = infinite, LAN model)
+	bps   int64 // serialisation rate in bytes/second (0 = infinite, LAN model)
 
-	mu       sync.Mutex
-	nextFree time.Time // when the link has drained all queued frames
+	q       chan latentFrame // the frame waiting behind the one on the link
+	closing chan struct{}    // closed by Close
+	done    chan struct{}    // closed once the delivery goroutine has exited
+	once    sync.Once
+	err     atomic.Pointer[error] // the first failed delivery, returned by every later Send
 }
 
-// latentQuantum is the smallest sleep worth issuing: below this the timer
-// granularity would distort the model more than bursting does.
-const latentQuantum = time.Millisecond
+type latentFrame struct {
+	m    Message // a pooled copy
+	sent time.Time
+}
+
+// latentMaxSlack bounds how early the link sets its timer, and so how long it
+// spins for the last stretch before a frame is due (see deliver).
+const latentMaxSlack = 2 * time.Millisecond
 
 // NewWAN wraps inner in a wide-area link profile: each Send occupies the
 // link for stall (the one-way propagation delay — half the RTT, so one
-// request/reply round trip costs a full RTT) plus the frame's serialization
+// request/reply round trip costs a full RTT) plus the frame's serialisation
 // time at bytesPerSec. Asymmetric links are modelled by wrapping each
 // direction's sending side in its own NewWAN with that direction's rate —
 // Latent only ever delays Send, so the uplink and downlink profiles never
 // interfere. bytesPerSec <= 0 keeps a pure per-frame stall: the LAN model.
+// The link's delivery goroutine runs until Close.
 func NewWAN(inner Conn, stall time.Duration, bytesPerSec int64) *Latent {
-	return &Latent{inner: inner, stall: stall, bps: bytesPerSec}
+	l := &Latent{inner: inner, stall: stall, bps: bytesPerSec,
+		q: make(chan latentFrame, 1), closing: make(chan struct{}), done: make(chan struct{})}
+	go l.deliver()
+	return l
 }
 
-// Send implements Conn.
+// Send implements Conn. It borrows m's payload. A failed delivery of an
+// earlier frame is returned here, as a socket reports it on the next write.
 func (l *Latent) Send(m Message) error {
-	occupy := l.stall
-	if l.bps > 0 {
-		occupy += time.Duration(float64(m.FrameSize()) / float64(l.bps) * float64(time.Second))
+	if len(m.Payload) > MaxPayload {
+		return errors.New("transport: payload too large")
 	}
-	l.mu.Lock()
-	now := time.Now()
-	if l.nextFree.Before(now) {
-		l.nextFree = now
+	if err := l.err.Load(); err != nil {
+		return *err
 	}
-	l.nextFree = l.nextFree.Add(occupy)
-	wait := l.nextFree.Sub(now)
-	l.mu.Unlock()
-	if wait >= latentQuantum {
-		time.Sleep(wait)
+	select {
+	case <-l.closing:
+		return ErrClosed
+	default:
 	}
-	return l.inner.Send(m)
+	f := latentFrame{m: m, sent: time.Now()}
+	if len(m.Payload) > 0 {
+		f.m.Payload = GetBuf(len(m.Payload))
+		copy(f.m.Payload, m.Payload)
+	} else if m.Payload != nil {
+		f.m.Payload = []byte{} // not the caller's buffer: deliver releases it
+	}
+	select {
+	case l.q <- f:
+		return nil
+	case <-l.closing:
+		PutBuf(f.m.Payload)
+		return ErrClosed
+	}
+}
+
+// deliver is the link: it hands each queued frame to the inner Conn when
+// due, until Close. A timer fires late by the platform's granularity — about
+// a millisecond on an idle Linux box, never in a synctest bubble — so the
+// link sets its timer that much early, slack tracking how late its timers
+// fire, and yields the processor for the last stretch. In a bubble slack
+// stays zero, the timer fires exactly when due, and nothing spins.
+func (l *Latent) deliver() {
+	defer close(l.done)
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	var due time.Time
+	var slack time.Duration
+	for {
+		var f latentFrame
+		select {
+		case f = <-l.q:
+		case <-l.closing:
+			return
+		}
+		occupy := l.stall
+		if l.bps > 0 {
+			occupy += time.Duration(int64(f.m.FrameSize()) * int64(time.Second) / l.bps)
+		}
+		if due.Before(f.sent) {
+			due = f.sent
+		}
+		due = due.Add(occupy)
+		if wait := time.Until(due); wait > slack {
+			timer.Reset(wait - slack)
+			select {
+			case <-timer.C:
+			case <-l.closing:
+				PutBuf(f.m.Payload)
+				return
+			}
+			late := max(time.Since(due.Add(-slack)), 0)
+			slack = min(slack+(late-slack)/8, latentMaxSlack)
+		}
+		for time.Now().Before(due) {
+			runtime.Gosched()
+		}
+		if l.err.Load() == nil {
+			var err error
+			if pipe, ok := l.inner.(*pipeConn); ok {
+				err = pipe.sendOwned(f.m) // the pipe keeps the copy
+				f.m.Payload = nil
+			} else {
+				err = l.inner.Send(f.m)
+			}
+			if err != nil {
+				failed := err // only a failure escapes
+				l.err.Store(&failed)
+			}
+		}
+		PutBuf(f.m.Payload)
+	}
 }
 
 // Recv implements Conn.
 func (l *Latent) Recv() (Message, error) { return l.inner.Recv() }
 
-// Close implements Conn.
-func (l *Latent) Close() error { return l.inner.Close() }
+// Close implements Conn. It cuts the link: frames still queued are dropped,
+// as a reset connection drops what it had not sent, and the delivery
+// goroutine has exited when Close returns.
+func (l *Latent) Close() error {
+	l.once.Do(func() { close(l.closing) })
+	err := l.inner.Close()
+	<-l.done
+	return err
+}

@@ -52,6 +52,13 @@ func (p *pipeConn) Send(m Message) error {
 	} else if m.Payload != nil {
 		m.Payload = []byte{}
 	}
+	return p.sendOwned(m)
+}
+
+// sendOwned is Send for a payload the caller hands over: a pooled buffer,
+// or an empty payload not the caller's, that the receiver gets as is.
+// Latent hands its queued copies over this way.
+func (p *pipeConn) sendOwned(m Message) error {
 	// Check for closure first: with buffer space free, the select below
 	// would otherwise pick randomly between the closed channel and the
 	// send, making post-close sends succeed nondeterministically.

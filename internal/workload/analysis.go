@@ -7,7 +7,6 @@ import (
 
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blockdev"
-	"bbmig/internal/clock"
 )
 
 // LocalityStats summarizes the write locality of a trace prefix, the measure
@@ -67,18 +66,20 @@ type ReplayStats struct {
 // Replay drives a generator against a submit function (typically
 // Backend.Submit or PostCopyGate.Submit) for `until` of workload time,
 // compressed by speedup (speedup 100 replays 100 s of workload in 1 s). The
-// clock paces the replay; with a Virtual clock the replay is instantaneous.
+// runtime clock paces the replay, from the call on; inside a testing/synctest
+// bubble the replay takes no wall time.
 // Write payloads are synthesized deterministically from the block number and
 // a per-block generation counter so that every rewrite changes the content
 // (letting tests verify synchronization catches rewrites). Replay stops
 // early, without error, when stop is closed.
-func Replay(clk clock.Clock, g Generator, domain int, until time.Duration, speedup float64,
+func Replay(g Generator, domain int, until time.Duration, speedup float64,
 	submit func(blockdev.Request) error, stop <-chan struct{}) (ReplayStats, error) {
 
 	if speedup <= 0 {
 		speedup = 1
 	}
 	var st ReplayStats
+	start := time.Now()
 	gen := make(map[int]uint32)
 	buf := make([]byte, blockdev.BlockSize)
 	for {
@@ -92,8 +93,8 @@ func Replay(clk clock.Clock, g Generator, domain int, until time.Duration, speed
 			st.WorkloadElapsed = until
 			return st, nil
 		}
-		if lag := time.Duration(float64(a.At)/speedup) - clk.Now(); lag > 0 {
-			clk.Sleep(lag)
+		if lag := time.Duration(float64(a.At)/speedup) - time.Since(start); lag > 0 {
+			time.Sleep(lag)
 		}
 		for i := 0; i < a.Count; i++ {
 			blk := a.Block + i

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"bbmig/internal/blockdev"
-	"bbmig/internal/clock"
 )
 
 // record consumes horizon accesses of gen and writes them to w as a trace,
@@ -96,7 +95,7 @@ func TestTraceAsMigrationWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := blockdev.NewMemDisk(1024, blockdev.BlockSize)
-	st, err := Replay(clock.NewVirtual(), tr, 1, 30*time.Second, 1, func(r blockdev.Request) error {
+	st, err := Replay(tr, 1, 30*time.Second, 1e4, func(r blockdev.Request) error {
 		if r.Op == blockdev.Write {
 			return dev.WriteBlock(r.Block, r.Data)
 		}

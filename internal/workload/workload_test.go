@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"bbmig/internal/blockdev"
-	"bbmig/internal/clock"
 )
 
 const testDiskBlocks = 1 << 20 // "4 GiB" disk for generator tests
@@ -241,8 +240,8 @@ func TestProfiles(t *testing.T) {
 func TestReplayAgainstDevice(t *testing.T) {
 	dev := blockdev.NewMemDisk(testDiskBlocks, blockdev.BlockSize)
 	g := NewWebServer(testDiskBlocks, 5)
-	clk := clock.NewVirtual()
-	st, err := Replay(clk, g, 1, 30*time.Second, 1, func(r blockdev.Request) error {
+	// 30 s of workload in 3 ms; TestReplayVirtualPacing replays it at speed.
+	st, err := Replay(g, 1, 30*time.Second, 1e4, func(r blockdev.Request) error {
 		if r.Op == blockdev.Write {
 			return dev.WriteBlock(r.Block, r.Data)
 		}
@@ -257,9 +256,8 @@ func TestReplayAgainstDevice(t *testing.T) {
 	if dev.WrittenBlocks() == 0 {
 		t.Fatal("no blocks written")
 	}
-	// virtual clock advanced to (about) the workload horizon
-	if clk.Now() > 31*time.Second {
-		t.Fatalf("virtual clock at %v after 30s replay", clk.Now())
+	if st.WorkloadElapsed != 30*time.Second {
+		t.Fatalf("replayed %v of a 30s horizon", st.WorkloadElapsed)
 	}
 }
 
@@ -267,7 +265,7 @@ func TestReplayStops(t *testing.T) {
 	g := NewStreaming(testDiskBlocks, 5)
 	stop := make(chan struct{})
 	close(stop)
-	st, err := Replay(clock.NewVirtual(), g, 1, time.Hour, 1,
+	st, err := Replay(g, 1, time.Hour, 1,
 		func(r blockdev.Request) error { return nil }, stop)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +278,7 @@ func TestReplayStops(t *testing.T) {
 func TestReplayPropagatesSubmitError(t *testing.T) {
 	g := NewKernelBuild(testDiskBlocks, 5)
 	wantErr := blockdev.ErrOutOfRange
-	_, err := Replay(clock.NewVirtual(), g, 1, time.Hour, 1,
+	_, err := Replay(g, 1, time.Hour, 1e6,
 		func(r blockdev.Request) error { return wantErr }, nil)
 	if err == nil {
 		t.Fatal("submit error swallowed")
