@@ -143,18 +143,26 @@ func TestPacerZeroAndNegative(t *testing.T) {
 	}
 }
 
-// TestPacerUnlimited: an unlimited or non-positive first verdict builds no
-// pacer, and the nil pacer's Wait is free.
+// TestPacerUnlimited: an unlimited first verdict builds no pacer, and the
+// nil pacer's Wait is free.
 func TestPacerUnlimited(t *testing.T) {
-	for _, r := range []int64{Unlimited, 0, -1} {
-		if p := NewPacer(func() int64 { return r }); p != nil {
-			t.Fatalf("rate %d built a pacer", r)
-		}
+	if p := NewPacer(func() int64 { return Unlimited }); p != nil {
+		t.Fatal("an unlimited rate built a pacer")
 	}
 	var p *Pacer
 	start := time.Now()
 	if p.Wait(1<<30) || time.Since(start) > time.Second {
 		t.Fatal("the nil pacer retuned or waited")
+	}
+}
+
+// TestPacerBadRate: a zero or negative first verdict builds no pacer rather
+// than one that divides by its rate.
+func TestPacerBadRate(t *testing.T) {
+	for _, r := range []int64{0, -1} {
+		if p := NewPacer(func() int64 { return r }); p != nil {
+			t.Fatalf("rate %d built a pacer", r)
+		}
 	}
 }
 
