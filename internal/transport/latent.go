@@ -11,42 +11,41 @@ import (
 // Latent models the per-frame cost of a real migration link: every frame
 // occupies the link for a fixed stall on top of its serialisation time,
 // standing in for what the paper's blkd pays on every block message —
-// syscall, NIC doorbell, completion. Loopback transports hide this cost
-// almost entirely, which makes per-block transfer look artificially
-// competitive in-process. Latent is not a Stager, so nothing below it stages:
-// its timing is the model.
+// syscall, NIC doorbell, completion — which loopback hides almost entirely.
+// Latent is not a Stager, so nothing below it stages: its timing is the model.
 //
 // The link is one queue with its own clock: frame k reaches the inner Conn at
 // due[k] = max(due[k-1], sent[k]) + stall + FrameSize/rate, sent[k] being
-// when Send was called. Send copies the frame into the queue and returns; it
-// blocks only while a frame already waits behind the one on the link, as a
-// write blocks on a full socket buffer. Since due[k] follows from due[k-1],
-// not from when the delivery goroutine woke, a late wake-up delays only its
-// own frame; in a testing/synctest bubble every frame is charged exactly.
-// Concurrent Sends serialise through the queue as frames on one stream do;
-// each stream of a Striped bundle wrapped in its own Latent overlaps its
-// stalls with the others', which is how striping hides per-frame latency.
-// Recv is passed through untouched.
+// when Send was called, so a late wake-up delays only its own frame and in a
+// testing/synctest bubble every frame is charged exactly. Send copies the
+// frame into the queue and returns, waiting only while the link is more than
+// latentBuffer behind, as a write waits on a full socket buffer. Each stream
+// of a Striped bundle wrapped in its own Latent overlaps its stalls with the
+// others', which is how striping hides per-frame latency. Recv is passed
+// through untouched.
 type Latent struct {
 	inner Conn
 	stall time.Duration
 	bps   int64 // serialisation rate in bytes/second (0 = infinite, LAN model)
 
-	q       chan latentFrame // the frame waiting behind the one on the link
-	closing chan struct{}    // closed by Close
-	done    chan struct{}    // closed once the delivery goroutine has exited
+	q       chan latentFrame
+	closing chan struct{} // closed by Close
 	once    sync.Once
 	err     atomic.Pointer[error] // the first failed delivery, returned by every later Send
+
+	mu   sync.Mutex
+	tail time.Time // when the link will have delivered every frame sent so far
 }
 
 type latentFrame struct {
-	m    Message // a pooled copy
-	sent time.Time
+	m   Message // a pooled copy, or an empty payload
+	due time.Time
 }
 
-// latentMaxSlack bounds how early the link sets its timer, and so how long it
-// spins for the last stretch before a frame is due (see deliver).
-const latentMaxSlack = 2 * time.Millisecond
+// latentBuffer is the socket buffer, in time: how far the link may run behind
+// its senders. It covers a timer firing a millisecond late, so the link still
+// has frames queued when its delivery goroutine or a sender wakes late.
+const latentBuffer = 2 * time.Millisecond
 
 // NewWAN wraps inner in a wide-area link profile: each Send occupies the
 // link for stall (the one-way propagation delay — half the RTT, so one
@@ -55,16 +54,15 @@ const latentMaxSlack = 2 * time.Millisecond
 // direction's sending side in its own NewWAN with that direction's rate —
 // Latent only ever delays Send, so the uplink and downlink profiles never
 // interfere. bytesPerSec <= 0 keeps a pure per-frame stall: the LAN model.
-// The link's delivery goroutine runs until Close.
 func NewWAN(inner Conn, stall time.Duration, bytesPerSec int64) *Latent {
 	l := &Latent{inner: inner, stall: stall, bps: bytesPerSec,
-		q: make(chan latentFrame, 1), closing: make(chan struct{}), done: make(chan struct{})}
+		q: make(chan latentFrame, 16), closing: make(chan struct{})} // 16 bounds a stall-free link
 	go l.deliver()
 	return l
 }
 
-// Send implements Conn. It borrows m's payload. A failed delivery of an
-// earlier frame is returned here, as a socket reports it on the next write.
+// Send implements Conn; it borrows m's payload. A failed delivery surfaces
+// on the next Send, as on a socket's next write; one after the last is lost.
 func (l *Latent) Send(m Message) error {
 	if len(m.Payload) > MaxPayload {
 		return errors.New("transport: payload too large")
@@ -77,12 +75,24 @@ func (l *Latent) Send(m Message) error {
 		return ErrClosed
 	default:
 	}
-	f := latentFrame{m: m, sent: time.Now()}
+	occupy := l.stall
+	if l.bps > 0 {
+		occupy += time.Duration(int64(m.FrameSize()) * int64(time.Second) / l.bps)
+	}
+	l.mu.Lock()
+	now := time.Now()
+	behind := max(l.tail.Sub(now), 0)
+	l.tail = now.Add(behind + occupy)
+	f := latentFrame{m: m, due: l.tail}
+	l.mu.Unlock()
 	if len(m.Payload) > 0 {
 		f.m.Payload = GetBuf(len(m.Payload))
 		copy(f.m.Payload, m.Payload)
 	} else if m.Payload != nil {
-		f.m.Payload = []byte{} // not the caller's buffer: deliver releases it
+		f.m.Payload = []byte{} // not the caller's: a pipe passes it on as is
+	}
+	if behind > latentBuffer {
+		time.Sleep(behind - latentBuffer)
 	}
 	select {
 	case l.q <- f:
@@ -93,47 +103,23 @@ func (l *Latent) Send(m Message) error {
 	}
 }
 
-// deliver is the link: it hands each queued frame to the inner Conn when
-// due, until Close. A timer fires late by the platform's granularity — about
-// a millisecond on an idle Linux box, never in a synctest bubble — so the
-// link sets its timer that much early, slack tracking how late its timers
-// fire, and yields the processor for the last stretch. In a bubble slack
-// stays zero, the timer fires exactly when due, and nothing spins.
+// deliver is the link: it hands each queued frame to the inner Conn when due,
+// and once Close is called, what is still queued, then closes the inner Conn.
 func (l *Latent) deliver() {
-	defer close(l.done)
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	var due time.Time
-	var slack time.Duration
 	for {
 		var f latentFrame
 		select {
 		case f = <-l.q:
 		case <-l.closing:
-			return
-		}
-		occupy := l.stall
-		if l.bps > 0 {
-			occupy += time.Duration(int64(f.m.FrameSize()) * int64(time.Second) / l.bps)
-		}
-		if due.Before(f.sent) {
-			due = f.sent
-		}
-		due = due.Add(occupy)
-		if wait := time.Until(due); wait > slack {
-			timer.Reset(wait - slack)
 			select {
-			case <-timer.C:
-			case <-l.closing:
-				PutBuf(f.m.Payload)
+			case f = <-l.q: // sent before Close
+			default:
+				l.inner.Close()
 				return
 			}
-			late := max(time.Since(due.Add(-slack)), 0)
-			slack = min(slack+(late-slack)/8, latentMaxSlack)
 		}
-		for time.Now().Before(due) {
-			runtime.Gosched()
-		}
+		spinUntil(f.due)
+		time.Sleep(time.Until(f.due))
 		if l.err.Load() == nil {
 			var err error
 			if pipe, ok := l.inner.(*pipeConn); ok {
@@ -151,15 +137,29 @@ func (l *Latent) deliver() {
 	}
 }
 
+// spinUntil sleeps to within a millisecond of due, then yields the processor
+// until due: a timer fires up to a millisecond late on an idle host, which
+// would add a millisecond to every hop of a request/reply exchange. In a
+// synctest bubble the clock stands still across a yield, so it stops at once
+// and the caller's exact sleep does the rest.
+func spinUntil(due time.Time) {
+	if wait := time.Until(due); wait > time.Millisecond {
+		time.Sleep(wait - time.Millisecond)
+	}
+	for prev, now := (time.Time{}), time.Now(); now.Before(due) && !now.Equal(prev); prev, now = now, time.Now() {
+		runtime.Gosched()
+	}
+}
+
 // Recv implements Conn.
 func (l *Latent) Recv() (Message, error) { return l.inner.Recv() }
 
-// Close implements Conn. It cuts the link: frames still queued are dropped,
-// as a reset connection drops what it had not sent, and the delivery
-// goroutine has exited when Close returns.
+// Close implements Conn. Like closing a socket it returns at once: frames
+// already sent still reach the peer when due, then the inner Conn closes and
+// the delivery goroutine exits. It does not wait for that: a frame may wait
+// on a peer that has stopped reading until the peer's own Close, which a
+// runner hanging up both ends makes next.
 func (l *Latent) Close() error {
 	l.once.Do(func() { close(l.closing) })
-	err := l.inner.Close()
-	<-l.done
-	return err
+	return nil
 }

@@ -11,7 +11,7 @@ import (
 // TestLatentVirtualExact: in a synctest bubble the link charges every frame
 // exactly. One frame arrives stall + FrameSize/rate after it was sent;
 // back-to-back frames arrive their summed occupancy after the first was sent,
-// however small each frame's share.
+// however small each frame's share, from one sender or several at once.
 func TestLatentVirtualExact(t *testing.T) {
 	const (
 		stall = 40 * time.Microsecond
@@ -58,12 +58,37 @@ func TestLatentVirtualExact(t *testing.T) {
 		if got := time.Since(start); got != want {
 			t.Errorf("%d back-to-back frames took %v, want %v", len(frames), got, want)
 		}
+
+		// Four senders at once, each well past the queue and the link's
+		// buffer: the link serialises them, so the last frame arrives the
+		// sum of every occupancy after the first was sent.
+		const senders, each = 4, 40
+		start = time.Now()
+		for range senders {
+			go func() {
+				for i := range each {
+					if err := l.Send(Message{Type: MsgBlockData, Arg: uint64(i), Payload: make([]byte, 4096)}); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		for range senders * each {
+			if _, err := b.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want = senders * each * occupancy(frames[0])
+		if got := time.Since(start); got != want {
+			t.Errorf("%d frames from %d senders took %v, want %v", senders*each, senders, got, want)
+		}
 	})
 }
 
 // TestLatentVirtualBorrowsAndCloses: Send returns before the frame is due
-// and may reuse its payload at once; Close drops what is still queued and
-// stops the link's goroutine, which synctest.Run waits for.
+// and may reuse its payload at once; Close returns at once too, and the frame
+// still queued reaches the peer when due, ahead of the close. The link's
+// goroutine then exits, which synctest.Run waits for.
 func TestLatentVirtualBorrowsAndCloses(t *testing.T) {
 	synctest.Run(func() {
 		a, b := NewPipe(64)
@@ -81,12 +106,26 @@ func TestLatentVirtualBorrowsAndCloses(t *testing.T) {
 		if err != nil || string(m.Payload) != "abc" {
 			t.Errorf("received %q, %v; want the bytes as sent", m.Payload, err)
 		}
-		if err := l.Send(Message{Type: MsgIterEnd}); err != nil {
+		start = time.Now()
+		if err := l.Send(Message{Type: MsgError, Payload: []byte("disk full")}); err != nil {
 			t.Fatal(err)
 		}
 		l.Close()
+		if time.Since(start) != 0 {
+			t.Error("Close waited for the link")
+		}
 		if err := l.Send(Message{Type: MsgIterEnd}); err != ErrClosed {
 			t.Errorf("Send after Close: %v", err)
+		}
+		m, err = b.Recv()
+		if err != nil || m.Type != MsgError || string(m.Payload) != "disk full" {
+			t.Errorf("after Close the peer received %v %q, %v; want the queued ERROR", m.Type, m.Payload, err)
+		}
+		if got := time.Since(start); got != time.Second {
+			t.Errorf("the queued frame arrived after %v, want its 1s on the link", got)
+		}
+		if _, err := b.Recv(); err != ErrClosed {
+			t.Errorf("peer Recv after the queued frame: %v, want ErrClosed", err)
 		}
 		b.Close()
 	})

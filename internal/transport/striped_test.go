@@ -487,6 +487,27 @@ func ExampleStriped() {
 	// Output: BLOCK_DATA ITER_END
 }
 
+// TestLatentCloseDeliversQueued: a frame sent just before Close still
+// reaches the peer, ahead of the close — the engine's failure path sends its
+// ERROR and hangs up at once, and the peer must read the cause, not a closed
+// connection.
+func TestLatentCloseDeliversQueued(t *testing.T) {
+	a, b := NewPipe(64)
+	l := NewWAN(a, 40*time.Microsecond, 125e6)
+	defer b.Close()
+	if err := l.Send(Message{Type: MsgError, Payload: []byte("disk full")}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	m, err := b.Recv()
+	if err != nil || m.Type != MsgError || string(m.Payload) != "disk full" {
+		t.Fatalf("peer received %v %q, %v; want the ERROR sent before Close", m.Type, m.Payload, err)
+	}
+	if _, err := b.Recv(); err != ErrClosed {
+		t.Fatalf("peer Recv after the ERROR: %v, want ErrClosed", err)
+	}
+}
+
 func TestLatentAccountsLinkTime(t *testing.T) {
 	a, b := NewPipe(64)
 	const stall = 2 * time.Millisecond
