@@ -34,17 +34,17 @@ const (
 // cross-machine throughput gate. The fleet rows pin what the cluster's
 // trough rule buys; bursty must not fall below doing nothing. Counts that
 // repeat exactly are held to 2 % whatever -max-regress says: the MemDelta
-// counts and the frames a live migration's freeze window carries (in-order
-// send path; delta_pages may move neither way); wire_share, the idle
-// migrations' wire bytes per logical byte (a change that stops eliding zero
-// extents fails it); hashes_per_block, the SHA-256 calls a dedup
-// destination's index makes per block; writes_per_frame, the socket writes
-// per data frame of a TCP row (a change that stops staging fails it);
-// dev_calls_per_block and read_share, the device requests per block of a TCP
-// or device row and the source blocks it read (a change that goes back to a
-// request per block, or reads the holes it can name, fails them); and the
-// blocks of a WAN row whose patch was refused. (A move is measured
-// against max(base, 1), so on a ratio 2 % is two hundredths.)
+// counts, the frames a live migration's freeze window carries and the bytes a
+// TCP row's idle one does (in-order send path; delta_pages may move neither
+// way); wire_share, the idle migrations' wire bytes per logical byte (a change
+// that stops eliding zero extents fails it); hashes_per_block, the SHA-256
+// calls a dedup destination's index makes per block; writes_per_frame, the
+// socket writes per data frame of a TCP row (a change that stops staging fails
+// it); dev_calls_per_block and read_share, the device requests per block of a
+// TCP or device row and the source blocks it read (a change that goes back to
+// a request per block, or reads the holes it can name, fails them); and the
+// blocks of a WAN row whose patch was refused. (A move is measured against
+// max(base, 1), so on a ratio 2 % is two hundredths.)
 var gates = []struct {
 	prefix, field string
 	better        better
@@ -63,6 +63,7 @@ var gates = []struct {
 	{"MigrateTCP/", "writes_per_frame", lower, 2},
 	{"MigrateTCP/", "dev_calls_per_block", lower, 2},
 	{"MigrateTCP/", "read_share", lower, 2},
+	{"MigrateTCP/", "freeze_bytes", lower, 2},
 	{"MigrateDev/", "dev_calls_per_block", lower, 2},
 	{"MigrateWAN/", "allocs_per_op", lower, 0},
 	{"MigrateWAN/", "bytes_per_op", lower, 0},

@@ -347,7 +347,8 @@ func (d counted) AllocatedBitmap() *bitmap.Bitmap {
 // the wire bytes per logical byte (disk and memory), a count no machine
 // moves. Over TCP it also reports writes_per_frame: the writes both ends'
 // streams issued per data frame sent, the syscalls staging saves. The timed
-// migrations run bare devices; one more, untimed, reports devCounts.report.
+// migrations run bare devices; one more, untimed, reports devCounts.report
+// and the idle guest's freeze_bytes (a freezeMeter's link does not stage).
 func imageMigrate(b *testing.B, ln link, srcDisk *blockdev.MemDisk, cfg core.Config) {
 	n := srcDisk.NumBlocks()
 	var share float64
@@ -364,9 +365,11 @@ func imageMigrate(b *testing.B, ln link, srcDisk *blockdev.MemDisk, cfg core.Con
 	if writes, frames := transport.StreamWrites(); ln.tcp {
 		b.ReportMetric(float64(writes-writes0)/float64(frames-frames0), "writes_per_frame")
 	}
-	var counts devCounts
-	newWorld(counted{srcDisk, &counts, true}, counted{blockdev.NewMemDisk(n, blockdev.BlockSize), &counts, false}, 64).migrate(b, ln, cfg, cfg, nil, nil)
+	counts, fm := devCounts{}, freezeMeter{}
+	cfg.OnFreeze, cfg.OnResume = fm.frozen, func(*blkback.PostCopyGate) { fm.resumed() }
+	newWorld(counted{srcDisk, &counts, true}, counted{blockdev.NewMemDisk(n, blockdev.BlockSize), &counts, false}, 64).migrate(b, ln, cfg, cfg, nil, fm.wrap)
 	counts.report(b, n)
+	b.ReportMetric(float64(fm.bytes), "freeze_bytes")
 }
 
 // perBlock hides a device's extent methods: the engine's helpers fall back

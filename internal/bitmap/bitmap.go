@@ -13,10 +13,9 @@
 //     backend driver which records writes while the migration engine scans.
 //
 // On the wire and on disk a Bitmap is not always dense: MarshalBinary (see
-// codec.go) writes a self-describing encoding that is the paper's dense form
-// for small or busy bitmaps and a run-length form when that saves at least
-// one block, so what crosses the link in the freeze window follows the dirty
-// set, not the disk size.
+// codec.go) writes a self-describing encoding, whichever is shorter of the
+// paper's dense form and a run-length form, so what crosses the link in the
+// freeze window follows the dirty set, not the disk size.
 package bitmap
 
 import (

@@ -34,29 +34,21 @@ const (
 	// ask for 128 GiB of words. 2^32 bits is a 16 TiB disk of 4 KiB blocks;
 	// every decoder that knows its device uses UnmarshalSized instead.
 	maxUnsizedRunBits = 1 << 32
-
-	// compactSaving is the encoder's one rule: the runs form is emitted only
-	// when it is at least this much shorter than the dense form — one 4 KiB
-	// block's worth of wire. A disk whose dense bitmap is smaller than that
-	// therefore always gets the dense form.
-	compactSaving = 4096
 )
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 func (b *Bitmap) denseLen() int { return marshalHeader + 8*len(b.words) }
 
-// runsBudget returns the longest runs form compactSaving lets the encoder
-// emit, and how many runs the bitmap has — or ok == false when it has more
-// than any runs form within that budget could hold. A pair is at least two
-// bytes and run starts can be counted a word at a time (a set bit whose
-// predecessor is clear), so a dense bitmap is refused after a fraction of
-// one pass over its words, before any extent is walked.
+// runsBudget returns the longest runs form the encoder may emit — one byte
+// shorter than the dense form, which wins a tie — and how many runs the
+// bitmap has, or ok == false when it has more than a runs form that short
+// could hold. A pair is at least two bytes and run starts can be counted a
+// word at a time (a set bit whose predecessor is clear), so a dense bitmap
+// is refused after a fraction of one pass over its words, before any extent
+// is walked.
 func (b *Bitmap) runsBudget() (limit, runs int, ok bool) {
-	limit = b.denseLen() - compactSaving
-	if limit < marshalHeader {
-		return 0, 0, false
-	}
+	limit = b.denseLen() - 1
 	maxRuns := (limit - marshalHeader) / 2
 	carry := uint64(0)
 	for _, w := range b.words {
@@ -100,14 +92,16 @@ func (b *Bitmap) EncodedLen() int {
 	return b.denseLen()
 }
 
-// MarshalBinary serializes the bitmap in whichever form compactSaving
-// selects. Every path a bitmap travels uses this encoding: the freeze-and-
-// copy phase's MsgBitmap (§IV-A-3), the session-ack cursors, the journal's
-// pending set, vault peer entries and SaveFile.
+// MarshalBinary serializes the bitmap in its shorter form: runs when that is
+// strictly shorter than dense, dense otherwise. Every path a bitmap travels
+// uses this encoding: the freeze-and-copy phase's MsgBitmap (§IV-A-3), the
+// session-ack cursors, the journal's pending set, vault peer entries and
+// SaveFile.
 func (b *Bitmap) MarshalBinary() ([]byte, error) {
 	if limit, runs, ok := b.runsBudget(); ok {
-		// Neither uvarint of a pair can be longer than the bit count's.
-		out := make([]byte, marshalHeader, min(limit, marshalHeader+2*runs*uvarintLen(uint64(b.n))))
+		// Neither uvarint of a pair can be longer than the bit count's, and
+		// no runs form worth building is longer than dense.
+		out := make([]byte, marshalHeader, min(b.denseLen(), marshalHeader+2*runs*uvarintLen(uint64(b.n))))
 		binary.LittleEndian.PutUint64(out, uint64(b.n)|tagRuns<<tagShift)
 		b.forEachPair(func(gap, run uint64) bool {
 			out = binary.AppendUvarint(binary.AppendUvarint(out, gap), run)

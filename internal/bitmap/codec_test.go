@@ -66,14 +66,32 @@ func randomHalf(n int, rng *rand.Rand) *Bitmap {
 	return b
 }
 
-// TestMarshalFormsProperty: over densities and sizes straddling the word
-// and one-block boundaries, a bitmap round-trips, never marshals longer
-// than its dense form, and takes the runs form exactly when that saves a
-// block's worth of wire — so a disk whose dense bitmap is under 4 KiB always
-// gets the seed's bytes.
+// runsOfLen returns a bitmap of n bits whose runs form has a body of
+// exactly body bytes, or nil when n is too short to hold one. Isolated bits
+// cost a two-byte pair each; an odd body starts with a bit at 128, whose gap
+// takes two bytes.
+func runsOfLen(n, body int) *Bitmap {
+	first, k := 0, body/2
+	if body%2 == 1 {
+		first, k = 128, (body-1)/2
+	}
+	if k == 0 || first+2*(k-1) >= n {
+		return nil
+	}
+	b := New(n)
+	for i := 0; i < k; i++ {
+		b.Set(first + 2*i)
+	}
+	return b
+}
+
+// TestMarshalFormsProperty: over densities and sizes from empty to a
+// million bits, word boundaries included, a bitmap round-trips, never
+// marshals longer than its dense form, and takes the runs form exactly when
+// that is strictly shorter — a tie goes to dense.
 func TestMarshalFormsProperty(t *testing.T) {
-	sizes := []int{0, 1, 63, 64, 65, 1000, 16384,
-		8*4096 - 64, 8*4096 - 1, 8 * 4096, 8*4096 + 1, 8*4096 + 64, 8*4096 + 128, // dense body around one block
+	sizes := []int{0, 1, 63, 64, 65, 200, 1000, 16384,
+		8*4096 - 64, 8*4096 - 1, 8 * 4096, 8*4096 + 1, 8*4096 + 64, 8*4096 + 128,
 		2 * 8 * 4096, 100_000, 1_000_003}
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range sizes {
@@ -87,15 +105,17 @@ func TestMarshalFormsProperty(t *testing.T) {
 			fixtures["one-bit"] = one
 			fixtures["web-sparse"] = webLaid(n, n/700+1, rng)
 			fixtures["half"] = randomHalf(n, rng)
-			// Isolated bits cost two bytes each: few, then exactly enough to
-			// save one block, then one too many.
-			for _, k := range []int{n / 64, n/16 - 2048, n/16 - 2047} {
-				if k > 0 && 2*k <= n {
-					alt := New(n)
-					for i := 0; i < k; i++ {
-						alt.Set(2 * i)
+			if k := n / 64; k > 0 {
+				fixtures["alternating"] = runsOfLen(n, 2*k)
+			}
+			// A runs form one byte shorter than dense, as long, one longer.
+			dense := 8 * ((n + 63) / 64)
+			for d := -1; d <= 1; d++ {
+				if b := runsOfLen(n, dense+d); b != nil {
+					if got := len(refRuns(b)) - marshalHeader; got != dense+d {
+						t.Fatalf("n=%d: runsOfLen(%d) has a %d-byte body", n, dense+d, got)
 					}
-					fixtures[fmt.Sprintf("alternating-%d", k)] = alt
+					fixtures[fmt.Sprintf("runs=dense%+d", d)] = b
 				}
 			}
 		}
@@ -107,7 +127,7 @@ func TestMarshalFormsProperty(t *testing.T) {
 			}
 			dense, runs := refDense(b), refRuns(b)
 			want := dense
-			if len(dense)-len(runs) >= 4096 {
+			if len(runs) < len(dense) {
 				want = runs
 			}
 			if !bytes.Equal(data, want) {
@@ -255,7 +275,11 @@ func TestUnmarshalSizedRefusesBeforeAllocating(t *testing.T) {
 // decoded to.
 func FuzzBitmapUnmarshal(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
-	for _, b := range []*Bitmap{New(0), New(200), NewAllSet(129), webLaid(70_000, 90, rng), randomHalf(500, rng)} {
+	seeds := []*Bitmap{New(0), New(200), NewAllSet(129), webLaid(70_000, 90, rng), randomHalf(500, rng)}
+	for d := -1; d <= 1; d++ { // the encoder's boundary: runs one byte shorter than dense, as long, longer
+		seeds = append(seeds, runsOfLen(1000, 8*16+d))
+	}
+	for _, b := range seeds {
 		f.Add(refDense(b))
 		f.Add(refRuns(b))
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -16,10 +17,11 @@ import (
 	"bbmig/internal/workload"
 )
 
-// These tests hold the engine to the bitmap wire encoding (WIRE.md §4) at
-// the disk sizes where the runs form is chosen — the golden traces and the
-// rest of the suite run on 2 048-block disks, which always get the dense
-// form — and every decode site to the size of the device behind it.
+// These tests hold the engine to the bitmap wire encoding (WIRE.md §4), the
+// shorter of its two forms at every disk size, at paper scale and on disks
+// large enough for a non-empty set to travel in the runs form; every decode
+// site to the size of the device behind it; and the sets written dense for
+// small disks before the encoder took the shorter form at every size.
 
 const runsTag = 1 // top byte of a runs-form bitmap header
 
@@ -463,5 +465,68 @@ func TestVaultRefusesAnotherDisksSets(t *testing.T) {
 	forged = append(append(forged, "alpha"...), lie...)
 	if _, err := UnmarshalVault(forged, testBlocks); err == nil {
 		t.Fatal("vault with a terabit peer set accepted")
+	}
+}
+
+// seedDense is a bitmap's dense form, the only one the encoder produced for
+// a disk of up to 32 768 blocks before it took the shorter form at every
+// size: the bit count, then the words.
+func seedDense(bm *bitmap.Bitmap) []byte {
+	words := make([]uint64, (bm.Len()+63)/64)
+	bm.ForEachSet(func(i int) bool {
+		words[i/64] |= 1 << (i % 64)
+		return true
+	})
+	out := binary.LittleEndian.AppendUint64(nil, uint64(bm.Len()))
+	for _, w := range words {
+		out = binary.LittleEndian.AppendUint64(out, w)
+	}
+	return out
+}
+
+// TestDenseJournalStillResumes: a journal whose pending set was written
+// dense for a small disk still loads — the sized decoder takes both forms at
+// any size — and a cold resume from it re-sends exactly that set.
+func TestDenseJournalStillResumes(t *testing.T) {
+	pending := bitmap.New(testBlocks)
+	for _, n := range []int{0, 1, 2, 3, 64, 65, 66, 500, 501, 777, 1024, 2047} {
+		pending.Set(n)
+	}
+	dense := seedDense(pending)
+	if now, _ := pending.MarshalBinary(); len(now) >= len(dense) {
+		t.Fatalf("the set marshals to %d bytes today, not shorter than its %d-byte dense form", len(now), len(dense))
+	}
+	head, err := marshalJournal(JournalState{Phase: PhaseDiskPreCopy, Iter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append(head[:journalHeaderLen:journalHeaderLen], dense...)
+	binary.LittleEndian.PutUint32(old[32:], uint32(len(dense)))
+	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+	path := filepath.Join(t.TempDir(), "j.bin")
+	if err := writeRaw(t, path, old); err != nil {
+		t.Fatal(err)
+	}
+	st, err := LoadJournal(path, testBlocks)
+	if err != nil || !st.Pending.Equal(pending) {
+		t.Fatalf("dense journal: %v, pending %v", err, st.Pending)
+	}
+
+	w := newWorld(t)
+	tap := &frameTap{Conn: w.connSrc}
+	w.connSrc = tap
+	w.incremental(Config{}, Config{}, st.Pending)
+	sent := bitmap.New(testBlocks)
+	for _, fr := range tap.frames {
+		switch fr.typ {
+		case transport.MsgMemPage, transport.MsgMemPageDelta, transport.MsgMemPages:
+		default:
+			if fr.n > 0 {
+				sent.SetRange(fr.start, fr.start+fr.n)
+			}
+		}
+	}
+	if !sent.Equal(pending) {
+		t.Fatalf("resume sent blocks %v, the journal owed %v", sent, pending)
 	}
 }

@@ -33,14 +33,65 @@ func virtualLink(src, dst transport.Conn) (transport.Conn, transport.Conn) {
 	return transport.NewWAN(src, virtualStall, virtualRate), transport.NewWAN(dst, virtualStall, virtualRate)
 }
 
+// tappedLink makes modelled links with a frameTap on each sending side and
+// keeps the taps of the newest one: the link of the migration a row reports.
+type tappedLink struct{ src, dst *frameTap }
+
+func (l *tappedLink) link(src, dst transport.Conn) (transport.Conn, transport.Conn) {
+	s, d := virtualLink(src, dst)
+	l.src, l.dst = &frameTap{Conn: s}, &frameTap{Conn: d}
+	return l.src, l.dst
+}
+
+// freezeRow attributes the freeze window of the newest link to its parts, as
+// frames/wire bytes: the final memory pages, the CPU state, the bitmap, and
+// the control frames — the source's SUSPEND and RESUME and the
+// destination's RESUMED, which ends the downtime.
+func (l *tappedLink) freezeRow() string {
+	const pages, cpu, bm, control = 0, 1, 2, 3
+	var frames, bytes [4]int
+	add := func(part int, fr sentFrame) { frames[part]++; bytes[part] += fr.size }
+	l.src.mu.Lock()
+	defer l.src.mu.Unlock()
+	l.dst.mu.Lock()
+	defer l.dst.mu.Unlock()
+	open := false
+	for _, fr := range l.src.frames {
+		open = open || fr.typ == transport.MsgSuspend
+		if !open {
+			continue
+		}
+		switch fr.typ {
+		case transport.MsgMemPage, transport.MsgMemPageDelta, transport.MsgMemPages:
+			add(pages, fr)
+		case transport.MsgCPUState:
+			add(cpu, fr)
+		case transport.MsgBitmap:
+			add(bm, fr)
+		default:
+			add(control, fr)
+		}
+		if fr.typ == transport.MsgResume {
+			break
+		}
+	}
+	for _, fr := range l.dst.frames {
+		if fr.typ == transport.MsgResumed {
+			add(control, fr)
+		}
+	}
+	return fmt.Sprintf("  freeze frames/bytes: pages=%d/%d cpu=%d/%d bitmap=%d/%d control=%d/%d\n",
+		frames[pages], bytes[pages], frames[cpu], bytes[cpu], frames[bm], bytes[bm], frames[control], bytes[control])
+}
+
 // virtualPair is runPair in a synctest bubble: it builds a world from sp
-// over transport.NewPipe and a transport.NewWAN each way — inside the bubble,
-// which the link's goroutines and the pipes must belong to — and hands it to
-// run, whose migrations go through the world's runner as usual. The result
-// leaves the bubble through a channel once every goroutine in it has exited.
+// over transport.NewPipe and the modelled link sp.link puts on each way —
+// inside the bubble, which the link's goroutines and the pipes must belong
+// to — and hands it to run, whose migrations go through the world's runner
+// as usual. The result leaves the bubble through a channel once every
+// goroutine in it has exited.
 func virtualPair[R any](t *testing.T, sp worldSpec, run func(w *world) R) R {
 	t.Helper()
-	sp.link = virtualLink
 	out := make(chan R, 1)
 	synctest.Run(func() { out <- run(newWorld(t, sp)) })
 	return <-out
@@ -83,8 +134,8 @@ func pacedGuest(t *testing.T, w *world, src Config) Config {
 
 // imBack migrates w there and back: a TPM, then the guest rewrites every
 // 17th block on the destination, behind the post-copy gate, and IM carries
-// those writes home over a fresh link.
-func imBack(t *testing.T, w *world, cfg Config) *metrics.Report {
+// those writes home over a fresh modelled link made by link.
+func imBack(t *testing.T, w *world, cfg Config, link func(src, dst transport.Conn) (transport.Conn, transport.Conn)) *metrics.Report {
 	_, res := w.tpm(cfg, cfg, nil)
 	block := make([]byte, blockdev.BlockSize)
 	for n := 0; n < testBlocks; n += 17 {
@@ -93,19 +144,21 @@ func imBack(t *testing.T, w *world, cfg Config) *metrics.Report {
 			t.Fatal(err)
 		}
 	}
-	rep, _ := w.reverse(worldSpec{link: virtualLink}).tpm(cfg, cfg, res.Gate.FreshBitmap())
+	rep, _ := w.reverse(worldSpec{link: link}).tpm(cfg, cfg, res.Gate.FreshBitmap())
 	return rep
 }
 
 // TestVirtualGolden records {idle TPM, TPM under a paced guest, IM back} ×
 // MaxExtentBlocks {1, 64} on the modelled link in testdata/virtual.golden:
-// migration time, downtime, per-iteration units, bytes and time, and wire
-// bytes, to the nanosecond and the byte. A diff is a change to what the
-// engine costs on a link; -update-golden rewrites it.
+// migration time, downtime, per-iteration units, bytes and time, wire bytes,
+// and the freeze window's frames and bytes by part, to the nanosecond and
+// the byte. A diff is a change to what the engine costs on a link;
+// -update-golden rewrites it.
 func TestVirtualGolden(t *testing.T) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# modelled link: %v stall + %d B/s each way\n", virtualStall, int64(virtualRate))
 	idle := map[int]time.Duration{}
+	var taps tappedLink
 	for _, extent := range []int{1, 64} {
 		cfg := Config{MaxExtentBlocks: extent}
 		rows := []struct {
@@ -120,10 +173,10 @@ func TestVirtualGolden(t *testing.T) {
 				rep, _ := w.tpm(pacedGuest(t, w, cfg), cfg, nil)
 				return rep
 			}},
-			{"im-back", func(w *world) *metrics.Report { return imBack(t, w, cfg) }},
+			{"im-back", func(w *world) *metrics.Report { return imBack(t, w, cfg, taps.link) }},
 		}
 		for _, row := range rows {
-			rep := virtualPair(t, worldSpec{}, row.run)
+			rep := virtualPair(t, worldSpec{link: taps.link}, row.run)
 			if rep.Downtime <= 0 {
 				t.Errorf("%s at extent %d: downtime %v, want the freeze's frames charged", row.name, extent, rep.Downtime)
 			}
@@ -131,6 +184,7 @@ func TestVirtualGolden(t *testing.T) {
 				idle[extent] = rep.TotalTime
 			}
 			b.WriteString(virtualRow(fmt.Sprintf("%s extent=%d", row.name, extent), rep))
+			b.WriteString(taps.freezeRow())
 		}
 	}
 	// The modelled-link claim of TestExtentsBeatPerBlockOnModeledLink, exact.

@@ -128,16 +128,24 @@ func runTracedIM(t *testing.T, w *world, src, dst Config) {
 	for _, n := range []int{0, 1, 2, 3, 64, 65, 66, 500, 501, 777, 1024, 2047} {
 		initial.Set(n)
 	}
+	w.incremental(src, dst, initial)
+}
+
+// incremental gives the destination the source's image but for the blocks
+// of initial, then migrates incrementally from initial, as a cold resume
+// does: seeded into the backend's dirty log and swapped out of it.
+func (w *world) incremental(src, dst Config, initial *bitmap.Bitmap) {
+	w.t.Helper()
 	buf := make([]byte, blockdev.BlockSize)
-	for n := 0; n < testBlocks; n++ {
+	for n := 0; n < w.srcDisk.NumBlocks(); n++ {
 		if initial.Test(n) {
 			continue
 		}
 		if err := w.srcDisk.ReadBlock(n, buf); err != nil {
-			t.Fatal(err)
+			w.t.Fatal(err)
 		}
 		if err := w.dstDisk.WriteBlock(n, buf); err != nil {
-			t.Fatal(err)
+			w.t.Fatal(err)
 		}
 	}
 	w.src.Backend.SeedDirty(initial)
