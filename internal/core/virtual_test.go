@@ -148,8 +148,46 @@ func imBack(t *testing.T, w *world, cfg Config, link func(src, dst transport.Con
 	return rep
 }
 
+// deltaBack migrates w there and back with delta negotiated on the way home:
+// a TPM, then a hot-head rewrite of every fourth block on the destination
+// (TestDeltaEquivalenceIM's shape), and IM at 16-block extents carries the
+// rewrites home as patches over a fresh modelled link made by link.
+func deltaBack(t *testing.T, w *world, link func(src, dst transport.Conn) (transport.Conn, transport.Conn)) *metrics.Report {
+	w.tpm(Config{}, Config{}, nil)
+	divergent := make([]int, 0, testBlocks/4)
+	for n := 0; n < testBlocks; n += 4 {
+		divergent = append(divergent, n)
+	}
+	fresh := hotRewrite(t, w.dstDisk, divergent, blockdev.BlockSize/16, 7)
+	cfg := Config{Delta: true, MaxExtentBlocks: 16}
+	rep, _ := w.reverse(worldSpec{link: link}).tpm(cfg, cfg, fresh)
+	return rep
+}
+
+// deltaRow attributes the newest link's delta traffic: the signature
+// exchange both ways and the patches, as frames/wire bytes.
+func (l *tappedLink) deltaRow() string {
+	var frames, bytes [2]int
+	for _, tap := range []*frameTap{l.src, l.dst} {
+		tap.mu.Lock()
+		for _, fr := range tap.frames {
+			switch fr.typ {
+			case transport.MsgDeltaSig:
+				frames[0]++
+				bytes[0] += fr.size
+			case transport.MsgDeltaPatch:
+				frames[1]++
+				bytes[1] += fr.size
+			}
+		}
+		tap.mu.Unlock()
+	}
+	return fmt.Sprintf("  delta frames/bytes: sig=%d/%d patch=%d/%d\n", frames[0], bytes[0], frames[1], bytes[1])
+}
+
 // TestVirtualGolden records {idle TPM, TPM under a paced guest, IM back} ×
-// MaxExtentBlocks {1, 64} on the modelled link in testdata/virtual.golden:
+// MaxExtentBlocks {1, 64}, and the delta return trip (deltaBack), on the
+// modelled link in testdata/virtual.golden:
 // migration time, downtime, per-iteration units, bytes and time, wire bytes,
 // and the freeze window's frames and bytes by part, to the nanosecond and
 // the byte. A diff is a change to what the engine costs on a link;
@@ -187,6 +225,10 @@ func TestVirtualGolden(t *testing.T) {
 			b.WriteString(taps.freezeRow())
 		}
 	}
+	rep := virtualPair(t, worldSpec{link: taps.link}, func(w *world) *metrics.Report { return deltaBack(t, w, taps.link) })
+	b.WriteString(virtualRow("delta-back extent=16", rep))
+	b.WriteString(taps.freezeRow())
+	b.WriteString(taps.deltaRow())
 	// The modelled-link claim of TestExtentsBeatPerBlockOnModeledLink, exact.
 	fmt.Fprintf(&b, "idle per-block/extents time ratio: %.6f\n", float64(idle[1])/float64(idle[64]))
 	if idle[64]*2 >= idle[1] {
