@@ -43,7 +43,8 @@ const (
 // it); dev_calls_per_block and read_share, the device requests per block of a
 // TCP or device row and the source blocks it read (a change that goes back to
 // a request per block, or reads the holes it can name, fails them); and the
-// blocks of a WAN row whose patch was refused. (A move is measured against
+// blocks of a WAN row whose patch was refused and its signature bytes per
+// rewritten block (a change that describes unchanged content again fails it). (A move is measured against
 // max(base, 1), so on a ratio 2 % is two hundredths.)
 var gates = []struct {
 	prefix, field string
@@ -68,6 +69,7 @@ var gates = []struct {
 	{"MigrateWAN/", "allocs_per_op", lower, 0},
 	{"MigrateWAN/", "bytes_per_op", lower, 0},
 	{"MigrateWAN/", "refused_blocks", lower, 2},
+	{"MigrateWAN/", "sig_bytes_per_block", lower, 2},
 	{"MigrateDedup/", "allocs_per_op", lower, 0},
 	{"MigrateDedup/", "bytes_per_op", lower, 0},
 	{"MigrateDedup/", "hashes_per_block", lower, 2},

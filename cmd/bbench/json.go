@@ -618,6 +618,8 @@ func tcpCpBaseline(b *testing.B) {
 // (stale) or nothing. Without delta the rewrites travel literal; with it as
 // patches against the stale copies, or, toward the empty disk, behind a
 // signature round trip per extent that cannot win: the protocol's floor.
+// One more migration, untimed, reports sig_bytes_per_block: the MsgDeltaSig
+// wire bytes both ways per rewritten block, a count no machine moves.
 func deltaMigrate(b *testing.B, delta, stale bool) {
 	hot, refused := blocks/8, 0
 	baseline := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
@@ -634,10 +636,7 @@ func deltaMigrate(b *testing.B, delta, stale bool) {
 		srcDisk.WriteBlock(n, buf)
 	}
 	cfg := core.Config{MaxExtentBlocks: 16, Delta: delta}
-	b.SetBytes(int64(hot) * blockdev.BlockSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	run := func(wrap func(src, dst transport.Conn) (transport.Conn, transport.Conn)) {
 		dstDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
 		for n := 0; stale && n < blocks; n++ {
 			baseline.ReadBlock(n, buf)
@@ -645,10 +644,35 @@ func deltaMigrate(b *testing.B, delta, stale bool) {
 		}
 		fresh := bitmap.New(blocks)
 		fresh.SetRange(0, hot)
-		rep, _ := newWorld(srcDisk, dstDisk, 64).migrate(b, wan, cfg, cfg, fresh, nil)
+		rep, _ := newWorld(srcDisk, dstDisk, 64).migrate(b, wan, cfg, cfg, fresh, wrap)
 		refused += rep.DeltaRefused
 	}
+	b.SetBytes(int64(hot) * blockdev.BlockSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(nil)
+	}
+	b.StopTimer()
 	b.ReportMetric(float64(refused)/float64(b.N), "refused_blocks")
+	var sig atomic.Int64
+	run(func(src, dst transport.Conn) (transport.Conn, transport.Conn) {
+		return sigMeter{src, &sig}, sigMeter{dst, &sig}
+	})
+	b.ReportMetric(float64(sig.Load())/float64(hot), "sig_bytes_per_block")
+}
+
+// sigMeter adds up the wire bytes of the MsgDeltaSig frames an end sends.
+type sigMeter struct {
+	transport.Conn
+	bytes *atomic.Int64
+}
+
+func (m sigMeter) Send(msg transport.Message) error {
+	if msg.Type == transport.MsgDeltaSig {
+		m.bytes.Add(int64(msg.FrameSize()))
+	}
+	return m.Conn.Send(msg)
 }
 
 // dedupMigrate runs TPM of a template-provisioned clone over modelled GbE:

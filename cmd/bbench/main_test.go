@@ -281,6 +281,30 @@ func TestCompareBenchWireShareGate(t *testing.T) {
 	}
 }
 
+// TestCompareBenchSigGate: sig_bytes_per_block is a count, held like
+// wire_share: a WAN row whose signature exchange grows back toward a record
+// per chunk fails, a thinner one passes.
+func TestCompareBenchSigGate(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := func(file string, sig float64) string {
+		path := filepath.Join(dir, file)
+		writeSnapshotV11(t, path, []benchResult{
+			{Name: "MigrateWAN/delta-back", MBPerSec: 90, AllocsPerOp: 480, Metrics: map[string]float64{"sig_bytes_per_block": sig}},
+		})
+		return path
+	}
+	base := snapshot("base.json", 134.2)
+	if err := compareBench(snapshot("same.json", 134.2), base, 25); err != nil {
+		t.Errorf("unchanged sig_bytes_per_block failed the gate: %v", err)
+	}
+	if err := compareBench(snapshot("less.json", 100), base, 25); err != nil {
+		t.Errorf("a thinner signature failed the gate: %v", err)
+	}
+	if err := compareBench(snapshot("unhinted.json", 386.1), base, 25); err == nil || !strings.Contains(err.Error(), "sig_bytes_per_block") {
+		t.Errorf("every chunk recorded again: gate said %v", err)
+	}
+}
+
 // TestCompareBenchHashGate: hashes_per_block is a count, held like
 // wire_share: a dedup destination whose index hashes more per block fails.
 func TestCompareBenchHashGate(t *testing.T) {

@@ -11,16 +11,16 @@ import (
 // This file is the engine half of delta-encoded transfer (Config.Delta), the
 // WAN path for content that diverged but stayed similar — the 11-35% hot-block
 // rewrites exact-match dedup cannot exploit. Per extent the source requests
-// the signature of the destination's current content (MsgDeltaSig, empty
-// payload), the destination answers with the marshaled chunk signature, and
-// the source ships a COPY/LITERAL patch (MsgDeltaPatch) or, when that is no
-// smaller, the literal. The destination checks every patch's SHA-256 trailer
-// before a byte lands; a refusal goes back (MsgDeltaPatch, empty payload) and
-// the source re-sends the extent literally before the pass's fence: degraded,
-// never wrong. The delta encoder sits directly above the literal in the extent
-// encoder chain and below dedup, so with Dedup also set it sees exactly the
-// runs the want-bitmap asked for. Memory pages, freeze-and-copy, and post-copy
-// pushes are never delta-encoded.
+// the signature of the destination's current content (MsgDeltaSig, carrying a
+// hint of the new content), the destination answers with the chunk signature
+// against it, and the source ships a COPY/LITERAL patch (MsgDeltaPatch) or,
+// when that is no smaller, the literal. The destination checks every patch's
+// SHA-256 trailer before a byte lands; a refusal goes back (MsgDeltaPatch,
+// empty payload) and the source re-sends the extent literally before the
+// pass's fence: degraded, never wrong. The delta encoder sits directly above
+// the literal in the extent encoder chain and below dedup, so with Dedup also
+// set it sees exactly the runs the want-bitmap asked for. Memory pages,
+// freeze-and-copy, and post-copy pushes are never delta-encoded.
 
 // deltaFenceArg is the MsgDeltaSig Arg bounding one delta send pass.
 // ExtentArg never produces 0 (a packed extent has count >= 1), so the value
@@ -35,7 +35,9 @@ func (t *transfer) deltaEncoder(next extentEncoder, limited bool) extentEncoder 
 	var differ delta.Differ // table and patch scratch, reused extent to extent
 	return func(ext bitmap.Extent, data []byte) (int64, error) {
 		arg := transport.ExtentArg(ext.Start, ext.Count)
-		req := transport.Message{Type: transport.MsgDeltaSig, Arg: arg}
+		hint := delta.AppendHint(transport.GetBuf(delta.HintLen(len(data)))[:0], data)
+		defer transport.PutBuf(hint) // send only borrows it
+		req := transport.Message{Type: transport.MsgDeltaSig, Arg: arg, Payload: hint}
 		if err := t.send(req, limited); err != nil {
 			return 0, err
 		}
@@ -110,8 +112,9 @@ func (t *transfer) deltaFence(limited bool) (int64, error) {
 // --- Destination side ---
 
 // handleDeltaSig answers one signature request from the destination's
-// current content. Runs under drainOn, so every earlier write is on the
-// device before its content is summarized.
+// current content, against the request's hint, which must cover the extent
+// exactly. Runs under drainOn, so every earlier write is on the device before
+// its content is summarized.
 func (d *destRun) handleDeltaSig(m transport.Message) error {
 	if m.Arg == deltaFenceArg {
 		// End-of-pass fence: by FIFO, every refusal this pass produced is
@@ -122,12 +125,16 @@ func (d *destRun) handleDeltaSig(m transport.Message) error {
 	if err != nil {
 		return err
 	}
+	if want := delta.HintLen(ext.Count * d.dev.BlockSize()); len(m.Payload) != want {
+		return fmt.Errorf("core: delta signature request for extent [%d,+%d): %d-byte hint, want %d",
+			ext.Start, ext.Count, len(m.Payload), want)
+	}
 	old, err := readPooled(d.dev, ext)
 	if err != nil {
 		return err
 	}
 	// The records are computed straight into the reply's pooled payload.
-	sig := delta.AppendSig(transport.GetBuf(delta.SigLen(len(old), d.cfg.DeltaChunk))[:0], old, d.cfg.DeltaChunk)
+	sig := delta.AppendSig(transport.GetBuf(delta.SigLen(len(old), d.cfg.DeltaChunk, 0))[:0], old, d.cfg.DeltaChunk, m.Payload)
 	transport.PutBuf(old)
 	defer transport.PutBuf(sig)
 	return d.destSend(transport.Message{Type: transport.MsgDeltaSig, Arg: m.Arg, Payload: sig})

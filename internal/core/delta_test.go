@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,12 +160,12 @@ func TestDeltaMismatchDegrades(t *testing.T) {
 
 // sigRewriter rewrites every chunk signature the destination sends: resign
 // gets the reply's payload, a copy it may change in place, and the content of
-// disk under the extent the reply answers.
+// disk under the extent the reply answers, and returns the payload to send.
 type sigRewriter struct {
 	transport.Conn
 	t      *testing.T
 	disk   blockdev.Device
-	resign func(sig, content []byte)
+	resign func(sig, content []byte) []byte
 }
 
 func (c sigRewriter) Send(m transport.Message) error {
@@ -176,8 +178,18 @@ func (c sigRewriter) Send(m transport.Message) error {
 				c.t.Error(err)
 			}
 		}
-		m.Payload = append([]byte(nil), m.Payload...)
-		c.resign(m.Payload, content)
+		m.Payload = c.resign(append([]byte(nil), m.Payload...), content)
+	}
+	return c.Conn.Send(m)
+}
+
+// hintStripper sends every signature request without its hint, as a source
+// that predates hints does.
+type hintStripper struct{ transport.Conn }
+
+func (c hintStripper) Send(m transport.Message) error {
+	if m.Type == transport.MsgDeltaSig {
+		m.Payload = nil
 	}
 	return c.Conn.Send(m)
 }
@@ -196,19 +208,32 @@ func (c patchCounter) Send(m transport.Message) error {
 	return c.Conn.Send(m)
 }
 
-// deltaReturnTrip runs the hot-rewrite return trip with delta on, every
-// signature the destination sends passed through resign with the content of
-// the trip's source disk (ofSource) or of its destination disk, and returns
-// the source's report and the blocks it sent as patches. The trip must
-// converge: both disks end byte-identical.
-func deltaReturnTrip(t *testing.T, resign func(sig, content []byte), ofSource bool) (*metrics.Report, int) {
+// sigMaskLen is the size of the equal mask of a signature over contentLen
+// bytes at chunk: one bit per full chunk.
+func sigMaskLen(contentLen, chunk int) int {
+	return (contentLen/chunk + 7) / 8
+}
+
+// divergedWorld is the hot-rewrite return trip's set-up: a TPM, then an
+// in-place rewrite of the head of every fourth block on the destination. It
+// returns the world and the rewritten blocks, the trip's fresh set.
+func divergedWorld(t *testing.T) (*world, *bitmap.Bitmap, int) {
 	w := newWorld(t)
 	w.tpm(Config{}, Config{}, nil)
 	divergent := make([]int, 0, testBlocks/4)
 	for n := 0; n < testBlocks; n += 4 {
 		divergent = append(divergent, n)
 	}
-	fresh := hotRewrite(t, w.dstDisk, divergent, blockdev.BlockSize/16, 7)
+	return w, hotRewrite(t, w.dstDisk, divergent, blockdev.BlockSize/16, 7), len(divergent)
+}
+
+// deltaReturnTrip runs the hot-rewrite return trip with delta on, every
+// signature the destination sends passed through resign with the content of
+// the trip's source disk (ofSource) or of its destination disk, and returns
+// the source's report and the blocks it sent as patches. The trip must
+// converge: both disks end byte-identical.
+func deltaReturnTrip(t *testing.T, resign func(sig, content []byte) []byte, ofSource bool) (*metrics.Report, int) {
+	w, fresh, divergent := divergedWorld(t)
 	var patched atomic.Int64
 	signed := w.srcDisk // the return trip's destination
 	if ofSource {
@@ -222,22 +247,31 @@ func deltaReturnTrip(t *testing.T, resign func(sig, content []byte), ofSource bo
 	if !bytes.Equal(diskImage(t, w.srcDisk), diskImage(t, w.dstDisk)) {
 		t.Fatal("the return trip left the disks different")
 	}
-	if sent := rep.DeltaBlocks + rep.DeltaRefused + rep.DeltaDeclined; sent != len(divergent) {
+	if sent := rep.DeltaBlocks + rep.DeltaRefused + rep.DeltaDeclined; sent != divergent {
 		t.Fatalf("delta accounts for %d blocks (%d patched, %d refused, %d declined), want the %d divergent",
-			sent, rep.DeltaBlocks, rep.DeltaRefused, rep.DeltaDeclined, len(divergent))
+			sent, rep.DeltaBlocks, rep.DeltaRefused, rep.DeltaDeclined, divergent)
 	}
 	return rep, int(patched.Load())
 }
 
 // TestDeltaForgedSignatureRefused is the collision a crafted guest could
-// build: every signature the destination sends describes the source's new
+// build: every chunk record the destination sends describes the source's new
 // content, not the destination's, so every patch is one COPY naming old
 // chunks that do not hold those bytes. The SHA-256 trailer refuses each one,
 // every refused extent goes again literally, and the source counts them.
 func TestDeltaForgedSignatureRefused(t *testing.T) {
-	forge := func(sig, content []byte) {
+	forge := func(sig, content []byte) []byte {
 		chunk := int(binary.LittleEndian.Uint32(sig))
-		copy(sig, delta.AppendSig(nil, content, chunk))
+		mask, full := sig[delta.SigHeaderLen:], len(content)/chunk
+		honest := delta.AppendSig(nil, content, chunk, nil) // every chunk recorded, in order
+		honest = honest[delta.SigHeaderLen+sigMaskLen(len(content), chunk):]
+		rec := mask[sigMaskLen(len(content), chunk):]
+		for i := 0; i*chunk < len(content); i++ {
+			if i >= full || mask[i/8]&(1<<(i%8)) == 0 {
+				rec = rec[copy(rec, honest[i*delta.RecordLen:][:delta.RecordLen]):]
+			}
+		}
+		return sig
 	}
 	rep, patched := deltaReturnTrip(t, forge, true)
 	if patched == 0 || rep.DeltaRefused != patched || rep.DeltaBlocks != 0 {
@@ -246,21 +280,96 @@ func TestDeltaForgedSignatureRefused(t *testing.T) {
 	}
 }
 
-// TestDeltaSHA256SignerFallsBack is a mixed-version pair: the destination
-// signs its chunks with the truncated SHA-256 strong hash the codec used
-// before CRC-32C ‖ CRC-32. No strong hash matches, so no patch is sent: every
-// extent is declined to a literal and the disks still end identical.
-func TestDeltaSHA256SignerFallsBack(t *testing.T) {
-	sha := func(sig, content []byte) {
+// TestDeltaAllEqualRefused is a destination whose reply marks every full
+// chunk equal, whatever the hint said: every patch is one COPY of the stale
+// extent, the trailer refuses each one, and each goes again literally.
+func TestDeltaAllEqualRefused(t *testing.T) {
+	allEqual := func(sig, content []byte) []byte {
 		chunk := int(binary.LittleEndian.Uint32(sig))
-		for i, off := 0, 0; off < len(content); i, off = i+1, off+chunk {
-			sum := sha256.Sum256(content[off:min(off+chunk, len(content))])
-			copy(sig[8+i*12+4:], sum[:8]) // the record is weak(4) | strong(8)
+		full := len(content) / chunk
+		out := append(sig[:delta.SigHeaderLen:delta.SigHeaderLen], make([]byte, sigMaskLen(len(content), chunk))...)
+		for i := 0; i < full; i++ {
+			out[delta.SigHeaderLen+i/8] |= 1 << (i % 8)
 		}
+		if tail := content[full*chunk:]; len(tail) > 0 { // a short chunk is always recorded
+			out = append(out, delta.AppendSig(nil, tail, chunk, nil)[delta.SigHeaderLen:]...)
+		}
+		return out
+	}
+	rep, patched := deltaReturnTrip(t, allEqual, false)
+	if patched == 0 || rep.DeltaRefused != patched || rep.DeltaBlocks != 0 {
+		t.Fatalf("%d blocks sent as patches, %d refused, %d landed as patches; want every patch refused",
+			patched, rep.DeltaRefused, rep.DeltaBlocks)
+	}
+}
+
+// TestDeltaSHA256SignerFallsBack is a mixed-version pair: the destination
+// hashes with the truncated SHA-256 strong hash the codec used before
+// CRC-32C ‖ CRC-32, so none of its units matches the hint (no chunk is marked
+// equal) and none of its chunk records matches either. No patch is sent:
+// every extent is declined to a literal and the disks still end identical.
+func TestDeltaSHA256SignerFallsBack(t *testing.T) {
+	sha := func(sig, content []byte) []byte {
+		chunk := int(binary.LittleEndian.Uint32(sig))
+		out := delta.AppendSig(nil, content, chunk, nil) // nothing marked, every chunk recorded
+		rec := out[delta.SigHeaderLen+sigMaskLen(len(content), chunk):]
+		for off := 0; off < len(content); off += chunk {
+			sum := sha256.Sum256(content[off:min(off+chunk, len(content))])
+			copy(rec[4:], sum[:8]) // the record is weak(4) | strong(8)
+			rec = rec[delta.RecordLen:]
+		}
+		return out
 	}
 	rep, patched := deltaReturnTrip(t, sha, false)
 	if patched != 0 || rep.DeltaBlocks != 0 || rep.DeltaRefused != 0 {
 		t.Fatalf("%d blocks sent as patches, %d landed, %d refused; want none", patched, rep.DeltaBlocks, rep.DeltaRefused)
+	}
+}
+
+// TestDeltaMixedPairFails pairs a hinting end with one that predates hints,
+// either way round: a source that sends no hint, and a destination that
+// replies in the layout without the equal mask. Neither can be read as the
+// other, so the migration fails, naming the delta signature, before any
+// block of the first extent is written: every rewritten block on the trip's
+// destination still holds its stale content.
+func TestDeltaMixedPairFails(t *testing.T) {
+	oldLayout := func(sig, content []byte) []byte {
+		chunk := int(binary.LittleEndian.Uint32(sig))
+		unhinted := delta.AppendSig(nil, content, chunk, nil)
+		return append(unhinted[:delta.SigHeaderLen], unhinted[delta.SigHeaderLen+sigMaskLen(len(content), chunk):]...)
+	}
+	cases := []struct {
+		name string
+		link func(w *world) func(s, d transport.Conn) (transport.Conn, transport.Conn)
+	}{
+		{"no-hint", func(*world) func(s, d transport.Conn) (transport.Conn, transport.Conn) {
+			return func(s, d transport.Conn) (transport.Conn, transport.Conn) { return hintStripper{s}, d }
+		}},
+		{"old-reply", func(w *world) func(s, d transport.Conn) (transport.Conn, transport.Conn) {
+			return func(s, d transport.Conn) (transport.Conn, transport.Conn) {
+				return s, sigRewriter{d, t, w.srcDisk, oldLayout}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w, fresh, _ := divergedWorld(t)
+			cfg := Config{Delta: true, MaxExtentBlocks: 16}
+			_, _, srcErr, dstErr := w.reverse(worldSpec{link: tc.link(w)}).tpmPair(cfg, cfg, fresh)
+			if err := errors.Join(srcErr, dstErr); err == nil || !strings.Contains(err.Error(), "delta signature") {
+				t.Fatalf("source: %v, destination: %v; want the migration failed on the delta signature", srcErr, dstErr)
+			}
+			stale, rewritten := make([]byte, blockdev.BlockSize), make([]byte, blockdev.BlockSize)
+			fresh.ForEachSet(func(n int) bool {
+				if err := errors.Join(w.srcDisk.ReadBlock(n, stale), w.dstDisk.ReadBlock(n, rewritten)); err != nil {
+					t.Fatal(err)
+				}
+				if bytes.Equal(stale, rewritten) {
+					t.Fatalf("block %d was written before the migration failed", n)
+				}
+				return true
+			})
+		})
 	}
 }
 

@@ -117,6 +117,28 @@ func TestSignatureStrictness(t *testing.T) {
 	if _, err := ParseSignature(bad); err == nil {
 		t.Error("undersized chunk accepted")
 	}
+	// The layout before the equal mask: the records straight after the
+	// header. Read with a mask, its first records mark chunks equal that the
+	// length then does not account for.
+	if _, err := ParseSignature(append(sig[:SigHeaderLen:SigHeaderLen], sig[SigHeaderLen+4:]...)); err == nil {
+		t.Error("signature without its equal mask accepted")
+	}
+	// 300 bytes at 128: two full chunks, so the mask's one byte may set only
+	// its two low bits; the short third chunk is always recorded.
+	short := Sig(bytes.Repeat([]byte{0xAB}, 300), DefaultChunk).Marshal()
+	for _, bit := range []byte{1 << 2, 1 << 7} {
+		bad := append([]byte(nil), short...)
+		bad[SigHeaderLen] |= bit
+		bad = bad[:len(bad)-RecordLen] // the length agrees with the count
+		if _, err := ParseSignature(bad); err == nil {
+			t.Errorf("equal mask %#02x marks a chunk past the full ones and was accepted", bad[SigHeaderLen])
+		}
+	}
+	marked := append([]byte(nil), short...)
+	marked[SigHeaderLen] |= 1
+	if _, err := ParseSignature(marked[:len(marked)-RecordLen]); err != nil {
+		t.Errorf("a marked full chunk with one record less rejected: %v", err)
+	}
 }
 
 // TestApplyVerification pins verify-on-apply: a tampered patch or mismatched
@@ -154,17 +176,20 @@ func TestApplyVerification(t *testing.T) {
 }
 
 // TestEnginePathAllocations holds the codec's steady state, as the engine
-// drives it, to a handful of allocations per 16-block extent: signature
-// written into a reused reply buffer, read back as a view, diffed on a reused
-// Differ, applied into a reused output buffer. It used to cost a map bucket
-// per chunk and a copy of every literal.
+// drives it, to a handful of allocations per 16-block extent: hint written
+// into a reused request buffer, signature against it into a reused reply
+// buffer, read back as a view, diffed on a reused Differ, applied into a
+// reused output buffer. It used to cost a map bucket per chunk and a copy of
+// every literal.
 func TestEnginePathAllocations(t *testing.T) {
 	tc := goldenCases()[0]
 	var differ Differ
-	sigBuf := make([]byte, 0, SigLen(len(tc.old), DefaultChunk))
+	hint := make([]byte, 0, HintLen(len(tc.new)))
+	sigBuf := make([]byte, 0, SigLen(len(tc.old), DefaultChunk, 0))
 	out := make([]byte, 0, len(tc.new))
 	allocs := testing.AllocsPerRun(10, func() {
-		sigBuf = AppendSig(sigBuf[:0], tc.old, DefaultChunk)
+		hint = AppendHint(hint[:0], tc.new)
+		sigBuf = AppendSig(sigBuf[:0], tc.old, DefaultChunk, hint)
 		sig, err := ViewSignature(sigBuf)
 		if err != nil {
 			t.Fatal(err)
@@ -178,7 +203,7 @@ func TestEnginePathAllocations(t *testing.T) {
 		t.Fatal("the extent did not round-trip")
 	}
 	if allocs > 4 {
-		t.Errorf("sig, view, diff, apply of one extent: %.1f allocations, want <= 4", allocs)
+		t.Errorf("hint, sig, view, diff, apply of one extent: %.1f allocations, want <= 4", allocs)
 	}
 }
 
@@ -255,7 +280,7 @@ func TestForgedSignatureRefused(t *testing.T) {
 	target := append([]byte(nil), old...)
 	rng.Read(target[512:640]) // chunk 4 of the old content no longer holds
 	raw := Sig(old, DefaultChunk).Marshal()
-	rec := raw[sigHeaderLen+4*sigRecordLen:]
+	rec := raw[SigHeaderLen+maskLen(len(old), DefaultChunk)+4*RecordLen:]
 	putRecord(rec, target[512:640])
 	sig, err := ViewSignature(raw)
 	if err != nil {

@@ -64,17 +64,23 @@ func goldenCases() []struct {
 	}
 }
 
-// TestGoldenVectors pins the wire bytes of a signature and a patch: "first 8
-// bytes of SHA-256 / 24-bit length", in hex, of Sig(old).Marshal() and of
-// Diff(Sig(old), new). The patches were captured before the codec moved onto
-// borrowed scratch and have not moved since; the signatures were taken again
-// when the chunk strong hash became CRC-32C ‖ CRC-32.
+// TestGoldenVectors pins the wire bytes of both exchanges: "first 8 bytes of
+// SHA-256 / 24-bit length", in hex. Unhinted: Sig(old).Marshal() and
+// Diff(Sig(old), new). Hinted, as the engine runs it: the request's
+// AppendHint(new), the reply's AppendSig(old) against it, and the patch
+// diffed against that reply. The unhinted patches were captured before the
+// codec moved onto borrowed scratch and have not moved since; the unhinted
+// signatures were taken again when the chunk strong hash became CRC-32C ‖
+// CRC-32, and when the signature gained its equal mask. The hinted patch is
+// the unhinted one wherever the hint marks nothing (shift-7) or the COPY runs
+// stay on the grid; pattern-128's run restarts at a marked chunk instead of
+// the lowest matching one, in as many bytes.
 func TestGoldenVectors(t *testing.T) {
-	golden := map[string][2]string{
-		"head-rewrite": {"745e0f94dc63421f/001808", "c22a014f0dbbdc30/0010f8"},
-		"shift-7":      {"745e0f94dc63421f/001808", "ed7696c14b91bf64/0000ab"},
-		"all-zero":     {"4af6153a38be69db/001808", "553e3a91c17bba00/000021"},
-		"pattern-128":  {"5d4ef9cfb8690ef6/001808", "cdd4597fe91ceb04/0000af"},
+	golden := map[string][5]string{
+		"head-rewrite": {"d30e37438efbf9fc/001848", "c22a014f0dbbdc30/0010f8", "1856c427e4b99f62/000200", "8e922eaa817e572d/000648", "c22a014f0dbbdc30/0010f8"},
+		"shift-7":      {"d30e37438efbf9fc/001848", "ed7696c14b91bf64/0000ab", "df285c6dd66b7fcf/000200", "d30e37438efbf9fc/001848", "ed7696c14b91bf64/0000ab"},
+		"all-zero":     {"c251674695edc4e2/001848", "553e3a91c17bba00/000021", "32438a971503cbe7/000200", "b2270463db96e796/000048", "553e3a91c17bba00/000021"},
+		"pattern-128":  {"7d887bc892323077/001848", "cdd4597fe91ceb04/0000af", "99386a88622281f4/000200", "267a235795ba6706/0000a8", "3be7f48b12546206/0000af"},
 	}
 	sum := func(p []byte) string {
 		h := sha256.Sum256(p)
@@ -84,12 +90,22 @@ func TestGoldenVectors(t *testing.T) {
 		sig := Sig(tc.old, DefaultChunk)
 		raw := sig.Marshal()
 		patch := Diff(sig, tc.new)
-		if got, want := [2]string{sum(raw), sum(patch)}, golden[tc.name]; got != want {
-			t.Errorf("%s: signature, patch = %q, want %q", tc.name, got, want)
+		hint := AppendHint(nil, tc.new)
+		reply := AppendSig(nil, tc.old, DefaultChunk, hint)
+		hinted, err := ParseSignature(reply)
+		if err != nil {
+			t.Fatalf("%s: hinted reply rejected: %v", tc.name, err)
 		}
-		out, err := Apply(tc.old, patch)
-		if err != nil || !bytes.Equal(out, tc.new) {
-			t.Errorf("%s: patch does not rebuild the target (%v)", tc.name, err)
+		hintedPatch := Diff(hinted, tc.new)
+		got := [5]string{sum(raw), sum(patch), sum(hint), sum(reply), sum(hintedPatch)}
+		if want := golden[tc.name]; got != want {
+			t.Errorf("%s: signature, patch, hint, reply, hinted patch = %q, want %q", tc.name, got, want)
+		}
+		for _, p := range [][]byte{patch, hintedPatch} {
+			out, err := Apply(tc.old, p)
+			if err != nil || !bytes.Equal(out, tc.new) {
+				t.Errorf("%s: patch does not rebuild the target (%v)", tc.name, err)
+			}
 		}
 	}
 }

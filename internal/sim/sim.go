@@ -40,6 +40,7 @@ import (
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/core"
+	"bbmig/internal/delta"
 	"bbmig/internal/metrics"
 	"bbmig/internal/workload"
 )
@@ -91,7 +92,7 @@ type Params struct {
 	// first disk pre-copy iteration — the one whose blocks have stale
 	// counterparts on the destination, an IM return trip's hot rewrites.
 	// Every block dedup could not reference pays the signature round trip
-	// (deltaSigPerBlock) and ships only its changed chunk fraction
+	// (deltaWirePerBlock) and ships only its changed chunk fraction
 	// (1 − DeltaMatchShare) as patch payload; when that is no cheaper than
 	// the literal the model applies the engine's patch-vs-literal fallback,
 	// literal plus the sunk signature cost. Later iterations are modelled
@@ -527,10 +528,10 @@ func iter1Wire(p Params, blocks, refs, perLiteral float64) (wire float64, patche
 	lits := blocks - refs
 	litWire := lits * perLiteral
 	if p.Delta && lits > 0 {
-		perPatch := deltaSigPerBlock + deltaPatchPerBlockOverhead +
-			(1-clamp01(p.DeltaMatchShare))*blockdev.BlockSize
-		if perPatch >= perLiteral+deltaSigPerBlock {
-			perPatch = perLiteral + deltaSigPerBlock
+		sig, fixed := deltaWirePerBlock(p.DeltaMatchShare, p.MaxExtentBlocks)
+		perPatch := sig + fixed + (1-clamp01(p.DeltaMatchShare))*blockdev.BlockSize
+		if perPatch >= perLiteral+sig {
+			perPatch = perLiteral + sig
 		} else {
 			patched = true
 		}
@@ -626,16 +627,22 @@ const (
 	dedupRefPerBlock    = 16.0
 )
 
-// Delta wire-cost constants, mirroring WIRE.md §12 for a 4096-byte block
-// at the default 128-byte chunk: the signature round trip is the 13-byte
-// request frame plus the reply — 8-byte signature header, 32 records of
-// 12 bytes, 13-byte frame — and a patch's fixed cost is its 8-byte header,
-// 16-byte verify trailer, a few merged COPY/LITERAL op headers, and the
-// 13-byte frame. The changed-chunk payload comes on top of the overhead.
-const (
-	deltaSigPerBlock           = 418.0
-	deltaPatchPerBlockOverhead = 61.0
-)
+// deltaWirePerBlock prices a diverged block sent as a patch, averaged over an
+// extent of extentBlocks, from the codec's wire sizes (WIRE.md §12): sig is
+// the exchange both ways — hint, equal mask, the records the hint could not
+// spare, two frame headers — and fixed the patch's header, trailer, frame and
+// one LITERAL and one COPY op; the changed bytes come on top. The rewrite is
+// one run at the block's head, so ⌈(1 − matchShare)·units⌉ units miss.
+func deltaWirePerBlock(matchShare float64, extentBlocks int) (sig, fixed float64) {
+	e := max(extentBlocks, 1)
+	units := blockdev.BlockSize / delta.Unit
+	missed := int(math.Ceil((1 - clamp01(matchShare)) * float64(units)))
+	equal := e * (units - missed) * (delta.Unit / delta.DefaultChunk)
+	n := e * blockdev.BlockSize
+	sig = float64(2*frameOverhead+delta.HintLen(n)+delta.SigLen(n, delta.DefaultChunk, equal)) / float64(e)
+	fixed = float64(frameOverhead+delta.PatchOverhead)/float64(e) + delta.LiteralOpLen + delta.CopyOpLen
+	return sig, fixed
+}
 
 // swarmPerBlockWire is the sidecar cost of one swarm-fetched block: the
 // block content plus the MsgSwarmFetch fingerprint (16 B), its hit-mask

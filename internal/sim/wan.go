@@ -26,7 +26,7 @@ import (
 //   - wanUplinkBytesPerSec / wanFrameStall model the asymmetric WAN path
 //     of transport.NewWAN: a ~6 MB/s uplink with an RTT-dominated
 //     per-frame stall. The downlink (signature replies) is priced into
-//     deltaSigPerBlock as wire bytes.
+//     deltaWirePerBlock as wire bytes.
 //   - wanRewriteDedupShare is the fraction of rewritten blocks whose new
 //     content the home host happens to still hold (a rewrite that undid
 //     itself, a template block restored) — the most dedup alone can claim.

@@ -1,9 +1,18 @@
 package sim
 
 import (
+	"errors"
+	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"bbmig/internal/bitmap"
+	"bbmig/internal/blkback"
+	"bbmig/internal/blockdev"
+	"bbmig/internal/core"
+	"bbmig/internal/transport"
+	"bbmig/internal/vm"
 	"bbmig/internal/workload"
 )
 
@@ -95,5 +104,79 @@ func TestSimDeltaColdFallback(t *testing.T) {
 	if cold.Report.MigratedBytes <= lit.Report.MigratedBytes {
 		t.Fatalf("cold delta run (%d B) should pay signature overhead over literal (%d B)",
 			cold.Report.MigratedBytes, lit.Report.MigratedBytes)
+	}
+}
+
+// deltaTap adds up the wire bytes of the delta frames one end sends: the
+// signature exchange and the patches.
+type deltaTap struct {
+	transport.Conn
+	bytes *atomic.Int64
+}
+
+func (c deltaTap) Send(m transport.Message) error {
+	if m.Type == transport.MsgDeltaSig || m.Type == transport.MsgDeltaPatch {
+		c.bytes.Add(int64(m.FrameSize()))
+	}
+	return c.Conn.Send(m)
+}
+
+// TestDeltaPricingMatchesEngine holds the model's per-block delta bytes —
+// signature exchange, patch overhead and changed bytes — to within 10 % of
+// what the engine sends on the shape the model assumes: a home host holding
+// the stale image, and every diverged block rewritten in its first 256 bytes,
+// carried back by IM at 16-block extents.
+func TestDeltaPricingMatchesEngine(t *testing.T) {
+	const blocks, hot, head, extent = 512, 256, 256, 16
+	stale := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+	fresh := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+	buf, rewrite := make([]byte, blockdev.BlockSize), make([]byte, blockdev.BlockSize)
+	for n := 0; n < blocks; n++ {
+		workload.FillBlock(buf, n, 7)
+		if err := stale.WriteBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+		if n < hot {
+			workload.FillBlock(rewrite, n+blocks, 13)
+			copy(buf[:head], rewrite)
+		}
+		if err := fresh.WriteBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	divergent := bitmap.New(blocks)
+	divergent.SetRange(0, hot)
+	guest := vm.New("g", 1, 64, 256)
+	src := core.Host{VM: guest, Backend: blkback.NewBackend(fresh, 1)}
+	dst := core.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(stale, 1)}
+	var sent atomic.Int64
+	cs, cd := transport.NewPipe(256)
+	defer cs.Close()
+	defer cd.Close()
+	cs, cd = deltaTap{cs, &sent}, deltaTap{cd, &sent}
+	cfg := core.Config{Delta: true, MaxExtentBlocks: extent}
+	errs := make(chan error, 1)
+	go func() {
+		_, err := core.MigrateDest(cfg, dst, cd)
+		errs <- err
+	}()
+	rep, err := core.MigrateSource(cfg, src, cs, divergent)
+	if err = errors.Join(err, <-errs); err != nil {
+		t.Fatal(err)
+	}
+	if rep.DeltaBlocks != hot {
+		t.Fatalf("the engine patched %d of %d blocks", rep.DeltaBlocks, hot)
+	}
+	engine := float64(sent.Load()) / hot
+
+	p := Params{Delta: true, DeltaMatchShare: 1 - float64(head)/blockdev.BlockSize, MaxExtentBlocks: extent}
+	perLiteral := blockdev.BlockSize + float64(frameOverhead)/extent
+	model, patched := iter1Wire(p, hot, 0, perLiteral)
+	if !patched {
+		t.Fatal("the model sent the rewrites literally")
+	}
+	t.Logf("a patched block: %.1f B modelled, %.1f B sent", model/hot, engine)
+	if perBlock := model / hot; math.Abs(perBlock-engine) > 0.1*engine {
+		t.Errorf("the model prices a patched block at %.1f B, the engine sends %.1f B", perBlock, engine)
 	}
 }

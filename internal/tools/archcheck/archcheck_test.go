@@ -21,14 +21,14 @@ var repoRoot = filepath.Join("..", "..", "..")
 // lineBudgets bound packages' non-test lines, counted as `cat *.go | wc -l`
 // counts them. A budget only grows in the change that defends it.
 var lineBudgets = map[string]int{
-	"cmd/bbench":               1318,
+	"cmd/bbench":               1344,
 	"internal/blockdev/bcache": 596,
 	"internal/cluster":         1467,
-	"internal/core":            4735,
+	"internal/core":            4742,
 	"internal/dedup":           519,
 	"internal/forecast":        411,
 	"internal/hostd":           1019,
-	"internal/sim":             2149,
+	"internal/sim":             2156,
 	"internal/transport":       2276,
 }
 
