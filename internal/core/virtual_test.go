@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bbmig/internal/blockdev"
+	"bbmig/internal/dedup"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
 	"bbmig/internal/workload"
@@ -164,30 +165,62 @@ func deltaBack(t *testing.T, w *world, link func(src, dst transport.Conn) (trans
 	return rep
 }
 
-// deltaRow attributes the newest link's delta traffic: the signature
-// exchange both ways and the patches, as frames/wire bytes.
-func (l *tappedLink) deltaRow() string {
-	var frames, bytes [2]int
+// dedupClone migrates a template clone (dedup_test.go's template over 512
+// contents) to a destination whose index was warmed from a sibling clone of
+// the same template: benchmark/'s clone-dedup shape, idle, at 64-block
+// extents.
+func dedupClone(w *world) *metrics.Report {
+	sibling := blockdev.NewMemDisk(testBlocks, blockdev.BlockSize)
+	fill, buf := template(512), make([]byte, blockdev.BlockSize)
+	for n := 0; n < testBlocks; n++ {
+		if fill(buf, n) {
+			if err := sibling.WriteBlock(n, buf); err != nil {
+				w.t.Fatal(err)
+			}
+		}
+	}
+	idx := dedup.NewIndex(blockdev.BlockSize)
+	if err := idx.RegisterSource("disk/sibling", sibling); err != nil {
+		w.t.Fatal(err)
+	}
+	if _, err := idx.ScanSource("disk/sibling"); err != nil {
+		w.t.Fatal(err)
+	}
+	cfg := Config{Dedup: true, MaxExtentBlocks: 64}
+	dst := cfg
+	dst.DedupIndex, dst.DedupName = idx, "disk/clone"
+	rep, _ := w.tpm(cfg, dst, nil)
+	return rep
+}
+
+// countRow attributes the newest link's frames of the given types, both
+// ways, as frames/wire bytes under their labels.
+func (l *tappedLink) countRow(title string, labels []string, types ...transport.MsgType) string {
+	frames, bytes := make([]int, len(types)), make([]int, len(types))
 	for _, tap := range []*frameTap{l.src, l.dst} {
 		tap.mu.Lock()
 		for _, fr := range tap.frames {
-			switch fr.typ {
-			case transport.MsgDeltaSig:
-				frames[0]++
-				bytes[0] += fr.size
-			case transport.MsgDeltaPatch:
-				frames[1]++
-				bytes[1] += fr.size
+			for i, typ := range types {
+				if fr.typ == typ {
+					frames[i]++
+					bytes[i] += fr.size
+				}
 			}
 		}
 		tap.mu.Unlock()
 	}
-	return fmt.Sprintf("  delta frames/bytes: sig=%d/%d patch=%d/%d\n", frames[0], bytes[0], frames[1], bytes[1])
+	var b strings.Builder
+	fmt.Fprintf(&b, "  %s frames/bytes:", title)
+	for i, label := range labels {
+		fmt.Fprintf(&b, " %s=%d/%d", label, frames[i], bytes[i])
+	}
+	b.WriteString("\n")
+	return b.String()
 }
 
 // TestVirtualGolden records {idle TPM, TPM under a paced guest, IM back} ×
-// MaxExtentBlocks {1, 64}, and the delta return trip (deltaBack), on the
-// modelled link in testdata/virtual.golden:
+// MaxExtentBlocks {1, 64}, the delta return trip (deltaBack) and a dedup'd
+// clone (dedupClone), on the modelled link in testdata/virtual.golden:
 // migration time, downtime, per-iteration units, bytes and time, wire bytes,
 // and the freeze window's frames and bytes by part, to the nanosecond and
 // the byte. A diff is a change to what the engine costs on a link;
@@ -228,7 +261,11 @@ func TestVirtualGolden(t *testing.T) {
 	rep := virtualPair(t, worldSpec{link: taps.link}, func(w *world) *metrics.Report { return deltaBack(t, w, taps.link) })
 	b.WriteString(virtualRow("delta-back extent=16", rep))
 	b.WriteString(taps.freezeRow())
-	b.WriteString(taps.deltaRow())
+	b.WriteString(taps.countRow("delta", []string{"sig", "patch"}, transport.MsgDeltaSig, transport.MsgDeltaPatch))
+	rep = virtualPair(t, worldSpec{fill: template(512), link: taps.link}, dedupClone)
+	b.WriteString(virtualRow("dedup-clone extent=64", rep))
+	b.WriteString(taps.freezeRow())
+	b.WriteString(taps.countRow("dedup", []string{"advert", "want", "ref"}, transport.MsgHashAdvert, transport.MsgHashWant, transport.MsgBlockRef))
 	// The modelled-link claim of TestExtentsBeatPerBlockOnModeledLink, exact.
 	fmt.Fprintf(&b, "idle per-block/extents time ratio: %.6f\n", float64(idle[1])/float64(idle[64]))
 	if idle[64]*2 >= idle[1] {
