@@ -141,23 +141,15 @@ type Config struct {
 	CompressLevel int
 
 	// Dedup, when true, enables content-addressed deduplication for disk
-	// pre-copy traffic: the source adverts each extent's per-block
-	// fingerprints (MsgHashAdvert), the destination answers with a
-	// want-bitmap (MsgHashWant) naming the blocks whose content it cannot
-	// already produce, and everything else travels as 16-byte references
-	// (MsgBlockRef) materialized from the destination's fingerprint index —
-	// retained peer copies, clone siblings' disks, blocks received earlier
-	// in this migration, and the implicit zero block. An extent whose
-	// blocks are all zero never reaches the advert: the chain's head stage,
-	// above dedup, sends it as one MsgZeroExtent with no round trip (see
-	// MaxExtentBlocks). Source-side: every destination answers the frames,
-	// opening its dedup session at the first advert. Dedup sits below that
-	// zero stage in the source's extent encoder chain: the runs the
-	// destination wants go down the chain (to Delta when set, else to the
-	// literal frame). Its frames must arrive in cursor order, so Workers does
-	// not parallelize the send; memory pages, freeze-and-copy, and post-copy
-	// pushes always travel literally. False (the default) keeps the seed wire
-	// format byte for byte.
+	// pre-copy traffic: the source adverts each extent's block fingerprints
+	// (MsgHashAdvert), the destination writes at once every block its
+	// fingerprint index can produce — retained peer copies, clone siblings'
+	// disks, blocks received earlier, zeros — and wants the rest
+	// (MsgHashWant), which go to Delta when set, else travel literally.
+	// Source-side: every destination answers. Probes keep cursor order, so
+	// Workers does not parallelize the send; memory pages, freeze-and-copy,
+	// and post-copy pushes always travel literally, and a wholly zero extent
+	// as one MsgZeroExtent. False (the default) keeps the seed wire format.
 	Dedup bool
 
 	// DedupIndex is the destination-side fingerprint index consulted to
@@ -178,20 +170,18 @@ type Config struct {
 	// SwarmPeers lists the peer hostd swarm-serve addresses a destination's
 	// dedup session may fan its want-set across, over sidecar fetch sessions,
 	// before answering each hash advert: content a peer's index can produce
-	// (and verify on read) arrives over the peers' uplinks, the want bit
-	// clears, and the source ships only a 16-byte reference — turning an
-	// evacuation from a source-bandwidth problem into a fleet-bandwidth
-	// problem. A non-empty list is the permission; empty (the default) keeps
-	// dedup single-source. Swarm frames ride separate connections, so the
-	// migration channel is byte-identical either way, and a block no peer
-	// produces stays wanted and falls back to a literal from the source.
-	// Peers that refuse, die, or serve content that fails fingerprint
-	// verification are dropped for the rest of the migration — correctness
-	// never depends on peer health. The cluster orchestrator nominates peers
-	// from placement's content-overlap data; raw engine users pass addresses
-	// directly. The source engine ignores the list; hostd's MigrateOut reads
-	// it to permit the swarm in its announce, and a receiving hostd clears it
-	// for a migration whose announce did not.
+	// (and verify on read) arrives over the peers' uplinks and is written at
+	// the advert, turning an evacuation from a source-bandwidth problem into
+	// a fleet-bandwidth problem. A non-empty list is the permission; empty
+	// (the default) keeps dedup single-source. Swarm frames ride separate
+	// connections, and a block no peer produces stays wanted and falls back
+	// to a literal from the source. Peers that refuse, die, or serve content
+	// that fails fingerprint verification are dropped for the rest of the
+	// migration — correctness never depends on peer health. The cluster
+	// orchestrator nominates peers from placement's content-overlap data; raw
+	// engine users pass addresses directly. The source engine ignores the
+	// list; hostd's MigrateOut reads it to permit the swarm in its announce,
+	// and a receiving hostd clears it for a migration whose announce did not.
 	SwarmPeers []string
 
 	// swarmDial opens one sidecar connection to a SwarmPeers address; nil
@@ -209,12 +199,10 @@ type Config struct {
 	// before any byte lands; a mismatch is refused back to the source,
 	// which re-sends the extent literally before the pass ends — degraded,
 	// never wrong. Source-side, like Dedup: every destination answers the
-	// frames. Delta sits directly above the literal frame in the source's
-	// extent encoder chain, below Dedup: with both set it sees exactly the
-	// blocks the destination's want-bitmap asked for, so exact matches
-	// travel as 16-byte references and near matches as patches. Cursor
-	// order, Workers and what always travels literally are as for Dedup.
-	// False (the default) keeps the seed wire format byte for byte.
+	// frames. With Dedup set too, only the blocks the want-bitmap asked for
+	// are delta-encoded: exact matches land at the advert, near matches as
+	// patches. Cursor order, Workers and what always travels literally are as
+	// for Dedup. False (the default) keeps the seed wire format byte for byte.
 	Delta bool
 
 	// DeltaChunk is the signature chunk size in bytes used by the

@@ -3,86 +3,16 @@ package core
 import (
 	"fmt"
 
-	"bbmig/internal/bitmap"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/dedup"
 	"bbmig/internal/transport"
 )
 
-// This file is the engine half of content-addressed transfer (Config.Dedup):
-// the source-side dedup encoder, the extent encoder chain's stage below the
-// zero stage, and the destination-side advert/reference appliers wired into
-// the receive loop. The protocol per extent is strictly alternating — one
-// MsgHashAdvert, one MsgHashWant reply, then the extent's wanted sub-runs
-// (handed down the chain) and MsgBlockRef sub-runs — so at most one advert is
-// ever outstanding and a reference only ever names a fingerprint from the
-// advert that immediately precedes it (or the implicit zero fingerprint,
-// which the destination resolves without one). A wholly zero extent never
-// gets here: the zero stage above sends it as one MsgZeroExtent. Memory
-// pages, freeze-and-copy, and post-copy pushes are never deduplicated.
-
-// dedupEncoder returns the chain stage that fingerprints each extent, adverts
-// the fingerprints, ships what the destination can already produce as 16-byte
-// references, and hands the runs it wants — exactly the content exact-match
-// dedup could not save — to next.
-func (t *transfer) dedupEncoder(next extentEncoder, limited bool) extentEncoder {
-	bs := t.dev.BlockSize()
-	zero := dedup.ZeroFingerprint(bs)
-	var fps []dedup.Fingerprint
-	return func(ext bitmap.Extent, data []byte) (int64, error) {
-		fps = fps[:0]
-		for k := 0; k < ext.Count; k++ {
-			// Comparing a zero block costs a fraction of hashing it.
-			fp := zero
-			if blk := data[k*bs : (k+1)*bs]; !dedup.IsZero(blk) {
-				fp = dedup.Of(blk)
-			}
-			fps = append(fps, fp)
-		}
-		// Adverts and references are staged in one pooled scratch buffer: a
-		// send only borrows its payload, so the scratch is reusable on return.
-		fpBuf := transport.GetBuf(len(fps) * dedup.FingerprintSize)
-		defer transport.PutBuf(fpBuf)
-		arg := transport.ExtentArg(ext.Start, ext.Count)
-		adv := transport.Message{Type: transport.MsgHashAdvert, Arg: arg, Payload: dedup.AppendFingerprints(fpBuf[:0], fps)}
-		if err := t.send(adv, limited); err != nil {
-			return 0, err
-		}
-		wire := int64(adv.FrameSize())
-		want, err := t.awaitReply(transport.MsgHashWant, arg)
-		if err != nil {
-			return wire, err
-		}
-		defer transport.PutBuf(want) // the reply's pooled payload
-		if err := dedup.CheckMask(want, ext.Count); err != nil {
-			return wire, fmt.Errorf("core: want bitmap: %w", err)
-		}
-		// Walk the want bitmap as maximal same-verdict runs: wanted runs go
-		// down the chain, unwanted runs travel as fingerprint references.
-		err = dedup.WalkWant(ext.Count, want, func(off, n int, wanted bool) error {
-			sub := bitmap.Extent{Start: ext.Start + off, Count: n}
-			if wanted {
-				w, err := next(sub, data[off*bs:(off+n)*bs])
-				wire += w
-				return err
-			}
-			ref := transport.Message{
-				Type:    transport.MsgBlockRef,
-				Arg:     transport.ExtentArg(sub.Start, sub.Count),
-				Payload: dedup.AppendFingerprints(fpBuf[:0], fps[off:off+n]),
-			}
-			if err := t.send(ref, limited); err != nil {
-				return err
-			}
-			t.dedupBlocks.Add(int64(n))
-			wire += int64(ref.FrameSize())
-			return nil
-		})
-		return wire, err
-	}
-}
-
-// --- Destination side ---
+// This file is the destination half of content-addressed transfer
+// (Config.Dedup), the advert applier of the receive loop; the source half is
+// a probe of the window in probe.go. A wholly zero extent never gets here:
+// the zero stage sends it as one MsgZeroExtent. Memory pages,
+// freeze-and-copy, and post-copy pushes are never deduplicated.
 
 // destDedup is one migration's destination-side dedup session: the
 // fingerprint index consulted for adverts (possibly shared with concurrent
@@ -91,8 +21,8 @@ func (t *transfer) dedupEncoder(next extentEncoder, limited bool) extentEncoder 
 type destDedup struct {
 	idx   *dedup.Index
 	self  string
-	stage dedup.Stage         // content staged between an advert and its references
-	fps   []dedup.Fingerprint // the frame being handled, decoded
+	stage dedup.Stage         // content the advert being answered staged
+	fps   []dedup.Fingerprint // the advert being answered, decoded
 
 	// swarm fans want-sets across peer host daemons (Config.SwarmPeers),
 	// nil for a single-source session; swarmBlocks counts what peers
@@ -134,13 +64,6 @@ func (d *destRun) openDedup() error {
 	return nil
 }
 
-// observe hashes one applied literal block into the index. Called from the
-// pool's lanes (references observe the fingerprint they name); the index is
-// concurrency-safe.
-func (dd *destDedup) observe(block int, data []byte) {
-	dd.idx.ObserveContent(dd.self, block, data)
-}
-
 // close ends the session, if there was one: stage buffer back to the pool,
 // swarm sidecar connections torn down.
 func (dd *destDedup) close() {
@@ -152,82 +75,55 @@ func (dd *destDedup) close() {
 	}
 }
 
-// checkFPExtent validates a MsgHashAdvert/MsgBlockRef frame against the
-// prepared VBD, joins the dedup session, and decodes the frame's fingerprints
-// into the session's scratch, valid until the next frame is checked.
-func (d *destRun) checkFPExtent(m transport.Message) (bitmap.Extent, []dedup.Fingerprint, error) {
+// handleAdvert answers one MsgHashAdvert. Every block the index verified,
+// whose fingerprint is zero, or that a swarm peer produced (verified) is
+// written here, observed and counted as landed; the reply wants the rest, so
+// a clear bit is a completed write. Runs under drainOn: every earlier literal
+// is applied, and observed, before the lookup.
+func (d *destRun) handleAdvert(m transport.Message) error {
 	ext, err := splitExtent(m.Arg, d.dev)
 	if err == nil {
 		err = d.openDedup()
 	}
 	if err != nil {
-		return ext, nil, err
-	}
-	d.dd.fps, err = dedup.ParseFingerprintsInto(d.dd.fps, m.Payload, ext.Count)
-	return ext, d.dd.fps, err
-}
-
-// handleAdvert answers one MsgHashAdvert through Index.AnswerInto, which
-// replaces the previous advert's staging wholesale: references only ever name
-// the immediately preceding advert (or zero). Runs under drainOn, so every
-// earlier literal is applied — and observed — before the lookup.
-func (d *destRun) handleAdvert(m transport.Message) error {
-	_, fps, err := d.checkFPExtent(m)
-	if err != nil {
 		return err
 	}
-	want := d.dd.idx.AnswerInto(&d.dd.stage, fps)
-	// Swarm fetch: before conceding a literal send, ask the peer fleet for
-	// the still-wanted content. Whatever arrives (already verified against
-	// its fingerprint) is staged exactly as locally-produced content is, and
-	// its want bit clears so the source ships a 16-byte reference instead.
-	// Anything the swarm misses stays wanted: the literal is the fallback.
-	if d.dd.swarm != nil {
+	dd := d.dd
+	if dd.fps, err = dedup.ParseFingerprintsInto(dd.fps, m.Payload, ext.Count); err != nil {
+		return err
+	}
+	want := dd.idx.AnswerInto(&dd.stage, dd.fps)
+	var fetched map[dedup.Fingerprint][]byte // what the peer fleet holds of the rest
+	if dd.swarm != nil {
 		var missing []dedup.Fingerprint
 		seen := make(map[dedup.Fingerprint]bool)
-		for k, fp := range fps {
+		for k, fp := range dd.fps {
 			if dedup.Want(want, k) && !seen[fp] {
 				seen[fp] = true
 				missing = append(missing, fp)
 			}
 		}
-		if len(missing) > 0 {
-			got := d.dd.swarm.fetch(missing, d.dev.BlockSize())
-			for k, fp := range fps {
-				if !dedup.Want(want, k) {
-					continue
-				}
-				if content, ok := got[fp]; ok {
-					d.dd.stage.Put(k, fp, content)
-					dedup.ClearWant(want, k)
-					d.dd.swarmBlocks++
-				}
-			}
-		}
+		fetched = dd.swarm.fetch(missing, d.dev.BlockSize())
 	}
-	return d.destSend(transport.Message{Type: transport.MsgHashWant, Arg: m.Arg, Payload: want})
-}
-
-// applyBlockRef materializes one MsgBlockRef run through Index.Materialize;
-// the device copies the borrowed content. An unresolvable fingerprint is a
-// protocol error (the source only references content this destination
-// claimed): failing the migration is the only answer that cannot write wrong bytes.
-func (d *destRun) applyBlockRef(m transport.Message) error {
-	ext, fps, err := d.checkFPExtent(m)
-	if err != nil {
-		return err
-	}
-	for k, fp := range fps {
-		content, ok := d.dd.idx.Materialize(&d.dd.stage, fp)
-		if !ok {
-			return fmt.Errorf("core: block ref %d names content this host cannot produce", ext.Start+k)
+	for k, fp := range dd.fps {
+		content, ok := fetched[fp]
+		switch {
+		case !dedup.Want(want, k):
+			content, _ = dd.idx.Materialize(&dd.stage, fp) // nothing staged fails the write
+		case !ok:
+			continue // the literal follows
+		default:
+			dedup.ClearWant(want, k)
+			dd.swarmBlocks++
 		}
 		if err := blockdev.WriteExtent(d.dev, ext.Start+k, 1, content); err != nil {
-			return fmt.Errorf("core: apply block ref %d: %w", ext.Start+k, err)
+			return fmt.Errorf("core: write block %d at its advert: %w", ext.Start+k, err)
 		}
-		d.dd.idx.Observe(d.dd.self, ext.Start+k, fp)
+		dd.idx.Observe(dd.self, ext.Start+k, fp)
+		d.refBlocks++
+		d.noteRecvBlocks(ext.Start+k, ext.Start+k+1)
 	}
-	d.refBlocks += ext.Count
-	d.noteRecvBlocks(ext.Start, ext.End())
-	return nil
+	reply := dedup.AppendWantReply(transport.GetBuf(dedup.WantReplyLen(ext.Count))[:0], want)
+	defer transport.PutBuf(reply) // send only borrows it
+	return d.destReply(transport.Message{Type: transport.MsgHashWant, Arg: m.Arg, Payload: reply})
 }

@@ -74,7 +74,7 @@ func TestDedupTransferShapes(t *testing.T) {
 // of reading it as "want none".
 func TestSourceRefusesPaddedWantBitmap(t *testing.T) {
 	w := newWorld(t, worldSpec{fill: template(16)})
-	w.connDst = &lyingConn{Conn: w.connDst, typ: transport.MsgHashWant, payload: []byte{1 << 7}}
+	w.connDst = &lyingConn{Conn: w.connDst, typ: transport.MsgHashWant, payload: []byte{dedup.WantLayout, 1 << 7}}
 	cfg := Config{Dedup: true, MaxExtentBlocks: 5}
 	_, _, srcErr, _ := w.tpmPair(cfg, cfg, nil)
 	if srcErr == nil || !strings.Contains(srcErr.Error(), "padding bit") {

@@ -55,8 +55,8 @@ type destRun struct {
 	res         *DestResult
 	lanes       *lanePool
 	dd          *destDedup     // content-dedup session (nil until the first dedup frame)
-	recvBlocks  int            // blocks landed in any form: literal, reference, zero run or patch
-	refBlocks   int            // blocks landed by reference or as zero runs (Report.DedupBlocks)
+	recvBlocks  int            // blocks landed in any form: literal, at an advert, zero run or patch
+	refBlocks   int            // blocks landed at an advert or as zero runs (Report.DedupBlocks)
 	patchBlocks int            // blocks landed as delta patches (Report.DeltaBlocks)
 	transferred *bitmap.Bitmap // the freeze bitmap, set by bitmapHandler
 	postStart   time.Time
@@ -159,7 +159,7 @@ func (d *destRun) writeExtent(ext bitmap.Extent, payload, zeros []byte) error {
 		if len(payload) == 0 {
 			d.dd.idx.Observe(d.dd.self, ext.Start+k, dedup.ZeroFingerprint(bs))
 		} else {
-			d.dd.observe(ext.Start+k, payload[k*bs:(k+1)*bs])
+			d.dd.idx.ObserveContent(d.dd.self, ext.Start+k, payload[k*bs:(k+1)*bs])
 		}
 	}
 	return nil
@@ -177,24 +177,21 @@ func (d *destRun) diskHandlers() frameHandlers {
 	data := func(m transport.Message) error {
 		ext, err := d.applyData(m, d.lanes, write)
 		d.noteRecvBlocks(ext.Start, ext.End())
-		return err
-	}
-	zeroRun := func(m transport.Message) error {
-		ext, err := d.applyData(m, d.lanes, write)
-		d.noteRecvBlocks(ext.Start, ext.End())
-		d.refBlocks += ext.Count
+		if m.Type == transport.MsgZeroExtent {
+			d.refBlocks += ext.Count
+		}
 		return err
 	}
 	// The dedup and delta frames drain the lane pool first: an advert's index
-	// lookups must see every literal already applied (and observed), a
-	// reference materialized from this VBD must not race a queued write to its
-	// backing block, a signature must summarize content with every queued
+	// lookups must see every literal already applied (and observed), and the
+	// content it writes from this VBD must not race a queued write to its
+	// backing block; a signature must summarize content with every queued
 	// literal already on the device, and a patch applies against (then
 	// overwrites) blocks a queued write may still own.
 	return frameHandlers{
-		transport.MsgBlockData: data, transport.MsgExtent: data, transport.MsgZeroExtent: zeroRun,
-		transport.MsgHashAdvert: d.drainOn(d.handleAdvert), transport.MsgBlockRef: d.drainOn(d.applyBlockRef),
-		transport.MsgDeltaSig: d.drainOn(d.handleDeltaSig), transport.MsgDeltaPatch: d.drainOn(d.handleDeltaPatch),
+		transport.MsgBlockData: data, transport.MsgExtent: data, transport.MsgZeroExtent: data,
+		transport.MsgHashAdvert: d.drainOn(d.handleAdvert), transport.MsgDeltaSig: d.drainOn(d.handleDeltaSig),
+		transport.MsgDeltaPatch: d.drainOn(d.handleDeltaPatch),
 	}
 }
 

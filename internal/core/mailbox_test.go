@@ -7,14 +7,16 @@ import (
 	"bbmig/internal/transport"
 )
 
-// TestReplyMailbox pins the source's one reply mailbox: whatever is in it
-// that does not answer the outstanding request — the right type echoing a
-// stale Arg, or the other reply type left over from a dead epoch — is
-// discarded and its pooled payload released, and the destination finishing
-// or failing while a request is outstanding surfaces as the error.
+// TestReplyMailbox pins the source's reply table: replies are taken by type
+// and echoed Arg in whatever order they arrived, none is dropped while the
+// request it answers may still be waited on, a reply past a window's worth
+// or a second one to an unclaimed request fails the run instead of
+// displacing one, a dead epoch's replies are released, and the destination
+// finishing or failing while a request is outstanding surfaces as the error.
 func TestReplyMailbox(t *testing.T) {
 	// Not a migration: the source's own mailboxes, which the test fills.
-	s := &sourceRun{transfer: &transfer{conn: nullConn{}}, replies: make(chan transport.Message, 8), doneCh: make(chan error, 1)}
+	s := &sourceRun{transfer: &transfer{conn: nullConn{}}, doneCh: make(chan error, 1),
+		replyCh: make(chan transport.Message, probeWindow), replies: make(map[[2]uint64]transport.Message)}
 	payload := func(fill byte) []byte {
 		b := transport.GetBuf(64)
 		for i := range b {
@@ -23,40 +25,64 @@ func TestReplyMailbox(t *testing.T) {
 		return b
 	}
 	released := func(b []byte) bool { return b[0] == 0xDB && b[len(b)-1] == 0xDB }
+	typ := func(i int) transport.MsgType {
+		if i%2 == 1 {
+			return transport.MsgDeltaSig
+		}
+		return transport.MsgHashWant
+	}
+	post := func(i int, p []byte) error {
+		return s.postReply(transport.Message{Type: typ(i), Arg: transport.ExtentArg(8*i, 4), Payload: p})
+	}
 
-	asked := transport.ExtentArg(8, 4)
-	staleArg, otherType, answer := payload(1), payload(2), payload(3)
-	s.postReply(transport.Message{Type: transport.MsgHashWant, Arg: transport.ExtentArg(0, 4), Payload: staleArg})
-	s.postReply(transport.Message{Type: transport.MsgDeltaSig, Arg: asked, Payload: otherType})
-	s.postReply(transport.Message{Type: transport.MsgHashWant, Arg: asked, Payload: answer})
-	got, err := s.waitReply(transport.MsgHashWant, asked)
-	if err != nil {
+	// A full window's replies, arriving in another order than they are taken.
+	var answers [probeWindow][]byte
+	for i := probeWindow - 1; i >= 0; i-- {
+		answers[i] = payload(byte(i + 1))
+		if err := post(i, answers[i]); err != nil {
+			t.Fatalf("reply %d of a full window refused: %v", i, err)
+		}
+	}
+	// One more answers nothing outstanding: refused, displacing none.
+	extra := payload(0x41)
+	if err := post(probeWindow, extra); err == nil || !released(extra) {
+		t.Fatalf("a reply past the window was filed (%v)", err)
+	}
+	for i := range answers {
+		got, err := s.waitReply(typ(i), transport.ExtentArg(8*i, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &got[0] != &answers[i][0] || released(answers[i]) {
+			t.Fatalf("reply %d: waitReply did not hand out the matching payload intact", i)
+		}
+	}
+
+	// A dead epoch's replies are released with it, filed or not.
+	filed, queued := payload(0x51), payload(0x52)
+	s.replies[[2]uint64{uint64(transport.MsgHashWant), 0}] = transport.Message{Type: transport.MsgHashWant, Payload: filed}
+	if err := post(1, queued); err != nil {
 		t.Fatal(err)
 	}
-	if &got[0] != &answer[0] || released(answer) {
-		t.Fatal("waitReply did not hand out the matching reply's payload intact")
-	}
-	if !released(staleArg) {
-		t.Fatal("reply with a stale Arg was not released")
-	}
-	if !released(otherType) {
-		t.Fatal("reply of the other type was not released")
+	s.dropReplies()
+	if !released(filed) || !released(queued) || len(s.replies) != 0 || len(s.replyCh) != 0 {
+		t.Fatal("dropReplies kept a dead epoch's reply")
 	}
 
-	// A full mailbox never blocks the read loop: the oldest entry makes room.
-	oldest := payload(4)
-	s.postReply(transport.Message{Type: transport.MsgDeltaSig, Arg: 1, Payload: oldest})
-	for i := 0; i < cap(s.replies); i++ {
-		s.postReply(transport.Message{Type: transport.MsgDeltaSig, Arg: uint64(2 + i)})
+	// A second reply to a request whose first is still unclaimed.
+	first, second := payload(0x61), payload(0x62)
+	if err := errors.Join(post(3, first), post(3, second)); err != nil {
+		t.Fatal(err)
 	}
-	if !released(oldest) || len(s.replies) != cap(s.replies) {
-		t.Fatalf("overflow kept the oldest reply (mailbox holds %d)", len(s.replies))
+	if _, err := s.waitReply(transport.MsgHashWant, 1); err == nil || !released(second) || released(first) {
+		t.Fatalf("a second reply to one request was filed (%v)", err)
 	}
+	s.dropReplies()
 
-	// Every queued reply is stale for this request; then the destination ends.
+	// Nothing answers the request; then the destination ends.
 	boom := errors.New("destination failed")
 	s.doneCh <- boom
-	if _, err := s.waitReply(transport.MsgHashWant, asked); !errors.Is(err, boom) {
+	if _, err := s.waitReply(transport.MsgHashWant, transport.ExtentArg(8, 4)); !errors.Is(err, boom) {
 		t.Fatalf("waitReply = %v, want the destination's error", err)
 	}
 	s.doneCh <- nil

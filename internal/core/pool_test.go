@@ -117,9 +117,9 @@ func TestWireTraceReadaheadEquivalence(t *testing.T) {
 		frames  []string // frame types the chain must actually have produced
 	}{
 		{"literal", Config{}, 1, []string{"EXTENT"}},
-		{"dedup", Config{Dedup: true}, 4, []string{"HASH_ADVERT", "BLOCK_REF"}},
+		{"dedup", Config{Dedup: true}, 4, []string{"HASH_ADVERT", "HASH_WANT"}},
 		{"delta", Config{Delta: true}, 4, []string{"DELTA_PATCH"}},
-		{"dedup+delta", Config{Dedup: true, Delta: true}, 4, []string{"HASH_ADVERT", "BLOCK_REF", "DELTA_PATCH"}},
+		{"dedup+delta", Config{Dedup: true, Delta: true}, 4, []string{"HASH_ADVERT", "HASH_WANT", "DELTA_PATCH"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(readahead, workers int) []string {
@@ -279,14 +279,15 @@ func TestSendExtentsFirstErrorNoLeak(t *testing.T) {
 	var mu sync.Mutex
 	var torn []int
 	bs := w.srcDisk.BlockSize()
-	encode := func(ext bitmap.Extent, data []byte) (int64, error) {
+	encode := func(ext bitmap.Extent, data []byte) error {
+		defer transport.PutBuf(data) // an encoder takes the buffer over
 		if calls.Add(1) == failAt {
-			return 0, errEncode
+			return errEncode
 		}
 		want := make([]byte, bs)
 		for k := 0; k < ext.Count; k++ {
 			if err := w.srcDisk.ReadBlock(ext.Start+k, want); err != nil {
-				return 0, err
+				return err
 			}
 			if !bytes.Equal(data[k*bs:(k+1)*bs], want) {
 				mu.Lock()
@@ -294,10 +295,10 @@ func TestSendExtentsFirstErrorNoLeak(t *testing.T) {
 				mu.Unlock()
 			}
 		}
-		return int64(len(data)), nil
+		return nil
 	}
 	before := runtime.NumGoroutine()
-	sent, _, err := tr.sendExtents(allOf(bitmap.NewAllSet(testBlocks)), encode, cfg.Workers, nil)
+	sent, err := tr.sendExtents(allOf(bitmap.NewAllSet(testBlocks)), encode, cfg.Workers, nil)
 	if !errors.Is(err, errEncode) {
 		t.Fatalf("pass returned %v, want the encoder's error", err)
 	}

@@ -26,9 +26,10 @@ type SyncStats struct {
 	// Blocks is how many blocks were shipped (source) or landed
 	// (destination), in any form.
 	Blocks int
-	// DedupBlocks counts the blocks among them that travelled as 16-byte
-	// content references (Config.Dedup) or inside header-only zero runs
-	// (Config.Dedup, Delta or MaxExtentBlocks > 1) instead of literals.
+	// DedupBlocks counts the blocks among them that the destination wrote
+	// at their advert (Config.Dedup) or that travelled inside header-only
+	// zero runs (Config.Dedup, Delta or MaxExtentBlocks > 1) instead of
+	// literals.
 	DedupBlocks int
 	// WireBytes is the total bytes this endpoint sent, frame headers included.
 	WireBytes int64
@@ -67,12 +68,10 @@ func SyncSource(cfg Config, dev blockdev.Device, conn transport.Conn, owed *bitm
 	return t.syncStats(sent, int(t.dedupBlocks.Load())), err
 }
 
-// recvReply is awaitReply for a scheme with no concurrent reader: the reply
-// to the one outstanding request is the next frame on the connection.
+// recvReply is awaitReply for a scheme with no concurrent reader: the
+// destination answers in arrival order, so the reply to the oldest request,
+// the one waited on, is the next frame. Nothing to flush (see window).
 func (t *transfer) recvReply(typ transport.MsgType, arg uint64) ([]byte, error) {
-	if err := transport.Flush(t.conn); err != nil {
-		return nil, err
-	}
 	m, err := t.conn.Recv()
 	if err != nil {
 		return nil, fmt.Errorf("core: awaiting %v: %w", typ, err)

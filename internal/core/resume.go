@@ -192,6 +192,17 @@ func (t *transfer) destSend(m transport.Message) error {
 	}
 }
 
+// destReply sends the reply to a source request once: a reply whose link
+// dies answers a request of a dead epoch, whose replies the source drops, and
+// the re-entered phase asks again for what it still needs.
+func (t *transfer) destReply(m transport.Message) error {
+	gen := t.sess.generation()
+	if err := t.conn.Send(m); err != nil {
+		return t.recoverDest(gen, err)
+	}
+	return nil
+}
+
 // recoverDest waits for the source to reconnect and rebinds the stack. A nil
 // return means the session was rebound (by this call or a concurrent one)
 // and the failed operation should be retried; otherwise the original error

@@ -15,13 +15,15 @@ import (
 // Ownership: a job handed to lanePool.do has given its buffer away. Whether
 // the pool runs the job, refuses or skips it because an earlier one failed,
 // or the job itself fails, the pool returns data to the buffer pool exactly
-// once, after run (if it ran) has returned. run only borrows data. A frame
-// that fails validation before it becomes a job is released by whoever
-// rejected it. A job whose run reads its own bytes carries no data.
+// once, after run (if it ran) has returned; run only borrows data, unless
+// the job takes, when a run that runs takes data over. A frame that fails
+// validation before it becomes a job is released by whoever rejected it. A
+// job whose run reads its own bytes carries no data.
 type job struct {
-	ext  bitmap.Extent
-	data []byte
-	run  func(ext bitmap.Extent, data []byte) error
+	ext   bitmap.Extent
+	data  []byte
+	run   func(ext bitmap.Extent, data []byte) error
+	takes bool
 }
 
 // lanePool runs jobs on a fixed set of worker lanes: the stages of the
@@ -68,10 +70,13 @@ func newLanePool(lanes, depth int) *lanePool {
 				p.mu.Lock()
 				err := p.err
 				p.mu.Unlock()
-				if err == nil { // a job queued behind a failure is skipped
+				ran := err == nil // a job queued behind a failure is skipped
+				if ran {
 					err = j.run(j.ext, j.data)
 				}
-				transport.PutBuf(j.data)
+				if !ran || !j.takes {
+					transport.PutBuf(j.data)
+				}
 				p.mu.Lock()
 				if p.err == nil {
 					p.err = err
@@ -93,7 +98,9 @@ func newLanePool(lanes, depth int) *lanePool {
 func (p *lanePool) do(j job) error {
 	if p == nil {
 		err := j.run(j.ext, j.data)
-		transport.PutBuf(j.data)
+		if !j.takes {
+			transport.PutBuf(j.data)
+		}
 		return err
 	}
 	p.mu.Lock()

@@ -92,12 +92,11 @@ type sourceRun struct {
 	doneCh     chan error
 	readerDone chan struct{}
 
-	// replies is the one reply mailbox: the read loop posts every MsgHashWant
-	// and MsgDeltaSig frame here and waitReply takes them out. At most one
-	// request — advert, signature or fence — is ever outstanding, so anything
-	// else found in it is left over from a connection epoch that died
-	// mid-round-trip.
-	replies chan transport.Message
+	// replyCh carries each MsgHashWant and MsgDeltaSig frame from the read
+	// loop to waitReply, which files them in replies by {type, echoed Arg}:
+	// one connection epoch's, at most one per outstanding request.
+	replyCh chan transport.Message
+	replies map[[2]uint64]transport.Message
 
 	// freeze-and-copy state carried between phases (and across reconnects)
 	freezeStart time.Time
@@ -170,29 +169,30 @@ func (s *sourceRun) startup() error {
 	s.pullCh = make(chan int, 1024)
 	s.resumedCh = make(chan time.Time, 1)
 	s.doneCh = make(chan error, 1)
-	s.replies = make(chan transport.Message, 8)
+	s.replyCh, s.replies = make(chan transport.Message, probeWindow), make(map[[2]uint64]transport.Message)
 	s.startReader()
 	return nil
 }
 
-// waitReply blocks until the destination's reply to the outstanding request
+// waitReply blocks until the destination's reply to an outstanding request
 // arrives: a frame of type typ echoing arg (a fence echo's Arg is
-// deltaFenceArg, which a real signature reply can never carry). Anything
-// else in the mailbox is stale — superseded with its epoch — and is
-// discarded. A destination failure surfaces through doneCh exactly as in
-// post-copy.
+// deltaFenceArg, which a real signature reply can never carry). The request
+// left at once — it is a control frame — so the wait flushes nothing. A
+// destination failure surfaces through doneCh exactly as in post-copy.
 func (s *sourceRun) waitReply(typ transport.MsgType, arg uint64) ([]byte, error) {
-	if err := transport.Flush(s.conn); err != nil {
-		return nil, err
-	}
-	for {
-		select {
-		case m := <-s.replies:
-			if m.Type != typ || m.Arg != arg {
-				m.Release()
-				continue
-			}
+	for want := [2]uint64{uint64(typ), arg}; ; {
+		if m, ok := s.replies[want]; ok {
+			delete(s.replies, want)
 			return m.Payload, nil
+		}
+		select {
+		case m := <-s.replyCh:
+			key := [2]uint64{uint64(m.Type), m.Arg}
+			if _, dup := s.replies[key]; dup || len(s.replies) >= probeWindow {
+				m.Release()
+				return nil, fmt.Errorf("core: %v for %#x answers no outstanding request", m.Type, m.Arg)
+			}
+			s.replies[key] = m
 		case err := <-s.doneCh:
 			if err == nil {
 				err = fmt.Errorf("core: destination completed while a %v request was outstanding", typ)
@@ -202,41 +202,34 @@ func (s *sourceRun) waitReply(typ transport.MsgType, arg uint64) ([]byte, error)
 	}
 }
 
-// postReply files m in the mailbox without ever blocking the read loop: when
-// the mailbox is full its oldest entry, necessarily stale, makes room.
-func (s *sourceRun) postReply(m transport.Message) {
-	for {
-		select {
-		case s.replies <- m:
-			return
-		default:
-		}
-		select {
-		case stale := <-s.replies:
-			stale.Release()
-		default:
-		}
+// postReply hands m to waitReply without ever blocking the read loop. At
+// most probeWindow requests are outstanding, so a reply past that many, or
+// a second one to a request, means a lying peer.
+func (s *sourceRun) postReply(m transport.Message) error {
+	select {
+	case s.replyCh <- m:
+		return nil
+	default:
+		m.Release()
+		return fmt.Errorf("core: %v for %#x answers no outstanding request", m.Type, m.Arg)
 	}
 }
 
-// dropReplies empties the mailbox and the refusal list of a dead epoch: the
-// re-entered phase re-requests whatever it re-sends (the destination stages
-// against the newest advert only), and a refused extent was never confirmed
-// received, so the owed-set reconciliation re-sends it anyway.
+// dropReplies empties the replies and refusals of a dead epoch, its reader
+// gone: the re-entered phase re-requests whatever it re-sends, and a refused
+// extent, never confirmed received, is re-owed anyway.
 func (s *sourceRun) dropReplies() {
-	for {
-		select {
-		case stale := <-s.replies:
-			stale.Release()
-			continue
-		default:
-		}
-		break
+	for len(s.replyCh) > 0 {
+		m := <-s.replyCh
+		m.Release()
+	}
+	for key, m := range s.replies {
+		m.Release()
+		delete(s.replies, key)
 	}
 	s.deltaMu.Lock()
 	s.deltaNaks = nil
 	s.deltaMu.Unlock()
-	s.deltaPending = 0
 }
 
 func (s *sourceRun) startReader() {
@@ -618,7 +611,7 @@ func (s *sourceRun) postCopy() error {
 // servePull answers one pull request. Pull replies always travel as single
 // blocks, unpaced, and leave at once: the destination's guest waits on them.
 func (s *sourceRun) servePull(n int) error {
-	if _, err := s.sendRead(bitmap.Extent{Start: n, Count: 1}, false); err != nil {
+	if err := s.sendRead(bitmap.Extent{Start: n, Count: 1}, false); err != nil {
 		return err
 	}
 	if err := transport.Flush(s.conn); err != nil {
@@ -652,7 +645,7 @@ func (s *sourceRun) pushBlocks(bm *bitmap.Bitmap) error {
 		if ext.Count == 0 {
 			break
 		}
-		if _, err := s.sendRead(ext, false); err != nil {
+		if err := s.sendRead(ext, false); err != nil {
 			return err
 		}
 		remaining.ClearRange(ext.Start, ext.End())
@@ -689,7 +682,10 @@ func (s *sourceRun) readLoop(done chan struct{}) {
 			}
 			s.pullCh <- int(m.Arg)
 		case transport.MsgHashWant, transport.MsgDeltaSig:
-			s.postReply(m)
+			if err := s.postReply(m); err != nil {
+				s.doneCh <- err
+				return
+			}
 		case transport.MsgDeltaPatch:
 			// A refusal: the destination could not verify a patch and wants
 			// the extent literally. Collected — never dropped — until the

@@ -57,7 +57,7 @@ func TestPullReplyLeavesAtOnce(t *testing.T) {
 	defer dst.Close()
 	s := newSourceRun(Config{}, w.src, src, "TPM")
 	for _, n := range []int{1, 2, 3} {
-		if _, err := s.sendRead(bitmap.Extent{Start: n, Count: 1}, false); err != nil {
+		if err := s.sendRead(bitmap.Extent{Start: n, Count: 1}, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,7 +83,7 @@ func TestStagingFollowsPacerBurst(t *testing.T) {
 	block := make([]byte, blockdev.BlockSize)
 	send := func(n int) {
 		t.Helper()
-		if _, err := tr.sendLiteral(bitmap.Extent{Start: n, Count: 1}, block, true); err != nil {
+		if err := tr.send(extentMessage(bitmap.Extent{Start: n, Count: 1}, block), true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +104,7 @@ func TestCompressingSourceDoesNotStage(t *testing.T) {
 	defer src.Close()
 	defer dst.Close()
 	tr := newDiskTransfer(Config{CompressLevel: 1}.withDefaults(), w.srcDisk, src, "test", "source")
-	if _, err := tr.sendLiteral(bitmap.Extent{Start: 3, Count: 1}, make([]byte, blockdev.BlockSize), false); err != nil {
+	if err := tr.send(extentMessage(bitmap.Extent{Start: 3, Count: 1}, make([]byte, blockdev.BlockSize)), false); err != nil {
 		t.Fatal(err)
 	}
 	expectFrames(t, dst, 3)

@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"maps"
+	"slices"
 
 	"bbmig/internal/dedup"
 	"bbmig/internal/transport"
@@ -25,11 +26,10 @@ type swarmPeer struct {
 }
 
 // swarmClient fans fingerprint fetches across the sidecar sessions that
-// survived the hello exchange. Methods are called only from the
-// destination's receive loop (one advert at a time), but the per-fetch
-// fan-out runs one goroutine per peer.
+// survived the hello exchange. Its methods run only on the destination's
+// receive loop (one advert at a time); a fetch fans out one goroutine per
+// peer, which touch nothing but their own peer's connection.
 type swarmClient struct {
-	mu    sync.Mutex
 	peers []*swarmPeer
 	seq   uint64
 }
@@ -79,22 +79,17 @@ func dialSwarm(cfg Config, domain string, blockSize int) *swarmClient {
 // verification — is dropped for the rest of the migration, and its share of
 // the request is simply not retried: the literal fallback covers it.
 func (sc *swarmClient) fetch(fps []dedup.Fingerprint, blockSize int) map[dedup.Fingerprint][]byte {
-	sc.mu.Lock()
-	live := append([]*swarmPeer(nil), sc.peers...)
-	sc.mu.Unlock()
-	if len(live) == 0 || len(fps) == 0 {
+	live := slices.Clone(sc.peers[:min(len(sc.peers), len(fps))]) // drop edits sc.peers; no peer goes unasked
+	if len(live) == 0 {
 		return nil
 	}
-
 	// Partition round-robin so every peer's uplink pulls its share. Each
 	// fingerprint goes to exactly one peer: the fleet's aggregate bandwidth
 	// is the win, not redundant fetching.
 	shares := make([][]dedup.Fingerprint, len(live))
 	for i, fp := range fps {
-		k := i % len(live)
-		shares[k] = append(shares[k], fp)
+		shares[i%len(live)] = append(shares[i%len(live)], fp)
 	}
-
 	type result struct {
 		peer *swarmPeer
 		got  map[dedup.Fingerprint][]byte
@@ -102,64 +97,35 @@ func (sc *swarmClient) fetch(fps []dedup.Fingerprint, blockSize int) map[dedup.F
 	}
 	results := make(chan result, len(live))
 	for k, peer := range live {
-		share := shares[k]
-		if len(share) == 0 {
-			continue
-		}
-		seq := sc.nextSeq()
-		go func(p *swarmPeer) {
+		sc.seq++
+		go func(p *swarmPeer, seq uint64, share []dedup.Fingerprint) {
 			got, err := fetchFromPeer(p.conn, seq, share, blockSize)
 			results <- result{peer: p, got: got, err: err}
-		}(peer)
+		}(peer, sc.seq, shares[k])
 	}
-
 	out := make(map[dedup.Fingerprint][]byte)
-	for k := range live {
-		if len(shares[k]) == 0 {
-			continue
-		}
-		r := <-results
-		if r.err != nil {
+	for range live {
+		if r := <-results; r.err != nil {
 			sc.drop(r.peer)
-			continue
-		}
-		for fp, content := range r.got {
-			out[fp] = content
+		} else {
+			maps.Copy(out, r.got)
 		}
 	}
 	return out
 }
 
-// nextSeq mints a request sequence number.
-func (sc *swarmClient) nextSeq() uint64 {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.seq++
-	return sc.seq
-}
-
 // drop removes a failed peer and closes its connection.
 func (sc *swarmClient) drop(p *swarmPeer) {
-	sc.mu.Lock()
-	for i, q := range sc.peers {
-		if q == p {
-			sc.peers = append(sc.peers[:i], sc.peers[i+1:]...)
-			break
-		}
-	}
-	sc.mu.Unlock()
+	sc.peers = slices.DeleteFunc(sc.peers, func(q *swarmPeer) bool { return q == p })
 	p.conn.Close()
 }
 
 // close tears down every remaining session.
 func (sc *swarmClient) close() {
-	sc.mu.Lock()
-	peers := sc.peers
-	sc.peers = nil
-	sc.mu.Unlock()
-	for _, p := range peers {
+	for _, p := range sc.peers {
 		p.conn.Close()
 	}
+	sc.peers = nil
 }
 
 // fetchFromPeer runs one MsgSwarmFetch/MsgSwarmBlock round trip and

@@ -81,27 +81,29 @@ type transfer struct {
 	ckpt       func(phase string, iter int, pending *bitmap.Bitmap)
 	resumeIter map[string]*iterResume
 
-	// awaitReply blocks until the destination answers the one outstanding
-	// request — a hash advert (MsgHashWant), a delta signature request or a
-	// delta fence (MsgDeltaSig) — with a frame of type typ echoing arg, and
-	// returns its pooled payload. TPM/IM wire it to the read loop's mailbox,
-	// pre-sync to an inline Recv; schemes that leave it nil (the baselines)
-	// have no reply path and send literally whatever was configured.
+	// awaitReply blocks until the destination answers an outstanding
+	// request — an advert (MsgHashWant), a delta signature request or fence
+	// (MsgDeltaSig) — with a frame of type typ echoing arg, and returns its
+	// pooled payload: from the read loop's table for TPM/IM, an inline Recv
+	// for pre-sync. Schemes that leave it nil (the baselines) send literally.
 	awaitReply func(typ transport.MsgType, arg uint64) ([]byte, error)
 
-	// dedupBlocks counts the blocks this source moved by reference or as zero
-	// runs, atomically: the zero stage runs on every lane of the literal chain.
+	// dedupBlocks counts the blocks this source left to the destination at an
+	// advert or sent as zero runs, atomically: the zero stage runs on every
+	// lane of the literal chain.
 	// deltaBlocks counts blocks sent as patches, deltaRefused those refused,
-	// deltaDeclined those whose patch was no smaller than the literal, and
-	// deltaPending the patches since the last fence. deltaNaks holds refusals
-	// until the fence re-sends them — a slice under a mutex, not a bounded
-	// channel: a dropped refusal would leave the destination holding stale
-	// content for blocks the source considers sent.
+	// and deltaDeclined those whose patch was no smaller than the literal.
+	// deltaNaks holds refusals until the fence re-sends them — a slice under
+	// a mutex, not a bounded channel: a dropped refusal would leave the
+	// destination holding stale content for blocks the source considers sent.
 	dedupBlocks                              atomic.Int64
 	deltaBlocks, deltaRefused, deltaDeclined int
-	deltaPending                             int
 	deltaMu                                  sync.Mutex
 	deltaNaks                                []uint64
+
+	// sentBytes adds up the wire bytes of every frame send sent: a send
+	// pass's bytes are what it added.
+	sentBytes atomic.Int64
 }
 
 // newTransfer assembles the substrate for one endpoint of a VM migration:
@@ -146,7 +148,7 @@ func newDiskTransfer(cfg Config, dev blockdev.Device, conn transport.Conn, schem
 // (transport.Stage), at most StageMax bytes and, when paced, at most the
 // pacer's burst. Staged frames leave with the next control frame, at the
 // bound, or at a flush, which the engine issues wherever it is about to wait
-// on its peer: the end of a send pass, a pull reply, a reply wait. A
+// on its peer: the end of a send pass, a pull reply. A
 // compressing source stages nothing, for the reason transport.Compressed
 // forwards no staging: the meter below it is opted in here, before the
 // handshake stacks compression, and a staged batch of deflated frames would
@@ -205,6 +207,7 @@ func (t *transfer) send(m transport.Message, limited bool) error {
 	if err := t.conn.Send(m); err != nil {
 		return err
 	}
+	t.sentBytes.Add(int64(m.FrameSize()))
 	t.noteWire()
 	return nil
 }
@@ -428,30 +431,25 @@ func readPooled(dev blockdev.Device, ext bitmap.Extent) ([]byte, error) {
 	return data, nil
 }
 
-// sendLiteral frames and sends one extent's data and returns its wire bytes.
-func (t *transfer) sendLiteral(ext bitmap.Extent, data []byte, limited bool) (int64, error) {
-	m := extentMessage(ext, data)
-	return int64(m.FrameSize()), t.send(m, limited)
-}
-
 // sendRead is the walker's read-and-literal step for a caller that cuts its
 // own extents (post-copy's push and pull replies, a delta refusal's re-send):
 // ext is read from the source read path and sent literally.
-func (t *transfer) sendRead(ext bitmap.Extent, limited bool) (int64, error) {
+func (t *transfer) sendRead(ext bitmap.Extent, limited bool) error {
 	data, err := readPooled(t.srcDev, ext)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer transport.PutBuf(data)
-	return t.sendLiteral(ext, data, limited)
+	return t.send(extentMessage(ext, data), limited)
 }
 
-// extentEncoder moves one extent — ext's blocks, already read into data —
-// onto the wire and returns the wire bytes it cost. Encoders stack: each
-// claims the extents or blocks it can move cheaper than a literal (whole zero
-// extents, references for dedup, patches for delta) and hands the remainder
-// to the next one down; the bottom of every stack is the literal frame.
-type extentEncoder func(ext bitmap.Extent, data []byte) (int64, error)
+// extentEncoder moves one extent — ext's blocks, already read into data, a
+// pooled buffer the encoder takes over and returns to the pool once done with
+// it — onto the wire. Encoders stack: each claims the extents or blocks it
+// can move cheaper than a literal (whole zero extents, content the
+// destination holds, patches) and hands the remainder to the next one down;
+// the bottom of every stack is the literal frame.
+type extentEncoder func(ext bitmap.Extent, data []byte) error
 
 // zeroEncoder returns the head stage of every chain but the paper's own: an
 // extent whose bytes are all zero — or, with nil data, a hole the walker did
@@ -459,45 +457,42 @@ type extentEncoder func(ext bitmap.Extent, data []byte) (int64, error)
 // goes to next untouched. It keeps no order, so the chain below it keeps its
 // lanes.
 func (t *transfer) zeroEncoder(next extentEncoder, limited bool) extentEncoder {
-	return func(ext bitmap.Extent, data []byte) (int64, error) {
+	return func(ext bitmap.Extent, data []byte) error {
 		if data != nil && !dedup.IsZero(data) {
 			return next(ext, data)
 		}
+		transport.PutBuf(data)
 		m := transport.Message{Type: transport.MsgZeroExtent, Arg: transport.ExtentArg(ext.Start, ext.Count)}
 		if err := t.send(m, limited); err != nil {
-			return 0, err
+			return err
 		}
 		t.dedupBlocks.Add(int64(ext.Count))
-		return int64(m.FrameSize()), nil
+		return nil
 	}
 }
 
-// sendBlocks streams the blocks cur yields and returns the count and payload
-// wire bytes. This is the one place the encoder chain is built: literal,
-// wrapped by delta when configured, wrapped by dedup when configured (so
-// exact matches are claimed before near matches, and both before the
-// literal), wrapped by the zero stage whenever extents, dedup or delta are
-// (so a whole zero extent costs one header and no round trip). The bare
-// literal chain is order-free — within one pass every block number appears at
-// most once, so the destination may apply its frames in any order — and is
-// read and encoded on cfg.Workers lanes; a round-trip stage needs its frames
-// in cursor order and holds the chain to one. With no codec configured and
-// Workers and Readahead unset, the walker at the default extent limit of one
-// block is wire-identical to the seed protocol.
-// With the zero stage in the chain and a blockdev.Allocator to read, the pass
-// takes the allocation map once, after tracking is on, and sends an extent
-// with no allocated block as a zero run, unread: a guest write into it later
-// is dirty and travels again, as one just after a block is read does.
+// sendBlocks streams the blocks cur yields and returns the count and the
+// wire bytes of the pass. It builds the one encoder chain: the literal frame,
+// below the probe window when Dedup or Delta is set (exact matches claimed
+// before near ones, both before the literal), below the zero stage whenever
+// extents, Dedup or Delta are (a whole zero extent costs one header and no
+// round trip). The bare literal chain is order-free — a pass names each
+// block at most once — and runs on cfg.Workers lanes; the window keeps
+// cursor order, on one. With no codec, Workers and Readahead unset and one
+// block per extent, the stream is the seed protocol's. With the zero stage
+// and a blockdev.Allocator to read, the pass takes the allocation map once,
+// after tracking is on, and sends an extent with no allocated block as a zero
+// run, unread: a guest write into it later is dirty and travels again.
 func (t *transfer) sendBlocks(cur *owedCursor, limited bool) (int, int64, error) {
-	var encode extentEncoder = func(ext bitmap.Extent, data []byte) (int64, error) {
-		return t.sendLiteral(ext, data, limited)
+	var encode extentEncoder = func(ext bitmap.Extent, data []byte) error {
+		defer transport.PutBuf(data)
+		return t.send(extentMessage(ext, data), limited)
 	}
 	lanes := t.cfg.Workers
-	if t.awaitReply != nil && t.cfg.Delta {
-		encode, lanes = t.deltaEncoder(encode, limited), 1
-	}
-	if t.awaitReply != nil && t.cfg.Dedup {
-		encode, lanes = t.dedupEncoder(encode, limited), 1
+	var win *window
+	if t.awaitReply != nil && (t.cfg.Dedup || t.cfg.Delta) {
+		win = &window{t: t, limited: limited, pending: make(map[dedup.Fingerprint]int)}
+		encode, lanes = win.push, 1
 	}
 	var alloc *bitmap.Bitmap // nil: read every extent
 	if t.cfg.MaxExtentBlocks > 1 || t.cfg.Dedup || t.cfg.Delta {
@@ -506,17 +501,15 @@ func (t *transfer) sendBlocks(cur *owedCursor, limited bool) (int, int64, error)
 			alloc = a.AllocatedBitmap()
 		}
 	}
-	sent, bytes, err := t.sendExtents(cur, encode, lanes, alloc)
-	if err != nil {
-		return sent, bytes, err
+	before := t.sentBytes.Load()
+	sent, err := t.sendExtents(cur, encode, lanes, alloc)
+	if win != nil {
+		err = win.drain(err)
 	}
-	// Patches shipped during the pass, by whichever encoder, are bounded
-	// here (no-op when none are pending).
-	fenceWire, err := t.deltaFence(limited)
 	if err == nil {
 		err = transport.Flush(t.conn)
 	}
-	return sent, bytes + fenceWire, err
+	return sent, t.sentBytes.Load() - before, err
 }
 
 // sendExtents is the one extent walker, a cut → read → encode pipeline whose
@@ -525,7 +518,7 @@ func (t *transfer) sendBlocks(cur *owedCursor, limited bool) (int, int64, error)
 // fills a pooled buffer per extent (none, and nil data, for one a non-nil
 // alloc holds no block of): inline on the walker when lanes <= 1, on lanes
 // goroutines otherwise, so a latency-bound device is read lanes deep.
-// The encode stage hands each extent to encode: with
+// The encode stage hands each extent and its buffer over to encode: with
 // cfg.Readahead 0 on the goroutine that read it, with Readahead > 0 on lanes
 // of its own behind a queue that deep, so the next extents' blocks are read
 // while the current one is on the wire. With lanes <= 1 both stages keep
@@ -533,17 +526,15 @@ func (t *transfer) sendBlocks(cur *owedCursor, limited bool) (int, int64, error)
 // same order whatever the depth and the frame sequence — and the golden wire
 // traces — do not depend on it; with more, encode must be safe for concurrent
 // use, as the literal encoder is.
-func (t *transfer) sendExtents(cur *owedCursor, encode extentEncoder, lanes int, alloc *bitmap.Bitmap) (int, int64, error) {
+func (t *transfer) sendExtents(cur *owedCursor, encode extentEncoder, lanes int, alloc *bitmap.Bitmap) (int, error) {
 	dev := t.srcDev
-	var sent, bytes atomic.Int64
+	var sent atomic.Int64
 	run := func(ext bitmap.Extent, data []byte) error {
-		wire, err := encode(ext, data)
-		if err != nil {
-			return err
+		err := encode(ext, data)
+		if err == nil {
+			sent.Add(int64(ext.Count))
 		}
-		sent.Add(int64(ext.Count))
-		bytes.Add(wire)
-		return nil
+		return err
 	}
 	var encoders *lanePool // nil: whoever read an extent encodes it
 	if depth := t.cfg.Readahead; depth > 0 {
@@ -559,10 +550,9 @@ func (t *transfer) sendExtents(cur *owedCursor, encode extentEncoder, lanes int,
 			}
 		}
 		if encoders == nil {
-			defer transport.PutBuf(data)
 			return run(ext, data)
 		}
-		return encoders.do(job{ext: ext, data: data, run: run})
+		return encoders.do(job{ext: ext, data: data, run: run, takes: true})
 	}
 	readers := newLanePool(lanes, 0)
 	defer readers.close()
@@ -582,7 +572,7 @@ func (t *transfer) sendExtents(cur *owedCursor, encode extentEncoder, lanes int,
 			err = perr
 		}
 	}
-	return int(sent.Load()), bytes.Load(), err
+	return int(sent.Load()), err
 }
 
 // sendPages streams the pages of cur's set in batches. Each page the base

@@ -8,17 +8,11 @@
 // The paper's block-bitmap (§IV-A-2) deduplicates positionally: a block
 // dirtied many times ships once per iteration. This package deduplicates by
 // content: a block whose bytes the destination can already produce — at any
-// offset, from any retained disk — ships as a 16-byte reference instead of
-// a 4 KiB literal, and all-zero blocks ship as references without even a
-// round trip. The protocol on top (MsgHashAdvert / MsgHashWant /
-// MsgBlockRef, see docs/WIRE.md §10) is negotiated; unconfigured peers keep
-// the seed wire format.
-//
-// Safety model: the index is advisory, never trusted. Every Lookup re-reads
-// the candidate block and re-hashes it before claiming the content, so
-// stale entries (a source block overwritten since it was observed, a
-// source that went away) degrade to "absent" — a full literal send — never
-// to wrong bytes.
+// offset, from any retained disk — costs its 16-byte fingerprint in an
+// advert, which the destination answers by writing the block itself, instead
+// of a 4 KiB literal. The protocol on top (MsgHashAdvert / MsgHashWant, see
+// docs/WIRE.md §10) is negotiated; unconfigured peers keep the seed wire
+// format. The index is advisory, never trusted (see Index).
 package dedup
 
 import (
@@ -30,7 +24,7 @@ import (
 
 // FingerprintSize is the wire size of one block fingerprint: SHA-256
 // truncated to 16 bytes (128 bits), collision-proof at any realistic fleet
-// scale and small enough that a reference costs 1/256th of a 4 KiB literal.
+// scale and small enough that an advert costs 1/256th of a 4 KiB literal.
 const FingerprintSize = 16
 
 // Fingerprint is the content hash of one disk block.
@@ -86,7 +80,7 @@ func zeroOf(blockSize int) *zeroContent {
 func ZeroFingerprint(blockSize int) Fingerprint { return zeroOf(blockSize).fp }
 
 // AppendFingerprints appends the wire form of fps (FingerprintSize bytes
-// each, in order) to buf — the MsgHashAdvert / MsgBlockRef payload encoding.
+// each, in order) to buf — the MsgHashAdvert and MsgSwarmFetch payload.
 func AppendFingerprints(buf []byte, fps []Fingerprint) []byte {
 	for i := range fps {
 		buf = append(buf, fps[i][:]...)
@@ -94,7 +88,7 @@ func AppendFingerprints(buf []byte, fps []Fingerprint) []byte {
 	return buf
 }
 
-// ParseFingerprintsInto decodes a MsgHashAdvert / MsgBlockRef payload that
+// ParseFingerprintsInto decodes a MsgHashAdvert or MsgSwarmFetch payload that
 // must carry exactly count fingerprints, into dst's backing array when it is
 // large enough. It returns dst unchanged on error, so a caller keeps its
 // scratch.
@@ -112,9 +106,32 @@ func ParseFingerprintsInto(dst []Fingerprint, payload []byte, count int) ([]Fing
 	return dst, nil
 }
 
-// WantLen returns the MsgHashWant payload size for an advert of count
-// blocks: one bit per block, LSB-first within each byte.
+// WantLen returns the size of a want-bitmap for an advert of count blocks:
+// one bit per block, LSB-first within each byte.
 func WantLen(count int) int { return (count + 7) / 8 }
+
+// WantLayout leads every MsgHashWant payload. It names the layout in which a
+// clear bit is a block the destination wrote at the advert; the reply of the
+// layout before it, whose clear bits awaited a reference, had no leading byte,
+// so neither end can read the other's reply as its own.
+const WantLayout = 1
+
+// WantReplyLen returns the MsgHashWant payload size for an advert of count
+// blocks: the layout byte and the want-bitmap.
+func WantReplyLen(count int) int { return 1 + WantLen(count) }
+
+// AppendWantReply appends the MsgHashWant payload carrying want to buf.
+func AppendWantReply(buf, want []byte) []byte { return append(append(buf, WantLayout), want...) }
+
+// ParseWantReply returns the want-bitmap of a MsgHashWant payload answering
+// an advert of count blocks, as a view of payload. It refuses any other
+// layout, and a bitmap that is not in its canonical form (CheckMask).
+func ParseWantReply(payload []byte, count int) ([]byte, error) {
+	if len(payload) != WantReplyLen(count) || payload[0] != WantLayout {
+		return nil, fmt.Errorf("dedup: want reply of %d bytes for %d blocks is not layout %d", len(payload), count, WantLayout)
+	}
+	return payload[1:], CheckMask(payload[1:], count)
+}
 
 // SetWant marks block k of a want-bitmap as "send the literal".
 func SetWant(buf []byte, k int) { buf[k/8] |= 1 << (k % 8) }
@@ -137,7 +154,7 @@ func Want(buf []byte, k int) bool { return buf[k/8]&(1<<(k%8)) != 0 }
 
 // ClearWant retracts block k's literal request from a want-bitmap — the
 // destination does this after a swarm peer produced (and verification
-// accepted) the block's content, leaving the source a reference to send.
+// accepted) the block's content, which it then writes at the advert.
 func ClearWant(buf []byte, k int) { buf[k/8] &^= 1 << (k % 8) }
 
 // WalkWant partitions an advertised extent into maximal same-verdict runs

@@ -17,6 +17,12 @@ func fill(disk *blockdev.MemDisk, n int, seed byte) {
 	}
 }
 
+// lookup is LookupInto into a fresh block.
+func lookup(ix *Index, fp Fingerprint) ([]byte, bool) {
+	buf := make([]byte, ix.BlockSize())
+	return buf, ix.LookupInto(fp, buf)
+}
+
 func TestFingerprintBasics(t *testing.T) {
 	a := Of([]byte{1, 2, 3})
 	b := Of([]byte{1, 2, 3})
@@ -106,13 +112,13 @@ func TestIndexLookupVerifies(t *testing.T) {
 	buf := make([]byte, blockdev.BlockSize)
 	disk.ReadBlock(3, buf)
 	fp := Of(buf)
-	got, ok := ix.Lookup(fp)
+	got, ok := lookup(ix, fp)
 	if !ok || !bytes.Equal(got, buf) {
 		t.Fatal("lookup of scanned content failed")
 	}
 
 	// Zero fingerprint materializes with no observation at all.
-	z, ok := ix.Lookup(ZeroFingerprint(blockdev.BlockSize))
+	z, ok := lookup(ix, ZeroFingerprint(blockdev.BlockSize))
 	if !ok || !IsZero(z) {
 		t.Fatal("zero lookup failed")
 	}
@@ -120,10 +126,10 @@ func TestIndexLookupVerifies(t *testing.T) {
 	// Overwrite the backing block: the stale entry must fail verification
 	// and be evicted, never return the new bytes under the old fingerprint.
 	fill(disk, 3, 0xCD)
-	if _, ok := ix.Lookup(fp); ok {
+	if _, ok := lookup(ix, fp); ok {
 		t.Fatal("stale entry verified after overwrite")
 	}
-	if _, ok := ix.Lookup(fp); ok {
+	if _, ok := lookup(ix, fp); ok {
 		t.Fatal("evicted entry came back")
 	}
 }
@@ -147,10 +153,10 @@ func TestIndexObserveRetractsOverwrites(t *testing.T) {
 	disk.ReadBlock(0, buf)
 	fpB := Of(buf)
 	ix.Observe("d", 0, fpB)
-	if _, ok := ix.Lookup(fpA); ok {
+	if _, ok := lookup(ix, fpA); ok {
 		t.Fatal("retracted entry still resolves")
 	}
-	if _, ok := ix.Lookup(fpB); !ok {
+	if _, ok := lookup(ix, fpB); !ok {
 		t.Fatal("fresh entry does not resolve")
 	}
 
@@ -169,14 +175,14 @@ func TestIndexDropSource(t *testing.T) {
 	ix.ScanSource("d")
 	buf := make([]byte, blockdev.BlockSize)
 	disk.ReadBlock(1, buf)
-	if _, ok := ix.Lookup(Of(buf)); !ok {
+	if _, ok := lookup(ix, Of(buf)); !ok {
 		t.Fatal("entry missing before drop")
 	}
 	ix.DropSource("d")
 	if ix.Len() != 0 {
 		t.Fatal("drop left state behind")
 	}
-	if _, ok := ix.Lookup(Of(buf)); ok {
+	if _, ok := lookup(ix, Of(buf)); ok {
 		t.Fatal("entry resolves after drop")
 	}
 }
@@ -193,11 +199,11 @@ func TestIndexUnregisteredSourceMisses(t *testing.T) {
 	}
 	buf := make([]byte, blockdev.BlockSize)
 	disk.ReadBlock(2, buf)
-	if _, ok := re.Lookup(Of(buf)); ok {
+	if _, ok := lookup(re, Of(buf)); ok {
 		t.Fatal("lookup resolved without a registered source")
 	}
 	re.RegisterSource("d", disk)
-	if got, ok := re.Lookup(Of(buf)); !ok || !bytes.Equal(got, buf) {
+	if got, ok := lookup(re, Of(buf)); !ok || !bytes.Equal(got, buf) {
 		t.Fatal("lookup failed after re-registering the source")
 	}
 }

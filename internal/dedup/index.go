@@ -35,7 +35,7 @@ type loc struct {
 // content H at block N when we looked".
 //
 // Observations are advisory: guest writes move content underneath the index
-// all the time. Lookup therefore re-reads and re-hashes the candidate block
+// all the time. LookupInto therefore re-reads and re-hashes the candidate block
 // before claiming the content, evicting entries that no longer verify, so
 // the worst a stale index can cause is a literal send that deduplication
 // would have saved — never wrong bytes.
@@ -211,16 +211,6 @@ func (ix *Index) ScanReader(name string, r BlockReader) (int, error) {
 	return indexed, nil
 }
 
-// Lookup materializes the content behind fp in a freshly allocated block the
-// caller keeps, or reports that the index cannot. See LookupInto.
-func (ix *Index) Lookup(fp Fingerprint) ([]byte, bool) {
-	buf := make([]byte, ix.blockSize)
-	if !ix.LookupInto(fp, buf) {
-		return nil, false
-	}
-	return buf, true
-}
-
 // LookupInto materializes the content behind fp into dst (one block long),
 // or reports that the index cannot; dst is scratch either way. The zero
 // fingerprint always succeeds. Any other hit re-reads the recorded block and
@@ -250,13 +240,13 @@ func (ix *Index) LookupInto(fp Fingerprint, dst []byte) bool {
 	return true
 }
 
-// Stage is the content one advert staged for the references that follow it:
-// one block-sized slot per advertised position in a single pooled buffer,
-// captured at advert time so it cannot be overwritten underneath. It belongs
-// to one destination session — the Index is shared by concurrent inbound
-// migrations, a Stage never is — and the next advert replaces it wholesale,
-// which the protocol allows because a reference only ever names the advert
-// immediately before it. The zero value is an empty stage.
+// Stage is the content one advert staged for the destination to write at
+// that advert: one block-sized slot per advertised position in a single
+// pooled buffer, captured when the advert is answered so it cannot be
+// overwritten underneath. It belongs to one destination session — the Index
+// is shared by concurrent inbound migrations, a Stage never is — and the next
+// advert replaces it wholesale: the destination writes an advert's content
+// before it answers the next. The zero value is an empty stage.
 type Stage struct {
 	buf   []byte              // pooled; slot k is buf[k*blockSize:][:blockSize]
 	slots map[Fingerprint]int // staged fingerprint → its slot
@@ -288,13 +278,6 @@ func (st *Stage) Release() {
 	clear(st.slots)
 }
 
-// Put stages content (one block, already verified against fp) in slot k of
-// the current advert — how swarm-fetched blocks join locally produced ones.
-func (st *Stage) Put(k int, fp Fingerprint, content []byte) {
-	copy(st.buf[k*len(content):(k+1)*len(content)], content)
-	st.slots[fp] = k
-}
-
 // Answer is AnswerInto on a fresh Stage the caller keeps (and never has to
 // release: an unreleased stage is simply garbage collected).
 func (ix *Index) Answer(fps []Fingerprint) (want []byte, stage *Stage) {
@@ -304,12 +287,11 @@ func (ix *Index) Answer(fps []Fingerprint) (want []byte, stage *Stage) {
 
 // AnswerInto is the destination's half of one MsgHashAdvert: st is emptied,
 // every advertised fingerprint the index can produce is verified (LookupInto's
-// re-hash) straight into its slot of st for the references that follow, and
-// everything else gets its want bit set. Zero fingerprints are neither wanted
-// nor staged — zeros are implicit. The returned want-bitmap belongs to st and
-// is valid until st's next advert. Both the engine's receive loop and
-// ServeSync answer adverts through here, so the reply semantics cannot
-// diverge.
+// re-hash) straight into its slot of st, and everything else gets its want
+// bit set. Zero fingerprints are neither wanted nor staged — zeros are
+// implicit. The returned want-bitmap belongs to st and is valid until st's
+// next advert. Both the engine's receive loop and ServeSync answer adverts
+// through here, so the reply semantics cannot diverge.
 func (ix *Index) AnswerInto(st *Stage, fps []Fingerprint) (want []byte) {
 	st.reset(len(fps), ix.blockSize)
 	for k, fp := range fps {
@@ -328,11 +310,11 @@ func (ix *Index) AnswerInto(st *Stage, fps []Fingerprint) (want []byte) {
 	return st.want
 }
 
-// Materialize resolves one MsgBlockRef fingerprint: staged content first, the
-// index (verify-on-read) as fallback, zeros implicitly. ok is false when the
-// content cannot be produced — a protocol error for the caller, never a
-// silent wrong write. The content is read-only and borrowed: staged content
-// lives until st's next advert, and zeros are one block shared process-wide.
+// Materialize returns the content behind fp that an answered advert left
+// unwanted: staged content, or zeros. ok is false for any other fingerprint:
+// never a silent wrong write. The content is read-only and borrowed: staged
+// content lives until st's next advert, and zeros are one block shared
+// process-wide.
 func (ix *Index) Materialize(st *Stage, fp Fingerprint) (content []byte, ok bool) {
 	if fp == ix.zero {
 		return ix.zeroBlock, true
@@ -342,7 +324,7 @@ func (ix *Index) Materialize(st *Stage, fp Fingerprint) (content []byte, ok bool
 			return st.buf[k*ix.blockSize : (k+1)*ix.blockSize], true
 		}
 	}
-	return ix.Lookup(fp)
+	return nil, false
 }
 
 // evict removes one entry if it still names the given location.

@@ -79,13 +79,6 @@ func TestAnswerMatchesAllocatingForm(t *testing.T) {
 	if _, ok := ix.Materialize(&st, unknown); ok {
 		t.Error("unknown fingerprint materialized")
 	}
-	// A swarm-fetched block joins the stage in its advert slot.
-	content := bytes.Repeat([]byte{0x77}, blockdev.BlockSize)
-	st.Put(1, Of(content), content)
-	content[0] = 0 // the stage copied
-	if got, ok := ix.Materialize(&st, Of(bytes.Repeat([]byte{0x77}, blockdev.BlockSize))); !ok || got[0] != 0x77 {
-		t.Error("Put content not materialized from the stage's own copy")
-	}
 	// The allocating wrapper answers the same.
 	want2, st2 := ix.Answer(fps)
 	if !bytes.Equal(want, want2) {

@@ -25,7 +25,7 @@ var lineBudgets = map[string]int{
 	"internal/blockdev/bcache": 596,
 	"internal/cluster":         1467,
 	"internal/core":            4742,
-	"internal/dedup":           519,
+	"internal/dedup":           518,
 	"internal/forecast":        411,
 	"internal/hostd":           1019,
 	"internal/sim":             2156,
