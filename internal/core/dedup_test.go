@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -129,5 +132,80 @@ func TestDedupZeroElision(t *testing.T) {
 	}
 	if capacity := int64(testBlocks) * blockdev.BlockSize; rep.MigratedBytes*4 > capacity {
 		t.Fatalf("zero disk still moved %d of %d bytes", rep.MigratedBytes, capacity)
+	}
+}
+
+// oldWantReply sends every HASH_WANT in the layout before the leading layout
+// byte, as a destination that still expected references does.
+type oldWantReply struct{ transport.Conn }
+
+func (c oldWantReply) Send(m transport.Message) error {
+	if m.Type == transport.MsgHashWant {
+		m.Payload = m.Payload[1:]
+	}
+	return c.Conn.Send(m)
+}
+
+// oldWantSource reads every HASH_WANT as a source that predates the layout
+// byte did: the payload must be the bare want-bitmap, and the parse failure
+// is that source's error.
+type oldWantSource struct{ transport.Conn }
+
+func (c oldWantSource) Recv() (transport.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil && m.Type == transport.MsgHashWant {
+		_, count := transport.ExtentSplit(m.Arg)
+		if merr := dedup.CheckMask(m.Payload, count); merr != nil {
+			return transport.Message{}, fmt.Errorf("core: want bitmap: %w", merr)
+		}
+	}
+	return m, err
+}
+
+// TestDedupMixedPairFails pairs an end that writes at the advert with one
+// that expects references, either way round: an old-layout want reply to a
+// new source, and a new reply to an old-layout source. Neither can be read
+// as the other, so the migration fails naming the want reply, and every
+// destination block holds either its old content or the source's: a block
+// written at an advert is the source's content, and none is written wrong.
+func TestDedupMixedPairFails(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		link       func(s, d transport.Conn) (transport.Conn, transport.Conn)
+	}{
+		{"old-reply", "dedup want reply", func(s, d transport.Conn) (transport.Conn, transport.Conn) { return s, oldWantReply{d} }},
+		{"old-source", "want bitmap", func(s, d transport.Conn) (transport.Conn, transport.Conn) { return oldWantSource{s}, d }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, worldSpec{fill: template(16), link: tc.link})
+			cfg := Config{Dedup: true, MaxExtentBlocks: 16}
+			_, _, srcErr, dstErr := w.tpmPair(cfg, cfg, nil)
+			if err := errors.Join(srcErr, dstErr); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("source: %v, destination: %v; want the migration failed on the %s", srcErr, dstErr, tc.want)
+			}
+			src, dst := make([]byte, blockdev.BlockSize), make([]byte, blockdev.BlockSize)
+			for n := 0; n < testBlocks; n++ {
+				if err := errors.Join(w.srcDisk.ReadBlock(n, src), w.dstDisk.ReadBlock(n, dst)); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(dst, src) && !dedup.IsZero(dst) {
+					t.Fatalf("block %d holds neither its old content nor the source's", n)
+				}
+			}
+		})
+	}
+}
+
+// TestWantReplyLayoutsDisjoint: for every advert size, a want reply of either
+// layout is refused by the other's parse, whatever its bits.
+func TestWantReplyLayoutsDisjoint(t *testing.T) {
+	for count := 1; count <= 256; count++ {
+		want := make([]byte, dedup.WantLen(count))
+		if _, err := dedup.ParseWantReply(want, count); err == nil {
+			t.Fatalf("%d blocks: an old-layout reply parses as the new layout", count)
+		}
+		if dedup.CheckMask(dedup.AppendWantReply(nil, want), count) == nil {
+			t.Fatalf("%d blocks: a new-layout reply parses as the old layout", count)
+		}
 	}
 }

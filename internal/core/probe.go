@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"bbmig/internal/bitmap"
 	"bbmig/internal/dedup"
@@ -25,10 +26,9 @@ const probeWindow = 8
 // replyTo names each request's reply type.
 var replyTo = map[transport.MsgType]transport.MsgType{transport.MsgHashAdvert: transport.MsgHashWant, transport.MsgDeltaSig: transport.MsgDeltaSig}
 
-// probe is one extent in the window, and the pooled buffer it returns once
-// its reply is handled: nil when a later probe cut from it returns it. An
-// advert's fingerprints are taken once, before it is sent, and kept until
-// its reply is handled.
+// probe is one extent in the window and the pooled buffer it returns once
+// its reply is handled; an advert's fingerprints stay pending until all it
+// named has landed. A later probe cut from it may take both over.
 type probe struct {
 	typ            transport.MsgType // MsgHashAdvert or MsgDeltaSig
 	ext            bitmap.Extent
@@ -59,12 +59,11 @@ func (w *window) push(ext bitmap.Extent, data []byte) error {
 }
 
 // pump sends waiting probes, handling the oldest reply while probeWindow are
-// outstanding or the next advert names content an outstanding one names: it
-// waits until that content has landed, so a cold index answers it as it did
-// one request at a time.
+// outstanding or the next advert names pending content, which must land
+// first, so a cold index answers it as it did one request at a time.
 func (w *window) pump() (err error) {
 	for err == nil && w.out < len(w.q) {
-		if p := &w.q[w.out]; w.out == probeWindow || w.repeats(p) {
+		if p := &w.q[w.out]; w.out == probeWindow || w.repeats(p) && w.out > 0 {
 			err = w.handle()
 		} else if err = w.request(p); err == nil {
 			w.out++
@@ -92,9 +91,12 @@ func (w *window) drain(err error) error {
 }
 
 // repeats takes an advert's fingerprints, a zero block's unhashed (at a
-// fraction of the cost), and reports whether an outstanding advert names one.
+// fraction of the cost), and reports whether one is pending.
 func (w *window) repeats(p *probe) bool {
-	if bs := w.t.dev.BlockSize(); p.typ == transport.MsgHashAdvert && p.fps == nil {
+	if p.typ != transport.MsgHashAdvert {
+		return false
+	}
+	if bs := w.t.dev.BlockSize(); p.fps == nil {
 		p.fps = transport.GetBuf(p.ext.Count * dedup.FingerprintSize)[:0]
 		for k := 0; k < p.ext.Count; k++ {
 			fp := dedup.ZeroFingerprint(bs)
@@ -128,10 +130,10 @@ func (w *window) request(p *probe) error {
 	if p.typ == transport.MsgDeltaSig {
 		payload = delta.AppendHint(transport.GetBuf(delta.HintLen(len(p.data)))[:0], p.data)
 		defer transport.PutBuf(payload) // send only borrows it
+	} else {
+		w.count(p.fps, 1)
 	}
-	err := w.t.send(transport.Message{Type: p.typ, Arg: transport.ExtentArg(p.ext.Start, p.ext.Count), Payload: payload}, w.limited)
-	w.count(p.fps, 1)
-	return err
+	return w.t.send(transport.Message{Type: p.typ, Arg: transport.ExtentArg(p.ext.Start, p.ext.Count), Payload: payload}, w.limited)
 }
 
 // handle takes the oldest probe out, waits for its reply and sends what the
@@ -144,37 +146,40 @@ func (w *window) handle() error {
 	if err != nil {
 		return err
 	}
-	w.count(p.fps, -1)
 	defer transport.PutBuf(raw) // the views below die with it
 	if p.typ == transport.MsgHashAdvert {
-		return w.wanted(&p, raw)
+		err = w.wanted(&p, raw)
+	} else {
+		err = w.patch(p, raw)
 	}
-	return w.patch(p, raw)
+	w.count(p.fps, -1) // landed, unless a later probe took them over
+	return err
 }
 
-// wanted walks a dedup reply. The destination has written the blocks it did
-// not want; the wanted runs go as literals or, with Delta, as delta probes at
-// the tail, the last of which takes p's buffer over.
+// wanted walks a dedup reply: the destination wrote what it did not want,
+// and the wanted runs go as literals or, with Delta, as delta probes at the
+// window's tail, ahead of those unsent, the last taking p's buffers over.
 func (w *window) wanted(p *probe, raw []byte) error {
 	want, err := dedup.ParseWantReply(raw, p.ext.Count)
 	if err != nil {
 		return fmt.Errorf("core: dedup want reply for extent [%d,+%d): %w", p.ext.Start, p.ext.Count, err)
 	}
-	bs, tail := w.t.dev.BlockSize(), len(w.q)
+	bs, tail := w.t.dev.BlockSize(), w.out
 	err = dedup.WalkWant(p.ext.Count, want, func(off, n int, wanted bool) error {
 		sub, data := bitmap.Extent{Start: p.ext.Start + off, Count: n}, p.data[off*bs:(off+n)*bs]
 		switch {
 		case !wanted:
 			w.t.dedupBlocks.Add(int64(n))
 		case w.t.cfg.Delta:
-			w.q = append(w.q, probe{transport.MsgDeltaSig, sub, data, nil, nil})
+			w.q = slices.Insert(w.q, tail, probe{transport.MsgDeltaSig, sub, data, nil, nil})
+			tail++
 		default:
 			return w.t.send(extentMessage(sub, data), w.limited)
 		}
 		return nil
 	})
-	if len(w.q) > tail {
-		w.q[len(w.q)-1].own, p.own = p.own, nil
+	if tail > w.out {
+		w.q[tail-1].own, w.q[tail-1].fps, p.own, p.fps = p.own, p.fps, nil, nil
 	}
 	return err
 }
@@ -200,11 +205,10 @@ func (w *window) patch(p probe, raw []byte) error {
 	return nil
 }
 
-// fence bounds a pass that sent patches. The source sends the Arg-0
-// signature request and waits for its echo; both directions are FIFO, so by
-// then every patch of the pass has been applied or refused and every refusal
-// has reached the NAK list. Refused extents are re-sent literally within the
-// pass, so iteration accounting on both sides stays exact.
+// fence bounds a pass that sent patches: the Arg-0 signature request's echo
+// comes after every refusal of the pass, both directions being FIFO, and the
+// refused extents are re-sent literally within the pass, so iteration
+// accounting on both sides stays exact.
 func (w *window) fence() error {
 	if err := w.t.send(transport.Message{Type: transport.MsgDeltaSig, Arg: deltaFenceArg}, w.limited); err != nil {
 		return err
