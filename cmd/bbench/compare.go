@@ -44,7 +44,9 @@ const (
 // TCP or device row and the source blocks it read (a change that goes back to
 // a request per block, or reads the holes it can name, fails them); and the
 // blocks of a WAN row whose patch was refused and its signature bytes per
-// rewritten block (a change that describes unchanged content again fails it). (A move is measured against
+// rewritten block (a change that describes unchanged content again fails it);
+// and round_trips_per_extent, a WAN or dedup row's source flushes per content
+// probe (a change that waits on each probe's reply again fails it). (A move is measured against
 // max(base, 1), so on a ratio 2 % is two hundredths.)
 var gates = []struct {
 	prefix, field string
@@ -70,9 +72,11 @@ var gates = []struct {
 	{"MigrateWAN/", "bytes_per_op", lower, 0},
 	{"MigrateWAN/", "refused_blocks", lower, 2},
 	{"MigrateWAN/", "sig_bytes_per_block", lower, 2},
+	{"MigrateWAN/", "round_trips_per_extent", lower, 2},
 	{"MigrateDedup/", "allocs_per_op", lower, 0},
 	{"MigrateDedup/", "bytes_per_op", lower, 0},
 	{"MigrateDedup/", "hashes_per_block", lower, 2},
+	{"MigrateDedup/", "round_trips_per_extent", lower, 2},
 	{"SnapshotScan/", "allocs_per_op", lower, 0},
 	{"SnapshotScan/", "bytes_per_op", lower, 0},
 	{"SimFleetSweep/diurnal-predictive", "speedup", higher, 0},

@@ -112,7 +112,7 @@ func suite(seed int64) []row {
 		{"MigrateWAN/delta-back", func(b *testing.B) { deltaMigrate(b, true, true) }},
 		{"MigrateWAN/coldsig-back", func(b *testing.B) { deltaMigrate(b, true, false) }},
 
-		// A template clone, by reference, literally, and to cold destinations.
+		// A template clone to a destination that holds it, literally, and cold.
 		{"MigrateDedup/warm", func(b *testing.B) { dedupMigrate(b, true, true) }},
 		{"MigrateDedup/literal", func(b *testing.B) { dedupMigrate(b, false, false) }},
 		{"MigrateDedup/cold", func(b *testing.B) { dedupMigrate(b, true, false) }},
@@ -618,8 +618,9 @@ func tcpCpBaseline(b *testing.B) {
 // (stale) or nothing. Without delta the rewrites travel literal; with it as
 // patches against the stale copies, or, toward the empty disk, behind a
 // signature round trip per extent that cannot win: the protocol's floor.
-// One more migration, untimed, reports sig_bytes_per_block: the MsgDeltaSig
-// wire bytes both ways per rewritten block, a count no machine moves.
+// One more migration, untimed, reports sig_bytes_per_block, the MsgDeltaSig
+// wire bytes both ways per rewritten block, and round_trips_per_extent (see
+// probeMeter): counts no machine moves.
 func deltaMigrate(b *testing.B, delta, stale bool) {
 	hot, refused := blocks/8, 0
 	baseline := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
@@ -655,39 +656,71 @@ func deltaMigrate(b *testing.B, delta, stale bool) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(refused)/float64(b.N), "refused_blocks")
-	var sig atomic.Int64
-	run(func(src, dst transport.Conn) (transport.Conn, transport.Conn) {
-		return sigMeter{src, &sig}, sigMeter{dst, &sig}
-	})
-	b.ReportMetric(float64(sig.Load())/float64(hot), "sig_bytes_per_block")
+	var src, dst probeMeter
+	run(src.wrap(&dst))
+	b.ReportMetric(float64(src.sig.Load()+dst.sig.Load())/float64(hot), "sig_bytes_per_block")
+	src.roundTrips(b)
 }
 
-// sigMeter adds up the wire bytes of the MsgDeltaSig frames an end sends.
-type sigMeter struct {
+// probeMeter counts what the end it wraps sends of the content probes: the
+// wire bytes of its MsgDeltaSig frames, its HASH_ADVERT and MsgDeltaSig
+// frames, and its flushes from the first of those on. The engine flushes
+// where it waits on its peer, so on the source flushes per request are
+// round_trips_per_extent: 1 or more for a source that waits on every reply.
+type probeMeter struct {
 	transport.Conn
-	bytes *atomic.Int64
+	sig, requests, flushes atomic.Int64
 }
 
-func (m sigMeter) Send(msg transport.Message) error {
+// wrap is a migrate wrapper metering the source end with m, the destination
+// end with dst.
+func (m *probeMeter) wrap(dst *probeMeter) func(src, dst transport.Conn) (transport.Conn, transport.Conn) {
+	return func(s, d transport.Conn) (transport.Conn, transport.Conn) {
+		m.Conn, dst.Conn = s, d
+		return m, dst
+	}
+}
+
+func (m *probeMeter) Send(msg transport.Message) error {
+	if msg.Type == transport.MsgDeltaSig || msg.Type == transport.MsgHashAdvert {
+		m.requests.Add(1)
+	}
 	if msg.Type == transport.MsgDeltaSig {
-		m.bytes.Add(int64(msg.FrameSize()))
+		m.sig.Add(int64(msg.FrameSize()))
 	}
 	return m.Conn.Send(msg)
+}
+
+// Stage and Flush forward staging, so the meter changes nothing below it.
+func (m *probeMeter) Stage(limit int) bool { return transport.Stage(m.Conn, limit) }
+
+func (m *probeMeter) Flush() error {
+	if m.requests.Load() > 0 {
+		m.flushes.Add(1)
+	}
+	return transport.Flush(m.Conn)
+}
+
+// roundTrips reports the source end's round_trips_per_extent.
+func (m *probeMeter) roundTrips(b *testing.B) {
+	b.ReportMetric(float64(m.flushes.Load())/float64(max(m.requests.Load(), 1)), "round_trips_per_extent")
 }
 
 // dedupMigrate runs TPM of a template-provisioned clone over modelled GbE:
 // literally (dedup off), to a cold destination (only the never-written
 // quarter elides), or — warm — to one whose index knows a sibling, so every
-// block travels by reference. The warm index is built before every run, off
-// the clock: one shared across runs goes cold after its first migration, and
-// this row measures the codec, not that finding. hashes_per_block is the
+// block's content is already held. The warm index is built before every run,
+// off the clock: one shared across runs goes cold after its first migration,
+// and this row measures the codec, not that finding. hashes_per_block is the
 // SHA-256 calls the destination's index makes per block, its warm-up scan
-// included: a count no machine moves.
+// included, and round_trips_per_extent is probeMeter's: counts no machine
+// moves.
 func dedupMigrate(b *testing.B, on, warm bool) {
 	srcDisk, sibling := cloneImage(), cloneImage()
 	cfg := core.Config{MaxExtentBlocks: 64, Dedup: on}
 	var refs int
 	var hashes int64
+	var src, dst probeMeter
 	b.SetBytes(blocks * blockdev.BlockSize)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -706,11 +739,12 @@ func dedupMigrate(b *testing.B, on, warm bool) {
 			}
 		}
 		b.StartTimer()
-		rep, _ := newWorld(srcDisk, blockdev.NewMemDisk(blocks, blockdev.BlockSize), 64).migrate(b, gbe, cfg, dstCfg, nil, nil)
+		rep, _ := newWorld(srcDisk, blockdev.NewMemDisk(blocks, blockdev.BlockSize), 64).migrate(b, gbe, cfg, dstCfg, nil, src.wrap(&dst))
 		refs, hashes = rep.DedupBlocks, idx.Stats().Hashes
 	}
 	b.ReportMetric(float64(refs)/blocks, "ref_share")
 	b.ReportMetric(float64(hashes)/blocks, "hashes_per_block")
+	src.roundTrips(b)
 }
 
 // swarmMigrate is the dedup rows' clone and link toward a cold destination

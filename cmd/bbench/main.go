@@ -236,8 +236,8 @@ func dedupSweep(w io.Writer, seed int64, _ int) {
 	_, tab := sim.DedupSweep(seed)
 	fmt.Fprint(w, tab.String())
 	fmt.Fprintln(w, "template-derived clones evacuating toward warm hosts ship fingerprints, not bytes:")
-	fmt.Fprintln(w, "zero blocks elide without a round trip, shared template content travels as 16-byte")
-	fmt.Fprintln(w, "references against the destination's retained and clone-sibling disks.")
+	fmt.Fprintln(w, "zero blocks elide without a round trip, shared template content costs its 16-byte")
+	fmt.Fprintln(w, "fingerprint, written from the destination's retained and clone-sibling disks.")
 }
 
 func swarmSweep(w io.Writer, seed int64, _ int) {

@@ -305,6 +305,32 @@ func TestCompareBenchSigGate(t *testing.T) {
 	}
 }
 
+// TestCompareBenchRoundTripGate: round_trips_per_extent is a count, held like
+// wire_share on the WAN and dedup rows: a source that flushes and waits on
+// every probe's reply again fails, one that waits less passes.
+func TestCompareBenchRoundTripGate(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := func(file string, rt float64) string {
+		path := filepath.Join(dir, file)
+		writeSnapshotV11(t, path, []benchResult{
+			{Name: "MigrateWAN/delta-back", MBPerSec: 90, AllocsPerOp: 480, Metrics: map[string]float64{"round_trips_per_extent": rt}},
+			{Name: "MigrateDedup/warm", MBPerSec: 400, AllocsPerOp: 700, Metrics: map[string]float64{"round_trips_per_extent": rt}},
+		})
+		return path
+	}
+	base := snapshot("base.json", 0.15)
+	if err := compareBench(snapshot("same.json", 0.15), base, 25); err != nil {
+		t.Errorf("unchanged round_trips_per_extent failed the gate: %v", err)
+	}
+	if err := compareBench(snapshot("fewer.json", 0.05), base, 25); err != nil {
+		t.Errorf("fewer round trips failed the gate: %v", err)
+	}
+	err := compareBench(snapshot("serial.json", 1.1), base, 25)
+	if err == nil || !strings.Contains(err.Error(), "MigrateWAN/delta-back") || !strings.Contains(err.Error(), "MigrateDedup/warm") {
+		t.Errorf("a flush per probe again: gate said %v", err)
+	}
+}
+
 // TestCompareBenchHashGate: hashes_per_block is a count, held like
 // wire_share: a dedup destination whose index hashes more per block fails.
 func TestCompareBenchHashGate(t *testing.T) {

@@ -41,10 +41,10 @@
 // ZERO_EXTENT frame; the summary's dedup line counts those blocks.
 //
 // Content-addressed dedup: -dedup on the sender replaces literal disk
-// transfer with the hash-advert/want-bitmap/reference protocol — any block
-// whose content the receiver can already produce (zero, received earlier in
-// the same migration, or present on its disk) travels as a 16-byte
-// reference:
+// transfer with the hash-advert/want-bitmap protocol — any block whose
+// content the receiver can already produce (zero, received earlier in the
+// same migration, or present on its disk) costs its 16-byte fingerprint, and
+// the receiver writes it itself:
 //
 //	bbmig -mode recv -listen :7011 -image guest.img
 //	bbmig -mode send -addr dst:7011 -image guest.img -dedup

@@ -86,11 +86,10 @@
 // The block-bitmap deduplicates positionally — a block dirtied many times
 // ships once per iteration. Config.Dedup deduplicates by content: during
 // disk pre-copy the source adverts each extent's per-block fingerprints
-// (SHA-256/128), the destination answers with a want-bitmap naming the
-// content it cannot already produce, and everything else travels as
-// 16-byte references materialized from the destination's fingerprint
-// index — retained peer copies, clone siblings' disks, blocks received
-// earlier in the same migration, and the implicit zero block (an extent
+// (SHA-256/128), the destination writes at once every block its fingerprint
+// index can produce — retained peer copies, clone siblings' disks, blocks
+// received earlier in the same migration, and the implicit zero block — and
+// answers with a want-bitmap naming the rest, sent literally (an extent
 // that is all zeros never reaches the advert: the zero stage above dedup
 // sends it as one MsgZeroExtent, without a round trip). The index is
 // advisory and verify-on-read: a stale entry degrades to a literal send,

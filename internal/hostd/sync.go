@@ -90,7 +90,7 @@ type SyncReport struct {
 // Honoured cfg fields: BandwidthLimit and Budget pace the transfer (the rate
 // is re-read per frame, so a cluster's shared budget re-divides live),
 // MaxExtentBlocks coalesces runs, Dedup ships content the peer can already
-// produce by reference. The sync stream is always a
+// produce as its fingerprint. The sync stream is always a
 // single uncompressed, non-delta connection.
 //
 // On any failure the shipped set is re-diverged in the vault, so a torn sync

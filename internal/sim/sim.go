@@ -40,6 +40,7 @@ import (
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/core"
+	"bbmig/internal/dedup"
 	"bbmig/internal/delta"
 	"bbmig/internal/metrics"
 	"bbmig/internal/workload"
@@ -78,10 +79,10 @@ type Params struct {
 	// Dedup models negotiated content-addressed transfer (core.Config.Dedup)
 	// on the first disk pre-copy iteration — the bulk image copy: every
 	// block costs a fingerprint advert, and the DedupShare fraction whose
-	// content the destination can already produce travels as a 16-byte
-	// reference instead of a literal. Later iterations carry fresh guest
-	// writes and are modelled literal (conservative: rewrites of identical
-	// content would dedup too).
+	// content the destination can already produce costs nothing more: it is
+	// written at the advert. Later iterations carry fresh guest writes and
+	// are modelled literal (conservative: rewrites of identical content
+	// would dedup too).
 	Dedup bool
 	// DedupShare is the fraction of iteration-1 content the destination
 	// already holds: never-written zero blocks plus template overlap with
@@ -518,12 +519,12 @@ func (s *sim) perBlockWire() float64 {
 
 // iter1Wire prices iteration 1 of a content-addressed pre-copy over blocks
 // blocks, refs of which the destination can already produce: with Dedup
-// negotiated every block pays the advert and the refs travel as 16-byte
-// references; the rest travel literally at perLiteral bytes each — or, with
-// Delta negotiated, as signature-priced patches carrying their changed chunk
-// fraction. A patch no smaller than the literal falls back to it, as the
-// engine does, with the signature round trip already sunk; patched reports
-// whether the literals travelled as patches.
+// negotiated every block pays the advert exchange and the refs, written at
+// their advert, nothing more; the rest travel literally at perLiteral bytes
+// each — or, with Delta negotiated, as signature-priced patches carrying
+// their changed chunk fraction. A patch no smaller than the literal falls
+// back to it, as the engine does, with the signature round trip already
+// sunk; patched reports whether the literals travelled as patches.
 func iter1Wire(p Params, blocks, refs, perLiteral float64) (wire float64, patched bool) {
 	lits := blocks - refs
 	litWire := lits * perLiteral
@@ -537,9 +538,9 @@ func iter1Wire(p Params, blocks, refs, perLiteral float64) (wire float64, patche
 		}
 		litWire = lits * perPatch
 	}
-	wire = litWire + refs*dedupRefPerBlock
+	wire = litWire
 	if p.Dedup {
-		wire += blocks * dedupAdvertPerBlock
+		wire += blocks * dedupWirePerBlock(p.MaxExtentBlocks)
 	}
 	return wire, patched
 }
@@ -618,14 +619,13 @@ func (s *sim) applyAccess(a workload.Access) {
 // window, not the interrupted iteration.
 const inflightWindow = 256 << 10
 
-// Dedup wire-cost constants: a 16-byte fingerprint per advertised block
-// (plus the want bit and amortized frame headers) and a 16-byte fingerprint
-// per referenced block — mirroring the engine's MsgHashAdvert/MsgBlockRef
-// encoding in docs/WIRE.md §10.
-const (
-	dedupAdvertPerBlock = 17.0
-	dedupRefPerBlock    = 16.0
-)
+// dedupWirePerBlock prices one advertised block, averaged over an extent of
+// extentBlocks, from the codec's sizes (WIRE.md §10): its fingerprint in the
+// advert, its share of the want reply and of the two frame headers.
+func dedupWirePerBlock(extentBlocks int) float64 {
+	e := max(extentBlocks, 1)
+	return float64(e*dedup.FingerprintSize+dedup.WantReplyLen(e)+2*frameOverhead) / float64(e)
+}
 
 // deltaWirePerBlock prices a diverged block sent as a patch, averaged over an
 // extent of extentBlocks, from the codec's wire sizes (WIRE.md §12): sig is
@@ -645,9 +645,9 @@ func deltaWirePerBlock(matchShare float64, extentBlocks int) (sig, fixed float64
 }
 
 // swarmPerBlockWire is the sidecar cost of one swarm-fetched block: the
-// block content plus the MsgSwarmFetch fingerprint (16 B), its hit-mask
-// bit, and the amortized frame headers — mirroring WIRE.md §11.
-const swarmPerBlockWire = blockdev.BlockSize + dedupAdvertPerBlock
+// block content plus the MsgSwarmFetch fingerprint, and a byte for its
+// hit-mask bit and the amortized frame headers — mirroring WIRE.md §11.
+const swarmPerBlockWire = blockdev.BlockSize + dedup.FingerprintSize + 1
 
 // clamp01 bounds a fraction to [0, 1].
 func clamp01(x float64) float64 {

@@ -11,6 +11,7 @@ import (
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/core"
+	"bbmig/internal/dedup"
 	"bbmig/internal/transport"
 	"bbmig/internal/vm"
 	"bbmig/internal/workload"
@@ -178,5 +179,74 @@ func TestDeltaPricingMatchesEngine(t *testing.T) {
 	t.Logf("a patched block: %.1f B modelled, %.1f B sent", model/hot, engine)
 	if perBlock := model / hot; math.Abs(perBlock-engine) > 0.1*engine {
 		t.Errorf("the model prices a patched block at %.1f B, the engine sends %.1f B", perBlock, engine)
+	}
+}
+
+// dedupTap adds up the wire bytes of the dedup frames one end sends: adverts,
+// want replies, and any reference frame.
+type dedupTap struct {
+	transport.Conn
+	bytes *atomic.Int64
+}
+
+func (c dedupTap) Send(m transport.Message) error {
+	switch m.Type {
+	case transport.MsgHashAdvert, transport.MsgHashWant, transport.MsgBlockRef:
+		c.bytes.Add(int64(m.FrameSize()))
+	}
+	return c.Conn.Send(m)
+}
+
+// TestDedupPricingMatchesEngine holds the model's per-block dedup bytes to
+// what the engine sends on the clone shape: a template image migrated by TPM
+// at 64-block extents to a destination whose index knows a sibling, so every
+// block is written at its advert. Every extent is full and holds content, so
+// the two agree to the byte.
+func TestDedupPricingMatchesEngine(t *testing.T) {
+	const blocks, extent = 512, 64
+	image := func() *blockdev.MemDisk {
+		disk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+		buf := make([]byte, blockdev.BlockSize)
+		for n := 0; n < blocks; n++ {
+			workload.FillBlock(buf, n%128, 5)
+			if err := disk.WriteBlock(n, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return disk
+	}
+	idx := dedup.NewIndex(blockdev.BlockSize)
+	if err := idx.RegisterSource("sibling", image()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := idx.ScanSource("sibling"); err != nil {
+		t.Fatal(err)
+	}
+	guest := vm.New("g", 1, 64, 256)
+	src := core.Host{VM: guest, Backend: blkback.NewBackend(image(), 1)}
+	dst := core.Host{VM: vm.NewDestination(guest), Backend: blkback.NewBackend(blockdev.NewMemDisk(blocks, blockdev.BlockSize), 1)}
+	var sent atomic.Int64
+	cs, cd := transport.NewPipe(256)
+	defer cs.Close()
+	defer cd.Close()
+	cs, cd = dedupTap{cs, &sent}, dedupTap{cd, &sent}
+	cfg := core.Config{Dedup: true, MaxExtentBlocks: extent}
+	dstCfg := cfg
+	dstCfg.DedupIndex = idx
+	errs := make(chan error, 1)
+	go func() {
+		_, err := core.MigrateDest(dstCfg, dst, cd)
+		errs <- err
+	}()
+	rep, err := core.MigrateSource(cfg, src, cs, nil)
+	if err = errors.Join(err, <-errs); err != nil {
+		t.Fatal(err)
+	}
+	if rep.DedupBlocks != blocks {
+		t.Fatalf("the engine wrote %d of %d blocks at their advert", rep.DedupBlocks, blocks)
+	}
+	model, _ := iter1Wire(Params{Dedup: true, MaxExtentBlocks: extent}, blocks, blocks, blockdev.BlockSize)
+	if int64(math.Round(model)) != sent.Load() {
+		t.Errorf("the model prices the clone's dedup exchange at %.1f B, the engine sends %d B", model, sent.Load())
 	}
 }
