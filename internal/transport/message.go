@@ -106,20 +106,17 @@ const (
 	// MsgHashAdvert offers a run of blocks by content instead of bytes
 	// (negotiated content-addressed dedup): Arg packs the extent like
 	// MsgExtent and the payload carries one 16-byte fingerprint per block.
-	// The destination answers with MsgHashWant naming the blocks whose
-	// content it cannot already produce.
+	// The destination writes every block whose content it can already
+	// produce, then answers with MsgHashWant naming the rest.
 	MsgHashAdvert
 	// MsgHashWant answers a MsgHashAdvert: Arg echoes the advert's packed
-	// extent and the payload is a bitmask (one bit per advertised block,
-	// LSB-first) with set bits meaning "send the literal". Blocks whose bit
-	// is clear are owed only a MsgBlockRef.
+	// extent and the payload is a layout byte, then a bitmask (one bit per
+	// advertised block, LSB-first) with set bits meaning "send the literal".
+	// A clear bit is a block the destination already wrote at the advert.
 	MsgHashWant
-	// MsgBlockRef materializes a run of blocks by reference: Arg packs the
-	// extent like MsgExtent and the payload carries one 16-byte fingerprint
-	// per block. The destination writes each block from content it already
-	// holds (staged at advert time, resolved from its fingerprint index, or
-	// the implicit zero block). Sent only for content the destination
-	// declined to want; a wholly zero extent travels as MsgZeroExtent.
+	// MsgBlockRef is reserved: it carried fingerprint references for the
+	// blocks a want reply left clear, before the destination wrote them at
+	// the advert. No end sends it, and a destination refuses it.
 	MsgBlockRef
 	// MsgSwarmHello opens a sidecar swarm-fetch session with a peer host
 	// daemon: Arg carries the block size the fingerprints describe and the
@@ -314,8 +311,8 @@ func ExtentSplit(arg uint64) (start, count int) {
 }
 
 // CarriedUnits returns the first block or page whose content m moves source
-// to destination in any form — literal, reference, zero run, patch or page
-// batch — and how many units it carries, or a zero count for every other
+// to destination in any form — literal, zero run, patch or page batch — and
+// how many units it carries, or a zero count for every other
 // frame. The units need not be contiguous: a MsgMemPages frame's pages may
 // skip (ParseMemPages lists them). Observers that pace or audit a transfer by
 // units rather than bytes read frames through it.
@@ -323,7 +320,7 @@ func CarriedUnits(m Message) (start, count int) {
 	switch m.Type {
 	case MsgBlockData, MsgMemPage, MsgMemPageDelta:
 		return int(m.Arg), 1
-	case MsgExtent, MsgBlockRef, MsgZeroExtent, MsgMemPages:
+	case MsgExtent, MsgZeroExtent, MsgMemPages:
 		return ExtentSplit(m.Arg)
 	case MsgDeltaPatch:
 		if len(m.Payload) > 0 { // an empty one is the destination's refusal
