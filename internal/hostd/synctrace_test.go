@@ -143,13 +143,11 @@ func syncTraceDomain(t *testing.T, m *Machine) *Domain {
 }
 
 // TestSyncFrameSequence pins the pre-sync wire dialogue (WIRE.md §6
-// "Pre-sync session") frame for frame in each direction. The goldens began
-// as recordings of the hand-rolled SyncOut/ServeSync loops and moved twice
-// since: each wholly zero extent travels as one header-only ZERO_EXTENT at
-// its Arg, and with dedup the adverts run up to eight ahead of the literals
-// while the blocks the destination holds are written at their advert, where
-// they once followed as BLOCK_REF frames. Those blocks count with the zero
-// runs.
+// "Pre-sync session") frame for frame in each direction: each wholly zero
+// extent is one header-only ZERO_EXTENT at its Arg, and with dedup the
+// adverts run up to eight ahead of the literals while the blocks the
+// destination holds are written at their advert, no frame of their own.
+// Those blocks count with the zero runs.
 func TestSyncFrameSequence(t *testing.T) {
 	t.Run("literal", func(t *testing.T) {
 		a, b := NewMachine("A"), NewMachine("B")
