@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"bbmig/internal/blockdev"
 	"bbmig/internal/transport"
 )
 
@@ -88,5 +89,31 @@ func TestReplyMailbox(t *testing.T) {
 	s.doneCh <- nil
 	if _, err := s.waitReply(transport.MsgDeltaSig, deltaFenceArg); err == nil {
 		t.Fatal("a clean DONE while a request was outstanding was not an error")
+	}
+}
+
+// TestReplyNotResentAcrossEpochs: a reply whose link dies is dropped, not
+// sent again on the link the source reconnects with, where it could answer a
+// re-sent request with the same Arg. After the reconnect's session ack the
+// new link carries only what the destination sends from then on.
+func TestReplyNotResentAcrossEpochs(t *testing.T) {
+	dead, _ := transport.NewPipe(8)
+	dead.Close()
+	fresh, source := transport.NewPipe(8)
+	defer fresh.Close()
+	cfg := Config{WaitReconnect: func(transport.SessionToken, uint32) (transport.Conn, uint32, error) {
+		return fresh, 1, nil
+	}}.withDefaults()
+	tr := newDiskTransfer(cfg, blockdev.NewMemDisk(8, blockdev.BlockSize), dead, "test", "dest")
+	tr.sess.setResumable(true)
+	tr.destState = func() destProgress { return destProgress{} }
+	want := transport.Message{Type: transport.MsgHashWant, Arg: transport.ExtentArg(0, 8), Payload: []byte{1, 0}}
+	if err := errors.Join(tr.destReply(want), tr.destSend(transport.Message{Type: transport.MsgDone})); err != nil {
+		t.Fatal(err)
+	}
+	for _, typ := range []transport.MsgType{transport.MsgSessionAck, transport.MsgDone} {
+		if m, err := source.Recv(); err != nil || m.Type != typ {
+			t.Fatalf("the reconnected link carried %v (%v), want %v: a dead epoch's reply was sent again", m.Type, err, typ)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
 	"bbmig/internal/dedup"
+	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
 	"bbmig/internal/workload"
 )
@@ -47,8 +48,8 @@ func (c *writeCount) WriteBlock(n int, src []byte) error {
 // index knows a sibling holding half the template. The run must converge
 // (runPair checks the image), and an idle guest's one disk iteration must
 // write every block exactly once: a block the destination already landed
-// is never owed again. It returns how many times the source reconnected.
-func cutRun(t *testing.T, warm bool, fault transport.Fault) int {
+// is never owed again. It returns the source's report.
+func cutRun(t *testing.T, warm bool, fault transport.Fault) *metrics.Report {
 	t.Helper()
 	w := newWorld(t, worldSpec{blocks: cutBlocks, fill: cutTemplate})
 	buf := make([]byte, blockdev.BlockSize)
@@ -90,7 +91,7 @@ func cutRun(t *testing.T, warm bool, fault transport.Fault) int {
 			t.Fatalf("cut %+v: block %d written %d times, want once", fault, n, k)
 		}
 	}
-	return rep.Retries
+	return rep
 }
 
 // TestWindowCutAtEveryFrame cuts the cut world after every frame the source
@@ -108,12 +109,24 @@ func TestWindowCutAtEveryFrame(t *testing.T) {
 				if recv {
 					fault = transport.Fault{AfterRecvs: k, Kind: transport.FaultCut}
 				}
-				if cutRun(t, warm, fault) == 0 {
+				if cutRun(t, warm, fault).Retries == 0 {
 					break
 				}
 				cuts++
 			}
 			t.Logf("warm %v, receive side %v: %d cuts survived", warm, recv, cuts)
 		}
+	}
+}
+
+// TestWindowLearnsRepeats: an advert naming content an outstanding advert
+// names waits until that content has landed, as a patch or a literal, so a
+// cold index still learns what repeats inside the window. In the cut world
+// the first 16 blocks travel as patches and their 32 repeats land at their
+// advert, beside the 16 zero blocks.
+func TestWindowLearnsRepeats(t *testing.T) {
+	rep := cutRun(t, false, transport.Fault{AfterSends: 1 << 30, Kind: transport.FaultCut})
+	if rep.DeltaBlocks != 16 || rep.DedupBlocks != 48 {
+		t.Fatalf("%d blocks patched and %d written at an advert or zero, want 16 and 48", rep.DeltaBlocks, rep.DedupBlocks)
 	}
 }
