@@ -99,10 +99,11 @@ func Example_cluster() {
 // Example_dedup migrates a template-provisioned VM with content-addressed
 // deduplication (Config.Dedup): half the disk cycles 8 template payloads,
 // the rest was never written. Each template payload crosses the wire once,
-// its repeats travel as 16-byte references, and the zero half is elided
-// outright — yet the destination disk is byte-identical. hostd shares one
-// dedup.Index per machine, so a second clone migrating to the same host
-// would arrive almost entirely by reference.
+// its repeats cost their 16-byte fingerprints (the destination writes them
+// itself), and the zero half is elided outright — yet the destination disk
+// is byte-identical. hostd shares one dedup.Index per machine, so a second
+// clone migrating to the same host would arrive almost entirely as
+// fingerprints.
 func Example_dedup() {
 	const blocks, pages, domain = 2048, 16, 1
 

@@ -29,7 +29,7 @@ var lineBudgets = map[string]int{
 	"internal/forecast":        411,
 	"internal/hostd":           1019,
 	"internal/sim":             2156,
-	"internal/transport":       2276,
+	"internal/transport":       2273,
 }
 
 // optionBudgets bound the settable surface of the option types: the exported
