@@ -41,6 +41,7 @@ func TestMain(m *testing.M) {
 // disk with every third block written, over one in-memory pipe.
 type worldSpec struct {
 	blocks  int                                                            // disk size; 0 is testBlocks
+	pages   int                                                            // guest memory; 0 is testPages
 	fill    func(buf []byte, n int) bool                                   // block n's initial content, false for zeros
 	streams int                                                            // more than one stripes the link
 	stream  bool                                                           // links are loopback TCP, where the source stages data frames
@@ -100,6 +101,9 @@ func newWorld(t *testing.T, specs ...worldSpec) *world {
 	if sp.fill == nil {
 		sp.fill = everyThird
 	}
+	if sp.pages == 0 {
+		sp.pages = testPages
+	}
 	srcDisk := blockdev.NewMemDisk(sp.blocks, blockdev.BlockSize)
 	buf := make([]byte, blockdev.BlockSize)
 	for n := 0; n < sp.blocks; n++ {
@@ -109,13 +113,13 @@ func newWorld(t *testing.T, specs ...worldSpec) *world {
 			}
 		}
 	}
-	guest := vm.New("guest", testDomain, testPages, 0)
+	guest := vm.New("guest", testDomain, sp.pages, 0)
 	cpu := make([]byte, 512)
 	for i := range cpu {
 		cpu[i] = byte(i * 7)
 	}
 	guest.SetCPU(vm.CPUState{Registers: cpu})
-	for p := 0; p < testPages; p += 2 {
+	for p := 0; p < sp.pages; p += 2 {
 		workload.FillBlock(buf, p+100000, 0)
 		if err := guest.Memory().WritePage(p, buf[:vm.PageSize]); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"bbmig/internal/dedup"
 	"bbmig/internal/metrics"
 	"bbmig/internal/transport"
+	"bbmig/internal/vm"
 	"bbmig/internal/workload"
 )
 
@@ -133,6 +135,37 @@ func pacedGuest(t *testing.T, w *world, src Config) Config {
 	return src
 }
 
+// hotPages is the hot-page guest's memory: bbench's MemDelta geometry.
+const hotPages = 2048
+
+// hotPagesGuest counts in the first word of each page of a 512-page hot set
+// of w's memory as the source sends: 32 page writes per eight units on the
+// wire, on the sending goroutine, so memory pre-copy never catches up and
+// the freeze carries the hot set as page deltas (bbench's MemDelta/word-touch
+// guest). It stops at the freeze.
+func hotPagesGuest(t *testing.T, w *world, src Config) Config {
+	const hot, perRound = 512, 32
+	mem, page := w.src.VM.Memory(), make([]byte, vm.PageSize)
+	guest := &workload.Paced{Conn: w.connSrc, Every: 8, Round: func(r int) {
+		for k := perRound * r; k < perRound*(r+1); k++ {
+			p := k % hot
+			if err := mem.ReadPage(p, page); err != nil {
+				t.Errorf("guest page read: %v", err)
+			}
+			binary.LittleEndian.PutUint64(page, uint64(k)+1)
+			if err := mem.WritePage(p, page); err != nil {
+				t.Errorf("guest page write: %v", err)
+			}
+		}
+	}}
+	w.connSrc = guest
+	src.OnFreeze = func() {
+		guest.Stop()
+		w.router.Freeze()
+	}
+	return src
+}
+
 // imBack migrates w there and back: a TPM, then the guest rewrites every
 // 17th block on the destination, behind the post-copy gate, and IM carries
 // those writes home over a fresh modelled link made by link.
@@ -218,8 +251,8 @@ func (l *tappedLink) countRow(title string, labels []string, types ...transport.
 	return b.String()
 }
 
-// TestVirtualGolden records {idle TPM, TPM under a paced guest, IM back} ×
-// MaxExtentBlocks {1, 64}, the delta return trip (deltaBack) and a dedup'd
+// TestVirtualGolden records {idle TPM, TPM under a paced guest, IM back, TPM
+// under the hot-page guest} × MaxExtentBlocks {1, 64}, the delta return trip (deltaBack) and a dedup'd
 // clone (dedupClone), on the modelled link in testdata/virtual.golden:
 // migration time, downtime, per-iteration units, bytes and time, wire bytes,
 // and the freeze window's frames and bytes by part, to the nanosecond and
@@ -233,21 +266,26 @@ func TestVirtualGolden(t *testing.T) {
 	for _, extent := range []int{1, 64} {
 		cfg := Config{MaxExtentBlocks: extent}
 		rows := []struct {
-			name string
-			run  func(w *world) *metrics.Report
+			name  string
+			pages int
+			run   func(w *world) *metrics.Report
 		}{
-			{"idle-tpm", func(w *world) *metrics.Report {
+			{"idle-tpm", 0, func(w *world) *metrics.Report {
 				rep, _ := w.tpm(cfg, cfg, nil)
 				return rep
 			}},
-			{"paced-guest-tpm", func(w *world) *metrics.Report {
+			{"paced-guest-tpm", 0, func(w *world) *metrics.Report {
 				rep, _ := w.tpm(pacedGuest(t, w, cfg), cfg, nil)
 				return rep
 			}},
-			{"im-back", func(w *world) *metrics.Report { return imBack(t, w, cfg, taps.link) }},
+			{"im-back", 0, func(w *world) *metrics.Report { return imBack(t, w, cfg, taps.link) }},
+			{"hot-pages-tpm", hotPages, func(w *world) *metrics.Report {
+				rep, _ := w.tpm(hotPagesGuest(t, w, cfg), cfg, nil)
+				return rep
+			}},
 		}
 		for _, row := range rows {
-			rep := virtualPair(t, worldSpec{link: taps.link}, row.run)
+			rep := virtualPair(t, worldSpec{pages: row.pages, link: taps.link}, row.run)
 			if rep.Downtime <= 0 {
 				t.Errorf("%s at extent %d: downtime %v, want the freeze's frames charged", row.name, extent, rep.Downtime)
 			}
