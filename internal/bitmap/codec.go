@@ -179,7 +179,8 @@ func (b *Bitmap) decode(data []byte, want int) error {
 
 // MinimalUvarint reads one uvarint off p, refusing a truncated, overlong or
 // zero-padded one: the canonical codecs (the runs form here, the page deltas
-// in internal/vm) accept exactly one spelling of every count.
+// in internal/vm, the page batches in internal/transport) accept exactly one
+// spelling of every count.
 func MinimalUvarint(p []byte) (x uint64, rest []byte, ok bool) {
 	x, k := binary.Uvarint(p)
 	if k <= 0 || (k > 1 && p[k-1] == 0) {

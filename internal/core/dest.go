@@ -217,8 +217,8 @@ func (d *destRun) receiveUntilResume(groups ...frameHandlers) func() error {
 // and the CPU registers. A page frame is a job like a data frame, the page
 // number its one-unit extent: a MsgMemPage overwrites the page, a
 // MsgMemPageDelta patches it after checking that this side holds the base it
-// was cut against. A MsgMemPages batch is validated whole before it becomes
-// one job, which does the same for each of its pages in order.
+// was cut against. A MsgMemPages batch is parsed whole before it becomes one
+// job, which applies it whole (vm.Memory.ApplyBatch checks its bases first).
 func (d *destRun) vmHandlers() frameHandlers {
 	mem := d.host.VM.Memory()
 	received := func(p *destProgress, n int) {
@@ -240,7 +240,7 @@ func (d *destRun) vmHandlers() frameHandlers {
 		}
 	}
 	batch := func(m transport.Message) error {
-		entries, err := transport.ParseMemPages(m, mem.NumPages(), mem.PageSize())
+		entries, baseCheck, err := transport.ParseMemPages(m, mem.NumPages(), mem.PageSize())
 		if err != nil {
 			transport.PutBuf(m.Payload) // rejected before it became a job
 			return fmt.Errorf("core: %w", err)
@@ -250,15 +250,10 @@ func (d *destRun) vmHandlers() frameHandlers {
 				received(p, e.Page)
 			}
 		})
+		entry := func(i int) (int, []byte) { return entries[i].Page, entries[i].Body }
 		return d.lanes.do(job{data: m.Payload, run: func(bitmap.Extent, []byte) error {
-			for _, e := range entries {
-				apply := mem.ApplyDelta
-				if len(e.Body) == mem.PageSize() {
-					apply = mem.WritePage
-				}
-				if err := apply(e.Page, e.Body); err != nil {
-					return fmt.Errorf("core: apply page %d: %w", e.Page, err)
-				}
+			if err := mem.ApplyBatch(len(entries), entry, baseCheck); err != nil {
+				return fmt.Errorf("core: apply MEM_PAGES batch: %w", err)
 			}
 			return nil
 		}})

@@ -216,7 +216,7 @@ func (r *frameReader) pages(m transport.Message) ([]transport.MemPage, int) {
 	if m.Type != transport.MsgMemPages {
 		return []transport.MemPage{{Page: int(m.Arg), Body: m.Payload}}, m.FrameSize()
 	}
-	pages, err := transport.ParseMemPages(m, 1<<30, vm.PageSize)
+	pages, _, err := transport.ParseMemPages(m, 1<<30, vm.PageSize)
 	if err != nil {
 		r.t.Errorf("the source sent a malformed page batch: %v", err)
 	}
@@ -241,9 +241,13 @@ type pagePass struct {
 	bytes                  int64
 }
 
-// oneWordDelta is the body of a page delta that changes one word: the base
-// checksum, one (skip, literal) record and the word.
-const oneWordDelta = 4 + 1 + 1 + 8
+// The body of a page delta that changes one word: in a MEM_PAGE_DELTA frame
+// the base checksum, one (skip, literal) record and the word; in a MEM_PAGES
+// entry at most one record of the word's changed bytes.
+const (
+	oneWordDelta = 4 + 1 + 1 + 8
+	oneWordEntry = 1 + 1 + 8
+)
 
 // pageAudit counts, per page, the literal and delta entries the source sends,
 // and what each memory pass sent.
@@ -262,17 +266,20 @@ func (a *pageAudit) Send(m transport.Message) error {
 		pass := &a.passes[len(a.passes)-1]
 		pass.frames++
 		pass.bytes += int64(size)
+		oneWord := oneWordDelta
+		if m.Type == transport.MsgMemPages {
+			oneWord = oneWordEntry
+		}
 		for _, p := range pages {
 			pass.pages++
-			switch len(p.Body) {
-			case vm.PageSize:
+			switch n := len(p.Body); {
+			case n == vm.PageSize:
 				a.literals[p.Page]++
-			case oneWordDelta:
+				continue
+			case n <= oneWord:
 				pass.oneWord++
-				fallthrough
-			default:
-				a.deltas[p.Page]++
 			}
+			a.deltas[p.Page]++
 		}
 	}
 	return a.Conn.Send(m)
@@ -281,12 +288,12 @@ func (a *pageAudit) Send(m transport.Message) error {
 // runRacing migrates w under a progress-paced racing guest: per eight
 // units the source sends, one verified disk write into a 96-block hot set and
 // three page writes into a 48-page hot set, so every iteration is raced by
-// rewrites of blocks and pages on both sides of its cursor. The guest either
-// rewrites whole pages or, with wordTouch, changes one word of the page it
-// wrote before. With resendAll the engine sends re-dirtied units anyway, and
-// every page literally — the reference the skip and the page deltas are
-// measured against.
-func (w *world) runRacing(cfg Config, resendAll, wordTouch bool) (*metrics.Report, *sourceRun, *pageAudit) {
+// rewrites of blocks and pages on both sides of its cursor. The guest
+// rewrites pages in shape: one word of the page it wrote before, its next
+// FillBlock generation, or every byte. With resendAll the engine sends
+// re-dirtied units anyway, and every page literally — the reference the skip
+// and the page deltas are measured against.
+func (w *world) runRacing(cfg Config, resendAll bool, shape pageShape) (*metrics.Report, *sourceRun, *pageAudit) {
 	w.t.Helper()
 	mem := w.src.VM.Memory()
 	pages := &pageAudit{Conn: w.connSrc, frameReader: frameReader{t: w.t}}
@@ -300,11 +307,15 @@ func (w *world) runRacing(cfg Config, resendAll, wordTouch bool) (*metrics.Repor
 		}
 		for k := 3 * i; k < 3*i+3; k++ {
 			p := (k * 5 % racingHotPages) * 5
-			if wordTouch {
+			switch shape {
+			case wordTouch:
 				workload.FillBlock(page, p+300000, 0)
 				binary.LittleEndian.PutUint64(page, uint64(k)+1)
-			} else {
+			case genRewrite:
 				workload.FillBlock(page, p+300000, uint32(k))
+			case scramble:
+				workload.FillBlock(page, p+300000, 0)
+				scrambled(page, k/racingHotPages+1) // the page's own generation
 			}
 			if err := mem.WritePage(p, page); err != nil {
 				w.t.Errorf("guest page write: %v", err)
@@ -333,8 +344,9 @@ func (w *world) runRacing(cfg Config, resendAll, wordTouch bool) (*metrics.Repor
 
 // parentLiteralPages is the most memory pages (pre-copy and freeze, all
 // literal) the commit before page deltas sent under runRacing's whole-page
-// guest, over every send path below and repeated runs: the worst-case bound
-// is measured against it.
+// guest (the generation rewrite then, whose deltas did not pay in the word
+// form; the scrambled page's never do), over every send path below and
+// repeated runs: the worst-case bound is measured against it.
 const parentLiteralPages = 285
 
 // TestEquivalenceSkipRedirtied runs the racing guest across every send path
@@ -343,12 +355,16 @@ const parentLiteralPages = 285
 // iteration accounts for its whole set as sent + skipped; freeze-and-copy and
 // the post-copy push leave nothing out; and the run sends no more blocks than
 // the same run with the skip forced off. The page half of the contract is in
-// bytes, over two guests. One that touches a word per write: every page
+// bytes, over three guests. One that touches a word per write: every page
 // travels literally exactly once, every hot page of the final set as a
 // one-word delta, and memory costs fewer bytes than resending everything
-// literally. One that rewrites whole pages, for which no delta ever pays: the
-// skip still triggers, no delta frame is sent, and — the worst case against
-// the parent commit — at most one literal page more per working-set page.
+// literally. One that changes every byte of a page, for which no delta ever
+// pays: the skip still triggers, no delta frame is sent, and — the worst case
+// against the parent commit — at most one literal page more per working-set
+// page. One that writes FillBlock's next generation, a byte in twelve: in a
+// batch's byte form its deltas pay and memory costs fewer bytes than
+// resending everything; at one page per frame, in the word form, it is the
+// never-paying guest.
 func TestEquivalenceSkipRedirtied(t *testing.T) {
 	paths := []struct {
 		name    string
@@ -373,14 +389,10 @@ func TestEquivalenceSkipRedirtied(t *testing.T) {
 	units := func(it metrics.Iteration) int64 { return int64(it.Units) }
 	wire := func(it metrics.Iteration) int64 { return it.Bytes }
 	for _, pc := range paths {
-		for _, wordTouch := range []bool{true, false} {
-			name := pc.name + "/page-rewrite"
-			if wordTouch {
-				name = pc.name + "/word-touch"
-			}
-			t.Run(name, func(t *testing.T) {
+		for _, shape := range []pageShape{wordTouch, scramble, genRewrite} {
+			t.Run(pc.name+"/"+shape.String(), func(t *testing.T) {
 				run := func(resendAll bool) (*metrics.Report, *sourceRun, *pageAudit) {
-					rep, s, pages := newWorld(t, worldSpec{streams: pc.streams}).runRacing(pc.cfg, resendAll, wordTouch)
+					rep, s, pages := newWorld(t, worldSpec{streams: pc.streams}).runRacing(pc.cfg, resendAll, shape)
 					for _, ph := range []struct {
 						name  string
 						total int
@@ -427,7 +439,7 @@ func TestEquivalenceSkipRedirtied(t *testing.T) {
 				if s.pages.Hot() != racingHotPages {
 					t.Fatalf("|W| = %d, the guest's hot set is %d pages", s.pages.Hot(), racingHotPages)
 				}
-				if wordTouch {
+				if shape == wordTouch {
 					for p := range pages.literals {
 						if pages.literals[p] != 1 || pages.deltas[p] > allPages.literals[p]-1 {
 							t.Fatalf("page %d: %d literals, %d deltas (resend-everything: %d literals)", p, pages.literals[p], pages.deltas[p], allPages.literals[p])
@@ -443,6 +455,12 @@ func TestEquivalenceSkipRedirtied(t *testing.T) {
 					}
 					if memBytes >= allBytes {
 						t.Fatalf("memory cost %d B, resend-everything %d B", memBytes, allBytes)
+					}
+					return
+				}
+				if shape == genRewrite && pc.cfg.MaxExtentBlocks > 1 {
+					if deltas == 0 || memBytes >= allBytes {
+						t.Fatalf("%d deltas, memory cost %d B, resend-everything %d B: the byte form did not pay", deltas, memBytes, allBytes)
 					}
 					return
 				}

@@ -289,7 +289,7 @@ func TestLyingSourcePageDelta(t *testing.T) {
 	workload.FillBlock(base, 777, 0)
 	cur := append([]byte(nil), base...)
 	cur[100] ^= 1
-	good, _ := vm.AppendPageDelta(nil, base, cur)
+	good, _ := vm.AppendPageDelta(nil, base, cur, vm.WordUnit)
 	wrongCRC := append([]byte(nil), good...)
 	wrongCRC[0] ^= 0xff
 

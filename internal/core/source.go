@@ -483,7 +483,7 @@ func (s *sourceRun) suspend() error {
 
 // sendFinalPages sends the pages of set inside the freeze, unpaced, and books
 // them as the last memory iteration. A page that has a base travels as the
-// words the guest changed since.
+// words, or in a batch the bytes, the guest changed since.
 func (s *sourceRun) sendFinalPages(set *bitmap.Bitmap) error {
 	nPages, pageBytes, err := s.sendPages(allOf(set), false)
 	s.rep.MemIterations = append(s.rep.MemIterations, metrics.Iteration{

@@ -579,11 +579,12 @@ func (t *transfer) sendExtents(cur *owedCursor, encode extentEncoder, lanes int,
 // book frames — literal, or a delta against the bytes last sent when the book
 // has them and the delta pays (vm.BaseBook states the rule, including which
 // re-dirtied pages still travel) — is copied into the pass's batch at once,
-// and the batch travels as one MsgMemPages frame when it holds the page limit
-// (MaxExtentBlocks, bounded like an extent) or the pass ends. A batch of one
-// page is the Xen-style page frame, a MsgMemPage or MsgMemPageDelta, so at the
-// default limit of one the stream is the seed's frame for frame. Pre-copy and
-// the freeze share this one path.
+// and the batch travels as one MsgMemPages frame, ended by the book's base
+// check, when it holds the page limit (MaxExtentBlocks, bounded like an
+// extent) or the pass ends. At the default limit of one every page is the
+// Xen-style page frame, a MsgMemPage or a word-form MsgMemPageDelta, so the
+// stream is the seed's frame for frame. Pre-copy and the freeze share this
+// one path.
 func (t *transfer) sendPages(cur *owedCursor, limited bool) (int, int64, error) {
 	mem := t.host.VM.Memory()
 	entryBytes := mem.PageSize() + 2*binary.MaxVarintLen64
@@ -591,13 +592,17 @@ func (t *transfer) sendPages(cur *owedCursor, limited bool) (int, int64, error) 
 	batch := transport.GetBuf(limit * entryBytes)
 	defer transport.PutBuf(batch)
 	batch = batch[:0]
+	unit := vm.ByteUnit
+	if limit == 1 {
+		unit = vm.WordUnit
+	}
 	var sent, count, first, prev int
 	var bytes int64
-	var body []byte // the last page's payload: the frame's, when it is the batch's only page
+	var body []byte // the last page's payload: the frame's at the limit of one
 	var delta bool
 	flush := func() error {
-		m := transport.Message{Type: transport.MsgMemPages, Arg: transport.ExtentArg(first, count), Payload: batch}
-		if count == 1 {
+		m := transport.Message{Type: transport.MsgMemPages, Arg: transport.ExtentArg(first, count), Payload: t.pages.AppendBaseCheck(batch)}
+		if limit == 1 {
 			m = transport.Message{Type: transport.MsgMemPage, Arg: uint64(first), Payload: body}
 			if delta {
 				m.Type = transport.MsgMemPageDelta
@@ -610,7 +615,7 @@ func (t *transfer) sendPages(cur *owedCursor, limited bool) (int, int64, error) 
 		return nil
 	}
 	for n := cur.bm.NextSet(0); n >= 0; n = cur.bm.NextSet(n + 1) {
-		payload, d, err := t.pages.Frame(n, cur.live)
+		payload, d, err := t.pages.Frame(n, cur.live, unit)
 		if err != nil {
 			return sent, bytes, err
 		}

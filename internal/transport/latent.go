@@ -48,12 +48,12 @@ type latentFrame struct {
 const latentBuffer = 2 * time.Millisecond
 
 // NewWAN wraps inner in a wide-area link profile: each Send occupies the
-// link for stall (the one-way propagation delay — half the RTT, so one
-// request/reply round trip costs a full RTT) plus the frame's serialisation
-// time at bytesPerSec. Asymmetric links are modelled by wrapping each
-// direction's sending side in its own NewWAN with that direction's rate —
-// Latent only ever delays Send, so the uplink and downlink profiles never
-// interfere. bytesPerSec <= 0 keeps a pure per-frame stall: the LAN model.
+// link for stall plus the frame's serialisation time at bytesPerSec. The
+// stall is per-frame occupancy, not propagation delay: frames queue behind
+// it, so no window of requests overlaps it. Asymmetric links are modelled by
+// wrapping each direction's sending side in its own NewWAN with that
+// direction's rate — Latent only ever delays Send, so the uplink and downlink
+// profiles never interfere. bytesPerSec <= 0 keeps a pure per-frame stall.
 func NewWAN(inner Conn, stall time.Duration, bytesPerSec int64) *Latent {
 	l := &Latent{inner: inner, stall: stall, bps: bytesPerSec,
 		q: make(chan latentFrame, 16), closing: make(chan struct{})} // 16 bounds a stall-free link

@@ -154,9 +154,9 @@ const (
 	// extent literally before ending the pass — degraded, never wrong.
 	MsgDeltaPatch
 	// MsgMemPageDelta carries one memory page as the 8-byte words that differ
-	// from the bytes the source last sent for it (WIRE.md §13): Arg is the
-	// page number and the payload the CRC-32C of that base followed by
-	// canonical (skip, literal) word records. Never negotiated and never
+	// from the bytes the source last sent for it (WIRE.md §13), at one page
+	// per frame only: Arg is the page number and the payload the CRC-32C of
+	// that base followed by canonical (skip, literal) word records. Never
 	// emitted for a page the source has not seen dirty; the destination
 	// checks the CRC against its own copy before touching the page and fails
 	// the migration on a mismatch.
@@ -165,12 +165,12 @@ const (
 	// extent like MsgExtent and the payload is empty (WIRE.md §14). A data
 	// frame: the destination writes zeros over every block of the run.
 	MsgZeroExtent
-	// MsgMemPages carries a run of memory pages, literal pages and page
-	// deltas mixed, in strictly ascending page order (WIRE.md §15): Arg packs
-	// the first page and the entry count like MsgExtent, and the payload is
-	// one (gap, length, body) entry per page (AppendMemPage, ParseMemPages). A
-	// data frame, sent whenever MaxExtentBlocks lets a memory pass batch more
-	// than one page.
+	// MsgMemPages carries memory pages, literal pages and byte-form deltas
+	// mixed, in strictly ascending page order (WIRE.md §15): Arg packs the
+	// first page and the entry count like MsgExtent; the payload is one (gap,
+	// length, body) entry per page, then, when a body is a delta, the CRC-32C
+	// of the deltas' bases (ParseMemPages). A data frame: every memory frame
+	// when MaxExtentBlocks exceeds one.
 	MsgMemPages
 )
 

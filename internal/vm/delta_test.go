@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestPageDeltaRoundTrip(t *testing.T) {
 				touch(cur, w)
 			}
 			scratch := []byte{0xaa}
-			payload, pays := AppendPageDelta(scratch, base, cur)
+			payload, pays := AppendPageDelta(scratch, base, cur, WordUnit)
 			if !pays {
 				if tc.size != 0 {
 					t.Fatal("delta did not pay")
@@ -133,11 +134,146 @@ func TestPageDeltaRejects(t *testing.T) {
 	}
 }
 
+// TestPageDeltaByteForm: the byte form records single bytes, carries no
+// checksum, and applies back; what the word form spends a whole word on, it
+// spends one byte on.
+func TestPageDeltaByteForm(t *testing.T) {
+	base := patterned(4)
+	for _, tc := range []struct {
+		name  string
+		bytes []int
+		size  int // payload bytes; 0: the delta must not pay
+	}{
+		{"unchanged", nil, 0 + 0},
+		{"first byte", []int{0}, 2 + 1},
+		{"one word's last byte", []int{7}, 2 + 1},
+		{"one run", []int{8, 9, 10}, 2 + 3},
+		{"two runs", []int{0, 2}, 2 + 1 + 2 + 1},
+		{"far apart", []int{1, 3000}, 2 + 1 + 3 + 1}, // the second skip needs two uvarint bytes
+		{"every third byte", everyNth(0, PageSize, 3), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cur := append([]byte(nil), base...)
+			for _, b := range tc.bytes {
+				cur[b] ^= 0x5a
+			}
+			payload, pays := AppendPageDelta(nil, base, cur, ByteUnit)
+			if pays != (tc.size != 0 || tc.bytes == nil) || pays && len(payload) != tc.size {
+				t.Fatalf("payload %d bytes (pays %v), want %d", len(payload), pays, tc.size)
+			}
+			if !pays {
+				return
+			}
+			page := append([]byte(nil), base...)
+			if err := applyForm(page, payload, ByteUnit); err != nil || !bytes.Equal(page, cur) {
+				t.Fatalf("applied delta does not reproduce the page: %v", err)
+			}
+		})
+	}
+	for name, records := range map[string][]byte{
+		"zero-length literal":   {3, 0},
+		"touching literals":     {0, 1, ^base[0], 0, 1, ^base[1]},
+		"literal equal to base": {0, 2, ^base[0], base[1]},
+		"literal past the page": {0xff, 0x1f, 2, 1, 2},
+		"trailing garbage":      {0, 1, ^base[0], 9},
+		"overlong uvarint":      {0x80, 0x00, 1, ^base[0]},
+		"over half a page":      append([]byte{0, 0x81, 0x10}, bytes.Repeat([]byte{0xff}, 2049)...),
+	} {
+		page := append([]byte(nil), base...)
+		if err := applyForm(page, records, ByteUnit); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if !bytes.Equal(page, base) {
+			t.Errorf("%s: page modified by a refused delta", name)
+		}
+	}
+}
+
+func everyNth(lo, hi, n int) []int {
+	var out []int
+	for i := lo; i < hi; i += n {
+		out = append(out, i)
+	}
+	return out
+}
+
+// TestMemoryApplyBatch: a batch whose base check, page or records are wrong
+// is refused whole — no entry of it written, not even the literal before the
+// bad delta — and a right one lands whole.
+func TestMemoryApplyBatch(t *testing.T) {
+	type entry struct {
+		page int
+		body []byte
+	}
+	m := NewMemory(8, PageSize)
+	for n := 2; n <= 3; n++ {
+		if err := m.WritePage(n, patterned(byte(n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delta := func(n int, bytesAt ...int) []byte {
+		cur := patterned(byte(n))
+		for _, b := range bytesAt {
+			cur[b] ^= 0x5a
+		}
+		d, _ := AppendPageDelta(nil, patterned(byte(n)), cur, ByteUnit)
+		return d
+	}
+	check := crc32.Update(crc32.Checksum(patterned(2), castagnoli), castagnoli, patterned(3))
+	good := []entry{{1, patterned(0x11)}, {2, delta(2, 5)}, {3, delta(3, 6, 4000)}}
+	apply := func(es []entry, sum uint32) error {
+		return m.ApplyBatch(len(es), func(i int) (int, []byte) { return es[i].page, es[i].body }, sum)
+	}
+	for name, tc := range map[string]struct {
+		es  []entry
+		sum uint32
+	}{
+		"wrong base check":          {good, check + 1},
+		"bases in another order":    {good, crc32.Update(crc32.Checksum(patterned(3), castagnoli), castagnoli, patterned(2))},
+		"delta for a page not held": {append(good, entry{4, delta(4, 0)}), check},
+		"non-canonical delta":       {[]entry{good[0], good[1], {3, []byte{0, 1, patterned(3)[0]}}}, check},
+		"page outside memory":       {append(good, entry{8, patterned(0)}), check},
+	} {
+		if err := apply(tc.es, tc.sum); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if m.AllocatedPages() != 2 || m.Writes() != 2 {
+			t.Fatalf("%s: refused batch wrote (%d pages, %d writes)", name, m.AllocatedPages(), m.Writes())
+		}
+	}
+	m.StartTracking()
+	if err := apply(good, check); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, PageSize)
+	for _, want := range []struct {
+		page int
+		data []byte
+	}{{1, patterned(0x11)}, {2, patterned(2)}, {3, patterned(3)}} {
+		if err := m.ReadPage(want.page, got); err != nil {
+			t.Fatal(err)
+		}
+		switch want.page {
+		case 2:
+			want.data[5] ^= 0x5a
+		case 3:
+			want.data[6] ^= 0x5a
+			want.data[4000] ^= 0x5a
+		}
+		if !bytes.Equal(got, want.data) {
+			t.Fatalf("page %d after the batch differs", want.page)
+		}
+	}
+	if dirty := m.StopTracking(); dirty.Count() != 3 || m.Writes() != 5 {
+		t.Fatalf("batch of 3 dirtied %d pages, %d writes in all", dirty.Count(), m.Writes())
+	}
+}
+
 func TestMemoryApplyDelta(t *testing.T) {
 	m := NewMemory(8, PageSize)
 	base, cur := patterned(3), patterned(3)
 	touch(cur, 5)
-	payload, _ := AppendPageDelta(nil, base, cur)
+	payload, _ := AppendPageDelta(nil, base, cur, WordUnit)
 
 	if err := m.ApplyDelta(2, payload); err == nil || !strings.Contains(err.Error(), "page 2") {
 		t.Fatalf("delta for a page never written: %v", err)
@@ -198,7 +334,7 @@ func book(t *testing.T, freezePages int) (*Memory, *BaseBook) {
 
 func frame(t *testing.T, b *BaseBook, n int, live bitmap.View) (payload []byte, delta bool) {
 	t.Helper()
-	payload, delta, err := b.Frame(n, live)
+	payload, delta, err := b.Frame(n, live, WordUnit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,6 +412,25 @@ func TestBaseBookRule(t *testing.T) {
 	if p, delta := frame(t, b, 1, must); !delta || len(p) != 4+2+8 {
 		t.Fatal("literal resend did not re-base the page")
 	}
+	// In a batch the same change is one byte, and the batch's base check
+	// covers the base it was cut against.
+	if b.AppendBaseCheck(nil) != nil {
+		t.Fatal("base check without a byte-form delta")
+	}
+	was := rewrite(t, m, 1)
+	cur := rewrite(t, m, 1, 3)
+	if p, delta, err := b.Frame(1, must, ByteUnit); err != nil || !delta || len(p) != 2+1 {
+		t.Fatalf("batched freeze sent %d bytes (delta %v, %v), want a one-byte delta", len(p), delta, err)
+	}
+	if sum := b.AppendBaseCheck(nil); !bytes.Equal(sum, binary.LittleEndian.AppendUint32(nil, crc32.Checksum(was, castagnoli))) {
+		t.Fatalf("base check %x is not the base's checksum", sum)
+	}
+	if b.AppendBaseCheck(nil) != nil {
+		t.Fatal("base check not reset after the batch")
+	}
+	if p, _ := frame(t, b, 1, must); p != nil || !bytes.Equal(b.bases[1], cur) {
+		t.Fatal("the batched delta did not re-base the page")
+	}
 	// After a reconnect nothing has a base, but W is remembered.
 	b.Drop()
 	if b.Bases() != 0 || b.Hot() != 2 {
@@ -316,25 +471,59 @@ func TestBaseBookFreezeBudget(t *testing.T) {
 	}
 }
 
-// FuzzPageDelta: the decoder never panics and never writes outside the page;
-// a refused payload leaves the page alone; an accepted one is the canonical
-// delta between the page before and after; and whatever the encoder emits
-// for a fuzzed pair of pages applies back to the second.
+// applyForm applies a delta payload in the given form to page: a word-form
+// payload checks its own base, a byte-form one is checked against page as a
+// batch's base check would have.
+func applyForm(page, payload []byte, unit int) error {
+	if unit == WordUnit {
+		return ApplyPageDelta(page, payload)
+	}
+	if err := checkDelta(page, payload, ByteUnit); err != nil {
+		return err
+	}
+	patch(page, payload, ByteUnit)
+	return nil
+}
+
+// FuzzPageDelta, in either form: the decoder never panics, never writes
+// outside the page and allocates no more than a bound in the payload's size
+// (nothing at all for a payload it accepts); a refused payload leaves the
+// page alone; an accepted one is the canonical delta between the page before
+// and after; and whatever the encoder emits for a fuzzed pair of pages
+// applies back to the second.
 func FuzzPageDelta(f *testing.F) {
 	base := patterned(9)
 	word := bytes.Repeat([]byte{0xee}, 8)
-	good, _ := AppendPageDelta(nil, base, func() []byte { c := patterned(9); touch(c, 0); touch(c, 40); return c }())
-	f.Add(good[4:], uint16(0), []byte{1})
-	f.Add([]byte{3, 0}, uint16(1), []byte{2})                                    // zero-length literal
-	f.Add(append([]byte{0, 1}, append(word, 0xff, 0x7f, 1)...), uint16(2), word) // skip past the page
-	f.Add(append([]byte{0, 1}, append(word, 9)...), uint16(3), []byte{})         // trailing garbage
-	f.Add(append([]byte{0xff, 0x03, 2}, append(word, word...)...), uint16(4), word)
-	f.Fuzz(func(t *testing.T, records []byte, at uint16, change []byte) {
+	changed := patterned(9)
+	touch(changed, 0)
+	touch(changed, 40)
+	good, _ := AppendPageDelta(nil, base, changed, WordUnit)
+	byteGood, _ := AppendPageDelta(nil, base, changed, ByteUnit)
+	f.Add(good[4:], false, uint16(0), []byte{1})
+	f.Add(byteGood, true, uint16(0), []byte{1})
+	f.Add([]byte{3, 0}, false, uint16(1), []byte{2})                                    // zero-length literal
+	f.Add(append([]byte{0, 1}, append(word, 0xff, 0x7f, 1)...), false, uint16(2), word) // skip past the page
+	f.Add(append([]byte{0, 1}, append(word, 9)...), false, uint16(3), []byte{})         // trailing garbage
+	f.Add(append([]byte{0xff, 0x03, 2}, append(word, word...)...), false, uint16(4), word)
+	f.Add([]byte{7, 1, 0xee, 0, 1, 0xee}, true, uint16(5), word) // touching byte literals
+	f.Add([]byte{0, 1, base[0]}, true, uint16(6), []byte{0x5a})  // a literal byte equal to the base
+	f.Add([]byte{0x80, 0x00, 1, 0xee}, true, uint16(7), word)    // an overlong skip
+	f.Fuzz(func(t *testing.T, records []byte, byteForm bool, at uint16, change []byte) {
+		unit, payload := WordUnit, withCRC(base, records...)
+		if byteForm {
+			unit, payload = ByteUnit, records
+		}
 		const guard = 64
 		arena := bytes.Repeat([]byte{0xc3}, guard+PageSize+guard)
 		page := arena[guard : guard+PageSize]
 		copy(page, base)
-		err := ApplyPageDelta(page, withCRC(base, records...))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := applyForm(page, payload, unit)
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+8*len(records)); grew > bound {
+			t.Fatalf("applying %d bytes of records allocated %d, bound %d", len(records), grew, bound)
+		}
 		if !bytes.Equal(arena[:guard], bytes.Repeat([]byte{0xc3}, guard)) ||
 			!bytes.Equal(arena[guard+PageSize:], bytes.Repeat([]byte{0xc3}, guard)) {
 			t.Fatal("decoder wrote outside the page")
@@ -344,15 +533,18 @@ func FuzzPageDelta(f *testing.F) {
 				t.Fatalf("refused payload modified the page: %v", err)
 			}
 		} else {
-			again, pays := AppendPageDelta(nil, base, page)
-			if !pays || !bytes.Equal(again[4:], records) {
+			if allocs := testing.AllocsPerRun(10, func() { copy(page, base); _ = applyForm(page, payload, unit) }); allocs > 0 {
+				t.Fatalf("applying an accepted payload allocated %.0f times", allocs)
+			}
+			again, pays := AppendPageDelta(nil, base, page, unit)
+			if !pays || !bytes.Equal(again[headLen(unit):], records) {
 				t.Fatalf("accepted payload %x re-encodes to %x (pays %v)", records, again, pays)
 			}
 		}
 
 		cur := append([]byte(nil), base...)
 		copy(cur[int(at)%PageSize:], change)
-		payload, pays := AppendPageDelta(nil, base, cur)
+		payload, pays := AppendPageDelta(nil, base, cur, unit)
 		if !pays {
 			if len(change) < PageSize/4 {
 				t.Fatalf("a %d-byte change did not pay", len(change))
@@ -363,7 +555,7 @@ func FuzzPageDelta(f *testing.F) {
 			t.Fatalf("paying delta is %d bytes", len(payload))
 		}
 		got := append([]byte(nil), base...)
-		if err := ApplyPageDelta(got, payload); err != nil || !bytes.Equal(got, cur) {
+		if err := applyForm(got, payload, unit); err != nil || !bytes.Equal(got, cur) {
 			t.Fatalf("apply(base, encode(base, cur)) != cur: %v", err)
 		}
 	})
