@@ -90,10 +90,12 @@ func suite(seed int64) []row {
 		{"MigrateModeledLink/striped4", modeledRow(core.Config{Streams: 4, MaxExtentBlocks: 64, Workers: 4})},
 
 		// The same image under a guest that writes while it is migrated, and
-		// guests rewriting words of their hot pages, or whole pages.
+		// guests rewriting a word, a generation or every byte of hot pages.
 		{"MigrateLive/rewrite", liveMigrate},
-		{"MemDelta/word-touch", func(b *testing.B) { memDeltaMigrate(b, true) }},
-		{"MemDelta/page-rewrite", func(b *testing.B) { memDeltaMigrate(b, false) }},
+		{"MemDelta/word-touch", func(b *testing.B) { memDeltaMigrate(b, 64, touchWord) }},
+		{"MemDelta/word-touch-per-page", func(b *testing.B) { memDeltaMigrate(b, 1, touchWord) }},
+		{"MemDelta/page-rewrite", func(b *testing.B) { memDeltaMigrate(b, 64, nil) }},
+		{"MemDelta/page-scramble", func(b *testing.B) { memDeltaMigrate(b, 64, scramble) }},
 
 		// Loopback TCP: the zero-copy hot path against the raw socket floor.
 		// The kernel image's zero extents travel as headers; the dense image
@@ -502,14 +504,17 @@ func liveMigrate(b *testing.B) {
 	b.ReportMetric(float64(fm.frames)/float64(b.N), "freeze_frames")
 }
 
-// memDeltaMigrate runs TPM over modelled GbE under a progress-paced guest
-// that rewrites a 512-page hot set of its 2048 pages — 32 pages per eight
-// units sent, faster than the link drains them — either one word at a time
-// (wordTouch) or as whole pages. Its three counts repeat exactly on the
-// in-order send path: the bytes and frames the destination receives while
-// the guest is frozen, the memory's wire bytes, and the pages that travelled
-// as deltas.
-func memDeltaMigrate(b *testing.B, wordTouch bool) {
+// memDeltaMigrate runs TPM at an extent limit over modelled GbE under a
+// progress-paced guest that rewrites a 512-page hot set of its 2048 pages —
+// 32 pages per eight units sent, faster than the link drains them; at the
+// limit of one its deltas are word-form frames. touch rewrites the k-th page
+// written from its first content (touchWord, scramble); without touch the
+// page gets workload.FillBlock's next generation, which changes one byte in
+// twelve: a delta that pays in a batch's byte form, not a cheaper whole-page
+// rewrite. Its three counts repeat exactly on the in-order send path: the
+// bytes and frames the destination receives while the guest is frozen, the
+// memory's wire bytes, and the pages that travelled as deltas.
+func memDeltaMigrate(b *testing.B, limit int, touch func(page []byte, k int)) {
 	const blocks, pages, hotPages, perRound = 1024, 2048, 512, 32
 	srcDisk := kernelImage(blocks, 2000)
 	var memBytes, deltaPages int64
@@ -528,9 +533,9 @@ func memDeltaMigrate(b *testing.B, wordTouch bool) {
 		paced := &workload.Paced{Every: 8, Round: func(r int) {
 			for k := perRound * r; k < perRound*(r+1); k++ {
 				p := k % hotPages
-				if wordTouch {
+				if touch != nil {
 					workload.FillBlock(page, p, 7)
-					binary.LittleEndian.PutUint64(page, uint64(k)+1)
+					touch(page, k)
 				} else {
 					workload.FillBlock(page, p, uint32(k)+8)
 				}
@@ -539,11 +544,11 @@ func memDeltaMigrate(b *testing.B, wordTouch bool) {
 				}
 			}
 		}}
-		srcCfg := core.Config{MaxExtentBlocks: 64, OnFreeze: func() {
+		srcCfg := core.Config{MaxExtentBlocks: limit, OnFreeze: func() {
 			paced.Stop()
 			fm.frozen()
 		}}
-		dstCfg := core.Config{MaxExtentBlocks: 64, OnResume: func(*blkback.PostCopyGate) { fm.resumed() }}
+		dstCfg := core.Config{MaxExtentBlocks: limit, OnResume: func(*blkback.PostCopyGate) { fm.resumed() }}
 		rep, _ := w.migrate(b, gbe, srcCfg, dstCfg, nil, func(src, dst transport.Conn) (transport.Conn, transport.Conn) {
 			src, dst = fm.wrap(src, dst)
 			paced.Conn = src
@@ -558,6 +563,15 @@ func memDeltaMigrate(b *testing.B, wordTouch bool) {
 	b.ReportMetric(float64(fm.frames)/float64(b.N), "freeze_frames")
 	b.ReportMetric(float64(memBytes)/float64(b.N), "mem_bytes")
 	b.ReportMetric(float64(deltaPages)/float64(b.N), "delta_pages")
+}
+
+// touchWord counts in the page's first word; scramble adds the page's own
+// generation to every byte, so each byte differs from the page's last content.
+func touchWord(page []byte, k int) { binary.LittleEndian.PutUint64(page, uint64(k)+1) }
+func scramble(page []byte, k int) {
+	for i := range page {
+		page[i] += byte(k/512) + 1
+	}
 }
 
 // tcpCpBaseline is the wire-speed floor: the TCP rows' image pushed through

@@ -21,7 +21,7 @@ var repoRoot = filepath.Join("..", "..", "..")
 // lineBudgets bound packages' non-test lines, counted as `cat *.go | wc -l`
 // counts them. A budget only grows in the change that defends it.
 var lineBudgets = map[string]int{
-	"cmd/bbench":               1382,
+	"cmd/bbench":               1396,
 	"internal/blockdev/bcache": 596,
 	"internal/cluster":         1467,
 	"internal/core":            4742,
