@@ -505,15 +505,15 @@ func liveMigrate(b *testing.B) {
 }
 
 // memDeltaMigrate runs TPM at an extent limit over modelled GbE under a
-// progress-paced guest that rewrites a 512-page hot set of its 2048 pages —
-// 32 pages per eight units sent, faster than the link drains them; at the
-// limit of one its deltas are word-form frames. touch rewrites the k-th page
-// written from its first content (touchWord, scramble); without touch the
-// page gets workload.FillBlock's next generation, which changes one byte in
-// twelve: a delta that pays in a batch's byte form, not a cheaper whole-page
-// rewrite. Its three counts repeat exactly on the in-order send path: the
-// bytes and frames the destination receives while the guest is frozen, the
-// memory's wire bytes, and the pages that travelled as deltas.
+// progress-paced guest rewriting a 512-page hot set of its 2048 pages, 32
+// pages per eight units sent (faster than the link drains them); at limit 1
+// its deltas are word-form frames. touch rewrites the k-th page written from
+// its first content (touchWord, scramble); without it a page gets
+// FillBlock's next generation, one byte in twelve changed: a delta that pays
+// in byte form, not a cheaper whole-page rewrite. The four gated counts
+// repeat exactly on the in-order send path: freeze bytes and frames, memory
+// wire bytes, delta pages. ns_per_op is not gated, nor the migration's alone:
+// the guest's page writes run on the sending goroutine, in the timed loop.
 func memDeltaMigrate(b *testing.B, limit int, touch func(page []byte, k int)) {
 	const blocks, pages, hotPages, perRound = 1024, 2048, 512, 32
 	srcDisk := kernelImage(blocks, 2000)

@@ -70,10 +70,10 @@
 // Fault tolerance: -max-retries N makes the sender survive up to N
 // connection failures by resuming the session its handshake offered — the
 // receiver always offers a reconnect path — re-sending only the blocks the
-// receiver hasn't confirmed. -journal FILE persists the migration journal
-// (pipeline cursor + pending bitmap) at every checkpoint; after a sender
-// crash, -resume re-runs the migration incrementally from the journaled owed
-// set:
+// receiver hasn't confirmed. -journal FILE saves the blocks still owed, in
+// the -initial-bitmap file format, at every checkpoint, and removes the file
+// once the migration succeeds; after a sender crash, -resume is
+// -initial-bitmap over that file — an incremental re-run of the owed set:
 //
 //	bbmig -mode send -addr dst:7011 -image src.img -max-retries 5 -journal src.journal
 //	bbmig -mode send -addr dst:7011 -image src.img -journal src.journal -resume
@@ -125,8 +125,8 @@ func main() {
 		freshBM    = flag.String("fresh-bitmap", "", "recv: file to save the fresh-write bitmap to (enables a later IM back)")
 		retries    = flag.Int("max-retries", 0, "send: survive this many connection failures by resuming the session (0 = fail fast)")
 		backoff    = flag.Duration("retry-backoff", 0, "send: base reconnect delay (doubles per attempt; 0 = default)")
-		journal    = flag.String("journal", "", "send: persist the migration journal (cursor + pending bitmap) to this file")
-		resume     = flag.Bool("resume", false, "send: cold-resume from -journal after a source restart (incremental re-run of the owed blocks)")
+		journal    = flag.String("journal", "", "send: save the blocks still owed to this bitmap file at every checkpoint (removed on success)")
+		resume     = flag.Bool("resume", false, "send: cold-resume from -journal after a source restart: -initial-bitmap over it (incremental re-run of the owed blocks)")
 		cacheBlk   = flag.Int("cache-blocks", 0, "front the image with a write-back block cache of this many blocks; migration reads come from CoW snapshots of it (0 = direct file I/O)")
 	)
 	flag.Parse()
@@ -148,11 +148,14 @@ func main() {
 	var err error
 	switch *mode {
 	case "send":
-		if *resume && *journal == "" {
-			err = fmt.Errorf("-resume needs -journal")
-			break
+		if *resume {
+			if *journal == "" {
+				err = fmt.Errorf("-resume needs -journal")
+				break
+			}
+			*initialBM = *journal
 		}
-		err = runSend(*addr, *image, *sizeMB, *memMB, *wl, *limitMbps, *seed, *speedup, opts, *initialBM, *resume)
+		err = runSend(*addr, *image, *sizeMB, *memMB, *wl, *limitMbps, *seed, *speedup, opts, *initialBM)
 	case "recv":
 		err = runRecv(*listen, *image, *sizeMB, *memMB, opts, *freshBM)
 	case "demo":
@@ -275,7 +278,7 @@ func cacheWrap(fd *blockdev.FileDisk, opts xferOpts) (blockdev.Device, func() er
 	return vol, vol.Release
 }
 
-func runSend(addr, image string, sizeMB, memMB int, wl string, limitMbps int, seed int64, speedup float64, opts xferOpts, initialBMPath string, coldResume bool) error {
+func runSend(addr, image string, sizeMB, memMB int, wl string, limitMbps int, seed int64, speedup float64, opts xferOpts, initialBMPath string) error {
 	if addr == "" || image == "" {
 		return fmt.Errorf("send mode needs -addr and -image")
 	}
@@ -289,6 +292,22 @@ func runSend(addr, image string, sizeMB, memMB int, wl string, limitMbps int, se
 	guest := vm.New("guest", 1, memMB<<20/vm.PageSize, 4096)
 	backend := blkback.NewBackend(dev, guest.DomainID)
 	router := core.NewRouter(backend.Submit)
+	var initial *bitmap.Bitmap
+	if initialBMPath != "" {
+		initial, err = bitmap.LoadFile(initialBMPath)
+		if err != nil {
+			return err
+		}
+		if initial.Len() != disk.NumBlocks() {
+			return fmt.Errorf("initial bitmap covers %d blocks, disk has %d", initial.Len(), disk.NumBlocks())
+		}
+		backend.SeedDirty(initial)
+		initial = backend.SwapDirty()
+		// Every guest write from here on is owed too: track from before the
+		// workload starts, not from the engine's disk pre-copy.
+		backend.StartTracking()
+		fmt.Printf("incremental migration: %d blocks to send\n", initial.Count())
+	}
 
 	// Optional synthetic workload during the migration.
 	stop := make(chan struct{})
@@ -310,34 +329,6 @@ func runSend(addr, image string, sizeMB, memMB int, wl string, limitMbps int, se
 	}
 	var cur transport.Conn = conn
 	defer func() { cur.Close() }()
-	var initial *bitmap.Bitmap
-	if coldResume {
-		// A restarted source re-runs the migration incrementally from the
-		// journal's owed-block view (the destination's VBD retains what
-		// already landed; duplicates are applied idempotently).
-		st, err := core.LoadJournal(opts.journalPath, disk.NumBlocks())
-		if err != nil {
-			return fmt.Errorf("cold resume: %w", err)
-		}
-		if st.Pending == nil {
-			return fmt.Errorf("cold resume: journal at phase %q carries no pending blocks", st.Phase)
-		}
-		backend.SeedDirty(st.Pending)
-		initial = backend.SwapDirty()
-		fmt.Printf("cold resume from %s (phase %s, iteration %d): %d blocks owed\n",
-			opts.journalPath, st.Phase, st.Iter, initial.Count())
-	} else if initialBMPath != "" {
-		initial, err = bitmap.LoadFile(initialBMPath)
-		if err != nil {
-			return err
-		}
-		if initial.Len() != disk.NumBlocks() {
-			return fmt.Errorf("initial bitmap covers %d blocks, disk has %d", initial.Len(), disk.NumBlocks())
-		}
-		backend.SeedDirty(initial)
-		initial = backend.SwapDirty()
-		fmt.Printf("incremental migration: %d blocks to send\n", initial.Count())
-	}
 	cfg := opts.config()
 	cfg.OnFreeze = router.Freeze
 	if limitMbps > 0 {
@@ -495,7 +486,7 @@ func runDemo(sizeMB, memMB int, wl string, seed int64, opts xferOpts) error {
 	if wl == "" || wl == "none" {
 		wl = "web"
 	}
-	if err := runSend(l.Addr().String(), srcImg, sizeMB, memMB, wl, 0, seed, 50, opts, "", false); err != nil {
+	if err := runSend(l.Addr().String(), srcImg, sizeMB, memMB, wl, 0, seed, 50, opts, ""); err != nil {
 		return err
 	}
 	if err := <-errCh; err != nil {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -11,7 +13,6 @@ import (
 
 	"bbmig/internal/bitmap"
 	"bbmig/internal/blockdev"
-	"bbmig/internal/core"
 	"bbmig/internal/transport"
 	"bbmig/internal/workload"
 )
@@ -139,7 +140,7 @@ func TestSendRecvRoundTripWithIM(t *testing.T) {
 	defer l.Close()
 	recvDone := make(chan error, 1)
 	go func() { recvDone <- recvServe(l, dstImg, sizeMB, memMB, xferOpts{compressLevel: -1}, bmPath) }()
-	if err := runSend(l.Addr().String(), srcImg, sizeMB, memMB, "none", 0, 1, 1, xferOpts{compressLevel: -1}, "", false); err != nil {
+	if err := runSend(l.Addr().String(), srcImg, sizeMB, memMB, "none", 0, 1, 1, xferOpts{compressLevel: -1}, ""); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	if err := <-recvDone; err != nil {
@@ -181,7 +182,7 @@ func TestSendRecvRoundTripWithIM(t *testing.T) {
 	defer l2.Close()
 	recvDone2 := make(chan error, 1)
 	go func() { recvDone2 <- recvServe(l2, srcImg, sizeMB, memMB, xferOpts{}, "") }()
-	if err := runSend(l2.Addr().String(), dstImg, sizeMB, memMB, "none", 0, 1, 1, xferOpts{}, bmPath, false); err != nil {
+	if err := runSend(l2.Addr().String(), dstImg, sizeMB, memMB, "none", 0, 1, 1, xferOpts{}, bmPath); err != nil {
 		t.Fatalf("IM send: %v", err)
 	}
 	if err := <-recvDone2; err != nil {
@@ -195,13 +196,13 @@ func TestSendRecvRoundTripWithIM(t *testing.T) {
 
 // TestRunSendValidation covers the argument checks.
 func TestRunSendValidation(t *testing.T) {
-	if err := runSend("", "", 1, 1, "none", 0, 1, 1, xferOpts{}, "", false); err == nil {
+	if err := runSend("", "", 1, 1, "none", 0, 1, 1, xferOpts{}, ""); err == nil {
 		t.Fatal("missing args accepted")
 	}
 	if err := runRecv(":0", "", 1, 1, xferOpts{}, ""); err == nil {
 		t.Fatal("recv without image accepted")
 	}
-	if !strings.Contains(runSend("", "", 1, 1, "none", 0, 1, 1, xferOpts{}, "", false).Error(), "-addr") {
+	if !strings.Contains(runSend("", "", 1, 1, "none", 0, 1, 1, xferOpts{}, "").Error(), "-addr") {
 		t.Fatal("unhelpful error")
 	}
 }
@@ -235,7 +236,7 @@ func TestStripedCompressedMigration(t *testing.T) {
 	defer l.Close()
 	recvDone := make(chan error, 1)
 	go func() { recvDone <- recvServe(l, dstImg, sizeMB, memMB, opts, "") }()
-	if err := runSend(l.Addr().String(), srcImg, sizeMB, memMB, "none", 0, 1, 1, opts, "", false); err != nil {
+	if err := runSend(l.Addr().String(), srcImg, sizeMB, memMB, "none", 0, 1, 1, opts, ""); err != nil {
 		t.Fatalf("striped send: %v", err)
 	}
 	if err := <-recvDone; err != nil {
@@ -285,7 +286,7 @@ func TestBareRecvFollowsSender(t *testing.T) {
 			defer l.Close()
 			recvDone := make(chan error, 1)
 			go func() { recvDone <- recvServe(l, dstImg, sizeMB, memMB, xferOpts{}, "") }()
-			if err := runSend(l.Addr().String(), srcImg, sizeMB, memMB, "none", 0, 1, 1, send, "", false); err != nil {
+			if err := runSend(l.Addr().String(), srcImg, sizeMB, memMB, "none", 0, 1, 1, send, ""); err != nil {
 				t.Fatalf("send: %v", err)
 			}
 			if err := <-recvDone; err != nil {
@@ -380,7 +381,7 @@ func TestCLIResumableMigration(t *testing.T) {
 	sendOpts := xferOpts{maxRetries: 5, retryBackoff: 5 * time.Millisecond, journalPath: filepath.Join(dir, "j.bin")}
 	recvDone := make(chan error, 1)
 	go func() { recvDone <- recvServe(l, dstImg, sizeMB, memMB, xferOpts{}, "") }()
-	if err := runSend(proxy.l.Addr().String(), srcImg, sizeMB, memMB, "none", 0, 1, 1, sendOpts, "", false); err != nil {
+	if err := runSend(proxy.l.Addr().String(), srcImg, sizeMB, memMB, "none", 0, 1, 1, sendOpts, ""); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	if err := <-recvDone; err != nil {
@@ -390,18 +391,14 @@ func TestCLIResumableMigration(t *testing.T) {
 	if err != nil || !same {
 		t.Fatalf("images differ after resumed CLI migration: %v %v", same, err)
 	}
-	// The journal records completion.
-	st, err := core.LoadJournal(sendOpts.journalPath, sizeMB<<20/blockdev.BlockSize)
-	if err != nil {
-		t.Fatalf("journal: %v", err)
-	}
-	if st.Phase != "done" {
-		t.Fatalf("journal phase %q after success, want done", st.Phase)
+	// Nothing is owed after success, so no journal is left behind.
+	if _, err := os.Stat(sendOpts.journalPath); !os.IsNotExist(err) {
+		t.Fatalf("journal left behind after success: %v", err)
 	}
 }
 
-// TestCLIColdResume re-runs a crashed migration from its journal: only the
-// owed blocks travel (incrementally) and the images converge.
+// TestCLIColdResume re-runs a crashed migration from its journal: exactly
+// the owed blocks travel (incrementally) and the images converge.
 func TestCLIColdResume(t *testing.T) {
 	dir := t.TempDir()
 	srcImg := filepath.Join(dir, "src.img")
@@ -421,24 +418,21 @@ func TestCLIColdResume(t *testing.T) {
 	}
 	d.Close()
 
-	// Simulate the partial first run: the destination already holds
-	// everything except a tail of blocks, and the crashed source's journal
-	// names exactly that tail as pending.
+	// Simulate the partial first run: the crashed source's journal owes a
+	// tail of blocks, and the destination holds other content everywhere, so
+	// a block it ends up sharing with the source is one that travelled.
 	dd, err := openOrCreate(dstImg, sizeMB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n := 0; n < blocks-200; n++ {
-		workload.FillBlock(buf, n, 5)
+	for n := 0; n < blocks; n++ {
+		workload.FillBlock(buf, n, 6)
 		dd.WriteBlock(n, buf)
 	}
 	dd.Close()
 	pending := bitmap.New(blocks)
-	for n := blocks - 200; n < blocks; n++ {
-		pending.Set(n)
-	}
-	j := &core.Journal{Path: journalPath}
-	if err := j.Checkpoint(core.JournalState{Phase: core.PhaseDiskPreCopy, Iter: 1, Pending: pending}); err != nil {
+	pending.SetRange(blocks-200, blocks)
+	if err := pending.SaveFile(journalPath); err != nil {
 		t.Fatal(err)
 	}
 
@@ -450,14 +444,95 @@ func TestCLIColdResume(t *testing.T) {
 	recvDone := make(chan error, 1)
 	go func() { recvDone <- recvServe(l, dstImg, sizeMB, memMB, xferOpts{}, "") }()
 	opts := xferOpts{journalPath: journalPath}
-	if err := runSend(l.Addr().String(), srcImg, sizeMB, memMB, "none", 0, 1, 1, opts, "", true); err != nil {
+	if err := runSend(l.Addr().String(), srcImg, sizeMB, memMB, "none", 0, 1, 1, opts, journalPath); err != nil {
 		t.Fatalf("cold-resume send: %v", err)
 	}
 	if err := <-recvDone; err != nil {
 		t.Fatalf("recv: %v", err)
 	}
-	same, err := imagesEqual(srcImg, dstImg)
-	if err != nil || !same {
-		t.Fatalf("images differ after cold resume: %v %v", same, err)
+	src, err := blockdev.OpenFileDisk(srcImg, blockdev.BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	dst, err := blockdev.OpenFileDisk(dstImg, blockdev.BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	a, b := make([]byte, blockdev.BlockSize), make([]byte, blockdev.BlockSize)
+	for n := 0; n < blocks; n++ {
+		src.ReadBlock(n, a)
+		dst.ReadBlock(n, b)
+		if bytes.Equal(a, b) != pending.Test(n) {
+			t.Fatalf("block %d: shipped %v, owed %v", n, bytes.Equal(a, b), pending.Test(n))
+		}
+	}
+	if _, err := os.Stat(journalPath); !os.IsNotExist(err) {
+		t.Fatalf("journal left behind after the resumed run: %v", err)
+	}
+}
+
+// TestIMOwesGuestWritesBeforeMigration: an incremental migration under a
+// workload owes every write the guest makes after the bitmap is loaded,
+// including those before the engine's disk pre-copy starts (the dial and
+// the handshake): with an empty bitmap between two identical images, only
+// the workload's writes travel, and the images still converge.
+func TestIMOwesGuestWritesBeforeMigration(t *testing.T) {
+	dir := t.TempDir()
+	srcImg, dstImg, bmPath := filepath.Join(dir, "src.img"), filepath.Join(dir, "dst.img"), filepath.Join(dir, "fresh.bm")
+	const sizeMB, memMB = 8, 2
+	for _, p := range []string{srcImg, dstImg} {
+		d, err := openOrCreate(p, sizeMB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+	}
+	if err := bitmap.New(sizeMB << 20 / blockdev.BlockSize).SaveFile(bmPath); err != nil {
+		t.Fatal(err)
+	}
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	recvDone := make(chan error, 1)
+	go func() { recvDone <- recvServe(l, dstImg, sizeMB, memMB, xferOpts{}, "") }()
+	if err := runSend(l.Addr().String(), srcImg, sizeMB, memMB, "diabolical", 0, 1, 200, xferOpts{}, bmPath); err != nil {
+		t.Fatalf("IM send: %v", err)
+	}
+	if err := <-recvDone; err != nil {
+		t.Fatalf("recv: %v", err)
+	}
+	if same, err := imagesEqual(srcImg, dstImg); err != nil || !same {
+		t.Fatalf("images differ after an incremental migration under a workload: %v %v", same, err)
+	}
+}
+
+// TestJournalRefusesAnotherDisksPendingSet: a cold resume loads the journal
+// for its disk. An owed set of another size, or a file in any other format —
+// the cursor-and-CRC journal of earlier releases included — is refused
+// before the sender dials.
+func TestJournalRefusesAnotherDisksPendingSet(t *testing.T) {
+	dir := t.TempDir()
+	img := filepath.Join(dir, "src.img")
+	const sizeMB = 1
+	other := filepath.Join(dir, "other.bin")
+	if err := bitmap.New(sizeMB << 20 / blockdev.BlockSize * 2).SaveFile(other); err != nil {
+		t.Fatal(err)
+	}
+	if err := runSend("127.0.0.1:1", img, sizeMB, 1, "none", 0, 1, 1, xferOpts{}, other); err == nil || !strings.Contains(err.Error(), "covers") {
+		t.Fatalf("another disk's owed set: %v", err)
+	}
+	// The earlier journal: magic, version, phase, pad, epoch, iteration,
+	// token, bitmap length, bitmap, CRC-32.
+	old := filepath.Join(dir, "old.journal")
+	data := append([]byte("BBJR\x01\x01\x00\x00"), make([]byte, 4+4+16+4+4)...)
+	if err := os.WriteFile(old, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runSend("127.0.0.1:1", img, sizeMB, 1, "none", 0, 1, 1, xferOpts{}, old); err == nil || !strings.Contains(err.Error(), old) {
+		t.Fatalf("an earlier journal: %v", err)
 	}
 }

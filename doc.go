@@ -96,7 +96,7 @@
 // never to wrong bytes. hostd maintains one in-memory index per machine,
 // beside its retained disks, so evacuating a fleet of template-provisioned
 // clones between the same hosts ships fingerprints instead of images —
-// `bbench -exp dedup` models a clone-fleet evacuation moving 5-10x fewer
+// `bbench -exp dedup` models a clone-fleet evacuation moving 8.6x fewer
 // bytes. Dedup is a source setting: the adverts and
 // references name themselves, and every destination answers them (hostd's
 // announce only hints it to ready the machine index first).
@@ -106,18 +106,21 @@
 // By default a connection failure is fatal, matching the seed protocol.
 // Setting Config.MaxRetries (with a Config.Redial callback on the source
 // and a Config.WaitReconnect callback on the destination) makes the
-// migration resumable: the source's HELLO offers a session token, the source
-// checkpoints a journal (pipeline cursor + pending bitmap — the paper's
-// persistent block-bitmap put to work) at phase and iteration boundaries,
-// and on a link failure it backs off, re-dials, and exchanges a resume
-// handshake in which the destination reports exactly what it has received —
-// down to a per-iteration transfer-cursor bitmap. The source then re-enters
-// the earliest unconfirmed phase sending only the blocks still owed, so a
-// flap deep into a 40 GB transfer costs roughly the frames in flight, not a
-// restart. Config.JournalPath persists the journal so a restarted source
-// can cold-resume incrementally (cmd/bbmig -resume). Fault-free resumable
-// runs add only the token to the HELLO payload; with resumption disabled
-// the wire format is byte-identical to the seed protocol.
+// migration resumable: the source's HELLO offers a session token, the
+// source records each pre-copy iteration's pending set, and on a link
+// failure it backs off, re-dials, and exchanges a resume handshake in which
+// the destination reports exactly what it has received — down to a
+// per-iteration transfer-cursor bitmap. The source then re-enters the
+// earliest unconfirmed phase sending only the blocks still owed, so a flap
+// deep into a 40 GB transfer costs roughly the frames in flight, not a
+// restart. Config.JournalPath, with or without MaxRetries, saves the disk
+// blocks still owed — the paper's persistent block-bitmap, in the
+// bitmap.SaveFile format — at every pre-copy iteration start and at the
+// freeze, and removes the file on success, so a restarted source can
+// cold-resume as an incremental migration from it (cmd/bbmig -resume).
+// Fault-free resumable runs add only the token to the HELLO payload; with
+// resumption disabled the wire format is byte-identical to the seed
+// protocol.
 //
 // # Cluster orchestration
 //

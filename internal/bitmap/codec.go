@@ -95,8 +95,8 @@ func (b *Bitmap) EncodedLen() int {
 // MarshalBinary serializes the bitmap in its shorter form: runs when that is
 // strictly shorter than dense, dense otherwise. Every path a bitmap travels
 // uses this encoding: the freeze-and-copy phase's MsgBitmap (§IV-A-3), the
-// session-ack cursors, the journal's pending set, vault peer entries and
-// SaveFile.
+// session-ack cursors, vault peer entries and SaveFile (fresh-write bitmaps
+// and the source's journal).
 func (b *Bitmap) MarshalBinary() ([]byte, error) {
 	if limit, runs, ok := b.runsBudget(); ok {
 		// Neither uvarint of a pair can be longer than the bit count's, and

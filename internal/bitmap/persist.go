@@ -19,9 +19,10 @@ var persistMagic = [4]byte{'B', 'B', 'M', '1'}
 // SaveFile writes the bitmap to path atomically (write-to-temp + rename)
 // with a leading checksum, so a crash mid-save leaves either the old bitmap
 // or the new one — never a torn file that loads — and corruption is detected
-// on load. The migration daemon persists the destination's fresh-write
-// bitmap this way so an incremental migration back works across daemon
-// restarts.
+// on load. It is the one on-disk form of migration state: the destination's
+// fresh-write bitmap, so an incremental migration back works across daemon
+// restarts, and the source's journal of blocks still owed, so a crashed
+// source resumes incrementally.
 func (b *Bitmap) SaveFile(path string) error {
 	data, err := b.MarshalBinary()
 	if err != nil {
@@ -31,19 +32,18 @@ func (b *Bitmap) SaveFile(path string) error {
 	copy(out, persistMagic[:])
 	binary.LittleEndian.PutUint32(out[4:], crc32.ChecksumIEEE(data))
 	out = append(out, data...)
-	if err := AtomicWriteFile(path, out); err != nil {
+	if err := atomicWriteFile(path, out); err != nil {
 		return fmt.Errorf("bitmap: save: %w", err)
 	}
 	return nil
 }
 
-// AtomicWriteFile is the crash discipline every migration persistence path
-// shares (fresh-write bitmaps here, the journal in core): write a sibling temp
-// file and fsync it, rename it over the target, then fsync the directory, so a
+// atomicWriteFile is SaveFile's crash discipline: write a sibling temp file
+// and fsync it, rename it over the target, then fsync the directory, so a
 // crash — a power cut included — leaves either the old contents or the new,
 // never a torn file that silently loads. A save that fails before the rename
 // removes its temp file and leaves the target as it was.
-func AtomicWriteFile(path string, data []byte) (err error) {
+func atomicWriteFile(path string, data []byte) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

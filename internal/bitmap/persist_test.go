@@ -163,6 +163,8 @@ func FuzzLoadBytes(f *testing.F) {
 	f.Add(raw)
 	f.Add(runsPayload(128, 3, 4, 20, 1))
 	f.Add([]byte("BBM1junk"))
+	// A journal the engine wrote mid memory pre-copy: blocks 5-7 of 2 048 owed.
+	f.Add([]byte("BBM1\xa6\x05\xee\xbd\x00\x08\x00\x00\x00\x00\x00\x01\x05\x03"))
 	f.Add([]byte{})
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -424,22 +424,6 @@ func TestSessionAckRefusesWrongSizedCursor(t *testing.T) {
 	}
 }
 
-// TestJournalRefusesAnotherDisksPendingSet: a journal is loaded for a disk,
-// and a pending set of any other size is refused.
-func TestJournalRefusesAnotherDisksPendingSet(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.bin")
-	j := &Journal{Path: path}
-	if err := j.Checkpoint(JournalState{Phase: PhaseDiskPreCopy, Iter: 1, Pending: newBitmapWith(testBlocks, 7, 9)}); err != nil {
-		t.Fatal(err)
-	}
-	if st, err := LoadJournal(path, testBlocks); err != nil || st.Pending.Count() != 9 {
-		t.Fatalf("journal for its own disk: %v", err)
-	}
-	if _, err := LoadJournal(path, testBlocks*2); err == nil {
-		t.Fatal("journal loaded for a disk of another size")
-	}
-}
-
 // TestVaultRefusesAnotherDisksSets: a vault arriving with a VM must describe
 // the receiver's disk, in its header and in every peer's divergence set.
 func TestVaultRefusesAnotherDisksSets(t *testing.T) {
@@ -484,9 +468,9 @@ func seedDense(bm *bitmap.Bitmap) []byte {
 	return out
 }
 
-// TestDenseJournalStillResumes: a journal whose pending set was written
-// dense for a small disk still loads — the sized decoder takes both forms at
-// any size — and a cold resume from it re-sends exactly that set.
+// TestDenseJournalStillResumes: a journal file whose owed set was written
+// dense for a small disk still loads — the decoder takes both forms at any
+// size — and a cold resume from it re-sends exactly that set.
 func TestDenseJournalStillResumes(t *testing.T) {
 	pending := bitmap.New(testBlocks)
 	for _, n := range []int{0, 1, 2, 3, 64, 65, 66, 500, 501, 777, 1024, 2047} {
@@ -496,26 +480,21 @@ func TestDenseJournalStillResumes(t *testing.T) {
 	if now, _ := pending.MarshalBinary(); len(now) >= len(dense) {
 		t.Fatalf("the set marshals to %d bytes today, not shorter than its %d-byte dense form", len(now), len(dense))
 	}
-	head, err := marshalJournal(JournalState{Phase: PhaseDiskPreCopy, Iter: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := append(head[:journalHeaderLen:journalHeaderLen], dense...)
-	binary.LittleEndian.PutUint32(old[32:], uint32(len(dense)))
-	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+	// SaveFile's envelope (magic, CRC-32 of the body) around the dense body.
+	old := binary.LittleEndian.AppendUint32([]byte("BBM1"), crc32.ChecksumIEEE(dense))
 	path := filepath.Join(t.TempDir(), "j.bin")
-	if err := writeRaw(t, path, old); err != nil {
+	if err := writeRaw(t, path, append(old, dense...)); err != nil {
 		t.Fatal(err)
 	}
-	st, err := LoadJournal(path, testBlocks)
-	if err != nil || !st.Pending.Equal(pending) {
-		t.Fatalf("dense journal: %v, pending %v", err, st.Pending)
+	owed, err := bitmap.LoadFile(path)
+	if err != nil || !owed.Equal(pending) {
+		t.Fatalf("dense journal: %v, owed %v", err, owed)
 	}
 
 	w := newWorld(t)
 	tap := &frameTap{Conn: w.connSrc}
 	w.connSrc = tap
-	w.incremental(Config{}, Config{}, st.Pending)
+	w.incremental(Config{}, Config{}, owed)
 	sent := bitmap.New(testBlocks)
 	for _, fr := range tap.frames {
 		switch fr.typ {

@@ -254,13 +254,13 @@ type Config struct {
 	// and return the connection with the frame's epoch.
 	WaitReconnect ReconnectFunc
 
-	// JournalPath, when non-empty, persists the source's migration journal
-	// (session token, pipeline cursor, pending bitmap) to this file at
-	// every checkpoint, so an operator can restart a crashed source and
-	// re-run the migration incrementally from the journal instead of
-	// re-sending the whole image (cmd/bbmig -resume). In-process
-	// reconnect resume does not need it — the journal is also kept in
-	// memory.
+	// JournalPath, when non-empty, makes the TPM/IM source save the disk
+	// blocks it still owes to this file (bitmap.SaveFile) at every
+	// pre-copy iteration start and at the freeze, with or without
+	// MaxRetries, and remove the file once the migration succeeds, so an
+	// operator can restart a crashed source and re-run the migration
+	// incrementally from it instead of re-sending the whole image
+	// (cmd/bbmig -resume). In-process reconnect resume does not read it.
 	JournalPath string
 
 	// OnFreeze, when non-nil, is invoked on the source right before the VM

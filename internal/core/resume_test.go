@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"testing"
 	"time"
 
 	"bbmig/internal/bitmap"
+	"bbmig/internal/blockdev"
 	"bbmig/internal/transport"
 	"bbmig/internal/workload"
 )
@@ -318,14 +320,21 @@ func TestResumeEventStream(t *testing.T) {
 	}
 }
 
-// TestResumeJournalCheckpoints: the on-disk journal tracks the pipeline and
-// ends in the done state; intermediate checkpoints load and carry a pending
-// set usable for a cold incremental restart.
+// TestResumeJournalCheckpoints: across a reconnect, the journal holds at
+// each phase end the disk blocks a cold resume would owe there — the whole
+// disk through the first disk iteration, then only the blocks the guest wrote
+// after it — and is gone once the migration succeeds.
 func TestResumeJournalCheckpoints(t *testing.T) {
 	w := newWorld(t)
 	path := t.TempDir() + "/migration.journal"
-
-	var sawDiskPhase bool
+	written := newBitmapWith(testBlocks, 5, 3)
+	want := map[string]*bitmap.Bitmap{
+		PhaseDiskPreCopy: bitmap.NewAllSet(testBlocks),
+		PhaseMemPreCopy:  written,
+		PhaseFreezeCopy:  written,
+		PhasePostCopy:    written,
+	}
+	seen := map[string]bool{}
 	inj := transport.NewInjector(
 		[]transport.Fault{{AfterSends: framesMidMemPhase, Kind: transport.FaultCut}})
 	relink := newPipeRelinker(inj)
@@ -335,77 +344,70 @@ func TestResumeJournalCheckpoints(t *testing.T) {
 		Redial:       relink.redial,
 		JournalPath:  path,
 		OnEvent: func(ev Event) {
-			if ev.Kind == EventPhaseEnd && ev.Phase == PhaseDiskPreCopy && ev.Side == "source" {
-				st, err := LoadJournal(path, testBlocks)
-				if err == nil && st.Phase == PhaseDiskPreCopy {
-					sawDiskPhase = true
-				}
+			if ev.Kind != EventPhaseEnd || ev.Side != "source" || want[ev.Phase] == nil {
+				return
 			}
+			seen[ev.Phase] = true
+			if owed, err := bitmap.LoadFile(path); err != nil || !owed.Equal(want[ev.Phase]) {
+				t.Errorf("journal at the end of %s: %v, owed %v, want %v", ev.Phase, err, owed, want[ev.Phase])
+			}
+			if ev.Phase != PhaseDiskPreCopy {
+				return
+			}
+			buf := make([]byte, blockdev.BlockSize)
+			written.ForEachSet(func(n int) bool {
+				workload.FillBlock(buf, n, 9)
+				if err := w.shadow.Submit(blockdev.Request{Op: blockdev.Write, Domain: testDomain, Block: n, Data: buf}); err != nil {
+					t.Errorf("guest write: %v", err)
+				}
+				return true
+			})
 		},
 	}
 	w.connSrc = inj.Wrap(w.connSrc)
-	w.tpm(srcCfg, Config{WaitReconnect: relink.waitReconnect}, nil)
-	if !sawDiskPhase {
-		t.Fatal("journal never reflected the disk pre-copy phase")
+	if rep, _ := w.tpm(srcCfg, Config{WaitReconnect: relink.waitReconnect}, nil); rep.Retries != 1 {
+		t.Fatalf("source survived %d retries, want 1", rep.Retries)
 	}
-	final, err := LoadJournal(path, testBlocks)
-	if err != nil {
-		t.Fatalf("final journal: %v", err)
+	for phase := range want {
+		if !seen[phase] {
+			t.Errorf("the source never ended %s", phase)
+		}
 	}
-	if final.Phase != "done" {
-		t.Fatalf("final journal phase %q, want done", final.Phase)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("journal left behind after success: %v", err)
 	}
 }
 
-// TestJournalStateRoundTrip exercises the journal file format directly,
-// including torn-write detection.
-func TestJournalStateRoundTrip(t *testing.T) {
-	path := t.TempDir() + "/j.bin"
-	pending := bitmap.New(testBlocks)
-	for _, n := range []int{0, 5, 100, testBlocks - 1} {
-		pending.Set(n)
+// TestJournalWithoutRetries: a fail-fast source (MaxRetries 0) with a
+// JournalPath still journals, so a source cut mid disk pre-copy leaves a file
+// a cold resume can load, holding every block the destination does not hold.
+func TestJournalWithoutRetries(t *testing.T) {
+	w := newWorld(t)
+	path := t.TempDir() + "/migration.journal"
+	inj := transport.NewInjector(
+		[]transport.Fault{{AfterSends: 1 + 1 + testBlocks/2, Kind: transport.FaultCut}})
+	w.connSrc = inj.Wrap(w.connSrc)
+	if _, _, srcErr, _ := w.tpmPair(Config{JournalPath: path}, Config{}, nil); srcErr == nil {
+		t.Fatal("the cut source reported success")
 	}
-	token, err := transport.NewSessionToken()
+	owed, err := bitmap.LoadFile(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("no journal after the cut: %v", err)
 	}
-	j := &Journal{Path: path}
-	st := JournalState{Token: token, Epoch: 3, Phase: PhaseDiskPreCopy, Iter: 2, Pending: pending}
-	if err := j.Checkpoint(st); err != nil {
-		t.Fatal(err)
+	if owed.Len() != testBlocks {
+		t.Fatalf("journal covers %d blocks, the disk has %d", owed.Len(), testBlocks)
 	}
-	got, err := LoadJournal(path, testBlocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Token != token || got.Epoch != 3 || got.Phase != PhaseDiskPreCopy || got.Iter != 2 {
-		t.Fatalf("journal round-trip mismatch: %+v", got)
-	}
-	if !got.Pending.Equal(pending) {
-		t.Fatal("pending bitmap did not round-trip")
-	}
-
-	// A torn write (any truncation) must be detected, not half-loaded.
-	data, err := marshalJournal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cut := range []int{0, 4, journalHeaderLen, len(data) - 5, len(data) - 1} {
-		if err := writeRaw(t, path, data[:cut]); err != nil {
+	src, dst := make([]byte, blockdev.BlockSize), make([]byte, blockdev.BlockSize)
+	for n := 0; n < testBlocks; n++ {
+		if err := w.srcDisk.ReadBlock(n, src); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadJournal(path, testBlocks); err == nil {
-			t.Fatalf("truncation to %d bytes loaded successfully", cut)
+		if err := w.dstDisk.ReadBlock(n, dst); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Bit-flip corruption must fail the checksum.
-	flipped := append([]byte(nil), data...)
-	flipped[journalHeaderLen+2] ^= 0x40
-	if err := writeRaw(t, path, flipped); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadJournal(path, testBlocks); err == nil {
-		t.Fatal("corrupted journal loaded successfully")
+		if !bytes.Equal(src, dst) && !owed.Test(n) {
+			t.Fatalf("block %d never reached the destination and the journal does not owe it", n)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"bbmig/internal/bitmap"
@@ -47,13 +48,15 @@ const (
 )
 
 // tpmPhases is the TPM/IM scheme. It is the one list that arms the reply
-// mailbox (dedup and delta ride it) and, with MaxRetries, the checkpoints the
-// retry loop in run rewinds to; every other scheme runs literal and fail-fast.
+// mailbox (dedup and delta ride it) and the checkpoints: with MaxRetries the
+// ones the retry loop in run rewinds to, with JournalPath the owed blocks a
+// cold resume starts from. Every other scheme runs literal and fail-fast.
 func (s *sourceRun) tpmPhases(initial *bitmap.Bitmap) []phase {
 	s.awaitReply = s.waitReply
-	if s.cfg.MaxRetries > 0 {
-		s.journal.Path = s.cfg.JournalPath
+	if s.cfg.MaxRetries > 0 || s.cfg.JournalPath != "" {
 		s.ckpt = s.checkpoint
+	}
+	if s.cfg.MaxRetries > 0 {
 		s.resumeIter = make(map[string]*iterResume)
 		s.diskIterBMs = make(map[int]*bitmap.Bitmap)
 		s.memIterBMs = make(map[int]*bitmap.Bitmap)
@@ -75,8 +78,7 @@ func (s *sourceRun) tpmPhases(initial *bitmap.Bitmap) []phase {
 type sourceRun struct {
 	*transfer
 
-	cursor  int // index into the phase list; where a resumed session re-enters
-	journal Journal
+	cursor int // index into the phase list; where a resumed session re-enters
 
 	// Per-iteration pending bitmaps, kept while the session is resumable.
 	// A send that "succeeds" into a socket buffer can still be lost with
@@ -152,8 +154,8 @@ func (s *sourceRun) run(phases []phase) (*metrics.Report, error) {
 	if err != nil {
 		s.host.Backend.StopTracking()
 		s.host.Backend.SwapDirty()
-	} else if s.ckpt != nil {
-		_ = s.journal.Checkpoint(JournalState{Token: s.sess.token, Epoch: s.sess.epoch, Phase: "done"})
+	} else if s.ckpt != nil && s.cfg.JournalPath != "" {
+		_ = os.Remove(s.cfg.JournalPath) // nothing is owed any more
 	}
 	s.rep.DedupBlocks = int(s.dedupBlocks.Load())
 	s.rep.DeltaBlocks, s.rep.DeltaRefused, s.rep.DeltaDeclined = s.deltaBlocks-s.deltaRefused, s.deltaRefused, s.deltaDeclined
@@ -246,27 +248,37 @@ func (s *sourceRun) canResume(err error) bool {
 		s.sess.isResumable() && transport.IsConnError(err)
 }
 
-// checkpoint is the preCopyLoop hook: it records each iteration's pending
-// set for reconnect reconciliation and mirrors the owed-block view to the
-// journal. The journal's pending bitmap is always in disk blocks — the unit
-// that survives a restart — so a cold resume can seed an incremental
-// migration from it.
+// checkpoint is the preCopyLoop hook: a resumable session records each
+// iteration's pending set for reconnect reconciliation, and the disk blocks
+// still owed — the unit that survives a restart — go to the journal, so a
+// cold resume can seed an incremental migration from them: the iteration's
+// set plus the live dirty snapshot during disk pre-copy, the dirty snapshot
+// during memory pre-copy.
 func (s *sourceRun) checkpoint(phase string, iter int, pending *bitmap.Bitmap) {
-	switch phase {
-	case PhaseDiskPreCopy:
+	switch {
+	case s.diskIterBMs == nil:
+	case phase == PhaseDiskPreCopy:
 		s.diskIterBMs[iter] = pending
-	case PhaseMemPreCopy:
+	case phase == PhaseMemPreCopy:
 		s.memIterBMs[iter] = pending
 	}
-	st := JournalState{Token: s.sess.token, Epoch: s.sess.epoch, Phase: phase, Iter: iter}
-	switch phase {
-	case PhaseDiskPreCopy:
-		st.Pending = pending.Clone()
-		st.Pending.Union(s.host.Backend.DirtySnapshot())
-	case PhaseMemPreCopy:
-		st.Pending = s.host.Backend.DirtySnapshot()
+	if s.cfg.JournalPath == "" {
+		return
 	}
-	_ = s.journal.Checkpoint(st)
+	owed := s.host.Backend.DirtySnapshot()
+	if phase == PhaseDiskPreCopy {
+		owed.Union(pending)
+	}
+	s.saveJournal(owed)
+}
+
+// saveJournal saves the disk blocks a cold resume owes to JournalPath, in
+// the bitmap file format. A failure is dropped: an unwritable journal
+// degrades a cold resume, not the migration.
+func (s *sourceRun) saveJournal(owed *bitmap.Bitmap) {
+	if s.cfg.JournalPath != "" {
+		_ = owed.SaveFile(s.cfg.JournalPath)
+	}
 }
 
 // backoffFor doubles the base backoff per attempt, capped at 32x.
@@ -572,20 +584,13 @@ func (s *sourceRun) freezeAndCopy() error {
 		s.freezePages = s.host.VM.Memory().StopTracking()
 		s.host.Backend.StopTracking()
 		s.finalDirty = s.host.Backend.SwapDirty()
-		s.checkpointFreeze(PhaseFreezeCopy)
+		s.saveJournal(s.finalDirty)
 	}
 	return steps(
 		func() error { return s.sendFinalPages(s.freezePages) },
 		s.sendCPU,
 		func() error { return s.sendBitmap(s.finalDirty) },
 		s.orderResume, s.awaitResumed)()
-}
-
-// checkpointFreeze journals the freeze bitmap as what a cold resume owes.
-func (s *sourceRun) checkpointFreeze(phase string) {
-	if s.ckpt != nil {
-		_ = s.journal.Checkpoint(JournalState{Token: s.sess.token, Epoch: s.sess.epoch, Phase: phase, Pending: s.finalDirty})
-	}
 }
 
 // postCopy pushes all blocks in the freeze bitmap, serving pulls
@@ -595,7 +600,6 @@ func (s *sourceRun) checkpointFreeze(phase string) {
 // unconfirmed, and the destination gate drops duplicates as stale.
 func (s *sourceRun) postCopy() error {
 	postStart := time.Now()
-	s.checkpointFreeze(PhasePostCopy)
 	if !s.doneSeen && !s.skipPush {
 		if err := s.pushBlocks(s.finalDirty); err != nil {
 			return err

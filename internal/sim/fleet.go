@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bbmig/internal/blockdev"
+	"bbmig/internal/core"
 	"bbmig/internal/forecast"
 	"bbmig/internal/metrics"
 )
@@ -252,7 +253,7 @@ func (p FleetParams) migrate(doms []fleetDomain, i int, start time.Duration) (du
 	d := &doms[i]
 	t, pre, writes := start, 0.0, 0.0
 	final := runPreCopy(preCopySpec{
-		threshold: diskDirtyThreshold, maxIter: maxDiskIters,
+		threshold: diskDirtyThreshold, maxIter: core.DefaultMaxDiskIters,
 		send: func(_ int, blocks float64) {
 			step := blocks / fleetShareBlk
 			writes = p.writesIn(doms, i, t, t+fdur(step))
