@@ -32,13 +32,15 @@ const (
 // Heap cost per op is hardware-independent, so allocs/op and B/op (a few
 // large allocations hide in a count) also hold the rows too noisy for a
 // cross-machine throughput gate. The fleet rows pin what the cluster's
-// trough rule buys; bursty must not fall below doing nothing. Counts that
+// trough rule buys; bursty must not fall below doing nothing. The swarm
+// sweep's pin its wire bytes and speedups. Counts that
 // repeat exactly are held to 2 % whatever -max-regress says: the MemDelta
 // counts, the frames a live migration's freeze window carries and the bytes a
 // TCP row's idle one does (in-order send path; delta_pages may move neither
 // way); wire_share, the idle migrations' wire bytes per logical byte (a change
 // that stops eliding zero extents fails it); hashes_per_block, the SHA-256
-// calls a dedup destination's index makes per block; writes_per_frame, the
+// calls a dedup destination's index makes per block, and ref_share, the blocks
+// it answered by reference (an index gone cold fails it); writes_per_frame, the
 // socket writes per data frame of a TCP row (a change that stops staging fails
 // it); dev_calls_per_block and read_share, the device requests per block of a
 // TCP or device row and the source blocks it read (a change that goes back to
@@ -76,11 +78,14 @@ var gates = []struct {
 	{"MigrateDedup/", "allocs_per_op", lower, 0},
 	{"MigrateDedup/", "bytes_per_op", lower, 0},
 	{"MigrateDedup/", "hashes_per_block", lower, 2},
+	{"MigrateDedup/", "ref_share", higher, 2},
 	{"MigrateDedup/", "round_trips_per_extent", lower, 2},
 	{"SnapshotScan/", "allocs_per_op", lower, 0},
 	{"SnapshotScan/", "bytes_per_op", lower, 0},
 	{"SimFleetSweep/diurnal-predictive", "speedup", higher, 0},
 	{"SimFleetSweep/bursty-predictive", "speedup", higher, 0},
+	{"SimSwarmSweep/", "fleet_wire_gb", lower, 2},
+	{"SimSwarmSweep/", "speedup", higher, 0},
 	{"MemDelta/", "freeze_bytes", lower, 2},
 	{"MemDelta/", "freeze_frames", lower, 2},
 	{"MigrateLive/rewrite", "freeze_frames", lower, 2},

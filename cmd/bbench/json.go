@@ -114,10 +114,11 @@ func suite(seed int64) []row {
 		{"MigrateWAN/delta-back", func(b *testing.B) { deltaMigrate(b, true, true) }},
 		{"MigrateWAN/coldsig-back", func(b *testing.B) { deltaMigrate(b, true, false) }},
 
-		// A template clone to a destination that holds it, literally, and cold.
-		{"MigrateDedup/warm", func(b *testing.B) { dedupMigrate(b, true, true) }},
-		{"MigrateDedup/literal", func(b *testing.B) { dedupMigrate(b, false, false) }},
-		{"MigrateDedup/cold", func(b *testing.B) { dedupMigrate(b, true, false) }},
+		// A template clone to a destination that holds it, literally, cold, and thrice.
+		{"MigrateDedup/warm", func(b *testing.B) { dedupMigrate(b, true, true, 1) }},
+		{"MigrateDedup/literal", func(b *testing.B) { dedupMigrate(b, false, false, 1) }},
+		{"MigrateDedup/cold", func(b *testing.B) { dedupMigrate(b, true, false, 1) }},
+		{"MigrateDedup/third", func(b *testing.B) { dedupMigrate(b, true, true, 3) }},
 		{"MigrateSwarm/cold-dest", swarmMigrate},
 
 		// The one bitmap encoding (WIRE.md §4) on the paper's disk: an idle
@@ -720,22 +721,22 @@ func (m *probeMeter) roundTrips(b *testing.B) {
 	b.ReportMetric(float64(m.flushes.Load())/float64(max(m.requests.Load(), 1)), "round_trips_per_extent")
 }
 
-// dedupMigrate runs TPM of a template-provisioned clone over modelled GbE:
-// literally (dedup off), to a cold destination (only the never-written
-// quarter elides), or — warm — to one whose index knows a sibling, so every
-// block's content is already held. The warm index is built before every run,
-// off the clock: one shared across runs goes cold after its first migration,
-// and this row measures the codec, not that finding. hashes_per_block is the
-// SHA-256 calls the destination's index makes per block, its warm-up scan
-// included, and round_trips_per_extent is probeMeter's: counts no machine
-// moves.
-func dedupMigrate(b *testing.B, on, warm bool) {
+// dedupMigrate runs TPM of a template-provisioned clone over modelled GbE,
+// migrations times a run to fresh disks under one index and DedupName:
+// literally (dedup off), to a cold destination (only the never-written quarter
+// elides), or — warm — to one whose index knows a MemDisk sibling, whose write
+// stamps keep it warm across the run. The index is built before every run,
+// off the clock; ref_share is the run's last migration's. hashes_per_block is
+// the SHA-256 calls the destination's index makes per block over the run, its
+// warm-up scan included, and round_trips_per_extent is probeMeter's: counts
+// no machine moves.
+func dedupMigrate(b *testing.B, on, warm bool, migrations int) {
 	srcDisk, sibling := cloneImage(), cloneImage()
 	cfg := core.Config{MaxExtentBlocks: 64, Dedup: on}
 	var refs int
 	var hashes int64
 	var src, dst probeMeter
-	b.SetBytes(blocks * blockdev.BlockSize)
+	b.SetBytes(int64(migrations) * blocks * blockdev.BlockSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -753,8 +754,11 @@ func dedupMigrate(b *testing.B, on, warm bool) {
 			}
 		}
 		b.StartTimer()
-		rep, _ := newWorld(srcDisk, blockdev.NewMemDisk(blocks, blockdev.BlockSize), 64).migrate(b, gbe, cfg, dstCfg, nil, src.wrap(&dst))
-		refs, hashes = rep.DedupBlocks, idx.Stats().Hashes
+		for range migrations {
+			rep, _ := newWorld(srcDisk, blockdev.NewMemDisk(blocks, blockdev.BlockSize), 64).migrate(b, gbe, cfg, dstCfg, nil, src.wrap(&dst))
+			refs = rep.DedupBlocks
+		}
+		hashes = idx.Stats().Hashes
 	}
 	b.ReportMetric(float64(refs)/blocks, "ref_share")
 	b.ReportMetric(float64(hashes)/blocks, "hashes_per_block")

@@ -351,6 +351,50 @@ func TestCompareBenchHashGate(t *testing.T) {
 	}
 }
 
+// TestCompareBenchRefShareGate: ref_share is a share of blocks, held like
+// wire_share the other way: a shared index that goes cold by the third
+// migration fails.
+func TestCompareBenchRefShareGate(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := func(file string, share float64) string {
+		path := filepath.Join(dir, file)
+		writeSnapshotV11(t, path, []benchResult{
+			{Name: "MigrateDedup/third", MBPerSec: 400, AllocsPerOp: 700, Metrics: map[string]float64{"ref_share": share}},
+		})
+		return path
+	}
+	base := snapshot("base.json", 1)
+	if err := compareBench(snapshot("same.json", 1), base, 25); err != nil {
+		t.Errorf("unchanged ref_share failed the gate: %v", err)
+	}
+	if err := compareBench(snapshot("cold.json", 0.25), base, 25); err == nil || !strings.Contains(err.Error(), "ref_share") {
+		t.Errorf("an index gone cold: gate said %v", err)
+	}
+}
+
+// TestCompareBenchSwarmSweepGate: the simulated swarm sweep's wire bytes are
+// held to 2 % and its speedups to -max-regress, as the fleet sweep's are.
+func TestCompareBenchSwarmSweepGate(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := func(file string, gb, speedup float64) string {
+		path := filepath.Join(dir, file)
+		writeSnapshotV11(t, path, []benchResult{
+			{Name: "SimSwarmSweep/swarm", Metrics: map[string]float64{"fleet_wire_gb": gb, "speedup": speedup}},
+		})
+		return path
+	}
+	base := snapshot("base.json", 39.8, 3.39)
+	if err := compareBench(snapshot("same.json", 39.8, 3.39), base, 25); err != nil {
+		t.Errorf("an unchanged sweep failed the gate: %v", err)
+	}
+	if err := compareBench(snapshot("heavier.json", 41.5, 3.39), base, 25); err == nil || !strings.Contains(err.Error(), "fleet_wire_gb") {
+		t.Errorf("4 %% more wire bytes: gate said %v", err)
+	}
+	if err := compareBench(snapshot("slower.json", 39.8, 2), base, 25); err == nil || !strings.Contains(err.Error(), "speedup") {
+		t.Errorf("a speedup down by 40 %%: gate said %v", err)
+	}
+}
+
 // TestCompareBenchDeviceGate: dev_calls_per_block and read_share are counts,
 // held like wire_share on the TCP and device rows: a migration that goes back
 // to one device request per block, or reads the never-written extents it can

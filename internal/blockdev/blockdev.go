@@ -145,6 +145,18 @@ type Allocator interface {
 	AllocatedBitmap() *bitmap.Bitmap
 }
 
+// Stamped is implemented by devices that stamp their writes: every write
+// takes a stamp no other write in the process has had, so a block whose
+// stamp is unchanged holds the bytes it held when the stamp was read. A
+// stamp may cover more than the block (MemDisk stamps a lock shard), which
+// only makes it change more often. The dedup index trusts an unchanged stamp
+// instead of re-hashing what it proved before.
+type Stamped interface {
+	// ReadStamped copies block n into dst and returns its stamp, taken
+	// under the same lock as the copy; 0 means never written.
+	ReadStamped(n int, dst []byte) (stamp uint64, err error)
+}
+
 // ErrShortBuffer is returned when a buffer cannot hold the blocks a request
 // names.
 var ErrShortBuffer = errors.New("blockdev: buffer shorter than the request")

@@ -3,6 +3,7 @@ package blockdev
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"bbmig/internal/bitmap"
 )
@@ -19,7 +20,8 @@ const memDiskShards = 16
 // footprint only — this is what lets integration tests and the simulator
 // instantiate paper-scale VBDs. Block state is sharded by run, so concurrent
 // readers and writers of different runs proceed in parallel. It implements
-// ExtentDevice: ReadBlock and WriteBlock are its one-block extents.
+// ExtentDevice: ReadBlock and WriteBlock are its one-block extents, and
+// Stamped, one stamp per shard.
 type MemDisk struct {
 	shards    [memDiskShards]memDiskShard
 	blockSize int
@@ -27,10 +29,15 @@ type MemDisk struct {
 }
 
 type memDiskShard struct {
-	mu   sync.RWMutex
-	runs map[int]*memRun // by run number: only runs with a block ever written
-	slab []byte          // spare storage first-writes carve block slices from
+	mu    sync.RWMutex
+	runs  map[int]*memRun // by run number: only runs with a block ever written
+	slab  []byte          // spare storage first-writes carve block slices from
+	stamp uint64          // the last write's, from writeStamps; 0 if none
 }
+
+// writeStamps issues every MemDisk write's stamp: one counter per process,
+// so no two writes, on one disk or two, share one.
+var writeStamps atomic.Uint64
 
 // memRun holds one run's blocks; a nil entry was never written.
 type memRun [RunBlocks][]byte
@@ -76,13 +83,24 @@ func (m *MemDisk) WriteBlock(n int, src []byte) error { return m.WriteExtent(n, 
 // ReadExtent implements ExtentDevice, one read lock per run. Never-written
 // blocks read as zeros.
 func (m *MemDisk) ReadExtent(n, count int, dst []byte) error {
+	_, err := m.readExtent(n, count, dst)
+	return err
+}
+
+// ReadStamped implements Stamped: the block and its shard's stamp.
+func (m *MemDisk) ReadStamped(n int, dst []byte) (uint64, error) { return m.readExtent(n, 1, dst) }
+
+// readExtent is ReadExtent, returning the stamp of the last run's shard,
+// read under the lock its copy took.
+func (m *MemDisk) readExtent(n, count int, dst []byte) (stamp uint64, err error) {
 	if err := CheckExtent(m, n, count, len(dst)); err != nil {
-		return err
+		return 0, err
 	}
 	bs := m.blockSize
-	return EachRun(n, count, func(lo, hi int) error {
+	err = EachRun(n, count, func(lo, hi int) error {
 		s := m.shard(lo)
 		s.mu.RLock()
+		stamp = s.stamp
 		run := s.runs[lo/RunBlocks]
 		for b := lo; b < hi; b++ {
 			out := dst[(b-n)*bs : (b-n+1)*bs]
@@ -95,6 +113,7 @@ func (m *MemDisk) ReadExtent(n, count int, dst []byte) error {
 		s.mu.RUnlock()
 		return nil
 	})
+	return stamp, err
 }
 
 // WriteExtent implements ExtentDevice, one write lock per run.
@@ -106,6 +125,7 @@ func (m *MemDisk) WriteExtent(n, count int, src []byte) error {
 	return EachRun(n, count, func(lo, hi int) error {
 		s := m.shard(lo)
 		s.mu.Lock()
+		s.stamp = writeStamps.Add(1)
 		run := s.runs[lo/RunBlocks]
 		if run == nil {
 			run = new(memRun)

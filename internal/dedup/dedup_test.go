@@ -144,8 +144,8 @@ func TestIndexObserveRetractsOverwrites(t *testing.T) {
 	disk.ReadBlock(0, buf)
 	fpA := Of(buf)
 	ix.Observe("d", 0, fpA)
-	if ix.Len() != 1 {
-		t.Fatalf("len %d", ix.Len())
+	if len(ix.entries) != 1 {
+		t.Fatalf("len %d", len(ix.entries))
 	}
 
 	// New content at the same block retracts the old entry.
@@ -162,8 +162,8 @@ func TestIndexObserveRetractsOverwrites(t *testing.T) {
 
 	// Observing zero content retracts without storing.
 	ix.Observe("d", 0, ZeroFingerprint(blockdev.BlockSize))
-	if ix.Len() != 0 {
-		t.Fatalf("zero observation stored: len %d", ix.Len())
+	if len(ix.entries) != 0 {
+		t.Fatalf("zero observation stored: len %d", len(ix.entries))
 	}
 }
 
@@ -179,7 +179,7 @@ func TestIndexDropSource(t *testing.T) {
 		t.Fatal("entry missing before drop")
 	}
 	ix.DropSource("d")
-	if ix.Len() != 0 {
+	if len(ix.entries) != 0 {
 		t.Fatal("drop left state behind")
 	}
 	if _, ok := lookup(ix, Of(buf)); ok {

@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -22,10 +23,12 @@ type BlockReader interface {
 }
 
 // loc names where one fingerprint's content can be read back: a block of a
-// registered source.
+// registered source, and the source's write stamp when the content was last
+// proved there (0: never proved against a blockdev.Stamped device).
 type loc struct {
 	source string
 	block  int
+	stamp  uint64
 }
 
 // Index maps block fingerprints to locations where the content can be read
@@ -35,10 +38,11 @@ type loc struct {
 // content H at block N when we looked".
 //
 // Observations are advisory: guest writes move content underneath the index
-// all the time. LookupInto therefore re-reads and re-hashes the candidate block
-// before claiming the content, evicting entries that no longer verify, so
-// the worst a stale index can cause is a literal send that deduplication
-// would have saved — never wrong bytes.
+// all the time. LookupInto therefore proves the candidate block before it
+// claims the content — by a write stamp unchanged since the content was
+// proved there (blockdev.Stamped), else by re-reading and re-hashing it — and
+// evicts entries that no longer verify, so the worst a stale index can cause
+// is a literal send that deduplication would have saved — never wrong bytes.
 //
 // An Index is safe for concurrent use and is meant to be shared: one
 // hostd.Machine maintains one index across every inbound migration and
@@ -52,7 +56,7 @@ type Index struct {
 	entries   map[Fingerprint]loc
 	rev       map[string]map[int]Fingerprint // source → block → observed fp
 
-	hashes, lookups, scanSkipped atomic.Int64 // see Stats
+	hashes, lookups, vouched, scanSkipped atomic.Int64 // see Stats
 }
 
 // Stats counts the work an Index has done since it was made. The counts do
@@ -60,12 +64,13 @@ type Index struct {
 type Stats struct {
 	Hashes      int64 // SHA-256 calls: scanned, observed and re-verified blocks
 	Lookups     int64 // verify-on-read lookups of a non-zero fingerprint
+	Vouched     int64 // lookups an unchanged write stamp served unhashed
 	ScanSkipped int64 // blocks a scan did not hash: never written, or zero
 }
 
 // Stats returns the index's counters.
 func (ix *Index) Stats() Stats {
-	return Stats{ix.hashes.Load(), ix.lookups.Load(), ix.scanSkipped.Load()}
+	return Stats{ix.hashes.Load(), ix.lookups.Load(), ix.vouched.Load(), ix.scanSkipped.Load()}
 }
 
 // hash is Of, counted.
@@ -92,14 +97,6 @@ func NewIndex(blockSize int) *Index {
 
 // BlockSize returns the block size the index was built for.
 func (ix *Index) BlockSize() int { return ix.blockSize }
-
-// Len reports how many fingerprints are currently indexed (the implicit
-// zero fingerprint not counted).
-func (ix *Index) Len() int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return len(ix.entries)
-}
 
 // RegisterSource makes (or re-makes) a named device available for lookups.
 // Entries previously observed under the same name become resolvable
@@ -129,11 +126,11 @@ func (ix *Index) DropSource(name string) {
 
 // Observe records that the named source held content fp at block. Zero
 // fingerprints are not stored (the zero block is implicit); an overwrite of
-// a block retracts the entry its previous content claimed there.
+// a block retracts the entry its previous content claimed there. It does not
+// displace an entry a write stamp vouches for: that content stays claimed
+// where it was proved, not on a migration's throwaway destination disk.
 func (ix *Index) Observe(source string, block int, fp Fingerprint) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.observeLocked(source, block, fp)
+	ix.observe(source, block, fp, 0)
 }
 
 // ObserveContent is Observe of data's fingerprint, hashed and counted here.
@@ -141,7 +138,11 @@ func (ix *Index) ObserveContent(source string, block int, data []byte) {
 	ix.Observe(source, block, ix.hash(data))
 }
 
-func (ix *Index) observeLocked(source string, block int, fp Fingerprint) {
+// observe is Observe of content proved at a write stamp (0: none), which
+// displaces any entry.
+func (ix *Index) observe(source string, block int, fp Fingerprint, stamp uint64) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	blocks := ix.rev[source]
 	if blocks == nil {
 		blocks = make(map[int]Fingerprint)
@@ -157,7 +158,9 @@ func (ix *Index) observeLocked(source string, block int, fp Fingerprint) {
 		return
 	}
 	blocks[block] = fp
-	ix.entries[fp] = loc{source, block}
+	if cur, ok := ix.entries[fp]; !ok || cur.stamp == 0 || stamp != 0 {
+		ix.entries[fp] = loc{source, block, stamp}
+	}
 }
 
 // ScanSource fingerprints every block of a registered source and records the
@@ -174,18 +177,20 @@ func (ix *Index) ScanSource(name string) (int, error) {
 	return ix.ScanReader(name, dev)
 }
 
-// ScanReader fingerprints every block of r and records the observations
-// under source name, like ScanSource, but reading from a caller-supplied
-// view instead of the registered device. Hosts pass a frozen snapshot of a
-// live volume here: the scan comes off the guest's hot path and observes a
-// consistent image, while lookups still verify against the registered live
-// device, so an observation the guest overwrites mid-scan simply misses
-// later (it can never resolve to wrong bytes).
+// ScanReader is ScanSource reading a caller-supplied view instead of the
+// registered device. Hosts pass a frozen snapshot of a live volume: the scan
+// comes off the guest's hot path and sees a consistent image, and lookups
+// still prove against the live device, so a block the guest overwrites
+// mid-scan misses later, never resolves to wrong bytes. Only a scan of the
+// registered device itself records write stamps.
 //
 // Zero content is implicit, so the scan never hashes it: blocks a
 // blockdev.Allocator reader reports never written are not read, and a read
 // block is compared with zero before it is hashed.
 func (ix *Index) ScanReader(name string, r BlockReader) (int, error) {
+	ix.mu.Lock()
+	vouch := reflect.TypeOf(r).Comparable() && ix.sources[name] == r
+	ix.mu.Unlock()
 	next := func(n int) int {
 		if n < r.NumBlocks() {
 			return n
@@ -198,13 +203,14 @@ func (ix *Index) ScanReader(name string, r BlockReader) (int, error) {
 	buf := make([]byte, ix.blockSize)
 	indexed := 0
 	for n := next(0); n >= 0; n = next(n + 1) {
-		if err := r.ReadBlock(n, buf); err != nil {
+		stamp, err := readStamped(r, vouch, n, buf)
+		if err != nil {
 			return indexed, err
 		}
 		if IsZero(buf) {
 			continue
 		}
-		ix.ObserveContent(name, n, buf)
+		ix.observe(name, n, ix.hash(buf), stamp)
 		indexed++
 	}
 	ix.scanSkipped.Add(int64(r.NumBlocks() - indexed))
@@ -213,10 +219,11 @@ func (ix *Index) ScanReader(name string, r BlockReader) (int, error) {
 
 // LookupInto materializes the content behind fp into dst (one block long),
 // or reports that the index cannot; dst is scratch either way. The zero
-// fingerprint always succeeds. Any other hit re-reads the recorded block and
-// re-hashes it; a mismatch (the block was overwritten since the observation)
-// evicts the entry and reports a miss, so callers can trust the bytes of a
-// hit unconditionally.
+// fingerprint always succeeds. Any other hit re-reads the recorded block,
+// and re-hashes it unless its write stamp is the one the entry was proved
+// at; a mismatch (the block was overwritten since) evicts the entry and
+// misses, a match vouches for it at the stamp read. Callers can trust the
+// bytes of a hit unconditionally.
 func (ix *Index) LookupInto(fp Fingerprint, dst []byte) bool {
 	if fp == ix.zero {
 		clear(dst)
@@ -225,19 +232,29 @@ func (ix *Index) LookupInto(fp Fingerprint, dst []byte) bool {
 	ix.lookups.Add(1)
 	ix.mu.Lock()
 	l, ok := ix.entries[fp]
-	var dev BlockReader
-	if ok {
-		dev = ix.sources[l.source]
-	}
+	dev := ix.sources[l.source]
 	ix.mu.Unlock()
 	if !ok || dev == nil {
 		return false
 	}
-	if l.block < 0 || l.block >= dev.NumBlocks() || dev.ReadBlock(l.block, dst) != nil || ix.hash(dst) != fp {
-		ix.evict(fp, l)
-		return false
+	stamp, err := readStamped(dev, true, l.block, dst)
+	if err == nil && stamp != 0 && stamp == l.stamp {
+		ix.vouched.Add(1)
+		return true
 	}
-	return true
+	return ix.settle(fp, l, stamp, err == nil && ix.hash(dst) == fp)
+}
+
+// readStamped reads block n of r into dst, with its write stamp when vouch
+// is set and r is blockdev.Stamped, else stamp 0.
+func readStamped(r BlockReader, vouch bool, n int, dst []byte) (uint64, error) {
+	if n < 0 || n >= r.NumBlocks() {
+		return 0, blockdev.ErrOutOfRange
+	}
+	if s, ok := r.(blockdev.Stamped); ok && vouch {
+		return s.ReadStamped(n, dst)
+	}
+	return 0, r.ReadBlock(n, dst)
 }
 
 // Stage is the content one advert staged for the destination to write at
@@ -262,12 +279,7 @@ func (st *Stage) reset(count, blockSize int) {
 	if st.slots == nil {
 		st.slots = make(map[Fingerprint]int, count)
 	}
-	if n := WantLen(count); cap(st.want) < n {
-		st.want = make([]byte, n)
-	} else {
-		st.want = st.want[:n]
-		clear(st.want)
-	}
+	st.want = append(st.want[:0], make([]byte, WantLen(count))...) // zeroed, reused
 }
 
 // Release returns the stage's buffer to the pool and forgets its content.
@@ -287,7 +299,7 @@ func (ix *Index) Answer(fps []Fingerprint) (want []byte, stage *Stage) {
 
 // AnswerInto is the destination's half of one MsgHashAdvert: st is emptied,
 // every advertised fingerprint the index can produce is verified (LookupInto's
-// re-hash) straight into its slot of st, and everything else gets its want
+// proof) straight into its slot of st, and everything else gets its want
 // bit set. Zero fingerprints are neither wanted nor staged — zeros are
 // implicit. The returned want-bitmap belongs to st and is valid until st's
 // next advert. Both the engine's receive loop and ServeSync answer adverts
@@ -295,10 +307,7 @@ func (ix *Index) Answer(fps []Fingerprint) (want []byte, stage *Stage) {
 func (ix *Index) AnswerInto(st *Stage, fps []Fingerprint) (want []byte) {
 	st.reset(len(fps), ix.blockSize)
 	for k, fp := range fps {
-		if fp == ix.zero {
-			continue
-		}
-		if _, ok := st.slots[fp]; ok {
+		if _, staged := st.slots[fp]; staged || fp == ix.zero {
 			continue
 		}
 		if ix.LookupInto(fp, st.buf[k*ix.blockSize:(k+1)*ix.blockSize]) {
@@ -327,14 +336,21 @@ func (ix *Index) Materialize(st *Stage, fp Fingerprint) (content []byte, ok bool
 	return nil, false
 }
 
-// evict removes one entry if it still names the given location.
-func (ix *Index) evict(fp Fingerprint, l loc) {
+// settle ends a lookup that re-read fp's entry l: proved, l is vouched for at
+// stamp, else evicted — either only while l is still fp's entry.
+func (ix *Index) settle(fp Fingerprint, l loc, stamp uint64, proved bool) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if cur, ok := ix.entries[fp]; ok && cur == l {
-		delete(ix.entries, fp)
-		if blocks := ix.rev[l.source]; blocks != nil && blocks[l.block] == fp {
-			delete(blocks, l.block)
-		}
+	if cur, ok := ix.entries[fp]; !ok || cur != l {
+		return proved
 	}
+	if proved {
+		ix.entries[fp] = loc{l.source, l.block, stamp}
+		return true
+	}
+	delete(ix.entries, fp)
+	if ix.rev[l.source][l.block] == fp {
+		delete(ix.rev[l.source], l.block)
+	}
+	return false
 }

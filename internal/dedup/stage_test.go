@@ -125,10 +125,11 @@ func TestStageSurvivesOverwriteUntilNextAdvert(t *testing.T) {
 	st.Release() // idempotent
 }
 
-// TestAnswerVerifiesOnRead: every advert re-reads and re-hashes what it
-// stages, so a later advert of a fingerprint whose block was overwritten
-// wants the literal, and a dropped source answers nothing. Stats counts
-// each hash the index makes, observed content included.
+// TestAnswerVerifiesOnRead: every advert re-reads what it stages and proves
+// it, by an unchanged write stamp or a re-hash, so a later advert of a
+// fingerprint whose block was overwritten wants the literal, and a dropped
+// source answers nothing. Stats counts each hash the index makes, observed
+// content included.
 func TestAnswerVerifiesOnRead(t *testing.T) {
 	ix := NewIndex(blockdev.BlockSize)
 	disk, fps := warmDisk(t, ix, "d", 4, 1)
@@ -160,10 +161,11 @@ func TestAnswerVerifiesOnRead(t *testing.T) {
 	if answers(fps[1]) || answers(Of(buf)) {
 		t.Error("a dropped source still answers adverts")
 	}
-	// Four scanned blocks, two verified answers, one re-hash that missed,
-	// one observed block and its verified answer; nothing after the drop.
-	if s := ix.Stats(); s.Hashes != 4+2+1+1+1 || s.Lookups != 6 || s.ScanSkipped != 0 {
-		t.Errorf("stats %+v, want 9 hashes and 6 lookups", s)
+	// Four scanned blocks; two answers their scan's stamps vouch for; one
+	// re-hash that missed; one observed block and its re-hashed answer;
+	// nothing after the drop.
+	if s := ix.Stats(); s.Hashes != 4+0+1+1+1 || s.Lookups != 6 || s.Vouched != 2 || s.ScanSkipped != 0 {
+		t.Errorf("stats %+v, want 7 hashes, 6 lookups, 2 vouched", s)
 	}
 }
 

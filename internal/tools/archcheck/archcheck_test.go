@@ -21,11 +21,11 @@ var repoRoot = filepath.Join("..", "..", "..")
 // lineBudgets bound packages' non-test lines, counted as `cat *.go | wc -l`
 // counts them. A budget only grows in the change that defends it.
 var lineBudgets = map[string]int{
-	"cmd/bbench":               1396,
+	"cmd/bbench":               1405,
 	"internal/blockdev/bcache": 596,
 	"internal/cluster":         1467,
 	"internal/core":            4538,
-	"internal/dedup":           518,
+	"internal/dedup":           534,
 	"internal/forecast":        411,
 	"internal/hostd":           1019,
 	"internal/sim":             2156,
@@ -80,7 +80,6 @@ var testOnly = map[string]string{
 	"internal/core/RateBudget.Active":             observer,
 	"internal/core/Vault.DivergentBlocks":         observer,
 	"internal/core/Vault.Peers":                   observer,
-	"internal/dedup/Index.Len":                    observer,
 	"internal/forecast/Model.MeanRate":            observer,
 	"internal/forecast/Model.NextTrough":          observer,
 	"internal/forecast/Model.Period":              observer,
