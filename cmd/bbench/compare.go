@@ -38,9 +38,10 @@ const (
 // counts, the frames a live migration's freeze window carries and the bytes a
 // TCP row's idle one does (in-order send path; delta_pages may move neither
 // way); wire_share, the idle migrations' wire bytes per logical byte (a change
-// that stops eliding zero extents fails it); hashes_per_block, the SHA-256
-// calls a dedup destination's index makes per block, and ref_share, the blocks
-// it answered by reference (an index gone cold fails it); writes_per_frame, the
+// that stops eliding zero extents fails it); hashes_per_block and
+// src_hashes_per_block, the SHA-256 calls a dedup destination's index and its
+// source's adverts make per block, and ref_share, the blocks it answered by
+// reference (an index gone cold fails it); writes_per_frame, the
 // socket writes per data frame of a TCP row (a change that stops staging fails
 // it); dev_calls_per_block and read_share, the device requests per block of a
 // TCP or device row and the source blocks it read (a change that goes back to
@@ -78,6 +79,7 @@ var gates = []struct {
 	{"MigrateDedup/", "allocs_per_op", lower, 0},
 	{"MigrateDedup/", "bytes_per_op", lower, 0},
 	{"MigrateDedup/", "hashes_per_block", lower, 2},
+	{"MigrateDedup/", "src_hashes_per_block", lower, 2},
 	{"MigrateDedup/", "ref_share", higher, 2},
 	{"MigrateDedup/", "round_trips_per_extent", lower, 2},
 	{"SnapshotScan/", "allocs_per_op", lower, 0},

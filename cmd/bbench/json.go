@@ -71,6 +71,7 @@ const (
 	blocks      = 4096                  // 16 MiB image keeps the suite fast enough for CI
 	tcpBlocks   = 16384                 // 64 MiB over TCP, so the steady state, not the handshake, dominates
 	paperBlocks = 10_001_920            // the paper's 39 070 MB disk
+	templates   = 512                   // the payloads a template clone cycles
 	frameStall  = 40 * time.Microsecond // syscall + doorbell + completion per frame
 )
 
@@ -114,11 +115,14 @@ func suite(seed int64) []row {
 		{"MigrateWAN/delta-back", func(b *testing.B) { deltaMigrate(b, true, true) }},
 		{"MigrateWAN/coldsig-back", func(b *testing.B) { deltaMigrate(b, true, false) }},
 
-		// A template clone to a destination that holds it, literally, cold, and thrice.
-		{"MigrateDedup/warm", func(b *testing.B) { dedupMigrate(b, true, true, 1) }},
-		{"MigrateDedup/literal", func(b *testing.B) { dedupMigrate(b, false, false, 1) }},
-		{"MigrateDedup/cold", func(b *testing.B) { dedupMigrate(b, true, false, 1) }},
-		{"MigrateDedup/third", func(b *testing.B) { dedupMigrate(b, true, true, 3) }},
+		// A template clone to a destination that holds it, literally, cold, and
+		// thrice; and a clone whose every written block is distinct, where no
+		// pass repeats content.
+		{"MigrateDedup/warm", func(b *testing.B) { dedupMigrate(b, templates, true, true, 1) }},
+		{"MigrateDedup/literal", func(b *testing.B) { dedupMigrate(b, templates, false, false, 1) }},
+		{"MigrateDedup/cold", func(b *testing.B) { dedupMigrate(b, templates, true, false, 1) }},
+		{"MigrateDedup/third", func(b *testing.B) { dedupMigrate(b, templates, true, true, 3) }},
+		{"MigrateDedup/distinct", func(b *testing.B) { dedupMigrate(b, blocks*3/4, true, true, 1) }},
 		{"MigrateSwarm/cold-dest", swarmMigrate},
 
 		// The one bitmap encoding (WIRE.md §4) on the paper's disk: an idle
@@ -186,13 +190,13 @@ func denseImage(n int) *blockdev.MemDisk {
 }
 
 // cloneImage builds a template-provisioned clone: three quarters of the
-// disk cycle 512 template payloads every clone shares, the last quarter was
-// never written.
-func cloneImage() *blockdev.MemDisk {
+// disk cycle `distinct` template payloads every clone shares, the last
+// quarter was never written.
+func cloneImage(distinct int) *blockdev.MemDisk {
 	disk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
 	buf := make([]byte, blockdev.BlockSize)
 	for n := 0; n < blocks*3/4; n++ {
-		workload.FillBlock(buf, n%512, 11)
+		workload.FillBlock(buf, n%distinct, 11)
 		disk.WriteBlock(n, buf)
 	}
 	return disk
@@ -721,19 +725,21 @@ func (m *probeMeter) roundTrips(b *testing.B) {
 	b.ReportMetric(float64(m.flushes.Load())/float64(max(m.requests.Load(), 1)), "round_trips_per_extent")
 }
 
-// dedupMigrate runs TPM of a template-provisioned clone over modelled GbE,
-// migrations times a run to fresh disks under one index and DedupName:
-// literally (dedup off), to a cold destination (only the never-written quarter
-// elides), or — warm — to one whose index knows a MemDisk sibling, whose write
-// stamps keep it warm across the run. The index is built before every run,
-// off the clock; ref_share is the run's last migration's. hashes_per_block is
-// the SHA-256 calls the destination's index makes per block over the run, its
-// warm-up scan included, and round_trips_per_extent is probeMeter's: counts
-// no machine moves.
-func dedupMigrate(b *testing.B, on, warm bool, migrations int) {
-	srcDisk, sibling := cloneImage(), cloneImage()
+// dedupMigrate runs TPM of a clone of `distinct` template payloads over
+// modelled GbE, migrations times a run to fresh disks under one index and
+// DedupName: literally (dedup off), to a cold destination (only the
+// never-written quarter elides), or — warm — to one whose index knows a
+// MemDisk sibling, whose write stamps keep it warm across the run. The index
+// is built before every run, off the clock; ref_share and
+// src_hashes_per_block, the source's SHA-256 calls for adverts per block, are
+// the run's last migration's. hashes_per_block is the SHA-256 calls the
+// destination's index makes per block over the run, its warm-up scan
+// included, and round_trips_per_extent is probeMeter's: counts no machine
+// moves.
+func dedupMigrate(b *testing.B, distinct int, on, warm bool, migrations int) {
+	srcDisk, sibling := cloneImage(distinct), cloneImage(distinct)
 	cfg := core.Config{MaxExtentBlocks: 64, Dedup: on}
-	var refs int
+	var refs, srcHashes int
 	var hashes int64
 	var src, dst probeMeter
 	b.SetBytes(int64(migrations) * blocks * blockdev.BlockSize)
@@ -756,12 +762,13 @@ func dedupMigrate(b *testing.B, on, warm bool, migrations int) {
 		b.StartTimer()
 		for range migrations {
 			rep, _ := newWorld(srcDisk, blockdev.NewMemDisk(blocks, blockdev.BlockSize), 64).migrate(b, gbe, cfg, dstCfg, nil, src.wrap(&dst))
-			refs = rep.DedupBlocks
+			refs, srcHashes = rep.DedupBlocks, rep.DedupHashes
 		}
 		hashes = idx.Stats().Hashes
 	}
 	b.ReportMetric(float64(refs)/blocks, "ref_share")
 	b.ReportMetric(float64(hashes)/blocks, "hashes_per_block")
+	b.ReportMetric(float64(srcHashes)/blocks, "src_hashes_per_block")
 	src.roundTrips(b)
 }
 
@@ -770,9 +777,9 @@ func dedupMigrate(b *testing.B, on, warm bool, migrations int) {
 // session on loopback TCP; the peer scans its index once, in its first
 // ServeSwarm.
 func swarmMigrate(b *testing.B) {
-	srcDisk := cloneImage()
+	srcDisk := cloneImage(templates)
 	peer := hostd.NewMachine("P")
-	if _, err := peer.CreateDomainOn("sibling", cloneImage(), 64, workload.Web, 1, false); err != nil {
+	if _, err := peer.CreateDomainOn("sibling", cloneImage(templates), 64, workload.Web, 1, false); err != nil {
 		b.Fatal(err)
 	}
 	cfg := core.Config{MaxExtentBlocks: 64, Dedup: true}

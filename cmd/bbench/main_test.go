@@ -331,23 +331,26 @@ func TestCompareBenchRoundTripGate(t *testing.T) {
 	}
 }
 
-// TestCompareBenchHashGate: hashes_per_block is a count, held like
-// wire_share: a dedup destination whose index hashes more per block fails.
+// TestCompareBenchHashGate: hashes_per_block and src_hashes_per_block are
+// counts, held like wire_share: a dedup destination whose index, or a source
+// whose adverts, hash more per block fails.
 func TestCompareBenchHashGate(t *testing.T) {
 	dir := t.TempDir()
-	snapshot := func(file string, hashes float64) string {
-		path := filepath.Join(dir, file)
-		writeSnapshotV11(t, path, []benchResult{
-			{Name: "MigrateDedup/warm", MBPerSec: 400, AllocsPerOp: 700, Metrics: map[string]float64{"hashes_per_block": hashes}},
-		})
-		return path
-	}
-	base := snapshot("base.json", 0.875)
-	if err := compareBench(snapshot("same.json", 0.875), base, 25); err != nil {
-		t.Errorf("unchanged hashes_per_block failed the gate: %v", err)
-	}
-	if err := compareBench(snapshot("rehash.json", 1.75), base, 25); err == nil || !strings.Contains(err.Error(), "hashes_per_block") {
-		t.Errorf("an index hashing twice as much: gate said %v", err)
+	for _, field := range []string{"hashes_per_block", "src_hashes_per_block"} {
+		snapshot := func(file string, hashes float64) string {
+			path := filepath.Join(dir, field+file)
+			writeSnapshotV11(t, path, []benchResult{
+				{Name: "MigrateDedup/warm", MBPerSec: 400, AllocsPerOp: 700, Metrics: map[string]float64{field: hashes}},
+			})
+			return path
+		}
+		base := snapshot("base.json", 0.875)
+		if err := compareBench(snapshot("same.json", 0.875), base, 25); err != nil {
+			t.Errorf("unchanged %s failed the gate: %v", field, err)
+		}
+		if err := compareBench(snapshot("rehash.json", 1.75), base, 25); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s twice as high: gate said %v", field, err)
+		}
 	}
 }
 

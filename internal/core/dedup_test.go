@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bbmig/internal/blockdev"
@@ -207,5 +209,116 @@ func TestWantReplyLayoutsDisjoint(t *testing.T) {
 		if dedup.CheckMask(dedup.AppendWantReply(nil, want), count) == nil {
 			t.Fatalf("%d blocks: a new-layout reply parses as the old layout", count)
 		}
+	}
+}
+
+// TestAdvertHashesOnStampedSourceOnly proves the source hashes an advert's
+// content once per distinct content only where a Dedup pass reads a
+// blockdev.Stamped device: a template clone's adverts hash its 16 contents
+// once each from a MemDisk, and every non-zero block, as every source did
+// before the memo, from a FileDisk or a bcache volume. A delta-only window
+// hashes nothing.
+func TestAdvertHashesOnStampedSourceOnly(t *testing.T) {
+	const written = testBlocks * 3 / 4
+	toFile := func(disk *blockdev.MemDisk) blockdev.Device {
+		f, err := blockdev.CreateFileDisk(filepath.Join(t.TempDir(), "src.img"), disk.NumBlocks(), disk.BlockSize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		buf := make([]byte, disk.BlockSize())
+		for n := range disk.NumBlocks() {
+			if err := errors.Join(disk.ReadBlock(n, buf), f.WriteBlock(n, buf)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
+	}
+	dedupCfg := Config{Dedup: true, MaxExtentBlocks: 16}
+	for _, tc := range []struct {
+		name string
+		sp   worldSpec
+		cfg  Config
+		want int
+	}{
+		{"memdisk", worldSpec{fill: template(16)}, dedupCfg, 16},
+		{"filedisk", worldSpec{fill: template(16), source: toFile}, dedupCfg, written},
+		{"bcache volume", worldSpec{fill: template(16), volume: true}, dedupCfg, written},
+		{"delta only", worldSpec{fill: template(16)}, Config{Delta: true, MaxExtentBlocks: 16}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if rep, _ := newWorld(t, tc.sp).tpm(tc.cfg, tc.cfg, nil); rep.DedupHashes != tc.want {
+				t.Errorf("%d advert hashes, want %d", rep.DedupHashes, tc.want)
+			}
+		})
+	}
+}
+
+// sendHook calls hook with each frame the source sends, before it goes out.
+type sendHook struct {
+	transport.Conn
+	hook func(transport.Message)
+}
+
+func (c sendHook) Send(m transport.Message) error {
+	c.hook(m)
+	return c.Conn.Send(m)
+}
+
+// TestDedupMemoUnderRewrites proves a source's advert fingerprints stay the
+// SHA-256 of the bytes it advertises while its MemDisk is rewritten during
+// pre-copy. Right after the advert of each stamp unit's first extent, the
+// guest rewrites that extent's block 1, whose content the memo has just
+// recorded. The image is a template clone laid out against that write: block
+// 17 of the unit holds what the write will put in block 1, and block 1 holds
+// the same bytes but one outside the memo's sample. Block 17 then equals
+// block 1 byte for byte but is never rewritten, so nothing would send it
+// again: the memo must hash it, as block 1's stamp has changed, or the
+// destination ends with block 1's old content there. The destination must
+// hold the shadow's image, and the memo must have served fingerprints, or
+// the test proved nothing.
+func TestDedupMemoUnderRewrites(t *testing.T) {
+	const written, unit = testBlocks * 3 / 4, blockdev.RunBlocks
+	var w *world
+	var frozen atomic.Bool
+	w = newWorld(t, worldSpec{
+		fill: func(buf []byte, n int) bool {
+			if k := n / unit; n < written && (n%unit == 1 || n%unit == 17) {
+				workload.FillBlock(buf, k*unit+1, uint32(k+1)) // the shadow's (k+1)-th write to block k*unit+1
+				if n%unit == 1 {
+					buf[0] ^= 0xFF
+				}
+				return true
+			}
+			return template(16)(buf, n)
+		},
+		link: func(s, d transport.Conn) (transport.Conn, transport.Conn) {
+			return sendHook{s, func(m transport.Message) {
+				start, _ := transport.ExtentSplit(m.Arg)
+				if m.Type != transport.MsgHashAdvert || start%unit != 0 || frozen.Load() {
+					return
+				}
+				req := blockdev.Request{Op: blockdev.Write, Domain: testDomain, Block: start + 1, Data: make([]byte, blockdev.BlockSize)}
+				if err := w.shadow.Submit(req); err != nil {
+					t.Errorf("guest write: %v", err)
+				}
+			}}, d
+		},
+	})
+	cfg := Config{Dedup: true, MaxExtentBlocks: 16}
+	src := cfg
+	src.OnFreeze = func() {
+		frozen.Store(true)
+		w.router.Freeze()
+	}
+	rep, _ := w.tpm(src, cfg, nil)
+	a, b := make([]byte, blockdev.BlockSize), make([]byte, blockdev.BlockSize)
+	for n := 1; n < written; n += unit {
+		if err := errors.Join(w.srcDisk.ReadBlock(n, a), w.srcDisk.ReadBlock(n+16, b)); err != nil || !bytes.Equal(a, b) {
+			t.Fatalf("block %d does not hold block %d's bytes after its rewrite (%v): the test proved nothing", n, n+16, err)
+		}
+	}
+	if rep.DedupHashes == 0 || rep.DedupHashes*2 > written {
+		t.Errorf("%d advert hashes for %d written blocks: the memo served nothing", rep.DedupHashes, written)
 	}
 }

@@ -38,6 +38,8 @@ type probe struct {
 // window is one send pass's probes: q[:out] await replies, oldest first, the
 // rest a slot. pending counts the non-zero fingerprints of the adverts
 // awaiting replies, and patched the patches the pass's fence must bound.
+// memo fingerprints the pass's adverts, each distinct content once when
+// Dedup reads a blockdev.Stamped device.
 type window struct {
 	t            *transfer
 	limited      bool
@@ -45,6 +47,7 @@ type window struct {
 	out, patched int
 	pending      map[dedup.Fingerprint]int
 	differ       delta.Differ
+	memo         dedup.Memo
 }
 
 // push is the chain stage above the literal: it takes ext's buffer over as an
@@ -84,6 +87,7 @@ func (w *window) drain(err error) error {
 		transport.PutBuf(p.own)
 		transport.PutBuf(p.fps)
 	}
+	w.t.rep.DedupHashes += int(w.memo.Hashes)
 	if err == nil && w.patched > 0 {
 		err = w.fence()
 	}
@@ -91,7 +95,8 @@ func (w *window) drain(err error) error {
 }
 
 // repeats takes an advert's fingerprints, a zero block's unhashed (at a
-// fraction of the cost), and reports whether one is pending.
+// fraction of the cost), the rest through the memo, and reports whether one
+// is pending.
 func (w *window) repeats(p *probe) bool {
 	if p.typ != transport.MsgHashAdvert {
 		return false
@@ -101,7 +106,7 @@ func (w *window) repeats(p *probe) bool {
 		for k := 0; k < p.ext.Count; k++ {
 			fp := dedup.ZeroFingerprint(bs)
 			if blk := p.data[k*bs : (k+1)*bs]; !dedup.IsZero(blk) {
-				fp = dedup.Of(blk)
+				fp = w.memo.Of(p.ext.Start+k, blk, 0)
 			}
 			p.fps = append(p.fps, fp[:]...)
 		}

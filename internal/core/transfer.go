@@ -492,6 +492,9 @@ func (t *transfer) sendBlocks(cur *owedCursor, limited bool) (int, int64, error)
 	var win *window
 	if t.awaitReply != nil && (t.cfg.Dedup || t.cfg.Delta) {
 		win = &window{t: t, limited: limited, pending: make(map[dedup.Fingerprint]int)}
+		if s, ok := t.srcDev.(blockdev.Stamped); ok && t.cfg.Dedup {
+			win.memo.Dev = s
+		}
 		encode, lanes = win.push, 1
 	}
 	var alloc *bitmap.Bitmap // nil: read every extent

@@ -19,7 +19,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"hash/maphash"
 	"sync"
+
+	"bbmig/internal/blockdev"
 )
 
 // FingerprintSize is the wire size of one block fingerprint: SHA-256
@@ -35,6 +38,65 @@ func Of(data []byte) Fingerprint {
 	sum := sha256.Sum256(data)
 	var fp Fingerprint
 	copy(fp[:], sum[:FingerprintSize])
+	return fp
+}
+
+// memoSlots sizes a Memo's table, 40 B a slot, and memoSample the bytes
+// from a block's middle that key it: a fraction of the block's SHA-256.
+const memoSlots, memoSample = 2048, 256
+
+// Memo fingerprints one pass's blocks of Dev, hashing each distinct content
+// once. It keeps no bytes, only (block, stamp, fingerprint) per sample key,
+// and reuses a fingerprint only for bytes equal to its block's, read at its
+// recorded write stamp. It records what its first memoSlots/2 hashes hashed,
+// so its table stays at most half full. With Dev nil it hashes every block.
+// The zero value is ready; a Memo serves one goroutine.
+type Memo struct {
+	Dev     blockdev.Stamped
+	Hashes  int64 // the SHA-256 calls made
+	seed    maphash.Seed
+	scratch []byte
+	slots   []memoSlot // linear probing; keys are odd, 0 marks a free slot
+}
+
+type memoSlot struct {
+	key, stamp uint64
+	block      int
+	fp         Fingerprint
+}
+
+// Of returns the fingerprint of data, block n's content. stamp is block n's
+// write stamp read under the lock data was read under, or 0: then block n is
+// re-read, and data recorded only if it still holds those bytes.
+func (m *Memo) Of(n int, data []byte, stamp uint64) Fingerprint {
+	if m.Dev == nil {
+		m.Hashes++
+		return Of(data)
+	}
+	if m.slots == nil {
+		m.seed, m.scratch, m.slots = maphash.MakeSeed(), make([]byte, len(data)), make([]memoSlot, memoSlots)
+	}
+	mid := max(len(data)-memoSample, 0) / 2
+	key := maphash.Bytes(m.seed, data[mid:mid+min(len(data), memoSample)]) | 1
+	e := &m.slots[key%memoSlots]
+	for i := key + 1; e.key != 0 && e.key != key; i++ {
+		e = &m.slots[i%memoSlots]
+	}
+	if e.key == key {
+		if s, err := m.Dev.ReadStamped(e.block, m.scratch); err == nil && s == e.stamp && bytes.Equal(m.scratch, data) {
+			return e.fp
+		}
+	}
+	m.Hashes++
+	fp := Of(data)
+	if stamp == 0 && m.Hashes <= memoSlots/2 {
+		if s, err := m.Dev.ReadStamped(n, m.scratch); err == nil && bytes.Equal(m.scratch, data) {
+			stamp = s
+		}
+	}
+	if stamp != 0 && m.Hashes <= memoSlots/2 {
+		*e = memoSlot{key, stamp, n, fp}
+	}
 	return fp
 }
 

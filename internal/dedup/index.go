@@ -56,7 +56,7 @@ type Index struct {
 	entries   map[Fingerprint]loc
 	rev       map[string]map[int]Fingerprint // source → block → observed fp
 
-	hashes, lookups, vouched, scanSkipped atomic.Int64 // see Stats
+	hashes, lookups, vouched, scanSkipped, reused atomic.Int64 // see Stats
 }
 
 // Stats counts the work an Index has done since it was made. The counts do
@@ -66,11 +66,12 @@ type Stats struct {
 	Lookups     int64 // verify-on-read lookups of a non-zero fingerprint
 	Vouched     int64 // lookups an unchanged write stamp served unhashed
 	ScanSkipped int64 // blocks a scan did not hash: never written, or zero
+	Reused      int64 // scanned blocks a Memo served an earlier block's fingerprint
 }
 
 // Stats returns the index's counters.
 func (ix *Index) Stats() Stats {
-	return Stats{ix.hashes.Load(), ix.lookups.Load(), ix.vouched.Load(), ix.scanSkipped.Load()}
+	return Stats{ix.hashes.Load(), ix.lookups.Load(), ix.vouched.Load(), ix.scanSkipped.Load(), ix.reused.Load()}
 }
 
 // hash is Of, counted.
@@ -182,15 +183,20 @@ func (ix *Index) ScanSource(name string) (int, error) {
 // comes off the guest's hot path and sees a consistent image, and lookups
 // still prove against the live device, so a block the guest overwrites
 // mid-scan misses later, never resolves to wrong bytes. Only a scan of the
-// registered device itself records write stamps.
+// registered device itself records write stamps, and only such a scan of a
+// blockdev.Stamped device hashes each distinct content once (Memo).
 //
 // Zero content is implicit, so the scan never hashes it: blocks a
 // blockdev.Allocator reader reports never written are not read, and a read
 // block is compared with zero before it is hashed.
-func (ix *Index) ScanReader(name string, r BlockReader) (int, error) {
+func (ix *Index) ScanReader(name string, r BlockReader) (indexed int, err error) {
+	var memo Memo // stamps and reuses only on the registered device itself
 	ix.mu.Lock()
-	vouch := reflect.TypeOf(r).Comparable() && ix.sources[name] == r
+	if s, ok := r.(blockdev.Stamped); ok && reflect.TypeOf(r).Comparable() && ix.sources[name] == r {
+		memo.Dev = s
+	}
 	ix.mu.Unlock()
+	defer func() { ix.hashes.Add(memo.Hashes); ix.reused.Add(int64(indexed) - memo.Hashes) }()
 	next := func(n int) int {
 		if n < r.NumBlocks() {
 			return n
@@ -201,16 +207,15 @@ func (ix *Index) ScanReader(name string, r BlockReader) (int, error) {
 		next = a.AllocatedBitmap().NextSet
 	}
 	buf := make([]byte, ix.blockSize)
-	indexed := 0
 	for n := next(0); n >= 0; n = next(n + 1) {
-		stamp, err := readStamped(r, vouch, n, buf)
+		stamp, err := readStamped(r, memo.Dev != nil, n, buf)
 		if err != nil {
 			return indexed, err
 		}
 		if IsZero(buf) {
 			continue
 		}
-		ix.observe(name, n, ix.hash(buf), stamp)
+		ix.observe(name, n, memo.Of(n, buf, stamp), stamp)
 		indexed++
 	}
 	ix.scanSkipped.Add(int64(r.NumBlocks() - indexed))

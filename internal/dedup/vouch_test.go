@@ -23,6 +23,7 @@ func statsDelta(ix *Index, fn func()) Stats {
 		Lookups:     after.Lookups - before.Lookups,
 		Vouched:     after.Vouched - before.Vouched,
 		ScanSkipped: after.ScanSkipped - before.ScanSkipped,
+		Reused:      after.Reused - before.Reused,
 	}
 }
 

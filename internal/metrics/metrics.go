@@ -47,6 +47,7 @@ type Report struct {
 	ResentBytes int64 // wire bytes re-sent because a failure rewound an iteration
 
 	DedupBlocks int // disk blocks materialized by reference or zero-elided (ZERO_EXTENT) instead of retransmitted
+	DedupHashes int // SHA-256 calls for the source's adverts: each distinct content once per pass on a stamped disk
 	SwarmBlocks int // disk blocks whose content arrived from swarm peers instead of the source
 	DeltaBlocks int // disk blocks that travelled as COPY/LITERAL patches instead of literals
 	// DeltaRefused and DeltaDeclined count the disk blocks delta sent
@@ -150,7 +151,7 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "  post-copy            : %.0f ms (%d pushed, %d pulled, %d stale)\n",
 		r.PostCopyTime.Seconds()*1000, r.BlocksPushed, r.BlocksPulled, r.StalePushes)
 	if r.DedupBlocks > 0 {
-		fmt.Fprintf(&b, "  dedup                : %d blocks by reference or zero-elided\n", r.DedupBlocks)
+		fmt.Fprintf(&b, "  dedup                : %d blocks by reference or zero-elided, %d advert hashes\n", r.DedupBlocks, r.DedupHashes)
 	}
 	if r.SwarmBlocks > 0 {
 		fmt.Fprintf(&b, "  swarm                : %d blocks fetched from peers\n", r.SwarmBlocks)
