@@ -78,20 +78,13 @@ const (
 // suite is the timed rows, in snapshot order; seed picks the bitmap
 // fixtures' content.
 func suite(seed int64) []row {
-	modeledRow := func(cfg core.Config) func(*testing.B) {
-		return func(b *testing.B) { imageMigrate(b, modelled, kernelImage(blocks, 8000), cfg) }
-	}
 	tcpRow := func(cfg core.Config) func(*testing.B) {
-		return func(b *testing.B) { imageMigrate(b, loopback, kernelImage(tcpBlocks, 20000), cfg) }
+		return func(b *testing.B) { imageMigrate(b, kernelImage(tcpBlocks, 20000), cfg) }
 	}
 	rows := []row{
-		// The modelled link: per-block frames, extents, and four striped streams.
-		{"MigrateModeledLink/default-per-block", modeledRow(core.Config{MaxExtentBlocks: 1})},
-		{"MigrateModeledLink/fixed-64-extents", modeledRow(core.Config{MaxExtentBlocks: 64})},
-		{"MigrateModeledLink/striped4", modeledRow(core.Config{Streams: 4, MaxExtentBlocks: 64, Workers: 4})},
-
-		// The same image under a guest that writes while it is migrated, and
-		// guests rewriting a word, a generation or every byte of hot pages.
+		// A kernel-build image under a guest that writes while it is
+		// migrated, and guests rewriting a word, a generation or every byte
+		// of hot pages.
 		{"MigrateLive/rewrite", liveMigrate},
 		{"MemDelta/word-touch", func(b *testing.B) { memDeltaMigrate(b, 64, touchWord) }},
 		{"MemDelta/word-touch-per-page", func(b *testing.B) { memDeltaMigrate(b, 1, touchWord) }},
@@ -103,7 +96,7 @@ func suite(seed int64) []row {
 		// has none, so its literal path moves every byte the floor copies.
 		{"MigrateTCP/cold", tcpRow(core.Config{MaxExtentBlocks: 64, Readahead: 4})},
 		{"MigrateTCP/dense", func(b *testing.B) {
-			imageMigrate(b, loopback, denseImage(tcpBlocks), core.Config{MaxExtentBlocks: 64, Readahead: 4})
+			imageMigrate(b, denseImage(tcpBlocks), core.Config{MaxExtentBlocks: 64, Readahead: 4})
 		}},
 		{"MigrateTCP/striped4", tcpRow(core.Config{Streams: 4, MaxExtentBlocks: 64, Workers: 4})},
 		{"MigrateTCP/compressed", tcpRow(core.Config{MaxExtentBlocks: 64, CompressLevel: 1, Workers: 4})},
@@ -215,7 +208,6 @@ type link struct {
 
 var (
 	loopback = link{tcp: true}
-	modelled = link{stall: frameStall}                         // the per-frame flush cost loopback hides
 	gbe      = link{stall: frameStall, up: 125e6, down: 125e6} // modelled GbE
 	wan      = link{stall: frameStall, up: 100e6, down: 400e6} // asymmetric WAN: patches up, signatures down
 )
@@ -350,13 +342,13 @@ func (d counted) AllocatedBitmap() *bitmap.Bitmap {
 	return bitmap.NewAllSet(d.NumBlocks())
 }
 
-// imageMigrate runs TPM of srcDisk over ln under cfg and reports wire_share:
-// the wire bytes per logical byte (disk and memory), a count no machine
-// moves. Over TCP it also reports writes_per_frame: the writes both ends'
-// streams issued per data frame sent, the syscalls staging saves. The timed
-// migrations run bare devices; one more, untimed, reports devCounts.report
-// and the idle guest's freeze_bytes (a freezeMeter's link does not stage).
-func imageMigrate(b *testing.B, ln link, srcDisk *blockdev.MemDisk, cfg core.Config) {
+// imageMigrate runs TPM of srcDisk over loopback TCP under cfg and reports
+// wire_share: the wire bytes per logical byte (disk and memory), a count no
+// machine moves, and writes_per_frame: the writes both ends' streams issued
+// per data frame sent, the syscalls staging saves. The timed migrations run
+// bare devices; one more, untimed, reports devCounts.report and the idle
+// guest's freeze_bytes (a freezeMeter's link does not stage).
+func imageMigrate(b *testing.B, srcDisk *blockdev.MemDisk, cfg core.Config) {
 	n := srcDisk.NumBlocks()
 	var share float64
 	writes0, frames0 := transport.StreamWrites()
@@ -364,17 +356,16 @@ func imageMigrate(b *testing.B, ln link, srcDisk *blockdev.MemDisk, cfg core.Con
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, _ := newWorld(srcDisk, blockdev.NewMemDisk(n, blockdev.BlockSize), 64).migrate(b, ln, cfg, cfg, nil, nil)
+		rep, _ := newWorld(srcDisk, blockdev.NewMemDisk(n, blockdev.BlockSize), 64).migrate(b, loopback, cfg, cfg, nil, nil)
 		share = float64(rep.MigratedBytes) / float64(rep.DiskBytes+rep.MemoryBytes)
 	}
 	b.StopTimer()
 	b.ReportMetric(share, "wire_share")
-	if writes, frames := transport.StreamWrites(); ln.tcp {
-		b.ReportMetric(float64(writes-writes0)/float64(frames-frames0), "writes_per_frame")
-	}
+	writes, frames := transport.StreamWrites()
+	b.ReportMetric(float64(writes-writes0)/float64(frames-frames0), "writes_per_frame")
 	counts, fm := devCounts{}, freezeMeter{}
 	cfg.OnFreeze, cfg.OnResume = fm.frozen, func(*blkback.PostCopyGate) { fm.resumed() }
-	newWorld(counted{srcDisk, &counts, true}, counted{blockdev.NewMemDisk(n, blockdev.BlockSize), &counts, false}, 64).migrate(b, ln, cfg, cfg, nil, fm.wrap)
+	newWorld(counted{srcDisk, &counts, true}, counted{blockdev.NewMemDisk(n, blockdev.BlockSize), &counts, false}, 64).migrate(b, loopback, cfg, cfg, nil, fm.wrap)
 	counts.report(b, n)
 	b.ReportMetric(float64(fm.bytes), "freeze_bytes")
 }

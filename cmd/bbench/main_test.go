@@ -49,12 +49,13 @@ func TestExperimentPrintersRun(t *testing.T) {
 	}
 }
 
-// writeSnapshot writes a minimal BENCH_*.json for comparator tests.
-func writeSnapshot(t *testing.T, path string, rates map[string]float64) {
+// writeSnapshot writes a minimal v1 BENCH_*.json of allocs/op per row for
+// comparator tests.
+func writeSnapshot(t *testing.T, path string, allocs map[string]float64) {
 	t.Helper()
 	f := benchFile{Schema: "bbmig-bench/v1"}
-	for name, mbps := range rates {
-		f.Benchmarks = append(f.Benchmarks, benchResult{Name: name, MBPerSec: mbps})
+	for name, n := range allocs {
+		f.Benchmarks = append(f.Benchmarks, benchResult{Name: name, AllocsPerOp: n})
 	}
 	data, err := json.Marshal(f)
 	if err != nil {
@@ -66,22 +67,23 @@ func writeSnapshot(t *testing.T, path string, rates map[string]float64) {
 }
 
 // TestCompareBenchGate covers the regression comparator: within-tolerance
-// drops and improvements pass, beyond-tolerance drops and missing headline
-// rows fail, and non-headline rows are ignored.
+// growth and improvements pass, beyond-tolerance growth and missing gated
+// rows fail, ungated rows are ignored, and a baseline that carries nothing
+// gated — MB/s alone included, the wall clock of another box — fails loudly.
 func TestCompareBenchGate(t *testing.T) {
 	dir := t.TempDir()
 	base := dir + "/base.json"
 	writeSnapshot(t, base, map[string]float64{
-		"MigrateModeledLink/default-per-block": 100,
-		"MigrateModeledLink/fixed-64-extents":  1000,
-		"SomethingElse/unrelated":              50,
+		"MigrateTCP/per-block":    1000,
+		"MigrateTCP/cold":         2000,
+		"SomethingElse/unrelated": 50,
 	})
 
 	ok := dir + "/ok.json"
 	writeSnapshot(t, ok, map[string]float64{
-		"MigrateModeledLink/default-per-block": 80,   // -20%: within 25%
-		"MigrateModeledLink/fixed-64-extents":  1200, // improvement
-		"SomethingElse/unrelated":              1,    // ignored: not headline
+		"MigrateTCP/per-block":    1200,   // +20%: within 25%
+		"MigrateTCP/cold":         1500,   // improvement
+		"SomethingElse/unrelated": 100000, // ignored: not gated
 	})
 	if err := compareBench(ok, base, 25); err != nil {
 		t.Fatalf("within-tolerance snapshot failed the gate: %v", err)
@@ -89,25 +91,30 @@ func TestCompareBenchGate(t *testing.T) {
 
 	bad := dir + "/bad.json"
 	writeSnapshot(t, bad, map[string]float64{
-		"MigrateModeledLink/default-per-block": 70, // -30%: regression
-		"MigrateModeledLink/fixed-64-extents":  1000,
+		"MigrateTCP/per-block": 1300, // +30%: regression
+		"MigrateTCP/cold":      2000,
 	})
 	if err := compareBench(bad, base, 25); err == nil {
-		t.Fatal("30% drop passed a 25% gate")
+		t.Fatal("30% growth passed a 25% gate")
 	}
 
 	missing := dir + "/missing.json"
 	writeSnapshot(t, missing, map[string]float64{
-		"MigrateModeledLink/default-per-block": 100,
+		"MigrateTCP/per-block": 1000,
 	})
 	if err := compareBench(missing, base, 25); err == nil {
-		t.Fatal("snapshot missing a headline benchmark passed the gate")
+		t.Fatal("snapshot missing a gated row passed the gate")
 	}
 
 	empty := dir + "/empty.json"
 	writeSnapshot(t, empty, nil)
 	if err := compareBench(base, empty, 25); err == nil {
-		t.Fatal("baseline with no headline rows should fail loudly")
+		t.Fatal("baseline with no gated rows should fail loudly")
+	}
+	rates := dir + "/rates.json"
+	writeSnapshotV11(t, rates, []benchResult{{Name: "MigrateTCP/cold", MBPerSec: 900}})
+	if err := compareBench(rates, rates, 25); err == nil {
+		t.Fatal("a baseline of MB/s alone gated something")
 	}
 }
 
@@ -131,14 +138,14 @@ func writeSnapshotV11(t *testing.T, path string, rows []benchResult) {
 func TestCompareBenchAllocGate(t *testing.T) {
 	dir := t.TempDir()
 
-	// Old-schema baseline: mb_per_s only. The new snapshot's extra fields
-	// and bumped schema must not break the comparison.
+	// Old-schema baseline: one row, no v1.1 rows. The new snapshot's extra
+	// row and bumped schema must not break the comparison.
 	oldBase := dir + "/old.json"
-	writeSnapshot(t, oldBase, map[string]float64{"MigrateModeledLink/default-per-block": 100})
+	writeSnapshot(t, oldBase, map[string]float64{"MigrateTCP/per-block": 5000})
 	v11 := dir + "/v11.json"
 	writeSnapshotV11(t, v11, []benchResult{
-		{Name: "MigrateModeledLink/default-per-block", MBPerSec: 95, AllocsPerOp: 5000},
-		{Name: "MigrateTCP/cold", MBPerSec: 900, AllocsPerOp: 2000},
+		{Name: "MigrateTCP/per-block", AllocsPerOp: 4750},
+		{Name: "MigrateTCP/cold", AllocsPerOp: 2000},
 	})
 	if err := compareBench(v11, oldBase, 25); err != nil {
 		t.Fatalf("v1.1 snapshot vs v1 baseline failed the gate: %v", err)
@@ -146,16 +153,16 @@ func TestCompareBenchAllocGate(t *testing.T) {
 
 	base := dir + "/base.json"
 	writeSnapshotV11(t, base, []benchResult{
-		{Name: "MigrateModeledLink/default-per-block", MBPerSec: 100, AllocsPerOp: 5000},
-		{Name: "MigrateTCP/cold", MBPerSec: 900, AllocsPerOp: 2000},
-		{Name: "SomethingElse/unrelated", MBPerSec: 50, AllocsPerOp: 10},
+		{Name: "MigrateTCP/per-block", AllocsPerOp: 5000},
+		{Name: "MigrateTCP/cold", AllocsPerOp: 2000},
+		{Name: "SomethingElse/unrelated", AllocsPerOp: 10},
 	})
 
 	ok := dir + "/ok.json"
 	writeSnapshotV11(t, ok, []benchResult{
-		{Name: "MigrateModeledLink/default-per-block", MBPerSec: 100, AllocsPerOp: 6000}, // +20%: within 25%
-		{Name: "MigrateTCP/cold", MBPerSec: 2000, AllocsPerOp: 100},                      // improvement
-		{Name: "SomethingElse/unrelated", MBPerSec: 50, AllocsPerOp: 10000},              // ignored: not gated
+		{Name: "MigrateTCP/per-block", AllocsPerOp: 6000},   // +20%: within 25%
+		{Name: "MigrateTCP/cold", AllocsPerOp: 100},         // improvement
+		{Name: "SomethingElse/unrelated", AllocsPerOp: 1e4}, // ignored: not gated
 	})
 	if err := compareBench(ok, base, 25); err != nil {
 		t.Fatalf("within-tolerance alloc growth failed the gate: %v", err)
@@ -163,8 +170,8 @@ func TestCompareBenchAllocGate(t *testing.T) {
 
 	bad := dir + "/bad.json"
 	writeSnapshotV11(t, bad, []benchResult{
-		{Name: "MigrateModeledLink/default-per-block", MBPerSec: 100, AllocsPerOp: 5000},
-		{Name: "MigrateTCP/cold", MBPerSec: 900, AllocsPerOp: 3000}, // +50%: regression
+		{Name: "MigrateTCP/per-block", AllocsPerOp: 5000},
+		{Name: "MigrateTCP/cold", AllocsPerOp: 3000}, // +50%: regression
 	})
 	if err := compareBench(bad, base, 25); err == nil {
 		t.Fatal("50% alloc growth passed a 25% gate")
@@ -172,8 +179,8 @@ func TestCompareBenchAllocGate(t *testing.T) {
 
 	lost := dir + "/lost.json"
 	writeSnapshotV11(t, lost, []benchResult{
-		{Name: "MigrateModeledLink/default-per-block", MBPerSec: 100, AllocsPerOp: 5000},
-		{Name: "MigrateTCP/cold", MBPerSec: 900}, // allocs_per_op vanished
+		{Name: "MigrateTCP/per-block", AllocsPerOp: 5000},
+		{Name: "MigrateTCP/cold", BytesPerOp: 1e6}, // allocs_per_op vanished
 	})
 	if err := compareBench(lost, base, 25); err == nil {
 		t.Fatal("snapshot that dropped a gated row's allocation data passed")
@@ -189,9 +196,9 @@ func TestCompareBenchBytesGate(t *testing.T) {
 	snapshot := func(file string, dedupBytes float64) string {
 		path := filepath.Join(dir, file)
 		writeSnapshotV11(t, path, []benchResult{
-			{Name: "MigrateModeledLink/default-per-block", MBPerSec: 100, AllocsPerOp: 5000, BytesPerOp: 2e6},
-			{Name: "MigrateDedup/warm", MBPerSec: 90, AllocsPerOp: 2500, BytesPerOp: dedupBytes},
-			{Name: "SomethingElse/unrelated", MBPerSec: 50, AllocsPerOp: 10, BytesPerOp: dedupBytes * 100},
+			{Name: "MigrateTCP/per-block", AllocsPerOp: 5000, BytesPerOp: 2e6},
+			{Name: "MigrateDedup/warm", AllocsPerOp: 2500, BytesPerOp: dedupBytes},
+			{Name: "SomethingElse/unrelated", AllocsPerOp: 10, BytesPerOp: dedupBytes * 100},
 		})
 		return path
 	}
@@ -222,11 +229,11 @@ func TestCompareBenchBytesGate(t *testing.T) {
 func TestCompareBenchCountGate(t *testing.T) {
 	dir := t.TempDir()
 	row := func(name string, freeze, mem, deltas float64) benchResult {
-		return benchResult{Name: name, MBPerSec: 60, Metrics: map[string]float64{
+		return benchResult{Name: name, Metrics: map[string]float64{
 			"freeze_bytes": freeze, "mem_bytes": mem, "delta_pages": deltas,
 		}}
 	}
-	headline := benchResult{Name: "MigrateModeledLink/fixed", MBPerSec: 2000, AllocsPerOp: 700}
+	headline := benchResult{Name: "MigrateTCP/cold", AllocsPerOp: 700}
 	snapshot := func(file string, touch, rewrite benchResult) string {
 		path := filepath.Join(dir, file)
 		writeSnapshotV11(t, path, []benchResult{headline, touch, rewrite})
@@ -256,7 +263,7 @@ func TestCompareBenchCountGate(t *testing.T) {
 }
 
 // TestCompareBenchWireShareGate: wire_share is a count, held to two
-// hundredths on the TCP and modelled-link rows whatever -max-regress allows:
+// hundredths on the TCP rows whatever -max-regress allows:
 // a migration that stops eliding zero extents fails, one that moves fewer
 // bytes passes.
 func TestCompareBenchWireShareGate(t *testing.T) {
@@ -264,8 +271,8 @@ func TestCompareBenchWireShareGate(t *testing.T) {
 	snapshot := func(file string, share float64) string {
 		path := filepath.Join(dir, file)
 		writeSnapshotV11(t, path, []benchResult{
-			{Name: "MigrateTCP/cold", MBPerSec: 900, AllocsPerOp: 2000, Metrics: map[string]float64{"wire_share": share}},
-			{Name: "MigrateModeledLink/fixed-64-extents", MBPerSec: 200, AllocsPerOp: 700, Metrics: map[string]float64{"wire_share": share}},
+			{Name: "MigrateTCP/cold", AllocsPerOp: 2000, Metrics: map[string]float64{"wire_share": share}},
+			{Name: "MigrateTCP/striped4", AllocsPerOp: 700, Metrics: map[string]float64{"wire_share": share}},
 		})
 		return path
 	}
@@ -289,7 +296,7 @@ func TestCompareBenchSigGate(t *testing.T) {
 	snapshot := func(file string, sig float64) string {
 		path := filepath.Join(dir, file)
 		writeSnapshotV11(t, path, []benchResult{
-			{Name: "MigrateWAN/delta-back", MBPerSec: 90, AllocsPerOp: 480, Metrics: map[string]float64{"sig_bytes_per_block": sig}},
+			{Name: "MigrateWAN/delta-back", AllocsPerOp: 480, Metrics: map[string]float64{"sig_bytes_per_block": sig}},
 		})
 		return path
 	}
@@ -313,8 +320,8 @@ func TestCompareBenchRoundTripGate(t *testing.T) {
 	snapshot := func(file string, rt float64) string {
 		path := filepath.Join(dir, file)
 		writeSnapshotV11(t, path, []benchResult{
-			{Name: "MigrateWAN/delta-back", MBPerSec: 90, AllocsPerOp: 480, Metrics: map[string]float64{"round_trips_per_extent": rt}},
-			{Name: "MigrateDedup/warm", MBPerSec: 400, AllocsPerOp: 700, Metrics: map[string]float64{"round_trips_per_extent": rt}},
+			{Name: "MigrateWAN/delta-back", AllocsPerOp: 480, Metrics: map[string]float64{"round_trips_per_extent": rt}},
+			{Name: "MigrateDedup/warm", AllocsPerOp: 700, Metrics: map[string]float64{"round_trips_per_extent": rt}},
 		})
 		return path
 	}
@@ -340,7 +347,7 @@ func TestCompareBenchHashGate(t *testing.T) {
 		snapshot := func(file string, hashes float64) string {
 			path := filepath.Join(dir, field+file)
 			writeSnapshotV11(t, path, []benchResult{
-				{Name: "MigrateDedup/warm", MBPerSec: 400, AllocsPerOp: 700, Metrics: map[string]float64{field: hashes}},
+				{Name: "MigrateDedup/warm", AllocsPerOp: 700, Metrics: map[string]float64{field: hashes}},
 			})
 			return path
 		}
@@ -362,7 +369,7 @@ func TestCompareBenchRefShareGate(t *testing.T) {
 	snapshot := func(file string, share float64) string {
 		path := filepath.Join(dir, file)
 		writeSnapshotV11(t, path, []benchResult{
-			{Name: "MigrateDedup/third", MBPerSec: 400, AllocsPerOp: 700, Metrics: map[string]float64{"ref_share": share}},
+			{Name: "MigrateDedup/third", AllocsPerOp: 700, Metrics: map[string]float64{"ref_share": share}},
 		})
 		return path
 	}
@@ -407,8 +414,8 @@ func TestCompareBenchDeviceGate(t *testing.T) {
 	snapshot := func(file string, calls, read float64) string {
 		path := filepath.Join(dir, file)
 		writeSnapshotV11(t, path, []benchResult{
-			{Name: "MigrateTCP/cold", MBPerSec: 900, AllocsPerOp: 2000, Metrics: map[string]float64{"dev_calls_per_block": calls, "read_share": read}},
-			{Name: "MigrateDev/file-extent/workers-1", MBPerSec: 900, AllocsPerOp: 300, Metrics: map[string]float64{"dev_calls_per_block": calls}},
+			{Name: "MigrateTCP/cold", AllocsPerOp: 2000, Metrics: map[string]float64{"dev_calls_per_block": calls, "read_share": read}},
+			{Name: "MigrateDev/file-extent/workers-1", AllocsPerOp: 300, Metrics: map[string]float64{"dev_calls_per_block": calls}},
 		})
 		return path
 	}
@@ -428,7 +435,7 @@ func TestCompareBenchDeviceGate(t *testing.T) {
 func TestCompareBenchBadFiles(t *testing.T) {
 	dir := t.TempDir()
 	good := dir + "/good.json"
-	writeSnapshot(t, good, map[string]float64{"MigrateModeledLink/x": 1})
+	writeSnapshot(t, good, map[string]float64{"MigrateTCP/x": 1})
 	if err := compareBench(dir+"/absent.json", good, 25); err == nil {
 		t.Fatal("missing new snapshot accepted")
 	}

@@ -48,7 +48,7 @@ type worldSpec struct {
 	traced  bool                                                           // record the frames each side sends
 	volume  bool                                                           // the source disk sits behind a bcache volume
 	source  func(*blockdev.MemDisk) blockdev.Device                        // wraps the source disk the backend sees
-	link    func(src, dst transport.Conn) (transport.Conn, transport.Conn) // wraps or replaces the link
+	link    func(src, dst transport.Conn) (transport.Conn, transport.Conn) // wraps or replaces the link, each stream of a striped one
 	shared  bool                                                           // runs beside other worlds (t.Parallel): the goroutine count is not its own
 }
 
@@ -151,16 +151,16 @@ func assemble(t *testing.T, sp worldSpec, srcDisk, dstDisk *blockdev.MemDisk, gu
 		w.pair = func() (transport.Conn, transport.Conn) { return streamPair(t) }
 		pair = w.pair
 	}
-	w.connSrc, w.connDst = pair()
-	if sp.streams > 1 {
-		a, b := make([]transport.Conn, sp.streams), make([]transport.Conn, sp.streams)
-		for i := range a {
-			a[i], b[i] = pair()
+	a, b := make([]transport.Conn, max(sp.streams, 1)), make([]transport.Conn, max(sp.streams, 1))
+	for i := range a {
+		a[i], b[i] = pair()
+		if sp.link != nil {
+			a[i], b[i] = sp.link(a[i], b[i])
 		}
-		w.connSrc, w.connDst = transport.NewStriped(a), transport.NewStriped(b)
 	}
-	if sp.link != nil {
-		w.connSrc, w.connDst = sp.link(w.connSrc, w.connDst)
+	w.connSrc, w.connDst = a[0], b[0]
+	if len(a) > 1 {
+		w.connSrc, w.connDst = transport.NewStriped(a), transport.NewStriped(b)
 	}
 	if sp.traced {
 		w.traceSrc, w.traceDst = &traceConn{inner: w.connSrc}, &traceConn{inner: w.connDst}

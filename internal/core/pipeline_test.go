@@ -4,11 +4,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"bbmig/internal/blkback"
 	"bbmig/internal/blockdev"
-	"bbmig/internal/transport"
 )
 
 // collectEvents is a concurrency-safe event recorder.
@@ -170,30 +168,6 @@ func TestEventStreamFailure(t *testing.T) {
 // blkbackNew returns a backend over a fresh MemDisk of n blocks.
 func blkbackNew(n int) *blkback.Backend {
 	return blkback.NewBackend(blockdev.NewMemDisk(n, blockdev.BlockSize), testDomain)
-}
-
-// TestExtentsBeatPerBlockOnModeledLink is the modelled-link benchmark
-// scenario as a test: on a link with a 100 µs per-frame stall, coalescing
-// 64-block extents must finish the same migration well ahead of the paper's
-// block-per-message format, which pays the stall once per 4 KiB block.
-func TestExtentsBeatPerBlockOnModeledLink(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	const stall = 100 * time.Microsecond
-	modeled := func(transport.Conn, transport.Conn) (transport.Conn, transport.Conn) {
-		a, b := transport.NewPipe(256)
-		return transport.NewWAN(a, stall, 0), transport.NewWAN(b, stall, 0)
-	}
-	run := func(extent int) time.Duration { // the source's own clock: the runner's checks are not the migration
-		rep, _ := newWorld(t, worldSpec{link: modeled}).tpm(Config{MaxExtentBlocks: extent}, Config{}, nil)
-		return rep.TotalTime
-	}
-	perBlock, extents := run(1), run(64)
-	t.Logf("modeled link (%v/frame): per-block %v, 64-block extents %v", stall, perBlock, extents)
-	if extents*2 >= perBlock {
-		t.Fatalf("64-block extents (%v) did not clearly beat per-block frames (%v) on a latency-bound link", extents, perBlock)
-	}
 }
 
 // TestCompressLevelConfig migrates with engine-owned stream compression on

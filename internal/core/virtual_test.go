@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/synctest"
 	"time"
@@ -31,35 +32,65 @@ const (
 	virtualRate  = 125e6
 )
 
-// virtualLink puts the modelled link on both sending sides.
-func virtualLink(src, dst transport.Conn) (transport.Conn, transport.Conn) {
-	return transport.NewWAN(src, virtualStall, virtualRate), transport.NewWAN(dst, virtualStall, virtualRate)
+// tappedLink makes the modelled link of each world and logs the frames each
+// side sends, keeping the logs of the newest world: the link of the
+// migration a row reports. A striped world is one link too: each of its
+// streams gets its own modelled link at its share of virtualRate, so a row
+// measures how striping overlaps the per-frame stall, not more NICs.
+type tappedLink struct {
+	streams  int // per world; 0 is one
+	mu       sync.Mutex
+	made     int           // streams linked for the newest world
+	src, dst []tappedFrame // the newest world's frames per side, in send order across streams
 }
 
-// tappedLink makes modelled links with a frameTap on each sending side and
-// keeps the taps of the newest one: the link of the migration a row reports.
-type tappedLink struct{ src, dst *frameTap }
+// tappedFrame is one frame a side of a tappedLink sent, on which stream.
+type tappedFrame struct {
+	typ          transport.MsgType
+	size, stream int
+}
 
+// linkTap logs the frames one stream of one side sends.
+type linkTap struct {
+	transport.Conn
+	l      *tappedLink
+	log    *[]tappedFrame
+	stream int
+}
+
+func (t linkTap) Send(m transport.Message) error {
+	t.l.mu.Lock()
+	*t.log = append(*t.log, tappedFrame{m.Type, m.FrameSize(), t.stream})
+	t.l.mu.Unlock()
+	return t.Conn.Send(m)
+}
+
+// link is a worldSpec link: the modelled link of one stream, both ways.
 func (l *tappedLink) link(src, dst transport.Conn) (transport.Conn, transport.Conn) {
-	s, d := virtualLink(src, dst)
-	l.src, l.dst = &frameTap{Conn: s}, &frameTap{Conn: d}
-	return l.src, l.dst
+	streams := max(l.streams, 1)
+	rate := int64(virtualRate) / int64(streams)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.made == streams {
+		l.made, l.src, l.dst = 0, nil, nil
+	}
+	l.made++
+	return linkTap{transport.NewWAN(src, virtualStall, rate), l, &l.src, l.made - 1},
+		linkTap{transport.NewWAN(dst, virtualStall, rate), l, &l.dst, l.made - 1}
 }
 
 // freezeRow attributes the freeze window of the newest link to its parts, as
 // frames/wire bytes: the final memory pages, the CPU state, the bitmap, and
-// the control frames — the source's SUSPEND and RESUME and the
-// destination's RESUMED, which ends the downtime.
+// the control frames — the source's SUSPEND and RESUME, the stripe barriers
+// of a striped link, and the destination's RESUMED, which ends the downtime.
 func (l *tappedLink) freezeRow() string {
 	const pages, cpu, bm, control = 0, 1, 2, 3
 	var frames, bytes [4]int
-	add := func(part int, fr sentFrame) { frames[part]++; bytes[part] += fr.size }
-	l.src.mu.Lock()
-	defer l.src.mu.Unlock()
-	l.dst.mu.Lock()
-	defer l.dst.mu.Unlock()
+	add := func(part int, fr tappedFrame) { frames[part]++; bytes[part] += fr.size }
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	open := false
-	for _, fr := range l.src.frames {
+	for _, fr := range l.src {
 		open = open || fr.typ == transport.MsgSuspend
 		if !open {
 			continue
@@ -78,13 +109,36 @@ func (l *tappedLink) freezeRow() string {
 			break
 		}
 	}
-	for _, fr := range l.dst.frames {
+	for _, fr := range l.dst {
 		if fr.typ == transport.MsgResumed {
 			add(control, fr)
 		}
 	}
 	return fmt.Sprintf("  freeze frames/bytes: pages=%d/%d cpu=%d/%d bitmap=%d/%d control=%d/%d\n",
 		frames[pages], bytes[pages], frames[cpu], bytes[cpu], frames[bm], bytes[bm], frames[control], bytes[control])
+}
+
+// streamRow is the frames/wire bytes the newest link's source sent on each
+// stream, and of those its stripe barriers.
+func (l *tappedLink) streamRow() string {
+	streams := max(l.streams, 1)
+	frames, bytes, barriers := make([]int, streams), make([]int, streams), 0
+	l.mu.Lock()
+	for _, fr := range l.src {
+		frames[fr.stream]++
+		bytes[fr.stream] += fr.size
+		if fr.typ == transport.MsgStripeBarrier {
+			barriers++
+		}
+	}
+	l.mu.Unlock()
+	var b strings.Builder
+	b.WriteString("  stream frames/bytes:")
+	for i := range frames {
+		fmt.Fprintf(&b, " %d=%d/%d", i, frames[i], bytes[i])
+	}
+	fmt.Fprintf(&b, " barriers=%d\n", barriers)
+	return b.String()
 }
 
 // virtualPair is runPair in a synctest bubble: it builds a world from sp
@@ -230,9 +284,9 @@ func dedupClone(w *world) *metrics.Report {
 // ways, as frames/wire bytes under their labels.
 func (l *tappedLink) countRow(title string, labels []string, types ...transport.MsgType) string {
 	frames, bytes := make([]int, len(types)), make([]int, len(types))
-	for _, tap := range []*frameTap{l.src, l.dst} {
-		tap.mu.Lock()
-		for _, fr := range tap.frames {
+	l.mu.Lock()
+	for _, side := range [][]tappedFrame{l.src, l.dst} {
+		for _, fr := range side {
 			for i, typ := range types {
 				if fr.typ == typ {
 					frames[i]++
@@ -240,8 +294,8 @@ func (l *tappedLink) countRow(title string, labels []string, types ...transport.
 				}
 			}
 		}
-		tap.mu.Unlock()
 	}
+	l.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "  %s frames/bytes:", title)
 	for i, label := range labels {
@@ -304,10 +358,33 @@ func TestVirtualGolden(t *testing.T) {
 	b.WriteString(virtualRow("dedup-clone extent=64", rep))
 	b.WriteString(taps.freezeRow())
 	b.WriteString(taps.countRow("dedup", []string{"advert", "want", "ref"}, transport.MsgHashAdvert, transport.MsgHashWant, transport.MsgBlockRef))
-	// The modelled-link claim of TestExtentsBeatPerBlockOnModeledLink, exact.
+	striped := map[int]time.Duration{}
+	stripes := tappedLink{streams: 4}
+	for _, extent := range []int{1, 64} {
+		cfg := Config{Streams: 4, Workers: 4, MaxExtentBlocks: extent}
+		rep := virtualPair(t, worldSpec{streams: 4, link: stripes.link}, func(w *world) *metrics.Report {
+			rep, _ := w.tpm(cfg, cfg, nil)
+			return rep
+		})
+		striped[extent] = rep.TotalTime
+		b.WriteString(virtualRow(fmt.Sprintf("striped4 extent=%d", extent), rep))
+		b.WriteString(stripes.freezeRow())
+		b.WriteString(stripes.streamRow())
+	}
+	// The modelled-link claims: extents beat per-block frames, and four
+	// streams sharing the link hide the per-frame stall that per-block frames
+	// pay and keep up with extents, which pay it rarely.
 	fmt.Fprintf(&b, "idle per-block/extents time ratio: %.6f\n", float64(idle[1])/float64(idle[64]))
+	fmt.Fprintf(&b, "idle one-stream/striped4 time ratio: extent=1 %.6f extent=64 %.6f\n",
+		float64(idle[1])/float64(striped[1]), float64(idle[64])/float64(striped[64]))
 	if idle[64]*2 >= idle[1] {
 		t.Errorf("64-block extents (%v) did not clearly beat per-block frames (%v) on the modelled link", idle[64], idle[1])
+	}
+	if striped[1]*3 > idle[1]*2 {
+		t.Errorf("four streams at extent 1 (%v) did not beat one stream (%v) by 1.5x on the modelled link", striped[1], idle[1])
+	}
+	if striped[64] > idle[64] {
+		t.Errorf("four streams at extent 64 (%v) were slower than one stream (%v) on the modelled link", striped[64], idle[64])
 	}
 	checkGolden(t, "virtual.golden", b.String())
 }

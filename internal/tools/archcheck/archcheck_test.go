@@ -21,7 +21,7 @@ var repoRoot = filepath.Join("..", "..", "..")
 // lineBudgets bound packages' non-test lines, counted as `cat *.go | wc -l`
 // counts them. A budget only grows in the change that defends it.
 var lineBudgets = map[string]int{
-	"cmd/bbench":               1414,
+	"cmd/bbench":               1398,
 	"internal/blockdev/bcache": 596,
 	"internal/cluster":         1467,
 	"internal/core":            4546,
@@ -29,7 +29,7 @@ var lineBudgets = map[string]int{
 	"internal/forecast":        411,
 	"internal/hostd":           1019,
 	"internal/sim":             2156,
-	"internal/transport":       2273,
+	"internal/transport":       2271,
 }
 
 // optionBudgets bound the settable surface of the option types: the exported
@@ -97,7 +97,6 @@ var testOnly = map[string]string{
 	"internal/transport/Striped.BytesReceived":    observer,
 	"internal/transport/Striped.BytesSent":        observer,
 	"internal/transport/Striped.MessagesReceived": observer,
-	"internal/transport/Striped.Streams":          observer,
 	"internal/vm/BaseBook.Bases":                  observer,
 	"internal/vm/BaseBook.Hot":                    observer,
 	"internal/vm/Memory.AllocatedPages":           observer,

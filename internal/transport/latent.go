@@ -19,10 +19,10 @@ import (
 // when Send was called, so a late wake-up delays only its own frame and in a
 // testing/synctest bubble every frame is charged exactly. Send copies the
 // frame into the queue and returns, waiting only while the link is more than
-// latentBuffer behind, as a write waits on a full socket buffer. Each stream
-// of a Striped bundle wrapped in its own Latent overlaps its stalls with the
-// others', which is how striping hides per-frame latency. Recv is passed
-// through untouched.
+// latentBuffer behind, as a write waits on a full socket buffer. A Striped
+// bundle shares one link: each stream gets its own Latent at its share of
+// the rate, and overlaps its stalls with the others', which is how striping
+// hides per-frame latency. Recv is passed through untouched.
 type Latent struct {
 	inner Conn
 	stall time.Duration

@@ -3,6 +3,7 @@
 package transport
 
 import (
+	"sync"
 	"testing"
 	"testing/synctest"
 	"time"
@@ -128,5 +129,68 @@ func TestLatentVirtualBorrowsAndCloses(t *testing.T) {
 			t.Errorf("peer Recv after the queued frame: %v, want ErrClosed", err)
 		}
 		b.Close()
+	})
+}
+
+// TestStripedVirtualFencesOverFullLinks: four senders fill a 4-stream bundle
+// whose modelled links fall far more than latentBuffer behind, then one
+// control frame goes out, then more data from four senders. The bubble must
+// finish — no sender may wait on a lock another holds across a link send,
+// or the clock stops — and the receiver must see single-stream order: every
+// earlier data frame before the control frame, every later one after it.
+func TestStripedVirtualFencesOverFullLinks(t *testing.T) {
+	const streams, senders, each = 4, 4, 40
+	synctest.Run(func() {
+		a, b := make([]Conn, streams), make([]Conn, streams)
+		for i := range a {
+			p, q := NewPipe(64)
+			a[i], b[i] = NewWAN(p, 50*time.Microsecond, 125e6/streams), q
+		}
+		src, dst := NewStriped(a), NewStriped(b)
+		defer dst.Close()
+		defer src.Close()
+		data := func(first int) {
+			var wg sync.WaitGroup
+			for g := range senders {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range each {
+						m := Message{Type: MsgBlockData, Arg: uint64(first + g*each + i), Payload: make([]byte, 4096)}
+						if err := src.Send(m); err != nil {
+							t.Error(err)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		}
+		go func() {
+			data(0)
+			if err := src.Send(Message{Type: MsgIterEnd}); err != nil {
+				t.Error(err)
+			}
+			data(senders * each)
+		}()
+		const half = senders * each
+		seen, control := map[uint64]bool{}, false
+		for range 2*half + 1 {
+			m, err := dst.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Type == MsgIterEnd {
+				if len(seen) != half {
+					t.Errorf("control frame after %d data frames, want %d", len(seen), half)
+				}
+				control = true
+				continue
+			}
+			if early := m.Arg < half; early == control || seen[m.Arg] {
+				t.Errorf("data frame %d received out of order (after the control frame: %v, again: %v)", m.Arg, control, seen[m.Arg])
+			}
+			seen[m.Arg] = true
+			m.Release()
+		}
 	})
 }

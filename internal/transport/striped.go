@@ -33,7 +33,11 @@ import (
 //
 // Data sent concurrently with a control frame has no defined order relative
 // to it, just as two concurrent Sends on any Conn are unordered; the engine
-// quiesces its worker pool before sending phase signals.
+// quiesces its worker pool before sending phase signals. Only control frames
+// and fences take ctl, a one-slot channel; no lock is held while a link
+// carries a data frame. A sender parked behind a slow link thus waits on a
+// channel, which testing/synctest counts as blocked (a mutex wait it counts
+// as running, and the bubble's clock would stop).
 //
 // A Striped over a single stream degenerates to a transparent passthrough:
 // no barrier frames, wire-identical to the seed protocol.
@@ -44,13 +48,12 @@ import (
 type Striped struct {
 	streams []*Meter
 
-	rr     atomic.Uint64 // round-robin cursor for data frames
-	sendMu sync.RWMutex  // RLock: data sends; Lock: fence+control sends
-	seq    uint64        // fences broadcast; guarded by sendMu (write side)
+	rr  atomic.Uint64 // round-robin cursor for data frames
+	ctl chan struct{} // one slot, held by a control send or a fence
+	seq uint64        // fences broadcast; guarded by ctl
 	// dataSinceFence: a data frame went out after the last fence, so the
 	// next control frame must fence first. fenceBeforeData: a control frame
-	// went out, so the next data frame must fence first. Both transitions
-	// fencing is what lets everything in between stay fence-free.
+	// went out, so the next data frame must fence first.
 	dataSinceFence  atomic.Bool
 	fenceBeforeData atomic.Bool
 
@@ -96,6 +99,7 @@ func NewStriped(conns []Conn) *Striped {
 	}
 	s := &Striped{
 		streams: make([]*Meter, len(conns)),
+		ctl:     make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		allDead: make(chan struct{}),
 	}
@@ -105,9 +109,6 @@ func NewStriped(conns []Conn) *Striped {
 	s.bar = newRecvBarrier(len(conns))
 	return s
 }
-
-// Streams returns the number of underlying connections.
-func (s *Striped) Streams() int { return len(s.streams) }
 
 // PerStream returns the per-stream meters (index 0 is the control stream).
 func (s *Striped) PerStream() []*Meter { return s.streams }
@@ -132,48 +133,45 @@ func (s *Striped) sum(f func(*Meter) int64) int64 {
 	return t
 }
 
-// Send implements Conn. Data frames normally take a shared lock and one
-// stream; the first data frame after a control frame, and any control frame
-// after data, first fences every stream under the exclusive lock.
+// Send implements Conn. The first data frame after a control frame, and a
+// control frame after data, fence every stream under ctl first. A data frame
+// sets dataSinceFence after its send, so a fence that clears it follows it.
 func (s *Striped) Send(m Message) error {
 	if len(s.streams) == 1 {
 		return s.streams[0].Send(m)
 	}
 	if IsDataFrame(m.Type) {
 		if s.fenceBeforeData.Load() {
-			s.sendMu.Lock()
-			defer s.sendMu.Unlock()
+			s.ctl <- struct{}{}
+			var err error
 			if s.fenceBeforeData.Load() { // not already fenced by a racing peer
-				if err := s.fenceLocked(); err != nil {
-					return err
+				if err = s.fence(); err == nil {
+					s.fenceBeforeData.Store(false)
 				}
-				s.fenceBeforeData.Store(false)
 			}
-			s.dataSinceFence.Store(true)
-			i := int(s.rr.Add(1)-1) % len(s.streams)
-			return s.streams[i].Send(m)
+			<-s.ctl
+			if err != nil {
+				return err
+			}
 		}
-		s.sendMu.RLock()
-		defer s.sendMu.RUnlock()
-		s.dataSinceFence.Store(true)
 		i := int(s.rr.Add(1)-1) % len(s.streams)
-		return s.streams[i].Send(m)
+		err := s.streams[i].Send(m)
+		s.dataSinceFence.Store(true)
+		return err
 	}
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	if s.dataSinceFence.Load() {
-		if err := s.fenceLocked(); err != nil {
+	s.ctl <- struct{}{}
+	defer func() { <-s.ctl }()
+	if s.dataSinceFence.Swap(false) {
+		if err := s.fence(); err != nil {
 			return err
 		}
-		s.dataSinceFence.Store(false)
 	}
 	s.fenceBeforeData.Store(true)
 	return s.streams[0].Send(m)
 }
 
-// fenceLocked broadcasts one barrier frame on every stream. Caller holds the
-// exclusive send lock.
-func (s *Striped) fenceLocked() error {
+// fence broadcasts one barrier frame on every stream. Caller holds ctl.
+func (s *Striped) fence() error {
 	s.seq++
 	for i, st := range s.streams {
 		if err := st.Send(Message{Type: MsgStripeBarrier, Arg: s.seq}); err != nil {

@@ -266,8 +266,8 @@ func TestDialAcceptStriped(t *testing.T) {
 	}
 	r := out.c
 	defer r.Close()
-	if r.Streams() != 4 {
-		t.Fatalf("accepted %d streams", r.Streams())
+	if n := len(r.PerStream()); n != 4 {
+		t.Fatalf("accepted %d streams", n)
 	}
 
 	// Exercise data + control both ways over real TCP.
