@@ -48,7 +48,9 @@ const (
 // blocks of a WAN row whose patch was refused and its signature bytes per
 // rewritten block (a change that describes unchanged content again fails it);
 // and round_trips_per_extent, a WAN or dedup row's source flushes per content
-// probe (a change that waits on each probe's reply again fails it). (A move is measured against
+// probe (a change that waits on each probe's reply again fails it); and
+// resident_bytes, the memory a BitmapMarshal fixture holds (a change that
+// allocates a bitmap's clean leaves again fails it). (A move is measured against
 // max(base, 1), so on a ratio 2 % is two hundredths.)
 var gates = []struct {
 	prefix, field string
@@ -77,6 +79,7 @@ var gates = []struct {
 	{"MigrateDedup/", "src_hashes_per_block", lower, 2},
 	{"MigrateDedup/", "ref_share", higher, 2},
 	{"MigrateDedup/", "round_trips_per_extent", lower, 2},
+	{"BitmapMarshal/", "resident_bytes", lower, 2},
 	{"SnapshotScan/", "allocs_per_op", lower, 0},
 	{"SnapshotScan/", "bytes_per_op", lower, 0},
 	{"SimFleetSweep/diurnal-predictive", "speedup", higher, 0},

@@ -799,7 +799,9 @@ func swarmMigrate(b *testing.B) {
 }
 
 // marshalBitmap prices encoding the bitmap fixture returns, reporting the
-// encoded size. The fixture is built once, whatever b.N ramp runs it.
+// encoded size and the bytes the bitmap holds in memory (Bitmap.SizeBytes:
+// its allocated leaves and directory). The fixture is built once, whatever
+// b.N ramp runs it.
 func marshalBitmap(fixture func() *bitmap.Bitmap) func(*testing.B) {
 	fixture = sync.OnceValue(fixture)
 	return func(b *testing.B) {
@@ -815,6 +817,7 @@ func marshalBitmap(fixture func() *bitmap.Bitmap) func(*testing.B) {
 			size = len(data)
 		}
 		b.ReportMetric(float64(size), "bytes")
+		b.ReportMetric(float64(bm.SizeBytes()), "resident_bytes")
 	}
 }
 

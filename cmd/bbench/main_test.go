@@ -431,6 +431,28 @@ func TestCompareBenchDeviceGate(t *testing.T) {
 	}
 }
 
+// TestCompareBenchResidentGate: resident_bytes is a count, held to 2 % on the
+// BitmapMarshal rows: a bitmap that allocates its clean leaves again fails,
+// and so does a row that stops reporting it.
+func TestCompareBenchResidentGate(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := func(file string, metrics map[string]float64) string {
+		path := filepath.Join(dir, file)
+		writeSnapshotV11(t, path, []benchResult{{Name: "BitmapMarshal/paper-empty", AllocsPerOp: 1, Metrics: metrics}})
+		return path
+	}
+	base := snapshot("base.json", map[string]float64{"bytes": 8, "resident_bytes": 7344})
+	if err := compareBench(snapshot("same.json", map[string]float64{"bytes": 8, "resident_bytes": 7400}), base, 25); err != nil {
+		t.Errorf("resident_bytes within 2 %% failed the gate: %v", err)
+	}
+	if err := compareBench(snapshot("flat.json", map[string]float64{"bytes": 8, "resident_bytes": 1250240}), base, 25); err == nil || !strings.Contains(err.Error(), "resident_bytes") {
+		t.Errorf("every leaf allocated again: gate said %v", err)
+	}
+	if err := compareBench(snapshot("missing.json", map[string]float64{"bytes": 8}), base, 25); err == nil || !strings.Contains(err.Error(), "resident_bytes missing") {
+		t.Errorf("a row without resident_bytes: gate said %v", err)
+	}
+}
+
 // TestCompareBenchBadFiles: unreadable or malformed snapshots error.
 func TestCompareBenchBadFiles(t *testing.T) {
 	dir := t.TempDir()

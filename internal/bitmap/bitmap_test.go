@@ -247,13 +247,18 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 
 func TestSizeBytesMatchesPaper(t *testing.T) {
 	// Paper §IV-A-2: for a 32GB disk a 4KB-block bitmap costs 1MB; a
-	// 512B-sector bitmap costs 8MB.
+	// 512B-sector bitmap costs 8MB. Those are a full bitmap's words; the
+	// leaf directory adds a 24-byte slice header per 4 KiB leaf, and an
+	// empty bitmap is its directory alone.
 	const disk = 32 << 30
-	if got := New(disk / 4096).SizeBytes(); got != 1<<20 {
-		t.Fatalf("4KiB-granularity bitmap = %d bytes, want 1MiB", got)
-	}
-	if got := New(disk / 512).SizeBytes(); got != 8<<20 {
-		t.Fatalf("512B-granularity bitmap = %d bytes, want 8MiB", got)
+	for _, c := range []struct{ n, words int }{{disk / 4096, 1 << 20}, {disk / 512, 8 << 20}} {
+		dir := 24 * c.words / 4096
+		if got := NewAllSet(c.n).SizeBytes(); got != c.words+dir {
+			t.Errorf("full %d-bit bitmap = %d bytes, want %d of words + %d of directory", c.n, got, c.words, dir)
+		}
+		if got := New(c.n).SizeBytes(); got != dir {
+			t.Errorf("empty %d-bit bitmap = %d bytes, want its %d-byte directory", c.n, got, dir)
+		}
 	}
 }
 

@@ -38,7 +38,7 @@ const (
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-func (b *Bitmap) denseLen() int { return marshalHeader + 8*len(b.words) }
+func (b *Bitmap) denseLen() int { return marshalHeader + 8*wordsFor(b.n) }
 
 // runsBudget returns the longest runs form the encoder may emit — one byte
 // shorter than the dense form, which wins a tie — and how many runs the
@@ -46,20 +46,21 @@ func (b *Bitmap) denseLen() int { return marshalHeader + 8*len(b.words) }
 // could hold. A pair is at least two bytes and run starts can be counted a
 // word at a time (a set bit whose predecessor is clear), so a dense bitmap
 // is refused after a fraction of one pass over its words, before any extent
-// is walked.
+// is walked. Nil leaves are skipped whole.
 func (b *Bitmap) runsBudget() (limit, runs int, ok bool) {
 	limit = b.denseLen() - 1
 	maxRuns := (limit - marshalHeader) / 2
 	carry := uint64(0)
-	for _, w := range b.words {
-		if w == 0 {
+	for _, l := range b.leaves {
+		if l == nil {
 			carry = 0
-			continue
 		}
-		runs += bits.OnesCount64(w &^ (w<<1 | carry))
-		carry = w >> (wordBits - 1)
-		if runs > maxRuns {
-			return 0, 0, false
+		for _, w := range l {
+			runs += bits.OnesCount64(w &^ (w<<1 | carry))
+			carry = w >> (wordBits - 1)
+			if runs > maxRuns {
+				return 0, 0, false
+			}
 		}
 	}
 	return limit, runs, true
@@ -113,10 +114,11 @@ func (b *Bitmap) MarshalBinary() ([]byte, error) {
 	}
 	out := make([]byte, b.denseLen())
 	binary.LittleEndian.PutUint64(out, uint64(b.n))
-	dst := out[marshalHeader:]
-	for _, w := range b.words {
-		binary.LittleEndian.PutUint64(dst, w)
-		dst = dst[8:]
+	dst := out[marshalHeader:] // nil leaves stay zero
+	for k, l := range b.leaves {
+		for j, w := range l {
+			binary.LittleEndian.PutUint64(dst[8*(k*leafWords+j):], w)
+		}
 	}
 	return out, nil
 }
@@ -157,23 +159,29 @@ func (b *Bitmap) decode(data []byte, want int) error {
 		return fmt.Errorf("bitmap: runs form declares %d bits with no size to check it against", count)
 	}
 	n, body := int(count), data[marshalHeader:]
-	words := (n + wordBits - 1) / wordBits
+	words := wordsFor(n)
 	if tag == tagRuns {
-		// Validate every pair before allocating, then fill.
+		// Validate every pair before allocating.
 		if err := forEachRun(body, n, nil); err != nil {
 			return err
 		}
-		*b = Bitmap{words: make([]uint64, words), n: n}
-		return forEachRun(body, n, b.SetRange)
-	}
-	if len(body) != 8*words {
+	} else if len(body) != 8*words {
 		return fmt.Errorf("bitmap: want %d payload bytes for %d bits, have %d", 8*words, n, len(body))
 	}
-	*b = Bitmap{words: make([]uint64, words), n: n}
-	for i := range b.words {
-		b.words[i] = binary.LittleEndian.Uint64(body[8*i:])
+	*b = Bitmap{n: n}
+	b.leaves = directory(n, &b.one)
+	if tag == tagRuns {
+		return forEachRun(body, n, b.SetRange)
 	}
-	b.clearTail()
+	for i := range words { // leaves only where a word has a bit
+		w := binary.LittleEndian.Uint64(body[8*i:])
+		if i == words-1 { // Count and scans never see bits past n
+			w &= ^uint64(0) >> uint(words*wordBits-n)
+		}
+		if w != 0 {
+			b.leaf(i / leafWords)[i%leafWords] = w
+		}
+	}
 	return nil
 }
 

@@ -24,31 +24,14 @@ func (e Extent) String() string { return fmt.Sprintf("[%d,%d)", e.Start, e.Start
 
 // nextClear returns the index of the first clear bit at or after i, or Len
 // if every remaining bit is set. Scanning is word-at-a-time, mirroring
-// NextSet.
+// NextSet; a nil leaf ends the scan at its first bit.
 func (b *Bitmap) nextClear(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= b.n {
-		return b.n
-	}
-	w := i / wordBits
+	i = max(i, 0)
 	// Invert so clear bits become set, mask off the bits below i.
-	cur := ^b.words[w] >> uint(i%wordBits)
-	if cur != 0 {
-		j := i + bits.TrailingZeros64(cur)
-		if j > b.n {
-			return b.n
-		}
-		return j
-	}
-	for w++; w < len(b.words); w++ {
-		if inv := ^b.words[w]; inv != 0 {
-			j := w*wordBits + bits.TrailingZeros64(inv)
-			if j > b.n {
-				return b.n
-			}
-			return j
+	from := ^uint64(0) << uint(i%wordBits)
+	for w := i / wordBits; w < wordsFor(b.n); w, from = w+1, ^uint64(0) {
+		if inv := ^b.word(w) & from; inv != 0 {
+			return min(w*wordBits+bits.TrailingZeros64(inv), b.n)
 		}
 	}
 	return b.n
@@ -122,14 +105,16 @@ func (b *Bitmap) NextExtentExcluding(live View, i, max int) (ext Extent, exclude
 	if i >= b.n {
 		return Extent{}, 0
 	}
-	w := i / wordBits
-	from := ^uint64(0) << uint(i%wordBits) // drops the bits below i in the first word
-	for ; w < len(b.words); w, from = w+1, ^uint64(0) {
-		own := b.words[w] & from
+	first := i / wordBits
+	for w := b.nextNonzero(first); w >= 0; w = b.nextNonzero(w + 1) {
+		own := b.word(w)
+		if w == first {
+			own &= ^uint64(0) << uint(i%wordBits) // drops the bits below i
+		}
 		if own == 0 {
 			continue
 		}
-		held := live.a.words[w].Load()
+		held := live.a.load(w)
 		send := own &^ held
 		if send == 0 {
 			excluded += bits.OnesCount64(own)
@@ -140,10 +125,10 @@ func (b *Bitmap) NextExtentExcluding(live View, i, max int) (ext Extent, exclude
 		// The run continues while consecutive bits stay in b and out of
 		// live, across word boundaries, until max is reached.
 		count := bits.TrailingZeros64(^(send >> uint(t)))
-		for next := w + 1; t+count == (next-w)*wordBits && next < len(b.words) && (max <= 0 || count < max); next++ {
-			run := b.words[next]
+		for next := w + 1; t+count == (next-w)*wordBits && next < wordsFor(b.n) && (max <= 0 || count < max); next++ {
+			run := b.word(next)
 			if run != 0 {
-				run &^= live.a.words[next].Load()
+				run &^= live.a.load(next)
 			}
 			count += bits.TrailingZeros64(^run)
 		}
@@ -153,26 +138,4 @@ func (b *Bitmap) NextExtentExcluding(live View, i, max int) (ext Extent, exclude
 		return Extent{Start: w*wordBits + t, Count: count}, excluded
 	}
 	return Extent{}, excluded
-}
-
-// ClearRange clears bits [lo, hi), the inverse of SetRange.
-func (b *Bitmap) ClearRange(lo, hi int) {
-	if lo < 0 || hi > b.n || lo > hi {
-		panic(fmt.Sprintf("bitmap: bad range [%d,%d) of %d", lo, hi, b.n))
-	}
-	for i := lo; i < hi; {
-		w, off := i/wordBits, i%wordBits
-		span := wordBits - off
-		if rem := hi - i; rem < span {
-			span = rem
-		}
-		var mask uint64
-		if span == wordBits {
-			mask = ^uint64(0)
-		} else {
-			mask = ((uint64(1) << uint(span)) - 1) << uint(off)
-		}
-		b.words[w] &^= mask
-		i += span
-	}
 }

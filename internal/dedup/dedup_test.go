@@ -207,3 +207,60 @@ func TestIndexUnregisteredSourceMisses(t *testing.T) {
 		t.Fatal("lookup failed after re-registering the source")
 	}
 }
+
+// checkReverse fails unless ix.rev is exactly ix.entries inverted.
+func checkReverse(t *testing.T, ix *Index) {
+	t.Helper()
+	n := 0
+	for source, blocks := range ix.rev {
+		for block, fp := range blocks {
+			if l, ok := ix.entries[fp]; !ok || l.source != source || l.block != block {
+				t.Fatalf("rev[%s][%d] names an entry that is not there (entry %+v, present %v)", source, block, l, ok)
+			}
+			n++
+		}
+	}
+	if n != len(ix.entries) {
+		t.Fatalf("rev holds %d blocks for %d entries", n, len(ix.entries))
+	}
+}
+
+// TestIndexReverseGrowsWithContent: a scan of n blocks holding k distinct
+// contents leaves k reverse entries, whether or not the scan moves entries
+// onto later blocks (a stamped scan does), and overwrites keep the two maps
+// inverse.
+func TestIndexReverseGrowsWithContent(t *testing.T) {
+	const n, k = 64, 4
+	disk := blockdev.NewMemDisk(n, blockdev.BlockSize)
+	for b := 0; b < n; b++ {
+		fill(disk, b, byte(b%k+1))
+	}
+	stamped := NewIndex(blockdev.BlockSize)
+	stamped.RegisterSource("d", disk)
+	unstamped := NewIndex(blockdev.BlockSize)
+	for name, ix := range map[string]*Index{"registered": stamped, "view": unstamped} {
+		if got, err := ix.ScanReader("d", disk); err != nil || got != n {
+			t.Fatalf("%s: scan indexed %d (%v)", name, got, err)
+		}
+		if len(ix.entries) != k || len(ix.rev["d"]) != k {
+			t.Fatalf("%s: %d entries, %d reverse entries after a scan of %d contents", name, len(ix.entries), len(ix.rev["d"]), k)
+		}
+		checkReverse(t, ix)
+	}
+	buf := make([]byte, blockdev.BlockSize)
+	for b := 0; b < n; b += 3 { // overwrite some blocks, entries' included
+		fill(disk, b, byte(b%7+10))
+		disk.ReadBlock(b, buf)
+		stamped.Observe("d", b, Of(buf))
+		checkReverse(t, stamped)
+	}
+	for fp := range stamped.entries {
+		if _, ok := lookup(stamped, fp); !ok {
+			t.Fatal("an entry the overwrites left does not resolve")
+		}
+	}
+	stamped.DropSource("d")
+	if len(stamped.entries) != 0 || len(stamped.rev) != 0 {
+		t.Fatal("drop left state behind")
+	}
+}

@@ -54,7 +54,11 @@ type Index struct {
 	zeroBlock []byte // shared and read-only, see zeroContent
 	sources   map[string]BlockReader
 	entries   map[Fingerprint]loc
-	rev       map[string]map[int]Fingerprint // source → block → observed fp
+	// rev is entries inverted: rev[s][b] is fp exactly while entries[fp]
+	// points at block b of source s, so it grows with the distinct content,
+	// not with the blocks observed, and an overwrite, a failed proof or a
+	// dropped source finds the entry to retract through it.
+	rev map[string]map[int]Fingerprint
 
 	hashes, lookups, vouched, scanSkipped, reused atomic.Int64 // see Stats
 }
@@ -117,10 +121,8 @@ func (ix *Index) DropSource(name string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	delete(ix.sources, name)
-	for block, fp := range ix.rev[name] {
-		if l, ok := ix.entries[fp]; ok && l.source == name && l.block == block {
-			delete(ix.entries, fp)
-		}
+	for _, fp := range ix.rev[name] {
+		delete(ix.entries, fp)
 	}
 	delete(ix.rev, name)
 }
@@ -144,24 +146,22 @@ func (ix *Index) ObserveContent(source string, block int, data []byte) {
 func (ix *Index) observe(source string, block int, fp Fingerprint, stamp uint64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	blocks := ix.rev[source]
-	if blocks == nil {
-		blocks = make(map[int]Fingerprint)
-		ix.rev[source] = blocks
+	if prev, ok := ix.rev[source][block]; ok && prev != fp {
+		delete(ix.entries, prev) // rev names the block only while prev's entry is there
+		delete(ix.rev[source], block)
 	}
-	if prev, ok := blocks[block]; ok && prev != fp {
-		if l, ok := ix.entries[prev]; ok && l.source == source && l.block == block {
-			delete(ix.entries, prev)
-		}
-	}
-	if fp == ix.zero {
-		delete(blocks, block)
+	cur, ok := ix.entries[fp]
+	if fp == ix.zero || (ok && cur.stamp != 0 && stamp == 0) {
 		return
 	}
-	blocks[block] = fp
-	if cur, ok := ix.entries[fp]; !ok || cur.stamp == 0 || stamp != 0 {
-		ix.entries[fp] = loc{source, block, stamp}
+	if ok {
+		delete(ix.rev[cur.source], cur.block)
 	}
+	ix.entries[fp] = loc{source, block, stamp}
+	if ix.rev[source] == nil {
+		ix.rev[source] = make(map[int]Fingerprint)
+	}
+	ix.rev[source][block] = fp
 }
 
 // ScanSource fingerprints every block of a registered source and records the
@@ -354,8 +354,6 @@ func (ix *Index) settle(fp Fingerprint, l loc, stamp uint64, proved bool) bool {
 		return true
 	}
 	delete(ix.entries, fp)
-	if ix.rev[l.source][l.block] == fp {
-		delete(ix.rev[l.source], l.block)
-	}
+	delete(ix.rev[l.source], l.block)
 	return false
 }

@@ -21,11 +21,12 @@ var repoRoot = filepath.Join("..", "..", "..")
 // lineBudgets bound packages' non-test lines, counted as `cat *.go | wc -l`
 // counts them. A budget only grows in the change that defends it.
 var lineBudgets = map[string]int{
-	"cmd/bbench":               1398,
+	"cmd/bbench":               1404,
+	"internal/bitmap":          903,
 	"internal/blockdev/bcache": 596,
 	"internal/cluster":         1467,
 	"internal/core":            4546,
-	"internal/dedup":           601,
+	"internal/dedup":           599,
 	"internal/forecast":        411,
 	"internal/hostd":           1019,
 	"internal/sim":             2156,
@@ -59,7 +60,6 @@ const (
 // non-test file names, as dir/Name or dir/Recv.Name, each with its reason.
 var testOnly = map[string]string{
 	"internal/bitmap/Bitmap.Equal":                observer,
-	"internal/bitmap/Bitmap.SizeBytes":            observer,
 	"internal/blkback/Backend.Tracking":           observer,
 	"internal/blkback/PostCopyGate.NeedsPush":     observer,
 	"internal/blkback/PostCopyGate.Synchronized":  observer,
