@@ -1,5 +1,5 @@
 // Command bbench regenerates every table and figure of the paper's
-// evaluation (§VI) plus the ablations called out in DESIGN.md:
+// evaluation (§VI) from the simulator, plus its ablations and sweeps:
 //
 //	bbench -exp table1      Table I   — TPM results for three workloads
 //	bbench -exp table2      Table II  — incremental migration vs primary TPM
@@ -10,7 +10,6 @@
 //	bbench -exp locality    §IV-A-2   — write locality of the workloads
 //	bbench -exp granularity §IV-A-2   — 512 B vs 4 KiB bitmap sizing
 //	bbench -exp downtime-granularity  — how granularity inflates downtime
-//	bbench -exp schemes     §II       — all four schemes, one table
 //	bbench -exp availability §II-B    — on-demand fetching availability p²
 //	bbench -exp faults      link-outage sweep: resumable migration vs restart
 //	bbench -exp cluster     evacuation sweep: drain makespan/downtime vs concurrency
@@ -103,7 +102,7 @@ var experiments = []struct {
 }{
 	{"table1", table1}, {"table2", table2}, {"table3", table3}, {"fig5", fig5}, {"fig6", fig6}, {"iters", iters},
 	{"locality", locality}, {"granularity", granularity}, {"downtime-granularity", downtimeGranularity},
-	{"schemes", schemes}, {"availability", availability}, {"faults", faults}, {"cluster", clusterSweep},
+	{"availability", availability}, {"faults", faults}, {"cluster", clusterSweep},
 	{"dedup", dedupSweep}, {"swarm", swarmSweep}, {"wan", wanSweep}, {"fleet", fleetSweep},
 }
 
@@ -195,11 +194,6 @@ func granularity(w io.Writer, _ int64, _ int) {
 
 func downtimeGranularity(w io.Writer, seed int64, _ int) {
 	fmt.Fprint(w, sim.DowntimeVsGranularity(workload.Web, seed).String())
-}
-
-func schemes(w io.Writer, seed int64, _ int) {
-	fmt.Fprint(w, sim.SchemeComparison(workload.Web, seed).String())
-	fmt.Fprint(w, sim.SchemeComparison(workload.Diabolic, seed).String())
 }
 
 func faults(w io.Writer, seed int64, _ int) {

@@ -152,9 +152,7 @@ type DeltaForwarder struct {
 	backend *blkback.Backend
 	conn    transport.Conn
 	active  atomic.Bool
-
-	deltas     atomic.Int64
-	deltaBytes atomic.Int64
+	deltas  atomic.Int64
 }
 
 // NewDeltaForwarder wraps backend, forwarding writes over conn while active.
@@ -174,7 +172,6 @@ func (f *DeltaForwarder) Submit(req blockdev.Request) error {
 			return fmt.Errorf("core: forward delta: %w", err)
 		}
 		f.deltas.Add(1)
-		f.deltaBytes.Add(int64(m.FrameSize()))
 	}
 	return nil
 }

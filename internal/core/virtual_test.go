@@ -168,17 +168,18 @@ func virtualRow(name string, rep *metrics.Report) string {
 	return b.String()
 }
 
-// pacedGuest rewrites a hot set of w's disk as the source sends: one write
-// per eight units on the wire, on the sending goroutine, so the writes land
-// at the same points of the transfer in every run. It stops at the freeze.
-func pacedGuest(t *testing.T, w *world, src Config) Config {
-	const hot = 48
-	block := make([]byte, blockdev.BlockSize)
+// pacedGuest writes w's disk as the source sends: one round per eight units
+// on the wire, on the sending goroutine, so the writes land at the same
+// points of the transfer in every run. Round i writes the count blocks from
+// first that next(i) names. It stops at the freeze.
+func pacedGuest(t *testing.T, w *world, src Config, next func(i int) (first, count int)) Config {
+	block := make([]byte, blockdev.BlockSize) // the shadow fills it
 	guest := &workload.Paced{Conn: w.connSrc, Every: 8, Round: func(i int) {
-		workload.FillBlock(block, i, uint32(i))
-		req := blockdev.Request{Op: blockdev.Write, Domain: testDomain, Block: (i * 7 % hot) * 41, Data: block}
-		if err := w.shadow.Submit(req); err != nil {
-			t.Errorf("guest write: %v", err)
+		first, count := next(i)
+		for n := first; n < first+count; n++ {
+			if err := w.shadow.Submit(blockdev.Request{Op: blockdev.Write, Domain: testDomain, Block: n, Data: block}); err != nil {
+				t.Errorf("guest write: %v", err)
+			}
 		}
 	}}
 	w.connSrc = guest
@@ -188,6 +189,10 @@ func pacedGuest(t *testing.T, w *world, src Config) Config {
 	}
 	return src
 }
+
+// hotSet is the paced-guest-tpm rows' writes: one block a round of a
+// 48-block hot set spread over the disk.
+func hotSet(i int) (int, int) { return (i * 7 % 48) * 41, 1 }
 
 // hotPages is the hot-page guest's memory: bbench's MemDelta geometry.
 const hotPages = 2048
@@ -280,26 +285,30 @@ func dedupClone(w *world) *metrics.Report {
 	return rep
 }
 
-// countRow attributes the newest link's frames of the given types, both
-// ways, as frames/wire bytes under their labels.
-func (l *tappedLink) countRow(title string, labels []string, types ...transport.MsgType) string {
-	frames, bytes := make([]int, len(types)), make([]int, len(types))
+// tally counts the newest link's frames of type typ, both ways, and their
+// wire bytes.
+func (l *tappedLink) tally(typ transport.MsgType) (frames, bytes int) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	for _, side := range [][]tappedFrame{l.src, l.dst} {
 		for _, fr := range side {
-			for i, typ := range types {
-				if fr.typ == typ {
-					frames[i]++
-					bytes[i] += fr.size
-				}
+			if fr.typ == typ {
+				frames++
+				bytes += fr.size
 			}
 		}
 	}
-	l.mu.Unlock()
+	return frames, bytes
+}
+
+// countRow attributes the newest link's frames of the given types, both
+// ways, as frames/wire bytes under their labels.
+func (l *tappedLink) countRow(title string, labels []string, types ...transport.MsgType) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  %s frames/bytes:", title)
 	for i, label := range labels {
-		fmt.Fprintf(&b, " %s=%d/%d", label, frames[i], bytes[i])
+		frames, bytes := l.tally(types[i])
+		fmt.Fprintf(&b, " %s=%d/%d", label, frames, bytes)
 	}
 	b.WriteString("\n")
 	return b.String()
@@ -329,7 +338,7 @@ func TestVirtualGolden(t *testing.T) {
 				return rep
 			}},
 			{"paced-guest-tpm", 0, func(w *world) *metrics.Report {
-				rep, _ := w.tpm(pacedGuest(t, w, cfg), cfg, nil)
+				rep, _ := w.tpm(pacedGuest(t, w, cfg, hotSet), cfg, nil)
 				return rep
 			}},
 			{"im-back", 0, func(w *world) *metrics.Report { return imBack(t, w, cfg, taps.link) }},
@@ -385,6 +394,9 @@ func TestVirtualGolden(t *testing.T) {
 	}
 	if striped[64] > idle[64] {
 		t.Errorf("four streams at extent 64 (%v) were slower than one stream (%v) on the modelled link", striped[64], idle[64])
+	}
+	for _, kind := range []workload.Kind{workload.Web, workload.Diabolic} {
+		schemeRows(t, &b, &taps, kind)
 	}
 	checkGolden(t, "virtual.golden", b.String())
 }

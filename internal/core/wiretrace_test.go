@@ -158,11 +158,21 @@ func runTracedFreezeAndCopy(t *testing.T, w *world, src, dst Config) {
 		func() error { _, err := MigrateFreezeAndCopyDest(dst, w.dst, w.connDst); return err })
 }
 
-// runTracedOnDemand reads a fixed set of blocks through the gate once the
-// source has seen RESUMED (so RESUMED and the first PULL_REQUEST cannot swap
-// places on the wire), one at a time, then releases the source.
+// runTracedOnDemand reads a fixed set of blocks through the gate, then
+// releases the source.
 func runTracedOnDemand(t *testing.T, w *world, src, dst Config) {
 	w.partial = true
+	release := readAfterResume(w, &src, &dst, 0, 3, 9, 600, 601)
+	w.migrate(
+		func() error { _, err := MigrateOnDemandSource(src, w.src, w.connSrc); return err },
+		func() error { _, err := MigrateOnDemandDest(dst, w.dst, w.connDst, release); return err })
+}
+
+// readAfterResume arms an on-demand migration's configs to read blocks
+// through the destination's gate, one at a time, once the source has seen
+// RESUMED (so RESUMED and the first PULL_REQUEST cannot swap places on the
+// wire). The returned channel is closed when the last read is done.
+func readAfterResume(w *world, src, dst *Config, blocks ...int) <-chan struct{} {
 	gateCh := make(chan *blkback.PostCopyGate, 1)
 	dst.OnResume = func(g *blkback.PostCopyGate) { gateCh <- g }
 	resumed := make(chan struct{})
@@ -171,21 +181,19 @@ func runTracedOnDemand(t *testing.T, w *world, src, dst Config) {
 			close(resumed)
 		}
 	})
-	release := make(chan struct{})
+	done := make(chan struct{})
 	go func() {
-		defer close(release)
+		defer close(done)
 		<-resumed
 		gate := <-gateCh
 		buf := make([]byte, blockdev.BlockSize)
-		for _, n := range []int{0, 3, 9, 600, 601} {
+		for _, n := range blocks {
 			if err := gate.Submit(blockdev.Request{Op: blockdev.Read, Block: n, Domain: testDomain, Data: buf}); err != nil {
-				t.Errorf("on-demand read %d: %v", n, err)
+				w.t.Errorf("on-demand read %d: %v", n, err)
 			}
 		}
 	}()
-	w.migrate(
-		func() error { _, err := MigrateOnDemandSource(src, w.src, w.connSrc); return err },
-		func() error { _, err := MigrateOnDemandDest(dst, w.dst, w.connDst, release); return err })
+	return done
 }
 
 // runTracedDelta submits a fixed write script through the forwarder from the

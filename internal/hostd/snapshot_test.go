@@ -72,8 +72,23 @@ func TestMigrationSnapshotConsistencyUnderLoad(t *testing.T) {
 		resCh <- err
 	}()
 
+	// The CoW assertion below needs a write while a pre-copy pass reads its
+	// snapshot, which the test writers' scheduling does not promise. So the
+	// migration's own send path writes too, once per disk pre-copy heartbeat
+	// (one per MiB on the wire): the first pass alone carries several, and a
+	// heartbeat falls outside a pass only when an iteration marker crosses
+	// the MiB.
+	heartbeat := make([]byte, blockdev.BlockSize)
 	var freezeFP [32]byte
-	cfg := core.Config{OnFreeze: func() {
+	cfg := core.Config{OnEvent: func(ev core.Event) {
+		if ev.Kind != core.EventBytesTransferred || ev.Phase != core.PhaseDiskPreCopy {
+			return
+		}
+		req := blockdev.Request{Op: blockdev.Write, Block: int(ev.Bytes>>20) % tBlocks, Domain: id, Data: heartbeat}
+		if err := d.Submit(req); err != nil {
+			t.Errorf("heartbeat write: %v", err)
+		}
+	}, OnFreeze: func() {
 		// The engine is at the suspend point: quiesce the test writers, then
 		// record the image every later phase must reproduce on B.
 		close(stop)

@@ -12,10 +12,10 @@ import (
 
 // This file defines one entry point per table/figure of the paper's
 // evaluation (§VI). Each returns both raw results and a rendered
-// metrics.Table/Series: `bbench -exp` prints the tables, the root
-// bench_test.go reports the same quantities as benchmark metrics, and
-// `bbench -json` snapshots the headlines. The evacuation sweeps (cluster.go,
-// dedup.go, swarm.go) share one wave model, evacuate.
+// metrics.Table/Series: `bbench -exp` prints the tables, all but Table
+// III's held to goldens in cmd/bbench/testdata, and `bbench -json`
+// snapshots the headlines. The evacuation sweeps (cluster.go, dedup.go,
+// swarm.go) share one wave model, evacuate.
 
 // TableIWorkloads lists the three §VI-B workloads in Table I column order.
 func TableIWorkloads() []workload.Kind {
@@ -302,67 +302,6 @@ func DowntimeVsGranularity(kind workload.Kind, seed int64) *metrics.Table {
 		row(g.name, float64(bits/8+16))
 	}
 	return t
-}
-
-// SchemeComparison quantifies §II's related-work arguments at paper scale:
-// for one workload it derives the headline metrics of every scheme the paper
-// discusses — freeze-and-copy (ISR/Collective), pure on-demand fetching,
-// Bradford-style delta forward-and-replay, and TPM — from the same
-// calibrated testbed model. The orderings (who wins on downtime, who keeps a
-// residual dependency, who blocks I/O after resume) are the paper's
-// qualitative claims made numeric.
-func SchemeComparison(kind workload.Kind, seed int64) *metrics.Table {
-	p := Defaults(kind)
-	p.Seed = seed
-	p.DwellAfter = time.Minute
-	tpm := RunTPM(p)
-
-	diskBytes := float64(int64(p.DiskMB) << 20)
-	memBytes := float64(int64(p.MemMB) << 20)
-	net := p.NetBytesPerSec
-
-	// Freeze-and-copy: one copy, VM frozen throughout (§II-B, ISR).
-	fcDowntime := time.Duration((diskBytes + memBytes) / net * float64(time.Second))
-
-	// On-demand: downtime like shared-storage migration (memory only), but
-	// the source dependency never ends (§II-B). Residual dependency after
-	// one dwell period = blocks never read or written on the destination.
-	onDemandDowntime := tpm.Report.Downtime // same freeze content minus the bitmap
-	touched := tpm.FreshBlocks()            // proxy: the workload's working set
-	numBlocks := p.DiskMB << 20 / blockdev.BlockSize
-	residual := numBlocks - touched
-
-	// Delta forward-and-replay (Bradford): downtime like shared-storage,
-	// but after resume guest I/O blocks until the queued deltas replay.
-	// Delta volume = every write during the full-disk pass, redundancy
-	// included; replay at disk speed.
-	g := workload.New(kind, numBlocks, seed)
-	copyDur := time.Duration(diskBytes / net * float64(time.Second))
-	st := workload.Locality(g, copyDur)
-	deltaBytes := float64(st.Writes) * blockdev.BlockSize
-	ioBlocked := time.Duration(deltaBytes / diskBytesPerSec * float64(time.Second))
-	redundantMB := float64(st.Rewrites) * blockdev.BlockSize / (1 << 20)
-
-	t := &metrics.Table{
-		Title:   fmt.Sprintf("Scheme comparison at paper scale — %s (§II)", kind),
-		Columns: []string{"scheme", "downtime", "post-resume I/O block", "residual dependency", "redundant data"},
-	}
-	t.AddRow("freeze-and-copy (ISR)", fmtDur(fcDowntime), "none", "none", "none")
-	t.AddRow("on-demand fetching", fmtDur(onDemandDowntime), "per-read faults",
-		fmt.Sprintf("%d blocks, unbounded", residual), "none")
-	t.AddRow("delta forward (Bradford)", fmtDur(onDemandDowntime), fmtDur(ioBlocked), "none",
-		fmt.Sprintf("%.0f MB rewritten deltas", redundantMB))
-	t.AddRow("TPM (this paper)", fmtDur(tpm.Report.Downtime),
-		fmt.Sprintf("pull-on-read for %v", tpm.Report.PostCopyTime.Round(time.Millisecond)),
-		fmt.Sprintf("ends after %v", tpm.Report.PostCopyTime.Round(time.Millisecond)), "none")
-	return t
-}
-
-func fmtDur(d time.Duration) string {
-	if d >= time.Second {
-		return fmt.Sprintf("%.1f s", d.Seconds())
-	}
-	return fmt.Sprintf("%d ms", d.Milliseconds())
 }
 
 // FaultSweep quantifies what resumable migration buys at paper scale: a

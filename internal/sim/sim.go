@@ -198,10 +198,6 @@ type Result struct {
 	now   time.Duration
 }
 
-// FreshBlocks returns how many blocks were dirtied on the destination since
-// the resume — the IM working set.
-func (r *Result) FreshBlocks() int { return r.fresh.Count() }
-
 // sim holds the running state of one migration simulation.
 type sim struct {
 	p          Params

@@ -175,9 +175,9 @@ func TestIMIdleSingleIteration(t *testing.T) {
 	if im.Report.RetransferredBlocks() != 0 {
 		t.Fatal("idle IM retransferred blocks")
 	}
-	if im.Report.DiskIterations[0].Units != r.FreshBlocks() {
+	if im.Report.DiskIterations[0].Units != r.fresh.Count() {
 		t.Fatalf("IM sent %d blocks, fresh set is %d",
-			im.Report.DiskIterations[0].Units, r.FreshBlocks())
+			im.Report.DiskIterations[0].Units, r.fresh.Count())
 	}
 }
 
@@ -370,38 +370,6 @@ func TestDowntimeVsGranularity(t *testing.T) {
 	}
 	if ms512 <= ms4k+100 {
 		t.Fatalf("512B downtime %d ms not clearly above 4KiB %d ms:\n%s", ms512, ms4k, out)
-	}
-}
-
-func TestSchemeComparison(t *testing.T) {
-	tab := SchemeComparison(workload.Web, 1)
-	out := tab.String()
-	for _, want := range []string{"freeze-and-copy", "on-demand", "delta forward", "TPM"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("comparison missing %q:\n%s", want, out)
-		}
-	}
-	// Freeze-and-copy's downtime must be catastrophic (~whole transfer,
-	// >700 s at paper scale) while TPM's stays in milliseconds.
-	if !strings.Contains(out, "unbounded") {
-		t.Fatalf("on-demand residual dependency not flagged:\n%s", out)
-	}
-	lines := strings.Split(out, "\n")
-	var fcLine, tpmLine string
-	for _, ln := range lines {
-		if strings.HasPrefix(ln, "freeze-and-copy") {
-			fcLine = ln
-		}
-		if strings.HasPrefix(ln, "TPM") {
-			tpmLine = ln
-		}
-	}
-	var fcS float64
-	if _, err := fmt.Sscanf(strings.Fields(fcLine)[2], "%f", &fcS); err != nil || fcS < 700 {
-		t.Fatalf("freeze-and-copy downtime %v (line %q)", fcS, fcLine)
-	}
-	if !strings.Contains(tpmLine, "ms") {
-		t.Fatalf("TPM downtime not in ms: %q", tpmLine)
 	}
 }
 

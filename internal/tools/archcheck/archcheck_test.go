@@ -21,15 +21,15 @@ var repoRoot = filepath.Join("..", "..", "..")
 // lineBudgets bound packages' non-test lines, counted as `cat *.go | wc -l`
 // counts them. A budget only grows in the change that defends it.
 var lineBudgets = map[string]int{
-	"cmd/bbench":               1404,
+	"cmd/bbench":               1398,
 	"internal/bitmap":          903,
 	"internal/blockdev/bcache": 596,
 	"internal/cluster":         1467,
-	"internal/core":            4546,
+	"internal/core":            4543,
 	"internal/dedup":           599,
 	"internal/forecast":        411,
 	"internal/hostd":           1019,
-	"internal/sim":             2156,
+	"internal/sim":             2091,
 	"internal/transport":       2271,
 }
 
