@@ -151,8 +151,8 @@
 // — is local and may differ freely between endpoints.
 //
 // Subpackages (internal/...) hold the substrates: bitmap, blockdev, blkback,
-// transport, vm, workload, metrics, and the paper-scale simulator sim. The
-// examples/ directory shows complete wirings; cmd/bbmig is a runnable
-// migration daemon and cmd/bbench regenerates every table and figure of the
-// paper's evaluation (plus a machine-readable BENCH_*.json suite).
+// transport, vm, workload, metrics, and the paper-scale simulator sim.
+// cmd/bbmig is a runnable migration daemon, cmd/bbcluster drives an in-process
+// fleet, and cmd/bbench regenerates every table and figure of the paper's
+// evaluation (plus a machine-readable BENCH_*.json suite).
 package bbmig

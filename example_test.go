@@ -18,7 +18,7 @@ import (
 // Example migrates a small VM between two in-process hosts and verifies the
 // destination holds an identical copy — the library's minimal end-to-end
 // wiring. Production use replaces NewPipe with Dial/Listen/Accept over TCP
-// and routes live guest I/O through a Router (see examples/webmigration).
+// and routes live guest I/O through a Router (see cmd/bbmig's demo mode).
 func Example() {
 	const blocks, pages, domain = 1024, 64, 1
 

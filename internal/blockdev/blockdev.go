@@ -5,7 +5,7 @@
 // Here a Device is any fixed-size array of equally-sized blocks addressable
 // by block number. Two implementations are provided: MemDisk (RAM-backed,
 // used by tests and the paper-scale simulator) and FileDisk (sparse
-// file-backed, used by the CLI and TCP examples); Slow gives any device a
+// file-backed, used by the CLI); Slow gives any device a
 // modelled cost per request. Each also serves a run of blocks in one request
 // (ExtentDevice). The migration algorithms
 // never look below the block interface, which is exactly the transparency

@@ -58,9 +58,6 @@ func TestTPMUnderWorkload(t *testing.T) {
 	if rep.DiskIterationCount() < 1 {
 		t.Fatal("no disk iterations")
 	}
-	if !w.router.StallObserved() && rep.Downtime > 50*time.Millisecond {
-		t.Log("note: no I/O stall observed despite downtime (bursty workload)")
-	}
 	// The workload keeps writing after resume: those writes are new state
 	// on the destination, tracked for IM.
 	if res.Gate.FreshBitmap().Count() == 0 {
@@ -399,9 +396,6 @@ func TestRouterFreezeResume(t *testing.T) {
 	r.ResumeAt(b.Submit)
 	if err := <-done; err != nil {
 		t.Fatal(err)
-	}
-	if !r.StallObserved() {
-		t.Fatal("stall not recorded")
 	}
 }
 

@@ -25,8 +25,6 @@ type Router struct {
 	submit   func(blockdev.Request) error
 	frozen   bool
 	inflight sync.WaitGroup
-
-	stallObserved bool // a request experienced the freeze window
 }
 
 // NewRouter returns a Router initially routing to submit.
@@ -40,7 +38,6 @@ func NewRouter(submit func(blockdev.Request) error) *Router {
 func (r *Router) Submit(req blockdev.Request) error {
 	r.mu.Lock()
 	for r.frozen {
-		r.stallObserved = true
 		r.cond.Wait()
 	}
 	fn := r.submit
@@ -72,11 +69,3 @@ func (r *Router) ResumeAt(submit func(blockdev.Request) error) {
 // ResumeGate is shorthand for ResumeAt(g.Submit), matching Config.OnResume's
 // signature.
 func (r *Router) ResumeGate(g *blkback.PostCopyGate) { r.ResumeAt(g.Submit) }
-
-// StallObserved reports whether any request was delayed by a freeze — i.e.
-// whether a client could have noticed the downtime.
-func (r *Router) StallObserved() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stallObserved
-}

@@ -6,9 +6,9 @@
 // `pkg.Name` or `pkg.Type.Name` naming a repository package must name a
 // declaration in it) and a knob-table check (README's `core.Config` table
 // lists exactly the struct's exported fields). All run under `go test` —
-// the repository's tier-1 gate — and again in the CI docs job, so a frame
-// type can no longer land without its byte-offset spec, and a moved file or
-// a deleted identifier can no longer leave the docs pointing at nothing.
+// the repository's tier-1 gate, which CI runs — so a frame type can no
+// longer land without its byte-offset spec, and a moved file or a deleted
+// identifier can no longer leave the docs pointing at nothing.
 package doccheck
 
 import (
@@ -24,11 +24,10 @@ import (
 )
 
 // DocFiles lists the repo-relative markdown files the link checker covers:
-// the README, the docs/ tree, the example walkthroughs, and the
-// paper/roadmap material.
+// the README, the docs/ tree, and the paper/roadmap material.
 func DocFiles(root string) ([]string, error) {
 	var files []string
-	for _, name := range []string{"README.md", "PAPER.md", "PAPERS.md", "ROADMAP.md", "examples/README.md"} {
+	for _, name := range []string{"README.md", "PAPER.md", "PAPERS.md", "ROADMAP.md"} {
 		if _, err := os.Stat(filepath.Join(root, name)); err == nil {
 			files = append(files, name)
 		}

@@ -8,7 +8,7 @@ import (
 
 var repoRoot = filepath.Join("..", "..", "..")
 
-// TestWireFrameCoverage is the tier-1 half of the docs CI gate: every Msg*
+// TestWireFrameCoverage is the wire-spec gate CI runs: every Msg*
 // frame constant in the transport must be specified in docs/WIRE.md, so the
 // wire spec cannot silently fall behind the protocol.
 func TestWireFrameCoverage(t *testing.T) {

@@ -1,11 +1,10 @@
 // Command doclint enforces the repository's godoc contract: every exported
 // identifier in the named package directories must carry a doc comment, and
-// every package must have a package comment. It is the CI doc gate — run it
-// the way the lint job does:
+// every package must have a package comment. TestTargetPackagesDocumented
+// holds the repository's target packages to it under `go test`, the gate CI
+// runs; by hand it checks any package directories:
 //
-//	go run ./internal/tools/doclint . ./internal/cluster ./internal/core ./internal/hostd \
-//	    ./internal/transport ./internal/sim ./internal/dedup \
-//	    ./internal/blockdev ./internal/blockdev/bcache
+//	go run ./internal/tools/doclint ./internal/core ./internal/vm
 //
 // The rules mirror the classic golint/staticcheck ST1000+ST1020..ST1022
 // presence checks (a comment on a const/var/type group covers its specs;

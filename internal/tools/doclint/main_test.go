@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestTargetPackagesDocumented is the in-tree half of the CI doc gate: the
+// TestTargetPackagesDocumented is the doc gate CI runs: the
 // root package's documentation, the cluster orchestrator, the engine, the
 // host daemon, the transport, the simulator, the dedup layer, and the block
 // layer must have zero undocumented exported identifiers.

@@ -9,8 +9,8 @@ import (
 var ErrClosed = errors.New("transport: connection closed")
 
 // pipeConn is one end of an in-process duplex message pipe. Tests and
-// examples use pipes to run a full source+destination migration in a single
-// process without sockets.
+// bbench's suite use pipes to run a full source+destination migration in a
+// single process without sockets.
 type pipeConn struct {
 	send chan<- Message
 	recv <-chan Message

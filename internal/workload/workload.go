@@ -14,7 +14,7 @@
 //
 // Each generator emits an infinite, reproducible stream of timed block
 // accesses. The migration engine replays them against a real device in
-// integration tests and examples; the paper-scale simulator consumes them
+// integration tests and the CLI's demo; the paper-scale simulator consumes them
 // directly at bitmap level. The same streams feed the locality analysis that
 // reproduces the paper's rewrite percentages (kernel build ≈ 11%, SPECweb ≈
 // 25.2%, Bonnie++ ≈ 35.6%).
