@@ -42,7 +42,9 @@ const (
 // source's adverts make per block, and ref_share, the blocks it answered by
 // reference (an index gone cold fails it); writes_per_frame, the
 // socket writes per data frame of a TCP row (a change that stops staging fails
-// it); dev_calls_per_block and read_share, the device requests per block of a
+// it); pool_slack, the buffer pool's capacity handed out per byte asked on a
+// TCP row (a change that widens the classes, or grows a buffer past what it
+// fills, fails it); dev_calls_per_block and read_share, the device requests per block of a
 // TCP or device row and the source blocks it read (a change that goes back to
 // a request per block, or reads the holes it can name, fails them); and the
 // blocks of a WAN row whose patch was refused and its signature bytes per
@@ -64,6 +66,7 @@ var gates = []struct {
 	{"MigrateTCP/", "bytes_per_op", lower, 0},
 	{"MigrateTCP/", "wire_share", lower, 2},
 	{"MigrateTCP/", "writes_per_frame", lower, 2},
+	{"MigrateTCP/", "pool_slack", lower, 2},
 	{"MigrateTCP/", "dev_calls_per_block", lower, 2},
 	{"MigrateTCP/", "read_share", lower, 2},
 	{"MigrateTCP/", "freeze_bytes", lower, 2},

@@ -344,14 +344,16 @@ func (d counted) AllocatedBitmap() *bitmap.Bitmap {
 
 // imageMigrate runs TPM of srcDisk over loopback TCP under cfg and reports
 // wire_share: the wire bytes per logical byte (disk and memory), a count no
-// machine moves, and writes_per_frame: the writes both ends' streams issued
-// per data frame sent, the syscalls staging saves. The timed migrations run
+// machine moves, writes_per_frame: the writes both ends' streams issued per
+// data frame sent, the syscalls staging saves, and pool_slack: the capacity
+// the buffer pool handed out per byte asked of it. The timed migrations run
 // bare devices; one more, untimed, reports devCounts.report and the idle
 // guest's freeze_bytes (a freezeMeter's link does not stage).
 func imageMigrate(b *testing.B, srcDisk *blockdev.MemDisk, cfg core.Config) {
 	n := srcDisk.NumBlocks()
 	var share float64
 	writes0, frames0 := transport.StreamWrites()
+	pool0 := transport.BufPoolStats()
 	b.SetBytes(int64(n) * blockdev.BlockSize)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -363,6 +365,8 @@ func imageMigrate(b *testing.B, srcDisk *blockdev.MemDisk, cfg core.Config) {
 	b.ReportMetric(share, "wire_share")
 	writes, frames := transport.StreamWrites()
 	b.ReportMetric(float64(writes-writes0)/float64(frames-frames0), "writes_per_frame")
+	pool := transport.BufPoolStats()
+	b.ReportMetric(float64(pool.Handed-pool0.Handed)/float64(pool.Asked-pool0.Asked), "pool_slack")
 	counts, fm := devCounts{}, freezeMeter{}
 	cfg.OnFreeze, cfg.OnResume = fm.frozen, func(*blkback.PostCopyGate) { fm.resumed() }
 	newWorld(counted{srcDisk, &counts, true}, counted{blockdev.NewMemDisk(n, blockdev.BlockSize), &counts, false}, 64).migrate(b, loopback, cfg, cfg, nil, fm.wrap)
@@ -540,10 +544,7 @@ func memDeltaMigrate(b *testing.B, limit int, touch func(page []byte, k int)) {
 				}
 			}
 		}}
-		srcCfg := core.Config{MaxExtentBlocks: limit, OnFreeze: func() {
-			paced.Stop()
-			fm.frozen()
-		}}
+		srcCfg := core.Config{MaxExtentBlocks: limit, OnFreeze: func() { paced.Stop(); fm.frozen() }}
 		dstCfg := core.Config{MaxExtentBlocks: limit, OnResume: func(*blkback.PostCopyGate) { fm.resumed() }}
 		rep, _ := w.migrate(b, gbe, srcCfg, dstCfg, nil, func(src, dst transport.Conn) (transport.Conn, transport.Conn) {
 			src, dst = fm.wrap(src, dst)
@@ -635,8 +636,7 @@ func deltaMigrate(b *testing.B, delta, stale bool) {
 	hot, refused := blocks/8, 0
 	baseline := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
 	srcDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
-	buf := make([]byte, blockdev.BlockSize)
-	head := make([]byte, blockdev.BlockSize)
+	buf, head := make([]byte, blockdev.BlockSize), make([]byte, blockdev.BlockSize)
 	for n := 0; n < blocks; n++ {
 		workload.FillBlock(buf, n, 7)
 		baseline.WriteBlock(n, buf)
@@ -868,12 +868,7 @@ func snapshotScan(b *testing.B, frozen bool) {
 
 // runJSON executes the suite and writes path.
 func runJSON(path string, seed int64) error {
-	out := benchFile{
-		Schema:    "bbmig-bench/v1.2",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-	}
+	out := benchFile{Schema: "bbmig-bench/v1.2", GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
 	for _, row := range suite(seed) {
 		r := testing.Benchmark(row.run)
 		mbps := 0.0

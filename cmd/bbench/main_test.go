@@ -312,6 +312,33 @@ func TestCompareBenchSigGate(t *testing.T) {
 	}
 }
 
+// TestCompareBenchPoolSlackGate: pool_slack is a count, held like
+// writes_per_frame on the TCP rows: a change that hands out capacity further
+// above what the engine asks (headroom on the one-block classes, an inflater
+// that grows past the class it fills) fails, one that hands out less passes.
+func TestCompareBenchPoolSlackGate(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := func(file string, slack float64) string {
+		path := filepath.Join(dir, file)
+		writeSnapshotV11(t, path, []benchResult{
+			{Name: "MigrateTCP/cold", AllocsPerOp: 975, Metrics: map[string]float64{"pool_slack": slack}},
+			{Name: "MigrateTCP/compressed", AllocsPerOp: 20104, Metrics: map[string]float64{"pool_slack": slack}},
+		})
+		return path
+	}
+	base := snapshot("base.json", 1.031)
+	if err := compareBench(snapshot("same.json", 1.031), base, 25); err != nil {
+		t.Errorf("unchanged pool_slack failed the gate: %v", err)
+	}
+	if err := compareBench(snapshot("tighter.json", 1.0), base, 25); err != nil {
+		t.Errorf("a tighter pool failed the gate: %v", err)
+	}
+	err := compareBench(snapshot("doubled.json", 1.2), base, 25)
+	if err == nil || !strings.Contains(err.Error(), "MigrateTCP/cold") || !strings.Contains(err.Error(), "MigrateTCP/compressed") {
+		t.Errorf("wider classes: gate said %v", err)
+	}
+}
+
 // TestCompareBenchRoundTripGate: round_trips_per_extent is a count, held like
 // wire_share on the WAN and dedup rows: a source that flushes and waits on
 // every probe's reply again fails, one that waits less passes.

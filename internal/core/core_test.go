@@ -240,6 +240,17 @@ func TestFreezeAndCopyBaseline(t *testing.T) {
 	if rep.Scheme != "freeze-and-copy" {
 		t.Fatalf("scheme %q", rep.Scheme)
 	}
+	// Each iteration times its own pass: the memory pass does not book the
+	// disk pass the freeze ran before it.
+	var sum time.Duration
+	for _, its := range [][]metrics.Iteration{rep.DiskIterations, rep.MemIterations} {
+		for _, it := range its {
+			sum += it.Duration
+		}
+	}
+	if sum > rep.TotalTime {
+		t.Fatalf("iterations sum to %v, more than the migration's %v", sum, rep.TotalTime)
+	}
 }
 
 // doneFirstConn holds the source's RESUME send until its reader has been

@@ -494,13 +494,15 @@ func (s *sourceRun) suspend() error {
 }
 
 // sendFinalPages sends the pages of set inside the freeze, unpaced, and books
-// them as the last memory iteration. A page that has a base travels as the
-// words, or in a batch the bytes, the guest changed since.
+// them, timed from the pass's own start, as the last memory iteration. A page
+// that has a base travels as the words, or in a batch the bytes, the guest
+// changed since.
 func (s *sourceRun) sendFinalPages(set *bitmap.Bitmap) error {
+	start := time.Now()
 	nPages, pageBytes, err := s.sendPages(allOf(set), false)
 	s.rep.MemIterations = append(s.rep.MemIterations, metrics.Iteration{
 		Index: len(s.rep.MemIterations) + 1, Units: nPages, Deltas: s.pages.TakeDeltas(), Bytes: pageBytes,
-		Duration: time.Since(s.freezeStart),
+		Duration: time.Since(start),
 	})
 	return err
 }

@@ -351,16 +351,7 @@ func (t *transfer) acceptHandshake() error {
 // units there are, so an oversized limit can neither demand absurd staging
 // buffers nor produce unencodable frames.
 func effectiveMaxExtent(maxExt, unitBytes, units int) int {
-	if limit := (transport.MaxPayload - 1) / unitBytes; maxExt > limit {
-		maxExt = limit
-	}
-	if maxExt > units {
-		maxExt = units
-	}
-	if maxExt < 1 {
-		maxExt = 1
-	}
-	return maxExt
+	return max(min(maxExt, (transport.MaxPayload-1)/unitBytes, units), 1)
 }
 
 // extentMessage frames one extent's data. Single-block extents keep the
@@ -592,9 +583,8 @@ func (t *transfer) sendPages(cur *owedCursor, limited bool) (int, int64, error) 
 	mem := t.host.VM.Memory()
 	entryBytes := mem.PageSize() + 2*binary.MaxVarintLen64
 	limit := effectiveMaxExtent(t.cfg.MaxExtentBlocks, entryBytes, mem.NumPages())
-	batch := transport.GetBuf(limit * entryBytes)
+	batch := transport.GetBuf(limit * entryBytes)[:0]
 	defer transport.PutBuf(batch)
-	batch = batch[:0]
 	unit := vm.ByteUnit
 	if limit == 1 {
 		unit = vm.WordUnit

@@ -21,21 +21,21 @@ var repoRoot = filepath.Join("..", "..", "..")
 // lineBudgets bound packages' non-test lines, counted as `cat *.go | wc -l`
 // counts them. A budget only grows in the change that defends it.
 var lineBudgets = map[string]int{
-	"cmd/bbench":               1398,
+	"cmd/bbench":               1396,
 	"internal/bitmap":          903,
 	"internal/blockdev/bcache": 596,
 	"internal/cluster":         1467,
-	"internal/core":            4532,
+	"internal/core":            4524,
 	"internal/dedup":           599,
 	"internal/forecast":        411,
 	"internal/hostd":           1019,
 	"internal/sim":             2091,
-	"internal/transport":       2271,
+	"internal/transport":       2265,
 }
 
 // moduleLineBudget bounds the non-test lines of every package outside the
 // benchmark module, counted as lineBudgets counts them. It only shrinks.
-const moduleLineBudget = 20730
+const moduleLineBudget = 20714
 
 // optionBudgets bound the settable surface of the option types: the exported
 // fields of a struct, as dir/Type, or the parameters of a function, as

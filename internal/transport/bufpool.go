@@ -26,16 +26,24 @@ import (
 //     SetBufPoison turns on a debug mode that scribbles over released
 //     buffers so use-after-release corrupts deterministically in tests.
 //
-// Size classes double from 64 bytes to 16 MiB; larger requests (up to
-// MaxPayload) fall through to plain make and are never pooled. PutBuf only
-// accepts buffers whose capacity matches a class exactly — anything else
-// (sub-slices, foreign buffers) is silently dropped to the GC, which keeps
-// a stray reslice from poisoning the class invariant.
+// A size class holds a power of two plus its framing: a 64-page memory batch
+// (256 KiB of pages and their entry headers), an extent with a marker byte.
+// Below 32 KiB, where every power of two is one of the allocator's own size
+// classes, a class is the power of two itself. Above 32 KiB the allocator
+// hands out whole 8 KiB pages, so from 32 KiB up a class is the power of two
+// plus one page: a framed payload costs that page anyway, and none the
+// engine builds at 16 or 64 blocks or pages lands in a class twice its
+// length. Classes run from 64 bytes to 16 MiB plus a page; larger requests
+// (up to MaxPayload) fall through to plain make and are never pooled. PutBuf
+// only accepts buffers whose capacity matches a class exactly — anything
+// else (sub-slices, foreign buffers) is silently dropped to the GC, which
+// keeps a stray reslice from poisoning the class invariant.
 
 const (
-	minBufClass = 6  // 64 B: want bitmasks, barriers' neighbours, acks
-	maxBufClass = 24 // 16 MiB: far above any default extent
-	numBufClass = maxBufClass - minBufClass + 1
+	minBufClass  = 6  // 64 B: want bitmasks, barriers' neighbours, acks
+	pageBufClass = 15 // 32 KiB: the first class with a page of headroom
+	maxBufClass  = 24 // 16 MiB: far above any default extent
+	numBufClass  = maxBufClass - minBufClass + 1
 )
 
 // bufBox carries a pooled buffer through sync.Pool. Boxes themselves
@@ -51,38 +59,66 @@ var (
 	bufPoison atomic.Bool
 )
 
+// bufCap returns the capacity of the buffers of pool index idx.
+func bufCap(idx int) int {
+	c := idx + minBufClass
+	if c < pageBufClass {
+		return 1 << c
+	}
+	return 1<<c + 8<<10
+}
+
 // bufClass returns the pool index whose buffers hold at least n bytes, or
 // -1 when n is zero or above the largest class.
 func bufClass(n int) int {
-	if n <= 0 || n > 1<<maxBufClass {
+	if n <= 0 || n > bufCap(numBufClass-1) {
 		return -1
 	}
-	c := minBufClass
-	for 1<<c < n {
-		c++
+	idx := 0
+	for bufCap(idx) < n {
+		idx++
 	}
-	return c - minBufClass
+	return idx
+}
+
+// PoolStats counts the pool's work since the process started: every GetBuf
+// of a non-empty buffer, those the pool could not serve, the bytes they asked
+// for and the capacity they were handed. Handed over Asked is the memory a
+// payload costs over its length.
+type PoolStats struct{ Gets, Fresh, Asked, Handed int64 }
+
+var bufStats struct{ gets, fresh, asked, handed atomic.Int64 }
+
+// BufPoolStats returns the pool's counters.
+func BufPoolStats() PoolStats {
+	return PoolStats{bufStats.gets.Load(), bufStats.fresh.Load(), bufStats.asked.Load(), bufStats.handed.Load()}
 }
 
 // GetBuf returns a buffer of length n, drawn from the pool when a size
 // class covers n and freshly allocated otherwise. The buffer's contents
 // are unspecified — callers overwrite it before use.
 func GetBuf(n int) []byte {
-	idx := bufClass(n)
-	if idx < 0 {
-		if n <= 0 {
-			return nil
+	if n <= 0 {
+		return nil
+	}
+	idx, size := bufClass(n), n
+	if idx >= 0 {
+		size = bufCap(idx)
+	}
+	bufStats.gets.Add(1)
+	bufStats.asked.Add(int64(n))
+	bufStats.handed.Add(int64(size))
+	if idx >= 0 {
+		if v := bufPools[idx].Get(); v != nil {
+			box := v.(*bufBox)
+			b := box.b
+			box.b = nil
+			boxPool.Put(box)
+			return b[:n]
 		}
-		return make([]byte, n)
 	}
-	if v := bufPools[idx].Get(); v != nil {
-		box := v.(*bufBox)
-		b := box.b
-		box.b = nil
-		boxPool.Put(box)
-		return b[:n]
-	}
-	return make([]byte, n, 1<<(idx+minBufClass))[:n]
+	bufStats.fresh.Add(1)
+	return make([]byte, n, size)
 }
 
 // PutBuf returns a buffer obtained from GetBuf (or from a Recv payload) to
@@ -92,7 +128,7 @@ func GetBuf(n int) []byte {
 func PutBuf(b []byte) {
 	c := cap(b)
 	idx := bufClass(c)
-	if idx < 0 || 1<<(idx+minBufClass) != c {
+	if idx < 0 || bufCap(idx) != c {
 		return
 	}
 	b = b[:c]

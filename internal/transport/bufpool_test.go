@@ -2,14 +2,25 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"slices"
 	"testing"
 )
 
+// goAlloc is the size the Go allocator hands out for n bytes: growslice
+// rounds a slice's capacity up to it.
+func goAlloc(n int) int { return cap(slices.Grow([]byte(nil), n)) }
+
+// TestBufPoolSizing pins the class rule: the smallest power of two of at
+// least 64 bytes that holds n, plus one 8 KiB page from 32 KiB up; every
+// class is a size the allocator hands out exactly, so a buffer's capacity is
+// what it costs.
 func TestBufPoolSizing(t *testing.T) {
 	cases := []struct{ n, wantCap int }{
-		{1, 64}, {64, 64}, {65, 128}, {4096, 4096}, {4097, 8192},
-		{256 << 10, 256 << 10}, {16 << 20, 16 << 20},
+		{1, 64}, {64, 64}, {65, 128}, {4096, 4096}, {4097, 8192}, {16 << 10, 16 << 10},
+		{16<<10 + 1, 40 << 10}, {40 << 10, 40 << 10}, {40<<10 + 1, 72 << 10},
+		{256 << 10, 264 << 10}, {264 << 10, 264 << 10}, {16 << 20, 16<<20 + 8<<10}, {16<<20 + 8<<10, 16<<20 + 8<<10},
 	}
 	for _, c := range cases {
 		b := GetBuf(c.n)
@@ -17,6 +28,11 @@ func TestBufPoolSizing(t *testing.T) {
 			t.Fatalf("GetBuf(%d) = len %d cap %d, want len %d cap %d", c.n, len(b), cap(b), c.n, c.wantCap)
 		}
 		PutBuf(b)
+	}
+	for idx := range numBufClass {
+		if c := bufCap(idx); goAlloc(c) != c {
+			t.Errorf("class %d holds %d bytes, the allocator hands out %d", idx, c, goAlloc(c))
+		}
 	}
 	if b := GetBuf(0); b != nil {
 		t.Fatalf("GetBuf(0) = %v, want nil", b)
@@ -29,6 +45,44 @@ func TestBufPoolSizing(t *testing.T) {
 	PutBuf(huge)             // silently dropped
 	PutBuf(nil)              // no-op
 	PutBuf([]byte{1}[0:1:1]) // cap 1 matches no class: dropped
+}
+
+// TestBufPoolFitsEngineFrames: every payload the engine builds at its own
+// limits of 16 and 64 blocks or pages lands in a class that costs at most
+// one 8 KiB page over its length, as the allocator hands it out, so a batch
+// in flight does not pin twice its length.
+func TestBufPoolFitsEngineFrames(t *testing.T) {
+	const page, entryBytes = 4096, 4096 + 2*binary.MaxVarintLen64 // core.sendPages' bound per page
+	batch := func(pages int) int {
+		var b []byte
+		for range pages {
+			b = AppendMemPage(b, 0, make([]byte, page))
+		}
+		return len(b)
+	}
+	shapes := []struct {
+		name string
+		n    int
+	}{
+		{"EXTENT, 64 blocks", 64 * page},
+		{"MEM_PAGES, 16 pages", batch(16)},
+		{"MEM_PAGES, 64 pages", batch(64)},
+		{"source batch buffer, 16 pages", 16 * entryBytes},
+		{"source batch buffer, 64 pages", 64 * entryBytes},
+		{"Compressed raw fallback, 64-block EXTENT", 64*page + 1},
+		{"Compressed raw fallback, 64-page MEM_PAGES", batch(64) + 1},
+		{"swarm reply, 64 blocks and their hit mask", (64+7)/8 + 64*page},
+	}
+	if shapes[2].n != 262336 || shapes[1].n != 65584 {
+		t.Fatalf("MEM_PAGES batches of %d and %d bytes, want 65584 and 262336", shapes[1].n, shapes[2].n)
+	}
+	for _, s := range shapes {
+		b := GetBuf(s.n)
+		if got := goAlloc(cap(b)); got != cap(b) || got-s.n > 8<<10 {
+			t.Errorf("%s: %d bytes in a class of %d, allocated as %d: more than a page over", s.name, s.n, cap(b), got)
+		}
+		PutBuf(b)
+	}
 }
 
 func TestBufPoolRecycles(t *testing.T) {

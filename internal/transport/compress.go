@@ -187,7 +187,7 @@ func (c *Compressed) Recv() (Message, error) {
 }
 
 // inflate reads d's flate stream to its end into a pooled buffer that starts
-// at the pool class of size and grows through the classes as needed, and
+// at the pool class of size and grows a class at a time as needed, and
 // fails as soon as the stream yields more than limit bytes — holding at most
 // limit+1 of them, so a small deflate bomb costs one frame's worth of memory,
 // not what it would inflate to. A full buffer grows only once a one-byte
@@ -206,7 +206,7 @@ func (d *decompressor) inflate(size, limit int) ([]byte, error) {
 		}
 		k, err := d.fr.Read(dst)
 		if full && k > 0 {
-			grown := GetBuf(min(2*len(out), limit+1))
+			grown := GetBuf(min(len(out)+len(out)/2, limit+1)) // the next class, or half again past the last
 			grown = grown[:cap(grown)]
 			copy(grown, out[:n])
 			PutBuf(out)

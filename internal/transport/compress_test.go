@@ -182,17 +182,34 @@ func TestCompressedRecvSizesToClass(t *testing.T) {
 				if err != nil || !bytes.Equal(m.Payload, payload) {
 					t.Fatalf("%s %d: round trip failed: %v", name, size, err)
 				}
-				class := 1 << minBufClass
-				for class < len(m.Payload) {
-					class *= 2
-				}
-				if cap(m.Payload) != class {
+				if class := bufCap(bufClass(len(m.Payload))); cap(m.Payload) != class {
 					t.Errorf("%s %d, round %d: len %d cap %d, want cap %d", name, size, round, len(m.Payload), cap(m.Payload), class)
 				}
 				m.Release()
 			}
 			ca.Close()
 		}
+	}
+}
+
+// TestCompressedInflatesBatchAfterExtent: a 64-page MEM_PAGES batch received
+// right after a 64-block extent inflates into the buffer the extent's size
+// guessed, the one class both fit: no grow copy, which would have left it in
+// the class above.
+func TestCompressedInflatesBatchAfterExtent(t *testing.T) {
+	ca, cb, _ := compressedPair(t)
+	defer ca.Close()
+	extent, batch := bytes.Repeat([]byte("extent "), 262144/7+1)[:262144], bytes.Repeat([]byte("page "), 262336/5+1)[:262336]
+	for _, payload := range [][]byte{extent, batch} {
+		go ca.Send(Message{Type: MsgExtent, Payload: payload})
+		m, err := cb.Recv()
+		if err != nil || !bytes.Equal(m.Payload, payload) {
+			t.Fatalf("%d bytes: round trip failed: %v", len(payload), err)
+		}
+		if cap(m.Payload) != 264<<10 {
+			t.Errorf("%d bytes inflated into a buffer of %d, want %d", len(payload), cap(m.Payload), 264<<10)
+		}
+		m.Release()
 	}
 }
 

@@ -204,10 +204,7 @@ func Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true) // control messages must not wait for Nagle
-	}
-	return NewStream(c), nil
+	return wrapNet(c), nil
 }
 
 // Listen accepts one migration connection on addr and returns it together
@@ -226,13 +223,13 @@ func Accept(l net.Listener) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: accept: %w", err)
 	}
-	return wrapAccepted(c), nil
+	return wrapNet(c), nil
 }
 
-// wrapAccepted wraps an accepted connection as a Conn.
-func wrapAccepted(c net.Conn) Conn {
+// wrapNet wraps a dialled or accepted connection as a Conn.
+func wrapNet(c net.Conn) Conn {
 	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
+		tc.SetNoDelay(true) // control messages must not wait for Nagle
 	}
 	return NewStream(c)
 }

@@ -15,7 +15,7 @@ type pipeConn struct {
 	send chan<- Message
 	recv <-chan Message
 
-	mu     sync.Mutex
+	once   sync.Once
 	closed chan struct{}
 	peer   *pipeConn
 }
@@ -104,13 +104,6 @@ func (p *pipeConn) Recv() (Message, error) {
 
 // Close implements Conn.
 func (p *pipeConn) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	select {
-	case <-p.closed:
-		return nil
-	default:
-		close(p.closed)
-		return nil
-	}
+	p.once.Do(func() { close(p.closed) })
+	return nil
 }

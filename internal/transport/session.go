@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -92,7 +91,7 @@ func AcceptResume(l net.Listener, token SessionToken, lastEpoch uint32, timeout 
 			return nil, 0, fmt.Errorf("transport: accept: %w", err)
 		}
 		c.SetReadDeadline(deadline)
-		conn := wrapAccepted(c)
+		conn := wrapNet(c)
 		m, err := conn.Recv()
 		if err != nil {
 			conn.Close()
@@ -116,34 +115,14 @@ func AcceptResume(l net.Listener, token SessionToken, lastEpoch uint32, timeout 
 // its own send path before Rebind; a racing operation on the old connection
 // simply fails and is retried by the resume machinery.
 type Swappable struct {
-	cur   atomicConn
+	cur   atomic.Pointer[Conn]
 	limit atomic.Int64 // the staging bound the engine asked for, passed on to every rebound conn
-}
-
-// atomicConn is a tiny atomic box for a Conn.
-type atomicConn struct {
-	mu sync.Mutex
-	c  Conn
-}
-
-func (a *atomicConn) load() Conn {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.c
-}
-
-func (a *atomicConn) store(c Conn) Conn {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	old := a.c
-	a.c = c
-	return old
 }
 
 // NewSwappable wraps c.
 func NewSwappable(c Conn) *Swappable {
 	s := &Swappable{}
-	s.cur.store(c)
+	s.cur.Store(&c)
 	return s
 }
 
@@ -151,31 +130,29 @@ func NewSwappable(c Conn) *Swappable {
 // what it staged). The new one stages as the old one was asked to.
 func (s *Swappable) Rebind(c Conn) {
 	Stage(c, int(s.limit.Load()))
-	if old := s.cur.store(c); old != nil {
-		old.Close()
-	}
+	(*s.cur.Swap(&c)).Close()
 }
 
 // Current returns the live underlying connection.
-func (s *Swappable) Current() Conn { return s.cur.load() }
+func (s *Swappable) Current() Conn { return *s.cur.Load() }
 
 // Send implements Conn.
-func (s *Swappable) Send(m Message) error { return s.cur.load().Send(m) }
+func (s *Swappable) Send(m Message) error { return s.Current().Send(m) }
 
 // Recv implements Conn.
-func (s *Swappable) Recv() (Message, error) { return s.cur.load().Recv() }
+func (s *Swappable) Recv() (Message, error) { return s.Current().Recv() }
 
 // Close implements Conn.
-func (s *Swappable) Close() error { return s.cur.load().Close() }
+func (s *Swappable) Close() error { return s.Current().Close() }
 
 // Stage implements Stager.
 func (s *Swappable) Stage(limit int) bool {
 	s.limit.Store(int64(limit))
-	return Stage(s.cur.load(), limit)
+	return Stage(s.Current(), limit)
 }
 
 // Flush implements Stager.
-func (s *Swappable) Flush() error { return Flush(s.cur.load()) }
+func (s *Swappable) Flush() error { return Flush(s.Current()) }
 
 // IsConnError reports whether err looks like a connection failure — the
 // retryable class a resumable migration survives — as opposed to a protocol
@@ -190,10 +167,6 @@ func IsConnError(err error) bool {
 		errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) {
 		return true
 	}
-	var ne net.Error
-	if errors.As(err, &ne) {
-		return true
-	}
-	var oe *net.OpError
-	return errors.As(err, &oe)
+	var ne net.Error // *net.OpError among them
+	return errors.As(err, &ne)
 }

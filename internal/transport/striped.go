@@ -191,11 +191,6 @@ func (s *Striped) Recv() (Message, error) {
 	select {
 	case m := <-s.frames:
 		return m, nil
-	default:
-	}
-	select {
-	case m := <-s.frames:
-		return m, nil
 	case <-s.allDead:
 		select {
 		case m := <-s.frames:
