@@ -24,7 +24,6 @@ import (
 	"bbmig/internal/dedup"
 	"bbmig/internal/hostd"
 	"bbmig/internal/metrics"
-	"bbmig/internal/sim"
 	"bbmig/internal/transport"
 	"bbmig/internal/vm"
 	"bbmig/internal/workload"
@@ -32,20 +31,22 @@ import (
 
 // This file is the machine-readable benchmark harness: `bbench -json FILE`
 // runs the suite — real-engine migrations over modelled links and loopback
-// TCP, the bitmap codec, the snapshot block layer, and the simulator's
-// headline numbers — and writes a BENCH_*.json snapshot, so the perf
-// trajectory is tracked from change to change. Every timed row is defined
-// once, in suite; BenchmarkSuite runs the same table under `go test`.
+// TCP, the bitmap codec, the snapshot block layer — and writes a BENCH_*.json
+// snapshot of what the machine sets: time, throughput and heap cost per op.
+// What the engine sets — bytes, frames, requests, hashes — is exact, so
+// `bbench -exp counts` prints it from one counting pass per row and
+// testdata/counts.golden holds it byte for byte. Every row is defined once,
+// in suite; BenchmarkSuite runs the same table under `go test`.
 
 // benchResult is one benchmark's outcome.
 type benchResult struct {
-	Name        string             `json:"name"`
-	Iterations  int                `json:"iterations,omitempty"`
-	NsPerOp     float64            `json:"ns_per_op,omitempty"`
-	MBPerSec    float64            `json:"mb_per_s,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
-	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	Name        string  `json:"name"`
+	Iterations  int     `json:"iterations,omitempty"`
+	NsPerOp     float64 `json:"ns_per_op,omitempty"`
+	MBPerSec    float64 `json:"mb_per_s,omitempty"`
+	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
+	PoolSlack   float64 `json:"pool_slack,omitempty"` // the one engine count that is not exact (tcpRow)
 }
 
 // benchFile is the BENCH_*.json schema, versioned within "bbmig-bench/v1":
@@ -60,11 +61,14 @@ type benchFile struct {
 	Benchmarks []benchResult `json:"benchmarks"`
 }
 
-// row is one timed row of the suite: its name in BENCH_*.json and the body
-// testing.Benchmark drives.
+// row is one row of the suite: its name in BENCH_*.json, the timed body
+// testing.Benchmark drives, and count, which runs the row's counting pass
+// once and renders its counts for `bbench -exp counts` (nil where the row
+// counts nothing).
 type row struct {
-	name string
-	run  func(*testing.B)
+	name  string
+	run   func(*testing.B)
+	count func() (string, error)
 }
 
 const (
@@ -75,57 +79,53 @@ const (
 	frameStall  = 40 * time.Microsecond // syscall + doorbell + completion per frame
 )
 
-// suite is the timed rows, in snapshot order; seed picks the bitmap
-// fixtures' content.
+// suite is the rows, in snapshot order; seed picks the bitmap fixtures'
+// content.
 func suite(seed int64) []row {
-	tcpRow := func(cfg core.Config) func(*testing.B) {
-		return func(b *testing.B) { imageMigrate(b, kernelImage(tcpBlocks, 20000), cfg) }
-	}
+	kernel := func(n int) *blockdev.MemDisk { return kernelImage(n, 20000) }
 	rows := []row{
 		// A kernel-build image under a guest that writes while it is
 		// migrated, and guests rewriting a word, a generation or every byte
 		// of hot pages.
-		{"MigrateLive/rewrite", liveMigrate},
-		{"MemDelta/word-touch", func(b *testing.B) { memDeltaMigrate(b, 64, touchWord) }},
-		{"MemDelta/word-touch-per-page", func(b *testing.B) { memDeltaMigrate(b, 1, touchWord) }},
-		{"MemDelta/page-rewrite", func(b *testing.B) { memDeltaMigrate(b, 64, nil) }},
-		{"MemDelta/page-scramble", func(b *testing.B) { memDeltaMigrate(b, 64, scramble) }},
+		measured("MigrateLive/rewrite", blocks*blockdev.BlockSize, liveMigrate),
+		memDeltaRow("MemDelta/word-touch", 64, touchWord),
+		memDeltaRow("MemDelta/word-touch-per-page", 1, touchWord),
+		memDeltaRow("MemDelta/page-rewrite", 64, nil),
+		memDeltaRow("MemDelta/page-scramble", 64, scramble),
 
 		// Loopback TCP: the zero-copy hot path against the raw socket floor.
 		// The kernel image's zero extents travel as headers; the dense image
 		// has none, so its literal path moves every byte the floor copies.
-		{"MigrateTCP/cold", tcpRow(core.Config{MaxExtentBlocks: 64, Readahead: 4})},
-		{"MigrateTCP/dense", func(b *testing.B) {
-			imageMigrate(b, denseImage(tcpBlocks), core.Config{MaxExtentBlocks: 64, Readahead: 4})
-		}},
-		{"MigrateTCP/striped4", tcpRow(core.Config{Streams: 4, MaxExtentBlocks: 64, Workers: 4})},
-		{"MigrateTCP/compressed", tcpRow(core.Config{MaxExtentBlocks: 64, CompressLevel: 1, Workers: 4})},
-		{"MigrateTCP/per-block", tcpRow(core.Config{MaxExtentBlocks: 1})},
-		{"MigrateTCP/cp-baseline", tcpCpBaseline},
+		tcpRow("MigrateTCP/cold", kernel, core.Config{MaxExtentBlocks: 64, Readahead: 4}),
+		tcpRow("MigrateTCP/dense", denseImage, core.Config{MaxExtentBlocks: 64, Readahead: 4}),
+		tcpRow("MigrateTCP/striped4", kernel, core.Config{Streams: 4, MaxExtentBlocks: 64, Workers: 4}),
+		tcpRow("MigrateTCP/compressed", kernel, core.Config{MaxExtentBlocks: 64, CompressLevel: 1, Workers: 4}),
+		tcpRow("MigrateTCP/per-block", kernel, core.Config{MaxExtentBlocks: 1}),
+		{"MigrateTCP/cp-baseline", tcpCpBaseline, nil},
 
 		// The WAN return trip, literal and delta-encoded.
-		{"MigrateWAN/literal-back", func(b *testing.B) { deltaMigrate(b, false, true) }},
-		{"MigrateWAN/delta-back", func(b *testing.B) { deltaMigrate(b, true, true) }},
-		{"MigrateWAN/coldsig-back", func(b *testing.B) { deltaMigrate(b, true, false) }},
+		deltaRow("MigrateWAN/literal-back", false, true),
+		deltaRow("MigrateWAN/delta-back", true, true),
+		deltaRow("MigrateWAN/coldsig-back", true, false),
 
 		// A template clone to a destination that holds it, literally, cold, and
 		// thrice; and a clone whose every written block is distinct, where no
 		// pass repeats content.
-		{"MigrateDedup/warm", func(b *testing.B) { dedupMigrate(b, templates, true, true, 1) }},
-		{"MigrateDedup/literal", func(b *testing.B) { dedupMigrate(b, templates, false, false, 1) }},
-		{"MigrateDedup/cold", func(b *testing.B) { dedupMigrate(b, templates, true, false, 1) }},
-		{"MigrateDedup/third", func(b *testing.B) { dedupMigrate(b, templates, true, true, 3) }},
-		{"MigrateDedup/distinct", func(b *testing.B) { dedupMigrate(b, blocks*3/4, true, true, 1) }},
-		{"MigrateSwarm/cold-dest", swarmMigrate},
+		dedupRow("MigrateDedup/warm", templates, true, true, 1),
+		dedupRow("MigrateDedup/literal", templates, false, false, 1),
+		dedupRow("MigrateDedup/cold", templates, true, false, 1),
+		dedupRow("MigrateDedup/third", templates, true, true, 3),
+		dedupRow("MigrateDedup/distinct", blocks*3/4, true, true, 1),
+		measured("MigrateSwarm/cold-dest", blocks*blockdev.BlockSize, swarmMigrate),
 
 		// The one bitmap encoding (WIRE.md §4) on the paper's disk: an idle
 		// guest's freeze set, the web server's 13 440-block divergence, and a
 		// half-set bitmap that must take the dense path at its cost.
-		{"BitmapMarshal/paper-empty", marshalBitmap(func() *bitmap.Bitmap { return bitmap.New(paperBlocks) })},
-		{"BitmapMarshal/paper-web", marshalBitmap(func() *bitmap.Bitmap {
+		bitmapRow("BitmapMarshal/paper-empty", func() *bitmap.Bitmap { return bitmap.New(paperBlocks) }),
+		bitmapRow("BitmapMarshal/paper-web", func() *bitmap.Bitmap {
 			return workload.WriteSet(workload.New(workload.Web, paperBlocks, seed), paperBlocks, 13440)
-		})},
-		{"BitmapMarshal/paper-half", marshalBitmap(func() *bitmap.Bitmap {
+		}),
+		bitmapRow("BitmapMarshal/paper-half", func() *bitmap.Bitmap {
 			bm, rng := bitmap.New(paperBlocks), rand.New(rand.NewSource(seed))
 			for i := 0; i < paperBlocks; i++ {
 				if rng.Int63()&1 == 1 {
@@ -133,22 +133,108 @@ func suite(seed int64) []row {
 				}
 			}
 			return bm
-		})},
+		}),
 
-		{"SnapshotScan/live-contended", func(b *testing.B) { snapshotScan(b, false) }},
-		{"SnapshotScan/snapshot", func(b *testing.B) { snapshotScan(b, true) }},
+		scanRow("SnapshotScan/live-contended", false),
+		scanRow("SnapshotScan/snapshot", true),
 	}
 	// Devices that take time, served a block or an extent a request, read and
 	// written on one lane or four.
 	for _, kind := range []string{"file", "slow"} {
 		for _, hide := range []bool{true, false} {
 			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("MigrateDev/%s-%s/workers-%d", kind, map[bool]string{true: "per-block", false: "extent"}[hide], workers)
-				rows = append(rows, row{name, func(b *testing.B) { devMigrate(b, kind, hide, workers) }})
+				rows = append(rows, devRow(kind, hide, workers))
 			}
 		}
 	}
 	return rows
+}
+
+// engineCounts is `bbench -exp counts`: every suite row's counting pass, one
+// line a row, each count an integer or a numerator/denominator pair of them.
+// The rows run one after another: the TCP rows read process-wide transport
+// counters as deltas.
+func engineCounts(w io.Writer, seed int64, _ int) {
+	fmt.Fprint(w, `Exact engine counts, one counting pass per bbench -json row (n/d: numerator/denominator):
+  wire=wire/logical bytes  writes=socket writes/data frames  pool=capacity handed/bytes asked (compressing: bench-gated)
+  calls=device requests/blocks owed  read=source blocks read/owed  freeze=bytes/frames sent while the guest is frozen
+  skipped=units pre-copy left to a later pass  mem=memory wire bytes  deltas=pages sent as deltas  refused=patches refused
+  sig=MsgDeltaSig bytes both ways/rewritten blocks  probes=source flushes/HASH_ADVERT and MsgDeltaSig frames
+  refs=blocks by reference  hashes, src-hashes=SHA-256 calls of the index, of the adverts  swarm=blocks the peer served
+  encoded, resident=bitmap wire bytes, bytes held  cow, evictions, hits=one scan's CoW copies, evictions, hits/reads
+`)
+	for _, r := range suite(seed) {
+		if r.count == nil {
+			continue
+		}
+		line, err := r.count()
+		if err != nil {
+			line = "error: " + err.Error()
+		}
+		fmt.Fprintf(w, "%-36s %s\n", r.name, line)
+	}
+}
+
+// runner is what a fixture asks of whoever runs it: *testing.B in a row's
+// timed body, untimed in its counting pass.
+type runner interface {
+	StopTimer()
+	StartTimer()
+	Cleanup(func())
+}
+
+// untimed runs a counting pass: there is no clock to stop, and done runs
+// the cleanups, last first.
+type untimed []func()
+
+func (*untimed) StopTimer()         {}
+func (*untimed) StartTimer()        {}
+func (u *untimed) Cleanup(f func()) { *u = append(*u, f) }
+
+func (u *untimed) done() {
+	for i := len(*u) - 1; i >= 0; i-- {
+		(*u)[i]()
+	}
+}
+
+// fixture builds a row's state for r and returns op, the operation the row
+// times, and counts, which renders what op's meters booked.
+type fixture func(r runner) (op func() error, counts func() string, err error)
+
+// measured is the row of build: its timed body runs op b.N times over bytes
+// per op, and its counting pass runs op once and renders its counts.
+func measured(name string, bytes int64, build fixture) row {
+	return row{name, func(b *testing.B) {
+		op, _, err := build(b)
+		if err != nil {
+			b.Fatal(err)
+		}
+		loop(b, bytes, op)
+	}, func() (string, error) {
+		var u untimed
+		defer u.done()
+		op, counts, err := build(&u)
+		if err == nil {
+			err = op()
+		}
+		if err != nil {
+			return "", err
+		}
+		return counts(), nil
+	}}
+}
+
+// loop times op b.N times, failing b on its first error; bytes is what one
+// op moves.
+func loop(b *testing.B, bytes int64, op func() error) {
+	b.SetBytes(bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // kernelImage builds a MemDisk carrying a deterministic kernel-build write
@@ -258,13 +344,13 @@ func newWorld(src, dst blockdev.Device, pages int) world {
 // migrate is the suite's one endpoint-pair runner. It links w's hosts over
 // ln — wrap, when set, decorates the two ends the engine sees — and runs
 // MigrateSource (IM from initial, when set) against MigrateDest, each on its
-// own goroutine. Whatever the outcome it closes the link; it fails b with
-// both errors joined, and otherwise hands back both reports.
-func (w world) migrate(b *testing.B, ln link, srcCfg, dstCfg core.Config, initial *bitmap.Bitmap,
-	wrap func(src, dst transport.Conn) (transport.Conn, transport.Conn)) (src, dst *metrics.Report) {
+// own goroutine. Whatever the outcome it closes the link; it returns both
+// errors joined, and otherwise both reports.
+func (w world) migrate(ln link, srcCfg, dstCfg core.Config, initial *bitmap.Bitmap,
+	wrap func(src, dst transport.Conn) (transport.Conn, transport.Conn)) (src, dst *metrics.Report, err error) {
 	cs, cd, err := ln.connect(max(srcCfg.Streams, 1))
 	if err != nil {
-		b.Fatal(err)
+		return nil, nil, err
 	}
 	if wrap != nil {
 		cs, cd = wrap(cs, cd)
@@ -291,21 +377,18 @@ func (w world) migrate(b *testing.B, ln link, srcCfg, dstCfg core.Config, initia
 	}
 	hangUp()
 	if err != nil {
-		b.Fatal(err)
+		return nil, nil, err
 	}
-	return src, dst
+	return src, dst, nil
 }
 
 // devCounts is what a row's counted devices were asked for: requests on
 // either side (a block, or an extent), and the blocks the source read.
 type devCounts struct{ calls, read atomic.Int64 }
 
-// report books the counts as dev_calls_per_block, the requests both devices
-// served per block owed, and read_share, the source's blocks read per block
-// owed: counts no machine moves.
-func (c *devCounts) report(b *testing.B, owed int) {
-	b.ReportMetric(float64(c.calls.Load())/float64(owed), "dev_calls_per_block")
-	b.ReportMetric(float64(c.read.Load())/float64(owed), "read_share")
+// format renders the counts per block owed: requests no machine moves.
+func (c *devCounts) format(owed int) string {
+	return fmt.Sprintf("calls=%d/%d read=%d/%d", c.calls.Load(), owed, c.read.Load(), owed)
 }
 
 // counted is a device that books every request it serves in counts, the
@@ -342,85 +425,108 @@ func (d counted) AllocatedBitmap() *bitmap.Bitmap {
 	return bitmap.NewAllSet(d.NumBlocks())
 }
 
-// imageMigrate runs TPM of srcDisk over loopback TCP under cfg and reports
-// wire_share: the wire bytes per logical byte (disk and memory), a count no
-// machine moves, writes_per_frame: the writes both ends' streams issued per
-// data frame sent, the syscalls staging saves, and pool_slack: the capacity
-// the buffer pool handed out per byte asked of it. The timed migrations run
-// bare devices; one more, untimed, reports devCounts.report and the idle
-// guest's freeze_bytes (a freezeMeter's link does not stage).
-func imageMigrate(b *testing.B, srcDisk *blockdev.MemDisk, cfg core.Config) {
-	n := srcDisk.NumBlocks()
-	var share float64
-	writes0, frames0 := transport.StreamWrites()
-	pool0 := transport.BufPoolStats()
-	b.SetBytes(int64(n) * blockdev.BlockSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, _ := newWorld(srcDisk, blockdev.NewMemDisk(n, blockdev.BlockSize), 64).migrate(b, loopback, cfg, cfg, nil, nil)
-		share = float64(rep.MigratedBytes) / float64(rep.DiskBytes+rep.MemoryBytes)
-	}
-	b.StopTimer()
-	b.ReportMetric(share, "wire_share")
-	writes, frames := transport.StreamWrites()
-	b.ReportMetric(float64(writes-writes0)/float64(frames-frames0), "writes_per_frame")
-	pool := transport.BufPoolStats()
-	b.ReportMetric(float64(pool.Handed-pool0.Handed)/float64(pool.Asked-pool0.Asked), "pool_slack")
-	counts, fm := devCounts{}, freezeMeter{}
-	cfg.OnFreeze, cfg.OnResume = fm.frozen, func(*blkback.PostCopyGate) { fm.resumed() }
-	newWorld(counted{srcDisk, &counts, true}, counted{blockdev.NewMemDisk(n, blockdev.BlockSize), &counts, false}, 64).migrate(b, loopback, cfg, cfg, nil, fm.wrap)
-	counts.report(b, n)
-	b.ReportMetric(float64(fm.bytes), "freeze_bytes")
+// tcpRow runs TPM of the image image builds over loopback TCP under cfg, its
+// timed migrations between bare MemDisks. Its counting pass is one migration
+// between counted devices, its idle guest's freeze window metered, read
+// through the transport's process-wide stream and pool counters too (the
+// meters forward staging, so the frames and writes are the bare run's).
+func tcpRow(name string, image func(n int) *blockdev.MemDisk, cfg core.Config) row {
+	fresh := func() *blockdev.MemDisk { return blockdev.NewMemDisk(tcpBlocks, blockdev.BlockSize) }
+	return row{name, func(b *testing.B) {
+		srcDisk := image(tcpBlocks)
+		pool0 := transport.BufPoolStats()
+		loop(b, tcpBlocks*blockdev.BlockSize, func() error {
+			_, _, err := newWorld(srcDisk, fresh(), 64).migrate(loopback, cfg, cfg, nil, nil)
+			return err
+		})
+		if cfg.CompressLevel > 0 {
+			pool := transport.BufPoolStats()
+			b.ReportMetric(float64(pool.Handed-pool0.Handed)/float64(pool.Asked-pool0.Asked), "pool_slack")
+		}
+	}, func() (string, error) {
+		srcDisk := image(tcpBlocks)
+		// The counters are deltas of process-wide totals, exact only while no
+		// other migration runs: no other -exp printer may run a transport
+		// (internal/sim imports only core names).
+		var dev devCounts
+		fm, metered := new(freezeMeter), cfg
+		metered.OnFreeze, metered.OnResume = fm.frozen, func(*blkback.PostCopyGate) { fm.resumed() }
+		writes0, frames0 := transport.StreamWrites()
+		pool0 := transport.BufPoolStats()
+		rep, _, err := newWorld(counted{srcDisk, &dev, true}, counted{fresh(), &dev, false}, 64).migrate(loopback, metered, metered, nil, fm.wrap)
+		if err != nil {
+			return "", err
+		}
+		writes, frames := transport.StreamWrites()
+		pool1 := transport.BufPoolStats()
+		pool := fmt.Sprintf("pool=%d/%d", pool1.Handed-pool0.Handed, pool1.Asked-pool0.Asked)
+		if cfg.CompressLevel > 0 {
+			// The inflater asks for its guess at each frame's size, the size
+			// of the frame before, so what it asks and is handed follows the
+			// order the workers' frames arrive in: the timed body reports
+			// pool_slack and the bench gate holds it instead.
+			pool = "pool=gated"
+		}
+		return fmt.Sprintf("wire=%d/%d writes=%d/%d %s %s freeze=%d/%d", rep.MigratedBytes, rep.DiskBytes+rep.MemoryBytes,
+			writes-writes0, frames-frames0, pool, dev.format(tcpBlocks), fm.bytes, fm.frames), nil
+	}}
 }
 
 // perBlock hides a device's extent methods: the engine's helpers fall back
 // to one request per block.
 type perBlock struct{ blockdev.Device }
 
-// devMigrate runs TPM of a kernel image between two devices that take time —
-// temp-file FileDisks ("file"), or MemDisks behind blockdev.Slow's modelled
-// latency and rate ("slow") — over in-process pipes, at 64-block extents
-// and Workers lanes on both ends; perBlock hides the devices' extent methods.
-// It reports the device counts (devCounts.report).
-func devMigrate(b *testing.B, kind string, hide bool, workers int) {
+// devRow runs TPM of a kernel image between two counted devices that take
+// time — temp-file FileDisks ("file"), or MemDisks behind blockdev.Slow's
+// modelled latency and rate ("slow") — over in-process pipes, at 64-block
+// extents and Workers lanes on both ends; perBlock hides the devices' extent
+// methods.
+func devRow(kind string, hide bool, workers int) row {
 	const n = 1024
-	img := kernelImage(n, 2000)
-	var counts devCounts
-	open := func(source bool) blockdev.Device {
-		var dev blockdev.Device = blockdev.NewMemDisk(n, blockdev.BlockSize)
-		if kind == "file" {
-			fd, err := blockdev.CreateFileDisk(filepath.Join(b.TempDir(), "img"), n, blockdev.BlockSize)
-			if err != nil {
-				b.Fatal(err)
+	name := fmt.Sprintf("MigrateDev/%s-%s/workers-%d", kind, map[bool]string{true: "per-block", false: "extent"}[hide], workers)
+	return measured(name, n*blockdev.BlockSize, func(r runner) (func() error, func() string, error) {
+		img, counts := kernelImage(n, 2000), new(devCounts)
+		dir, err := os.MkdirTemp("", "bbench-dev")
+		if err != nil {
+			return nil, nil, err
+		}
+		r.Cleanup(func() { os.RemoveAll(dir) })
+		open := func(source bool) (blockdev.Device, error) {
+			var dev blockdev.Device = blockdev.NewMemDisk(n, blockdev.BlockSize)
+			if kind == "file" {
+				fd, err := blockdev.CreateFileDisk(filepath.Join(dir, fmt.Sprint(source)), n, blockdev.BlockSize)
+				if err != nil {
+					return nil, err
+				}
+				r.Cleanup(func() { fd.Close() })
+				dev = fd
 			}
-			b.Cleanup(func() { fd.Close() })
-			dev = fd
-		}
-		if source {
-			buf := make([]byte, n*blockdev.BlockSize)
-			if err := errors.Join(img.ReadExtent(0, n, buf), blockdev.WriteExtent(dev, 0, n, buf)); err != nil {
-				b.Fatal(err)
+			if source {
+				buf := make([]byte, n*blockdev.BlockSize)
+				if err := errors.Join(img.ReadExtent(0, n, buf), blockdev.WriteExtent(dev, 0, n, buf)); err != nil {
+					return nil, err
+				}
 			}
+			dev = counted{dev, counts, source}
+			if kind == "slow" {
+				dev = blockdev.Slow{Device: dev}
+			}
+			if hide {
+				dev = perBlock{dev}
+			}
+			return dev, nil
 		}
-		dev = counted{dev, &counts, source}
-		if kind == "slow" {
-			dev = blockdev.Slow{Device: dev}
+		src, err := open(true)
+		if err != nil {
+			return nil, nil, err
 		}
-		if hide {
-			dev = perBlock{dev}
-		}
-		return dev
-	}
-	src, dst := open(true), open(false)
-	cfg := core.Config{MaxExtentBlocks: 64, Workers: workers}
-	b.SetBytes(n * blockdev.BlockSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		newWorld(src, dst, 64).migrate(b, link{}, cfg, cfg, nil, nil)
-	}
-	counts.report(b, n*b.N)
+		dst, err := open(false)
+		cfg := core.Config{MaxExtentBlocks: 64, Workers: workers}
+		return func() error {
+			_, _, err := newWorld(src, dst, 64).migrate(link{}, cfg, cfg, nil, nil)
+			return err
+		}, func() string { return counts.format(n) }, err
+	})
 }
 
 // freezeMeter meters both ends of a link and books what the destination
@@ -447,39 +553,41 @@ func (f *freezeMeter) resumed() {
 	f.frames += f.received.MessagesReceived() - f.framesAt.Load()
 }
 
+// pace is a migrate wrapper metering both ends and handing the source's to
+// paced, which the source then sends through.
+func (f *freezeMeter) pace(paced *workload.Paced) func(src, dst transport.Conn) (transport.Conn, transport.Conn) {
+	return func(src, dst transport.Conn) (transport.Conn, transport.Conn) {
+		src, dst = f.wrap(src, dst)
+		paced.Conn = src
+		return paced, dst
+	}
+}
+
 // liveMigrate runs TPM of a kernel-build image over modelled GbE under a
 // progress-paced rewriting guest (workload.Paced: per ten units sent, one
 // write of the web trace and eight pages of a 256-page hot set). The
-// sequential extent path keeps the race in frame order, so wire-bytes/op,
-// skipped/op (units pre-copy left out as already dirty again) and
-// freeze_frames (frames the destination receives while the guest is frozen)
-// repeat exactly.
-func liveMigrate(b *testing.B) {
+// sequential extent path keeps the race in frame order, so its counts repeat
+// exactly: the wire bytes, the units pre-copy left out as already dirty
+// again, and what the destination receives while the guest is frozen.
+func liveMigrate(runner) (func() error, func() string, error) {
 	const pages, hotPages = 1024, 256
-	srcDisk := kernelImage(blocks, 8000)
-	buf := make([]byte, blockdev.BlockSize)
-	var wire, skipped int64
-	var fm freezeMeter
-	b.SetBytes(blocks * blockdev.BlockSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	srcDisk, buf := kernelImage(blocks, 8000), make([]byte, blockdev.BlockSize)
+	var rep *metrics.Report
+	fm := new(freezeMeter)
+	op := func() (err error) {
 		w := newWorld(srcDisk, blockdev.NewMemDisk(blocks, blockdev.BlockSize), pages)
 		router := core.NewRouter(w.src.Backend.Submit)
 		trace := workload.New(workload.Web, blocks, 1)
+		var guestErr error // written by rounds, which Paced runs one at a time
 		paced := &workload.Paced{Every: 10, Round: func(r int) {
 			a := trace.Next()
 			for a.Op != blockdev.Write {
 				a = trace.Next()
 			}
 			workload.FillBlock(buf, a.Block, uint32(r+1))
-			if err := router.Submit(blockdev.Request{Op: blockdev.Write, Block: a.Block, Domain: 1, Data: buf}); err != nil {
-				b.Error(err)
-			}
+			guestErr = errors.Join(guestErr, router.Submit(blockdev.Request{Op: blockdev.Write, Block: a.Block, Domain: 1, Data: buf}))
 			for k := 0; k < 8; k++ {
-				if err := w.guest.Memory().WritePage((8*r+k)%hotPages, buf); err != nil {
-					b.Error(err)
-				}
+				guestErr = errors.Join(guestErr, w.guest.Memory().WritePage((8*r+k)%hotPages, buf))
 			}
 		}}
 		srcCfg := core.Config{MaxExtentBlocks: 64, OnFreeze: func() {
@@ -491,75 +599,66 @@ func liveMigrate(b *testing.B) {
 			fm.resumed()
 			router.ResumeGate(g)
 		}}
-		rep, _ := w.migrate(b, gbe, srcCfg, dstCfg, nil, func(src, dst transport.Conn) (transport.Conn, transport.Conn) {
-			src, dst = fm.wrap(src, dst)
-			paced.Conn = src
-			return paced, dst
-		})
-		wire += rep.MigratedBytes
-		skipped += int64(rep.SkippedBlocks() + rep.SkippedPages())
+		rep, _, err = w.migrate(gbe, srcCfg, dstCfg, nil, fm.pace(paced))
+		return errors.Join(err, guestErr)
 	}
-	b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/op")
-	b.ReportMetric(float64(skipped)/float64(b.N), "skipped/op")
-	b.ReportMetric(float64(fm.frames)/float64(b.N), "freeze_frames")
+	return op, func() string {
+		return fmt.Sprintf("wire=%d/%d skipped=%d freeze=%d/%d", rep.MigratedBytes, rep.DiskBytes+rep.MemoryBytes,
+			rep.SkippedBlocks()+rep.SkippedPages(), fm.bytes, fm.frames)
+	}, nil
 }
 
-// memDeltaMigrate runs TPM at an extent limit over modelled GbE under a
+// memDeltaRow runs TPM at an extent limit over modelled GbE under a
 // progress-paced guest rewriting a 512-page hot set of its 2048 pages, 32
 // pages per eight units sent (faster than the link drains them); at limit 1
 // its deltas are word-form frames. touch rewrites the k-th page written from
 // its first content (touchWord, scramble); without it a page gets
 // FillBlock's next generation, one byte in twelve changed: a delta that pays
-// in byte form, not a cheaper whole-page rewrite. The four gated counts
-// repeat exactly on the in-order send path: freeze bytes and frames, memory
-// wire bytes, delta pages. ns_per_op is not gated, nor the migration's alone:
-// the guest's page writes run on the sending goroutine, in the timed loop.
-func memDeltaMigrate(b *testing.B, limit int, touch func(page []byte, k int)) {
+// in byte form, not a cheaper whole-page rewrite. Its counts repeat exactly
+// on the in-order send path: freeze bytes and frames, memory wire bytes,
+// delta pages. Its ns/op is not the migration's alone: the guest's page
+// writes run on the sending goroutine, in the timed loop.
+func memDeltaRow(name string, limit int, touch func(page []byte, k int)) row {
 	const blocks, pages, hotPages, perRound = 1024, 2048, 512, 32
-	srcDisk := kernelImage(blocks, 2000)
-	var memBytes, deltaPages int64
-	var fm freezeMeter
-	b.SetBytes(blocks*blockdev.BlockSize + pages*vm.PageSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := newWorld(srcDisk, blockdev.NewMemDisk(blocks, blockdev.BlockSize), pages)
-		page := make([]byte, vm.PageSize)
-		for p := 0; p < pages; p++ {
-			workload.FillBlock(page, p, 7)
-			if err := w.guest.Memory().WritePage(p, page); err != nil {
-				b.Fatal(err)
-			}
-		}
-		paced := &workload.Paced{Every: 8, Round: func(r int) {
-			for k := perRound * r; k < perRound*(r+1); k++ {
-				p := k % hotPages
-				if touch != nil {
-					workload.FillBlock(page, p, 7)
-					touch(page, k)
-				} else {
-					workload.FillBlock(page, p, uint32(k)+8)
-				}
+	return measured(name, blocks*blockdev.BlockSize+pages*vm.PageSize, func(runner) (func() error, func() string, error) {
+		srcDisk := kernelImage(blocks, 2000)
+		var rep *metrics.Report
+		fm := new(freezeMeter)
+		op := func() (err error) {
+			w := newWorld(srcDisk, blockdev.NewMemDisk(blocks, blockdev.BlockSize), pages)
+			page := make([]byte, vm.PageSize)
+			for p := 0; p < pages; p++ {
+				workload.FillBlock(page, p, 7)
 				if err := w.guest.Memory().WritePage(p, page); err != nil {
-					b.Error(err)
+					return err
 				}
 			}
-		}}
-		srcCfg := core.Config{MaxExtentBlocks: limit, OnFreeze: func() { paced.Stop(); fm.frozen() }}
-		dstCfg := core.Config{MaxExtentBlocks: limit, OnResume: func(*blkback.PostCopyGate) { fm.resumed() }}
-		rep, _ := w.migrate(b, gbe, srcCfg, dstCfg, nil, func(src, dst transport.Conn) (transport.Conn, transport.Conn) {
-			src, dst = fm.wrap(src, dst)
-			paced.Conn = src
-			return paced, dst
-		})
-		for _, it := range rep.MemIterations {
-			memBytes += it.Bytes
+			var guestErr error // written by rounds, which Paced runs one at a time
+			paced := &workload.Paced{Every: 8, Round: func(r int) {
+				for k := perRound * r; k < perRound*(r+1); k++ {
+					p := k % hotPages
+					if touch != nil {
+						workload.FillBlock(page, p, 7)
+						touch(page, k)
+					} else {
+						workload.FillBlock(page, p, uint32(k)+8)
+					}
+					guestErr = errors.Join(guestErr, w.guest.Memory().WritePage(p, page))
+				}
+			}}
+			srcCfg := core.Config{MaxExtentBlocks: limit, OnFreeze: func() { paced.Stop(); fm.frozen() }}
+			dstCfg := core.Config{MaxExtentBlocks: limit, OnResume: func(*blkback.PostCopyGate) { fm.resumed() }}
+			rep, _, err = w.migrate(gbe, srcCfg, dstCfg, nil, fm.pace(paced))
+			return errors.Join(err, guestErr)
 		}
-		deltaPages += int64(rep.DeltaPages())
-	}
-	b.ReportMetric(float64(fm.bytes)/float64(b.N), "freeze_bytes")
-	b.ReportMetric(float64(fm.frames)/float64(b.N), "freeze_frames")
-	b.ReportMetric(float64(memBytes)/float64(b.N), "mem_bytes")
-	b.ReportMetric(float64(deltaPages)/float64(b.N), "delta_pages")
+		return op, func() string {
+			var mem int64
+			for _, it := range rep.MemIterations {
+				mem += it.Bytes
+			}
+			return fmt.Sprintf("freeze=%d/%d mem=%d deltas=%d", fm.bytes, fm.frames, mem, rep.DeltaPages())
+		}, nil
+	})
 }
 
 // touchWord counts in the page's first word; scramble adds the page's own
@@ -624,59 +723,54 @@ func tcpCpBaseline(b *testing.B) {
 	}
 }
 
-// deltaMigrate runs the WAN return trip: IM of a prefix rewritten in each
+// deltaRow runs the WAN return trip: IM of a prefix rewritten in each
 // block's first 256 bytes toward a destination holding the stale image
 // (stale) or nothing. Without delta the rewrites travel literal; with it as
 // patches against the stale copies, or, toward the empty disk, behind a
 // signature round trip per extent that cannot win: the protocol's floor.
-// One more migration, untimed, reports sig_bytes_per_block, the MsgDeltaSig
-// wire bytes both ways per rewritten block, and round_trips_per_extent (see
-// probeMeter): counts no machine moves.
-func deltaMigrate(b *testing.B, delta, stale bool) {
-	hot, refused := blocks/8, 0
-	baseline := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
-	srcDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
-	buf, head := make([]byte, blockdev.BlockSize), make([]byte, blockdev.BlockSize)
-	for n := 0; n < blocks; n++ {
-		workload.FillBlock(buf, n, 7)
-		baseline.WriteBlock(n, buf)
-		if n < hot {
-			workload.FillBlock(head, n+blocks, 13)
-			copy(buf[:256], head[:256])
+// Its counts: the blocks whose patch was refused, the MsgDeltaSig wire bytes
+// both ways per rewritten block and the source's flushes per probe.
+func deltaRow(name string, delta, stale bool) row {
+	const hot = blocks / 8
+	return measured(name, hot*blockdev.BlockSize, func(runner) (func() error, func() string, error) {
+		baseline := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+		srcDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+		buf, head := make([]byte, blockdev.BlockSize), make([]byte, blockdev.BlockSize)
+		for n := 0; n < blocks; n++ {
+			workload.FillBlock(buf, n, 7)
+			baseline.WriteBlock(n, buf)
+			if n < hot {
+				workload.FillBlock(head, n+blocks, 13)
+				copy(buf[:256], head[:256])
+			}
+			srcDisk.WriteBlock(n, buf)
 		}
-		srcDisk.WriteBlock(n, buf)
-	}
-	cfg := core.Config{MaxExtentBlocks: 16, Delta: delta}
-	run := func(wrap func(src, dst transport.Conn) (transport.Conn, transport.Conn)) {
-		dstDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
-		for n := 0; stale && n < blocks; n++ {
-			baseline.ReadBlock(n, buf)
-			dstDisk.WriteBlock(n, buf)
+		cfg := core.Config{MaxExtentBlocks: 16, Delta: delta}
+		var rep *metrics.Report
+		var src, dst probeMeter
+		wrap := src.wrap(&dst)
+		op := func() (err error) {
+			dstDisk := blockdev.NewMemDisk(blocks, blockdev.BlockSize)
+			for n := 0; stale && n < blocks; n++ {
+				baseline.ReadBlock(n, buf)
+				dstDisk.WriteBlock(n, buf)
+			}
+			fresh := bitmap.New(blocks)
+			fresh.SetRange(0, hot)
+			rep, _, err = newWorld(srcDisk, dstDisk, 64).migrate(wan, cfg, cfg, fresh, wrap)
+			return err
 		}
-		fresh := bitmap.New(blocks)
-		fresh.SetRange(0, hot)
-		rep, _ := newWorld(srcDisk, dstDisk, 64).migrate(b, wan, cfg, cfg, fresh, wrap)
-		refused += rep.DeltaRefused
-	}
-	b.SetBytes(int64(hot) * blockdev.BlockSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run(nil)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(refused)/float64(b.N), "refused_blocks")
-	var src, dst probeMeter
-	run(src.wrap(&dst))
-	b.ReportMetric(float64(src.sig.Load()+dst.sig.Load())/float64(hot), "sig_bytes_per_block")
-	src.roundTrips(b)
+		return op, func() string {
+			return fmt.Sprintf("refused=%d sig=%d/%d %s", rep.DeltaRefused, src.sig.Load()+dst.sig.Load(), hot, src.format())
+		}, nil
+	})
 }
 
 // probeMeter counts what the end it wraps sends of the content probes: the
 // wire bytes of its MsgDeltaSig frames, its HASH_ADVERT and MsgDeltaSig
 // frames, and its flushes from the first of those on. The engine flushes
 // where it waits on its peer, so on the source flushes per request are
-// round_trips_per_extent: 1 or more for a source that waits on every reply.
+// round trips per extent: 1 or more for a source that waits on every reply.
 type probeMeter struct {
 	transport.Conn
 	sig, requests, flushes atomic.Int64
@@ -711,162 +805,146 @@ func (m *probeMeter) Flush() error {
 	return transport.Flush(m.Conn)
 }
 
-// roundTrips reports the source end's round_trips_per_extent.
-func (m *probeMeter) roundTrips(b *testing.B) {
-	b.ReportMetric(float64(m.flushes.Load())/float64(max(m.requests.Load(), 1)), "round_trips_per_extent")
+// format renders the source end's flushes per probe.
+func (m *probeMeter) format() string {
+	return fmt.Sprintf("probes=%d/%d", m.flushes.Load(), m.requests.Load())
 }
 
-// dedupMigrate runs TPM of a clone of `distinct` template payloads over
+// dedupRow runs TPM of a clone of `distinct` template payloads over
 // modelled GbE, migrations times a run to fresh disks under one index and
 // DedupName: literally (dedup off), to a cold destination (only the
 // never-written quarter elides), or — warm — to one whose index knows a
 // MemDisk sibling, whose write stamps keep it warm across the run. The index
-// is built before every run, off the clock; ref_share and
-// src_hashes_per_block, the source's SHA-256 calls for adverts per block, are
-// the run's last migration's. hashes_per_block is the SHA-256 calls the
-// destination's index makes per block over the run, its warm-up scan
-// included, and round_trips_per_extent is probeMeter's: counts no machine
-// moves.
-func dedupMigrate(b *testing.B, distinct int, on, warm bool, migrations int) {
-	srcDisk, sibling := cloneImage(distinct), cloneImage(distinct)
-	cfg := core.Config{MaxExtentBlocks: 64, Dedup: on}
-	var refs, srcHashes int
-	var hashes int64
-	var src, dst probeMeter
-	b.SetBytes(int64(migrations) * blocks * blockdev.BlockSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		idx, dstCfg := dedup.NewIndex(blockdev.BlockSize), cfg
-		if on {
-			dstCfg.DedupIndex, dstCfg.DedupName = idx, "disk/clone"
-		}
-		if warm {
-			if err := idx.RegisterSource("disk/sibling", sibling); err != nil {
-				b.Fatal(err)
+// is built before every run, off the clock. Its counts: the last
+// migration's blocks answered by reference and the source's SHA-256 calls
+// for adverts, the SHA-256 calls the destination's index made over the run,
+// its warm-up scan included, and the probeMeter's flushes per probe.
+func dedupRow(name string, distinct int, on, warm bool, migrations int) row {
+	return measured(name, int64(migrations)*blocks*blockdev.BlockSize, func(r runner) (func() error, func() string, error) {
+		srcDisk, sibling := cloneImage(distinct), cloneImage(distinct)
+		cfg := core.Config{MaxExtentBlocks: 64, Dedup: on}
+		var rep *metrics.Report
+		var idx *dedup.Index
+		var src, dst probeMeter
+		op := func() (err error) {
+			r.StopTimer()
+			idx = dedup.NewIndex(blockdev.BlockSize)
+			dstCfg := cfg
+			if on {
+				dstCfg.DedupIndex, dstCfg.DedupName = idx, "disk/clone"
 			}
-			if _, err := idx.ScanSource("disk/sibling"); err != nil {
-				b.Fatal(err)
+			if warm {
+				err = idx.RegisterSource("disk/sibling", sibling)
+				if err == nil {
+					_, err = idx.ScanSource("disk/sibling")
+				}
 			}
+			r.StartTimer()
+			for i := 0; i < migrations && err == nil; i++ {
+				rep, _, err = newWorld(srcDisk, blockdev.NewMemDisk(blocks, blockdev.BlockSize), 64).migrate(gbe, cfg, dstCfg, nil, src.wrap(&dst))
+			}
+			return err
 		}
-		b.StartTimer()
-		for range migrations {
-			rep, _ := newWorld(srcDisk, blockdev.NewMemDisk(blocks, blockdev.BlockSize), 64).migrate(b, gbe, cfg, dstCfg, nil, src.wrap(&dst))
-			refs, srcHashes = rep.DedupBlocks, rep.DedupHashes
-		}
-		hashes = idx.Stats().Hashes
-	}
-	b.ReportMetric(float64(refs)/blocks, "ref_share")
-	b.ReportMetric(float64(hashes)/blocks, "hashes_per_block")
-	b.ReportMetric(float64(srcHashes)/blocks, "src_hashes_per_block")
-	src.roundTrips(b)
+		return op, func() string {
+			return fmt.Sprintf("refs=%d/%d hashes=%d/%d src-hashes=%d/%d %s", rep.DedupBlocks, blocks,
+				idx.Stats().Hashes, blocks, rep.DedupHashes, blocks, src.format())
+		}, nil
+	})
 }
 
-// swarmMigrate is the dedup rows' clone and link toward a cold destination
-// while a peer hosting a sibling serves the template content over a swarm
-// session on loopback TCP; the peer scans its index once, in its first
-// ServeSwarm.
-func swarmMigrate(b *testing.B) {
-	srcDisk := cloneImage(templates)
-	peer := hostd.NewMachine("P")
+// swarmMigrate migrates a clone like the dedup rows toward a cold
+// destination while a peer hosting a sibling serves the template content
+// over a swarm session on loopback TCP; the peer scans its index once, in
+// its first ServeSwarm. Its count is the blocks the peer served.
+func swarmMigrate(runner) (func() error, func() string, error) {
+	srcDisk, peer := cloneImage(templates), hostd.NewMachine("P")
 	if _, err := peer.CreateDomainOn("sibling", cloneImage(templates), 64, workload.Web, 1, false); err != nil {
-		b.Fatal(err)
+		return nil, nil, err
 	}
 	cfg := core.Config{MaxExtentBlocks: 64, Dedup: true}
 	var swarm int
-	b.SetBytes(blocks * blockdev.BlockSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	op := func() error {
 		l, err := transport.Listen("127.0.0.1:0")
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		served := make(chan struct{})
 		go func() { _ = peer.ServeSwarm(l, nil); close(served) }()
 		dstCfg := cfg
 		dstCfg.SwarmPeers = []string{l.Addr().String()}
-		_, dst := newWorld(srcDisk, blockdev.NewMemDisk(blocks, blockdev.BlockSize), 64).migrate(b, gbe, cfg, dstCfg, nil, nil)
+		_, dst, err := newWorld(srcDisk, blockdev.NewMemDisk(blocks, blockdev.BlockSize), 64).migrate(gbe, cfg, dstCfg, nil, nil)
 		l.Close()
-		<-served // ends when the destination hangs up; a failed serve fails the swarm check below
-		swarm = dst.SwarmBlocks
+		<-served // ends when the destination hangs up; a failed serve shows as no swarm blocks
+		if err == nil {
+			swarm = dst.SwarmBlocks
+		}
+		return err
 	}
-	if swarm == 0 {
-		b.Fatal("no blocks arrived from the swarm peer")
-	}
-	b.ReportMetric(float64(swarm)/blocks, "swarm_share")
+	return op, func() string { return fmt.Sprintf("swarm=%d/%d", swarm, blocks) }, nil
 }
 
-// marshalBitmap prices encoding the bitmap fixture returns, reporting the
+// bitmapRow prices encoding the bitmap fixture returns; its counts are the
 // encoded size and the bytes the bitmap holds in memory (Bitmap.SizeBytes:
 // its allocated leaves and directory). The fixture is built once, whatever
 // b.N ramp runs it.
-func marshalBitmap(fixture func() *bitmap.Bitmap) func(*testing.B) {
+func bitmapRow(name string, fixture func() *bitmap.Bitmap) row {
 	fixture = sync.OnceValue(fixture)
-	return func(b *testing.B) {
-		bm := fixture()
-		b.ReportAllocs()
-		b.ResetTimer()
-		var size int
-		for i := 0; i < b.N; i++ {
+	return measured(name, 0, func(runner) (func() error, func() string, error) {
+		bm, size := fixture(), 0
+		op := func() error {
 			data, err := bm.MarshalBinary()
-			if err != nil {
-				b.Fatal(err)
-			}
 			size = len(data)
+			return err
 		}
-		b.ReportMetric(float64(size), "bytes")
-		b.ReportMetric(float64(bm.SizeBytes()), "resident_bytes")
-	}
+		return op, func() string { return fmt.Sprintf("encoded=%d resident=%d", size, bm.SizeBytes()) }, nil
+	})
 }
 
-// snapshotScan measures a full-device scan — the shape of the fingerprint
-// and dedup passes — over a bcache volume written every eight blocks, reading
-// a CoW snapshot when frozen and the mutating live device otherwise. The
-// writes come from the scanning goroutine on a fixed stride, so allocs/op is
-// exact. The volume's CoW copies and evictions are reported per scan, with
-// the scans' hit rate.
-func snapshotScan(b *testing.B, frozen bool) {
-	vol := bcache.New(kernelImage(blocks, 8000), blocks)
-	buf := make([]byte, blockdev.BlockSize)
-	for n := 0; n < blocks; n++ { // warm: measure the cache, not the fill
-		if err := vol.ReadBlock(n, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	wbuf := make([]byte, blockdev.BlockSize)
-	before := vol.Stats()
-	b.SetBytes(blocks * blockdev.BlockSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var view blockdev.Device = vol
-		if frozen {
-			view = vol.Snapshot()
-		}
-		for n := 0; n < blocks; n++ {
-			if err := view.ReadBlock(n, buf); err != nil {
-				b.Fatal(err)
+// scanRow measures a full-device scan — the shape of the fingerprint and
+// dedup passes — over a bcache volume written every eight blocks, reading a
+// CoW snapshot when frozen and the mutating live device otherwise. The
+// writes come from the scanning goroutine on a fixed stride, so allocs/op
+// and the counts — the volume's CoW copies, evictions and hits per read —
+// are exact.
+func scanRow(name string, frozen bool) row {
+	return measured(name, blocks*blockdev.BlockSize, func(runner) (func() error, func() string, error) {
+		vol := bcache.New(kernelImage(blocks, 8000), blocks)
+		buf, wbuf := make([]byte, blockdev.BlockSize), make([]byte, blockdev.BlockSize)
+		for n := 0; n < blocks; n++ { // warm: measure the cache, not the fill
+			if err := vol.ReadBlock(n, buf); err != nil {
+				return nil, nil, err
 			}
-			if n%8 == 0 {
-				if err := vol.WriteBlock((n*37+13)%blocks, wbuf); err != nil {
-					b.Fatal(err)
+		}
+		before := vol.Stats()
+		op := func() error {
+			var view blockdev.Device = vol
+			if frozen {
+				view = vol.Snapshot()
+			}
+			for n := 0; n < blocks; n++ {
+				if err := view.ReadBlock(n, buf); err != nil {
+					return err
+				}
+				if n%8 == 0 {
+					if err := vol.WriteBlock((n*37+13)%blocks, wbuf); err != nil {
+						return err
+					}
 				}
 			}
+			if s, ok := view.(blockdev.Snapshot); ok {
+				s.Release()
+			}
+			return nil
 		}
-		if s, ok := view.(blockdev.Snapshot); ok {
-			s.Release()
-		}
-	}
-	b.StopTimer()
-	after := vol.Stats()
-	b.ReportMetric(float64(after.CowCopies-before.CowCopies)/float64(b.N), "cow_copies")
-	b.ReportMetric(float64(after.Evictions-before.Evictions)/float64(b.N), "evictions")
-	b.ReportMetric(bcache.Stats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}.HitRate(), "hit_rate")
+		return op, func() string {
+			after := vol.Stats()
+			return fmt.Sprintf("cow=%d evictions=%d hits=%d/%d", after.CowCopies-before.CowCopies, after.Evictions-before.Evictions,
+				after.Hits-before.Hits, after.Hits+after.Misses-before.Hits-before.Misses)
+		}, nil
+	})
 }
 
-// runJSON executes the suite and writes path.
+// runJSON executes the suite's timed rows and writes path.
 func runJSON(path string, seed int64) error {
 	out := benchFile{Schema: "bbmig-bench/v1.2", GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
 	for _, row := range suite(seed) {
@@ -877,58 +955,10 @@ func runJSON(path string, seed int64) error {
 		}
 		out.Benchmarks = append(out.Benchmarks, benchResult{
 			Name: row.name, Iterations: r.N, NsPerOp: float64(r.NsPerOp()), MBPerSec: mbps,
-			AllocsPerOp: float64(r.AllocsPerOp()), BytesPerOp: float64(r.AllocedBytesPerOp()), Metrics: r.Extra,
+			AllocsPerOp: float64(r.AllocsPerOp()), BytesPerOp: float64(r.AllocedBytesPerOp()), PoolSlack: r.Extra["pool_slack"],
 		})
 		fmt.Printf("%-44s %8d ns/op  %9.1f MB/s  %8d allocs/op  %10d B/op\n", row.name, r.NsPerOp(), mbps, r.AllocsPerOp(), r.AllocedBytesPerOp())
 	}
-
-	// Paper-scale simulator headlines: deterministic, so stored as metrics.
-	add := func(name string, m map[string]float64) {
-		out.Benchmarks = append(out.Benchmarks, benchResult{Name: name, Metrics: m})
-	}
-	for _, kind := range sim.TableIWorkloads() {
-		p := sim.Defaults(kind)
-		p.Seed, p.DwellAfter = seed, time.Minute
-		r := sim.RunTPM(p).Report
-		add("SimTableI/"+kind.String(), map[string]float64{
-			"total_s":     r.TotalTime.Seconds(),
-			"downtime_ms": float64(r.Downtime.Milliseconds()),
-			"migrated_mb": r.MigratedMB(),
-			"disk_iters":  float64(r.DiskIterationCount()),
-		})
-	}
-	swarmRows, _ := sim.SwarmSweep(seed)
-	for i, name := range []string{"literal", "single-source", "swarm"} {
-		add("SimSwarmSweep/"+name, map[string]float64{
-			"makespan_s":    swarmRows[i].Makespan.Seconds(),
-			"fleet_wire_gb": swarmRows[i].FleetWireGB,
-			"speedup":       swarmRows[i].Speedup,
-		})
-	}
-	wanRows, _ := sim.WANSweep(seed)
-	wanSlug := map[string]string{"literal": "literal", "dedup only": "dedup-only", "dedup + delta": "dedup-delta"}
-	for _, r := range wanRows {
-		if r.HotPct == 35 { // snapshot the heaviest swept divergence only
-			add("SimWANSweep/"+wanSlug[r.Label], map[string]float64{
-				"return_wire_mb": r.ReturnWireMB,
-				"reduction":      r.Reduction,
-				"trip_s":         r.TripTime.Seconds(),
-			})
-		}
-	}
-	// Fleet autopilot headline at the CI shape: small enough to stay
-	// second-scale, large enough that the diurnal speedup is stable.
-	fleetRows, _ := sim.FleetSweep(seed, 40, 2000)
-	for _, r := range fleetRows {
-		add("SimFleetSweep/"+r.Shape+"-"+r.Policy, map[string]float64{
-			"makespan_s":       r.Makespan.Seconds(),
-			"mean_downtime_ms": float64(r.MeanDowntime.Milliseconds()),
-			"high_starts":      float64(r.HighStarts),
-			"retrans_gb":       float64(r.RetransBlocks) * blockdev.BlockSize / 1e9,
-			"speedup":          r.Speedup,
-		})
-	}
-
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		return err

@@ -17,6 +17,7 @@
 //	bbench -exp swarm       cold-destination evacuation: multi-source swarm fetch vs single-source dedup
 //	bbench -exp wan         WAN return trip: delta-encoded hot rewrites vs dedup-only vs literal
 //	bbench -exp fleet       fleet sweep: reactive vs the cluster's trough rule
+//	bbench -exp counts      the engine's exact counts: one counting pass per -json row
 //	bbench -exp all         everything above
 //
 // The fleet sweep defaults to 10 000 domains on 200 hosts; -fleet-hosts and
@@ -24,17 +25,17 @@
 //
 // In addition, -json FILE runs the machine-readable benchmark suite (real
 // engine over modelled links and loopback TCP, the bitmap codec, the
-// snapshot block layer, plus the simulator's headline numbers) and writes a
-// BENCH_*.json snapshot:
+// snapshot block layer) and writes a BENCH_*.json snapshot of its time and
+// heap cost per op:
 //
 //	bbench -json BENCH_engine.json
 //
 // With -compare BASE the freshly written snapshot is checked against a
 // committed baseline and the run fails when a value the gate table in
-// compare.go holds regresses by more than -max-regress percent (the
-// MemDelta counts by more than 2 %) — the CI perf gate:
+// compare.go holds grows past its tolerance (an allocs/op or B/op by 25
+// percent) — the CI perf gate:
 //
-//	bbench -json /tmp/new.json -compare BENCH_engine.json -max-regress 25
+//	bbench -json /tmp/new.json -compare BENCH_engine.json
 package main
 
 import (
@@ -52,20 +53,19 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1|table2|table3|fig5|fig6|iters|locality|granularity|availability|faults|cluster|dedup|swarm|wan|fleet|all)")
+	exp := flag.String("exp", "all", "experiment to run (table1|table2|table3|fig5|fig6|iters|locality|granularity|availability|faults|cluster|dedup|swarm|wan|fleet|counts|all)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	samples := flag.Int("samples", 40, "series rows to print for figures")
 	flag.IntVar(&fleetHosts, "fleet-hosts", 200, "fleet sweep host count")
 	flag.IntVar(&fleetDomains, "fleet-domains", 10000, "fleet sweep domain count")
 	jsonOut := flag.String("json", "", "run the machine-readable benchmark suite and write BENCH_*.json here")
 	compare := flag.String("compare", "", "baseline BENCH_*.json to gate the fresh -json snapshot against")
-	maxRegress := flag.Float64("max-regress", 25, "max tolerated regression of a gated value vs -compare, in percent")
 	flag.Parse()
 
 	if *jsonOut != "" {
 		err := runJSON(*jsonOut, *seed)
 		if err == nil && *compare != "" {
-			err = compareBench(*jsonOut, *compare, *maxRegress)
+			err = compareBench(*jsonOut, *compare, maxRegress)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bbench: %v\n", err)
@@ -104,6 +104,7 @@ var experiments = []struct {
 	{"locality", locality}, {"granularity", granularity}, {"downtime-granularity", downtimeGranularity},
 	{"availability", availability}, {"faults", faults}, {"cluster", clusterSweep},
 	{"dedup", dedupSweep}, {"swarm", swarmSweep}, {"wan", wanSweep}, {"fleet", fleetSweep},
+	{"counts", engineCounts},
 }
 
 func table1(w io.Writer, seed int64, _ int) {

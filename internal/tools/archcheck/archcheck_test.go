@@ -21,7 +21,7 @@ var repoRoot = filepath.Join("..", "..", "..")
 // lineBudgets bound packages' non-test lines, counted as `cat *.go | wc -l`
 // counts them. A budget only grows in the change that defends it.
 var lineBudgets = map[string]int{
-	"cmd/bbench":               1396,
+	"cmd/bbench":               1380,
 	"internal/bitmap":          903,
 	"internal/blockdev/bcache": 596,
 	"internal/cluster":         1467,
@@ -35,7 +35,7 @@ var lineBudgets = map[string]int{
 
 // moduleLineBudget bounds the non-test lines of every package outside the
 // benchmark module, counted as lineBudgets counts them. It only shrinks.
-const moduleLineBudget = 20714
+const moduleLineBudget = 20698
 
 // optionBudgets bound the settable surface of the option types: the exported
 // fields of a struct, as dir/Type, or the parameters of a function, as
