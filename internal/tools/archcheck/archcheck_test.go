@@ -245,6 +245,12 @@ func funcName(fn *ast.FuncDecl) string {
 	if star, ok := recv.(*ast.StarExpr); ok {
 		recv = star.X
 	}
+	switch generic := recv.(type) { // T[P] or T[P, Q] names T
+	case *ast.IndexExpr:
+		recv = generic.X
+	case *ast.IndexListExpr:
+		recv = generic.X
+	}
 	return recv.(*ast.Ident).Name + "." + fn.Name.Name
 }
 

@@ -84,14 +84,14 @@ func bufClass(n int) int {
 // PoolStats counts the pool's work since the process started: every GetBuf
 // of a non-empty buffer, those the pool could not serve, the bytes they asked
 // for and the capacity they were handed. Handed over Asked is the memory a
-// payload costs over its length.
-type PoolStats struct{ Gets, Fresh, Asked, Handed int64 }
+// payload costs over its length. Coders counts the flate coders built.
+type PoolStats struct{ Gets, Fresh, Asked, Handed, Coders int64 }
 
-var bufStats struct{ gets, fresh, asked, handed atomic.Int64 }
+var bufStats struct{ gets, fresh, asked, handed, coders atomic.Int64 }
 
 // BufPoolStats returns the pool's counters.
 func BufPoolStats() PoolStats {
-	return PoolStats{bufStats.gets.Load(), bufStats.fresh.Load(), bufStats.asked.Load(), bufStats.handed.Load()}
+	return PoolStats{bufStats.gets.Load(), bufStats.fresh.Load(), bufStats.asked.Load(), bufStats.handed.Load(), bufStats.coders.Load()}
 }
 
 // GetBuf returns a buffer of length n, drawn from the pool when a size

@@ -36,9 +36,8 @@ type Compressed struct {
 
 // compressor is one reusable flate writer + staging buffer.
 type compressor struct {
-	buf  bytes.Buffer
-	fw   *flate.Writer
-	home *sync.Pool // its level's pool in deflaters
+	buf bytes.Buffer
+	fw  *flate.Writer
 }
 
 // decompressor is one reusable flate reader + its byte source.
@@ -48,40 +47,53 @@ type decompressor struct {
 	probe [1]byte       // the read past a full buffer (inflate)
 }
 
-// Flate state is pooled per process, not per conn: a flate.Writer's tables
-// run to a megabyte at the fast levels, and a migration that built its own —
-// one per concurrent sender, plus the reader's window — threw them all away
-// when it ended.
+// Flate state lives on per-process free lists, not per conn: a flate.Writer's
+// tables run to a megabyte at the fast levels, and a migration that built its
+// own — one per concurrent sender, plus the reader's window — threw them all
+// away when it ended. A conn takes a coder per Send or Recv and hands it back.
 var (
-	// deflaters holds idle compressors, one pool per flate level. Each
-	// concurrent Send takes one, so the worker pool's sends deflate different
-	// extents in parallel instead of serializing on one shared writer.
-	deflaters [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool // *compressor
+	// deflaters holds idle compressors, one list per flate level. Concurrent
+	// Sends take one each and deflate in parallel, not on one shared writer.
+	deflaters [flate.BestCompression - flate.HuffmanOnly + 1]freeList[*compressor]
 
-	// inflaters holds idle decompressors. Each Recv takes one: the flate
-	// reader's ~32 KiB window and internal state are reused across payloads
-	// and conns instead of being rebuilt.
-	inflaters = sync.Pool{New: func() any {
-		d := &decompressor{br: bytes.NewReader(nil)}
-		d.fr = flate.NewReader(d.br)
-		return d
-	}}
+	// inflaters holds idle decompressors, each with a reader's ~32 KiB window.
+	inflaters freeList[*decompressor]
 )
 
-// getCompressor takes an idle compressor for level from the process-wide
-// pool, building one when none is idle. An invalid level is the only error.
-func getCompressor(level int) (*compressor, error) {
-	if level < flate.HuffmanOnly || level > flate.BestCompression {
-		return nil, fmt.Errorf("transport: compression level %d: want a value in [%d, %d]", level, flate.HuffmanOnly, flate.BestCompression)
+// freeList holds up to maxIdleCoders idle coders for the process's life.
+// Unlike a sync.Pool, a GC cycle does not empty it and no P keeps a coder the
+// others cannot take, so it holds what was ever busy at once, and a process's
+// second compressing migration builds none. The bound is a constant, not
+// GOMAXPROCS: the coders busy at once follow the migrations' workers, and a
+// bound of 2 made bbench's 4-worker compressing row rebuild writers.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	idle []T
+}
+
+const maxIdleCoders = 8
+
+// get takes an idle coder, or builds one (counted in PoolStats.Coders).
+func (l *freeList[T]) get(build func() T) T {
+	l.mu.Lock()
+	if n := len(l.idle); n > 0 {
+		c := l.idle[n-1]
+		l.idle[n-1], l.idle = *new(T), l.idle[:n-1]
+		l.mu.Unlock()
+		return c
 	}
-	pool := &deflaters[level-flate.HuffmanOnly]
-	if co, ok := pool.Get().(*compressor); ok {
-		return co, nil
+	l.mu.Unlock()
+	bufStats.coders.Add(1)
+	return build()
+}
+
+// put hands c back, or drops it to the GC when the list is full.
+func (l *freeList[T]) put(c T) {
+	l.mu.Lock()
+	if len(l.idle) < maxIdleCoders {
+		l.idle = append(l.idle, c)
 	}
-	co := &compressor{home: pool}
-	var err error
-	co.fw, err = flate.NewWriter(&co.buf, level)
-	return co, err
+	l.mu.Unlock()
 }
 
 // rawEmpty is the wire form of an empty payload: a lone raw marker. It is
@@ -89,19 +101,15 @@ func getCompressor(level int) (*compressor, error) {
 var rawEmpty = []byte{compressRaw}
 
 // NewCompressed wraps inner at the given flate level (flate.DefaultCompression
-// if 0).
+// if 0). A level flate does not have fails here, not on the first Send from a
+// worker goroutine.
 func NewCompressed(inner Conn, level int) (*Compressed, error) {
 	if level == 0 {
 		level = flate.DefaultCompression
 	}
-	// Validate the level eagerly so a bad one fails at construction, not on
-	// the first Send from a worker goroutine. The compressor this builds is
-	// the first Send's.
-	co, err := getCompressor(level)
-	if err != nil {
-		return nil, err
+	if level < flate.HuffmanOnly || level > flate.BestCompression {
+		return nil, fmt.Errorf("transport: compression level %d: want a value in [%d, %d]", level, flate.HuffmanOnly, flate.BestCompression)
 	}
-	co.home.Put(co)
 	return &Compressed{inner: inner, level: level}, nil
 }
 
@@ -114,11 +122,13 @@ func (c *Compressed) Send(m Message) error {
 		m.Payload = rawEmpty
 		return c.inner.Send(m)
 	}
-	co, err := getCompressor(c.level)
-	if err != nil {
-		return err
-	}
-	defer co.home.Put(co)
+	list := &deflaters[c.level-flate.HuffmanOnly]
+	co := list.get(func() *compressor {
+		co := new(compressor)
+		co.fw, _ = flate.NewWriter(&co.buf, c.level) // NewCompressed checked the level
+		return co
+	})
+	defer list.put(co)
 	co.buf.Reset()
 	co.buf.WriteByte(compressDeflate)
 	co.fw.Reset(&co.buf)
@@ -136,7 +146,7 @@ func (c *Compressed) Send(m Message) error {
 	out[0] = compressRaw
 	copy(out[1:], m.Payload)
 	m.Payload = out
-	err = c.inner.Send(m)
+	err := c.inner.Send(m)
 	PutBuf(out)
 	return err
 }
@@ -164,7 +174,10 @@ func (c *Compressed) Recv() (Message, error) {
 		}
 		return m, nil
 	case compressDeflate:
-		d := inflaters.Get().(*decompressor)
+		d := inflaters.get(func() *decompressor {
+			br := bytes.NewReader(nil)
+			return &decompressor{br: br, fr: flate.NewReader(br)}
+		})
 		d.br.Reset(body)
 		if err := d.fr.(flate.Resetter).Reset(d.br, nil); err != nil {
 			return m, fmt.Errorf("transport: decompress reset: %w", err)
@@ -173,7 +186,7 @@ func (c *Compressed) Recv() (Message, error) {
 		// the payload; the last one's size is the likelier guess.
 		out, err := d.inflate(max(len(body), c.inflated), MaxPayload)
 		d.br.Reset(nil) // an idle decompressor must not pin the wire buffer it last read
-		inflaters.Put(d)
+		inflaters.put(d)
 		if err != nil {
 			return m, fmt.Errorf("transport: decompress %v: %w", m.Type, err)
 		}

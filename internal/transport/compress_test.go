@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"compress/flate"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -316,9 +318,8 @@ func TestFaultConnRecv(t *testing.T) {
 }
 
 // TestFlateStateIsProcessWide: conns opened one after another draw their
-// flate state from one process-wide pool per level (what that saves is held
-// by the MigrateTCP/compressed bytes_per_op gate, not here: sync.Pool drops
-// entries at random under -race). Every level still gets the state it asked
+// flate state from one process-wide free list per level (what that saves is
+// TestFlateCodersOutliveGC's). Every level still gets the state it asked
 // for — a level-1 writer handed to a level-9 conn would round-trip, just not
 // at level 9 — and a level flate does not have still fails when the conn is
 // built, not on the first Send.
@@ -357,5 +358,87 @@ func TestFlateStateIsProcessWide(t *testing.T) {
 		if _, err := NewCompressed(nil, level); err == nil {
 			t.Errorf("level %d accepted", level)
 		}
+	}
+}
+
+// heldConn holds each Send until every Send of its round is in flight, so
+// the Compressed conns above it hold their compressors at once.
+type heldConn struct {
+	Conn
+	round *sync.WaitGroup
+}
+
+func (h heldConn) Send(m Message) error {
+	h.round.Done()
+	h.round.Wait()
+	return h.Conn.Send(m)
+}
+
+// idleCoders drains l when drain is set, and returns how many coders it holds.
+func idleCoders[T any](l *freeList[T], drain bool) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if drain {
+		l.idle = nil
+	}
+	return len(l.idle)
+}
+
+// TestFlateCodersOutliveGC: n conns deflate at once, their payloads inflate,
+// the GC runs twice, and the same is done again. The second round builds no
+// coder, and the lists hold no more than were busy at once. A sync.Pool
+// fails it: two GC cycles empty one. The payloads inflate one at a time: a
+// Recv holds its inflater only while it inflates, so how many overlap would
+// be the scheduler's choice, and a second round that overlapped more than the
+// first would have to build one.
+func TestFlateCodersOutliveGC(t *testing.T) {
+	const n, level = 4, flate.BestSpeed
+	deflate := &deflaters[level-flate.HuffmanOnly]
+	idleCoders(deflate, true)
+	idleCoders(&inflaters, true)
+	payload := bytes.Repeat([]byte("the quick brown fox "), 1000)
+	round := func() (built int64) {
+		t.Helper()
+		before := BufPoolStats().Coders
+		var held, sent sync.WaitGroup
+		held.Add(n)
+		sent.Add(n)
+		recv := make([]*Compressed, n)
+		errs := make([]error, n)
+		for i := range n {
+			a, b := NewPipe(1)
+			ca, err := NewCompressed(heldConn{a, &held}, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recv[i], err = NewCompressed(b, level); err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				defer sent.Done()
+				errs[i] = ca.Send(Message{Type: MsgExtent, Payload: payload})
+			}()
+		}
+		sent.Wait()
+		for i, cb := range recv {
+			got, err := cb.Recv()
+			if errs[i] != nil || err != nil || !bytes.Equal(got.Payload, payload) {
+				t.Fatalf("conn %d: round trip failed: send %v, recv %v", i, errs[i], err)
+			}
+			got.Release()
+			cb.Close()
+		}
+		return BufPoolStats().Coders - before
+	}
+	if built := round(); built != n+1 {
+		t.Errorf("the first round built %d coders, want %d writers and a reader", built, n)
+	}
+	runtime.GC()
+	runtime.GC()
+	if built := round(); built != 0 {
+		t.Errorf("after two GC cycles the second round built %d coders, want none", built)
+	}
+	if d, i := idleCoders(deflate, false), idleCoders(&inflaters, false); d > n || i > n {
+		t.Errorf("%d writers and %d readers idle after %d conns", d, i, n)
 	}
 }

@@ -33,19 +33,6 @@ const (
 	FaultTruncate
 )
 
-// String implements fmt.Stringer.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultCut:
-		return "cut"
-	case FaultHalfClose:
-		return "half-close"
-	case FaultTruncate:
-		return "truncate"
-	}
-	return "fault(?)"
-}
-
 // Fault is one scripted failure: it arms after AfterSends successful sends
 // or AfterRecvs successful receives (whichever trigger is non-zero; a fault
 // may arm both) and fires on the next operation of that kind.
